@@ -27,6 +27,9 @@ __all__ = [
     "STREAM_CODEBOOK",
     "STREAM_MESSAGE",
     "MAX_CODEBOOK_BITS",
+    "MAX_DECODE_BYTES",
+    "trial_block",
+    "decode_bytes",
     "rng_stream",
     "ChannelLaw",
     "sample_taps",
@@ -46,6 +49,13 @@ STREAM_CODEBOOK = 2
 STREAM_MESSAGE = 3
 
 MAX_CODEBOOK_BITS = 24
+# Byte cap on what exhaustive decoding holds for one codebook: the
+# codewords, their channel images and the trial-block scratch.
+MAX_DECODE_BYTES = 1 << 31
+# Most trials the decoder scores with one GEMM, and the most entries one
+# (codewords x trials) scratch array may have before the block shrinks.
+_TRIAL_BLOCK = 64
+_BLOCK_ENTRIES = 1 << 20
 TRIAL_MAGIC = b"ISICHTRL"
 _HEADER = struct.Struct("<QQQ")
 
@@ -246,7 +256,27 @@ class Codebook:
             raise ValueError("codeword array shape mismatch")
 
 
-def gen_codebook(cov: CovarianceSpec, R: float, master_seed: int) -> Codebook:
+def trial_block(size: int) -> int:
+    """Trials the decoder scores per GEMM against ``size`` codewords:
+    ``_TRIAL_BLOCK``, or fewer (at least one) so that a scratch array of
+    ``size * T`` entries stays within ``_BLOCK_ENTRIES``."""
+    return max(1, min(_TRIAL_BLOCK, _BLOCK_ENTRIES // size))
+
+
+def decode_bytes(size: int, n: int, k: int) -> int:
+    """Bytes exhaustive decoding holds for ``size`` codewords of length
+    ``n`` over a channel with ``k + 1`` taps: the codewords, their
+    ``n + k``-long images and two float64 ``(size, T)`` arrays' worth of
+    trial-block scratch."""
+    return 8 * size * (n + (n + k) + 2 * trial_block(size))
+
+
+def gen_codebook(
+    cov: CovarianceSpec, R: float, master_seed: int, k: int = 0
+) -> Codebook:
+    """Draw the codebook for rate ``R``.  ``k`` is the memory of the channel
+    it will be decoded over; it sizes the images in the byte check, which
+    refuses before anything is drawn."""
     if R < 0.0:
         raise ValueError("rate must be non-negative")
     bits = math.ceil(cov.n * R - 1e-12)
@@ -255,6 +285,12 @@ def gen_codebook(cov: CovarianceSpec, R: float, master_seed: int) -> Codebook:
             f"2**{bits} codewords exceed the exhaustive-decoding cap 2**{MAX_CODEBOOK_BITS}"
         )
     size = 1 << max(bits, 0)
+    need = decode_bytes(size, cov.n, k)
+    if need > MAX_DECODE_BYTES:
+        raise CodebookTooLarge(
+            f"2**{bits} codewords of length {cov.n} need {need / 2**30:.2f} GiB to "
+            f"decode, over the cap {MAX_DECODE_BYTES / 2**30:.2f} GiB"
+        )
     g = rng_stream(master_seed, STREAM_CODEBOOK, 0).standard_normal((size, cov.n))
     if cov.basis is None:
         X = g * np.sqrt(cov.d)

@@ -8,8 +8,12 @@ several did.
 
 The joint covariance has a closed-form inverse and determinant, and the
 stacked quadratic form splits into the input form plus a centre-channel
-residual; the decode path exploits the split so each trial costs one
-residual computation per codeword.
+residual ``||a - y||^2``, where ``a`` is the codeword's image through the
+centre channel.  The decode path exploits the split: it scores a block of
+received vectors against the whole codebook with one GEMM, through
+``||a||^2 - 2 a.y + ||y||^2``, and recomputes in the direct
+``||a - y||^2`` form any pair that lies within a rounding-error bound of a
+threshold, so every decision is the one the direct form makes.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .channel_sim import (
     rng_stream,
     sample_H,
     transmit,
+    trial_block,
 )
 
 __all__ = [
@@ -61,7 +66,8 @@ __all__ = [
 ]
 
 DEFAULT_EPSILON = 0.1
-_MASK_CHUNK = 1 << 14
+# Safety factor on the forward-error bound that sets the guard band.
+_GUARD = 2.0
 
 
 @dataclass(frozen=True)
@@ -228,42 +234,92 @@ class DecodeFailure:
 
 @dataclass(frozen=True)
 class DecodeContext:
-    """Per-(codebook, channel) precomputation: input quadratic forms and the
-    centre-channel images of every codeword."""
+    """Per-(codebook, channel) precomputation: input quadratic forms, the
+    centre-channel images of every codeword and their squared norms."""
 
     q_sigma: np.ndarray
     images: np.ndarray
+    image_sq: np.ndarray
 
 
 def prepare_context(book: Codebook, joint: JointCovariance) -> DecodeContext:
+    """Input forms ``x' Sigma^{-1} x``, images ``a = Hc x`` and ``||a||^2``
+    for every codeword.  The images are built from the ``k + 1`` lower
+    diagonals of ``joint.hc`` as shifted multiply-adds of the codewords,
+    not as a dense GEMM; a channel matrix with entries off that band is
+    refused."""
+    n, m = joint.n, joint.m
     q = joint.cov.inv_quad_rows(book.codewords)
-    images = book.codewords @ joint.hc.T
-    q.setflags(write=False)
-    images.setflags(write=False)
-    return DecodeContext(q_sigma=q, images=images)
+    diags = [np.diagonal(joint.hc, -lag) for lag in range(m - n + 1)]
+    if np.count_nonzero(joint.hc) != sum(np.count_nonzero(d) for d in diags):
+        raise DimensionMismatch(
+            f"channel matrix has entries outside its {m - n + 1} lower diagonals"
+        )
+    images = np.zeros((book.size, m))
+    for lag, d in enumerate(diags):
+        images[:, lag:lag + n] += book.codewords * d
+    image_sq = np.einsum("ij,ij->i", images, images)
+    for a in (q, images, image_sq):
+        a.setflags(write=False)
+    return DecodeContext(q_sigma=q, images=images, image_sq=image_sq)
+
+
+def _guard_band(ctx: DecodeContext, y_sq: np.ndarray, n: int, m: int) -> np.ndarray:
+    """For each received vector, a bound on how far the GEMM form of the
+    joint deviation ``|w - 1|`` can lie from the direct form, over every
+    codeword.
+
+    Both forms get ``||a - y||^2`` from m-term dot products, each off by at
+    most ``gamma_m`` times a quantity no larger than ``s^2 = (||a|| +
+    ||y||)^2``; the adds, the division by ``n + m`` and the subtraction of 1
+    round values no larger than ``(q + s^2) / (n + m)`` or 1.  So the two
+    deviations differ by less than ``(m + 8) eps (1 + (q + s^2) / (n + m))``.
+    The band takes ``q`` and ``||a||`` at their codebook maxima and doubles
+    the bound."""
+    s = math.sqrt(float(ctx.image_sq.max())) + np.sqrt(y_sq)
+    scale = (float(ctx.q_sigma.max()) + s * s) / (n + m)
+    return _GUARD * (m + 8) * np.finfo(float).eps * (1.0 + scale)
 
 
 def _pass_mask(
-    y: np.ndarray,
+    Y: np.ndarray,
     joint: JointCovariance,
     params: TypicalParams,
     ctx: DecodeContext,
 ) -> np.ndarray:
-    """Boolean pass/fail of the two typicality tests for every codeword.
+    """Boolean pass/fail of the two typicality tests for every codeword
+    against every row of ``Y``, shape ``(size, T)``.
 
-    Uses the split of the stacked quadratic form into the input form plus
-    the squared centre-channel residual.
+    The joint statistic is ``w = (q + ||a - y||^2) / (n + m)``.  One GEMM
+    gives the residuals of the whole block as ``||a||^2 - 2 a.y + ||y||^2``;
+    a pair whose ``|w - 1|`` lies within the guard band of ``eta`` is
+    recomputed from ``a - y`` directly, so each decision equals the
+    unbatched rule's.
     """
     n, m = joint.n, joint.m
-    size = ctx.q_sigma.shape[0]
-    x_ok = np.abs(ctx.q_sigma / n - 1.0) < params.epsilon
-    out = np.zeros(size, dtype=bool)
-    for lo in range(0, size, _MASK_CHUNK):
-        hi = min(lo + _MASK_CHUNK, size)
-        diff = ctx.images[lo:hi] - y
+    if Y.ndim != 2 or Y.shape[1] != m:
+        raise DimensionMismatch(
+            f"received vectors have shape {Y.shape[1:]}, channel expects ({m},)"
+        )
+    y_sq = np.einsum("ij,ij->i", Y, Y)
+    dev = ctx.images @ Y.T
+    dev *= -2.0
+    dev += ctx.image_sq[:, None]
+    dev += y_sq
+    dev += ctx.q_sigma[:, None]
+    dev /= n + m
+    dev -= 1.0
+    np.abs(dev, out=dev)
+    x_ok = (np.abs(ctx.q_sigma / n - 1.0) < params.epsilon)[:, None]
+    out = (dev < params.eta) & x_ok
+    dev -= params.eta
+    np.abs(dev, out=dev)
+    rows, cols = np.nonzero(~(dev > _guard_band(ctx, y_sq, n, m)) & x_ok)
+    if rows.size:
+        diff = ctx.images[rows] - Y[cols]
         resid = np.einsum("ij,ij->i", diff, diff)
-        w_form = (ctx.q_sigma[lo:hi] + resid) / (n + m)
-        out[lo:hi] = x_ok[lo:hi] & (np.abs(w_form - 1.0) < params.eta)
+        w_form = (ctx.q_sigma[rows] + resid) / (n + m)
+        out[rows, cols] = np.abs(w_form - 1.0) < params.eta
     return out
 
 
@@ -278,7 +334,7 @@ def decode(
     the unique passing message index, or a DecodeFailure value."""
     if ctx is None:
         ctx = prepare_context(book, joint)
-    mask = _pass_mask(np.asarray(y, dtype=float), joint, params, ctx)
+    mask = _pass_mask(np.asarray(y, dtype=float)[None], joint, params, ctx)
     hits = np.flatnonzero(mask)
     if len(hits) == 1:
         return int(hits[0])
@@ -343,7 +399,9 @@ def run_error_experiment(
     """Monte Carlo error rates of the joint-typicality decoder.
 
     Each trial draws its own channel, noise, and message from per-trial
-    streams, so the counts are independent of ``threads``.
+    streams, and each thread scores its trials in blocks of
+    ``trial_block(size)`` with exact decisions, so the counts are
+    independent of ``threads`` and of the block size.
     """
     if trials <= 0:
         raise ValueError("need trials > 0")
@@ -352,23 +410,27 @@ def run_error_experiment(
     report = thresholds(spec, profile, cov, P)
     if params is None:
         params = default_params(report)
-    book = gen_codebook(cov, R, master_seed)
+    book = gen_codebook(cov, R, master_seed, k=spec.k)
     joint = build_joint(cov, build_Hc(spec, n))
     ctx = prepare_context(book, joint)
+    block = trial_block(book.size)
 
     def run_range(lo: int, hi: int) -> tuple[int, int, int]:
         t1 = t2 = ok = 0
-        for t in range(lo, hi):
-            msg = int(rng_stream(master_seed, STREAM_MESSAGE, t).integers(book.size))
-            H = sample_H(spec, n, law, master_seed, t)
-            y = transmit(H, book.codewords[msg], master_seed, t)
-            mask = _pass_mask(y, joint, params, ctx)
-            if not mask[msg]:
-                t1 += 1
-            elif int(mask.sum()) > 1:
-                t2 += 1
-            else:
-                ok += 1
+        for start in range(lo, hi, block):
+            ts = range(start, min(start + block, hi))
+            msgs = np.empty(len(ts), dtype=int)
+            Y = np.empty((len(ts), joint.m))
+            for i, t in enumerate(ts):
+                msgs[i] = rng_stream(master_seed, STREAM_MESSAGE, t).integers(book.size)
+                H = sample_H(spec, n, law, master_seed, t)
+                Y[i] = transmit(H, book.codewords[msgs[i]], master_seed, t)
+            mask = _pass_mask(Y, joint, params, ctx)
+            sent = mask[msgs, np.arange(len(ts))]
+            many = np.count_nonzero(mask, axis=0) > 1
+            t1 += int(np.count_nonzero(~sent))
+            t2 += int(np.count_nonzero(sent & many))
+            ok += int(np.count_nonzero(sent & ~many))
         return t1, t2, ok
 
     if threads <= 1:

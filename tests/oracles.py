@@ -53,3 +53,30 @@ def shell_min_oracle(
                 break
         best = min(best, f)
     return best
+
+
+def joint_typicality_oracle(
+    codewords: np.ndarray,
+    Y: np.ndarray,
+    sigma: np.ndarray,
+    taps,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalised input statistics ``x' Sigma^{-1} x / n`` per codeword and
+    joint statistics ``w' Xi^{-1} w / (n + m)`` per (codeword, row of Y).
+
+    Builds the centre matrix ``H`` from the taps and the joint covariance
+    ``Xi = [[Sigma, Sigma H'], [H Sigma, I + H Sigma H']]`` densely, and
+    evaluates each quadratic form with ``np.linalg.solve``; no closed-form
+    inverse and no residual split."""
+    n = sigma.shape[0]
+    taps = np.asarray(taps, dtype=float)
+    m = n + len(taps) - 1
+    H = np.zeros((m, n))
+    for j in range(n):
+        H[j:j + len(taps), j] = taps
+    xi = np.block([[sigma, sigma @ H.T], [H @ sigma, np.eye(m) + H @ sigma @ H.T]])
+    x_stat = np.einsum("ij,ji->i", codewords, np.linalg.solve(sigma, codewords.T)) / n
+    size, T = len(codewords), len(Y)
+    W = np.concatenate([np.repeat(codewords, T, axis=0), np.tile(Y, (size, 1))], axis=1)
+    w_stat = np.einsum("ij,ji->i", W, np.linalg.solve(xi, W.T)) / (n + m)
+    return x_stat, w_stat.reshape(size, T)

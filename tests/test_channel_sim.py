@@ -9,6 +9,7 @@ from isicap import (
     ChannelLaw,
     ChannelSpec,
     build_Hc,
+    build_joint,
     build_sigma,
     dump_trial,
     gen_codebook,
@@ -17,13 +18,16 @@ from isicap import (
     sample_H,
     transmit,
 )
+from isicap import channel_sim
 from isicap.channel_sim import (
     MAX_CODEBOOK_BITS,
     STREAM_NOISE,
     TRIAL_MAGIC,
     CovarianceSpec,
+    decode_bytes,
     sample_taps,
 )
+from isicap.decoder import prepare_context
 from isicap.errors import CodebookTooLarge, DimensionMismatch
 
 
@@ -129,6 +133,29 @@ def test_codebook_size_and_cap(example_spec):
     with pytest.raises(CodebookTooLarge):
         gen_codebook(build_sigma(example_spec, 64, 1.0, "white_iso"), 1.0, 0)
     assert MAX_CODEBOOK_BITS == 24
+
+
+def test_codebook_byte_cap(example_spec, monkeypatch):
+    k = example_spec.k
+    cov = build_sigma(example_spec, 16, 1.0, "white_iso")
+    need = decode_bytes(16, 16, k)
+    book = gen_codebook(cov, 0.25, 0, k=k)
+    ctx = prepare_context(book, build_joint(cov, build_Hc(example_spec, 16)))
+    assert need >= book.codewords.nbytes + ctx.images.nbytes
+    monkeypatch.setattr(channel_sim, "MAX_DECODE_BYTES", need)
+    assert gen_codebook(cov, 0.25, 0, k=k).size == 16
+    monkeypatch.setattr(channel_sim, "MAX_DECODE_BYTES", need - 1)
+    with pytest.raises(CodebookTooLarge):
+        gen_codebook(cov, 0.25, 0, k=k)
+    monkeypatch.undo()
+
+    def no_draw(*args):
+        raise AssertionError("codewords drawn past the byte cap")
+
+    monkeypatch.setattr(channel_sim, "rng_stream", no_draw)
+    # 2**24 words of length 64 pass the bit cap but need about 17 GiB
+    with pytest.raises(CodebookTooLarge, match="GiB"):
+        gen_codebook(build_sigma(example_spec, 64, 1.0, "white_iso"), 0.375, 0, k=k)
 
 
 def test_codebook_empirical_power(example_spec):

@@ -17,10 +17,20 @@ from isicap import (
     thresholds,
     wilson_interval,
 )
-from isicap.channel_sim import Codebook, CovarianceSpec
-from isicap.decoder import prepare_context, trace_budgets
+from isicap.channel_sim import (
+    STREAM_MESSAGE,
+    Codebook,
+    CovarianceSpec,
+    gen_codebook,
+    rng_stream,
+    sample_H,
+    transmit,
+    trial_block,
+)
+from isicap.decoder import _guard_band, _pass_mask, prepare_context, trace_budgets
 from isicap.errors import DimensionMismatch, NotPositiveDefinite
 from isicap.waterfill import delta_from_phi, phi_terms
+from oracles import joint_typicality_oracle
 
 
 def _random_cov(n, seed):
@@ -133,6 +143,49 @@ def test_decode_accepts_prepared_context(example_spec):
     assert decode(y, book, joint, params, ctx) == decode(y, book, joint, params)
 
 
+def test_decode_rejects_wrong_length(example_spec):
+    book, joint, y = _crafted_setup(example_spec)
+    params = TypicalParams(epsilon=0.1, eta=0.1, eta_prime=0.1)
+    ctx = prepare_context(book, joint)
+    for bad in (y[:-1], np.append(y, 0.0), y[None], np.float64(1.0)):
+        with pytest.raises(DimensionMismatch):
+            decode(bad, book, joint, params, ctx)
+    with pytest.raises(DimensionMismatch):
+        _pass_mask(np.zeros((3, joint.m + 1)), joint, params, ctx)
+
+
+def test_prepare_context_rejects_off_band_channel(example_spec):
+    cov = CovarianceSpec(n=6, d=np.ones(6))
+    G = build_Hc(example_spec, 6).entries.copy()
+    G[0, 5] = 0.25
+    book = Codebook(n=6, R=0.0, size=1, codewords=np.ones((1, 6)))
+    with pytest.raises(DimensionMismatch):
+        prepare_context(book, build_joint(cov, G))
+
+
+def test_decode_guard_band_follows_direct_rule(example_spec):
+    """Thresholds set exactly at, and one ulp above, word 0's direct-form
+    deviation: strict ``<`` makes it fail, then pass.  The received vectors
+    are jittered so that the GEMM form also lands on either side of the
+    direct one."""
+    book, joint, y0 = _crafted_setup(example_spec)
+    ctx = prepare_context(book, joint)
+    n, m = joint.n, joint.m
+    rng = np.random.default_rng(8)
+    for scale in [0.0] + [1e-3] * 24:
+        y = y0 + scale * rng.standard_normal(m)
+        diff = ctx.images[:1] - y
+        w0 = (ctx.q_sigma[0] + np.einsum("ij,ij->i", diff, diff)[0]) / (n + m)
+        dev0 = abs(w0 - 1.0)
+        assert dev0 > 0.0
+        band = _guard_band(ctx, np.array([y @ y]), n, m)[0]
+        for eta in (dev0, np.nextafter(dev0, np.inf)):
+            assert abs(dev0 - eta) <= band  # inside the guard band
+            params = TypicalParams(epsilon=0.1, eta=eta, eta_prime=0.1)
+            want = 0 if dev0 < eta else DecodeFailure(kind="none")
+            assert decode(y, book, joint, params, ctx) == want
+
+
 def test_threshold_formulas(example_spec, example_profile):
     n, P = 32, 2.0
     cov = build_sigma(example_spec, n, P, "waterfill_gram")
@@ -229,3 +282,54 @@ def test_experiment_constant_law_matches_centre(example_spec):
         example_spec, n=16, R=0.0625, P=0.1, trials=30, master_seed=1, law=law
     )
     assert res.type1 + res.type2 + res.success == 30
+
+
+def test_decode_and_counts_match_dense_oracle(example_spec):
+    """``decode`` per trial and ``run_error_experiment`` counts equal a
+    dense-Xi oracle, at trial counts on both sides of the 64-trial block
+    edges and with one or three threads.  Wide thresholds give all three
+    outcomes."""
+    n, R, P, seed, total = 16, 0.25, 1.0, 2, 130
+    cov = build_sigma(example_spec, n, P, "waterfill_gram")
+    params = TypicalParams(epsilon=0.5, eta=0.3, eta_prime=0.1)
+    book = gen_codebook(cov, R, seed, k=example_spec.k)
+    joint = build_joint(cov, build_Hc(example_spec, n))
+    ctx = prepare_context(book, joint)
+    assert trial_block(book.size) == 64
+    law = ChannelLaw(kind="iid_uniform")
+    msgs, ys = [], []
+    for t in range(total):
+        msgs.append(int(rng_stream(seed, STREAM_MESSAGE, t).integers(book.size)))
+        H = sample_H(example_spec, n, law, seed, t)
+        ys.append(transmit(H, book.codewords[msgs[-1]], seed, t))
+    x_stat, w_stat = joint_typicality_oracle(
+        book.codewords, np.stack(ys), cov.dense(), example_spec.c
+    )
+    # every candidate clears both thresholds by a margin, so the oracle's
+    # own rounding cannot flip a decision
+    assert np.abs(np.abs(x_stat - 1.0) - params.epsilon).min() >= 1e-9
+    assert np.abs(np.abs(w_stat - 1.0) - params.eta).min() >= 1e-9
+    passing = (np.abs(x_stat - 1.0) < params.epsilon)[:, None] & (
+        np.abs(w_stat - 1.0) < params.eta
+    )
+    outcome = []
+    for t in range(total):
+        hits = np.flatnonzero(passing[:, t])
+        if len(hits) == 1:
+            want = int(hits[0])
+        elif len(hits) == 0:
+            want = DecodeFailure(kind="none")
+        else:
+            want = DecodeFailure(kind="ambiguous", count=len(hits))
+        assert decode(ys[t], book, joint, params, ctx) == want
+        sent = bool(passing[msgs[t], t])
+        outcome.append((not sent, sent and len(hits) > 1, sent and len(hits) == 1))
+    counts = np.cumsum(np.array(outcome, dtype=int), axis=0)
+    assert counts[-1].min() > 0  # all three outcomes occur
+    for trials in (1, 63, 64, 65, 130):
+        for threads in (1, 3):
+            res = run_error_experiment(
+                example_spec, n=n, R=R, P=P, trials=trials, master_seed=seed,
+                law=law, params=params, threads=threads,
+            )
+            assert (res.type1, res.type2, res.success) == tuple(counts[trials - 1])
