@@ -181,12 +181,6 @@ class CovarianceSpec:
     def lam_max(self) -> float:
         return float(self.d.max())
 
-    @property
-    def peak_fraction(self) -> float:
-        """Largest eigenvalue over blocklength; small values indicate no
-        single direction hogs the power budget."""
-        return float(self.d.max()) / self.n
-
     def dense(self) -> np.ndarray:
         if self.basis is None:
             return np.diag(self.d)

@@ -6,14 +6,17 @@ joint covariance of the centre channel.  Decoding succeeds when exactly one
 candidate passes; otherwise the failure records whether nothing passed or
 several did.
 
-The joint covariance has a closed-form inverse and determinant, and the
+The joint covariance ``Xi`` has the closed-form inverse
+``[[Sigma^{-1} + H'H, -H'], [-H, I]]`` and ``det Xi = det Sigma``, so the
 stacked quadratic form splits into the input form plus a centre-channel
 residual ``||a - y||^2``, where ``a`` is the codeword's image through the
-centre channel.  The decode path exploits the split: it scores a block of
-received vectors against the whole codebook with one GEMM, through
-``||a||^2 - 2 a.y + ||y||^2``, and recomputes in the direct
-``||a - y||^2`` form any pair that lies within a rounding-error bound of a
-threshold, so every decision is the one the direct form makes.
+centre channel.  Neither ``Xi`` nor its inverse is ever formed here; the
+test suite builds both densely to check these identities.  The decode
+path exploits the split: it scores a block of received vectors against
+the whole codebook with one GEMM, through ``||a||^2 - 2 a.y + ||y||^2``,
+and recomputes in the direct ``||a - y||^2`` form any pair that lies
+within a rounding-error bound of a threshold, so every decision is the
+one the direct form makes.
 """
 
 from __future__ import annotations
@@ -166,21 +169,19 @@ def default_params(report: ThresholdReport) -> TypicalParams:
 
 @dataclass(frozen=True)
 class JointCovariance:
-    """Joint covariance of ``(x, y)`` under the centre channel, with its
-    closed-form inverse.  ``hc`` is kept for the residual-based decode
-    path."""
+    """Joint law of ``(x, y)`` under the centre channel, held in factored
+    form: the input covariance ``cov`` and the ``m x n`` centre matrix
+    ``hc``.  The dense joint covariance and its inverse are not stored."""
 
     n: int
     m: int
-    xi: np.ndarray
-    xi_inv: np.ndarray
     hc: np.ndarray
     cov: CovarianceSpec
 
 
 def build_joint(cov: CovarianceSpec, Hc: Union[BandedChannelMatrix, np.ndarray]) -> JointCovariance:
-    """Assemble the joint covariance and verify the closed-form inverse and
-    determinant identities; failures indicate ill-conditioning."""
+    """Pair the input covariance with the centre matrix after checking
+    their shapes; a non-finite entry in either is refused."""
     G = Hc.entries if isinstance(Hc, BandedChannelMatrix) else np.asarray(Hc, float)
     n = cov.n
     m = G.shape[0]
@@ -188,27 +189,10 @@ def build_joint(cov: CovarianceSpec, Hc: Union[BandedChannelMatrix, np.ndarray])
         raise DimensionMismatch(
             f"channel matrix shape {G.shape} incompatible with n={n}"
         )
-    sigma = cov.dense()
-    cross = sigma @ G.T
-    xi = np.block([[sigma, cross], [cross.T, np.eye(m) + G @ cross]])
-    xi_inv = np.block(
-        [[cov.inverse_dense() + G.T @ G, -G.T], [-G, np.eye(m)]]
-    )
-    scale = max(1.0, float(np.abs(xi).max()) * float(np.abs(xi_inv).max()))
-    defect = float(np.abs(xi @ xi_inv - np.eye(n + m)).max())
-    if not np.isfinite(defect) or defect > 1e-8 * scale:
-        raise NotPositiveDefinite(
-            f"joint covariance inverse defect {defect:.2e} exceeds tolerance"
-        )
-    sign, logdet = np.linalg.slogdet(xi)
-    logdet_sigma = float(np.log(cov.d).sum())
-    if sign <= 0 or abs(logdet - logdet_sigma) > 1e-6 * max(1.0, abs(logdet_sigma)):
-        raise NotPositiveDefinite(
-            "joint covariance determinant does not match the input covariance"
-        )
-    xi.setflags(write=False)
-    xi_inv.setflags(write=False)
-    return JointCovariance(n=n, m=m, xi=xi, xi_inv=xi_inv, hc=G, cov=cov)
+    parts = (cov.d, G) if cov.basis is None else (cov.d, cov.basis, G)
+    if not all(np.isfinite(a).all() for a in parts):
+        raise NotPositiveDefinite("joint covariance has non-finite entries")
+    return JointCovariance(n=n, m=m, hc=G, cov=cov)
 
 
 def is_typical(a: np.ndarray, M: np.ndarray, eta: float) -> bool:

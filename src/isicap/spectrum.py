@@ -70,6 +70,8 @@ class ChannelSpec:
             raise ValueError(f"need {self.k + 1} tap centres, got {len(self.c)}")
         if len(self.r) != self.k + 1:
             raise ValueError(f"need {self.k + 1} tap radii, got {len(self.r)}")
+        if not all(math.isfinite(v) for v in self.c + self.r):
+            raise ValueError("tap centres and radii must be finite")
         if any(v < 0.0 for v in self.r):
             raise ValueError("tap radii must be non-negative")
         if all(v == 0.0 for v in self.c):

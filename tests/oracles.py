@@ -6,6 +6,7 @@ eigenvalue solve.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -55,6 +56,22 @@ def shell_min_oracle(
     return best
 
 
+def dense_joint_covariance(sigma: np.ndarray, taps) -> tuple[np.ndarray, np.ndarray]:
+    """The centre matrix ``H`` (``m x n``, column ``j`` holds the taps from
+    row ``j``) and the joint covariance of ``(x, Hx + z)``,
+    ``Xi = [[Sigma, Sigma H'], [H Sigma, I + H Sigma H']]``, both dense and
+    of ``sigma``'s dtype (object arrays of ``Fraction`` stay exact)."""
+    n = sigma.shape[0]
+    taps = np.asarray(taps, dtype=sigma.dtype)
+    m = n + len(taps) - 1
+    H = np.zeros((m, n), dtype=sigma.dtype)
+    for j in range(n):
+        H[j:j + len(taps), j] = taps
+    cross = sigma @ H.T
+    xi = np.block([[sigma, cross], [cross.T, np.eye(m, dtype=sigma.dtype) + H @ cross]])
+    return H, xi
+
+
 def joint_typicality_oracle(
     codewords: np.ndarray,
     Y: np.ndarray,
@@ -64,19 +81,65 @@ def joint_typicality_oracle(
     """Normalised input statistics ``x' Sigma^{-1} x / n`` per codeword and
     joint statistics ``w' Xi^{-1} w / (n + m)`` per (codeword, row of Y).
 
-    Builds the centre matrix ``H`` from the taps and the joint covariance
-    ``Xi = [[Sigma, Sigma H'], [H Sigma, I + H Sigma H']]`` densely, and
-    evaluates each quadratic form with ``np.linalg.solve``; no closed-form
-    inverse and no residual split."""
+    Builds ``Xi`` with ``dense_joint_covariance`` and evaluates each
+    quadratic form with ``np.linalg.solve``; no closed-form inverse and no
+    residual split."""
     n = sigma.shape[0]
-    taps = np.asarray(taps, dtype=float)
-    m = n + len(taps) - 1
-    H = np.zeros((m, n))
-    for j in range(n):
-        H[j:j + len(taps), j] = taps
-    xi = np.block([[sigma, sigma @ H.T], [H @ sigma, np.eye(m) + H @ sigma @ H.T]])
+    _, xi = dense_joint_covariance(sigma, taps)
+    m = xi.shape[0] - n
     x_stat = np.einsum("ij,ji->i", codewords, np.linalg.solve(sigma, codewords.T)) / n
     size, T = len(codewords), len(Y)
     W = np.concatenate([np.repeat(codewords, T, axis=0), np.tile(Y, (size, 1))], axis=1)
     w_stat = np.einsum("ij,ji->i", W, np.linalg.solve(xi, W.T)) / (n + m)
     return x_stat, w_stat.reshape(size, T)
+
+
+def _exact_quad_forms(A: list, vectors: list) -> list:
+    """``v' A^{-1} v`` for each vector, in rationals: Gauss-Jordan
+    elimination of ``[A | v_1 ... v_r]`` with the first nonzero pivot."""
+    dim = len(A)
+    rows = [list(A[i]) + [v[i] for v in vectors] for i in range(dim)]
+    for col in range(dim):
+        piv = next(i for i in range(col, dim) if rows[i][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p = rows[col]
+        inv = 1 / p[col]
+        p[:] = [v * inv for v in p]
+        for i in range(dim):
+            f = rows[i][col]
+            if i != col and f != 0:
+                rows[i] = [a - f * b for a, b in zip(rows[i], p)]
+    return [
+        sum(v[i] * rows[i][dim + j] for i in range(dim))
+        for j, v in enumerate(vectors)
+    ]
+
+
+def exact_joint_statistics(
+    codewords: np.ndarray,
+    Y: np.ndarray,
+    d: np.ndarray,
+    basis,
+    taps,
+) -> tuple[list, list]:
+    """``joint_typicality_oracle`` in exact rational arithmetic.
+
+    Every float input is converted to a ``Fraction`` exactly; ``Sigma`` is
+    ``U diag(d) U'`` (``U = I`` when ``basis`` is None) and ``Xi`` comes
+    from ``dense_joint_covariance`` on it, with no rounding anywhere.
+    Returns the input statistics per codeword and the joint statistics as
+    one list per codeword, each a ``Fraction``."""
+    n = len(d)
+    fr = np.vectorize(Fraction, otypes=[object])
+    U = fr(np.eye(n) if basis is None else np.asarray(basis))
+    sigma = (U * fr(np.asarray(d))) @ U.T
+    _, xi = dense_joint_covariance(sigma, fr(np.asarray(taps, dtype=float)))
+    m = xi.shape[0] - n
+    X = [list(fr(x)) for x in codewords]
+    Yf = [list(fr(y)) for y in Y]
+    x_stat = [q / n for q in _exact_quad_forms(sigma.tolist(), X)]
+    w = [x + y for x in X for y in Yf]
+    q = _exact_quad_forms(xi.tolist(), w)
+    T = len(Yf)
+    w_stat = [[v / (n + m) for v in q[i * T:(i + 1) * T]] for i in range(len(X))]
+    return x_stat, w_stat

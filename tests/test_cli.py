@@ -220,6 +220,30 @@ def test_exit_code_bad_channel(tmp_path):
     assert main(["bounds", "--config", cfg]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+def test_exit_code_non_finite_radius(tmp_path, command):
+    cfg = _write_config(
+        tmp_path,
+        {
+            "channel": {"k": 1, "c": [1.0, 0.5], "r": [1e-3, float("nan")]},
+            "bounds": {"p_dbw": "0:10:3"},
+            "simulate": {"n_list": [16], "rate_bits": 0.25, "trials": 10},
+        },
+    )
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_simulate_infinite_power_exits_config(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path,
+        {"simulate": {"n_list": [16], "p_dbw": float("inf"), "rate_bits": 0.25, "trials": 10}},
+    )
+    assert main(["simulate", "--config", cfg, "--threads", "1"]) == EXIT_CONFIG
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_exit_code_bad_grid(tmp_path):
     out = tmp_path / "x.csv"
     assert main(["bounds", "--out", str(out), "--grid", "oops"]) == EXIT_CONFIG

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,8 +31,12 @@ from isicap.channel_sim import (
 )
 from isicap.decoder import _guard_band, _pass_mask, prepare_context, trace_budgets
 from isicap.errors import DimensionMismatch, NotPositiveDefinite
-from isicap.waterfill import delta_from_phi, phi_terms
-from oracles import joint_typicality_oracle
+from isicap.waterfill import dbw_to_watts, delta_from_phi, phi_terms
+from oracles import (
+    dense_joint_covariance,
+    exact_joint_statistics,
+    joint_typicality_oracle,
+)
 
 
 def _random_cov(n, seed):
@@ -47,31 +53,41 @@ def test_params_validation():
 
 
 def test_joint_inverse_matches_dense(example_spec):
+    """The closed-form inverse ``[[Sigma^{-1} + H'H, -H'], [-H, I]]``, from
+    the package's centre matrix and inverse covariance, inverts a dense Xi
+    built from Sigma and the taps alone."""
     cov = _random_cov(8, 1)
     joint = build_joint(cov, build_Hc(example_spec, 8))
-    dense_inv = np.linalg.inv(joint.xi)
-    assert np.abs(joint.xi_inv - dense_inv).max() <= 1e-8
+    H, xi = dense_joint_covariance(cov.dense(), example_spec.c)
+    G = joint.hc
+    assert np.array_equal(G, H)
+    closed = np.block(
+        [[cov.inverse_dense() + G.T @ G, -G.T], [-G, np.eye(joint.m)]]
+    )
+    assert np.abs(closed - np.linalg.inv(xi)).max() <= 1e-8
 
 
 def test_joint_quadratic_split(example_spec):
+    """The decoder's statistic, the input form plus the centre-channel
+    residual, equals ``w' Xi^{-1} w`` for the dense Xi."""
     cov = _random_cov(6, 2)
-    Hc = build_Hc(example_spec, 6)
-    joint = build_joint(cov, Hc)
+    joint = build_joint(cov, build_Hc(example_spec, 6))
+    _, xi = dense_joint_covariance(cov.dense(), example_spec.c)
     rng = np.random.default_rng(3)
     for _ in range(5):
         x = rng.standard_normal(6)
         y = rng.standard_normal(joint.m)
         w = np.concatenate([x, y])
-        full = w @ joint.xi_inv @ w
-        resid = y - Hc.entries @ x
-        split = x @ cov.inverse_dense() @ x + resid @ resid
+        full = w @ np.linalg.solve(xi, w)
+        resid = y - joint.hc @ x
+        split = cov.inv_quad_rows(x[None])[0] + resid @ resid
         assert full == pytest.approx(split, rel=1e-10, abs=1e-10)
 
 
 def test_joint_determinant(example_spec):
     cov = _random_cov(5, 4)
-    joint = build_joint(cov, build_Hc(example_spec, 5))
-    sign, logdet = np.linalg.slogdet(joint.xi)
+    _, xi = dense_joint_covariance(cov.dense(), example_spec.c)
+    sign, logdet = np.linalg.slogdet(xi)
     assert sign > 0
     assert logdet == pytest.approx(float(np.log(cov.d).sum()), abs=1e-8)
 
@@ -80,6 +96,22 @@ def test_joint_shape_mismatch(example_spec):
     cov = _random_cov(6, 5)
     with pytest.raises(DimensionMismatch):
         build_joint(cov, build_Hc(example_spec, 7))
+
+
+def test_joint_rejects_non_finite(example_spec):
+    Hc = build_Hc(example_spec, 6)
+    good = _random_cov(6, 5)
+    bad_d = CovarianceSpec(n=6, d=np.full(6, np.nan))
+    bad_basis = good.basis.copy()
+    bad_basis[0, 0] = np.nan
+    for cov in (bad_d, CovarianceSpec(n=6, d=good.d, basis=bad_basis)):
+        with pytest.raises(NotPositiveDefinite):
+            build_joint(cov, Hc)
+    G = Hc.entries.copy()
+    G[2, 1] = np.inf
+    with pytest.raises(NotPositiveDefinite):
+        build_joint(good, G)
+    build_joint(good, Hc)
 
 
 def test_is_typical_thresholds():
@@ -333,3 +365,77 @@ def test_decode_and_counts_match_dense_oracle(example_spec):
                 law=law, params=params, threads=threads,
             )
             assert (res.type1, res.type2, res.success) == tuple(counts[trials - 1])
+
+
+@pytest.mark.parametrize("p_dbw", [-10.0, 130.0, 400.0])
+def test_decode_matches_exact_rational_oracle(example_spec, p_dbw):
+    """At n = 4, ``decode`` and the pass mask give the decisions of the
+    joint test evaluated exactly, in rationals, on the dense Xi.  At 130
+    and 400 dBW the dense Xi is so ill-conditioned that a floating-point
+    log-determinant of it misses ``log det Sigma``; the decoder never forms
+    Xi and its decisions stay exact.
+
+    The codebook gets one extra word whose input statistic is 1, and four
+    received vectors put its joint deviation 1e-7 (relative) inside and
+    outside ``eta`` on either side of 1 where possible; the rest come
+    through a drawn and through the centre channel.  Pairs whose exact
+    joint deviation lies within the guard band of ``eta`` are not
+    compared; the input test has no guard band, and its rounding error
+    here stays below 1e-9."""
+    n, seed = 4, 7
+    P = dbw_to_watts(p_dbw)
+    cov = build_sigma(example_spec, n, P, "waterfill_gram")
+    params = default_params(thresholds(example_spec, compute_profile(example_spec), cov, P))
+    drawn = gen_codebook(cov, 1.0, seed, k=example_spec.k).codewords
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(n)
+    x_star = cov.basis @ (np.sqrt(cov.d) * g) * (np.sqrt(n) / np.linalg.norm(g))
+    book = Codebook(n=n, R=1.0, size=len(drawn) + 1, codewords=np.vstack([drawn, x_star]))
+    joint = build_joint(cov, build_Hc(example_spec, n))
+    ctx = prepare_context(book, joint)
+    m = joint.m
+    centre = ChannelLaw(kind="constant", offset=(0.0, 0.0, 0.0))
+    ys = [
+        transmit(sample_H(example_spec, n, law, seed, t), book.codewords[t], seed, t)
+        for t in range(6)
+        for law in (ChannelLaw(kind="iid_uniform"), centre)
+    ]
+    u = rng.standard_normal(m)
+    u /= np.linalg.norm(u)
+    crafted = {}
+    for side in (1.0, -1.0):
+        for rel in (-1e-7, 1e-7):
+            s2 = (n + m) * (1.0 + side * params.eta * (1.0 + rel)) - ctx.q_sigma[-1]
+            if s2 > 0.0:
+                crafted[len(ys)] = rel < 0.0
+                ys.append(joint.hc @ x_star + np.sqrt(s2) * u)
+    Y = np.stack(ys)
+    x_stat, w_stat = exact_joint_statistics(
+        book.codewords, Y, cov.d, cov.basis, example_spec.c
+    )
+    eps, eta = Fraction(params.epsilon), Fraction(params.eta)
+    x_dev = [abs(x - 1) for x in x_stat]
+    w_dev = [[abs(w - 1) for w in row] for row in w_stat]
+    exact = np.array([[x_dev[i] < eps and w < eta for w in w_dev[i]] for i in range(book.size)])
+    band = _guard_band(ctx, np.einsum("ij,ij->i", Y, Y), n, m)
+    clear = np.array([
+        [abs(x_dev[i] - eps) > 1e-9 and abs(w - eta) > band[t] for t, w in enumerate(w_dev[i])]
+        for i in range(book.size)
+    ])
+    assert len(crafted) >= 2
+    for t, inside in crafted.items():
+        assert clear[-1, t] and exact[-1, t] == inside
+    assert clear.mean() >= 0.9
+    mask = _pass_mask(Y, joint, params, ctx)
+    assert np.array_equal(mask[clear], exact[clear])
+    for t, y in enumerate(ys):
+        if not clear[:, t].all():
+            continue
+        hits = np.flatnonzero(exact[:, t])
+        if len(hits) == 1:
+            want = int(hits[0])
+        elif len(hits) == 0:
+            want = DecodeFailure(kind="none")
+        else:
+            want = DecodeFailure(kind="ambiguous", count=len(hits))
+        assert decode(y, book, joint, params, ctx) == want
