@@ -7,7 +7,6 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     IsicapError,
-    NoConvergence,
     NotPositiveDefinite,
     SpectrumSingular,
 )
@@ -31,7 +30,6 @@ from .waterfill import (
     delta_i,
     finite_n_bound,
     g_integral,
-    pillow_bound,
     pillow_terms,
     saturation_power,
     solve_theta1,
@@ -59,7 +57,6 @@ from .decoder import (
     build_joint,
     decode,
     default_params,
-    is_typical,
     run_error_experiment,
     thresholds,
     wilson_interval,

@@ -156,6 +156,8 @@ class CovarianceSpec:
         object.__setattr__(self, "d", d)
         if d.shape != (self.n,):
             raise ValueError(f"d has shape {d.shape}, expected ({self.n},)")
+        if not np.isfinite(d).all():
+            raise ValueError("covariance spectrum has non-finite entries")
         if np.any(d <= 0.0):
             raise ValueError("covariance spectrum must be positive")
         d.setflags(write=False)
@@ -164,6 +166,8 @@ class CovarianceSpec:
             object.__setattr__(self, "basis", U)
             if U.shape != (self.n, self.n):
                 raise ValueError(f"basis has shape {U.shape}, expected square")
+            if not np.isfinite(U).all():
+                raise ValueError("basis has non-finite entries")
             err = np.abs(U.T @ U - np.eye(self.n)).max()
             if err > 1e-8:
                 raise ValueError(f"basis is not orthonormal (defect {err:.2e})")
@@ -299,17 +303,13 @@ def transmit(
     x: np.ndarray,
     master_seed: int,
     trial_index: int,
-    noise_std: float = 1.0,
 ) -> np.ndarray:
-    """One channel use: ``y = H x + z`` with iid Gaussian ``z``.
-
-    ``noise_std`` exists for debugging only; every bound in the package
-    assumes unit noise."""
+    """One channel use: ``y = H x + z`` with iid unit Gaussian ``z``."""
     x = np.asarray(x, dtype=float)
     if x.shape != (H.n,):
         raise DimensionMismatch(f"x has shape {x.shape}, channel expects ({H.n},)")
     z = rng_stream(master_seed, STREAM_NOISE, trial_index).standard_normal(H.m)
-    return H.entries @ x + noise_std * z
+    return H.entries @ x + z
 
 
 def dump_trial(

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Literal, Optional, Union
 
 import numpy as np
-from scipy.linalg import cho_factor, solve_triangular
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 from .spectrum import (
@@ -61,7 +60,6 @@ __all__ = [
     "thresholds",
     "default_params",
     "build_joint",
-    "is_typical",
     "decode",
     "prepare_context",
     "wilson_interval",
@@ -76,15 +74,13 @@ _GUARD = 2.0
 @dataclass(frozen=True)
 class TypicalParams:
     """Decoder thresholds: ``epsilon`` for the input test, ``eta`` for the
-    joint test.  ``eta_prime`` is carried along for the analysis-side
-    quantities and does not affect decoding."""
+    joint test."""
 
     epsilon: float
     eta: float
-    eta_prime: float
 
     def __post_init__(self) -> None:
-        if min(self.epsilon, self.eta, self.eta_prime) <= 0.0:
+        if min(self.epsilon, self.eta) <= 0.0:
             raise ValueError("typicality thresholds must be positive")
 
 
@@ -163,7 +159,6 @@ def default_params(report: ThresholdReport) -> TypicalParams:
     return TypicalParams(
         epsilon=DEFAULT_EPSILON,
         eta=1.5 * report.eta_n + 0.05,
-        eta_prime=1.5 * report.eta_prime_n + 0.05,
     )
 
 
@@ -181,7 +176,8 @@ class JointCovariance:
 
 def build_joint(cov: CovarianceSpec, Hc: Union[BandedChannelMatrix, np.ndarray]) -> JointCovariance:
     """Pair the input covariance with the centre matrix after checking
-    their shapes; a non-finite entry in either is refused."""
+    their shapes; a non-finite channel entry is refused (``CovarianceSpec``
+    refuses its own)."""
     G = Hc.entries if isinstance(Hc, BandedChannelMatrix) else np.asarray(Hc, float)
     n = cov.n
     m = G.shape[0]
@@ -189,22 +185,9 @@ def build_joint(cov: CovarianceSpec, Hc: Union[BandedChannelMatrix, np.ndarray])
         raise DimensionMismatch(
             f"channel matrix shape {G.shape} incompatible with n={n}"
         )
-    parts = (cov.d, G) if cov.basis is None else (cov.d, cov.basis, G)
-    if not all(np.isfinite(a).all() for a in parts):
-        raise NotPositiveDefinite("joint covariance has non-finite entries")
+    if not np.isfinite(G).all():
+        raise NotPositiveDefinite("channel matrix has non-finite entries")
     return JointCovariance(n=n, m=m, hc=G, cov=cov)
-
-
-def is_typical(a: np.ndarray, M: np.ndarray, eta: float) -> bool:
-    """Whether ``|a' M^{-1} a / len(a) - 1| < eta`` (strict)."""
-    a = np.asarray(a, dtype=float)
-    try:
-        c, lower = cho_factor(M, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    u = solve_triangular(c, a, lower=lower, check_finite=False)
-    q = float(u @ u)
-    return abs(q / len(a) - 1.0) < eta
 
 
 @dataclass(frozen=True)

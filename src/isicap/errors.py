@@ -10,11 +10,6 @@ class SpectrumSingular(IsicapError):
     somewhere on the unit circle, so inverse-spectrum quantities blow up."""
 
 
-class NoConvergence(IsicapError):
-    """An iterative solver exhausted its iteration budget without meeting
-    its residual tolerance."""
-
-
 class BoundInapplicable(IsicapError):
     """A hypothesis required by a closed-form bound fails at the requested
     operating point (e.g. a log argument is non-positive)."""

@@ -35,6 +35,7 @@ __all__ = [
     "compute_profile",
     "f_sq_table",
     "simpson_mean",
+    "simpson_weights",
     "banded_from_taps",
     "build_Hc",
     "gram_matrix",
@@ -146,7 +147,9 @@ def f_sq_table(spec: ChannelSpec, grid_size: int = DEFAULT_GRID) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _simpson_weights(grid_size: int) -> np.ndarray:
+def simpson_weights(grid_size: int) -> np.ndarray:
+    """Composite-Simpson weights for the ``grid_size + 1`` shared nodes on
+    ``[0, 2*pi]``; they sum to ``2*pi``.  The returned array is read-only."""
     h = 2.0 * np.pi / grid_size
     w = np.full(grid_size + 1, 2.0)
     w[1::2] = 4.0
@@ -160,7 +163,7 @@ def simpson_mean(values: np.ndarray) -> float:
     """``(1/2pi) * integral over [0, 2pi]`` of a function given by its values
     on the shared uniform grid (``len(values)`` must be odd)."""
     n = len(values) - 1
-    return float(_simpson_weights(n) @ values) / (2.0 * np.pi)
+    return float(simpson_weights(n) @ values) / (2.0 * np.pi)
 
 
 def _golden_min(fn, a: float, b: float, rel_tol: float) -> float:

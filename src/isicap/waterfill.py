@@ -13,6 +13,18 @@ tap uncertainty (``delta``), and the per-power bound report that the CLI
 serializes.  A finite-blocklength variant replaces the integral with the
 eigenvalues of the centre Gram matrix.
 
+No level is found by iteration.  On the fixed quadrature grid the water
+``g(theta)`` is a weighted sum of ``max(theta - v_j, 0)`` over the grid's
+inverse-spectrum values ``v_j``, and the finite-blocklength allocation is
+the same sum with unit weights over ``1/lambda_i``: both are piecewise
+linear in ``theta``.  Given the breakpoints in ascending order, one
+kernel, ``_water_level``, takes prefix sums of the weights and of the
+weighted breakpoints and finds the segment holding the target with
+``searchsorted``; the level is a closed form on that segment (Palomar &
+Fonollosa, "Practical algorithms for a family of waterfilling solutions",
+IEEE TSP 2005).  Above the highest breakpoint the closed forms
+``theta = P + J`` and ``theta = b - J`` are used directly.
+
 All rates are in bits (logs base 2); powers are in watts, with dBW helpers
 for the CLI surface.
 """
@@ -25,7 +37,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .errors import BoundInapplicable, NoConvergence
+from .errors import BoundInapplicable
 from .spectrum import (
     DEFAULT_GRID,
     ChannelSpec,
@@ -34,6 +46,7 @@ from .spectrum import (
     f_sq_table,
     gram_eigenvalues,
     simpson_mean,
+    simpson_weights,
 )
 
 __all__ = [
@@ -53,14 +66,11 @@ __all__ = [
     "saturation_power",
     "bound_report",
     "pillow_terms",
-    "pillow_bound",
     "waterfill_powers",
     "finite_n_bound",
 ]
 
 LN2 = math.log(2.0)
-SOLVER_MAX_STEPS = 200
-SOLVER_REL_TOL = 1e-10
 POWER_FLOOR = 1e-12
 
 
@@ -141,6 +151,34 @@ def _solution(theta: float, I: float, profile: SpectrumProfile, level) -> Waterf
     return WaterfillSolution(theta=theta, I=I, d_min=d_min, d_max=d_max, level=level)
 
 
+def _water_level(v: np.ndarray, w: np.ndarray, a: float, B: float) -> float:
+    """Exact root ``theta`` of ``sum_j w_j max(theta - v_j, 0) - a*theta = B``
+    for ascending breakpoints ``v`` with positive weights ``w``.
+
+    The left side is piecewise linear in ``theta`` with a kink at each
+    breakpoint; it must be monotone there, which holds for ``a = 0``
+    (increasing) and for ``a > sum(w)`` (decreasing).  With the prefix sums
+    ``W = cumsum(w)`` and ``S = cumsum(w*v)`` its value at breakpoint ``i``
+    is ``v_i W_i - S_i - a v_i``; ``searchsorted`` finds the segment that
+    holds ``B``, and on a segment whose wet nodes are the first ``k`` the
+    root is ``(B + S_k) / (W_k - a)``.
+    """
+    W = np.concatenate(([0.0], np.cumsum(w)))
+    S = np.concatenate(([0.0], np.cumsum(w * v)))
+    at = v * W[1:] - S[1:] - a * v
+    k = np.searchsorted(at, B, "right") if a == 0.0 else np.searchsorted(-at, -B, "right")
+    return float((B + S[k]) / (W[k] - a))
+
+
+def _inverse_spectrum(spec: ChannelSpec, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's inverse-spectrum values ``1/|f|^2`` in ascending order, with
+    their Simpson weights scaled to sum to one, so that ``g(theta)`` is
+    ``sum_j w_j max(theta - v_j, 0)`` exactly as ``g_integral`` sums it."""
+    v = 1.0 / f_sq_table(spec, grid_size)
+    order = np.argsort(v)
+    return v[order], simpson_weights(grid_size)[order] / (2.0 * np.pi)
+
+
 def solve_theta1(
     profile: SpectrumProfile,
     spec: ChannelSpec,
@@ -150,33 +188,18 @@ def solve_theta1(
     """Water level spending total power ``P``: solves ``g(theta) = P``.
 
     Uses the closed form ``theta = P + J`` when the level tops the whole
-    inverse spectrum, otherwise bisection on the bracket between the
-    inverse-spectrum floor and ceiling.
+    inverse spectrum.  Below that, ``g`` is piecewise linear on the grid and
+    ``_water_level`` returns its exact root.  Raises ``ValueError`` for a
+    non-finite or non-positive ``P``.
     """
+    if not math.isfinite(P):
+        raise ValueError(f"non-finite power P={P}")
     if P <= 0.0:
         raise ValueError("need P > 0")
-    ceiling = 1.0 / profile.alpha ** 2
-    if P >= ceiling - profile.J:
+    if P >= 1.0 / profile.alpha ** 2 - profile.J:
         theta = P + profile.J
     else:
-        lo = 1.0 / profile.beta ** 2
-        hi = ceiling
-        theta = None
-        tol = SOLVER_REL_TOL * max(1.0, P)
-        for _ in range(SOLVER_MAX_STEPS):
-            mid = 0.5 * (lo + hi)
-            resid = g_integral(profile, spec, mid, grid_size) - P
-            if abs(resid) <= tol:
-                theta = mid
-                break
-            if resid < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        if theta is None:
-            raise NoConvergence(
-                f"water level for P={P} not found in {SOLVER_MAX_STEPS} bisection steps"
-            )
+        theta = _water_level(*_inverse_spectrum(spec, grid_size), 0.0, P)
     return _solution(theta, g_integral(profile, spec, theta, grid_size), profile, "theta1")
 
 
@@ -188,10 +211,12 @@ def solve_theta2(
     """Saturation water level: solves ``g(theta) = 2*theta - b`` with
     ``b = (2/(k+1)) / |r|^2``.
 
-    Returns ``None`` when the level would sit at or below the spectral floor
-    (no water anywhere), i.e. when saturation never bites.  Raises
-    ``ValueError`` when all radii are zero (then no saturation mechanism
-    exists at all).
+    Uses the closed form ``theta = b - J`` when the level tops the whole
+    inverse spectrum, otherwise the exact root of the piecewise-linear
+    ``g(theta) - 2*theta = -b`` from ``_water_level``.  Returns ``None`` when
+    the level would sit at or below the spectral floor (no water anywhere),
+    i.e. when saturation never bites.  Raises ``ValueError`` when all radii
+    are zero (then no saturation mechanism exists at all).
     """
     if spec.norm_r_sq == 0.0:
         raise ValueError("saturation level undefined for zero tap radii")
@@ -199,26 +224,9 @@ def solve_theta2(
     if b >= 1.0 / profile.alpha ** 2 + profile.J:
         theta = b - profile.J
         return _solution(theta, 2.0 * theta - b, profile, "theta2")
-    lo = 1.0 / profile.beta ** 2
-    if b - 2.0 * lo <= 0.0:
+    if b - 2.0 / profile.beta ** 2 <= 0.0:
         return None
-    hi = b  # g(b) <= b, so the decreasing residual is non-positive there
-    theta = None
-    tol = SOLVER_REL_TOL * max(1.0, b)
-    for _ in range(SOLVER_MAX_STEPS):
-        mid = 0.5 * (lo + hi)
-        resid = g_integral(profile, spec, mid, grid_size) - (2.0 * mid - b)
-        if abs(resid) <= tol:
-            theta = mid
-            break
-        if resid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    if theta is None:
-        raise NoConvergence(
-            f"saturation level for b={b} not found in {SOLVER_MAX_STEPS} bisection steps"
-        )
+    theta = _water_level(*_inverse_spectrum(spec, grid_size), 2.0, -b)
     I = 2.0 * theta - b
     if I <= 0.0:
         return None
@@ -379,17 +387,6 @@ def pillow_terms(
     return t1, t2, t3
 
 
-def pillow_bound(
-    profile: SpectrumProfile,
-    spec: ChannelSpec,
-    P: float,
-    r_s: Optional[float] = None,
-    grid_size: int = DEFAULT_GRID,
-) -> float:
-    t1, t2, t3 = pillow_terms(profile, spec, P, r_s, grid_size)
-    return t1 + t2 + t3
-
-
 def waterfill_powers(
     lam: np.ndarray, total: float, eps: float = POWER_FLOOR
 ) -> tuple[np.ndarray, float]:
@@ -397,37 +394,24 @@ def waterfill_powers(
     per-channel floor ``eps``: returns ``(d, theta)`` with
     ``d_i = max(theta - 1/lam_i, eps)`` and ``sum(d) = total``.
 
-    Bisection brackets the level, then Newton steps on the active set (the
-    allocation is piecewise linear in ``theta``) sharpen the power budget to
-    relative 1e-12.  Ascending ``lam`` yields ascending ``d``.
+    Since ``max(theta - u, eps) = eps + max(theta - (u + eps), 0)``, the
+    level is the exact root from ``_water_level`` with unit weights on the
+    sorted breakpoints ``1/lam_i + eps`` and budget ``total - n*eps``.
+    Ascending ``lam`` yields ascending ``d``.  Raises ``ValueError`` for a
+    non-finite ``total``.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 1 or len(lam) == 0:
         raise ValueError("need a 1-d non-empty gain vector")
-    if np.any(lam <= 0.0):
+    if not np.all(lam > 0.0):
         raise ValueError("gains must be positive")
+    if not math.isfinite(total):
+        raise ValueError(f"non-finite total power {total}")
     if total <= len(lam) * eps:
         raise ValueError("total power does not clear the per-channel floor")
     inv = 1.0 / lam
-    lo, hi = 0.0, total / len(lam) + float(inv.max())
-    for _ in range(SOLVER_MAX_STEPS):
-        mid = 0.5 * (lo + hi)
-        if np.maximum(mid - inv, eps).sum() < total:
-            lo = mid
-        else:
-            hi = mid
-    theta = 0.5 * (lo + hi)
-    for _ in range(8):
-        d = np.maximum(theta - inv, eps)
-        resid = float(d.sum()) - total
-        if abs(resid) <= 1e-12 * max(1.0, total):
-            break
-        active = int(np.count_nonzero(theta - inv > eps))
-        if active == 0:
-            break
-        theta -= resid / active
-    d = np.maximum(theta - inv, eps)
-    return d, theta
+    theta = _water_level(np.sort(inv + eps), np.ones(len(lam)), 0.0, total - len(lam) * eps)
+    return np.maximum(theta - inv, eps), theta
 
 
 def finite_n_bound(

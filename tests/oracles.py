@@ -143,3 +143,18 @@ def exact_joint_statistics(
     T = len(Yf)
     w_stat = [[v / (n + m) for v in q[i * T:(i + 1) * T]] for i in range(len(X))]
     return x_stat, w_stat
+
+
+def exact_waterfill_level(lam, total: float, eps: float) -> Fraction:
+    """The level ``theta`` with ``sum_i max(theta - 1/lam_i, eps) = total``,
+    in exact rationals: every float input is converted to a ``Fraction``
+    exactly, and active sets (the ``j`` smallest inverse gains above the
+    floor) are tried in turn until one yields a level consistent with it."""
+    inv = sorted(1 / Fraction(float(v)) for v in lam)
+    total, eps = Fraction(total), Fraction(eps)
+    n = len(inv)
+    for j in range(1, n + 1):
+        theta = (total - (n - j) * eps + sum(inv[:j])) / j
+        if theta - inv[j - 1] > eps and (j == n or theta - inv[j] <= eps):
+            return theta
+    raise ValueError("total power does not clear the per-channel floor")

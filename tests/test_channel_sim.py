@@ -171,8 +171,8 @@ def test_transmit_shapes_and_determinism(example_spec):
     y1 = transmit(H, x, master_seed=0, trial_index=3)
     y2 = transmit(H, x, master_seed=0, trial_index=3)
     assert np.array_equal(y1, y2)
-    clean = transmit(H, x, master_seed=0, trial_index=3, noise_std=0.0)
-    assert np.array_equal(clean, H.entries @ x)
+    noise = rng_stream(0, STREAM_NOISE, 3).standard_normal(H.m)
+    assert np.array_equal(y1, H.entries @ x + noise)
     # zero input isolates the noise stream exactly
     pure_noise = transmit(H, np.zeros(10), master_seed=0, trial_index=3)
     expected = rng_stream(0, STREAM_NOISE, 3).standard_normal(H.m)

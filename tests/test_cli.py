@@ -244,6 +244,21 @@ def test_simulate_infinite_power_exits_config(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_bounds_infinite_power_exits_config(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"bounds": {"p_dbw": [float("inf")]}})
+    out = tmp_path / "x.csv"
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_bounds_nan_grid_exits_config(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["bounds", "--grid=nan", "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_exit_code_bad_grid(tmp_path):
     out = tmp_path / "x.csv"
     assert main(["bounds", "--out", str(out), "--grid", "oops"]) == EXIT_CONFIG

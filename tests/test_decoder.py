@@ -14,7 +14,6 @@ from isicap import (
     compute_profile,
     decode,
     default_params,
-    is_typical,
     run_error_experiment,
     thresholds,
     wilson_interval,
@@ -47,9 +46,9 @@ def _random_cov(n, seed):
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        TypicalParams(epsilon=0.0, eta=1.0, eta_prime=1.0)
+        TypicalParams(epsilon=0.0, eta=1.0)
     with pytest.raises(ValueError):
-        TypicalParams(epsilon=0.1, eta=-1.0, eta_prime=1.0)
+        TypicalParams(epsilon=0.1, eta=-1.0)
 
 
 def test_joint_inverse_matches_dense(example_spec):
@@ -101,30 +100,17 @@ def test_joint_shape_mismatch(example_spec):
 def test_joint_rejects_non_finite(example_spec):
     Hc = build_Hc(example_spec, 6)
     good = _random_cov(6, 5)
-    bad_d = CovarianceSpec(n=6, d=np.full(6, np.nan))
+    with pytest.raises(ValueError, match="non-finite"):
+        CovarianceSpec(n=6, d=np.full(6, np.nan))
     bad_basis = good.basis.copy()
     bad_basis[0, 0] = np.nan
-    for cov in (bad_d, CovarianceSpec(n=6, d=good.d, basis=bad_basis)):
-        with pytest.raises(NotPositiveDefinite):
-            build_joint(cov, Hc)
+    with pytest.raises(ValueError, match="non-finite"):
+        CovarianceSpec(n=6, d=good.d, basis=bad_basis)
     G = Hc.entries.copy()
     G[2, 1] = np.inf
     with pytest.raises(NotPositiveDefinite):
         build_joint(good, G)
     build_joint(good, Hc)
-
-
-def test_is_typical_thresholds():
-    M = np.eye(4)
-    assert is_typical(np.ones(4), M, 1e-9)  # quadratic form == dimension
-    assert not is_typical(2.0 * np.ones(4), M, 0.5)
-    assert is_typical(2.0 * np.ones(4), M, 3.5)
-
-
-def test_is_typical_rejects_indefinite():
-    M = np.array([[1.0, 0.0], [0.0, -1.0]])
-    with pytest.raises(NotPositiveDefinite):
-        is_typical(np.ones(2), M, 0.1)
 
 
 def _crafted_setup(example_spec):
@@ -146,13 +132,13 @@ def _crafted_setup(example_spec):
 
 def test_decode_unique_success(example_spec):
     book, joint, y = _crafted_setup(example_spec)
-    params = TypicalParams(epsilon=0.1, eta=0.1, eta_prime=0.1)
+    params = TypicalParams(epsilon=0.1, eta=0.1)
     assert decode(y, book, joint, params) == 0
 
 
 def test_decode_none(example_spec):
     book, joint, y = _crafted_setup(example_spec)
-    params = TypicalParams(epsilon=0.1, eta=0.1, eta_prime=0.1)
+    params = TypicalParams(epsilon=0.1, eta=0.1)
     out = decode(y + 100.0, book, joint, params)
     assert out == DecodeFailure(kind="none")
 
@@ -162,7 +148,7 @@ def test_decode_ambiguous(example_spec):
     twin = Codebook(
         n=book.n, R=book.R, size=2, codewords=np.stack([book.codewords[0]] * 2)
     )
-    params = TypicalParams(epsilon=0.1, eta=0.1, eta_prime=0.1)
+    params = TypicalParams(epsilon=0.1, eta=0.1)
     out = decode(y, twin, joint, params)
     assert isinstance(out, DecodeFailure)
     assert out.kind == "ambiguous" and out.count == 2
@@ -170,14 +156,14 @@ def test_decode_ambiguous(example_spec):
 
 def test_decode_accepts_prepared_context(example_spec):
     book, joint, y = _crafted_setup(example_spec)
-    params = TypicalParams(epsilon=0.1, eta=0.1, eta_prime=0.1)
+    params = TypicalParams(epsilon=0.1, eta=0.1)
     ctx = prepare_context(book, joint)
     assert decode(y, book, joint, params, ctx) == decode(y, book, joint, params)
 
 
 def test_decode_rejects_wrong_length(example_spec):
     book, joint, y = _crafted_setup(example_spec)
-    params = TypicalParams(epsilon=0.1, eta=0.1, eta_prime=0.1)
+    params = TypicalParams(epsilon=0.1, eta=0.1)
     ctx = prepare_context(book, joint)
     for bad in (y[:-1], np.append(y, 0.0), y[None], np.float64(1.0)):
         with pytest.raises(DimensionMismatch):
@@ -213,7 +199,7 @@ def test_decode_guard_band_follows_direct_rule(example_spec):
         band = _guard_band(ctx, np.array([y @ y]), n, m)[0]
         for eta in (dev0, np.nextafter(dev0, np.inf)):
             assert abs(dev0 - eta) <= band  # inside the guard band
-            params = TypicalParams(epsilon=0.1, eta=eta, eta_prime=0.1)
+            params = TypicalParams(epsilon=0.1, eta=eta)
             want = 0 if dev0 < eta else DecodeFailure(kind="none")
             assert decode(y, book, joint, params, ctx) == want
 
@@ -246,7 +232,6 @@ def test_default_params_scaling(example_spec, example_profile):
     params = default_params(rep)
     assert params.epsilon == 0.1
     assert params.eta == pytest.approx(1.5 * rep.eta_n + 0.05, rel=1e-12)
-    assert params.eta_prime == pytest.approx(1.5 * rep.eta_prime_n + 0.05, rel=1e-12)
 
 
 def test_wilson_validation():
@@ -323,7 +308,7 @@ def test_decode_and_counts_match_dense_oracle(example_spec):
     outcomes."""
     n, R, P, seed, total = 16, 0.25, 1.0, 2, 130
     cov = build_sigma(example_spec, n, P, "waterfill_gram")
-    params = TypicalParams(epsilon=0.5, eta=0.3, eta_prime=0.1)
+    params = TypicalParams(epsilon=0.5, eta=0.3)
     book = gen_codebook(cov, R, seed, k=example_spec.k)
     joint = build_joint(cov, build_Hc(example_spec, n))
     ctx = prepare_context(book, joint)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from isicap import (
     delta_i,
     finite_n_bound,
     g_integral,
+    gram_eigenvalues,
     pillow_terms,
     saturation_power,
     solve_theta1,
@@ -28,6 +30,7 @@ from isicap.waterfill import (
     waterfill_powers,
 )
 
+from oracles import exact_waterfill_level
 from reference_values import (
     C0_P100,
     DELTA2_AT_PSAT,
@@ -44,7 +47,14 @@ from reference_values import (
 # quadrature differences between the 8192-panel grid and the reference
 # 2**20-point integrator only matter where the integrand has a kink
 LEVEL_TOL = 1e-6
-RESIDUAL_REL = 1e-10
+RESIDUAL_REL = 1e-13
+# centre taps with k = 1..4 and no spectral zero
+RESIDUAL_CHANNELS = (
+    (1.0, 0.5),
+    (1.0, 0.5, 0.5),
+    (1.0, -0.6, 0.3, 0.1),
+    (1.0, 0.3, -0.2, 0.1, 0.05),
+)
 
 
 def test_theta1_reference_level(example_spec, example_profile):
@@ -61,6 +71,42 @@ def test_theta1_closed_form_above_spectrum(example_spec, example_profile):
     assert sol.theta == 100.0 + example_profile.J
     assert sol.I == pytest.approx(100.0, rel=1e-12)
     assert sol.d_max == pytest.approx(sol.theta - 0.25, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", RESIDUAL_CHANNELS)
+def test_theta1_residual_below_closed_form(c):
+    spec = ChannelSpec(k=len(c) - 1, c=c, r=(1e-3,) * len(c))
+    prof = compute_profile(spec)
+    top = 1.0 / prof.alpha ** 2 - prof.J
+    # from the first wet segment (P << 1) up to just below the closed form
+    for P in [*np.geomspace(1e-12, 0.5, 24) * top, top * (1.0 - 1e-9)]:
+        sol = solve_theta1(prof, spec, P)
+        resid = g_integral(prof, spec, sol.theta) - P
+        assert abs(resid) <= RESIDUAL_REL * max(1.0, P)
+
+
+@pytest.mark.parametrize("c", RESIDUAL_CHANNELS)
+def test_theta2_residual_below_closed_form(c):
+    k = len(c) - 1
+    centre = compute_profile(ChannelSpec(k=k, c=c, r=(0.0,) * (k + 1)))
+    ceiling = 1.0 / centre.alpha ** 2 + centre.J
+    # radii that put b midway between the spectral floor and the closed form
+    b = 0.5 * (2.0 / centre.beta ** 2 + ceiling)
+    spec = ChannelSpec(k=k, c=c, r=(math.sqrt(2.0 / b) / (k + 1),) * (k + 1))
+    prof = compute_profile(spec)
+    b = (2.0 / (k + 1)) / spec.norm_r_sq
+    assert b < ceiling
+    sol = solve_theta2(prof, spec)
+    resid = g_integral(prof, spec, sol.theta) - (2.0 * sol.theta - b)
+    assert abs(resid) <= RESIDUAL_REL * max(1.0, b)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_power_refused(example_spec, example_profile, bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_theta1(example_profile, example_spec, bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        waterfill_powers(np.array([0.5, 1.0]), bad)
 
 
 def test_capacity_reference_value(example_spec, example_profile):
@@ -191,11 +237,25 @@ def test_waterfill_powers_budget(lams, total):
     assert np.all(np.diff(d) >= -1e-15)
     assert abs(d.sum() - total) <= 1e-12 * max(1.0, total)
     assert np.all(d >= np.maximum(theta - 1.0 / lam, 1e-12) - 1e-15)
+    exact = exact_waterfill_level(lam, total, 1e-12)
+    assert abs(Fraction(theta) - exact) <= 1e-14 * exact
+
+
+@pytest.mark.parametrize("P", [1e-3, 0.1, 10.0])
+def test_waterfill_powers_matches_exact_level(example_spec, P):
+    # at low power the weakest eigenvalues sit on the floor
+    lam = gram_eigenvalues(example_spec, 64)
+    d, theta = waterfill_powers(lam, 64 * P)
+    exact = exact_waterfill_level(lam, 64 * P, 1e-12)
+    assert abs(Fraction(theta) - exact) <= 1e-14 * exact
+    assert abs(d.sum() - 64 * P) <= 1e-12 * max(1.0, 64 * P)
 
 
 def test_waterfill_powers_validation():
     with pytest.raises(ValueError):
         waterfill_powers(np.array([1.0, -1.0]), 1.0)
+    with pytest.raises(ValueError):
+        waterfill_powers(np.array([np.nan, 1.0]), 1.0)
     with pytest.raises(ValueError):
         waterfill_powers(np.array([1.0]), 0.0)
 
