@@ -190,23 +190,11 @@ class CovarianceSpec:
             return np.diag(self.d)
         return (self.basis * self.d) @ self.basis.T
 
-    def inverse_dense(self) -> np.ndarray:
-        if self.basis is None:
-            return np.diag(1.0 / self.d)
-        return (self.basis / self.d) @ self.basis.T
-
     def sqrt_matrix(self) -> np.ndarray:
         """Symmetric positive square root."""
         if self.basis is None:
             return np.diag(np.sqrt(self.d))
         return (self.basis * np.sqrt(self.d)) @ self.basis.T
-
-    def factor(self) -> np.ndarray:
-        """A (generally non-symmetric) factor ``F`` with ``F F' = Sigma``;
-        codewords are ``F g`` for standard Gaussian ``g``."""
-        if self.basis is None:
-            return np.diag(np.sqrt(self.d))
-        return self.basis * np.sqrt(self.d)
 
     def inv_quad_rows(self, X: np.ndarray) -> np.ndarray:
         """Per-row quadratic forms ``x' Sigma^{-1} x`` for rows of ``X``."""

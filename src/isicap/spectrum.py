@@ -10,10 +10,16 @@ through its squared magnitude ``|f|^2``: the extreme values ``alpha^2`` and
 ``beta^2``, the inverse-spectrum mean ``J``, and the Gram matrix of the tall
 banded convolution matrix built from the centre taps.
 
-All integrals over ``[0, 2*pi]`` are composite-Simpson sums on one shared,
-cached grid so that quantities which are equal in exact arithmetic (e.g. the
+All integrals over ``[0, 2*pi]`` are composite-Simpson sums on one shared
+grid so that quantities which are equal in exact arithmetic (e.g. the
 water-filling integral above the highest inverse-spectrum value) stay equal
-to machine precision.
+to machine precision.  The grid values of ``|f|^2`` come from one FFT of the
+taps.  The extrema are exact: ``|f|^2 = t_0 + 2 sum_d t_d cos(d omega)``
+(``t`` the tap autocorrelation) is stationary where a degree-2k polynomial
+vanishes on the unit circle, and ``|f|^2`` is evaluated at the angles of its
+roots.  The table, the extrema and ``J`` depend on the centre taps alone and
+are cached on ``(c, grid_size)``, so channels that differ only in their
+radii share them.
 """
 
 from __future__ import annotations
@@ -44,9 +50,7 @@ __all__ = [
 
 DEFAULT_GRID = 8192
 MIN_GRID = 256
-REFINE_REL_TOL = 1e-10
 SINGULAR_REL_TOL = 1e-12
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -117,31 +121,42 @@ class SpectrumProfile:
     norm_r_sq: float
 
 
+def _f_sq(c: np.ndarray, omega):
+    phase = np.multiply.outer(np.asarray(omega, dtype=float), np.arange(len(c), dtype=float))
+    re = np.cos(phase) @ c
+    im = np.sin(phase) @ c
+    return re * re + im * im
+
+
 def eval_f_sq(spec: ChannelSpec, omega):
     """Squared magnitude of the centre transfer function at ``omega``.
 
     ``omega`` may be a scalar or an ndarray; the return matches its shape.
     """
-    w = np.asarray(omega, dtype=float)
-    ell = np.arange(spec.k + 1, dtype=float)
-    phase = np.multiply.outer(w, ell)
-    c = np.asarray(spec.c)
-    re = np.cos(phase) @ c
-    im = np.sin(phase) @ c
-    out = re * re + im * im
+    out = _f_sq(np.asarray(spec.c), omega)
     if np.isscalar(omega) or np.ndim(omega) == 0:
         return float(out)
     return out
 
 
-@lru_cache(maxsize=128)
 def f_sq_table(spec: ChannelSpec, grid_size: int = DEFAULT_GRID) -> np.ndarray:
     """``|f|^2`` sampled at the ``grid_size + 1`` uniform Simpson nodes on
-    ``[0, 2*pi]`` (endpoints included).  The returned array is read-only."""
+    ``[0, 2*pi]`` (endpoints included), from one FFT of the taps and cached
+    on ``(spec.c, grid_size)``.  The returned array is read-only."""
+    return _f_sq_table(spec.c, grid_size)
+
+
+@lru_cache(maxsize=128)
+def _f_sq_table(c: tuple[float, ...], grid_size: int) -> np.ndarray:
     if grid_size < MIN_GRID or grid_size % 2 != 0:
         raise ValueError(f"grid_size must be even and >= {MIN_GRID}")
-    omega = np.linspace(0.0, 2.0 * np.pi, grid_size + 1)
-    vals = eval_f_sq(spec, omega)
+    taps = np.asarray(c)
+    if taps.size > grid_size:
+        # The DFT sees tap l only through l mod grid_size: fold, not truncate.
+        taps = np.bincount(np.arange(taps.size) % grid_size, weights=taps)
+    F = np.fft.fft(taps, grid_size)
+    vals = F.real * F.real + F.imag * F.imag
+    vals = np.append(vals, vals[0])
     vals.setflags(write=False)
     return vals
 
@@ -166,56 +181,55 @@ def simpson_mean(values: np.ndarray) -> float:
     return float(simpson_weights(n) @ values) / (2.0 * np.pi)
 
 
-def _golden_min(fn, a: float, b: float, rel_tol: float) -> float:
-    """Golden-section minimum of a unimodal ``fn`` on ``[a, b]``; returns the
-    minimum *value*."""
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    while (b - a) > rel_tol * max(1.0, abs(a) + abs(b)):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = fn(x2)
-    return min(f1, f2)
+def _critical_angles(c: np.ndarray) -> np.ndarray:
+    """Angles of the roots of ``sum_d d t_d (z^(k+d) - z^(k-d))``, which on
+    the unit circle vanishes exactly where ``d|f|^2/domega`` does.
+
+    Terms below ``eps`` times the largest are dropped, so a subnormal end
+    term cannot overflow the companion matrix.  With no term left (``k = 0``
+    or one non-zero tap) ``|f|^2`` is constant and there are no roots; a zero
+    end tap lowers the degree and adds roots at ``z = 0`` (angle 0).
+    """
+    t = _tap_autocorr(c)
+    g = np.arange(len(t)) * t
+    g[np.abs(g) <= np.finfo(float).eps * np.abs(g).max()] = 0.0
+    return np.angle(np.roots(np.concatenate([g[:0:-1], [0.0], -g[1:]])))
 
 
 @lru_cache(maxsize=128)
-def compute_profile(spec: ChannelSpec, grid_size: int = DEFAULT_GRID) -> SpectrumProfile:
-    """Scan ``|f|^2`` on the shared grid, refine each extremum by golden
-    section inside its bracketing cell, and average ``1/|f|^2``.
-
-    Raises SpectrumSingular when the refined minimum of ``|f|`` is at or
-    below ``1e-12 * beta`` (the inverse spectrum, and hence ``J``, is then
-    meaningless).
-    """
-    table = f_sq_table(spec, grid_size)
-    h = 2.0 * np.pi / grid_size
-    # Periodic wrap: node grid_size duplicates node 0, so bracket indices
-    # modulo grid_size keep both extrema interior to their cell.
-    j_min = int(np.argmin(table[:-1]))
-    j_max = int(np.argmax(table[:-1]))
-
-    def fsq(w: float) -> float:
-        return eval_f_sq(spec, w)
-
-    refined_min = _golden_min(fsq, (j_min - 1) * h, (j_min + 1) * h, REFINE_REL_TOL)
-    refined_max = -_golden_min(lambda w: -fsq(w), (j_max - 1) * h, (j_max + 1) * h, REFINE_REL_TOL)
-    f_sq_min = min(float(table[j_min]), refined_min)
-    f_sq_max = max(float(table[j_max]), refined_max)
+def _centre_profile(c: tuple[float, ...], grid_size: int) -> tuple[float, float, float]:
+    table = _f_sq_table(c, grid_size)
+    taps = np.asarray(c)
+    # Every candidate is |f|^2 at some angle, so none lies below the true
+    # minimum (up to rounding): alpha keeps its direction of error.
+    at_roots = _f_sq(taps, _critical_angles(taps))
+    f_sq_min = min(float(table.min()), float(at_roots.min(initial=np.inf)))
+    f_sq_max = max(float(table.max()), float(at_roots.max(initial=-np.inf)))
 
     beta = math.sqrt(f_sq_max)
-    if f_sq_min <= 0.0 or math.sqrt(max(f_sq_min, 0.0)) <= SINGULAR_REL_TOL * beta:
+    if f_sq_min <= 0.0 or math.sqrt(f_sq_min) <= SINGULAR_REL_TOL * beta:
         raise SpectrumSingular(
             f"min |f| = {math.sqrt(max(f_sq_min, 0.0)):.3e} is negligible against "
             f"max |f| = {beta:.3e}"
         )
-    alpha = math.sqrt(f_sq_min)
-    J = simpson_mean(1.0 / table)
+    return math.sqrt(f_sq_min), beta, simpson_mean(1.0 / table)
+
+
+@lru_cache(maxsize=128)
+def compute_profile(spec: ChannelSpec, grid_size: int = DEFAULT_GRID) -> SpectrumProfile:
+    """Exact extrema of ``|f|``, the Simpson mean ``J`` of ``1/|f|^2`` from
+    the FFT table, and the radius sums of ``spec``.
+
+    ``alpha`` and ``beta`` are the smaller resp. larger of the table's
+    extremes and ``|f|`` at the angles of the roots of the derivative
+    polynomial (one ``np.roots`` call).  Those parts depend only on
+    ``(spec.c, grid_size)`` and are cached on that key.
+
+    Raises SpectrumSingular when the minimum of ``|f|`` is at or below
+    ``1e-12 * beta`` (the inverse spectrum, and hence ``J``, is then
+    meaningless).
+    """
+    alpha, beta, J = _centre_profile(spec.c, grid_size)
     return SpectrumProfile(
         alpha=alpha,
         beta=beta,
@@ -272,11 +286,9 @@ def build_Hc(spec: ChannelSpec, n: int) -> BandedChannelMatrix:
     return banded_from_taps(taps, n, spec.k)
 
 
-def _tap_autocorr(spec: ChannelSpec) -> np.ndarray:
-    c = np.asarray(spec.c)
-    return np.array(
-        [c[: len(c) - d] @ c[d:] for d in range(spec.k + 1)]
-    )
+def _tap_autocorr(c) -> np.ndarray:
+    c = np.asarray(c, dtype=float)
+    return np.array([c[: len(c) - d] @ c[d:] for d in range(len(c))])
 
 
 def gram_matrix(spec: ChannelSpec, n: int) -> np.ndarray:
@@ -288,7 +300,7 @@ def gram_matrix(spec: ChannelSpec, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    t = _tap_autocorr(spec)
+    t = _tap_autocorr(spec.c)
     col = np.zeros(n)
     w = min(spec.k + 1, n)
     col[:w] = t[:w]
@@ -299,7 +311,7 @@ def gram_eigenvalues(spec: ChannelSpec, n: int) -> np.ndarray:
     """Ascending eigenvalues of the Gram matrix, via its band form."""
     if n < 1:
         raise ValueError("need n >= 1")
-    t = _tap_autocorr(spec)
+    t = _tap_autocorr(spec.c)
     u = min(spec.k, n - 1)
     band = np.zeros((u + 1, n))
     for d in range(u + 1):

@@ -2,12 +2,14 @@
 
 These deliberately avoid the package's own algorithms: the shell minimizer
 is a projected-gradient descent with retraction and restarts, not an
-eigenvalue solve.
+eigenvalue solve, and the spectrum extrema come from high-precision Newton
+steps, not from polynomial roots or an FFT.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 
@@ -158,3 +160,48 @@ def exact_waterfill_level(lam, total: float, eps: float) -> Fraction:
         if theta - inv[j - 1] > eps and (j == n or theta - inv[j] <= eps):
             return theta
     raise ValueError("total power does not clear the per-channel floor")
+
+
+def spectrum_extrema_oracle(c, grid: int = 4096, digits: int = 50) -> tuple[float, float]:
+    """``(min |f|, max |f|)`` over the circle for ``f(w) = sum_l c_l e^{i l w}``.
+
+    Every local extremum of ``|f|^2`` on a dense grid (direct cosine/sine
+    sums) seeds a Newton iteration on ``d|f|^2/dw`` in ``digits``-digit
+    arithmetic, with the derivatives summed term by term:
+    ``(|f|^2)' = 2 Re(conj(f) f')`` and ``(|f|^2)'' = 2 (|f'|^2 + Re(conj(f) f''))``.
+    The extremes of those values and of ``|f|^2`` at the grid's own extreme
+    nodes, all evaluated in that precision, are returned.
+    """
+    c = [float(v) for v in c]
+    w = np.arange(grid) * (2.0 * math.pi / grid)
+    ell = np.arange(len(c))
+    re = np.cos(np.outer(w, ell)) @ np.asarray(c)
+    im = np.sin(np.outer(w, ell)) @ np.asarray(c)
+    vals = re * re + im * im
+    prev, nxt = np.roll(vals, 1), np.roll(vals, -1)
+    strict = ((vals < prev) & (vals <= nxt)) | ((vals > prev) & (vals >= nxt))
+    with mpmath.workdps(digits):
+        cm = [mpmath.mpf(v) for v in c]
+
+        def derivs(x):
+            e = [mpmath.expj(l * x) for l in range(len(cm))]
+            f = mpmath.fsum(cl * el for cl, el in zip(cm, e))
+            f1 = mpmath.fsum(1j * l * cl * el for l, (cl, el) in enumerate(zip(cm, e)))
+            f2 = mpmath.fsum(-(l * l) * cl * el for l, (cl, el) in enumerate(zip(cm, e)))
+            fc = mpmath.conj(f)
+            return abs(f) ** 2, 2 * mpmath.re(fc * f1), 2 * (abs(f1) ** 2 + mpmath.re(fc * f2))
+
+        found = [derivs(mpmath.mpf(float(w[j])))[0] for j in (np.argmin(vals), np.argmax(vals))]
+        tol = mpmath.mpf(10) ** (5 - digits)
+        for j in np.flatnonzero(strict):
+            x = mpmath.mpf(float(w[j]))
+            for _ in range(60):
+                _, d1, d2 = derivs(x)
+                if d2 == 0:
+                    break
+                step = d1 / d2
+                x -= step
+                if abs(step) <= tol:
+                    break
+            found.append(derivs(x)[0])
+        return float(mpmath.sqrt(min(found))), float(mpmath.sqrt(max(found)))

@@ -103,11 +103,8 @@ def test_covariance_identities():
     basis, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     cov = CovarianceSpec(n=6, d=rng.uniform(0.5, 3.0, 6), basis=basis)
     sigma = cov.dense()
-    assert np.abs(sigma @ cov.inverse_dense() - np.eye(6)).max() <= 1e-10
     S = cov.sqrt_matrix()
     assert np.abs(S @ S - sigma).max() <= 1e-10
-    F = cov.factor()
-    assert np.abs(F @ F.T - sigma).max() <= 1e-10
     X = rng.standard_normal((4, 6))
     direct = np.einsum("ij,ij->i", X @ np.linalg.inv(sigma), X)
     assert np.abs(cov.inv_quad_rows(X) - direct).max() <= 1e-10

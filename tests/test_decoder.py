@@ -53,7 +53,7 @@ def test_params_validation():
 
 def test_joint_inverse_matches_dense(example_spec):
     """The closed-form inverse ``[[Sigma^{-1} + H'H, -H'], [-H, I]]``, from
-    the package's centre matrix and inverse covariance, inverts a dense Xi
+    the package's centre matrix and the inverse of ``cov.dense()``, inverts a dense Xi
     built from Sigma and the taps alone."""
     cov = _random_cov(8, 1)
     joint = build_joint(cov, build_Hc(example_spec, 8))
@@ -61,7 +61,7 @@ def test_joint_inverse_matches_dense(example_spec):
     G = joint.hc
     assert np.array_equal(G, H)
     closed = np.block(
-        [[cov.inverse_dense() + G.T @ G, -G.T], [-G, np.eye(joint.m)]]
+        [[np.linalg.inv(cov.dense()) + G.T @ G, -G.T], [-G, np.eye(joint.m)]]
     )
     assert np.abs(closed - np.linalg.inv(xi)).max() <= 1e-8
 

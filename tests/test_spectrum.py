@@ -8,10 +8,13 @@ from isicap import ChannelSpec, build_Hc, compute_profile, eval_f_sq, gram_eigen
 from isicap.errors import SpectrumSingular
 from isicap.spectrum import banded_from_taps, f_sq_table, simpson_mean
 
+from oracles import spectrum_extrema_oracle
 from reference_values import ALPHA_EXAMPLE, BETA_EXAMPLE, J_EXAMPLE
 
 PROFILE_ABS_TOL = 1e-10
 GRAM_MATCH_TOL = 1e-9
+EXTREMA_REL_TOL = 1e-12
+ALPHA_UNDERSHOOT_REL = 1e-14
 
 
 def channel_specs(max_k=4):
@@ -55,6 +58,92 @@ def test_singular_spectrum_raises():
     # 1 - z vanishes at zero frequency
     with pytest.raises(SpectrumSingular):
         compute_profile(ChannelSpec(k=1, c=(1.0, -1.0), r=(0.0, 0.0)))
+
+
+def test_profile_degenerate_taps():
+    """Closed forms where the derivative polynomial loses its end terms or
+    vanishes (then the table alone gives the extrema)."""
+    cases = [
+        ((0.0, 1.0), 1.0, 1.0, 1.0),  # one non-zero tap: no roots at all
+        ((0.0, 0.0, -3.0), 3.0, 3.0, 1.0 / 9.0),
+        ((1.0, 0.0, 0.0), 1.0, 1.0, 1.0),  # zero trailing taps
+        ((1.0, 0.5, 0.0), 0.5, 1.5, 4.0 / 3.0),  # |1 + z/2|, J = 1/(1 - 1/4)
+        ((0.0, 1.0, 0.5), 0.5, 1.5, 4.0 / 3.0),  # zero leading tap
+        ((1.0, 0.5, 5e-324), 0.5, 1.5, 4.0 / 3.0),  # subnormal end tap
+    ]
+    for c, alpha, beta, J in cases:
+        k = len(c) - 1
+        prof = compute_profile(ChannelSpec(k=k, c=c, r=(0.0,) * (k + 1)))
+        assert prof.alpha == pytest.approx(alpha, rel=1e-14)
+        assert prof.beta == pytest.approx(beta, rel=1e-14)
+        assert prof.J == pytest.approx(J, rel=1e-12)
+    # |0.5 + 0.5 z^2|^2 = (1 + cos 2w)/2 vanishes at w = pi/2
+    with pytest.raises(SpectrumSingular):
+        compute_profile(ChannelSpec(k=2, c=(0.5, 0.0, 0.5), r=(0.0, 0.0, 0.0)))
+
+
+def _near_singular_taps(rng, k, delta):
+    """Taps with a zero of the tap polynomial at distance ``delta`` inside the
+    unit circle (a real zero for k = 1, a conjugate pair otherwise)."""
+    if k == 1:
+        return rng.uniform(0.5, 2.0) * np.array([1.0, rng.choice([-1.0, 1.0]) * (1.0 - delta)])
+    theta, rho = rng.uniform(0.3, 2.8), 1.0 - delta
+    base = np.concatenate([[1.0], rng.uniform(-0.4, 0.4, k - 2)])  # no zero near |z| = 1
+    return np.convolve(base, [1.0, -2.0 * rho * math.cos(theta), rho * rho])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_profile_matches_extrema_oracle(k):
+    """alpha and beta against 50-digit Newton extrema; alpha never lies
+    below the true minimum by more than 1e-14 relative."""
+    rng = np.random.default_rng(100 + k)
+    checked = 0
+    while checked < 5:
+        c = rng.uniform(-1.0, 1.0, k + 1)
+        prof = compute_profile(ChannelSpec(k=k, c=tuple(c), r=(0.0,) * (k + 1)))
+        if prof.alpha < 0.05 * prof.beta:  # the near-singular test covers these
+            continue
+        a, b = spectrum_extrema_oracle(c)
+        assert prof.alpha == pytest.approx(a, rel=EXTREMA_REL_TOL)
+        assert prof.beta == pytest.approx(b, rel=EXTREMA_REL_TOL)
+        assert prof.alpha >= a * (1.0 - ALPHA_UNDERSHOOT_REL)
+        checked += 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_profile_near_singular_matches_oracle(k):
+    """alpha/beta near 1e-3.  One double-precision evaluation of |f| is off
+    by up to a few ``eps * sum|c|`` (the terms are O(1), the sum O(alpha)),
+    which at these ratios is 1e-14 to 1e-13 of alpha, so the undershoot
+    check allows that rounding on top of the relative 1e-14."""
+    rng = np.random.default_rng(200 + k)
+    for _ in range(3):
+        c = _near_singular_taps(rng, k, 2e-3)
+        prof = compute_profile(ChannelSpec(k=k, c=tuple(c), r=(0.0,) * (k + 1)))
+        assert 1e-4 <= prof.alpha / prof.beta <= 1e-2
+        a, b = spectrum_extrema_oracle(c)
+        assert prof.alpha == pytest.approx(a, rel=EXTREMA_REL_TOL)
+        assert prof.beta == pytest.approx(b, rel=EXTREMA_REL_TOL)
+        rounding = 8.0 * np.finfo(float).eps * np.abs(c).sum()
+        assert prof.alpha >= a * (1.0 - ALPHA_UNDERSHOOT_REL) - rounding
+
+
+def test_profile_shared_by_centre_taps(example_spec):
+    """Channels that differ only in their radii share alpha, beta and J."""
+    wide = ChannelSpec(k=example_spec.k, c=example_spec.c, r=(0.3, 0.2, 0.1))
+    a, b = compute_profile(example_spec), compute_profile(wide)
+    assert (a.alpha, a.beta, a.J) == (b.alpha, b.beta, b.J)
+    assert b.r_s == pytest.approx(0.6)
+    assert f_sq_table(example_spec) is f_sq_table(wide)
+
+
+def test_table_folds_taps_longer_than_grid():
+    rng = np.random.default_rng(4)
+    k = 300
+    spec = ChannelSpec(k=k, c=tuple(rng.uniform(-1.0, 1.0, k + 1)), r=(0.0,) * (k + 1))
+    omega = np.linspace(0.0, 2.0 * np.pi, 257)
+    direct = eval_f_sq(spec, omega)
+    assert np.abs(f_sq_table(spec, 256) - direct).max() <= 1e-10 * direct.max()
 
 
 def test_grid_size_validation(example_spec):
