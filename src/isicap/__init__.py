@@ -16,7 +16,6 @@ from .spectrum import (
     SpectrumProfile,
     build_Hc,
     compute_profile,
-    eval_f_sq,
     gram_eigenvalues,
     gram_matrix,
 )
@@ -41,9 +40,7 @@ from .channel_sim import (
     Codebook,
     CovarianceSpec,
     build_sigma,
-    dump_trial,
     gen_codebook,
-    load_trial,
     rng_stream,
     sample_H,
     transmit,

@@ -1,4 +1,4 @@
-"""Channel realizations, input covariances, codebooks, and trial I/O.
+"""Channel realizations, input covariances, codebooks and channel uses.
 
 Randomness is organized around one master seed and fixed stream ids, so a
 trial is reproducible in isolation: stream CHANNEL drives tap draws, NOISE
@@ -10,15 +10,14 @@ which makes multi-threaded experiments independent of scheduling order.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Literal, Optional, Union
+from typing import Literal, Optional
 
 import numpy as np
 from scipy.linalg import eigh
 
 from .errors import CodebookTooLarge, DimensionMismatch
-from .spectrum import BandedChannelMatrix, ChannelSpec, banded_from_taps, gram_matrix
+from .spectrum import BandedChannelMatrix, ChannelSpec, gram_matrix
 from .waterfill import POWER_FLOOR, waterfill_powers
 
 __all__ = [
@@ -39,8 +38,6 @@ __all__ = [
     "Codebook",
     "gen_codebook",
     "transmit",
-    "dump_trial",
-    "load_trial",
 ]
 
 STREAM_CHANNEL = 0
@@ -56,8 +53,6 @@ MAX_DECODE_BYTES = 1 << 31
 # (codewords x trials) scratch array may have before the block shrinks.
 _TRIAL_BLOCK = 64
 _BLOCK_ENTRIES = 1 << 20
-TRIAL_MAGIC = b"ISICHTRL"
-_HEADER = struct.Struct("<QQQ")
 
 
 def rng_stream(master_seed: int, stream: int, index: int) -> np.random.Generator:
@@ -134,8 +129,10 @@ def sample_H(
     master_seed: int,
     trial_index: int,
 ) -> BandedChannelMatrix:
+    """Channel realization of one trial in band form: output ``i`` applies
+    row ``i`` of ``sample_taps``."""
     taps = sample_taps(spec, n + spec.k, law, master_seed, trial_index)
-    return banded_from_taps(taps, n, spec.k)
+    return BandedChannelMatrix(n=n, k=spec.k, taps=taps)
 
 
 @dataclass(frozen=True)
@@ -196,13 +193,6 @@ class CovarianceSpec:
             return np.diag(np.sqrt(self.d))
         return (self.basis * np.sqrt(self.d)) @ self.basis.T
 
-    def inv_quad_rows(self, X: np.ndarray) -> np.ndarray:
-        """Per-row quadratic forms ``x' Sigma^{-1} x`` for rows of ``X``."""
-        if X.ndim != 2 or X.shape[1] != self.n:
-            raise DimensionMismatch(f"rows must have length {self.n}")
-        W = X if self.basis is None else X @ self.basis
-        return (W * W) @ (1.0 / self.d)
-
 
 def build_sigma(
     spec: ChannelSpec,
@@ -230,16 +220,24 @@ def build_sigma(
 @dataclass(frozen=True)
 class Codebook:
     """Exhaustively decodable Gaussian codebook: ``size = 2**ceil(n * R)``
-    rows drawn once from the input covariance."""
+    rows drawn once from the input covariance.
+
+    ``q`` holds each codeword's input statistic ``x' Sigma^{-1} x``, taken
+    from the draw: a codeword is ``x = U diag(sqrt(d)) g`` for a standard
+    Gaussian ``g``, so ``x' Sigma^{-1} x = g'g`` exactly, with no rounding
+    of ``x`` amplified by the small eigenvalues of ``Sigma``."""
 
     n: int
     R: float
     size: int
     codewords: np.ndarray
+    q: np.ndarray
 
     def __post_init__(self) -> None:
         if self.codewords.shape != (self.size, self.n):
             raise ValueError("codeword array shape mismatch")
+        if self.q.shape != (self.size,):
+            raise ValueError("input statistic shape mismatch")
 
 
 def trial_block(size: int) -> int:
@@ -260,9 +258,11 @@ def decode_bytes(size: int, n: int, k: int) -> int:
 def gen_codebook(
     cov: CovarianceSpec, R: float, master_seed: int, k: int = 0
 ) -> Codebook:
-    """Draw the codebook for rate ``R``.  ``k`` is the memory of the channel
-    it will be decoded over; it sizes the images in the byte check, which
-    refuses before anything is drawn."""
+    """Draw the codebook for rate ``R``: rows ``x = U diag(sqrt(d)) g`` of
+    standard Gaussians ``g``, with ``q = ||g||^2`` per row, which equals
+    ``x' Sigma^{-1} x`` exactly.  ``k`` is the memory of the channel it will
+    be decoded over; it sizes the images in the byte check, which refuses
+    before anything is drawn."""
     if R < 0.0:
         raise ValueError("rate must be non-negative")
     bits = math.ceil(cov.n * R - 1e-12)
@@ -278,12 +278,12 @@ def gen_codebook(
             f"decode, over the cap {MAX_DECODE_BYTES / 2**30:.2f} GiB"
         )
     g = rng_stream(master_seed, STREAM_CODEBOOK, 0).standard_normal((size, cov.n))
-    if cov.basis is None:
-        X = g * np.sqrt(cov.d)
-    else:
-        X = (g * np.sqrt(cov.d)) @ cov.basis.T
+    q = np.einsum("ij,ij->i", g, g)
+    g *= np.sqrt(cov.d)
+    X = g if cov.basis is None else g @ cov.basis.T
     X.setflags(write=False)
-    return Codebook(n=cov.n, R=float(R), size=size, codewords=X)
+    q.setflags(write=False)
+    return Codebook(n=cov.n, R=float(R), size=size, codewords=X, q=q)
 
 
 def transmit(
@@ -292,63 +292,14 @@ def transmit(
     master_seed: int,
     trial_index: int,
 ) -> np.ndarray:
-    """One channel use: ``y = H x + z`` with iid unit Gaussian ``z``."""
+    """One channel use: ``y = H x + z`` with iid unit Gaussian ``z``.  ``H``
+    is applied in band form, as ``k + 1`` shifted multiply-adds of ``x``."""
     x = np.asarray(x, dtype=float)
     if x.shape != (H.n,):
         raise DimensionMismatch(f"x has shape {x.shape}, channel expects ({H.n},)")
     z = rng_stream(master_seed, STREAM_NOISE, trial_index).standard_normal(H.m)
-    return H.entries @ x + z
-
-
-def dump_trial(
-    dst: Union[str, BinaryIO],
-    H: BandedChannelMatrix,
-    x: np.ndarray,
-    y: np.ndarray,
-    trial_index: int,
-) -> None:
-    """Binary trial record: 32-byte header (8-byte magic, then n, k, trial as
-    little-endian uint64) followed by little-endian float64 payloads in
-    row-major order: the dense channel matrix, then ``x``, then ``y``."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (H.n,) or y.shape != (H.m,):
-        raise DimensionMismatch("x/y lengths do not match the channel")
-    fh: BinaryIO
-    own = isinstance(dst, (str, bytes))
-    fh = open(dst, "wb") if own else dst  # type: ignore[arg-type]
-    try:
-        fh.write(TRIAL_MAGIC)
-        fh.write(_HEADER.pack(H.n, H.k, trial_index))
-        fh.write(np.ascontiguousarray(H.entries, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(x, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(y, dtype="<f8").tobytes())
-    finally:
-        if own:
-            fh.close()
-
-
-def load_trial(
-    src: Union[str, BinaryIO],
-) -> tuple[BandedChannelMatrix, np.ndarray, np.ndarray, int]:
-    own = isinstance(src, (str, bytes))
-    fh = open(src, "rb") if own else src  # type: ignore[arg-type]
-    try:
-        magic = fh.read(len(TRIAL_MAGIC))
-        if magic != TRIAL_MAGIC:
-            raise ValueError(f"bad trial magic {magic!r}")
-        n, k, trial = _HEADER.unpack(fh.read(_HEADER.size))
-        n, k = int(n), int(k)
-        m = n + k
-        buf = fh.read(8 * (m * n + n + m))
-        if len(buf) != 8 * (m * n + n + m):
-            raise ValueError("truncated trial record")
-        flat = np.frombuffer(buf, dtype="<f8")
-        entries = flat[: m * n].reshape(m, n).copy()
-        x = flat[m * n : m * n + n].copy()
-        y = flat[m * n + n :].copy()
-        entries.setflags(write=False)
-        return BandedChannelMatrix(m=m, n=n, k=k, entries=entries), x, y, int(trial)
-    finally:
-        if own:
-            fh.close()
+    y = np.zeros(H.m)
+    for d in range(H.k + 1):
+        y[d:d + H.n] += H.taps[d:d + H.n, d] * x
+    y += z
+    return y

@@ -69,6 +69,8 @@ __all__ = [
 DEFAULT_EPSILON = 0.1
 # Safety factor on the forward-error bound that sets the guard band.
 _GUARD = 2.0
+# Codewords per block when prepare_context builds the images.
+_IMAGE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -165,8 +167,9 @@ def default_params(report: ThresholdReport) -> TypicalParams:
 @dataclass(frozen=True)
 class JointCovariance:
     """Joint law of ``(x, y)`` under the centre channel, held in factored
-    form: the input covariance ``cov`` and the ``m x n`` centre matrix
-    ``hc``.  The dense joint covariance and its inverse are not stored."""
+    form: the input covariance ``cov`` and the centre matrix ``hc`` in
+    band form (the ``(m, k + 1)`` tap array of a ``BandedChannelMatrix``).
+    The dense joint covariance and its inverse are not stored."""
 
     n: int
     m: int
@@ -174,20 +177,17 @@ class JointCovariance:
     cov: CovarianceSpec
 
 
-def build_joint(cov: CovarianceSpec, Hc: Union[BandedChannelMatrix, np.ndarray]) -> JointCovariance:
+def build_joint(cov: CovarianceSpec, Hc: BandedChannelMatrix) -> JointCovariance:
     """Pair the input covariance with the centre matrix after checking
-    their shapes; a non-finite channel entry is refused (``CovarianceSpec``
-    refuses its own)."""
-    G = Hc.entries if isinstance(Hc, BandedChannelMatrix) else np.asarray(Hc, float)
-    n = cov.n
-    m = G.shape[0]
-    if G.shape[1] != n:
+    their shapes; a non-finite tap is refused (``CovarianceSpec`` refuses
+    its own entries)."""
+    if Hc.n != cov.n:
         raise DimensionMismatch(
-            f"channel matrix shape {G.shape} incompatible with n={n}"
+            f"channel matrix shape ({Hc.m}, {Hc.n}) incompatible with n={cov.n}"
         )
-    if not np.isfinite(G).all():
-        raise NotPositiveDefinite("channel matrix has non-finite entries")
-    return JointCovariance(n=n, m=m, hc=G, cov=cov)
+    if not np.isfinite(Hc.taps).all():
+        raise NotPositiveDefinite("channel matrix has non-finite taps")
+    return JointCovariance(n=cov.n, m=Hc.m, hc=Hc.taps, cov=cov)
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,8 @@ class DecodeFailure:
 
 @dataclass(frozen=True)
 class DecodeContext:
-    """Per-(codebook, channel) precomputation: input quadratic forms, the
+    """Per-(codebook, channel) precomputation: the input statistics
+    ``x' Sigma^{-1} x`` (the codebook's own ``q``, exact from the draw), the
     centre-channel images of every codeword and their squared norms."""
 
     q_sigma: np.ndarray
@@ -210,25 +211,24 @@ class DecodeContext:
 
 
 def prepare_context(book: Codebook, joint: JointCovariance) -> DecodeContext:
-    """Input forms ``x' Sigma^{-1} x``, images ``a = Hc x`` and ``||a||^2``
-    for every codeword.  The images are built from the ``k + 1`` lower
-    diagonals of ``joint.hc`` as shifted multiply-adds of the codewords,
-    not as a dense GEMM; a channel matrix with entries off that band is
-    refused."""
+    """Images ``a = Hc x`` and ``||a||^2`` for every codeword, with the input
+    statistic ``book.q``.  The images are built straight from the columns
+    of the band ``joint.hc``, as shifted multiply-adds of the codewords over
+    blocks of ``_IMAGE_ROWS`` rows, so no temporary grows with the
+    codebook."""
     n, m = joint.n, joint.m
-    q = joint.cov.inv_quad_rows(book.codewords)
-    diags = [np.diagonal(joint.hc, -lag) for lag in range(m - n + 1)]
-    if np.count_nonzero(joint.hc) != sum(np.count_nonzero(d) for d in diags):
-        raise DimensionMismatch(
-            f"channel matrix has entries outside its {m - n + 1} lower diagonals"
-        )
     images = np.zeros((book.size, m))
-    for lag, d in enumerate(diags):
-        images[:, lag:lag + n] += book.codewords * d
+    tmp = np.empty((min(book.size, _IMAGE_ROWS), n))
+    for lo in range(0, book.size, _IMAGE_ROWS):
+        X = book.codewords[lo:lo + _IMAGE_ROWS]
+        A = images[lo:lo + _IMAGE_ROWS]
+        for lag in range(m - n + 1):
+            t = np.multiply(X, joint.hc[lag:lag + n, lag], out=tmp[:len(X)])
+            A[:, lag:lag + n] += t
     image_sq = np.einsum("ij,ij->i", images, images)
-    for a in (q, images, image_sq):
-        a.setflags(write=False)
-    return DecodeContext(q_sigma=q, images=images, image_sq=image_sq)
+    images.setflags(write=False)
+    image_sq.setflags(write=False)
+    return DecodeContext(q_sigma=book.q, images=images, image_sq=image_sq)
 
 
 def _guard_band(ctx: DecodeContext, y_sq: np.ndarray, n: int, m: int) -> np.ndarray:

@@ -37,12 +37,10 @@ __all__ = [
     "ChannelSpec",
     "SpectrumProfile",
     "BandedChannelMatrix",
-    "eval_f_sq",
     "compute_profile",
     "f_sq_table",
     "simpson_mean",
     "simpson_weights",
-    "banded_from_taps",
     "build_Hc",
     "gram_matrix",
     "gram_eigenvalues",
@@ -126,17 +124,6 @@ def _f_sq(c: np.ndarray, omega):
     re = np.cos(phase) @ c
     im = np.sin(phase) @ c
     return re * re + im * im
-
-
-def eval_f_sq(spec: ChannelSpec, omega):
-    """Squared magnitude of the centre transfer function at ``omega``.
-
-    ``omega`` may be a scalar or an ndarray; the return matches its shape.
-    """
-    out = _f_sq(np.asarray(spec.c), omega)
-    if np.isscalar(omega) or np.ndim(omega) == 0:
-        return float(out)
-    return out
 
 
 def f_sq_table(spec: ChannelSpec, grid_size: int = DEFAULT_GRID) -> np.ndarray:
@@ -242,40 +229,34 @@ def compute_profile(spec: ChannelSpec, grid_size: int = DEFAULT_GRID) -> Spectru
 
 @dataclass(frozen=True)
 class BandedChannelMatrix:
-    """Tall banded convolution matrix: shape ``(n + k, n)`` with entry
-    ``(i, j)`` equal to tap ``i - j`` of column ``j``'s realization, zero
-    outside ``0 <= i - j <= k``.  ``entries`` is read-only after build."""
+    """Tall banded convolution matrix of shape ``(n + k, n)``, held in band
+    form: ``taps`` has shape ``(n + k, k + 1)`` and row ``i`` holds the taps
+    output ``i`` applies, so entry ``(i, j)`` is ``taps[i, i - j]`` for
+    ``0 <= i - j <= k`` and zero elsewhere.  Taps whose column would fall
+    outside ``0 <= j < n`` are never used.  ``taps`` is read-only after
+    build; ``dense()`` materialises the matrix."""
 
-    m: int
     n: int
     k: int
-    entries: np.ndarray
+    taps: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.entries.shape != (self.m, self.n):
-            raise ValueError(
-                f"entries shape {self.entries.shape} != ({self.m}, {self.n})"
-            )
-        if self.m != self.n + self.k:
-            raise ValueError("need m == n + k")
+        taps = np.ascontiguousarray(np.asarray(self.taps, dtype=float))
+        object.__setattr__(self, "taps", taps)
+        if taps.shape != (self.m, self.k + 1):
+            raise ValueError(f"taps shape {taps.shape} != ({self.m}, {self.k + 1})")
+        taps.setflags(write=False)
 
+    @property
+    def m(self) -> int:
+        return self.n + self.k
 
-def banded_from_taps(taps: np.ndarray, n: int, k: int) -> BandedChannelMatrix:
-    """Assemble the banded matrix from per-output tap rows.
-
-    ``taps`` has shape ``(n + k, k + 1)``; row ``i`` holds the taps applied
-    by output ``i``, and entry ``(i, j)`` of the result is ``taps[i, i - j]``.
-    """
-    taps = np.asarray(taps, dtype=float)
-    m = n + k
-    if taps.shape != (m, k + 1):
-        raise ValueError(f"taps shape {taps.shape} != ({m}, {k + 1})")
-    H = np.zeros((m, n))
-    cols = np.arange(n)
-    for d in range(k + 1):
-        H[cols + d, cols] = taps[cols + d, d]
-    H.setflags(write=False)
-    return BandedChannelMatrix(m=m, n=n, k=k, entries=H)
+    def dense(self) -> np.ndarray:
+        H = np.zeros((self.m, self.n))
+        cols = np.arange(self.n)
+        for d in range(self.k + 1):
+            H[cols + d, cols] = self.taps[cols + d, d]
+        return H
 
 
 def build_Hc(spec: ChannelSpec, n: int) -> BandedChannelMatrix:
@@ -283,7 +264,7 @@ def build_Hc(spec: ChannelSpec, n: int) -> BandedChannelMatrix:
     if n < 1:
         raise ValueError("need n >= 1")
     taps = np.tile(np.asarray(spec.c), (n + spec.k, 1))
-    return banded_from_taps(taps, n, spec.k)
+    return BandedChannelMatrix(n=n, k=spec.k, taps=taps)
 
 
 def _tap_autocorr(c) -> np.ndarray:

@@ -20,9 +20,9 @@ from scipy.linalg import eigh, eigvalsh
 
 from .errors import BoundInapplicable, SpectrumSingular
 from .spectrum import (
+    BandedChannelMatrix,
     ChannelSpec,
     SpectrumProfile,
-    banded_from_taps,
     build_Hc,
     compute_profile,
 )
@@ -288,7 +288,7 @@ def _sample_banded(rng: np.random.Generator, spec: ChannelSpec, n: int) -> np.nd
     m = n + spec.k
     u = rng.uniform(-1.0, 1.0, (m, spec.k + 1))
     taps = np.asarray(spec.c) + u * np.asarray(spec.r)
-    return banded_from_taps(taps, n, spec.k).entries
+    return BandedChannelMatrix(n=n, k=spec.k, taps=taps).dense()
 
 
 def _suite_rng(master_seed: int, suite_index: int, instance: int) -> np.random.Generator:
@@ -366,11 +366,11 @@ def check_banded_norm_bounds(
     if samples < 1:
         raise ValueError("need samples >= 1")
     profile = compute_profile(spec)
-    Hc = build_Hc(spec, n).entries
+    Hc = build_Hc(spec, n).dense()
     op_hc = norms(Hc).op
     out = []
     for i in range(samples):
-        op_e = norms(sample_H(spec, n, law, master_seed, i).entries - Hc).op
+        op_e = norms(sample_H(spec, n, law, master_seed, i).dense() - Hc).op
         ok = holds(op_hc, profile.beta) and holds(op_e, profile.r_s)
         out.append((min(profile.beta - op_hc, profile.r_s - op_e), ok))
     return _report("banded_norm_bounds", out)
@@ -394,11 +394,11 @@ def check_trace_bounds(
             f"covariance trace {cov.trace:.6g} exceeds the budget n*P = {cov.n * P:.6g}"
         )
     profile = compute_profile(spec)
-    Hc = build_Hc(spec, cov.n).entries
+    Hc = build_Hc(spec, cov.n).dense()
     c_n, c_prime_n = trace_budgets(spec, profile, cov, P)
     out = []
     for i in range(samples):
-        H = sample_H(spec, cov.n, law, master_seed, i).entries
+        H = sample_H(spec, cov.n, law, master_seed, i).dense()
         lhs_phi = _stacked_trace_lhs(H - Hc, cov)
         lhs_psi = _whitened_trace_lhs(H, Hc, cov)
         ok = holds(lhs_phi, c_n) and holds(lhs_psi, c_prime_n)
@@ -426,10 +426,10 @@ def check_weyl_det(
         raise BoundInapplicable(
             f"leading penalty ratio {phi1:.4g} >= 1; determinant floor is vacuous"
         )
-    Hc = build_Hc(spec, cov.n).entries
+    Hc = build_Hc(spec, cov.n).dense()
     out = []
     for i in range(samples):
-        H = sample_H(spec, cov.n, law, master_seed, i).entries
+        H = sample_H(spec, cov.n, law, master_seed, i).dense()
         floor, value = _det_floor_pair(H, Hc, cov, phi1)
         gap, op = _eig_stability_pair(H, Hc, cov)
         ok = _holds_signed(floor, value) and holds(gap, op)
@@ -456,7 +456,7 @@ def _run_hc_norm(samples, master_seed, n_max, suite_index):
         rng = _suite_rng(master_seed, suite_index, i)
         spec, profile = _random_channel(rng)
         n = int(rng.integers(spec.k + 1, n_max + 1))
-        op = norms(build_Hc(spec, n).entries).op
+        op = norms(build_Hc(spec, n).dense()).op
         out.append((profile.beta - op, holds(op, profile.beta)))
     return _report("centre_matrix_norm", out)
 
@@ -467,7 +467,7 @@ def _run_error_norm(samples, master_seed, n_max, suite_index):
         rng = _suite_rng(master_seed, suite_index, i)
         spec, profile = _random_channel(rng)
         n = int(rng.integers(spec.k + 1, n_max + 1))
-        E = _sample_banded(rng, spec, n) - build_Hc(spec, n).entries
+        E = _sample_banded(rng, spec, n) - build_Hc(spec, n).dense()
         op = norms(E).op
         out.append((profile.r_s - op, holds(op, profile.r_s)))
     return _report("deviation_matrix_norm", out)
@@ -480,7 +480,7 @@ def _run_phi_trace(samples, master_seed, n_max, suite_index):
         spec, profile = _random_channel(rng)
         n = int(rng.integers(spec.k + 1, n_max + 1))
         cov = _random_cov(rng, n)
-        E = _sample_banded(rng, spec, n) - build_Hc(spec, n).entries
+        E = _sample_banded(rng, spec, n) - build_Hc(spec, n).dense()
         lhs = _stacked_trace_lhs(E, cov)
         budget = trace_budgets(spec, profile, cov, cov.trace / n)[0]
         out.append((budget - lhs, holds(lhs, budget)))
@@ -495,7 +495,7 @@ def _run_psi_trace(samples, master_seed, n_max, suite_index):
         n = int(rng.integers(spec.k + 1, n_max + 1))
         cov = _random_cov(rng, n)
         lhs = _whitened_trace_lhs(
-            _sample_banded(rng, spec, n), build_Hc(spec, n).entries, cov
+            _sample_banded(rng, spec, n), build_Hc(spec, n).dense(), cov
         )
         budget = trace_budgets(spec, profile, cov, cov.trace / n)[1]
         out.append((budget - lhs, holds(lhs, budget)))
@@ -509,7 +509,7 @@ def _weyl_instance(rng, n_max):
     spec, profile = _rescale_radii_for_phi1(
         spec, profile, cov, target=float(rng.uniform(0.05, 0.9))
     )
-    Hc = build_Hc(spec, n).entries
+    Hc = build_Hc(spec, n).dense()
     H = _sample_banded(rng, spec, n)
     return spec, profile, n, cov, Hc, H
 

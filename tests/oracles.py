@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's own algorithms: the shell minimizer
 is a projected-gradient descent with retraction and restarts, not an
-eigenvalue solve, and the spectrum extrema come from high-precision Newton
-steps, not from polynomial roots or an FFT.
+eigenvalue solve, the spectrum extrema come from high-precision Newton
+steps, not from polynomial roots or an FFT, and a channel use is summed
+exactly, entry by entry of the dense matrix.
 """
 
 import math
@@ -56,6 +57,43 @@ def shell_min_oracle(
                 break
         best = min(best, f)
     return best
+
+
+def f_sq_direct(c, omega) -> np.ndarray:
+    """``|f(omega)|^2`` for ``f(w) = sum_l c_l e^{i l w}``, from the complex
+    exponentials term by term."""
+    omega = np.asarray(omega, dtype=float)
+    f = sum(cl * np.exp(1j * l * omega) for l, cl in enumerate(c))
+    return np.abs(f) ** 2
+
+
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """``a * b`` as an exact sum ``p + e`` of two doubles (Dekker's split)."""
+    p = a * b
+    s = 134217729.0  # 2**27 + 1
+    ah = a * s - (a * s - a)
+    bh = b * s - (b * s - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def exact_channel_use(taps: np.ndarray, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``y = H x + z`` correctly rounded, and ``sum_j |h_ij x_j| + |z_i|`` per
+    row, for the ``(n + k) x n`` matrix with ``h_ij = taps[i, i - j]`` on
+    ``0 <= i - j <= k``.  Each product is split exactly into two doubles and
+    ``math.fsum`` adds a row's pieces and its noise without rounding."""
+    m, width = taps.shape
+    n = len(x)
+    y, scale = np.empty(m), np.empty(m)
+    for i in range(m):
+        terms = [float(z[i])]
+        mag = abs(float(z[i]))
+        for j in range(max(0, i - width + 1), min(n, i + 1)):
+            terms.extend(_two_product(float(taps[i, i - j]), float(x[j])))
+            mag += abs(float(taps[i, i - j]) * float(x[j]))
+        y[i] = math.fsum(terms)
+        scale[i] = mag
+    return y, scale
 
 
 def dense_joint_covariance(sigma: np.ndarray, taps) -> tuple[np.ndarray, np.ndarray]:

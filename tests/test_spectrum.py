@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isicap import ChannelSpec, build_Hc, compute_profile, eval_f_sq, gram_eigenvalues, gram_matrix
+from isicap import (
+    BandedChannelMatrix,
+    ChannelSpec,
+    build_Hc,
+    compute_profile,
+    gram_eigenvalues,
+    gram_matrix,
+)
 from isicap.errors import SpectrumSingular
-from isicap.spectrum import banded_from_taps, f_sq_table, simpson_mean
+from isicap.spectrum import _f_sq, f_sq_table, simpson_mean
 
-from oracles import spectrum_extrema_oracle
+from oracles import f_sq_direct, spectrum_extrema_oracle
 from reference_values import ALPHA_EXAMPLE, BETA_EXAMPLE, J_EXAMPLE
 
 PROFILE_ABS_TOL = 1e-10
@@ -142,7 +149,7 @@ def test_table_folds_taps_longer_than_grid():
     k = 300
     spec = ChannelSpec(k=k, c=tuple(rng.uniform(-1.0, 1.0, k + 1)), r=(0.0,) * (k + 1))
     omega = np.linspace(0.0, 2.0 * np.pi, 257)
-    direct = eval_f_sq(spec, omega)
+    direct = f_sq_direct(spec.c, omega)
     assert np.abs(f_sq_table(spec, 256) - direct).max() <= 1e-10 * direct.max()
 
 
@@ -169,18 +176,22 @@ def test_channel_spec_json_roundtrip(example_spec):
 
 
 def test_eval_f_sq_scalar_matches_vector(example_spec):
+    """The ``|f|^2`` kernel the extrema are evaluated with gives the same
+    value at a scalar angle as within a vector of angles."""
+    c = np.asarray(example_spec.c)
     omegas = np.linspace(-1.0, 7.0, 17)
-    vec = eval_f_sq(example_spec, omegas)
+    vec = _f_sq(c, omegas)
     for w, expected in zip(omegas, vec):
-        assert eval_f_sq(example_spec, float(w)) == pytest.approx(expected, rel=1e-14)
+        assert float(_f_sq(c, float(w))) == pytest.approx(expected, rel=1e-14)
 
 
 def test_eval_f_sq_closed_form(example_spec):
     # |1 + 0.5 z + 0.5 z^2|^2 on the circle reduces to a cosine polynomial
+    c = np.asarray(example_spec.c)
     for w in (0.0, 0.3, 1.0, math.pi, 5.0):
         u = math.cos(w)
         expected = 2.0 * u * u + 1.5 * u + 0.5
-        assert eval_f_sq(example_spec, w) == pytest.approx(expected, rel=1e-12)
+        assert float(_f_sq(c, w)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_simpson_mean_constant(example_spec):
@@ -203,22 +214,23 @@ def test_profile_orders_extremes(spec):
 def test_build_Hc_structure(example_spec):
     n = 9
     H = build_Hc(example_spec, n)
-    assert H.entries.shape == (n + example_spec.k, n)
+    dense = H.dense()
+    assert dense.shape == (n + example_spec.k, n)
     for i in range(H.m):
         for j in range(H.n):
             lag = i - j
             expected = example_spec.c[lag] if 0 <= lag <= example_spec.k else 0.0
-            assert H.entries[i, j] == expected
+            assert dense[i, j] == expected
 
 
 def test_banded_from_taps_validates_shape():
     with pytest.raises(ValueError):
-        banded_from_taps(np.zeros((4, 2)), n=4, k=1)  # needs n + k rows
+        BandedChannelMatrix(n=4, k=1, taps=np.zeros((4, 2)))  # needs n + k rows
 
 
 def test_gram_matches_product(example_spec):
     n = 17
-    Hc = build_Hc(example_spec, n).entries
+    Hc = build_Hc(example_spec, n).dense()
     G = gram_matrix(example_spec, n)
     assert np.abs(G - Hc.T @ Hc).max() <= 1e-12
 
