@@ -1,10 +1,15 @@
 """Channel realizations, input covariances, codebooks and channel uses.
 
-Randomness is organized around one master seed and fixed stream ids, so a
-trial is reproducible in isolation: stream CHANNEL drives tap draws, NOISE
-the additive noise, CODEBOOK the codeword Gaussians, MESSAGE the message
-picks.  Each (stream, trial_index) pair gets its own counter-based generator,
-which makes multi-threaded experiments independent of scheduling order.
+Every draw comes from a cell ``(stream, index)`` under one master seed: a
+``Philox`` at counter 0 keyed by ``SeedSequence(master_seed,
+spawn_key=(stream, index))``, which ``rng_stream`` builds and which any
+trial can be replayed from.  Streams: CHANNEL (0) and NOISE (1) the taps
+and noise of trial ``index``, CODEBOOK (2, index 0) the codeword
+Gaussians, MESSAGE (3) trial ``index``'s message pick, and
+``verify.VERIFY_STREAM_BASE + s`` (16 + s) instance ``index`` of
+certificate suite ``s``.  Cells are independent of each other, so results
+do not depend on scheduling order.  ``TrialBlocks`` draws the same cells a
+block of trials at a time, through the same tap and band kernels.
 """
 
 from __future__ import annotations
@@ -30,7 +35,9 @@ __all__ = [
     "trial_block",
     "decode_bytes",
     "rng_stream",
+    "stream_keys",
     "ChannelLaw",
+    "check_law",
     "sample_taps",
     "sample_H",
     "CovarianceSpec",
@@ -38,12 +45,14 @@ __all__ = [
     "Codebook",
     "gen_codebook",
     "transmit",
+    "TrialBlocks",
 ]
 
 STREAM_CHANNEL = 0
 STREAM_NOISE = 1
 STREAM_CODEBOOK = 2
 STREAM_MESSAGE = 3
+_TRIAL_STREAMS = (STREAM_MESSAGE, STREAM_NOISE, STREAM_CHANNEL)
 
 MAX_CODEBOOK_BITS = 24
 # Byte cap on what exhaustive decoding holds for one codebook: the
@@ -53,6 +62,14 @@ MAX_DECODE_BYTES = 1 << 31
 # (codewords x trials) scratch array may have before the block shrinks.
 _TRIAL_BLOCK = 64
 _BLOCK_ENTRIES = 1 << 20
+# Most uniforms one TrialBlocks holds: its tap scratch stays in cache.
+_DRAW_ENTRIES = 1 << 15
+# numpy's SeedSequence pool hash: pool size and hash constants.
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 def rng_stream(master_seed: int, stream: int, index: int) -> np.random.Generator:
@@ -60,6 +77,56 @@ def rng_stream(master_seed: int, stream: int, index: int) -> np.random.Generator
     seed.  Distinct cells are statistically independent."""
     ss = np.random.SeedSequence(master_seed, spawn_key=(stream, index))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def stream_keys(master_seed: int, stream: int, indices) -> np.ndarray:
+    """Philox keys of the cells ``(stream, i)`` for ``i`` in ``indices``,
+    shape ``(T, 2)`` uint64: row ``j`` is ``SeedSequence(master_seed,
+    spawn_key=(stream, indices[j])).generate_state(2, np.uint64)``.
+
+    This is numpy's pool hash over the seed's uint32 words padded with
+    zeros to the pool size, then ``stream``, then the index.  The words
+    before the index are hashed as Python ints, the index as one uint32
+    array, so a block's keys cost one pass."""
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu" or (
+        idx.size and not 0 <= idx.min() <= idx.max() <= _MASK32
+    ):
+        raise ValueError("trial indices must be a 1-D array of integers in [0, 2**32)")
+    words: list[int] = []
+    for name, value in (("master seed", int(master_seed)), ("stream", int(stream))):
+        if value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value}")
+        words += [value >> b & _MASK32 for b in range(0, max(value.bit_length(), 1), 32)]
+        words += [0] * (_POOL - len(words))  # pads the seed; a no-op after stream
+    const = _INIT_A
+
+    def hashmix(v):
+        nonlocal const
+        v = v ^ const
+        const = const * _MULT_A & _MASK32
+        v = v * const & _MASK32
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        v = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+        return v ^ (v >> 16)
+
+    pool = [hashmix(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL:] + [idx.astype(np.uint32)]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    const, out = _INIT_B, []
+    for w in pool:
+        w = w ^ const
+        const = const * _MULT_B & _MASK32
+        w = w * const & _MASK32
+        out.append((w ^ (w >> 16)).astype(np.uint64))
+    return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
 
 
 @dataclass(frozen=True)
@@ -91,6 +158,31 @@ class ChannelLaw:
             raise ValueError("block_len must be >= 1")
 
 
+def check_law(spec: ChannelSpec, law: ChannelLaw) -> None:
+    """Refuse a constant law whose offsets do not match the channel's taps."""
+    if law.kind == "constant" and len(law.offset) != spec.k + 1:
+        raise DimensionMismatch(f"offset has {len(law.offset)} entries, channel has {spec.k + 1} taps")
+
+
+def _draw_rows(m: int, law: ChannelLaw) -> int:
+    """Rows of ``k + 1`` uniforms one trial draws for ``m`` outputs."""
+    return m if law.kind == "iid_uniform" else math.ceil(m / law.block_len)
+
+
+def _taps_from(u: np.ndarray, spec: ChannelSpec, law: ChannelLaw, m: int) -> np.ndarray:
+    """Taps from draws ``u`` of ``random()``, shape ``(..., rows, k + 1)``,
+    mapped in place to ``c + (2u - 1) r``: bitwise what ``c + r *
+    uniform(-1, 1)`` gives.  Under block_hold each row then covers
+    ``block_len`` outputs."""
+    u *= 2.0
+    u -= 1.0
+    u *= spec.r
+    u += spec.c
+    if law.kind == "block_hold":
+        u = np.repeat(u, law.block_len, axis=-2)[..., :m, :]
+    return u
+
+
 def sample_taps(
     spec: ChannelSpec,
     m: int,
@@ -100,26 +192,11 @@ def sample_taps(
 ) -> np.ndarray:
     """Tap matrix of shape ``(m, k + 1)``; row ``i`` holds output ``i``'s
     taps, each inside its interval."""
-    c = np.asarray(spec.c)
-    r = np.asarray(spec.r)
     if law.kind == "constant":
-        off = np.asarray(law.offset)
-        if off.shape != c.shape:
-            raise DimensionMismatch(
-                f"offset has {off.size} entries, channel has {c.size} taps"
-            )
-        return np.tile(c + off * r, (m, 1))
+        check_law(spec, law)
+        return np.tile(np.add(spec.c, np.multiply(law.offset, spec.r)), (m, 1))
     rng = rng_stream(master_seed, STREAM_CHANNEL, trial_index)
-    if law.kind == "iid_uniform":
-        u = rng.uniform(-1.0, 1.0, size=(m, spec.k + 1))
-    else:
-        blocks = math.ceil(m / law.block_len)
-        u = np.repeat(
-            rng.uniform(-1.0, 1.0, size=(blocks, spec.k + 1)),
-            law.block_len,
-            axis=0,
-        )[:m]
-    return c + u * r
+    return _taps_from(rng.random((_draw_rows(m, law), spec.k + 1)), spec, law, m)
 
 
 def sample_H(
@@ -286,6 +363,17 @@ def gen_codebook(
     return Codebook(n=cov.n, R=float(R), size=size, codewords=X, q=q)
 
 
+def _band_use(taps: np.ndarray, x: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Add ``H x + z`` into zeros ``y``, for band taps ``(..., m, k + 1)``,
+    inputs ``(..., n)`` and noise ``(..., m)``: ``k + 1`` shifted
+    multiply-adds, then the noise."""
+    n = x.shape[-1]
+    for d in range(taps.shape[-1]):
+        y[..., d:d + n] += taps[..., d:d + n, d] * x
+    y += z
+    return y
+
+
 def transmit(
     H: BandedChannelMatrix,
     x: np.ndarray,
@@ -298,8 +386,53 @@ def transmit(
     if x.shape != (H.n,):
         raise DimensionMismatch(f"x has shape {x.shape}, channel expects ({H.n},)")
     z = rng_stream(master_seed, STREAM_NOISE, trial_index).standard_normal(H.m)
-    y = np.zeros(H.m)
-    for d in range(H.k + 1):
-        y[d:d + H.n] += H.taps[d:d + H.n, d] * x
-    y += z
-    return y
+    return _band_use(H.taps, x, z, np.zeros(H.m))
+
+
+class TrialBlocks:
+    """One thread's message picks, channels and noise for blocks of trials,
+    equal bit for bit to ``rng_stream``, ``sample_H`` and ``transmit``
+    trial by trial.  One Philox is re-keyed for each cell from
+    ``stream_keys``; taps and noise are drawn and applied a few trials at
+    a time, in scratch of at most ``_DRAW_ENTRIES`` taps that is reused."""
+
+    def __init__(self, spec: ChannelSpec, n: int, law: ChannelLaw, master_seed: int) -> None:
+        self.spec, self.law, self.seed, self.m = spec, law, master_seed, n + spec.k
+        self._bits = np.random.Philox(0)
+        self._gen = np.random.Generator(self._bits)
+        self._state = self._bits.state  # counter 0, empty buffer; key set per cell
+        rows = _draw_rows(self.m, law)
+        chunk = max(1, _DRAW_ENTRIES // (rows * (spec.k + 1)))
+        self._z = np.empty((chunk, self.m))
+        if law.kind == "constant":
+            self._taps = sample_taps(spec, self.m, law, master_seed, 0)
+        else:
+            self._u = np.empty((chunk, rows, spec.k + 1))
+
+    def _cells(self, keys: np.ndarray):
+        """The generator, keyed in turn to each row of ``keys``."""
+        for key in keys:
+            self._state["state"]["key"] = key
+            self._bits.state = self._state
+            yield self._gen
+
+    def draw(self, ts: np.ndarray, codewords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Message picks of trials ``ts`` among the rows of ``codewords``,
+        and the ``(len(ts), m)`` vectors received for them."""
+        picks, noise, chan = (stream_keys(self.seed, s, ts) for s in _TRIAL_STREAMS)
+        msgs = np.array([g.integers(len(codewords)) for g in self._cells(picks)], dtype=int)
+        Y = np.zeros((len(ts), self.m))
+        for lo in range(0, len(ts), len(self._z)):
+            z = self._z[:len(ts) - lo]
+            part = slice(lo, lo + len(z))
+            for g, row in zip(self._cells(noise[part]), z):
+                g.standard_normal(out=row)
+            if self.law.kind == "constant":
+                taps = self._taps
+            else:
+                u = self._u[:len(z)]
+                for g, rows in zip(self._cells(chan[part]), u):
+                    g.random(out=rows)
+                taps = _taps_from(u, self.spec, self.law, self.m)
+            _band_use(taps, codewords[msgs[part]], z, Y[part])
+        return msgs, Y

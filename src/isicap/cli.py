@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BoundInapplicable, ConfigError, IsicapError
+from .errors import BoundInapplicable, ConfigError, DimensionMismatch, IsicapError
 from .spectrum import DEFAULT_GRID, ChannelSpec, compute_profile
 from .waterfill import (
     bound_report,
@@ -36,7 +36,7 @@ from .waterfill import (
     solve_theta1,
     watts_to_dbw,
 )
-from .channel_sim import ChannelLaw
+from .channel_sim import ChannelLaw, check_law
 from .decoder import run_error_experiment
 from .verify import verify_report
 
@@ -107,15 +107,17 @@ def _grid_from(value) -> list[float]:
     raise ConfigError(f"grid must be a string or list, got {type(value).__name__}")
 
 
-def _law_from(obj: dict) -> ChannelLaw:
+def _law_from(obj: dict, spec: ChannelSpec) -> ChannelLaw:
     try:
-        return ChannelLaw(
+        law = ChannelLaw(
             kind=obj.get("kind", "iid_uniform"),
             offset=tuple(obj["offset"]) if obj.get("offset") is not None else None,
             block_len=int(obj.get("block_len", 1)),
         )
-    except (ValueError, TypeError) as exc:
+        check_law(spec, law)
+    except (ValueError, TypeError, DimensionMismatch) as exc:
         raise ConfigError(f"bad channel law: {exc}") from exc
+    return law
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -140,6 +142,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad channel block: {exc}") from exc
     grid_size = int(merged.get("grid_size", DEFAULT_GRID))
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     return RunConfig(
         spec=spec,
         grid_size=grid_size,
@@ -319,7 +323,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     p_dbw = float(section["p_dbw"])
     p_w = dbw_to_watts(p_dbw)
     trials = int(section["trials"])
-    law = _law_from(section.get("law", {}))
+    law = _law_from(section.get("law", {}), cfg.spec)
     if section.get("rate_bits") is not None:
         rate = float(section["rate_bits"])
     else:

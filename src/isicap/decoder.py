@@ -39,15 +39,13 @@ from .spectrum import (
 )
 from .waterfill import delta_from_phi, phi_terms
 from .channel_sim import (
-    STREAM_MESSAGE,
     ChannelLaw,
     Codebook,
     CovarianceSpec,
+    TrialBlocks,
     build_sigma,
+    check_law,
     gen_codebook,
-    rng_stream,
-    sample_H,
-    transmit,
     trial_block,
 )
 
@@ -366,12 +364,13 @@ def run_error_experiment(
     """Monte Carlo error rates of the joint-typicality decoder.
 
     Each trial draws its own channel, noise, and message from per-trial
-    streams, and each thread scores its trials in blocks of
+    streams, and each thread draws and scores its trials in blocks of
     ``trial_block(size)`` with exact decisions, so the counts are
     independent of ``threads`` and of the block size.
     """
     if trials <= 0:
         raise ValueError("need trials > 0")
+    check_law(spec, law)
     profile = compute_profile(spec, grid_size)
     cov = build_sigma(spec, n, P, policy)  # type: ignore[arg-type]
     report = thresholds(spec, profile, cov, P)
@@ -384,14 +383,10 @@ def run_error_experiment(
 
     def run_range(lo: int, hi: int) -> tuple[int, int, int]:
         t1 = t2 = ok = 0
+        draws = TrialBlocks(spec, n, law, master_seed)
         for start in range(lo, hi, block):
-            ts = range(start, min(start + block, hi))
-            msgs = np.empty(len(ts), dtype=int)
-            Y = np.empty((len(ts), joint.m))
-            for i, t in enumerate(ts):
-                msgs[i] = rng_stream(master_seed, STREAM_MESSAGE, t).integers(book.size)
-                H = sample_H(spec, n, law, master_seed, t)
-                Y[i] = transmit(H, book.codewords[msgs[i]], master_seed, t)
+            ts = np.arange(start, min(start + block, hi))
+            msgs, Y = draws.draw(ts, book.codewords)
             mask = _pass_mask(Y, joint, params, ctx)
             sent = mask[msgs, np.arange(len(ts))]
             many = np.count_nonzero(mask, axis=0) > 1

@@ -19,11 +19,15 @@ from isicap import channel_sim
 from isicap.channel_sim import (
     MAX_CODEBOOK_BITS,
     STREAM_CODEBOOK,
+    STREAM_MESSAGE,
     STREAM_NOISE,
     CovarianceSpec,
+    TrialBlocks,
     decode_bytes,
     sample_taps,
+    stream_keys,
 )
+from isicap.verify import VERIFY_STREAM_BASE
 from isicap.decoder import prepare_context
 from isicap.errors import CodebookTooLarge, DimensionMismatch
 from isicap.waterfill import POWER_FLOOR, dbw_to_watts
@@ -46,6 +50,63 @@ def test_rng_streams_distinct():
     assert len(set(draws.values())) == 4
 
 
+@pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**40 + 7, 2**70 + 3])
+def test_stream_keys_match_seed_sequence(seed):
+    """``stream_keys`` equals numpy's own SeedSequence key for every cell,
+    for master seeds of one, two and three uint32 words, and a Philox at
+    counter 0 under that key is the generator ``rng_stream`` builds."""
+    indices = np.append(np.arange(600), 2**32 - 1)
+    for stream in (0, 1, 2, 3, VERIFY_STREAM_BASE + 8):
+        keys = stream_keys(seed, stream, indices)
+        assert keys.dtype == np.uint64 and keys.shape == (indices.size, 2)
+        want = np.array([
+            np.random.SeedSequence(seed, spawn_key=(stream, int(i))).generate_state(2, np.uint64)
+            for i in indices
+        ])
+        assert np.array_equal(keys, want)
+    ref = rng_stream(seed, 1, 599)
+    own = np.random.Generator(np.random.Philox(key=stream_keys(seed, 1, [599])[0]))
+    assert np.array_equal(own.standard_normal(9), ref.standard_normal(9))
+
+
+def test_stream_keys_refusals():
+    with pytest.raises(ValueError, match="master seed"):
+        stream_keys(-1, 0, np.arange(3))
+    with pytest.raises(ValueError, match="stream"):
+        stream_keys(0, -2, np.arange(3))
+    for bad in (np.array([0, 2**32]), np.array([-1]), np.zeros((2, 2), int), np.ones(2)):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            stream_keys(0, 0, bad)
+
+
+@pytest.mark.parametrize("entries", [1, 1 << 15])
+@pytest.mark.parametrize(
+    "law",
+    [
+        ChannelLaw(kind="iid_uniform"),
+        ChannelLaw(kind="block_hold", block_len=3),
+        ChannelLaw(kind="constant", offset=(0.5, -1.0, 0.25)),
+    ],
+    ids=["iid", "hold3", "constant"],
+)
+def test_trial_blocks_match_one_cell_path(example_spec, monkeypatch, law, entries):
+    """A block's message picks and received vectors equal, bit for bit,
+    ``rng_stream`` picks and ``transmit(sample_H(...))`` trial by trial,
+    whether the scratch holds one trial (entries = 1) or the whole
+    block; ``n + k = 17`` is not a multiple of the hold length."""
+    monkeypatch.setattr(channel_sim, "_DRAW_ENTRIES", entries)
+    n, seed = 15, 9
+    codewords = np.random.default_rng(4).standard_normal((11, n))
+    draws = TrialBlocks(example_spec, n, law, seed)
+    for ts in (np.arange(40, 47), np.arange(3)):
+        msgs, Y = draws.draw(ts, codewords)
+        assert Y.shape == (ts.size, n + example_spec.k)
+        for i, t in enumerate(ts):
+            assert msgs[i] == rng_stream(seed, STREAM_MESSAGE, t).integers(len(codewords))
+            H = sample_H(example_spec, n, law, seed, t)
+            assert np.array_equal(Y[i], transmit(H, codewords[msgs[i]], seed, t))
+
+
 def test_law_validation():
     with pytest.raises(ValueError):
         ChannelLaw(kind="bogus")
@@ -55,6 +116,9 @@ def test_law_validation():
         ChannelLaw(kind="constant", offset=(1.5,))
     with pytest.raises(ValueError):
         ChannelLaw(kind="block_hold", block_len=0)
+    short = ChannelLaw(kind="constant", offset=(0.0, 0.0))
+    with pytest.raises(DimensionMismatch):
+        channel_sim.check_law(ChannelSpec(k=2, c=(1.0, 0.5, 0.5), r=(0.1,) * 3), short)
 
 
 def test_iid_taps_stay_in_intervals(example_spec):
@@ -64,6 +128,9 @@ def test_iid_taps_stay_in_intervals(example_spec):
     assert taps.shape == (200, 3)
     assert np.all(taps >= c - r)
     assert np.all(taps <= c + r)
+    # bitwise the taps of numpy's uniform(-1, 1) on the channel stream
+    u = rng_stream(0, channel_sim.STREAM_CHANNEL, 0).uniform(-1.0, 1.0, size=(200, 3))
+    assert np.array_equal(taps, c + u * r)
 
 
 def test_constant_taps(example_spec):
@@ -79,6 +146,9 @@ def test_block_hold_taps(example_spec):
     for i in range(18):
         assert np.array_equal(taps[i], taps[i - i % 4])
     assert not np.array_equal(taps[0], taps[4])  # new block redraws
+    u = rng_stream(3, channel_sim.STREAM_CHANNEL, 1).uniform(-1.0, 1.0, size=(5, 3))
+    held = np.repeat(u, 4, axis=0)[:18]
+    assert np.array_equal(taps, np.asarray(example_spec.c) + held * np.asarray(example_spec.r))
 
 
 def test_sample_H_band_structure(example_spec):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from isicap import cli
 from isicap.cli import (
     BOUNDS_HEADER,
     EXIT_CONFIG,
@@ -233,6 +234,31 @@ def test_exit_code_non_finite_radius(tmp_path, command):
     out = tmp_path / "x.csv"
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, payload, says",
+    [
+        (["--seed", "-1"], {}, "--seed"),
+        ([], {"simulate": {"law": {"kind": "constant", "offset": [0.0, 0.5]}}}, "offset"),
+    ],
+    ids=["negative_seed", "offset_length"],
+)
+def test_simulate_refuses_before_setup(tmp_path, monkeypatch, capsys, argv, payload, says):
+    """A negative seed and a constant law whose offsets do not match the
+    taps exit 2 before any profile, covariance or trial is computed, and
+    write no file."""
+    def setup_ran(*args, **kwargs):
+        raise AssertionError("set-up ran before the refusal")
+
+    monkeypatch.setattr(cli, "bound_report", setup_ran)
+    monkeypatch.setattr(cli, "run_error_experiment", setup_ran)
+    cfg = _write_config(tmp_path, payload)
+    out = tmp_path / "x.csv"
+    argv = ["simulate", "--config", cfg, "--out", str(out), "--threads", "1", *argv]
+    assert main(argv) == EXIT_CONFIG
+    assert not out.exists()
+    assert says in capsys.readouterr().err
 
 
 def test_simulate_infinite_power_exits_config(tmp_path, capsys):

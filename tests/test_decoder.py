@@ -351,6 +351,48 @@ def test_decode_and_counts_match_dense_oracle(example_spec):
             assert (res.type1, res.type2, res.success) == tuple(counts[trials - 1])
 
 
+@pytest.mark.parametrize(
+    "law",
+    [
+        ChannelLaw(kind="iid_uniform"),
+        ChannelLaw(kind="block_hold", block_len=3),
+        ChannelLaw(kind="constant", offset=(0.5, -1.0, 0.25)),
+    ],
+    ids=["iid", "hold3", "constant"],
+)
+def test_experiment_counts_match_one_cell_loop(example_spec, law):
+    """``run_error_experiment`` counts, at 101 trials (not a multiple of
+    the 64-trial block) and one or three threads, equal a loop over the
+    public one-cell path: ``rng_stream`` picks, ``transmit(sample_H(...))``
+    and ``decode``.  Whether the sent word passes comes from ``decode``
+    against a one-word codebook holding only it.  ``n + k = 17`` is not a
+    multiple of the hold length."""
+    n, R, P, seed, trials = 15, 0.25, 1.0, 3, 101
+    cov = build_sigma(example_spec, n, P, "waterfill_gram")
+    params = TypicalParams(epsilon=0.5, eta=0.3)
+    book = gen_codebook(cov, R, seed, k=example_spec.k)
+    joint = build_joint(cov, build_Hc(example_spec, n))
+    assert trial_block(book.size) == 64
+    counts = [0, 0, 0]
+    for t in range(trials):
+        msg = int(rng_stream(seed, STREAM_MESSAGE, t).integers(book.size))
+        y = transmit(sample_H(example_spec, n, law, seed, t), book.codewords[msg], seed, t)
+        alone = Codebook(
+            n=n, R=R, size=1, codewords=book.codewords[msg:msg + 1], q=book.q[msg:msg + 1]
+        )
+        if decode(y, alone, joint, params) != 0:
+            counts[0] += 1
+        else:
+            counts[2 if decode(y, book, joint, params) == msg else 1] += 1
+    assert min(counts) > 0 or law.kind == "constant"
+    for threads in (1, 3):
+        res = run_error_experiment(
+            example_spec, n=n, R=R, P=P, trials=trials, master_seed=seed,
+            law=law, params=params, threads=threads,
+        )
+        assert [res.type1, res.type2, res.success] == counts
+
+
 @pytest.mark.parametrize("p_dbw", [-10.0, 130.0, 400.0])
 def test_decode_matches_exact_rational_oracle(example_spec, p_dbw):
     """At n = 4, ``decode`` and the pass mask give the decisions of the
