@@ -64,10 +64,7 @@ from .verify import (
     LemmaReport,
     NormBundle,
     VolumeResult,
-    check_banded_norm_bounds,
     check_lemma1,
-    check_trace_bounds,
-    check_weyl_det,
     converse_rate_bound,
     norms,
     qcqp_min,

@@ -370,6 +370,8 @@ def run_error_experiment(
     """
     if trials <= 0:
         raise ValueError("need trials > 0")
+    if master_seed < 0:
+        raise ValueError(f"need master_seed >= 0, got {master_seed}")
     check_law(spec, law)
     profile = compute_profile(spec, grid_size)
     cov = build_sigma(spec, n, P, policy)  # type: ignore[arg-type]

@@ -1,12 +1,16 @@
 """Randomized numerical certification of the matrix facts behind the bounds.
 
-Each suite draws a few hundred random channel/covariance/realization
-triples, evaluates one inequality exactly (dense linear algebra, no banded
-shortcuts), and records the worst margin.  An inequality ``lhs <= rhs``
-passes with slack ``rhs * (1 + 1e-9) + 1e-12`` in the linear domain; the
-determinant suite works in the log domain with an absolute-scaled slack.
-Everything is driven by one master seed, so a reported worst instance can
-be regenerated exactly.
+The suites are one table, ``_SUITES``, of ``(name, instance, check)`` rows.
+``instance(rng, i, n_max)`` draws sample ``i`` of a suite (a random
+channel, covariance and realization, or plain matrices) from its own
+stream; ``check(inst)`` evaluates one inequality on it exactly (dense
+linear algebra, no banded shortcuts) and returns ``(margin, ok)``.  One
+runner loops over the samples and records the worst margin.  An inequality
+``lhs <= rhs`` passes with slack ``rhs * (1 + 1e-9) + 1e-12`` in the linear
+domain; the log-domain checks (determinant, volume) use an
+absolute-scaled slack.  Sample ``i`` of suite ``s`` comes from stream
+``16 + s`` of one master seed, so a reported worst instance can be
+regenerated exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import eigh, eigvalsh
 
-from .errors import BoundInapplicable, SpectrumSingular
+from .errors import SpectrumSingular
 from .spectrum import (
     BandedChannelMatrix,
     ChannelSpec,
@@ -27,7 +31,7 @@ from .spectrum import (
     compute_profile,
 )
 from .waterfill import LN2, phi_terms
-from .channel_sim import ChannelLaw, CovarianceSpec, rng_stream, sample_H
+from .channel_sim import CovarianceSpec, rng_stream
 from .decoder import trace_budgets
 
 __all__ = [
@@ -37,9 +41,6 @@ __all__ = [
     "NormBundle",
     "norms",
     "check_lemma1",
-    "check_banded_norm_bounds",
-    "check_trace_bounds",
-    "check_weyl_det",
     "qcqp_min",
     "VolumeResult",
     "typical_volume",
@@ -55,6 +56,7 @@ __all__ = [
 SLACK_REL = 1e-9
 SLACK_ABS = 1e-12
 VERIFY_STREAM_BASE = 16
+K_MAX = 4  # largest channel memory the suites draw
 TWO_PI_E = 2.0 * math.pi * math.e
 
 
@@ -96,8 +98,9 @@ def check_lemma1(M1: np.ndarray, M2: np.ndarray) -> tuple[bool, float]:
     """Frobenius norm of a product against operator-times-Frobenius in both
     orders; returns (ok, worst margin)."""
     prod = float(np.linalg.norm(np.asarray(M1) @ np.asarray(M2)))
-    rhs1 = norms(M1).op * norms(M2).fro
-    rhs2 = norms(M2).op * norms(M1).fro
+    n1, n2 = norms(M1), norms(M2)
+    rhs1 = n1.op * n2.fro
+    rhs2 = n2.op * n1.fro
     ok = holds(prod, rhs1) and holds(prod, rhs2)
     return ok, min(rhs1, rhs2) - prod
 
@@ -242,9 +245,10 @@ class LemmaReport:
     details: dict = field(default_factory=dict)
 
 
-def _random_channel(rng: np.random.Generator, k_max: int = 4):
+def _random_channel(rng: np.random.Generator, n_max: int):
+    """A random well-conditioned channel and a block length n in [k+1, n_max]."""
     while True:
-        k = int(rng.integers(1, k_max + 1))
+        k = int(rng.integers(1, K_MAX + 1))
         c = rng.uniform(-1.0, 1.0, k + 1)
         if np.abs(c).max() < 0.1:
             continue
@@ -258,7 +262,7 @@ def _random_channel(rng: np.random.Generator, k_max: int = 4):
             continue
         if profile.alpha < 0.05 * profile.beta:
             continue
-        return spec, profile
+        return spec, profile, int(rng.integers(k + 1, n_max + 1))
 
 
 def _random_cov(rng: np.random.Generator, n: int) -> CovarianceSpec:
@@ -291,6 +295,151 @@ def _sample_banded(rng: np.random.Generator, spec: ChannelSpec, n: int) -> np.nd
     return BandedChannelMatrix(n=n, k=spec.k, taps=taps).dense()
 
 
+def _omegas(H: np.ndarray, Hc: np.ndarray, cov: CovarianceSpec):
+    """Output covariances ``I + Hc Sigma Hc'`` and ``I + H Sigma H'``."""
+    eye = np.eye(H.shape[0])
+    sigma = cov.dense()
+    return eye + Hc @ sigma @ Hc.T, eye + H @ sigma @ H.T
+
+
+def _lemma1_instance(rng, i, n_max):
+    p, q, r = (int(v) for v in rng.integers(1, n_max + 1, 3))
+    scale1, scale2 = 10.0 ** rng.uniform(-1.0, 2.0, 2)
+    M1 = scale1 * rng.standard_normal((p, q))
+    return M1, scale2 * rng.standard_normal((q, r))
+
+
+def _centre_instance(rng, i, n_max):
+    """(centre matrix, its operator-norm cap ``beta``)."""
+    spec, profile, n = _random_channel(rng, n_max)
+    return build_Hc(spec, n).dense(), profile.beta
+
+
+def _deviation_instance(rng, i, n_max):
+    """(sampled minus centre matrix, its operator-norm cap ``r_s``)."""
+    spec, profile, n = _random_channel(rng, n_max)
+    return _sample_banded(rng, spec, n) - build_Hc(spec, n).dense(), profile.r_s
+
+
+def _trace_instance(rng, i, n_max):
+    """(H, Hc, covariance, both trace budgets at the covariance's power)."""
+    spec, profile, n = _random_channel(rng, n_max)
+    cov = _random_cov(rng, n)
+    H = _sample_banded(rng, spec, n)
+    return H, build_Hc(spec, n).dense(), cov, trace_budgets(spec, profile, cov, cov.trace / n)
+
+
+def _weyl_instance(rng, i, n_max):
+    """(H, Hc, covariance, penalty ratios), radii scaled so phi1 < 1."""
+    spec, profile, n = _random_channel(rng, n_max)
+    cov = _random_cov(rng, n)
+    spec, profile = _rescale_radii_for_phi1(
+        spec, profile, cov, target=float(rng.uniform(0.05, 0.9))
+    )
+    Hc = build_Hc(spec, n).dense()
+    H = _sample_banded(rng, spec, n)
+    return H, Hc, cov, phi_terms(profile, cov.lam_min, cov.lam_max, cov.trace, n + spec.k)
+
+
+def _shell_instance(rng, i, n_max):
+    return _weyl_instance(rng, i, n_max) + (float(rng.uniform(0.0, 1.2)),)
+
+
+_ETAS = (0.1, 0.5, 0.9, 1.0, 1.5, 3.0)
+
+
+def _volume_instance(rng, i, n_max):
+    n = int(rng.integers(1, min(n_max, 50) + 1))
+    cov = _random_cov(rng, n)
+    eta = _ETAS[i % len(_ETAS)] if rng.random() < 0.5 else float(rng.uniform(0.05, 3.0))
+    return cov.dense(), eta
+
+
+def _lemma1(inst):
+    ok, margin = check_lemma1(*inst)
+    return margin, ok
+
+
+def _op_cap(inst):
+    M, cap = inst
+    op = norms(M).op
+    return cap - op, holds(op, cap)
+
+
+def _stacked_trace(inst):
+    H, Hc, cov, (budget, _) = inst
+    E = H - Hc
+    m, n = E.shape
+    ES = E @ cov.sqrt_matrix()
+    phi = np.block([[np.eye(n) + ES.T @ ES, ES.T], [ES, np.eye(m)]])
+    lhs = 2.0 * float(np.linalg.norm(phi) ** 2)
+    return budget - lhs, holds(lhs, budget)
+
+
+def _whitened_trace(inst):
+    H, Hc, cov, (_, budget) = inst
+    m = H.shape[0]
+    omega_c = np.eye(m) + Hc @ cov.dense() @ Hc.T
+    B = np.hstack([H @ cov.sqrt_matrix(), np.eye(m)])
+    psi = B.T @ np.linalg.solve(omega_c, B)
+    lhs = 2.0 * float(np.linalg.norm(psi) ** 2)
+    return budget - lhs, holds(lhs, budget)
+
+
+def _det_floor(inst):
+    """Worst-case output-covariance determinant floor, in the log domain."""
+    H, Hc, cov, (phi1, _, _) = inst
+    omega_c, omega_h = _omegas(H, Hc, cov)
+    floor = H.shape[0] * math.log(1.0 - phi1) + np.linalg.slogdet(omega_c)[1]
+    value = np.linalg.slogdet(omega_h)[1]
+    return value - floor, _holds_signed(floor, value)
+
+
+def _eig_stability(inst):
+    """Largest eigenvalue shift of the whitened Gram pair against the
+    operator norm of the (symmetric) perturbation."""
+    H, Hc, cov, _ = inst
+    S = cov.sqrt_matrix()
+    A = S @ (H.T @ H) @ S
+    B = S @ (Hc.T @ Hc) @ S
+    gap = float(np.abs(eigvalsh(A) - eigvalsh(B)).max())
+    op = float(np.abs(eigvalsh(A - B)).max())
+    return op - gap, holds(gap, op)
+
+
+def _shell_floor(inst):
+    H, Hc, cov, (_, _, phi3), eta_prime = inst
+    val = qcqp_min(*_omegas(H, Hc, cov), eta_prime)
+    floor = H.shape[0] * max(1.0 - eta_prime, 0.0) * phi3
+    return val - floor, holds(floor, val)
+
+
+def _volume(inst):
+    sigma, eta = inst
+    res = typical_volume(sigma, eta)
+    margin = res.log2_upper - res.log2_exact
+    ok = _holds_signed(res.log2_exact, res.log2_upper)
+    if eta >= 1.0:
+        margin = min(margin, res.log2_exact - res.log2_lower)
+        ok = ok and _holds_signed(res.log2_lower, res.log2_exact)
+    return margin, ok
+
+
+_SUITES = (
+    ("lemma1_product_norms", _lemma1_instance, _lemma1),
+    ("centre_matrix_norm", _centre_instance, _op_cap),
+    ("deviation_matrix_norm", _deviation_instance, _op_cap),
+    ("stacked_deviation_trace", _trace_instance, _stacked_trace),
+    ("whitened_output_trace", _trace_instance, _whitened_trace),
+    ("determinant_floor", _weyl_instance, _det_floor),
+    ("eigenvalue_stability", _weyl_instance, _eig_stability),
+    ("shell_minimum_floor", _shell_instance, _shell_floor),
+    ("shell_volume_bounds", _volume_instance, _volume),
+)
+
+SUITE_NAMES = tuple(name for name, _, _ in _SUITES)
+
+
 def _suite_rng(master_seed: int, suite_index: int, instance: int) -> np.random.Generator:
     return rng_stream(master_seed, VERIFY_STREAM_BASE + suite_index, instance)
 
@@ -311,295 +460,37 @@ def _report(name, margins_ok):
     )
 
 
-def _stacked_trace_lhs(E: np.ndarray, cov: CovarianceSpec) -> float:
-    n = cov.n
-    m = E.shape[0]
-    ES = E @ cov.sqrt_matrix()
-    phi = np.block([[np.eye(n) + ES.T @ ES, ES.T], [ES, np.eye(m)]])
-    return 2.0 * float(np.linalg.norm(phi) ** 2)
-
-
-def _whitened_trace_lhs(H: np.ndarray, Hc: np.ndarray, cov: CovarianceSpec) -> float:
-    m = H.shape[0]
-    omega_c = np.eye(m) + Hc @ cov.dense() @ Hc.T
-    B = np.hstack([H @ cov.sqrt_matrix(), np.eye(m)])
-    psi = B.T @ np.linalg.solve(omega_c, B)
-    return 2.0 * float(np.linalg.norm(psi) ** 2)
-
-
-def _det_floor_pair(
-    H: np.ndarray, Hc: np.ndarray, cov: CovarianceSpec, phi1: float
-) -> tuple[float, float]:
-    """Log-domain (floor, value) for the worst-case determinant bound."""
-    m = H.shape[0]
-    sigma = cov.dense()
-    logdet_c = np.linalg.slogdet(np.eye(m) + Hc @ sigma @ Hc.T)[1]
-    logdet_h = np.linalg.slogdet(np.eye(m) + H @ sigma @ H.T)[1]
-    return m * math.log(1.0 - phi1) + logdet_c, logdet_h
-
-
-def _eig_stability_pair(
-    H: np.ndarray, Hc: np.ndarray, cov: CovarianceSpec
-) -> tuple[float, float]:
-    """(largest eigenvalue shift, operator norm of the perturbation)."""
-    S = cov.sqrt_matrix()
-    A = S @ (H.T @ H) @ S
-    B = S @ (Hc.T @ Hc) @ S
-    gap = float(np.abs(eigvalsh(A) - eigvalsh(B)).max())
-    return gap, norms(A - B).op
-
-
-_DEFAULT_LAW = ChannelLaw(kind="iid_uniform")
-
-
-def check_banded_norm_bounds(
-    spec: ChannelSpec,
-    n: int,
-    samples: int,
-    master_seed: int = 0,
-    law: ChannelLaw = _DEFAULT_LAW,
-) -> LemmaReport:
-    """Certify the operator-norm caps of the centre matrix (by ``beta``) and
-    of the deviation matrix (by ``r_s``) over sampled realizations of one
-    channel.  Realizations are the same ones ``sample_H`` would produce for
-    the given seed, so a worst instance can be regenerated directly."""
-    if samples < 1:
-        raise ValueError("need samples >= 1")
-    profile = compute_profile(spec)
-    Hc = build_Hc(spec, n).dense()
-    op_hc = norms(Hc).op
-    out = []
-    for i in range(samples):
-        op_e = norms(sample_H(spec, n, law, master_seed, i).dense() - Hc).op
-        ok = holds(op_hc, profile.beta) and holds(op_e, profile.r_s)
-        out.append((min(profile.beta - op_hc, profile.r_s - op_e), ok))
-    return _report("banded_norm_bounds", out)
-
-
-def check_trace_bounds(
-    spec: ChannelSpec,
-    cov: CovarianceSpec,
-    P: float,
-    samples: int,
-    master_seed: int = 0,
-    law: ChannelLaw = _DEFAULT_LAW,
-) -> LemmaReport:
-    """Certify both squared-Frobenius trace budgets for one channel and one
-    input covariance at power ``P`` (which must fund the covariance:
-    ``cov.trace <= n * P``)."""
-    if samples < 1:
-        raise ValueError("need samples >= 1")
-    if cov.trace > cov.n * P * (1.0 + SLACK_REL):
-        raise ValueError(
-            f"covariance trace {cov.trace:.6g} exceeds the budget n*P = {cov.n * P:.6g}"
-        )
-    profile = compute_profile(spec)
-    Hc = build_Hc(spec, cov.n).dense()
-    c_n, c_prime_n = trace_budgets(spec, profile, cov, P)
-    out = []
-    for i in range(samples):
-        H = sample_H(spec, cov.n, law, master_seed, i).dense()
-        lhs_phi = _stacked_trace_lhs(H - Hc, cov)
-        lhs_psi = _whitened_trace_lhs(H, Hc, cov)
-        ok = holds(lhs_phi, c_n) and holds(lhs_psi, c_prime_n)
-        out.append((min(c_n - lhs_phi, c_prime_n - lhs_psi), ok))
-    return _report("trace_bounds", out)
-
-
-def check_weyl_det(
-    spec: ChannelSpec,
-    cov: CovarianceSpec,
-    samples: int,
-    master_seed: int = 0,
-    law: ChannelLaw = _DEFAULT_LAW,
-) -> LemmaReport:
-    """Certify the worst-case output-covariance determinant floor (log
-    domain) and spot-check eigenvalue stability of the whitened Gram pair
-    for one channel/covariance.  Requires the leading penalty ratio below 1;
-    raises BoundInapplicable otherwise."""
-    if samples < 1:
-        raise ValueError("need samples >= 1")
-    profile = compute_profile(spec)
-    m = cov.n + spec.k
-    phi1 = phi_terms(profile, cov.lam_min, cov.lam_max, cov.trace, m)[0]
-    if phi1 >= 1.0:
-        raise BoundInapplicable(
-            f"leading penalty ratio {phi1:.4g} >= 1; determinant floor is vacuous"
-        )
-    Hc = build_Hc(spec, cov.n).dense()
-    out = []
-    for i in range(samples):
-        H = sample_H(spec, cov.n, law, master_seed, i).dense()
-        floor, value = _det_floor_pair(H, Hc, cov, phi1)
-        gap, op = _eig_stability_pair(H, Hc, cov)
-        ok = _holds_signed(floor, value) and holds(gap, op)
-        out.append((min(value - floor, op - gap), ok))
-    return _report("weyl_det", out)
-
-
-def _run_lemma1(samples, master_seed, n_max, suite_index):
-    out = []
-    for i in range(samples):
-        rng = _suite_rng(master_seed, suite_index, i)
-        p, q, r = (int(v) for v in rng.integers(1, n_max + 1, 3))
-        scale1, scale2 = 10.0 ** rng.uniform(-1.0, 2.0, 2)
-        M1 = scale1 * rng.standard_normal((p, q))
-        M2 = scale2 * rng.standard_normal((q, r))
-        ok, margin = check_lemma1(M1, M2)
-        out.append((margin, ok))
-    return _report("lemma1_product_norms", out)
-
-
-def _run_hc_norm(samples, master_seed, n_max, suite_index):
-    out = []
-    for i in range(samples):
-        rng = _suite_rng(master_seed, suite_index, i)
-        spec, profile = _random_channel(rng)
-        n = int(rng.integers(spec.k + 1, n_max + 1))
-        op = norms(build_Hc(spec, n).dense()).op
-        out.append((profile.beta - op, holds(op, profile.beta)))
-    return _report("centre_matrix_norm", out)
-
-
-def _run_error_norm(samples, master_seed, n_max, suite_index):
-    out = []
-    for i in range(samples):
-        rng = _suite_rng(master_seed, suite_index, i)
-        spec, profile = _random_channel(rng)
-        n = int(rng.integers(spec.k + 1, n_max + 1))
-        E = _sample_banded(rng, spec, n) - build_Hc(spec, n).dense()
-        op = norms(E).op
-        out.append((profile.r_s - op, holds(op, profile.r_s)))
-    return _report("deviation_matrix_norm", out)
-
-
-def _run_phi_trace(samples, master_seed, n_max, suite_index):
-    out = []
-    for i in range(samples):
-        rng = _suite_rng(master_seed, suite_index, i)
-        spec, profile = _random_channel(rng)
-        n = int(rng.integers(spec.k + 1, n_max + 1))
-        cov = _random_cov(rng, n)
-        E = _sample_banded(rng, spec, n) - build_Hc(spec, n).dense()
-        lhs = _stacked_trace_lhs(E, cov)
-        budget = trace_budgets(spec, profile, cov, cov.trace / n)[0]
-        out.append((budget - lhs, holds(lhs, budget)))
-    return _report("stacked_deviation_trace", out)
-
-
-def _run_psi_trace(samples, master_seed, n_max, suite_index):
-    out = []
-    for i in range(samples):
-        rng = _suite_rng(master_seed, suite_index, i)
-        spec, profile = _random_channel(rng)
-        n = int(rng.integers(spec.k + 1, n_max + 1))
-        cov = _random_cov(rng, n)
-        lhs = _whitened_trace_lhs(
-            _sample_banded(rng, spec, n), build_Hc(spec, n).dense(), cov
-        )
-        budget = trace_budgets(spec, profile, cov, cov.trace / n)[1]
-        out.append((budget - lhs, holds(lhs, budget)))
-    return _report("whitened_output_trace", out)
-
-
-def _weyl_instance(rng, n_max):
-    spec, profile = _random_channel(rng)
-    n = int(rng.integers(spec.k + 1, n_max + 1))
-    cov = _random_cov(rng, n)
-    spec, profile = _rescale_radii_for_phi1(
-        spec, profile, cov, target=float(rng.uniform(0.05, 0.9))
-    )
-    Hc = build_Hc(spec, n).dense()
-    H = _sample_banded(rng, spec, n)
-    return spec, profile, n, cov, Hc, H
-
-
-def _run_weyl_det(samples, master_seed, n_max, suite_index):
-    out = []
-    for i in range(samples):
-        rng = _suite_rng(master_seed, suite_index, i)
-        spec, profile, n, cov, Hc, H = _weyl_instance(rng, n_max)
-        m = n + spec.k
-        phi1 = phi_terms(profile, cov.lam_min, cov.lam_max, cov.trace, m)[0]
-        lhs, rhs = _det_floor_pair(H, Hc, cov, phi1)
-        out.append((rhs - lhs, _holds_signed(lhs, rhs)))
-    return _report("determinant_floor", out)
-
-
-def _run_weyl_eigs(samples, master_seed, n_max, suite_index):
-    out = []
-    for i in range(samples):
-        rng = _suite_rng(master_seed, suite_index, i)
-        spec, profile, n, cov, Hc, H = _weyl_instance(rng, n_max)
-        gap, op = _eig_stability_pair(H, Hc, cov)
-        out.append((op - gap, holds(gap, op)))
-    return _report("eigenvalue_stability", out)
-
-
-def _run_qcqp(samples, master_seed, n_max, suite_index):
-    out = []
-    for i in range(samples):
-        rng = _suite_rng(master_seed, suite_index, i)
-        spec, profile, n, cov, Hc, H = _weyl_instance(rng, n_max)
-        m = n + spec.k
-        sigma = cov.dense()
-        omega_c = np.eye(m) + Hc @ sigma @ Hc.T
-        omega_h = np.eye(m) + H @ sigma @ H.T
-        eta_prime = float(rng.uniform(0.0, 1.2))
-        val = qcqp_min(omega_c, omega_h, eta_prime)
-        phi3 = phi_terms(profile, cov.lam_min, cov.lam_max, cov.trace, m)[2]
-        floor = m * max(1.0 - eta_prime, 0.0) * phi3
-        out.append((val - floor, holds(floor, val)))
-    return _report("shell_minimum_floor", out)
-
-
-def _run_volume(samples, master_seed, n_max, suite_index):
-    etas = (0.1, 0.5, 0.9, 1.0, 1.5, 3.0)
-    out = []
-    for i in range(samples):
-        rng = _suite_rng(master_seed, suite_index, i)
-        n = int(rng.integers(1, min(n_max, 50) + 1))
-        cov = _random_cov(rng, n)
-        eta = etas[i % len(etas)] if rng.random() < 0.5 else float(rng.uniform(0.05, 3.0))
-        res = typical_volume(cov.dense(), eta)
-        margin = res.log2_upper - res.log2_exact
-        ok = _holds_signed(res.log2_exact, res.log2_upper)
-        if eta >= 1.0:
-            margin = min(margin, res.log2_exact - res.log2_lower)
-            ok = ok and _holds_signed(res.log2_lower, res.log2_exact)
-        out.append((margin, ok))
-    return _report("shell_volume_bounds", out)
-
-
-_SUITES = (
-    ("lemma1_product_norms", _run_lemma1),
-    ("centre_matrix_norm", _run_hc_norm),
-    ("deviation_matrix_norm", _run_error_norm),
-    ("stacked_deviation_trace", _run_phi_trace),
-    ("whitened_output_trace", _run_psi_trace),
-    ("determinant_floor", _run_weyl_det),
-    ("eigenvalue_stability", _run_weyl_eigs),
-    ("shell_minimum_floor", _run_qcqp),
-    ("shell_volume_bounds", _run_volume),
-)
-
-SUITE_NAMES = tuple(name for name, _ in _SUITES)
+def _run(names, samples: int, master_seed: int, n_max: int) -> dict[str, LemmaReport]:
+    """Draw and check ``samples`` instances of each named suite."""
+    # The channel suites draw n from [k + 1, n_max] with k up to K_MAX.
+    for key, value, least in (
+        ("samples", samples, 1),
+        ("n_max", n_max, K_MAX + 1),
+        ("master_seed", master_seed, 0),
+    ):
+        if value < least:
+            raise ValueError(f"{key} must be >= {least}, got {value}")
+    reports = {}
+    for name in names:
+        idx = SUITE_NAMES.index(name)
+        _, instance, check = _SUITES[idx]
+        reports[name] = _report(name, [
+            check(instance(_suite_rng(master_seed, idx, i), i, n_max))
+            for i in range(samples)
+        ])
+    return reports
 
 
 def run_suite(name: str, samples: int = 200, master_seed: int = 0, n_max: int = 64) -> LemmaReport:
-    for idx, (suite_name, fn) in enumerate(_SUITES):
-        if suite_name == name:
-            return fn(samples, master_seed, n_max, idx)
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if name not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    return _run((name,), samples, master_seed, n_max)[name]
 
 
 def run_all_suites(
     samples: int = 200, master_seed: int = 0, n_max: int = 64
 ) -> dict[str, LemmaReport]:
-    return {
-        name: fn(samples, master_seed, n_max, idx)
-        for idx, (name, fn) in enumerate(_SUITES)
-    }
+    return _run(SUITE_NAMES, samples, master_seed, n_max)
 
 
 def verify_report(samples: int = 200, master_seed: int = 0, n_max: int = 64) -> dict:

@@ -206,6 +206,19 @@ def test_verify_violation_exit(tmp_path, monkeypatch):
     assert main(["verify", "--out", str(out)]) == EXIT_VIOLATION
 
 
+@pytest.mark.parametrize(
+    "section, field",
+    [({"samples": 0}, "samples"), ({"n_max": 3}, "n_max")],
+    ids=["zero_samples", "small_n_max"],
+)
+def test_verify_refuses_bad_config(tmp_path, capsys, section, field):
+    cfg = _write_config(tmp_path, {"verify": section})
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert field in capsys.readouterr().err
+
+
 def test_exit_code_bad_config_path(tmp_path):
     assert main(["bounds", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 

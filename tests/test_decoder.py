@@ -280,6 +280,17 @@ def test_experiment_rejects_zero_trials(example_spec):
         run_error_experiment(example_spec, n=8, R=0.1, P=0.1, trials=0)
 
 
+def test_experiment_refuses_negative_seed_before_setup(example_spec, monkeypatch):
+    import isicap.decoder as decoder_mod
+
+    def setup_ran(*args, **kwargs):
+        raise AssertionError("set-up ran before the refusal")
+
+    monkeypatch.setattr(decoder_mod, "compute_profile", setup_ran)
+    with pytest.raises(ValueError, match="master_seed"):
+        run_error_experiment(example_spec, n=8, R=0.1, P=0.1, trials=4, master_seed=-1)
+
+
 def test_experiment_seed_determinism(example_spec):
     kwargs = dict(n=16, R=0.125, P=0.1, trials=24)
     a = run_error_experiment(example_spec, master_seed=3, **kwargs)

@@ -7,15 +7,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from isicap import (
-    BoundInapplicable,
-    ChannelLaw,
     ChannelSpec,
     SUITE_NAMES,
-    build_sigma,
-    check_banded_norm_bounds,
+    build_Hc,
     check_lemma1,
-    check_trace_bounds,
-    check_weyl_det,
+    compute_profile,
     converse_rate_bound,
     norms,
     qcqp_min,
@@ -24,7 +20,7 @@ from isicap import (
     typical_volume,
     verify_report,
 )
-from isicap.verify import holds
+from isicap.verify import _SUITES, _sample_banded, holds
 
 from oracles import shell_min_oracle
 
@@ -229,53 +225,33 @@ def test_verify_report_is_json_ready():
     assert blob["samples"] == 8 and blob["n_max"] == 16
 
 
-DRIFTY = ChannelSpec(k=2, c=(1.0, 0.5, 0.5), r=(1e-3, 1e-3, 1e-3))
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        (dict(samples=0), "samples"),
+        (dict(n_max=4), "n_max"),
+        (dict(master_seed=-1), "master_seed"),
+    ],
+)
+def test_suite_inputs_refused(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        verify_report(**kwargs)
+    with pytest.raises(ValueError, match=field):
+        run_suite("shell_volume_bounds", **kwargs)
 
 
-def test_banded_norm_caps_on_drawn_channels():
-    rep = check_banded_norm_bounds(DRIFTY, 20, 12, master_seed=4)
-    assert rep.name == "banded_norm_bounds"
-    assert rep.samples == 12 and rep.violations == 0
-    assert rep.worst_margin > 0.0
-
-
-def test_banded_norm_caps_zero_radius_is_tight():
+def test_deviation_norm_check_zero_radius_is_tight():
     spec = ChannelSpec(k=1, c=(1.0, 0.25), r=(0.0, 0.0))
-    rep = check_banded_norm_bounds(spec, 12, 3)
-    assert rep.violations == 0
-    assert rep.worst_margin == 0.0  # deviation matrix identically zero
-
-
-def test_trace_budget_certificate():
-    cov = build_sigma(DRIFTY, 18, 1.0, "waterfill_gram")
-    rep = check_trace_bounds(DRIFTY, cov, 1.0, 10, master_seed=2)
-    assert rep.name == "trace_bounds"
-    assert rep.violations == 0 and rep.worst_margin > 0.0
-
-
-def test_trace_budget_power_guard():
-    cov = build_sigma(DRIFTY, 18, 1.0, "white_iso")
-    with pytest.raises(ValueError, match="budget"):
-        check_trace_bounds(DRIFTY, cov, 0.25, 4)
-
-
-def test_weyl_det_certificate_constant_law():
-    cov = build_sigma(DRIFTY, 16, 1.0, "waterfill_gram")
-    law = ChannelLaw(kind="constant", offset=(1.0, 1.0, 1.0))
-    rep = check_weyl_det(DRIFTY, cov, 4, law=law)
-    assert rep.name == "weyl_det"
-    assert rep.violations == 0
-
-
-def test_weyl_det_vacuous_floor_rejected():
-    flat = ChannelSpec(k=0, c=(1.0,), r=(5.0,))
-    cov = build_sigma(flat, 8, 1.0, "white_iso")
-    with pytest.raises(BoundInapplicable):
-        check_weyl_det(flat, cov, 4)
+    E = _sample_banded(np.random.default_rng(0), spec, 12) - build_Hc(spec, 12).dense()
+    assert not E.any()  # a zero-radius draw is the centre matrix exactly
+    check = {name: chk for name, _, chk in _SUITES}["deviation_matrix_norm"]
+    margin, ok = check((E, compute_profile(spec).r_s))
+    assert ok
+    assert margin == 0.0
 
 
 def test_margin_quantiles_persisted():
-    rep = check_banded_norm_bounds(DRIFTY, 16, 9, master_seed=11)
+    rep = run_suite("deviation_matrix_norm", samples=9, master_seed=11, n_max=16)
     qs = rep.details["margin_quantiles"]
     assert len(qs) == 5
     assert qs == sorted(qs)
