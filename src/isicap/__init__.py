@@ -17,7 +17,7 @@ from .spectrum import (
     build_Hc,
     compute_profile,
     gram_eigenvalues,
-    gram_matrix,
+    gram_eigh,
 )
 from .waterfill import (
     BoundReport,

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from typing import Literal, Optional
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import CodebookTooLarge, DimensionMismatch
-from .spectrum import BandedChannelMatrix, ChannelSpec, gram_matrix
+from .spectrum import BandedChannelMatrix, ChannelSpec, gram_eigh
 from .waterfill import POWER_FLOOR, waterfill_powers
 
 __all__ = [
@@ -34,6 +33,7 @@ __all__ = [
     "MAX_DECODE_BYTES",
     "trial_block",
     "decode_bytes",
+    "codebook_size",
     "rng_stream",
     "stream_keys",
     "ChannelLaw",
@@ -242,7 +242,9 @@ class CovarianceSpec:
                 raise ValueError(f"basis has shape {U.shape}, expected square")
             if not np.isfinite(U).all():
                 raise ValueError("basis has non-finite entries")
-            err = np.abs(U.T @ U - np.eye(self.n)).max()
+            G = U.T @ U  # U'U - I in place: one n x n temporary, not four
+            G[np.diag_indices(self.n)] -= 1.0
+            err = np.abs(G, out=G).max()
             if err > 1e-8:
                 raise ValueError(f"basis is not orthonormal (defect {err:.2e})")
             U.setflags(write=False)
@@ -281,14 +283,17 @@ def build_sigma(
 
     white_iso      -- ``P`` per dimension in the standard basis
     waterfill_gram -- eigenbasis of the centre Gram matrix, with the budget
-                      water-filled over its eigenvalues
+                      water-filled over its eigenvalues; the basis comes
+                      from ``spectrum.gram_eigh``, two half-size band
+                      problems (J-symmetric and J-skew) under a sign
+                      convention, so it does not depend on the LAPACK build
     """
     if P <= 0.0:
         raise ValueError("need P > 0")
     if policy == "white_iso":
         return CovarianceSpec(n=n, d=np.full(n, float(P)))
     if policy == "waterfill_gram":
-        lam, U = eigh(gram_matrix(spec, n))
+        lam, U = gram_eigh(spec, n)
         d, _ = waterfill_powers(lam, n * P, POWER_FLOOR)
         return CovarianceSpec(n=n, d=d, basis=U)
     raise ValueError(f"unknown covariance policy {policy!r}")
@@ -332,28 +337,37 @@ def decode_bytes(size: int, n: int, k: int) -> int:
     return 8 * size * (n + (n + k) + 2 * trial_block(size))
 
 
+def codebook_size(n: int, R: float, k: int = 0) -> int:
+    """Codewords ``2**ceil(n * R)`` of the rate-``R`` codebook of length
+    ``n``, once exhaustive decoding over a channel with ``k + 1`` taps is
+    known to fit: raises ``CodebookTooLarge`` past ``MAX_CODEBOOK_BITS`` or
+    past ``MAX_DECODE_BYTES`` (see ``decode_bytes``)."""
+    if R < 0.0:
+        raise ValueError("rate must be non-negative")
+    bits = math.ceil(n * R - 1e-12)
+    if bits > MAX_CODEBOOK_BITS:
+        raise CodebookTooLarge(
+            f"2**{bits} codewords exceed the exhaustive-decoding cap 2**{MAX_CODEBOOK_BITS}"
+        )
+    size = 1 << max(bits, 0)
+    need = decode_bytes(size, n, k)
+    if need > MAX_DECODE_BYTES:
+        raise CodebookTooLarge(
+            f"2**{bits} codewords of length {n} need {need / 2**30:.2f} GiB to "
+            f"decode, over the cap {MAX_DECODE_BYTES / 2**30:.2f} GiB"
+        )
+    return size
+
+
 def gen_codebook(
     cov: CovarianceSpec, R: float, master_seed: int, k: int = 0
 ) -> Codebook:
     """Draw the codebook for rate ``R``: rows ``x = U diag(sqrt(d)) g`` of
     standard Gaussians ``g``, with ``q = ||g||^2`` per row, which equals
     ``x' Sigma^{-1} x`` exactly.  ``k`` is the memory of the channel it will
-    be decoded over; it sizes the images in the byte check, which refuses
-    before anything is drawn."""
-    if R < 0.0:
-        raise ValueError("rate must be non-negative")
-    bits = math.ceil(cov.n * R - 1e-12)
-    if bits > MAX_CODEBOOK_BITS:
-        raise CodebookTooLarge(
-            f"2**{bits} codewords exceed the exhaustive-decoding cap 2**{MAX_CODEBOOK_BITS}"
-        )
-    size = 1 << max(bits, 0)
-    need = decode_bytes(size, cov.n, k)
-    if need > MAX_DECODE_BYTES:
-        raise CodebookTooLarge(
-            f"2**{bits} codewords of length {cov.n} need {need / 2**30:.2f} GiB to "
-            f"decode, over the cap {MAX_DECODE_BYTES / 2**30:.2f} GiB"
-        )
+    be decoded over; it sizes the images in ``codebook_size``'s byte check,
+    which refuses before anything is drawn."""
+    size = codebook_size(cov.n, R, k)
     g = rng_stream(master_seed, STREAM_CODEBOOK, 0).standard_normal((size, cov.n))
     q = np.einsum("ij,ij->i", g, g)
     g *= np.sqrt(cov.d)

@@ -99,11 +99,24 @@ def parse_grid(text: str) -> list[float]:
         raise ConfigError(f"cannot parse grid {text!r}; want start:stop:count or a comma list") from exc
 
 
-def _grid_from(value) -> list[float]:
+def _number(value, field: str, integer: bool = False):
+    """A config number as a float, or as an int when ``integer``.  A null,
+    a non-number (a bool or a string too) or a fractional integer raises
+    ``ConfigError`` naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{field} must be a number, got {json.dumps(value)}")
+    if not integer:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _grid_from(value, field: str) -> list[float]:
     if isinstance(value, str):
         return parse_grid(value)
     if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
+        return [_number(v, f"{field}[{i}]") for i, v in enumerate(value)]
     raise ConfigError(f"grid must be a string or list, got {type(value).__name__}")
 
 
@@ -112,7 +125,7 @@ def _law_from(obj: dict, spec: ChannelSpec) -> ChannelLaw:
         law = ChannelLaw(
             kind=obj.get("kind", "iid_uniform"),
             offset=tuple(obj["offset"]) if obj.get("offset") is not None else None,
-            block_len=int(obj.get("block_len", 1)),
+            block_len=_number(obj.get("block_len", 1), "simulate.law.block_len", integer=True),
         )
         check_law(spec, law)
     except (ValueError, TypeError, DimensionMismatch) as exc:
@@ -141,7 +154,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         spec = ChannelSpec.from_json(merged["channel"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad channel block: {exc}") from exc
-    grid_size = int(merged.get("grid_size", DEFAULT_GRID))
+    grid_size = _number(merged.get("grid_size", DEFAULT_GRID), "grid_size", integer=True)
     if args.seed < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     return RunConfig(
@@ -247,7 +260,7 @@ def _flag_exit(rows) -> int:
 
 
 def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
-    grid = _grid_from(args.grid if args.grid else cfg.sections["bounds"]["p_dbw"])
+    grid = _grid_from(args.grid if args.grid else cfg.sections["bounds"]["p_dbw"], "bounds.p_dbw")
     if not grid:
         raise ConfigError("empty power grid")
     rows = _map_ordered(lambda p: _bounds_row(cfg, p), grid, cfg.threads)
@@ -263,8 +276,8 @@ def cmd_figure1(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.grid:
         rs_values = [10.0 ** v for v in parse_grid(args.grid)]
     else:
-        rs_values = [10.0 ** v for v in _grid_from(section["rs_log10"])]
-    p_list = section["p_dbw"] if isinstance(section["p_dbw"], list) else _grid_from(section["p_dbw"])
+        rs_values = [10.0 ** v for v in _grid_from(section["rs_log10"], "figure1.rs_log10")]
+    p_list = _grid_from(section["p_dbw"], "figure1.p_dbw")
     if not rs_values or not p_list:
         raise ConfigError("empty sweep")
     profile = compute_profile(cfg.spec, cfg.grid_size)
@@ -288,7 +301,7 @@ FIGURE2_HEADER = ("P_dBW", "C0", "C_LB1", "C_LB2", "P_W", "flag")
 
 
 def cmd_figure2(cfg: RunConfig, args: argparse.Namespace) -> int:
-    grid = _grid_from(args.grid if args.grid else cfg.sections["figure2"]["p_dbw"])
+    grid = _grid_from(args.grid if args.grid else cfg.sections["figure2"]["p_dbw"], "figure2.p_dbw")
     if not grid:
         raise ConfigError("empty power grid")
 
@@ -317,18 +330,22 @@ SIMULATE_HEADER = (
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     section = cfg.sections["simulate"]
-    n_list = [int(v) for v in section["n_list"]]
+    if not isinstance(section["n_list"], list):
+        raise ConfigError(f"simulate.n_list must be a list, got {json.dumps(section['n_list'])}")
+    n_list = [
+        _number(v, f"simulate.n_list[{i}]", integer=True) for i, v in enumerate(section["n_list"])
+    ]
     if not n_list:
         raise ConfigError("empty n_list")
-    p_dbw = float(section["p_dbw"])
+    p_dbw = _number(section["p_dbw"], "simulate.p_dbw")
     p_w = dbw_to_watts(p_dbw)
-    trials = int(section["trials"])
+    trials = _number(section["trials"], "simulate.trials", integer=True)
     law = _law_from(section.get("law", {}), cfg.spec)
     if section.get("rate_bits") is not None:
-        rate = float(section["rate_bits"])
+        rate = _number(section["rate_bits"], "simulate.rate_bits")
     else:
-        rep = bound_report(cfg.spec, p_w, cfg.grid_size)
-        rate = float(section.get("rate_fraction", 0.25)) * rep.C_LB1
+        fraction = _number(section.get("rate_fraction", 0.25), "simulate.rate_fraction")
+        rate = fraction * bound_report(cfg.spec, p_w, cfg.grid_size).C_LB1
         if rate <= 0.0:
             raise ConfigError(
                 f"derived rate {rate:.4g} is not positive at {p_dbw} dBW; give rate_bits"
@@ -357,9 +374,9 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     section = cfg.sections["verify"]
     report = verify_report(
-        samples=int(section["samples"]),
+        samples=_number(section["samples"], "verify.samples", integer=True),
         master_seed=cfg.seed,
-        n_max=int(section["n_max"]),
+        n_max=_number(section["n_max"], "verify.n_max", integer=True),
     )
     _emit(cfg.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     if report["violations_total"] > 0:

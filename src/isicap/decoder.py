@@ -45,6 +45,7 @@ from .channel_sim import (
     TrialBlocks,
     build_sigma,
     check_law,
+    codebook_size,
     gen_codebook,
     trial_block,
 )
@@ -366,13 +367,15 @@ def run_error_experiment(
     Each trial draws its own channel, noise, and message from per-trial
     streams, and each thread draws and scores its trials in blocks of
     ``trial_block(size)`` with exact decisions, so the counts are
-    independent of ``threads`` and of the block size.
+    independent of ``threads`` and of the block size.  A codebook too large
+    to decode exhaustively is refused before any set-up.
     """
     if trials <= 0:
         raise ValueError("need trials > 0")
     if master_seed < 0:
         raise ValueError(f"need master_seed >= 0, got {master_seed}")
     check_law(spec, law)
+    codebook_size(n, R, spec.k)
     profile = compute_profile(spec, grid_size)
     cov = build_sigma(spec, n, P, policy)  # type: ignore[arg-type]
     report = thresholds(spec, profile, cov, P)

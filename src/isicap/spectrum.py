@@ -7,8 +7,11 @@ transfer function of the centre taps,
     f(omega) = sum_l c_l * exp(1j * l * omega),
 
 through its squared magnitude ``|f|^2``: the extreme values ``alpha^2`` and
-``beta^2``, the inverse-spectrum mean ``J``, and the Gram matrix of the tall
-banded convolution matrix built from the centre taps.
+``beta^2``, the inverse-spectrum mean ``J``, and the eigenpairs of the Gram
+matrix of the tall banded convolution matrix built from the centre taps.
+That Gram matrix is symmetric banded Toeplitz and is never formed densely:
+its eigenvalues come from its band form, its eigenbasis from two half-size
+band problems.
 
 All integrals over ``[0, 2*pi]`` are composite-Simpson sums on one shared
 grid so that quantities which are equal in exact arithmetic (e.g. the
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigvals_banded, toeplitz
+from scipy.linalg import eig_banded, eigvals_banded
 
 from .errors import SpectrumSingular
 
@@ -42,13 +45,14 @@ __all__ = [
     "simpson_mean",
     "simpson_weights",
     "build_Hc",
-    "gram_matrix",
     "gram_eigenvalues",
+    "gram_eigh",
 ]
 
 DEFAULT_GRID = 8192
 MIN_GRID = 256
 SINGULAR_REL_TOL = 1e-12
+SIGN_TIE_REL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -272,29 +276,90 @@ def _tap_autocorr(c) -> np.ndarray:
     return np.array([c[: len(c) - d] @ c[d:] for d in range(len(c))])
 
 
-def gram_matrix(spec: ChannelSpec, n: int) -> np.ndarray:
-    """Gram matrix of the centre banded matrix: symmetric Toeplitz with the
-    tap autocorrelation on diagonals ``0..k`` and zeros beyond.
-
-    Because the banded matrix has ``n + k`` rows, no boundary truncation
-    occurs and this equals the exact product of the matrix with itself.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    t = _tap_autocorr(spec.c)
-    col = np.zeros(n)
-    w = min(spec.k + 1, n)
-    col[:w] = t[:w]
-    return toeplitz(col)
+def _toeplitz_band(t: np.ndarray, order: int) -> np.ndarray:
+    """Upper band form of the symmetric Toeplitz matrix of order ``order``
+    with ``t[d]`` on diagonal ``d`` (``t[d]`` beyond ``order - 1`` unused):
+    row ``u - d`` holds diagonal ``d``, ``u = min(k, order - 1)``."""
+    u = min(len(t) - 1, max(order - 1, 0))
+    band = np.zeros((u + 1, order))
+    for d in range(u + 1):
+        band[u - d, d:] = t[d]
+    return band
 
 
 def gram_eigenvalues(spec: ChannelSpec, n: int) -> np.ndarray:
     """Ascending eigenvalues of the Gram matrix, via its band form."""
     if n < 1:
         raise ValueError("need n >= 1")
-    t = _tap_autocorr(spec.c)
-    u = min(spec.k, n - 1)
-    band = np.zeros((u + 1, n))
-    for d in range(u + 1):
-        band[u - d, d:] = t[d]
-    return eigvals_banded(band, lower=False)
+    return eigvals_banded(_toeplitz_band(_tap_autocorr(spec.c), n), lower=False)
+
+
+def _half_bands(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Upper band forms of the J-symmetric half ``A + C J`` (order
+    ``n - n // 2``) and the J-skew half ``A - C J`` (order ``n // 2``) of
+    the Gram matrix, where ``A`` and ``C`` are its top-left and top-right
+    ``n // 2`` blocks.  ``(C J)[i, j] = t[n - 1 - i - j]``, non-zero only in
+    the bottom-right corner where that lag is at most ``k``.  For odd
+    ``n`` the symmetric half also holds the middle row and column of the
+    Gram matrix, the off-diagonal part scaled by ``sqrt(2)``."""
+    h, k = n // 2, len(t) - 1
+    sym, skew = _toeplitz_band(t, n - h), _toeplitz_band(t, h)
+    for band, sign in ((sym, 1.0), (skew, -1.0)):
+        u = band.shape[0] - 1
+        for j in range(max(h - k, 0), h):
+            for i in range(max(n - 1 - k - j, 0), j + 1):
+                band[u - (j - i), j] += sign * t[n - 1 - i - j]
+    if n > 2 * h:
+        sym[:-1, h] *= math.sqrt(2.0)
+    return sym, skew
+
+
+def _signed(Z: np.ndarray) -> np.ndarray:
+    """``Z`` with each column flipped so that its largest-magnitude entry is
+    positive.  Entries within ``SIGN_TIE_REL`` of the largest magnitude
+    count as tied and the first of them decides, so ties that are exact in
+    exact arithmetic (the sine eigenvectors of a tridiagonal Gram) are
+    broken by index, not by rounding."""
+    if not Z.size:
+        return Z
+    mag = np.abs(Z)
+    top = np.argmax(mag >= (1.0 - SIGN_TIE_REL) * mag.max(axis=0), axis=0)
+    return Z * np.where(Z[top, np.arange(Z.shape[1])] < 0.0, -1.0, 1.0)
+
+
+def gram_eigh(spec: ChannelSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues ``lam`` and orthonormal eigenvectors ``U``
+    (columns) of the centre Gram matrix ``Hc' Hc``.
+
+    The Gram matrix is symmetric Toeplitz, hence centrosymmetric, so it
+    splits exactly into a J-symmetric and a J-skew half of order about
+    ``n / 2`` (Cantoni & Butler, Lin. Alg. Appl. 13, 1976), each banded
+    with bandwidth ``k`` and built in band form in O(n k).  One
+    ``eig_banded`` call per half gives the eigenpairs.  A half eigenvector
+    ``z`` is flipped so that its largest-magnitude entry is positive (the
+    first one on ties to ``SIGN_TIE_REL``), then becomes ``[z; J z] /
+    sqrt(2)`` or ``[z; -J z] / sqrt(2)``, with the middle entry of a
+    symmetric one in place for odd ``n``.  Columns are ordered by a stable sort of the eigenvalues.  The
+    sign convention makes the basis independent of the LAPACK build, and
+    every column satisfies ``U[::-1, j] == +-U[:, j]`` exactly.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    h = n // 2
+    (lam_s, Zs), (lam_k, Zk) = (
+        eig_banded(band, lower=False) for band in _half_bands(_tap_autocorr(spec.c), n)
+    )
+    lam = np.concatenate([lam_s, lam_k])
+    order = np.argsort(lam, kind="stable")
+    col = np.empty(n, dtype=np.intp)
+    col[order] = np.arange(n)
+    cs, ck = col[: n - h], col[n - h:]
+    r2 = 1.0 / math.sqrt(2.0)
+    U = np.zeros((n, n))
+    Zs, Zk = _signed(Zs), _signed(Zk) * r2
+    top = Zs[:h] * r2
+    U[:h, cs], U[n - h:, cs] = top, top[::-1]
+    U[:h, ck], U[n - h:, ck] = Zk, -Zk[::-1]
+    if n > 2 * h:
+        U[h, cs] = Zs[h]
+    return lam[order], U

@@ -3,8 +3,9 @@
 These deliberately avoid the package's own algorithms: the shell minimizer
 is a projected-gradient descent with retraction and restarts, not an
 eigenvalue solve, the spectrum extrema come from high-precision Newton
-steps, not from polynomial roots or an FFT, and a channel use is summed
-exactly, entry by entry of the dense matrix.
+steps, not from polynomial roots or an FFT, a channel use is summed
+exactly, entry by entry of the dense matrix, and the centre Gram matrix is
+filled lag by lag from the taps.
 """
 
 import math
@@ -65,6 +66,16 @@ def f_sq_direct(c, omega) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
     f = sum(cl * np.exp(1j * l * omega) for l, cl in enumerate(c))
     return np.abs(f) ** 2
+
+
+def dense_gram(c, n: int) -> np.ndarray:
+    """Gram matrix ``H' H`` of the ``(n + k) x n`` convolution matrix of
+    taps ``c``: entry ``(i, j)`` is ``sum_l c_l c_{l + |i - j|}``, each lag's
+    sum taken with ``math.fsum``."""
+    c = [float(v) for v in c]
+    lags = [math.fsum(c[l] * c[l + d] for l in range(len(c) - d)) for d in range(len(c))]
+    lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return np.array(lags + [0.0])[np.minimum(lag, len(c))]
 
 
 def _two_product(a: float, b: float) -> tuple[float, float]:

@@ -30,8 +30,8 @@ from isicap.channel_sim import (
 from isicap.verify import VERIFY_STREAM_BASE
 from isicap.decoder import prepare_context
 from isicap.errors import CodebookTooLarge, DimensionMismatch
-from isicap.waterfill import POWER_FLOOR, dbw_to_watts
-from oracles import exact_channel_use, exact_joint_statistics
+from isicap.waterfill import POWER_FLOOR, dbw_to_watts, waterfill_powers
+from oracles import dense_gram, exact_channel_use, exact_joint_statistics
 
 
 def test_rng_stream_reproducible():
@@ -186,6 +186,24 @@ def test_build_sigma_policies(example_spec):
     assert wf.basis is not None
     with pytest.raises(ValueError):
         build_sigma(example_spec, 16, 2.0, "other")
+
+
+@pytest.mark.parametrize(
+    "c", [(1.0, 0.5, 0.5), (0.3, -1.0), (0.9, 0.2, -0.4, 0.1, 0.6)], ids=["example", "k1", "k4"]
+)
+@pytest.mark.parametrize("n", [16, 17, 64, 255, 256])
+def test_waterfill_sigma_is_basis_free(c, n):
+    """``build_sigma``'s ``U diag(d) U'`` equals the same water-filling done
+    on a dense ``eigh`` of the oracle Gram, to 1e-12 relative: a function
+    of the Gram matrix, whatever basis represents it."""
+    spec = ChannelSpec(k=len(c) - 1, c=c, r=(1e-3,) * len(c))
+    lam, V = np.linalg.eigh(dense_gram(c, n))
+    for p_dbw in (-10.0, 10.0, 30.0):
+        P = dbw_to_watts(p_dbw)
+        d, _ = waterfill_powers(lam, n * P, POWER_FLOOR)
+        want = (V * d) @ V.T
+        got = build_sigma(spec, n, P, "waterfill_gram").dense()
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_codebook_size_and_cap(example_spec):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from isicap import cli
+from isicap import cli, decoder
 from isicap.cli import (
     BOUNDS_HEADER,
     EXIT_CONFIG,
@@ -272,6 +272,72 @@ def test_simulate_refuses_before_setup(tmp_path, monkeypatch, capsys, argv, payl
     assert main(argv) == EXIT_CONFIG
     assert not out.exists()
     assert says in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload, says",
+    [
+        ({"simulate": {"n_list": [3000], "rate_bits": 1.0}}, "2**3000"),
+        ({"simulate": {"n_list": [64], "rate_bits": 0.375}}, "GiB"),
+    ],
+    ids=["bit_cap", "byte_cap"],
+)
+def test_simulate_refuses_oversized_codebook_before_setup(
+    tmp_path, monkeypatch, capsys, payload, says
+):
+    """A codebook past the bit cap, or within it but past the decoding byte
+    cap, exits 2 before the profile or the covariance is computed."""
+    def setup_ran(*args, **kwargs):
+        raise AssertionError("set-up ran before the refusal")
+
+    monkeypatch.setattr(decoder, "compute_profile", setup_ran)
+    monkeypatch.setattr(decoder, "build_sigma", setup_ran)
+    cfg = _write_config(tmp_path, payload)
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", "1"]) == EXIT_CONFIG
+    assert not out.exists()
+    assert says in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"simulate": {"trials": None}}, "simulate.trials"),
+        ({"simulate": {"trials": 2.5}}, "simulate.trials"),
+        ({"simulate": {"n_list": [64, 128.5]}}, "simulate.n_list[1]"),
+        ({"simulate": {"n_list": None}}, "simulate.n_list"),
+        ({"simulate": {"p_dbw": None}}, "simulate.p_dbw"),
+        ({"simulate": {"rate_bits": "0.25"}}, "simulate.rate_bits"),
+        ({"simulate": {"rate_fraction": None}}, "simulate.rate_fraction"),
+        ({"simulate": {"law": {"kind": "block_hold", "block_len": 1.5}}}, "simulate.law.block_len"),
+        ({"grid_size": None}, "grid_size"),
+        ({"verify": {"samples": 2.7}}, "verify.samples"),
+        ({"verify": {"samples": None}}, "verify.samples"),
+        ({"verify": {"n_max": True}}, "verify.n_max"),
+    ],
+)
+def test_typed_config_numbers(tmp_path, monkeypatch, capsys, payload, field):
+    """A null, a non-number or a fractional integer in a numeric config
+    field exits 2 with the field named, before any work and with no file
+    written."""
+    def work_ran(*args, **kwargs):
+        raise AssertionError("work ran before the refusal")
+
+    for name in ("bound_report", "run_error_experiment", "verify_report"):
+        monkeypatch.setattr(cli, name, work_ran)
+    command = "verify" if "verify" in payload else "simulate"
+    cfg = _write_config(tmp_path, payload)
+    out = tmp_path / "x.out"
+    assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == EXIT_CONFIG
+    assert not out.exists()
+    assert field in capsys.readouterr().err
+
+
+def test_number_parser():
+    assert cli._number(3.0, "f", integer=True) == 3
+    assert type(cli._number(3.0, "f", integer=True)) is int
+    assert type(cli._number(3, "f")) is float
+    assert cli._number(-1e300, "f") == -1e300
 
 
 def test_simulate_infinite_power_exits_config(tmp_path, capsys):

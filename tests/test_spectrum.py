@@ -10,12 +10,12 @@ from isicap import (
     build_Hc,
     compute_profile,
     gram_eigenvalues,
-    gram_matrix,
+    gram_eigh,
 )
 from isicap.errors import SpectrumSingular
-from isicap.spectrum import _f_sq, f_sq_table, simpson_mean
+from isicap.spectrum import SIGN_TIE_REL, _f_sq, f_sq_table, simpson_mean
 
-from oracles import f_sq_direct, spectrum_extrema_oracle
+from oracles import dense_gram, f_sq_direct, spectrum_extrema_oracle
 from reference_values import ALPHA_EXAMPLE, BETA_EXAMPLE, J_EXAMPLE
 
 PROFILE_ABS_TOL = 1e-10
@@ -229,17 +229,20 @@ def test_banded_from_taps_validates_shape():
 
 
 def test_gram_matches_product(example_spec):
-    n = 17
-    Hc = build_Hc(example_spec, n).dense()
-    G = gram_matrix(example_spec, n)
-    assert np.abs(G - Hc.T @ Hc).max() <= 1e-12
+    """The oracle Gram and the eigenpairs of ``gram_eigh`` both give
+    ``Hc' Hc``, at an odd and an even order."""
+    for n in (17, 18):
+        Hc = build_Hc(example_spec, n).dense()
+        assert np.abs(dense_gram(example_spec.c, n) - Hc.T @ Hc).max() <= 1e-12
+        lam, U = gram_eigh(example_spec, n)
+        assert np.abs((U * lam) @ U.T - Hc.T @ Hc).max() <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
 @given(channel_specs(max_k=3), st.integers(min_value=1, max_value=40))
 def test_gram_eigenvalues_match_dense(spec, n):
     lam = gram_eigenvalues(spec, n)
-    dense = np.linalg.eigvalsh(gram_matrix(spec, n))
+    dense = np.linalg.eigvalsh(dense_gram(spec.c, n))
     assert np.all(np.diff(lam) >= -1e-12)
     assert np.abs(lam - dense).max() <= GRAM_MATCH_TOL * max(1.0, dense[-1])
 
@@ -255,3 +258,51 @@ def test_gram_eigenvalues_inside_spectrum_range(spec, n):
     tol = 1e-8 * prof.beta ** 2
     assert lam[0] >= prof.alpha ** 2 - tol
     assert lam[-1] <= prof.beta ** 2 + tol
+
+
+# Backward-error multiple: residual, orthogonality defect and eigenvalue
+# error of ``gram_eigh`` stay within GRAM_EIGH_ULPS * n * eps * ||G||_1.
+GRAM_EIGH_ULPS = 4.0
+_GRAM_EIGH_TAPS = np.random.default_rng(11).uniform(-1.0, 1.0, (5, 5))
+_GRAM_EIGH_CASES = [(n, k) for k in range(1, 5) for n in range(1, 41)] + [
+    (1023, 3), (1024, 4), (2048, 2)
+]
+
+
+def _gram_eigh_spec(k):
+    return ChannelSpec(k=k, c=tuple(_GRAM_EIGH_TAPS[k, : k + 1]), r=(0.0,) * (k + 1))
+
+
+def _mirror_sign(U):
+    """Per column: +1 when ``U[::-1, j] == U[:, j]`` bitwise, -1 when it
+    equals ``-U[:, j]`` bitwise, 0 otherwise."""
+    flipped = U[::-1]
+    return np.where((flipped == U).all(axis=0), 1, np.where((flipped == -U).all(axis=0), -1, 0))
+
+
+@pytest.mark.parametrize("n,k", _GRAM_EIGH_CASES)
+def test_gram_eigh_matches_dense_gram(n, k):
+    """Every order 1..40 (odd, even and n <= k) at k = 1..4, and three large
+    orders: ``G U = U Lambda`` and ``U' U = I`` to ``4 n eps ||G||``, the
+    eigenvalues ascending and within that of ``eigvalsh`` on the oracle
+    Gram, each column exactly mirror-symmetric or mirror-skew (as many
+    symmetric columns as the half of order ``n - n // 2``), and the half
+    vector of each column has its largest-magnitude entry positive, the
+    first one on ties.  At k = 1 the sine eigenvectors have exactly tied
+    entries of opposite sign."""
+    spec = _gram_eigh_spec(k)
+    G = dense_gram(spec.c, n)
+    lam, U = gram_eigh(spec, n)
+    tol = GRAM_EIGH_ULPS * n * np.finfo(float).eps * np.abs(G).sum(axis=0).max()
+    assert U.shape == (n, n) and np.all(np.diff(lam) >= 0.0)
+    assert np.abs(G @ U - U * lam).max() <= tol
+    assert np.abs(U.T @ U - np.eye(n)).max() <= GRAM_EIGH_ULPS * n * np.finfo(float).eps
+    assert np.abs(lam - np.linalg.eigvalsh(G)).max() <= tol
+    mirror = _mirror_sign(U)
+    assert np.all(mirror != 0)
+    assert np.count_nonzero(mirror == 1) == n - n // 2
+    half = U[: n - n // 2].copy()
+    half[: n // 2] *= math.sqrt(2.0)
+    mag = np.abs(half)
+    top = np.argmax(mag >= (1.0 - SIGN_TIE_REL) * mag.max(axis=0), axis=0)
+    assert np.all(half[top, np.arange(n)] > 0.0)
