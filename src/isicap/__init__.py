@@ -26,7 +26,6 @@ from .waterfill import (
     bound_report,
     capacity_C0,
     dbw_to_watts,
-    delta_i,
     finite_n_bound,
     g_integral,
     pillow_terms,

@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -112,12 +111,19 @@ def _number(value, field: str, integer: bool = False):
     return int(value)
 
 
+def _numbers(value, field: str, integer: bool = False) -> list:
+    """A config list of numbers, each checked by ``_number`` as
+    ``field[i]``; anything but a list raises ``ConfigError`` naming
+    ``field``."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{field} must be a list, got {json.dumps(value)}")
+    return [_number(v, f"{field}[{i}]", integer) for i, v in enumerate(value)]
+
+
 def _grid_from(value, field: str) -> list[float]:
     if isinstance(value, str):
         return parse_grid(value)
-    if isinstance(value, (list, tuple)):
-        return [_number(v, f"{field}[{i}]") for i, v in enumerate(value)]
-    raise ConfigError(f"grid must be a string or list, got {type(value).__name__}")
+    return _numbers(value, field)
 
 
 def _law_from(obj: dict, spec: ChannelSpec) -> ChannelLaw:
@@ -150,9 +156,14 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                 merged[key].update(value)
             else:
                 merged[key] = value
+    channel = merged["channel"]
+    if not isinstance(channel, dict):
+        raise ConfigError(f"channel must be a JSON object, got {json.dumps(channel)}")
+    k = _number(channel["k"], "channel.k", integer=True)
+    c, r = (_numbers(channel[key], f"channel.{key}") for key in ("c", "r"))
     try:
-        spec = ChannelSpec.from_json(merged["channel"])
-    except (KeyError, TypeError, ValueError) as exc:
+        spec = ChannelSpec(k=k, c=tuple(c), r=tuple(r))
+    except ValueError as exc:
         raise ConfigError(f"bad channel block: {exc}") from exc
     grid_size = _number(merged.get("grid_size", DEFAULT_GRID), "grid_size", integer=True)
     if args.seed < 0:
@@ -189,13 +200,6 @@ def _write_csv(out: Optional[str], schema: str, header: Sequence[str], rows) -> 
     lines = [schema, ",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     _emit(out, "\n".join(lines) + "\n")
-
-
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 BOUNDS_HEADER = (
@@ -263,7 +267,7 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
     grid = _grid_from(args.grid if args.grid else cfg.sections["bounds"]["p_dbw"], "bounds.p_dbw")
     if not grid:
         raise ConfigError("empty power grid")
-    rows = _map_ordered(lambda p: _bounds_row(cfg, p), grid, cfg.threads)
+    rows = [_bounds_row(cfg, p) for p in grid]
     _write_csv(cfg.out, _SCHEMAS["bounds"], BOUNDS_HEADER, rows)
     return _flag_exit(rows)
 
@@ -281,18 +285,15 @@ def cmd_figure1(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not rs_values or not p_list:
         raise ConfigError("empty sweep")
     profile = compute_profile(cfg.spec, cfg.grid_size)
-
-    def row(item):
-        p_dbw, rs = item
+    rows = []
+    for p_dbw in p_list:
         p_w = dbw_to_watts(p_dbw)
-        try:
-            t1, t2, t3 = pillow_terms(profile, cfg.spec, p_w, rs, cfg.grid_size)
-        except BoundInapplicable:
-            return (rs, p_dbw, None, None, None, None, p_w, FLAG_INAPPLICABLE)
-        return (rs, p_dbw, t1 + t2 + t3, t1, t2, t3, p_w, "")
-
-    items = [(p, rs) for p in p_list for rs in rs_values]
-    rows = _map_ordered(row, items, cfg.threads)
+        for rs in rs_values:
+            try:
+                t1, t2, t3 = pillow_terms(profile, cfg.spec, p_w, rs, cfg.grid_size)
+                rows.append((rs, p_dbw, t1 + t2 + t3, t1, t2, t3, p_w, ""))
+            except BoundInapplicable:
+                rows.append((rs, p_dbw, None, None, None, None, p_w, FLAG_INAPPLICABLE))
     _write_csv(cfg.out, _SCHEMAS["figure1"], FIGURE1_HEADER, rows)
     return _flag_exit(rows)
 
@@ -304,12 +305,8 @@ def cmd_figure2(cfg: RunConfig, args: argparse.Namespace) -> int:
     grid = _grid_from(args.grid if args.grid else cfg.sections["figure2"]["p_dbw"], "figure2.p_dbw")
     if not grid:
         raise ConfigError("empty power grid")
-
-    def row(p_dbw: float):
-        full = _bounds_row(cfg, p_dbw)
-        return (full[0], full[1], full[2], full[3], full[9], full[11])
-
-    rows = _map_ordered(row, grid, cfg.threads)
+    full = [_bounds_row(cfg, p) for p in grid]
+    rows = [row[:4] + (row[9], row[11]) for row in full]  # P_dBW, C0, C_LB1, C_LB2, P_W, flag
     _write_csv(cfg.out, _SCHEMAS["figure2"], FIGURE2_HEADER, rows)
     return _flag_exit(rows)
 
@@ -330,11 +327,7 @@ SIMULATE_HEADER = (
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     section = cfg.sections["simulate"]
-    if not isinstance(section["n_list"], list):
-        raise ConfigError(f"simulate.n_list must be a list, got {json.dumps(section['n_list'])}")
-    n_list = [
-        _number(v, f"simulate.n_list[{i}]", integer=True) for i, v in enumerate(section["n_list"])
-    ]
+    n_list = _numbers(section["n_list"], "simulate.n_list", integer=True)
     if not n_list:
         raise ConfigError("empty n_list")
     p_dbw = _number(section["p_dbw"], "simulate.p_dbw")
@@ -406,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=os.cpu_count() or 1,
-            help="worker threads (default: all cores)",
+            help="worker threads for simulate (default: all cores); the other "
+            "subcommands accept it and run on one thread",
         )
         if has_grid:
             p.add_argument(
@@ -427,13 +421,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_config(args)
         return args.func(cfg, args)
-    except ConfigError as exc:
-        print(f"isicap: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except IsicapError as exc:
-        print(f"isicap: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, OSError) as exc:
+    except (IsicapError, ValueError, OSError) as exc:
         print(f"isicap: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

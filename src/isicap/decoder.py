@@ -37,7 +37,7 @@ from .spectrum import (
     build_Hc,
     compute_profile,
 )
-from .waterfill import delta_from_phi, phi_terms
+from .waterfill import _penalty, phi_terms
 from .channel_sim import (
     ChannelLaw,
     Codebook,
@@ -136,7 +136,7 @@ def thresholds(
     n = cov.n
     m = n + spec.k
     phi1, phi2, phi3 = phi_terms(profile, cov.lam_min, cov.lam_max, cov.trace, m)
-    delta_n = delta_from_phi(phi1, phi2, phi3)
+    delta_n = sum(_penalty(profile, cov.lam_min, cov.lam_max, cov.trace / m))
     eta_n = (spec.k + 1) * spec.norm_r_sq * cov.trace / (m + n)
     C_n, C_prime_n = trace_budgets(spec, profile, cov, P)
     return ThresholdReport(
@@ -358,7 +358,6 @@ def run_error_experiment(
     master_seed: int = 0,
     law: ChannelLaw = ChannelLaw(kind="iid_uniform"),
     params: Optional[TypicalParams] = None,
-    policy: str = "waterfill_gram",
     threads: int = 1,
     grid_size: int = DEFAULT_GRID,
 ) -> ExperimentResult:
@@ -377,7 +376,7 @@ def run_error_experiment(
     check_law(spec, law)
     codebook_size(n, R, spec.k)
     profile = compute_profile(spec, grid_size)
-    cov = build_sigma(spec, n, P, policy)  # type: ignore[arg-type]
+    cov = build_sigma(spec, n, P)
     report = thresholds(spec, profile, cov, P)
     if params is None:
         params = default_params(report)

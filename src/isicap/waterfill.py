@@ -10,8 +10,12 @@ Two water levels drive everything:
 
 From a level we get the capacity-style integral, the additive penalty for
 tap uncertainty (``delta``), and the per-power bound report that the CLI
-serializes.  A finite-blocklength variant replaces the integral with the
-eigenvalues of the centre Gram matrix.
+serializes; one kernel, ``_penalty``, computes that penalty for every
+caller.  A finite-blocklength variant replaces the integral with the
+eigenvalues of the centre Gram matrix.  Nothing that does not depend on
+``P`` is recomputed per power: the saturation route (``theta2``, ``C_LB2``,
+``delta2``, ``P_sat``, ``gap_cor2``) is cached per channel as scalars, the
+sorted inverse spectrum for the few most recent channels.
 
 No level is found by iteration.  On the fixed quadrature grid the water
 ``g(theta)`` is a weighted sum of ``max(theta - v_j, 0)`` over the grid's
@@ -32,7 +36,8 @@ for the CLI surface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Literal, Optional
 
 import numpy as np
@@ -60,9 +65,7 @@ __all__ = [
     "solve_theta2",
     "capacity_C0",
     "cap_integral",
-    "delta_i",
     "phi_terms",
-    "delta_from_phi",
     "saturation_power",
     "bound_report",
     "pillow_terms",
@@ -170,13 +173,22 @@ def _water_level(v: np.ndarray, w: np.ndarray, a: float, B: float) -> float:
     return float((B + S[k]) / (W[k] - a))
 
 
+@lru_cache(maxsize=4)
 def _inverse_spectrum(spec: ChannelSpec, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     """The grid's inverse-spectrum values ``1/|f|^2`` in ascending order, with
     their Simpson weights scaled to sum to one, so that ``g(theta)`` is
-    ``sum_j w_j max(theta - v_j, 0)`` exactly as ``g_integral`` sums it."""
+    ``sum_j w_j max(theta - v_j, 0)`` exactly as ``g_integral`` sums it.
+    Each entry holds two grid-sized arrays, so only a sweep's current
+    channel and a few more are kept."""
     v = 1.0 / f_sq_table(spec, grid_size)
     order = np.argsort(v)
     return v[order], simpson_weights(grid_size)[order] / (2.0 * np.pi)
+
+
+def _b(spec: ChannelSpec) -> float:
+    """``b = (2/(k+1)) / |r|^2``; the saturation level solves
+    ``g(theta) = 2*theta - b``."""
+    return (2.0 / (spec.k + 1)) / spec.norm_r_sq
 
 
 def solve_theta1(
@@ -189,8 +201,9 @@ def solve_theta1(
 
     Uses the closed form ``theta = P + J`` when the level tops the whole
     inverse spectrum.  Below that, ``g`` is piecewise linear on the grid and
-    ``_water_level`` returns its exact root.  Raises ``ValueError`` for a
-    non-finite or non-positive ``P``.
+    ``_water_level`` returns its exact root.  The solution's total water
+    ``I`` is ``P`` itself, the budget the level was solved for.  Raises
+    ``ValueError`` for a non-finite or non-positive ``P``.
     """
     if not math.isfinite(P):
         raise ValueError(f"non-finite power P={P}")
@@ -200,7 +213,7 @@ def solve_theta1(
         theta = P + profile.J
     else:
         theta = _water_level(*_inverse_spectrum(spec, grid_size), 0.0, P)
-    return _solution(theta, g_integral(profile, spec, theta, grid_size), profile, "theta1")
+    return _solution(theta, P, profile, "theta1")
 
 
 def solve_theta2(
@@ -220,7 +233,7 @@ def solve_theta2(
     """
     if spec.norm_r_sq == 0.0:
         raise ValueError("saturation level undefined for zero tap radii")
-    b = (2.0 / (spec.k + 1)) / spec.norm_r_sq
+    b = _b(spec)
     if b >= 1.0 / profile.alpha ** 2 + profile.J:
         theta = b - profile.J
         return _solution(theta, 2.0 * theta - b, profile, "theta2")
@@ -251,24 +264,29 @@ def capacity_C0(
     return cap_integral(spec, sol.theta, grid_size)
 
 
-def delta_i(profile: SpectrumProfile, sol: WaterfillSolution) -> float:
-    """Additive rate penalty charged for the tap intervals at a water level.
+def _s(profile: SpectrumProfile) -> float:
+    """``s = r_s (r_s + 2 beta)``, the radius scale of every penalty term."""
+    return profile.r_s * (profile.r_s + 2.0 * profile.beta)
 
-    Written out directly from the spectral quantities; the finite-blocklength
-    code path recomputes the same functional form from matrix data via
-    ``phi_terms``/``delta_from_phi``, and tests cross-check the two.
+
+def _penalty(
+    profile: SpectrumProfile, lam_min: float, lam_max: float, spend: float
+) -> tuple[float, float]:
+    """The two addends ``(t2, t3)`` of the rate penalty for the tap
+    intervals, given the smallest and largest per-dimension input power and
+    the power spent per dimension.  Their sum is ``delta``.
+
+    ``t2 = -log2(1 - ratio)/2`` with ``ratio = s lam_max / (1 + alpha^2
+    lam_min)``; raises BoundInapplicable when ``ratio >= 1``.  ``t3`` caps
+    at ``1/(2 ln 2)`` exactly once ``s * spend >= 1``.
     """
-    s = profile.r_s * (profile.r_s + 2.0 * profile.beta)
-    ratio = s * sol.d_max / (1.0 + profile.alpha ** 2 * sol.d_min)
+    s = _s(profile)
+    ratio = s * lam_max / (1.0 + profile.alpha ** 2 * lam_min)
     if ratio >= 1.0:
-        raise BoundInapplicable(
-            f"radius term {ratio:.3g} >= 1 at theta={sol.theta:.6g}; penalty undefined"
-        )
-    first = -0.5 * math.log2(1.0 - ratio)
-    second = (0.5 / LN2) * (
-        1.0 - max(1.0 - s * sol.I, 0.0) / (1.0 + s * sol.d_max)
-    )
-    return first + second
+        raise BoundInapplicable(f"radius term {ratio:.3g} >= 1; penalty undefined")
+    t2 = -0.5 * math.log2(1.0 - ratio)
+    t3 = (0.5 / LN2) * (1.0 - max(1.0 - s * spend, 0.0) / (1.0 + s * lam_max))
+    return t2, t3
 
 
 def phi_terms(
@@ -279,21 +297,14 @@ def phi_terms(
     m: int,
 ) -> tuple[float, float, float]:
     """The three spectral ratios controlling the finite-blocklength penalty,
-    from the extreme eigenvalues and trace of the input covariance."""
-    s = profile.r_s * (profile.r_s + 2.0 * profile.beta)
+    from the extreme eigenvalues and trace of the input covariance: the
+    ratio ``_penalty`` refuses at 1, ``s * trace / m``, and
+    ``1 / (1 + s lam_max)``."""
+    s = _s(profile)
     phi1 = s * lam_max / (1.0 + profile.alpha ** 2 * lam_min)
     phi2 = s * trace / m
     phi3 = 1.0 / (1.0 + s * lam_max)
     return phi1, phi2, phi3
-
-
-def delta_from_phi(phi1: float, phi2: float, phi3: float) -> float:
-    """Penalty in terms of the three ratios; requires ``phi1 < 1``."""
-    if phi1 >= 1.0:
-        raise BoundInapplicable(f"phi1 = {phi1:.3g} >= 1; penalty undefined")
-    return -0.5 * math.log2(1.0 - phi1) + (0.5 / LN2) * (
-        1.0 - max(1.0 - phi2, 0.0) * phi3
-    )
 
 
 def saturation_power(spec: ChannelSpec, profile: SpectrumProfile) -> Optional[float]:
@@ -302,54 +313,65 @@ def saturation_power(spec: ChannelSpec, profile: SpectrumProfile) -> Optional[fl
     large radii (saturation from zero power up)."""
     if spec.norm_r_sq == 0.0:
         return None
-    return (2.0 / (spec.k + 1)) / spec.norm_r_sq - 2.0 * profile.J
+    return _b(spec) - 2.0 * profile.J
+
+
+@lru_cache(maxsize=128)
+def _saturation(spec: ChannelSpec, grid_size: int) -> tuple:
+    """The saturation route of ``spec``, none of which depends on ``P``:
+    ``(P_sat, sol2, C_LB2, delta2, gap_cor2)``, cached as scalars per
+    channel, with ``sol2`` the saturation level.  ``C_LB2`` and ``delta2``
+    are ``None`` when the penalty is undefined at that level; ``gap_cor2``
+    needs the level's closed form and ``s < alpha^2``."""
+    if spec.norm_r_sq == 0.0:
+        return None, None, None, None, None
+    profile = compute_profile(spec, grid_size)
+    sol2 = solve_theta2(profile, spec, grid_size)
+    C_LB2 = delta2 = gap_cor2 = None
+    if sol2 is not None:
+        try:
+            delta2 = sum(_penalty(profile, sol2.d_min, sol2.d_max, sol2.I))
+            C_LB2 = (
+                cap_integral(spec, sol2.theta, grid_size)
+                - math.log2(1.0 + 0.5 * (spec.k + 1) * spec.norm_r_sq * sol2.I)
+                - delta2
+            )
+        except BoundInapplicable:
+            delta2 = None
+    s = _s(profile)
+    if _b(spec) >= 1.0 / profile.alpha ** 2 + profile.J and s < profile.alpha ** 2:
+        # one plus the penalty's limit as lam_min = lam_max and spend grow
+        gap_cor2 = 1.0 + 0.5 / LN2 - 0.5 * math.log2(1.0 - s / profile.alpha ** 2)
+    return saturation_power(spec, profile), sol2, C_LB2, delta2, gap_cor2
 
 
 def bound_report(spec: ChannelSpec, P: float, grid_size: int = DEFAULT_GRID) -> BoundReport:
     """All scalar bounds at power ``P`` (watts).
 
-    Optional fields are populated when their defining conditions hold: the
-    saturation route needs non-zero radii, a saturation level above the
-    spectral floor, and a power budget at least as large as the saturation
-    water; the radius-only gap needs the saturation level's closed form to
-    apply and its log argument to stay positive.
+    Only ``C0``, ``C_LB1``, ``delta1`` and ``gap_cor1`` are computed per
+    call.  The saturation fields do not depend on ``P``: they are computed
+    once per ``(spec, grid_size)`` and cached, and this call only decides
+    whether ``C_LB2`` and ``delta2`` apply at ``P``.  Optional fields are
+    populated when their defining conditions hold: the saturation route
+    needs non-zero radii, a saturation level above the spectral floor, and
+    a power budget at least as large as the saturation water; the
+    radius-only gap needs the saturation level's closed form to apply and
+    its log argument to stay positive.
     """
     profile = compute_profile(spec, grid_size)
     sol1 = solve_theta1(profile, spec, P, grid_size)
-    delta1 = delta_i(profile, sol1)
+    delta1 = sum(_penalty(profile, sol1.d_min, sol1.d_max, sol1.I))
     C0 = cap_integral(spec, sol1.theta, grid_size)
     half_k1_rsq = 0.5 * (spec.k + 1) * spec.norm_r_sq
-    C_LB1 = C0 - math.log2(1.0 + half_k1_rsq * sol1.I) - delta1
-    gap_cor1 = math.log2(1.0 + half_k1_rsq * P) + delta1
-
-    C_LB2 = delta2 = P_sat = gap_cor2 = None
-    if spec.norm_r_sq > 0.0:
-        P_sat = saturation_power(spec, profile)
-        sol2 = solve_theta2(profile, spec, grid_size)
-        if sol2 is not None and sol1.I >= sol2.I - 1e-12 * max(1.0, abs(sol2.I)):
-            try:
-                delta2 = delta_i(profile, sol2)
-                C_LB2 = (
-                    cap_integral(spec, sol2.theta, grid_size)
-                    - math.log2(1.0 + half_k1_rsq * sol2.I)
-                    - delta2
-                )
-            except BoundInapplicable:
-                C_LB2 = delta2 = None
-        b = (2.0 / (spec.k + 1)) / spec.norm_r_sq
-        s = profile.r_s * (profile.r_s + 2.0 * profile.beta)
-        if b >= 1.0 / profile.alpha ** 2 + profile.J and s < profile.alpha ** 2:
-            gap_cor2 = (
-                1.0
-                + 0.5 / LN2
-                - 0.5 * math.log2(1.0 - s / profile.alpha ** 2)
-            )
+    P_sat, sol2, C_LB2, delta2, gap_cor2 = _saturation(spec, grid_size)
+    if sol2 is None or sol1.I < sol2.I - 1e-12 * max(1.0, abs(sol2.I)):
+        C_LB2 = delta2 = None
     return BoundReport(
         P=P,
         C0=C0,
-        C_LB1=C_LB1,
+        C_LB1=C0 - math.log2(1.0 + half_k1_rsq * sol1.I) - delta1,
         delta1=delta1,
-        gap_cor1=gap_cor1,
+        gap_cor1=math.log2(1.0 + half_k1_rsq * P) + delta1,
         C_LB2=C_LB2,
         delta2=delta2,
         P_sat=P_sat,
@@ -375,16 +397,8 @@ def pillow_terms(
     if rs < 0.0:
         raise ValueError("radius sum must be non-negative")
     sol = solve_theta1(profile, spec, P, grid_size)
-    s = rs * (rs + 2.0 * profile.beta)
-    ratio = s * sol.d_max / (1.0 + profile.alpha ** 2 * sol.d_min)
-    if ratio >= 1.0:
-        raise BoundInapplicable(
-            f"radius term {ratio:.3g} >= 1 at P={P}; gap bound undefined"
-        )
-    t1 = math.log2(1.0 + 0.5 * (spec.k + 1) * rs * rs * P)
-    t2 = -0.5 * math.log2(1.0 - ratio)
-    t3 = (0.5 / LN2) * (1.0 - max(1.0 - s * P, 0.0) / (1.0 + s * sol.d_max))
-    return t1, t2, t3
+    t2, t3 = _penalty(replace(profile, r_s=rs), sol.d_min, sol.d_max, P)
+    return math.log2(1.0 + 0.5 * (spec.k + 1) * rs * rs * P), t2, t3
 
 
 def waterfill_powers(
@@ -438,8 +452,7 @@ def finite_n_bound(
     first = float(np.log2(1.0 + lam * d).sum()) / (2.0 * n)
     m = n + spec.k
     trace = float(d.sum())
-    phi1, phi2, phi3 = phi_terms(profile, float(d[0]), float(d[-1]), trace, m)
-    delta_n = delta_from_phi(phi1, phi2, phi3)
+    delta_n = sum(_penalty(profile, float(d[0]), float(d[-1]), trace / m))
     value = (
         first
         - math.log2(1.0 + (spec.k + 1) * spec.norm_r_sq * trace / (m + n))

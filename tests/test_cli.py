@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from isicap import cli, decoder
+from isicap import cli, decoder, waterfill
 from isicap.cli import (
     BOUNDS_HEADER,
     EXIT_CONFIG,
@@ -16,6 +16,7 @@ from isicap.cli import (
     parse_grid,
 )
 from isicap.errors import ConfigError
+from isicap.waterfill import solve_theta2
 
 from reference_values import P_SAT_DBW
 
@@ -99,6 +100,21 @@ def test_bounds_thread_count_does_not_change_output(tmp_path):
     main(["bounds", "--out", str(a), "--grid", "10:50:9", "--threads", "1"])
     main(["bounds", "--out", str(b), "--grid", "10:50:9", "--threads", "4"])
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["bounds", "figure2"])
+def test_sweep_solves_saturation_level_once(tmp_path, monkeypatch, command):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_theta2(*args, **kwargs)
+
+    monkeypatch.setattr(waterfill, "solve_theta2", counted)
+    waterfill._saturation.cache_clear()
+    out = tmp_path / "x.csv"
+    assert main([command, "--out", str(out), "--grid", "0:60:13"]) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_bounds_all_rows_inapplicable(tmp_path):
@@ -314,6 +330,11 @@ def test_simulate_refuses_oversized_codebook_before_setup(
         ({"verify": {"samples": 2.7}}, "verify.samples"),
         ({"verify": {"samples": None}}, "verify.samples"),
         ({"verify": {"n_max": True}}, "verify.n_max"),
+        ({"channel": {"k": 2.7}}, "channel.k"),
+        ({"channel": {"k": None}}, "channel.k"),
+        ({"channel": {"c": [1.0, "0.5", 0.5]}}, "channel.c[1]"),
+        ({"channel": {"c": None}}, "channel.c"),
+        ({"channel": {"r": [1e-3, 1e-3, True]}}, "channel.r[2]"),
     ],
 )
 def test_typed_config_numbers(tmp_path, monkeypatch, capsys, payload, field):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,7 @@ from isicap.channel_sim import (
 )
 from isicap.decoder import _guard_band, _pass_mask, prepare_context, trace_budgets
 from isicap.errors import DimensionMismatch, NotPositiveDefinite
-from isicap.waterfill import dbw_to_watts, delta_from_phi, phi_terms
+from isicap.waterfill import LN2, dbw_to_watts, phi_terms
 from oracles import (
     dense_joint_covariance,
     exact_joint_statistics,
@@ -213,7 +214,11 @@ def test_threshold_formulas(example_spec, example_profile):
         example_profile, cov.lam_min, cov.lam_max, cov.trace, m
     )
     assert (rep.phi1_n, rep.phi2_n, rep.phi3_n) == (phi1, phi2, phi3)
-    assert rep.delta_n == delta_from_phi(phi1, phi2, phi3)
+    # the penalty written out from the reported ratios
+    expected_delta = -0.5 * math.log2(1.0 - phi1) + (0.5 / LN2) * (
+        1.0 - max(1.0 - phi2, 0.0) * phi3
+    )
+    assert rep.delta_n == pytest.approx(expected_delta, rel=1e-12)
     expected_eta = (
         (example_spec.k + 1) * example_spec.norm_r_sq * cov.trace / (m + n)
     )

@@ -11,7 +11,6 @@ from isicap import (
     capacity_C0,
     compute_profile,
     dbw_to_watts,
-    delta_i,
     finite_n_bound,
     g_integral,
     gram_eigenvalues,
@@ -25,7 +24,6 @@ from isicap.errors import BoundInapplicable
 from isicap.waterfill import (
     LN2,
     cap_integral,
-    delta_from_phi,
     phi_terms,
     waterfill_powers,
 )
@@ -177,18 +175,45 @@ def test_pillow_third_term_caps_exactly(example_spec, example_profile):
 
 
 def test_delta_routes_agree(example_spec, example_profile):
+    # the reported penalty against the penalty written out from the ratios
     for P in (0.1, 3.0, 100.0, P_SAT_W):
         sol = solve_theta1(example_profile, example_spec, P)
-        direct = delta_i(example_profile, sol)
-        via_phi = delta_from_phi(
-            *phi_terms(example_profile, sol.d_min, sol.d_max, sol.I, 1)
+        phi1, phi2, phi3 = phi_terms(example_profile, sol.d_min, sol.d_max, sol.I, 1)
+        via_phi = -0.5 * math.log2(1.0 - phi1) + (0.5 / LN2) * (
+            1.0 - max(1.0 - phi2, 0.0) * phi3
         )
-        assert direct == pytest.approx(via_phi, abs=1e-10)
+        assert bound_report(example_spec, P).delta1 == pytest.approx(via_phi, abs=1e-10)
 
 
-def test_delta_from_phi_rejects_saturated_ratio():
-    with pytest.raises(BoundInapplicable):
-        delta_from_phi(1.0, 0.1, 0.5)
+def test_penalty_rejects_saturated_ratio():
+    # r_s * (r_s + 2 beta) * d_max / (1 + alpha^2 d_min) >= 1 at every power
+    spec = ChannelSpec(k=0, c=(1.0,), r=(5.0,))
+    prof = compute_profile(spec)
+    for P in (1.0, 100.0):
+        with pytest.raises(BoundInapplicable):
+            bound_report(spec, P)
+        with pytest.raises(BoundInapplicable):
+            pillow_terms(prof, spec, P)
+
+
+@pytest.mark.parametrize("c", RESIDUAL_CHANNELS)
+def test_delta1_is_the_pillow_penalty(c):
+    # one penalty kernel: bound_report spends I = P, as the gap terms do
+    spec = ChannelSpec(k=len(c) - 1, c=c, r=(1e-3,) * len(c))
+    prof = compute_profile(spec)
+    top = 1.0 / prof.alpha ** 2 - prof.J
+    for P in (1e-3 * top, 0.5 * top, 2.0 * top, 1e4):
+        t1, t2, t3 = pillow_terms(prof, spec, P)
+        assert bound_report(spec, P).delta1 == t2 + t3
+
+
+def test_saturation_fields_do_not_move_with_power(example_spec, example_profile):
+    water = solve_theta2(example_profile, example_spec).I
+    lo, hi = bound_report(example_spec, 1.5 * water), bound_report(example_spec, 40.0 * water)
+    fields = ("C_LB2", "delta2", "P_sat", "gap_cor2")
+    assert all(getattr(lo, f) is not None for f in fields)
+    assert [getattr(lo, f) for f in fields] == [getattr(hi, f) for f in fields]
+    assert lo.C_LB1 != hi.C_LB1
 
 
 def test_zero_radius_bound_collapses_to_capacity():
