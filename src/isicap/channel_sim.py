@@ -15,7 +15,8 @@ block of trials at a time, through the same tap and band kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal, Optional
 
 import numpy as np
@@ -56,7 +57,7 @@ _TRIAL_STREAMS = (STREAM_MESSAGE, STREAM_NOISE, STREAM_CHANNEL)
 
 MAX_CODEBOOK_BITS = 24
 # Byte cap on what exhaustive decoding holds for one codebook: the
-# codewords, their channel images and the trial-block scratch.
+# coefficients, their statistics, the basis and the trial-block scratch.
 MAX_DECODE_BYTES = 1 << 31
 # Most trials the decoder scores with one GEMM, and the most entries one
 # (codewords x trials) scratch array may have before the block shrinks.
@@ -217,13 +218,17 @@ class CovarianceSpec:
     """Input covariance in spectral form ``Sigma = U diag(d) U'``.
 
     ``basis`` is ``None`` for the standard basis (diagonal covariance).
-    Arrays are frozen read-only at construction; all derived matrices are
-    recomputed on demand so instances stay cheap to share across threads.
+    ``orth_defect`` is the Frobenius norm of the computed ``U'U - I`` (0
+    without a basis), which bounds how far ``U`` is from orthonormal up to
+    the rounding of ``U'U``.  Arrays are frozen read-only at construction;
+    all derived matrices are recomputed on demand so instances stay cheap
+    to share across threads.
     """
 
     n: int
     d: np.ndarray
     basis: Optional[np.ndarray] = None
+    orth_defect: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d = np.ascontiguousarray(np.asarray(self.d, dtype=float))
@@ -244,6 +249,7 @@ class CovarianceSpec:
                 raise ValueError("basis has non-finite entries")
             G = U.T @ U  # U'U - I in place: one n x n temporary, not four
             G[np.diag_indices(self.n)] -= 1.0
+            object.__setattr__(self, "orth_defect", float(np.linalg.norm(G)))
             err = np.abs(G, out=G).max()
             if err > 1e-8:
                 raise ValueError(f"basis is not orthonormal (defect {err:.2e})")
@@ -302,24 +308,42 @@ def build_sigma(
 @dataclass(frozen=True)
 class Codebook:
     """Exhaustively decodable Gaussian codebook: ``size = 2**ceil(n * R)``
-    rows drawn once from the input covariance.
+    words drawn once from the input covariance ``cov``, held by their
+    coefficients in its basis ``U`` (the identity when ``cov.basis`` is
+    None).
 
-    ``q`` holds each codeword's input statistic ``x' Sigma^{-1} x``, taken
-    from the draw: a codeword is ``x = U diag(sqrt(d)) g`` for a standard
-    Gaussian ``g``, so ``x' Sigma^{-1} x = g'g`` exactly, with no rounding
-    of ``x`` amplified by the small eigenvalues of ``Sigma``."""
+    Word ``i`` is ``x = U s`` with ``s = S[i] = sqrt(d) * g`` for a standard
+    Gaussian ``g``, and ``q[i] = g'g``, which equals ``x' Sigma^{-1} x``
+    exactly, with no rounding of ``x`` amplified by the small eigenvalues of
+    ``Sigma``.  Decoding needs only ``S`` and ``q``: ``words`` builds the
+    words of given rows, and ``codewords`` the whole ``S U'`` on first
+    access."""
 
     n: int
     R: float
     size: int
-    codewords: np.ndarray
+    S: np.ndarray
     q: np.ndarray
+    cov: CovarianceSpec
 
     def __post_init__(self) -> None:
-        if self.codewords.shape != (self.size, self.n):
-            raise ValueError("codeword array shape mismatch")
+        if self.S.shape != (self.size, self.n) or self.cov.n != self.n:
+            raise ValueError("coefficient array shape mismatch")
         if self.q.shape != (self.size,):
             raise ValueError("input statistic shape mismatch")
+
+    def words(self, rows) -> np.ndarray:
+        """The words ``S[rows] U'``, one per row index."""
+        U = self.cov.basis
+        return self.S[rows] if U is None else self.S[rows] @ U.T
+
+    @cached_property
+    def codewords(self) -> np.ndarray:
+        """Every word, ``S U'``, built on first access; decoding never
+        reads it."""
+        X = self.words(slice(None))
+        X.setflags(write=False)
+        return X
 
 
 def trial_block(size: int) -> int:
@@ -329,19 +353,23 @@ def trial_block(size: int) -> int:
     return max(1, min(_TRIAL_BLOCK, _BLOCK_ENTRIES // size))
 
 
-def decode_bytes(size: int, n: int, k: int) -> int:
+def decode_bytes(size: int, n: int) -> int:
     """Bytes exhaustive decoding holds for ``size`` codewords of length
-    ``n`` over a channel with ``k + 1`` taps: the codewords, their
-    ``n + k``-long images and two float64 ``(size, T)`` arrays' worth of
-    trial-block scratch."""
-    return 8 * size * (n + (n + k) + 2 * trial_block(size))
+    ``n``: the coefficients, the input statistics and energies, the
+    ``n x n`` basis, and a block of ``T = trial_block(size)`` trials' scratch:
+    two float64 ``(size, T)`` arrays' worth of scores and masks, and five
+    length-``n`` rows per trial (received, projected, sent, and noise
+    vectors; a received vector's ``k`` extra entries are taken as at most
+    ``n``)."""
+    T = trial_block(size)
+    return 8 * (size * (n + 2 + 2 * T) + n * (n + 5 * T))
 
 
-def codebook_size(n: int, R: float, k: int = 0) -> int:
+def codebook_size(n: int, R: float) -> int:
     """Codewords ``2**ceil(n * R)`` of the rate-``R`` codebook of length
-    ``n``, once exhaustive decoding over a channel with ``k + 1`` taps is
-    known to fit: raises ``CodebookTooLarge`` past ``MAX_CODEBOOK_BITS`` or
-    past ``MAX_DECODE_BYTES`` (see ``decode_bytes``)."""
+    ``n``, once exhaustive decoding is known to fit: raises
+    ``CodebookTooLarge`` past ``MAX_CODEBOOK_BITS`` or past
+    ``MAX_DECODE_BYTES`` (see ``decode_bytes``)."""
     if R < 0.0:
         raise ValueError("rate must be non-negative")
     bits = math.ceil(n * R - 1e-12)
@@ -350,7 +378,7 @@ def codebook_size(n: int, R: float, k: int = 0) -> int:
             f"2**{bits} codewords exceed the exhaustive-decoding cap 2**{MAX_CODEBOOK_BITS}"
         )
     size = 1 << max(bits, 0)
-    need = decode_bytes(size, n, k)
+    need = decode_bytes(size, n)
     if need > MAX_DECODE_BYTES:
         raise CodebookTooLarge(
             f"2**{bits} codewords of length {n} need {need / 2**30:.2f} GiB to "
@@ -359,33 +387,27 @@ def codebook_size(n: int, R: float, k: int = 0) -> int:
     return size
 
 
-def gen_codebook(
-    cov: CovarianceSpec, R: float, master_seed: int, k: int = 0
-) -> Codebook:
-    """Draw the codebook for rate ``R``: rows ``x = U diag(sqrt(d)) g`` of
-    standard Gaussians ``g``, with ``q = ||g||^2`` per row, which equals
-    ``x' Sigma^{-1} x`` exactly.  ``k`` is the memory of the channel it will
-    be decoded over; it sizes the images in ``codebook_size``'s byte check,
-    which refuses before anything is drawn."""
-    size = codebook_size(cov.n, R, k)
-    g = rng_stream(master_seed, STREAM_CODEBOOK, 0).standard_normal((size, cov.n))
-    q = np.einsum("ij,ij->i", g, g)
-    g *= np.sqrt(cov.d)
-    X = g if cov.basis is None else g @ cov.basis.T
-    X.setflags(write=False)
+def gen_codebook(cov: CovarianceSpec, R: float, master_seed: int) -> Codebook:
+    """Draw the codebook for rate ``R``: coefficient rows ``s = sqrt(d) * g``
+    of standard Gaussians ``g``, with ``q = ||g||^2`` per row, which equals
+    ``x' Sigma^{-1} x`` of the word ``x = U s`` exactly.  ``codebook_size``'s
+    byte check refuses before anything is drawn."""
+    size = codebook_size(cov.n, R)
+    S = rng_stream(master_seed, STREAM_CODEBOOK, 0).standard_normal((size, cov.n))
+    q = np.einsum("ij,ij->i", S, S)
+    S *= np.sqrt(cov.d)
+    S.setflags(write=False)
     q.setflags(write=False)
-    return Codebook(n=cov.n, R=float(R), size=size, codewords=X, q=q)
+    return Codebook(n=cov.n, R=float(R), size=size, S=S, q=q, cov=cov)
 
 
-def _band_use(taps: np.ndarray, x: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Add ``H x + z`` into zeros ``y``, for band taps ``(..., m, k + 1)``,
-    inputs ``(..., n)`` and noise ``(..., m)``: ``k + 1`` shifted
-    multiply-adds, then the noise."""
+def _band_apply(taps: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add ``H x`` into ``out``, for band taps ``(..., m, k + 1)``, inputs
+    ``(..., n)`` and ``out`` ``(..., m)``: ``k + 1`` shifted multiply-adds."""
     n = x.shape[-1]
     for d in range(taps.shape[-1]):
-        y[..., d:d + n] += taps[..., d:d + n, d] * x
-    y += z
-    return y
+        out[..., d:d + n] += taps[..., d:d + n, d] * x
+    return out
 
 
 def transmit(
@@ -400,13 +422,17 @@ def transmit(
     if x.shape != (H.n,):
         raise DimensionMismatch(f"x has shape {x.shape}, channel expects ({H.n},)")
     z = rng_stream(master_seed, STREAM_NOISE, trial_index).standard_normal(H.m)
-    return _band_use(H.taps, x, z, np.zeros(H.m))
+    y = _band_apply(H.taps, x, np.zeros(H.m))
+    y += z
+    return y
 
 
 class TrialBlocks:
     """One thread's message picks, channels and noise for blocks of trials,
-    equal bit for bit to ``rng_stream``, ``sample_H`` and ``transmit``
-    trial by trial.  One Philox is re-keyed for each cell from
+    equal bit for bit to ``rng_stream``, ``sample_H`` and ``transmit`` (of
+    the block's words) trial by trial.  The words are built for a whole
+    block by one GEMM, whose last bits can depend on the rows it holds.
+    One Philox is re-keyed for each cell from
     ``stream_keys``; taps and noise are drawn and applied a few trials at
     a time, in scratch of at most ``_DRAW_ENTRIES`` taps that is reused."""
 
@@ -430,11 +456,13 @@ class TrialBlocks:
             self._bits.state = self._state
             yield self._gen
 
-    def draw(self, ts: np.ndarray, codewords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Message picks of trials ``ts`` among the rows of ``codewords``,
-        and the ``(len(ts), m)`` vectors received for them."""
+    def draw(self, ts: np.ndarray, book: Codebook) -> tuple[np.ndarray, np.ndarray]:
+        """Message picks of trials ``ts`` among the words of ``book``, and
+        the ``(len(ts), m)`` vectors received for them; only the picked
+        words are built, as ``book.words(msgs)``."""
         picks, noise, chan = (stream_keys(self.seed, s, ts) for s in _TRIAL_STREAMS)
-        msgs = np.array([g.integers(len(codewords)) for g in self._cells(picks)], dtype=int)
+        msgs = np.array([g.integers(book.size) for g in self._cells(picks)], dtype=int)
+        X = book.words(msgs)
         Y = np.zeros((len(ts), self.m))
         for lo in range(0, len(ts), len(self._z)):
             z = self._z[:len(ts) - lo]
@@ -448,5 +476,6 @@ class TrialBlocks:
                 for g, rows in zip(self._cells(chan[part]), u):
                     g.random(out=rows)
                 taps = _taps_from(u, self.spec, self.law, self.m)
-            _band_use(taps, codewords[msgs[part]], z, Y[part])
+            _band_apply(taps, X[part], Y[part])
+            Y[part] += z
         return msgs, Y

@@ -28,10 +28,10 @@ import numpy as np
 from .errors import BoundInapplicable, ConfigError, DimensionMismatch, IsicapError
 from .spectrum import DEFAULT_GRID, ChannelSpec, compute_profile
 from .waterfill import (
+    _pillow_terms,
     bound_report,
     capacity_C0,
     dbw_to_watts,
-    pillow_terms,
     solve_theta1,
     watts_to_dbw,
 )
@@ -288,9 +288,10 @@ def cmd_figure1(cfg: RunConfig, args: argparse.Namespace) -> int:
     rows = []
     for p_dbw in p_list:
         p_w = dbw_to_watts(p_dbw)
+        sol = solve_theta1(profile, cfg.spec, p_w, cfg.grid_size)
         for rs in rs_values:
             try:
-                t1, t2, t3 = pillow_terms(profile, cfg.spec, p_w, rs, cfg.grid_size)
+                t1, t2, t3 = _pillow_terms(profile, cfg.spec, p_w, rs, sol)
                 rows.append((rs, p_dbw, t1 + t2 + t3, t1, t2, t3, p_w, ""))
             except BoundInapplicable:
                 rows.append((rs, p_dbw, None, None, None, None, p_w, FLAG_INAPPLICABLE))

@@ -9,14 +9,22 @@ several did.
 The joint covariance ``Xi`` has the closed-form inverse
 ``[[Sigma^{-1} + H'H, -H'], [-H, I]]`` and ``det Xi = det Sigma``, so the
 stacked quadratic form splits into the input form plus a centre-channel
-residual ``||a - y||^2``, where ``a`` is the codeword's image through the
-centre channel.  Neither ``Xi`` nor its inverse is ever formed here; the
-test suite builds both densely to check these identities.  The decode
-path exploits the split: it scores a block of received vectors against
-the whole codebook with one GEMM, through ``||a||^2 - 2 a.y + ||y||^2``,
-and recomputes in the direct ``||a - y||^2`` form any pair that lies
-within a rounding-error bound of a threshold, so every decision is the
-one the direct form makes.
+residual ``||a - y||^2``, where ``a = Hc x`` is the codeword's image through
+the centre channel.  Neither ``Xi`` nor its inverse is ever formed here;
+the test suite builds both densely to check these identities.
+
+The decoder works on the codebook's coefficients ``s`` (a codeword is
+``x = U s`` for the covariance basis ``U``), and builds neither codewords
+nor images.  For ``a.y = s.(U'Hc'y)`` it projects a block of received
+vectors once, ``Z = (Hc'Y) U``, and scores the whole codebook against it
+with one GEMM; for ``||a||^2`` it takes the energy ``sum_j lam_j s_j^2``,
+with the gains ``lam_j = u_j'(Hc'Hc)u_j``, which is exact when ``U`` is
+the eigenbasis of ``Hc'Hc`` that ``build_sigma`` gives.  The residual is
+then ``energy - 2 s.z + ||y||^2``.  A pair that lies within a bound on
+that form's error of a threshold (its rounding, plus the measured
+eigen-residual of ``U``, which is large for any other basis) is
+recomputed in the direct ``||Hc x - y||^2`` form from its one codeword,
+so every decision is the one the direct form makes.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, Optional, Union
 
 import numpy as np
@@ -39,6 +48,7 @@ from .spectrum import (
 )
 from .waterfill import _penalty, phi_terms
 from .channel_sim import (
+    _band_apply,
     ChannelLaw,
     Codebook,
     CovarianceSpec,
@@ -68,8 +78,8 @@ __all__ = [
 DEFAULT_EPSILON = 0.1
 # Safety factor on the forward-error bound that sets the guard band.
 _GUARD = 2.0
-# Codewords per block when prepare_context builds the images.
-_IMAGE_ROWS = 256
+# Most entries of the images one direct-form recomputation builds at once.
+_DIRECT_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -168,25 +178,60 @@ class JointCovariance:
     """Joint law of ``(x, y)`` under the centre channel, held in factored
     form: the input covariance ``cov`` and the centre matrix ``hc`` in
     band form (the ``(m, k + 1)`` tap array of a ``BandedChannelMatrix``).
-    The dense joint covariance and its inverse are not stored."""
+    The dense joint covariance and its inverse are not stored.
+
+    ``gain[j] = u_j'(Hc'Hc)u_j`` for the columns ``u_j`` of the covariance
+    basis ``U`` (the identity when ``cov.basis`` is None), and ``resid`` is
+    the computed ``||Hc'Hc U - U diag(gain)||_F``: rounding-sized for the
+    eigenbasis ``build_sigma`` gives, large for any other basis."""
 
     n: int
     m: int
     hc: np.ndarray
     cov: CovarianceSpec
+    gain: np.ndarray
+    resid: float
+
+
+def _gram_band(hc: np.ndarray, n: int) -> list[np.ndarray]:
+    """Diagonals ``l = 0..k`` of ``G = Hc'Hc`` for band taps ``hc``: entry
+    ``l`` holds ``G[i, i + l]`` for ``i < n - l``, the sum over the rows
+    ``r = i + l + d`` of ``hc[r, l + d] * hc[r, d]``."""
+    k1 = hc.shape[1]
+    return [
+        sum(hc[l + d:n + d, l + d] * hc[l + d:n + d, d] for d in range(k1 - l))
+        for l in range(min(k1, n))
+    ]
 
 
 def build_joint(cov: CovarianceSpec, Hc: BandedChannelMatrix) -> JointCovariance:
     """Pair the input covariance with the centre matrix after checking
     their shapes; a non-finite tap is refused (``CovarianceSpec`` refuses
-    its own entries)."""
-    if Hc.n != cov.n:
+    its own entries).  Then measure ``GU = Hc'(Hc U)`` once, in band form
+    in O(n^2 k): the band of ``G = Hc'Hc`` applied to the rows of ``U``.
+    Its gains and eigen-residual are the ``gain`` and ``resid`` fields."""
+    n = cov.n
+    if Hc.n != n:
         raise DimensionMismatch(
-            f"channel matrix shape ({Hc.m}, {Hc.n}) incompatible with n={cov.n}"
+            f"channel matrix shape ({Hc.m}, {Hc.n}) incompatible with n={n}"
         )
     if not np.isfinite(Hc.taps).all():
         raise NotPositiveDefinite("channel matrix has non-finite taps")
-    return JointCovariance(n=cov.n, m=Hc.m, hc=Hc.taps, cov=cov)
+    U = np.eye(n) if cov.basis is None else cov.basis
+    g = _gram_band(Hc.taps, n)
+    GU = np.multiply(g[0][:, None], U)
+    tmp = np.empty_like(GU)
+    for l in range(1, len(g)):
+        t = np.multiply(g[l][:, None], U[l:], out=tmp[l:])
+        GU[:-l] += t  # G[i, i + l] u_(i + l), above the diagonal
+        t = np.multiply(g[l][:, None], U[:-l], out=tmp[l:])
+        GU[l:] += t  # and its mirror below
+    gain = np.einsum("ij,ij->j", U, GU)
+    GU -= np.multiply(U, gain, out=tmp)
+    gain.setflags(write=False)
+    return JointCovariance(
+        n=n, m=Hc.m, hc=Hc.taps, cov=cov, gain=gain, resid=float(np.linalg.norm(GU))
+    )
 
 
 @dataclass(frozen=True)
@@ -200,51 +245,108 @@ class DecodeFailure:
 
 @dataclass(frozen=True)
 class DecodeContext:
-    """Per-(codebook, channel) precomputation: the input statistics
-    ``x' Sigma^{-1} x`` (the codebook's own ``q``, exact from the draw), the
-    centre-channel images of every codeword and their squared norms."""
+    """Per-(codebook, channel) precomputation: each codeword's energy
+    ``sum_j lam_j s_j^2``, which stands for ``||Hc x||^2``, and the guard
+    band's constants (see ``_guard_band``): bounds on the energies' error,
+    on ``||Hc x||``, on the rounding of a built word's image or of a
+    projection per unit of ``||y||``, and the largest input statistic.
 
-    q_sigma: np.ndarray
-    images: np.ndarray
-    image_sq: np.ndarray
+    The input statistics are the codebook's own ``q``.  ``images``, every
+    codeword's centre-channel image, is built on first access; decoding
+    never reads it."""
+
+    book: Codebook
+    joint: JointCovariance
+    energy: np.ndarray
+    energy_err: float
+    a_max: float
+    word_err: float
+    q_max: float
+
+    @property
+    def q_sigma(self) -> np.ndarray:
+        return self.book.q
+
+    @cached_property
+    def images(self) -> np.ndarray:
+        A = _band_apply(self.joint.hc, self.book.codewords, np.zeros((self.book.size, self.joint.m)))
+        A.setflags(write=False)
+        return A
 
 
 def prepare_context(book: Codebook, joint: JointCovariance) -> DecodeContext:
-    """Images ``a = Hc x`` and ``||a||^2`` for every codeword, with the input
-    statistic ``book.q``.  The images are built straight from the columns
-    of the band ``joint.hc``, as shifted multiply-adds of the codewords over
-    blocks of ``_IMAGE_ROWS`` rows, so no temporary grows with the
-    codebook."""
+    """Energies ``sum_j lam_j s_j^2`` of every codeword from its
+    coefficients, and the guard band's constants.  The codebook must be
+    drawn in the basis of ``joint.cov``; no codeword or image is built."""
     n, m = joint.n, joint.m
-    images = np.zeros((book.size, m))
-    tmp = np.empty((min(book.size, _IMAGE_ROWS), n))
-    for lo in range(0, book.size, _IMAGE_ROWS):
-        X = book.codewords[lo:lo + _IMAGE_ROWS]
-        A = images[lo:lo + _IMAGE_ROWS]
-        for lag in range(m - n + 1):
-            t = np.multiply(X, joint.hc[lag:lag + n, lag], out=tmp[:len(X)])
-            A[:, lag:lag + n] += t
-    image_sq = np.einsum("ij,ij->i", images, images)
-    images.setflags(write=False)
-    image_sq.setflags(write=False)
-    return DecodeContext(q_sigma=book.q, images=images, image_sq=image_sq)
+    U = book.cov.basis
+    if book.n != n:
+        raise DimensionMismatch(f"codewords have length {book.n}, channel expects {n}")
+    if not (U is joint.cov.basis or np.array_equal(U, joint.cov.basis)):
+        raise ValueError("the codebook is drawn in another basis than the joint covariance's")
+    energy = np.einsum("ij,j,ij->i", book.S, joint.gain, book.S)
+    energy.setflags(write=False)
+    s_sq = float(np.einsum("ij,ij->i", book.S, book.S).max())
+    # Bounds on the norms of U, Hc and |Hc|, first order in eps: ||U||_2 and
+    # ||U||_F from the computed U'U - I (whose own rounding is n^2 eps at most).
+    eps = float(np.finfo(float).eps)
+    k1 = m - n + 1
+    omega = 0.0 if U is None else book.cov.orth_defect + n * n * eps
+    mu = math.sqrt(1.0 + omega)
+    nu = math.sqrt(n) * mu
+    h = float(np.abs(joint.hc).max(axis=0).sum())
+    lam_max = float(np.abs(joint.gain).max())
+    # The eigen-residual with the rounding of GU and of GU - U diag(gain).
+    resid = joint.resid + eps * nu * (3 * k1 * h * h + 2.0 * lam_max)
+    energy_err = s_sq * (mu * resid + (omega + (n + 1) * eps) * lam_max)
+    return DecodeContext(
+        book=book,
+        joint=joint,
+        energy=energy,
+        energy_err=energy_err,
+        a_max=math.sqrt(float(energy.max()) + energy_err),
+        word_err=eps * h * math.sqrt(s_sq) * (n * nu + (n + k1) * mu),
+        q_max=float(book.q.max()),
+    )
 
 
-def _guard_band(ctx: DecodeContext, y_sq: np.ndarray, n: int, m: int) -> np.ndarray:
+def _band_adjoint(taps: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``Hc'y`` for every row ``y`` of ``Y``, for band taps ``(m, k + 1)``:
+    ``k + 1`` shifted multiply-adds."""
+    n = taps.shape[0] - taps.shape[1] + 1
+    out = taps[:n, 0] * Y[:, :n]
+    for d in range(1, taps.shape[1]):
+        out += taps[d:d + n, d] * Y[:, d:d + n]
+    return out
+
+
+def _guard_band(ctx: DecodeContext, y_sq: np.ndarray) -> np.ndarray:
     """For each received vector, a bound on how far the GEMM form of the
     joint deviation ``|w - 1|`` can lie from the direct form, over every
-    codeword.
+    codeword.  To first order in eps, with ``s`` a codeword's coefficients,
+    ``a = Hc U s`` its exact image and ``L = ||a|| + ||y||``, both forms
+    are compared with the exact ``(q + ||a - y||^2) / (n + m)``:
 
-    Both forms get ``||a - y||^2`` from m-term dot products, each off by at
-    most ``gamma_m`` times a quantity no larger than ``s^2 = (||a|| +
-    ||y||)^2``; the adds, the division by ``n + m`` and the subtraction of 1
-    round values no larger than ``(q + s^2) / (n + m)`` or 1.  So the two
-    deviations differ by less than ``(m + 8) eps (1 + (q + s^2) / (n + m))``.
-    The band takes ``q`` and ``||a||`` at their codebook maxima and doubles
-    the bound."""
-    s = math.sqrt(float(ctx.image_sq.max())) + np.sqrt(y_sq)
-    scale = (float(ctx.q_sigma.max()) + s * s) / (n + m)
-    return _GUARD * (m + 8) * np.finfo(float).eps * (1.0 + scale)
+    - direct: the built word ``fl(U s)`` and its band image put the image
+      within ``word_err`` of ``a``, so ``||a - y||^2`` moves by at most
+      ``2 word_err L``;
+    - GEMM: ``Hc'y``, its product with ``U`` and the score ``s.z`` put
+      ``s.z`` within ``word_err ||y||`` of ``a.y``, doubled by the ``-2``;
+      the energy is within ``energy_err`` of ``||a||^2``:
+      ``||s||^2 (||U||_2 E + ||U'U - I||_2 lam_max)`` for the eigen-residual
+      ``E``, plus the rounding of the sum;
+    - both: the m-term dot products and the adds, the division by
+      ``n + m`` and the subtraction of 1 round values no larger than
+      ``(q + L^2) / (n + m)`` or 1, ``(2m + 9) eps`` in all.
+
+    The band takes ``q``, ``||s||`` and ``||a||`` at their codebook maxima
+    and doubles the bound."""
+    n, m = ctx.joint.n, ctx.joint.m
+    eps = np.finfo(float).eps
+    y = np.sqrt(y_sq)
+    L = ctx.a_max + y
+    err = 2.0 * ctx.word_err * (L + y) + ctx.energy_err + (2 * m + 9) * eps * (L * L + ctx.q_max)
+    return _GUARD * (err / (n + m) + 4.0 * eps)
 
 
 def _pass_mask(
@@ -256,36 +358,43 @@ def _pass_mask(
     """Boolean pass/fail of the two typicality tests for every codeword
     against every row of ``Y``, shape ``(size, T)``.
 
-    The joint statistic is ``w = (q + ||a - y||^2) / (n + m)``.  One GEMM
-    gives the residuals of the whole block as ``||a||^2 - 2 a.y + ||y||^2``;
-    a pair whose ``|w - 1|`` lies within the guard band of ``eta`` is
-    recomputed from ``a - y`` directly, so each decision equals the
-    unbatched rule's.
+    The joint statistic is ``w = (q + ||a - y||^2) / (n + m)``.  One
+    projection ``Z = (Hc'Y) U`` and one GEMM against the coefficients give
+    the residuals of the whole block as ``energy - 2 s.z + ||y||^2``; a
+    pair whose ``|w - 1|`` lies within the guard band of ``eta`` is
+    recomputed from its codeword ``x = U s`` as ``||Hc x - y||^2``, so each
+    decision equals the direct rule's.
     """
     n, m = joint.n, joint.m
     if Y.ndim != 2 or Y.shape[1] != m:
         raise DimensionMismatch(
             f"received vectors have shape {Y.shape[1:]}, channel expects ({m},)"
         )
+    book = ctx.book
     y_sq = np.einsum("ij,ij->i", Y, Y)
-    dev = ctx.images @ Y.T
+    Z = _band_adjoint(joint.hc, Y)
+    if book.cov.basis is not None:
+        Z = Z @ book.cov.basis
+    dev = book.S @ Z.T
     dev *= -2.0
-    dev += ctx.image_sq[:, None]
+    dev += ctx.energy[:, None]
     dev += y_sq
-    dev += ctx.q_sigma[:, None]
+    dev += book.q[:, None]
     dev /= n + m
     dev -= 1.0
     np.abs(dev, out=dev)
-    x_ok = (np.abs(ctx.q_sigma / n - 1.0) < params.epsilon)[:, None]
+    x_ok = (np.abs(book.q / n - 1.0) < params.epsilon)[:, None]
     out = (dev < params.eta) & x_ok
     dev -= params.eta
     np.abs(dev, out=dev)
-    rows, cols = np.nonzero(~(dev > _guard_band(ctx, y_sq, n, m)) & x_ok)
-    if rows.size:
-        diff = ctx.images[rows] - Y[cols]
-        resid = np.einsum("ij,ij->i", diff, diff)
-        w_form = (ctx.q_sigma[rows] + resid) / (n + m)
-        out[rows, cols] = np.abs(w_form - 1.0) < params.eta
+    rows, cols = np.nonzero(~(dev > _guard_band(ctx, y_sq)) & x_ok)
+    step = max(1, _DIRECT_ENTRIES // m)
+    for lo in range(0, rows.size, step):
+        r, c = rows[lo:lo + step], cols[lo:lo + step]
+        diff = _band_apply(joint.hc, book.words(r), np.zeros((len(r), m)))
+        diff -= Y[c]
+        w_form = (book.q[r] + np.einsum("ij,ij->i", diff, diff)) / (n + m)
+        out[r, c] = np.abs(w_form - 1.0) < params.eta
     return out
 
 
@@ -374,14 +483,14 @@ def run_error_experiment(
     if master_seed < 0:
         raise ValueError(f"need master_seed >= 0, got {master_seed}")
     check_law(spec, law)
-    codebook_size(n, R, spec.k)
+    codebook_size(n, R)
     profile = compute_profile(spec, grid_size)
     cov = build_sigma(spec, n, P)
     report = thresholds(spec, profile, cov, P)
     if params is None:
         params = default_params(report)
-    book = gen_codebook(cov, R, master_seed, k=spec.k)
     joint = build_joint(cov, build_Hc(spec, n))
+    book = gen_codebook(cov, R, master_seed)
     ctx = prepare_context(book, joint)
     block = trial_block(book.size)
 
@@ -390,7 +499,7 @@ def run_error_experiment(
         draws = TrialBlocks(spec, n, law, master_seed)
         for start in range(lo, hi, block):
             ts = np.arange(start, min(start + block, hi))
-            msgs, Y = draws.draw(ts, book.codewords)
+            msgs, Y = draws.draw(ts, book)
             mask = _pass_mask(Y, joint, params, ctx)
             sent = mask[msgs, np.arange(len(ts))]
             many = np.count_nonzero(mask, axis=0) > 1
@@ -399,12 +508,14 @@ def run_error_experiment(
             ok += int(np.count_nonzero(sent & ~many))
         return t1, t2, ok
 
-    if threads <= 1:
-        parts = [run_range(0, trials)]
+    # Each thread takes a run of whole blocks, so the blocks, and the GEMM
+    # that builds each block's sent words, are the same for any thread count.
+    step = math.ceil(math.ceil(trials / block) / max(threads, 1)) * block
+    spans = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
+    if len(spans) == 1:
+        parts = [run_range(*spans[0])]
     else:
-        step = math.ceil(trials / threads)
-        spans = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
             parts = list(pool.map(lambda s: run_range(*s), spans))
     type1 = sum(p[0] for p in parts)
     type2 = sum(p[1] for p in parts)

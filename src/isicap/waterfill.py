@@ -396,7 +396,14 @@ def pillow_terms(
     rs = profile.r_s if r_s is None else float(r_s)
     if rs < 0.0:
         raise ValueError("radius sum must be non-negative")
-    sol = solve_theta1(profile, spec, P, grid_size)
+    return _pillow_terms(profile, spec, P, rs, solve_theta1(profile, spec, P, grid_size))
+
+
+def _pillow_terms(
+    profile: SpectrumProfile, spec: ChannelSpec, P: float, rs: float, sol: WaterfillSolution
+) -> tuple[float, float, float]:
+    """``pillow_terms`` at radius sum ``rs`` from the water level ``sol``
+    solved at ``P``, which a sweep over radius sums solves once."""
     t2, t3 = _penalty(replace(profile, r_s=rs), sol.d_min, sol.d_max, P)
     return math.log2(1.0 + 0.5 * (spec.k + 1) * rs * rs * P), t2, t3
 

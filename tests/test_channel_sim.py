@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from isicap import (
 from isicap import channel_sim
 from isicap.channel_sim import (
     MAX_CODEBOOK_BITS,
+    Codebook,
     STREAM_CODEBOOK,
     STREAM_MESSAGE,
     STREAM_NOISE,
@@ -26,9 +28,10 @@ from isicap.channel_sim import (
     decode_bytes,
     sample_taps,
     stream_keys,
+    trial_block,
 )
 from isicap.verify import VERIFY_STREAM_BASE
-from isicap.decoder import prepare_context
+from isicap.decoder import TypicalParams, _pass_mask, prepare_context
 from isicap.errors import CodebookTooLarge, DimensionMismatch
 from isicap.waterfill import POWER_FLOOR, dbw_to_watts, waterfill_powers
 from oracles import dense_gram, exact_channel_use, exact_joint_statistics
@@ -91,20 +94,26 @@ def test_stream_keys_refusals():
 )
 def test_trial_blocks_match_one_cell_path(example_spec, monkeypatch, law, entries):
     """A block's message picks and received vectors equal, bit for bit,
-    ``rng_stream`` picks and ``transmit(sample_H(...))`` trial by trial,
-    whether the scratch holds one trial (entries = 1) or the whole
-    block; ``n + k = 17`` is not a multiple of the hold length."""
+    ``rng_stream`` picks and ``transmit(sample_H(...))`` of the words
+    ``book.words(msgs)`` trial by trial, whether the scratch holds one
+    trial (entries = 1) or the whole block; ``n + k = 17`` is not a
+    multiple of the hold length."""
     monkeypatch.setattr(channel_sim, "_DRAW_ENTRIES", entries)
     n, seed = 15, 9
-    codewords = np.random.default_rng(4).standard_normal((11, n))
+    rng = np.random.default_rng(4)
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    S = rng.standard_normal((11, n))
+    book = Codebook(n=n, R=0.2, size=11, S=S, q=(S * S).sum(axis=1),
+                    cov=CovarianceSpec(n=n, d=np.ones(n), basis=basis))
     draws = TrialBlocks(example_spec, n, law, seed)
     for ts in (np.arange(40, 47), np.arange(3)):
-        msgs, Y = draws.draw(ts, codewords)
+        msgs, Y = draws.draw(ts, book)
         assert Y.shape == (ts.size, n + example_spec.k)
+        words = book.words(msgs)
         for i, t in enumerate(ts):
-            assert msgs[i] == rng_stream(seed, STREAM_MESSAGE, t).integers(len(codewords))
+            assert msgs[i] == rng_stream(seed, STREAM_MESSAGE, t).integers(book.size)
             H = sample_H(example_spec, n, law, seed, t)
-            assert np.array_equal(Y[i], transmit(H, codewords[msgs[i]], seed, t))
+            assert np.array_equal(Y[i], transmit(H, words[i], seed, t))
 
 
 def test_law_validation():
@@ -218,26 +227,38 @@ def test_codebook_size_and_cap(example_spec):
 
 
 def test_codebook_byte_cap(example_spec, monkeypatch):
-    k = example_spec.k
-    cov = build_sigma(example_spec, 16, 1.0, "white_iso")
-    need = decode_bytes(16, 16, k)
-    book = gen_codebook(cov, 0.25, 0, k=k)
-    ctx = prepare_context(book, build_joint(cov, build_Hc(example_spec, 16)))
-    assert need >= book.codewords.nbytes + ctx.images.nbytes
+    """``decode_bytes`` covers what decoding holds: the coefficients, input
+    statistics and energies and the basis, plus the peak of the arrays one
+    block of trials allocates (drawing and scoring, traced), for an
+    eigenbasis codebook; the cap refuses past it, before any draw."""
+    n, R = 64, 10 / 64
+    cov = build_sigma(example_spec, n, 1.0, "waterfill_gram")
+    book = gen_codebook(cov, R, 0)
+    joint = build_joint(cov, build_Hc(example_spec, n))
+    ctx = prepare_context(book, joint)
+    draws = TrialBlocks(example_spec, n, ChannelLaw(kind="iid_uniform"), 0)
+    tracemalloc.start()
+    _, Y = draws.draw(np.arange(trial_block(book.size)), book)
+    _pass_mask(Y, joint, TypicalParams(epsilon=0.5, eta=0.3), ctx)
+    _, block = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    held = book.S.nbytes + book.q.nbytes + ctx.energy.nbytes + cov.basis.nbytes
+    need = decode_bytes(book.size, n)
+    assert held + block <= need
     monkeypatch.setattr(channel_sim, "MAX_DECODE_BYTES", need)
-    assert gen_codebook(cov, 0.25, 0, k=k).size == 16
+    assert gen_codebook(cov, R, 0).size == 2 ** 10
     monkeypatch.setattr(channel_sim, "MAX_DECODE_BYTES", need - 1)
     with pytest.raises(CodebookTooLarge):
-        gen_codebook(cov, 0.25, 0, k=k)
+        gen_codebook(cov, R, 0)
     monkeypatch.undo()
 
     def no_draw(*args):
         raise AssertionError("codewords drawn past the byte cap")
 
     monkeypatch.setattr(channel_sim, "rng_stream", no_draw)
-    # 2**24 words of length 64 pass the bit cap but need about 17 GiB
+    # 2**24 words of length 64 pass the bit cap but need about 8 GiB
     with pytest.raises(CodebookTooLarge, match="GiB"):
-        gen_codebook(build_sigma(example_spec, 64, 1.0, "white_iso"), 0.375, 0, k=k)
+        gen_codebook(build_sigma(example_spec, 64, 1.0, "white_iso"), 0.375, 0)
 
 
 def test_codebook_empirical_power(example_spec):
@@ -256,7 +277,7 @@ def test_codebook_q_matches_exact_statistic(example_spec):
     n, seed = 4, 7
     cov = build_sigma(example_spec, n, dbw_to_watts(-10.0), "waterfill_gram")
     assert cov.lam_min <= 2.0 * POWER_FLOOR
-    book = gen_codebook(cov, 1.0, seed, k=example_spec.k)
+    book = gen_codebook(cov, 1.0, seed)
     g = rng_stream(seed, STREAM_CODEBOOK, 0).standard_normal((book.size, n))
     fr = np.vectorize(Fraction, otypes=[object])
     X = fr(g) * fr(np.sqrt(cov.d)) @ fr(cov.basis).T

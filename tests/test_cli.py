@@ -16,7 +16,7 @@ from isicap.cli import (
     parse_grid,
 )
 from isicap.errors import ConfigError
-from isicap.waterfill import solve_theta2
+from isicap.waterfill import solve_theta1, solve_theta2
 
 from reference_values import P_SAT_DBW
 
@@ -115,6 +115,23 @@ def test_sweep_solves_saturation_level_once(tmp_path, monkeypatch, command):
     out = tmp_path / "x.csv"
     assert main([command, "--out", str(out), "--grid", "0:60:13"]) == EXIT_OK
     assert len(calls) == 1
+
+
+def test_figure1_solves_one_water_level_per_power(tmp_path, monkeypatch):
+    """The default figure1 sweep (3 powers x 33 radius sums) solves the
+    theta1 water level once per power."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_theta1(*args, **kwargs)
+
+    monkeypatch.setattr(waterfill, "solve_theta1", counted)
+    monkeypatch.setattr(cli, "solve_theta1", counted)
+    out = tmp_path / "f1.csv"
+    assert main(["figure1", "--out", str(out)]) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 2 + 3 * 33
+    assert len(calls) == 3
 
 
 def test_bounds_all_rows_inapplicable(tmp_path):

@@ -30,7 +30,9 @@ from isicap.channel_sim import (
     transmit,
     trial_block,
 )
-from isicap.decoder import _guard_band, _pass_mask, prepare_context, trace_budgets
+from isicap import decoder as decoder_mod
+from isicap.channel_sim import _band_apply
+from isicap.decoder import DecodeContext, _guard_band, _pass_mask, prepare_context, trace_budgets
 from isicap.errors import DimensionMismatch, NotPositiveDefinite
 from isicap.waterfill import LN2, dbw_to_watts, phi_terms
 from oracles import (
@@ -116,11 +118,13 @@ def test_joint_rejects_non_finite(example_spec):
 
 
 def _white_book(codewords, R):
-    """Codebook of given words for the identity covariance, whose input
-    statistic is ``||x||^2``."""
+    """Codebook of given words for the identity covariance in the standard
+    basis, where a word is its own coefficients and its input statistic is
+    ``||x||^2``."""
+    n = codewords.shape[1]
     return Codebook(
-        n=codewords.shape[1], R=R, size=len(codewords), codewords=codewords,
-        q=(codewords * codewords).sum(axis=1),
+        n=n, R=R, size=len(codewords), S=codewords,
+        q=(codewords * codewords).sum(axis=1), cov=CovarianceSpec(n=n, d=np.ones(n)),
     )
 
 
@@ -156,7 +160,7 @@ def test_decode_none(example_spec):
 
 def test_decode_ambiguous(example_spec):
     book, joint, y = _crafted_setup(example_spec)
-    twin = _white_book(np.stack([book.codewords[0]] * 2), book.R)
+    twin = _white_book(np.stack([book.S[0]] * 2), book.R)
     params = TypicalParams(epsilon=0.1, eta=0.1)
     out = decode(y, twin, joint, params)
     assert isinstance(out, DecodeFailure)
@@ -196,12 +200,133 @@ def test_decode_guard_band_follows_direct_rule(example_spec):
         w0 = (ctx.q_sigma[0] + np.einsum("ij,ij->i", diff, diff)[0]) / (n + m)
         dev0 = abs(w0 - 1.0)
         assert dev0 > 0.0
-        band = _guard_band(ctx, np.array([y @ y]), n, m)[0]
+        band = _guard_band(ctx, np.array([y @ y]))[0]
         for eta in (dev0, np.nextafter(dev0, np.inf)):
             assert abs(dev0 - eta) <= band  # inside the guard band
             params = TypicalParams(epsilon=0.1, eta=eta)
             want = 0 if dev0 < eta else DecodeFailure(kind="none")
             assert decode(y, book, joint, params, ctx) == want
+
+
+def test_build_joint_gains_and_residual(example_spec):
+    """``build_joint``'s band-form ``GU`` agrees with the dense Gram matrix:
+    for the eigenbasis the gains are its eigenvalues and the residual is
+    rounding-sized; for the standard basis and a random orthonormal one
+    the gains are ``u_j'G u_j`` and the residual is the dense
+    ``||GU - U diag(gain)||_F``."""
+    n = 40
+    Hc = build_Hc(example_spec, n)
+    G = Hc.dense().T @ Hc.dense()
+    eps = np.finfo(float).eps
+    cov = build_sigma(example_spec, n, 1.0, "waterfill_gram")
+    joint = build_joint(cov, Hc)
+    lam = np.linalg.eigvalsh(G)
+    assert np.abs(np.sort(joint.gain) - lam).max() <= 4 * n * eps * lam.max()
+    assert joint.resid <= 4 * n * eps * np.abs(G).sum(axis=0).max()
+    for other in (CovarianceSpec(n=n, d=np.ones(n)), _random_cov(n, 6)):
+        U = np.eye(n) if other.basis is None else other.basis
+        got = build_joint(other, Hc)
+        gain = np.einsum("ij,ij->j", U, G @ U)
+        assert got.gain == pytest.approx(gain, rel=1e-12, abs=1e-12)
+        assert got.resid == pytest.approx(np.linalg.norm(G @ U - U * gain), rel=1e-10)
+        assert got.resid > 1.0
+
+
+def test_prepare_context_refuses_another_basis(example_spec):
+    """Energies pair the coefficients with the joint's gains, so a codebook
+    drawn in another basis, or of another length, is refused."""
+    n = 12
+    cov = build_sigma(example_spec, n, 1.0, "waterfill_gram")
+    book = gen_codebook(cov, 0.5, 1)
+    for other in (_random_cov(n, 2), CovarianceSpec(n=n, d=cov.d)):
+        with pytest.raises(ValueError, match="basis"):
+            prepare_context(book, build_joint(other, build_Hc(example_spec, n)))
+    same = CovarianceSpec(n=n, d=np.ones(n), basis=cov.basis.copy())
+    prepare_context(book, build_joint(same, build_Hc(example_spec, n)))
+    with pytest.raises(DimensionMismatch):
+        prepare_context(book, build_joint(_random_cov(n + 1, 2), build_Hc(example_spec, n + 1)))
+
+
+def test_codeword_and_image_accessors(example_spec):
+    """``book.codewords`` is ``S U'`` and ``ctx.images`` its centre-channel
+    image, each built once, on first access."""
+    n = 16
+    cov = build_sigma(example_spec, n, 1.0, "waterfill_gram")
+    book = gen_codebook(cov, 0.5, 2)
+    Hc = build_Hc(example_spec, n)
+    ctx = prepare_context(book, build_joint(cov, Hc))
+    assert "codewords" not in vars(book) and "images" not in vars(ctx)
+    assert np.array_equal(book.codewords, book.S @ cov.basis.T)
+    assert book.codewords is book.codewords
+    want = book.codewords @ Hc.dense().T
+    assert np.abs(ctx.images - want).max() <= 1e-14 * np.abs(want).max()
+    assert ctx.images is ctx.images
+
+
+def test_experiment_builds_no_codewords_or_images(example_spec, monkeypatch):
+    """``run_error_experiment`` decodes from the coefficients alone: with
+    both accessors made to raise, it still runs, over two threads and a
+    ragged last block."""
+
+    def touched(self):
+        raise AssertionError("codewords or images built")
+
+    monkeypatch.setattr(Codebook, "codewords", property(touched))
+    monkeypatch.setattr(DecodeContext, "images", property(touched))
+    res = run_error_experiment(example_spec, n=32, R=0.25, P=1.0, trials=70, master_seed=4, threads=2)
+    assert res.type1 + res.type2 + res.success == 70
+
+
+def test_near_threshold_pair_follows_direct_form(example_spec, monkeypatch):
+    """Eigenbasis codebook, thresholds at word 0's direct-form deviation
+    and one ulp above it.  With the guard band zeroed the GEMM form lands
+    on the wrong side for some received vectors; with the band, every
+    decision is the direct form's."""
+    n, seed = 32, 3
+    cov = build_sigma(example_spec, n, 1.0, "waterfill_gram")
+    book = gen_codebook(cov, 4 / n, seed)
+    joint = build_joint(cov, build_Hc(example_spec, n))
+    ctx = prepare_context(book, joint)
+    m = joint.m
+    x0 = book.words([0])
+    a0 = _band_apply(joint.hc, x0, np.zeros((1, m)))
+    rng = np.random.default_rng(seed)
+    wrong = 0
+    for _ in range(40):
+        y = a0[0] + rng.standard_normal(m)
+        diff = _band_apply(joint.hc, x0, np.zeros((1, m)))
+        diff -= y
+        dev0 = abs((book.q[0] + np.einsum("ij,ij->i", diff, diff)[0]) / (n + m) - 1.0)
+        for eta in (dev0, np.nextafter(dev0, np.inf)):
+            params = TypicalParams(epsilon=10.0, eta=eta)
+            assert _pass_mask(y[None], joint, params, ctx)[0, 0] == (dev0 < eta)
+            with monkeypatch.context() as mp:
+                mp.setattr(decoder_mod, "_guard_band", lambda ctx, y_sq: np.zeros_like(y_sq))
+                wrong += _pass_mask(y[None], joint, params, ctx)[0, 0] != (dev0 < eta)
+    assert wrong > 0
+
+
+def test_standard_basis_pairs_follow_direct_form(example_spec):
+    """A standard-basis codebook: ``U = I`` does not diagonalise ``Hc'Hc``,
+    so the energies ``sum_j G_jj s_j^2`` miss the image norms by O(1).  The
+    measured eigen-residual widens the guard band past that, and every
+    decision equals the direct form's, evaluated densely here."""
+    n, size, T = 12, 64, 20
+    rng = np.random.default_rng(5)
+    book = _white_book(rng.standard_normal((size, n)), 0.5)
+    Hc = build_Hc(example_spec, n)
+    joint = build_joint(CovarianceSpec(n=n, d=np.ones(n)), Hc)
+    ctx = prepare_context(book, joint)
+    A = book.S @ Hc.dense().T
+    assert np.abs(ctx.energy - (A * A).sum(axis=1)).max() > 1.0
+    Y = A[rng.integers(size, size=T)] + rng.standard_normal((T, joint.m))
+    params = TypicalParams(epsilon=10.0, eta=0.3)
+    W = (book.q[:, None] + ((A[:, None, :] - Y[None]) ** 2).sum(axis=-1)) / (n + joint.m)
+    dev = np.abs(W - 1.0)
+    assert np.abs(dev - params.eta).min() > 1e-9
+    want = dev < params.eta
+    assert 0.1 < want.mean() < 0.9
+    assert np.array_equal(_pass_mask(Y, joint, params, ctx), want)
 
 
 def test_threshold_formulas(example_spec, example_profile):
@@ -324,7 +449,7 @@ def test_decode_and_counts_match_dense_oracle(example_spec):
     n, R, P, seed, total = 16, 0.25, 1.0, 2, 130
     cov = build_sigma(example_spec, n, P, "waterfill_gram")
     params = TypicalParams(epsilon=0.5, eta=0.3)
-    book = gen_codebook(cov, R, seed, k=example_spec.k)
+    book = gen_codebook(cov, R, seed)
     joint = build_joint(cov, build_Hc(example_spec, n))
     ctx = prepare_context(book, joint)
     assert trial_block(book.size) == 64
@@ -386,16 +511,14 @@ def test_experiment_counts_match_one_cell_loop(example_spec, law):
     n, R, P, seed, trials = 15, 0.25, 1.0, 3, 101
     cov = build_sigma(example_spec, n, P, "waterfill_gram")
     params = TypicalParams(epsilon=0.5, eta=0.3)
-    book = gen_codebook(cov, R, seed, k=example_spec.k)
+    book = gen_codebook(cov, R, seed)
     joint = build_joint(cov, build_Hc(example_spec, n))
     assert trial_block(book.size) == 64
     counts = [0, 0, 0]
     for t in range(trials):
         msg = int(rng_stream(seed, STREAM_MESSAGE, t).integers(book.size))
         y = transmit(sample_H(example_spec, n, law, seed, t), book.codewords[msg], seed, t)
-        alone = Codebook(
-            n=n, R=R, size=1, codewords=book.codewords[msg:msg + 1], q=book.q[msg:msg + 1]
-        )
+        alone = Codebook(n=n, R=R, size=1, S=book.S[msg:msg + 1], q=book.q[msg:msg + 1], cov=cov)
         if decode(y, alone, joint, params) != 0:
             counts[0] += 1
         else:
@@ -412,10 +535,11 @@ def test_experiment_counts_match_one_cell_loop(example_spec, law):
 @pytest.mark.parametrize("p_dbw", [-10.0, 130.0, 400.0])
 def test_decode_matches_exact_rational_oracle(example_spec, p_dbw):
     """At n = 4, ``decode`` and the pass mask give the decisions of the
-    joint test evaluated exactly, in rationals, on the dense Xi.  At 130
-    and 400 dBW the dense Xi is so ill-conditioned that a floating-point
-    log-determinant of it misses ``log det Sigma``; the decoder never forms
-    Xi and its decisions stay exact.
+    joint test evaluated exactly, in rationals, on the dense Xi, for the
+    exact codewords ``U s`` of the coefficients.  At 130 and 400 dBW the
+    dense Xi is so ill-conditioned that a floating-point log-determinant of
+    it misses ``log det Sigma``; the decoder never forms Xi and its
+    decisions stay exact.
 
     The codebook gets one extra word whose input statistic is 1, and four
     received vectors put its joint deviation 1e-7 (relative) inside and
@@ -428,13 +552,13 @@ def test_decode_matches_exact_rational_oracle(example_spec, p_dbw):
     P = dbw_to_watts(p_dbw)
     cov = build_sigma(example_spec, n, P, "waterfill_gram")
     params = default_params(thresholds(example_spec, compute_profile(example_spec), cov, P))
-    drawn = gen_codebook(cov, 1.0, seed, k=example_spec.k)
+    drawn = gen_codebook(cov, 1.0, seed)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(n)
-    x_star = cov.basis @ (np.sqrt(cov.d) * g) * (np.sqrt(n) / np.linalg.norm(g))
+    s_star = np.sqrt(cov.d) * g * (np.sqrt(n) / np.linalg.norm(g))
     book = Codebook(
-        n=n, R=1.0, size=drawn.size + 1,
-        codewords=np.vstack([drawn.codewords, x_star]), q=np.append(drawn.q, float(n)),
+        n=n, R=1.0, size=drawn.size + 1, S=np.vstack([drawn.S, s_star]),
+        q=np.append(drawn.q, float(n)), cov=cov,
     )
     Hc = build_Hc(example_spec, n)
     joint = build_joint(cov, Hc)
@@ -451,19 +575,19 @@ def test_decode_matches_exact_rational_oracle(example_spec, p_dbw):
     crafted = {}
     for side in (1.0, -1.0):
         for rel in (-1e-7, 1e-7):
-            s2 = (n + m) * (1.0 + side * params.eta * (1.0 + rel)) - ctx.q_sigma[-1]
+            s2 = (n + m) * (1.0 + side * params.eta * (1.0 + rel)) - book.q[-1]
             if s2 > 0.0:
                 crafted[len(ys)] = rel < 0.0
-                ys.append(Hc.dense() @ x_star + np.sqrt(s2) * u)
+                ys.append(Hc.dense() @ book.codewords[-1] + np.sqrt(s2) * u)
     Y = np.stack(ys)
-    x_stat, w_stat = exact_joint_statistics(
-        book.codewords, Y, cov.d, cov.basis, example_spec.c
-    )
+    fr = np.vectorize(Fraction, otypes=[object])
+    exact_words = fr(book.S) @ fr(cov.basis).T
+    x_stat, w_stat = exact_joint_statistics(exact_words, Y, cov.d, cov.basis, example_spec.c)
     eps, eta = Fraction(params.epsilon), Fraction(params.eta)
     x_dev = [abs(x - 1) for x in x_stat]
     w_dev = [[abs(w - 1) for w in row] for row in w_stat]
     exact = np.array([[x_dev[i] < eps and w < eta for w in w_dev[i]] for i in range(book.size)])
-    band = _guard_band(ctx, np.einsum("ij,ij->i", Y, Y), n, m)
+    band = _guard_band(ctx, np.einsum("ij,ij->i", Y, Y))
     clear = np.array([
         [abs(x_dev[i] - eps) > 1e-9 and abs(w - eta) > band[t] for t, w in enumerate(w_dev[i])]
         for i in range(book.size)
