@@ -30,7 +30,10 @@ def main() -> int:
 
     spec = ChannelSpec(k=args.k, c=tuple(args.c), r=tuple(args.r))
     P = dbw_to_watts(args.p_dbw)
-    R = args.rate_fraction * bound_report(spec, P).C_LB1
+    c_lb1 = bound_report(spec, P).C_LB1
+    if c_lb1 is None:
+        ap.error(f"C_LB1 is undefined at {args.p_dbw} dBW; no rate to derive")
+    R = args.rate_fraction * c_lb1
     print(f"P = {args.p_dbw} dBW, R = {R:.5f} bits/symbol, {args.trials} trials")
     print(f"{'n':>6} {'p_e':>8} {'type1':>6} {'type2':>6} {'wilson':>17} {'sec':>6}")
     for n in args.n:

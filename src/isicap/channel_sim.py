@@ -1,22 +1,24 @@
 """Channel realizations, input covariances, codebooks and channel uses.
 
 Every draw comes from a cell ``(stream, index)`` under one master seed: a
-``Philox`` at counter 0 keyed by ``SeedSequence(master_seed,
-spawn_key=(stream, index))``, which ``rng_stream`` builds and which any
-trial can be replayed from.  Streams: CHANNEL (0) and NOISE (1) the taps
-and noise of trial ``index``, CODEBOOK (2, index 0) the codeword
-Gaussians, MESSAGE (3) trial ``index``'s message pick, and
-``verify.VERIFY_STREAM_BASE + s`` (16 + s) instance ``index`` of
-certificate suite ``s``.  Cells are independent of each other, so results
-do not depend on scheduling order.  ``TrialBlocks`` draws the same cells a
-block of trials at a time, through the same tap and band kernels.
+``Philox`` whose key is ``SeedSequence(master_seed, spawn_key=(stream,))
+.generate_state(2, np.uint64)`` and whose counter is ``[0, index, 0, 0]``,
+which ``rng_stream`` builds and which any trial can be replayed from.
+Streams: CHANNEL (0) and NOISE (1) the taps and noise of trial ``index``,
+CODEBOOK (2, index 0) the codeword Gaussians, MESSAGE (3) trial
+``index``'s message pick, and ``verify.VERIFY_STREAM_BASE + s`` (16 + s)
+instance ``index`` of certificate suite ``s``.  Philox counts a cell's
+blocks in counter word 0, so cells never overlap, and results do not
+depend on scheduling order.  ``TrialBlocks`` draws the same cells a block
+of trials at a time, through the same tap and band kernels.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Literal, Optional
 
 import numpy as np
@@ -36,7 +38,6 @@ __all__ = [
     "decode_bytes",
     "codebook_size",
     "rng_stream",
-    "stream_keys",
     "ChannelLaw",
     "check_law",
     "sample_taps",
@@ -53,7 +54,6 @@ STREAM_CHANNEL = 0
 STREAM_NOISE = 1
 STREAM_CODEBOOK = 2
 STREAM_MESSAGE = 3
-_TRIAL_STREAMS = (STREAM_MESSAGE, STREAM_NOISE, STREAM_CHANNEL)
 
 MAX_CODEBOOK_BITS = 24
 # Byte cap on what exhaustive decoding holds for one codebook: the
@@ -65,69 +65,28 @@ _TRIAL_BLOCK = 64
 _BLOCK_ENTRIES = 1 << 20
 # Most uniforms one TrialBlocks holds: its tap scratch stays in cache.
 _DRAW_ENTRIES = 1 << 15
-# numpy's SeedSequence pool hash: pool size and hash constants.
-_POOL = 4
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+@lru_cache(maxsize=32)
+def _stream_key(master_seed: int, stream: int) -> np.ndarray:
+    """Philox key of ``stream`` under ``master_seed``, read-only."""
+    key = np.random.SeedSequence(master_seed, spawn_key=(stream,)).generate_state(2, np.uint64)
+    key.setflags(write=False)
+    return key
 
 
 def rng_stream(master_seed: int, stream: int, index: int) -> np.random.Generator:
-    """Counter-based generator for one (stream, index) cell under a master
-    seed.  Distinct cells are statistically independent."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(stream, index))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-def stream_keys(master_seed: int, stream: int, indices) -> np.ndarray:
-    """Philox keys of the cells ``(stream, i)`` for ``i`` in ``indices``,
-    shape ``(T, 2)`` uint64: row ``j`` is ``SeedSequence(master_seed,
-    spawn_key=(stream, indices[j])).generate_state(2, np.uint64)``.
-
-    This is numpy's pool hash over the seed's uint32 words padded with
-    zeros to the pool size, then ``stream``, then the index.  The words
-    before the index are hashed as Python ints, the index as one uint32
-    array, so a block's keys cost one pass."""
-    idx = np.asarray(indices)
-    if idx.ndim != 1 or idx.dtype.kind not in "iu" or (
-        idx.size and not 0 <= idx.min() <= idx.max() <= _MASK32
-    ):
-        raise ValueError("trial indices must be a 1-D array of integers in [0, 2**32)")
-    words: list[int] = []
-    for name, value in (("master seed", int(master_seed)), ("stream", int(stream))):
-        if value < 0:
-            raise ValueError(f"{name} must be a non-negative integer, got {value}")
-        words += [value >> b & _MASK32 for b in range(0, max(value.bit_length(), 1), 32)]
-        words += [0] * (_POOL - len(words))  # pads the seed; a no-op after stream
-    const = _INIT_A
-
-    def hashmix(v):
-        nonlocal const
-        v = v ^ const
-        const = const * _MULT_A & _MASK32
-        v = v * const & _MASK32
-        return v ^ (v >> 16)
-
-    def mix(x, y):
-        v = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
-        return v ^ (v >> 16)
-
-    pool = [hashmix(w) for w in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[_POOL:] + [idx.astype(np.uint32)]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    const, out = _INIT_B, []
-    for w in pool:
-        w = w ^ const
-        const = const * _MULT_B & _MASK32
-        w = w * const & _MASK32
-        out.append((w ^ (w >> 16)).astype(np.uint64))
-    return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
+    """Generator of the cell ``(stream, index)`` under a master seed: a
+    Philox keyed by ``stream`` at counter ``[0, index, 0, 0]``.  Distinct
+    cells are statistically independent."""
+    master_seed, stream, index = map(operator.index, (master_seed, stream, index))
+    if min(master_seed, stream) < 0 or not 0 <= index < 1 << 64:
+        raise ValueError(f"need seed and stream >= 0 and index in [0, 2**64), got "
+                         f"{(master_seed, stream, index)}")
+    # ``index << 64`` is the counter [0, index, 0, 0]; Philox counts a cell's
+    # blocks in word 0, so cells never overlap below 2**64 blocks.
+    key = _stream_key(master_seed, stream)
+    return np.random.Generator(np.random.Philox(key=key, counter=index << 64))
 
 
 @dataclass(frozen=True)
@@ -432,15 +391,16 @@ class TrialBlocks:
     equal bit for bit to ``rng_stream``, ``sample_H`` and ``transmit`` (of
     the block's words) trial by trial.  The words are built for a whole
     block by one GEMM, whose last bits can depend on the rows it holds.
-    One Philox is re-keyed for each cell from
-    ``stream_keys``; taps and noise are drawn and applied a few trials at
-    a time, in scratch of at most ``_DRAW_ENTRIES`` taps that is reused."""
+    One Philox is keyed once per stream and block, and set to each trial's
+    cell by writing the trial index into counter word 1, with the buffer
+    empty; taps and noise are drawn and applied a few trials at a time, in
+    scratch of at most ``_DRAW_ENTRIES`` taps that is reused."""
 
     def __init__(self, spec: ChannelSpec, n: int, law: ChannelLaw, master_seed: int) -> None:
         self.spec, self.law, self.seed, self.m = spec, law, master_seed, n + spec.k
         self._bits = np.random.Philox(0)
         self._gen = np.random.Generator(self._bits)
-        self._state = self._bits.state  # counter 0, empty buffer; key set per cell
+        self._state = self._bits.state  # counter 0, empty buffer; key and word 1 set per cell
         rows = _draw_rows(self.m, law)
         chunk = max(1, _DRAW_ENTRIES // (rows * (spec.k + 1)))
         self._z = np.empty((chunk, self.m))
@@ -449,31 +409,35 @@ class TrialBlocks:
         else:
             self._u = np.empty((chunk, rows, spec.k + 1))
 
-    def _cells(self, keys: np.ndarray):
-        """The generator, keyed in turn to each row of ``keys``."""
-        for key in keys:
-            self._state["state"]["key"] = key
+    def _cells(self, stream: int, ts: np.ndarray):
+        """The generator, set in turn to the cell ``(stream, t)`` of each
+        ``t`` in ``ts``."""
+        self._state["state"]["key"] = _stream_key(self.seed, stream)
+        counter = self._state["state"]["counter"]
+        for t in ts:
+            counter[1] = t
             self._bits.state = self._state
             yield self._gen
 
     def draw(self, ts: np.ndarray, book: Codebook) -> tuple[np.ndarray, np.ndarray]:
-        """Message picks of trials ``ts`` among the words of ``book``, and
-        the ``(len(ts), m)`` vectors received for them; only the picked
-        words are built, as ``book.words(msgs)``."""
-        picks, noise, chan = (stream_keys(self.seed, s, ts) for s in _TRIAL_STREAMS)
-        msgs = np.array([g.integers(book.size) for g in self._cells(picks)], dtype=int)
+        """Message picks of trials ``ts`` (non-negative integers) among the
+        words of ``book``, and the ``(len(ts), m)`` vectors received for
+        them; only the picked words are built, as ``book.words(msgs)``."""
+        if ts.dtype.kind not in "iu" or (ts.size and ts.min() < 0):
+            raise ValueError("trial indices must be non-negative integers")
+        msgs = np.array([g.integers(book.size) for g in self._cells(STREAM_MESSAGE, ts)], dtype=int)
         X = book.words(msgs)
         Y = np.zeros((len(ts), self.m))
         for lo in range(0, len(ts), len(self._z)):
             z = self._z[:len(ts) - lo]
             part = slice(lo, lo + len(z))
-            for g, row in zip(self._cells(noise[part]), z):
+            for g, row in zip(self._cells(STREAM_NOISE, ts[part]), z):
                 g.standard_normal(out=row)
             if self.law.kind == "constant":
                 taps = self._taps
             else:
                 u = self._u[:len(z)]
-                for g, rows in zip(self._cells(chan[part]), u):
+                for g, rows in zip(self._cells(STREAM_CHANNEL, ts[part]), u):
                     g.random(out=rows)
                 taps = _taps_from(u, self.spec, self.law, self.m)
             _band_apply(taps, X[part], Y[part])

@@ -30,7 +30,6 @@ from .spectrum import DEFAULT_GRID, ChannelSpec, compute_profile
 from .waterfill import (
     _pillow_terms,
     bound_report,
-    capacity_C0,
     dbw_to_watts,
     solve_theta1,
     watts_to_dbw,
@@ -220,12 +219,9 @@ BOUNDS_HEADER = (
 
 def _bounds_row(cfg: RunConfig, p_dbw: float):
     p_w = dbw_to_watts(p_dbw)
-    try:
-        rep = bound_report(cfg.spec, p_w, cfg.grid_size)
-    except BoundInapplicable:
-        profile = compute_profile(cfg.spec, cfg.grid_size)
-        c0 = capacity_C0(profile, cfg.spec, p_w, cfg.grid_size)
-        return (p_dbw, c0, None, None, None, None, None, None, None, p_w, None, FLAG_INAPPLICABLE)
+    rep = bound_report(cfg.spec, p_w, cfg.grid_size)
+    if rep.C_LB1 is None:
+        return (p_dbw, rep.C0, None, None, None, None, None, None, None, p_w, None, FLAG_INAPPLICABLE)
     psat_dbw = None
     if rep.P_sat is not None and rep.P_sat > 0.0:
         psat_dbw = watts_to_dbw(rep.P_sat)
@@ -339,7 +335,10 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
         rate = _number(section["rate_bits"], "simulate.rate_bits")
     else:
         fraction = _number(section.get("rate_fraction", 0.25), "simulate.rate_fraction")
-        rate = fraction * bound_report(cfg.spec, p_w, cfg.grid_size).C_LB1
+        c_lb1 = bound_report(cfg.spec, p_w, cfg.grid_size).C_LB1
+        if c_lb1 is None:
+            raise ConfigError(f"C_LB1 is undefined at {p_dbw} dBW; give rate_bits")
+        rate = fraction * c_lb1
         if rate <= 0.0:
             raise ConfigError(
                 f"derived rate {rate:.4g} is not positive at {p_dbw} dBW; give rate_bits"

@@ -28,6 +28,7 @@ radii share them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -69,6 +70,10 @@ class ChannelSpec:
     r: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        k = int(self.k) if isinstance(self.k, float) and self.k.is_integer() else self.k
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise ValueError(f"memory k must be an integer, got {self.k!r}")
+        object.__setattr__(self, "k", int(k))
         object.__setattr__(self, "c", tuple(float(v) for v in self.c))
         object.__setattr__(self, "r", tuple(float(v) for v in self.r))
         if self.k < 0:
@@ -98,7 +103,7 @@ class ChannelSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChannelSpec":
-        return cls(k=int(obj["k"]), c=tuple(obj["c"]), r=tuple(obj["r"]))
+        return cls(k=obj["k"], c=tuple(obj["c"]), r=tuple(obj["r"]))
 
     def to_json(self) -> dict:
         return {"k": self.k, "c": list(self.c), "r": list(self.r)}

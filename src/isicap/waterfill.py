@@ -106,9 +106,9 @@ class BoundReport:
 
     P: float
     C0: float
-    C_LB1: float
-    delta1: float
-    gap_cor1: float
+    C_LB1: Optional[float]
+    delta1: Optional[float]
+    gap_cor1: Optional[float]
     C_LB2: Optional[float]
     delta2: Optional[float]
     P_sat: Optional[float]
@@ -349,34 +349,31 @@ def bound_report(spec: ChannelSpec, P: float, grid_size: int = DEFAULT_GRID) -> 
     """All scalar bounds at power ``P`` (watts).
 
     Only ``C0``, ``C_LB1``, ``delta1`` and ``gap_cor1`` are computed per
-    call.  The saturation fields do not depend on ``P``: they are computed
-    once per ``(spec, grid_size)`` and cached, and this call only decides
-    whether ``C_LB2`` and ``delta2`` apply at ``P``.  Optional fields are
-    populated when their defining conditions hold: the saturation route
-    needs non-zero radii, a saturation level above the spectral floor, and
-    a power budget at least as large as the saturation water; the
-    radius-only gap needs the saturation level's closed form to apply and
-    its log argument to stay positive.
+    call; the last three are ``None`` where the radius penalty is undefined
+    at ``P``, with ``C0`` still reported.  The saturation fields do not
+    depend on ``P``: they are computed once per ``(spec, grid_size)`` and
+    cached, and this call only decides whether ``C_LB2`` and ``delta2``
+    apply at ``P``.  Optional fields are populated when their defining
+    conditions hold: the saturation route needs non-zero radii, a
+    saturation level above the spectral floor, and a power budget at least
+    as large as the saturation water; the radius-only gap needs the
+    saturation level's closed form to apply and its log argument to stay
+    positive.
     """
     profile = compute_profile(spec, grid_size)
     sol1 = solve_theta1(profile, spec, P, grid_size)
-    delta1 = sum(_penalty(profile, sol1.d_min, sol1.d_max, sol1.I))
     C0 = cap_integral(spec, sol1.theta, grid_size)
     half_k1_rsq = 0.5 * (spec.k + 1) * spec.norm_r_sq
+    try:
+        delta1 = sum(_penalty(profile, sol1.d_min, sol1.d_max, sol1.I))
+        C_LB1 = C0 - math.log2(1.0 + half_k1_rsq * sol1.I) - delta1
+        gap_cor1 = math.log2(1.0 + half_k1_rsq * P) + delta1
+    except BoundInapplicable:
+        delta1 = C_LB1 = gap_cor1 = None
     P_sat, sol2, C_LB2, delta2, gap_cor2 = _saturation(spec, grid_size)
     if sol2 is None or sol1.I < sol2.I - 1e-12 * max(1.0, abs(sol2.I)):
         C_LB2 = delta2 = None
-    return BoundReport(
-        P=P,
-        C0=C0,
-        C_LB1=C0 - math.log2(1.0 + half_k1_rsq * sol1.I) - delta1,
-        delta1=delta1,
-        gap_cor1=math.log2(1.0 + half_k1_rsq * P) + delta1,
-        C_LB2=C_LB2,
-        delta2=delta2,
-        P_sat=P_sat,
-        gap_cor2=gap_cor2,
-    )
+    return BoundReport(P, C0, C_LB1, delta1, gap_cor1, C_LB2, delta2, P_sat, gap_cor2)
 
 
 def pillow_terms(

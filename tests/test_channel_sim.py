@@ -27,7 +27,6 @@ from isicap.channel_sim import (
     TrialBlocks,
     decode_bytes,
     sample_taps,
-    stream_keys,
     trial_block,
 )
 from isicap.verify import VERIFY_STREAM_BASE
@@ -53,33 +52,32 @@ def test_rng_streams_distinct():
     assert len(set(draws.values())) == 4
 
 
-@pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**40 + 7, 2**70 + 3])
-def test_stream_keys_match_seed_sequence(seed):
-    """``stream_keys`` equals numpy's own SeedSequence key for every cell,
-    for master seeds of one, two and three uint32 words, and a Philox at
-    counter 0 under that key is the generator ``rng_stream`` builds."""
-    indices = np.append(np.arange(600), 2**32 - 1)
+@pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**70 + 3])
+def test_rng_stream_is_the_documented_cell(seed):
+    """``rng_stream(seed, stream, index)`` is a plain numpy Philox keyed by
+    ``SeedSequence(seed, spawn_key=(stream,)).generate_state(2, np.uint64)``
+    at counter ``[0, index, 0, 0]``, for indices past one and two counter
+    words' worth of uint32."""
     for stream in (0, 1, 2, 3, VERIFY_STREAM_BASE + 8):
-        keys = stream_keys(seed, stream, indices)
-        assert keys.dtype == np.uint64 and keys.shape == (indices.size, 2)
-        want = np.array([
-            np.random.SeedSequence(seed, spawn_key=(stream, int(i))).generate_state(2, np.uint64)
-            for i in indices
-        ])
-        assert np.array_equal(keys, want)
-    ref = rng_stream(seed, 1, 599)
-    own = np.random.Generator(np.random.Philox(key=stream_keys(seed, 1, [599])[0]))
-    assert np.array_equal(own.standard_normal(9), ref.standard_normal(9))
+        key = np.random.SeedSequence(seed, spawn_key=(stream,)).generate_state(2, np.uint64)
+        for index in (0, 1, 2**32, 2**63):
+            counter = np.array([0, index, 0, 0], dtype=np.uint64)
+            want = np.random.Generator(np.random.Philox(key=key, counter=counter))
+            got = rng_stream(seed, stream, index)
+            assert np.array_equal(got.random(9), want.random(9))
+            assert np.array_equal(got.standard_normal(5), want.standard_normal(5))
 
 
-def test_stream_keys_refusals():
-    with pytest.raises(ValueError, match="master seed"):
-        stream_keys(-1, 0, np.arange(3))
-    with pytest.raises(ValueError, match="stream"):
-        stream_keys(0, -2, np.arange(3))
-    for bad in (np.array([0, 2**32]), np.array([-1]), np.zeros((2, 2), int), np.ones(2)):
-        with pytest.raises(ValueError, match="2\\*\\*32"):
-            stream_keys(0, 0, bad)
+def test_rng_stream_refusals():
+    for cell in ((-1, 0, 0), (0, -2, 0), (0, 0, -1), (0, 0, 2**64)):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            rng_stream(*cell)
+    with pytest.raises(TypeError):
+        rng_stream(0, 0, 1.5)
+    blocks = TrialBlocks(ChannelSpec(k=0, c=(1.0,), r=(0.1,)), 4, ChannelLaw(kind="iid_uniform"), 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        blocks.draw(np.array([3, -1]), None)
+    assert rng_stream(0, 0, 2**64 - 1).random() != rng_stream(0, 0, 0).random()
 
 
 @pytest.mark.parametrize("entries", [1, 1 << 15])

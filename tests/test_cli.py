@@ -134,6 +134,33 @@ def test_figure1_solves_one_water_level_per_power(tmp_path, monkeypatch):
     assert len(calls) == 3
 
 
+def test_flagged_bounds_rows_solve_one_water_level(tmp_path, monkeypatch):
+    """A flagged row takes C0 from the same report as any other row, so 11
+    flagged rows solve the theta1 water level 11 times."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_theta1(*args, **kwargs)
+
+    monkeypatch.setattr(waterfill, "solve_theta1", counted)
+    cfg = _write_config(tmp_path, {"channel": {"k": 0, "c": [1.0], "r": [5.0]}})
+    out = tmp_path / "flat.csv"
+    assert main(["bounds", "--config", cfg, "--out", str(out), "--grid", "0:50:11"]) == EXIT_EMPTY
+    _, header, rows = _read_csv(out)
+    assert [r[header.index("flag")] for r in rows] == [FLAG_INAPPLICABLE] * 11
+    assert len(calls) == 11
+
+
+def test_simulate_refuses_undefined_derived_rate(tmp_path, capsys):
+    """Where C_LB1 is undefined there is no rate to derive: exit 2, no file."""
+    cfg = _write_config(tmp_path, {"channel": {"k": 0, "c": [1.0], "r": [5.0]}})
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", "1"]) == EXIT_CONFIG
+    assert not out.exists()
+    assert "C_LB1 is undefined" in capsys.readouterr().err
+
+
 def test_bounds_all_rows_inapplicable(tmp_path):
     cfg = _write_config(
         tmp_path, {"channel": {"k": 0, "c": [1.0], "r": [5.0]}}

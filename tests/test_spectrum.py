@@ -175,6 +175,20 @@ def test_channel_spec_json_roundtrip(example_spec):
     assert ChannelSpec.from_json(example_spec.to_json()) == example_spec
 
 
+def test_channel_spec_memory_is_an_integer():
+    """A fractional, boolean or non-numeric ``k`` is refused on the API
+    path too; integral values are stored as ``int``."""
+    taps = {"c": [1.0, 0.5, 0.5], "r": [0.0, 0.0, 0.0]}
+    for k in (2, 2.0, np.int64(2), np.float64(2.0)):
+        spec = ChannelSpec.from_json({"k": k, **taps})
+        assert type(spec.k) is int and spec.k == 2
+    for k in (2.7, True, np.bool_(True), "2", None, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="integer"):
+            ChannelSpec.from_json({"k": k, **taps})
+    with pytest.raises(ValueError, match="integer"):
+        ChannelSpec(k=1.5, c=(1.0, 0.5), r=(0.0, 0.0))
+
+
 def test_eval_f_sq_scalar_matches_vector(example_spec):
     """The ``|f|^2`` kernel the extrema are evaluated with gives the same
     value at a scalar angle as within a vector of angles."""

@@ -186,12 +186,14 @@ def test_delta_routes_agree(example_spec, example_profile):
 
 
 def test_penalty_rejects_saturated_ratio():
-    # r_s * (r_s + 2 beta) * d_max / (1 + alpha^2 d_min) >= 1 at every power
+    # r_s * (r_s + 2 beta) * d_max / (1 + alpha^2 d_min) >= 1 at every power:
+    # bound_report keeps C0 and leaves the penalty fields empty
     spec = ChannelSpec(k=0, c=(1.0,), r=(5.0,))
     prof = compute_profile(spec)
     for P in (1.0, 100.0):
-        with pytest.raises(BoundInapplicable):
-            bound_report(spec, P)
+        rep = bound_report(spec, P)
+        assert rep.C0 == capacity_C0(prof, spec, P)
+        assert rep.C_LB1 is None and rep.delta1 is None and rep.gap_cor1 is None
         with pytest.raises(BoundInapplicable):
             pillow_terms(prof, spec, P)
 
