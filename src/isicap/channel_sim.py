@@ -112,8 +112,8 @@ class ChannelLaw:
             object.__setattr__(
                 self, "offset", tuple(float(v) for v in self.offset)
             )
-            if any(abs(v) > 1.0 for v in self.offset):
-                raise ValueError("offsets are fractions of the radius, in [-1, 1]")
+            if not all(abs(v) <= 1.0 for v in self.offset):
+                raise ValueError(f"offsets are fractions of the radius, in [-1, 1]: {self.offset}")
         if self.kind == "block_hold" and self.block_len < 1:
             raise ValueError("block_len must be >= 1")
 
@@ -174,19 +174,19 @@ def sample_H(
 
 @dataclass(frozen=True)
 class CovarianceSpec:
-    """Input covariance in spectral form ``Sigma = U diag(d) U'``.
+    """Input covariance in spectral form ``Sigma = U diag(d) U'``, for an
+    orthonormal ``n x n`` basis ``U``.
 
-    ``basis`` is ``None`` for the standard basis (diagonal covariance).
-    ``orth_defect`` is the Frobenius norm of the computed ``U'U - I`` (0
-    without a basis), which bounds how far ``U`` is from orthonormal up to
-    the rounding of ``U'U``.  Arrays are frozen read-only at construction;
-    all derived matrices are recomputed on demand so instances stay cheap
-    to share across threads.
+    ``orth_defect`` is the Frobenius norm of the computed ``U'U - I``,
+    which bounds how far ``U`` is from orthonormal up to the rounding of
+    ``U'U``.  Arrays are frozen read-only at construction; all derived
+    matrices are recomputed on demand so instances stay cheap to share
+    across threads.
     """
 
     n: int
     d: np.ndarray
-    basis: Optional[np.ndarray] = None
+    basis: np.ndarray
     orth_defect: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -199,20 +199,19 @@ class CovarianceSpec:
         if np.any(d <= 0.0):
             raise ValueError("covariance spectrum must be positive")
         d.setflags(write=False)
-        if self.basis is not None:
-            U = np.ascontiguousarray(np.asarray(self.basis, dtype=float))
-            object.__setattr__(self, "basis", U)
-            if U.shape != (self.n, self.n):
-                raise ValueError(f"basis has shape {U.shape}, expected square")
-            if not np.isfinite(U).all():
-                raise ValueError("basis has non-finite entries")
-            G = U.T @ U  # U'U - I in place: one n x n temporary, not four
-            G[np.diag_indices(self.n)] -= 1.0
-            object.__setattr__(self, "orth_defect", float(np.linalg.norm(G)))
-            err = np.abs(G, out=G).max()
-            if err > 1e-8:
-                raise ValueError(f"basis is not orthonormal (defect {err:.2e})")
-            U.setflags(write=False)
+        U = np.ascontiguousarray(np.asarray(self.basis, dtype=float))
+        object.__setattr__(self, "basis", U)
+        if U.shape != (self.n, self.n):
+            raise ValueError(f"basis has shape {U.shape}, expected ({self.n}, {self.n})")
+        if not np.isfinite(U).all():
+            raise ValueError("basis has non-finite entries")
+        G = U.T @ U  # U'U - I in place: one n x n temporary, not four
+        G[np.diag_indices(self.n)] -= 1.0
+        object.__setattr__(self, "orth_defect", float(np.linalg.norm(G)))
+        err = np.abs(G, out=G).max()
+        if err > 1e-8:
+            raise ValueError(f"basis is not orthonormal (defect {err:.2e})")
+        U.setflags(write=False)
 
     @property
     def trace(self) -> float:
@@ -227,14 +226,10 @@ class CovarianceSpec:
         return float(self.d.max())
 
     def dense(self) -> np.ndarray:
-        if self.basis is None:
-            return np.diag(self.d)
         return (self.basis * self.d) @ self.basis.T
 
     def sqrt_matrix(self) -> np.ndarray:
         """Symmetric positive square root."""
-        if self.basis is None:
-            return np.diag(np.sqrt(self.d))
         return (self.basis * np.sqrt(self.d)) @ self.basis.T
 
 
@@ -242,34 +237,28 @@ def build_sigma(
     spec: ChannelSpec,
     n: int,
     P: float,
-    policy: Literal["white_iso", "waterfill_gram"] = "waterfill_gram",
+    policy: Literal["waterfill_gram"] = "waterfill_gram",
 ) -> CovarianceSpec:
-    """Input covariance with power budget ``trace <= n * P``.
-
-    white_iso      -- ``P`` per dimension in the standard basis
-    waterfill_gram -- eigenbasis of the centre Gram matrix, with the budget
-                      water-filled over its eigenvalues; the basis comes
-                      from ``spectrum.gram_eigh``, two half-size band
-                      problems (J-symmetric and J-skew) under a sign
-                      convention, so it does not depend on the LAPACK build
-    """
+    """Input covariance with power budget ``trace <= n * P``: the eigenbasis
+    of the centre Gram matrix, with the budget water-filled over its
+    eigenvalues.  The basis comes from ``spectrum.gram_eigh``, two half-size
+    band problems (J-symmetric and J-skew) under a sign convention, so it
+    does not depend on the LAPACK build."""
     if P <= 0.0:
         raise ValueError("need P > 0")
-    if policy == "white_iso":
-        return CovarianceSpec(n=n, d=np.full(n, float(P)))
-    if policy == "waterfill_gram":
-        lam, U = gram_eigh(spec, n)
-        d, _ = waterfill_powers(lam, n * P, POWER_FLOOR)
-        return CovarianceSpec(n=n, d=d, basis=U)
-    raise ValueError(f"unknown covariance policy {policy!r}")
+    # ``policy`` stays for callers that pass "waterfill_gram" positionally.
+    if policy != "waterfill_gram":
+        raise ValueError(f"unknown covariance policy {policy!r}")
+    lam, U = gram_eigh(spec, n)
+    d, _ = waterfill_powers(lam, n * P, POWER_FLOOR)
+    return CovarianceSpec(n=n, d=d, basis=U)
 
 
 @dataclass(frozen=True)
 class Codebook:
     """Exhaustively decodable Gaussian codebook: ``size = 2**ceil(n * R)``
     words drawn once from the input covariance ``cov``, held by their
-    coefficients in its basis ``U`` (the identity when ``cov.basis`` is
-    None).
+    coefficients in its basis ``U``.
 
     Word ``i`` is ``x = U s`` with ``s = S[i] = sqrt(d) * g`` for a standard
     Gaussian ``g``, and ``q[i] = g'g``, which equals ``x' Sigma^{-1} x``
@@ -293,8 +282,7 @@ class Codebook:
 
     def words(self, rows) -> np.ndarray:
         """The words ``S[rows] U'``, one per row index."""
-        U = self.cov.basis
-        return self.S[rows] if U is None else self.S[rows] @ U.T
+        return self.S[rows] @ self.cov.basis.T
 
     @cached_property
     def codewords(self) -> np.ndarray:

@@ -126,15 +126,16 @@ def _grid_from(value, field: str) -> list[float]:
 
 
 def _law_from(obj: dict, spec: ChannelSpec) -> ChannelLaw:
+    offset = obj.get("offset")
     try:
         law = ChannelLaw(
             kind=obj.get("kind", "iid_uniform"),
-            offset=tuple(obj["offset"]) if obj.get("offset") is not None else None,
+            offset=None if offset is None else _numbers(offset, "simulate.law.offset"),
             block_len=_number(obj.get("block_len", 1), "simulate.law.block_len", integer=True),
         )
         check_law(spec, law)
     except (ValueError, TypeError, DimensionMismatch) as exc:
-        raise ConfigError(f"bad channel law: {exc}") from exc
+        raise ConfigError(f"bad channel law in simulate.law: {exc}") from exc
     return law
 
 

@@ -181,9 +181,9 @@ class JointCovariance:
     The dense joint covariance and its inverse are not stored.
 
     ``gain[j] = u_j'(Hc'Hc)u_j`` for the columns ``u_j`` of the covariance
-    basis ``U`` (the identity when ``cov.basis`` is None), and ``resid`` is
-    the computed ``||Hc'Hc U - U diag(gain)||_F``: rounding-sized for the
-    eigenbasis ``build_sigma`` gives, large for any other basis."""
+    basis ``U``, and ``resid`` is the computed ``||Hc'Hc U - U
+    diag(gain)||_F``: rounding-sized for the eigenbasis ``build_sigma``
+    gives, large for any other basis."""
 
     n: int
     m: int
@@ -217,7 +217,7 @@ def build_joint(cov: CovarianceSpec, Hc: BandedChannelMatrix) -> JointCovariance
         )
     if not np.isfinite(Hc.taps).all():
         raise NotPositiveDefinite("channel matrix has non-finite taps")
-    U = np.eye(n) if cov.basis is None else cov.basis
+    U = cov.basis
     g = _gram_band(Hc.taps, n)
     GU = np.multiply(g[0][:, None], U)
     tmp = np.empty_like(GU)
@@ -291,7 +291,7 @@ def prepare_context(book: Codebook, joint: JointCovariance) -> DecodeContext:
     # ||U||_F from the computed U'U - I (whose own rounding is n^2 eps at most).
     eps = float(np.finfo(float).eps)
     k1 = m - n + 1
-    omega = 0.0 if U is None else book.cov.orth_defect + n * n * eps
+    omega = book.cov.orth_defect + n * n * eps
     mu = math.sqrt(1.0 + omega)
     nu = math.sqrt(n) * mu
     h = float(np.abs(joint.hc).max(axis=0).sum())
@@ -349,12 +349,7 @@ def _guard_band(ctx: DecodeContext, y_sq: np.ndarray) -> np.ndarray:
     return _GUARD * (err / (n + m) + 4.0 * eps)
 
 
-def _pass_mask(
-    Y: np.ndarray,
-    joint: JointCovariance,
-    params: TypicalParams,
-    ctx: DecodeContext,
-) -> np.ndarray:
+def _pass_mask(Y: np.ndarray, params: TypicalParams, ctx: DecodeContext) -> np.ndarray:
     """Boolean pass/fail of the two typicality tests for every codeword
     against every row of ``Y``, shape ``(size, T)``.
 
@@ -365,16 +360,14 @@ def _pass_mask(
     recomputed from its codeword ``x = U s`` as ``||Hc x - y||^2``, so each
     decision equals the direct rule's.
     """
+    book, joint = ctx.book, ctx.joint
     n, m = joint.n, joint.m
     if Y.ndim != 2 or Y.shape[1] != m:
         raise DimensionMismatch(
             f"received vectors have shape {Y.shape[1:]}, channel expects ({m},)"
         )
-    book = ctx.book
     y_sq = np.einsum("ij,ij->i", Y, Y)
-    Z = _band_adjoint(joint.hc, Y)
-    if book.cov.basis is not None:
-        Z = Z @ book.cov.basis
+    Z = _band_adjoint(joint.hc, Y) @ book.cov.basis
     dev = book.S @ Z.T
     dev *= -2.0
     dev += ctx.energy[:, None]
@@ -406,10 +399,13 @@ def decode(
     ctx: Optional[DecodeContext] = None,
 ) -> Union[int, DecodeFailure]:
     """Exhaustive joint-typicality decoding of one received vector: returns
-    the unique passing message index, or a DecodeFailure value."""
+    the unique passing message index, or a DecodeFailure value.  A given
+    ``ctx`` must be the one prepared for ``book`` and ``joint``."""
     if ctx is None:
         ctx = prepare_context(book, joint)
-    mask = _pass_mask(np.asarray(y, dtype=float)[None], joint, params, ctx)
+    elif ctx.book is not book or ctx.joint is not joint:
+        raise ValueError("the decode context was prepared for another codebook or joint covariance")
+    mask = _pass_mask(np.asarray(y, dtype=float)[None], params, ctx)
     hits = np.flatnonzero(mask)
     if len(hits) == 1:
         return int(hits[0])
@@ -500,7 +496,7 @@ def run_error_experiment(
         for start in range(lo, hi, block):
             ts = np.arange(start, min(start + block, hi))
             msgs, Y = draws.draw(ts, book)
-            mask = _pass_mask(Y, joint, params, ctx)
+            mask = _pass_mask(Y, params, ctx)
             sent = mask[msgs, np.arange(len(ts))]
             many = np.count_nonzero(mask, axis=0) > 1
             t1 += int(np.count_nonzero(~sent))

@@ -293,10 +293,15 @@ def _toeplitz_band(t: np.ndarray, order: int) -> np.ndarray:
 
 
 def gram_eigenvalues(spec: ChannelSpec, n: int) -> np.ndarray:
-    """Ascending eigenvalues of the Gram matrix, via its band form."""
+    """Ascending eigenvalues of the centre Gram matrix: those of its
+    J-symmetric and J-skew halves (see ``gram_eigh``), merged by one sort."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return eigvals_banded(_toeplitz_band(_tap_autocorr(spec.c), n), lower=False)
+    lam = np.concatenate(
+        [eigvals_banded(band, lower=False) for band in _half_bands(_tap_autocorr(spec.c), n)]
+    )
+    lam.sort()
+    return lam
 
 
 def _half_bands(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

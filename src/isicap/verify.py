@@ -268,7 +268,7 @@ def _random_channel(rng: np.random.Generator, n_max: int):
 def _random_cov(rng: np.random.Generator, n: int) -> CovarianceSpec:
     d = 10.0 ** rng.uniform(-2.0, 1.0, n)
     if rng.random() < 0.5:
-        return CovarianceSpec(n=n, d=d)
+        return CovarianceSpec(n=n, d=d, basis=np.eye(n))
     basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return CovarianceSpec(n=n, d=d, basis=basis)
 

@@ -170,19 +170,19 @@ def exact_joint_statistics(
     codewords: np.ndarray,
     Y: np.ndarray,
     d: np.ndarray,
-    basis,
+    basis: np.ndarray,
     taps,
 ) -> tuple[list, list]:
     """``joint_typicality_oracle`` in exact rational arithmetic.
 
     Every float input is converted to a ``Fraction`` exactly; ``Sigma`` is
-    ``U diag(d) U'`` (``U = I`` when ``basis`` is None) and ``Xi`` comes
+    ``U diag(d) U'`` for the orthonormal ``basis`` ``U`` and ``Xi`` comes
     from ``dense_joint_covariance`` on it, with no rounding anywhere.
     Returns the input statistics per codeword and the joint statistics as
     one list per codeword, each a ``Fraction``."""
     n = len(d)
     fr = np.vectorize(Fraction, otypes=[object])
-    U = fr(np.eye(n) if basis is None else np.asarray(basis))
+    U = fr(np.asarray(basis))
     sigma = (U * fr(np.asarray(d))) @ U.T
     _, xi = dense_joint_covariance(sigma, fr(np.asarray(taps, dtype=float)))
     m = xi.shape[0] - n

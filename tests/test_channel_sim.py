@@ -12,6 +12,7 @@ from isicap import (
     build_joint,
     build_sigma,
     gen_codebook,
+    gram_eigh,
     rng_stream,
     sample_H,
     transmit,
@@ -122,6 +123,8 @@ def test_law_validation():
     with pytest.raises(ValueError):
         ChannelLaw(kind="constant", offset=(1.5,))
     with pytest.raises(ValueError):
+        ChannelLaw(kind="constant", offset=(float("nan"), 0.0, 0.0))
+    with pytest.raises(ValueError):
         ChannelLaw(kind="block_hold", block_len=0)
     short = ChannelLaw(kind="constant", offset=(0.0, 0.0))
     with pytest.raises(DimensionMismatch):
@@ -170,9 +173,29 @@ def test_sample_H_band_structure(example_spec):
 
 def test_covariance_validation():
     with pytest.raises(ValueError):
-        CovarianceSpec(n=3, d=np.array([1.0, 0.0, 2.0]))
+        CovarianceSpec(n=3, d=np.array([1.0, 0.0, 2.0]), basis=np.eye(3))
     with pytest.raises(ValueError):
         CovarianceSpec(n=2, d=np.ones(2), basis=np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_covariance_needs_a_basis():
+    with pytest.raises(TypeError):
+        CovarianceSpec(n=3, d=np.ones(3))
+    with pytest.raises(ValueError, match="basis has shape"):
+        CovarianceSpec(n=3, d=np.ones(3), basis=None)
+    with pytest.raises(ValueError, match="basis has shape"):
+        CovarianceSpec(n=3, d=np.ones(3), basis=np.eye(2))
+
+
+@pytest.mark.parametrize("n", [1, 64, 256])
+def test_identity_basis_is_the_diagonal_covariance(n):
+    """In the standard basis, ``dense()`` and ``sqrt_matrix()`` equal the
+    diagonal matrices bit for bit: ``verify``'s diagonal draws rely on it."""
+    d = 10.0 ** np.random.default_rng(n).uniform(-2.0, 1.0, n)
+    cov = CovarianceSpec(n=n, d=d, basis=np.eye(n))
+    assert cov.orth_defect == 0.0
+    assert np.array_equal(cov.dense(), np.diag(d))
+    assert np.array_equal(cov.sqrt_matrix(), np.diag(np.sqrt(d)))
 
 
 def test_covariance_identities():
@@ -185,14 +208,15 @@ def test_covariance_identities():
 
 
 def test_build_sigma_policies(example_spec):
-    white = build_sigma(example_spec, 16, 2.0, "white_iso")
-    assert white.trace == 32.0
-    assert white.basis is None
+    """The one policy water-fills in the Gram eigenbasis; any other name is
+    refused."""
     wf = build_sigma(example_spec, 16, 2.0, "waterfill_gram")
     assert wf.trace == pytest.approx(32.0, rel=1e-9)
-    assert wf.basis is not None
-    with pytest.raises(ValueError):
-        build_sigma(example_spec, 16, 2.0, "other")
+    assert np.array_equal(wf.basis, gram_eigh(example_spec, 16)[1])
+    assert np.array_equal(build_sigma(example_spec, 16, 2.0).basis, wf.basis)
+    for policy in ("white_iso", "other"):
+        with pytest.raises(ValueError, match="unknown covariance policy"):
+            build_sigma(example_spec, 16, 2.0, policy)
 
 
 @pytest.mark.parametrize(
@@ -214,13 +238,13 @@ def test_waterfill_sigma_is_basis_free(c, n):
 
 
 def test_codebook_size_and_cap(example_spec):
-    cov = build_sigma(example_spec, 16, 1.0, "white_iso")
+    cov = CovarianceSpec(n=16, d=np.ones(16), basis=np.eye(16))
     book = gen_codebook(cov, 0.25, 0)
     assert book.size == 2 ** 4
     assert book.codewords.shape == (16, 16)
     assert gen_codebook(cov, 0.0, 0).size == 1
     with pytest.raises(CodebookTooLarge):
-        gen_codebook(build_sigma(example_spec, 64, 1.0, "white_iso"), 1.0, 0)
+        gen_codebook(CovarianceSpec(n=64, d=np.ones(64), basis=np.eye(64)), 1.0, 0)
     assert MAX_CODEBOOK_BITS == 24
 
 
@@ -237,7 +261,7 @@ def test_codebook_byte_cap(example_spec, monkeypatch):
     draws = TrialBlocks(example_spec, n, ChannelLaw(kind="iid_uniform"), 0)
     tracemalloc.start()
     _, Y = draws.draw(np.arange(trial_block(book.size)), book)
-    _pass_mask(Y, joint, TypicalParams(epsilon=0.5, eta=0.3), ctx)
+    _pass_mask(Y, TypicalParams(epsilon=0.5, eta=0.3), ctx)
     _, block = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     held = book.S.nbytes + book.q.nbytes + ctx.energy.nbytes + cov.basis.nbytes
@@ -256,7 +280,7 @@ def test_codebook_byte_cap(example_spec, monkeypatch):
     monkeypatch.setattr(channel_sim, "rng_stream", no_draw)
     # 2**24 words of length 64 pass the bit cap but need about 8 GiB
     with pytest.raises(CodebookTooLarge, match="GiB"):
-        gen_codebook(build_sigma(example_spec, 64, 1.0, "white_iso"), 0.375, 0)
+        gen_codebook(CovarianceSpec(n=64, d=np.ones(64), basis=np.eye(64)), 0.375, 0)
 
 
 def test_codebook_empirical_power(example_spec):

@@ -379,6 +379,12 @@ def test_simulate_refuses_oversized_codebook_before_setup(
         ({"channel": {"c": [1.0, "0.5", 0.5]}}, "channel.c[1]"),
         ({"channel": {"c": None}}, "channel.c"),
         ({"channel": {"r": [1e-3, 1e-3, True]}}, "channel.r[2]"),
+        ({"simulate": {"law": {"kind": "constant", "offset": [float("nan"), 0.0, 0.0]}}},
+         "simulate.law"),
+        ({"simulate": {"law": {"kind": "constant", "offset": [True, 0.0, 0.0]}}},
+         "simulate.law.offset[0]"),
+        ({"simulate": {"law": {"kind": "constant", "offset": [0.0, "0.5", 0.0]}}},
+         "simulate.law.offset[1]"),
     ],
 )
 def test_typed_config_numbers(tmp_path, monkeypatch, capsys, payload, field):

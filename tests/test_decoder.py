@@ -105,7 +105,7 @@ def test_joint_rejects_non_finite(example_spec):
     Hc = build_Hc(example_spec, 6)
     good = _random_cov(6, 5)
     with pytest.raises(ValueError, match="non-finite"):
-        CovarianceSpec(n=6, d=np.full(6, np.nan))
+        CovarianceSpec(n=6, d=np.full(6, np.nan), basis=np.eye(6))
     bad_basis = good.basis.copy()
     bad_basis[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
@@ -124,7 +124,8 @@ def _white_book(codewords, R):
     n = codewords.shape[1]
     return Codebook(
         n=n, R=R, size=len(codewords), S=codewords,
-        q=(codewords * codewords).sum(axis=1), cov=CovarianceSpec(n=n, d=np.ones(n)),
+        q=(codewords * codewords).sum(axis=1),
+        cov=CovarianceSpec(n=n, d=np.ones(n), basis=np.eye(n)),
     )
 
 
@@ -132,7 +133,7 @@ def _crafted_setup(example_spec):
     """Codebook where word 0 hits both typicality tests exactly and word 1
     fails the input test outright."""
     n = 8
-    cov = CovarianceSpec(n=n, d=np.ones(n))
+    cov = CovarianceSpec(n=n, d=np.ones(n), basis=np.eye(n))
     Hc = build_Hc(example_spec, n)
     joint = build_joint(cov, Hc)
     x0 = np.zeros(n)
@@ -182,7 +183,19 @@ def test_decode_rejects_wrong_length(example_spec):
         with pytest.raises(DimensionMismatch):
             decode(bad, book, joint, params, ctx)
     with pytest.raises(DimensionMismatch):
-        _pass_mask(np.zeros((3, joint.m + 1)), joint, params, ctx)
+        _pass_mask(np.zeros((3, joint.m + 1)), params, ctx)
+
+
+def test_decode_refuses_another_context(example_spec):
+    """A context prepared for another codebook, or for another joint
+    covariance, is refused rather than decoded against."""
+    book, joint, y = _crafted_setup(example_spec)
+    params = TypicalParams(epsilon=0.1, eta=0.1)
+    other_book = _white_book(book.S[::-1].copy(), book.R)
+    other_joint = build_joint(joint.cov, build_Hc(example_spec, joint.n))
+    for ctx in (prepare_context(other_book, joint), prepare_context(book, other_joint)):
+        with pytest.raises(ValueError, match="another codebook"):
+            decode(y, book, joint, params, ctx)
 
 
 def test_decode_guard_band_follows_direct_rule(example_spec):
@@ -223,8 +236,9 @@ def test_build_joint_gains_and_residual(example_spec):
     lam = np.linalg.eigvalsh(G)
     assert np.abs(np.sort(joint.gain) - lam).max() <= 4 * n * eps * lam.max()
     assert joint.resid <= 4 * n * eps * np.abs(G).sum(axis=0).max()
-    for other in (CovarianceSpec(n=n, d=np.ones(n)), _random_cov(n, 6)):
-        U = np.eye(n) if other.basis is None else other.basis
+    standard = CovarianceSpec(n=n, d=np.ones(n), basis=np.eye(n))
+    for other in (standard, _random_cov(n, 6)):
+        U = other.basis
         got = build_joint(other, Hc)
         gain = np.einsum("ij,ij->j", U, G @ U)
         assert got.gain == pytest.approx(gain, rel=1e-12, abs=1e-12)
@@ -238,7 +252,7 @@ def test_prepare_context_refuses_another_basis(example_spec):
     n = 12
     cov = build_sigma(example_spec, n, 1.0, "waterfill_gram")
     book = gen_codebook(cov, 0.5, 1)
-    for other in (_random_cov(n, 2), CovarianceSpec(n=n, d=cov.d)):
+    for other in (_random_cov(n, 2), CovarianceSpec(n=n, d=cov.d, basis=np.eye(n))):
         with pytest.raises(ValueError, match="basis"):
             prepare_context(book, build_joint(other, build_Hc(example_spec, n)))
     same = CovarianceSpec(n=n, d=np.ones(n), basis=cov.basis.copy())
@@ -299,10 +313,10 @@ def test_near_threshold_pair_follows_direct_form(example_spec, monkeypatch):
         dev0 = abs((book.q[0] + np.einsum("ij,ij->i", diff, diff)[0]) / (n + m) - 1.0)
         for eta in (dev0, np.nextafter(dev0, np.inf)):
             params = TypicalParams(epsilon=10.0, eta=eta)
-            assert _pass_mask(y[None], joint, params, ctx)[0, 0] == (dev0 < eta)
+            assert _pass_mask(y[None], params, ctx)[0, 0] == (dev0 < eta)
             with monkeypatch.context() as mp:
                 mp.setattr(decoder_mod, "_guard_band", lambda ctx, y_sq: np.zeros_like(y_sq))
-                wrong += _pass_mask(y[None], joint, params, ctx)[0, 0] != (dev0 < eta)
+                wrong += _pass_mask(y[None], params, ctx)[0, 0] != (dev0 < eta)
     assert wrong > 0
 
 
@@ -315,7 +329,7 @@ def test_standard_basis_pairs_follow_direct_form(example_spec):
     rng = np.random.default_rng(5)
     book = _white_book(rng.standard_normal((size, n)), 0.5)
     Hc = build_Hc(example_spec, n)
-    joint = build_joint(CovarianceSpec(n=n, d=np.ones(n)), Hc)
+    joint = build_joint(book.cov, Hc)
     ctx = prepare_context(book, joint)
     A = book.S @ Hc.dense().T
     assert np.abs(ctx.energy - (A * A).sum(axis=1)).max() > 1.0
@@ -326,7 +340,7 @@ def test_standard_basis_pairs_follow_direct_form(example_spec):
     assert np.abs(dev - params.eta).min() > 1e-9
     want = dev < params.eta
     assert 0.1 < want.mean() < 0.9
-    assert np.array_equal(_pass_mask(Y, joint, params, ctx), want)
+    assert np.array_equal(_pass_mask(Y, params, ctx), want)
 
 
 def test_threshold_formulas(example_spec, example_profile):
@@ -356,7 +370,7 @@ def test_threshold_formulas(example_spec, example_profile):
 
 
 def test_default_params_scaling(example_spec, example_profile):
-    cov = build_sigma(example_spec, 16, 1.0, "white_iso")
+    cov = CovarianceSpec(n=16, d=np.ones(16), basis=np.eye(16))
     rep = thresholds(example_spec, example_profile, cov, 1.0)
     params = default_params(rep)
     assert params.epsilon == 0.1
@@ -596,7 +610,7 @@ def test_decode_matches_exact_rational_oracle(example_spec, p_dbw):
     for t, inside in crafted.items():
         assert clear[-1, t] and exact[-1, t] == inside
     assert clear.mean() >= 0.9
-    mask = _pass_mask(Y, joint, params, ctx)
+    mask = _pass_mask(Y, params, ctx)
     assert np.array_equal(mask[clear], exact[clear])
     for t, y in enumerate(ys):
         if not clear[:, t].all():
