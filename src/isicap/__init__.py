@@ -13,6 +13,7 @@ from .errors import (
 from .spectrum import (
     BandedChannelMatrix,
     ChannelSpec,
+    HalfBasis,
     SpectrumProfile,
     build_Hc,
     compute_profile,

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Literal, Optional
 
 import numpy as np
 
 from .errors import CodebookTooLarge, DimensionMismatch
-from .spectrum import BandedChannelMatrix, ChannelSpec, gram_eigh
+from .spectrum import BandedChannelMatrix, ChannelSpec, HalfBasis, gram_eigh
 from .waterfill import POWER_FLOOR, waterfill_powers
 
 __all__ = [
@@ -57,7 +57,7 @@ STREAM_MESSAGE = 3
 
 MAX_CODEBOOK_BITS = 24
 # Byte cap on what exhaustive decoding holds for one codebook: the
-# coefficients, their statistics, the basis and the trial-block scratch.
+# coefficients, their statistics, the half bases and the trial-block scratch.
 MAX_DECODE_BYTES = 1 << 31
 # Most trials the decoder scores with one GEMM, and the most entries one
 # (codewords x trials) scratch array may have before the block shrinks.
@@ -97,6 +97,10 @@ class ChannelLaw:
     constant    -- taps frozen at ``c + offset * r`` (offset entries in [-1, 1])
     block_hold  -- uniform draws held constant over ``block_len`` consecutive
                    outputs
+
+    A field that does not apply to the kind is refused, not ignored: an
+    ``offset`` unless the kind is constant, a ``block_len`` other than 1
+    unless it is block_hold.
     """
 
     kind: Literal["iid_uniform", "constant", "block_hold"]
@@ -106,6 +110,10 @@ class ChannelLaw:
     def __post_init__(self) -> None:
         if self.kind not in ("iid_uniform", "constant", "block_hold"):
             raise ValueError(f"unknown channel law {self.kind!r}")
+        if self.kind != "constant" and self.offset is not None:
+            raise ValueError(f"offset applies only to the constant law, not {self.kind}")
+        if self.kind != "block_hold" and self.block_len != 1:
+            raise ValueError(f"block_len applies only to the block_hold law, not {self.kind}")
         if self.kind == "constant":
             if self.offset is None:
                 raise ValueError("constant law needs an offset tuple")
@@ -175,19 +183,22 @@ def sample_H(
 @dataclass(frozen=True)
 class CovarianceSpec:
     """Input covariance in spectral form ``Sigma = U diag(d) U'``, for an
-    orthonormal ``n x n`` basis ``U``.
+    orthonormal basis ``U`` held as its two half bases (``halves``, a
+    ``spectrum.HalfBasis``, which checks it): about ``n^2 / 2`` entries,
+    never an ``n x n`` array on the decoding path.
 
-    ``orth_defect`` is the Frobenius norm of the computed ``U'U - I``,
-    which bounds how far ``U`` is from orthonormal up to the rounding of
-    ``U'U``.  Arrays are frozen read-only at construction; all derived
-    matrices are recomputed on demand so instances stay cheap to share
-    across threads.
+    ``halves.orth_defect`` is the Frobenius norm of the computed ``U'U -
+    I``, from the two half products (the cross block is zero by
+    construction); it bounds how far ``U`` is from orthonormal up to the
+    rounding of those products.  ``basis``, ``dense()`` and
+    ``sqrt_matrix()`` assemble ``U`` on each call.  ``d`` is frozen
+    read-only at construction, so instances stay cheap to share across
+    threads.
     """
 
     n: int
     d: np.ndarray
-    basis: np.ndarray
-    orth_defect: float = field(default=0.0, init=False, repr=False, compare=False)
+    halves: HalfBasis
 
     def __post_init__(self) -> None:
         d = np.ascontiguousarray(np.asarray(self.d, dtype=float))
@@ -199,19 +210,13 @@ class CovarianceSpec:
         if np.any(d <= 0.0):
             raise ValueError("covariance spectrum must be positive")
         d.setflags(write=False)
-        U = np.ascontiguousarray(np.asarray(self.basis, dtype=float))
-        object.__setattr__(self, "basis", U)
-        if U.shape != (self.n, self.n):
-            raise ValueError(f"basis has shape {U.shape}, expected ({self.n}, {self.n})")
-        if not np.isfinite(U).all():
-            raise ValueError("basis has non-finite entries")
-        G = U.T @ U  # U'U - I in place: one n x n temporary, not four
-        G[np.diag_indices(self.n)] -= 1.0
-        object.__setattr__(self, "orth_defect", float(np.linalg.norm(G)))
-        err = np.abs(G, out=G).max()
-        if err > 1e-8:
-            raise ValueError(f"basis is not orthonormal (defect {err:.2e})")
-        U.setflags(write=False)
+        if not isinstance(self.halves, HalfBasis) or self.halves.n != self.n:
+            raise ValueError(f"need a HalfBasis of order {self.n}")
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The dense ``n x n`` basis ``U``, assembled on each access."""
+        return self.halves.assemble()
 
     @property
     def trace(self) -> float:
@@ -226,11 +231,13 @@ class CovarianceSpec:
         return float(self.d.max())
 
     def dense(self) -> np.ndarray:
-        return (self.basis * self.d) @ self.basis.T
+        U = self.basis
+        return (U * self.d) @ U.T
 
     def sqrt_matrix(self) -> np.ndarray:
         """Symmetric positive square root."""
-        return (self.basis * np.sqrt(self.d)) @ self.basis.T
+        U = self.basis
+        return (U * np.sqrt(self.d)) @ U.T
 
 
 def build_sigma(
@@ -243,15 +250,16 @@ def build_sigma(
     of the centre Gram matrix, with the budget water-filled over its
     eigenvalues.  The basis comes from ``spectrum.gram_eigh``, two half-size
     band problems (J-symmetric and J-skew) under a sign convention, so it
-    does not depend on the LAPACK build."""
+    does not depend on the LAPACK build, and stays as their two half
+    bases."""
     if P <= 0.0:
         raise ValueError("need P > 0")
     # ``policy`` stays for callers that pass "waterfill_gram" positionally.
     if policy != "waterfill_gram":
         raise ValueError(f"unknown covariance policy {policy!r}")
-    lam, U = gram_eigh(spec, n)
+    lam, halves = gram_eigh(spec, n)
     d, _ = waterfill_powers(lam, n * P, POWER_FLOOR)
-    return CovarianceSpec(n=n, d=d, basis=U)
+    return CovarianceSpec(n=n, d=d, halves=halves)
 
 
 @dataclass(frozen=True)
@@ -264,8 +272,8 @@ class Codebook:
     Gaussian ``g``, and ``q[i] = g'g``, which equals ``x' Sigma^{-1} x``
     exactly, with no rounding of ``x`` amplified by the small eigenvalues of
     ``Sigma``.  Decoding needs only ``S`` and ``q``: ``words`` builds the
-    words of given rows, and ``codewords`` the whole ``S U'`` on first
-    access."""
+    words of given rows from the half bases, and ``codewords`` the whole
+    ``S U'`` on first access."""
 
     n: int
     R: float
@@ -281,8 +289,9 @@ class Codebook:
             raise ValueError("input statistic shape mismatch")
 
     def words(self, rows) -> np.ndarray:
-        """The words ``S[rows] U'``, one per row index."""
-        return self.S[rows] @ self.cov.basis.T
+        """The words ``S[rows] U'``, one per row index, from the half bases
+        (``HalfBasis.apply``)."""
+        return self.cov.halves.apply(self.S[rows])
 
     @cached_property
     def codewords(self) -> np.ndarray:
@@ -302,14 +311,15 @@ def trial_block(size: int) -> int:
 
 def decode_bytes(size: int, n: int) -> int:
     """Bytes exhaustive decoding holds for ``size`` codewords of length
-    ``n``: the coefficients, the input statistics and energies, the
-    ``n x n`` basis, and a block of ``T = trial_block(size)`` trials' scratch:
-    two float64 ``(size, T)`` arrays' worth of scores and masks, and five
+    ``n``: the coefficients, the input statistics and energies, the two
+    half bases (``(n^2 + 1) / 2`` entries, with two length-``n`` index
+    rows), and a block of ``T = trial_block(size)`` trials' scratch: two
+    float64 ``(size, T)`` arrays' worth of scores and masks, and five
     length-``n`` rows per trial (received, projected, sent, and noise
     vectors; a received vector's ``k`` extra entries are taken as at most
     ``n``)."""
     T = trial_block(size)
-    return 8 * (size * (n + 2 + 2 * T) + n * (n + 5 * T))
+    return 8 * (size * (n + 2 + 2 * T) + (n * n + 1) // 2 + n * (2 + 5 * T))
 
 
 def codebook_size(n: int, R: float) -> int:

@@ -15,9 +15,10 @@ the test suite builds both densely to check these identities.
 
 The decoder works on the codebook's coefficients ``s`` (a codeword is
 ``x = U s`` for the covariance basis ``U``), and builds neither codewords
-nor images.  For ``a.y = s.(U'Hc'y)`` it projects a block of received
-vectors once, ``Z = (Hc'Y) U``, and scores the whole codebook against it
-with one GEMM; for ``||a||^2`` it takes the energy ``sum_j lam_j s_j^2``,
+nor images, nor ``U``: the basis stays as its two half bases.  For ``a.y =
+s.(U'Hc'y)`` it projects a block of received vectors once, ``Z = (Hc'Y)
+U`` (two half GEMMs), and scores the whole codebook against it with one
+GEMM; for ``||a||^2`` it takes the energy ``sum_j lam_j s_j^2``,
 with the gains ``lam_j = u_j'(Hc'Hc)u_j``, which is exact when ``U`` is
 the eigenbasis of ``Hc'Hc`` that ``build_sigma`` gives.  The residual is
 then ``energy - 2 s.z + ||y||^2``.  A pair that lies within a bound on
@@ -40,10 +41,13 @@ import numpy as np
 from .errors import DimensionMismatch, NotPositiveDefinite
 from .spectrum import (
     DEFAULT_GRID,
+    FOLD_ULPS,
     BandedChannelMatrix,
     ChannelSpec,
     SpectrumProfile,
     build_Hc,
+    _half_bands,
+    _tap_autocorr,
     compute_profile,
 )
 from .waterfill import _penalty, phi_terms
@@ -117,12 +121,14 @@ class ThresholdReport:
 def trace_budgets(
     spec: ChannelSpec,
     profile: SpectrumProfile,
-    cov: CovarianceSpec,
+    cov,
     P: float,
 ) -> tuple[float, float]:
     """Budgets bounding twice the squared Frobenius norms of the stacked
     deviation block matrix and of the whitened-output block matrix; both are
-    valid for any radii (no small-radius hypothesis)."""
+    valid for any radii (no small-radius hypothesis).  ``cov`` is any
+    covariance record with ``n`` and ``lam_max`` (a ``CovarianceSpec``, or
+    the standalone draws of ``verify``)."""
     n = cov.n
     m = n + spec.k
     rs = profile.r_s
@@ -182,8 +188,8 @@ class JointCovariance:
 
     ``gain[j] = u_j'(Hc'Hc)u_j`` for the columns ``u_j`` of the covariance
     basis ``U``, and ``resid`` is the computed ``||Hc'Hc U - U
-    diag(gain)||_F``: rounding-sized for the eigenbasis ``build_sigma``
-    gives, large for any other basis."""
+    diag(gain)||_F``, both taken on the half bases: rounding-sized for the
+    eigenbasis ``build_sigma`` gives, large for any other basis."""
 
     n: int
     m: int
@@ -193,23 +199,33 @@ class JointCovariance:
     resid: float
 
 
-def _gram_band(hc: np.ndarray, n: int) -> list[np.ndarray]:
-    """Diagonals ``l = 0..k`` of ``G = Hc'Hc`` for band taps ``hc``: entry
-    ``l`` holds ``G[i, i + l]`` for ``i < n - l``, the sum over the rows
-    ``r = i + l + d`` of ``hc[r, l + d] * hc[r, d]``."""
-    k1 = hc.shape[1]
-    return [
-        sum(hc[l + d:n + d, l + d] * hc[l + d:n + d, d] for d in range(k1 - l))
-        for l in range(min(k1, n))
-    ]
+def _sym_band_apply(band: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """``A Z`` for the symmetric matrix ``A`` in upper band form ``band``
+    (row ``u - l`` holds ``A[j - l, j]`` in column ``j``): ``2u + 1``
+    shifted multiply-adds of the rows of ``Z``."""
+    u = band.shape[0] - 1
+    AZ = np.multiply(band[u][:, None], Z)
+    tmp = np.empty_like(AZ)
+    for l in range(1, u + 1):
+        t = np.multiply(band[u - l, l:][:, None], Z[l:], out=tmp[l:])
+        AZ[:-l] += t  # A[i, i + l] z_(i + l), above the diagonal
+        t = np.multiply(band[u - l, l:][:, None], Z[:-l], out=tmp[l:])
+        AZ[l:] += t  # and its mirror below
+    return AZ
 
 
 def build_joint(cov: CovarianceSpec, Hc: BandedChannelMatrix) -> JointCovariance:
     """Pair the input covariance with the centre matrix after checking
     their shapes; a non-finite tap is refused (``CovarianceSpec`` refuses
-    its own entries).  Then measure ``GU = Hc'(Hc U)`` once, in band form
-    in O(n^2 k): the band of ``G = Hc'Hc`` applied to the rows of ``U``.
-    Its gains and eigen-residual are the ``gain`` and ``resid`` fields."""
+    its own entries), and so is a matrix whose rows do not all hold the
+    same taps, which is no centre matrix.  Then measure the basis against
+    ``G = Hc'Hc`` on its halves, in O(n^2 k) and without forming ``U``:
+    ``G`` is symmetric Toeplitz, so in the J-symmetric/J-skew coordinates
+    of ``HalfBasis`` it is ``blockdiag(Gs, Gk)``, the two half bands that
+    ``gram_eigh`` solves, and ``||GU - U diag(gain)||_F`` is the root sum
+    of squares of ``Gs Zs - Zs diag(gain_s)`` and ``Gk Zk - Zk
+    diag(gain_k)``.  Their gains and eigen-residual are the ``gain`` and
+    ``resid`` fields."""
     n = cov.n
     if Hc.n != n:
         raise DimensionMismatch(
@@ -217,21 +233,19 @@ def build_joint(cov: CovarianceSpec, Hc: BandedChannelMatrix) -> JointCovariance
         )
     if not np.isfinite(Hc.taps).all():
         raise NotPositiveDefinite("channel matrix has non-finite taps")
-    U = cov.basis
-    g = _gram_band(Hc.taps, n)
-    GU = np.multiply(g[0][:, None], U)
-    tmp = np.empty_like(GU)
-    for l in range(1, len(g)):
-        t = np.multiply(g[l][:, None], U[l:], out=tmp[l:])
-        GU[:-l] += t  # G[i, i + l] u_(i + l), above the diagonal
-        t = np.multiply(g[l][:, None], U[:-l], out=tmp[l:])
-        GU[l:] += t  # and its mirror below
-    gain = np.einsum("ij,ij->j", U, GU)
-    GU -= np.multiply(U, gain, out=tmp)
+    if not (Hc.taps == Hc.taps[0]).all():
+        raise ValueError("build_joint needs the centre matrix: every row the same taps")
+    B = cov.halves
+    gains, sq = [], 0.0
+    for band, Z in zip(_half_bands(_tap_autocorr(Hc.taps[0]), n), (B.sym, B.skew)):
+        GZ = _sym_band_apply(band, Z)
+        gain = np.einsum("ij,ij->j", Z, GZ)
+        GZ -= np.multiply(Z, gain)
+        gains.append(gain)
+        sq += float(np.vdot(GZ, GZ))
+    gain = np.concatenate(gains)[B.order]
     gain.setflags(write=False)
-    return JointCovariance(
-        n=n, m=Hc.m, hc=Hc.taps, cov=cov, gain=gain, resid=float(np.linalg.norm(GU))
-    )
+    return JointCovariance(n=n, m=Hc.m, hc=Hc.taps, cov=cov, gain=gain, resid=math.sqrt(sq))
 
 
 @dataclass(frozen=True)
@@ -279,10 +293,9 @@ def prepare_context(book: Codebook, joint: JointCovariance) -> DecodeContext:
     coefficients, and the guard band's constants.  The codebook must be
     drawn in the basis of ``joint.cov``; no codeword or image is built."""
     n, m = joint.n, joint.m
-    U = book.cov.basis
     if book.n != n:
         raise DimensionMismatch(f"codewords have length {book.n}, channel expects {n}")
-    if not (U is joint.cov.basis or np.array_equal(U, joint.cov.basis)):
+    if not book.cov.halves.same_as(joint.cov.halves):
         raise ValueError("the codebook is drawn in another basis than the joint covariance's")
     energy = np.einsum("ij,j,ij->i", book.S, joint.gain, book.S)
     energy.setflags(write=False)
@@ -291,13 +304,15 @@ def prepare_context(book: Codebook, joint: JointCovariance) -> DecodeContext:
     # ||U||_F from the computed U'U - I (whose own rounding is n^2 eps at most).
     eps = float(np.finfo(float).eps)
     k1 = m - n + 1
-    omega = book.cov.orth_defect + n * n * eps
+    omega = book.cov.halves.orth_defect + n * n * eps
     mu = math.sqrt(1.0 + omega)
     nu = math.sqrt(n) * mu
     h = float(np.abs(joint.hc).max(axis=0).sum())
     lam_max = float(np.abs(joint.gain).max())
-    # The eigen-residual with the rounding of GU and of GU - U diag(gain).
-    resid = joint.resid + eps * nu * (3 * k1 * h * h + 2.0 * lam_max)
+    # The eigen-residual with the rounding of the half bands (k1 products
+    # per lag, the J-fold add and the sqrt(2) of the middle row and column,
+    # whose row sums are at most sqrt(2) h^2), of G Z and of G Z - Z diag(gain).
+    resid = joint.resid + eps * nu * (math.sqrt(2.0) * (3 * k1 + 1) * h * h + 2.0 * lam_max)
     energy_err = s_sq * (mu * resid + (omega + (n + 1) * eps) * lam_max)
     return DecodeContext(
         book=book,
@@ -305,7 +320,7 @@ def prepare_context(book: Codebook, joint: JointCovariance) -> DecodeContext:
         energy=energy,
         energy_err=energy_err,
         a_max=math.sqrt(float(energy.max()) + energy_err),
-        word_err=eps * h * math.sqrt(s_sq) * (n * nu + (n + k1) * mu),
+        word_err=eps * h * math.sqrt(s_sq) * (n * nu + (n + k1 + FOLD_ULPS) * mu),
         q_max=float(book.q.max()),
     )
 
@@ -327,11 +342,14 @@ def _guard_band(ctx: DecodeContext, y_sq: np.ndarray) -> np.ndarray:
     ``a = Hc U s`` its exact image and ``L = ||a|| + ||y||``, both forms
     are compared with the exact ``(q + ||a - y||^2) / (n + m)``:
 
-    - direct: the built word ``fl(U s)`` and its band image put the image
-      within ``word_err`` of ``a``, so ``||a - y||^2`` moves by at most
-      ``2 word_err L``;
-    - GEMM: ``Hc'y``, its product with ``U`` and the score ``s.z`` put
-      ``s.z`` within ``word_err ||y||`` of ``a.y``, doubled by the ``-2``;
+    - direct: the built word ``fl(U s)`` (two half GEMMs, ``n eps ||U||_F
+      ||s||``, and the J-fold add and ``1/sqrt(2)`` scale, ``FOLD_ULPS eps
+      ||U||_2 ||s||``) and its band image put the image within
+      ``word_err`` of ``a``, so ``||a - y||^2`` moves by at most ``2
+      word_err L``;
+    - GEMM: ``Hc'y``, its J-fold and scale, its products with the half
+      bases and the score ``s.z`` put ``s.z`` within ``word_err ||y||`` of
+      ``a.y``, doubled by the ``-2``;
       the energy is within ``energy_err`` of ``||a||^2``:
       ``||s||^2 (||U||_2 E + ||U'U - I||_2 lam_max)`` for the eigen-residual
       ``E``, plus the rounding of the sum;
@@ -367,7 +385,7 @@ def _pass_mask(Y: np.ndarray, params: TypicalParams, ctx: DecodeContext) -> np.n
             f"received vectors have shape {Y.shape[1:]}, channel expects ({m},)"
         )
     y_sq = np.einsum("ij,ij->i", Y, Y)
-    Z = _band_adjoint(joint.hc, Y) @ book.cov.basis
+    Z = book.cov.halves.adjoint(_band_adjoint(joint.hc, Y))
     dev = book.S @ Z.T
     dev *= -2.0
     dev += ctx.energy[:, None]

@@ -11,7 +11,8 @@ through its squared magnitude ``|f|^2``: the extreme values ``alpha^2`` and
 matrix of the tall banded convolution matrix built from the centre taps.
 That Gram matrix is symmetric banded Toeplitz and is never formed densely:
 its eigenvalues come from its band form, its eigenbasis from two half-size
-band problems.
+band problems, and the eigenbasis is kept as those two half bases
+(``HalfBasis``).
 
 All integrals over ``[0, 2*pi]`` are composite-Simpson sums on one shared
 grid so that quantities which are equal in exact arithmetic (e.g. the
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -47,6 +48,7 @@ __all__ = [
     "simpson_weights",
     "build_Hc",
     "gram_eigenvalues",
+    "HalfBasis",
     "gram_eigh",
 ]
 
@@ -54,6 +56,11 @@ DEFAULT_GRID = 8192
 MIN_GRID = 256
 SINGULAR_REL_TOL = 1e-12
 SIGN_TIE_REL = 1e-8
+# Relative rounding, in units of eps, that the J-fold add and the 1/sqrt(2)
+# scale of ``HalfBasis.apply`` and ``.adjoint`` put on each entry: one add,
+# one multiply and the representation of 1/sqrt(2), 1.4 eps, rounded up.
+FOLD_ULPS = 2.0
+_R2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -293,8 +300,15 @@ def _toeplitz_band(t: np.ndarray, order: int) -> np.ndarray:
 
 
 def gram_eigenvalues(spec: ChannelSpec, n: int) -> np.ndarray:
-    """Ascending eigenvalues of the centre Gram matrix: those of its
-    J-symmetric and J-skew halves (see ``gram_eigh``), merged by one sort."""
+    """Ascending eigenvalues of the centre Gram matrix ``G``: those of its
+    J-symmetric and J-skew halves (see ``gram_eigh``), merged by one sort.
+
+    ``eigvals_banded`` here and ``eig_banded`` in ``gram_eigh`` solve the
+    same half bands by different LAPACK routes, so the two eigenvalue lists
+    agree to ``4 n eps ||G||_1`` (``||G||_1`` the largest column sum of
+    ``|G|``), not bit for bit: at n = 1024 on the default channel they
+    differ by up to 7.3e-15.  ``finite_n_bound`` water-fills these, and
+    ``build_sigma`` water-fills ``gram_eigh``'s."""
     if n < 1:
         raise ValueError("need n >= 1")
     lam = np.concatenate(
@@ -326,50 +340,162 @@ def _half_bands(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _signed(Z: np.ndarray) -> np.ndarray:
     """``Z`` with each column flipped so that its largest-magnitude entry is
-    positive.  Entries within ``SIGN_TIE_REL`` of the largest magnitude
-    count as tied and the first of them decides, so ties that are exact in
-    exact arithmetic (the sine eigenvectors of a tridiagonal Gram) are
-    broken by index, not by rounding."""
+    positive, in C order (``eig_banded`` returns Fortran order).  Entries
+    within ``SIGN_TIE_REL`` of the largest magnitude count as tied and the
+    first of them decides, so ties that are exact in exact arithmetic (the
+    sine eigenvectors of a tridiagonal Gram) are broken by index, not by
+    rounding."""
     if not Z.size:
         return Z
     mag = np.abs(Z)
     top = np.argmax(mag >= (1.0 - SIGN_TIE_REL) * mag.max(axis=0), axis=0)
-    return Z * np.where(Z[top, np.arange(Z.shape[1])] < 0.0, -1.0, 1.0)
+    return np.multiply(Z, np.where(Z[top, np.arange(Z.shape[1])] < 0.0, -1.0, 1.0), order="C")
 
 
-def gram_eigh(spec: ChannelSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues ``lam`` and orthonormal eigenvectors ``U``
-    (columns) of the centre Gram matrix ``Hc' Hc``.
+@dataclass(frozen=True, eq=False)
+class HalfBasis:
+    """Orthonormal basis ``U`` of order ``n`` whose columns are each
+    J-symmetric or J-skew (``J`` the reversal), held as its two half bases
+    and never as an ``n x n`` array.
+
+    With ``h = n // 2``, column ``j`` of ``sym`` (order ``n - h``) stands
+    for the column ``[z_top / sqrt(2); z_mid; J z_top / sqrt(2)]`` of ``U``,
+    where ``z = sym[:, j]``, ``z_top = z[:h]`` and ``z_mid = z[h]`` exists
+    only for odd ``n``; column ``j`` of ``skew`` (order ``h``) stands for
+    ``[w / sqrt(2); -J w / sqrt(2)]``.  Column ``j`` of ``U`` is column
+    ``order[j]`` of ``[sym | skew]``.  With an exact ``1/sqrt(2)``, ``U'U``
+    is ``blockdiag(sym'sym, skew'skew)`` up to that column order, so its
+    cross block is exactly zero, and ``orth_defect``, the Frobenius norm of
+    the computed ``sym'sym - I`` and ``skew'skew - I``, is that of the
+    computed ``U'U - I``.  A defect entry past 1e-8 is refused.
+
+    ``apply`` and ``adjoint`` round more than one GEMM with ``U`` would:
+    besides their two half GEMMs, the J-fold add and the scale by the
+    rounded ``1/sqrt(2)`` put each entry they produce within ``FOLD_ULPS *
+    eps`` (relative) of the exact ``(a +- b) / sqrt(2)`` of its two inputs,
+    an error the decoder's guard band counts.  Arrays are read-only after
+    construction."""
+
+    sym: np.ndarray
+    skew: np.ndarray
+    order: np.ndarray
+    orth_defect: float = field(default=0.0, init=False, repr=False)
+    _col: np.ndarray = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        parts = [np.ascontiguousarray(a, dtype=float) for a in (self.sym, self.skew)]
+        order = np.asarray(self.order)
+        n = order.size
+        h = n // 2
+        if order.shape != (n,) or order.dtype.kind not in "iu":
+            raise ValueError("order must be a 1-d integer array")
+        if parts[0].shape != (n - h, n - h) or parts[1].shape != (h, h):
+            raise ValueError(
+                f"half bases have shapes {parts[0].shape} and {parts[1].shape}, expected "
+                f"({n - h}, {n - h}) and ({h}, {h})"
+            )
+        if not np.array_equal(np.sort(order), np.arange(n)):
+            raise ValueError("order is not a permutation")
+        if not all(np.isfinite(Z).all() for Z in parts):
+            raise ValueError("basis has non-finite entries")
+        sq, worst = 0.0, 0.0
+        for Z in parts:
+            D = Z.T @ Z  # Z'Z - I in place
+            D[np.diag_indices(len(Z))] -= 1.0
+            sq += float(np.vdot(D, D))
+            worst = max(worst, float(np.abs(D, out=D).max(initial=0.0)))
+        if worst > 1e-8:
+            raise ValueError(f"basis is not orthonormal (defect {worst:.2e})")
+        col = np.empty(n, dtype=np.intp)
+        col[order] = np.arange(n)
+        for name, a in (("sym", parts[0]), ("skew", parts[1]), ("order", order.copy()), ("_col", col)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "orth_defect", math.sqrt(sq))
+
+    @property
+    def n(self) -> int:
+        return self.order.size
+
+    def same_as(self, other: "HalfBasis") -> bool:
+        """Whether ``other`` holds the same basis, entry for entry."""
+        return self is other or all(
+            np.array_equal(a, b)
+            for a, b in zip((self.sym, self.skew, self.order), (other.sym, other.skew, other.order))
+        )
+
+    def apply(self, S: np.ndarray) -> np.ndarray:
+        """``S U'``: the vector ``U s`` of each row ``s`` of ``S``, from one
+        GEMM per half, ``Zs s_sym`` and ``Zk s_skew``, whose sum and
+        difference (times ``1/sqrt(2)``) are the top half and the reversed
+        bottom half; the middle entry of odd ``n`` is ``Zs s_sym``'s."""
+        n, h = self.n, len(self.skew)
+        A = S.take(self._col[: n - h], axis=1) @ self.sym.T
+        B = S.take(self._col[n - h:], axis=1) @ self.skew.T
+        X = np.empty((len(S), n))
+        top, bot = X[:, :h], X[:, n - h:][:, ::-1]
+        np.add(A[:, :h], B, out=top)
+        np.subtract(A[:, :h], B, out=bot)
+        top *= _R2
+        bot *= _R2
+        if n > 2 * h:
+            X[:, h] = A[:, h]
+        return X
+
+    def adjoint(self, V: np.ndarray) -> np.ndarray:
+        """``V U``: the coefficients ``U'v`` of each row ``v`` of ``V``, as
+        ``Zs'(v_top + J v_bot) / sqrt(2)`` (with the middle entry of odd
+        ``n`` unscaled) and ``Zk'(v_top - J v_bot) / sqrt(2)``, put in the
+        column order of ``U``."""
+        n, h = self.n, len(self.skew)
+        top, bot = V[:, :h], V[:, n - h:][:, ::-1]
+        P = np.empty((len(V), n - h))
+        np.add(top, bot, out=P[:, :h])
+        P[:, :h] *= _R2
+        if n > 2 * h:
+            P[:, h] = V[:, h]
+        Q = np.subtract(top, bot)
+        Q *= _R2
+        C = np.empty((len(V), n))
+        np.matmul(P, self.sym, out=C[:, : n - h])
+        np.matmul(Q, self.skew, out=C[:, n - h:])
+        return C.take(self.order, axis=1)
+
+    def assemble(self) -> np.ndarray:
+        """The dense ``n x n`` basis ``U``, built on each call."""
+        n, h = self.n, len(self.skew)
+        cs, ck = self._col[: n - h], self._col[n - h:]
+        U = np.zeros((n, n))
+        top = self.sym[:h] * _R2
+        U[:h, cs], U[n - h:, cs] = top, top[::-1]
+        Zk = self.skew * _R2
+        U[:h, ck], U[n - h:, ck] = Zk, -Zk[::-1]
+        if n > 2 * h:
+            U[h, cs] = self.sym[h]
+        return U
+
+
+def gram_eigh(spec: ChannelSpec, n: int) -> tuple[np.ndarray, HalfBasis]:
+    """Ascending eigenvalues ``lam`` and the orthonormal eigenbasis ``U``
+    of the centre Gram matrix ``Hc' Hc``, as a ``HalfBasis``.
 
     The Gram matrix is symmetric Toeplitz, hence centrosymmetric, so it
     splits exactly into a J-symmetric and a J-skew half of order about
     ``n / 2`` (Cantoni & Butler, Lin. Alg. Appl. 13, 1976), each banded
     with bandwidth ``k`` and built in band form in O(n k).  One
-    ``eig_banded`` call per half gives the eigenpairs.  A half eigenvector
-    ``z`` is flipped so that its largest-magnitude entry is positive (the
-    first one on ties to ``SIGN_TIE_REL``), then becomes ``[z; J z] /
-    sqrt(2)`` or ``[z; -J z] / sqrt(2)``, with the middle entry of a
-    symmetric one in place for odd ``n``.  Columns are ordered by a stable sort of the eigenvalues.  The
-    sign convention makes the basis independent of the LAPACK build, and
-    every column satisfies ``U[::-1, j] == +-U[:, j]`` exactly.
+    ``eig_banded`` call per half gives the eigenpairs, and the half
+    eigenvectors are the half bases.  Each is flipped so that its
+    largest-magnitude entry is positive (the first one on ties to
+    ``SIGN_TIE_REL``); the columns of ``U`` are ordered by a stable sort of
+    the eigenvalues.  The sign convention makes the basis independent of
+    the LAPACK build, and every column of the assembled ``U`` satisfies
+    ``U[::-1, j] == +-U[:, j]`` exactly.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    h = n // 2
     (lam_s, Zs), (lam_k, Zk) = (
         eig_banded(band, lower=False) for band in _half_bands(_tap_autocorr(spec.c), n)
     )
     lam = np.concatenate([lam_s, lam_k])
     order = np.argsort(lam, kind="stable")
-    col = np.empty(n, dtype=np.intp)
-    col[order] = np.arange(n)
-    cs, ck = col[: n - h], col[n - h:]
-    r2 = 1.0 / math.sqrt(2.0)
-    U = np.zeros((n, n))
-    Zs, Zk = _signed(Zs), _signed(Zk) * r2
-    top = Zs[:h] * r2
-    U[:h, cs], U[n - h:, cs] = top, top[::-1]
-    U[:h, ck], U[n - h:, ck] = Zk, -Zk[::-1]
-    if n > 2 * h:
-        U[h, cs] = Zs[h]
-    return lam[order], U
+    return lam[order], HalfBasis(sym=_signed(Zs), skew=_signed(Zk), order=order)

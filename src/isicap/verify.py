@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -31,7 +32,7 @@ from .spectrum import (
     compute_profile,
 )
 from .waterfill import LN2, phi_terms
-from .channel_sim import CovarianceSpec, rng_stream
+from .channel_sim import rng_stream
 from .decoder import trace_budgets
 
 __all__ = [
@@ -265,18 +266,42 @@ def _random_channel(rng: np.random.Generator, n_max: int):
         return spec, profile, int(rng.integers(k + 1, n_max + 1))
 
 
-def _random_cov(rng: np.random.Generator, n: int) -> CovarianceSpec:
+class _Cov:
+    """A drawn covariance ``Sigma = Q diag(d) Q'`` for a random orthonormal
+    ``Q``, or ``Q = None`` for the standard basis.  ``sigma`` and ``root``
+    (its symmetric square root) are built once, on first use; in the
+    standard basis they are the diagonal matrices."""
+
+    def __init__(self, d: np.ndarray, Q: Optional[np.ndarray]) -> None:
+        self.d, self.Q, self.n = d, Q, len(d)
+        self.trace, self.lam_min, self.lam_max = float(d.sum()), float(d.min()), float(d.max())
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        return np.diag(self.d) if self.Q is None else (self.Q * self.d) @ self.Q.T
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        r = np.sqrt(self.d)
+        return np.diag(r) if self.Q is None else (self.Q * r) @ self.Q.T
+
+
+def _random_cov(rng: np.random.Generator, n: int) -> _Cov:
     d = 10.0 ** rng.uniform(-2.0, 1.0, n)
     if rng.random() < 0.5:
-        return CovarianceSpec(n=n, d=d, basis=np.eye(n))
-    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return CovarianceSpec(n=n, d=d, basis=basis)
+        return _Cov(d=d, Q=None)
+    Q = np.ascontiguousarray(np.linalg.qr(rng.standard_normal((n, n)))[0])
+    G = Q.T @ Q
+    G[np.diag_indices(n)] -= 1.0
+    if np.abs(G).max() > 1e-8:
+        raise ValueError("drawn basis is not orthonormal")
+    return _Cov(d=d, Q=Q)
 
 
 def _rescale_radii_for_phi1(
     spec: ChannelSpec,
     profile: SpectrumProfile,
-    cov: CovarianceSpec,
+    cov: _Cov,
     target: float,
 ):
     """Scale all radii so the leading penalty ratio hits ``target`` < 1 for
@@ -295,10 +320,10 @@ def _sample_banded(rng: np.random.Generator, spec: ChannelSpec, n: int) -> np.nd
     return BandedChannelMatrix(n=n, k=spec.k, taps=taps).dense()
 
 
-def _omegas(H: np.ndarray, Hc: np.ndarray, cov: CovarianceSpec):
+def _omegas(H: np.ndarray, Hc: np.ndarray, cov: _Cov):
     """Output covariances ``I + Hc Sigma Hc'`` and ``I + H Sigma H'``."""
     eye = np.eye(H.shape[0])
-    sigma = cov.dense()
+    sigma = cov.sigma
     return eye + Hc @ sigma @ Hc.T, eye + H @ sigma @ H.T
 
 
@@ -352,7 +377,7 @@ def _volume_instance(rng, i, n_max):
     n = int(rng.integers(1, min(n_max, 50) + 1))
     cov = _random_cov(rng, n)
     eta = _ETAS[i % len(_ETAS)] if rng.random() < 0.5 else float(rng.uniform(0.05, 3.0))
-    return cov.dense(), eta
+    return cov.sigma, eta
 
 
 def _lemma1(inst):
@@ -370,7 +395,7 @@ def _stacked_trace(inst):
     H, Hc, cov, (budget, _) = inst
     E = H - Hc
     m, n = E.shape
-    ES = E @ cov.sqrt_matrix()
+    ES = E @ cov.root
     phi = np.block([[np.eye(n) + ES.T @ ES, ES.T], [ES, np.eye(m)]])
     lhs = 2.0 * float(np.linalg.norm(phi) ** 2)
     return budget - lhs, holds(lhs, budget)
@@ -379,8 +404,8 @@ def _stacked_trace(inst):
 def _whitened_trace(inst):
     H, Hc, cov, (_, budget) = inst
     m = H.shape[0]
-    omega_c = np.eye(m) + Hc @ cov.dense() @ Hc.T
-    B = np.hstack([H @ cov.sqrt_matrix(), np.eye(m)])
+    omega_c = np.eye(m) + Hc @ cov.sigma @ Hc.T
+    B = np.hstack([H @ cov.root, np.eye(m)])
     psi = B.T @ np.linalg.solve(omega_c, B)
     lhs = 2.0 * float(np.linalg.norm(psi) ** 2)
     return budget - lhs, holds(lhs, budget)
@@ -399,7 +424,7 @@ def _eig_stability(inst):
     """Largest eigenvalue shift of the whitened Gram pair against the
     operator norm of the (symmetric) perturbation."""
     H, Hc, cov, _ = inst
-    S = cov.sqrt_matrix()
+    S = cov.root
     A = S @ (H.T @ H) @ S
     B = S @ (Hc.T @ Hc) @ S
     gap = float(np.abs(eigvalsh(A) - eigvalsh(B)).max())

@@ -30,10 +30,13 @@ from isicap.channel_sim import (
     sample_taps,
     trial_block,
 )
+from isicap import verify
+from isicap.spectrum import HalfBasis
 from isicap.verify import VERIFY_STREAM_BASE
 from isicap.decoder import TypicalParams, _pass_mask, prepare_context
 from isicap.errors import CodebookTooLarge, DimensionMismatch
 from isicap.waterfill import POWER_FLOOR, dbw_to_watts, waterfill_powers
+from bases import flat_cov, random_cov, random_halves, standard_halves
 from oracles import dense_gram, exact_channel_use, exact_joint_statistics
 
 
@@ -100,10 +103,9 @@ def test_trial_blocks_match_one_cell_path(example_spec, monkeypatch, law, entrie
     monkeypatch.setattr(channel_sim, "_DRAW_ENTRIES", entries)
     n, seed = 15, 9
     rng = np.random.default_rng(4)
-    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
     S = rng.standard_normal((11, n))
     book = Codebook(n=n, R=0.2, size=11, S=S, q=(S * S).sum(axis=1),
-                    cov=CovarianceSpec(n=n, d=np.ones(n), basis=basis))
+                    cov=flat_cov(n, random_halves(n, 4)))
     draws = TrialBlocks(example_spec, n, law, seed)
     for ts in (np.arange(40, 47), np.arange(3)):
         msgs, Y = draws.draw(ts, book)
@@ -126,6 +128,16 @@ def test_law_validation():
         ChannelLaw(kind="constant", offset=(float("nan"), 0.0, 0.0))
     with pytest.raises(ValueError):
         ChannelLaw(kind="block_hold", block_len=0)
+    # a field that does not apply to the kind is refused, not ignored
+    with pytest.raises(ValueError, match="offset applies only"):
+        ChannelLaw(kind="iid_uniform", offset=(5.0, float("nan"), 0.0), block_len=-3)
+    with pytest.raises(ValueError, match="block_len applies only"):
+        ChannelLaw(kind="constant", offset=(0.1, 0.0, 0.0), block_len=-3)
+    with pytest.raises(ValueError, match="offset applies only"):
+        ChannelLaw(kind="block_hold", offset=(9.0, 9.0, 9.0), block_len=2)
+    with pytest.raises(ValueError, match="block_len applies only"):
+        ChannelLaw(kind="iid_uniform", block_len=2)
+    ChannelLaw(kind="constant", offset=(0.1, 0.0, 0.0), block_len=1)
     short = ChannelLaw(kind="constant", offset=(0.0, 0.0))
     with pytest.raises(DimensionMismatch):
         channel_sim.check_law(ChannelSpec(k=2, c=(1.0, 0.5, 0.5), r=(0.1,) * 3), short)
@@ -173,35 +185,43 @@ def test_sample_H_band_structure(example_spec):
 
 def test_covariance_validation():
     with pytest.raises(ValueError):
-        CovarianceSpec(n=3, d=np.array([1.0, 0.0, 2.0]), basis=np.eye(3))
-    with pytest.raises(ValueError):
-        CovarianceSpec(n=2, d=np.ones(2), basis=np.array([[1.0, 1.0], [0.0, 1.0]]))
+        CovarianceSpec(n=3, d=np.array([1.0, 0.0, 2.0]), halves=standard_halves(3))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        HalfBasis(sym=np.array([[1.0, 1.0], [0.0, 1.0]]), skew=np.eye(1), order=np.arange(3))
+    with pytest.raises(ValueError, match="shapes"):
+        HalfBasis(sym=np.eye(1), skew=np.eye(2), order=np.arange(3))
+    with pytest.raises(ValueError, match="permutation"):
+        HalfBasis(sym=np.eye(2), skew=np.eye(1), order=np.array([0, 0, 2]))
+    with pytest.raises(ValueError, match="integer"):
+        HalfBasis(sym=np.eye(2), skew=np.eye(1), order=np.arange(3.0))
 
 
 def test_covariance_needs_a_basis():
     with pytest.raises(TypeError):
         CovarianceSpec(n=3, d=np.ones(3))
-    with pytest.raises(ValueError, match="basis has shape"):
-        CovarianceSpec(n=3, d=np.ones(3), basis=None)
-    with pytest.raises(ValueError, match="basis has shape"):
-        CovarianceSpec(n=3, d=np.ones(3), basis=np.eye(2))
+    with pytest.raises(ValueError, match="HalfBasis of order 3"):
+        CovarianceSpec(n=3, d=np.ones(3), halves=None)
+    with pytest.raises(ValueError, match="HalfBasis of order 3"):
+        CovarianceSpec(n=3, d=np.ones(3), halves=standard_halves(2))
 
 
 @pytest.mark.parametrize("n", [1, 64, 256])
 def test_identity_basis_is_the_diagonal_covariance(n):
-    """In the standard basis, ``dense()`` and ``sqrt_matrix()`` equal the
-    diagonal matrices bit for bit: ``verify``'s diagonal draws rely on it."""
+    """``verify``'s standard-basis draws are ``np.diag(d)`` and
+    ``np.diag(sqrt(d))``, bit for bit what the GEMM forms ``(I d) I'`` and
+    ``(I sqrt(d)) I'`` of its random-basis draws give for ``Q = I``: the
+    ``verify`` JSON rests on it."""
     d = 10.0 ** np.random.default_rng(n).uniform(-2.0, 1.0, n)
-    cov = CovarianceSpec(n=n, d=d, basis=np.eye(n))
-    assert cov.orth_defect == 0.0
-    assert np.array_equal(cov.dense(), np.diag(d))
-    assert np.array_equal(cov.sqrt_matrix(), np.diag(np.sqrt(d)))
+    eye = np.eye(n)
+    diagonal, gemm = verify._Cov(d=d, Q=None), verify._Cov(d=d, Q=eye)
+    assert np.array_equal(diagonal.sigma, gemm.sigma)
+    assert np.array_equal(diagonal.root, gemm.root)
+    assert np.array_equal(diagonal.sigma, (eye * d) @ eye.T)
+    assert (diagonal.n, diagonal.lam_max, diagonal.trace) == (n, d.max(), d.sum())
 
 
 def test_covariance_identities():
-    rng = np.random.default_rng(0)
-    basis, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-    cov = CovarianceSpec(n=6, d=rng.uniform(0.5, 3.0, 6), basis=basis)
+    cov = random_cov(6, 0)
     sigma = cov.dense()
     S = cov.sqrt_matrix()
     assert np.abs(S @ S - sigma).max() <= 1e-10
@@ -212,8 +232,8 @@ def test_build_sigma_policies(example_spec):
     refused."""
     wf = build_sigma(example_spec, 16, 2.0, "waterfill_gram")
     assert wf.trace == pytest.approx(32.0, rel=1e-9)
-    assert np.array_equal(wf.basis, gram_eigh(example_spec, 16)[1])
-    assert np.array_equal(build_sigma(example_spec, 16, 2.0).basis, wf.basis)
+    assert wf.halves.same_as(gram_eigh(example_spec, 16)[1])
+    assert build_sigma(example_spec, 16, 2.0).halves.same_as(wf.halves)
     for policy in ("white_iso", "other"):
         with pytest.raises(ValueError, match="unknown covariance policy"):
             build_sigma(example_spec, 16, 2.0, policy)
@@ -238,19 +258,19 @@ def test_waterfill_sigma_is_basis_free(c, n):
 
 
 def test_codebook_size_and_cap(example_spec):
-    cov = CovarianceSpec(n=16, d=np.ones(16), basis=np.eye(16))
+    cov = flat_cov(16)
     book = gen_codebook(cov, 0.25, 0)
     assert book.size == 2 ** 4
     assert book.codewords.shape == (16, 16)
     assert gen_codebook(cov, 0.0, 0).size == 1
     with pytest.raises(CodebookTooLarge):
-        gen_codebook(CovarianceSpec(n=64, d=np.ones(64), basis=np.eye(64)), 1.0, 0)
+        gen_codebook(flat_cov(64), 1.0, 0)
     assert MAX_CODEBOOK_BITS == 24
 
 
 def test_codebook_byte_cap(example_spec, monkeypatch):
     """``decode_bytes`` covers what decoding holds: the coefficients, input
-    statistics and energies and the basis, plus the peak of the arrays one
+    statistics and energies and the half bases, plus the peak of the arrays one
     block of trials allocates (drawing and scoring, traced), for an
     eigenbasis codebook; the cap refuses past it, before any draw."""
     n, R = 64, 10 / 64
@@ -264,7 +284,9 @@ def test_codebook_byte_cap(example_spec, monkeypatch):
     _pass_mask(Y, TypicalParams(epsilon=0.5, eta=0.3), ctx)
     _, block = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    held = book.S.nbytes + book.q.nbytes + ctx.energy.nbytes + cov.basis.nbytes
+    halves = cov.halves  # two half bases and two length-n index rows
+    held = book.S.nbytes + book.q.nbytes + ctx.energy.nbytes + halves.sym.nbytes + halves.skew.nbytes
+    held += 2 * halves.order.nbytes
     need = decode_bytes(book.size, n)
     assert held + block <= need
     monkeypatch.setattr(channel_sim, "MAX_DECODE_BYTES", need)
@@ -280,7 +302,7 @@ def test_codebook_byte_cap(example_spec, monkeypatch):
     monkeypatch.setattr(channel_sim, "rng_stream", no_draw)
     # 2**24 words of length 64 pass the bit cap but need about 8 GiB
     with pytest.raises(CodebookTooLarge, match="GiB"):
-        gen_codebook(CovarianceSpec(n=64, d=np.ones(64), basis=np.eye(64)), 0.375, 0)
+        gen_codebook(flat_cov(64), 0.375, 0)
 
 
 def test_codebook_empirical_power(example_spec):

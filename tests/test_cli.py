@@ -385,6 +385,13 @@ def test_simulate_refuses_oversized_codebook_before_setup(
          "simulate.law.offset[0]"),
         ({"simulate": {"law": {"kind": "constant", "offset": [0.0, "0.5", 0.0]}}},
          "simulate.law.offset[1]"),
+        ({"simulate": {"n_list": [64], "trials": 5,
+                       "law": {"kind": "iid_uniform", "offset": [5, float("nan"), 0], "block_len": -3}}},
+         "simulate.law"),
+        ({"simulate": {"law": {"kind": "constant", "offset": [0.1, 0, 0], "block_len": -3}}},
+         "simulate.law"),
+        ({"simulate": {"law": {"kind": "block_hold", "offset": [9, 9, 9], "block_len": 2}}},
+         "simulate.law"),
     ],
 )
 def test_typed_config_numbers(tmp_path, monkeypatch, capsys, payload, field):

@@ -32,20 +32,16 @@ from isicap.channel_sim import (
 )
 from isicap import decoder as decoder_mod
 from isicap.channel_sim import _band_apply
+from isicap.spectrum import FOLD_ULPS, HalfBasis
 from isicap.decoder import DecodeContext, _guard_band, _pass_mask, prepare_context, trace_budgets
 from isicap.errors import DimensionMismatch, NotPositiveDefinite
 from isicap.waterfill import LN2, dbw_to_watts, phi_terms
+from bases import flat_cov, random_cov as _random_cov, random_halves, standard_halves
 from oracles import (
     dense_joint_covariance,
     exact_joint_statistics,
     joint_typicality_oracle,
 )
-
-
-def _random_cov(n, seed):
-    rng = np.random.default_rng(seed)
-    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return CovarianceSpec(n=n, d=rng.uniform(0.5, 2.0, n), basis=basis)
 
 
 def test_params_validation():
@@ -105,11 +101,11 @@ def test_joint_rejects_non_finite(example_spec):
     Hc = build_Hc(example_spec, 6)
     good = _random_cov(6, 5)
     with pytest.raises(ValueError, match="non-finite"):
-        CovarianceSpec(n=6, d=np.full(6, np.nan), basis=np.eye(6))
-    bad_basis = good.basis.copy()
-    bad_basis[0, 0] = np.nan
+        CovarianceSpec(n=6, d=np.full(6, np.nan), halves=good.halves)
+    bad_sym = good.halves.sym.copy()
+    bad_sym[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        CovarianceSpec(n=6, d=good.d, basis=bad_basis)
+        HalfBasis(sym=bad_sym, skew=good.halves.skew, order=good.halves.order)
     taps = Hc.taps.copy()
     taps[2, 1] = np.inf
     with pytest.raises(NotPositiveDefinite):
@@ -117,32 +113,31 @@ def test_joint_rejects_non_finite(example_spec):
     build_joint(good, Hc)
 
 
-def _white_book(codewords, R):
-    """Codebook of given words for the identity covariance in the standard
-    basis, where a word is its own coefficients and its input statistic is
-    ``||x||^2``."""
-    n = codewords.shape[1]
+def _white_book(coefs, R):
+    """Codebook of given coefficients for the identity covariance on fixed
+    random half bases (the same for every call at one ``n``), whose input
+    statistic is ``||s||^2``."""
+    n = coefs.shape[1]
     return Codebook(
-        n=n, R=R, size=len(codewords), S=codewords,
-        q=(codewords * codewords).sum(axis=1),
-        cov=CovarianceSpec(n=n, d=np.ones(n), basis=np.eye(n)),
+        n=n, R=R, size=len(coefs), S=coefs,
+        q=(coefs * coefs).sum(axis=1),
+        cov=flat_cov(n, random_halves(n, 0)),
     )
 
 
 def _crafted_setup(example_spec):
-    """Codebook where word 0 hits both typicality tests exactly and word 1
-    fails the input test outright."""
+    """Codebook where word 0 hits both typicality tests (to rounding) and
+    word 1 fails the input test outright."""
     n = 8
-    cov = CovarianceSpec(n=n, d=np.ones(n), basis=np.eye(n))
+    s0 = np.zeros(n)
+    s0[0] = np.sqrt(n)  # input form == n
+    s1 = 0.01 * np.ones(n)
+    book = _white_book(np.stack([s0, s1]), 1.0 / n)
     Hc = build_Hc(example_spec, n)
-    joint = build_joint(cov, Hc)
-    x0 = np.zeros(n)
-    x0[0] = np.sqrt(n)  # input form == n exactly
-    x1 = 0.01 * np.ones(n)
-    book = _white_book(np.stack([x0, x1]), 1.0 / n)
+    joint = build_joint(book.cov, Hc)
     u = np.zeros(joint.m)
     u[-1] = 1.0
-    y = Hc.dense() @ x0 + np.sqrt(joint.m) * u  # residual == m exactly
+    y = Hc.dense() @ book.words([0])[0] + np.sqrt(joint.m) * u  # residual == m
     return book, joint, y
 
 
@@ -202,14 +197,16 @@ def test_decode_guard_band_follows_direct_rule(example_spec):
     """Thresholds set exactly at, and one ulp above, word 0's direct-form
     deviation: strict ``<`` makes it fail, then pass.  The received vectors
     are jittered so that the GEMM form also lands on either side of the
-    direct one."""
+    direct one.  The direct form is taken from ``book.words([0])``, the
+    word the decoder recomputes."""
     book, joint, y0 = _crafted_setup(example_spec)
     ctx = prepare_context(book, joint)
     n, m = joint.n, joint.m
     rng = np.random.default_rng(8)
+    a0 = _band_apply(joint.hc, book.words([0]), np.zeros((1, m)))
     for scale in [0.0] + [1e-3] * 24:
         y = y0 + scale * rng.standard_normal(m)
-        diff = ctx.images[:1] - y
+        diff = a0 - y
         w0 = (ctx.q_sigma[0] + np.einsum("ij,ij->i", diff, diff)[0]) / (n + m)
         dev0 = abs(w0 - 1.0)
         assert dev0 > 0.0
@@ -222,28 +219,37 @@ def test_decode_guard_band_follows_direct_rule(example_spec):
 
 
 def test_build_joint_gains_and_residual(example_spec):
-    """``build_joint``'s band-form ``GU`` agrees with the dense Gram matrix:
-    for the eigenbasis the gains are its eigenvalues and the residual is
-    rounding-sized; for the standard basis and a random orthonormal one
-    the gains are ``u_j'G u_j`` and the residual is the dense
-    ``||GU - U diag(gain)||_F``."""
-    n = 40
-    Hc = build_Hc(example_spec, n)
-    G = Hc.dense().T @ Hc.dense()
+    """``build_joint``'s half-band ``GU`` agrees with the dense Gram matrix
+    and the assembled basis: for the eigenbasis the gains are its
+    eigenvalues and the residual is rounding-sized; for the standard half
+    bases and random orthonormal ones, at an even and an odd order, the
+    gains are ``u_j'G u_j`` and the residual is the dense ``||GU - U
+    diag(gain)||_F``, large."""
     eps = np.finfo(float).eps
-    cov = build_sigma(example_spec, n, 1.0, "waterfill_gram")
-    joint = build_joint(cov, Hc)
-    lam = np.linalg.eigvalsh(G)
-    assert np.abs(np.sort(joint.gain) - lam).max() <= 4 * n * eps * lam.max()
-    assert joint.resid <= 4 * n * eps * np.abs(G).sum(axis=0).max()
-    standard = CovarianceSpec(n=n, d=np.ones(n), basis=np.eye(n))
-    for other in (standard, _random_cov(n, 6)):
-        U = other.basis
-        got = build_joint(other, Hc)
-        gain = np.einsum("ij,ij->j", U, G @ U)
-        assert got.gain == pytest.approx(gain, rel=1e-12, abs=1e-12)
-        assert got.resid == pytest.approx(np.linalg.norm(G @ U - U * gain), rel=1e-10)
-        assert got.resid > 1.0
+    for n in (40, 41):
+        Hc = build_Hc(example_spec, n)
+        G = Hc.dense().T @ Hc.dense()
+        joint = build_joint(build_sigma(example_spec, n, 1.0, "waterfill_gram"), Hc)
+        lam = np.linalg.eigvalsh(G)
+        assert np.abs(np.sort(joint.gain) - lam).max() <= 4 * n * eps * lam.max()
+        assert joint.resid <= 4 * n * eps * np.abs(G).sum(axis=0).max()
+        for other in (flat_cov(n), _random_cov(n, 6)):
+            U = other.basis
+            got = build_joint(other, Hc)
+            gain = np.einsum("ij,ij->j", U, G @ U)
+            assert got.gain == pytest.approx(gain, rel=1e-12, abs=1e-12)
+            assert got.resid == pytest.approx(np.linalg.norm(G @ U - U * gain), rel=1e-10)
+            assert got.resid > 1.0
+
+
+def test_build_joint_refuses_a_non_centre_matrix(example_spec):
+    """The half bands stand for ``Hc'Hc`` only when every row of the band
+    holds the same taps; a sampled channel matrix is refused."""
+    n = 12
+    cov = build_sigma(example_spec, n, 1.0)
+    H = sample_H(example_spec, n, ChannelLaw(kind="iid_uniform"), 0, 0)
+    with pytest.raises(ValueError, match="centre matrix"):
+        build_joint(cov, H)
 
 
 def test_prepare_context_refuses_another_basis(example_spec):
@@ -252,25 +258,29 @@ def test_prepare_context_refuses_another_basis(example_spec):
     n = 12
     cov = build_sigma(example_spec, n, 1.0, "waterfill_gram")
     book = gen_codebook(cov, 0.5, 1)
-    for other in (_random_cov(n, 2), CovarianceSpec(n=n, d=cov.d, basis=np.eye(n))):
+    for other in (_random_cov(n, 2), CovarianceSpec(n=n, d=cov.d, halves=standard_halves(n))):
         with pytest.raises(ValueError, match="basis"):
             prepare_context(book, build_joint(other, build_Hc(example_spec, n)))
-    same = CovarianceSpec(n=n, d=np.ones(n), basis=cov.basis.copy())
+    halves = cov.halves
+    same = flat_cov(n, HalfBasis(sym=halves.sym.copy(), skew=halves.skew.copy(), order=halves.order.copy()))
     prepare_context(book, build_joint(same, build_Hc(example_spec, n)))
     with pytest.raises(DimensionMismatch):
         prepare_context(book, build_joint(_random_cov(n + 1, 2), build_Hc(example_spec, n + 1)))
 
 
 def test_codeword_and_image_accessors(example_spec):
-    """``book.codewords`` is ``S U'`` and ``ctx.images`` its centre-channel
-    image, each built once, on first access."""
+    """``book.codewords`` is ``S U'`` from the half bases, within rounding
+    of the product with the assembled ``U``, and ``ctx.images`` its
+    centre-channel image, each built once, on first access."""
     n = 16
     cov = build_sigma(example_spec, n, 1.0, "waterfill_gram")
     book = gen_codebook(cov, 0.5, 2)
     Hc = build_Hc(example_spec, n)
     ctx = prepare_context(book, build_joint(cov, Hc))
     assert "codewords" not in vars(book) and "images" not in vars(ctx)
-    assert np.array_equal(book.codewords, book.S @ cov.basis.T)
+    assert np.array_equal(book.codewords, cov.halves.apply(book.S))
+    want = book.S @ cov.basis.T
+    assert np.abs(book.codewords - want).max() <= 1e-14 * np.abs(want).max()
     assert book.codewords is book.codewords
     want = book.codewords @ Hc.dense().T
     assert np.abs(ctx.images - want).max() <= 1e-14 * np.abs(want).max()
@@ -289,6 +299,51 @@ def test_experiment_builds_no_codewords_or_images(example_spec, monkeypatch):
     monkeypatch.setattr(DecodeContext, "images", property(touched))
     res = run_error_experiment(example_spec, n=32, R=0.25, P=1.0, trials=70, master_seed=4, threads=2)
     assert res.type1 + res.type2 + res.success == 70
+
+
+def test_experiment_never_assembles_the_basis(example_spec, monkeypatch):
+    """``run_error_experiment`` works on the half bases alone: with the
+    ``basis`` accessor and ``HalfBasis.assemble`` made to raise, it still
+    runs, at an odd order (middle entry), over two threads."""
+
+    def assembled(*args):
+        raise AssertionError("dense basis assembled")
+
+    monkeypatch.setattr(CovarianceSpec, "basis", property(assembled))
+    monkeypatch.setattr(HalfBasis, "assemble", assembled)
+    res = run_error_experiment(example_spec, n=33, R=0.25, P=1.0, trials=70, master_seed=4, threads=2)
+    assert res.type1 + res.type2 + res.success == 70
+    with pytest.raises(AssertionError, match="assembled"):
+        build_sigma(example_spec, 8, 1.0).dense()
+
+
+def test_guard_band_constants_count_the_half_bases(example_spec):
+    """``word_err`` and ``energy_err`` are the documented bounds, at an even
+    and an odd order.  ``word_err``: the half GEMMs (``n ||U||_F``), the
+    band image or adjoint and the score (``(n + k + 1) ||U||_2``), and the
+    J-fold add and ``1/sqrt(2)`` scale of the half-basis apply and adjoint
+    (``FOLD_ULPS ||U||_2``), times ``eps h ||s||``.  ``energy_err``: the
+    eigen-residual plus the rounding of the half bands (``k + 1`` products
+    per lag, the J-fold add and the ``sqrt(2)`` of the middle row, row sums
+    at most ``sqrt(2) h^2``) and of their products with the half bases."""
+    eps = np.finfo(float).eps
+    k1 = example_spec.k + 1
+    h = sum(abs(c) for c in example_spec.c)
+    for n in (16, 17):
+        cov = build_sigma(example_spec, n, 1.0)
+        book = gen_codebook(cov, 0.5, 1)
+        joint = build_joint(cov, build_Hc(example_spec, n))
+        ctx = prepare_context(book, joint)
+        omega = cov.halves.orth_defect + n * n * eps
+        mu = math.sqrt(1.0 + omega)
+        nu = math.sqrt(n) * mu
+        s_sq = float((book.S ** 2).sum(axis=1).max())
+        lam_max = float(np.abs(joint.gain).max())
+        word_err = eps * h * math.sqrt(s_sq) * (n * nu + (n + k1 + FOLD_ULPS) * mu)
+        resid = joint.resid + eps * nu * (math.sqrt(2.0) * (3 * k1 + 1) * h * h + 2.0 * lam_max)
+        energy_err = s_sq * (mu * resid + (omega + (n + 1) * eps) * lam_max)
+        assert ctx.word_err == pytest.approx(word_err, rel=1e-12, abs=0.0)
+        assert ctx.energy_err == pytest.approx(energy_err, rel=1e-12, abs=0.0)
 
 
 def test_near_threshold_pair_follows_direct_form(example_spec, monkeypatch):
@@ -321,17 +376,19 @@ def test_near_threshold_pair_follows_direct_form(example_spec, monkeypatch):
 
 
 def test_standard_basis_pairs_follow_direct_form(example_spec):
-    """A standard-basis codebook: ``U = I`` does not diagonalise ``Hc'Hc``,
-    so the energies ``sum_j G_jj s_j^2`` miss the image norms by O(1).  The
-    measured eigen-residual widens the guard band past that, and every
-    decision equals the direct form's, evaluated densely here."""
+    """A codebook on the standard half bases (columns ``(e_i +- e_(n-1-i))
+    / sqrt(2)``), which do not diagonalise ``Hc'Hc``, so the energies
+    ``sum_j u_j'G u_j s_j^2`` miss the image norms by O(1).  The measured
+    eigen-residual widens the guard band past that, and every decision
+    equals the direct form's, evaluated densely here."""
     n, size, T = 12, 64, 20
     rng = np.random.default_rng(5)
-    book = _white_book(rng.standard_normal((size, n)), 0.5)
+    S = rng.standard_normal((size, n))
+    book = Codebook(n=n, R=0.5, size=size, S=S, q=(S * S).sum(axis=1), cov=flat_cov(n))
     Hc = build_Hc(example_spec, n)
     joint = build_joint(book.cov, Hc)
     ctx = prepare_context(book, joint)
-    A = book.S @ Hc.dense().T
+    A = book.codewords @ Hc.dense().T
     assert np.abs(ctx.energy - (A * A).sum(axis=1)).max() > 1.0
     Y = A[rng.integers(size, size=T)] + rng.standard_normal((T, joint.m))
     params = TypicalParams(epsilon=10.0, eta=0.3)
@@ -370,7 +427,7 @@ def test_threshold_formulas(example_spec, example_profile):
 
 
 def test_default_params_scaling(example_spec, example_profile):
-    cov = CovarianceSpec(n=16, d=np.ones(16), basis=np.eye(16))
+    cov = flat_cov(16)
     rep = thresholds(example_spec, example_profile, cov, 1.0)
     params = default_params(rep)
     assert params.epsilon == 0.1

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from isicap import (
     gram_eigh,
 )
 from isicap.errors import SpectrumSingular
-from isicap.spectrum import SIGN_TIE_REL, _f_sq, f_sq_table, simpson_mean
+from isicap.spectrum import FOLD_ULPS, SIGN_TIE_REL, _f_sq, f_sq_table, simpson_mean
 
+from bases import random_halves, standard_halves
 from oracles import dense_gram, f_sq_direct, spectrum_extrema_oracle
 from reference_values import ALPHA_EXAMPLE, BETA_EXAMPLE, J_EXAMPLE
 
@@ -248,7 +250,8 @@ def test_gram_matches_product(example_spec):
     for n in (17, 18):
         Hc = build_Hc(example_spec, n).dense()
         assert np.abs(dense_gram(example_spec.c, n) - Hc.T @ Hc).max() <= 1e-12
-        lam, U = gram_eigh(example_spec, n)
+        lam, halves = gram_eigh(example_spec, n)
+        U = halves.assemble()
         assert np.abs((U * lam) @ U.T - Hc.T @ Hc).max() <= 1e-12
 
 
@@ -297,7 +300,8 @@ def _mirror_sign(U):
 @pytest.mark.parametrize("n,k", _GRAM_EIGH_CASES)
 def test_gram_eigh_matches_dense_gram(n, k):
     """Every order 1..40 (odd, even and n <= k) at k = 1..4, and three large
-    orders: ``G U = U Lambda`` and ``U' U = I`` to ``4 n eps ||G||``, the
+    orders, on the assembled basis ``U`` of the half bases:
+    ``G U = U Lambda`` and ``U' U = I`` to ``4 n eps ||G||``, the
     eigenvalues ascending and within that of ``eigvalsh`` on the oracle
     Gram, each column exactly mirror-symmetric or mirror-skew (as many
     symmetric columns as the half of order ``n - n // 2``), and the half
@@ -306,7 +310,8 @@ def test_gram_eigh_matches_dense_gram(n, k):
     entries of opposite sign."""
     spec = _gram_eigh_spec(k)
     G = dense_gram(spec.c, n)
-    lam, U = gram_eigh(spec, n)
+    lam, halves = gram_eigh(spec, n)
+    U = halves.assemble()
     tol = GRAM_EIGH_ULPS * n * np.finfo(float).eps * np.abs(G).sum(axis=0).max()
     assert U.shape == (n, n) and np.all(np.diff(lam) >= 0.0)
     assert np.abs(G @ U - U * lam).max() <= tol
@@ -320,3 +325,69 @@ def test_gram_eigh_matches_dense_gram(n, k):
     mag = np.abs(half)
     top = np.argmax(mag >= (1.0 - SIGN_TIE_REL) * mag.max(axis=0), axis=0)
     assert np.all(half[top, np.arange(n)] > 0.0)
+
+
+@pytest.mark.parametrize("n", [64, 1024, 1025])
+def test_gram_eigenvalues_agree_with_gram_eigh(n):
+    """``gram_eigenvalues`` and ``gram_eigh`` solve the same half bands by
+    different LAPACK routes; their eigenvalues agree to the stated ``4 n
+    eps ||G||_1``, at an even and an odd large order, on the default and
+    a k = 4 channel."""
+    for spec in (ChannelSpec(k=2, c=(1.0, 0.5, 0.5), r=(1e-3,) * 3), _gram_eigh_spec(4)):
+        G1 = np.abs(dense_gram(spec.c, n)).sum(axis=0).max()
+        gap = np.abs(gram_eigenvalues(spec, n) - gram_eigh(spec, n)[0]).max()
+        assert gap <= 4 * n * np.finfo(float).eps * G1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 65])
+def test_half_basis_apply_and_adjoint_match_assembled(n):
+    """``apply`` is ``S U'`` and ``adjoint`` is ``V U`` for the assembled
+    ``U``, row by row within the rounding of both (``2 (n sqrt(n) +
+    FOLD_ULPS + 1) eps`` per unit of the row's norm), for the Gram
+    eigenbasis and for random half bases, at orders with and without a
+    middle entry; ``orth_defect`` is that of the assembled ``U``."""
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(n)
+    for halves in (gram_eigh(_gram_eigh_spec(3), n)[1], random_halves(n, n)):
+        U = halves.assemble()
+        S = rng.standard_normal((9, n))
+        tol = 2.0 * (n * math.sqrt(n) + FOLD_ULPS + 1.0) * eps * np.linalg.norm(S, axis=1)
+        assert np.all(np.linalg.norm(halves.apply(S) - S @ U.T, axis=1) <= tol)
+        assert np.all(np.linalg.norm(halves.adjoint(S) - S @ U, axis=1) <= tol)
+        assert halves.orth_defect == pytest.approx(
+            np.linalg.norm(U.T @ U - np.eye(n)), abs=4 * n * eps
+        )
+
+
+# 1/sqrt(2) to 40 digits, as an exact rational.
+_R2_EXACT = Fraction(math.isqrt(2 * 10 ** 80), 2 * 10 ** 40)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 65])
+def test_fold_rounding_within_fold_ulps(n):
+    """On the standard half bases every GEMM is exact, so ``apply`` and
+    ``adjoint`` round only in the J-fold add and the ``1/sqrt(2)`` scale:
+    each entry is within ``FOLD_ULPS eps`` (relative) of the exact
+    ``(s_i +- s_j) / sqrt(2)``, and the middle entry of odd ``n`` is
+    exact.  The largest error seen is above ``1 eps``, so ``FOLD_ULPS = 1``
+    would be wrong."""
+    eps = Fraction(np.finfo(float).eps)
+    h = n // 2
+    halves = standard_halves(n)
+    S = np.random.default_rng(n).standard_normal((1024 // n + 16, n))
+    # apply pairs s_i with the skew coefficient s_(n-h+i) and puts the
+    # difference at n-1-i; adjoint pairs v_i with v_(n-1-i) and puts it at n-h+i.
+    worst = Fraction(0)
+    for got, partner, diff_at in (
+        (halves.apply(S), lambda i: n - h + i, lambda i: n - 1 - i),
+        (halves.adjoint(S), lambda i: n - 1 - i, lambda i: n - h + i),
+    ):
+        for s, x in zip(S, got):
+            if n > 2 * h:
+                assert x[h] == s[h]
+            for i in range(h):
+                a, b = Fraction(s[i]), Fraction(s[partner(i)])
+                for value, exact in ((x[i], (a + b) * _R2_EXACT), (x[diff_at(i)], (a - b) * _R2_EXACT)):
+                    worst = max(worst, abs(Fraction(value) - exact) / abs(exact))
+    assert worst <= FOLD_ULPS * eps
+    assert worst > eps
