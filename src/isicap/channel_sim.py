@@ -16,6 +16,7 @@ of trials at a time, through the same tap and band kernels.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -100,7 +101,8 @@ class ChannelLaw:
 
     A field that does not apply to the kind is refused, not ignored: an
     ``offset`` unless the kind is constant, a ``block_len`` other than 1
-    unless it is block_hold.
+    unless it is block_hold.  ``block_len`` is an integer (a bool or a
+    fractional value is refused; an integral float is taken as its int).
     """
 
     kind: Literal["iid_uniform", "constant", "block_hold"]
@@ -110,6 +112,11 @@ class ChannelLaw:
     def __post_init__(self) -> None:
         if self.kind not in ("iid_uniform", "constant", "block_hold"):
             raise ValueError(f"unknown channel law {self.kind!r}")
+        b = self.block_len
+        b = int(b) if isinstance(b, float) and b.is_integer() else b
+        if isinstance(b, bool) or not isinstance(b, numbers.Integral):
+            raise ValueError(f"block_len must be an integer, got {self.block_len!r}")
+        object.__setattr__(self, "block_len", int(b))
         if self.kind != "constant" and self.offset is not None:
             raise ValueError(f"offset applies only to the constant law, not {self.kind}")
         if self.kind != "block_hold" and self.block_len != 1:
@@ -187,11 +194,11 @@ class CovarianceSpec:
     ``spectrum.HalfBasis``, which checks it): about ``n^2 / 2`` entries,
     never an ``n x n`` array on the decoding path.
 
-    ``halves.orth_defect`` is the Frobenius norm of the computed ``U'U -
-    I``, from the two half products (the cross block is zero by
-    construction); it bounds how far ``U`` is from orthonormal up to the
-    rounding of those products.  ``basis``, ``dense()`` and
-    ``sqrt_matrix()`` assemble ``U`` on each call.  ``d`` is frozen
+    ``d[j]`` is the power on column ``j`` of ``U``, in the halves' column
+    order (see ``HalfBasis``).  ``halves.orth_defect`` is the Frobenius norm
+    of the computed ``U'U - I``, from the two half products (the cross
+    block is zero by construction); it bounds how far ``U`` is from
+    orthonormal up to the rounding of those products.  ``d`` is frozen
     read-only at construction, so instances stay cheap to share across
     threads.
     """
@@ -214,11 +221,6 @@ class CovarianceSpec:
             raise ValueError(f"need a HalfBasis of order {self.n}")
 
     @property
-    def basis(self) -> np.ndarray:
-        """The dense ``n x n`` basis ``U``, assembled on each access."""
-        return self.halves.assemble()
-
-    @property
     def trace(self) -> float:
         return float(self.d.sum())
 
@@ -229,15 +231,6 @@ class CovarianceSpec:
     @property
     def lam_max(self) -> float:
         return float(self.d.max())
-
-    def dense(self) -> np.ndarray:
-        U = self.basis
-        return (U * self.d) @ U.T
-
-    def sqrt_matrix(self) -> np.ndarray:
-        """Symmetric positive square root."""
-        U = self.basis
-        return (U * np.sqrt(self.d)) @ U.T
 
 
 def build_sigma(
@@ -251,7 +244,7 @@ def build_sigma(
     eigenvalues.  The basis comes from ``spectrum.gram_eigh``, two half-size
     band problems (J-symmetric and J-skew) under a sign convention, so it
     does not depend on the LAPACK build, and stays as their two half
-    bases."""
+    bases; ``d`` follows their column order."""
     if P <= 0.0:
         raise ValueError("need P > 0")
     # ``policy`` stays for callers that pass "waterfill_gram" positionally.
@@ -271,9 +264,10 @@ class Codebook:
     Word ``i`` is ``x = U s`` with ``s = S[i] = sqrt(d) * g`` for a standard
     Gaussian ``g``, and ``q[i] = g'g``, which equals ``x' Sigma^{-1} x``
     exactly, with no rounding of ``x`` amplified by the small eigenvalues of
-    ``Sigma``.  Decoding needs only ``S`` and ``q``: ``words`` builds the
-    words of given rows from the half bases, and ``codewords`` the whole
-    ``S U'`` on first access."""
+    ``Sigma``; the decoder's guard band takes ``max(d) q`` as a bound on
+    ``||s||^2`` and so relies on that pairing.  Decoding needs only ``S``
+    and ``q``: ``words`` builds the words of given rows from the half
+    bases, and ``codewords`` the whole ``S U'`` on first access."""
 
     n: int
     R: float
@@ -312,23 +306,23 @@ def trial_block(size: int) -> int:
 def decode_bytes(size: int, n: int) -> int:
     """Bytes exhaustive decoding holds for ``size`` codewords of length
     ``n``: the coefficients, the input statistics and energies, the two
-    half bases (``(n^2 + 1) / 2`` entries, with two length-``n`` index
-    rows), and a block of ``T = trial_block(size)`` trials' scratch: two
-    float64 ``(size, T)`` arrays' worth of scores and masks, and five
-    length-``n`` rows per trial (received, projected, sent, and noise
-    vectors; a received vector's ``k`` extra entries are taken as at most
-    ``n``)."""
+    half bases (``(n^2 + 1) / 2`` entries), and a block of ``T =
+    trial_block(size)`` trials' scratch: two float64 ``(size, T)`` arrays'
+    worth of scores and masks, and five length-``n`` rows per trial
+    (received, projected, sent, and noise vectors; a received vector's
+    ``k`` extra entries are taken as at most ``n``)."""
     T = trial_block(size)
-    return 8 * (size * (n + 2 + 2 * T) + (n * n + 1) // 2 + n * (2 + 5 * T))
+    return 8 * (size * (n + 2 + 2 * T) + (n * n + 1) // 2 + 5 * n * T)
 
 
 def codebook_size(n: int, R: float) -> int:
     """Codewords ``2**ceil(n * R)`` of the rate-``R`` codebook of length
     ``n``, once exhaustive decoding is known to fit: raises
     ``CodebookTooLarge`` past ``MAX_CODEBOOK_BITS`` or past
-    ``MAX_DECODE_BYTES`` (see ``decode_bytes``)."""
-    if R < 0.0:
-        raise ValueError("rate must be non-negative")
+    ``MAX_DECODE_BYTES`` (see ``decode_bytes``).  A negative or non-finite
+    rate is refused."""
+    if not math.isfinite(R) or R < 0.0:
+        raise ValueError(f"rate must be finite and non-negative, got {R!r}")
     bits = math.ceil(n * R - 1e-12)
     if bits > MAX_CODEBOOK_BITS:
         raise CodebookTooLarge(

@@ -46,8 +46,6 @@ from .spectrum import (
     ChannelSpec,
     SpectrumProfile,
     build_Hc,
-    _half_bands,
-    _tap_autocorr,
     compute_profile,
 )
 from .waterfill import _penalty, phi_terms
@@ -95,8 +93,11 @@ class TypicalParams:
     eta: float
 
     def __post_init__(self) -> None:
-        if min(self.epsilon, self.eta) <= 0.0:
-            raise ValueError("typicality thresholds must be positive")
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.epsilon, self.eta)):
+            raise ValueError(
+                f"typicality thresholds must be positive and finite, got epsilon={self.epsilon!r}, "
+                f"eta={self.eta!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -187,9 +188,10 @@ class JointCovariance:
     The dense joint covariance and its inverse are not stored.
 
     ``gain[j] = u_j'(Hc'Hc)u_j`` for the columns ``u_j`` of the covariance
-    basis ``U``, and ``resid`` is the computed ``||Hc'Hc U - U
-    diag(gain)||_F``, both taken on the half bases: rounding-sized for the
-    eigenbasis ``build_sigma`` gives, large for any other basis."""
+    basis ``U``, and ``resid`` bounds ``||Hc'Hc U - U diag(gain)||_F``, the
+    computed residual plus its rounding, both from
+    ``HalfBasis.gram_fit``: rounding-sized for the eigenbasis
+    ``build_sigma`` gives, large for any other basis."""
 
     n: int
     m: int
@@ -199,33 +201,14 @@ class JointCovariance:
     resid: float
 
 
-def _sym_band_apply(band: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """``A Z`` for the symmetric matrix ``A`` in upper band form ``band``
-    (row ``u - l`` holds ``A[j - l, j]`` in column ``j``): ``2u + 1``
-    shifted multiply-adds of the rows of ``Z``."""
-    u = band.shape[0] - 1
-    AZ = np.multiply(band[u][:, None], Z)
-    tmp = np.empty_like(AZ)
-    for l in range(1, u + 1):
-        t = np.multiply(band[u - l, l:][:, None], Z[l:], out=tmp[l:])
-        AZ[:-l] += t  # A[i, i + l] z_(i + l), above the diagonal
-        t = np.multiply(band[u - l, l:][:, None], Z[:-l], out=tmp[l:])
-        AZ[l:] += t  # and its mirror below
-    return AZ
-
-
 def build_joint(cov: CovarianceSpec, Hc: BandedChannelMatrix) -> JointCovariance:
     """Pair the input covariance with the centre matrix after checking
     their shapes; a non-finite tap is refused (``CovarianceSpec`` refuses
     its own entries), and so is a matrix whose rows do not all hold the
     same taps, which is no centre matrix.  Then measure the basis against
-    ``G = Hc'Hc`` on its halves, in O(n^2 k) and without forming ``U``:
-    ``G`` is symmetric Toeplitz, so in the J-symmetric/J-skew coordinates
-    of ``HalfBasis`` it is ``blockdiag(Gs, Gk)``, the two half bands that
-    ``gram_eigh`` solves, and ``||GU - U diag(gain)||_F`` is the root sum
-    of squares of ``Gs Zs - Zs diag(gain_s)`` and ``Gk Zk - Zk
-    diag(gain_k)``.  Their gains and eigen-residual are the ``gain`` and
-    ``resid`` fields."""
+    ``G = Hc'Hc`` without forming ``U`` (``HalfBasis.gram_fit``): its gains
+    and the bound on its eigen-residual are the ``gain`` and ``resid``
+    fields."""
     n = cov.n
     if Hc.n != n:
         raise DimensionMismatch(
@@ -235,17 +218,9 @@ def build_joint(cov: CovarianceSpec, Hc: BandedChannelMatrix) -> JointCovariance
         raise NotPositiveDefinite("channel matrix has non-finite taps")
     if not (Hc.taps == Hc.taps[0]).all():
         raise ValueError("build_joint needs the centre matrix: every row the same taps")
-    B = cov.halves
-    gains, sq = [], 0.0
-    for band, Z in zip(_half_bands(_tap_autocorr(Hc.taps[0]), n), (B.sym, B.skew)):
-        GZ = _sym_band_apply(band, Z)
-        gain = np.einsum("ij,ij->j", Z, GZ)
-        GZ -= np.multiply(Z, gain)
-        gains.append(gain)
-        sq += float(np.vdot(GZ, GZ))
-    gain = np.concatenate(gains)[B.order]
+    gain, resid = cov.halves.gram_fit(Hc.taps[0])
     gain.setflags(write=False)
-    return JointCovariance(n=n, m=Hc.m, hc=Hc.taps, cov=cov, gain=gain, resid=math.sqrt(sq))
+    return JointCovariance(n=n, m=Hc.m, hc=Hc.taps, cov=cov, gain=gain, resid=resid)
 
 
 @dataclass(frozen=True)
@@ -299,21 +274,21 @@ def prepare_context(book: Codebook, joint: JointCovariance) -> DecodeContext:
         raise ValueError("the codebook is drawn in another basis than the joint covariance's")
     energy = np.einsum("ij,j,ij->i", book.S, joint.gain, book.S)
     energy.setflags(write=False)
-    s_sq = float(np.einsum("ij,ij->i", book.S, book.S).max())
+    eps = float(np.finfo(float).eps)
+    q_max = float(book.q.max())
+    # max ||s||^2 <= max(d) ||g||^2 with, to first order, the rounding of S =
+    # fl(g sqrt(d)) (2 eps), of q = fl(||g||^2) (n eps / 2) and of this product
+    # (eps / 2): (n + 5) eps / 2 in all, below (n + 3) eps.
+    s_sq = book.cov.lam_max * q_max * (1.0 + (n + 3) * eps)
     # Bounds on the norms of U, Hc and |Hc|, first order in eps: ||U||_2 and
     # ||U||_F from the computed U'U - I (whose own rounding is n^2 eps at most).
-    eps = float(np.finfo(float).eps)
     k1 = m - n + 1
     omega = book.cov.halves.orth_defect + n * n * eps
     mu = math.sqrt(1.0 + omega)
     nu = math.sqrt(n) * mu
     h = float(np.abs(joint.hc).max(axis=0).sum())
     lam_max = float(np.abs(joint.gain).max())
-    # The eigen-residual with the rounding of the half bands (k1 products
-    # per lag, the J-fold add and the sqrt(2) of the middle row and column,
-    # whose row sums are at most sqrt(2) h^2), of G Z and of G Z - Z diag(gain).
-    resid = joint.resid + eps * nu * (math.sqrt(2.0) * (3 * k1 + 1) * h * h + 2.0 * lam_max)
-    energy_err = s_sq * (mu * resid + (omega + (n + 1) * eps) * lam_max)
+    energy_err = s_sq * (mu * joint.resid + (omega + (n + 1) * eps) * lam_max)
     return DecodeContext(
         book=book,
         joint=joint,
@@ -321,7 +296,7 @@ def prepare_context(book: Codebook, joint: JointCovariance) -> DecodeContext:
         energy_err=energy_err,
         a_max=math.sqrt(float(energy.max()) + energy_err),
         word_err=eps * h * math.sqrt(s_sq) * (n * nu + (n + k1 + FOLD_ULPS) * mu),
-        q_max=float(book.q.max()),
+        q_max=q_max,
     )
 
 

@@ -11,8 +11,9 @@ through its squared magnitude ``|f|^2``: the extreme values ``alpha^2`` and
 matrix of the tall banded convolution matrix built from the centre taps.
 That Gram matrix is symmetric banded Toeplitz and is never formed densely:
 its eigenvalues come from its band form, its eigenbasis from two half-size
-band problems, and the eigenbasis is kept as those two half bases
-(``HalfBasis``).
+band problems, and the eigenbasis is kept as those two half bases in their
+own column order (``HalfBasis``, the one place that knows how they fold
+into the basis and that measures them against the Gram matrix).
 
 All integrals over ``[0, 2*pi]`` are composite-Simpson sums on one shared
 grid so that quantities which are equal in exact arithmetic (e.g. the
@@ -338,6 +339,21 @@ def _half_bands(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return sym, skew
 
 
+def _sym_band_apply(band: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """``A Z`` for the symmetric matrix ``A`` in upper band form ``band``
+    (row ``u - l`` holds ``A[j - l, j]`` in column ``j``): ``2u + 1``
+    shifted multiply-adds of the rows of ``Z``."""
+    u = band.shape[0] - 1
+    AZ = np.multiply(band[u][:, None], Z)
+    tmp = np.empty_like(AZ)
+    for l in range(1, u + 1):
+        t = np.multiply(band[u - l, l:][:, None], Z[l:], out=tmp[l:])
+        AZ[:-l] += t  # A[i, i + l] z_(i + l), above the diagonal
+        t = np.multiply(band[u - l, l:][:, None], Z[:-l], out=tmp[l:])
+        AZ[l:] += t  # and its mirror below
+    return AZ
+
+
 def _signed(Z: np.ndarray) -> np.ndarray:
     """``Z`` with each column flipped so that its largest-magnitude entry is
     positive, in C order (``eig_banded`` returns Fortran order).  Entries
@@ -358,13 +374,14 @@ class HalfBasis:
     J-symmetric or J-skew (``J`` the reversal), held as its two half bases
     and never as an ``n x n`` array.
 
-    With ``h = n // 2``, column ``j`` of ``sym`` (order ``n - h``) stands
-    for the column ``[z_top / sqrt(2); z_mid; J z_top / sqrt(2)]`` of ``U``,
-    where ``z = sym[:, j]``, ``z_top = z[:h]`` and ``z_mid = z[h]`` exists
-    only for odd ``n``; column ``j`` of ``skew`` (order ``h``) stands for
-    ``[w / sqrt(2); -J w / sqrt(2)]``.  Column ``j`` of ``U`` is column
-    ``order[j]`` of ``[sym | skew]``.  With an exact ``1/sqrt(2)``, ``U'U``
-    is ``blockdiag(sym'sym, skew'skew)`` up to that column order, so its
+    With ``h = n // 2``, column ``j`` of ``sym`` (order ``n - h``) is column
+    ``j`` of ``U``, ``[z_top / sqrt(2); z_mid; J z_top / sqrt(2)]`` for
+    ``z = sym[:, j]``, ``z_top = z[:h]`` and ``z_mid = z[h]``; column ``j``
+    of ``skew`` (order ``h``) is column ``n - h + j`` of ``U``, ``[w /
+    sqrt(2); 0; -J w / sqrt(2)]`` for ``w = skew[:, j]``.  The middle
+    entries exist only for odd ``n``; halves whose orders differ by other
+    than 0 or 1 pair into no such ``U`` and are refused.  With an exact
+    ``1/sqrt(2)``, ``U'U`` is ``blockdiag(sym'sym, skew'skew)``, so its
     cross block is exactly zero, and ``orth_defect``, the Frobenius norm of
     the computed ``sym'sym - I`` and ``skew'skew - I``, is that of the
     computed ``U'U - I``.  A defect entry past 1e-8 is refused.
@@ -378,24 +395,17 @@ class HalfBasis:
 
     sym: np.ndarray
     skew: np.ndarray
-    order: np.ndarray
     orth_defect: float = field(default=0.0, init=False, repr=False)
-    _col: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         parts = [np.ascontiguousarray(a, dtype=float) for a in (self.sym, self.skew)]
-        order = np.asarray(self.order)
-        n = order.size
-        h = n // 2
-        if order.shape != (n,) or order.dtype.kind not in "iu":
-            raise ValueError("order must be a 1-d integer array")
-        if parts[0].shape != (n - h, n - h) or parts[1].shape != (h, h):
+        if any(Z.ndim != 2 or Z.shape[0] != Z.shape[1] for Z in parts) or (
+            len(parts[0]) - len(parts[1]) not in (0, 1)
+        ):
             raise ValueError(
-                f"half bases have shapes {parts[0].shape} and {parts[1].shape}, expected "
-                f"({n - h}, {n - h}) and ({h}, {h})"
+                f"half bases have shapes {parts[0].shape} and {parts[1].shape}: need square "
+                "halves of orders n - n // 2 and n // 2"
             )
-        if not np.array_equal(np.sort(order), np.arange(n)):
-            raise ValueError("order is not a permutation")
         if not all(np.isfinite(Z).all() for Z in parts):
             raise ValueError("basis has non-finite entries")
         sq, worst = 0.0, 0.0
@@ -406,22 +416,19 @@ class HalfBasis:
             worst = max(worst, float(np.abs(D, out=D).max(initial=0.0)))
         if worst > 1e-8:
             raise ValueError(f"basis is not orthonormal (defect {worst:.2e})")
-        col = np.empty(n, dtype=np.intp)
-        col[order] = np.arange(n)
-        for name, a in (("sym", parts[0]), ("skew", parts[1]), ("order", order.copy()), ("_col", col)):
+        for name, a in (("sym", parts[0]), ("skew", parts[1])):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         object.__setattr__(self, "orth_defect", math.sqrt(sq))
 
     @property
     def n(self) -> int:
-        return self.order.size
+        return len(self.sym) + len(self.skew)
 
     def same_as(self, other: "HalfBasis") -> bool:
         """Whether ``other`` holds the same basis, entry for entry."""
-        return self is other or all(
-            np.array_equal(a, b)
-            for a, b in zip((self.sym, self.skew, self.order), (other.sym, other.skew, other.order))
+        return self is other or (
+            np.array_equal(self.sym, other.sym) and np.array_equal(self.skew, other.skew)
         )
 
     def apply(self, S: np.ndarray) -> np.ndarray:
@@ -430,8 +437,8 @@ class HalfBasis:
         difference (times ``1/sqrt(2)``) are the top half and the reversed
         bottom half; the middle entry of odd ``n`` is ``Zs s_sym``'s."""
         n, h = self.n, len(self.skew)
-        A = S.take(self._col[: n - h], axis=1) @ self.sym.T
-        B = S.take(self._col[n - h:], axis=1) @ self.skew.T
+        A = S[:, : n - h] @ self.sym.T
+        B = S[:, n - h:] @ self.skew.T
         X = np.empty((len(S), n))
         top, bot = X[:, :h], X[:, n - h:][:, ::-1]
         np.add(A[:, :h], B, out=top)
@@ -443,10 +450,9 @@ class HalfBasis:
         return X
 
     def adjoint(self, V: np.ndarray) -> np.ndarray:
-        """``V U``: the coefficients ``U'v`` of each row ``v`` of ``V``, as
+        """``V U``: the coefficients ``U'v`` of each row ``v`` of ``V``,
         ``Zs'(v_top + J v_bot) / sqrt(2)`` (with the middle entry of odd
-        ``n`` unscaled) and ``Zk'(v_top - J v_bot) / sqrt(2)``, put in the
-        column order of ``U``."""
+        ``n`` unscaled) followed by ``Zk'(v_top - J v_bot) / sqrt(2)``."""
         n, h = self.n, len(self.skew)
         top, bot = V[:, :h], V[:, n - h:][:, ::-1]
         P = np.empty((len(V), n - h))
@@ -459,25 +465,41 @@ class HalfBasis:
         C = np.empty((len(V), n))
         np.matmul(P, self.sym, out=C[:, : n - h])
         np.matmul(Q, self.skew, out=C[:, n - h:])
-        return C.take(self.order, axis=1)
+        return C
 
-    def assemble(self) -> np.ndarray:
-        """The dense ``n x n`` basis ``U``, built on each call."""
-        n, h = self.n, len(self.skew)
-        cs, ck = self._col[: n - h], self._col[n - h:]
-        U = np.zeros((n, n))
-        top = self.sym[:h] * _R2
-        U[:h, cs], U[n - h:, cs] = top, top[::-1]
-        Zk = self.skew * _R2
-        U[:h, ck], U[n - h:, ck] = Zk, -Zk[::-1]
-        if n > 2 * h:
-            U[h, cs] = self.sym[h]
-        return U
+    def gram_fit(self, c) -> tuple[np.ndarray, float]:
+        """Gains ``u_j'G u_j`` of the columns of ``U`` for ``G = Hc'Hc`` of
+        the centre taps ``c``, and a bound, first order in eps, on the
+        eigen-residual ``||GU - U diag(gain)||_F``, in O(n^2 k): in the
+        halves' coordinates ``G`` is ``blockdiag(Gs, Gk)``, the half bands
+        ``gram_eigh`` solves.  The bound is the computed residual plus the
+        rounding of the half bands (``k + 1`` products per lag, the J-fold
+        add and the ``sqrt(2)`` of the middle row, row sums at most
+        ``sqrt(2) h^2`` for ``h = sum |c|``), of ``G Z`` and of ``G Z - Z
+        diag(gain)``, with ``||U||_F^2 <= n (1 + orth_defect + n^2 eps)``."""
+        c = np.asarray(c, dtype=float)
+        n = self.n
+        gains, sq = [], 0.0
+        for band, Z in zip(_half_bands(_tap_autocorr(c), n), (self.sym, self.skew)):
+            GZ = _sym_band_apply(band, Z)
+            gain = np.einsum("ij,ij->j", Z, GZ)
+            GZ -= np.multiply(Z, gain)
+            gains.append(gain)
+            sq += float(np.vdot(GZ, GZ))
+        gain = np.concatenate(gains)
+        eps = float(np.finfo(float).eps)
+        h = float(np.abs(c).sum())
+        nu = math.sqrt(n * (1.0 + self.orth_defect + n * n * eps))
+        lam_max = float(np.abs(gain).max())
+        rounding = eps * nu * (math.sqrt(2.0) * (3 * len(c) + 1) * h * h + 2.0 * lam_max)
+        return gain, math.sqrt(sq) + rounding
 
 
 def gram_eigh(spec: ChannelSpec, n: int) -> tuple[np.ndarray, HalfBasis]:
-    """Ascending eigenvalues ``lam`` and the orthonormal eigenbasis ``U``
-    of the centre Gram matrix ``Hc' Hc``, as a ``HalfBasis``.
+    """Eigenvalues ``lam`` and the orthonormal eigenbasis ``U`` of the
+    centre Gram matrix ``Hc' Hc``, as a ``HalfBasis``, in the halves' own
+    column order: the J-symmetric half's eigenvalues ascending, then the
+    J-skew half's.
 
     The Gram matrix is symmetric Toeplitz, hence centrosymmetric, so it
     splits exactly into a J-symmetric and a J-skew half of order about
@@ -486,16 +508,13 @@ def gram_eigh(spec: ChannelSpec, n: int) -> tuple[np.ndarray, HalfBasis]:
     ``eig_banded`` call per half gives the eigenpairs, and the half
     eigenvectors are the half bases.  Each is flipped so that its
     largest-magnitude entry is positive (the first one on ties to
-    ``SIGN_TIE_REL``); the columns of ``U`` are ordered by a stable sort of
-    the eigenvalues.  The sign convention makes the basis independent of
-    the LAPACK build, and every column of the assembled ``U`` satisfies
-    ``U[::-1, j] == +-U[:, j]`` exactly.
+    ``SIGN_TIE_REL``).  The sign convention makes the basis independent of
+    the LAPACK build, and every column ``u`` of ``U`` satisfies ``u[::-1]
+    == +-u`` exactly.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     (lam_s, Zs), (lam_k, Zk) = (
         eig_banded(band, lower=False) for band in _half_bands(_tap_autocorr(spec.c), n)
     )
-    lam = np.concatenate([lam_s, lam_k])
-    order = np.argsort(lam, kind="stable")
-    return lam[order], HalfBasis(sym=_signed(Zs), skew=_signed(Zk), order=order)
+    return np.concatenate([lam_s, lam_k]), HalfBasis(sym=_signed(Zs), skew=_signed(Zk))

@@ -82,7 +82,15 @@ def watts_to_dbw(p_watts: float) -> float:
 
 
 def dbw_to_watts(p_dbw: float) -> float:
-    return 10.0 ** (p_dbw / 10.0)
+    """``10^(p_dbw / 10)``; a power whose wattage is not a finite float
+    (NaN, or past about 3083 dBW) raises ``ValueError``."""
+    try:
+        p_w = 10.0 ** (p_dbw / 10.0)
+    except OverflowError:
+        p_w = math.inf
+    if not math.isfinite(p_w):
+        raise ValueError(f"power {p_dbw!r} dBW is non-finite in watts")
+    return p_w
 
 
 @dataclass(frozen=True)

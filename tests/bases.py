@@ -1,4 +1,5 @@
-"""Half bases for tests: covariances whose basis is not the Gram eigenbasis.
+"""Half bases for tests: covariances whose basis is not the Gram eigenbasis,
+and the dense basis a ``HalfBasis`` stands for.
 
 A ``HalfBasis`` holds only J-structured bases, so the tests' stand-ins for
 "any other basis" are random orthonormal half bases and the standard half
@@ -6,10 +7,35 @@ bases (``sym = I``, ``skew = I``: columns ``(e_i +- e_(n-1-i)) / sqrt(2)``).
 Neither diagonalises a channel's Gram matrix.
 """
 
+import math
+
 import numpy as np
 
 from isicap.channel_sim import CovarianceSpec
 from isicap.spectrum import HalfBasis
+
+
+def assemble(halves):
+    """The dense ``n x n`` basis ``U`` of ``halves``, column by column from
+    the documented formula: column ``j < n - h`` is ``[z_top / sqrt(2);
+    z_mid; J z_top / sqrt(2)]`` for ``z = sym[:, j]``, column ``n - h + j``
+    is ``[w / sqrt(2); 0; -J w / sqrt(2)]`` for ``w = skew[:, j]``, with
+    ``h = n // 2`` and the middle entries only for odd ``n``.  It shares no
+    code with ``HalfBasis.apply`` or ``.adjoint``."""
+    n, h = halves.n, len(halves.skew)
+    r = 1.0 / math.sqrt(2.0)
+    cols = []
+    for z in halves.sym.T:
+        cols.append(np.concatenate([z[:h] * r, z[h:], z[:h][::-1] * r]))
+    for w in halves.skew.T:
+        cols.append(np.concatenate([w * r, np.zeros(n - 2 * h), -w[::-1] * r]))
+    return np.column_stack(cols)
+
+
+def sigma(cov):
+    """The dense covariance ``U diag(d) U'``."""
+    U = assemble(cov.halves)
+    return (U * cov.d) @ U.T
 
 
 def _orthonormal(rng, order):
@@ -19,18 +45,17 @@ def _orthonormal(rng, order):
 
 
 def random_halves(n, seed):
-    """QR bases of Gaussian matrices as both halves, in a random column
-    order."""
+    """QR bases of Gaussian matrices as both halves."""
     rng = np.random.default_rng(seed)
     h = n // 2
-    return HalfBasis(sym=_orthonormal(rng, n - h), skew=_orthonormal(rng, h), order=rng.permutation(n))
+    return HalfBasis(sym=_orthonormal(rng, n - h), skew=_orthonormal(rng, h))
 
 
 def standard_halves(n):
-    """Identity half bases in their natural order: every GEMM with them is
-    exact, so ``apply`` and ``adjoint`` round only in the J-fold."""
+    """Identity half bases: every GEMM with them is exact, so ``apply`` and
+    ``adjoint`` round only in the J-fold."""
     h = n // 2
-    return HalfBasis(sym=np.eye(n - h), skew=np.eye(h), order=np.arange(n))
+    return HalfBasis(sym=np.eye(n - h), skew=np.eye(h))
 
 
 def random_cov(n, seed):

@@ -36,7 +36,7 @@ from isicap.verify import VERIFY_STREAM_BASE
 from isicap.decoder import TypicalParams, _pass_mask, prepare_context
 from isicap.errors import CodebookTooLarge, DimensionMismatch
 from isicap.waterfill import POWER_FLOOR, dbw_to_watts, waterfill_powers
-from bases import flat_cov, random_cov, random_halves, standard_halves
+from bases import assemble, flat_cov, random_cov, random_halves, sigma, standard_halves
 from oracles import dense_gram, exact_channel_use, exact_joint_statistics
 
 
@@ -117,6 +117,22 @@ def test_trial_blocks_match_one_cell_path(example_spec, monkeypatch, law, entrie
             assert np.array_equal(Y[i], transmit(H, words[i], seed, t))
 
 
+@pytest.mark.parametrize("kind", ["block_hold", "iid_uniform"])
+@pytest.mark.parametrize("block_len", [True, False, 2.5, "2", None, float("nan")])
+def test_law_refuses_a_non_integer_block_len(kind, block_len):
+    """``block_len`` is an integer, as ``ChannelSpec`` asks of ``k``: a bool
+    (which would pass as 1 or 0) and a fractional value (which would fail
+    later inside ``np.repeat``) are refused at construction."""
+    with pytest.raises(ValueError, match="block_len must be an integer"):
+        ChannelLaw(kind=kind, block_len=block_len)
+
+
+def test_law_takes_an_integral_float_block_len():
+    law = ChannelLaw(kind="block_hold", block_len=3.0)
+    assert law.block_len == 3 and type(law.block_len) is int
+    assert ChannelLaw(kind="block_hold", block_len=np.int64(2)).block_len == 2
+
+
 def test_law_validation():
     with pytest.raises(ValueError):
         ChannelLaw(kind="bogus")
@@ -187,13 +203,9 @@ def test_covariance_validation():
     with pytest.raises(ValueError):
         CovarianceSpec(n=3, d=np.array([1.0, 0.0, 2.0]), halves=standard_halves(3))
     with pytest.raises(ValueError, match="not orthonormal"):
-        HalfBasis(sym=np.array([[1.0, 1.0], [0.0, 1.0]]), skew=np.eye(1), order=np.arange(3))
+        HalfBasis(sym=np.array([[1.0, 1.0], [0.0, 1.0]]), skew=np.eye(1))
     with pytest.raises(ValueError, match="shapes"):
-        HalfBasis(sym=np.eye(1), skew=np.eye(2), order=np.arange(3))
-    with pytest.raises(ValueError, match="permutation"):
-        HalfBasis(sym=np.eye(2), skew=np.eye(1), order=np.array([0, 0, 2]))
-    with pytest.raises(ValueError, match="integer"):
-        HalfBasis(sym=np.eye(2), skew=np.eye(1), order=np.arange(3.0))
+        HalfBasis(sym=np.eye(1), skew=np.eye(2))
 
 
 def test_covariance_needs_a_basis():
@@ -221,10 +233,16 @@ def test_identity_basis_is_the_diagonal_covariance(n):
 
 
 def test_covariance_identities():
-    cov = random_cov(6, 0)
-    sigma = cov.dense()
-    S = cov.sqrt_matrix()
-    assert np.abs(S @ S - sigma).max() <= 1e-10
+    """``trace``, ``lam_min`` and ``lam_max`` are those of the dense
+    ``U diag(d) U'`` assembled from the half bases, whose eigenvalues are
+    ``d``, at an even and an odd order."""
+    for n in (6, 7):
+        cov = random_cov(n, 0)
+        dense = sigma(cov)
+        lam = np.linalg.eigvalsh(dense)
+        assert np.abs(lam - np.sort(cov.d)).max() <= 1e-12
+        assert cov.trace == pytest.approx(np.trace(dense), rel=1e-12)
+        assert (cov.lam_min, cov.lam_max) == pytest.approx((lam[0], lam[-1]), rel=1e-12)
 
 
 def test_build_sigma_policies(example_spec):
@@ -253,8 +271,16 @@ def test_waterfill_sigma_is_basis_free(c, n):
         P = dbw_to_watts(p_dbw)
         d, _ = waterfill_powers(lam, n * P, POWER_FLOOR)
         want = (V * d) @ V.T
-        got = build_sigma(spec, n, P, "waterfill_gram").dense()
+        got = sigma(build_sigma(spec, n, P, "waterfill_gram"))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("R", [float("inf"), float("nan"), -0.5])
+def test_codebook_size_refuses_a_bad_rate(R):
+    """A non-finite or negative rate is refused with a ``ValueError`` that
+    names it, not an ``OverflowError`` from ``math.ceil``."""
+    with pytest.raises(ValueError, match=f"got {R!r}"):
+        channel_sim.codebook_size(64, R)
 
 
 def test_codebook_size_and_cap(example_spec):
@@ -284,9 +310,8 @@ def test_codebook_byte_cap(example_spec, monkeypatch):
     _pass_mask(Y, TypicalParams(epsilon=0.5, eta=0.3), ctx)
     _, block = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    halves = cov.halves  # two half bases and two length-n index rows
+    halves = cov.halves
     held = book.S.nbytes + book.q.nbytes + ctx.energy.nbytes + halves.sym.nbytes + halves.skew.nbytes
-    held += 2 * halves.order.nbytes
     need = decode_bytes(book.size, n)
     assert held + block <= need
     monkeypatch.setattr(channel_sim, "MAX_DECODE_BYTES", need)
@@ -324,9 +349,10 @@ def test_codebook_q_matches_exact_statistic(example_spec):
     book = gen_codebook(cov, 1.0, seed)
     g = rng_stream(seed, STREAM_CODEBOOK, 0).standard_normal((book.size, n))
     fr = np.vectorize(Fraction, otypes=[object])
-    X = fr(g) * fr(np.sqrt(cov.d)) @ fr(cov.basis).T
+    U = assemble(cov.halves)
+    X = fr(g) * fr(np.sqrt(cov.d)) @ fr(U).T
     x_stat, _ = exact_joint_statistics(
-        X, np.zeros((1, n + example_spec.k)), cov.d, cov.basis, example_spec.c
+        X, np.zeros((1, n + example_spec.k)), cov.d, U, example_spec.c
     )
     eps = np.finfo(float).eps
     for q, exact in zip(book.q, x_stat):

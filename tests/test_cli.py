@@ -442,6 +442,36 @@ def test_bounds_nan_grid_exits_config(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["bounds", "figure2"])
+def test_overflowing_power_grid_exits_config(tmp_path, capsys, command):
+    """4000 dBW is past the largest float in watts: exit 2 with the power
+    named, no traceback and no file."""
+    out = tmp_path / "x.csv"
+    assert main([command, "--grid", "4000", "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert "4000.0 dBW" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, says",
+    [
+        ({"p_dbw": 4000}, "4000.0 dBW"),
+        ({"rate_bits": float("inf")}, "got inf"),
+        ({"rate_bits": float("nan")}, "got nan"),
+    ],
+    ids=["p_dbw_4000", "rate_inf", "rate_nan"],
+)
+def test_simulate_overflowing_input_exits_config(tmp_path, capsys, section, says):
+    """An overflowing power or a non-finite rate exits 2 with the value
+    named, no traceback and no file."""
+    cfg = _write_config(tmp_path, {"simulate": {"n_list": [16], "rate_bits": 0.25, "trials": 10,
+                                                **section}})
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", "1"]) == EXIT_CONFIG
+    assert not out.exists()
+    assert says in capsys.readouterr().err
+
+
 def test_exit_code_bad_grid(tmp_path):
     out = tmp_path / "x.csv"
     assert main(["bounds", "--out", str(out), "--grid", "oops"]) == EXIT_CONFIG

@@ -32,11 +32,11 @@ from isicap.channel_sim import (
 )
 from isicap import decoder as decoder_mod
 from isicap.channel_sim import _band_apply
-from isicap.spectrum import FOLD_ULPS, HalfBasis
+from isicap.spectrum import FOLD_ULPS, HalfBasis, _half_bands, _sym_band_apply, _tap_autocorr
 from isicap.decoder import DecodeContext, _guard_band, _pass_mask, prepare_context, trace_budgets
 from isicap.errors import DimensionMismatch, NotPositiveDefinite
 from isicap.waterfill import LN2, dbw_to_watts, phi_terms
-from bases import flat_cov, random_cov as _random_cov, random_halves, standard_halves
+from bases import assemble, flat_cov, random_cov as _random_cov, random_halves, sigma, standard_halves
 from oracles import (
     dense_joint_covariance,
     exact_joint_statistics,
@@ -51,17 +51,30 @@ def test_params_validation():
         TypicalParams(epsilon=0.1, eta=-1.0)
 
 
+@pytest.mark.parametrize(
+    "epsilon, eta",
+    [(float("nan"), 0.3), (0.1, float("nan")), (float("inf"), 0.3), (0.1, float("inf")),
+     (float("-inf"), 0.3)],
+)
+def test_params_refuse_non_finite_thresholds(epsilon, eta):
+    """A NaN threshold would fail every candidate silently (every comparison
+    with NaN is false) and an infinite one would pass every candidate; both
+    are refused at construction, with the values named."""
+    with pytest.raises(ValueError, match="positive and finite"):
+        TypicalParams(epsilon=epsilon, eta=eta)
+
+
 def test_joint_inverse_matches_dense(example_spec):
     """The closed-form inverse ``[[Sigma^{-1} + H'H, -H'], [-H, I]]``, from
-    the package's centre matrix and the inverse of ``cov.dense()``, inverts a dense Xi
+    the package's centre matrix and the inverse of the dense Sigma, inverts a dense Xi
     built from Sigma and the taps alone."""
     cov = _random_cov(8, 1)
     joint = build_joint(cov, build_Hc(example_spec, 8))
-    H, xi = dense_joint_covariance(cov.dense(), example_spec.c)
+    H, xi = dense_joint_covariance(sigma(cov), example_spec.c)
     G = BandedChannelMatrix(n=joint.n, k=joint.m - joint.n, taps=joint.hc).dense()
     assert np.array_equal(G, H)
     closed = np.block(
-        [[np.linalg.inv(cov.dense()) + G.T @ G, -G.T], [-G, np.eye(joint.m)]]
+        [[np.linalg.inv(sigma(cov)) + G.T @ G, -G.T], [-G, np.eye(joint.m)]]
     )
     assert np.abs(closed - np.linalg.inv(xi)).max() <= 1e-8
 
@@ -71,7 +84,7 @@ def test_joint_quadratic_split(example_spec):
     residual, equals ``w' Xi^{-1} w`` for the dense Xi."""
     cov = _random_cov(6, 2)
     joint = build_joint(cov, build_Hc(example_spec, 6))
-    H, xi = dense_joint_covariance(cov.dense(), example_spec.c)
+    H, xi = dense_joint_covariance(sigma(cov), example_spec.c)
     rng = np.random.default_rng(3)
     for _ in range(5):
         x = rng.standard_normal(6)
@@ -79,13 +92,13 @@ def test_joint_quadratic_split(example_spec):
         w = np.concatenate([x, y])
         full = w @ np.linalg.solve(xi, w)
         resid = y - H @ x
-        split = x @ np.linalg.solve(cov.dense(), x) + resid @ resid
+        split = x @ np.linalg.solve(sigma(cov), x) + resid @ resid
         assert full == pytest.approx(split, rel=1e-10, abs=1e-10)
 
 
 def test_joint_determinant(example_spec):
     cov = _random_cov(5, 4)
-    _, xi = dense_joint_covariance(cov.dense(), example_spec.c)
+    _, xi = dense_joint_covariance(sigma(cov), example_spec.c)
     sign, logdet = np.linalg.slogdet(xi)
     assert sign > 0
     assert logdet == pytest.approx(float(np.log(cov.d).sum()), abs=1e-8)
@@ -105,7 +118,7 @@ def test_joint_rejects_non_finite(example_spec):
     bad_sym = good.halves.sym.copy()
     bad_sym[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        HalfBasis(sym=bad_sym, skew=good.halves.skew, order=good.halves.order)
+        HalfBasis(sym=bad_sym, skew=good.halves.skew)
     taps = Hc.taps.copy()
     taps[2, 1] = np.inf
     with pytest.raises(NotPositiveDefinite):
@@ -234,7 +247,7 @@ def test_build_joint_gains_and_residual(example_spec):
         assert np.abs(np.sort(joint.gain) - lam).max() <= 4 * n * eps * lam.max()
         assert joint.resid <= 4 * n * eps * np.abs(G).sum(axis=0).max()
         for other in (flat_cov(n), _random_cov(n, 6)):
-            U = other.basis
+            U = assemble(other.halves)
             got = build_joint(other, Hc)
             gain = np.einsum("ij,ij->j", U, G @ U)
             assert got.gain == pytest.approx(gain, rel=1e-12, abs=1e-12)
@@ -262,7 +275,7 @@ def test_prepare_context_refuses_another_basis(example_spec):
         with pytest.raises(ValueError, match="basis"):
             prepare_context(book, build_joint(other, build_Hc(example_spec, n)))
     halves = cov.halves
-    same = flat_cov(n, HalfBasis(sym=halves.sym.copy(), skew=halves.skew.copy(), order=halves.order.copy()))
+    same = flat_cov(n, HalfBasis(sym=halves.sym.copy(), skew=halves.skew.copy()))
     prepare_context(book, build_joint(same, build_Hc(example_spec, n)))
     with pytest.raises(DimensionMismatch):
         prepare_context(book, build_joint(_random_cov(n + 1, 2), build_Hc(example_spec, n + 1)))
@@ -279,7 +292,7 @@ def test_codeword_and_image_accessors(example_spec):
     ctx = prepare_context(book, build_joint(cov, Hc))
     assert "codewords" not in vars(book) and "images" not in vars(ctx)
     assert np.array_equal(book.codewords, cov.halves.apply(book.S))
-    want = book.S @ cov.basis.T
+    want = book.S @ assemble(cov.halves).T
     assert np.abs(book.codewords - want).max() <= 1e-14 * np.abs(want).max()
     assert book.codewords is book.codewords
     want = book.codewords @ Hc.dense().T
@@ -301,34 +314,23 @@ def test_experiment_builds_no_codewords_or_images(example_spec, monkeypatch):
     assert res.type1 + res.type2 + res.success == 70
 
 
-def test_experiment_never_assembles_the_basis(example_spec, monkeypatch):
-    """``run_error_experiment`` works on the half bases alone: with the
-    ``basis`` accessor and ``HalfBasis.assemble`` made to raise, it still
-    runs, at an odd order (middle entry), over two threads."""
-
-    def assembled(*args):
-        raise AssertionError("dense basis assembled")
-
-    monkeypatch.setattr(CovarianceSpec, "basis", property(assembled))
-    monkeypatch.setattr(HalfBasis, "assemble", assembled)
-    res = run_error_experiment(example_spec, n=33, R=0.25, P=1.0, trials=70, master_seed=4, threads=2)
-    assert res.type1 + res.type2 + res.success == 70
-    with pytest.raises(AssertionError, match="assembled"):
-        build_sigma(example_spec, 8, 1.0).dense()
-
-
 def test_guard_band_constants_count_the_half_bases(example_spec):
     """``word_err`` and ``energy_err`` are the documented bounds, at an even
-    and an odd order.  ``word_err``: the half GEMMs (``n ||U||_F``), the
-    band image or adjoint and the score (``(n + k + 1) ||U||_2``), and the
-    J-fold add and ``1/sqrt(2)`` scale of the half-basis apply and adjoint
-    (``FOLD_ULPS ||U||_2``), times ``eps h ||s||``.  ``energy_err``: the
-    eigen-residual plus the rounding of the half bands (``k + 1`` products
-    per lag, the J-fold add and the ``sqrt(2)`` of the middle row, row sums
-    at most ``sqrt(2) h^2``) and of their products with the half bases."""
+    and an odd order.  Both take ``max ||s||^2`` as ``max(d) max(q) (1 + (n
+    + 3) eps)``, the first-order bound from ``S = fl(g sqrt(d))`` and ``q =
+    fl(||g||^2)``, which is at least the computed maximum.  ``word_err``:
+    the half GEMMs (``n ||U||_F``), the band image or adjoint and the score
+    (``(n + k + 1) ||U||_2``), and the J-fold add and ``1/sqrt(2)`` scale
+    of the half-basis apply and adjoint (``FOLD_ULPS ||U||_2``), times ``eps
+    h ||s||``.  ``energy_err``: the eigen-residual bound of ``gram_fit``,
+    which adds to the computed half-band residual the rounding of the half
+    bands (``k + 1`` products per lag, the J-fold add and the ``sqrt(2)`` of
+    the middle row, row sums at most ``sqrt(2) h^2``) and of their products
+    with the half bases, and the rounding of the energies."""
     eps = np.finfo(float).eps
     k1 = example_spec.k + 1
     h = sum(abs(c) for c in example_spec.c)
+    t = _tap_autocorr(example_spec.c)
     for n in (16, 17):
         cov = build_sigma(example_spec, n, 1.0)
         book = gen_codebook(cov, 0.5, 1)
@@ -337,11 +339,18 @@ def test_guard_band_constants_count_the_half_bases(example_spec):
         omega = cov.halves.orth_defect + n * n * eps
         mu = math.sqrt(1.0 + omega)
         nu = math.sqrt(n) * mu
-        s_sq = float((book.S ** 2).sum(axis=1).max())
+        s_sq = cov.lam_max * float(book.q.max()) * (1.0 + (n + 3) * eps)
+        assert s_sq >= float((book.S ** 2).sum(axis=1).max())
         lam_max = float(np.abs(joint.gain).max())
         word_err = eps * h * math.sqrt(s_sq) * (n * nu + (n + k1 + FOLD_ULPS) * mu)
-        resid = joint.resid + eps * nu * (math.sqrt(2.0) * (3 * k1 + 1) * h * h + 2.0 * lam_max)
+        sq = 0.0
+        for band, Z, gain in zip(_half_bands(t, n), (cov.halves.sym, cov.halves.skew),
+                                 np.split(joint.gain, [n - n // 2])):
+            R = _sym_band_apply(band, Z) - Z * gain
+            sq += float(np.vdot(R, R))
+        resid = math.sqrt(sq) + eps * nu * (math.sqrt(2.0) * (3 * k1 + 1) * h * h + 2.0 * lam_max)
         energy_err = s_sq * (mu * resid + (omega + (n + 1) * eps) * lam_max)
+        assert joint.resid == pytest.approx(resid, rel=1e-12, abs=0.0)
         assert ctx.word_err == pytest.approx(word_err, rel=1e-12, abs=0.0)
         assert ctx.energy_err == pytest.approx(energy_err, rel=1e-12, abs=0.0)
 
@@ -531,7 +540,7 @@ def test_decode_and_counts_match_dense_oracle(example_spec):
         H = sample_H(example_spec, n, law, seed, t)
         ys.append(transmit(H, book.codewords[msgs[-1]], seed, t))
     x_stat, w_stat = joint_typicality_oracle(
-        book.codewords, np.stack(ys), cov.dense(), example_spec.c
+        book.codewords, np.stack(ys), sigma(cov), example_spec.c
     )
     # every candidate clears both thresholds by a margin, so the oracle's
     # own rounding cannot flip a decision
@@ -652,8 +661,9 @@ def test_decode_matches_exact_rational_oracle(example_spec, p_dbw):
                 ys.append(Hc.dense() @ book.codewords[-1] + np.sqrt(s2) * u)
     Y = np.stack(ys)
     fr = np.vectorize(Fraction, otypes=[object])
-    exact_words = fr(book.S) @ fr(cov.basis).T
-    x_stat, w_stat = exact_joint_statistics(exact_words, Y, cov.d, cov.basis, example_spec.c)
+    U = assemble(cov.halves)
+    exact_words = fr(book.S) @ fr(U).T
+    x_stat, w_stat = exact_joint_statistics(exact_words, Y, cov.d, U, example_spec.c)
     eps, eta = Fraction(params.epsilon), Fraction(params.eta)
     x_dev = [abs(x - 1) for x in x_stat]
     w_dev = [[abs(w - 1) for w in row] for row in w_stat]

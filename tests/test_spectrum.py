@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +15,9 @@ from isicap import (
     gram_eigh,
 )
 from isicap.errors import SpectrumSingular
-from isicap.spectrum import FOLD_ULPS, SIGN_TIE_REL, _f_sq, f_sq_table, simpson_mean
+from isicap.spectrum import FOLD_ULPS, SIGN_TIE_REL, HalfBasis, _f_sq, f_sq_table, simpson_mean
 
-from bases import random_halves, standard_halves
+from bases import assemble, random_halves, standard_halves
 from oracles import dense_gram, f_sq_direct, spectrum_extrema_oracle
 from reference_values import ALPHA_EXAMPLE, BETA_EXAMPLE, J_EXAMPLE
 
@@ -251,7 +252,7 @@ def test_gram_matches_product(example_spec):
         Hc = build_Hc(example_spec, n).dense()
         assert np.abs(dense_gram(example_spec.c, n) - Hc.T @ Hc).max() <= 1e-12
         lam, halves = gram_eigh(example_spec, n)
-        U = halves.assemble()
+        U = assemble(halves)
         assert np.abs((U * lam) @ U.T - Hc.T @ Hc).max() <= 1e-12
 
 
@@ -300,26 +301,27 @@ def _mirror_sign(U):
 @pytest.mark.parametrize("n,k", _GRAM_EIGH_CASES)
 def test_gram_eigh_matches_dense_gram(n, k):
     """Every order 1..40 (odd, even and n <= k) at k = 1..4, and three large
-    orders, on the assembled basis ``U`` of the half bases:
-    ``G U = U Lambda`` and ``U' U = I`` to ``4 n eps ||G||``, the
-    eigenvalues ascending and within that of ``eigvalsh`` on the oracle
-    Gram, each column exactly mirror-symmetric or mirror-skew (as many
-    symmetric columns as the half of order ``n - n // 2``), and the half
-    vector of each column has its largest-magnitude entry positive, the
-    first one on ties.  At k = 1 the sine eigenvectors have exactly tied
-    entries of opposite sign."""
+    orders, on the basis ``U`` assembled from the half bases' documented
+    columns: ``G U = U Lambda`` and ``U' U = I`` to ``4 n eps ||G||``, the
+    eigenvalues in the halves' order (ascending within each half) and,
+    sorted, within that of ``eigvalsh`` on the oracle Gram, the first ``n -
+    n // 2`` columns exactly mirror-symmetric and the rest exactly
+    mirror-skew, and the half vector of each column has its
+    largest-magnitude entry positive, the first one on ties.  At k = 1 the
+    sine eigenvectors have exactly tied entries of opposite sign."""
     spec = _gram_eigh_spec(k)
     G = dense_gram(spec.c, n)
     lam, halves = gram_eigh(spec, n)
-    U = halves.assemble()
+    U = assemble(halves)
+    h = n // 2
     tol = GRAM_EIGH_ULPS * n * np.finfo(float).eps * np.abs(G).sum(axis=0).max()
-    assert U.shape == (n, n) and np.all(np.diff(lam) >= 0.0)
+    assert U.shape == (n, n) and lam.shape == (n,)
+    assert np.all(np.diff(lam[: n - h]) >= 0.0) and np.all(np.diff(lam[n - h:]) >= 0.0)
     assert np.abs(G @ U - U * lam).max() <= tol
     assert np.abs(U.T @ U - np.eye(n)).max() <= GRAM_EIGH_ULPS * n * np.finfo(float).eps
-    assert np.abs(lam - np.linalg.eigvalsh(G)).max() <= tol
+    assert np.abs(np.sort(lam) - np.linalg.eigvalsh(G)).max() <= tol
     mirror = _mirror_sign(U)
-    assert np.all(mirror != 0)
-    assert np.count_nonzero(mirror == 1) == n - n // 2
+    assert np.all(mirror[: n - h] == 1) and np.all(mirror[n - h:] == -1)
     half = U[: n - n // 2].copy()
     half[: n // 2] *= math.sqrt(2.0)
     mag = np.abs(half)
@@ -330,26 +332,31 @@ def test_gram_eigh_matches_dense_gram(n, k):
 @pytest.mark.parametrize("n", [64, 1024, 1025])
 def test_gram_eigenvalues_agree_with_gram_eigh(n):
     """``gram_eigenvalues`` and ``gram_eigh`` solve the same half bands by
-    different LAPACK routes; their eigenvalues agree to the stated ``4 n
+    different LAPACK routes; ``gram_eigenvalues`` is ascending, and the
+    sorted eigenvalues of ``gram_eigh`` agree with it to the stated ``4 n
     eps ||G||_1``, at an even and an odd large order, on the default and
     a k = 4 channel."""
     for spec in (ChannelSpec(k=2, c=(1.0, 0.5, 0.5), r=(1e-3,) * 3), _gram_eigh_spec(4)):
         G1 = np.abs(dense_gram(spec.c, n)).sum(axis=0).max()
-        gap = np.abs(gram_eigenvalues(spec, n) - gram_eigh(spec, n)[0]).max()
+        lam = gram_eigenvalues(spec, n)
+        assert np.all(np.diff(lam) >= 0.0)
+        gap = np.abs(lam - np.sort(gram_eigh(spec, n)[0])).max()
         assert gap <= 4 * n * np.finfo(float).eps * G1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 65])
 def test_half_basis_apply_and_adjoint_match_assembled(n):
-    """``apply`` is ``S U'`` and ``adjoint`` is ``V U`` for the assembled
-    ``U``, row by row within the rounding of both (``2 (n sqrt(n) +
-    FOLD_ULPS + 1) eps`` per unit of the row's norm), for the Gram
-    eigenbasis and for random half bases, at orders with and without a
-    middle entry; ``orth_defect`` is that of the assembled ``U``."""
+    """``apply`` is ``S U'`` and ``adjoint`` is ``V U`` for ``U`` assembled
+    from the documented columns (``tests/bases.py``, no shared code), row
+    by row within the rounding of both (``2 (n sqrt(n) + FOLD_ULPS + 1)
+    eps`` per unit of the row's norm), for the Gram eigenbasis and for
+    random half bases, at orders with and without a middle entry and with
+    an empty or a one-column half; ``orth_defect`` is that of the
+    assembled ``U``."""
     eps = np.finfo(float).eps
     rng = np.random.default_rng(n)
     for halves in (gram_eigh(_gram_eigh_spec(3), n)[1], random_halves(n, n)):
-        U = halves.assemble()
+        U = assemble(halves)
         S = rng.standard_normal((9, n))
         tol = 2.0 * (n * math.sqrt(n) + FOLD_ULPS + 1.0) * eps * np.linalg.norm(S, axis=1)
         assert np.all(np.linalg.norm(halves.apply(S) - S @ U.T, axis=1) <= tol)
@@ -357,6 +364,68 @@ def test_half_basis_apply_and_adjoint_match_assembled(n):
         assert halves.orth_defect == pytest.approx(
             np.linalg.norm(U.T @ U - np.eye(n)), abs=4 * n * eps
         )
+
+
+def _exact_basis(halves):
+    """The ``U`` of ``halves`` as an mpmath matrix, from the documented
+    columns with the exact ``1/sqrt(2)`` at the working precision."""
+    n, h = halves.n, len(halves.skew)
+    r = 1 / mpmath.sqrt(2)
+    U = mpmath.matrix(n, n)
+    for j, z in enumerate(halves.sym.T):
+        for i in range(h):
+            U[i, j] = U[n - 1 - i, j] = mpmath.mpf(z[i]) * r
+        if n > 2 * h:
+            U[h, j] = mpmath.mpf(z[h])
+    for j, w in enumerate(halves.skew.T):
+        for i in range(h):
+            U[i, n - h + j] = mpmath.mpf(w[i]) * r
+            U[n - 1 - i, n - h + j] = -mpmath.mpf(w[i]) * r
+    return U
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9])
+def test_gram_fit_bounds_the_exact_residual(n):
+    """``gram_fit``'s gains are ``u_j'G u_j`` of the ``U`` the halves stand
+    for, to ``4 n eps ||G||_1``, and its residual bounds the exact ``||GU -
+    U diag(gain)||_F`` from above, both evaluated in 40-digit arithmetic
+    on the exact ``U`` and ``G``, for the Gram eigenbasis (rounding-sized
+    residual) and for random half bases (a residual of order one)."""
+    spec = _gram_eigh_spec(3)
+    G1 = np.abs(dense_gram(spec.c, n)).sum(axis=0).max()
+    with mpmath.workdps(40):
+        c = [mpmath.mpf(v) for v in spec.c]
+        t = [mpmath.fsum(c[l] * c[l + d] for l in range(len(c) - d)) for d in range(len(c))]
+        G = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                if abs(i - j) < len(t):
+                    G[i, j] = t[abs(i - j)]
+        for halves in (gram_eigh(spec, n)[1], random_halves(n, n)):
+            gain, resid = halves.gram_fit(spec.c)
+            U = _exact_basis(halves)
+            GU = G * U
+            exact_gain = [mpmath.fsum(U[i, j] * GU[i, j] for i in range(n)) for j in range(n)]
+            assert max(abs(float(g - e)) for g, e in zip(gain, exact_gain)) <= (
+                4 * n * np.finfo(float).eps * G1
+            )
+            exact = mpmath.sqrt(mpmath.fsum(
+                (GU[i, j] - U[i, j] * mpmath.mpf(gain[j])) ** 2 for i in range(n) for j in range(n)
+            ))
+            assert resid >= exact
+
+
+def test_half_basis_refuses_unpaired_halves():
+    """The symmetric half has order ``n - n // 2`` and the skew half ``n //
+    2``, so their orders differ by 0 or 1; any other pair, or a half that
+    is not square, stands for no basis."""
+    for sym, skew in ((np.eye(1), np.eye(2)), (np.eye(3), np.eye(1)), (np.eye(2), np.eye(0)),
+                      (np.eye(2)[:, :1], np.eye(1)), (np.eye(2), np.ones(1))):
+        with pytest.raises(ValueError, match="shapes"):
+            HalfBasis(sym=sym, skew=skew)
+    for order in range(1, 6):
+        h = order // 2
+        assert HalfBasis(sym=np.eye(order - h), skew=np.eye(h)).n == order
 
 
 # 1/sqrt(2) to 40 digits, as an exact rational.

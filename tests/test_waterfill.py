@@ -305,3 +305,13 @@ def test_finite_n_tracks_integral(example_spec):
     fb = finite_n_bound(example_spec, 256, 100.0)
     cont = cap_integral(example_spec, fb.theta)
     assert abs(fb.first_term - cont) <= 5e-3
+
+
+@pytest.mark.parametrize("p_dbw", [4000.0, 3083.0, float("inf"), float("nan")])
+def test_dbw_to_watts_refuses_a_non_finite_power(p_dbw):
+    """A power whose wattage overflows, or is NaN, raises a ``ValueError``
+    naming it instead of an ``OverflowError`` or a silent inf."""
+    with pytest.raises(ValueError, match=f"power {p_dbw!r} dBW"):
+        dbw_to_watts(p_dbw)
+    assert dbw_to_watts(3082.0) == 10.0 ** 308.2
+    assert dbw_to_watts(-10.0) == 10.0 ** -1.0
