@@ -76,18 +76,35 @@ def _stream_key(master_seed: int, stream: int) -> np.ndarray:
     return key
 
 
+class _NoEntropy(np.random.bit_generator.ISeedSequence):
+    """Seed of a Philox whose key and counter are then set through its
+    ``state``: zero words, so building one reads no OS entropy."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
+_NO_ENTROPY = _NoEntropy()
+# A Philox state with an empty buffer; each cell puts in its key and counter.
+_PHILOX_STATE = np.random.Philox(_NO_ENTROPY).state
+
+
 def rng_stream(master_seed: int, stream: int, index: int) -> np.random.Generator:
     """Generator of the cell ``(stream, index)`` under a master seed: a
-    Philox keyed by ``stream`` at counter ``[0, index, 0, 0]``.  Distinct
-    cells are statistically independent."""
+    Philox keyed by ``stream`` at counter ``[0, index, 0, 0]``, equal to
+    ``Philox(key=..., counter=index << 64)``.  Distinct cells are
+    statistically independent, and every call returns a generator of its
+    own."""
     master_seed, stream, index = map(operator.index, (master_seed, stream, index))
     if min(master_seed, stream) < 0 or not 0 <= index < 1 << 64:
         raise ValueError(f"need seed and stream >= 0 and index in [0, 2**64), got "
                          f"{(master_seed, stream, index)}")
-    # ``index << 64`` is the counter [0, index, 0, 0]; Philox counts a cell's
-    # blocks in word 0, so cells never overlap below 2**64 blocks.
-    key = _stream_key(master_seed, stream)
-    return np.random.Generator(np.random.Philox(key=key, counter=index << 64))
+    # Counter [0, index, 0, 0]; Philox counts a cell's blocks in word 0, so
+    # cells never overlap below 2**64 blocks.
+    counter = np.array([0, index, 0, 0], dtype=np.uint64)
+    bits = np.random.Philox(_NO_ENTROPY)
+    bits.state = {**_PHILOX_STATE, "state": {"counter": counter, "key": _stream_key(master_seed, stream)}}
+    return np.random.Generator(bits)
 
 
 @dataclass(frozen=True)
@@ -265,9 +282,13 @@ class Codebook:
     Gaussian ``g``, and ``q[i] = g'g``, which equals ``x' Sigma^{-1} x``
     exactly, with no rounding of ``x`` amplified by the small eigenvalues of
     ``Sigma``; the decoder's guard band takes ``max(d) q`` as a bound on
-    ``||s||^2`` and so relies on that pairing.  Decoding needs only ``S``
-    and ``q``: ``words`` builds the words of given rows from the half
-    bases, and ``codewords`` the whole ``S U'`` on first access."""
+    ``||s||^2`` (and ``d_floor q`` on the floor columns' part), and so
+    relies on that pairing: a ``q`` below the computed ``sum_j s_j^2 /
+    d_j`` by more than its rounding, ``(2n + 8) eps`` relative (``n eps``
+    for ``q``, ``4 eps`` for ``S = fl(g sqrt(d))`` squared, ``(n + 3) eps``
+    for the check's own sum), is refused.  Decoding needs only ``S`` and
+    ``q``: ``words`` builds the words of given rows from the half bases,
+    and ``codewords`` the whole ``S U'`` on first access."""
 
     n: int
     R: float
@@ -281,6 +302,9 @@ class Codebook:
             raise ValueError("coefficient array shape mismatch")
         if self.q.shape != (self.size,):
             raise ValueError("input statistic shape mismatch")
+        g_sq = np.einsum("ij,j,ij->i", self.S, 1.0 / self.cov.d, self.S)
+        if np.any(g_sq > self.q * (1.0 + (2 * self.n + 8) * np.finfo(float).eps)):
+            raise ValueError("input statistic q understates sum_j s_j^2 / d_j of its coefficients")
 
     def words(self, rows) -> np.ndarray:
         """The words ``S[rows] U'``, one per row index, from the half bases

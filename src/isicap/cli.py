@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -272,12 +273,25 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
 FIGURE1_HEADER = ("r_s", "P_dBW", "bound", "term1", "term2", "term3", "P_W", "flag")
 
 
+def _radius_sum(v: float, field: str) -> float:
+    """``10^v`` for a log10 radius sum; one that is not a finite float (NaN,
+    or past about 308) raises ``ConfigError`` naming ``field``."""
+    try:
+        rs = 10.0 ** v
+    except OverflowError:
+        rs = math.inf
+    if not math.isfinite(rs):
+        raise ConfigError(f"{field}: log10 radius sum {v!r} is non-finite as a radius sum")
+    return rs
+
+
 def cmd_figure1(cfg: RunConfig, args: argparse.Namespace) -> int:
     section = cfg.sections["figure1"]
     if args.grid:
-        rs_values = [10.0 ** v for v in parse_grid(args.grid)]
+        field, logs = "--grid", parse_grid(args.grid)
     else:
-        rs_values = [10.0 ** v for v in _grid_from(section["rs_log10"], "figure1.rs_log10")]
+        field, logs = "figure1.rs_log10", _grid_from(section["rs_log10"], "figure1.rs_log10")
+    rs_values = [_radius_sum(v, field) for v in logs]
     p_list = _grid_from(section["p_dbw"], "figure1.p_dbw")
     if not rs_values or not p_list:
         raise ConfigError("empty sweep")

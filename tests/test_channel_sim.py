@@ -58,18 +58,45 @@ def test_rng_streams_distinct():
 
 @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**70 + 3])
 def test_rng_stream_is_the_documented_cell(seed):
-    """``rng_stream(seed, stream, index)`` is a plain numpy Philox keyed by
-    ``SeedSequence(seed, spawn_key=(stream,)).generate_state(2, np.uint64)``
-    at counter ``[0, index, 0, 0]``, for indices past one and two counter
-    words' worth of uint32."""
+    """``rng_stream(seed, stream, index)`` draws, bit for bit, what a plain
+    numpy Philox keyed by ``SeedSequence(seed, spawn_key=(stream,))
+    .generate_state(2, np.uint64)`` at counter ``[0, index, 0, 0]`` draws,
+    for indices past one and two counter words' worth of uint32 up to the
+    last cell.  Each call returns a generator of its own: draws from one
+    leave another of the same cell where it was."""
     for stream in (0, 1, 2, 3, VERIFY_STREAM_BASE + 8):
         key = np.random.SeedSequence(seed, spawn_key=(stream,)).generate_state(2, np.uint64)
-        for index in (0, 1, 2**32, 2**63):
+        for index in (0, 1, 2**32, 2**63, 2**64 - 1):
             counter = np.array([0, index, 0, 0], dtype=np.uint64)
             want = np.random.Generator(np.random.Philox(key=key, counter=counter))
-            got = rng_stream(seed, stream, index)
-            assert np.array_equal(got.random(9), want.random(9))
+            got, twin = rng_stream(seed, stream, index), rng_stream(seed, stream, index)
+            assert got.bit_generator is not twin.bit_generator
+            first = got.random(9)
+            assert np.array_equal(first, want.random(9))
             assert np.array_equal(got.standard_normal(5), want.standard_normal(5))
+            assert got.integers(1 << 20) == want.integers(1 << 20)
+            assert np.array_equal(twin.random(9), first)
+
+
+def test_codebook_refuses_an_understated_q(example_spec):
+    """``Codebook`` refuses an input statistic below ``sum_j s_j^2 / d_j``
+    of its coefficients by more than rounding, since the guard band bounds
+    ``||s||^2`` by ``max(d) q``: the drawn ``q`` passes at -10 dBW (power
+    floor columns, where ``1/d`` is 1e12) and scaled up, and is refused
+    scaled down by 1e-6, for all rows or one."""
+    n = 64
+    cov = build_sigma(example_spec, n, dbw_to_watts(-10.0))
+    assert cov.lam_min == POWER_FLOOR
+    book = gen_codebook(cov, 0.1, 1)
+    fields = dict(n=n, R=book.R, size=book.size, S=book.S, cov=cov)
+    Codebook(q=book.q.copy(), **fields)
+    Codebook(q=book.q * (1.0 + 1e-6), **fields)
+    with pytest.raises(ValueError, match="understates"):
+        Codebook(q=book.q * (1.0 - 1e-6), **fields)
+    q = book.q.copy()
+    q[3] *= 1.0 - 1e-6
+    with pytest.raises(ValueError, match="understates"):
+        Codebook(q=q, **fields)
 
 
 def test_rng_stream_refusals():

@@ -452,6 +452,25 @@ def test_overflowing_power_grid_exits_config(tmp_path, capsys, command):
     assert "4000.0 dBW" in capsys.readouterr().err
 
 
+def test_figure1_overflowing_grid_exits_config(tmp_path, capsys):
+    """A log10 radius sum of 400 is past the largest float: exit 2 with the
+    value named, no traceback and no file."""
+    out = tmp_path / "x.csv"
+    assert main(["figure1", "--grid", "400", "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert "--grid: log10 radius sum 400.0" in capsys.readouterr().err
+
+
+def test_figure1_overflowing_config_grid_exits_config(tmp_path, capsys):
+    """The same refusal for ``figure1.rs_log10`` in a config file, where
+    one value of the list overflows."""
+    cfg = _write_config(tmp_path, {"figure1": {"rs_log10": [-2.0, 308.5]}})
+    out = tmp_path / "x.csv"
+    assert main(["figure1", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert "figure1.rs_log10: log10 radius sum 308.5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "section, says",
     [

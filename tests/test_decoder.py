@@ -35,7 +35,7 @@ from isicap.channel_sim import _band_apply
 from isicap.spectrum import FOLD_ULPS, HalfBasis, _half_bands, _sym_band_apply, _tap_autocorr
 from isicap.decoder import DecodeContext, _guard_band, _pass_mask, prepare_context, trace_budgets
 from isicap.errors import DimensionMismatch, NotPositiveDefinite
-from isicap.waterfill import LN2, dbw_to_watts, phi_terms
+from isicap.waterfill import LN2, POWER_FLOOR, dbw_to_watts, phi_terms
 from bases import assemble, flat_cov, random_cov as _random_cov, random_halves, sigma, standard_halves
 from oracles import (
     dense_joint_covariance,
@@ -138,6 +138,19 @@ def _white_book(coefs, R):
     )
 
 
+def _floor_sq(ctx, Y):
+    """``||z_f||^2`` per row of ``Y`` for the projection ``Z = (Hc'Y) U`` on
+    the floor columns ``ctx.floor`` names (the head of each half), from the
+    dense channel matrix and basis."""
+    joint = ctx.joint
+    n, r = joint.n, joint.n - joint.n // 2
+    Hc = BandedChannelMatrix(n=n, k=joint.m - n, taps=joint.hc).dense()
+    Z = Y @ Hc @ assemble(ctx.book.cov.halves)
+    fs, fk = ctx.floor
+    F = np.hstack([Z[:, :fs], Z[:, r:r + fk]])
+    return (F * F).sum(axis=1)
+
+
 def _crafted_setup(example_spec):
     """Codebook where word 0 hits both typicality tests (to rounding) and
     word 1 fails the input test outright."""
@@ -223,7 +236,7 @@ def test_decode_guard_band_follows_direct_rule(example_spec):
         w0 = (ctx.q_sigma[0] + np.einsum("ij,ij->i", diff, diff)[0]) / (n + m)
         dev0 = abs(w0 - 1.0)
         assert dev0 > 0.0
-        band = _guard_band(ctx, np.array([y @ y]))[0]
+        band = _guard_band(ctx, np.array([y @ y]), np.zeros(1))[0]  # no floor columns
         for eta in (dev0, np.nextafter(dev0, np.inf)):
             assert abs(dev0 - eta) <= band  # inside the guard band
             params = TypicalParams(epsilon=0.1, eta=eta)
@@ -379,9 +392,101 @@ def test_near_threshold_pair_follows_direct_form(example_spec, monkeypatch):
             params = TypicalParams(epsilon=10.0, eta=eta)
             assert _pass_mask(y[None], params, ctx)[0, 0] == (dev0 < eta)
             with monkeypatch.context() as mp:
-                mp.setattr(decoder_mod, "_guard_band", lambda ctx, y_sq: np.zeros_like(y_sq))
+                mp.setattr(decoder_mod, "_guard_band", lambda ctx, y_sq, zf_sq: np.zeros_like(y_sq))
                 wrong += _pass_mask(y[None], params, ctx)[0, 0] != (dev0 < eta)
     assert wrong > 0
+
+
+def test_floor_band_pair_follows_direct_form(example_spec, monkeypatch):
+    """At -10 dBW water-filling leaves the head of each half at the power
+    floor, and the score skips those columns.  With ``eta`` halfway
+    between a pair's direct-form deviation and its deviation short of the
+    floor columns' term ``2 s_f.z_f / (n + m)`` (about 1e-7 here), the
+    tail GEMMs land on the wrong side, outside the band without the floor
+    term (about 1e-12) but inside the band with it: the pass mask follows
+    the direct form, and stops doing so once the floor term is dropped."""
+    n, seed = 32, 3
+    cov = build_sigma(example_spec, n, dbw_to_watts(-10.0))
+    book = gen_codebook(cov, 4 / n, seed)
+    joint = build_joint(cov, build_Hc(example_spec, n))
+    ctx = prepare_context(book, joint)
+    m, r = joint.m, n - n // 2
+    fs, fk = ctx.floor
+    assert fs > 0 and fk > 0 and ctx.d_floor == POWER_FLOOR
+    floor = np.zeros(n, dtype=bool)
+    floor[:fs] = floor[r:r + fk] = True
+    U, Hd = assemble(cov.halves), build_Hc(example_spec, n).dense()
+    a0 = _band_apply(joint.hc, book.words([0]), np.zeros((1, m)))[0]
+    band = decoder_mod._guard_band
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        y = a0 + rng.standard_normal(m)
+        diff = a0 - y
+        w = (book.q[0] + diff @ diff) / (n + m)
+        z_f = (U.T @ (Hd.T @ y))[floor]
+        w_tail = w + 2.0 * (book.S[0][floor] @ z_f) / (n + m)
+        dev, dev_tail = abs(w - 1.0), abs(w_tail - 1.0)
+        eta = 0.5 * (dev + dev_tail)
+        y_sq = np.array([y @ y])
+        assert band(ctx, y_sq, np.zeros(1))[0] < abs(dev_tail - eta)
+        assert abs(dev_tail - eta) <= band(ctx, y_sq, np.array([z_f @ z_f]))[0]
+        params = TypicalParams(epsilon=10.0, eta=eta)
+        assert _pass_mask(y[None], params, ctx)[0, 0] == (dev < eta)
+        with monkeypatch.context() as mp:
+            mp.setattr(decoder_mod, "_guard_band",
+                       lambda ctx, y_sq, zf_sq: band(ctx, y_sq, np.zeros_like(zf_sq)))
+            assert _pass_mask(y[None], params, ctx)[0, 0] == (dev_tail < eta) != (dev < eta)
+
+
+def _split_case(example_spec, n, case):
+    """A covariance on the Gram eigenbasis (10 dBW, no floor column) with
+    its spectrum edited, and the floor prefixes it should give."""
+    base = build_sigma(example_spec, n, dbw_to_watts(10.0))
+    d, r = base.d.copy(), n - n // 2
+    if case == "no_floor":
+        want = (0, 0)
+    elif case == "one_half":  # the whole J-skew half, none of the other
+        d[r:] = POWER_FLOOR
+        want = (0, n // 2)
+    elif case == "not_ascending":
+        # A descending floor prefix, a floor entry past it, and a half
+        # whose head is above the floor.
+        d[:3] = [POWER_FLOOR, 0.5 * POWER_FLOOR, 0.1 * POWER_FLOOR]
+        d[5] = POWER_FLOOR
+        d[r], d[r + 1] = 2.0, POWER_FLOOR
+        want = (3, 0)
+    else:  # every column at the floor
+        d[:] = POWER_FLOOR
+        want = (r, n // 2)
+    return CovarianceSpec(n=n, d=d, halves=base.halves), want
+
+
+@pytest.mark.parametrize("case", ["no_floor", "one_half", "not_ascending", "all_floor"])
+def test_support_split_matches_full_width_score(example_spec, case):
+    """The floor prefixes of each half are the longest runs of ``d <=
+    POWER_FLOOR`` at its head, whatever the order of ``d``, with
+    ``d_floor`` their largest ``d``; and the pass mask equals the direct
+    rule scored over all n columns, densely (the assembled basis and
+    channel matrix), on every pair clear of ``eta`` by 1e-9, with
+    thresholds that split the pairs."""
+    n, size, T = 24, 64, 20
+    cov, want = _split_case(example_spec, n, case)
+    book = gen_codebook(cov, 0.25, 4)
+    joint = build_joint(cov, build_Hc(example_spec, n))
+    ctx = prepare_context(book, joint)
+    r = n - n // 2
+    assert ctx.floor == want
+    skipped = np.concatenate([cov.d[:want[0]], cov.d[r:r + want[1]]])
+    assert ctx.d_floor == (skipped.max() if skipped.size else 0.0)
+    rng = np.random.default_rng(5)
+    A = book.S @ assemble(cov.halves).T @ build_Hc(example_spec, n).dense().T
+    Y = A[rng.integers(size, size=T)] + rng.standard_normal((T, joint.m))
+    W = (book.q[:, None] + ((A[:, None, :] - Y[None]) ** 2).sum(axis=-1)) / (n + joint.m)
+    dev = np.sort(np.abs(W - 1.0), axis=None)
+    eta = 0.5 * (dev[dev.size // 2] + dev[dev.size // 2 + 1])
+    assert np.abs(dev - eta).min() > 1e-9
+    params = TypicalParams(epsilon=10.0, eta=eta)
+    assert np.array_equal(_pass_mask(Y, params, ctx), np.abs(W - 1.0) < eta)
 
 
 def test_standard_basis_pairs_follow_direct_form(example_spec):
@@ -626,8 +731,9 @@ def test_decode_matches_exact_rational_oracle(example_spec, p_dbw):
     outside ``eta`` on either side of 1 where possible; the rest come
     through a drawn and through the centre channel.  Pairs whose exact
     joint deviation lies within the guard band of ``eta`` are not
-    compared; the input test has no guard band, and its rounding error
-    here stays below 1e-9."""
+    compared, except the crafted ones, which lie outside it unless the
+    floor columns' term widens it (at -10 dBW); the input test has no
+    guard band, and its rounding error here stays below 1e-9."""
     n, seed = 4, 7
     P = dbw_to_watts(p_dbw)
     cov = build_sigma(example_spec, n, P, "waterfill_gram")
@@ -668,17 +774,19 @@ def test_decode_matches_exact_rational_oracle(example_spec, p_dbw):
     x_dev = [abs(x - 1) for x in x_stat]
     w_dev = [[abs(w - 1) for w in row] for row in w_stat]
     exact = np.array([[x_dev[i] < eps and w < eta for w in w_dev[i]] for i in range(book.size)])
-    band = _guard_band(ctx, np.einsum("ij,ij->i", Y, Y))
+    band = _guard_band(ctx, np.einsum("ij,ij->i", Y, Y), _floor_sq(ctx, Y))
     clear = np.array([
         [abs(x_dev[i] - eps) > 1e-9 and abs(w - eta) > band[t] for t, w in enumerate(w_dev[i])]
         for i in range(book.size)
     ])
     assert len(crafted) >= 2
     for t, inside in crafted.items():
-        assert clear[-1, t] and exact[-1, t] == inside
+        # At -10 dBW the floor columns' term widens the band past them.
+        assert clear[-1, t] == (ctx.d_floor == 0.0) and exact[-1, t] == inside
     assert clear.mean() >= 0.9
     mask = _pass_mask(Y, params, ctx)
     assert np.array_equal(mask[clear], exact[clear])
+    assert all(mask[-1, t] == inside for t, inside in crafted.items())
     for t, y in enumerate(ys):
         if not clear[:, t].all():
             continue
