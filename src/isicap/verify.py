@@ -3,8 +3,14 @@
 The suites are one table, ``_SUITES``, of ``(name, instance, check)`` rows.
 ``instance(rng, i, n_max)`` draws sample ``i`` of a suite (a random
 channel, covariance and realization, or plain matrices) from its own
-stream; ``check(inst)`` evaluates one inequality on it exactly (dense
-linear algebra, no banded shortcuts) and returns ``(margin, ok)``.  One
+stream; ``check(inst)`` evaluates one inequality on it and returns
+``(margin, ok)``.  Each check computes only the quantities its inequality
+names, through an identity stated in its docstring: operator norms of
+channel matrices are the top eigenvalue of their band Gram matrix, the
+stacked trace is summed block by block, the whitened trace takes one
+Cholesky factor of the centre output covariance, and every product with
+``Sigma`` or its square root goes through the drawn covariance, which
+scales columns in the standard basis and never forms ``diag(d)``.  One
 runner loops over the samples and records the worst margin.  An inequality
 ``lhs <= rhs`` passes with slack ``rhs * (1 + 1e-9) + 1e-12`` in the linear
 domain; the log-domain checks (determinant, volume) use an
@@ -21,7 +27,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh
+from scipy.linalg import cholesky, eigh, eigvals_banded, eigvalsh, solve_triangular
 
 from .errors import SpectrumSingular
 from .spectrum import (
@@ -87,7 +93,8 @@ def norms(M: np.ndarray) -> NormBundle:
     if M.ndim != 2 or M.size == 0:
         raise ValueError("need a non-empty 2-d array")
     G = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M
-    top = float(eigvalsh(G)[-1])
+    last = G.shape[0] - 1
+    top = float(eigvalsh(G, subset_by_index=[last, last])[0])
     return NormBundle(
         op=math.sqrt(max(top, 0.0)),
         fro=float(np.linalg.norm(M)),
@@ -268,12 +275,15 @@ def _random_channel(rng: np.random.Generator, n_max: int):
 
 class _Cov:
     """A drawn covariance ``Sigma = Q diag(d) Q'`` for a random orthonormal
-    ``Q``, or ``Q = None`` for the standard basis.  ``sigma`` and ``root``
-    (its symmetric square root) are built once, on first use; in the
-    standard basis they are the diagonal matrices."""
+    ``Q``, or ``Q = None`` for the standard basis.  It owns every product
+    with ``Sigma`` and its symmetric square root: ``times_root`` and
+    ``sandwich`` scale columns in the standard basis (bit for bit the GEMMs
+    against ``np.diag``) and multiply by the dense ``sigma`` or ``root``,
+    built once on first use, in a random basis."""
 
     def __init__(self, d: np.ndarray, Q: Optional[np.ndarray]) -> None:
         self.d, self.Q, self.n = d, Q, len(d)
+        self.sqrt_d = np.sqrt(d)
         self.trace, self.lam_min, self.lam_max = float(d.sum()), float(d.min()), float(d.max())
 
     @cached_property
@@ -282,8 +292,17 @@ class _Cov:
 
     @cached_property
     def root(self) -> np.ndarray:
-        r = np.sqrt(self.d)
+        r = self.sqrt_d
         return np.diag(r) if self.Q is None else (self.Q * r) @ self.Q.T
+
+    def times_root(self, X: np.ndarray) -> np.ndarray:
+        """``X Sigma^(1/2)``."""
+        return X * self.sqrt_d if self.Q is None else X @ self.root
+
+    def sandwich(self, X: np.ndarray) -> np.ndarray:
+        """``X Sigma X'``."""
+        XS = X * self.d if self.Q is None else X @ self.sigma
+        return XS @ X.T
 
 
 def _random_cov(rng: np.random.Generator, n: int) -> _Cov:
@@ -313,18 +332,32 @@ def _rescale_radii_for_phi1(
     return scaled, compute_profile(scaled)
 
 
-def _sample_banded(rng: np.random.Generator, spec: ChannelSpec, n: int) -> np.ndarray:
+def _sample_banded(rng: np.random.Generator, spec: ChannelSpec, n: int) -> BandedChannelMatrix:
     m = n + spec.k
     u = rng.uniform(-1.0, 1.0, (m, spec.k + 1))
     taps = np.asarray(spec.c) + u * np.asarray(spec.r)
-    return BandedChannelMatrix(n=n, k=spec.k, taps=taps).dense()
+    return BandedChannelMatrix(n=n, k=spec.k, taps=taps)
+
+
+def _band_op_norm(M: BandedChannelMatrix) -> float:
+    """Operator norm of a band channel matrix: the square root of the top
+    eigenvalue of ``M'M``, held in lower band form of bandwidth
+    ``min(k, n - 1)`` (row ``d`` holds diagonal ``d``,
+    ``(M'M)[j + d, j] = sum_e taps[j+d+e, d+e] taps[j+d+e, e]`` over the
+    ``k - d + 1`` outputs that see both columns); no dense matrix."""
+    n, k, t = M.n, M.k, M.taps
+    band = np.zeros((min(k, n - 1) + 1, n))
+    for d in range(len(band)):
+        for e in range(k - d + 1):
+            band[d, : n - d] += t[d + e : n + e, d + e] * t[d + e : n + e, e]
+    top = eigvals_banded(band, lower=True, select="i", select_range=(n - 1, n - 1))
+    return math.sqrt(max(float(top[0]), 0.0))
 
 
 def _omegas(H: np.ndarray, Hc: np.ndarray, cov: _Cov):
     """Output covariances ``I + Hc Sigma Hc'`` and ``I + H Sigma H'``."""
     eye = np.eye(H.shape[0])
-    sigma = cov.sigma
-    return eye + Hc @ sigma @ Hc.T, eye + H @ sigma @ H.T
+    return eye + cov.sandwich(Hc), eye + cov.sandwich(H)
 
 
 def _lemma1_instance(rng, i, n_max):
@@ -335,22 +368,23 @@ def _lemma1_instance(rng, i, n_max):
 
 
 def _centre_instance(rng, i, n_max):
-    """(centre matrix, its operator-norm cap ``beta``)."""
+    """(band centre matrix, its operator-norm cap ``beta``)."""
     spec, profile, n = _random_channel(rng, n_max)
-    return build_Hc(spec, n).dense(), profile.beta
+    return build_Hc(spec, n), profile.beta
 
 
 def _deviation_instance(rng, i, n_max):
-    """(sampled minus centre matrix, its operator-norm cap ``r_s``)."""
+    """(band sampled-minus-centre matrix, its operator-norm cap ``r_s``)."""
     spec, profile, n = _random_channel(rng, n_max)
-    return _sample_banded(rng, spec, n) - build_Hc(spec, n).dense(), profile.r_s
+    taps = _sample_banded(rng, spec, n).taps - np.asarray(spec.c)
+    return BandedChannelMatrix(n=n, k=spec.k, taps=taps), profile.r_s
 
 
 def _trace_instance(rng, i, n_max):
     """(H, Hc, covariance, both trace budgets at the covariance's power)."""
     spec, profile, n = _random_channel(rng, n_max)
     cov = _random_cov(rng, n)
-    H = _sample_banded(rng, spec, n)
+    H = _sample_banded(rng, spec, n).dense()
     return H, build_Hc(spec, n).dense(), cov, trace_budgets(spec, profile, cov, cov.trace / n)
 
 
@@ -362,7 +396,7 @@ def _weyl_instance(rng, i, n_max):
         spec, profile, cov, target=float(rng.uniform(0.05, 0.9))
     )
     Hc = build_Hc(spec, n).dense()
-    H = _sample_banded(rng, spec, n)
+    H = _sample_banded(rng, spec, n).dense()
     return H, Hc, cov, phi_terms(profile, cov.lam_min, cov.lam_max, cov.trace, n + spec.k)
 
 
@@ -381,38 +415,48 @@ def _volume_instance(rng, i, n_max):
 
 
 def _lemma1(inst):
+    """``||M1 M2||_F <= min(||M1||_op ||M2||_F, ||M2||_op ||M1||_F)``."""
     ok, margin = check_lemma1(*inst)
     return margin, ok
 
 
 def _op_cap(inst):
+    """``||M||_op <= cap`` for a band channel matrix ``M``, with
+    ``||M||_op^2 = lambda_max(M'M)`` taken on the band Gram matrix."""
     M, cap = inst
-    op = norms(M).op
+    op = _band_op_norm(M)
     return cap - op, holds(op, cap)
 
 
 def _stacked_trace(inst):
+    """``2 ||Phi||_F^2 <= C_n`` for ``Phi = [[I + S'S, S'], [S, I]]`` with
+    ``S = (H - Hc) Sigma^(1/2)``, summed block by block:
+    ``||Phi||_F^2 = ||I + S'S||_F^2 + 2 ||S||_F^2 + m``."""
     H, Hc, cov, (budget, _) = inst
-    E = H - Hc
-    m, n = E.shape
-    ES = E @ cov.root
-    phi = np.block([[np.eye(n) + ES.T @ ES, ES.T], [ES, np.eye(m)]])
-    lhs = 2.0 * float(np.linalg.norm(phi) ** 2)
+    ES = cov.times_root(H - Hc)
+    G = ES.T @ ES
+    G[np.diag_indices_from(G)] += 1.0
+    lhs = 2.0 * (float(np.linalg.norm(G)) ** 2 + 2.0 * float(np.linalg.norm(ES)) ** 2 + ES.shape[0])
     return budget - lhs, holds(lhs, budget)
 
 
 def _whitened_trace(inst):
+    """``2 ||B' Omega_c^-1 B||_F^2 <= C'_n`` for ``B = [H Sigma^(1/2), I]``.
+    Since ``B B' = Omega_h``, ``||B' Omega_c^-1 B||_F = ||L^-1 Omega_h
+    L^-T||_F`` with ``L`` the Cholesky factor of ``Omega_c``: one
+    factorization and two triangular solves of order m."""
     H, Hc, cov, (_, budget) = inst
-    m = H.shape[0]
-    omega_c = np.eye(m) + Hc @ cov.sigma @ Hc.T
-    B = np.hstack([H @ cov.root, np.eye(m)])
-    psi = B.T @ np.linalg.solve(omega_c, B)
-    lhs = 2.0 * float(np.linalg.norm(psi) ** 2)
+    omega_c, omega_h = _omegas(H, Hc, cov)
+    L = cholesky(omega_c, lower=True)
+    X = solve_triangular(L, omega_h, lower=True)
+    psi = solve_triangular(L, X.T, lower=True)
+    lhs = 2.0 * float(np.linalg.norm(psi)) ** 2
     return budget - lhs, holds(lhs, budget)
 
 
 def _det_floor(inst):
-    """Worst-case output-covariance determinant floor, in the log domain."""
+    """Worst-case output-covariance determinant floor, in the log domain:
+    ``m log(1 - phi1) + log det Omega_c <= log det Omega_h``."""
     H, Hc, cov, (phi1, _, _) = inst
     omega_c, omega_h = _omegas(H, Hc, cov)
     floor = H.shape[0] * math.log(1.0 - phi1) + np.linalg.slogdet(omega_c)[1]
@@ -421,18 +465,23 @@ def _det_floor(inst):
 
 
 def _eig_stability(inst):
-    """Largest eigenvalue shift of the whitened Gram pair against the
-    operator norm of the (symmetric) perturbation."""
+    """Weyl: the largest eigenvalue shift of the whitened Gram pair
+    ``A = W'W``, ``B = Wc'Wc`` with ``W = H Sigma^(1/2)``, ``Wc = Hc
+    Sigma^(1/2)`` (so ``A = Sigma^(1/2) H'H Sigma^(1/2)``) is at most the
+    operator norm of the symmetric perturbation ``A - B``."""
     H, Hc, cov, _ = inst
-    S = cov.root
-    A = S @ (H.T @ H) @ S
-    B = S @ (Hc.T @ Hc) @ S
+    W, Wc = cov.times_root(H), cov.times_root(Hc)
+    A = W.T @ W
+    B = Wc.T @ Wc
     gap = float(np.abs(eigvalsh(A) - eigvalsh(B)).max())
     op = float(np.abs(eigvalsh(A - B)).max())
     return op - gap, holds(gap, op)
 
 
 def _shell_floor(inst):
+    """``m (1 - eta') phi3 <= min y' Omega_h^-1 y`` over the shell
+    ``y' Omega_c^-1 y = m (1 - eta')``, the minimum being the shell radius
+    times the smallest eigenvalue of the ``(Omega_c, Omega_h)`` pencil."""
     H, Hc, cov, (_, _, phi3), eta_prime = inst
     val = qcqp_min(*_omegas(H, Hc, cov), eta_prime)
     floor = H.shape[0] * max(1.0 - eta_prime, 0.0) * phi3
@@ -440,6 +489,8 @@ def _shell_floor(inst):
 
 
 def _volume(inst):
+    """The shell's exact log2 volume lies below the Gaussian-entropy
+    estimate, and above its lower companion when ``eta >= 1``."""
     sigma, eta = inst
     res = typical_volume(sigma, eta)
     margin = res.log2_upper - res.log2_exact

@@ -4,8 +4,10 @@ These deliberately avoid the package's own algorithms: the shell minimizer
 is a projected-gradient descent with retraction and restarts, not an
 eigenvalue solve, the spectrum extrema come from high-precision Newton
 steps, not from polynomial roots or an FFT, a channel use is summed
-exactly, entry by entry of the dense matrix, and the centre Gram matrix is
-filled lag by lag from the taps.
+exactly, entry by entry of the dense matrix, the centre Gram matrix is
+filled lag by lag from the taps, and the ``verify`` checks are evaluated in
+their dense textbook form (whole block matrices, ``np.diag`` covariances,
+full eigenvalue lists).
 """
 
 import math
@@ -13,6 +15,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+import scipy.linalg
 
 
 def shell_min_oracle(
@@ -254,3 +257,61 @@ def spectrum_extrema_oracle(c, grid: int = 4096, digits: int = 50) -> tuple[floa
                     break
             found.append(derivs(x)[0])
         return float(mpmath.sqrt(min(found))), float(mpmath.sqrt(max(found)))
+
+
+def _dense_band(band) -> np.ndarray:
+    """The ``(n + k) x n`` matrix of a band channel matrix, entry by entry:
+    ``h_ij = taps[i, i - j]`` on ``0 <= i - j <= k``."""
+    n, k, taps = band.n, band.k, band.taps
+    H = np.zeros((n + k, n))
+    for i in range(n + k):
+        for j in range(max(0, i - k), min(n, i + 1)):
+            H[i, j] = taps[i, i - j]
+    return H
+
+
+def _dense_cov(cov) -> tuple[np.ndarray, np.ndarray]:
+    """``Sigma`` and its symmetric square root from a drawn covariance's
+    spectrum ``d`` and basis ``Q`` (``None``: the standard basis)."""
+    Q = np.eye(len(cov.d)) if cov.Q is None else cov.Q
+    return Q @ np.diag(cov.d) @ Q.T, Q @ np.diag(np.sqrt(cov.d)) @ Q.T
+
+
+def dense_check_oracle(name: str, inst) -> tuple[float, float]:
+    """``(lhs, rhs)`` of a ``verify`` channel suite's inequality
+    ``lhs <= rhs`` on one drawn instance, by dense linear algebra: the
+    operator norm from every eigenvalue of the dense Gram matrix, the
+    stacked and whitened block matrices formed whole, the whitened one by a
+    general solve against all ``n + m`` right-hand sides."""
+    if name in ("centre_matrix_norm", "deviation_matrix_norm"):
+        band, cap = inst
+        M = _dense_band(band)
+        top = np.linalg.eigvalsh(M.T @ M)[-1]
+        return math.sqrt(max(float(top), 0.0)), float(cap)
+    H, Hc, cov, terms = inst[:4]
+    sigma, root = _dense_cov(cov)
+    m, n = H.shape
+    omega_c = np.eye(m) + Hc @ sigma @ Hc.T
+    omega_h = np.eye(m) + H @ sigma @ H.T
+    if name == "stacked_deviation_trace":
+        ES = (H - Hc) @ root
+        phi = np.block([[np.eye(n) + ES.T @ ES, ES.T], [ES, np.eye(m)]])
+        return 2.0 * float(np.linalg.norm(phi)) ** 2, terms[0]
+    if name == "whitened_output_trace":
+        B = np.hstack([H @ root, np.eye(m)])
+        psi = B.T @ np.linalg.solve(omega_c, B)
+        return 2.0 * float(np.linalg.norm(psi)) ** 2, terms[1]
+    if name == "determinant_floor":
+        floor = m * math.log(1.0 - terms[0]) + np.linalg.slogdet(omega_c)[1]
+        return float(floor), float(np.linalg.slogdet(omega_h)[1])
+    if name == "eigenvalue_stability":
+        A = root @ (H.T @ H) @ root
+        B = root @ (Hc.T @ Hc) @ root
+        gap = np.abs(np.linalg.eigvalsh(A) - np.linalg.eigvalsh(B)).max()
+        return float(gap), float(np.abs(np.linalg.eigvalsh(A - B)).max())
+    if name == "shell_minimum_floor":
+        eta_prime = inst[4]
+        radius = m * max(1.0 - eta_prime, 0.0)
+        pencil_min = scipy.linalg.eigh(omega_c, omega_h, eigvals_only=True)[0]
+        return radius * terms[2], radius * float(pencil_min)
+    raise ValueError(f"no dense oracle for suite {name!r}")

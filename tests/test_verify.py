@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from isicap import (
+    BandedChannelMatrix,
     ChannelSpec,
     SUITE_NAMES,
     build_Hc,
@@ -20,9 +21,10 @@ from isicap import (
     typical_volume,
     verify_report,
 )
-from isicap.verify import _SUITES, _sample_banded, holds
+from isicap import verify
+from isicap.verify import _SUITES, _band_op_norm, _sample_banded, _suite_rng, holds
 
-from oracles import shell_min_oracle
+from oracles import dense_check_oracle, shell_min_oracle
 
 
 def _spd(rng, m, spread=2.0):
@@ -242,8 +244,9 @@ def test_suite_inputs_refused(kwargs, field):
 
 def test_deviation_norm_check_zero_radius_is_tight():
     spec = ChannelSpec(k=1, c=(1.0, 0.25), r=(0.0, 0.0))
-    E = _sample_banded(np.random.default_rng(0), spec, 12) - build_Hc(spec, 12).dense()
-    assert not E.any()  # a zero-radius draw is the centre matrix exactly
+    taps = _sample_banded(np.random.default_rng(0), spec, 12).taps - build_Hc(spec, 12).taps
+    assert not taps.any()  # a zero-radius draw is the centre matrix exactly
+    E = BandedChannelMatrix(n=12, k=1, taps=taps)
     check = {name: chk for name, _, chk in _SUITES}["deviation_matrix_norm"]
     margin, ok = check((E, compute_profile(spec).r_s))
     assert ok
@@ -265,3 +268,68 @@ def test_op_norm_squared_below_gram_row_sum(M):
     # lambda_max of M'M never exceeds the absolute row-sum norm of M'M
     b = norms(M)
     assert b.op ** 2 <= norms(M.T @ M).max_row_sum * (1.0 + 1e-9) + 1e-12
+
+
+CHANNEL_SUITES = (
+    "centre_matrix_norm",
+    "deviation_matrix_norm",
+    "stacked_deviation_trace",
+    "whitened_output_trace",
+    "determinant_floor",
+    "eigenvalue_stability",
+    "shell_minimum_floor",
+)
+
+
+@pytest.mark.parametrize("n_max", [24, 256])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_channel_checks_match_dense_oracle(seed, n_max):
+    """Each channel check's margin is its dense textbook form's ``rhs - lhs``
+    to ``1e-9 max(|lhs|, |rhs|) + 1e-12`` (the eigenvalue-stability margin
+    ``op - gap`` cancels, so it gets the scale of its terms), with the same
+    pass/fail decision."""
+    for idx, (name, instance, check) in enumerate(_SUITES):
+        if name not in CHANNEL_SUITES:
+            continue
+        for i in range(5):
+            inst = instance(_suite_rng(seed, idx, i), i, n_max)
+            margin, ok = check(inst)
+            lhs, rhs = dense_check_oracle(name, inst)
+            scale = max(abs(lhs), abs(rhs))
+            assert abs(margin - (rhs - lhs)) <= 1e-9 * scale + 1e-12, (name, i)
+            assert ok == (lhs <= rhs + 1e-9 * abs(rhs) + 1e-12), (name, i)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_band_op_norm_matches_dense(k):
+    rng = np.random.default_rng(k)
+    for n in (k + 1, k + 2, 64, 257):
+        M = BandedChannelMatrix(n=n, k=k, taps=rng.uniform(-1.0, 1.0, (n + k, k + 1)))
+        assert _band_op_norm(M) == pytest.approx(norms(M.dense()).op, rel=1e-13, abs=0.0)
+
+
+def test_standard_basis_draws_build_no_square_matrix(monkeypatch):
+    """The covariance suites reach ``Sigma`` only through the draw's own
+    products, which scale columns in the standard basis: no ``diag(d)``."""
+    seen = {"standard": 0}
+
+    def guarded(prop):
+        def get(cov):
+            if cov.Q is None:
+                raise AssertionError(f"standard-basis draw built {prop.attrname}")
+            return prop.func(cov)
+        return property(get)
+
+    draw = verify._random_cov
+
+    def counting_draw(rng, n):
+        cov = draw(rng, n)
+        seen["standard"] += cov.Q is None
+        return cov
+
+    for prop in ("sigma", "root"):
+        monkeypatch.setattr(verify._Cov, prop, guarded(getattr(verify._Cov, prop)))
+    monkeypatch.setattr(verify, "_random_cov", counting_draw)
+    for name in CHANNEL_SUITES[2:]:  # the five suites that draw a covariance
+        assert run_suite(name, samples=8, master_seed=0, n_max=24).violations == 0
+    assert seen["standard"] > 0
