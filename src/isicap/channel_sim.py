@@ -5,12 +5,13 @@ Every draw comes from a cell ``(stream, index)`` under one master seed: a
 .generate_state(2, np.uint64)`` and whose counter is ``[0, index, 0, 0]``,
 which ``rng_stream`` builds and which any trial can be replayed from.
 Streams: CHANNEL (0) and NOISE (1) the taps and noise of trial ``index``,
-CODEBOOK (2, index 0) the codeword Gaussians, MESSAGE (3) trial
-``index``'s message pick, and ``verify.VERIFY_STREAM_BASE + s`` (16 + s)
-instance ``index`` of certificate suite ``s``.  Philox counts a cell's
-blocks in counter word 0, so cells never overlap, and results do not
-depend on scheduling order.  ``TrialBlocks`` draws the same cells a block
-of trials at a time, through the same tap and band kernels.
+CODEBOOK (2, index 0) the codebook's Gaussians on the water-filled support,
+then its floor radii, MESSAGE (3) trial ``index``'s message pick, FLOOR (4)
+the floor direction of codeword ``index``, and ``verify.VERIFY_STREAM_BASE
++ s`` (16 + s) instance ``index`` of certificate suite ``s``.  Philox
+counts a cell's blocks in counter word 0, so cells never overlap, and
+results do not depend on scheduling order.  ``TrialBlocks`` draws the same
+cells a block of trials at a time, through the same tap and band kernels.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "STREAM_NOISE",
     "STREAM_CODEBOOK",
     "STREAM_MESSAGE",
+    "STREAM_FLOOR",
     "MAX_CODEBOOK_BITS",
     "MAX_DECODE_BYTES",
     "trial_block",
@@ -55,6 +57,7 @@ STREAM_CHANNEL = 0
 STREAM_NOISE = 1
 STREAM_CODEBOOK = 2
 STREAM_MESSAGE = 3
+STREAM_FLOOR = 4
 
 MAX_CODEBOOK_BITS = 24
 # Byte cap on what exhaustive decoding holds for one codebook: the
@@ -69,11 +72,10 @@ _DRAW_ENTRIES = 1 << 15
 
 
 @lru_cache(maxsize=32)
-def _stream_key(master_seed: int, stream: int) -> np.ndarray:
-    """Philox key of ``stream`` under ``master_seed``, read-only."""
+def _stream_key(master_seed: int, stream: int) -> tuple[int, int]:
+    """Philox key of ``stream`` under ``master_seed``."""
     key = np.random.SeedSequence(master_seed, spawn_key=(stream,)).generate_state(2, np.uint64)
-    key.setflags(write=False)
-    return key
+    return tuple(key.tolist())
 
 
 class _NoEntropy(np.random.bit_generator.ISeedSequence):
@@ -86,7 +88,27 @@ class _NoEntropy(np.random.bit_generator.ISeedSequence):
 
 _NO_ENTROPY = _NoEntropy()
 # A Philox state with an empty buffer; each cell puts in its key and counter.
-_PHILOX_STATE = np.random.Philox(_NO_ENTROPY).state
+# The buffer, key and counter are held as lists, not arrays: the state
+# setter, which runs once per cell, reads list entries about twice as fast.
+_PHILOX_STATE = {k: v.tolist() if isinstance(v, np.ndarray) else v
+                 for k, v in np.random.Philox(_NO_ENTROPY).state.items()}
+
+
+def _cells(master_seed: int, stream: int, indices, bits: Optional[np.random.Philox] = None):
+    """One generator on ``bits`` (a new Philox if none is given), set in
+    turn to the cell ``(stream, i)`` of each ``i`` in ``indices``: keyed
+    once, with ``i`` written into counter word 1 and the buffer empty, so
+    each cell draws what ``rng_stream`` draws for it."""
+    bits = np.random.Philox(_NO_ENTROPY) if bits is None else bits
+    gen = np.random.Generator(bits)
+    # Counter [0, i, 0, 0]; Philox counts a cell's blocks in word 0, so
+    # cells never overlap below 2**64 blocks.
+    counter = [0, 0, 0, 0]
+    state = {**_PHILOX_STATE, "state": {"counter": counter, "key": _stream_key(master_seed, stream)}}
+    for i in np.asarray(indices).tolist():
+        counter[1] = i
+        bits.state = state
+        yield gen
 
 
 def rng_stream(master_seed: int, stream: int, index: int) -> np.random.Generator:
@@ -99,12 +121,7 @@ def rng_stream(master_seed: int, stream: int, index: int) -> np.random.Generator
     if min(master_seed, stream) < 0 or not 0 <= index < 1 << 64:
         raise ValueError(f"need seed and stream >= 0 and index in [0, 2**64), got "
                          f"{(master_seed, stream, index)}")
-    # Counter [0, index, 0, 0]; Philox counts a cell's blocks in word 0, so
-    # cells never overlap below 2**64 blocks.
-    counter = np.array([0, index, 0, 0], dtype=np.uint64)
-    bits = np.random.Philox(_NO_ENTROPY)
-    bits.state = {**_PHILOX_STATE, "state": {"counter": counter, "key": _stream_key(master_seed, stream)}}
-    return np.random.Generator(bits)
+    return next(_cells(master_seed, stream, (index,)))
 
 
 @dataclass(frozen=True)
@@ -218,6 +235,14 @@ class CovarianceSpec:
     orthonormal up to the rounding of those products.  ``d`` is frozen
     read-only at construction, so instances stay cheap to share across
     threads.
+
+    ``floor`` holds the lengths of the longest prefixes of the J-symmetric
+    half ``d[:n - n // 2]`` and of the J-skew half at or below
+    ``POWER_FLOOR``: the columns water-filling gives no power (the head of
+    each half, as it fills ascending half spectra), found from ``d`` as it
+    is, so a hand-built ``d`` in any order is handled.  ``floor_columns``
+    are those columns and ``support`` all the others, each in order;
+    ``d_floor`` is the largest ``d`` on the floor, 0 when there is none.
     """
 
     n: int
@@ -249,6 +274,36 @@ class CovarianceSpec:
     def lam_max(self) -> float:
         return float(self.d.max())
 
+    @cached_property
+    def floor(self) -> tuple[int, int]:
+        ns = self.n - self.n // 2
+        return _floor_prefix(self.d[:ns]), _floor_prefix(self.d[ns:])
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        (fs, fk), ns = self.floor, self.n - self.n // 2
+        return _frozen(np.r_[fs:ns, ns + fk:self.n])
+
+    @cached_property
+    def floor_columns(self) -> np.ndarray:
+        (fs, fk), ns = self.floor, self.n - self.n // 2
+        return _frozen(np.r_[:fs, ns:ns + fk])
+
+    @property
+    def d_floor(self) -> float:
+        return float(self.d[self.floor_columns].max(initial=0.0))
+
+
+def _floor_prefix(d: np.ndarray) -> int:
+    """Length of the longest prefix of ``d`` at or below ``POWER_FLOOR``."""
+    above = np.flatnonzero(d > POWER_FLOOR)
+    return int(above[0]) if above.size else len(d)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
 
 def build_sigma(
     spec: ChannelSpec,
@@ -276,19 +331,28 @@ def build_sigma(
 class Codebook:
     """Exhaustively decodable Gaussian codebook: ``size = 2**ceil(n * R)``
     words drawn once from the input covariance ``cov``, held by their
-    coefficients in its basis ``U``.
+    coefficients in its basis ``U`` on the water-filled support.
 
-    Word ``i`` is ``x = U s`` with ``s = S[i] = sqrt(d) * g`` for a standard
-    Gaussian ``g``, and ``q[i] = g'g``, which equals ``x' Sigma^{-1} x``
-    exactly, with no rounding of ``x`` amplified by the small eigenvalues of
-    ``Sigma``; the decoder's guard band takes ``max(d) q`` as a bound on
-    ``||s||^2`` (and ``d_floor q`` on the floor columns' part), and so
-    relies on that pairing: a ``q`` below the computed ``sum_j s_j^2 /
-    d_j`` by more than its rounding, ``(2n + 8) eps`` relative (``n eps``
-    for ``q``, ``4 eps`` for ``S = fl(g sqrt(d))`` squared, ``(n + 3) eps``
-    for the check's own sum), is refused.  Decoding needs only ``S`` and
-    ``q``: ``words`` builds the words of given rows from the half bases,
-    and ``codewords`` the whole ``S U'`` on first access."""
+    Word ``i`` is ``x = U s`` with ``s = sqrt(d) * g`` for a standard
+    Gaussian ``g``.  ``S[i]`` holds ``s`` on the columns ``cov.support``
+    only.  On ``cov.floor_columns`` (``n_f`` of them) ``g`` is held as the
+    radius ``q_floor[i] = ||g_f||^2``; its direction is drawn when the word
+    is built, from the cell ``(STREAM_FLOOR, i)`` under ``seed``, as ``g_f =
+    sqrt(q_floor / ||v||^2) v`` for ``v ~ N(0, I_nf)``.  A standard Gaussian
+    vector is a chi radius times an independent uniform direction, so ``g``
+    is standard Gaussian.  Without floor columns ``q_floor`` is all zeros.
+
+    ``q[i] = ||g_s||^2 + q_floor[i]`` equals ``x' Sigma^{-1} x`` exactly,
+    with no rounding of ``x`` amplified by the small eigenvalues of
+    ``Sigma``; the decoder's guard band bounds ``||s||^2`` by ``max(d) q``
+    (and ``d_floor q`` on the floor columns' part), and so relies on that
+    pairing: a ``q`` below the computed ``sum_j s_j^2 / d_j + q_floor`` over
+    the support by more than its rounding, ``(2n + 8) eps`` relative (``(n +
+    1) eps`` for ``q``, ``4 eps`` for ``S = fl(g sqrt(d))`` squared, ``(n +
+    3) eps`` for the check's own sum), is refused.  Decoding needs only
+    ``S``, ``q`` and ``q_floor``: ``coefficients`` rebuilds the full rows
+    ``s`` of given rows, ``words`` their words from the half bases, and
+    ``codewords`` every word on first access."""
 
     n: int
     R: float
@@ -296,25 +360,49 @@ class Codebook:
     S: np.ndarray
     q: np.ndarray
     cov: CovarianceSpec
+    q_floor: np.ndarray
+    seed: int
 
     def __post_init__(self) -> None:
-        if self.S.shape != (self.size, self.n) or self.cov.n != self.n:
+        support = self.cov.support
+        if self.cov.n != self.n or self.S.shape != (self.size, support.size):
             raise ValueError("coefficient array shape mismatch")
-        if self.q.shape != (self.size,):
+        if self.q.shape != (self.size,) or self.q_floor.shape != (self.size,):
             raise ValueError("input statistic shape mismatch")
-        g_sq = np.einsum("ij,j,ij->i", self.S, 1.0 / self.cov.d, self.S)
+        if not (np.isfinite(self.q_floor).all() and self.q_floor.min(initial=0.0) >= 0.0):
+            raise ValueError("floor radii must be finite and non-negative")
+        g_sq = np.einsum("ij,j,ij->i", self.S, 1.0 / self.cov.d[support], self.S)
+        g_sq += self.q_floor
         if np.any(g_sq > self.q * (1.0 + (2 * self.n + 8) * np.finfo(float).eps)):
             raise ValueError("input statistic q understates sum_j s_j^2 / d_j of its coefficients")
 
+    def coefficients(self, rows) -> np.ndarray:
+        """The full coefficient rows ``s`` of ``rows`` (indices or a slice),
+        ``(len(rows), n)`` in the halves' column order: ``S`` on the support,
+        and on the floor ``sqrt(d_f) g_f``, rebuilt once per distinct row."""
+        rows = np.arange(*rows.indices(self.size)) if isinstance(rows, slice) else np.asarray(rows)
+        cov = self.cov
+        out = np.empty((len(rows), self.n))
+        out[:, cov.support] = self.S[rows]
+        cols = cov.floor_columns
+        if cols.size:
+            cells, inv = np.unique(rows, return_inverse=True)
+            V = np.empty((len(cells), cols.size))
+            for gen, v in zip(_cells(self.seed, STREAM_FLOOR, cells), V):
+                gen.standard_normal(out=v)
+            V *= np.sqrt(self.q_floor[cells] / np.einsum("ij,ij->i", V, V))[:, None]
+            V *= np.sqrt(cov.d[cols])
+            out[:, cols] = V[inv]
+        return out
+
     def words(self, rows) -> np.ndarray:
-        """The words ``S[rows] U'``, one per row index, from the half bases
-        (``HalfBasis.apply``)."""
-        return self.cov.halves.apply(self.S[rows])
+        """The words ``U s`` of ``rows``, one per row index, from the half
+        bases (``HalfBasis.apply``)."""
+        return self.cov.halves.apply(self.coefficients(rows))
 
     @cached_property
     def codewords(self) -> np.ndarray:
-        """Every word, ``S U'``, built on first access; decoding never
-        reads it."""
+        """Every word, built on first access; decoding never reads it."""
         X = self.words(slice(None))
         X.setflags(write=False)
         return X
@@ -329,14 +417,17 @@ def trial_block(size: int) -> int:
 
 def decode_bytes(size: int, n: int) -> int:
     """Bytes exhaustive decoding holds for ``size`` codewords of length
-    ``n``: the coefficients, the input statistics and energies, the two
-    half bases (``(n^2 + 1) / 2`` entries), and a block of ``T =
-    trial_block(size)`` trials' scratch: two float64 ``(size, T)`` arrays'
-    worth of scores and masks, and five length-``n`` rows per trial
-    (received, projected, sent, and noise vectors; a received vector's
-    ``k`` extra entries are taken as at most ``n``)."""
+    ``n``: the coefficients, taken on all ``n`` columns since the support is
+    known only once ``build_sigma`` has run and the cap refuses before it;
+    four per-word statistics (input statistic, floor radius, energy and
+    their sum); the two half bases (``(n^2 + 1) / 2``
+    entries); and a block of ``T = trial_block(size)`` trials' scratch: two
+    float64 ``(size, T)`` arrays' worth of scores and masks, and five
+    length-``n`` rows per trial (received, projected, sent, and noise
+    vectors; a received vector's ``k`` extra entries are taken as at most
+    ``n``)."""
     T = trial_block(size)
-    return 8 * (size * (n + 2 + 2 * T) + (n * n + 1) // 2 + 5 * n * T)
+    return 8 * (size * (n + 4 + 2 * T) + (n * n + 1) // 2 + 5 * n * T)
 
 
 def codebook_size(n: int, R: float) -> int:
@@ -363,17 +454,23 @@ def codebook_size(n: int, R: float) -> int:
 
 
 def gen_codebook(cov: CovarianceSpec, R: float, master_seed: int) -> Codebook:
-    """Draw the codebook for rate ``R``: coefficient rows ``s = sqrt(d) * g``
-    of standard Gaussians ``g``, with ``q = ||g||^2`` per row, which equals
-    ``x' Sigma^{-1} x`` of the word ``x = U s`` exactly.  ``codebook_size``'s
-    byte check refuses before anything is drawn."""
+    """Draw the codebook for rate ``R`` (see ``Codebook``) from the cell
+    ``(STREAM_CODEBOOK, 0)``: standard Gaussians ``g_s`` on the support,
+    row by row, scaled to ``S = sqrt(d) * g_s``, then the floor radii
+    ``q_floor``, chi-squared with ``n_f`` degrees of freedom, and ``q =
+    ||g_s||^2 + q_floor``.  ``codebook_size``'s byte check refuses before
+    anything is drawn."""
     size = codebook_size(cov.n, R)
-    S = rng_stream(master_seed, STREAM_CODEBOOK, 0).standard_normal((size, cov.n))
+    n_floor = cov.floor_columns.size
+    rng = rng_stream(master_seed, STREAM_CODEBOOK, 0)
+    S = rng.standard_normal((size, cov.support.size))
+    q_floor = rng.chisquare(n_floor, size) if n_floor else np.zeros(size)
     q = np.einsum("ij,ij->i", S, S)
-    S *= np.sqrt(cov.d)
-    S.setflags(write=False)
-    q.setflags(write=False)
-    return Codebook(n=cov.n, R=float(R), size=size, S=S, q=q, cov=cov)
+    q += q_floor
+    S *= np.sqrt(cov.d[cov.support])
+    for a in (S, q, q_floor):
+        a.setflags(write=False)
+    return Codebook(n=cov.n, R=float(R), size=size, S=S, q=q, cov=cov, q_floor=q_floor, seed=master_seed)
 
 
 def _band_apply(taps: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -409,14 +506,13 @@ class TrialBlocks:
     block by one GEMM, whose last bits can depend on the rows it holds.
     One Philox is keyed once per stream and block, and set to each trial's
     cell by writing the trial index into counter word 1, with the buffer
-    empty; taps and noise are drawn and applied a few trials at a time, in
-    scratch of at most ``_DRAW_ENTRIES`` taps that is reused."""
+    empty (``_cells``); taps and noise are drawn and applied a few trials
+    at a time, in scratch of at most ``_DRAW_ENTRIES`` taps that is
+    reused."""
 
     def __init__(self, spec: ChannelSpec, n: int, law: ChannelLaw, master_seed: int) -> None:
         self.spec, self.law, self.seed, self.m = spec, law, master_seed, n + spec.k
-        self._bits = np.random.Philox(0)
-        self._gen = np.random.Generator(self._bits)
-        self._state = self._bits.state  # counter 0, empty buffer; key and word 1 set per cell
+        self._bits = np.random.Philox(_NO_ENTROPY)
         rows = _draw_rows(self.m, law)
         chunk = max(1, _DRAW_ENTRIES // (rows * (spec.k + 1)))
         self._z = np.empty((chunk, self.m))
@@ -425,35 +521,26 @@ class TrialBlocks:
         else:
             self._u = np.empty((chunk, rows, spec.k + 1))
 
-    def _cells(self, stream: int, ts: np.ndarray):
-        """The generator, set in turn to the cell ``(stream, t)`` of each
-        ``t`` in ``ts``."""
-        self._state["state"]["key"] = _stream_key(self.seed, stream)
-        counter = self._state["state"]["counter"]
-        for t in ts:
-            counter[1] = t
-            self._bits.state = self._state
-            yield self._gen
-
     def draw(self, ts: np.ndarray, book: Codebook) -> tuple[np.ndarray, np.ndarray]:
         """Message picks of trials ``ts`` (non-negative integers) among the
         words of ``book``, and the ``(len(ts), m)`` vectors received for
         them; only the picked words are built, as ``book.words(msgs)``."""
         if ts.dtype.kind not in "iu" or (ts.size and ts.min() < 0):
             raise ValueError("trial indices must be non-negative integers")
-        msgs = np.array([g.integers(book.size) for g in self._cells(STREAM_MESSAGE, ts)], dtype=int)
+        picks = _cells(self.seed, STREAM_MESSAGE, ts, self._bits)
+        msgs = np.array([g.integers(book.size) for g in picks], dtype=int)
         X = book.words(msgs)
         Y = np.zeros((len(ts), self.m))
         for lo in range(0, len(ts), len(self._z)):
             z = self._z[:len(ts) - lo]
             part = slice(lo, lo + len(z))
-            for g, row in zip(self._cells(STREAM_NOISE, ts[part]), z):
+            for g, row in zip(_cells(self.seed, STREAM_NOISE, ts[part], self._bits), z):
                 g.standard_normal(out=row)
             if self.law.kind == "constant":
                 taps = self._taps
             else:
                 u = self._u[:len(z)]
-                for g, rows in zip(self._cells(STREAM_CHANNEL, ts[part]), u):
+                for g, rows in zip(_cells(self.seed, STREAM_CHANNEL, ts[part], self._bits), u):
                     g.random(out=rows)
                 taps = _taps_from(u, self.spec, self.law, self.m)
             _band_apply(taps, X[part], Y[part])

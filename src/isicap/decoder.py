@@ -15,22 +15,23 @@ the test suite builds both densely to check these identities.
 
 The decoder works on the codebook's coefficients ``s`` (a codeword is
 ``x = U s`` for the covariance basis ``U``), and builds neither codewords
-nor images, nor ``U``: the basis stays as its two half bases.  For ``a.y =
-s.(U'Hc'y)`` it projects a block of received vectors once, ``Z = (Hc'Y)
-U`` (two half GEMMs), and scores the whole codebook against it on the
-water-filled support only: the columns at the power floor (``d <=
-POWER_FLOOR``, the head of each half, since water-filling the ascending
-half spectra gives ascending powers) are left out, so the score is two
-GEMMs on the halves' column tails.  The dropped term is bounded per
-received vector by Cauchy-Schwarz, ``|s_f.z_f| <= ||s_f|| ||z_f||``.  For
-``||a||^2`` it takes the energy ``sum_j lam_j s_j^2`` over every column,
-with the gains ``lam_j = u_j'(Hc'Hc)u_j``, which is exact when ``U`` is
-the eigenbasis of ``Hc'Hc`` that ``build_sigma`` gives.  The residual is
-then ``energy - 2 s.z + ||y||^2``.  A pair that lies within a bound on
-that form's error of a threshold (its rounding, the dropped floor term,
-and the measured eigen-residual of ``U``, which is large for any other
-basis) is recomputed in the direct ``||Hc x - y||^2`` form from its one
-codeword, so every decision is the one the direct form makes.
+nor images, nor ``U``: the basis stays as its two half bases.  It works on
+the water-filled support only, the columns the codebook stores
+(``CovarianceSpec.support``); the columns at the power floor (``d <=
+POWER_FLOOR``) are left out.  For ``a.y = s.(U'Hc'y)`` it projects a block
+of received vectors once, ``Z = (Hc'Y) U`` (two half GEMMs), and scores
+the whole codebook against the support columns of ``Z`` with one GEMM.
+The dropped term is bounded per received vector by Cauchy-Schwarz,
+``|s_f.z_f| <= ||s_f|| ||z_f||``.  For ``||a||^2`` it takes the energy
+``sum_j lam_j s_j^2`` over the support, with the gains ``lam_j =
+u_j'(Hc'Hc)u_j``, which is exact when ``U`` is the eigenbasis of
+``Hc'Hc`` that ``build_sigma`` gives; the dropped floor energy is at most
+``max_f(|lam_f| d_f) ||g_f||^2``.  The residual is then ``energy - 2 s.z
++ ||y||^2``.  A pair that lies within a bound on that form's error of a
+threshold (its rounding, the dropped floor terms, and the measured
+eigen-residual of ``U``, which is large for any other basis) is
+recomputed in the direct ``||Hc x - y||^2`` form from its one codeword,
+so every decision is the one the direct form makes.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .spectrum import (
     build_Hc,
     compute_profile,
 )
-from .waterfill import POWER_FLOOR, _penalty, phi_terms
+from .waterfill import _penalty, phi_terms
 from .channel_sim import (
     _band_apply,
     ChannelLaw,
@@ -87,9 +88,6 @@ DEFAULT_EPSILON = 0.1
 _GUARD = 2.0
 # Most entries of the images one direct-form recomputation builds at once.
 _DIRECT_ENTRIES = 1 << 16
-# Most entries of one row slice of the second tail's score, a scratch array
-# small enough to leave the peak memory of a block where it was.
-_SLICE_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -243,17 +241,12 @@ class DecodeFailure:
 @dataclass(frozen=True)
 class DecodeContext:
     """Per-(codebook, channel) precomputation: each codeword's energy
-    ``sum_j lam_j s_j^2`` over every column, which stands for ``||Hc
-    x||^2``, and the guard band's constants (see ``_guard_band``): bounds
-    on the energies' error, on ``||Hc x||``, on the rounding of a built
-    word's image or of a projection per unit of ``||y||``, and the largest
-    input statistic.
-
-    ``floor`` holds the lengths of the longest prefixes of the J-symmetric
-    and the J-skew half of the codebook's ``d`` at or below
-    ``POWER_FLOOR``: the score skips those columns, and ``d_floor``, the
-    largest ``d`` among them (0 when there are none), sizes the guard
-    band's floor term ``2 max||s_f|| ||z_f|| / (n + m)``.
+    ``sum_j lam_j s_j^2`` over the support, which stands for ``||Hc
+    x||^2``, its sum ``base = energy + q`` with the input statistic, and
+    the guard band's constants (see ``_guard_band``): bounds on the
+    energies' error (the floor energy included), on ``||Hc x||``, on the
+    rounding of a built word's image or of a projection per unit of
+    ``||y||``, and the largest input statistic.
 
     The input statistics are the codebook's own ``q``.  ``images``, every
     codeword's centre-channel image, is built on first access; decoding
@@ -262,12 +255,11 @@ class DecodeContext:
     book: Codebook
     joint: JointCovariance
     energy: np.ndarray
+    base: np.ndarray
     energy_err: float
     a_max: float
     word_err: float
     q_max: float
-    floor: tuple[int, int]
-    d_floor: float
 
     @property
     def q_sigma(self) -> np.ndarray:
@@ -280,31 +272,35 @@ class DecodeContext:
         return A
 
 
-def _floor_prefix(d: np.ndarray) -> int:
-    """Length of the longest prefix of ``d`` at or below ``POWER_FLOOR``."""
-    above = np.flatnonzero(d > POWER_FLOOR)
-    return int(above[0]) if above.size else len(d)
+def _g_round(n: int) -> float:
+    """``1 + (n + 6) eps``: bounds ``||g||^2 / q`` of any built word, and
+    with a factor ``max(d)`` the ratio ``||s||^2 / q``.  To first order in
+    eps: ``q = fl(fl(||g_s||^2) + q_floor)`` is within ``(n_s + 1) eps / 2``
+    of ``||g_s||^2 + q_floor``, the rebuilt ``||g_f||^2`` within ``(n_f + 5)
+    eps / 2`` of ``q_floor`` (the sum ``||v||^2``, a division, a square root
+    and a product), ``S = fl(g sqrt(d))`` squared adds ``2 eps`` and the
+    product with ``q`` ``eps / 2``: ``(n + 11) eps / 2`` in all."""
+    return 1.0 + (n + 6) * float(np.finfo(float).eps)
 
 
 def prepare_context(book: Codebook, joint: JointCovariance) -> DecodeContext:
     """Energies ``sum_j lam_j s_j^2`` of every codeword from its
-    coefficients, the floor columns the score skips, and the guard band's
-    constants.  The codebook must be drawn in the basis of ``joint.cov``;
-    no codeword or image is built.  The floor prefixes are found from the
-    codebook's ``d`` as it is, ascending halves or not."""
+    coefficients on the support, their sums with ``q``, and the guard
+    band's constants.  The codebook must be drawn
+    in the basis of ``joint.cov``; no codeword or image is built."""
     n, m = joint.n, joint.m
     if book.n != n:
         raise DimensionMismatch(f"codewords have length {book.n}, channel expects {n}")
-    if not book.cov.halves.same_as(joint.cov.halves):
+    cov = book.cov
+    if not cov.halves.same_as(joint.cov.halves):
         raise ValueError("the codebook is drawn in another basis than the joint covariance's")
-    energy = np.einsum("ij,j,ij->i", book.S, joint.gain, book.S)
-    energy.setflags(write=False)
+    energy = np.einsum("ij,j,ij->i", book.S, joint.gain[cov.support], book.S)
+    base = energy + book.q
+    for a in (energy, base):
+        a.setflags(write=False)
     eps = float(np.finfo(float).eps)
     q_max = float(book.q.max())
-    # max ||s||^2 <= max(d) ||g||^2 with, to first order, the rounding of S =
-    # fl(g sqrt(d)) (2 eps), of q = fl(||g||^2) (n eps / 2) and of this product
-    # (eps / 2): (n + 5) eps / 2 in all, below (n + 3) eps.
-    s_sq = book.cov.lam_max * q_max * (1.0 + (n + 3) * eps)
+    s_sq = cov.lam_max * q_max * _g_round(n)
     # Bounds on the norms of U, Hc and |Hc|, first order in eps: ||U||_2 and
     # ||U||_F from the computed U'U - I (whose own rounding is n^2 eps at most).
     k1 = m - n + 1
@@ -313,20 +309,21 @@ def prepare_context(book: Codebook, joint: JointCovariance) -> DecodeContext:
     nu = math.sqrt(n) * mu
     h = float(np.abs(joint.hc).max(axis=0).sum())
     lam_max = float(np.abs(joint.gain).max())
-    energy_err = s_sq * (mu * joint.resid + (omega + (n + 1) * eps) * lam_max)
-    d, ns = book.cov.d, n - n // 2
-    floor = (_floor_prefix(d[:ns]), _floor_prefix(d[ns:]))
-    d_floor = float(max(d[:floor[0]].max(initial=0.0), d[ns:ns + floor[1]].max(initial=0.0)))
+    # The energies leave out the floor columns' part of ||a||^2, at most
+    # max_f(|lam_f| d_f) ||g_f||^2 per word.
+    cols = cov.floor_columns
+    floor_energy = (float(np.max(np.abs(joint.gain[cols]) * cov.d[cols], initial=0.0))
+                    * float(book.q_floor.max(initial=0.0)) * _g_round(n))
+    energy_err = s_sq * (mu * joint.resid + (omega + (n + 1) * eps) * lam_max) + floor_energy
     return DecodeContext(
         book=book,
         joint=joint,
         energy=energy,
+        base=base,
         energy_err=energy_err,
         a_max=math.sqrt(float(energy.max()) + energy_err),
         word_err=eps * h * math.sqrt(s_sq) * (n * nu + (n + k1 + FOLD_ULPS) * mu),
         q_max=q_max,
-        floor=floor,
-        d_floor=d_floor,
     )
 
 
@@ -344,10 +341,11 @@ def _guard_band(ctx: DecodeContext, y_sq: np.ndarray, zf_sq: np.ndarray) -> np.n
     """For each received vector, a bound on how far the GEMM form of the
     joint deviation ``|w - 1|`` can lie from the direct form, over every
     codeword, given ``y_sq = ||y||^2`` and ``zf_sq``, the computed
-    ``||z_f||^2`` of the projection's floor columns (``ctx.floor``).  To
-    first order in eps, with ``s`` a codeword's coefficients, ``a = Hc U
-    s`` its exact image and ``L = ||a|| + ||y||``, both forms are compared
-    with the exact ``(q + ||a - y||^2) / (n + m)``:
+    ``||z_f||^2`` of the projection's floor columns
+    (``CovarianceSpec.floor_columns``).  To first order in eps, with ``s`` a
+    codeword's coefficients, ``a = Hc U s`` its exact image and ``L = ||a||
+    + ||y||``, both forms are compared with the exact ``(q + ||a - y||^2) /
+    (n + m)``:
 
     - direct: the built word ``fl(U s)`` (two half GEMMs, ``n eps ||U||_F
       ||s||``, and the J-fold add and ``1/sqrt(2)`` scale, ``FOLD_ULPS eps
@@ -359,17 +357,22 @@ def _guard_band(ctx: DecodeContext, y_sq: np.ndarray, zf_sq: np.ndarray) -> np.n
       ``a.y``, doubled by the ``-2``;
       the energy is within ``energy_err`` of ``||a||^2``:
       ``||s||^2 (||U||_2 E + ||U'U - I||_2 lam_max)`` for the eigen-residual
-      ``E``, plus the rounding of the sum;
+      ``E``, plus the rounding of the sum, plus the floor columns' energy,
+      which the sum leaves out;
     - floor term: the score leaves out the floor columns, whose exact term
       ``s_f.z_f`` is at most ``||s_f|| ||z_f||`` (Cauchy-Schwarz), doubled
-      by the ``-2``.  ``||s_f||^2 <= d_floor q (1 + (n + 3) eps)``, as
+      by the ``-2``.  ``||s_f||^2 <= d_floor q (1 + (n + 6) eps)``, as
       ``prepare_context`` bounds ``||s||^2``, and the exact ``||z_f||`` is
       within ``(n + 2) eps`` of the computed one plus the projection's
       error, ``word_err ||y||`` per unit of ``||s||``; times ``||s_f||``
       that error is ``sqrt(d_floor / max(d)) word_err ||y||``;
     - both: the m-term dot products and the adds, the division by
       ``n + m`` and the subtraction of 1 round values no larger than
-      ``(q + L^2) / (n + m)`` or 1, ``(2m + 9) eps`` in all.
+      ``(q + L^2) / (n + m)`` or 1, ``(2m + 9) eps`` in all.  The GEMM form
+      adds ``-2 s.z``, ``base = energy + q`` (rounded once per context) and
+      ``||y||^2``: three rounded adds of partial sums no larger than ``q +
+      L^2``, as many as when ``energy`` and ``q`` were added one by one, so
+      the allowance stands.
 
     The band takes ``q``, ``||s||`` and ``||a||`` at their codebook maxima
     and doubles the bound."""
@@ -378,9 +381,10 @@ def _guard_band(ctx: DecodeContext, y_sq: np.ndarray, zf_sq: np.ndarray) -> np.n
     y = np.sqrt(y_sq)
     L = ctx.a_max + y
     err = 2.0 * ctx.word_err * (L + y) + ctx.energy_err + (2 * m + 9) * eps * (L * L + ctx.q_max)
-    s_f = math.sqrt(ctx.d_floor * ctx.q_max * (1.0 + (n + 3) * eps))
+    cov = ctx.book.cov
+    s_f = math.sqrt(cov.d_floor * ctx.q_max * _g_round(n))
     z_f = np.sqrt(zf_sq) * (1.0 + (n + 2) * eps)
-    err += 2.0 * (s_f * z_f + math.sqrt(ctx.d_floor / ctx.book.cov.lam_max) * ctx.word_err * y)
+    err += 2.0 * (s_f * z_f + math.sqrt(cov.d_floor / cov.lam_max) * ctx.word_err * y)
     return _GUARD * (err / (n + m) + 4.0 * eps)
 
 
@@ -389,12 +393,12 @@ def _pass_mask(Y: np.ndarray, params: TypicalParams, ctx: DecodeContext) -> np.n
     against every row of ``Y``, shape ``(size, T)``.
 
     The joint statistic is ``w = (q + ||a - y||^2) / (n + m)``.  One
-    projection ``Z = (Hc'Y) U`` and two GEMMs against the coefficients,
-    one per half on the column tail past its floor prefix, give the
-    residuals of the whole block as ``energy - 2 s.z + ||y||^2``, short of
-    the floor columns' term; a pair whose ``|w - 1|`` lies within the
-    guard band of ``eta`` is recomputed from its codeword ``x = U s`` as
-    ``||Hc x - y||^2``, so each decision equals the direct rule's.
+    projection ``Z = (Hc'Y) U`` and one GEMM of the coefficients against
+    its support columns, scaled by -2 (exactly), give the residuals of the
+    whole block as ``-2 s.z + base + ||y||^2``, short of the floor columns'
+    term; a pair whose ``|w - 1|`` lies within the guard band of ``eta`` is
+    recomputed from its codeword ``x = U s`` as ``||Hc x - y||^2``, so each
+    decision equals the direct rule's.
     """
     book, joint = ctx.book, ctx.joint
     n, m = joint.n, joint.m
@@ -404,27 +408,25 @@ def _pass_mask(Y: np.ndarray, params: TypicalParams, ctx: DecodeContext) -> np.n
         )
     y_sq = np.einsum("ij,ij->i", Y, Y)
     Z = book.cov.halves.adjoint(_band_adjoint(joint.hc, Y))
-    ns, (fs, fk) = n - n // 2, ctx.floor
-    dev = book.S[:, fs:ns] @ Z[:, fs:ns].T
-    # The second tail is added a row slice at a time: no second (size, T) array.
-    Zk, step = Z[:, ns + fk:].T, max(1, _SLICE_ENTRIES // max(1, len(Y)))
-    for lo in range(0, book.size, step):
-        dev[lo:lo + step] += book.S[lo:lo + step, ns + fk:] @ Zk
-    zf_sq = np.einsum("ij,ij->i", Z[:, :fs], Z[:, :fs]) + np.einsum(
-        "ij,ij->i", Z[:, ns:ns + fk], Z[:, ns:ns + fk]
-    )
-    dev *= -2.0
-    dev += ctx.energy[:, None]
+    Zf = Z[:, book.cov.floor_columns]
+    zf_sq = np.einsum("ij,ij->i", Zf, Zf)
+    Zs = Z[:, book.cov.support]
+    Zs *= -2.0
+    dev = book.S @ Zs.T
+    dev += ctx.base[:, None]
     dev += y_sq
-    dev += book.q[:, None]
     dev /= n + m
     dev -= 1.0
     np.abs(dev, out=dev)
     x_ok = (np.abs(book.q / n - 1.0) < params.epsilon)[:, None]
-    out = (dev < params.eta) & x_ok
+    out = dev < params.eta
+    out &= x_ok
     dev -= params.eta
     np.abs(dev, out=dev)
-    rows, cols = np.nonzero(~(dev > _guard_band(ctx, y_sq, zf_sq)) & x_ok)
+    near = dev > _guard_band(ctx, y_sq, zf_sq)
+    np.logical_not(near, out=near)
+    near &= x_ok
+    rows, cols = np.nonzero(near)
     step = max(1, _DIRECT_ENTRIES // m)
     for lo in range(0, rows.size, step):
         r, c = rows[lo:lo + step], cols[lo:lo + step]

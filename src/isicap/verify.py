@@ -454,13 +454,21 @@ def _whitened_trace(inst):
     return budget - lhs, holds(lhs, budget)
 
 
+def _logdet_spd(A: np.ndarray) -> float:
+    """``log det A`` of a symmetric positive definite ``A``, as ``2 sum log
+    diag(L)`` for its Cholesky factor ``L``."""
+    return 2.0 * float(np.log(np.diagonal(cholesky(A, lower=True, check_finite=False))).sum())
+
+
 def _det_floor(inst):
     """Worst-case output-covariance determinant floor, in the log domain:
-    ``m log(1 - phi1) + log det Omega_c <= log det Omega_h``."""
+    ``m log(1 - phi1) + log det Omega_c <= log det Omega_h``.  Both output
+    covariances are ``I`` plus a Gram matrix, so positive definite, and
+    their log-determinants come from Cholesky factors."""
     H, Hc, cov, (phi1, _, _) = inst
     omega_c, omega_h = _omegas(H, Hc, cov)
-    floor = H.shape[0] * math.log(1.0 - phi1) + np.linalg.slogdet(omega_c)[1]
-    value = np.linalg.slogdet(omega_h)[1]
+    floor = H.shape[0] * math.log(1.0 - phi1) + _logdet_spd(omega_c)
+    value = _logdet_spd(omega_h)
     return value - floor, _holds_signed(floor, value)
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from isicap import (
     ChannelLaw,
@@ -22,6 +23,7 @@ from isicap.channel_sim import (
     MAX_CODEBOOK_BITS,
     Codebook,
     STREAM_CODEBOOK,
+    STREAM_FLOOR,
     STREAM_MESSAGE,
     STREAM_NOISE,
     CovarianceSpec,
@@ -80,15 +82,17 @@ def test_rng_stream_is_the_documented_cell(seed):
 
 def test_codebook_refuses_an_understated_q(example_spec):
     """``Codebook`` refuses an input statistic below ``sum_j s_j^2 / d_j``
-    of its coefficients by more than rounding, since the guard band bounds
-    ``||s||^2`` by ``max(d) q``: the drawn ``q`` passes at -10 dBW (power
-    floor columns, where ``1/d`` is 1e12) and scaled up, and is refused
-    scaled down by 1e-6, for all rows or one."""
+    of its support coefficients plus the floor radius ``q_floor`` by more
+    than rounding, since the guard band bounds ``||s||^2`` by ``max(d)
+    q``: the drawn ``q`` passes at -10 dBW (power floor columns) and scaled
+    up, and is refused scaled down by 1e-6, for all rows or one, and when
+    it covers the support alone.  A negative or non-finite floor radius is
+    refused."""
     n = 64
     cov = build_sigma(example_spec, n, dbw_to_watts(-10.0))
     assert cov.lam_min == POWER_FLOOR
     book = gen_codebook(cov, 0.1, 1)
-    fields = dict(n=n, R=book.R, size=book.size, S=book.S, cov=cov)
+    fields = dict(n=n, R=book.R, size=book.size, S=book.S, cov=cov, q_floor=book.q_floor, seed=1)
     Codebook(q=book.q.copy(), **fields)
     Codebook(q=book.q * (1.0 + 1e-6), **fields)
     with pytest.raises(ValueError, match="understates"):
@@ -97,6 +101,13 @@ def test_codebook_refuses_an_understated_q(example_spec):
     q[3] *= 1.0 - 1e-6
     with pytest.raises(ValueError, match="understates"):
         Codebook(q=q, **fields)
+    with pytest.raises(ValueError, match="understates"):
+        Codebook(q=book.q - 0.5 * book.q_floor, **fields)
+    for bad in (-1.0, np.nan):
+        q_floor = book.q_floor.copy()
+        q_floor[2] = bad
+        with pytest.raises(ValueError, match="floor radii"):
+            Codebook(q=book.q, **{**fields, "q_floor": q_floor})
 
 
 def test_rng_stream_refusals():
@@ -132,7 +143,7 @@ def test_trial_blocks_match_one_cell_path(example_spec, monkeypatch, law, entrie
     rng = np.random.default_rng(4)
     S = rng.standard_normal((11, n))
     book = Codebook(n=n, R=0.2, size=11, S=S, q=(S * S).sum(axis=1),
-                    cov=flat_cov(n, random_halves(n, 4)))
+                    cov=flat_cov(n, random_halves(n, 4)), q_floor=np.zeros(11), seed=seed)
     draws = TrialBlocks(example_spec, n, law, seed)
     for ts in (np.arange(40, 47), np.arange(3)):
         msgs, Y = draws.draw(ts, book)
@@ -344,7 +355,8 @@ def test_codebook_byte_cap(example_spec, monkeypatch):
     _, block = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     halves = cov.halves
-    held = book.S.nbytes + book.q.nbytes + ctx.energy.nbytes + halves.sym.nbytes + halves.skew.nbytes
+    held = sum(a.nbytes for a in (book.S, book.q, book.q_floor, ctx.energy, ctx.base,
+                                  halves.sym, halves.skew))
     need = decode_bytes(book.size, n)
     assert held + block <= need
     monkeypatch.setattr(channel_sim, "MAX_DECODE_BYTES", need)
@@ -370,17 +382,28 @@ def test_codebook_empirical_power(example_spec):
     assert mean_power == pytest.approx(cov.trace, rel=0.1)
 
 
+def _floor_g(book, i):
+    """Row ``i``'s floor Gaussians by hand: ``v`` from the cell
+    ``(STREAM_FLOOR, i)``, scaled to the squared norm ``q_floor[i]``."""
+    v = rng_stream(book.seed, STREAM_FLOOR, i).standard_normal(book.cov.floor_columns.size)
+    return v * np.sqrt(book.q_floor[i] / np.einsum("ij,ij->i", v[None], v[None])[0])
+
+
 def test_codebook_q_matches_exact_statistic(example_spec):
     """``Codebook.q`` equals ``x' Sigma^{-1} x`` of the unrounded codewords
     ``U diag(sqrt(d)) g``, evaluated in exact rationals, to ``n eps``
-    relative.  At n = 4 and -10 dBW water-filling puts eigenvalues at the
+    relative, with ``g`` the support Gaussians of the cell
+    ``(STREAM_CODEBOOK, 0)`` and each row's floor Gaussians rebuilt from
+    its cell.  At n = 4 and -10 dBW water-filling puts eigenvalues at the
     power floor, where the stored codewords' own statistic is off by about
     1e-10 from rounding amplified by ``1/d``."""
     n, seed = 4, 7
     cov = build_sigma(example_spec, n, dbw_to_watts(-10.0), "waterfill_gram")
-    assert cov.lam_min <= 2.0 * POWER_FLOOR
+    assert cov.lam_min <= 2.0 * POWER_FLOOR and cov.floor_columns.size > 0
     book = gen_codebook(cov, 1.0, seed)
-    g = rng_stream(seed, STREAM_CODEBOOK, 0).standard_normal((book.size, n))
+    g = np.empty((book.size, n))
+    g[:, cov.support] = rng_stream(seed, STREAM_CODEBOOK, 0).standard_normal((book.size, cov.support.size))
+    g[:, cov.floor_columns] = [_floor_g(book, i) for i in range(book.size)]
     fr = np.vectorize(Fraction, otypes=[object])
     U = assemble(cov.halves)
     X = fr(g) * fr(np.sqrt(cov.d)) @ fr(U).T
@@ -390,6 +413,101 @@ def test_codebook_q_matches_exact_statistic(example_spec):
     eps = np.finfo(float).eps
     for q, exact in zip(book.q, x_stat):
         assert abs(Fraction(float(q)) - n * exact) <= n * eps * n * exact
+
+
+@pytest.mark.parametrize("p_dbw", [-10.0, 10.0])
+def test_support_codebook_is_the_documented_draw(example_spec, p_dbw):
+    """``gen_codebook`` draws, bit for bit, the support Gaussians of the
+    cell ``(STREAM_CODEBOOK, 0)`` times ``sqrt(d)`` on the support, then
+    the floor radii as that cell's next ``chisquare(n_f, size)`` draw, and
+    ``q = ||g_s||^2 + q_floor``; with no floor column (10 dBW) ``S`` spans
+    every column and the radii are zero, with nothing more drawn."""
+    n, seed = 48, 5
+    cov = build_sigma(example_spec, n, dbw_to_watts(p_dbw))
+    n_floor = cov.floor_columns.size
+    assert (n_floor > 0) == (p_dbw < 0) and cov.support.size + n_floor == n
+    book = gen_codebook(cov, 6 / n, seed)
+    assert book.seed == seed and book.S.shape == (book.size, cov.support.size)
+    rng = rng_stream(seed, STREAM_CODEBOOK, 0)
+    g = rng.standard_normal((book.size, cov.support.size))
+    q_floor = rng.chisquare(n_floor, book.size) if n_floor else np.zeros(book.size)
+    assert np.array_equal(book.S, g * np.sqrt(cov.d[cov.support]))
+    assert np.array_equal(book.q_floor, q_floor)
+    assert np.array_equal(book.q, np.einsum("ij,ij->i", g, g) + q_floor)
+    assert not any(a.flags.writeable for a in (book.S, book.q, book.q_floor))
+
+
+def test_words_rebuild_each_row_from_its_cells(example_spec):
+    """``coefficients(rows)`` gives row ``i`` the same bits whatever batch
+    holds it, repeats included: ``S[i]`` on the support and ``sqrt(d_f)
+    g_f`` on the floor, with ``g_f`` built by hand from the cell
+    ``(STREAM_FLOOR, i)``; ``words`` are those rows through ``U`` (within
+    GEMM rounding of the assembled basis, whose last bits may follow the
+    batch).  The rebuilt ``||g_f||^2``, summed exactly, is within ``(n_f +
+    5) eps / 2`` of ``q_floor[i]``.  A slice of rows gives the rows its
+    indices name."""
+    n, seed = 33, 2
+    cov = build_sigma(example_spec, n, dbw_to_watts(-10.0))
+    cols = cov.floor_columns
+    assert cols.size > 0
+    book = gen_codebook(cov, 5 / n, seed)
+    U = assemble(cov.halves)
+    batch = np.array([7, 3, 7, 0, book.size - 1, 3, 7])
+    full = book.coefficients(batch)
+    X = book.words(batch)
+    eps = np.finfo(float).eps
+    for j, i in enumerate(batch):
+        want = np.empty(n)
+        want[cov.support] = book.S[i]
+        g_f = _floor_g(book, i)
+        want[cols] = g_f * np.sqrt(cov.d[cols])
+        assert np.array_equal(full[j], want)
+        assert np.array_equal(book.coefficients([i])[0], want)
+        x = U @ want
+        scale = np.abs(x).max()
+        assert np.abs(X[j] - x).max() <= 1e-14 * scale
+        assert np.abs(book.words([i])[0] - X[j]).max() <= 1e-14 * scale
+        g_sq = sum(Fraction(float(v)) ** 2 for v in g_f)
+        assert abs(g_sq - Fraction(float(book.q_floor[i]))) <= (cols.size + 5) * eps / 2 * g_sq
+    assert np.array_equal(book.coefficients(slice(None))[batch], full)
+    for sl in (slice(2, 9, 3), slice(None, None, -1), slice(-3, None), slice(5, 5)):
+        idx = np.arange(book.size)[sl]
+        assert np.array_equal(book.coefficients(sl), book.coefficients(idx))
+    assert np.array_equal(book.coefficients([2, 5, 8]), book.coefficients(slice(2, 9, 3)))
+    assert np.array_equal(book.codewords[batch[0]], book.words(np.arange(book.size))[batch[0]])
+
+
+def test_few_rows_do_not_touch_the_whole_codebook(example_spec):
+    """Rebuilding a few rows of a 2**16-word codebook with floor columns
+    allocates nothing near the size of one per-word array (traced)."""
+    n = 8
+    cov = build_sigma(example_spec, n, dbw_to_watts(-10.0))
+    assert cov.floor_columns.size > 0
+    book = gen_codebook(cov, 16 / n, 4)
+    assert book.size == 2 ** 16
+    tracemalloc.start()
+    book.words(np.array([5, book.size - 1, 5]))
+    book.coefficients(slice(3, 7))
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < book.size
+
+
+def test_codebook_input_statistic_is_chi_squared(example_spec):
+    """``q`` of a seeded n = 64 codebook with 41 floor columns (-10 dBW) and
+    2**14 words is chi-squared with n degrees of freedom: a KS test passes
+    at p > 1e-3, and its mean and variance lie within four standard errors
+    of n and 2n."""
+    n = 64
+    cov = build_sigma(example_spec, n, dbw_to_watts(-10.0))
+    assert cov.floor_columns.size == 41
+    q = gen_codebook(cov, 14 / n, 3).q
+    assert q.size == 2 ** 14
+    assert stats.kstest(q, stats.chi2(n).cdf).pvalue > 1e-3
+    N = q.size
+    assert abs(q.mean() - n) <= 4.0 * np.sqrt(2 * n / N)
+    # Var of the sample variance: (mu_4 - sigma^4) / N with mu_4 = 12 n^2 + 48 n.
+    assert abs(q.var(ddof=1) - 2 * n) <= 4.0 * np.sqrt((8 * n * n + 48 * n) / N)
 
 
 def test_transmit_shapes_and_determinism(example_spec):

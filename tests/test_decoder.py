@@ -134,19 +134,19 @@ def _white_book(coefs, R):
     return Codebook(
         n=n, R=R, size=len(coefs), S=coefs,
         q=(coefs * coefs).sum(axis=1),
-        cov=flat_cov(n, random_halves(n, 0)),
+        cov=flat_cov(n, random_halves(n, 0)), q_floor=np.zeros(len(coefs)), seed=0,
     )
 
 
 def _floor_sq(ctx, Y):
     """``||z_f||^2`` per row of ``Y`` for the projection ``Z = (Hc'Y) U`` on
-    the floor columns ``ctx.floor`` names (the head of each half), from the
+    the floor columns ``cov.floor`` names (the head of each half), from the
     dense channel matrix and basis."""
     joint = ctx.joint
     n, r = joint.n, joint.n - joint.n // 2
     Hc = BandedChannelMatrix(n=n, k=joint.m - n, taps=joint.hc).dense()
     Z = Y @ Hc @ assemble(ctx.book.cov.halves)
-    fs, fk = ctx.floor
+    fs, fk = ctx.book.cov.floor
     F = np.hstack([Z[:, :fs], Z[:, r:r + fk]])
     return (F * F).sum(axis=1)
 
@@ -295,17 +295,19 @@ def test_prepare_context_refuses_another_basis(example_spec):
 
 
 def test_codeword_and_image_accessors(example_spec):
-    """``book.codewords`` is ``S U'`` from the half bases, within rounding
-    of the product with the assembled ``U``, and ``ctx.images`` its
-    centre-channel image, each built once, on first access."""
+    """``book.codewords`` is ``s U'`` for the full coefficient rows ``s``
+    (``book.coefficients``) from the half bases, within rounding of the
+    product with the assembled ``U``, and ``ctx.images`` its centre-channel
+    image, each built once, on first access."""
     n = 16
     cov = build_sigma(example_spec, n, 1.0, "waterfill_gram")
     book = gen_codebook(cov, 0.5, 2)
     Hc = build_Hc(example_spec, n)
     ctx = prepare_context(book, build_joint(cov, Hc))
     assert "codewords" not in vars(book) and "images" not in vars(ctx)
-    assert np.array_equal(book.codewords, cov.halves.apply(book.S))
-    want = book.S @ assemble(cov.halves).T
+    coefs = book.coefficients(slice(None))
+    assert np.array_equal(book.codewords, cov.halves.apply(coefs))
+    want = coefs @ assemble(cov.halves).T
     assert np.abs(book.codewords - want).max() <= 1e-14 * np.abs(want).max()
     assert book.codewords is book.codewords
     want = book.codewords @ Hc.dense().T
@@ -330,8 +332,9 @@ def test_experiment_builds_no_codewords_or_images(example_spec, monkeypatch):
 def test_guard_band_constants_count_the_half_bases(example_spec):
     """``word_err`` and ``energy_err`` are the documented bounds, at an even
     and an odd order.  Both take ``max ||s||^2`` as ``max(d) max(q) (1 + (n
-    + 3) eps)``, the first-order bound from ``S = fl(g sqrt(d))`` and ``q =
-    fl(||g||^2)``, which is at least the computed maximum.  ``word_err``:
+    + 6) eps)``, the first-order bound from ``S = fl(g sqrt(d))``, ``q =
+    fl(||g_s||^2 + q_floor)`` and the rebuilt floor Gaussians, which is at
+    least the computed maximum over the full coefficient rows.  ``word_err``:
     the half GEMMs (``n ||U||_F``), the band image or adjoint and the score
     (``(n + k + 1) ||U||_2``), and the J-fold add and ``1/sqrt(2)`` scale
     of the half-basis apply and adjoint (``FOLD_ULPS ||U||_2``), times ``eps
@@ -339,7 +342,9 @@ def test_guard_band_constants_count_the_half_bases(example_spec):
     which adds to the computed half-band residual the rounding of the half
     bands (``k + 1`` products per lag, the J-fold add and the ``sqrt(2)`` of
     the middle row, row sums at most ``sqrt(2) h^2``) and of their products
-    with the half bases, and the rounding of the energies."""
+    with the half bases, the rounding of the energies, and the floor
+    columns' energy the support sum leaves out, ``max_f(|gain_f| d_f)
+    max(q_floor) (1 + (n + 6) eps)``."""
     eps = np.finfo(float).eps
     k1 = example_spec.k + 1
     h = sum(abs(c) for c in example_spec.c)
@@ -352,8 +357,8 @@ def test_guard_band_constants_count_the_half_bases(example_spec):
         omega = cov.halves.orth_defect + n * n * eps
         mu = math.sqrt(1.0 + omega)
         nu = math.sqrt(n) * mu
-        s_sq = cov.lam_max * float(book.q.max()) * (1.0 + (n + 3) * eps)
-        assert s_sq >= float((book.S ** 2).sum(axis=1).max())
+        s_sq = cov.lam_max * float(book.q.max()) * (1.0 + (n + 6) * eps)
+        assert s_sq >= float((book.coefficients(slice(None)) ** 2).sum(axis=1).max())
         lam_max = float(np.abs(joint.gain).max())
         word_err = eps * h * math.sqrt(s_sq) * (n * nu + (n + k1 + FOLD_ULPS) * mu)
         sq = 0.0
@@ -362,10 +367,37 @@ def test_guard_band_constants_count_the_half_bases(example_spec):
             R = _sym_band_apply(band, Z) - Z * gain
             sq += float(np.vdot(R, R))
         resid = math.sqrt(sq) + eps * nu * (math.sqrt(2.0) * (3 * k1 + 1) * h * h + 2.0 * lam_max)
-        energy_err = s_sq * (mu * resid + (omega + (n + 1) * eps) * lam_max)
+        cols = cov.floor_columns
+        assert cols.size > 0
+        floor_energy = (np.abs(joint.gain[cols]) * cov.d[cols]).max() * book.q_floor.max()
+        floor_energy *= 1.0 + (n + 6) * eps
+        energy_err = s_sq * (mu * resid + (omega + (n + 1) * eps) * lam_max) + floor_energy
         assert joint.resid == pytest.approx(resid, rel=1e-12, abs=0.0)
         assert ctx.word_err == pytest.approx(word_err, rel=1e-12, abs=0.0)
         assert ctx.energy_err == pytest.approx(energy_err, rel=1e-12, abs=0.0)
+
+
+def test_support_energy_within_energy_err(example_spec):
+    """The energies sum over the support only; over the full coefficient
+    rows, floor columns rebuilt, ``sum_j gain_j s_j^2`` lies within
+    ``energy_err`` of ``ctx.energy``.  The floor columns' part, which
+    ``energy_err`` now covers, is at most ``max_f(|gain_f| d_f)
+    max(q_floor)`` (to rounding) and not far below it.  ``base`` is
+    ``energy + q``."""
+    n = 64
+    cov = build_sigma(example_spec, n, dbw_to_watts(-10.0))
+    book = gen_codebook(cov, 10 / n, 6)
+    joint = build_joint(cov, build_Hc(example_spec, n))
+    ctx = prepare_context(book, joint)
+    coefs = book.coefficients(slice(None))
+    full = np.einsum("ij,j,ij->i", coefs, joint.gain, coefs)
+    gap = np.abs(full - ctx.energy)
+    assert gap.max() <= ctx.energy_err
+    cols = cov.floor_columns
+    floor_energy = (np.abs(joint.gain[cols]) * cov.d[cols]).max() * book.q_floor.max()
+    part = np.einsum("ij,j,ij->i", coefs[:, cols], joint.gain[cols], coefs[:, cols])
+    assert 0.1 * floor_energy < part.max() <= floor_energy * (1.0 + (n + 6) * np.finfo(float).eps)
+    assert np.array_equal(ctx.base, ctx.energy + book.q)
 
 
 def test_near_threshold_pair_follows_direct_form(example_spec, monkeypatch):
@@ -411,8 +443,8 @@ def test_floor_band_pair_follows_direct_form(example_spec, monkeypatch):
     joint = build_joint(cov, build_Hc(example_spec, n))
     ctx = prepare_context(book, joint)
     m, r = joint.m, n - n // 2
-    fs, fk = ctx.floor
-    assert fs > 0 and fk > 0 and ctx.d_floor == POWER_FLOOR
+    fs, fk = cov.floor
+    assert fs > 0 and fk > 0 and cov.d_floor == POWER_FLOOR
     floor = np.zeros(n, dtype=bool)
     floor[:fs] = floor[r:r + fk] = True
     U, Hd = assemble(cov.halves), build_Hc(example_spec, n).dense()
@@ -424,7 +456,7 @@ def test_floor_band_pair_follows_direct_form(example_spec, monkeypatch):
         diff = a0 - y
         w = (book.q[0] + diff @ diff) / (n + m)
         z_f = (U.T @ (Hd.T @ y))[floor]
-        w_tail = w + 2.0 * (book.S[0][floor] @ z_f) / (n + m)
+        w_tail = w + 2.0 * (book.coefficients([0])[0][floor] @ z_f) / (n + m)
         dev, dev_tail = abs(w - 1.0), abs(w_tail - 1.0)
         eta = 0.5 * (dev + dev_tail)
         y_sq = np.array([y @ y])
@@ -465,21 +497,23 @@ def _split_case(example_spec, n, case):
 def test_support_split_matches_full_width_score(example_spec, case):
     """The floor prefixes of each half are the longest runs of ``d <=
     POWER_FLOOR`` at its head, whatever the order of ``d``, with
-    ``d_floor`` their largest ``d``; and the pass mask equals the direct
-    rule scored over all n columns, densely (the assembled basis and
-    channel matrix), on every pair clear of ``eta`` by 1e-9, with
-    thresholds that split the pairs."""
+    ``d_floor`` their largest ``d``, and the codebook stores the other
+    columns; the pass mask equals the direct rule scored over all n columns
+    of the full coefficient rows, densely (the assembled basis and channel
+    matrix), on every pair clear of ``eta`` by 1e-9, with thresholds that
+    split the pairs."""
     n, size, T = 24, 64, 20
     cov, want = _split_case(example_spec, n, case)
     book = gen_codebook(cov, 0.25, 4)
     joint = build_joint(cov, build_Hc(example_spec, n))
     ctx = prepare_context(book, joint)
     r = n - n // 2
-    assert ctx.floor == want
+    assert cov.floor == want
     skipped = np.concatenate([cov.d[:want[0]], cov.d[r:r + want[1]]])
-    assert ctx.d_floor == (skipped.max() if skipped.size else 0.0)
+    assert cov.d_floor == (skipped.max() if skipped.size else 0.0)
+    assert book.S.shape == (size, n - sum(want))
     rng = np.random.default_rng(5)
-    A = book.S @ assemble(cov.halves).T @ build_Hc(example_spec, n).dense().T
+    A = book.coefficients(slice(None)) @ assemble(cov.halves).T @ build_Hc(example_spec, n).dense().T
     Y = A[rng.integers(size, size=T)] + rng.standard_normal((T, joint.m))
     W = (book.q[:, None] + ((A[:, None, :] - Y[None]) ** 2).sum(axis=-1)) / (n + joint.m)
     dev = np.sort(np.abs(W - 1.0), axis=None)
@@ -498,7 +532,8 @@ def test_standard_basis_pairs_follow_direct_form(example_spec):
     n, size, T = 12, 64, 20
     rng = np.random.default_rng(5)
     S = rng.standard_normal((size, n))
-    book = Codebook(n=n, R=0.5, size=size, S=S, q=(S * S).sum(axis=1), cov=flat_cov(n))
+    book = Codebook(n=n, R=0.5, size=size, S=S, q=(S * S).sum(axis=1), cov=flat_cov(n),
+                    q_floor=np.zeros(size), seed=5)
     Hc = build_Hc(example_spec, n)
     joint = build_joint(book.cov, Hc)
     ctx = prepare_context(book, joint)
@@ -690,24 +725,28 @@ def test_experiment_counts_match_one_cell_loop(example_spec, law):
     """``run_error_experiment`` counts, at 101 trials (not a multiple of
     the 64-trial block) and one or three threads, equal a loop over the
     public one-cell path: ``rng_stream`` picks, ``transmit(sample_H(...))``
-    and ``decode``.  Whether the sent word passes comes from ``decode``
-    against a one-word codebook holding only it.  ``n + k = 17`` is not a
-    multiple of the hold length."""
+    and ``decode``.  Whether the sent word passes is decided without the
+    decoder, from its input statistic and its image through the dense
+    ``Hc``.  ``n + k = 17`` is not a multiple of the hold length."""
     n, R, P, seed, trials = 15, 0.25, 1.0, 3, 101
     cov = build_sigma(example_spec, n, P, "waterfill_gram")
     params = TypicalParams(epsilon=0.5, eta=0.3)
     book = gen_codebook(cov, R, seed)
-    joint = build_joint(cov, build_Hc(example_spec, n))
+    Hc = build_Hc(example_spec, n)
+    joint = build_joint(cov, Hc)
+    ctx = prepare_context(book, joint)
     assert trial_block(book.size) == 64
     counts = [0, 0, 0]
     for t in range(trials):
         msg = int(rng_stream(seed, STREAM_MESSAGE, t).integers(book.size))
-        y = transmit(sample_H(example_spec, n, law, seed, t), book.codewords[msg], seed, t)
-        alone = Codebook(n=n, R=R, size=1, S=book.S[msg:msg + 1], q=book.q[msg:msg + 1], cov=cov)
-        if decode(y, alone, joint, params) != 0:
+        x = book.codewords[msg]
+        y = transmit(sample_H(example_spec, n, law, seed, t), x, seed, t)
+        r = Hc.dense() @ x - y
+        q = book.q[msg]
+        if not (abs(q / n - 1.0) < params.epsilon and abs((q + r @ r) / (n + joint.m) - 1.0) < params.eta):
             counts[0] += 1
         else:
-            counts[2 if decode(y, book, joint, params) == msg else 1] += 1
+            counts[2 if decode(y, book, joint, params, ctx) == msg else 1] += 1
     assert min(counts) > 0 or law.kind == "constant"
     for threads in (1, 3):
         res = run_error_experiment(
@@ -741,10 +780,12 @@ def test_decode_matches_exact_rational_oracle(example_spec, p_dbw):
     drawn = gen_codebook(cov, 1.0, seed)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(n)
-    s_star = np.sqrt(cov.d) * g * (np.sqrt(n) / np.linalg.norm(g))
+    g *= np.sqrt(n) / np.linalg.norm(g)
+    sup, cols = cov.support, cov.floor_columns
     book = Codebook(
-        n=n, R=1.0, size=drawn.size + 1, S=np.vstack([drawn.S, s_star]),
+        n=n, R=1.0, size=drawn.size + 1, S=np.vstack([drawn.S, np.sqrt(cov.d[sup]) * g[sup]]),
         q=np.append(drawn.q, float(n)), cov=cov,
+        q_floor=np.append(drawn.q_floor, g[cols] @ g[cols]), seed=seed,
     )
     Hc = build_Hc(example_spec, n)
     joint = build_joint(cov, Hc)
@@ -768,7 +809,7 @@ def test_decode_matches_exact_rational_oracle(example_spec, p_dbw):
     Y = np.stack(ys)
     fr = np.vectorize(Fraction, otypes=[object])
     U = assemble(cov.halves)
-    exact_words = fr(book.S) @ fr(U).T
+    exact_words = fr(book.coefficients(slice(None))) @ fr(U).T
     x_stat, w_stat = exact_joint_statistics(exact_words, Y, cov.d, U, example_spec.c)
     eps, eta = Fraction(params.epsilon), Fraction(params.eta)
     x_dev = [abs(x - 1) for x in x_stat]
@@ -782,7 +823,7 @@ def test_decode_matches_exact_rational_oracle(example_spec, p_dbw):
     assert len(crafted) >= 2
     for t, inside in crafted.items():
         # At -10 dBW the floor columns' term widens the band past them.
-        assert clear[-1, t] == (ctx.d_floor == 0.0) and exact[-1, t] == inside
+        assert clear[-1, t] == (cov.d_floor == 0.0) and exact[-1, t] == inside
     assert clear.mean() >= 0.9
     mask = _pass_mask(Y, params, ctx)
     assert np.array_equal(mask[clear], exact[clear])
