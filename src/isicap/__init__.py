@@ -28,7 +28,6 @@ from .waterfill import (
     capacity_C0,
     dbw_to_watts,
     finite_n_bound,
-    g_integral,
     pillow_terms,
     saturation_power,
     solve_theta1,

@@ -8,26 +8,24 @@ Two water levels drive everything:
   rewarding extra power (the saturation level); it exists only when the tap
   radii are non-zero and the implied per-dimension power stays positive.
 
-From a level we get the capacity-style integral, the additive penalty for
-tap uncertainty (``delta``), and the per-power bound report that the CLI
-serializes; one kernel, ``_penalty``, computes that penalty for every
-caller.  A finite-blocklength variant replaces the integral with the
-eigenvalues of the centre Gram matrix.  Nothing that does not depend on
-``P`` is recomputed per power: the saturation route (``theta2``, ``C_LB2``,
-``delta2``, ``P_sat``, ``gap_cor2``) is cached per channel as scalars, the
-sorted inverse spectrum for the few most recent channels.
+From a level we get the rate integral ``C0``, the tap-uncertainty penalty
+``delta`` (one kernel, ``_penalty``) and the per-power bound report that
+the CLI serializes; a finite-blocklength variant uses the centre Gram
+eigenvalues in place of the integral.
 
-No level is found by iteration.  On the fixed quadrature grid the water
-``g(theta)`` is a weighted sum of ``max(theta - v_j, 0)`` over the grid's
-inverse-spectrum values ``v_j``, and the finite-blocklength allocation is
-the same sum with unit weights over ``1/lambda_i``: both are piecewise
-linear in ``theta``.  Given the breakpoints in ascending order, one
-kernel, ``_water_level``, takes prefix sums of the weights and of the
-weighted breakpoints and finds the segment holding the target with
-``searchsorted``; the level is a closed form on that segment (Palomar &
-Fonollosa, "Practical algorithms for a family of waterfilling solutions",
-IEEE TSP 2005).  Above the highest breakpoint the closed forms
-``theta = P + J`` and ``theta = b - J`` are used directly.
+No level is found by iteration, and a bound row reads no grid.  The water
+``g(theta)`` on the quadrature grid is a weighted sum of ``max(theta - v_j,
+0)`` over the sorted inverse spectrum ``v_j``, piecewise linear in
+``theta`` (Palomar & Fonollosa, IEEE TSP 2005); the finite-blocklength
+allocation is the same sum with unit weights.  One water table per channel
+(the two latest are cached) holds the prefix sums of the weights and of
+the weighted breakpoints, the water at each breakpoint, and a rate prefix
+summed from non-negative ``log1p`` steps.  A level is one ``searchsorted``
+and a closed form (``_water_level``), ``C0`` one ``searchsorted`` and a
+``log1p`` (``cap_integral``): each row is O(log N).  Above the highest
+breakpoint ``theta = P + J`` and ``theta = b - J`` apply directly.  The
+saturation route (``theta2``, ``C_LB2``, ``delta2``, ``P_sat``,
+``gap_cor2``) does not depend on ``P`` and is cached per channel.
 
 All rates are in bits (logs base 2); powers are in watts, with dBW helpers
 for the CLI surface.
@@ -38,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Literal, Optional
+from typing import Literal, NamedTuple, Optional
 
 import numpy as np
 
@@ -50,7 +48,6 @@ from .spectrum import (
     compute_profile,
     f_sq_table,
     gram_eigenvalues,
-    simpson_mean,
     simpson_weights,
 )
 
@@ -60,7 +57,6 @@ __all__ = [
     "FiniteNBound",
     "watts_to_dbw",
     "dbw_to_watts",
-    "g_integral",
     "solve_theta1",
     "solve_theta2",
     "capacity_C0",
@@ -139,58 +135,52 @@ class FiniteNBound:
     value: float
 
 
-def g_integral(
-    profile: SpectrumProfile,
-    spec: ChannelSpec,
-    theta: float,
-    grid_size: int = DEFAULT_GRID,
-) -> float:
-    """Total water at level ``theta``: the circle mean of
-    ``max(theta - 1/|f|^2, 0)``.
-
-    Evaluated on the same cached grid as every other spectral mean, so for
-    ``theta`` above the largest inverse-spectrum value the identity
-    ``g(theta) = theta - J`` holds to machine precision.
-    """
-    table = f_sq_table(spec, grid_size)
-    return simpson_mean(np.maximum(theta - 1.0 / table, 0.0))
-
-
 def _solution(theta: float, I: float, profile: SpectrumProfile, level) -> WaterfillSolution:
     d_min = max(theta - 1.0 / profile.alpha ** 2, 0.0)
     d_max = max(theta - 1.0 / profile.beta ** 2, 0.0)
     return WaterfillSolution(theta=theta, I=I, d_min=d_min, d_max=d_max, level=level)
 
 
-def _water_level(v: np.ndarray, w: np.ndarray, a: float, B: float) -> float:
-    """Exact root ``theta`` of ``sum_j w_j max(theta - v_j, 0) - a*theta = B``
-    for ascending breakpoints ``v`` with positive weights ``w``.
+class _WaterTable(NamedTuple):
+    """Ascending breakpoints ``v`` with weights ``w``: ``W = [0, cumsum(w)]``,
+    ``S = [0, cumsum(w*v)]``, the water ``at = v W[1:] - S[1:]`` at each
+    breakpoint and the rate prefix ``D_k = sum_{j<k} w_j log2(v_{k-1}/v_j)``."""
 
-    The left side is piecewise linear in ``theta`` with a kink at each
-    breakpoint; it must be monotone there, which holds for ``a = 0``
-    (increasing) and for ``a > sum(w)`` (decreasing).  With the prefix sums
-    ``W = cumsum(w)`` and ``S = cumsum(w*v)`` its value at breakpoint ``i``
-    is ``v_i W_i - S_i - a v_i``; ``searchsorted`` finds the segment that
-    holds ``B``, and on a segment whose wet nodes are the first ``k`` the
-    root is ``(B + S_k) / (W_k - a)``.
-    """
+    v: np.ndarray
+    W: np.ndarray
+    S: np.ndarray
+    at: np.ndarray
+    D: np.ndarray
+
+
+def _water_table(v: np.ndarray, w: np.ndarray) -> _WaterTable:
+    """The table of ascending ``v`` and weights ``w``; ``D`` sums its
+    non-negative steps ``W_k log2(v_k/v_{k-1})``, each a ``log1p``."""
     W = np.concatenate(([0.0], np.cumsum(w)))
     S = np.concatenate(([0.0], np.cumsum(w * v)))
-    at = v * W[1:] - S[1:] - a * v
+    D = np.cumsum(W[1:-1] * np.log1p(np.diff(v) / v[:-1]) / LN2)
+    return _WaterTable(v, W, S, v * W[1:] - S[1:], np.concatenate(([0.0, 0.0], D)))
+
+
+def _water_level(table: _WaterTable, a: float, B: float) -> float:
+    """Exact root ``theta`` of ``sum_j w_j max(theta - v_j, 0) - a*theta = B``
+    on ``table``.  The left side is piecewise linear and must be monotone:
+    increasing for ``a = 0``, decreasing for ``a > sum(w)``.  At breakpoint
+    ``i`` it is ``at_i - a v_i``; ``searchsorted`` finds the segment holding
+    ``B``, and with its first ``k`` nodes wet the root is
+    ``(B + S_k) / (W_k - a)``."""
+    at = table.at if a == 0.0 else table.at - a * table.v
     k = np.searchsorted(at, B, "right") if a == 0.0 else np.searchsorted(-at, -B, "right")
-    return float((B + S[k]) / (W[k] - a))
+    return float((B + table.S[k]) / (table.W[k] - a))
 
 
-@lru_cache(maxsize=4)
-def _inverse_spectrum(spec: ChannelSpec, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The grid's inverse-spectrum values ``1/|f|^2`` in ascending order, with
-    their Simpson weights scaled to sum to one, so that ``g(theta)`` is
-    ``sum_j w_j max(theta - v_j, 0)`` exactly as ``g_integral`` sums it.
-    Each entry holds two grid-sized arrays, so only a sweep's current
-    channel and a few more are kept."""
+@lru_cache(maxsize=2)
+def _grid_table(spec: ChannelSpec, grid_size: int) -> _WaterTable:
+    """The table of the grid's sorted ``1/|f|^2``, Simpson weights summing to
+    one; five grid-sized arrays each, so only two channels are kept."""
     v = 1.0 / f_sq_table(spec, grid_size)
     order = np.argsort(v)
-    return v[order], simpson_weights(grid_size)[order] / (2.0 * np.pi)
+    return _water_table(v[order], simpson_weights(grid_size)[order] / (2.0 * np.pi))
 
 
 def _b(spec: ChannelSpec) -> float:
@@ -220,7 +210,7 @@ def solve_theta1(
     if P >= 1.0 / profile.alpha ** 2 - profile.J:
         theta = P + profile.J
     else:
-        theta = _water_level(*_inverse_spectrum(spec, grid_size), 0.0, P)
+        theta = _water_level(_grid_table(spec, grid_size), 0.0, P)
     return _solution(theta, P, profile, "theta1")
 
 
@@ -247,7 +237,7 @@ def solve_theta2(
         return _solution(theta, 2.0 * theta - b, profile, "theta2")
     if b - 2.0 / profile.beta ** 2 <= 0.0:
         return None
-    theta = _water_level(*_inverse_spectrum(spec, grid_size), 2.0, -b)
+    theta = _water_level(_grid_table(spec, grid_size), 2.0, -b)
     I = 2.0 * theta - b
     if I <= 0.0:
         return None
@@ -255,10 +245,19 @@ def solve_theta2(
 
 
 def cap_integral(spec: ChannelSpec, theta: float, grid_size: int = DEFAULT_GRID) -> float:
-    """Rate integral at water level ``theta``:
-    half the circle mean of ``log2(max(theta * |f|^2, 1))``."""
-    table = f_sq_table(spec, grid_size)
-    return 0.5 * simpson_mean(np.log2(np.maximum(theta * table, 1.0)))
+    """Rate integral at water level ``theta``: half the circle mean of
+    ``log2(max(theta * |f|^2, 1))``, in O(log N) from the channel's table.
+    With ``k = #{v_j < theta}`` the grid sum is ``W_k log2(theta/v_{k-1}) +
+    D_k``, two non-negative addends, the first a ``log1p``; from just above
+    the spectral peak into the closed regime, where it reads
+    ``(log2(theta/v_max) + D_N) / 2``, it stays within about 1e-14 relative
+    of the same Simpson sum in 30 digits (``tests/oracles.py``)."""
+    t = _grid_table(spec, grid_size)
+    k = int(np.searchsorted(t.v, theta, "left"))
+    if k == 0:
+        return 0.0
+    top = t.v[k - 1]
+    return 0.5 * float(t.W[k] * math.log1p((theta - top) / top) / LN2 + t.D[k])
 
 
 def capacity_C0(
@@ -436,7 +435,8 @@ def waterfill_powers(
     if total <= len(lam) * eps:
         raise ValueError("total power does not clear the per-channel floor")
     inv = 1.0 / lam
-    theta = _water_level(np.sort(inv + eps), np.ones(len(lam)), 0.0, total - len(lam) * eps)
+    table = _water_table(np.sort(inv + eps), np.ones(len(lam)))
+    theta = _water_level(table, 0.0, total - len(lam) * eps)
     return np.maximum(theta - inv, eps), theta
 
 

@@ -3,11 +3,12 @@
 These deliberately avoid the package's own algorithms: the shell minimizer
 is a projected-gradient descent with retraction and restarts, not an
 eigenvalue solve, the spectrum extrema come from high-precision Newton
-steps, not from polynomial roots or an FFT, a channel use is summed
-exactly, entry by entry of the dense matrix, the centre Gram matrix is
-filled lag by lag from the taps, and the ``verify`` checks are evaluated in
-their dense textbook form (whole block matrices, ``np.diag`` covariances,
-full eigenvalue lists).
+steps, not from polynomial roots or an FFT, the grid's water and rate
+integral are summed node by node (the rate in 30 digits), not from prefix
+tables, a channel use is summed exactly, entry by entry of the dense
+matrix, the centre Gram matrix is filled lag by lag from the taps, and the
+``verify`` checks are evaluated in their dense textbook form (whole block
+matrices, ``np.diag`` covariances, full eigenvalue lists).
 """
 
 import math
@@ -69,6 +70,44 @@ def f_sq_direct(c, omega) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
     f = sum(cl * np.exp(1j * l * omega) for l, cl in enumerate(c))
     return np.abs(f) ** 2
+
+
+def _simpson_node_weights(grid_size: int) -> np.ndarray:
+    """Composite-Simpson weights ``1, 4, 2, ..., 2, 4, 1`` over
+    ``3 grid_size``: a function's circle mean from its values at the
+    ``grid_size + 1`` nodes ``2 pi j / grid_size``."""
+    w = np.full(grid_size + 1, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return w / (3.0 * grid_size)
+
+
+def g_grid_oracle(c, theta: float, grid_size: int = 8192) -> float:
+    """Total water at level ``theta``: the Simpson circle mean of
+    ``max(theta - 1/|f|^2, 0)``, summed directly over ``f_sq_direct`` at
+    the grid's nodes."""
+    omega = np.arange(grid_size + 1) * (2.0 * math.pi / grid_size)
+    water = np.maximum(theta - 1.0 / f_sq_direct(c, omega), 0.0)
+    return float(_simpson_node_weights(grid_size) @ water)
+
+
+def cap_grid_oracle(v, theta: float, digits: int = 30) -> float:
+    """Half the Simpson circle mean of ``log2(max(theta / v, 1))`` from the
+    inverse-spectrum node values ``v = 1/|f|^2`` (``grid_size + 1`` of them,
+    both endpoints), with every value and ``theta`` taken exactly.  Each
+    weight class's wet ratios ``theta / v_j > 1`` are multiplied in
+    ``digits`` digits and the product's log taken once, so nothing
+    cancels."""
+    v = np.asarray(v, dtype=float)
+    n = len(v) - 1
+    classes = {1: v[[0, n]], 4: v[1:n:2], 2: v[2:n:2]}
+    with mpmath.workdps(digits):
+        th = mpmath.mpf(float(theta))
+        total = mpmath.mpf(0)
+        for weight, nodes in classes.items():
+            ratios = [th / mpmath.mpf(x) for x in nodes[nodes < theta].tolist()]
+            total += weight * mpmath.log(mpmath.fprod(ratios), 2)
+        return float(total / (6 * n))
 
 
 def dense_gram(c, n: int) -> np.ndarray:

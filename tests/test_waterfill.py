@@ -12,7 +12,6 @@ from isicap import (
     compute_profile,
     dbw_to_watts,
     finite_n_bound,
-    g_integral,
     gram_eigenvalues,
     pillow_terms,
     saturation_power,
@@ -20,7 +19,9 @@ from isicap import (
     solve_theta2,
     watts_to_dbw,
 )
+from isicap import waterfill
 from isicap.errors import BoundInapplicable
+from isicap.spectrum import f_sq_table
 from isicap.waterfill import (
     LN2,
     cap_integral,
@@ -28,7 +29,7 @@ from isicap.waterfill import (
     waterfill_powers,
 )
 
-from oracles import exact_waterfill_level
+from oracles import cap_grid_oracle, exact_waterfill_level, g_grid_oracle
 from reference_values import (
     C0_P100,
     DELTA2_AT_PSAT,
@@ -58,7 +59,7 @@ RESIDUAL_CHANNELS = (
 def test_theta1_reference_level(example_spec, example_profile):
     sol = solve_theta1(example_profile, example_spec, 0.1)
     assert sol.theta == pytest.approx(THETA1_P_0_1, abs=LEVEL_TOL)
-    resid = g_integral(example_profile, example_spec, sol.theta) - 0.1
+    resid = g_grid_oracle(example_spec.c, sol.theta) - 0.1
     assert abs(resid) <= RESIDUAL_REL
     assert sol.level == "theta1"
 
@@ -79,7 +80,7 @@ def test_theta1_residual_below_closed_form(c):
     # from the first wet segment (P << 1) up to just below the closed form
     for P in [*np.geomspace(1e-12, 0.5, 24) * top, top * (1.0 - 1e-9)]:
         sol = solve_theta1(prof, spec, P)
-        resid = g_integral(prof, spec, sol.theta) - P
+        resid = g_grid_oracle(c, sol.theta) - P
         assert abs(resid) <= RESIDUAL_REL * max(1.0, P)
 
 
@@ -95,8 +96,49 @@ def test_theta2_residual_below_closed_form(c):
     b = (2.0 / (k + 1)) / spec.norm_r_sq
     assert b < ceiling
     sol = solve_theta2(prof, spec)
-    resid = g_integral(prof, spec, sol.theta) - (2.0 * sol.theta - b)
+    resid = g_grid_oracle(c, sol.theta) - (2.0 * sol.theta - b)
     assert abs(resid) <= RESIDUAL_REL * max(1.0, b)
+
+
+def _cap_channels(count, seed=19):
+    """Random centre taps with k = 1..4 in turn and ``min|f| >= 0.05 max|f|``."""
+    rng = np.random.default_rng(seed)
+    while count:
+        c = rng.uniform(-1.0, 1.0, count % 4 + 2)
+        mag = np.abs(np.fft.fft(c, 1024))
+        if mag.min() >= 0.05 * mag.max():
+            count -= 1
+            yield ChannelSpec(k=len(c) - 1, c=tuple(c), r=(1e-3,) * len(c))
+
+
+def test_cap_integral_matches_grid_oracle():
+    # from a level just over the spectral peak, through the knee, into the
+    # closed regime: the table's O(log N) sum against a 30-digit one
+    for spec in _cap_channels(20):
+        prof = compute_profile(spec)
+        knee = 1.0 / prof.alpha ** 2 - prof.J
+        v = 1.0 / f_sq_table(spec)
+        for P in knee * np.array([1e-6, 1e-3, 0.3, 1.0, 10.0]):
+            theta = solve_theta1(prof, spec, P).theta
+            want = cap_grid_oracle(v, theta)
+            assert abs(cap_integral(spec, theta) - want) <= 1e-13 * want
+
+
+def test_bound_rows_read_no_grid(monkeypatch):
+    # after one row has built the channel's table, a row is O(log N) work
+    spec = ChannelSpec(k=3, c=(1.0, -0.6, 0.3, 0.1), r=(2e-4,) * 4)
+    prof = compute_profile(spec)
+    bound_report(spec, 1.0)
+
+    def no_grid(*args):
+        raise AssertionError("a bound row read the grid")
+
+    monkeypatch.setattr(waterfill, "f_sq_table", no_grid)
+    monkeypatch.setattr(waterfill, "simpson_weights", no_grid)
+    for p_dbw in np.linspace(-20.0, 60.0, 161):
+        P = dbw_to_watts(p_dbw)
+        assert bound_report(spec, P).C0 > 0.0
+        assert cap_integral(spec, solve_theta1(prof, spec, P).theta) > 0.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -116,7 +158,7 @@ def test_capacity_reference_value(example_spec, example_profile):
 def test_g_equals_shift_above_spectrum(example_spec, example_profile):
     ceiling = 1.0 / example_profile.alpha ** 2
     for theta in (ceiling, 10.0, 5000.0):
-        got = g_integral(example_profile, example_spec, theta)
+        got = g_grid_oracle(example_spec.c, theta)
         assert abs(got - (theta - example_profile.J)) <= 1e-10 * max(1.0, theta)
 
 
