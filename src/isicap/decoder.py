@@ -54,7 +54,7 @@ from .spectrum import (
     build_Hc,
     compute_profile,
 )
-from .waterfill import _penalty, phi_terms
+from .waterfill import phi_terms
 from .channel_sim import (
     _band_apply,
     ChannelLaw,
@@ -109,20 +109,20 @@ class TypicalParams:
 @dataclass(frozen=True)
 class ThresholdReport:
     """Blocklength-dependent analysis constants for a covariance/power pair:
-    the natural typicality scales (eta_n, eta_prime_n), the penalty ratios
-    (phi1..phi3) with their penalty delta_n, and the trace budgets
-    (C_n, C_prime_n) used by the verification suites."""
+    the natural typicality scale eta_n (phi2_n is the other, eta'_n), the
+    penalty ratios (phi1..phi3) and the trace budgets (C_n, C_prime_n) used
+    by the verification suites.  The penalty they define is
+    ``finite_n_bound``'s, which refuses phi1 >= 1; decoding reads none of
+    it."""
 
     n: int
     m: int
     eta_n: float
-    eta_prime_n: float
     C_n: float
     C_prime_n: float
     phi1_n: float
     phi2_n: float
     phi3_n: float
-    delta_n: float
 
 
 def trace_budgets(
@@ -159,20 +159,17 @@ def thresholds(
     n = cov.n
     m = n + spec.k
     phi1, phi2, phi3 = phi_terms(profile, cov.lam_min, cov.lam_max, cov.trace, m)
-    delta_n = sum(_penalty(profile, cov.lam_min, cov.lam_max, cov.trace / m))
     eta_n = (spec.k + 1) * spec.norm_r_sq * cov.trace / (m + n)
     C_n, C_prime_n = trace_budgets(spec, profile, cov, P)
     return ThresholdReport(
         n=n,
         m=m,
         eta_n=eta_n,
-        eta_prime_n=phi2,
         C_n=C_n,
         C_prime_n=C_prime_n,
         phi1_n=phi1,
         phi2_n=phi2,
         phi3_n=phi3,
-        delta_n=delta_n,
     )
 
 

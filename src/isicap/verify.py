@@ -7,10 +7,12 @@ stream; ``check(inst)`` evaluates one inequality on it and returns
 ``(margin, ok)``.  Each check computes only the quantities its inequality
 names, through an identity stated in its docstring: operator norms of
 channel matrices are the top eigenvalue of their band Gram matrix, the
-stacked trace is summed block by block, the whitened trace takes one
-Cholesky factor of the centre output covariance, and every product with
-``Sigma`` or its square root goes through the drawn covariance, which
-scales columns in the standard basis and never forms ``diag(d)``.  One
+stacked trace is summed block by block, and the whitened trace takes one
+Cholesky factor of the centre output covariance.  A drawn covariance
+``Sigma = Q diag(d) Q'`` enters only as ``W = X Q diag(sqrt(d))``, which is
+``X Sigma^(1/2)`` turned by the orthogonal ``Q``: ``X Sigma X' = W W'``,
+and no norm, trace, eigenvalue or determinant a check reads changes, so
+nothing forms ``Sigma``, its root or ``diag(d)``.  One
 runner loops over the samples and records the worst margin.  An inequality
 ``lhs <= rhs`` passes with slack ``rhs * (1 + 1e-9) + 1e-12`` in the linear
 domain; the log-domain checks (determinant, volume) use an
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -38,7 +39,7 @@ from .spectrum import (
     compute_profile,
 )
 from .waterfill import LN2, phi_terms
-from .channel_sim import rng_stream
+from .channel_sim import MAX_DECODE_BYTES, rng_stream
 from .decoder import trace_budgets
 
 __all__ = [
@@ -64,6 +65,9 @@ SLACK_REL = 1e-9
 SLACK_ABS = 1e-12
 VERIFY_STREAM_BASE = 16
 K_MAX = 4  # largest channel memory the suites draw
+# Most arrays of order n_max + K_MAX one sample holds at once (eigenvalue
+# stability: H, Hc, Q, W, Wc, A, B, A - B and an eigensolver copy).
+_DENSE_ARRAYS = 9
 TWO_PI_E = 2.0 * math.pi * math.e
 
 
@@ -166,11 +170,14 @@ def typical_volume(sigma: np.ndarray, eta: float) -> VolumeResult:
         raise ValueError("need a square covariance")
     if eta <= 0.0:
         raise ValueError("need eta > 0")
-    n = sigma.shape[0]
     sign, logdet = np.linalg.slogdet(sigma)
     if sign <= 0:
         raise ValueError("covariance must be positive definite")
-    log2_det = logdet / LN2
+    return _shell_volume(sigma.shape[0], logdet / LN2, eta)
+
+
+def _shell_volume(n: int, log2_det: float, eta: float) -> VolumeResult:
+    """``typical_volume`` of an order-``n`` covariance from its log2 det."""
     outer = _log2_ellipsoid_volume(n, log2_det, 1.0 + eta)
     if eta < 1.0:
         inner = _log2_ellipsoid_volume(n, log2_det, 1.0 - eta)
@@ -275,34 +282,18 @@ def _random_channel(rng: np.random.Generator, n_max: int):
 
 class _Cov:
     """A drawn covariance ``Sigma = Q diag(d) Q'`` for a random orthonormal
-    ``Q``, or ``Q = None`` for the standard basis.  It owns every product
-    with ``Sigma`` and its symmetric square root: ``times_root`` and
-    ``sandwich`` scale columns in the standard basis (bit for bit the GEMMs
-    against ``np.diag``) and multiply by the dense ``sigma`` or ``root``,
-    built once on first use, in a random basis."""
+    ``Q``, or ``Q = None`` for ``Q = I``.  Checks see it only through
+    ``whiten``, exact because each is invariant under ``X Sigma^(1/2) ->
+    X Sigma^(1/2) Q`` and ``X Sigma X' = whiten(X) whiten(X)'``."""
 
     def __init__(self, d: np.ndarray, Q: Optional[np.ndarray]) -> None:
         self.d, self.Q, self.n = d, Q, len(d)
         self.sqrt_d = np.sqrt(d)
         self.trace, self.lam_min, self.lam_max = float(d.sum()), float(d.min()), float(d.max())
 
-    @cached_property
-    def sigma(self) -> np.ndarray:
-        return np.diag(self.d) if self.Q is None else (self.Q * self.d) @ self.Q.T
-
-    @cached_property
-    def root(self) -> np.ndarray:
-        r = self.sqrt_d
-        return np.diag(r) if self.Q is None else (self.Q * r) @ self.Q.T
-
-    def times_root(self, X: np.ndarray) -> np.ndarray:
-        """``X Sigma^(1/2)``."""
-        return X * self.sqrt_d if self.Q is None else X @ self.root
-
-    def sandwich(self, X: np.ndarray) -> np.ndarray:
-        """``X Sigma X'``."""
-        XS = X * self.d if self.Q is None else X @ self.sigma
-        return XS @ X.T
+    def whiten(self, X: np.ndarray) -> np.ndarray:
+        """``X Q diag(sqrt(d))``: one GEMM, none in the standard basis."""
+        return (X if self.Q is None else X @ self.Q) * self.sqrt_d
 
 
 def _random_cov(rng: np.random.Generator, n: int) -> _Cov:
@@ -357,7 +348,7 @@ def _band_op_norm(M: BandedChannelMatrix) -> float:
 def _omegas(H: np.ndarray, Hc: np.ndarray, cov: _Cov):
     """Output covariances ``I + Hc Sigma Hc'`` and ``I + H Sigma H'``."""
     eye = np.eye(H.shape[0])
-    return eye + cov.sandwich(Hc), eye + cov.sandwich(H)
+    return tuple(eye + W @ W.T for W in (cov.whiten(Hc), cov.whiten(H)))
 
 
 def _lemma1_instance(rng, i, n_max):
@@ -411,7 +402,7 @@ def _volume_instance(rng, i, n_max):
     n = int(rng.integers(1, min(n_max, 50) + 1))
     cov = _random_cov(rng, n)
     eta = _ETAS[i % len(_ETAS)] if rng.random() < 0.5 else float(rng.uniform(0.05, 3.0))
-    return cov.sigma, eta
+    return n, float(np.log2(cov.d).sum()), eta
 
 
 def _lemma1(inst):
@@ -430,10 +421,10 @@ def _op_cap(inst):
 
 def _stacked_trace(inst):
     """``2 ||Phi||_F^2 <= C_n`` for ``Phi = [[I + S'S, S'], [S, I]]`` with
-    ``S = (H - Hc) Sigma^(1/2)``, summed block by block:
+    ``S = whiten(H - Hc)``, summed block by block:
     ``||Phi||_F^2 = ||I + S'S||_F^2 + 2 ||S||_F^2 + m``."""
     H, Hc, cov, (budget, _) = inst
-    ES = cov.times_root(H - Hc)
+    ES = cov.whiten(H - Hc)
     G = ES.T @ ES
     G[np.diag_indices_from(G)] += 1.0
     lhs = 2.0 * (float(np.linalg.norm(G)) ** 2 + 2.0 * float(np.linalg.norm(ES)) ** 2 + ES.shape[0])
@@ -474,11 +465,11 @@ def _det_floor(inst):
 
 def _eig_stability(inst):
     """Weyl: the largest eigenvalue shift of the whitened Gram pair
-    ``A = W'W``, ``B = Wc'Wc`` with ``W = H Sigma^(1/2)``, ``Wc = Hc
-    Sigma^(1/2)`` (so ``A = Sigma^(1/2) H'H Sigma^(1/2)``) is at most the
+    ``A = W'W``, ``B = Wc'Wc`` with ``W = whiten(H)``, ``Wc = whiten(Hc)``
+    (so ``A`` is similar to ``Sigma^(1/2) H'H Sigma^(1/2)``) is at most the
     operator norm of the symmetric perturbation ``A - B``."""
     H, Hc, cov, _ = inst
-    W, Wc = cov.times_root(H), cov.times_root(Hc)
+    W, Wc = cov.whiten(H), cov.whiten(Hc)
     A = W.T @ W
     B = Wc.T @ Wc
     gap = float(np.abs(eigvalsh(A) - eigvalsh(B)).max())
@@ -499,8 +490,8 @@ def _shell_floor(inst):
 def _volume(inst):
     """The shell's exact log2 volume lies below the Gaussian-entropy
     estimate, and above its lower companion when ``eta >= 1``."""
-    sigma, eta = inst
-    res = typical_volume(sigma, eta)
+    n, log2_det, eta = inst
+    res = _shell_volume(n, log2_det, eta)
     margin = res.log2_upper - res.log2_exact
     ok = _holds_signed(res.log2_exact, res.log2_upper)
     if eta >= 1.0:
@@ -554,6 +545,10 @@ def _run(names, samples: int, master_seed: int, n_max: int) -> dict[str, LemmaRe
     ):
         if value < least:
             raise ValueError(f"{key} must be >= {least}, got {value}")
+    need = _DENSE_ARRAYS * 8 * (n_max + K_MAX) ** 2
+    if need > MAX_DECODE_BYTES:
+        raise ValueError(f"n_max = {n_max} needs {need / 2**30:.3g} GiB per sample, "
+                         f"over the cap {MAX_DECODE_BYTES / 2**30:.3g} GiB")
     reports = {}
     for name in names:
         idx = SUITE_NAMES.index(name)

@@ -32,7 +32,6 @@ from isicap.channel_sim import (
     sample_taps,
     trial_block,
 )
-from isicap import verify
 from isicap.spectrum import HalfBasis
 from isicap.verify import VERIFY_STREAM_BASE
 from isicap.decoder import TypicalParams, _pass_mask, prepare_context
@@ -253,27 +252,6 @@ def test_covariance_needs_a_basis():
         CovarianceSpec(n=3, d=np.ones(3), halves=None)
     with pytest.raises(ValueError, match="HalfBasis of order 3"):
         CovarianceSpec(n=3, d=np.ones(3), halves=standard_halves(2))
-
-
-@pytest.mark.parametrize("n", [1, 64, 256])
-def test_identity_basis_is_the_diagonal_covariance(n):
-    """``verify``'s standard-basis draws are ``np.diag(d)`` and
-    ``np.diag(sqrt(d))``, bit for bit what the GEMM forms ``(I d) I'`` and
-    ``(I sqrt(d)) I'`` of its random-basis draws give for ``Q = I``, and
-    their column-scaling products ``X Sigma^(1/2)`` and ``X Sigma X'`` are
-    bit for bit the GEMMs against those matrices: the ``verify`` JSON rests
-    on it."""
-    rng = np.random.default_rng(n)
-    d = 10.0 ** rng.uniform(-2.0, 1.0, n)
-    X = rng.standard_normal((n + 3, n))
-    eye = np.eye(n)
-    diagonal, gemm = verify._Cov(d=d, Q=None), verify._Cov(d=d, Q=eye)
-    assert np.array_equal(diagonal.sigma, gemm.sigma)
-    assert np.array_equal(diagonal.root, gemm.root)
-    assert np.array_equal(diagonal.sigma, (eye * d) @ eye.T)
-    assert np.array_equal(diagonal.times_root(X), gemm.times_root(X))
-    assert np.array_equal(diagonal.sandwich(X), gemm.sandwich(X))
-    assert (diagonal.n, diagonal.lam_max, diagonal.trace) == (n, d.max(), d.sum())
 
 
 def test_covariance_identities():

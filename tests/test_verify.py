@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,28 +309,43 @@ def test_band_op_norm_matches_dense(k):
         assert _band_op_norm(M) == pytest.approx(norms(M.dense()).op, rel=1e-13, abs=0.0)
 
 
-def test_standard_basis_draws_build_no_square_matrix(monkeypatch):
-    """The covariance suites reach ``Sigma`` only through the draw's own
-    products, which scale columns in the standard basis: no ``diag(d)``."""
-    seen = {"standard": 0}
+def _turned(name, inst):
+    """The same check's instance in the standard basis: ``(H Q, Hc Q,
+    diag(d))``; the stacked trace reads only ``H - Hc``, so it gets
+    ``((H - Hc) Q, 0)``."""
+    H, Hc, cov, *rest = inst
+    if name == "stacked_deviation_trace":
+        H, Hc = H - Hc, np.zeros_like(Hc)
+    return (H @ cov.Q, Hc @ cov.Q, verify._Cov(d=cov.d, Q=None), *rest)
 
-    def guarded(prop):
-        def get(cov):
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_drawn_basis_checks_equal_standard_basis_checks(seed):
+    """A check on ``(H, Hc, Q diag(d) Q')`` is bit for bit the same check on
+    ``(H Q, Hc Q, diag(d))``: the drawn basis enters only through the one
+    product ``whiten``.  A standard-basis draw gets a random ``Q`` here."""
+    rng = np.random.default_rng(seed)
+    for idx, (name, instance, check) in enumerate(_SUITES):
+        if name not in CHANNEL_SUITES[2:]:  # the five suites that draw a covariance
+            continue
+        for i in range(6):
+            H, Hc, cov, *rest = instance(_suite_rng(seed, idx, i), i, 24)
             if cov.Q is None:
-                raise AssertionError(f"standard-basis draw built {prop.attrname}")
-            return prop.func(cov)
-        return property(get)
+                Q = np.linalg.qr(rng.standard_normal((cov.n, cov.n)))[0]
+                cov = verify._Cov(d=cov.d, Q=np.ascontiguousarray(Q))
+            inst = (H, Hc, cov, *rest)
+            assert check(inst) == check(_turned(name, inst)), (name, i)
 
-    draw = verify._random_cov
 
-    def counting_draw(rng, n):
-        cov = draw(rng, n)
-        seen["standard"] += cov.Q is None
-        return cov
-
-    for prop in ("sigma", "root"):
-        monkeypatch.setattr(verify._Cov, prop, guarded(getattr(verify._Cov, prop)))
-    monkeypatch.setattr(verify, "_random_cov", counting_draw)
-    for name in CHANNEL_SUITES[2:]:  # the five suites that draw a covariance
-        assert run_suite(name, samples=8, master_seed=0, n_max=24).violations == 0
-    assert seen["standard"] > 0
+def test_verify_refuses_n_max_past_the_byte_cap():
+    """An ``n_max`` whose samples would not fit the byte cap is refused
+    before anything is drawn; a modest one still runs."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n_max = 1000000 needs"):
+            run_suite("eigenvalue_stability", samples=1, n_max=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert run_suite("eigenvalue_stability", samples=2, n_max=256).violations == 0
