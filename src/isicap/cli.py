@@ -26,15 +26,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BoundInapplicable, ConfigError, DimensionMismatch, IsicapError
+from .errors import ConfigError, DimensionMismatch, IsicapError
 from .spectrum import DEFAULT_GRID, ChannelSpec, compute_profile
-from .waterfill import (
-    _pillow_terms,
-    bound_report,
-    dbw_to_watts,
-    solve_theta1,
-    watts_to_dbw,
-)
+from .waterfill import bound_grid, bound_report, dbw_to_watts, pillow_grid, watts_to_dbw
 from .channel_sim import ChannelLaw, check_law
 from .decoder import run_error_experiment
 from .verify import verify_report
@@ -179,14 +173,14 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
+def _cells(values, ok=None) -> list:
+    """One CSV column from a list or array of numbers, strings or None:
+    ``repr`` of each number (a float's shortest round-trip digits), a string
+    as it is, and ``""`` for None and wherever the mask ``ok`` is False."""
+    values = np.asarray(values).tolist()
+    keep = [True] * len(values) if ok is None else ok.tolist()
+    return ["" if v is None or not k else v if isinstance(v, str) else repr(v)
+            for v, k in zip(values, keep)]
 
 
 def _emit(out: Optional[str], text: str) -> None:
@@ -197,9 +191,9 @@ def _emit(out: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-def _write_csv(out: Optional[str], schema: str, header: Sequence[str], rows) -> None:
+def _write_csv(out: Optional[str], schema: str, header: Sequence[str], columns) -> None:
     lines = [schema, ",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(row) for row in zip(*columns))
     _emit(out, "\n".join(lines) + "\n")
 
 
@@ -219,55 +213,54 @@ BOUNDS_HEADER = (
 )
 
 
-def _bounds_row(cfg: RunConfig, p_dbw: float):
-    p_w = dbw_to_watts(p_dbw)
-    rep = bound_report(cfg.spec, p_w, cfg.grid_size)
-    if rep.C_LB1 is None:
-        return (p_dbw, rep.C0, None, None, None, None, None, None, None, p_w, None, FLAG_INAPPLICABLE)
-    psat_dbw = None
-    if rep.P_sat is not None and rep.P_sat > 0.0:
-        psat_dbw = watts_to_dbw(rep.P_sat)
-    flag = ""
-    if psat_dbw is not None and abs(p_dbw - psat_dbw) <= NEAR_PSAT_DBW:
-        flag = FLAG_NEAR_PSAT
-    return (
-        p_dbw,
-        rep.C0,
-        rep.C_LB1,
-        rep.C_LB2,
-        rep.delta1,
-        rep.delta2,
-        psat_dbw,
-        rep.gap_cor1,
-        rep.gap_cor2,
-        p_w,
-        rep.P_sat,
-        flag,
-    )
-
-
-def _flag_exit(rows) -> int:
-    """EXIT_EMPTY when every row is inapplicable; a stderr note (rows are
-    still written, flagged) when only some are."""
-    hit = sum(1 for row in rows if row[-1] == FLAG_INAPPLICABLE)
-    if hit == len(rows):
+def _flag_exit(ok: np.ndarray) -> int:
+    """EXIT_EMPTY when every row is inapplicable (``ok`` all False); a
+    stderr note (rows are still written, flagged) when only some are."""
+    hit = int(np.count_nonzero(~ok))
+    if hit == len(ok):
         return EXIT_EMPTY
     if hit:
         print(
-            f"warning: refined bounds inapplicable at {hit} of {len(rows)} grid points"
+            f"warning: refined bounds inapplicable at {hit} of {len(ok)} grid points"
             " (rows flagged, lower-bound columns left empty)",
             file=sys.stderr,
         )
     return EXIT_OK
 
 
-def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
-    grid = _grid_from(args.grid if args.grid else cfg.sections["bounds"]["p_dbw"], "bounds.p_dbw")
+def _power_sweep(cfg: RunConfig, args: argparse.Namespace, command: str, header) -> int:
+    """``bounds`` or ``figure2``: the ``header`` columns over the power grid
+    (dBW) from one ``bound_grid`` pass.  A flagged row keeps only its
+    powers and ``C0``."""
+    grid = _grid_from(args.grid if args.grid else cfg.sections[command]["p_dbw"], f"{command}.p_dbw")
     if not grid:
         raise ConfigError("empty power grid")
-    rows = [_bounds_row(cfg, p) for p in grid]
-    _write_csv(cfg.out, _SCHEMAS["bounds"], BOUNDS_HEADER, rows)
-    return _flag_exit(rows)
+    p_w = np.array([dbw_to_watts(p) for p in grid])
+    g = bound_grid(cfg.spec, p_w, cfg.grid_size)
+    ok, n = g.ok, len(grid)
+    psat_dbw = watts_to_dbw(g.P_sat) if g.P_sat is not None and g.P_sat > 0.0 else None
+    near = [psat_dbw is not None and abs(p - psat_dbw) <= NEAR_PSAT_DBW for p in grid]
+    flags = np.where(ok, np.where(near, FLAG_NEAR_PSAT, ""), FLAG_INAPPLICABLE)
+    columns = {
+        "P_dBW": (grid, None),
+        "C0": (g.C0, None),
+        "C_LB1": (g.C_LB1, ok),
+        "C_LB2": ([g.C_LB2] * n, ok & g.sat),
+        "delta1": (g.delta1, ok),
+        "delta2": ([g.delta2] * n, ok & g.sat),
+        "Psat_dBW": ([psat_dbw] * n, ok),
+        "gap_cor1": (g.gap_cor1, ok),
+        "gap_cor2": ([g.gap_cor2] * n, ok),
+        "P_W": (p_w, None),
+        "Psat_W": ([g.P_sat] * n, ok),
+        "flag": (flags, None),
+    }
+    _write_csv(cfg.out, _SCHEMAS[command], header, [_cells(*columns[name]) for name in header])
+    return _flag_exit(ok)
+
+
+def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
+    return _power_sweep(cfg, args, "bounds", BOUNDS_HEADER)
 
 
 FIGURE1_HEADER = ("r_s", "P_dBW", "bound", "term1", "term2", "term3", "P_W", "flag")
@@ -296,31 +289,27 @@ def cmd_figure1(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not rs_values or not p_list:
         raise ConfigError("empty sweep")
     profile = compute_profile(cfg.spec, cfg.grid_size)
-    rows = []
-    for p_dbw in p_list:
-        p_w = dbw_to_watts(p_dbw)
-        sol = solve_theta1(profile, cfg.spec, p_w, cfg.grid_size)
-        for rs in rs_values:
-            try:
-                t1, t2, t3 = _pillow_terms(profile, cfg.spec, p_w, rs, sol)
-                rows.append((rs, p_dbw, t1 + t2 + t3, t1, t2, t3, p_w, ""))
-            except BoundInapplicable:
-                rows.append((rs, p_dbw, None, None, None, None, p_w, FLAG_INAPPLICABLE))
-    _write_csv(cfg.out, _SCHEMAS["figure1"], FIGURE1_HEADER, rows)
-    return _flag_exit(rows)
+    rs = np.array(rs_values)
+    p_w = [dbw_to_watts(p) for p in p_list]
+    # one pillow_grid pass per power, its rows in radius-sum order
+    t1, t2, t3, ok = map(
+        np.concatenate, zip(*(pillow_grid(profile, cfg.spec, p, rs, cfg.grid_size) for p in p_w))
+    )
+    each = len(rs_values)
+    columns = [
+        (np.tile(rs, len(p_w)), None), (np.repeat(p_list, each), None), (t1 + t2 + t3, ok),
+        (t1, ok), (t2, ok), (t3, ok), (np.repeat(p_w, each), None),
+        (np.where(ok, "", FLAG_INAPPLICABLE), None),
+    ]
+    _write_csv(cfg.out, _SCHEMAS["figure1"], FIGURE1_HEADER, [_cells(*c) for c in columns])
+    return _flag_exit(ok)
 
 
 FIGURE2_HEADER = ("P_dBW", "C0", "C_LB1", "C_LB2", "P_W", "flag")
 
 
 def cmd_figure2(cfg: RunConfig, args: argparse.Namespace) -> int:
-    grid = _grid_from(args.grid if args.grid else cfg.sections["figure2"]["p_dbw"], "figure2.p_dbw")
-    if not grid:
-        raise ConfigError("empty power grid")
-    full = [_bounds_row(cfg, p) for p in grid]
-    rows = [row[:4] + (row[9], row[11]) for row in full]  # P_dBW, C0, C_LB1, C_LB2, P_W, flag
-    _write_csv(cfg.out, _SCHEMAS["figure2"], FIGURE2_HEADER, rows)
-    return _flag_exit(rows)
+    return _power_sweep(cfg, args, "figure2", FIGURE2_HEADER)
 
 
 SIMULATE_HEADER = (
@@ -375,7 +364,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
             (n, rate, p_dbw, trials, res.type1, res.type2, res.success,
              res.wilson_lo, res.wilson_hi, p_w)
         )
-    _write_csv(cfg.out, _SCHEMAS["simulate"], SIMULATE_HEADER, rows)
+    _write_csv(cfg.out, _SCHEMAS["simulate"], SIMULATE_HEADER, [_cells(col) for col in zip(*rows)])
     return EXIT_OK
 
 

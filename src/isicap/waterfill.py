@@ -9,23 +9,24 @@ Two water levels drive everything:
   radii are non-zero and the implied per-dimension power stays positive.
 
 From a level we get the rate integral ``C0``, the tap-uncertainty penalty
-``delta`` (one kernel, ``_penalty``) and the per-power bound report that
-the CLI serializes; a finite-blocklength variant uses the centre Gram
-eigenvalues in place of the integral.
+``delta`` (one kernel, ``_penalty``) and the bounds the CLI serializes; a
+finite-blocklength variant uses the centre Gram eigenvalues in place of
+the integral.
 
-No level is found by iteration, and a bound row reads no grid.  The water
+No level is found by iteration, and no bound reads the grid.  The water
 ``g(theta)`` on the quadrature grid is a weighted sum of ``max(theta - v_j,
 0)`` over the sorted inverse spectrum ``v_j``, piecewise linear in
 ``theta`` (Palomar & Fonollosa, IEEE TSP 2005); the finite-blocklength
 allocation is the same sum with unit weights.  One water table per channel
 (the two latest are cached) holds the prefix sums of the weights and of
 the weighted breakpoints, the water at each breakpoint, and a rate prefix
-summed from non-negative ``log1p`` steps.  A level is one ``searchsorted``
-and a closed form (``_water_level``), ``C0`` one ``searchsorted`` and a
-``log1p`` (``cap_integral``): each row is O(log N).  Above the highest
-breakpoint ``theta = P + J`` and ``theta = b - J`` apply directly.  The
-saturation route (``theta2``, ``C_LB2``, ``delta2``, ``P_sat``,
-``gap_cor2``) does not depend on ``P`` and is cached per channel.
+summed from non-negative ``log1p`` steps.  A power grid is one array pass
+(``bound_grid``; ``pillow_grid`` over radius sums): one ``searchsorted``
+gives every level (``P + J`` above the top breakpoint), a second every
+``C0``; ``bound_report`` and ``pillow_terms`` are one-row calls.  Logs run
+on libm (numpy's may differ by an ulp) for the byte contract: a value is
+the same bit for bit in a grid or alone.  The saturation route (``theta2``,
+``C_LB2``, ``delta2``, ``P_sat``, ``gap_cor2``) is cached per channel.
 
 All rates are in bits (logs base 2); powers are in watts, with dBW helpers
 for the CLI surface.
@@ -34,7 +35,7 @@ for the CLI surface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal, NamedTuple, Optional
 
@@ -64,7 +65,9 @@ __all__ = [
     "phi_terms",
     "saturation_power",
     "bound_report",
+    "bound_grid",
     "pillow_terms",
+    "pillow_grid",
     "waterfill_powers",
     "finite_n_bound",
 ]
@@ -135,10 +138,37 @@ class FiniteNBound:
     value: float
 
 
+class BoundGrid(NamedTuple):
+    """``BoundReport`` over a power grid: ``C0`` to ``gap_cor1`` are columns,
+    the last three valid where ``ok``; ``C_LB2`` and ``delta2`` hold where ``sat``."""
+
+    C0: np.ndarray
+    C_LB1: np.ndarray
+    delta1: np.ndarray
+    gap_cor1: np.ndarray
+    C_LB2: Optional[float]
+    delta2: Optional[float]
+    P_sat: Optional[float]
+    gap_cor2: Optional[float]
+    ok: np.ndarray
+    sat: np.ndarray
+
+
+def _libm(fn, x) -> np.ndarray:
+    """``fn``, a ``math`` function, over the array ``x``, not numpy's own
+    (an ulp apart at times, which ``C_LB1``'s cancellation would show)."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _depths(profile: SpectrumProfile, theta):
+    """Water depths ``(d_min, d_max)`` over the spectral valley and peak."""
+    return tuple(np.maximum(theta - 1.0 / x ** 2, 0.0) for x in (profile.alpha, profile.beta))
+
+
 def _solution(theta: float, I: float, profile: SpectrumProfile, level) -> WaterfillSolution:
-    d_min = max(theta - 1.0 / profile.alpha ** 2, 0.0)
-    d_max = max(theta - 1.0 / profile.beta ** 2, 0.0)
-    return WaterfillSolution(theta=theta, I=I, d_min=d_min, d_max=d_max, level=level)
+    d_min, d_max = _depths(profile, theta)
+    return WaterfillSolution(theta=theta, I=I, d_min=float(d_min), d_max=float(d_max), level=level)
 
 
 class _WaterTable(NamedTuple):
@@ -162,16 +192,16 @@ def _water_table(v: np.ndarray, w: np.ndarray) -> _WaterTable:
     return _WaterTable(v, W, S, v * W[1:] - S[1:], np.concatenate(([0.0, 0.0], D)))
 
 
-def _water_level(table: _WaterTable, a: float, B: float) -> float:
+def _water_level(table: _WaterTable, a: float, B) -> np.ndarray:
     """Exact root ``theta`` of ``sum_j w_j max(theta - v_j, 0) - a*theta = B``
     on ``table``.  The left side is piecewise linear and must be monotone:
     increasing for ``a = 0``, decreasing for ``a > sum(w)``.  At breakpoint
     ``i`` it is ``at_i - a v_i``; ``searchsorted`` finds the segment holding
     ``B``, and with its first ``k`` nodes wet the root is
-    ``(B + S_k) / (W_k - a)``."""
+    ``(B + S_k) / (W_k - a)``; ``B`` may be an array of budgets."""
     at = table.at if a == 0.0 else table.at - a * table.v
     k = np.searchsorted(at, B, "right") if a == 0.0 else np.searchsorted(-at, -B, "right")
-    return float((B + table.S[k]) / (table.W[k] - a))
+    return (B + table.S[k]) / (table.W[k] - a)
 
 
 @lru_cache(maxsize=2)
@@ -189,6 +219,18 @@ def _b(spec: ChannelSpec) -> float:
     return (2.0 / (spec.k + 1)) / spec.norm_r_sq
 
 
+def _theta1(profile: SpectrumProfile, spec: ChannelSpec, P, grid_size: int) -> np.ndarray:
+    """``theta1`` at each power of the array ``P`` (``P + J`` where it tops
+    the inverse spectrum); a non-finite or non-positive power raises."""
+    P = np.asarray(P, dtype=float)
+    bad = ~(np.isfinite(P) & (P > 0.0))
+    if bad.any():
+        p = float(P[bad][0])
+        raise ValueError(f"non-finite power P={p}" if not math.isfinite(p) else "need P > 0")
+    closed = P >= 1.0 / profile.alpha ** 2 - profile.J
+    return np.where(closed, P + profile.J, _water_level(_grid_table(spec, grid_size), 0.0, P))
+
+
 def solve_theta1(
     profile: SpectrumProfile,
     spec: ChannelSpec,
@@ -203,15 +245,7 @@ def solve_theta1(
     ``I`` is ``P`` itself, the budget the level was solved for.  Raises
     ``ValueError`` for a non-finite or non-positive ``P``.
     """
-    if not math.isfinite(P):
-        raise ValueError(f"non-finite power P={P}")
-    if P <= 0.0:
-        raise ValueError("need P > 0")
-    if P >= 1.0 / profile.alpha ** 2 - profile.J:
-        theta = P + profile.J
-    else:
-        theta = _water_level(_grid_table(spec, grid_size), 0.0, P)
-    return _solution(theta, P, profile, "theta1")
+    return _solution(float(_theta1(profile, spec, P, grid_size)), P, profile, "theta1")
 
 
 def solve_theta2(
@@ -237,27 +271,29 @@ def solve_theta2(
         return _solution(theta, 2.0 * theta - b, profile, "theta2")
     if b - 2.0 / profile.beta ** 2 <= 0.0:
         return None
-    theta = _water_level(_grid_table(spec, grid_size), 2.0, -b)
+    theta = float(_water_level(_grid_table(spec, grid_size), 2.0, -b))
     I = 2.0 * theta - b
     if I <= 0.0:
         return None
     return _solution(theta, I, profile, "theta2")
 
 
-def cap_integral(spec: ChannelSpec, theta: float, grid_size: int = DEFAULT_GRID) -> float:
-    """Rate integral at water level ``theta``: half the circle mean of
-    ``log2(max(theta * |f|^2, 1))``, in O(log N) from the channel's table.
-    With ``k = #{v_j < theta}`` the grid sum is ``W_k log2(theta/v_{k-1}) +
-    D_k``, two non-negative addends, the first a ``log1p``; from just above
-    the spectral peak into the closed regime, where it reads
-    ``(log2(theta/v_max) + D_N) / 2``, it stays within about 1e-14 relative
-    of the same Simpson sum in 30 digits (``tests/oracles.py``)."""
+def cap_integral(spec: ChannelSpec, theta, grid_size: int = DEFAULT_GRID):
+    """Rate integral at water level ``theta`` (a float, or an array giving
+    an array): half the circle mean of ``log2(max(theta * |f|^2, 1))``, in
+    O(log N) from the channel's table.  With ``k = #{v_j < theta}`` the grid
+    sum is ``W_k log2(theta/v_{k-1}) + D_k``, two non-negative addends, the
+    first a ``log1p``; from just above the spectral peak into the closed
+    regime, where it reads ``(log2(theta/v_max) + D_N) / 2``, it stays
+    within about 1e-14 relative of the same Simpson sum in 30 digits
+    (``tests/oracles.py``).  ``k = 0`` reads ``W_0 = D_0 = 0``."""
     t = _grid_table(spec, grid_size)
-    k = int(np.searchsorted(t.v, theta, "left"))
-    if k == 0:
-        return 0.0
+    theta = np.asarray(theta, dtype=float)
+    k = np.searchsorted(t.v, theta, "left")
     top = t.v[k - 1]
-    return 0.5 * float(t.W[k] * math.log1p((theta - top) / top) / LN2 + t.D[k])
+    x = np.where(k > 0, (theta - top) / top, 0.0)
+    C = 0.5 * (t.W[k] * _libm(math.log1p, x) / LN2 + t.D[k])
+    return C if C.ndim else float(C)
 
 
 def capacity_C0(
@@ -271,29 +307,28 @@ def capacity_C0(
     return cap_integral(spec, sol.theta, grid_size)
 
 
-def _s(profile: SpectrumProfile) -> float:
+def _s(profile: SpectrumProfile, rs) -> float:
     """``s = r_s (r_s + 2 beta)``, the radius scale of every penalty term."""
-    return profile.r_s * (profile.r_s + 2.0 * profile.beta)
+    return rs * (rs + 2.0 * profile.beta)
 
 
-def _penalty(
-    profile: SpectrumProfile, lam_min: float, lam_max: float, spend: float
-) -> tuple[float, float]:
-    """The two addends ``(t2, t3)`` of the rate penalty for the tap
-    intervals, given the smallest and largest per-dimension input power and
-    the power spent per dimension.  Their sum is ``delta``.
+@np.errstate(over="ignore", invalid="ignore")  # silent inf and NaN, as in float maths
+def _penalty(profile: SpectrumProfile, rs, lam_min, lam_max, spend):
+    """The addends ``(t2, t3)`` of the rate penalty ``delta = t2 + t3`` for
+    the tap intervals at radius sum ``rs``, given the smallest and largest
+    per-dimension input power and the power spent per dimension, and the
+    mask ``ok`` where they are defined; arrays broadcast.
 
     ``t2 = -log2(1 - ratio)/2`` with ``ratio = s lam_max / (1 + alpha^2
-    lam_min)``; raises BoundInapplicable when ``ratio >= 1``.  ``t3`` caps
-    at ``1/(2 ln 2)`` exactly once ``s * spend >= 1``.
+    lam_min)``, undefined where ``ratio >= 1``.  ``t3`` caps at
+    ``1/(2 ln 2)`` exactly once ``s * spend >= 1``.
     """
-    s = _s(profile)
+    s = _s(profile, rs)
     ratio = s * lam_max / (1.0 + profile.alpha ** 2 * lam_min)
-    if ratio >= 1.0:
-        raise BoundInapplicable(f"radius term {ratio:.3g} >= 1; penalty undefined")
-    t2 = -0.5 * math.log2(1.0 - ratio)
-    t3 = (0.5 / LN2) * (1.0 - max(1.0 - s * spend, 0.0) / (1.0 + s * lam_max))
-    return t2, t3
+    ok = np.logical_not(ratio >= 1.0)  # a NaN ratio passes
+    t2 = -0.5 * _libm(math.log2, np.where(ok, 1.0 - ratio, 1.0))
+    t3 = (0.5 / LN2) * (1.0 - np.maximum(1.0 - s * spend, 0.0) / (1.0 + s * lam_max))
+    return t2, t3, ok
 
 
 def phi_terms(
@@ -307,7 +342,7 @@ def phi_terms(
     from the extreme eigenvalues and trace of the input covariance: the
     ratio ``_penalty`` refuses at 1, ``s * trace / m``, and
     ``1 / (1 + s lam_max)``."""
-    s = _s(profile)
+    s = _s(profile, profile.r_s)
     phi1 = s * lam_max / (1.0 + profile.alpha ** 2 * lam_min)
     phi2 = s * trace / m
     phi3 = 1.0 / (1.0 + s * lam_max)
@@ -336,51 +371,68 @@ def _saturation(spec: ChannelSpec, grid_size: int) -> tuple:
     sol2 = solve_theta2(profile, spec, grid_size)
     C_LB2 = delta2 = gap_cor2 = None
     if sol2 is not None:
-        try:
-            delta2 = sum(_penalty(profile, sol2.d_min, sol2.d_max, sol2.I))
+        t2, t3, ok = _penalty(profile, profile.r_s, sol2.d_min, sol2.d_max, sol2.I)
+        if ok:
+            delta2 = float(t2 + t3)
             C_LB2 = (
                 cap_integral(spec, sol2.theta, grid_size)
                 - math.log2(1.0 + 0.5 * (spec.k + 1) * spec.norm_r_sq * sol2.I)
                 - delta2
             )
-        except BoundInapplicable:
-            delta2 = None
-    s = _s(profile)
+    s = _s(profile, profile.r_s)
     if _b(spec) >= 1.0 / profile.alpha ** 2 + profile.J and s < profile.alpha ** 2:
         # one plus the penalty's limit as lam_min = lam_max and spend grow
         gap_cor2 = 1.0 + 0.5 / LN2 - 0.5 * math.log2(1.0 - s / profile.alpha ** 2)
     return saturation_power(spec, profile), sol2, C_LB2, delta2, gap_cor2
 
 
-def bound_report(spec: ChannelSpec, P: float, grid_size: int = DEFAULT_GRID) -> BoundReport:
-    """All scalar bounds at power ``P`` (watts).
-
-    Only ``C0``, ``C_LB1``, ``delta1`` and ``gap_cor1`` are computed per
-    call; the last three are ``None`` where the radius penalty is undefined
-    at ``P``, with ``C0`` still reported.  The saturation fields do not
-    depend on ``P``: they are computed once per ``(spec, grid_size)`` and
-    cached, and this call only decides whether ``C_LB2`` and ``delta2``
-    apply at ``P``.  Optional fields are populated when their defining
-    conditions hold: the saturation route needs non-zero radii, a
-    saturation level above the spectral floor, and a power budget at least
-    as large as the saturation water; the radius-only gap needs the
-    saturation level's closed form to apply and its log argument to stay
-    positive.
-    """
+@np.errstate(over="ignore", invalid="ignore")  # silent inf and NaN, as in float maths
+def bound_grid(spec: ChannelSpec, P: np.ndarray, grid_size: int = DEFAULT_GRID) -> BoundGrid:
+    """``bound_report`` at every power of the array ``P`` (watts) in one
+    array pass.  The saturation fields do not depend on ``P``: they are
+    computed once per ``(spec, grid_size)`` and cached, and ``sat`` marks
+    the powers whose budget reaches the saturation water."""
     profile = compute_profile(spec, grid_size)
-    sol1 = solve_theta1(profile, spec, P, grid_size)
-    C0 = cap_integral(spec, sol1.theta, grid_size)
-    half_k1_rsq = 0.5 * (spec.k + 1) * spec.norm_r_sq
-    try:
-        delta1 = sum(_penalty(profile, sol1.d_min, sol1.d_max, sol1.I))
-        C_LB1 = C0 - math.log2(1.0 + half_k1_rsq * sol1.I) - delta1
-        gap_cor1 = math.log2(1.0 + half_k1_rsq * P) + delta1
-    except BoundInapplicable:
-        delta1 = C_LB1 = gap_cor1 = None
+    theta = _theta1(profile, spec, P, grid_size)
+    C0 = cap_integral(spec, theta, grid_size)
+    t2, t3, ok = _penalty(profile, profile.r_s, *_depths(profile, theta), P)
+    delta1 = t2 + t3
+    log_term = _libm(math.log2, 1.0 + 0.5 * (spec.k + 1) * spec.norm_r_sq * P)
     P_sat, sol2, C_LB2, delta2, gap_cor2 = _saturation(spec, grid_size)
-    if sol2 is None or sol1.I < sol2.I - 1e-12 * max(1.0, abs(sol2.I)):
-        C_LB2 = delta2 = None
-    return BoundReport(P, C0, C_LB1, delta1, gap_cor1, C_LB2, delta2, P_sat, gap_cor2)
+    sat = np.zeros(np.shape(P), bool)
+    if sol2 is not None:
+        sat = ~(P < sol2.I - 1e-12 * max(1.0, abs(sol2.I)))
+    return BoundGrid(
+        C0, C0 - log_term - delta1, delta1, log_term + delta1, C_LB2, delta2, P_sat, gap_cor2, ok, sat
+    )
+
+
+def bound_report(spec: ChannelSpec, P: float, grid_size: int = DEFAULT_GRID) -> BoundReport:
+    """All scalar bounds at power ``P`` (watts), the one-row ``bound_grid``.
+
+    ``C_LB1``, ``delta1`` and ``gap_cor1`` are ``None`` where the radius
+    penalty is undefined at ``P``, with ``C0`` still reported.  The
+    saturation route needs non-zero radii, a saturation level above the
+    spectral floor, and a budget at least the saturation water; the
+    radius-only gap needs the saturation level's closed form to apply and
+    its log argument to stay positive.
+    """
+    g = bound_grid(spec, np.array([P], dtype=float), grid_size)
+    penalty = [float(col[0]) if g.ok[0] else None for col in g[1:4]]
+    route2 = [value if g.sat[0] else None for value in g[4:6]]
+    return BoundReport(P, float(g.C0[0]), *penalty, *route2, g.P_sat, g.gap_cor2)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # silent inf and NaN, as in float maths
+def pillow_grid(
+    profile: SpectrumProfile, spec: ChannelSpec, P: float, rs: np.ndarray, grid_size: int = DEFAULT_GRID
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``pillow_terms`` at power ``P`` over the array of radius sums ``rs``
+    from one ``theta1`` solve: the columns ``(t1, t2, t3, ok)``, the terms
+    valid where ``ok``."""
+    sol = solve_theta1(profile, spec, P, grid_size)
+    t2, t3, ok = _penalty(profile, rs, sol.d_min, sol.d_max, P)
+    return _libm(math.log2, 1.0 + 0.5 * (spec.k + 1) * rs * rs * P), t2, t3, ok
 
 
 def pillow_terms(
@@ -390,7 +442,8 @@ def pillow_terms(
     r_s: Optional[float] = None,
     grid_size: int = DEFAULT_GRID,
 ) -> tuple[float, float, float]:
-    """The three addends of the radius-sum-only gap bound at power ``P``.
+    """The three addends of the radius-sum-only gap bound at power ``P``,
+    the one-row ``pillow_grid``.
 
     ``r_s`` overrides the profile's radius sum so a sweep can vary the
     uncertainty scale without touching the centre channel or water level.
@@ -400,16 +453,10 @@ def pillow_terms(
     rs = profile.r_s if r_s is None else float(r_s)
     if rs < 0.0:
         raise ValueError("radius sum must be non-negative")
-    return _pillow_terms(profile, spec, P, rs, solve_theta1(profile, spec, P, grid_size))
-
-
-def _pillow_terms(
-    profile: SpectrumProfile, spec: ChannelSpec, P: float, rs: float, sol: WaterfillSolution
-) -> tuple[float, float, float]:
-    """``pillow_terms`` at radius sum ``rs`` from the water level ``sol``
-    solved at ``P``, which a sweep over radius sums solves once."""
-    t2, t3 = _penalty(replace(profile, r_s=rs), sol.d_min, sol.d_max, P)
-    return math.log2(1.0 + 0.5 * (spec.k + 1) * rs * rs * P), t2, t3
+    *terms, ok = pillow_grid(profile, spec, P, np.array([rs]), grid_size)
+    if not ok[0]:
+        raise BoundInapplicable("radius term >= 1; penalty undefined")
+    return tuple(float(t[0]) for t in terms)
 
 
 def waterfill_powers(
@@ -464,7 +511,10 @@ def finite_n_bound(
     first = float(np.log2(1.0 + lam * d).sum()) / (2.0 * n)
     m = n + spec.k
     trace = float(d.sum())
-    delta_n = sum(_penalty(profile, float(d[0]), float(d[-1]), trace / m))
+    t2, t3, ok = _penalty(profile, profile.r_s, float(d[0]), float(d[-1]), trace / m)
+    if not ok:
+        raise BoundInapplicable("radius term >= 1; penalty undefined")
+    delta_n = float(t2 + t3)
     value = (
         first
         - math.log2(1.0 + (spec.k + 1) * spec.norm_r_sq * trace / (m + n))

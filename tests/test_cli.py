@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from isicap import cli, decoder, waterfill
@@ -11,12 +12,12 @@ from isicap.cli import (
     EXIT_VIOLATION,
     FLAG_INAPPLICABLE,
     FLAG_NEAR_PSAT,
-    _fmt,
+    _cells,
     main,
     parse_grid,
 )
 from isicap.errors import ConfigError
-from isicap.waterfill import solve_theta1, solve_theta2
+from isicap.waterfill import _theta1, solve_theta1, solve_theta2
 
 from reference_values import P_SAT_DBW
 
@@ -53,10 +54,11 @@ def test_parse_grid_empty_string_is_empty():
 
 
 def test_fmt_cells():
-    assert _fmt(None) == ""
-    assert _fmt("near_psat") == "near_psat"
-    assert _fmt(3) == "3"
-    assert _fmt(0.5) == "0.5"
+    # one column of every cell kind, then float and int arrays with a mask
+    assert _cells([None, "near_psat", 3, 0.5, -0.0]) == ["", "near_psat", "3", "0.5", "-0.0"]
+    ok = np.array([True, False, True])
+    assert _cells(np.array([-0.0, 1.0, 1e-300]), ok) == ["-0.0", "", "1e-300"]
+    assert _cells(np.array([64, 128, 256]), ok) == ["64", "", "256"]
 
 
 def test_missing_subcommand_exits():
@@ -119,7 +121,7 @@ def test_sweep_solves_saturation_level_once(tmp_path, monkeypatch, command):
 
 def test_figure1_solves_one_water_level_per_power(tmp_path, monkeypatch):
     """The default figure1 sweep (3 powers x 33 radius sums) solves the
-    theta1 water level once per power."""
+    theta1 water level once per power, each in one ``pillow_grid`` call."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -127,7 +129,6 @@ def test_figure1_solves_one_water_level_per_power(tmp_path, monkeypatch):
         return solve_theta1(*args, **kwargs)
 
     monkeypatch.setattr(waterfill, "solve_theta1", counted)
-    monkeypatch.setattr(cli, "solve_theta1", counted)
     out = tmp_path / "f1.csv"
     assert main(["figure1", "--out", str(out)]) == EXIT_OK
     assert len(out.read_text().splitlines()) == 2 + 3 * 33
@@ -135,21 +136,22 @@ def test_figure1_solves_one_water_level_per_power(tmp_path, monkeypatch):
 
 
 def test_flagged_bounds_rows_solve_one_water_level(tmp_path, monkeypatch):
-    """A flagged row takes C0 from the same report as any other row, so 11
-    flagged rows solve the theta1 water level 11 times."""
+    """A flagged row takes C0 from the same grid pass as any other row: 11
+    flagged rows are one theta1 level lookup, and each keeps its C0."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return solve_theta1(*args, **kwargs)
+        calls.append(np.shape(args[2]))
+        return _theta1(*args, **kwargs)
 
-    monkeypatch.setattr(waterfill, "solve_theta1", counted)
+    monkeypatch.setattr(waterfill, "_theta1", counted)
     cfg = _write_config(tmp_path, {"channel": {"k": 0, "c": [1.0], "r": [5.0]}})
     out = tmp_path / "flat.csv"
     assert main(["bounds", "--config", cfg, "--out", str(out), "--grid", "0:50:11"]) == EXIT_EMPTY
     _, header, rows = _read_csv(out)
     assert [r[header.index("flag")] for r in rows] == [FLAG_INAPPLICABLE] * 11
-    assert len(calls) == 11
+    assert all(float(r[header.index("C0")]) > 0.0 for r in rows)
+    assert calls == [(11,)]
 
 
 def test_simulate_refuses_undefined_derived_rate(tmp_path, capsys):

@@ -21,11 +21,13 @@ from isicap import (
 )
 from isicap import waterfill
 from isicap.errors import BoundInapplicable
-from isicap.spectrum import f_sq_table
+from isicap.spectrum import DEFAULT_GRID, f_sq_table
 from isicap.waterfill import (
     LN2,
+    bound_grid,
     cap_integral,
     phi_terms,
+    pillow_grid,
     waterfill_powers,
 )
 
@@ -141,6 +143,82 @@ def test_bound_rows_read_no_grid(monkeypatch):
         assert cap_integral(spec, solve_theta1(prof, spec, P).theta) > 0.0
 
 
+def _grid_channels():
+    """The default channel and random k = 1..4 ones, two of them with radii
+    that flag part of the grid, each with a power grid spanning both
+    water-level regimes (closed form from the knee ``1/alpha^2 - J`` up)."""
+    specs = [ChannelSpec(k=2, c=(1.0, 0.5, 0.5), r=(1e-3,) * 3)]
+    for i, spec in enumerate(_cap_channels(6, seed=23)):
+        specs.append(ChannelSpec(k=spec.k, c=spec.c, r=(0.05 if i < 2 else 1e-3,) * (spec.k + 1)))
+    for spec in specs:
+        prof = compute_profile(spec)
+        knee = 1.0 / prof.alpha ** 2 - prof.J
+        yield spec, np.concatenate((knee * np.geomspace(1e-4, 1e3, 61), [knee]))
+
+
+def _scalar_row(spec, P):
+    """``(C0, C_LB1, delta1, gap_cor1)`` at ``P`` from the scalar formulas,
+    logs on libm; None past the penalty's ratio 1."""
+    prof = compute_profile(spec)
+    sol = solve_theta1(prof, spec, P)
+    t = waterfill._grid_table(spec, DEFAULT_GRID)
+    k = int(np.searchsorted(t.v, sol.theta))
+    top = t.v[k - 1]
+    C0 = 0.5 * float(t.W[k] * math.log1p((sol.theta - top) / top) / LN2 + t.D[k])
+    s = prof.r_s * (prof.r_s + 2.0 * prof.beta)
+    ratio = s * sol.d_max / (1.0 + prof.alpha ** 2 * sol.d_min)
+    if ratio >= 1.0:
+        return C0, None, None, None
+    delta1 = -0.5 * math.log2(1.0 - ratio) + (0.5 / LN2) * (
+        1.0 - max(1.0 - s * P, 0.0) / (1.0 + s * sol.d_max)
+    )
+    log_term = math.log2(1.0 + 0.5 * (spec.k + 1) * spec.norm_r_sq * P)
+    return C0, C0 - log_term - delta1, delta1, log_term + delta1
+
+
+def _bits(values):
+    return [None if v is None else float(v).hex() for v in values]
+
+
+def test_bound_report_is_the_grid_row():
+    # one implementation: each report field is the grid pass's cell and the
+    # scalar formula's value, bit for bit, wherever the row sits in the grid
+    for spec, P in _grid_channels():
+        g = bound_grid(spec, P)
+        for i, p in enumerate(P.tolist()):
+            rep = bound_report(spec, p)
+            ok, sat = bool(g.ok[i]), bool(g.sat[i])
+            row = [g.C0[i]] + [c[i] if ok else None for c in (g.C_LB1, g.delta1, g.gap_cor1)]
+            fields = [rep.C0, rep.C_LB1, rep.delta1, rep.gap_cor1]
+            assert _bits(fields) == _bits(row) == _bits(_scalar_row(spec, p))
+            assert (rep.C_LB2, rep.delta2) == ((g.C_LB2, g.delta2) if sat else (None, None))
+            assert (rep.P_sat, rep.gap_cor2) == (g.P_sat, g.gap_cor2)
+
+
+def test_c0_column_matches_grid_oracle():
+    for spec, P in _grid_channels():
+        prof = compute_profile(spec)
+        v = 1.0 / f_sq_table(spec)
+        C0 = bound_grid(spec, P).C0
+        for p, got in zip(P[::8].tolist(), C0[::8].tolist()):
+            want = cap_grid_oracle(v, solve_theta1(prof, spec, p).theta)
+            assert abs(got - want) <= 1e-12 * want
+
+
+def test_bound_grid_mask_is_the_ratio_test():
+    # a grid flagged only in part: the mask is ratio >= 1 written out
+    spec = ChannelSpec(k=1, c=(1.0, 0.5), r=(0.05, 0.05))
+    prof = compute_profile(spec)
+    s = prof.r_s * (prof.r_s + 2.0 * prof.beta)
+    P = [dbw_to_watts(p) for p in np.linspace(0.0, 60.0, 601)]
+    flagged = []
+    for p in P:
+        sol = solve_theta1(prof, spec, p)
+        flagged.append(s * sol.d_max / (1.0 + prof.alpha ** 2 * sol.d_min) >= 1.0)
+    assert 0 < sum(flagged) < len(P)
+    assert (~bound_grid(spec, np.array(P)).ok).tolist() == flagged
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_power_refused(example_spec, example_profile, bad):
     with pytest.raises(ValueError, match="non-finite"):
@@ -204,6 +282,23 @@ def test_pillow_reference_terms(example_spec, example_profile):
     for got, want in zip(t, PILLOW_TERMS_30DBW):
         assert got == pytest.approx(want, abs=1e-12)
     assert sum(t) == pytest.approx(PILLOW_SUM_30DBW, abs=1e-12)
+
+
+def test_pillow_terms_are_the_grid_row(example_spec, example_profile):
+    # figure1's pass over radius sums against one-row calls and the scalar
+    # formula for the first term, bit for bit, flagged rows included
+    rs = np.geomspace(1e-4, 1.0, 33)
+    for P in (10.0, 1000.0, 1e5):
+        t1, t2, t3, ok = pillow_grid(example_profile, example_spec, P, rs)
+        assert 0 < ok.sum() < len(rs)
+        for i, r in enumerate(rs.tolist()):
+            if not ok[i]:
+                with pytest.raises(BoundInapplicable):
+                    pillow_terms(example_profile, example_spec, P, r_s=r)
+                continue
+            want = pillow_terms(example_profile, example_spec, P, r_s=r)
+            assert _bits((t1[i], t2[i], t3[i])) == _bits(want)
+            assert want[0] == math.log2(1.0 + 0.5 * (example_spec.k + 1) * r * r * P)
 
 
 def test_pillow_third_term_caps_exactly(example_spec, example_profile):
