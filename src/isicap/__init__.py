@@ -62,14 +62,12 @@ from .verify import (
     ConverseReport,
     LemmaReport,
     NormBundle,
-    VolumeResult,
     check_lemma1,
     converse_rate_bound,
     norms,
     qcqp_min,
     run_all_suites,
     run_suite,
-    typical_volume,
     verify_report,
 )
 

@@ -7,11 +7,12 @@ which ``rng_stream`` builds and which any trial can be replayed from.
 Streams: CHANNEL (0) and NOISE (1) the taps and noise of trial ``index``,
 CODEBOOK (2, index 0) the codebook's Gaussians on the water-filled support,
 then its floor radii, MESSAGE (3) trial ``index``'s message pick, FLOOR (4)
-the floor direction of codeword ``index``, and ``verify.VERIFY_STREAM_BASE
-+ s`` (16 + s) instance ``index`` of certificate suite ``s``.  Philox
-counts a cell's blocks in counter word 0, so cells never overlap, and
-results do not depend on scheduling order.  ``TrialBlocks`` draws the same
-cells a block of trials at a time, through the same tap and band kernels.
+the ``n`` normals codeword ``index``'s floor direction is projected from,
+and ``verify.VERIFY_STREAM_BASE + s`` (16 + s) instance ``index`` of
+certificate suite ``s``.  Philox counts a cell's blocks in counter word 0,
+so cells never overlap, and results do not depend on scheduling order.
+``TrialBlocks`` draws the same cells a block of trials at a time, through
+the same tap and band kernels.
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ _TRIAL_BLOCK = 64
 _BLOCK_ENTRIES = 1 << 20
 # Most uniforms one TrialBlocks holds: its tap scratch stays in cache.
 _DRAW_ENTRIES = 1 << 15
+# A word's floor direction is projected off the support again while the
+# projection's input is more than this many times as long as its output.
+FLOOR_REPROJECT = 1024.0
 
 
 @lru_cache(maxsize=32)
@@ -223,10 +227,13 @@ def sample_H(
 
 @dataclass(frozen=True)
 class CovarianceSpec:
-    """Input covariance in spectral form ``Sigma = U diag(d) U'``, for an
-    orthonormal basis ``U`` held as its two half bases (``halves``, a
-    ``spectrum.HalfBasis``, which checks it): about ``n^2 / 2`` entries,
-    never an ``n x n`` array on the decoding path.
+    """Input covariance ``Sigma = U diag(d) U' + POWER_FLOOR (I - U U')`` of
+    order ``n``, in spectral form: the ``s`` orthonormal columns ``U`` of
+    its support held as their two half bases (``halves``, a
+    ``spectrum.HalfBasis``, which checks them), about ``n s / 2`` entries,
+    and the ``n - s`` dimensions of the floor, orthogonal to them, at the
+    power ``POWER_FLOOR``, held by their number ``floor_dim`` alone.  No
+    ``n x n`` array is formed on the decoding path.
 
     ``d[j]`` is the power on column ``j`` of ``U``, in the halves' column
     order (see ``HalfBasis``).  ``halves.orth_defect`` is the Frobenius norm
@@ -235,14 +242,6 @@ class CovarianceSpec:
     orthonormal up to the rounding of those products.  ``d`` is frozen
     read-only at construction, so instances stay cheap to share across
     threads.
-
-    ``floor`` holds the lengths of the longest prefixes of the J-symmetric
-    half ``d[:n - n // 2]`` and of the J-skew half at or below
-    ``POWER_FLOOR``: the columns water-filling gives no power (the head of
-    each half, as it fills ascending half spectra), found from ``d`` as it
-    is, so a hand-built ``d`` in any order is handled.  ``floor_columns``
-    are those columns and ``support`` all the others, each in order;
-    ``d_floor`` is the largest ``d`` on the floor, 0 when there is none.
     """
 
     n: int
@@ -252,57 +251,32 @@ class CovarianceSpec:
     def __post_init__(self) -> None:
         d = np.ascontiguousarray(np.asarray(self.d, dtype=float))
         object.__setattr__(self, "d", d)
-        if d.shape != (self.n,):
-            raise ValueError(f"d has shape {d.shape}, expected ({self.n},)")
+        if not isinstance(self.halves, HalfBasis) or self.halves.n != self.n:
+            raise ValueError(f"need a HalfBasis of order {self.n}")
+        if d.shape != (self.halves.width,):
+            raise ValueError(f"d has shape {d.shape}, expected ({self.halves.width},), one "
+                             "power per column of the half bases")
         if not np.isfinite(d).all():
             raise ValueError("covariance spectrum has non-finite entries")
         if np.any(d <= 0.0):
             raise ValueError("covariance spectrum must be positive")
         d.setflags(write=False)
-        if not isinstance(self.halves, HalfBasis) or self.halves.n != self.n:
-            raise ValueError(f"need a HalfBasis of order {self.n}")
+
+    @property
+    def floor_dim(self) -> int:
+        return self.n - self.d.size
 
     @property
     def trace(self) -> float:
-        return float(self.d.sum())
+        return float(self.d.sum()) + self.floor_dim * POWER_FLOOR
 
     @property
     def lam_min(self) -> float:
-        return float(self.d.min())
+        return float(self.d.min(initial=POWER_FLOOR if self.floor_dim else np.inf))
 
     @property
     def lam_max(self) -> float:
-        return float(self.d.max())
-
-    @cached_property
-    def floor(self) -> tuple[int, int]:
-        ns = self.n - self.n // 2
-        return _floor_prefix(self.d[:ns]), _floor_prefix(self.d[ns:])
-
-    @cached_property
-    def support(self) -> np.ndarray:
-        (fs, fk), ns = self.floor, self.n - self.n // 2
-        return _frozen(np.r_[fs:ns, ns + fk:self.n])
-
-    @cached_property
-    def floor_columns(self) -> np.ndarray:
-        (fs, fk), ns = self.floor, self.n - self.n // 2
-        return _frozen(np.r_[:fs, ns:ns + fk])
-
-    @property
-    def d_floor(self) -> float:
-        return float(self.d[self.floor_columns].max(initial=0.0))
-
-
-def _floor_prefix(d: np.ndarray) -> int:
-    """Length of the longest prefix of ``d`` at or below ``POWER_FLOOR``."""
-    above = np.flatnonzero(d > POWER_FLOOR)
-    return int(above[0]) if above.size else len(d)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+        return float(self.d.max(initial=POWER_FLOOR if self.floor_dim else -np.inf))
 
 
 def build_sigma(
@@ -315,43 +289,65 @@ def build_sigma(
     of the centre Gram matrix, with the budget water-filled over its
     eigenvalues.  The basis comes from ``spectrum.gram_eigh``, two half-size
     band problems (J-symmetric and J-skew) under a sign convention, so it
-    does not depend on the LAPACK build, and stays as their two half
-    bases; ``d`` follows their column order."""
+    does not depend on the LAPACK build.  Only the support, the columns
+    water-filling gives more than ``POWER_FLOOR``, is signed, checked and
+    held, as two tall half bases; ``d`` follows their column order.  Every
+    other column gets exactly ``POWER_FLOOR``, so the floor needs no
+    vector."""
     if P <= 0.0:
         raise ValueError("need P > 0")
     # ``policy`` stays for callers that pass "waterfill_gram" positionally.
     if policy != "waterfill_gram":
         raise ValueError(f"unknown covariance policy {policy!r}")
-    lam, halves = gram_eigh(spec, n)
+    lam, vectors = gram_eigh(spec, n)
     d, _ = waterfill_powers(lam, n * P, POWER_FLOOR)
-    return CovarianceSpec(n=n, d=d, halves=halves)
+    on = d > POWER_FLOOR
+    return CovarianceSpec(n=n, d=d[on], halves=HalfBasis.from_eigh(vectors, on))
+
+
+def _row_sq(A: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", A, A)
+
+
+def _project_off(halves: HalfBasis, V: np.ndarray) -> None:
+    """Each row ``v`` of ``V`` replaced, in place, by ``p = v - U(U'v)`` for
+    the columns ``U`` of ``halves``, and projected again while its input is
+    over ``FLOOR_REPROJECT ||p||`` long, which bounds ``||U'p|| / ||p||``."""
+    rows, W = np.arange(len(V)), V
+    while rows.size:
+        P = W - halves.apply(halves.adjoint(W))
+        again = _row_sq(W) > FLOOR_REPROJECT ** 2 * _row_sq(P)
+        V[rows] = P
+        rows, W = rows[again], P[again]
 
 
 @dataclass(frozen=True)
 class Codebook:
     """Exhaustively decodable Gaussian codebook: ``size = 2**ceil(n * R)``
     words drawn once from the input covariance ``cov``, held by their
-    coefficients in its basis ``U`` on the water-filled support.
+    coefficients on its support ``U`` and one floor radius each.
 
-    Word ``i`` is ``x = U s`` with ``s = sqrt(d) * g`` for a standard
-    Gaussian ``g``.  ``S[i]`` holds ``s`` on the columns ``cov.support``
-    only.  On ``cov.floor_columns`` (``n_f`` of them) ``g`` is held as the
-    radius ``q_floor[i] = ||g_f||^2``; its direction is drawn when the word
-    is built, from the cell ``(STREAM_FLOOR, i)`` under ``seed``, as ``g_f =
-    sqrt(q_floor / ||v||^2) v`` for ``v ~ N(0, I_nf)``.  A standard Gaussian
-    vector is a chi radius times an independent uniform direction, so ``g``
-    is standard Gaussian.  Without floor columns ``q_floor`` is all zeros.
+    Word ``i`` is ``x = U s + x_f``.  ``S[i]`` holds ``s = sqrt(d) * g_s``
+    for a standard Gaussian ``g_s``.  The floor part ``x_f``, Gaussian with
+    covariance ``POWER_FLOOR (I - U U')``, is held as the radius
+    ``q_floor[i] = ||x_f||^2 / POWER_FLOOR``, chi-squared with
+    ``cov.floor_dim`` degrees of freedom; its direction is drawn when the
+    word is built, from the cell ``(STREAM_FLOOR, i)`` under ``seed``, as
+    ``x_f = sqrt(POWER_FLOOR q_floor / ||p||^2) p`` for the projection ``p =
+    v - U(U'v)`` of ``v ~ N(0, I_n)`` off the support.  That projection is
+    a standard Gaussian on the floor, a chi radius times an independent
+    uniform direction, so ``x_f`` has its law.  Without a floor
+    ``q_floor`` is all zeros and no floor is built.
 
     ``q[i] = ||g_s||^2 + q_floor[i]`` equals ``x' Sigma^{-1} x`` exactly,
     with no rounding of ``x`` amplified by the small eigenvalues of
     ``Sigma``; the decoder's guard band bounds ``||s||^2`` by ``max(d) q``
-    (and ``d_floor q`` on the floor columns' part), and so relies on that
-    pairing: a ``q`` below the computed ``sum_j s_j^2 / d_j + q_floor`` over
-    the support by more than its rounding, ``(2n + 8) eps`` relative (``(n +
-    1) eps`` for ``q``, ``4 eps`` for ``S = fl(g sqrt(d))`` squared, ``(n +
-    3) eps`` for the check's own sum), is refused.  Decoding needs only
-    ``S``, ``q`` and ``q_floor``: ``coefficients`` rebuilds the full rows
-    ``s`` of given rows, ``words`` their words from the half bases, and
+    and ``||x_f||^2`` by ``POWER_FLOOR q_floor``, and so relies on that
+    pairing: a ``q`` below the computed ``sum_j s_j^2 / d_j + q_floor`` by
+    more than its rounding, ``(2n + 8) eps`` relative (``(n + 1) eps`` for
+    ``q``, ``4 eps`` for ``S = fl(g sqrt(d))`` squared, ``(n + 3) eps`` for
+    the check's own sum), is refused.  Decoding needs only ``S``, ``q`` and
+    ``q_floor``: ``words`` builds the words of given rows, and
     ``codewords`` every word on first access."""
 
     n: int
@@ -364,41 +360,32 @@ class Codebook:
     seed: int
 
     def __post_init__(self) -> None:
-        support = self.cov.support
-        if self.cov.n != self.n or self.S.shape != (self.size, support.size):
+        if self.cov.n != self.n or self.S.shape != (self.size, self.cov.d.size):
             raise ValueError("coefficient array shape mismatch")
         if self.q.shape != (self.size,) or self.q_floor.shape != (self.size,):
             raise ValueError("input statistic shape mismatch")
         if not (np.isfinite(self.q_floor).all() and self.q_floor.min(initial=0.0) >= 0.0):
             raise ValueError("floor radii must be finite and non-negative")
-        g_sq = np.einsum("ij,j,ij->i", self.S, 1.0 / self.cov.d[support], self.S)
+        g_sq = np.einsum("ij,j,ij->i", self.S, 1.0 / self.cov.d, self.S)
         g_sq += self.q_floor
         if np.any(g_sq > self.q * (1.0 + (2 * self.n + 8) * np.finfo(float).eps)):
             raise ValueError("input statistic q understates sum_j s_j^2 / d_j of its coefficients")
 
-    def coefficients(self, rows) -> np.ndarray:
-        """The full coefficient rows ``s`` of ``rows`` (indices or a slice),
-        ``(len(rows), n)`` in the halves' column order: ``S`` on the support,
-        and on the floor ``sqrt(d_f) g_f``, rebuilt once per distinct row."""
+    def words(self, rows) -> np.ndarray:
+        """The words ``U s + x_f`` of ``rows`` (indices or a slice), one per
+        row index: ``S`` through the half bases (``HalfBasis.apply``), plus
+        each distinct row's floor, built once per call."""
         rows = np.arange(*rows.indices(self.size)) if isinstance(rows, slice) else np.asarray(rows)
-        cov = self.cov
-        out = np.empty((len(rows), self.n))
-        out[:, cov.support] = self.S[rows]
-        cols = cov.floor_columns
-        if cols.size:
+        X = self.cov.halves.apply(self.S[rows])
+        if self.cov.floor_dim:
             cells, inv = np.unique(rows, return_inverse=True)
-            V = np.empty((len(cells), cols.size))
+            V = np.empty((len(cells), self.n))
             for gen, v in zip(_cells(self.seed, STREAM_FLOOR, cells), V):
                 gen.standard_normal(out=v)
-            V *= np.sqrt(self.q_floor[cells] / np.einsum("ij,ij->i", V, V))[:, None]
-            V *= np.sqrt(cov.d[cols])
-            out[:, cols] = V[inv]
-        return out
-
-    def words(self, rows) -> np.ndarray:
-        """The words ``U s`` of ``rows``, one per row index, from the half
-        bases (``HalfBasis.apply``)."""
-        return self.cov.halves.apply(self.coefficients(rows))
+            _project_off(self.cov.halves, V)
+            V *= np.sqrt(POWER_FLOOR * self.q_floor[cells] / _row_sq(V))[:, None]
+            X += V[inv]
+        return X
 
     @cached_property
     def codewords(self) -> np.ndarray:
@@ -417,15 +404,16 @@ def trial_block(size: int) -> int:
 
 def decode_bytes(size: int, n: int) -> int:
     """Bytes exhaustive decoding holds for ``size`` codewords of length
-    ``n``: the coefficients, taken on all ``n`` columns since the support is
-    known only once ``build_sigma`` has run and the cap refuses before it;
-    four per-word statistics (input statistic, floor radius, energy and
-    their sum); the two half bases (``(n^2 + 1) / 2``
-    entries); and a block of ``T = trial_block(size)`` trials' scratch: two
-    float64 ``(size, T)`` arrays' worth of scores and masks, and five
-    length-``n`` rows per trial (received, projected, sent, and noise
-    vectors; a received vector's ``k`` extra entries are taken as at most
-    ``n``)."""
+    ``n``, at most: the coefficients and the two tall half bases, taken at
+    the full width ``n`` (``(n^2 + 1) / 2`` entries for the bases), since
+    the support is known only once ``build_sigma`` has run and the cap
+    refuses before it; four per-word statistics (input statistic, floor
+    radius, energy and their sum); and a block of ``T = trial_block(size)``
+    trials' scratch: two float64 ``(size, T)`` arrays' worth of scores and
+    masks, and five length-``n`` rows per trial (the received, projected,
+    sent and noise vectors, and while the sent words are built, each one's
+    floor draw, its projection and the half bases' products; a received
+    vector's ``k`` extra entries are taken as at most ``n``)."""
     T = trial_block(size)
     return 8 * (size * (n + 4 + 2 * T) + (n * n + 1) // 2 + 5 * n * T)
 
@@ -457,17 +445,16 @@ def gen_codebook(cov: CovarianceSpec, R: float, master_seed: int) -> Codebook:
     """Draw the codebook for rate ``R`` (see ``Codebook``) from the cell
     ``(STREAM_CODEBOOK, 0)``: standard Gaussians ``g_s`` on the support,
     row by row, scaled to ``S = sqrt(d) * g_s``, then the floor radii
-    ``q_floor``, chi-squared with ``n_f`` degrees of freedom, and ``q =
+    ``q_floor``, chi-squared with ``cov.floor_dim`` degrees of freedom, and ``q =
     ||g_s||^2 + q_floor``.  ``codebook_size``'s byte check refuses before
     anything is drawn."""
     size = codebook_size(cov.n, R)
-    n_floor = cov.floor_columns.size
     rng = rng_stream(master_seed, STREAM_CODEBOOK, 0)
-    S = rng.standard_normal((size, cov.support.size))
-    q_floor = rng.chisquare(n_floor, size) if n_floor else np.zeros(size)
-    q = np.einsum("ij,ij->i", S, S)
+    S = rng.standard_normal((size, cov.d.size))
+    q_floor = rng.chisquare(cov.floor_dim, size) if cov.floor_dim else np.zeros(size)
+    q = _row_sq(S)
     q += q_floor
-    S *= np.sqrt(cov.d[cov.support])
+    S *= np.sqrt(cov.d)
     for a in (S, q, q_floor):
         a.setflags(write=False)
     return Codebook(n=cov.n, R=float(R), size=size, S=S, q=q, cov=cov, q_floor=q_floor, seed=master_seed)

@@ -176,8 +176,13 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 def _cells(values, ok=None) -> list:
     """One CSV column from a list or array of numbers, strings or None:
     ``repr`` of each number (a float's shortest round-trip digits), a string
-    as it is, and ``""`` for None and wherever the mask ``ok`` is False."""
+    as it is, and ``""`` for None and wherever the mask ``ok`` is False.  A
+    column that holds one number (or None) on every row is given as that
+    scalar with its mask, and formatted once."""
     values = np.asarray(values).tolist()
+    if not isinstance(values, list):
+        cell = "" if values is None else repr(values)
+        return [cell if k else "" for k in ok.tolist()]
     keep = [True] * len(values) if ok is None else ok.tolist()
     return ["" if v is None or not k else v if isinstance(v, str) else repr(v)
             for v, k in zip(values, keep)]
@@ -237,7 +242,7 @@ def _power_sweep(cfg: RunConfig, args: argparse.Namespace, command: str, header)
         raise ConfigError("empty power grid")
     p_w = np.array([dbw_to_watts(p) for p in grid])
     g = bound_grid(cfg.spec, p_w, cfg.grid_size)
-    ok, n = g.ok, len(grid)
+    ok = g.ok
     psat_dbw = watts_to_dbw(g.P_sat) if g.P_sat is not None and g.P_sat > 0.0 else None
     near = [psat_dbw is not None and abs(p - psat_dbw) <= NEAR_PSAT_DBW for p in grid]
     flags = np.where(ok, np.where(near, FLAG_NEAR_PSAT, ""), FLAG_INAPPLICABLE)
@@ -245,14 +250,14 @@ def _power_sweep(cfg: RunConfig, args: argparse.Namespace, command: str, header)
         "P_dBW": (grid, None),
         "C0": (g.C0, None),
         "C_LB1": (g.C_LB1, ok),
-        "C_LB2": ([g.C_LB2] * n, ok & g.sat),
+        "C_LB2": (g.C_LB2, ok & g.sat),
         "delta1": (g.delta1, ok),
-        "delta2": ([g.delta2] * n, ok & g.sat),
-        "Psat_dBW": ([psat_dbw] * n, ok),
+        "delta2": (g.delta2, ok & g.sat),
+        "Psat_dBW": (psat_dbw, ok),
         "gap_cor1": (g.gap_cor1, ok),
-        "gap_cor2": ([g.gap_cor2] * n, ok),
+        "gap_cor2": (g.gap_cor2, ok),
         "P_W": (p_w, None),
-        "Psat_W": ([g.P_sat] * n, ok),
+        "Psat_W": (g.P_sat, ok),
         "flag": (flags, None),
     }
     _write_csv(cfg.out, _SCHEMAS[command], header, [_cells(*columns[name]) for name in header])

@@ -13,25 +13,26 @@ residual ``||a - y||^2``, where ``a = Hc x`` is the codeword's image through
 the centre channel.  Neither ``Xi`` nor its inverse is ever formed here;
 the test suite builds both densely to check these identities.
 
-The decoder works on the codebook's coefficients ``s`` (a codeword is
-``x = U s`` for the covariance basis ``U``), and builds neither codewords
-nor images, nor ``U``: the basis stays as its two half bases.  It works on
-the water-filled support only, the columns the codebook stores
-(``CovarianceSpec.support``); the columns at the power floor (``d <=
-POWER_FLOOR``) are left out.  For ``a.y = s.(U'Hc'y)`` it projects a block
-of received vectors once, ``Z = (Hc'Y) U`` (two half GEMMs), and scores
-the whole codebook against the support columns of ``Z`` with one GEMM.
-The dropped term is bounded per received vector by Cauchy-Schwarz,
-``|s_f.z_f| <= ||s_f|| ||z_f||``.  For ``||a||^2`` it takes the energy
-``sum_j lam_j s_j^2`` over the support, with the gains ``lam_j =
-u_j'(Hc'Hc)u_j``, which is exact when ``U`` is the eigenbasis of
-``Hc'Hc`` that ``build_sigma`` gives; the dropped floor energy is at most
-``max_f(|lam_f| d_f) ||g_f||^2``.  The residual is then ``energy - 2 s.z
-+ ||y||^2``.  A pair that lies within a bound on that form's error of a
-threshold (its rounding, the dropped floor terms, and the measured
-eigen-residual of ``U``, which is large for any other basis) is
-recomputed in the direct ``||Hc x - y||^2`` form from its one codeword,
-so every decision is the one the direct form makes.
+The decoder works on the codebook's support coefficients ``s`` (a codeword
+is ``x = U s + x_f`` for the support columns ``U`` of the covariance and
+a floor part ``x_f`` orthogonal to them, of squared norm ``POWER_FLOOR
+q_floor``), and builds neither codewords nor images, nor ``U``: the
+support stays as its two half bases.  For ``a.y = s.(U'Hc'y) + x_f.(Hc'y)``
+it projects a block of received vectors once, ``Z = (Hc'Y) U`` (two half
+GEMMs at the support's width), and scores the whole codebook against
+``Z`` with one GEMM.  The floor term is bounded per received vector by
+Cauchy-Schwarz, ``|x_f.Hc'y| <= ||x_f|| ||Hc'y||``.  For ``||a||^2`` it
+takes the energy ``sum_j lam_j s_j^2``, with the gains ``lam_j =
+u_j'(Hc'Hc)u_j``, which is exact on the support when ``U`` holds
+eigenvectors of ``Hc'Hc``, as ``build_sigma`` gives; the floor energy
+``||Hc x_f||^2`` is at most ``h^2 ||x_f||^2`` (``h = sum |c|``), and the
+cross term ``2 (Hc U s).(Hc x_f)`` is of the order of ``orth_defect`` and
+the eigen-residual.  The residual is then ``energy - 2 s.z + ||y||^2``.  A
+pair that lies within a bound on that form's error of a threshold (its
+rounding, the floor terms, and the measured eigen-residual of ``U``, which
+is large for any other basis) is recomputed in the direct ``||Hc x -
+y||^2`` form from its one codeword, so every decision is the one the
+direct form makes.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ from .spectrum import (
     build_Hc,
     compute_profile,
 )
-from .waterfill import phi_terms
+from .waterfill import POWER_FLOOR, phi_terms
 from .channel_sim import (
+    FLOOR_REPROJECT,
     _band_apply,
     ChannelLaw,
     Codebook,
@@ -241,9 +243,10 @@ class DecodeContext:
     ``sum_j lam_j s_j^2`` over the support, which stands for ``||Hc
     x||^2``, its sum ``base = energy + q`` with the input statistic, and
     the guard band's constants (see ``_guard_band``): bounds on the
-    energies' error (the floor energy included), on ``||Hc x||``, on the
-    rounding of a built word's image or of a projection per unit of
-    ``||y||``, and the largest input statistic.
+    energies' error (the floor's energy and cross term included), on ``||Hc
+    x||``, on the rounding of a built word's image or of a projection per
+    unit of ``||y||``, on a word's floor norm ``||x_f||``, and the largest
+    input statistic.
 
     The input statistics are the codebook's own ``q``.  ``images``, every
     codeword's centre-channel image, is built on first access; decoding
@@ -256,6 +259,7 @@ class DecodeContext:
     energy_err: float
     a_max: float
     word_err: float
+    floor_norm: float
     q_max: float
 
     @property
@@ -270,13 +274,14 @@ class DecodeContext:
 
 
 def _g_round(n: int) -> float:
-    """``1 + (n + 6) eps``: bounds ``||g||^2 / q`` of any built word, and
-    with a factor ``max(d)`` the ratio ``||s||^2 / q``.  To first order in
-    eps: ``q = fl(fl(||g_s||^2) + q_floor)`` is within ``(n_s + 1) eps / 2``
-    of ``||g_s||^2 + q_floor``, the rebuilt ``||g_f||^2`` within ``(n_f + 5)
-    eps / 2`` of ``q_floor`` (the sum ``||v||^2``, a division, a square root
-    and a product), ``S = fl(g sqrt(d))`` squared adds ``2 eps`` and the
-    product with ``q`` ``eps / 2``: ``(n + 11) eps / 2`` in all."""
+    """``1 + (n + 6) eps``: bounds ``||g_s||^2 / q`` of any word, so with a
+    factor ``max(d)`` the ratio ``||s||^2 / q``, and ``||x_f||^2 /
+    (POWER_FLOOR q_floor)`` of a built floor.  To first order in eps: ``q =
+    fl(fl(||g_s||^2) + q_floor)`` is within ``(n + 1) eps / 2`` of ``||g_s||^2
+    + q_floor``, ``S = fl(g sqrt(d))`` squared adds ``2 eps`` and the product
+    with ``q`` ``eps / 2``; a floor's scale (the sum ``||p||^2``, a product,
+    a division and a square root) and the scaled entries squared put
+    ``||x_f||^2`` within ``(n + 8) eps / 2`` of ``POWER_FLOOR q_floor``."""
     return 1.0 + (n + 6) * float(np.finfo(float).eps)
 
 
@@ -291,26 +296,31 @@ def prepare_context(book: Codebook, joint: JointCovariance) -> DecodeContext:
     cov = book.cov
     if not cov.halves.same_as(joint.cov.halves):
         raise ValueError("the codebook is drawn in another basis than the joint covariance's")
-    energy = np.einsum("ij,j,ij->i", book.S, joint.gain[cov.support], book.S)
+    energy = np.einsum("ij,j,ij->i", book.S, joint.gain, book.S)
     base = energy + book.q
     for a in (energy, base):
         a.setflags(write=False)
     eps = float(np.finfo(float).eps)
     q_max = float(book.q.max())
     s_sq = cov.lam_max * q_max * _g_round(n)
+    f_sq = POWER_FLOOR * float(book.q_floor.max(initial=0.0)) * _g_round(n)
     # Bounds on the norms of U, Hc and |Hc|, first order in eps: ||U||_2 and
     # ||U||_F from the computed U'U - I (whose own rounding is n^2 eps at most).
     k1 = m - n + 1
-    omega = book.cov.halves.orth_defect + n * n * eps
+    omega = cov.halves.orth_defect + n * n * eps
     mu = math.sqrt(1.0 + omega)
     nu = math.sqrt(n) * mu
     h = float(np.abs(joint.hc).max(axis=0).sum())
-    lam_max = float(np.abs(joint.gain).max())
-    # The energies leave out the floor columns' part of ||a||^2, at most
-    # max_f(|lam_f| d_f) ||g_f||^2 per word.
-    cols = cov.floor_columns
-    floor_energy = (float(np.max(np.abs(joint.gain[cols]) * cov.d[cols], initial=0.0))
-                    * float(book.q_floor.max(initial=0.0)) * _g_round(n))
+    lam_max = float(np.abs(joint.gain).max(initial=0.0))
+    # ||U'x_f|| / ||x_f|| of a built floor x_f = c p, p = v - U(U'v), with
+    # ||v|| <= FLOOR_REPROJECT ||p||: U'U - I on U'v and the rounding of both
+    # half-basis products leave ||U'p|| <= (omega mu + 2 eps (n nu + FOLD_ULPS
+    # mu)) ||v||, and the subtraction and the scale add 2 mu eps ||x_f||.
+    tilt = FLOOR_REPROJECT * (omega * mu + 2.0 * eps * (n * nu + FOLD_ULPS * mu)) + 2.0 * mu * eps
+    # The energies leave out ||Hc x_f||^2 <= h^2 ||x_f||^2 and 2 (Hc U s).(Hc
+    # x_f) = 2 s'(GU)'x_f, with GU = U diag(gain) + E at most 2 ||s|| ||x_f||
+    # (lam_max tilt + ||E||).
+    floor_energy = h * h * f_sq + 2.0 * math.sqrt(s_sq * f_sq) * (lam_max * tilt + joint.resid)
     energy_err = s_sq * (mu * joint.resid + (omega + (n + 1) * eps) * lam_max) + floor_energy
     return DecodeContext(
         book=book,
@@ -320,6 +330,7 @@ def prepare_context(book: Codebook, joint: JointCovariance) -> DecodeContext:
         energy_err=energy_err,
         a_max=math.sqrt(float(energy.max()) + energy_err),
         word_err=eps * h * math.sqrt(s_sq) * (n * nu + (n + k1 + FOLD_ULPS) * mu),
+        floor_norm=math.sqrt(f_sq),
         q_max=q_max,
     )
 
@@ -334,35 +345,32 @@ def _band_adjoint(taps: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _guard_band(ctx: DecodeContext, y_sq: np.ndarray, zf_sq: np.ndarray) -> np.ndarray:
+def _guard_band(ctx: DecodeContext, y_sq: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
     """For each received vector, a bound on how far the GEMM form of the
     joint deviation ``|w - 1|`` can lie from the direct form, over every
-    codeword, given ``y_sq = ||y||^2`` and ``zf_sq``, the computed
-    ``||z_f||^2`` of the projection's floor columns
-    (``CovarianceSpec.floor_columns``).  To first order in eps, with ``s`` a
-    codeword's coefficients, ``a = Hc U s`` its exact image and ``L = ||a||
-    + ||y||``, both forms are compared with the exact ``(q + ||a - y||^2) /
-    (n + m)``:
+    codeword, given ``y_sq = ||y||^2`` and ``b_sq``, the computed
+    ``||Hc'y||^2``.  To first order in eps, with ``x = U s + x_f`` a
+    codeword (its floor ``x_f`` as built), ``a = Hc x`` its exact image and
+    ``L = ||a|| + ||y||``, both forms are compared with the exact ``(q +
+    ||a - y||^2) / (n + m)``:
 
-    - direct: the built word ``fl(U s)`` (two half GEMMs, ``n eps ||U||_F
-      ||s||``, and the J-fold add and ``1/sqrt(2)`` scale, ``FOLD_ULPS eps
-      ||U||_2 ||s||``) and its band image put the image within
-      ``word_err`` of ``a``, so ``||a - y||^2`` moves by at most ``2
-      word_err L``;
+    - direct: the built word ``fl(U s) + x_f`` (two half GEMMs, ``n eps
+      ||U||_F ||s||``, the J-fold add and ``1/sqrt(2)`` scale, ``FOLD_ULPS
+      eps ||U||_2 ||s||``, and the floor's add) and its band image put the
+      image within ``word_err`` of ``a``, so ``||a - y||^2`` moves by at
+      most ``2 word_err L``;
     - GEMM: ``Hc'y``, its J-fold and scale, its products with the half
       bases and the score ``s.z`` put ``s.z`` within ``word_err ||y||`` of
-      ``a.y``, doubled by the ``-2``;
+      ``s.(U'Hc'y)``, doubled by the ``-2``;
       the energy is within ``energy_err`` of ``||a||^2``:
       ``||s||^2 (||U||_2 E + ||U'U - I||_2 lam_max)`` for the eigen-residual
-      ``E``, plus the rounding of the sum, plus the floor columns' energy,
-      which the sum leaves out;
-    - floor term: the score leaves out the floor columns, whose exact term
-      ``s_f.z_f`` is at most ``||s_f|| ||z_f||`` (Cauchy-Schwarz), doubled
-      by the ``-2``.  ``||s_f||^2 <= d_floor q (1 + (n + 6) eps)``, as
-      ``prepare_context`` bounds ``||s||^2``, and the exact ``||z_f||`` is
-      within ``(n + 2) eps`` of the computed one plus the projection's
-      error, ``word_err ||y||`` per unit of ``||s||``; times ``||s_f||``
-      that error is ``sqrt(d_floor / max(d)) word_err ||y||``;
+      ``E``, plus the rounding of the sum, plus the floor's energy and its
+      cross term with the support, which the sum leaves out;
+    - floor term: the score leaves out ``x_f.(Hc'y)``, at most ``||x_f||
+      ||Hc'y||`` (Cauchy-Schwarz), doubled by the ``-2``.  ``||x_f|| <=
+      floor_norm``, and the exact ``||Hc'y||`` is within ``(n + 2) eps`` of
+      the computed one plus the rounding of ``Hc'y``, ``(k + 1) eps h ||y||``,
+      which times ``||x_f||`` is below ``word_err ||y||``;
     - both: the m-term dot products and the adds, the division by
       ``n + m`` and the subtraction of 1 round values no larger than
       ``(q + L^2) / (n + m)`` or 1, ``(2m + 9) eps`` in all.  The GEMM form
@@ -371,17 +379,14 @@ def _guard_band(ctx: DecodeContext, y_sq: np.ndarray, zf_sq: np.ndarray) -> np.n
       L^2``, as many as when ``energy`` and ``q`` were added one by one, so
       the allowance stands.
 
-    The band takes ``q``, ``||s||`` and ``||a||`` at their codebook maxima
-    and doubles the bound."""
+    The band takes ``q``, ``||s||``, ``||x_f||`` and ``||a||`` at their
+    codebook maxima and doubles the bound."""
     n, m = ctx.joint.n, ctx.joint.m
     eps = np.finfo(float).eps
     y = np.sqrt(y_sq)
     L = ctx.a_max + y
     err = 2.0 * ctx.word_err * (L + y) + ctx.energy_err + (2 * m + 9) * eps * (L * L + ctx.q_max)
-    cov = ctx.book.cov
-    s_f = math.sqrt(cov.d_floor * ctx.q_max * _g_round(n))
-    z_f = np.sqrt(zf_sq) * (1.0 + (n + 2) * eps)
-    err += 2.0 * (s_f * z_f + math.sqrt(cov.d_floor / cov.lam_max) * ctx.word_err * y)
+    err += 2.0 * (ctx.floor_norm * np.sqrt(b_sq) * (1.0 + (n + 2) * eps) + ctx.word_err * y)
     return _GUARD * (err / (n + m) + 4.0 * eps)
 
 
@@ -390,12 +395,12 @@ def _pass_mask(Y: np.ndarray, params: TypicalParams, ctx: DecodeContext) -> np.n
     against every row of ``Y``, shape ``(size, T)``.
 
     The joint statistic is ``w = (q + ||a - y||^2) / (n + m)``.  One
-    projection ``Z = (Hc'Y) U`` and one GEMM of the coefficients against
-    its support columns, scaled by -2 (exactly), give the residuals of the
-    whole block as ``-2 s.z + base + ||y||^2``, short of the floor columns'
+    projection ``Z = (Hc'Y) U`` onto the support and one GEMM of the
+    coefficients against it, scaled by -2 (exactly), give the residuals of
+    the whole block as ``-2 s.z + base + ||y||^2``, short of the floor's
     term; a pair whose ``|w - 1|`` lies within the guard band of ``eta`` is
-    recomputed from its codeword ``x = U s`` as ``||Hc x - y||^2``, so each
-    decision equals the direct rule's.
+    recomputed from its codeword ``x = U s + x_f`` as ``||Hc x - y||^2``, so
+    each decision equals the direct rule's.
     """
     book, joint = ctx.book, ctx.joint
     n, m = joint.n, joint.m
@@ -404,12 +409,11 @@ def _pass_mask(Y: np.ndarray, params: TypicalParams, ctx: DecodeContext) -> np.n
             f"received vectors have shape {Y.shape[1:]}, channel expects ({m},)"
         )
     y_sq = np.einsum("ij,ij->i", Y, Y)
-    Z = book.cov.halves.adjoint(_band_adjoint(joint.hc, Y))
-    Zf = Z[:, book.cov.floor_columns]
-    zf_sq = np.einsum("ij,ij->i", Zf, Zf)
-    Zs = Z[:, book.cov.support]
-    Zs *= -2.0
-    dev = book.S @ Zs.T
+    B = _band_adjoint(joint.hc, Y)
+    b_sq = np.einsum("ij,ij->i", B, B)
+    Z = book.cov.halves.adjoint(B)
+    Z *= -2.0
+    dev = book.S @ Z.T
     dev += ctx.base[:, None]
     dev += y_sq
     dev /= n + m
@@ -420,7 +424,7 @@ def _pass_mask(Y: np.ndarray, params: TypicalParams, ctx: DecodeContext) -> np.n
     out &= x_ok
     dev -= params.eta
     np.abs(dev, out=dev)
-    near = dev > _guard_band(ctx, y_sq, zf_sq)
+    near = dev > _guard_band(ctx, y_sq, b_sq)
     np.logical_not(near, out=near)
     near &= x_ok
     rows, cols = np.nonzero(near)

@@ -11,9 +11,10 @@ through its squared magnitude ``|f|^2``: the extreme values ``alpha^2`` and
 matrix of the tall banded convolution matrix built from the centre taps.
 That Gram matrix is symmetric banded Toeplitz and is never formed densely:
 its eigenvalues come from its band form, its eigenbasis from two half-size
-band problems, and the eigenbasis is kept as those two half bases in their
-own column order (``HalfBasis``, the one place that knows how they fold
-into the basis and that measures them against the Gram matrix).
+band problems, and the columns a caller keeps are held as two half bases
+in their own column order (``HalfBasis``, the one place that knows how
+they fold into the basis and that measures them against the Gram
+matrix).
 
 All integrals over ``[0, 2*pi]`` are composite-Simpson sums on one shared
 grid so that quantities which are equal in exact arithmetic (e.g. the
@@ -370,21 +371,22 @@ def _signed(Z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HalfBasis:
-    """Orthonormal basis ``U`` of order ``n`` whose columns are each
-    J-symmetric or J-skew (``J`` the reversal), held as its two half bases
-    and never as an ``n x n`` array.
+    """Orthonormal columns ``U`` (``n`` rows, at most ``n`` columns), each
+    J-symmetric or J-skew (``J`` the reversal), held as two tall half bases
+    and never as an ``n``-row array.
 
-    With ``h = n // 2``, column ``j`` of ``sym`` (order ``n - h``) is column
+    With ``h = n // 2``, column ``j`` of ``sym`` (``n - h`` rows) is column
     ``j`` of ``U``, ``[z_top / sqrt(2); z_mid; J z_top / sqrt(2)]`` for
     ``z = sym[:, j]``, ``z_top = z[:h]`` and ``z_mid = z[h]``; column ``j``
-    of ``skew`` (order ``h``) is column ``n - h + j`` of ``U``, ``[w /
-    sqrt(2); 0; -J w / sqrt(2)]`` for ``w = skew[:, j]``.  The middle
-    entries exist only for odd ``n``; halves whose orders differ by other
-    than 0 or 1 pair into no such ``U`` and are refused.  With an exact
-    ``1/sqrt(2)``, ``U'U`` is ``blockdiag(sym'sym, skew'skew)``, so its
-    cross block is exactly zero, and ``orth_defect``, the Frobenius norm of
-    the computed ``sym'sym - I`` and ``skew'skew - I``, is that of the
-    computed ``U'U - I``.  A defect entry past 1e-8 is refused.
+    of ``skew`` (``h`` rows) is column ``s_sym + j`` of ``U``, with ``s_sym``
+    the columns of ``sym``, ``[w / sqrt(2); 0; -J w / sqrt(2)]`` for ``w =
+    skew[:, j]``.  The middle entries exist only for odd ``n``; halves whose
+    row counts differ by other than 0 or 1, or with more columns than rows,
+    pair into no such ``U`` and are refused.  With an exact ``1/sqrt(2)``,
+    ``U'U`` is ``blockdiag(sym'sym, skew'skew)``, so its cross block is
+    exactly zero, and ``orth_defect``, the Frobenius norm of the computed
+    ``sym'sym - I`` and ``skew'skew - I``, is that of the computed ``U'U -
+    I``.  A defect entry past 1e-8 is refused.
 
     ``apply`` and ``adjoint`` round more than one GEMM with ``U`` would:
     besides their two half GEMMs, the J-fold add and the scale by the
@@ -399,19 +401,19 @@ class HalfBasis:
 
     def __post_init__(self) -> None:
         parts = [np.ascontiguousarray(a, dtype=float) for a in (self.sym, self.skew)]
-        if any(Z.ndim != 2 or Z.shape[0] != Z.shape[1] for Z in parts) or (
+        if any(Z.ndim != 2 or Z.shape[1] > Z.shape[0] for Z in parts) or (
             len(parts[0]) - len(parts[1]) not in (0, 1)
         ):
             raise ValueError(
-                f"half bases have shapes {parts[0].shape} and {parts[1].shape}: need square "
-                "halves of orders n - n // 2 and n // 2"
+                f"half bases have shapes {parts[0].shape} and {parts[1].shape}: need halves "
+                "of n - n // 2 and n // 2 rows, with no more columns than rows"
             )
         if not all(np.isfinite(Z).all() for Z in parts):
             raise ValueError("basis has non-finite entries")
         sq, worst = 0.0, 0.0
         for Z in parts:
             D = Z.T @ Z  # Z'Z - I in place
-            D[np.diag_indices(len(Z))] -= 1.0
+            D[np.diag_indices(len(D))] -= 1.0
             sq += float(np.vdot(D, D))
             worst = max(worst, float(np.abs(D, out=D).max(initial=0.0)))
         if worst > 1e-8:
@@ -420,6 +422,17 @@ class HalfBasis:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         object.__setattr__(self, "orth_defect", math.sqrt(sq))
+
+    @classmethod
+    def from_eigh(cls, vectors: tuple[np.ndarray, np.ndarray], keep: np.ndarray) -> "HalfBasis":
+        """The columns of ``gram_eigh``'s ``vectors`` that the boolean mask
+        ``keep`` (in ``lam``'s order) marks, each flipped so that its
+        largest-magnitude entry is positive (the first one on ties to
+        ``SIGN_TIE_REL``): the basis then does not depend on the LAPACK
+        build, and every column ``u`` of ``U`` satisfies ``u[::-1] == +-u``
+        exactly.  Columns left out are never signed or checked."""
+        (Zs, Zk), r = vectors, vectors[0].shape[1]
+        return cls(sym=_signed(Zs[:, keep[:r]]), skew=_signed(Zk[:, keep[r:]]))
 
     @property
     def n(self) -> int:
@@ -431,14 +444,18 @@ class HalfBasis:
             np.array_equal(self.sym, other.sym) and np.array_equal(self.skew, other.skew)
         )
 
+    @property
+    def width(self) -> int:
+        return self.sym.shape[1] + self.skew.shape[1]
+
     def apply(self, S: np.ndarray) -> np.ndarray:
         """``S U'``: the vector ``U s`` of each row ``s`` of ``S``, from one
         GEMM per half, ``Zs s_sym`` and ``Zk s_skew``, whose sum and
         difference (times ``1/sqrt(2)``) are the top half and the reversed
         bottom half; the middle entry of odd ``n`` is ``Zs s_sym``'s."""
-        n, h = self.n, len(self.skew)
-        A = S[:, : n - h] @ self.sym.T
-        B = S[:, n - h:] @ self.skew.T
+        n, h, ss = self.n, len(self.skew), self.sym.shape[1]
+        A = S[:, :ss] @ self.sym.T
+        B = S[:, ss:] @ self.skew.T
         X = np.empty((len(S), n))
         top, bot = X[:, :h], X[:, n - h:][:, ::-1]
         np.add(A[:, :h], B, out=top)
@@ -453,7 +470,7 @@ class HalfBasis:
         """``V U``: the coefficients ``U'v`` of each row ``v`` of ``V``,
         ``Zs'(v_top + J v_bot) / sqrt(2)`` (with the middle entry of odd
         ``n`` unscaled) followed by ``Zk'(v_top - J v_bot) / sqrt(2)``."""
-        n, h = self.n, len(self.skew)
+        n, h, ss = self.n, len(self.skew), self.sym.shape[1]
         top, bot = V[:, :h], V[:, n - h:][:, ::-1]
         P = np.empty((len(V), n - h))
         np.add(top, bot, out=P[:, :h])
@@ -462,16 +479,16 @@ class HalfBasis:
             P[:, h] = V[:, h]
         Q = np.subtract(top, bot)
         Q *= _R2
-        C = np.empty((len(V), n))
-        np.matmul(P, self.sym, out=C[:, : n - h])
-        np.matmul(Q, self.skew, out=C[:, n - h:])
+        C = np.empty((len(V), self.width))
+        np.matmul(P, self.sym, out=C[:, :ss])
+        np.matmul(Q, self.skew, out=C[:, ss:])
         return C
 
     def gram_fit(self, c) -> tuple[np.ndarray, float]:
         """Gains ``u_j'G u_j`` of the columns of ``U`` for ``G = Hc'Hc`` of
         the centre taps ``c``, and a bound, first order in eps, on the
-        eigen-residual ``||GU - U diag(gain)||_F``, in O(n^2 k): in the
-        halves' coordinates ``G`` is ``blockdiag(Gs, Gk)``, the half bands
+        eigen-residual ``||GU - U diag(gain)||_F``, in O(n k) per column: in
+        the halves' coordinates ``G`` is ``blockdiag(Gs, Gk)``, the half bands
         ``gram_eigh`` solves.  The bound is the computed residual plus the
         rounding of the half bands (``k + 1`` products per lag, the J-fold
         add and the ``sqrt(2)`` of the middle row, row sums at most
@@ -490,31 +507,27 @@ class HalfBasis:
         eps = float(np.finfo(float).eps)
         h = float(np.abs(c).sum())
         nu = math.sqrt(n * (1.0 + self.orth_defect + n * n * eps))
-        lam_max = float(np.abs(gain).max())
+        lam_max = float(np.abs(gain).max(initial=0.0))
         rounding = eps * nu * (math.sqrt(2.0) * (3 * len(c) + 1) * h * h + 2.0 * lam_max)
         return gain, math.sqrt(sq) + rounding
 
 
-def gram_eigh(spec: ChannelSpec, n: int) -> tuple[np.ndarray, HalfBasis]:
-    """Eigenvalues ``lam`` and the orthonormal eigenbasis ``U`` of the
-    centre Gram matrix ``Hc' Hc``, as a ``HalfBasis``, in the halves' own
+def gram_eigh(spec: ChannelSpec, n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Eigenvalues ``lam`` of the centre Gram matrix ``Hc' Hc`` and its
+    eigenvectors as the two half arrays ``(Zs, Zk)``, in the halves' own
     column order: the J-symmetric half's eigenvalues ascending, then the
-    J-skew half's.
+    J-skew half's.  ``HalfBasis.from_eigh`` signs and holds those a caller
+    keeps.
 
     The Gram matrix is symmetric Toeplitz, hence centrosymmetric, so it
     splits exactly into a J-symmetric and a J-skew half of order about
     ``n / 2`` (Cantoni & Butler, Lin. Alg. Appl. 13, 1976), each banded
     with bandwidth ``k`` and built in band form in O(n k).  One
-    ``eig_banded`` call per half gives the eigenpairs, and the half
-    eigenvectors are the half bases.  Each is flipped so that its
-    largest-magnitude entry is positive (the first one on ties to
-    ``SIGN_TIE_REL``).  The sign convention makes the basis independent of
-    the LAPACK build, and every column ``u`` of ``U`` satisfies ``u[::-1]
-    == +-u`` exactly.
+    ``eig_banded`` call per half gives the eigenpairs.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     (lam_s, Zs), (lam_k, Zk) = (
         eig_banded(band, lower=False) for band in _half_bands(_tap_autocorr(spec.c), n)
     )
-    return np.concatenate([lam_s, lam_k]), HalfBasis(sym=_signed(Zs), skew=_signed(Zk))
+    return np.concatenate([lam_s, lam_k]), (Zs, Zk)

@@ -1,5 +1,5 @@
 """Half bases for tests: covariances whose basis is not the Gram eigenbasis,
-and the dense basis a ``HalfBasis`` stands for.
+the full Gram eigenbasis, and the dense basis a ``HalfBasis`` stands for.
 
 A ``HalfBasis`` holds only J-structured bases, so the tests' stand-ins for
 "any other basis" are random orthonormal half bases and the standard half
@@ -11,17 +11,25 @@ import math
 
 import numpy as np
 
-from isicap.channel_sim import CovarianceSpec
-from isicap.spectrum import HalfBasis
+from isicap.channel_sim import Codebook, CovarianceSpec
+from isicap.spectrum import HalfBasis, gram_eigh
+from isicap.waterfill import POWER_FLOOR
+
+
+def eigenbasis(spec, n):
+    """Eigenvalues and every column of the Gram eigenbasis, as ``gram_eigh``
+    and ``HalfBasis.from_eigh`` give them."""
+    lam, vectors = gram_eigh(spec, n)
+    return lam, HalfBasis.from_eigh(vectors, np.ones(n, dtype=bool))
 
 
 def assemble(halves):
-    """The dense ``n x n`` basis ``U`` of ``halves``, column by column from
-    the documented formula: column ``j < n - h`` is ``[z_top / sqrt(2);
-    z_mid; J z_top / sqrt(2)]`` for ``z = sym[:, j]``, column ``n - h + j``
-    is ``[w / sqrt(2); 0; -J w / sqrt(2)]`` for ``w = skew[:, j]``, with
-    ``h = n // 2`` and the middle entries only for odd ``n``.  It shares no
-    code with ``HalfBasis.apply`` or ``.adjoint``."""
+    """The dense ``n x s`` columns ``U`` of ``halves``, column by column
+    from the documented formula: column ``j < s_sym`` is ``[z_top /
+    sqrt(2); z_mid; J z_top / sqrt(2)]`` for ``z = sym[:, j]``, column
+    ``s_sym + j`` is ``[w / sqrt(2); 0; -J w / sqrt(2)]`` for ``w = skew[:,
+    j]``, with ``h = n // 2`` and the middle entries only for odd ``n``.  It
+    shares no code with ``HalfBasis.apply`` or ``.adjoint``."""
     n, h = halves.n, len(halves.skew)
     r = 1.0 / math.sqrt(2.0)
     cols = []
@@ -29,13 +37,13 @@ def assemble(halves):
         cols.append(np.concatenate([z[:h] * r, z[h:], z[:h][::-1] * r]))
     for w in halves.skew.T:
         cols.append(np.concatenate([w * r, np.zeros(n - 2 * h), -w[::-1] * r]))
-    return np.column_stack(cols)
+    return np.column_stack(cols) if cols else np.zeros((n, 0))
 
 
 def sigma(cov):
-    """The dense covariance ``U diag(d) U'``."""
+    """The dense covariance ``U diag(d) U' + POWER_FLOOR (I - U U')``."""
     U = assemble(cov.halves)
-    return (U * cov.d) @ U.T
+    return (U * (cov.d - POWER_FLOOR)) @ U.T + POWER_FLOOR * np.eye(cov.n)
 
 
 def _orthonormal(rng, order):
@@ -67,3 +75,12 @@ def random_cov(n, seed):
 def flat_cov(n, halves=None):
     """Identity spectrum, on the standard half bases unless given."""
     return CovarianceSpec(n=n, d=np.ones(n), halves=standard_halves(n) if halves is None else halves)
+
+
+def floors(book, rows):
+    """The floor parts ``x_f`` of ``rows`` as ``words`` builds them: the
+    words of the same codebook with ``S`` zeroed, where ``fl(U 0) = 0`` and
+    the floor's add is exact."""
+    zero = Codebook(n=book.n, R=book.R, size=book.size, S=np.zeros_like(book.S),
+                    q=book.q_floor.copy(), cov=book.cov, q_floor=book.q_floor, seed=book.seed)
+    return zero.words(rows)

@@ -214,18 +214,21 @@ def exact_joint_statistics(
     d: np.ndarray,
     basis: np.ndarray,
     taps,
+    floor: float = 0.0,
 ) -> tuple[list, list]:
     """``joint_typicality_oracle`` in exact rational arithmetic.
 
     Every float input is converted to a ``Fraction`` exactly; ``Sigma`` is
-    ``U diag(d) U'`` for the orthonormal ``basis`` ``U`` and ``Xi`` comes
+    ``U diag(d - floor) U' + floor I`` for the orthonormal columns ``basis``
+    ``U`` (``U diag(d) U'`` plus ``floor`` on the rest) and ``Xi`` comes
     from ``dense_joint_covariance`` on it, with no rounding anywhere.
     Returns the input statistics per codeword and the joint statistics as
     one list per codeword, each a ``Fraction``."""
-    n = len(d)
+    n = len(basis)
     fr = np.vectorize(Fraction, otypes=[object])
     U = fr(np.asarray(basis))
-    sigma = (U * fr(np.asarray(d))) @ U.T
+    floor = Fraction(floor)
+    sigma = (U * (fr(np.asarray(d)) - floor)) @ U.T + floor * np.eye(n, dtype=int).astype(object)
     _, xi = dense_joint_covariance(sigma, fr(np.asarray(taps, dtype=float)))
     m = xi.shape[0] - n
     X = [list(fr(x)) for x in codewords]

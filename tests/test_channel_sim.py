@@ -32,12 +32,12 @@ from isicap.channel_sim import (
     sample_taps,
     trial_block,
 )
-from isicap.spectrum import HalfBasis
+from isicap.spectrum import FOLD_ULPS, HalfBasis
 from isicap.verify import VERIFY_STREAM_BASE
 from isicap.decoder import TypicalParams, _pass_mask, prepare_context
 from isicap.errors import CodebookTooLarge, DimensionMismatch
 from isicap.waterfill import POWER_FLOOR, dbw_to_watts, waterfill_powers
-from bases import assemble, flat_cov, random_cov, random_halves, sigma, standard_halves
+from bases import assemble, flat_cov, floors, random_cov, random_halves, sigma, standard_halves
 from oracles import dense_gram, exact_channel_use, exact_joint_statistics
 
 
@@ -239,6 +239,8 @@ def test_sample_H_band_structure(example_spec):
 def test_covariance_validation():
     with pytest.raises(ValueError):
         CovarianceSpec(n=3, d=np.array([1.0, 0.0, 2.0]), halves=standard_halves(3))
+    with pytest.raises(ValueError, match="one power per column"):
+        CovarianceSpec(n=3, d=np.ones(3), halves=HalfBasis(sym=np.eye(2)[:, 1:], skew=np.eye(1)))
     with pytest.raises(ValueError, match="not orthonormal"):
         HalfBasis(sym=np.array([[1.0, 1.0], [0.0, 1.0]]), skew=np.eye(1))
     with pytest.raises(ValueError, match="shapes"):
@@ -254,17 +256,21 @@ def test_covariance_needs_a_basis():
         CovarianceSpec(n=3, d=np.ones(3), halves=standard_halves(2))
 
 
-def test_covariance_identities():
+def test_covariance_identities(example_spec):
     """``trace``, ``lam_min`` and ``lam_max`` are those of the dense
-    ``U diag(d) U'`` assembled from the half bases, whose eigenvalues are
-    ``d``, at an even and an odd order."""
+    ``U diag(d) U' + POWER_FLOOR (I - U U')`` assembled from the half bases,
+    whose eigenvalues are ``d`` and ``floor_dim`` times ``POWER_FLOOR``, at
+    an even and an odd order, on full random half bases and on the tall
+    support ``build_sigma`` holds at -10 dBW."""
     for n in (6, 7):
-        cov = random_cov(n, 0)
-        dense = sigma(cov)
-        lam = np.linalg.eigvalsh(dense)
-        assert np.abs(lam - np.sort(cov.d)).max() <= 1e-12
-        assert cov.trace == pytest.approx(np.trace(dense), rel=1e-12)
-        assert (cov.lam_min, cov.lam_max) == pytest.approx((lam[0], lam[-1]), rel=1e-12)
+        for cov in (random_cov(n, 0), build_sigma(example_spec, n, dbw_to_watts(-10.0))):
+            dense = sigma(cov)
+            lam = np.linalg.eigvalsh(dense)
+            want = np.sort(np.append(cov.d, np.full(cov.floor_dim, POWER_FLOOR)))
+            assert np.abs(lam - want).max() <= 1e-12 * want[-1]
+            assert cov.trace == pytest.approx(np.trace(dense), rel=1e-12)
+            assert (cov.lam_min, cov.lam_max) == (want[0], want[-1])
+        assert cov.floor_dim > 0 and cov.lam_min == POWER_FLOOR
 
 
 def test_build_sigma_policies(example_spec):
@@ -272,7 +278,10 @@ def test_build_sigma_policies(example_spec):
     refused."""
     wf = build_sigma(example_spec, 16, 2.0, "waterfill_gram")
     assert wf.trace == pytest.approx(32.0, rel=1e-9)
-    assert wf.halves.same_as(gram_eigh(example_spec, 16)[1])
+    lam, vectors = gram_eigh(example_spec, 16)
+    d, _ = waterfill_powers(lam, 32.0, POWER_FLOOR)
+    on = d > POWER_FLOOR
+    assert wf.halves.same_as(HalfBasis.from_eigh(vectors, on)) and np.array_equal(wf.d, d[on])
     assert build_sigma(example_spec, 16, 2.0).halves.same_as(wf.halves)
     for policy in ("white_iso", "other"):
         with pytest.raises(ValueError, match="unknown covariance policy"):
@@ -360,33 +369,34 @@ def test_codebook_empirical_power(example_spec):
     assert mean_power == pytest.approx(cov.trace, rel=0.1)
 
 
-def _floor_g(book, i):
-    """Row ``i``'s floor Gaussians by hand: ``v`` from the cell
-    ``(STREAM_FLOOR, i)``, scaled to the squared norm ``q_floor[i]``."""
-    v = rng_stream(book.seed, STREAM_FLOOR, i).standard_normal(book.cov.floor_columns.size)
-    return v * np.sqrt(book.q_floor[i] / np.einsum("ij,ij->i", v[None], v[None])[0])
+def _floor_x(book, U, i):
+    """Row ``i``'s floor part by hand: ``v`` from the cell ``(STREAM_FLOOR,
+    i)``, projected off the dense support columns ``U``, scaled to the
+    squared norm ``POWER_FLOOR q_floor[i]``."""
+    v = rng_stream(book.seed, STREAM_FLOOR, i).standard_normal(book.n)
+    p = v - U @ (U.T @ v)
+    return p * np.sqrt(POWER_FLOOR * book.q_floor[i] / (p @ p))
 
 
 def test_codebook_q_matches_exact_statistic(example_spec):
-    """``Codebook.q`` equals ``x' Sigma^{-1} x`` of the unrounded codewords
-    ``U diag(sqrt(d)) g``, evaluated in exact rationals, to ``n eps``
-    relative, with ``g`` the support Gaussians of the cell
-    ``(STREAM_CODEBOOK, 0)`` and each row's floor Gaussians rebuilt from
-    its cell.  At n = 4 and -10 dBW water-filling puts eigenvalues at the
-    power floor, where the stored codewords' own statistic is off by about
-    1e-10 from rounding amplified by ``1/d``."""
+    """``Codebook.q`` equals ``x' Sigma^{-1} x`` of the words ``x = U s +
+    x_f``, ``s = diag(sqrt(d)) g_s`` unrounded (``g_s`` the support
+    Gaussians of the cell ``(STREAM_CODEBOOK, 0)``) and ``x_f`` each row's
+    floor as built, for ``Sigma = U diag(d) U' + POWER_FLOOR (I - U U')``,
+    evaluated in exact rationals, to ``n eps`` relative.  At n = 4 and -10
+    dBW water-filling leaves two of the four columns at the power floor,
+    where the stored codewords' own statistic is off by about 1e-10 from
+    rounding amplified by ``1 / POWER_FLOOR``."""
     n, seed = 4, 7
     cov = build_sigma(example_spec, n, dbw_to_watts(-10.0), "waterfill_gram")
-    assert cov.lam_min <= 2.0 * POWER_FLOOR and cov.floor_columns.size > 0
+    assert cov.lam_min == POWER_FLOOR and cov.floor_dim == 2
     book = gen_codebook(cov, 1.0, seed)
-    g = np.empty((book.size, n))
-    g[:, cov.support] = rng_stream(seed, STREAM_CODEBOOK, 0).standard_normal((book.size, cov.support.size))
-    g[:, cov.floor_columns] = [_floor_g(book, i) for i in range(book.size)]
+    g = rng_stream(seed, STREAM_CODEBOOK, 0).standard_normal((book.size, cov.d.size))
     fr = np.vectorize(Fraction, otypes=[object])
     U = assemble(cov.halves)
-    X = fr(g) * fr(np.sqrt(cov.d)) @ fr(U).T
+    X = fr(g) * fr(np.sqrt(cov.d)) @ fr(U).T + fr(floors(book, slice(None)))
     x_stat, _ = exact_joint_statistics(
-        X, np.zeros((1, n + example_spec.k)), cov.d, U, example_spec.c
+        X, np.zeros((1, n + example_spec.k)), cov.d, U, example_spec.c, POWER_FLOOR
     )
     eps = np.finfo(float).eps
     for q, exact in zip(book.q, x_stat):
@@ -396,89 +406,134 @@ def test_codebook_q_matches_exact_statistic(example_spec):
 @pytest.mark.parametrize("p_dbw", [-10.0, 10.0])
 def test_support_codebook_is_the_documented_draw(example_spec, p_dbw):
     """``gen_codebook`` draws, bit for bit, the support Gaussians of the
-    cell ``(STREAM_CODEBOOK, 0)`` times ``sqrt(d)`` on the support, then
-    the floor radii as that cell's next ``chisquare(n_f, size)`` draw, and
-    ``q = ||g_s||^2 + q_floor``; with no floor column (10 dBW) ``S`` spans
-    every column and the radii are zero, with nothing more drawn."""
+    cell ``(STREAM_CODEBOOK, 0)`` times ``sqrt(d)``, then the floor radii
+    as that cell's next ``chisquare(floor_dim, size)`` draw, and ``q =
+    ||g_s||^2 + q_floor``; with no floor (10 dBW) ``S`` spans every column
+    and the radii are zero, with nothing more drawn."""
     n, seed = 48, 5
     cov = build_sigma(example_spec, n, dbw_to_watts(p_dbw))
-    n_floor = cov.floor_columns.size
-    assert (n_floor > 0) == (p_dbw < 0) and cov.support.size + n_floor == n
+    n_floor = cov.floor_dim
+    assert (n_floor > 0) == (p_dbw < 0) and cov.d.size + n_floor == n
     book = gen_codebook(cov, 6 / n, seed)
-    assert book.seed == seed and book.S.shape == (book.size, cov.support.size)
+    assert book.seed == seed and book.S.shape == (book.size, cov.d.size)
     rng = rng_stream(seed, STREAM_CODEBOOK, 0)
-    g = rng.standard_normal((book.size, cov.support.size))
+    g = rng.standard_normal((book.size, cov.d.size))
     q_floor = rng.chisquare(n_floor, book.size) if n_floor else np.zeros(book.size)
-    assert np.array_equal(book.S, g * np.sqrt(cov.d[cov.support]))
+    assert np.array_equal(book.S, g * np.sqrt(cov.d))
     assert np.array_equal(book.q_floor, q_floor)
     assert np.array_equal(book.q, np.einsum("ij,ij->i", g, g) + q_floor)
     assert not any(a.flags.writeable for a in (book.S, book.q, book.q_floor))
 
 
+def _tilt(cov):
+    """``decoder``'s bound on ``||U'x_f|| / ||x_f||`` of a built floor."""
+    n, eps = cov.n, np.finfo(float).eps
+    omega = cov.halves.orth_defect + n * n * eps
+    mu = np.sqrt(1.0 + omega)
+    nu = np.sqrt(n) * mu
+    return channel_sim.FLOOR_REPROJECT * (omega * mu + 2.0 * eps * (n * nu + FOLD_ULPS * mu)) + 2.0 * mu * eps
+
+
+@pytest.mark.parametrize("n, p_dbw", [(2, -10.0), (33, -10.0), (64, -30.0), (256, -10.0)])
+def test_built_floor_is_orthogonal_with_its_radius(example_spec, n, p_dbw):
+    """Each built word's floor part ``x_f`` has, summed exactly, ``||x_f||^2``
+    within ``(n + 8) eps / 2`` of ``POWER_FLOOR q_floor``, and ``||U'x_f||``,
+    in exact rationals on the documented columns ``U``, within ``tilt
+    ||x_f||``, the bound the guard band takes: at most ``FLOOR_REPROJECT``
+    times the projection's rounding and the support's departure from
+    orthonormal, plus ``2 eps``.  Cases: one floor dimension (n = 2), an
+    odd order, a support of 8 columns in 64, and 90 of 256."""
+    cov = build_sigma(example_spec, n, dbw_to_watts(p_dbw))
+    assert cov.floor_dim > 0
+    book = gen_codebook(cov, min(1.0, 5 / n), 3)
+    rows = np.arange(min(book.size, 12))
+    XF = floors(book, rows)
+    fr = np.vectorize(Fraction, otypes=[object])
+    U = fr(assemble(cov.halves))
+    eps, tilt = np.finfo(float).eps, _tilt(cov)
+    for x_f, i in zip(XF, rows):
+        f = fr(x_f)
+        f_sq = f @ f
+        want = Fraction(POWER_FLOOR) * Fraction(float(book.q_floor[i]))
+        assert abs(f_sq - want) <= Fraction((n + 8) * eps / 2) * want
+        u = U.T @ f
+        assert float(u @ u) <= tilt ** 2 * float(f_sq)
+
+
+def test_short_projection_is_projected_again(example_spec, monkeypatch):
+    """A floor projection whose input is more than ``FLOOR_REPROJECT`` times
+    as long as its output is projected once more: with the factor at 1.01,
+    every row of an n = 64 codebook with 41 floor dimensions (``||p|| /
+    ||v||`` near ``sqrt(41 / 64)``) takes two passes, and its floor keeps
+    its radius, its orthogonality and, within rounding, its value."""
+    cov = build_sigma(example_spec, 64, dbw_to_watts(-10.0))
+    assert cov.floor_dim == 41
+    book = gen_codebook(cov, 6 / 64, 2)
+    rows = np.arange(9)
+    once = floors(book, rows)
+    passes = []
+    adjoint = HalfBasis.adjoint
+    monkeypatch.setattr(HalfBasis, "adjoint", lambda self, V: passes.append(len(V)) or adjoint(self, V))
+    monkeypatch.setattr(channel_sim, "FLOOR_REPROJECT", 1.01)
+    twice = floors(book, rows)
+    assert passes == [len(rows), len(rows)]
+    assert np.abs(twice - once).max() <= 1e-14 * np.abs(once).max()
+    eps = np.finfo(float).eps
+    f_sq = np.einsum("ij,ij->i", twice, twice)
+    assert np.all(np.abs(f_sq - POWER_FLOOR * book.q_floor[rows]) <= (64 + 8) * eps * f_sq)
+    assert np.all(np.linalg.norm(cov.halves.adjoint(twice), axis=1) <= _tilt(cov) * np.sqrt(f_sq))
+
+
 def test_words_rebuild_each_row_from_its_cells(example_spec):
-    """``coefficients(rows)`` gives row ``i`` the same bits whatever batch
-    holds it, repeats included: ``S[i]`` on the support and ``sqrt(d_f)
-    g_f`` on the floor, with ``g_f`` built by hand from the cell
-    ``(STREAM_FLOOR, i)``; ``words`` are those rows through ``U`` (within
-    GEMM rounding of the assembled basis, whose last bits may follow the
-    batch).  The rebuilt ``||g_f||^2``, summed exactly, is within ``(n_f +
-    5) eps / 2`` of ``q_floor[i]``.  A slice of rows gives the rows its
-    indices name."""
+    """``words(rows)`` gives row ``i`` ``U S[i] + x_f`` whatever batch holds
+    it, repeats included, with ``x_f`` built by hand from the cell
+    ``(STREAM_FLOOR, i)``: ``n`` normals projected off the dense support
+    ``U`` and scaled to ``POWER_FLOOR q_floor[i]`` (within GEMM rounding of
+    the assembled basis, whose last bits may follow the batch).  A slice
+    of rows gives the rows its indices name."""
     n, seed = 33, 2
     cov = build_sigma(example_spec, n, dbw_to_watts(-10.0))
-    cols = cov.floor_columns
-    assert cols.size > 0
+    assert cov.floor_dim > 0
     book = gen_codebook(cov, 5 / n, seed)
     U = assemble(cov.halves)
     batch = np.array([7, 3, 7, 0, book.size - 1, 3, 7])
-    full = book.coefficients(batch)
     X = book.words(batch)
-    eps = np.finfo(float).eps
     for j, i in enumerate(batch):
-        want = np.empty(n)
-        want[cov.support] = book.S[i]
-        g_f = _floor_g(book, i)
-        want[cols] = g_f * np.sqrt(cov.d[cols])
-        assert np.array_equal(full[j], want)
-        assert np.array_equal(book.coefficients([i])[0], want)
-        x = U @ want
+        x = U @ book.S[i] + _floor_x(book, U, i)
         scale = np.abs(x).max()
         assert np.abs(X[j] - x).max() <= 1e-14 * scale
         assert np.abs(book.words([i])[0] - X[j]).max() <= 1e-14 * scale
-        g_sq = sum(Fraction(float(v)) ** 2 for v in g_f)
-        assert abs(g_sq - Fraction(float(book.q_floor[i]))) <= (cols.size + 5) * eps / 2 * g_sq
-    assert np.array_equal(book.coefficients(slice(None))[batch], full)
+    assert np.array_equal(X[0], X[2]) and np.array_equal(X[1], X[5])
     for sl in (slice(2, 9, 3), slice(None, None, -1), slice(-3, None), slice(5, 5)):
         idx = np.arange(book.size)[sl]
-        assert np.array_equal(book.coefficients(sl), book.coefficients(idx))
-    assert np.array_equal(book.coefficients([2, 5, 8]), book.coefficients(slice(2, 9, 3)))
+        assert np.array_equal(book.words(sl), book.words(idx))
     assert np.array_equal(book.codewords[batch[0]], book.words(np.arange(book.size))[batch[0]])
 
 
 def test_few_rows_do_not_touch_the_whole_codebook(example_spec):
-    """Rebuilding a few rows of a 2**16-word codebook with floor columns
+    """Rebuilding a few rows of a 2**16-word codebook with a floor
     allocates nothing near the size of one per-word array (traced)."""
     n = 8
     cov = build_sigma(example_spec, n, dbw_to_watts(-10.0))
-    assert cov.floor_columns.size > 0
+    assert cov.floor_dim > 0
     book = gen_codebook(cov, 16 / n, 4)
     assert book.size == 2 ** 16
     tracemalloc.start()
     book.words(np.array([5, book.size - 1, 5]))
-    book.coefficients(slice(3, 7))
+    book.words(slice(3, 7))
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < book.size
 
 
 def test_codebook_input_statistic_is_chi_squared(example_spec):
-    """``q`` of a seeded n = 64 codebook with 41 floor columns (-10 dBW) and
-    2**14 words is chi-squared with n degrees of freedom: a KS test passes
-    at p > 1e-3, and its mean and variance lie within four standard errors
-    of n and 2n."""
+    """``q`` of a seeded n = 64 codebook with 41 floor dimensions (-10 dBW)
+    and 2**14 words is chi-squared with n degrees of freedom: a KS test
+    passes at p > 1e-3, and its mean and variance lie within four standard
+    errors of n and 2n."""
     n = 64
     cov = build_sigma(example_spec, n, dbw_to_watts(-10.0))
-    assert cov.floor_columns.size == 41
+    assert cov.floor_dim == 41
     q = gen_codebook(cov, 14 / n, 3).q
     assert q.size == 2 ** 14
     assert stats.kstest(q, stats.chi2(n).cdf).pvalue > 1e-3

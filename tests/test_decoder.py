@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from isicap import (
     ChannelLaw,
     DecodeFailure,
     TypicalParams,
+    bound_report,
     build_Hc,
     build_joint,
     build_sigma,
@@ -31,12 +33,12 @@ from isicap.channel_sim import (
     trial_block,
 )
 from isicap import decoder as decoder_mod
-from isicap.channel_sim import _band_apply
-from isicap.spectrum import FOLD_ULPS, HalfBasis, _half_bands, _sym_band_apply, _tap_autocorr
+from isicap.channel_sim import FLOOR_REPROJECT, _band_apply
+from isicap.spectrum import FOLD_ULPS, HalfBasis, _half_bands, _sym_band_apply, _tap_autocorr, gram_eigh
 from isicap.decoder import DecodeContext, _guard_band, _pass_mask, prepare_context, trace_budgets
 from isicap.errors import DimensionMismatch, NotPositiveDefinite
-from isicap.waterfill import POWER_FLOOR, dbw_to_watts, phi_terms
-from bases import assemble, flat_cov, random_cov as _random_cov, random_halves, sigma, standard_halves
+from isicap.waterfill import POWER_FLOOR, dbw_to_watts, phi_terms, waterfill_powers
+from bases import assemble, flat_cov, floors, random_cov as _random_cov, random_halves, sigma
 from oracles import (
     dense_joint_covariance,
     exact_joint_statistics,
@@ -138,17 +140,11 @@ def _white_book(coefs, R):
     )
 
 
-def _floor_sq(ctx, Y):
-    """``||z_f||^2`` per row of ``Y`` for the projection ``Z = (Hc'Y) U`` on
-    the floor columns ``cov.floor`` names (the head of each half), from the
-    dense channel matrix and basis."""
+def _adjoint_sq(ctx, Y):
+    """``||Hc'y||^2`` per row of ``Y``, from the dense channel matrix."""
     joint = ctx.joint
-    n, r = joint.n, joint.n - joint.n // 2
-    Hc = BandedChannelMatrix(n=n, k=joint.m - n, taps=joint.hc).dense()
-    Z = Y @ Hc @ assemble(ctx.book.cov.halves)
-    fs, fk = ctx.book.cov.floor
-    F = np.hstack([Z[:, :fs], Z[:, r:r + fk]])
-    return (F * F).sum(axis=1)
+    B = Y @ BandedChannelMatrix(n=joint.n, k=joint.m - joint.n, taps=joint.hc).dense()
+    return (B * B).sum(axis=1)
 
 
 def _crafted_setup(example_spec):
@@ -257,7 +253,9 @@ def test_build_joint_gains_and_residual(example_spec):
         G = Hc.dense().T @ Hc.dense()
         joint = build_joint(build_sigma(example_spec, n, 1.0, "waterfill_gram"), Hc)
         lam = np.linalg.eigvalsh(G)
-        assert np.abs(np.sort(joint.gain) - lam).max() <= 4 * n * eps * lam.max()
+        s = joint.gain.size
+        assert 0 < s < n  # the support: the largest eigenvalues
+        assert np.abs(np.sort(joint.gain) - lam[n - s:]).max() <= 4 * n * eps * lam.max()
         assert joint.resid <= 4 * n * eps * np.abs(G).sum(axis=0).max()
         for other in (flat_cov(n), _random_cov(n, 6)):
             U = assemble(other.halves)
@@ -280,39 +278,84 @@ def test_build_joint_refuses_a_non_centre_matrix(example_spec):
 
 def test_prepare_context_refuses_another_basis(example_spec):
     """Energies pair the coefficients with the joint's gains, so a codebook
-    drawn in another basis, or of another length, is refused."""
+    drawn in another basis, or on another support, or of another length,
+    is refused."""
     n = 12
     cov = build_sigma(example_spec, n, 1.0, "waterfill_gram")
+    assert cov.floor_dim > 0
     book = gen_codebook(cov, 0.5, 1)
-    for other in (_random_cov(n, 2), CovarianceSpec(n=n, d=cov.d, halves=standard_halves(n))):
+    for other in (_random_cov(n, 2), flat_cov(n)):
         with pytest.raises(ValueError, match="basis"):
             prepare_context(book, build_joint(other, build_Hc(example_spec, n)))
     halves = cov.halves
-    same = flat_cov(n, HalfBasis(sym=halves.sym.copy(), skew=halves.skew.copy()))
+    same = CovarianceSpec(n=n, d=np.ones(cov.d.size),
+                          halves=HalfBasis(sym=halves.sym.copy(), skew=halves.skew.copy()))
     prepare_context(book, build_joint(same, build_Hc(example_spec, n)))
     with pytest.raises(DimensionMismatch):
         prepare_context(book, build_joint(_random_cov(n + 1, 2), build_Hc(example_spec, n + 1)))
 
 
 def test_codeword_and_image_accessors(example_spec):
-    """``book.codewords`` is ``s U'`` for the full coefficient rows ``s``
-    (``book.coefficients``) from the half bases, within rounding of the
-    product with the assembled ``U``, and ``ctx.images`` its centre-channel
-    image, each built once, on first access."""
+    """``book.codewords`` is every word ``U s + x_f`` (``book.words``), within
+    rounding of the product with the assembled ``U`` plus the built floors,
+    and ``ctx.images`` its centre-channel image, each built once, on first
+    access."""
     n = 16
     cov = build_sigma(example_spec, n, 1.0, "waterfill_gram")
+    assert cov.floor_dim > 0
     book = gen_codebook(cov, 0.5, 2)
     Hc = build_Hc(example_spec, n)
     ctx = prepare_context(book, build_joint(cov, Hc))
     assert "codewords" not in vars(book) and "images" not in vars(ctx)
-    coefs = book.coefficients(slice(None))
-    assert np.array_equal(book.codewords, cov.halves.apply(coefs))
-    want = coefs @ assemble(cov.halves).T
+    assert np.array_equal(book.codewords, book.words(np.arange(book.size)))
+    want = book.S @ assemble(cov.halves).T + floors(book, slice(None))
     assert np.abs(book.codewords - want).max() <= 1e-14 * np.abs(want).max()
     assert book.codewords is book.codewords
     want = book.codewords @ Hc.dense().T
     assert np.abs(ctx.images - want).max() <= 1e-14 * np.abs(want).max()
     assert ctx.images is ctx.images
+
+
+@pytest.mark.parametrize(
+    "n, R, p_dbw, widths",
+    [(1, 1.0, -10.0, (1, 0)), (2, 1.0, -10.0, (1, 0)), (3, 1.0, -10.0, (1, 0)),
+     (256, None, -30.0, (12, 12))],
+)
+def test_experiment_masks_on_degenerate_halves(example_spec, monkeypatch, n, R, p_dbw, widths):
+    """``run_error_experiment`` on supports whose half bases are empty or
+    one column wide (n = 1, 2, 3) or hold 24 of 256 columns (-30 dBW, the
+    default rate): every pass mask it scores equals the direct rule on the
+    dense words ``U s + x_f`` and the dense channel matrix, on every pair
+    whose statistics are clear of ``epsilon`` and ``eta`` by 1e-9, over two
+    threads and a ragged last block."""
+    P = dbw_to_watts(p_dbw)
+    if R is None:
+        R = 0.25 * bound_report(example_spec, P).C_LB1
+    seen = []
+
+    def recording(Y, params, ctx):
+        mask = _pass_mask(Y, params, ctx)
+        seen.append((Y, params, ctx, mask))
+        return mask
+
+    monkeypatch.setattr(decoder_mod, "_pass_mask", recording)
+    res = run_error_experiment(example_spec, n=n, R=R, P=P, trials=70, master_seed=1, threads=2)
+    assert res.type1 + res.type2 + res.success == 70
+    assert sum(len(Y) for Y, *_ in seen) == 70
+    cov = seen[0][2].book.cov
+    assert (cov.halves.sym.shape[1], cov.halves.skew.shape[1]) == widths
+    Hd = build_Hc(example_spec, n).dense()
+    compared = 0
+    for Y, params, ctx, mask in seen:
+        book = ctx.book
+        A = book.codewords @ Hd.T
+        W = (book.q[:, None] + ((A[:, None, :] - Y[None]) ** 2).sum(axis=-1)) / (n + ctx.joint.m)
+        x_dev = np.abs(book.q / n - 1.0)[:, None]
+        clear = (np.abs(x_dev - params.epsilon) > 1e-9) & (np.abs(np.abs(W - 1.0) - params.eta) > 1e-9)
+        want = (x_dev < params.epsilon) & (np.abs(W - 1.0) < params.eta)
+        assert np.array_equal(mask[clear], want[clear])
+        compared += int(clear.sum())
+    assert compared >= 0.99 * sum(m.size for *_, m in seen)
 
 
 def test_experiment_builds_no_codewords_or_images(example_spec, monkeypatch):
@@ -330,27 +373,30 @@ def test_experiment_builds_no_codewords_or_images(example_spec, monkeypatch):
 
 
 def test_guard_band_constants_count_the_half_bases(example_spec):
-    """``word_err`` and ``energy_err`` are the documented bounds, at an even
-    and an odd order.  Both take ``max ||s||^2`` as ``max(d) max(q) (1 + (n
-    + 6) eps)``, the first-order bound from ``S = fl(g sqrt(d))``, ``q =
-    fl(||g_s||^2 + q_floor)`` and the rebuilt floor Gaussians, which is at
-    least the computed maximum over the full coefficient rows.  ``word_err``:
-    the half GEMMs (``n ||U||_F``), the band image or adjoint and the score
-    (``(n + k + 1) ||U||_2``), and the J-fold add and ``1/sqrt(2)`` scale
-    of the half-basis apply and adjoint (``FOLD_ULPS ||U||_2``), times ``eps
-    h ||s||``.  ``energy_err``: the eigen-residual bound of ``gram_fit``,
+    """``word_err``, ``energy_err`` and ``floor_norm`` are the documented
+    bounds, at an even and an odd order.  ``max ||s||^2`` is taken as
+    ``max(d) max(q) (1 + (n + 6) eps)``, the first-order bound from ``S =
+    fl(g sqrt(d))`` and ``q = fl(||g_s||^2 + q_floor)``, at least the
+    computed maximum over ``S``; ``max ||x_f||^2`` as ``POWER_FLOOR
+    max(q_floor) (1 + (n + 6) eps)``.  ``word_err``: the half GEMMs (``n
+    ||U||_F``), the band image or adjoint and the score (``(n + k + 1)
+    ||U||_2``), and the J-fold add and ``1/sqrt(2)`` scale of the
+    half-basis apply and adjoint (``FOLD_ULPS ||U||_2``), times ``eps h
+    ||s||``.  ``energy_err``: the eigen-residual bound of ``gram_fit``,
     which adds to the computed half-band residual the rounding of the half
     bands (``k + 1`` products per lag, the J-fold add and the ``sqrt(2)`` of
     the middle row, row sums at most ``sqrt(2) h^2``) and of their products
-    with the half bases, the rounding of the energies, and the floor
-    columns' energy the support sum leaves out, ``max_f(|gain_f| d_f)
-    max(q_floor) (1 + (n + 6) eps)``."""
+    with the half bases, the rounding of the energies, the floor's energy
+    ``h^2 max ||x_f||^2``, and its cross term with the support, ``2 max ||s||
+    max ||x_f|| (max |gain| tilt + resid)`` for the bound ``tilt`` on ``||U'x_f||
+    / ||x_f||`` of a built floor."""
     eps = np.finfo(float).eps
     k1 = example_spec.k + 1
     h = sum(abs(c) for c in example_spec.c)
     t = _tap_autocorr(example_spec.c)
     for n in (16, 17):
         cov = build_sigma(example_spec, n, 1.0)
+        assert cov.floor_dim > 0
         book = gen_codebook(cov, 0.5, 1)
         joint = build_joint(cov, build_Hc(example_spec, n))
         ctx = prepare_context(book, joint)
@@ -358,45 +404,63 @@ def test_guard_band_constants_count_the_half_bases(example_spec):
         mu = math.sqrt(1.0 + omega)
         nu = math.sqrt(n) * mu
         s_sq = cov.lam_max * float(book.q.max()) * (1.0 + (n + 6) * eps)
-        assert s_sq >= float((book.coefficients(slice(None)) ** 2).sum(axis=1).max())
+        assert s_sq >= float((book.S ** 2).sum(axis=1).max())
+        f_sq = POWER_FLOOR * float(book.q_floor.max()) * (1.0 + (n + 6) * eps)
         lam_max = float(np.abs(joint.gain).max())
         word_err = eps * h * math.sqrt(s_sq) * (n * nu + (n + k1 + FOLD_ULPS) * mu)
         sq = 0.0
         for band, Z, gain in zip(_half_bands(t, n), (cov.halves.sym, cov.halves.skew),
-                                 np.split(joint.gain, [n - n // 2])):
+                                 np.split(joint.gain, [cov.halves.sym.shape[1]])):
             R = _sym_band_apply(band, Z) - Z * gain
             sq += float(np.vdot(R, R))
         resid = math.sqrt(sq) + eps * nu * (math.sqrt(2.0) * (3 * k1 + 1) * h * h + 2.0 * lam_max)
-        cols = cov.floor_columns
-        assert cols.size > 0
-        floor_energy = (np.abs(joint.gain[cols]) * cov.d[cols]).max() * book.q_floor.max()
-        floor_energy *= 1.0 + (n + 6) * eps
-        energy_err = s_sq * (mu * resid + (omega + (n + 1) * eps) * lam_max) + floor_energy
+        tilt = FLOOR_REPROJECT * (omega * mu + 2.0 * eps * (n * nu + FOLD_ULPS * mu)) + 2.0 * mu * eps
+        cross = 2.0 * math.sqrt(s_sq * f_sq) * (lam_max * tilt + resid)
+        energy_err = s_sq * (mu * resid + (omega + (n + 1) * eps) * lam_max) + h * h * f_sq + cross
         assert joint.resid == pytest.approx(resid, rel=1e-12, abs=0.0)
         assert ctx.word_err == pytest.approx(word_err, rel=1e-12, abs=0.0)
         assert ctx.energy_err == pytest.approx(energy_err, rel=1e-12, abs=0.0)
+        assert ctx.floor_norm == pytest.approx(math.sqrt(f_sq), rel=1e-12, abs=0.0)
 
 
 def test_support_energy_within_energy_err(example_spec):
-    """The energies sum over the support only; over the full coefficient
-    rows, floor columns rebuilt, ``sum_j gain_j s_j^2`` lies within
-    ``energy_err`` of ``ctx.energy``.  The floor columns' part, which
-    ``energy_err`` now covers, is at most ``max_f(|gain_f| d_f)
-    max(q_floor)`` (to rounding) and not far below it.  ``base`` is
-    ``energy + q``."""
-    n = 64
+    """The energies sum over the support only; the exact image energy
+    ``||Hc (U s + x_f)||^2`` of every word, its floor ``x_f`` as built, lies
+    within ``energy_err`` of ``ctx.energy``, evaluated in 40-digit
+    arithmetic on the assembled columns ``U``.  Of the terms the support
+    sum leaves out, the floor energy ``||Hc x_f||^2`` is at most ``h^2 max
+    ||x_f||^2`` and the cross term ``2 (Hc U s).(Hc x_f)``, which is zero
+    for an orthonormal eigenbasis, within ``2 max ||s|| max ||x_f|| (max
+    |gain| tilt + resid)``, both as ``prepare_context`` takes them.
+    ``base`` is ``energy + q``."""
+    n = 48
     cov = build_sigma(example_spec, n, dbw_to_watts(-10.0))
-    book = gen_codebook(cov, 10 / n, 6)
+    assert cov.floor_dim > 0
+    book = gen_codebook(cov, 6 / n, 6)
     joint = build_joint(cov, build_Hc(example_spec, n))
     ctx = prepare_context(book, joint)
-    coefs = book.coefficients(slice(None))
-    full = np.einsum("ij,j,ij->i", coefs, joint.gain, coefs)
-    gap = np.abs(full - ctx.energy)
-    assert gap.max() <= ctx.energy_err
-    cols = cov.floor_columns
-    floor_energy = (np.abs(joint.gain[cols]) * cov.d[cols]).max() * book.q_floor.max()
-    part = np.einsum("ij,j,ij->i", coefs[:, cols], joint.gain[cols], coefs[:, cols])
-    assert 0.1 * floor_energy < part.max() <= floor_energy * (1.0 + (n + 6) * np.finfo(float).eps)
+    eps = np.finfo(float).eps
+    Hd = build_Hc(example_spec, n).dense()
+    U = assemble(cov.halves)
+    XF = floors(book, slice(None))
+    h = sum(abs(c) for c in example_spec.c)
+    omega = cov.halves.orth_defect + n * n * eps
+    mu, nu = math.sqrt(1.0 + omega), math.sqrt(n * (1.0 + omega))
+    tilt = FLOOR_REPROJECT * (omega * mu + 2.0 * eps * (n * nu + FOLD_ULPS * mu)) + 2.0 * mu * eps
+    s_sq = cov.lam_max * float(book.q.max()) * (1.0 + (n + 6) * eps)
+    f_sq = POWER_FLOOR * float(book.q_floor.max()) * (1.0 + (n + 6) * eps)
+    cross_cap = 2.0 * math.sqrt(s_sq * f_sq) * (float(np.abs(joint.gain).max()) * tilt + joint.resid)
+    with mpmath.workdps(40):
+        mp = np.vectorize(mpmath.mpf, otypes=[object])
+        Hm, Um = mp(Hd), mp(U)
+        for i in range(book.size):
+            a_s = Hm @ (Um @ mp(book.S[i]))
+            a_f = Hm @ mp(XF[i])
+            floor_energy = a_f @ a_f
+            cross = 2 * (a_s @ a_f)
+            assert floor_energy <= h * h * f_sq
+            assert abs(cross) <= cross_cap
+            assert abs(a_s @ a_s + cross + floor_energy - mpmath.mpf(ctx.energy[i])) <= ctx.energy_err
     assert np.array_equal(ctx.base, ctx.energy + book.q)
 
 
@@ -424,96 +488,84 @@ def test_near_threshold_pair_follows_direct_form(example_spec, monkeypatch):
             params = TypicalParams(epsilon=10.0, eta=eta)
             assert _pass_mask(y[None], params, ctx)[0, 0] == (dev0 < eta)
             with monkeypatch.context() as mp:
-                mp.setattr(decoder_mod, "_guard_band", lambda ctx, y_sq, zf_sq: np.zeros_like(y_sq))
+                mp.setattr(decoder_mod, "_guard_band", lambda ctx, y_sq, b_sq: np.zeros_like(y_sq))
                 wrong += _pass_mask(y[None], params, ctx)[0, 0] != (dev0 < eta)
     assert wrong > 0
 
 
 def test_floor_band_pair_follows_direct_form(example_spec, monkeypatch):
-    """At -10 dBW water-filling leaves the head of each half at the power
-    floor, and the score skips those columns.  With ``eta`` halfway
+    """At -10 dBW water-filling leaves part of the spectrum at the power
+    floor, and the score reads only the support.  With ``eta`` halfway
     between a pair's direct-form deviation and its deviation short of the
-    floor columns' term ``2 s_f.z_f / (n + m)`` (about 1e-7 here), the
-    tail GEMMs land on the wrong side, outside the band without the floor
-    term (about 1e-12) but inside the band with it: the pass mask follows
-    the direct form, and stops doing so once the floor term is dropped."""
+    floor's term ``2 x_f.(Hc'y) / (n + m)`` (about 1e-7 here), the GEMMs
+    land on the wrong side, outside the band without the floor term (about
+    1e-12) but inside the band with it: the pass mask follows the direct
+    form, and stops doing so once the floor term is dropped."""
     n, seed = 32, 3
     cov = build_sigma(example_spec, n, dbw_to_watts(-10.0))
     book = gen_codebook(cov, 4 / n, seed)
     joint = build_joint(cov, build_Hc(example_spec, n))
     ctx = prepare_context(book, joint)
-    m, r = joint.m, n - n // 2
-    fs, fk = cov.floor
-    assert fs > 0 and fk > 0 and cov.d_floor == POWER_FLOOR
-    floor = np.zeros(n, dtype=bool)
-    floor[:fs] = floor[r:r + fk] = True
-    U, Hd = assemble(cov.halves), build_Hc(example_spec, n).dense()
+    m = joint.m
+    assert cov.floor_dim > 0 and cov.lam_min == POWER_FLOOR
+    Hd = build_Hc(example_spec, n).dense()
     a0 = _band_apply(joint.hc, book.words([0]), np.zeros((1, m)))[0]
+    x_f = floors(book, [0])[0]
     band = decoder_mod._guard_band
     rng = np.random.default_rng(seed)
     for _ in range(8):
         y = a0 + rng.standard_normal(m)
         diff = a0 - y
         w = (book.q[0] + diff @ diff) / (n + m)
-        z_f = (U.T @ (Hd.T @ y))[floor]
-        w_tail = w + 2.0 * (book.coefficients([0])[0][floor] @ z_f) / (n + m)
+        b = Hd.T @ y
+        w_tail = w + 2.0 * (x_f @ b) / (n + m)
         dev, dev_tail = abs(w - 1.0), abs(w_tail - 1.0)
         eta = 0.5 * (dev + dev_tail)
         y_sq = np.array([y @ y])
         assert band(ctx, y_sq, np.zeros(1))[0] < abs(dev_tail - eta)
-        assert abs(dev_tail - eta) <= band(ctx, y_sq, np.array([z_f @ z_f]))[0]
+        assert abs(dev_tail - eta) <= band(ctx, y_sq, np.array([b @ b]))[0]
         params = TypicalParams(epsilon=10.0, eta=eta)
         assert _pass_mask(y[None], params, ctx)[0, 0] == (dev < eta)
         with monkeypatch.context() as mp:
             mp.setattr(decoder_mod, "_guard_band",
-                       lambda ctx, y_sq, zf_sq: band(ctx, y_sq, np.zeros_like(zf_sq)))
+                       lambda ctx, y_sq, b_sq: band(ctx, y_sq, np.zeros_like(b_sq)))
             assert _pass_mask(y[None], params, ctx)[0, 0] == (dev_tail < eta) != (dev < eta)
 
 
 def _split_case(example_spec, n, case):
-    """A covariance on the Gram eigenbasis (10 dBW, no floor column) with
-    its spectrum edited, and the floor prefixes it should give."""
-    base = build_sigma(example_spec, n, dbw_to_watts(10.0))
-    d, r = base.d.copy(), n - n // 2
-    if case == "no_floor":
-        want = (0, 0)
-    elif case == "one_half":  # the whole J-skew half, none of the other
-        d[r:] = POWER_FLOOR
-        want = (0, n // 2)
-    elif case == "not_ascending":
-        # A descending floor prefix, a floor entry past it, and a half
-        # whose head is above the floor.
-        d[:3] = [POWER_FLOOR, 0.5 * POWER_FLOOR, 0.1 * POWER_FLOOR]
-        d[5] = POWER_FLOOR
-        d[r], d[r + 1] = 2.0, POWER_FLOOR
-        want = (3, 0)
-    else:  # every column at the floor
-        d[:] = POWER_FLOOR
-        want = (r, n // 2)
-    return CovarianceSpec(n=n, d=d, halves=base.halves), want
+    """A covariance on columns of the Gram eigenbasis (10 dBW, where every
+    column gets power), with those of ``case`` moved to the floor, and the
+    support width it should hold."""
+    lam, vectors = gram_eigh(example_spec, n)
+    d, _ = waterfill_powers(lam, n * dbw_to_watts(10.0), POWER_FLOOR)
+    assert d.min() > POWER_FLOOR
+    r = n - n // 2
+    keep = np.ones(n, dtype=bool)
+    if case == "one_half":  # the whole J-skew half, none of the other
+        keep[r:] = False
+    elif case == "all_floor":
+        keep[:] = False
+    cov = CovarianceSpec(n=n, d=d[keep], halves=HalfBasis.from_eigh(vectors, keep))
+    return cov, int(keep.sum())
 
 
-@pytest.mark.parametrize("case", ["no_floor", "one_half", "not_ascending", "all_floor"])
+@pytest.mark.parametrize("case", ["no_floor", "one_half", "all_floor"])
 def test_support_split_matches_full_width_score(example_spec, case):
-    """The floor prefixes of each half are the longest runs of ``d <=
-    POWER_FLOOR`` at its head, whatever the order of ``d``, with
-    ``d_floor`` their largest ``d``, and the codebook stores the other
-    columns; the pass mask equals the direct rule scored over all n columns
-    of the full coefficient rows, densely (the assembled basis and channel
-    matrix), on every pair clear of ``eta`` by 1e-9, with thresholds that
-    split the pairs."""
+    """Covariances that hold every column, one half, or none: the codebook
+    stores the support, and the pass mask equals the direct rule on the
+    words ``U s + x_f``, scored densely (the assembled columns, the built
+    floors and the dense channel matrix), on every pair clear of ``eta`` by
+    1e-9, with thresholds that split the pairs."""
     n, size, T = 24, 64, 20
-    cov, want = _split_case(example_spec, n, case)
+    cov, width = _split_case(example_spec, n, case)
     book = gen_codebook(cov, 0.25, 4)
     joint = build_joint(cov, build_Hc(example_spec, n))
     ctx = prepare_context(book, joint)
-    r = n - n // 2
-    assert cov.floor == want
-    skipped = np.concatenate([cov.d[:want[0]], cov.d[r:r + want[1]]])
-    assert cov.d_floor == (skipped.max() if skipped.size else 0.0)
-    assert book.S.shape == (size, n - sum(want))
+    assert cov.halves.width == width and cov.floor_dim == n - width
+    assert book.S.shape == (size, width)
     rng = np.random.default_rng(5)
-    A = book.coefficients(slice(None)) @ assemble(cov.halves).T @ build_Hc(example_spec, n).dense().T
+    X = book.S @ assemble(cov.halves).T + floors(book, slice(None))
+    A = X @ build_Hc(example_spec, n).dense().T
     Y = A[rng.integers(size, size=T)] + rng.standard_normal((T, joint.m))
     W = (book.q[:, None] + ((A[:, None, :] - Y[None]) ** 2).sum(axis=-1)) / (n + joint.m)
     dev = np.sort(np.abs(W - 1.0), axis=None)
@@ -754,7 +806,7 @@ def test_experiment_counts_match_one_cell_loop(example_spec, law):
 def test_decode_matches_exact_rational_oracle(example_spec, p_dbw):
     """At n = 4, ``decode`` and the pass mask give the decisions of the
     joint test evaluated exactly, in rationals, on the dense Xi, for the
-    exact codewords ``U s`` of the coefficients.  At 130 and 400 dBW the
+    exact codewords ``U s + x_f`` of the coefficients and the built floors.  At 130 and 400 dBW the
     dense Xi is so ill-conditioned that a floating-point log-determinant of
     it misses ``log det Sigma``; the decoder never forms Xi and its
     decisions stay exact.
@@ -765,7 +817,7 @@ def test_decode_matches_exact_rational_oracle(example_spec, p_dbw):
     through a drawn and through the centre channel.  Pairs whose exact
     joint deviation lies within the guard band of ``eta`` are not
     compared, except the crafted ones, which lie outside it unless the
-    floor columns' term widens it (at -10 dBW); the input test has no
+    floor's term widens it (at -10 dBW); the input test has no
     guard band, and its rounding error here stays below 1e-9."""
     n, seed = 4, 7
     P = dbw_to_watts(p_dbw)
@@ -775,11 +827,11 @@ def test_decode_matches_exact_rational_oracle(example_spec, p_dbw):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(n)
     g *= np.sqrt(n) / np.linalg.norm(g)
-    sup, cols = cov.support, cov.floor_columns
+    w = cov.d.size
     book = Codebook(
-        n=n, R=1.0, size=drawn.size + 1, S=np.vstack([drawn.S, np.sqrt(cov.d[sup]) * g[sup]]),
+        n=n, R=1.0, size=drawn.size + 1, S=np.vstack([drawn.S, np.sqrt(cov.d) * g[:w]]),
         q=np.append(drawn.q, float(n)), cov=cov,
-        q_floor=np.append(drawn.q_floor, g[cols] @ g[cols]), seed=seed,
+        q_floor=np.append(drawn.q_floor, g[w:] @ g[w:]), seed=seed,
     )
     Hc = build_Hc(example_spec, n)
     joint = build_joint(cov, Hc)
@@ -803,21 +855,21 @@ def test_decode_matches_exact_rational_oracle(example_spec, p_dbw):
     Y = np.stack(ys)
     fr = np.vectorize(Fraction, otypes=[object])
     U = assemble(cov.halves)
-    exact_words = fr(book.coefficients(slice(None))) @ fr(U).T
-    x_stat, w_stat = exact_joint_statistics(exact_words, Y, cov.d, U, example_spec.c)
+    exact_words = fr(book.S) @ fr(U).T + fr(floors(book, slice(None)))
+    x_stat, w_stat = exact_joint_statistics(exact_words, Y, cov.d, U, example_spec.c, POWER_FLOOR)
     eps, eta = Fraction(params.epsilon), Fraction(params.eta)
     x_dev = [abs(x - 1) for x in x_stat]
     w_dev = [[abs(w - 1) for w in row] for row in w_stat]
     exact = np.array([[x_dev[i] < eps and w < eta for w in w_dev[i]] for i in range(book.size)])
-    band = _guard_band(ctx, np.einsum("ij,ij->i", Y, Y), _floor_sq(ctx, Y))
+    band = _guard_band(ctx, np.einsum("ij,ij->i", Y, Y), _adjoint_sq(ctx, Y))
     clear = np.array([
         [abs(x_dev[i] - eps) > 1e-9 and abs(w - eta) > band[t] for t, w in enumerate(w_dev[i])]
         for i in range(book.size)
     ])
     assert len(crafted) >= 2
     for t, inside in crafted.items():
-        # At -10 dBW the floor columns' term widens the band past them.
-        assert clear[-1, t] == (cov.d_floor == 0.0) and exact[-1, t] == inside
+        # At -10 dBW the floor's term widens the band past them.
+        assert clear[-1, t] == (cov.floor_dim == 0) and exact[-1, t] == inside
     assert clear.mean() >= 0.9
     mask = _pass_mask(Y, params, ctx)
     assert np.array_equal(mask[clear], exact[clear])

@@ -17,7 +17,7 @@ from isicap import (
 from isicap.errors import SpectrumSingular
 from isicap.spectrum import FOLD_ULPS, SIGN_TIE_REL, HalfBasis, _f_sq, f_sq_table, simpson_mean
 
-from bases import assemble, random_halves, standard_halves
+from bases import assemble, eigenbasis, random_halves, standard_halves
 from oracles import dense_gram, f_sq_direct, spectrum_extrema_oracle
 from reference_values import ALPHA_EXAMPLE, BETA_EXAMPLE, J_EXAMPLE
 
@@ -251,7 +251,7 @@ def test_gram_matches_product(example_spec):
     for n in (17, 18):
         Hc = build_Hc(example_spec, n).dense()
         assert np.abs(dense_gram(example_spec.c, n) - Hc.T @ Hc).max() <= 1e-12
-        lam, halves = gram_eigh(example_spec, n)
+        lam, halves = eigenbasis(example_spec, n)
         U = assemble(halves)
         assert np.abs((U * lam) @ U.T - Hc.T @ Hc).max() <= 1e-12
 
@@ -311,7 +311,7 @@ def test_gram_eigh_matches_dense_gram(n, k):
     sine eigenvectors have exactly tied entries of opposite sign."""
     spec = _gram_eigh_spec(k)
     G = dense_gram(spec.c, n)
-    lam, halves = gram_eigh(spec, n)
+    lam, halves = eigenbasis(spec, n)
     U = assemble(halves)
     h = n // 2
     tol = GRAM_EIGH_ULPS * n * np.finfo(float).eps * np.abs(G).sum(axis=0).max()
@@ -355,23 +355,34 @@ def test_half_basis_apply_and_adjoint_match_assembled(n):
     assembled ``U``."""
     eps = np.finfo(float).eps
     rng = np.random.default_rng(n)
-    for halves in (gram_eigh(_gram_eigh_spec(3), n)[1], random_halves(n, n)):
+    for halves in (eigenbasis(_gram_eigh_spec(3), n)[1], random_halves(n, n), _tall(n)):
         U = assemble(halves)
-        S = rng.standard_normal((9, n))
-        tol = 2.0 * (n * math.sqrt(n) + FOLD_ULPS + 1.0) * eps * np.linalg.norm(S, axis=1)
-        assert np.all(np.linalg.norm(halves.apply(S) - S @ U.T, axis=1) <= tol)
-        assert np.all(np.linalg.norm(halves.adjoint(S) - S @ U, axis=1) <= tol)
+        s = halves.width
+        assert U.shape == (n, s)
+        S, V = rng.standard_normal((9, s)), rng.standard_normal((9, n))
+        for got, want, norm in ((halves.apply(S), S @ U.T, S), (halves.adjoint(V), V @ U, V)):
+            tol = 2.0 * (n * math.sqrt(n) + FOLD_ULPS + 1.0) * eps * np.linalg.norm(norm, axis=1)
+            assert got.shape == want.shape
+            assert np.all(np.linalg.norm(got - want, axis=1) <= tol)
         assert halves.orth_defect == pytest.approx(
-            np.linalg.norm(U.T @ U - np.eye(n)), abs=4 * n * eps
+            np.linalg.norm(U.T @ U - np.eye(s)), abs=4 * n * eps
         )
+
+
+def _tall(n):
+    """Tall half bases: the Gram eigenbasis without its first column and
+    every third column after it (an empty half at n = 1 and 2)."""
+    lam, vectors = gram_eigh(_gram_eigh_spec(3), n)
+    keep = np.arange(n) % 3 != 0
+    return HalfBasis.from_eigh(vectors, keep)
 
 
 def _exact_basis(halves):
     """The ``U`` of ``halves`` as an mpmath matrix, from the documented
     columns with the exact ``1/sqrt(2)`` at the working precision."""
-    n, h = halves.n, len(halves.skew)
+    n, h, ss = halves.n, len(halves.skew), halves.sym.shape[1]
     r = 1 / mpmath.sqrt(2)
-    U = mpmath.matrix(n, n)
+    U = mpmath.matrix(n, max(halves.width, 1))
     for j, z in enumerate(halves.sym.T):
         for i in range(h):
             U[i, j] = U[n - 1 - i, j] = mpmath.mpf(z[i]) * r
@@ -379,8 +390,8 @@ def _exact_basis(halves):
             U[h, j] = mpmath.mpf(z[h])
     for j, w in enumerate(halves.skew.T):
         for i in range(h):
-            U[i, n - h + j] = mpmath.mpf(w[i]) * r
-            U[n - 1 - i, n - h + j] = -mpmath.mpf(w[i]) * r
+            U[i, ss + j] = mpmath.mpf(w[i]) * r
+            U[n - 1 - i, ss + j] = -mpmath.mpf(w[i]) * r
     return U
 
 
@@ -389,8 +400,9 @@ def test_gram_fit_bounds_the_exact_residual(n):
     """``gram_fit``'s gains are ``u_j'G u_j`` of the ``U`` the halves stand
     for, to ``4 n eps ||G||_1``, and its residual bounds the exact ``||GU -
     U diag(gain)||_F`` from above, both evaluated in 40-digit arithmetic
-    on the exact ``U`` and ``G``, for the Gram eigenbasis (rounding-sized
-    residual) and for random half bases (a residual of order one)."""
+    on the exact ``U`` and ``G``, for the Gram eigenbasis and tall columns
+    of it (rounding-sized residual) and for random half bases (a residual
+    of order one)."""
     spec = _gram_eigh_spec(3)
     G1 = np.abs(dense_gram(spec.c, n)).sum(axis=0).max()
     with mpmath.workdps(40):
@@ -401,31 +413,35 @@ def test_gram_fit_bounds_the_exact_residual(n):
             for j in range(n):
                 if abs(i - j) < len(t):
                     G[i, j] = t[abs(i - j)]
-        for halves in (gram_eigh(spec, n)[1], random_halves(n, n)):
+        for halves in (eigenbasis(spec, n)[1], random_halves(n, n), _tall(n)):
             gain, resid = halves.gram_fit(spec.c)
             U = _exact_basis(halves)
+            s = halves.width
             GU = G * U
-            exact_gain = [mpmath.fsum(U[i, j] * GU[i, j] for i in range(n)) for j in range(n)]
-            assert max(abs(float(g - e)) for g, e in zip(gain, exact_gain)) <= (
+            exact_gain = [mpmath.fsum(U[i, j] * GU[i, j] for i in range(n)) for j in range(s)]
+            assert max((abs(float(g - e)) for g, e in zip(gain, exact_gain)), default=0.0) <= (
                 4 * n * np.finfo(float).eps * G1
             )
             exact = mpmath.sqrt(mpmath.fsum(
-                (GU[i, j] - U[i, j] * mpmath.mpf(gain[j])) ** 2 for i in range(n) for j in range(n)
+                (GU[i, j] - U[i, j] * mpmath.mpf(gain[j])) ** 2 for i in range(n) for j in range(s)
             ))
             assert resid >= exact
 
 
 def test_half_basis_refuses_unpaired_halves():
-    """The symmetric half has order ``n - n // 2`` and the skew half ``n //
-    2``, so their orders differ by 0 or 1; any other pair, or a half that
-    is not square, stands for no basis."""
+    """The symmetric half has ``n - n // 2`` rows and the skew half ``n //
+    2``, so their row counts differ by 0 or 1, and orthonormal columns are
+    no more than rows; any other pair, or a half that is not a matrix,
+    stands for no basis.  Tall halves, or an empty one, are held."""
     for sym, skew in ((np.eye(1), np.eye(2)), (np.eye(3), np.eye(1)), (np.eye(2), np.eye(0)),
-                      (np.eye(2)[:, :1], np.eye(1)), (np.eye(2), np.ones(1))):
+                      (np.eye(2), np.eye(2, 3)), (np.eye(1, 2), np.eye(1)), (np.eye(2), np.ones(1))):
         with pytest.raises(ValueError, match="shapes"):
             HalfBasis(sym=sym, skew=skew)
     for order in range(1, 6):
         h = order // 2
         assert HalfBasis(sym=np.eye(order - h), skew=np.eye(h)).n == order
+        tall = HalfBasis(sym=np.eye(order - h)[:, 1:], skew=np.eye(h)[:, :0])
+        assert (tall.n, tall.width) == (order, order - h - 1)
 
 
 # 1/sqrt(2) to 40 digits, as an exact rational.

@@ -19,11 +19,10 @@ from isicap import (
     qcqp_min,
     run_all_suites,
     run_suite,
-    typical_volume,
     verify_report,
 )
 from isicap import verify
-from isicap.verify import _SUITES, _band_op_norm, _sample_banded, _suite_rng, holds
+from isicap.verify import _SUITES, _band_op_norm, _sample_banded, _shell_volume, _suite_rng, holds
 
 from oracles import dense_check_oracle, shell_min_oracle
 
@@ -127,42 +126,57 @@ def test_qcqp_matches_descent_oracle():
 
 
 def test_volume_1d_closed_form():
-    s = 2.5
+    """The shell of order 1 is two intervals, of total length ``2
+    (sqrt(1 + eta) - sqrt(1 - eta))``, or one of length ``2 sqrt(1 + eta)``
+    once ``eta >= 1`` leaves no inner ball."""
     for eta in (0.3, 0.8):
-        res = typical_volume(np.array([[s]]), eta)
-        exact = 2.0 * (math.sqrt(s * (1 + eta)) - math.sqrt(s * (1 - eta)))
+        res = _shell_volume(1, eta)
+        exact = 2.0 * (math.sqrt(1 + eta) - math.sqrt(1 - eta))
         assert res.log2_exact == pytest.approx(math.log2(exact), rel=1e-12)
-    res = typical_volume(np.array([[s]]), 1.5)  # inner ellipsoid vanishes
-    assert res.log2_exact == pytest.approx(math.log2(2.0 * math.sqrt(2.5 * s)), rel=1e-12)
+    res = _shell_volume(1, 1.5)  # inner ball vanishes
+    assert res.log2_exact == pytest.approx(math.log2(2.0 * math.sqrt(2.5)), rel=1e-12)
 
 
 def test_volume_2d_closed_form():
+    """The shell of order 2 is an annulus of area ``pi (2 (1 + eta) - 2 (1 -
+    eta))``."""
     for eta in (0.2, 0.9):
-        res = typical_volume(np.eye(2), eta)
+        res = _shell_volume(2, eta)
         assert res.log2_exact == pytest.approx(math.log2(4.0 * math.pi * eta), rel=1e-12)
 
 
 def test_volume_sandwich_above_one():
-    rng = np.random.default_rng(3)
-    sigma = _spd(rng, 12)
-    res = typical_volume(sigma, 1.4)
+    res = _shell_volume(12, 1.4)
     assert res.log2_lower <= res.log2_exact <= res.log2_upper
 
 
 def test_volume_upper_bound_always():
-    rng = np.random.default_rng(4)
-    for eta in (0.1, 0.6, 2.0):
-        res = typical_volume(_spd(rng, 8), eta)
-        assert res.log2_exact <= res.log2_upper + 1e-12
+    for n in (1, 8, 50):
+        for eta in (0.1, 0.6, 2.0):
+            res = _shell_volume(n, eta)
+            assert res.log2_exact <= res.log2_upper + 1e-12
 
 
-def test_volume_validation():
-    with pytest.raises(ValueError):
-        typical_volume(np.eye(3), 0.0)
-    with pytest.raises(ValueError):
-        typical_volume(np.zeros((2, 3)), 0.5)
-    with pytest.raises(ValueError):
-        typical_volume(np.diag([1.0, -1.0]), 0.5)
+def test_volume_suite_draws_n_and_eta_only():
+    """The volume suite's instance is ``(n, eta)``, with ``n`` in ``[1,
+    min(n_max, 50)]``, and ``eta`` positive."""
+    idx = SUITE_NAMES.index("shell_volume_bounds")
+    _, instance, _ = _SUITES[idx]
+    for i in range(12):
+        n, eta = instance(_suite_rng(1, idx, i), i, 32)
+        assert 1 <= n <= 32 and eta > 0.0
+
+
+def test_shell_floor_draws_a_shell_that_exists():
+    """``eta'`` is drawn from [0, 1), where the shell has a positive radius,
+    so every sample's minimum is positive and its floor checks something."""
+    idx = SUITE_NAMES.index("shell_minimum_floor")
+    _, instance, check = _SUITES[idx]
+    for i in range(20):
+        inst = instance(_suite_rng(1, idx, i), i, 16)
+        assert 0.0 <= inst[-1] < 1.0
+        margin, ok = check(inst)
+        assert ok and margin > 0.0
 
 
 def test_converse_power_guard():
