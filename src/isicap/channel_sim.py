@@ -179,20 +179,21 @@ def check_law(spec: ChannelSpec, law: ChannelLaw) -> None:
 
 def _draw_rows(m: int, law: ChannelLaw) -> int:
     """Rows of ``k + 1`` uniforms one trial draws for ``m`` outputs."""
-    return m if law.kind == "iid_uniform" else math.ceil(m / law.block_len)
+    return m if law.kind == "iid_uniform" else -(-m // law.block_len)
 
 
 def _taps_from(u: np.ndarray, spec: ChannelSpec, law: ChannelLaw, m: int) -> np.ndarray:
     """Taps from draws ``u`` of ``random()``, shape ``(..., rows, k + 1)``,
     mapped in place to ``c + (2u - 1) r``: bitwise what ``c + r *
     uniform(-1, 1)`` gives.  Under block_hold each row then covers
-    ``block_len`` outputs."""
+    ``block_len`` outputs, so a block longer than the ``m`` outputs is one
+    row repeated ``m`` times."""
     u *= 2.0
     u -= 1.0
     u *= spec.r
     u += spec.c
     if law.kind == "block_hold":
-        u = np.repeat(u, law.block_len, axis=-2)[..., :m, :]
+        u = np.repeat(u, min(law.block_len, m), axis=-2)[..., :m, :]
     return u
 
 
@@ -426,6 +427,10 @@ def codebook_size(n: int, R: float) -> int:
     rate is refused."""
     if not math.isfinite(R) or R < 0.0:
         raise ValueError(f"rate must be finite and non-negative, got {R!r}")
+    if not math.isfinite(n * R):
+        raise CodebookTooLarge(
+            f"2**ceil({n} * {R!r}) codewords exceed the exhaustive-decoding cap 2**{MAX_CODEBOOK_BITS}"
+        )
     bits = math.ceil(n * R - 1e-12)
     if bits > MAX_CODEBOOK_BITS:
         raise CodebookTooLarge(

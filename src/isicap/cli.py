@@ -1,17 +1,18 @@
-"""Command-line surface.
+"""Capacity bounds and decoding experiments for interval ISI channels.
 
-Subcommands:
+Commands:
 
     bounds    per-power bound table (CSV)
-    figure1   radius-sweep of the closed-form gap terms (CSV)
+    figure1   radius sweep of the closed-form gap terms (CSV)
     figure2   capacity/saturation sweep (CSV)
     simulate  decoder error-rate experiments (CSV)
     verify    randomized matrix-fact certificates (JSON)
 
-A JSON config file supplies the channel and sweep parameters; flags override
-the config.  Outputs are deterministic byte-for-byte for a fixed config and
-seed.  Exit codes: 0 success, 2 unusable config or arguments, 3 no
-applicable rows, 4 verification found violations.
+A JSON config file supplies the channel and sweep parameters; flags, which
+may come before or after the command, override the config.  Outputs are
+deterministic byte-for-byte for a fixed config and seed.  Exit codes: 0
+success, 2 unusable config or arguments, 3 no applicable rows, 4
+verification found violations.
 """
 
 from __future__ import annotations
@@ -42,13 +43,6 @@ FLAG_NEAR_PSAT = "near_psat"
 FLAG_INAPPLICABLE = "bound_inapplicable"
 NEAR_PSAT_DBW = 0.5
 
-_SCHEMAS = {
-    "bounds": "#schema=isicap.bounds.v1",
-    "figure1": "#schema=isicap.figure1.v1",
-    "figure2": "#schema=isicap.figure2.v1",
-    "simulate": "#schema=isicap.simulate.v1",
-}
-
 _DEFAULTS = {
     "channel": {"k": 2, "c": [1.0, 0.5, 0.5], "r": [1e-3, 1e-3, 1e-3]},
     "grid_size": DEFAULT_GRID,
@@ -69,11 +63,13 @@ _DEFAULTS = {
 
 @dataclass
 class RunConfig:
+    command: str
     spec: ChannelSpec
     grid_size: int
     seed: int
     threads: int
     out: Optional[str]
+    grid: Optional[str]  # --grid, for the three sweeps only
     sections: dict
 
 
@@ -114,6 +110,14 @@ def _numbers(value, field: str, integer: bool = False) -> list:
     return [_number(v, f"{field}[{i}]", integer) for i, v in enumerate(value)]
 
 
+def _object(value, field: str) -> dict:
+    """A config section, which must be a JSON object; anything else raises
+    ``ConfigError`` naming ``field``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{field} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
 def _grid_from(value, field: str) -> list[float]:
     if isinstance(value, str):
         return parse_grid(value)
@@ -135,6 +139,8 @@ def _law_from(obj: dict, spec: ChannelSpec) -> ChannelLaw:
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
+    if args.grid is not None and args.command in ("simulate", "verify"):
+        raise ConfigError(f"--grid applies to bounds, figure1 and figure2, not {args.command}")
     merged = json.loads(json.dumps(_DEFAULTS))  # deep copy
     if args.config is not None:
         try:
@@ -151,9 +157,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                 merged[key].update(value)
             else:
                 merged[key] = value
-    channel = merged["channel"]
-    if not isinstance(channel, dict):
-        raise ConfigError(f"channel must be a JSON object, got {json.dumps(channel)}")
+    channel = _object(merged["channel"], "channel")
+    # the command's own section is checked; the others are ignored, as unknown keys are
+    _object(merged[args.command], args.command)
     k = _number(channel["k"], "channel.k", integer=True)
     c, r = (_numbers(channel[key], f"channel.{key}") for key in ("c", "r"))
     try:
@@ -164,11 +170,13 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if args.seed < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     return RunConfig(
+        command=args.command,
         spec=spec,
         grid_size=grid_size,
         seed=int(args.seed),
         threads=max(1, int(args.threads)),
         out=args.out,
+        grid=args.grid,
         sections=merged,
     )
 
@@ -196,10 +204,10 @@ def _emit(out: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-def _write_csv(out: Optional[str], schema: str, header: Sequence[str], columns) -> None:
-    lines = [schema, ",".join(header)]
+def _write_csv(cfg: RunConfig, header: Sequence[str], columns) -> None:
+    lines = [f"#schema=isicap.{cfg.command}.v1", ",".join(header)]
     lines.extend(",".join(row) for row in zip(*columns))
-    _emit(out, "\n".join(lines) + "\n")
+    _emit(cfg.out, "\n".join(lines) + "\n")
 
 
 BOUNDS_HEADER = (
@@ -233,11 +241,11 @@ def _flag_exit(ok: np.ndarray) -> int:
     return EXIT_OK
 
 
-def _power_sweep(cfg: RunConfig, args: argparse.Namespace, command: str, header) -> int:
+def _power_sweep(cfg: RunConfig, header) -> int:
     """``bounds`` or ``figure2``: the ``header`` columns over the power grid
     (dBW) from one ``bound_grid`` pass.  A flagged row keeps only its
     powers and ``C0``."""
-    grid = _grid_from(args.grid if args.grid else cfg.sections[command]["p_dbw"], f"{command}.p_dbw")
+    grid = _grid_from(cfg.grid or cfg.sections[cfg.command]["p_dbw"], f"{cfg.command}.p_dbw")
     if not grid:
         raise ConfigError("empty power grid")
     p_w = np.array([dbw_to_watts(p) for p in grid])
@@ -260,12 +268,8 @@ def _power_sweep(cfg: RunConfig, args: argparse.Namespace, command: str, header)
         "Psat_W": (g.P_sat, ok),
         "flag": (flags, None),
     }
-    _write_csv(cfg.out, _SCHEMAS[command], header, [_cells(*columns[name]) for name in header])
+    _write_csv(cfg, header, [_cells(*columns[name]) for name in header])
     return _flag_exit(ok)
-
-
-def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
-    return _power_sweep(cfg, args, "bounds", BOUNDS_HEADER)
 
 
 FIGURE1_HEADER = ("r_s", "P_dBW", "bound", "term1", "term2", "term3", "P_W", "flag")
@@ -283,10 +287,10 @@ def _radius_sum(v: float, field: str) -> float:
     return rs
 
 
-def cmd_figure1(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_figure1(cfg: RunConfig) -> int:
     section = cfg.sections["figure1"]
-    if args.grid:
-        field, logs = "--grid", parse_grid(args.grid)
+    if cfg.grid:
+        field, logs = "--grid", parse_grid(cfg.grid)
     else:
         field, logs = "figure1.rs_log10", _grid_from(section["rs_log10"], "figure1.rs_log10")
     rs_values = [_radius_sum(v, field) for v in logs]
@@ -306,15 +310,11 @@ def cmd_figure1(cfg: RunConfig, args: argparse.Namespace) -> int:
         (t1, ok), (t2, ok), (t3, ok), (np.repeat(p_w, each), None),
         (np.where(ok, "", FLAG_INAPPLICABLE), None),
     ]
-    _write_csv(cfg.out, _SCHEMAS["figure1"], FIGURE1_HEADER, [_cells(*c) for c in columns])
+    _write_csv(cfg, FIGURE1_HEADER, [_cells(*c) for c in columns])
     return _flag_exit(ok)
 
 
 FIGURE2_HEADER = ("P_dBW", "C0", "C_LB1", "C_LB2", "P_W", "flag")
-
-
-def cmd_figure2(cfg: RunConfig, args: argparse.Namespace) -> int:
-    return _power_sweep(cfg, args, "figure2", FIGURE2_HEADER)
 
 
 SIMULATE_HEADER = (
@@ -331,7 +331,7 @@ SIMULATE_HEADER = (
 )
 
 
-def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_simulate(cfg: RunConfig) -> int:
     section = cfg.sections["simulate"]
     n_list = _numbers(section["n_list"], "simulate.n_list", integer=True)
     if not n_list:
@@ -339,7 +339,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     p_dbw = _number(section["p_dbw"], "simulate.p_dbw")
     p_w = dbw_to_watts(p_dbw)
     trials = _number(section["trials"], "simulate.trials", integer=True)
-    law = _law_from(section.get("law", {}), cfg.spec)
+    law = _law_from(_object(section.get("law", {}), "simulate.law"), cfg.spec)
     if section.get("rate_bits") is not None:
         rate = _number(section["rate_bits"], "simulate.rate_bits")
     else:
@@ -369,11 +369,11 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
             (n, rate, p_dbw, trials, res.type1, res.type2, res.success,
              res.wilson_lo, res.wilson_hi, p_w)
         )
-    _write_csv(cfg.out, _SCHEMAS["simulate"], SIMULATE_HEADER, [_cells(col) for col in zip(*rows)])
+    _write_csv(cfg, SIMULATE_HEADER, [_cells(col) for col in zip(*rows)])
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_verify(cfg: RunConfig) -> int:
     section = cfg.sections["verify"]
     report = verify_report(
         samples=_number(section["samples"], "verify.samples", integer=True),
@@ -386,50 +386,43 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "bounds": lambda cfg: _power_sweep(cfg, BOUNDS_HEADER),
+    "figure1": cmd_figure1,
+    "figure2": lambda cfg: _power_sweep(cfg, FIGURE2_HEADER),
+    "simulate": cmd_simulate,
+    "verify": cmd_verify,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="isicap",
-        description="Capacity bounds and decoding experiments for interval ISI channels.",
+        prog="isicap", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "bounds": (cmd_bounds, "per-power bound table (CSV)", True),
-        "figure1": (cmd_figure1, "radius sweep of the gap terms (CSV)", True),
-        "figure2": (cmd_figure2, "capacity saturation sweep (CSV)", True),
-        "simulate": (cmd_simulate, "decoder error-rate experiment (CSV)", False),
-        "verify": (cmd_verify, "randomized matrix-fact certificates (JSON)", False),
-    }
-    for name, (fn, help_text, has_grid) in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=os.cpu_count() or 1,
-            help="worker threads for simulate (default: all cores); the other "
-            "subcommands accept it and run on one thread",
-        )
-        if has_grid:
-            p.add_argument(
-                "--grid",
-                default=None,
-                help="sweep override: start:stop:count or comma list "
-                "(dBW; log10 radius sum for figure1)",
-            )
-        p.set_defaults(func=fn)
-        if not has_grid:
-            p.set_defaults(grid=None)
+    parser.add_argument("command", choices=_COMMANDS, metavar="command")
+    parser.add_argument("--config", default=None, help="JSON config file")
+    parser.add_argument("--out", default=None, help="output path (default stdout)")
+    parser.add_argument("--seed", type=int, default=0, help="master seed")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=os.cpu_count() or 1,
+        help="worker threads for simulate (default: all cores); the other "
+        "commands accept it and run on one thread",
+    )
+    parser.add_argument(
+        "--grid",
+        default=None,
+        help="sweep override for bounds, figure1 and figure2: start:stop:count "
+        "or comma list (dBW; log10 radius sum for figure1)",
+    )
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
-        return args.func(cfg, args)
+        return _COMMANDS[args.command](load_config(args))
     except (IsicapError, ValueError, OSError) as exc:
         print(f"isicap: {exc}", file=sys.stderr)
         return EXIT_CONFIG

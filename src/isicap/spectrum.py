@@ -114,9 +114,6 @@ class ChannelSpec:
     def from_json(cls, obj: dict) -> "ChannelSpec":
         return cls(k=obj["k"], c=tuple(obj["c"]), r=tuple(obj["r"]))
 
-    def to_json(self) -> dict:
-        return {"k": self.k, "c": list(self.c), "r": list(self.r)}
-
 
 @dataclass(frozen=True)
 class SpectrumProfile:
@@ -125,16 +122,12 @@ class SpectrumProfile:
     alpha, beta   -- min resp. max of |f| over the unit circle
     J             -- mean of 1/|f|^2 over the circle
     r_s           -- sum of the tap radii
-    norm_c_sq     -- squared 2-norm of the tap centres
-    norm_r_sq     -- squared 2-norm of the tap radii
     """
 
     alpha: float
     beta: float
     J: float
     r_s: float
-    norm_c_sq: float
-    norm_r_sq: float
 
 
 def _f_sq(c: np.ndarray, omega):
@@ -151,7 +144,7 @@ def f_sq_table(spec: ChannelSpec, grid_size: int = DEFAULT_GRID) -> np.ndarray:
     return _f_sq_table(spec.c, grid_size)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=2)  # its readers cache what they derive from it
 def _f_sq_table(c: tuple[float, ...], grid_size: int) -> np.ndarray:
     if grid_size < MIN_GRID or grid_size % 2 != 0:
         raise ValueError(f"grid_size must be even and >= {MIN_GRID}")
@@ -223,7 +216,7 @@ def _centre_profile(c: tuple[float, ...], grid_size: int) -> tuple[float, float,
 @lru_cache(maxsize=128)
 def compute_profile(spec: ChannelSpec, grid_size: int = DEFAULT_GRID) -> SpectrumProfile:
     """Exact extrema of ``|f|``, the Simpson mean ``J`` of ``1/|f|^2`` from
-    the FFT table, and the radius sums of ``spec``.
+    the FFT table, and the radius sum of ``spec``.
 
     ``alpha`` and ``beta`` are the smaller resp. larger of the table's
     extremes and ``|f|`` at the angles of the roots of the derivative
@@ -235,14 +228,7 @@ def compute_profile(spec: ChannelSpec, grid_size: int = DEFAULT_GRID) -> Spectru
     meaningless).
     """
     alpha, beta, J = _centre_profile(spec.c, grid_size)
-    return SpectrumProfile(
-        alpha=alpha,
-        beta=beta,
-        J=J,
-        r_s=spec.r_s,
-        norm_c_sq=spec.norm_c_sq,
-        norm_r_sq=spec.norm_r_sq,
-    )
+    return SpectrumProfile(alpha=alpha, beta=beta, J=J, r_s=spec.r_s)
 
 
 @dataclass(frozen=True)

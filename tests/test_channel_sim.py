@@ -215,6 +215,23 @@ def test_constant_taps(example_spec):
     assert np.array_equal(taps, np.tile(expected, (5, 1)))
 
 
+@pytest.mark.parametrize("block_len", [10**30, 10**400], ids=["1e30", "1e400"])
+def test_block_longer_than_the_outputs_holds_one_row(example_spec, block_len):
+    """A block past the ``m`` outputs draws and holds one row, as a block of
+    exactly ``m`` does, in ``sample_taps`` and in ``TrialBlocks`` alike."""
+    n, seed = 8, 5
+    m = n + example_spec.k
+    long, exact = (ChannelLaw(kind="block_hold", block_len=b) for b in (block_len, m))
+    assert np.array_equal(sample_taps(example_spec, m, long, seed, 2),
+                          sample_taps(example_spec, m, exact, seed, 2))
+    book = Codebook(n=n, R=0.5, size=2, S=np.eye(2, n), q=np.ones(2),
+                    cov=flat_cov(n, random_halves(n, 4)), q_floor=np.zeros(2), seed=seed)
+    ts = np.arange(6)
+    for got, want in zip(TrialBlocks(example_spec, n, long, seed).draw(ts, book),
+                         TrialBlocks(example_spec, n, exact, seed).draw(ts, book)):
+        assert np.array_equal(got, want)
+
+
 def test_block_hold_taps(example_spec):
     law = ChannelLaw(kind="block_hold", block_len=4)
     taps = sample_taps(example_spec, 18, law, 3, 1)
@@ -312,6 +329,14 @@ def test_codebook_size_refuses_a_bad_rate(R):
     names it, not an ``OverflowError`` from ``math.ceil``."""
     with pytest.raises(ValueError, match=f"got {R!r}"):
         channel_sim.codebook_size(64, R)
+
+
+@pytest.mark.parametrize("n, R", [(64, 1e308), (2, 1e308), (10**6, 1e303)])
+def test_codebook_size_refuses_an_overflowing_rate(n, R):
+    """A finite rate whose ``n * R`` overflows a float is too large a
+    codebook, not an ``OverflowError`` from ``math.ceil``."""
+    with pytest.raises(CodebookTooLarge, match="exhaustive-decoding cap"):
+        channel_sim.codebook_size(n, R)
 
 
 def test_codebook_size_and_cap(example_spec):

@@ -66,6 +66,58 @@ def test_missing_subcommand_exits():
         main([])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["plot"], ["bounds", "--seed", "x"], ["simulate", "--threads", "1.5"], ["bounds", "figure1"]],
+    ids=["unknown_command", "seed", "threads", "two_commands"],
+)
+def test_bad_arguments_exit(argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_CONFIG
+
+
+def test_flags_before_or_after_the_command(tmp_path):
+    before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+    assert main(["--grid", "40:60:5", "--out", str(before), "bounds"]) == EXIT_OK
+    assert main(["bounds", "--grid", "40:60:5", "--out", str(after)]) == EXIT_OK
+    assert before.read_bytes() == after.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_grid_is_refused_off_the_sweeps(tmp_path, capsys, command):
+    """``--grid`` overrides a sweep's grid; ``simulate`` and ``verify`` have
+    none, so it exits 2 with one line and writes nothing."""
+    out = tmp_path / "x.out"
+    assert main([command, "--grid", "0:1:2", "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == f"isicap: --grid applies to bounds, figure1 and figure2, not {command}\n"
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"bounds": 5}, "bounds"),
+        ({"figure1": []}, "figure1"),
+        ({"simulate": 3}, "simulate"),
+        ({"verify": []}, "verify"),
+        ({"simulate": {"law": []}}, "simulate.law"),
+        ({"simulate": {"law": None}}, "simulate.law"),
+    ],
+    ids=["bounds", "figure1", "simulate", "verify", "law", "null_law"],
+)
+def test_non_object_section_exits_config(tmp_path, capsys, payload, field):
+    """A config section that is not a JSON object exits 2 with one line
+    naming it, from the command that reads it; no traceback, no file."""
+    cfg = _write_config(tmp_path, payload)
+    out = tmp_path / "x.out"
+    assert main([field.split(".")[0], "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"isicap: {field} must be a JSON object, got ")
+
+
 def test_bounds_csv_layout(tmp_path):
     out = tmp_path / "bounds.csv"
     rc = main(["bounds", "--out", str(out), "--grid", "40:60:5"])
@@ -355,8 +407,9 @@ def test_simulate_refuses_before_setup(tmp_path, monkeypatch, capsys, argv, payl
     [
         ({"simulate": {"n_list": [3000], "rate_bits": 1.0}}, "2**3000"),
         ({"simulate": {"n_list": [64], "rate_bits": 0.375}}, "GiB"),
+        ({"simulate": {"n_list": [64], "rate_bits": 1e308}}, "2**ceil(64 * 1e+308)"),
     ],
-    ids=["bit_cap", "byte_cap"],
+    ids=["bit_cap", "byte_cap", "rate_overflow"],
 )
 def test_simulate_refuses_oversized_codebook_before_setup(
     tmp_path, monkeypatch, capsys, payload, says
@@ -510,3 +563,16 @@ def test_simulate_overflowing_input_exits_config(tmp_path, capsys, section, says
 def test_exit_code_bad_grid(tmp_path):
     out = tmp_path / "x.csv"
     assert main(["bounds", "--out", str(out), "--grid", "oops"]) == EXIT_CONFIG
+
+
+def test_simulate_block_longer_than_the_outputs(tmp_path):
+    """A hold past the ``n + k`` outputs writes the CSV of a hold of exactly
+    ``n + k``: one drawn row per trial, repeated over the block."""
+    outs = []
+    for i, block_len in enumerate((10**30, 8 + 2)):
+        law = {"kind": "block_hold", "block_len": block_len}
+        cfg = _write_config(tmp_path, {"simulate": {"n_list": [8], "rate_bits": 0.25, "trials": 20,
+                                                    "law": law}}, name=f"hold{i}.json")
+        outs.append(tmp_path / f"hold{i}.csv")
+        assert main(["simulate", "--config", cfg, "--out", str(outs[-1]), "--threads", "1"]) == EXIT_OK
+    assert outs[0].read_bytes() == outs[1].read_bytes()

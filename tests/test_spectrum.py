@@ -45,12 +45,12 @@ def channel_specs(max_k=4):
     )
 
 
-def test_example_profile_constants(example_profile):
+def test_example_profile_constants(example_spec, example_profile):
     assert example_profile.alpha == pytest.approx(ALPHA_EXAMPLE, abs=PROFILE_ABS_TOL)
     assert example_profile.beta == BETA_EXAMPLE  # grid hits the maximizer exactly
     assert example_profile.J == pytest.approx(J_EXAMPLE, abs=PROFILE_ABS_TOL)
     assert example_profile.r_s == pytest.approx(3e-3)
-    assert example_profile.norm_r_sq == pytest.approx(3e-6)
+    assert example_spec.norm_r_sq == pytest.approx(3e-6)
 
 
 def test_flat_channel_profile():
@@ -175,7 +175,8 @@ def test_channel_spec_validation():
 
 
 def test_channel_spec_json_roundtrip(example_spec):
-    assert ChannelSpec.from_json(example_spec.to_json()) == example_spec
+    obj = {"k": example_spec.k, "c": list(example_spec.c), "r": list(example_spec.r)}
+    assert ChannelSpec.from_json(obj) == example_spec
 
 
 def test_channel_spec_memory_is_an_integer():
