@@ -23,6 +23,7 @@ from .spectrum import (
 from .waterfill import (
     BoundReport,
     FiniteNBound,
+    ThresholdReport,
     WaterfillSolution,
     bound_report,
     capacity_C0,
@@ -32,6 +33,7 @@ from .waterfill import (
     saturation_power,
     solve_theta1,
     solve_theta2,
+    thresholds,
     watts_to_dbw,
 )
 from .channel_sim import (
@@ -48,13 +50,11 @@ from .decoder import (
     DecodeFailure,
     ExperimentResult,
     JointCovariance,
-    ThresholdReport,
     TypicalParams,
     build_joint,
     decode,
     default_params,
     run_error_experiment,
-    thresholds,
     wilson_interval,
 )
 from .verify import (

@@ -301,7 +301,7 @@ def build_sigma(
     if policy != "waterfill_gram":
         raise ValueError(f"unknown covariance policy {policy!r}")
     lam, vectors = gram_eigh(spec, n)
-    d, _ = waterfill_powers(lam, n * P, POWER_FLOOR)
+    d, _ = waterfill_powers(lam, n * P)
     on = d > POWER_FLOOR
     return CovarianceSpec(n=n, d=d[on], halves=HalfBasis.from_eigh(vectors, on))
 

@@ -38,6 +38,7 @@ direct form makes.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,11 +52,10 @@ from .spectrum import (
     FOLD_ULPS,
     BandedChannelMatrix,
     ChannelSpec,
-    SpectrumProfile,
     build_Hc,
     compute_profile,
 )
-from .waterfill import POWER_FLOOR, phi_terms
+from .waterfill import POWER_FLOOR, ThresholdReport, thresholds
 from .channel_sim import (
     FLOOR_REPROJECT,
     _band_apply,
@@ -72,11 +72,9 @@ from .channel_sim import (
 
 __all__ = [
     "TypicalParams",
-    "ThresholdReport",
     "JointCovariance",
     "DecodeFailure",
     "ExperimentResult",
-    "thresholds",
     "default_params",
     "build_joint",
     "decode",
@@ -106,73 +104,6 @@ class TypicalParams:
                 f"typicality thresholds must be positive and finite, got epsilon={self.epsilon!r}, "
                 f"eta={self.eta!r}"
             )
-
-
-@dataclass(frozen=True)
-class ThresholdReport:
-    """Blocklength-dependent analysis constants for a covariance/power pair:
-    the natural typicality scale eta_n (phi2_n is the other, eta'_n), the
-    penalty ratios (phi1..phi3) and the trace budgets (C_n, C_prime_n) used
-    by the verification suites.  The penalty they define is
-    ``finite_n_bound``'s, which refuses phi1 >= 1; decoding reads none of
-    it."""
-
-    n: int
-    m: int
-    eta_n: float
-    C_n: float
-    C_prime_n: float
-    phi1_n: float
-    phi2_n: float
-    phi3_n: float
-
-
-def trace_budgets(
-    spec: ChannelSpec,
-    profile: SpectrumProfile,
-    cov,
-    P: float,
-) -> tuple[float, float]:
-    """Budgets bounding twice the squared Frobenius norms of the stacked
-    deviation block matrix and of the whitened-output block matrix; both are
-    valid for any radii (no small-radius hypothesis).  ``cov`` is any
-    covariance record with ``n`` and ``lam_max`` (a ``CovarianceSpec``, or
-    the standalone draws of ``verify``)."""
-    n = cov.n
-    m = n + spec.k
-    rs = profile.r_s
-    bs = profile.beta + rs
-    C_n = (
-        2.0 * m
-        + 2.0 * n
-        + 8.0 * (spec.k + 1) * n * P * spec.norm_r_sq
-        + 2.0 * n * P * rs ** 4 * cov.lam_max
-    )
-    C_prime_n = 2.0 * m + 4.0 * bs ** 2 * n * P + 2.0 * n * P * bs ** 4 * cov.lam_max
-    return C_n, C_prime_n
-
-
-def thresholds(
-    spec: ChannelSpec,
-    profile: SpectrumProfile,
-    cov: CovarianceSpec,
-    P: float,
-) -> ThresholdReport:
-    n = cov.n
-    m = n + spec.k
-    phi1, phi2, phi3 = phi_terms(profile, cov.lam_min, cov.lam_max, cov.trace, m)
-    eta_n = (spec.k + 1) * spec.norm_r_sq * cov.trace / (m + n)
-    C_n, C_prime_n = trace_budgets(spec, profile, cov, P)
-    return ThresholdReport(
-        n=n,
-        m=m,
-        eta_n=eta_n,
-        C_n=C_n,
-        C_prime_n=C_prime_n,
-        phi1_n=phi1,
-        phi2_n=phi2,
-        phi3_n=phi3,
-    )
 
 
 def default_params(report: ThresholdReport) -> TypicalParams:
@@ -518,8 +449,9 @@ def run_error_experiment(
     Each trial draws its own channel, noise, and message from per-trial
     streams, and each thread draws and scores its trials in blocks of
     ``trial_block(size)`` with exact decisions, so the counts are
-    independent of ``threads`` and of the block size.  A codebook too large
-    to decode exhaustively is refused before any set-up.
+    independent of ``threads`` and of the block size.  ``threads`` splits
+    the trials into spans; at most ``os.cpu_count()`` threads run them.  A
+    codebook too large to decode exhaustively is refused before any set-up.
     """
     if trials <= 0:
         raise ValueError("need trials > 0")
@@ -551,14 +483,15 @@ def run_error_experiment(
             ok += int(np.count_nonzero(sent & ~many))
         return t1, t2, ok
 
-    # Each thread takes a run of whole blocks, so the blocks, and the GEMM
-    # that builds each block's sent words, are the same for any thread count.
+    # Each span is a run of whole blocks, so the blocks, and the GEMM that
+    # builds each block's sent words, are the same for any thread count; the
+    # pool runs the spans on at most one worker per core.
     step = math.ceil(math.ceil(trials / block) / max(threads, 1)) * block
     spans = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
     if len(spans) == 1:
         parts = [run_range(*spans[0])]
     else:
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
+        with ThreadPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
             parts = list(pool.map(lambda s: run_range(*s), spans))
     type1 = sum(p[0] for p in parts)
     type2 = sum(p[1] for p in parts)

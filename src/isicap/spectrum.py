@@ -10,8 +10,8 @@ through its squared magnitude ``|f|^2``: the extreme values ``alpha^2`` and
 ``beta^2``, the inverse-spectrum mean ``J``, and the eigenpairs of the Gram
 matrix of the tall banded convolution matrix built from the centre taps.
 That Gram matrix is symmetric banded Toeplitz and is never formed densely:
-its eigenvalues come from its band form, its eigenbasis from two half-size
-band problems, and the columns a caller keeps are held as two half bases
+its eigenpairs come from one eigensolve of two half-size band problems
+(``gram_eigh``), and the columns a caller keeps are held as two half bases
 in their own column order (``HalfBasis``, the one place that knows how
 they fold into the basis and that measures them against the Gram
 matrix).
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eig_banded, eigvals_banded
+from scipy.linalg import eig_banded
 
 from .errors import SpectrumSingular
 
@@ -213,7 +213,6 @@ def _centre_profile(c: tuple[float, ...], grid_size: int) -> tuple[float, float,
     return math.sqrt(f_sq_min), beta, simpson_mean(1.0 / table)
 
 
-@lru_cache(maxsize=128)
 def compute_profile(spec: ChannelSpec, grid_size: int = DEFAULT_GRID) -> SpectrumProfile:
     """Exact extrema of ``|f|``, the Simpson mean ``J`` of ``1/|f|^2`` from
     the FFT table, and the radius sum of ``spec``.
@@ -221,7 +220,8 @@ def compute_profile(spec: ChannelSpec, grid_size: int = DEFAULT_GRID) -> Spectru
     ``alpha`` and ``beta`` are the smaller resp. larger of the table's
     extremes and ``|f|`` at the angles of the roots of the derivative
     polynomial (one ``np.roots`` call).  Those parts depend only on
-    ``(spec.c, grid_size)`` and are cached on that key.
+    ``(spec.c, grid_size)`` and are cached on that key, the one cache of
+    the profile.
 
     Raises SpectrumSingular when the minimum of ``|f|`` is at or below
     ``1e-12 * beta`` (the inverse spectrum, and hence ``J``, is then
@@ -285,25 +285,6 @@ def _toeplitz_band(t: np.ndarray, order: int) -> np.ndarray:
     for d in range(u + 1):
         band[u - d, d:] = t[d]
     return band
-
-
-def gram_eigenvalues(spec: ChannelSpec, n: int) -> np.ndarray:
-    """Ascending eigenvalues of the centre Gram matrix ``G``: those of its
-    J-symmetric and J-skew halves (see ``gram_eigh``), merged by one sort.
-
-    ``eigvals_banded`` here and ``eig_banded`` in ``gram_eigh`` solve the
-    same half bands by different LAPACK routes, so the two eigenvalue lists
-    agree to ``4 n eps ||G||_1`` (``||G||_1`` the largest column sum of
-    ``|G|``), not bit for bit: at n = 1024 on the default channel they
-    differ by up to 7.3e-15.  ``finite_n_bound`` water-fills these, and
-    ``build_sigma`` water-fills ``gram_eigh``'s."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    lam = np.concatenate(
-        [eigvals_banded(band, lower=False) for band in _half_bands(_tap_autocorr(spec.c), n)]
-    )
-    lam.sort()
-    return lam
 
 
 def _half_bands(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -517,3 +498,9 @@ def gram_eigh(spec: ChannelSpec, n: int) -> tuple[np.ndarray, tuple[np.ndarray, 
         eig_banded(band, lower=False) for band in _half_bands(_tap_autocorr(spec.c), n)
     )
     return np.concatenate([lam_s, lam_k]), (Zs, Zk)
+
+
+def gram_eigenvalues(spec: ChannelSpec, n: int) -> np.ndarray:
+    """Ascending eigenvalues of the centre Gram matrix: ``gram_eigh``'s, the
+    ones ``build_sigma`` water-fills, sorted."""
+    return np.sort(gram_eigh(spec, n)[0])

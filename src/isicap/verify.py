@@ -38,9 +38,8 @@ from .spectrum import (
     build_Hc,
     compute_profile,
 )
-from .waterfill import LN2, phi_terms
+from .waterfill import LN2, thresholds
 from .channel_sim import MAX_DECODE_BYTES, rng_stream
-from .decoder import trace_budgets
 
 __all__ = [
     "SLACK_REL",
@@ -356,15 +355,15 @@ def _deviation_instance(rng, i, n_max):
 
 
 def _trace_instance(rng, i, n_max):
-    """(H, Hc, covariance, both trace budgets at the covariance's power)."""
+    """(H, Hc, covariance, its ``thresholds`` at its own power)."""
     spec, profile, n = _random_channel(rng, n_max)
     cov = _random_cov(rng, n)
     H = _sample_banded(rng, spec, n).dense()
-    return H, build_Hc(spec, n).dense(), cov, trace_budgets(spec, profile, cov, cov.trace / n)
+    return H, build_Hc(spec, n).dense(), cov, thresholds(spec, profile, cov, cov.trace / n)
 
 
 def _weyl_instance(rng, i, n_max):
-    """(H, Hc, covariance, penalty ratios), radii scaled so phi1 < 1."""
+    """(H, Hc, covariance, its ``thresholds``), radii scaled so phi1 < 1."""
     spec, profile, n = _random_channel(rng, n_max)
     cov = _random_cov(rng, n)
     spec, profile = _rescale_radii_for_phi1(
@@ -372,7 +371,7 @@ def _weyl_instance(rng, i, n_max):
     )
     Hc = build_Hc(spec, n).dense()
     H = _sample_banded(rng, spec, n).dense()
-    return H, Hc, cov, phi_terms(profile, cov.lam_min, cov.lam_max, cov.trace, n + spec.k)
+    return H, Hc, cov, thresholds(spec, profile, cov, cov.trace / n)
 
 
 def _shell_instance(rng, i, n_max):
@@ -408,12 +407,12 @@ def _stacked_trace(inst):
     """``2 ||Phi||_F^2 <= C_n`` for ``Phi = [[I + S'S, S'], [S, I]]`` with
     ``S = whiten(H - Hc)``, summed block by block:
     ``||Phi||_F^2 = ||I + S'S||_F^2 + 2 ||S||_F^2 + m``."""
-    H, Hc, cov, (budget, _) = inst
+    H, Hc, cov, rep = inst
     ES = cov.whiten(H - Hc)
     G = ES.T @ ES
     G[np.diag_indices_from(G)] += 1.0
     lhs = 2.0 * (float(np.linalg.norm(G)) ** 2 + 2.0 * float(np.linalg.norm(ES)) ** 2 + ES.shape[0])
-    return budget - lhs, holds(lhs, budget)
+    return rep.C_n - lhs, holds(lhs, rep.C_n)
 
 
 def _whitened_trace(inst):
@@ -421,13 +420,13 @@ def _whitened_trace(inst):
     Since ``B B' = Omega_h``, ``||B' Omega_c^-1 B||_F = ||L^-1 Omega_h
     L^-T||_F`` with ``L`` the Cholesky factor of ``Omega_c``: one
     factorization and two triangular solves of order m."""
-    H, Hc, cov, (_, budget) = inst
+    H, Hc, cov, rep = inst
     omega_c, omega_h = _omegas(H, Hc, cov)
     L = cholesky(omega_c, lower=True)
     X = solve_triangular(L, omega_h, lower=True)
     psi = solve_triangular(L, X.T, lower=True)
     lhs = 2.0 * float(np.linalg.norm(psi)) ** 2
-    return budget - lhs, holds(lhs, budget)
+    return rep.C_prime_n - lhs, holds(lhs, rep.C_prime_n)
 
 
 def _logdet_spd(A: np.ndarray) -> float:
@@ -441,9 +440,9 @@ def _det_floor(inst):
     ``m log(1 - phi1) + log det Omega_c <= log det Omega_h``.  Both output
     covariances are ``I`` plus a Gram matrix, so positive definite, and
     their log-determinants come from Cholesky factors."""
-    H, Hc, cov, (phi1, _, _) = inst
+    H, Hc, cov, rep = inst
     omega_c, omega_h = _omegas(H, Hc, cov)
-    floor = H.shape[0] * math.log(1.0 - phi1) + _logdet_spd(omega_c)
+    floor = H.shape[0] * math.log(1.0 - rep.phi1_n) + _logdet_spd(omega_c)
     value = _logdet_spd(omega_h)
     return value - floor, _holds_signed(floor, value)
 
@@ -466,9 +465,9 @@ def _shell_floor(inst):
     """``m (1 - eta') phi3 <= min y' Omega_h^-1 y`` over the shell
     ``y' Omega_c^-1 y = m (1 - eta')``, the minimum being the shell radius
     times the smallest eigenvalue of the ``(Omega_c, Omega_h)`` pencil."""
-    H, Hc, cov, (_, _, phi3), eta_prime = inst
+    H, Hc, cov, rep, eta_prime = inst
     val = qcqp_min(*_omegas(H, Hc, cov), eta_prime)
-    floor = H.shape[0] * max(1.0 - eta_prime, 0.0) * phi3
+    floor = H.shape[0] * max(1.0 - eta_prime, 0.0) * rep.phi3_n
     return val - floor, holds(floor, val)
 
 

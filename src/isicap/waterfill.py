@@ -10,8 +10,8 @@ Two water levels drive everything:
 
 From a level we get the rate integral ``C0``, the tap-uncertainty penalty
 ``delta`` (one kernel, ``_penalty``) and the bounds the CLI serializes; a
-finite-blocklength variant uses the centre Gram eigenvalues in place of
-the integral.
+finite-blocklength variant water-fills ``build_sigma``'s Gram eigenvalues
+in place of the integral, and ``thresholds`` holds its finite-n constants.
 
 No level is found by iteration, and no bound reads the grid.  The water
 ``g(theta)`` on the quadrature grid is a weighted sum of ``max(theta - v_j,
@@ -56,13 +56,14 @@ __all__ = [
     "WaterfillSolution",
     "BoundReport",
     "FiniteNBound",
+    "ThresholdReport",
     "watts_to_dbw",
     "dbw_to_watts",
     "solve_theta1",
     "solve_theta2",
     "capacity_C0",
     "cap_integral",
-    "phi_terms",
+    "thresholds",
     "saturation_power",
     "bound_report",
     "bound_grid",
@@ -120,6 +121,25 @@ class BoundReport:
     delta2: Optional[float]
     P_sat: Optional[float]
     gap_cor2: Optional[float]
+
+
+@dataclass(frozen=True)
+class ThresholdReport:
+    """Blocklength-dependent analysis constants for a covariance/power pair:
+    the natural typicality scale eta_n (phi2_n is the other, eta'_n), the
+    penalty ratios (phi1..phi3) and the trace budgets (C_n, C_prime_n) that
+    the verification suites certify.  The penalty they define is
+    ``finite_n_bound``'s, which refuses phi1 >= 1; decoding reads only
+    eta_n."""
+
+    n: int
+    m: int
+    eta_n: float
+    C_n: float
+    C_prime_n: float
+    phi1_n: float
+    phi2_n: float
+    phi3_n: float
 
 
 @dataclass(frozen=True)
@@ -331,22 +351,30 @@ def _penalty(profile: SpectrumProfile, rs, lam_min, lam_max, spend):
     return t2, t3, ok
 
 
-def phi_terms(
-    profile: SpectrumProfile,
-    lam_min: float,
-    lam_max: float,
-    trace: float,
-    m: int,
-) -> tuple[float, float, float]:
-    """The three spectral ratios controlling the finite-blocklength penalty,
-    from the extreme eigenvalues and trace of the input covariance: the
-    ratio ``_penalty`` refuses at 1, ``s * trace / m``, and
-    ``1 / (1 + s lam_max)``."""
-    s = _s(profile, profile.r_s)
-    phi1 = s * lam_max / (1.0 + profile.alpha ** 2 * lam_min)
-    phi2 = s * trace / m
-    phi3 = 1.0 / (1.0 + s * lam_max)
-    return phi1, phi2, phi3
+def thresholds(spec: ChannelSpec, profile: SpectrumProfile, cov, P: float) -> ThresholdReport:
+    """The finite-n constants for a covariance ``cov`` (any record with
+    ``n``, ``trace``, ``lam_min`` and ``lam_max``) at power ``P``.  With ``m
+    = n + k`` and ``s = r_s (r_s + 2 beta)``: ``phi1 = s lam_max / (1 +
+    alpha^2 lam_min)``, the ratio ``_penalty`` refuses at 1, ``phi2 = s trace
+    / m`` and ``phi3 = 1 / (1 + s lam_max)``.  ``C_n`` and ``C_prime_n``
+    bound twice the squared Frobenius norms of the stacked deviation and
+    whitened-output block matrices, for any radii."""
+    n = cov.n
+    m = n + spec.k
+    rs = profile.r_s
+    s = _s(profile, rs)
+    bs = profile.beta + rs
+    return ThresholdReport(
+        n=n,
+        m=m,
+        eta_n=(spec.k + 1) * spec.norm_r_sq * cov.trace / (m + n),
+        C_n=2.0 * m + 2.0 * n + 8.0 * (spec.k + 1) * n * P * spec.norm_r_sq
+        + 2.0 * n * P * rs ** 4 * cov.lam_max,
+        C_prime_n=2.0 * m + 4.0 * bs ** 2 * n * P + 2.0 * n * P * bs ** 4 * cov.lam_max,
+        phi1_n=s * cov.lam_max / (1.0 + profile.alpha ** 2 * cov.lam_min),
+        phi2_n=s * cov.trace / m,
+        phi3_n=1.0 / (1.0 + s * cov.lam_max),
+    )
 
 
 def saturation_power(spec: ChannelSpec, profile: SpectrumProfile) -> Optional[float]:
@@ -459,18 +487,16 @@ def pillow_terms(
     return tuple(float(t[0]) for t in terms)
 
 
-def waterfill_powers(
-    lam: np.ndarray, total: float, eps: float = POWER_FLOOR
-) -> tuple[np.ndarray, float]:
-    """Allocate ``total`` power over channels with gains ``lam`` subject to a
-    per-channel floor ``eps``: returns ``(d, theta)`` with
+def waterfill_powers(lam: np.ndarray, total: float) -> tuple[np.ndarray, float]:
+    """Allocate ``total`` power over channels with gains ``lam`` subject to
+    the per-channel floor ``eps = POWER_FLOOR``: returns ``(d, theta)`` with
     ``d_i = max(theta - 1/lam_i, eps)`` and ``sum(d) = total``.
 
     Since ``max(theta - u, eps) = eps + max(theta - (u + eps), 0)``, the
     level is the exact root from ``_water_level`` with unit weights on the
-    sorted breakpoints ``1/lam_i + eps`` and budget ``total - n*eps``.
-    Ascending ``lam`` yields ascending ``d``.  Raises ``ValueError`` for a
-    non-finite ``total``.
+    sorted breakpoints ``1/lam_i + eps`` and budget ``total - n*eps``, so
+    no power depends on the order of ``lam``.  Ascending ``lam`` yields
+    ascending ``d``.  Raises ``ValueError`` for a non-finite ``total``.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 1 or len(lam) == 0:
@@ -479,24 +505,24 @@ def waterfill_powers(
         raise ValueError("gains must be positive")
     if not math.isfinite(total):
         raise ValueError(f"non-finite total power {total}")
-    if total <= len(lam) * eps:
+    if total <= len(lam) * POWER_FLOOR:
         raise ValueError("total power does not clear the per-channel floor")
     inv = 1.0 / lam
-    table = _water_table(np.sort(inv + eps), np.ones(len(lam)))
-    theta = _water_level(table, 0.0, total - len(lam) * eps)
-    return np.maximum(theta - inv, eps), theta
+    table = _water_table(np.sort(inv + POWER_FLOOR), np.ones(len(lam)))
+    theta = _water_level(table, 0.0, total - len(lam) * POWER_FLOOR)
+    return np.maximum(theta - inv, POWER_FLOOR), theta
 
 
 def finite_n_bound(
     spec: ChannelSpec,
     n: int,
     P: float,
-    eps: float = POWER_FLOOR,
     grid_size: int = DEFAULT_GRID,
 ) -> FiniteNBound:
     """Achievable rate at blocklength ``n``: water-fill ``n*P`` over the
     Gram eigenvalues of the centre matrix, then subtract the trace penalty
-    and the radius penalty computed from the allocation itself.
+    and the radius penalty computed from the allocation itself.  Its powers
+    above ``POWER_FLOOR`` are ``build_sigma``'s ``d``, sorted, bit for bit.
 
     Requires ``n >= k + 1`` (shorter blocks do not exercise the full band).
     Raises BoundInapplicable when the leading penalty ratio reaches 1.
@@ -507,7 +533,7 @@ def finite_n_bound(
         raise ValueError("need P > 0")
     profile = compute_profile(spec, grid_size)
     lam = gram_eigenvalues(spec, n)
-    d, theta = waterfill_powers(lam, n * P, eps)
+    d, theta = waterfill_powers(lam, n * P)
     first = float(np.log2(1.0 + lam * d).sum()) / (2.0 * n)
     m = n + spec.k
     trace = float(d.sum())

@@ -8,7 +8,8 @@ integral are summed node by node (the rate in 30 digits), not from prefix
 tables, a channel use is summed exactly, entry by entry of the dense
 matrix, the centre Gram matrix is filled lag by lag from the taps, and the
 ``verify`` checks are evaluated in their dense textbook form (whole block
-matrices, ``np.diag`` covariances, full eigenvalue lists).
+matrices, ``np.diag`` covariances, full eigenvalue lists), and the shell
+volume is a difference of two ball volumes in 30 digits, not of logs.
 """
 
 import math
@@ -256,6 +257,21 @@ def exact_waterfill_level(lam, total: float, eps: float) -> Fraction:
     raise ValueError("total power does not clear the per-channel floor")
 
 
+def shell_volume_oracle(n: int, eta: float, digits: int = 30) -> float:
+    """``log2`` of the volume of the shell ``{a in R^n : | ||a||^2 / n - 1 |
+    < eta}``, ``V_n (n (1 + eta))^(n/2) - V_n (n (1 - eta))^(n/2)`` with the
+    unit-ball volume ``V_n = pi^(n/2) / Gamma(n/2 + 1)``, the inner ball
+    dropped once ``eta >= 1``, in ``digits`` digits."""
+    with mpmath.workdps(digits):
+        half = mpmath.mpf(n) / 2
+        unit = mpmath.pi ** half / mpmath.gamma(half + 1)
+        eta = mpmath.mpf(float(eta))
+        vol = unit * (n * (1 + eta)) ** half
+        if eta < 1:
+            vol -= unit * (n * (1 - eta)) ** half
+        return float(mpmath.log(vol, 2))
+
+
 def spectrum_extrema_oracle(c, grid: int = 4096, digits: int = 50) -> tuple[float, float]:
     """``(min |f|, max |f|)`` over the circle for ``f(w) = sum_l c_l e^{i l w}``.
 
@@ -330,7 +346,7 @@ def dense_check_oracle(name: str, inst) -> tuple[float, float]:
         M = _dense_band(band)
         top = np.linalg.eigvalsh(M.T @ M)[-1]
         return math.sqrt(max(float(top), 0.0)), float(cap)
-    H, Hc, cov, terms = inst[:4]
+    H, Hc, cov, rep = inst[:4]
     sigma, root = _dense_cov(cov)
     m, n = H.shape
     omega_c = np.eye(m) + Hc @ sigma @ Hc.T
@@ -338,13 +354,13 @@ def dense_check_oracle(name: str, inst) -> tuple[float, float]:
     if name == "stacked_deviation_trace":
         ES = (H - Hc) @ root
         phi = np.block([[np.eye(n) + ES.T @ ES, ES.T], [ES, np.eye(m)]])
-        return 2.0 * float(np.linalg.norm(phi)) ** 2, terms[0]
+        return 2.0 * float(np.linalg.norm(phi)) ** 2, rep.C_n
     if name == "whitened_output_trace":
         B = np.hstack([H @ root, np.eye(m)])
         psi = B.T @ np.linalg.solve(omega_c, B)
-        return 2.0 * float(np.linalg.norm(psi)) ** 2, terms[1]
+        return 2.0 * float(np.linalg.norm(psi)) ** 2, rep.C_prime_n
     if name == "determinant_floor":
-        floor = m * math.log(1.0 - terms[0]) + np.linalg.slogdet(omega_c)[1]
+        floor = m * math.log(1.0 - rep.phi1_n) + np.linalg.slogdet(omega_c)[1]
         return float(floor), float(np.linalg.slogdet(omega_h)[1])
     if name == "eigenvalue_stability":
         A = root @ (H.T @ H) @ root
@@ -355,5 +371,5 @@ def dense_check_oracle(name: str, inst) -> tuple[float, float]:
         eta_prime = inst[4]
         radius = m * max(1.0 - eta_prime, 0.0)
         pencil_min = scipy.linalg.eigh(omega_c, omega_h, eigvals_only=True)[0]
-        return radius * terms[2], radius * float(pencil_min)
+        return radius * rep.phi3_n, radius * float(pencil_min)
     raise ValueError(f"no dense oracle for suite {name!r}")

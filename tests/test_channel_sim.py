@@ -296,7 +296,7 @@ def test_build_sigma_policies(example_spec):
     wf = build_sigma(example_spec, 16, 2.0, "waterfill_gram")
     assert wf.trace == pytest.approx(32.0, rel=1e-9)
     lam, vectors = gram_eigh(example_spec, 16)
-    d, _ = waterfill_powers(lam, 32.0, POWER_FLOOR)
+    d, _ = waterfill_powers(lam, 32.0)
     on = d > POWER_FLOOR
     assert wf.halves.same_as(HalfBasis.from_eigh(vectors, on)) and np.array_equal(wf.d, d[on])
     assert build_sigma(example_spec, 16, 2.0).halves.same_as(wf.halves)
@@ -317,7 +317,7 @@ def test_waterfill_sigma_is_basis_free(c, n):
     lam, V = np.linalg.eigh(dense_gram(c, n))
     for p_dbw in (-10.0, 10.0, 30.0):
         P = dbw_to_watts(p_dbw)
-        d, _ = waterfill_powers(lam, n * P, POWER_FLOOR)
+        d, _ = waterfill_powers(lam, n * P)
         want = (V * d) @ V.T
         got = sigma(build_sigma(spec, n, P, "waterfill_gram"))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 
 import mpmath
@@ -35,9 +36,9 @@ from isicap.channel_sim import (
 from isicap import decoder as decoder_mod
 from isicap.channel_sim import FLOOR_REPROJECT, _band_apply
 from isicap.spectrum import FOLD_ULPS, HalfBasis, _half_bands, _sym_band_apply, _tap_autocorr, gram_eigh
-from isicap.decoder import DecodeContext, _guard_band, _pass_mask, prepare_context, trace_budgets
+from isicap.decoder import DecodeContext, _guard_band, _pass_mask, prepare_context
 from isicap.errors import DimensionMismatch, NotPositiveDefinite
-from isicap.waterfill import POWER_FLOOR, dbw_to_watts, phi_terms, waterfill_powers
+from isicap.waterfill import POWER_FLOOR, dbw_to_watts, waterfill_powers
 from bases import assemble, flat_cov, floors, random_cov as _random_cov, random_halves, sigma
 from oracles import (
     dense_joint_covariance,
@@ -537,7 +538,7 @@ def _split_case(example_spec, n, case):
     column gets power), with those of ``case`` moved to the floor, and the
     support width it should hold."""
     lam, vectors = gram_eigh(example_spec, n)
-    d, _ = waterfill_powers(lam, n * dbw_to_watts(10.0), POWER_FLOOR)
+    d, _ = waterfill_powers(lam, n * dbw_to_watts(10.0))
     assert d.min() > POWER_FLOOR
     r = n - n // 2
     keep = np.ones(n, dtype=bool)
@@ -607,17 +608,22 @@ def test_threshold_formulas(example_spec, example_profile):
     rep = thresholds(example_spec, example_profile, cov, P)
     m = n + example_spec.k
     assert rep.m == m
-    phi1, phi2, phi3 = phi_terms(
-        example_profile, cov.lam_min, cov.lam_max, cov.trace, m
+    rs, beta, alpha = example_profile.r_s, example_profile.beta, example_profile.alpha
+    s = rs * (rs + 2.0 * beta)
+    phis = (
+        s * cov.lam_max / (1.0 + alpha ** 2 * cov.lam_min),
+        s * cov.trace / m,
+        1.0 / (1.0 + s * cov.lam_max),
     )
-    assert (rep.phi1_n, rep.phi2_n, rep.phi3_n) == (phi1, phi2, phi3)
+    assert (rep.phi1_n, rep.phi2_n, rep.phi3_n) == phis
     expected_eta = (
         (example_spec.k + 1) * example_spec.norm_r_sq * cov.trace / (m + n)
     )
     assert rep.eta_n == pytest.approx(expected_eta, rel=1e-12)
-    assert (rep.C_n, rep.C_prime_n) == trace_budgets(
-        example_spec, example_profile, cov, P
-    )
+    k, r_sq, bs = example_spec.k, example_spec.norm_r_sq, beta + rs
+    C_n = 2 * m + 2 * n + 8 * (k + 1) * n * P * r_sq + 2 * n * P * rs ** 4 * cov.lam_max
+    C_prime_n = 2 * m + 4 * bs ** 2 * n * P + 2 * n * P * bs ** 4 * cov.lam_max
+    assert (rep.C_n, rep.C_prime_n) == (C_n, C_prime_n)
     assert rep.C_n > 0 and rep.C_prime_n > 0
 
 
@@ -669,6 +675,36 @@ def test_experiment_counts_and_thread_invariance(example_spec):
     assert serial.errors == serial.type1 + serial.type2
     assert serial.error_rate == serial.errors / 48
     assert (serial.wilson_lo, serial.wilson_hi) == wilson_interval(serial.errors, 48)
+
+
+def test_experiment_pool_is_capped_at_the_cores(example_spec, monkeypatch):
+    """``threads`` past the cores still splits the trials into one span per
+    block, but the pool gets at most ``os.cpu_count()`` workers, and the
+    counts are the serial run's.  The stand-in pool maps serially, so no
+    thread starts."""
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    kwargs = dict(n=16, R=0.125, P=0.1, master_seed=5)
+    trials = 5 * trial_block(2 ** math.ceil(16 * 0.125)) + 1  # six blocks
+    serial = run_error_experiment(example_spec, trials=trials, threads=1, **kwargs)
+    monkeypatch.setattr(decoder_mod, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    wide = run_error_experiment(example_spec, trials=trials, threads=1000, **kwargs)
+    assert seen == [2]
+    assert (wide.type1, wide.type2, wide.success) == (serial.type1, serial.type2, serial.success)
 
 
 def test_experiment_rejects_zero_trials(example_spec):

@@ -14,8 +14,9 @@ from isicap import (
     gram_eigenvalues,
     gram_eigh,
 )
+from isicap import spectrum
 from isicap.errors import SpectrumSingular
-from isicap.spectrum import FOLD_ULPS, SIGN_TIE_REL, HalfBasis, _f_sq, f_sq_table, simpson_mean
+from isicap.spectrum import DEFAULT_GRID, FOLD_ULPS, SIGN_TIE_REL, HalfBasis, _f_sq, f_sq_table, simpson_mean
 
 from bases import assemble, eigenbasis, random_halves, standard_halves
 from oracles import dense_gram, f_sq_direct, spectrum_extrema_oracle
@@ -61,7 +62,19 @@ def test_flat_channel_profile():
 
 
 def test_profile_is_cached(example_spec):
-    assert compute_profile(example_spec) is compute_profile(example_spec)
+    """One cache, ``_centre_profile`` on ``(c, grid_size)``, answers every
+    call: a repeat, the default grid given explicitly and another radius
+    each hit it, and nothing is computed twice."""
+    first = compute_profile(example_spec)
+    before = spectrum._centre_profile.cache_info()
+    again = [
+        compute_profile(example_spec),
+        compute_profile(example_spec, DEFAULT_GRID),
+        compute_profile(ChannelSpec(k=2, c=example_spec.c, r=(0.2,) * 3)),
+    ]
+    after = spectrum._centre_profile.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 3)
+    assert again[0] == again[1] == first and again[2].r_s == pytest.approx(0.6)
 
 
 def test_singular_spectrum_raises():
@@ -332,17 +345,13 @@ def test_gram_eigh_matches_dense_gram(n, k):
 
 @pytest.mark.parametrize("n", [64, 1024, 1025])
 def test_gram_eigenvalues_agree_with_gram_eigh(n):
-    """``gram_eigenvalues`` and ``gram_eigh`` solve the same half bands by
-    different LAPACK routes; ``gram_eigenvalues`` is ascending, and the
-    sorted eigenvalues of ``gram_eigh`` agree with it to the stated ``4 n
-    eps ||G||_1``, at an even and an odd large order, on the default and
-    a k = 4 channel."""
+    """``gram_eigenvalues`` is ascending and equals the sorted eigenvalues
+    of ``gram_eigh`` bit for bit: one eigensolve, at an even and an odd
+    large order, on the default and a k = 4 channel."""
     for spec in (ChannelSpec(k=2, c=(1.0, 0.5, 0.5), r=(1e-3,) * 3), _gram_eigh_spec(4)):
-        G1 = np.abs(dense_gram(spec.c, n)).sum(axis=0).max()
         lam = gram_eigenvalues(spec, n)
         assert np.all(np.diff(lam) >= 0.0)
-        gap = np.abs(lam - np.sort(gram_eigh(spec, n)[0])).max()
-        assert gap <= 4 * n * np.finfo(float).eps * G1
+        assert np.array_equal(lam, np.sort(gram_eigh(spec, n)[0]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 65])

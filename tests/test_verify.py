@@ -22,9 +22,9 @@ from isicap import (
     verify_report,
 )
 from isicap import verify
-from isicap.verify import _SUITES, _band_op_norm, _sample_banded, _shell_volume, _suite_rng, holds
+from isicap.verify import _ETAS, _SUITES, _band_op_norm, _sample_banded, _shell_volume, _suite_rng, holds
 
-from oracles import dense_check_oracle, shell_min_oracle
+from oracles import dense_check_oracle, shell_min_oracle, shell_volume_oracle
 
 
 def _spd(rng, m, spread=2.0):
@@ -143,6 +143,19 @@ def test_volume_2d_closed_form():
     for eta in (0.2, 0.9):
         res = _shell_volume(2, eta)
         assert res.log2_exact == pytest.approx(math.log2(4.0 * math.pi * eta), rel=1e-12)
+
+
+def test_volume_matches_the_mpmath_oracle():
+    """The shell's exact log2 volume against a 30-digit difference of ball
+    volumes, for n = 1..50 at every suite eta and at drawn ones down to
+    1e-3, where ``1 - 2^(inner - outer)`` cancels: within 1e-12 relative to
+    ``max(1, |v|)``."""
+    drawn = 10.0 ** np.random.default_rng(8).uniform(-3.0, 0.5, 6)
+    for n in range(1, 51):
+        for eta in (*_ETAS, *drawn.tolist(), 1e-3):
+            want = shell_volume_oracle(n, eta)
+            got = _shell_volume(n, eta).log2_exact
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (n, eta)
 
 
 def test_volume_sandwich_above_one():

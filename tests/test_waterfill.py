@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from isicap import (
     ChannelSpec,
     bound_report,
+    build_sigma,
     capacity_C0,
     compute_profile,
     dbw_to_watts,
@@ -24,10 +26,11 @@ from isicap.errors import BoundInapplicable
 from isicap.spectrum import DEFAULT_GRID, f_sq_table
 from isicap.waterfill import (
     LN2,
+    POWER_FLOOR,
     bound_grid,
     cap_integral,
-    phi_terms,
     pillow_grid,
+    thresholds,
     waterfill_powers,
 )
 
@@ -315,7 +318,11 @@ def test_delta_routes_agree(example_spec, example_profile):
     # the reported penalty against the penalty written out from the ratios
     for P in (0.1, 3.0, 100.0, P_SAT_W):
         sol = solve_theta1(example_profile, example_spec, P)
-        phi1, phi2, phi3 = phi_terms(example_profile, sol.d_min, sol.d_max, sol.I, 1)
+        # one dimension spending sol.I: phi2 = s trace / m = s I
+        m = 1 + example_spec.k
+        cov = SimpleNamespace(n=1, lam_min=sol.d_min, lam_max=sol.d_max, trace=sol.I * m)
+        rep = thresholds(example_spec, example_profile, cov, P)
+        phi1, phi2, phi3 = rep.phi1_n, rep.phi2_n, rep.phi3_n
         via_phi = -0.5 * math.log2(1.0 - phi1) + (0.5 / LN2) * (
             1.0 - max(1.0 - phi2, 0.0) * phi3
         )
@@ -435,6 +442,15 @@ def test_finite_n_allocations(example_spec):
     assert np.all(np.diff(fb.d) >= -1e-15)
     assert fb.value <= fb.first_term
     assert fb.delta_n >= 0.0
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024, 1025])
+def test_finite_n_bound_shares_the_simulated_spectrum(example_spec, n):
+    """The finite-n allocation above the floor is ``build_sigma``'s ``d``,
+    sorted, bit for bit: one spectrum and one eigensolve, at -10 dBW."""
+    P = dbw_to_watts(-10.0)
+    d = finite_n_bound(example_spec, n, P).d
+    assert np.array_equal(np.sort(build_sigma(example_spec, n, P).d), d[d > POWER_FLOOR])
 
 
 def test_finite_n_tracks_integral(example_spec):
