@@ -1,24 +1,26 @@
 """Randomized numerical certification of the matrix facts behind the bounds.
 
 The suites are one table, ``_SUITES``, of ``(name, instance, check)`` rows.
-``instance(rng, i, n_max)`` draws sample ``i`` of a suite (a random
-channel, covariance and realization, or plain matrices) from its own
-stream; ``check(inst)`` evaluates one inequality on it and returns
-``(margin, ok)``.  Each check computes only the quantities its inequality
-names, through an identity stated in its docstring: operator norms of
-channel matrices are the top eigenvalue of their band Gram matrix, the
-stacked trace is summed block by block, and the whitened trace takes one
-Cholesky factor of the centre output covariance.  A drawn covariance
-``Sigma = Q diag(d) Q'`` enters only as ``W = X Q diag(sqrt(d))``, which is
-``X Sigma^(1/2)`` turned by the orthogonal ``Q``: ``X Sigma X' = W W'``,
-and no norm, trace, eigenvalue or determinant a check reads changes, so
-nothing forms ``Sigma``, its root or ``diag(d)``.  One
+``instance(rng, i, n_max)`` draws sample ``i`` (a random channel,
+covariance and realization, or plain matrices); ``check(inst)`` evaluates
+one inequality on it and returns ``(margin, ok)``.  Each check computes only
+the quantities its inequality names, through an identity stated in its
+docstring: operator norms of channel matrices are the top eigenvalue of
+their band Gram matrix, the stacked trace is summed block by block, and the
+whitened trace takes one Cholesky factor of the centre output covariance.
+A drawn covariance ``Sigma = Q diag(d) Q'`` enters only as ``W = X Q
+diag(sqrt(d))``, which is ``X Sigma^(1/2)`` turned by the orthogonal ``Q``:
+``X Sigma X' = W W'``, and no norm, trace, eigenvalue or determinant a check
+reads changes, so nothing forms ``Sigma``, its root or ``diag(d)``.  One
 runner loops over the samples and records the worst margin.  An inequality
 ``lhs <= rhs`` passes with slack ``rhs * (1 + 1e-9) + 1e-12`` in the linear
-domain; the log-domain checks (determinant, volume) use an
-absolute-scaled slack.  Sample ``i`` of suite ``s`` comes from stream
-``16 + s`` of one master seed, so a reported worst instance can be
-regenerated exactly.
+domain; the log-domain checks (determinant, volume) use an absolute-scaled
+slack.  Suites whose rows name one instance function check one draw: sample
+``i`` is drawn once, from stream ``16 + s`` of one master seed for ``s`` the
+first such suite (19 for the two trace suites, 21 for the determinant,
+eigenvalue and shell suites, ``16 + s`` for the others).  So a suite's draws
+do not depend on which others run, and a reported worst instance can be
+regenerated exactly (``_suite_rng``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .spectrum import (
     compute_profile,
 )
 from .waterfill import LN2, thresholds
-from .channel_sim import MAX_DECODE_BYTES, rng_stream
+from .channel_sim import MAX_DECODE_BYTES, _cells, rng_stream
 
 __all__ = [
     "SLACK_REL",
@@ -141,8 +143,6 @@ class VolumeResult:
     Gaussian-entropy estimates (the lower one is asserted only for
     ``eta >= 1``, where no inner ellipsoid is carved out)."""
 
-    n: int
-    eta: float
     log2_exact: float
     log2_upper: float
     log2_lower: float
@@ -170,13 +170,7 @@ def _shell_volume(n: int, eta: float) -> VolumeResult:
         log2_exact = outer
     log2_upper = 0.5 * n * math.log2(TWO_PI_E) + 0.5 * n * math.log2(1.0 + eta)
     log2_lower = log2_upper - 0.5 * math.log2(math.pi * (n + 2.0))
-    return VolumeResult(
-        n=n,
-        eta=float(eta),
-        log2_exact=log2_exact,
-        log2_upper=log2_upper,
-        log2_lower=log2_lower,
-    )
+    return VolumeResult(log2_exact=log2_exact, log2_upper=log2_upper, log2_lower=log2_lower)
 
 
 @dataclass(frozen=True)
@@ -363,7 +357,8 @@ def _trace_instance(rng, i, n_max):
 
 
 def _weyl_instance(rng, i, n_max):
-    """(H, Hc, covariance, its ``thresholds``), radii scaled so phi1 < 1."""
+    """(H, Hc, covariance, its ``thresholds``, ``eta'``), radii scaled so
+    phi1 < 1; ``eta'`` is drawn last, from [0, 1), where the shell exists."""
     spec, profile, n = _random_channel(rng, n_max)
     cov = _random_cov(rng, n)
     spec, profile = _rescale_radii_for_phi1(
@@ -371,12 +366,7 @@ def _weyl_instance(rng, i, n_max):
     )
     Hc = build_Hc(spec, n).dense()
     H = _sample_banded(rng, spec, n).dense()
-    return H, Hc, cov, thresholds(spec, profile, cov, cov.trace / n)
-
-
-def _shell_instance(rng, i, n_max):
-    """A Weyl instance and ``eta'`` from [0, 1), where the shell exists."""
-    return _weyl_instance(rng, i, n_max) + (float(rng.uniform(0.0, 1.0)),)
+    return H, Hc, cov, thresholds(spec, profile, cov, cov.trace / n), float(rng.uniform(0.0, 1.0))
 
 
 _ETAS = (0.1, 0.5, 0.9, 1.0, 1.5, 3.0)
@@ -440,7 +430,7 @@ def _det_floor(inst):
     ``m log(1 - phi1) + log det Omega_c <= log det Omega_h``.  Both output
     covariances are ``I`` plus a Gram matrix, so positive definite, and
     their log-determinants come from Cholesky factors."""
-    H, Hc, cov, rep = inst
+    H, Hc, cov, rep, _ = inst
     omega_c, omega_h = _omegas(H, Hc, cov)
     floor = H.shape[0] * math.log(1.0 - rep.phi1_n) + _logdet_spd(omega_c)
     value = _logdet_spd(omega_h)
@@ -452,7 +442,7 @@ def _eig_stability(inst):
     ``A = W'W``, ``B = Wc'Wc`` with ``W = whiten(H)``, ``Wc = whiten(Hc)``
     (so ``A`` is similar to ``Sigma^(1/2) H'H Sigma^(1/2)``) is at most the
     operator norm of the symmetric perturbation ``A - B``."""
-    H, Hc, cov, _ = inst
+    H, Hc, cov, *_ = inst
     W, Wc = cov.whiten(H), cov.whiten(Hc)
     A = W.T @ W
     B = Wc.T @ Wc
@@ -492,15 +482,18 @@ _SUITES = (
     ("whitened_output_trace", _trace_instance, _whitened_trace),
     ("determinant_floor", _weyl_instance, _det_floor),
     ("eigenvalue_stability", _weyl_instance, _eig_stability),
-    ("shell_minimum_floor", _shell_instance, _shell_floor),
+    ("shell_minimum_floor", _weyl_instance, _shell_floor),
     ("shell_volume_bounds", _volume_instance, _volume),
 )
 
 SUITE_NAMES = tuple(name for name, _, _ in _SUITES)
+# The suite whose stream each suite's samples come from: the first to name its instance.
+_DRAWN_BY = tuple(next(j for j, row in enumerate(_SUITES) if row[1] is inst) for _, inst, _ in _SUITES)
 
 
 def _suite_rng(master_seed: int, suite_index: int, instance: int) -> np.random.Generator:
-    return rng_stream(master_seed, VERIFY_STREAM_BASE + suite_index, instance)
+    """The cell ``_run`` draws sample ``instance`` of a suite from."""
+    return rng_stream(master_seed, VERIFY_STREAM_BASE + _DRAWN_BY[suite_index], instance)
 
 
 def _report(name, margins_ok):
@@ -520,7 +513,7 @@ def _report(name, margins_ok):
 
 
 def _run(names, samples: int, master_seed: int, n_max: int) -> dict[str, LemmaReport]:
-    """Draw and check ``samples`` instances of each named suite."""
+    """Check ``samples`` draws on each named suite, one draw per instance function."""
     # The channel suites draw n from [k + 1, n_max] with k up to K_MAX.
     for key, value, least in (
         ("samples", samples, 1),
@@ -533,15 +526,16 @@ def _run(names, samples: int, master_seed: int, n_max: int) -> dict[str, LemmaRe
     if need > MAX_DECODE_BYTES:
         raise ValueError(f"n_max = {n_max} needs {need / 2**30:.3g} GiB per sample, "
                          f"over the cap {MAX_DECODE_BYTES / 2**30:.3g} GiB")
-    reports = {}
-    for name in names:
-        idx = SUITE_NAMES.index(name)
-        _, instance, check = _SUITES[idx]
-        reports[name] = _report(name, [
-            check(instance(_suite_rng(master_seed, idx, i), i, n_max))
-            for i in range(samples)
-        ])
-    return reports
+    margins = {name: [] for name in names}
+    for first in dict.fromkeys(_DRAWN_BY[SUITE_NAMES.index(name)] for name in names):
+        instance = _SUITES[first][1]
+        checks = [(name, check) for name, draw, check in _SUITES if draw is instance and name in margins]
+        for i, rng in enumerate(_cells(master_seed, VERIFY_STREAM_BASE + first, range(samples))):
+            inst = instance(rng, i, n_max)
+            for name, check in checks:
+                margins[name].append(check(inst))
+            del inst  # before the next draw: _DENSE_ARRAYS counts one sample's arrays
+    return {name: _report(name, margins[name]) for name in names}
 
 
 def run_suite(name: str, samples: int = 200, master_seed: int = 0, n_max: int = 64) -> LemmaReport:

@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -22,6 +24,7 @@ from isicap import (
     verify_report,
 )
 from isicap import verify
+from isicap.channel_sim import _cells, rng_stream
 from isicap.verify import _ETAS, _SUITES, _band_op_norm, _sample_banded, _shell_volume, _suite_rng, holds
 
 from oracles import dense_check_oracle, shell_min_oracle, shell_volume_oracle
@@ -376,3 +379,66 @@ def test_verify_refuses_n_max_past_the_byte_cap():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert run_suite("eigenvalue_stability", samples=2, n_max=256).violations == 0
+
+
+# Stream of each suite whose samples are another suite's draws: the first
+# suite of the table that reads the same instance.
+SHARED_STREAMS = {
+    "whitened_output_trace": verify.VERIFY_STREAM_BASE + SUITE_NAMES.index("stacked_deviation_trace"),
+    "eigenvalue_stability": verify.VERIFY_STREAM_BASE + SUITE_NAMES.index("determinant_floor"),
+    "shell_minimum_floor": verify.VERIFY_STREAM_BASE + SUITE_NAMES.index("determinant_floor"),
+}
+
+
+def test_group_cells_draw_the_suite_rng_instances():
+    """The runner's one Philox per group, set to each sample's counter in
+    turn, draws bit for bit the instance ``_suite_rng`` regenerates alone."""
+    for idx, (name, instance, _) in enumerate(_SUITES):
+        cells = _cells(3, verify.VERIFY_STREAM_BASE + verify._DRAWN_BY[idx], range(4))
+        for i, rng in enumerate(cells):
+            alone = instance(_suite_rng(3, idx, i), i, 24)
+            assert pickle.dumps(instance(rng, i, 24)) == pickle.dumps(alone), (name, i)
+
+
+def test_suite_draws_do_not_depend_on_the_other_suites():
+    """A suite run alone reports what it reports among all nine."""
+    together = run_all_suites(samples=6, master_seed=4, n_max=24)
+    for name in SUITE_NAMES:
+        assert run_suite(name, samples=6, master_seed=4, n_max=24) == together[name], name
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_suite_report_rebuilds_from_its_cells(name):
+    """A suite's report is its check on the cells ``(16 + s, i)`` of its own
+    stream, one sample at a time, for the six suites that read their own
+    draws, and on the first reader's cells for the three that share them;
+    ``_suite_rng`` is that cell."""
+    idx = SUITE_NAMES.index(name)
+    _, instance, check = _SUITES[idx]
+    stream = SHARED_STREAMS.get(name, verify.VERIFY_STREAM_BASE + idx)
+    margins = []
+    for i in range(6):
+        assert _suite_rng(2, idx, i).bytes(64) == rng_stream(2, stream, i).bytes(64)
+        margins.append(check(instance(rng_stream(2, stream, i), i, 24)))
+    assert run_suite(name, samples=6, master_seed=2, n_max=24) == verify._report(name, margins)
+
+
+@pytest.mark.parametrize("first", sorted(set(verify._DRAWN_BY[1:8])))
+def test_one_sample_fits_the_dense_array_count(first):
+    """One sample of a channel instance, drawn once and checked by every
+    suite that shares it, peaks below ``_DENSE_ARRAYS`` float arrays of order
+    ``n_max + K_MAX``, the count the byte-cap refusal rests on.  The samples
+    are the first three whose block length is within 8 of ``n_max``, so the
+    bound is near tight."""
+    n_max = 256
+    names = [name for j, name in enumerate(SUITE_NAMES) if verify._DRAWN_BY[j] == first]
+    block_len = lambda seed: verify._random_channel(_suite_rng(seed, first, 0), n_max)[2]
+    near = (seed for seed in itertools.count() if block_len(seed) >= n_max - 8)
+    for seed in itertools.islice(near, 3):
+        tracemalloc.start()
+        try:
+            verify._run(names, 1, seed, n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < verify._DENSE_ARRAYS * 8 * (n_max + verify.K_MAX) ** 2, (names, seed, peak)
