@@ -14,6 +14,14 @@ trace suites; 21: determinant, eigenvalue, shell).  Philox counts a cell's
 blocks in counter word 0, so cells never overlap, and results do not depend
 on scheduling order.  ``TrialBlocks`` draws the same cells a block of trials
 at a time, through the same tap and band kernels.
+
+Trial ``t``'s message pick among ``size = 2**bits`` words is what
+``rng_stream(seed, STREAM_MESSAGE, t).integers(size)`` returns, taken from
+the cell's first raw 64-bit word ``w`` as ``(w & 0xffffffff) >> (32 -
+bits)``, and 0 with no draw when ``size == 1``: for a power-of-two range
+numpy's ``integers`` is Lemire's multiply-shift on the low 32 bits of that
+word, which never rejects (Lemire, ACM TOMACS 2019).  ``message_picks``
+draws them.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ __all__ = [
     "MAX_DECODE_BYTES",
     "trial_block",
     "decode_bytes",
+    "message_picks",
     "codebook_size",
     "rng_stream",
     "ChannelLaw",
@@ -51,6 +60,7 @@ __all__ = [
     "build_sigma",
     "Codebook",
     "gen_codebook",
+    "sent_words",
     "transmit",
     "TrialBlocks",
 ]
@@ -63,12 +73,15 @@ STREAM_FLOOR = 4
 
 MAX_CODEBOOK_BITS = 24
 # Byte cap on what exhaustive decoding holds for one codebook: the
-# coefficients, their statistics, the half bases and the trial-block scratch.
+# coefficients, their statistics, the half bases, the held sent words and
+# message picks, and the trial-block scratch.
 MAX_DECODE_BYTES = 1 << 31
 # Most trials the decoder scores with one GEMM, and the most entries one
 # (codewords x trials) scratch array may have before the block shrinks.
 _TRIAL_BLOCK = 64
 _BLOCK_ENTRIES = 1 << 20
+# Sent rows ``sent_words`` builds per ``Codebook.words`` call.
+_WORD_CHUNK = 64
 # Most uniforms one TrialBlocks holds: its tap scratch stays in cache.
 _DRAW_ENTRIES = 1 << 15
 # A word's floor direction is projected off the support again while the
@@ -110,7 +123,7 @@ def _cells(master_seed: int, stream: int, indices, bits: Optional[np.random.Phil
     # cells never overlap below 2**64 blocks.
     counter = [0, 0, 0, 0]
     state = {**_PHILOX_STATE, "state": {"counter": counter, "key": _stream_key(master_seed, stream)}}
-    for i in np.asarray(indices).tolist():
+    for i in indices.tolist() if isinstance(indices, np.ndarray) else indices:
         counter[1] = i
         bits.state = state
         yield gen
@@ -326,8 +339,9 @@ def _project_off(halves: HalfBasis, V: np.ndarray) -> None:
 @dataclass(frozen=True)
 class Codebook:
     """Exhaustively decodable Gaussian codebook: ``size = 2**ceil(n * R)``
-    words drawn once from the input covariance ``cov``, held by their
-    coefficients on its support ``U`` and one floor radius each.
+    words (a size that is no power of two is refused) drawn once from the
+    input covariance ``cov``, held by their coefficients on its support
+    ``U`` and one floor radius each.
 
     Word ``i`` is ``x = U s + x_f``.  ``S[i]`` holds ``s = sqrt(d) * g_s``
     for a standard Gaussian ``g_s``.  The floor part ``x_f``, Gaussian with
@@ -362,6 +376,8 @@ class Codebook:
     seed: int
 
     def __post_init__(self) -> None:
+        if self.size < 1 or self.size & (self.size - 1):
+            raise ValueError(f"codebook size must be a power of two, got {self.size}")
         if self.cov.n != self.n or self.S.shape != (self.size, self.cov.d.size):
             raise ValueError("coefficient array shape mismatch")
         if self.q.shape != (self.size,) or self.q_floor.shape != (self.size,):
@@ -404,26 +420,32 @@ def trial_block(size: int) -> int:
     return max(1, min(_TRIAL_BLOCK, _BLOCK_ENTRIES // size))
 
 
-def decode_bytes(size: int, n: int) -> int:
-    """Bytes exhaustive decoding holds for ``size`` codewords of length
-    ``n``, at most: the coefficients and the two tall half bases, taken at
-    the full width ``n`` (``(n^2 + 1) / 2`` entries for the bases), since
-    the support is known only once ``build_sigma`` has run and the cap
-    refuses before it; four per-word statistics (input statistic, floor
-    radius, energy and their sum); and a block of ``T = trial_block(size)``
-    trials' scratch: two float64 ``(size, T)`` arrays' worth of scores and
-    masks, and five length-``n`` rows per trial (the received, projected,
-    sent and noise vectors, and while the sent words are built, each one's
-    floor draw, its projection and the half bases' products; a received
-    vector's ``k`` extra entries are taken as at most ``n``)."""
+def decode_bytes(size: int, n: int, trials: int = 0) -> int:
+    """Bytes exhaustive decoding of ``trials`` trials holds for ``size``
+    codewords of length ``n``, at most: the coefficients and the two tall
+    half bases, taken at the full width ``n`` (``(n^2 + 1) / 2`` entries
+    for the bases), since the support is known only once ``build_sigma``
+    has run and the cap refuses before it; four per-word statistics (input
+    statistic, floor radius, energy and their sum); the held sent words,
+    ``min(trials, size)`` rows of ``n``, and message picks, 4 bytes a
+    trial (``sent_words``); and the larger of two scratches that never
+    coexist, each five length-``n`` rows per row it works on: a chunk of
+    ``_WORD_CHUNK`` sent words being built (each one's floor draw, its
+    projection and the half bases' products), or a block of ``T =
+    trial_block(size)`` trials (the received, projected, gathered sent and
+    noise vectors; a received vector's ``k`` extra entries are taken as at
+    most ``n``), whose scores and masks add two float64 ``(size, T)``
+    arrays' worth."""
     T = trial_block(size)
-    return 8 * (size * (n + 4 + 2 * T) + (n * n + 1) // 2 + 5 * n * T)
+    rows = min(trials, size)
+    return (8 * (size * (n + 4 + 2 * T) + (n * n + 1) // 2 + 5 * n * max(T, _WORD_CHUNK) + rows * n)
+            + 4 * trials)
 
 
-def codebook_size(n: int, R: float) -> int:
+def codebook_size(n: int, R: float, trials: int = 0) -> int:
     """Codewords ``2**ceil(n * R)`` of the rate-``R`` codebook of length
-    ``n``, once exhaustive decoding is known to fit: raises
-    ``CodebookTooLarge`` past ``MAX_CODEBOOK_BITS`` or past
+    ``n``, once exhaustive decoding of ``trials`` trials is known to fit:
+    raises ``CodebookTooLarge`` past ``MAX_CODEBOOK_BITS`` or past
     ``MAX_DECODE_BYTES`` (see ``decode_bytes``).  A negative or non-finite
     rate is refused."""
     if not math.isfinite(R) or R < 0.0:
@@ -438,11 +460,12 @@ def codebook_size(n: int, R: float) -> int:
             f"2**{bits} codewords exceed the exhaustive-decoding cap 2**{MAX_CODEBOOK_BITS}"
         )
     size = 1 << max(bits, 0)
-    need = decode_bytes(size, n)
+    need = decode_bytes(size, n, trials)
     if need > MAX_DECODE_BYTES:
+        what = f"decode {trials} trials" if trials else "decode"
         raise CodebookTooLarge(
             f"2**{bits} codewords of length {n} need {need / 2**30:.2f} GiB to "
-            f"decode, over the cap {MAX_DECODE_BYTES / 2**30:.2f} GiB"
+            f"{what}, over the cap {MAX_DECODE_BYTES / 2**30:.2f} GiB"
         )
     return size
 
@@ -464,6 +487,41 @@ def gen_codebook(cov: CovarianceSpec, R: float, master_seed: int) -> Codebook:
     for a in (S, q, q_floor):
         a.setflags(write=False)
     return Codebook(n=cov.n, R=float(R), size=size, S=S, q=q, cov=cov, q_floor=q_floor, seed=master_seed)
+
+
+def message_picks(master_seed: int, ts, size: int) -> np.ndarray:
+    """Message picks of trials ``ts`` (non-negative integers, an array or a
+    range) among ``size`` words, as ``uint32``: bit for bit
+    ``rng_stream(master_seed, STREAM_MESSAGE, t).integers(size)``, from
+    each cell's first raw word (see the module docstring)."""
+    bits = size.bit_length() - 1
+    if size != 1 << bits:
+        raise ValueError(f"codebook size must be a power of two, got {size}")
+    if not bits:
+        return np.zeros(len(ts), dtype=np.uint32)
+    philox = np.random.Philox(_NO_ENTROPY)
+    cells = _cells(master_seed, STREAM_MESSAGE, ts, philox)
+    raw = np.fromiter((philox.random_raw() for _ in cells), dtype=np.uint64, count=len(ts))
+    raw &= 0xFFFFFFFF
+    raw >>= 32 - bits
+    return raw.astype(np.uint32)
+
+
+def sent_words(book: Codebook, msgs: np.ndarray, pool_map=map) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``msgs``, ascending, and their words, each
+    built once through ``book.words`` on chunks of ``_WORD_CHUNK`` of those
+    rows, so a word's bits depend only on the set of rows.  ``pool_map``
+    runs the chunks (a thread pool's ``map`` builds them concurrently)."""
+    seen = np.zeros(book.size, dtype=bool)
+    seen[msgs] = True
+    rows = np.flatnonzero(seen)
+    X = np.empty((len(rows), book.n))
+
+    def build(lo: int) -> None:
+        X[lo:lo + _WORD_CHUNK] = book.words(rows[lo:lo + _WORD_CHUNK])
+
+    list(pool_map(build, range(0, len(rows), _WORD_CHUNK)))
+    return rows, X
 
 
 def _band_apply(taps: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -493,15 +551,13 @@ def transmit(
 
 
 class TrialBlocks:
-    """One thread's message picks, channels and noise for blocks of trials,
-    equal bit for bit to ``rng_stream``, ``sample_H`` and ``transmit`` (of
-    the block's words) trial by trial.  The words are built for a whole
-    block by one GEMM, whose last bits can depend on the rows it holds.
-    One Philox is keyed once per stream and block, and set to each trial's
-    cell by writing the trial index into counter word 1, with the buffer
-    empty (``_cells``); taps and noise are drawn and applied a few trials
-    at a time, in scratch of at most ``_DRAW_ENTRIES`` taps that is
-    reused."""
+    """One thread's channels and noise for blocks of trials, equal bit for
+    bit to ``transmit(sample_H(...), x, ...)`` trial by trial for the
+    block's sent words ``x``, which the caller holds (``sent_words``).  One
+    Philox is keyed once per stream and block, and set to each trial's cell
+    by writing the trial index into counter word 1, with the buffer empty
+    (``_cells``); taps and noise are drawn and applied a few trials at a
+    time, in scratch of at most ``_DRAW_ENTRIES`` taps that is reused."""
 
     def __init__(self, spec: ChannelSpec, n: int, law: ChannelLaw, master_seed: int) -> None:
         self.spec, self.law, self.seed, self.m = spec, law, master_seed, n + spec.k
@@ -514,15 +570,11 @@ class TrialBlocks:
         else:
             self._u = np.empty((chunk, rows, spec.k + 1))
 
-    def draw(self, ts: np.ndarray, book: Codebook) -> tuple[np.ndarray, np.ndarray]:
-        """Message picks of trials ``ts`` (non-negative integers) among the
-        words of ``book``, and the ``(len(ts), m)`` vectors received for
-        them; only the picked words are built, as ``book.words(msgs)``."""
+    def draw(self, ts: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """The ``(len(ts), m)`` vectors received in trials ``ts``
+        (non-negative integers) for the sent words ``X``, one row each."""
         if ts.dtype.kind not in "iu" or (ts.size and ts.min() < 0):
             raise ValueError("trial indices must be non-negative integers")
-        picks = _cells(self.seed, STREAM_MESSAGE, ts, self._bits)
-        msgs = np.array([g.integers(book.size) for g in picks], dtype=int)
-        X = book.words(msgs)
         Y = np.zeros((len(ts), self.m))
         for lo in range(0, len(ts), len(self._z)):
             z = self._z[:len(ts) - lo]
@@ -538,4 +590,4 @@ class TrialBlocks:
                 taps = _taps_from(u, self.spec, self.law, self.m)
             _band_apply(taps, X[part], Y[part])
             Y[part] += z
-        return msgs, Y
+        return Y

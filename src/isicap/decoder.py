@@ -67,6 +67,8 @@ from .channel_sim import (
     check_law,
     codebook_size,
     gen_codebook,
+    message_picks,
+    sent_words,
     trial_block,
 )
 
@@ -302,13 +304,17 @@ def _guard_band(ctx: DecodeContext, y_sq: np.ndarray, b_sq: np.ndarray) -> np.nd
       floor_norm``, and the exact ``||Hc'y||`` is within ``(n + 2) eps`` of
       the computed one plus the rounding of ``Hc'y``, ``(k + 1) eps h ||y||``,
       which times ``||x_f||`` is below ``word_err ||y||``;
-    - both: the m-term dot products and the adds, the division by
-      ``n + m`` and the subtraction of 1 round values no larger than
-      ``(q + L^2) / (n + m)`` or 1, ``(2m + 9) eps`` in all.  The GEMM form
-      adds ``-2 s.z``, ``base = energy + q`` (rounded once per context) and
-      ``||y||^2``: three rounded adds of partial sums no larger than ``q +
-      L^2``, as many as when ``energy`` and ``q`` were added one by one, so
-      the allowance stands.
+    - both: the m-term dot products and the adds, the divisions by
+      ``n + m`` and the subtractions of 1 round values no larger than
+      ``(q + L^2) / (n + m)`` or 1, ``(2m + 11) eps`` in all.  The direct
+      form adds ``q`` to ``||a - y||^2``, divides and subtracts 1.  The
+      GEMM form scales ``z`` by ``fl(-2 / (n + m))`` (two roundings of a
+      score no larger than ``L^2 / (n + m)``) and adds
+      ``fl(base / (n + m))``, with ``base = energy + q`` rounded once per
+      context, and ``fl(||y||^2 / (n + m)) - 1``: eight roundings, three
+      more than when it added ``energy``, ``q`` and ``||y||^2`` one by one
+      before one division and one subtraction, which ``(2m + 9) eps``
+      allowed for.
 
     The band takes ``q``, ``||s||``, ``||x_f||`` and ``||a||`` at their
     codebook maxima and doubles the bound."""
@@ -316,7 +322,7 @@ def _guard_band(ctx: DecodeContext, y_sq: np.ndarray, b_sq: np.ndarray) -> np.nd
     eps = np.finfo(float).eps
     y = np.sqrt(y_sq)
     L = ctx.a_max + y
-    err = 2.0 * ctx.word_err * (L + y) + ctx.energy_err + (2 * m + 9) * eps * (L * L + ctx.q_max)
+    err = 2.0 * ctx.word_err * (L + y) + ctx.energy_err + (2 * m + 11) * eps * (L * L + ctx.q_max)
     err += 2.0 * (ctx.floor_norm * np.sqrt(b_sq) * (1.0 + (n + 2) * eps) + ctx.word_err * y)
     return _GUARD * (err / (n + m) + 4.0 * eps)
 
@@ -326,12 +332,15 @@ def _pass_mask(Y: np.ndarray, params: TypicalParams, ctx: DecodeContext) -> np.n
     against every row of ``Y``, shape ``(size, T)``.
 
     The joint statistic is ``w = (q + ||a - y||^2) / (n + m)``.  One
-    projection ``Z = (Hc'Y) U`` onto the support and one GEMM of the
-    coefficients against it, scaled by -2 (exactly), give the residuals of
-    the whole block as ``-2 s.z + base + ||y||^2``, short of the floor's
-    term; a pair whose ``|w - 1|`` lies within the guard band of ``eta`` is
-    recomputed from its codeword ``x = U s + x_f`` as ``||Hc x - y||^2``, so
-    each decision equals the direct rule's.
+    projection ``Z = (Hc'Y) U`` onto the support, scaled by ``-2 / (n +
+    m)``, and one GEMM of it against the coefficients give the deviations
+    ``w - 1`` of the whole block as that score plus ``||y||^2 / (n + m) -
+    1`` per received vector and ``base / (n + m)`` per codeword, short of
+    the floor's term.  A pair whose ``|w - 1|`` lies within the guard band
+    of ``eta`` is recomputed from its codeword ``x = U s + x_f`` as ``||Hc x
+    - y||^2``, so each decision equals the direct rule's.  The scores are
+    held one row per received vector, the layout whose GEMM is the faster
+    at scale, and the mask returned is their transpose.
     """
     book, joint = ctx.book, ctx.joint
     n, m = joint.n, joint.m
@@ -343,22 +352,22 @@ def _pass_mask(Y: np.ndarray, params: TypicalParams, ctx: DecodeContext) -> np.n
     B = _band_adjoint(joint.hc, Y)
     b_sq = np.einsum("ij,ij->i", B, B)
     Z = book.cov.halves.adjoint(B)
-    Z *= -2.0
-    dev = book.S @ Z.T
-    dev += ctx.base[:, None]
-    dev += y_sq
-    dev /= n + m
-    dev -= 1.0
+    Z *= -2.0 / (n + m)
+    dev = Z @ book.S.T
+    dev += (y_sq / (n + m) - 1.0)[:, None]
+    dev += ctx.base / (n + m)
     np.abs(dev, out=dev)
-    x_ok = (np.abs(book.q / n - 1.0) < params.epsilon)[:, None]
+    x_ok = np.abs(book.q / n - 1.0) < params.epsilon
     out = dev < params.eta
     out &= x_ok
     dev -= params.eta
     np.abs(dev, out=dev)
-    near = dev > _guard_band(ctx, y_sq, b_sq)
-    np.logical_not(near, out=near)
-    near &= x_ok
-    rows, cols = np.nonzero(near)
+    # The pairs within the widest band, then those within their own.
+    band = _guard_band(ctx, y_sq, b_sq)
+    cols, rows = np.divmod(np.flatnonzero(dev <= band.max(initial=0.0)), book.size)
+    keep = (dev[cols, rows] <= band[cols]) & x_ok[rows]
+    rows, cols = rows[keep], cols[keep]
+    out = out.T
     step = max(1, _DIRECT_ENTRIES // m)
     for lo in range(0, rows.size, step):
         r, c = rows[lo:lo + step], cols[lo:lo + step]
@@ -447,18 +456,21 @@ def run_error_experiment(
     """Monte Carlo error rates of the joint-typicality decoder.
 
     Each trial draws its own channel, noise, and message from per-trial
-    streams, and each thread draws and scores its trials in blocks of
+    streams.  Every message is picked, and the words of the distinct sent
+    rows built once (``message_picks``, ``sent_words``), before the trials
+    run; each thread then draws and scores its trials in blocks of
     ``trial_block(size)`` with exact decisions, so the counts are
     independent of ``threads`` and of the block size.  ``threads`` splits
     the trials into spans; at most ``os.cpu_count()`` threads run them.  A
-    codebook too large to decode exhaustively is refused before any set-up.
+    codebook too large to decode exhaustively, the held words and picks
+    included, is refused before any set-up.
     """
     if trials <= 0:
         raise ValueError("need trials > 0")
     if master_seed < 0:
         raise ValueError(f"need master_seed >= 0, got {master_seed}")
     check_law(spec, law)
-    codebook_size(n, R)
+    codebook_size(n, R, trials)
     profile = compute_profile(spec, grid_size)
     cov = build_sigma(spec, n, P)
     report = thresholds(spec, profile, cov, P)
@@ -468,31 +480,32 @@ def run_error_experiment(
     book = gen_codebook(cov, R, master_seed)
     ctx = prepare_context(book, joint)
     block = trial_block(book.size)
+    msgs = message_picks(master_seed, range(trials), book.size)
 
     def run_range(lo: int, hi: int) -> tuple[int, int, int]:
         t1 = t2 = ok = 0
         draws = TrialBlocks(spec, n, law, master_seed)
         for start in range(lo, hi, block):
-            ts = np.arange(start, min(start + block, hi))
-            msgs, Y = draws.draw(ts, book)
-            mask = _pass_mask(Y, params, ctx)
-            sent = mask[msgs, np.arange(len(ts))]
+            end = min(start + block, hi)
+            ts, sent = np.arange(start, end), msgs[start:end]
+            mask = _pass_mask(draws.draw(ts, words[np.searchsorted(rows, sent)]), params, ctx)
+            passed = mask[sent, np.arange(len(ts))]
             many = np.count_nonzero(mask, axis=0) > 1
-            t1 += int(np.count_nonzero(~sent))
-            t2 += int(np.count_nonzero(sent & many))
-            ok += int(np.count_nonzero(sent & ~many))
+            t1 += int(np.count_nonzero(~passed))
+            t2 += int(np.count_nonzero(passed & many))
+            ok += int(np.count_nonzero(passed & ~many))
         return t1, t2, ok
 
-    # Each span is a run of whole blocks, so the blocks, and the GEMM that
-    # builds each block's sent words, are the same for any thread count; the
-    # pool runs the spans on at most one worker per core.
+    # Each span is a run of whole blocks, so the blocks are the same for any
+    # thread count, and so are the chunks the sent words are built in, before
+    # any span; the pool runs both on at most one worker per core.
     step = math.ceil(math.ceil(trials / block) / max(threads, 1)) * block
     spans = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
-    if len(spans) == 1:
-        parts = [run_range(*spans[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
-            parts = list(pool.map(lambda s: run_range(*s), spans))
+    workers = min(len(spans), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pool_map = pool.map if workers > 1 else map
+        rows, words = sent_words(book, msgs, pool_map)
+        parts = list(pool_map(lambda s: run_range(*s), spans))
     type1 = sum(p[0] for p in parts)
     type2 = sum(p[1] for p in parts)
     success = sum(p[2] for p in parts)

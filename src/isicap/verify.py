@@ -34,6 +34,7 @@ from scipy.linalg import cholesky, eigh, eigvals_banded, eigvalsh, solve_triangu
 
 from .errors import SpectrumSingular
 from .spectrum import (
+    DEFAULT_GRID,
     BandedChannelMatrix,
     ChannelSpec,
     SpectrumProfile,
@@ -67,6 +68,15 @@ K_MAX = 4  # largest channel memory the suites draw
 # Most arrays of order n_max + K_MAX one sample holds at once (eigenvalue
 # stability: H, Hc, Q, W, Wc, A, B, A - B and an eigensolver copy).
 _DENSE_ARRAYS = 9
+# Doubles per row of that order in the eigensolvers' LAPACK workspace
+# (dsyevr: 26 doubles and 10 ints a row).
+_EIG_WORK = 32
+# Most arrays of DEFAULT_GRID + 1 doubles a channel draw holds: while
+# ``compute_profile`` builds the FFT table, the complex transform (two), the
+# two squares, their sum and the closed table; besides them the other table
+# the cache keeps and the Simpson weights; and one to spare for the draw's
+# small arrays.
+_GRID_ARRAYS = 9
 TWO_PI_E = 2.0 * math.pi * math.e
 
 
@@ -512,6 +522,14 @@ def _report(name, margins_ok):
     )
 
 
+def _sample_bytes(n_max: int) -> int:
+    """Bytes one sample holds at most, at block lengths up to ``n_max``:
+    ``_DENSE_ARRAYS`` float arrays and ``_EIG_WORK`` doubles a row of order
+    ``n_max + K_MAX``, and ``_GRID_ARRAYS`` arrays of the spectrum grid."""
+    order = n_max + K_MAX
+    return 8 * (_DENSE_ARRAYS * order * order + _EIG_WORK * order + _GRID_ARRAYS * (DEFAULT_GRID + 1))
+
+
 def _run(names, samples: int, master_seed: int, n_max: int) -> dict[str, LemmaReport]:
     """Check ``samples`` draws on each named suite, one draw per instance function."""
     # The channel suites draw n from [k + 1, n_max] with k up to K_MAX.
@@ -522,7 +540,7 @@ def _run(names, samples: int, master_seed: int, n_max: int) -> dict[str, LemmaRe
     ):
         if value < least:
             raise ValueError(f"{key} must be >= {least}, got {value}")
-    need = _DENSE_ARRAYS * 8 * (n_max + K_MAX) ** 2
+    need = _sample_bytes(n_max)
     if need > MAX_DECODE_BYTES:
         raise ValueError(f"n_max = {n_max} needs {need / 2**30:.3g} GiB per sample, "
                          f"over the cap {MAX_DECODE_BYTES / 2**30:.3g} GiB")
@@ -534,7 +552,7 @@ def _run(names, samples: int, master_seed: int, n_max: int) -> dict[str, LemmaRe
             inst = instance(rng, i, n_max)
             for name, check in checks:
                 margins[name].append(check(inst))
-            del inst  # before the next draw: _DENSE_ARRAYS counts one sample's arrays
+            del inst  # before the next draw: _sample_bytes counts one sample's arrays
     return {name: _report(name, margins[name]) for name in names}
 
 

@@ -132,8 +132,6 @@ class ThresholdReport:
     ``finite_n_bound``'s, which refuses phi1 >= 1; decoding reads only
     eta_n."""
 
-    n: int
-    m: int
     eta_n: float
     C_n: float
     C_prime_n: float
@@ -365,8 +363,6 @@ def thresholds(spec: ChannelSpec, profile: SpectrumProfile, cov, P: float) -> Th
     s = _s(profile, rs)
     bs = profile.beta + rs
     return ThresholdReport(
-        n=n,
-        m=m,
         eta_n=(spec.k + 1) * spec.norm_r_sq * cov.trace / (m + n),
         C_n=2.0 * m + 2.0 * n + 8.0 * (spec.k + 1) * n * P * spec.norm_r_sq
         + 2.0 * n * P * rs ** 4 * cov.lam_max,

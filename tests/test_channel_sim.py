@@ -29,7 +29,9 @@ from isicap.channel_sim import (
     CovarianceSpec,
     TrialBlocks,
     decode_bytes,
+    message_picks,
     sample_taps,
+    sent_words,
     trial_block,
 )
 from isicap.spectrum import FOLD_ULPS, HalfBasis
@@ -132,26 +134,54 @@ def test_rng_stream_refusals():
     ids=["iid", "hold3", "constant"],
 )
 def test_trial_blocks_match_one_cell_path(example_spec, monkeypatch, law, entries):
-    """A block's message picks and received vectors equal, bit for bit,
-    ``rng_stream`` picks and ``transmit(sample_H(...))`` of the words
-    ``book.words(msgs)`` trial by trial, whether the scratch holds one
-    trial (entries = 1) or the whole block; ``n + k = 17`` is not a
-    multiple of the hold length."""
+    """A block's received vectors equal, bit for bit, ``transmit(sample_H(...))``
+    of its sent words trial by trial, whether the scratch holds one trial
+    (entries = 1) or the whole block.  The sent words are ``sent_words``'s
+    of the ``message_picks``, which are ``rng_stream``'s picks, and equal
+    ``book.words`` of the distinct picked rows, ascending; ``n + k = 17``
+    is not a multiple of the hold length."""
     monkeypatch.setattr(channel_sim, "_DRAW_ENTRIES", entries)
     n, seed = 15, 9
     rng = np.random.default_rng(4)
-    S = rng.standard_normal((11, n))
-    book = Codebook(n=n, R=0.2, size=11, S=S, q=(S * S).sum(axis=1),
-                    cov=flat_cov(n, random_halves(n, 4)), q_floor=np.zeros(11), seed=seed)
+    S = rng.standard_normal((16, n))
+    book = Codebook(n=n, R=0.25, size=16, S=S, q=(S * S).sum(axis=1),
+                    cov=flat_cov(n, random_halves(n, 4)), q_floor=np.zeros(16), seed=seed)
     draws = TrialBlocks(example_spec, n, law, seed)
     for ts in (np.arange(40, 47), np.arange(3)):
-        msgs, Y = draws.draw(ts, book)
+        msgs = message_picks(seed, ts, book.size)
+        rows, words = sent_words(book, msgs)
+        assert np.array_equal(rows, np.unique(msgs))
+        assert np.array_equal(words, book.words(rows))
+        X = words[np.searchsorted(rows, msgs)]
+        Y = draws.draw(ts, X)
         assert Y.shape == (ts.size, n + example_spec.k)
-        words = book.words(msgs)
         for i, t in enumerate(ts):
             assert msgs[i] == rng_stream(seed, STREAM_MESSAGE, t).integers(book.size)
             H = sample_H(example_spec, n, law, seed, t)
-            assert np.array_equal(Y[i], transmit(H, words[i], seed, t))
+            assert np.array_equal(Y[i], transmit(H, X[i], seed, t))
+
+
+def test_message_picks_are_integers_of_their_cells():
+    """For every ``size = 2**bits`` up to the cap, the pick of each of 1,000
+    cells (indices past one and two counter words included) is
+    ``rng_stream(seed, STREAM_MESSAGE, t).integers(size)``, read from the
+    cell's first raw word; a size that is no power of two is refused, by
+    the picks and by ``Codebook``."""
+    seed = 12
+    ts = np.array([*range(990), *range(2**32, 2**32 + 5), *range(2**64 - 5, 2**64)], dtype=np.uint64)
+    assert len(ts) == 1000
+    for bits in range(MAX_CODEBOOK_BITS + 1):
+        size = 1 << bits
+        picks = message_picks(seed, ts, size)
+        assert picks.dtype == np.uint32
+        want = [rng_stream(seed, STREAM_MESSAGE, int(t)).integers(size) for t in ts]
+        assert picks.tolist() == want, bits
+    assert np.array_equal(message_picks(seed, range(20), 8), message_picks(seed, np.arange(20), 8))
+    with pytest.raises(ValueError, match="power of two"):
+        message_picks(seed, range(4), 11)
+    S = np.ones((11, 1))
+    with pytest.raises(ValueError, match="power of two"):
+        Codebook(n=1, R=4.0, size=11, S=S, q=np.ones(11), cov=flat_cov(1), q_floor=np.zeros(11), seed=0)
 
 
 @pytest.mark.parametrize("kind", ["block_hold", "iid_uniform"])
@@ -227,9 +257,9 @@ def test_block_longer_than_the_outputs_holds_one_row(example_spec, block_len):
     book = Codebook(n=n, R=0.5, size=2, S=np.eye(2, n), q=np.ones(2),
                     cov=flat_cov(n, random_halves(n, 4)), q_floor=np.zeros(2), seed=seed)
     ts = np.arange(6)
-    for got, want in zip(TrialBlocks(example_spec, n, long, seed).draw(ts, book),
-                         TrialBlocks(example_spec, n, exact, seed).draw(ts, book)):
-        assert np.array_equal(got, want)
+    X = book.words(ts % 2)
+    assert np.array_equal(TrialBlocks(example_spec, n, long, seed).draw(ts, X),
+                          TrialBlocks(example_spec, n, exact, seed).draw(ts, X))
 
 
 def test_block_hold_taps(example_spec):
@@ -352,28 +382,39 @@ def test_codebook_size_and_cap(example_spec):
 
 def test_codebook_byte_cap(example_spec, monkeypatch):
     """``decode_bytes`` covers what decoding holds: the coefficients, input
-    statistics and energies and the half bases, plus the peak of the arrays one
-    block of trials allocates (drawing and scoring, traced), for an
-    eigenbasis codebook; the cap refuses past it, before any draw."""
-    n, R = 64, 10 / 64
+    statistics and energies and the half bases, the held picks and sent
+    words, plus the peak of the arrays that building the sent words, and
+    after it one block of trials (drawing and scoring), allocate (traced),
+    for an eigenbasis codebook and more trials than words; the cap refuses
+    past it, before any draw."""
+    n, R, trials = 64, 10 / 64, 3000
     cov = build_sigma(example_spec, n, 1.0, "waterfill_gram")
     book = gen_codebook(cov, R, 0)
     joint = build_joint(cov, build_Hc(example_spec, n))
     ctx = prepare_context(book, joint)
     draws = TrialBlocks(example_spec, n, ChannelLaw(kind="iid_uniform"), 0)
+    T = trial_block(book.size)
     tracemalloc.start()
-    _, Y = draws.draw(np.arange(trial_block(book.size)), book)
-    _pass_mask(Y, TypicalParams(epsilon=0.5, eta=0.3), ctx)
-    _, block = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    try:
+        msgs = message_picks(0, range(trials), book.size)
+        rows, words = sent_words(book, msgs)
+        _, build = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        Y = draws.draw(np.arange(T), words[np.searchsorted(rows, msgs[:T])])
+        _pass_mask(Y, TypicalParams(epsilon=0.5, eta=0.3), ctx)
+        _, block = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     halves = cov.halves
     held = sum(a.nbytes for a in (book.S, book.q, book.q_floor, ctx.energy, ctx.base,
                                   halves.sym, halves.skew))
-    need = decode_bytes(book.size, n)
-    assert held + block <= need
-    monkeypatch.setattr(channel_sim, "MAX_DECODE_BYTES", need)
+    need = decode_bytes(book.size, n, trials)
+    assert held + max(build, block) <= need
+    assert decode_bytes(book.size, n, trials + 1) == need + 4
+    assert decode_bytes(book.size, n, 8) - decode_bytes(book.size, n, 7) == 8 * n + 4
+    monkeypatch.setattr(channel_sim, "MAX_DECODE_BYTES", decode_bytes(book.size, n))
     assert gen_codebook(cov, R, 0).size == 2 ** 10
-    monkeypatch.setattr(channel_sim, "MAX_DECODE_BYTES", need - 1)
+    monkeypatch.setattr(channel_sim, "MAX_DECODE_BYTES", decode_bytes(book.size, n) - 1)
     with pytest.raises(CodebookTooLarge):
         gen_codebook(cov, R, 0)
     monkeypatch.undo()

@@ -27,17 +27,18 @@ from isicap.channel_sim import (
     STREAM_MESSAGE,
     Codebook,
     CovarianceSpec,
+    decode_bytes,
     gen_codebook,
     rng_stream,
     sample_H,
     transmit,
     trial_block,
 )
-from isicap import decoder as decoder_mod
+from isicap import channel_sim, decoder as decoder_mod
 from isicap.channel_sim import FLOOR_REPROJECT, _band_apply
 from isicap.spectrum import FOLD_ULPS, HalfBasis, _half_bands, _sym_band_apply, _tap_autocorr, gram_eigh
 from isicap.decoder import DecodeContext, _guard_band, _pass_mask, prepare_context
-from isicap.errors import DimensionMismatch, NotPositiveDefinite
+from isicap.errors import CodebookTooLarge, DimensionMismatch, NotPositiveDefinite
 from isicap.waterfill import POWER_FLOOR, dbw_to_watts, waterfill_powers
 from bases import assemble, flat_cov, floors, random_cov as _random_cov, random_halves, sigma
 from oracles import (
@@ -576,6 +577,61 @@ def test_support_split_matches_full_width_score(example_spec, case):
     assert np.array_equal(_pass_mask(Y, params, ctx), np.abs(W - 1.0) < eta)
 
 
+@pytest.mark.parametrize("band", [None, 1e-2, 10.0])
+def test_pairs_forced_into_the_guard_band_follow_the_dense_rule(example_spec, monkeypatch, band):
+    """An eigenbasis codebook at -10 dBW (a floor on most dimensions), with
+    ``epsilon`` failing about half the words and ``eta`` splitting the
+    pairs across their narrowest gap: the pass mask equals the direct rule
+    evaluated densely (the assembled columns, the built floors and the
+    dense channel matrix) on every pair clear of both thresholds by 1e-9,
+    with the drawn guard band
+    and with bands widened to force some or all pairs into it.  Exactly the
+    typical words' pairs inside the band are recomputed from their words;
+    a band of 10 takes all of them."""
+    n, T = 32, 24
+    cov = build_sigma(example_spec, n, dbw_to_watts(-10.0))
+    assert cov.floor_dim > 0
+    book = gen_codebook(cov, 5 / n, 8)
+    joint = build_joint(cov, build_Hc(example_spec, n))
+    ctx = prepare_context(book, joint)
+    N = n + joint.m
+    rng = np.random.default_rng(9)
+    X = book.S @ assemble(cov.halves).T + floors(book, slice(None))
+    A = X @ build_Hc(example_spec, n).dense().T
+    Y = A[rng.integers(book.size, size=T)] + rng.standard_normal((T, joint.m))
+    W = np.abs((book.q[:, None] + ((A[:, None, :] - Y[None]) ** 2).sum(axis=-1)) / N - 1.0)
+    x_dev = np.abs(book.q / n - 1.0)
+    epsilon = float(np.median(x_dev))
+    typical = x_dev < epsilon
+    # eta halfway across the narrowest gap (over 4e-9) between the middle
+    # half of the typical words' sorted deviations, so a slightly wrong
+    # decision rule shows.
+    dev = np.sort(W[typical], axis=None)
+    gaps = np.diff(dev)
+    mid = np.arange(dev.size // 4, 3 * dev.size // 4)
+    i = mid[np.argmin(np.where(gaps[mid] > 4e-9, gaps[mid], np.inf))]
+    eta = 0.5 * (dev[i] + dev[i + 1])
+    assert dev[i + 1] - dev[i] < 1e-4 * eta
+    params = TypicalParams(epsilon=epsilon, eta=eta)
+    want = typical[:, None] & (W < eta)
+    clear = (np.abs(x_dev - epsilon) > 1e-9)[:, None] & (np.abs(W - eta) > 1e-9)
+    assert 0.3 < typical.mean() < 0.7 and 0.1 < want.mean() < 0.5 and clear.mean() > 0.99
+    built = []
+    words = Codebook.words
+    monkeypatch.setattr(Codebook, "words", lambda self, rows: built.append(len(rows)) or words(self, rows))
+    if band is not None:
+        monkeypatch.setattr(decoder_mod, "_guard_band", lambda ctx, y_sq, b_sq: np.full_like(y_sq, band))
+    mask = _pass_mask(Y, params, ctx)
+    assert np.array_equal(mask[clear], want[clear])
+    inside = typical[:, None] & (np.abs(W - eta) <= (band or 0.0))
+    if band is not None:
+        # Within 1e-9 of the band's edges the GEMM form may fall either side.
+        assert abs(sum(built) - inside.sum()) <= (np.abs(np.abs(W - eta) - band) <= 1e-9).sum()
+        assert 0 < inside.sum()
+    if band == 10.0:
+        assert sum(built) == typical.sum() * T
+
+
 def test_standard_basis_pairs_follow_direct_form(example_spec):
     """A codebook on the standard half bases (columns ``(e_i +- e_(n-1-i))
     / sqrt(2)``), which do not diagonalise ``Hc'Hc``, so the energies
@@ -607,7 +663,6 @@ def test_threshold_formulas(example_spec, example_profile):
     cov = build_sigma(example_spec, n, P, "waterfill_gram")
     rep = thresholds(example_spec, example_profile, cov, P)
     m = n + example_spec.k
-    assert rep.m == m
     rs, beta, alpha = example_profile.r_s, example_profile.beta, example_profile.alpha
     s = rs * (rs + 2.0 * beta)
     phis = (
@@ -705,6 +760,54 @@ def test_experiment_pool_is_capped_at_the_cores(example_spec, monkeypatch):
     wide = run_error_experiment(example_spec, trials=trials, threads=1000, **kwargs)
     assert seen == [2]
     assert (wide.type1, wide.type2, wide.success) == (serial.type1, serial.type2, serial.success)
+
+
+@pytest.mark.parametrize("block", [1, 64])
+def test_experiment_builds_each_sent_word_once(example_spec, monkeypatch, block):
+    """Every distinct sent row (about 110 of 256 words) goes through
+    ``Codebook.words`` exactly once per experiment, in two chunks of at
+    most 64 rows, at ``threads`` 1, 2 and 7 and at one or 64 trials per
+    block, and the calls and the counts are the same in all six runs.  Thresholds far from every pair's
+    statistic leave no pair in the guard band, so only the sent words are
+    built."""
+    n, trials, seed = 16, 150, 6
+    calls = []
+    words = Codebook.words
+    monkeypatch.setattr(Codebook, "words", lambda self, rows: calls.append(list(rows)) or words(self, rows))
+    monkeypatch.setattr(channel_sim, "_TRIAL_BLOCK", block)
+    P = dbw_to_watts(-10.0)
+    params = TypicalParams(epsilon=10.0, eta=50.0)
+    size = 2 ** math.ceil(n * 0.5)
+    sent = sorted({int(rng_stream(seed, STREAM_MESSAGE, t).integers(size)) for t in range(trials)})
+    runs = []
+    for threads in (1, 2, 7):
+        calls.clear()
+        res = run_error_experiment(example_spec, n=n, R=0.5, P=P, trials=trials, master_seed=seed,
+                                   params=params, threads=threads)
+        assert sorted(r for c in calls for r in c) == sent
+        assert len(calls) == 2 and all(len(c) <= 64 for c in calls)
+        runs.append((sorted(calls), res.type1, res.type2, res.success))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][1] == 0 and runs[0][2] == trials
+
+
+def test_experiment_byte_cap_at_its_edge(example_spec, monkeypatch):
+    """``run_error_experiment`` runs with the cap at exactly
+    ``decode_bytes(size, n, trials)``, picks and held words included, and
+    one byte below it is refused before any set-up."""
+    n, R, trials = 16, 0.25, 100
+    need = decode_bytes(2 ** 4, n, trials)
+    monkeypatch.setattr(channel_sim, "MAX_DECODE_BYTES", need)
+    res = run_error_experiment(example_spec, n=n, R=R, P=1.0, trials=trials)
+    assert res.trials == trials
+
+    def setup_ran(*args, **kwargs):
+        raise AssertionError("set-up ran before the refusal")
+
+    monkeypatch.setattr(channel_sim, "MAX_DECODE_BYTES", need - 1)
+    monkeypatch.setattr(decoder_mod, "compute_profile", setup_ran)
+    with pytest.raises(CodebookTooLarge, match=f"decode {trials} trials"):
+        run_error_experiment(example_spec, n=n, R=R, P=1.0, trials=trials)
 
 
 def test_experiment_rejects_zero_trials(example_spec):
@@ -847,10 +950,10 @@ def test_decode_matches_exact_rational_oracle(example_spec, p_dbw):
     it misses ``log det Sigma``; the decoder never forms Xi and its
     decisions stay exact.
 
-    The codebook gets one extra word whose input statistic is 1, and four
-    received vectors put its joint deviation 1e-7 (relative) inside and
-    outside ``eta`` on either side of 1 where possible; the rest come
-    through a drawn and through the centre channel.  Pairs whose exact
+    The codebook's last word is replaced by one whose input statistic is
+    1, and four received vectors put its joint deviation 1e-7 (relative)
+    inside and outside ``eta`` on either side of 1 where possible; the rest
+    come through a drawn and through the centre channel.  Pairs whose exact
     joint deviation lies within the guard band of ``eta`` are not
     compared, except the crafted ones, which lie outside it unless the
     floor's term widens it (at -10 dBW); the input test has no
@@ -865,9 +968,9 @@ def test_decode_matches_exact_rational_oracle(example_spec, p_dbw):
     g *= np.sqrt(n) / np.linalg.norm(g)
     w = cov.d.size
     book = Codebook(
-        n=n, R=1.0, size=drawn.size + 1, S=np.vstack([drawn.S, np.sqrt(cov.d) * g[:w]]),
-        q=np.append(drawn.q, float(n)), cov=cov,
-        q_floor=np.append(drawn.q_floor, g[w:] @ g[w:]), seed=seed,
+        n=n, R=1.0, size=drawn.size, S=np.vstack([drawn.S[:-1], np.sqrt(cov.d) * g[:w]]),
+        q=np.append(drawn.q[:-1], float(n)), cov=cov,
+        q_floor=np.append(drawn.q_floor[:-1], g[w:] @ g[w:]), seed=seed,
     )
     Hc = build_Hc(example_spec, n)
     joint = build_joint(cov, Hc)

@@ -23,7 +23,7 @@ from isicap import (
     run_suite,
     verify_report,
 )
-from isicap import verify
+from isicap import spectrum, verify
 from isicap.channel_sim import _cells, rng_stream
 from isicap.verify import _ETAS, _SUITES, _band_op_norm, _sample_banded, _shell_volume, _suite_rng, holds
 
@@ -427,9 +427,9 @@ def test_suite_report_rebuilds_from_its_cells(name):
 def test_one_sample_fits_the_dense_array_count(first):
     """One sample of a channel instance, drawn once and checked by every
     suite that shares it, peaks below ``_DENSE_ARRAYS`` float arrays of order
-    ``n_max + K_MAX``, the count the byte-cap refusal rests on.  The samples
-    are the first three whose block length is within 8 of ``n_max``, so the
-    bound is near tight."""
+    ``n_max + K_MAX``, the count the byte-cap refusal rests on at large
+    ``n_max``.  The samples are the first three whose block length is
+    within 8 of ``n_max``, so the bound is near tight."""
     n_max = 256
     names = [name for j, name in enumerate(SUITE_NAMES) if verify._DRAWN_BY[j] == first]
     block_len = lambda seed: verify._random_channel(_suite_rng(seed, first, 0), n_max)[2]
@@ -442,3 +442,29 @@ def test_one_sample_fits_the_dense_array_count(first):
         finally:
             tracemalloc.stop()
         assert peak < verify._DENSE_ARRAYS * 8 * (n_max + verify.K_MAX) ** 2, (names, seed, peak)
+
+
+@pytest.mark.parametrize("n_max", [8, 32, 128])
+def test_sample_bytes_bound_every_suite_at_small_n_max(n_max):
+    """At small ``n_max`` the spectrum grid, not the dense arrays, sets a
+    sample's peak: every suite group, run with the spectrum caches cold,
+    peaks (traced) below ``_sample_bytes(n_max)``, the byte-cap estimate,
+    and above its dense part alone at n_max = 8 and 32."""
+    groups = {}
+    for j, name in enumerate(SUITE_NAMES):
+        groups.setdefault(verify._DRAWN_BY[j], []).append(name)
+    dense = verify._DENSE_ARRAYS * 8 * (n_max + verify.K_MAX) ** 2
+    worst = 0
+    for names in groups.values():
+        for seed in range(3):
+            for cache in (spectrum._f_sq_table, spectrum._centre_profile, spectrum.simpson_weights):
+                cache.cache_clear()
+            tracemalloc.start()
+            try:
+                verify._run(names, 2, seed, n_max)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < verify._sample_bytes(n_max), (names, seed, peak)
+            worst = max(worst, peak)
+    assert n_max == 128 or worst > dense
