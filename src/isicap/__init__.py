@@ -7,7 +7,6 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     IsicapError,
-    NotPositiveDefinite,
     SpectrumSingular,
 )
 from .spectrum import (
@@ -61,10 +60,7 @@ from .verify import (
     SUITE_NAMES,
     ConverseReport,
     LemmaReport,
-    NormBundle,
-    check_lemma1,
     converse_rate_bound,
-    norms,
     qcqp_min,
     run_all_suites,
     run_suite,

@@ -42,6 +42,7 @@ EXIT_VIOLATION = 4
 FLAG_NEAR_PSAT = "near_psat"
 FLAG_INAPPLICABLE = "bound_inapplicable"
 NEAR_PSAT_DBW = 0.5
+MAX_GRID_POINTS = 10**6  # a start:stop:count grid past this is refused before np.linspace
 
 _DEFAULTS = {
     "channel": {"k": 2, "c": [1.0, 0.5, 0.5], "r": [1e-3, 1e-3, 1e-3]},
@@ -74,7 +75,8 @@ class RunConfig:
 
 
 def parse_grid(text: str) -> list[float]:
-    """Either ``start:stop:count`` (inclusive linspace) or a comma list."""
+    """Either ``start:stop:count`` (inclusive linspace, at most
+    ``MAX_GRID_POINTS`` points) or a comma list."""
     text = text.strip()
     try:
         if ":" in text:
@@ -82,6 +84,8 @@ def parse_grid(text: str) -> list[float]:
             count = int(count_s)
             if count < 1:
                 raise ValueError
+            if count > MAX_GRID_POINTS:
+                raise ConfigError(f"grid {text!r} has {count} points, over the cap of {MAX_GRID_POINTS}")
             return [float(v) for v in np.linspace(float(start_s), float(stop_s), count)]
         return [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:

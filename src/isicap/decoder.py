@@ -46,7 +46,7 @@ from typing import Literal, Optional, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch
 from .spectrum import (
     DEFAULT_GRID,
     FOLD_ULPS,
@@ -153,7 +153,7 @@ def build_joint(cov: CovarianceSpec, Hc: BandedChannelMatrix) -> JointCovariance
             f"channel matrix shape ({Hc.m}, {Hc.n}) incompatible with n={n}"
         )
     if not np.isfinite(Hc.taps).all():
-        raise NotPositiveDefinite("channel matrix has non-finite taps")
+        raise ValueError("channel matrix has non-finite taps")
     if not (Hc.taps == Hc.taps[0]).all():
         raise ValueError("build_joint needs the centre matrix: every row the same taps")
     gain, resid = cov.halves.gram_fit(Hc.taps[0])

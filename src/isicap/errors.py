@@ -20,11 +20,6 @@ class CodebookTooLarge(IsicapError):
     exhaustive decoder is willing to enumerate."""
 
 
-class NotPositiveDefinite(IsicapError):
-    """A matrix that must be positive definite failed a factorization or an
-    identity check, typically from ill-conditioning."""
-
-
 class DimensionMismatch(IsicapError):
     """Array shapes are inconsistent with the channel dimensions."""
 

@@ -12,15 +12,17 @@ A drawn covariance ``Sigma = Q diag(d) Q'`` enters only as ``W = X Q
 diag(sqrt(d))``, which is ``X Sigma^(1/2)`` turned by the orthogonal ``Q``:
 ``X Sigma X' = W W'``, and no norm, trace, eigenvalue or determinant a check
 reads changes, so nothing forms ``Sigma``, its root or ``diag(d)``.  One
-runner loops over the samples and records the worst margin.  An inequality
-``lhs <= rhs`` passes with slack ``rhs * (1 + 1e-9) + 1e-12`` in the linear
-domain; the log-domain checks (determinant, volume) use an absolute-scaled
-slack.  Suites whose rows name one instance function check one draw: sample
-``i`` is drawn once, from stream ``16 + s`` of one master seed for ``s`` the
-first such suite (19 for the two trace suites, 21 for the determinant,
-eigenvalue and shell suites, ``16 + s`` for the others).  So a suite's draws
-do not depend on which others run, and a reported worst instance can be
-regenerated exactly (``_suite_rng``).
+runner loops over the samples and records the worst margin.  Every
+inequality ``lhs <= rhs`` is decided by one slack rule, ``holds``: it passes
+when ``lhs <= rhs + 1e-9 |rhs| + 1e-12``, for a right-hand side of either
+sign (the log-domain determinant and volume checks have negative ones).  A
+sampled channel matrix takes its taps through ``channel_sim``'s iid law, the
+one the decoding experiments draw from.  Suites whose rows name one instance
+function check one draw: sample ``i`` is drawn once, from stream ``16 + s``
+of one master seed for ``s`` the first such suite (19 for the two trace
+suites, 21 for the determinant, eigenvalue and shell suites, ``16 + s`` for
+the others).  So a suite's draws do not depend on which others run, and a
+reported worst instance can be regenerated exactly (``_suite_rng``).
 """
 
 from __future__ import annotations
@@ -42,15 +44,12 @@ from .spectrum import (
     compute_profile,
 )
 from .waterfill import LN2, thresholds
-from .channel_sim import MAX_DECODE_BYTES, _cells, rng_stream
+from .channel_sim import MAX_DECODE_BYTES, ChannelLaw, _cells, _taps_from, rng_stream
 
 __all__ = [
     "SLACK_REL",
     "SLACK_ABS",
     "holds",
-    "NormBundle",
-    "norms",
-    "check_lemma1",
     "qcqp_min",
     "ConverseReport",
     "converse_rate_bound",
@@ -78,52 +77,13 @@ _EIG_WORK = 32
 # small arrays.
 _GRID_ARRAYS = 9
 TWO_PI_E = 2.0 * math.pi * math.e
+_IID = ChannelLaw(kind="iid_uniform")
 
 
 def holds(lhs: float, rhs: float) -> bool:
-    """Inequality check ``lhs <= rhs`` with multiplicative-plus-absolute
-    slack, for non-negative right-hand sides."""
-    return lhs <= rhs * (1.0 + SLACK_REL) + SLACK_ABS
-
-
-def _holds_signed(lhs: float, rhs: float) -> bool:
-    """Slacked check for quantities of either sign (log-domain margins)."""
+    """The one slack rule: ``lhs <= rhs`` up to ``SLACK_REL |rhs| +
+    SLACK_ABS``, for a right-hand side of either sign."""
     return lhs <= rhs + SLACK_REL * abs(rhs) + SLACK_ABS
-
-
-@dataclass(frozen=True)
-class NormBundle:
-    """Operator (spectral) norm, Frobenius norm, and the largest absolute
-    row sum of a matrix."""
-
-    op: float
-    fro: float
-    max_row_sum: float
-
-
-def norms(M: np.ndarray) -> NormBundle:
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.size == 0:
-        raise ValueError("need a non-empty 2-d array")
-    G = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M
-    last = G.shape[0] - 1
-    top = float(eigvalsh(G, subset_by_index=[last, last])[0])
-    return NormBundle(
-        op=math.sqrt(max(top, 0.0)),
-        fro=float(np.linalg.norm(M)),
-        max_row_sum=float(np.abs(M).sum(axis=1).max()),
-    )
-
-
-def check_lemma1(M1: np.ndarray, M2: np.ndarray) -> tuple[bool, float]:
-    """Frobenius norm of a product against operator-times-Frobenius in both
-    orders; returns (ok, worst margin)."""
-    prod = float(np.linalg.norm(np.asarray(M1) @ np.asarray(M2)))
-    n1, n2 = norms(M1), norms(M2)
-    rhs1 = n1.op * n2.fro
-    rhs2 = n2.op * n1.fro
-    ok = holds(prod, rhs1) and holds(prod, rhs2)
-    return ok, min(rhs1, rhs2) - prod
 
 
 def qcqp_min(omega_c: np.ndarray, omega_h: np.ndarray, eta_prime: float) -> float:
@@ -210,7 +170,7 @@ def converse_rate_bound(
         raise ValueError("need a non-empty (size, n) codeword array")
     size, n = X.shape
     mean_power = float((X * X).sum(axis=1).mean())
-    if mean_power > n * P * (1.0 + SLACK_REL):
+    if not holds(mean_power, n * P):
         raise ValueError(
             f"codebook spends {mean_power:.6g} > n*P = {n * P:.6g} on average"
         )
@@ -221,17 +181,13 @@ def converse_rate_bound(
         energy = np.convolve(row * row, r2)
         acc += float(np.log2(1.0 + gauss_gap * energy).sum())
     kappa = 0.5 * acc / (n * size)
-    lead = 0.5 * math.log2(
-        1.0 + (spec.k + 1) * (spec.norm_c_sq + spec.norm_r_sq / 3.0) * P
-    )
+    growth = 1.0 + (spec.k + 1) * (spec.norm_c_sq + spec.norm_r_sq / 3.0) * P
     x_min = float(np.abs(X).min())
     ceiling_xmin = None
     if x_min > 0.0:
-        ceiling_xmin = 0.5 * math.log2(
-            (1.0 + (spec.k + 1) * (spec.norm_c_sq + spec.norm_r_sq / 3.0) * P)
-            / (1.0 + gauss_gap * spec.norm_r_sq * x_min ** 2)
-        )
-    return ConverseReport(P=P, kappa=kappa, ceiling=lead - kappa, ceiling_xmin=ceiling_xmin)
+        ceiling_xmin = 0.5 * math.log2(growth / (1.0 + gauss_gap * spec.norm_r_sq * x_min ** 2))
+    return ConverseReport(P=P, kappa=kappa, ceiling=0.5 * math.log2(growth) - kappa,
+                          ceiling_xmin=ceiling_xmin)
 
 
 @dataclass
@@ -311,10 +267,18 @@ def _rescale_radii_for_phi1(
 
 
 def _sample_banded(rng: np.random.Generator, spec: ChannelSpec, n: int) -> BandedChannelMatrix:
+    """A channel realization of order ``n`` under the iid law, its taps
+    ``c + (2u - 1) r`` from ``rng.random`` (``channel_sim._taps_from``)."""
     m = n + spec.k
-    u = rng.uniform(-1.0, 1.0, (m, spec.k + 1))
-    taps = np.asarray(spec.c) + u * np.asarray(spec.r)
-    return BandedChannelMatrix(n=n, k=spec.k, taps=taps)
+    return BandedChannelMatrix(n=n, k=spec.k, taps=_taps_from(rng.random((m, spec.k + 1)), spec, _IID, m))
+
+
+def _op_norm(M: np.ndarray) -> float:
+    """Operator norm of a dense matrix: the square root of the top
+    eigenvalue of its smaller Gram matrix."""
+    G = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M
+    last = G.shape[0] - 1
+    return math.sqrt(max(float(eigvalsh(G, subset_by_index=[last, last])[0]), 0.0))
 
 
 def _band_op_norm(M: BandedChannelMatrix) -> float:
@@ -390,9 +354,13 @@ def _volume_instance(rng, i, n_max):
 
 
 def _lemma1(inst):
-    """``||M1 M2||_F <= min(||M1||_op ||M2||_F, ||M2||_op ||M1||_F)``."""
-    ok, margin = check_lemma1(*inst)
-    return margin, ok
+    """``||M1 M2||_F <= min(||M1||_op ||M2||_F, ||M2||_op ||M1||_F)``,
+    each order checked on its own."""
+    M1, M2 = inst
+    prod = float(np.linalg.norm(M1 @ M2))
+    rhs1 = _op_norm(M1) * float(np.linalg.norm(M2))
+    rhs2 = _op_norm(M2) * float(np.linalg.norm(M1))
+    return min(rhs1, rhs2) - prod, holds(prod, rhs1) and holds(prod, rhs2)
 
 
 def _op_cap(inst):
@@ -444,7 +412,7 @@ def _det_floor(inst):
     omega_c, omega_h = _omegas(H, Hc, cov)
     floor = H.shape[0] * math.log(1.0 - rep.phi1_n) + _logdet_spd(omega_c)
     value = _logdet_spd(omega_h)
-    return value - floor, _holds_signed(floor, value)
+    return value - floor, holds(floor, value)
 
 
 def _eig_stability(inst):
@@ -477,10 +445,10 @@ def _volume(inst):
     n, eta = inst
     res = _shell_volume(n, eta)
     margin = res.log2_upper - res.log2_exact
-    ok = _holds_signed(res.log2_exact, res.log2_upper)
+    ok = holds(res.log2_exact, res.log2_upper)
     if eta >= 1.0:
         margin = min(margin, res.log2_exact - res.log2_lower)
-        ok = ok and _holds_signed(res.log2_lower, res.log2_exact)
+        ok = ok and holds(res.log2_lower, res.log2_exact)
     return margin, ok
 
 

@@ -8,8 +8,10 @@ integral are summed node by node (the rate in 30 digits), not from prefix
 tables, a channel use is summed exactly, entry by entry of the dense
 matrix, the centre Gram matrix is filled lag by lag from the taps, and the
 ``verify`` checks are evaluated in their dense textbook form (whole block
-matrices, ``np.diag`` covariances, full eigenvalue lists), and the shell
-volume is a difference of two ball volumes in 30 digits, not of logs.
+matrices, ``np.diag`` covariances, full eigenvalue lists), the shell
+volume is a difference of two ball volumes in 30 digits, not of logs, and
+the decoder's type-1 probability is a noncentral chi-squared law
+(scipy.stats), not a Monte Carlo count.
 """
 
 import math
@@ -18,6 +20,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import scipy.linalg
+import scipy.stats
 
 
 def shell_min_oracle(
@@ -373,3 +376,19 @@ def dense_check_oracle(name: str, inst) -> tuple[float, float]:
         pencil_min = scipy.linalg.eigh(omega_c, omega_h, eigvals_only=True)[0]
         return radius * rep.phi3_n, radius * float(pencil_min)
     raise ValueError(f"no dense oracle for suite {name!r}")
+
+
+def type1_oracle(q, lam, n: int, m: int, epsilon: float, eta: float) -> np.ndarray:
+    """Exact probability that the sent word fails the joint-typicality
+    decoder, given its squared norm ``q`` and ``lam = ||(H - Hc) x||^2``
+    (arrays of one entry per trial).  The residual ``Hc x - y = (Hc - H) x
+    - z`` under unit Gaussian noise has ``||Hc x - y||^2 ~ chi'^2_m(lam)``,
+    so with ``N = n + m`` and ``F`` its CDF (central when ``lam = 0``)
+
+        ``1 - 1(|q/n - 1| < epsilon) [F(N (1 + eta) - q) - F(N (1 - eta) - q)]``.
+    """
+    q, lam = np.asarray(q, dtype=float), np.asarray(lam, dtype=float)
+    N = n + m
+    cdf = lambda x: scipy.stats.ncx2.cdf(x, m, lam)
+    window = cdf(N * (1.0 + eta) - q) - cdf(N * (1.0 - eta) - q)
+    return 1.0 - (np.abs(q / n - 1.0) < epsilon) * window

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from isicap.cli import (
     EXIT_VIOLATION,
     FLAG_INAPPLICABLE,
     FLAG_NEAR_PSAT,
+    MAX_GRID_POINTS,
     _cells,
     main,
     parse_grid,
@@ -46,6 +48,37 @@ def test_parse_grid_forms():
 def test_parse_grid_rejects(bad):
     with pytest.raises(ConfigError):
         parse_grid(bad)
+
+
+def test_parse_grid_count_cap_at_its_edge():
+    assert len(parse_grid(f"0:1:{MAX_GRID_POINTS}")) == MAX_GRID_POINTS
+    with pytest.raises(ConfigError, match=f"over the cap of {MAX_GRID_POINTS}"):
+        parse_grid(f"0:1:{MAX_GRID_POINTS + 1}")
+
+
+@pytest.mark.parametrize("command, section", [("bounds", "p_dbw"), ("figure1", "rs_log10")])
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_oversized_grid_refused_before_allocating(tmp_path, capsys, command, section, given):
+    """A 10**12-point grid, given by ``--grid`` or in the command's config
+    section, exits 2 naming the grid, with nothing written and under 1 MiB
+    traced."""
+    grid = "0:1:1000000000000"
+    out = tmp_path / "x.csv"
+    argv = [command, "--out", str(out)]
+    if given == "flag":
+        argv += ["--grid", grid]
+    else:
+        argv += ["--config", _write_config(tmp_path, {command: {section: grid}})]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONFIG
+    assert peak < 1 << 20
+    assert grid in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_grid_empty_string_is_empty():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from isicap import (
     BandedChannelMatrix,
     ChannelLaw,
+    ChannelSpec,
     DecodeFailure,
     TypicalParams,
     bound_report,
@@ -38,13 +39,14 @@ from isicap import channel_sim, decoder as decoder_mod
 from isicap.channel_sim import FLOOR_REPROJECT, _band_apply
 from isicap.spectrum import FOLD_ULPS, HalfBasis, _half_bands, _sym_band_apply, _tap_autocorr, gram_eigh
 from isicap.decoder import DecodeContext, _guard_band, _pass_mask, prepare_context
-from isicap.errors import CodebookTooLarge, DimensionMismatch, NotPositiveDefinite
+from isicap.errors import CodebookTooLarge, DimensionMismatch
 from isicap.waterfill import POWER_FLOOR, dbw_to_watts, waterfill_powers
 from bases import assemble, flat_cov, floors, random_cov as _random_cov, random_halves, sigma
 from oracles import (
     dense_joint_covariance,
     exact_joint_statistics,
     joint_typicality_oracle,
+    type1_oracle,
 )
 
 
@@ -125,7 +127,7 @@ def test_joint_rejects_non_finite(example_spec):
         HalfBasis(sym=bad_sym, skew=good.halves.skew)
     taps = Hc.taps.copy()
     taps[2, 1] = np.inf
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(ValueError, match="non-finite"):
         build_joint(good, BandedChannelMatrix(n=6, k=Hc.k, taps=taps))
     build_joint(good, Hc)
 
@@ -844,6 +846,54 @@ def test_experiment_constant_law_matches_centre(example_spec):
         example_spec, n=16, R=0.0625, P=0.1, trials=30, master_seed=1, law=law
     )
     assert res.type1 + res.type2 + res.success == 30
+
+
+def _type1_z(spec: ChannelSpec, n: int, R: float, trials: int, seed: int) -> float:
+    """z-score of ``run_error_experiment``'s type-1 count at -10 dBW under
+    the iid law against ``sum_t P(type 1 | H_t, msg_t)`` from
+    ``type1_oracle``: the picks from each trial's message cell, ``q`` from
+    the test's own codebook, and ``lam_t = ||(H_t - Hc) x_t||^2`` summed
+    tap by tap from ``sample_H``."""
+    P, law, k = dbw_to_watts(-10.0), ChannelLaw(kind="iid_uniform"), spec.k
+    cov = build_sigma(spec, n, P)
+    params = default_params(thresholds(spec, compute_profile(spec), cov, P))
+    book = gen_codebook(cov, R, seed)
+    msgs = np.array([rng_stream(seed, STREAM_MESSAGE, t).integers(book.size) for t in range(trials)])
+    lam = np.zeros(trials)
+    if any(spec.r):
+        dev = np.stack([sample_H(spec, n, law, seed, t).taps for t in range(trials)]) - np.asarray(spec.c)
+        X = np.pad(book.words(msgs), ((0, 0), (k, k)))
+        out = np.arange(n + k)
+        EX = sum(dev[:, :, d] * X[:, out + k - d] for d in range(k + 1))
+        lam = np.einsum("ij,ij->i", EX, EX)
+    p = type1_oracle(book.q[msgs], lam, n, n + k, params.epsilon, params.eta)
+    res = run_error_experiment(spec, n=n, R=R, P=P, trials=trials, master_seed=seed, law=law)
+    return (res.type1 - p.sum()) / math.sqrt((p * (1.0 - p)).sum())
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_type1_count_matches_the_exact_codebook_conditional_rate(example_spec, n):
+    """At zero radius every trial's channel is the centre one, so the sent
+    word fails with a probability fixed by its ``q`` alone.  The type-1
+    count of 6,000 trials at ``R = C0/4`` lies within 3.29 sigma (99.9 %)
+    of the sum of those probabilities over the picks.  The value that does
+    not condition on the drawn codebook's ``q`` (``q ~ chi^2_n``) is 8 and
+    11 sigma off at seed 1: 0.824 and 0.692 against rates of 0.783 and
+    0.627."""
+    spec = ChannelSpec(k=example_spec.k, c=example_spec.c, r=(0.0,) * (example_spec.k + 1))
+    R = bound_report(spec, dbw_to_watts(-10.0)).C0 / 4.0
+    assert abs(_type1_z(spec, n, R, 6000, 1)) < 3.29
+
+
+@pytest.mark.parametrize("r, rate", [(1e-3, "C_LB1"), (0.05, "C0")])
+def test_type1_count_matches_the_exact_channel_conditional_rate(example_spec, r, rate):
+    """With drifting taps each trial's failure probability depends on its
+    drawn channel through ``lam``; 6,000 trials at n = 64 and a quarter of
+    ``C_LB1`` (of ``C0`` at r = 0.05, where ``C_LB1`` is negative) give
+    ``|z| < 4``."""
+    spec = ChannelSpec(k=example_spec.k, c=example_spec.c, r=(r,) * (example_spec.k + 1))
+    R = getattr(bound_report(spec, dbw_to_watts(-10.0)), rate) / 4.0
+    assert abs(_type1_z(spec, 64, R, 6000, 1)) < 4.0
 
 
 def test_decode_and_counts_match_dense_oracle(example_spec):

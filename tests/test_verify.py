@@ -14,10 +14,8 @@ from isicap import (
     ChannelSpec,
     SUITE_NAMES,
     build_Hc,
-    check_lemma1,
     compute_profile,
     converse_rate_bound,
-    norms,
     qcqp_min,
     run_all_suites,
     run_suite,
@@ -25,7 +23,17 @@ from isicap import (
 )
 from isicap import spectrum, verify
 from isicap.channel_sim import _cells, rng_stream
-from isicap.verify import _ETAS, _SUITES, _band_op_norm, _sample_banded, _shell_volume, _suite_rng, holds
+from isicap.verify import (
+    _ETAS,
+    _SUITES,
+    _band_op_norm,
+    _lemma1,
+    _op_norm,
+    _sample_banded,
+    _shell_volume,
+    _suite_rng,
+    holds,
+)
 
 from oracles import dense_check_oracle, shell_min_oracle, shell_volume_oracle
 
@@ -42,6 +50,9 @@ def test_holds_boundaries():
     assert holds(1.0 + 5e-10, 1.0)  # relative slack
     assert not holds(1.0 + 1e-6, 1.0)
     assert not holds(1e-9, 0.0)
+    # a negative right-hand side gets the same slack, |rhs| scaled
+    assert holds(-1.0 + 5e-10, -1.0)
+    assert not holds(-1.0 + 1e-6, -1.0)
 
 
 matrices = arrays(
@@ -53,31 +64,27 @@ matrices = arrays(
 
 @settings(max_examples=60, deadline=None)
 @given(matrices)
-def test_norm_bundle_invariants(M):
-    b = norms(M)
-    assert b.op <= b.fro * (1.0 + 1e-9) + 1e-12
-    assert b.fro == pytest.approx(math.sqrt(float((M * M).sum())), rel=1e-12, abs=1e-12)
-    assert b.max_row_sum == pytest.approx(float(np.abs(M).sum(axis=1).max()), abs=1e-12)
-    # operator norm dominates every column/row two-norm
+def test_op_norm_invariants(M):
+    """``_op_norm`` is numpy's largest singular value, at most the
+    Frobenius norm and at least every column's two-norm."""
+    op = _op_norm(M)
+    assert op == pytest.approx(float(np.linalg.norm(M, 2)), rel=1e-12, abs=1e-12)
+    assert op <= float(np.linalg.norm(M)) * (1.0 + 1e-9) + 1e-12
     col = float(np.sqrt((M * M).sum(axis=0)).max())
-    assert col <= b.op * (1.0 + 1e-9) + 1e-9
+    assert col <= op * (1.0 + 1e-9) + 1e-9
 
 
-def test_norms_orthogonal_block():
-    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 5)))
-    assert norms(Q).op == pytest.approx(1.0, abs=1e-10)
-    assert norms(Q).fro == pytest.approx(math.sqrt(5.0), abs=1e-10)
-
-
-def test_norms_rejects_empty():
-    with pytest.raises(ValueError):
-        norms(np.zeros((0, 3)))
+def test_op_norm_orthogonal_block():
+    for shape in ((5, 5), (7, 3)):
+        Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal(shape))
+        assert _op_norm(Q) == pytest.approx(1.0, abs=1e-10)
+        assert _op_norm(Q.T) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_lemma1_tight_case():
     M1 = np.diag([2.0, 1.0])
     M2 = np.eye(2)
-    ok, margin = check_lemma1(M1, M2)
+    margin, ok = _lemma1((M1, M2))
     assert ok
     assert margin == pytest.approx(0.0, abs=1e-12)  # identity factor is tight
 
@@ -93,7 +100,7 @@ def test_lemma1_random(M1, data):
             elements=st.floats(-10.0, 10.0, allow_nan=False),
         )
     )
-    ok, margin = check_lemma1(M1, M2)
+    margin, ok = _lemma1((M1, M2))
     assert ok
     assert margin >= -1e-9
 
@@ -284,6 +291,23 @@ def test_deviation_norm_check_zero_radius_is_tight():
     assert margin == 0.0
 
 
+@pytest.mark.parametrize("spec", [
+    ChannelSpec(k=0, c=(0.7,), r=(0.3,)),
+    ChannelSpec(k=2, c=(1.0, 0.5, 0.5), r=(1e-3, 1e-3, 1e-3)),
+    ChannelSpec(k=3, c=(0.9, -0.4, 0.2, 0.1), r=(0.5, 0.0, 0.25, 1e-6)),
+])
+def test_sample_banded_is_the_uniform_interval_law(spec):
+    """A sampled channel's taps are bit for bit ``c + uniform(-1, 1) r``
+    drawn from a twin generator, row by row over the ``n + k`` outputs, and
+    the generator is left where that draw leaves it."""
+    for n in (1, 12, 65):
+        rng, twin = np.random.default_rng(n), np.random.default_rng(n)
+        taps = _sample_banded(rng, spec, n).taps
+        want = np.asarray(spec.c) + twin.uniform(-1.0, 1.0, (n + spec.k, spec.k + 1)) * np.asarray(spec.r)
+        assert taps.tobytes() == want.tobytes()
+        assert rng.random() == twin.random()
+
+
 def test_margin_quantiles_persisted():
     rep = run_suite("deviation_matrix_norm", samples=9, master_seed=11, n_max=16)
     qs = rep.details["margin_quantiles"]
@@ -297,8 +321,8 @@ def test_margin_quantiles_persisted():
 @given(matrices)
 def test_op_norm_squared_below_gram_row_sum(M):
     # lambda_max of M'M never exceeds the absolute row-sum norm of M'M
-    b = norms(M)
-    assert b.op ** 2 <= norms(M.T @ M).max_row_sum * (1.0 + 1e-9) + 1e-12
+    row_sum = float(np.linalg.norm(M.T @ M, np.inf))
+    assert _op_norm(M) ** 2 <= row_sum * (1.0 + 1e-9) + 1e-12
 
 
 CHANNEL_SUITES = (
@@ -336,7 +360,7 @@ def test_band_op_norm_matches_dense(k):
     rng = np.random.default_rng(k)
     for n in (k + 1, k + 2, 64, 257):
         M = BandedChannelMatrix(n=n, k=k, taps=rng.uniform(-1.0, 1.0, (n + k, k + 1)))
-        assert _band_op_norm(M) == pytest.approx(norms(M.dense()).op, rel=1e-13, abs=0.0)
+        assert _band_op_norm(M) == pytest.approx(_op_norm(M.dense()), rel=1e-13, abs=0.0)
 
 
 def _turned(name, inst):
