@@ -8,12 +8,11 @@ Streams: CHANNEL (0) and NOISE (1) the taps and noise of trial ``index``,
 CODEBOOK (2, index 0) the codebook's Gaussians on the water-filled support,
 then its floor radii, MESSAGE (3) trial ``index``'s message pick, FLOOR (4)
 the ``n`` normals codeword ``index``'s floor direction is projected from,
-and ``verify.VERIFY_STREAM_BASE + s`` (16 + s) sample ``index`` of each
-verify suite sharing suite ``s``'s instance, ``s`` the first such (19: both
-trace suites; 21: determinant, eigenvalue, shell).  Philox counts a cell's
-blocks in counter word 0, so cells never overlap, and results do not depend
-on scheduling order.  ``TrialBlocks`` draws the same cells a block of trials
-at a time, through the same tap and band kernels.
+and ``verify.VERIFY_STREAM_BASE + s`` (16 + s) sample ``index`` of the
+verify suites that share suite ``s``'s instance (``verify`` says which).
+Philox counts a cell's blocks in counter word 0, so cells never overlap, and
+results do not depend on scheduling order.  ``TrialBlocks`` draws the same
+cells a block of trials at a time, through the same tap and band kernels.
 
 Trial ``t``'s message pick among ``size = 2**bits`` words is what
 ``rng_stream(seed, STREAM_MESSAGE, t).integers(size)`` returns, taken from

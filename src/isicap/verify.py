@@ -7,7 +7,9 @@ one inequality on it and returns ``(margin, ok)``.  Each check computes only
 the quantities its inequality names, through an identity stated in its
 docstring: operator norms of channel matrices are the top eigenvalue of
 their band Gram matrix, the stacked trace is summed block by block, and the
-whitened trace takes one Cholesky factor of the centre output covariance.
+three output-covariance checks read the eigenvalues of the pencil
+``(Omega_h, Omega_c)``, which the channel instance computes once per sample
+from one Cholesky factor of ``Omega_c`` (``_pencil``).
 A drawn covariance ``Sigma = Q diag(d) Q'`` enters only as ``W = X Q
 diag(sqrt(d))``, which is ``X Sigma^(1/2)`` turned by the orthogonal ``Q``:
 ``X Sigma X' = W W'``, and no norm, trace, eigenvalue or determinant a check
@@ -19,10 +21,10 @@ sign (the log-domain determinant and volume checks have negative ones).  A
 sampled channel matrix takes its taps through ``channel_sim``'s iid law, the
 one the decoding experiments draw from.  Suites whose rows name one instance
 function check one draw: sample ``i`` is drawn once, from stream ``16 + s``
-of one master seed for ``s`` the first such suite (19 for the two trace
-suites, 21 for the determinant, eigenvalue and shell suites, ``16 + s`` for
-the others).  So a suite's draws do not depend on which others run, and a
-reported worst instance can be regenerated exactly (``_suite_rng``).
+of one master seed for ``s`` the first such suite (19 for the five suites
+that read a channel and a covariance, ``16 + s`` for the others).  So a
+suite's draws do not depend on which others run, and a reported worst
+instance can be regenerated exactly (``_suite_rng``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cholesky, eigh, eigvals_banded, eigvalsh, solve_triangular
+from scipy.linalg import cholesky, eigvals_banded, eigvalsh, solve_triangular
 
 from .errors import SpectrumSingular
 from .spectrum import (
@@ -86,25 +88,31 @@ def holds(lhs: float, rhs: float) -> bool:
     return lhs <= rhs + SLACK_REL * abs(rhs) + SLACK_ABS
 
 
+def _pencil(omega_c: np.ndarray, omega_h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the pencil ``Omega_h v = lam Omega_c v``:
+    those of ``psi = L^-1 Omega_h L^-T`` for the Cholesky factor ``L`` of
+    ``Omega_c`` (Golub & Van Loan, *Matrix Computations*, 8.7), one
+    factorization, two triangular solves and one symmetric eigensolve."""
+    L = cholesky(omega_c, lower=True)
+    psi = solve_triangular(L, solve_triangular(L, omega_h, lower=True).T, lower=True)
+    return eigvalsh(psi, overwrite_a=True)
+
+
 def qcqp_min(omega_c: np.ndarray, omega_h: np.ndarray, eta_prime: float) -> float:
     """Minimum of ``y' omega_h^{-1} y`` over the shell
     ``y' omega_c^{-1} y = m * (1 - eta_prime)``.
 
-    The minimum equals the shell radius times the smallest generalized
-    eigenvalue of the (omega_c, omega_h) pencil.  Returns 0.0 when
+    The minimum is the shell radius over the largest eigenvalue of the
+    ``(omega_h, omega_c)`` pencil (``_pencil``).  Returns 0.0 when
     ``eta_prime >= 1`` (the shell collapses).
     """
     omega_c = np.asarray(omega_c, dtype=float)
     omega_h = np.asarray(omega_h, dtype=float)
     if omega_c.shape != omega_h.shape or omega_c.ndim != 2:
         raise ValueError("need two square matrices of equal shape")
-    m = omega_c.shape[0]
     if eta_prime >= 1.0:
         return 0.0
-    lam_min = float(
-        eigh(omega_c, omega_h, eigvals_only=True, subset_by_index=[0, 0])[0]
-    )
-    return m * (1.0 - eta_prime) * lam_min
+    return omega_c.shape[0] * (1.0 - eta_prime) / float(_pencil(omega_c, omega_h)[-1])
 
 
 @dataclass(frozen=True)
@@ -322,25 +330,17 @@ def _deviation_instance(rng, i, n_max):
     return BandedChannelMatrix(n=n, k=spec.k, taps=taps), profile.r_s
 
 
-def _trace_instance(rng, i, n_max):
-    """(H, Hc, covariance, its ``thresholds`` at its own power)."""
+def _channel_instance(rng, i, n_max):
+    """(H, Hc, covariance, its ``thresholds``, ``eta'``, the ascending
+    eigenvalues of the ``(Omega_h, Omega_c)`` pencil), radii scaled so phi1
+    < 1; ``eta'`` is drawn last, from [0, 1), where the shell exists."""
     spec, profile, n = _random_channel(rng, n_max)
     cov = _random_cov(rng, n)
-    H = _sample_banded(rng, spec, n).dense()
-    return H, build_Hc(spec, n).dense(), cov, thresholds(spec, profile, cov, cov.trace / n)
-
-
-def _weyl_instance(rng, i, n_max):
-    """(H, Hc, covariance, its ``thresholds``, ``eta'``), radii scaled so
-    phi1 < 1; ``eta'`` is drawn last, from [0, 1), where the shell exists."""
-    spec, profile, n = _random_channel(rng, n_max)
-    cov = _random_cov(rng, n)
-    spec, profile = _rescale_radii_for_phi1(
-        spec, profile, cov, target=float(rng.uniform(0.05, 0.9))
-    )
+    spec, profile = _rescale_radii_for_phi1(spec, profile, cov, target=float(rng.uniform(0.05, 0.9)))
     Hc = build_Hc(spec, n).dense()
     H = _sample_banded(rng, spec, n).dense()
-    return H, Hc, cov, thresholds(spec, profile, cov, cov.trace / n), float(rng.uniform(0.0, 1.0))
+    rep = thresholds(spec, profile, cov, cov.trace / n)
+    return H, Hc, cov, rep, float(rng.uniform(0.0, 1.0)), _pencil(*_omegas(H, Hc, cov))
 
 
 _ETAS = (0.1, 0.5, 0.9, 1.0, 1.5, 3.0)
@@ -375,7 +375,7 @@ def _stacked_trace(inst):
     """``2 ||Phi||_F^2 <= C_n`` for ``Phi = [[I + S'S, S'], [S, I]]`` with
     ``S = whiten(H - Hc)``, summed block by block:
     ``||Phi||_F^2 = ||I + S'S||_F^2 + 2 ||S||_F^2 + m``."""
-    H, Hc, cov, rep = inst
+    H, Hc, cov, rep, *_ = inst
     ES = cov.whiten(H - Hc)
     G = ES.T @ ES
     G[np.diag_indices_from(G)] += 1.0
@@ -386,32 +386,21 @@ def _stacked_trace(inst):
 def _whitened_trace(inst):
     """``2 ||B' Omega_c^-1 B||_F^2 <= C'_n`` for ``B = [H Sigma^(1/2), I]``.
     Since ``B B' = Omega_h``, ``||B' Omega_c^-1 B||_F = ||L^-1 Omega_h
-    L^-T||_F`` with ``L`` the Cholesky factor of ``Omega_c``: one
-    factorization and two triangular solves of order m."""
-    H, Hc, cov, rep = inst
-    omega_c, omega_h = _omegas(H, Hc, cov)
-    L = cholesky(omega_c, lower=True)
-    X = solve_triangular(L, omega_h, lower=True)
-    psi = solve_triangular(L, X.T, lower=True)
-    lhs = 2.0 * float(np.linalg.norm(psi)) ** 2
+    L^-T||_F`` with ``L`` the Cholesky factor of ``Omega_c``, and that is
+    ``sqrt(sum lam^2)`` over the pencil eigenvalues ``lam``."""
+    *_, rep, _, lam = inst
+    lhs = 2.0 * float(np.dot(lam, lam))
     return rep.C_prime_n - lhs, holds(lhs, rep.C_prime_n)
-
-
-def _logdet_spd(A: np.ndarray) -> float:
-    """``log det A`` of a symmetric positive definite ``A``, as ``2 sum log
-    diag(L)`` for its Cholesky factor ``L``."""
-    return 2.0 * float(np.log(np.diagonal(cholesky(A, lower=True, check_finite=False))).sum())
 
 
 def _det_floor(inst):
     """Worst-case output-covariance determinant floor, in the log domain:
-    ``m log(1 - phi1) + log det Omega_c <= log det Omega_h``.  Both output
-    covariances are ``I`` plus a Gram matrix, so positive definite, and
-    their log-determinants come from Cholesky factors."""
-    H, Hc, cov, rep, _ = inst
-    omega_c, omega_h = _omegas(H, Hc, cov)
-    floor = H.shape[0] * math.log(1.0 - rep.phi1_n) + _logdet_spd(omega_c)
-    value = _logdet_spd(omega_h)
+    ``m log(1 - phi1) + log det Omega_c <= log det Omega_h``.  The
+    log-determinants' difference is ``sum log lam`` over the pencil
+    eigenvalues ``lam``, so the check reads ``m log(1 - phi1) <= sum log
+    lam``."""
+    *_, rep, _, lam = inst
+    floor, value = len(lam) * math.log(1.0 - rep.phi1_n), float(np.log(lam).sum())
     return value - floor, holds(floor, value)
 
 
@@ -432,10 +421,11 @@ def _eig_stability(inst):
 def _shell_floor(inst):
     """``m (1 - eta') phi3 <= min y' Omega_h^-1 y`` over the shell
     ``y' Omega_c^-1 y = m (1 - eta')``, the minimum being the shell radius
-    times the smallest eigenvalue of the ``(Omega_c, Omega_h)`` pencil."""
-    H, Hc, cov, rep, eta_prime = inst
-    val = qcqp_min(*_omegas(H, Hc, cov), eta_prime)
-    floor = H.shape[0] * max(1.0 - eta_prime, 0.0) * rep.phi3_n
+    over the largest pencil eigenvalue ``lam_max`` (``qcqp_min``): the
+    check reads ``m (1 - eta') phi3 <= m (1 - eta') / lam_max``."""
+    *_, rep, eta_prime, lam = inst
+    radius = len(lam) * (1.0 - eta_prime)
+    val, floor = radius / float(lam[-1]), radius * rep.phi3_n
     return val - floor, holds(floor, val)
 
 
@@ -456,11 +446,11 @@ _SUITES = (
     ("lemma1_product_norms", _lemma1_instance, _lemma1),
     ("centre_matrix_norm", _centre_instance, _op_cap),
     ("deviation_matrix_norm", _deviation_instance, _op_cap),
-    ("stacked_deviation_trace", _trace_instance, _stacked_trace),
-    ("whitened_output_trace", _trace_instance, _whitened_trace),
-    ("determinant_floor", _weyl_instance, _det_floor),
-    ("eigenvalue_stability", _weyl_instance, _eig_stability),
-    ("shell_minimum_floor", _weyl_instance, _shell_floor),
+    ("stacked_deviation_trace", _channel_instance, _stacked_trace),
+    ("whitened_output_trace", _channel_instance, _whitened_trace),
+    ("determinant_floor", _channel_instance, _det_floor),
+    ("eigenvalue_stability", _channel_instance, _eig_stability),
+    ("shell_minimum_floor", _channel_instance, _shell_floor),
     ("shell_volume_bounds", _volume_instance, _volume),
 )
 

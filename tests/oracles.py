@@ -10,8 +10,8 @@ matrix, the centre Gram matrix is filled lag by lag from the taps, and the
 ``verify`` checks are evaluated in their dense textbook form (whole block
 matrices, ``np.diag`` covariances, full eigenvalue lists), the shell
 volume is a difference of two ball volumes in 30 digits, not of logs, and
-the decoder's type-1 probability is a noncentral chi-squared law
-(scipy.stats), not a Monte Carlo count.
+the decoder's type-1 probability and mean number of passing candidates
+are noncentral chi-squared laws (scipy.stats), not Monte Carlo counts.
 """
 
 import math
@@ -392,3 +392,29 @@ def type1_oracle(q, lam, n: int, m: int, epsilon: float, eta: float) -> np.ndarr
     cdf = lambda x: scipy.stats.ncx2.cdf(x, m, lam)
     window = cdf(N * (1.0 + eta) - q) - cdf(N * (1.0 - eta) - q)
     return 1.0 - (np.abs(q / n - 1.0) < epsilon) * window
+
+
+def pass_count_oracle(codewords, q, taps, picks, epsilon: float, eta: float) -> np.ndarray:
+    """Expected number of codewords that pass the joint-typicality decoder
+    at zero radius, per trial, given the trial's pick ``i`` (an array of
+    one entry per trial).  With ``a_j = Hc x_j`` each word's centre image
+    (``np.convolve`` with the taps), ``y = a_i + z`` under unit Gaussian
+    noise gives ``||a_j - y||^2 ~ chi'^2_m(lam_ij)`` with ``lam_ij = ||a_i
+    - a_j||^2``, taken from the Gram of the images as ``||a_i||^2 +
+    ||a_j||^2 - 2 a_i.a_j``; with ``N = n + m`` the count's expectation is
+
+        ``sum_j 1(|q_j/n - 1| < epsilon) [F_{m,lam_ij}(N (1 + eta) - q_j)
+        - F_{m,lam_ij}(N (1 - eta) - q_j)]``.
+    """
+    X, q = np.asarray(codewords, dtype=float), np.asarray(q, dtype=float)
+    A = np.array([np.convolve(x, taps) for x in X])
+    n, m = X.shape[1], A.shape[1]
+    G = A @ A.T
+    sq = np.diagonal(G)
+    lam = np.maximum(sq[:, None] + sq[None, :] - 2.0 * G, 0.0)
+    np.fill_diagonal(lam, 0.0)
+    N = n + m
+    cdf = lambda x: scipy.stats.ncx2.cdf(x, m, lam)
+    window = cdf(N * (1.0 + eta) - q[None, :]) - cdf(N * (1.0 - eta) - q[None, :])
+    ok = np.abs(q / n - 1.0) < epsilon
+    return (window * ok[None, :]).sum(axis=1)[np.asarray(picks)]

@@ -6,6 +6,9 @@ the package: 2**20-point periodic trapezoid quadrature with Richardson
 extrapolation and long bisections.  Regenerate with
 
     python3 scripts/compute_reference_values.py
+
+which prints one ``NAME = value`` line for each constant here, ready to
+paste; CI checks that every constant matches it to 1e-12 relative.
 """
 
 EXAMPLE_K = 2

@@ -46,6 +46,7 @@ from oracles import (
     dense_joint_covariance,
     exact_joint_statistics,
     joint_typicality_oracle,
+    pass_count_oracle,
     type1_oracle,
 )
 
@@ -894,6 +895,37 @@ def test_type1_count_matches_the_exact_channel_conditional_rate(example_spec, r,
     spec = ChannelSpec(k=example_spec.k, c=example_spec.c, r=(r,) * (example_spec.k + 1))
     R = getattr(bound_report(spec, dbw_to_watts(-10.0)), rate) / 4.0
     assert abs(_type1_z(spec, 64, R, 6000, 1)) < 4.0
+
+
+def test_type1_count_matches_the_exact_rate_on_a_longer_channel():
+    """The same at k = 4 (taps 1, 0.6, 0.3, -0.2, 0.1, radius 1e-3), where
+    the band kernels reach four outputs back: 6,000 trials at n = 64 and a
+    quarter of ``C_LB1`` give ``|z| < 4``."""
+    spec = ChannelSpec(k=4, c=(1.0, 0.6, 0.3, -0.2, 0.1), r=(1e-3,) * 5)
+    R = bound_report(spec, dbw_to_watts(-10.0)).C_LB1 / 4.0
+    assert abs(_type1_z(spec, 64, R, 6000, 1)) < 4.0
+
+
+def test_pass_count_matches_the_exact_codebook_conditional_mean(example_spec):
+    """At zero radius the number of words that pass a trial's two tests has
+    an exact mean given the sent word (``pass_count_oracle``).  Over 20,000
+    trials at n = 64 (8 words), -10 dBW and ``R = C0/4``, seed 1, the
+    counts' sum lies within 3.29 sigma (99.9 %) of the sum of those means,
+    sigma from the trials' own deviations from their means."""
+    spec = ChannelSpec(k=example_spec.k, c=example_spec.c, r=(0.0,) * (example_spec.k + 1))
+    n, seed, trials, P = 64, 1, 20000, dbw_to_watts(-10.0)
+    cov = build_sigma(spec, n, P)
+    params = default_params(thresholds(spec, compute_profile(spec), cov, P))
+    book = gen_codebook(cov, bound_report(spec, P).C0 / 4.0, seed)
+    assert book.size == 8
+    ctx = prepare_context(book, build_joint(cov, build_Hc(spec, n)))
+    msgs = channel_sim.message_picks(seed, range(trials), book.size)
+    draws = channel_sim.TrialBlocks(spec, n, ChannelLaw(kind="iid_uniform"), seed)
+    Y = draws.draw(np.arange(trials), book.words(msgs))
+    counts = np.count_nonzero(_pass_mask(Y, params, ctx), axis=0)
+    want = pass_count_oracle(book.codewords, book.q, spec.c, msgs, params.epsilon, params.eta)
+    dev = counts - want
+    assert abs(dev.sum()) < 3.29 * math.sqrt((dev * dev).sum())
 
 
 def test_decode_and_counts_match_dense_oracle(example_spec):

@@ -190,6 +190,9 @@ def test_volume_suite_draws_n_and_eta_only():
         assert 1 <= n <= 32 and eta > 0.0
 
 
+ETA_PRIME = 4  # position of eta' in a channel instance
+
+
 def test_shell_floor_draws_a_shell_that_exists():
     """``eta'`` is drawn from [0, 1), where the shell has a positive radius,
     so every sample's minimum is positive and its floor checks something."""
@@ -197,7 +200,7 @@ def test_shell_floor_draws_a_shell_that_exists():
     _, instance, check = _SUITES[idx]
     for i in range(20):
         inst = instance(_suite_rng(1, idx, i), i, 16)
-        assert 0.0 <= inst[-1] < 1.0
+        assert 0.0 <= inst[ETA_PRIME] < 1.0
         margin, ok = check(inst)
         assert ok and margin > 0.0
 
@@ -365,29 +368,32 @@ def test_band_op_norm_matches_dense(k):
 
 def _turned(name, inst):
     """The same check's instance in the standard basis: ``(H Q, Hc Q,
-    diag(d))``; the stacked trace reads only ``H - Hc``, so it gets
-    ``((H - Hc) Q, 0)``."""
-    H, Hc, cov, *rest = inst
+    diag(d))``, with the pencil eigenvalues recomputed there; the stacked
+    trace reads only ``H - Hc``, so it gets ``((H - Hc) Q, 0)``."""
+    H, Hc, cov, rep, eta_prime, _ = inst
     if name == "stacked_deviation_trace":
         H, Hc = H - Hc, np.zeros_like(Hc)
-    return (H @ cov.Q, Hc @ cov.Q, verify._Cov(d=cov.d, Q=None), *rest)
+    H, Hc, cov = H @ cov.Q, Hc @ cov.Q, verify._Cov(d=cov.d, Q=None)
+    return H, Hc, cov, rep, eta_prime, verify._pencil(*verify._omegas(H, Hc, cov))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_drawn_basis_checks_equal_standard_basis_checks(seed):
     """A check on ``(H, Hc, Q diag(d) Q')`` is bit for bit the same check on
     ``(H Q, Hc Q, diag(d))``: the drawn basis enters only through the one
-    product ``whiten``.  A standard-basis draw gets a random ``Q`` here."""
+    product ``whiten``.  A standard-basis draw gets a random ``Q`` here.
+    The pencil is recomputed in each basis, so the three checks that read
+    it are compared too."""
     rng = np.random.default_rng(seed)
     for idx, (name, instance, check) in enumerate(_SUITES):
         if name not in CHANNEL_SUITES[2:]:  # the five suites that draw a covariance
             continue
         for i in range(6):
-            H, Hc, cov, *rest = instance(_suite_rng(seed, idx, i), i, 24)
+            H, Hc, cov, rep, eta_prime, _ = instance(_suite_rng(seed, idx, i), i, 24)
             if cov.Q is None:
                 Q = np.linalg.qr(rng.standard_normal((cov.n, cov.n)))[0]
                 cov = verify._Cov(d=cov.d, Q=np.ascontiguousarray(Q))
-            inst = (H, Hc, cov, *rest)
+            inst = (H, Hc, cov, rep, eta_prime, verify._pencil(*verify._omegas(H, Hc, cov)))
             assert check(inst) == check(_turned(name, inst)), (name, i)
 
 
@@ -407,11 +413,10 @@ def test_verify_refuses_n_max_past_the_byte_cap():
 
 # Stream of each suite whose samples are another suite's draws: the first
 # suite of the table that reads the same instance.
-SHARED_STREAMS = {
-    "whitened_output_trace": verify.VERIFY_STREAM_BASE + SUITE_NAMES.index("stacked_deviation_trace"),
-    "eigenvalue_stability": verify.VERIFY_STREAM_BASE + SUITE_NAMES.index("determinant_floor"),
-    "shell_minimum_floor": verify.VERIFY_STREAM_BASE + SUITE_NAMES.index("determinant_floor"),
-}
+SHARED_STREAMS = dict.fromkeys(
+    ("whitened_output_trace", "determinant_floor", "eigenvalue_stability", "shell_minimum_floor"),
+    verify.VERIFY_STREAM_BASE + SUITE_NAMES.index("stacked_deviation_trace"),
+)
 
 
 def test_group_cells_draw_the_suite_rng_instances():
@@ -434,8 +439,8 @@ def test_suite_draws_do_not_depend_on_the_other_suites():
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_suite_report_rebuilds_from_its_cells(name):
     """A suite's report is its check on the cells ``(16 + s, i)`` of its own
-    stream, one sample at a time, for the six suites that read their own
-    draws, and on the first reader's cells for the three that share them;
+    stream, one sample at a time, for the five suites that read their own
+    draws, and on the first reader's cells for the four that share them;
     ``_suite_rng`` is that cell."""
     idx = SUITE_NAMES.index(name)
     _, instance, check = _SUITES[idx]
