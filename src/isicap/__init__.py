@@ -23,13 +23,11 @@ from .waterfill import (
     BoundReport,
     FiniteNBound,
     ThresholdReport,
-    WaterfillSolution,
     bound_report,
     capacity_C0,
     dbw_to_watts,
     finite_n_bound,
     pillow_terms,
-    saturation_power,
     solve_theta1,
     solve_theta2,
     thresholds,

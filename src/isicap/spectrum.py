@@ -56,6 +56,7 @@ __all__ = [
 
 DEFAULT_GRID = 8192
 MIN_GRID = 256
+MAX_GRID = 2 ** 20  # refused past this, before the FFT's padded array is allocated
 SINGULAR_REL_TOL = 1e-12
 SIGN_TIE_REL = 1e-8
 # Relative rounding, in units of eps, that the J-fold add and the 1/sqrt(2)
@@ -117,17 +118,16 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class SpectrumProfile:
-    """Scalar summary of the centre spectrum.
+    """Scalar summary of the centre spectrum, a function of the centre taps
+    and the grid alone (the radii are the spec's).
 
     alpha, beta   -- min resp. max of |f| over the unit circle
     J             -- mean of 1/|f|^2 over the circle
-    r_s           -- sum of the tap radii
     """
 
     alpha: float
     beta: float
     J: float
-    r_s: float
 
 
 def _f_sq(c: np.ndarray, omega):
@@ -146,8 +146,8 @@ def f_sq_table(spec: ChannelSpec, grid_size: int = DEFAULT_GRID) -> np.ndarray:
 
 @lru_cache(maxsize=2)  # its readers cache what they derive from it
 def _f_sq_table(c: tuple[float, ...], grid_size: int) -> np.ndarray:
-    if grid_size < MIN_GRID or grid_size % 2 != 0:
-        raise ValueError(f"grid_size must be even and >= {MIN_GRID}")
+    if not MIN_GRID <= grid_size <= MAX_GRID or grid_size % 2 != 0:
+        raise ValueError(f"grid_size must be even and in [{MIN_GRID}, {MAX_GRID}]")
     taps = np.asarray(c)
     if taps.size > grid_size:
         # The DFT sees tap l only through l mod grid_size: fold, not truncate.
@@ -195,7 +195,7 @@ def _critical_angles(c: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _centre_profile(c: tuple[float, ...], grid_size: int) -> tuple[float, float, float]:
+def _centre_profile(c: tuple[float, ...], grid_size: int) -> SpectrumProfile:
     table = _f_sq_table(c, grid_size)
     taps = np.asarray(c)
     # Every candidate is |f|^2 at some angle, so none lies below the true
@@ -210,25 +210,24 @@ def _centre_profile(c: tuple[float, ...], grid_size: int) -> tuple[float, float,
             f"min |f| = {math.sqrt(max(f_sq_min, 0.0)):.3e} is negligible against "
             f"max |f| = {beta:.3e}"
         )
-    return math.sqrt(f_sq_min), beta, simpson_mean(1.0 / table)
+    return SpectrumProfile(alpha=math.sqrt(f_sq_min), beta=beta, J=simpson_mean(1.0 / table))
 
 
 def compute_profile(spec: ChannelSpec, grid_size: int = DEFAULT_GRID) -> SpectrumProfile:
-    """Exact extrema of ``|f|``, the Simpson mean ``J`` of ``1/|f|^2`` from
-    the FFT table, and the radius sum of ``spec``.
+    """Exact extrema of ``|f|`` and the Simpson mean ``J`` of ``1/|f|^2``
+    from the FFT table.
 
     ``alpha`` and ``beta`` are the smaller resp. larger of the table's
     extremes and ``|f|`` at the angles of the roots of the derivative
-    polynomial (one ``np.roots`` call).  Those parts depend only on
-    ``(spec.c, grid_size)`` and are cached on that key, the one cache of
+    polynomial (one ``np.roots`` call).  The profile depends only on
+    ``(spec.c, grid_size)`` and is cached on that key, the one cache of
     the profile.
 
     Raises SpectrumSingular when the minimum of ``|f|`` is at or below
     ``1e-12 * beta`` (the inverse spectrum, and hence ``J``, is then
     meaningless).
     """
-    alpha, beta, J = _centre_profile(spec.c, grid_size)
-    return SpectrumProfile(alpha=alpha, beta=beta, J=J, r_s=spec.r_s)
+    return _centre_profile(spec.c, grid_size)
 
 
 @dataclass(frozen=True)

@@ -260,18 +260,15 @@ def _random_cov(rng: np.random.Generator, n: int) -> _Cov:
 
 
 def _rescale_radii_for_phi1(
-    spec: ChannelSpec,
-    profile: SpectrumProfile,
-    cov: _Cov,
-    target: float,
-):
-    """Scale all radii so the leading penalty ratio hits ``target`` < 1 for
-    this covariance, keeping the suite instances non-trivial."""
+    spec: ChannelSpec, profile: SpectrumProfile, cov: _Cov, target: float
+) -> ChannelSpec:
+    """``spec`` with all radii scaled so the leading penalty ratio hits
+    ``target`` < 1 for this covariance, keeping the suite instances
+    non-trivial; ``profile``, the centre's, holds for it unchanged."""
     s_target = target * (1.0 + profile.alpha ** 2 * cov.lam_min) / cov.lam_max
     rs = spec.r_s
     t = (-profile.beta + math.sqrt(profile.beta ** 2 + s_target)) / rs
-    scaled = ChannelSpec(k=spec.k, c=spec.c, r=tuple(t * v for v in spec.r))
-    return scaled, compute_profile(scaled)
+    return ChannelSpec(k=spec.k, c=spec.c, r=tuple(t * v for v in spec.r))
 
 
 def _sample_banded(rng: np.random.Generator, spec: ChannelSpec, n: int) -> BandedChannelMatrix:
@@ -325,9 +322,9 @@ def _centre_instance(rng, i, n_max):
 
 def _deviation_instance(rng, i, n_max):
     """(band sampled-minus-centre matrix, its operator-norm cap ``r_s``)."""
-    spec, profile, n = _random_channel(rng, n_max)
+    spec, _, n = _random_channel(rng, n_max)
     taps = _sample_banded(rng, spec, n).taps - np.asarray(spec.c)
-    return BandedChannelMatrix(n=n, k=spec.k, taps=taps), profile.r_s
+    return BandedChannelMatrix(n=n, k=spec.k, taps=taps), spec.r_s
 
 
 def _channel_instance(rng, i, n_max):
@@ -336,7 +333,7 @@ def _channel_instance(rng, i, n_max):
     < 1; ``eta'`` is drawn last, from [0, 1), where the shell exists."""
     spec, profile, n = _random_channel(rng, n_max)
     cov = _random_cov(rng, n)
-    spec, profile = _rescale_radii_for_phi1(spec, profile, cov, target=float(rng.uniform(0.05, 0.9)))
+    spec = _rescale_radii_for_phi1(spec, profile, cov, target=float(rng.uniform(0.05, 0.9)))
     Hc = build_Hc(spec, n).dense()
     H = _sample_banded(rng, spec, n).dense()
     rep = thresholds(spec, profile, cov, cov.trace / n)

@@ -8,6 +8,9 @@ Two water levels drive everything:
   rewarding extra power (the saturation level); it exists only when the tap
   radii are non-zero and the implied per-dimension power stays positive.
 
+Each level is a number with one route, ``solve_theta1`` (an array of
+powers gives an array) and ``solve_theta2``; every bound reads them.
+
 From a level we get the rate integral ``C0``, the tap-uncertainty penalty
 ``delta`` (one kernel, ``_penalty``) and the bounds the CLI serializes; a
 finite-blocklength variant water-fills ``build_sigma``'s Gram eigenvalues
@@ -37,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -53,7 +56,6 @@ from .spectrum import (
 )
 
 __all__ = [
-    "WaterfillSolution",
     "BoundReport",
     "FiniteNBound",
     "ThresholdReport",
@@ -64,7 +66,6 @@ __all__ = [
     "capacity_C0",
     "cap_integral",
     "thresholds",
-    "saturation_power",
     "bound_report",
     "bound_grid",
     "pillow_terms",
@@ -91,19 +92,6 @@ def dbw_to_watts(p_dbw: float) -> float:
     if not math.isfinite(p_w):
         raise ValueError(f"power {p_dbw!r} dBW is non-finite in watts")
     return p_w
-
-
-@dataclass(frozen=True)
-class WaterfillSolution:
-    """A water level ``theta`` with its derived per-dimension quantities:
-    total water ``I``, and the water depths over the spectral peak
-    (``d_max``) and the spectral valley (``d_min``)."""
-
-    theta: float
-    I: float
-    d_min: float
-    d_max: float
-    level: Literal["theta1", "theta2"]
 
 
 @dataclass(frozen=True)
@@ -184,11 +172,6 @@ def _depths(profile: SpectrumProfile, theta):
     return tuple(np.maximum(theta - 1.0 / x ** 2, 0.0) for x in (profile.alpha, profile.beta))
 
 
-def _solution(theta: float, I: float, profile: SpectrumProfile, level) -> WaterfillSolution:
-    d_min, d_max = _depths(profile, theta)
-    return WaterfillSolution(theta=theta, I=I, d_min=float(d_min), d_max=float(d_max), level=level)
-
-
 class _WaterTable(NamedTuple):
     """Ascending breakpoints ``v`` with weights ``w``: ``W = [0, cumsum(w)]``,
     ``S = [0, cumsum(w*v)]``, the water ``at = v W[1:] - S[1:]`` at each
@@ -232,68 +215,56 @@ def _grid_table(spec: ChannelSpec, grid_size: int) -> _WaterTable:
 
 
 def _b(spec: ChannelSpec) -> float:
-    """``b = (2/(k+1)) / |r|^2``; the saturation level solves
-    ``g(theta) = 2*theta - b``."""
-    return (2.0 / (spec.k + 1)) / spec.norm_r_sq
+    """``b = (2/(k+1)) / |r|^2``; the saturation level solves ``g(theta) =
+    2*theta - b``.  Infinite for zero radii, and for radii so small that
+    ``|r|^2`` is subnormal and ``b`` overflows: then no power saturates."""
+    return (2.0 / (spec.k + 1)) / spec.norm_r_sq if spec.norm_r_sq > 0.0 else math.inf
 
 
-def _theta1(profile: SpectrumProfile, spec: ChannelSpec, P, grid_size: int) -> np.ndarray:
-    """``theta1`` at each power of the array ``P`` (``P + J`` where it tops
-    the inverse spectrum); a non-finite or non-positive power raises."""
+def solve_theta1(profile: SpectrumProfile, spec: ChannelSpec, P, grid_size: int = DEFAULT_GRID):
+    """Water level spending total power ``P``: solves ``g(theta) = P`` at
+    each power of ``P`` (an array gives an array, a float a float).
+
+    Uses the closed form ``theta = P + J`` when the level tops the whole
+    inverse spectrum.  Below that, ``g`` is piecewise linear on the grid and
+    ``_water_level`` returns its exact root.  Raises ``ValueError`` for a
+    non-finite or non-positive power.
+    """
     P = np.asarray(P, dtype=float)
     bad = ~(np.isfinite(P) & (P > 0.0))
     if bad.any():
         p = float(P[bad][0])
         raise ValueError(f"non-finite power P={p}" if not math.isfinite(p) else "need P > 0")
     closed = P >= 1.0 / profile.alpha ** 2 - profile.J
-    return np.where(closed, P + profile.J, _water_level(_grid_table(spec, grid_size), 0.0, P))
-
-
-def solve_theta1(
-    profile: SpectrumProfile,
-    spec: ChannelSpec,
-    P: float,
-    grid_size: int = DEFAULT_GRID,
-) -> WaterfillSolution:
-    """Water level spending total power ``P``: solves ``g(theta) = P``.
-
-    Uses the closed form ``theta = P + J`` when the level tops the whole
-    inverse spectrum.  Below that, ``g`` is piecewise linear on the grid and
-    ``_water_level`` returns its exact root.  The solution's total water
-    ``I`` is ``P`` itself, the budget the level was solved for.  Raises
-    ``ValueError`` for a non-finite or non-positive ``P``.
-    """
-    return _solution(float(_theta1(profile, spec, P, grid_size)), P, profile, "theta1")
+    theta = np.where(closed, P + profile.J, _water_level(_grid_table(spec, grid_size), 0.0, P))
+    return theta if theta.ndim else float(theta)
 
 
 def solve_theta2(
     profile: SpectrumProfile,
     spec: ChannelSpec,
     grid_size: int = DEFAULT_GRID,
-) -> Optional[WaterfillSolution]:
+) -> Optional[float]:
     """Saturation water level: solves ``g(theta) = 2*theta - b`` with
-    ``b = (2/(k+1)) / |r|^2``.
+    ``b = (2/(k+1)) / |r|^2``; its water is ``2*theta - b``.
 
     Uses the closed form ``theta = b - J`` when the level tops the whole
     inverse spectrum, otherwise the exact root of the piecewise-linear
     ``g(theta) - 2*theta = -b`` from ``_water_level``.  Returns ``None`` when
     the level would sit at or below the spectral floor (no water anywhere),
-    i.e. when saturation never bites.  Raises ``ValueError`` when all radii
-    are zero (then no saturation mechanism exists at all).
+    i.e. when saturation never bites.  Raises ``ValueError`` when ``b`` is
+    infinite (zero radii, or a subnormal ``|r|^2``): then no saturation
+    mechanism exists at all.
     """
-    if spec.norm_r_sq == 0.0:
-        raise ValueError("saturation level undefined for zero tap radii")
     b = _b(spec)
+    if not math.isfinite(b):
+        raise ValueError("saturation level undefined for zero (or subnormal) tap radii")
     if b >= 1.0 / profile.alpha ** 2 + profile.J:
-        theta = b - profile.J
-        return _solution(theta, 2.0 * theta - b, profile, "theta2")
+        return b - profile.J
     if b - 2.0 / profile.beta ** 2 <= 0.0:
         return None
     theta = float(_water_level(_grid_table(spec, grid_size), 2.0, -b))
-    I = 2.0 * theta - b
-    if I <= 0.0:
-        return None
-    return _solution(theta, I, profile, "theta2")
+    return theta if 2.0 * theta - b > 0.0 else None
 
 
 def cap_integral(spec: ChannelSpec, theta, grid_size: int = DEFAULT_GRID):
@@ -321,8 +292,7 @@ def capacity_C0(
     grid_size: int = DEFAULT_GRID,
 ) -> float:
     """Water-filling capacity of the centre channel at power ``P`` (bits)."""
-    sol = solve_theta1(profile, spec, P, grid_size)
-    return cap_integral(spec, sol.theta, grid_size)
+    return cap_integral(spec, solve_theta1(profile, spec, P, grid_size), grid_size)
 
 
 def _s(profile: SpectrumProfile, rs) -> float:
@@ -359,7 +329,7 @@ def thresholds(spec: ChannelSpec, profile: SpectrumProfile, cov, P: float) -> Th
     whitened-output block matrices, for any radii."""
     n = cov.n
     m = n + spec.k
-    rs = profile.r_s
+    rs = spec.r_s
     s = _s(profile, rs)
     bs = profile.beta + rs
     return ThresholdReport(
@@ -373,41 +343,39 @@ def thresholds(spec: ChannelSpec, profile: SpectrumProfile, cov, P: float) -> Th
     )
 
 
-def saturation_power(spec: ChannelSpec, profile: SpectrumProfile) -> Optional[float]:
-    """Power (watts) beyond which the radius penalty eats all water-filling
-    gains; ``None`` when all radii are zero.  May be non-positive for very
-    large radii (saturation from zero power up)."""
-    if spec.norm_r_sq == 0.0:
-        return None
-    return _b(spec) - 2.0 * profile.J
-
-
 @lru_cache(maxsize=128)
 def _saturation(spec: ChannelSpec, grid_size: int) -> tuple:
     """The saturation route of ``spec``, none of which depends on ``P``:
-    ``(P_sat, sol2, C_LB2, delta2, gap_cor2)``, cached as scalars per
-    channel, with ``sol2`` the saturation level.  ``C_LB2`` and ``delta2``
-    are ``None`` when the penalty is undefined at that level; ``gap_cor2``
-    needs the level's closed form and ``s < alpha^2``."""
-    if spec.norm_r_sq == 0.0:
+    ``(P_sat, I2, C_LB2, delta2, gap_cor2)``, cached as scalars per
+    channel: ``P_sat = b - 2J`` (non-positive for radii that saturate from
+    zero power up) and ``I2 = 2*theta2 - b``, the saturation water
+    (``None`` with no saturation level).  All are ``None`` when ``b``
+    is infinite.  ``C_LB2`` and ``delta2`` are ``None`` when the penalty is
+    undefined at that level; ``gap_cor2`` needs the level's closed form and
+    ``s < alpha^2``."""
+    b = _b(spec)
+    if not math.isfinite(b):
         return None, None, None, None, None
     profile = compute_profile(spec, grid_size)
-    sol2 = solve_theta2(profile, spec, grid_size)
-    C_LB2 = delta2 = gap_cor2 = None
-    if sol2 is not None:
-        t2, t3, ok = _penalty(profile, profile.r_s, sol2.d_min, sol2.d_max, sol2.I)
+    theta2 = solve_theta2(profile, spec, grid_size)
+    I2 = C_LB2 = delta2 = gap_cor2 = None
+    if theta2 is not None:
+        # 2 theta2 - b, rounded once, without overflowing 2 theta2: since
+        # b/2 <= theta2 <= b, theta2 - b is exact (Sterbenz)
+        I2 = theta2 + (theta2 - b)
+        t2, t3, ok = _penalty(profile, spec.r_s, *_depths(profile, theta2), I2)
         if ok:
             delta2 = float(t2 + t3)
             C_LB2 = (
-                cap_integral(spec, sol2.theta, grid_size)
-                - math.log2(1.0 + 0.5 * (spec.k + 1) * spec.norm_r_sq * sol2.I)
+                cap_integral(spec, theta2, grid_size)
+                - math.log2(1.0 + 0.5 * (spec.k + 1) * spec.norm_r_sq * I2)
                 - delta2
             )
-    s = _s(profile, profile.r_s)
-    if _b(spec) >= 1.0 / profile.alpha ** 2 + profile.J and s < profile.alpha ** 2:
+    s = _s(profile, spec.r_s)
+    if b >= 1.0 / profile.alpha ** 2 + profile.J and s < profile.alpha ** 2:
         # one plus the penalty's limit as lam_min = lam_max and spend grow
         gap_cor2 = 1.0 + 0.5 / LN2 - 0.5 * math.log2(1.0 - s / profile.alpha ** 2)
-    return saturation_power(spec, profile), sol2, C_LB2, delta2, gap_cor2
+    return b - 2.0 * profile.J, I2, C_LB2, delta2, gap_cor2
 
 
 @np.errstate(over="ignore", invalid="ignore")  # silent inf and NaN, as in float maths
@@ -417,15 +385,15 @@ def bound_grid(spec: ChannelSpec, P: np.ndarray, grid_size: int = DEFAULT_GRID) 
     computed once per ``(spec, grid_size)`` and cached, and ``sat`` marks
     the powers whose budget reaches the saturation water."""
     profile = compute_profile(spec, grid_size)
-    theta = _theta1(profile, spec, P, grid_size)
+    theta = solve_theta1(profile, spec, P, grid_size)
     C0 = cap_integral(spec, theta, grid_size)
-    t2, t3, ok = _penalty(profile, profile.r_s, *_depths(profile, theta), P)
+    t2, t3, ok = _penalty(profile, spec.r_s, *_depths(profile, theta), P)
     delta1 = t2 + t3
     log_term = _libm(math.log2, 1.0 + 0.5 * (spec.k + 1) * spec.norm_r_sq * P)
-    P_sat, sol2, C_LB2, delta2, gap_cor2 = _saturation(spec, grid_size)
+    P_sat, I2, C_LB2, delta2, gap_cor2 = _saturation(spec, grid_size)
     sat = np.zeros(np.shape(P), bool)
-    if sol2 is not None:
-        sat = ~(P < sol2.I - 1e-12 * max(1.0, abs(sol2.I)))
+    if I2 is not None:
+        sat = ~(P < I2 - 1e-12 * max(1.0, abs(I2)))
     return BoundGrid(
         C0, C0 - log_term - delta1, delta1, log_term + delta1, C_LB2, delta2, P_sat, gap_cor2, ok, sat
     )
@@ -454,8 +422,8 @@ def pillow_grid(
     """``pillow_terms`` at power ``P`` over the array of radius sums ``rs``
     from one ``theta1`` solve: the columns ``(t1, t2, t3, ok)``, the terms
     valid where ``ok``."""
-    sol = solve_theta1(profile, spec, P, grid_size)
-    t2, t3, ok = _penalty(profile, rs, sol.d_min, sol.d_max, P)
+    theta = solve_theta1(profile, spec, P, grid_size)
+    t2, t3, ok = _penalty(profile, rs, *_depths(profile, theta), P)
     return _libm(math.log2, 1.0 + 0.5 * (spec.k + 1) * rs * rs * P), t2, t3, ok
 
 
@@ -469,12 +437,12 @@ def pillow_terms(
     """The three addends of the radius-sum-only gap bound at power ``P``,
     the one-row ``pillow_grid``.
 
-    ``r_s`` overrides the profile's radius sum so a sweep can vary the
+    ``r_s`` overrides the channel's radius sum so a sweep can vary the
     uncertainty scale without touching the centre channel or water level.
     The last addend caps at ``1/(2*ln 2)`` exactly once
     ``r_s*(r_s + 2*beta)*P >= 1``.
     """
-    rs = profile.r_s if r_s is None else float(r_s)
+    rs = spec.r_s if r_s is None else float(r_s)
     if rs < 0.0:
         raise ValueError("radius sum must be non-negative")
     *terms, ok = pillow_grid(profile, spec, P, np.array([rs]), grid_size)
@@ -533,7 +501,7 @@ def finite_n_bound(
     first = float(np.log2(1.0 + lam * d).sum()) / (2.0 * n)
     m = n + spec.k
     trace = float(d.sum())
-    t2, t3, ok = _penalty(profile, profile.r_s, float(d[0]), float(d[-1]), trace / m)
+    t2, t3, ok = _penalty(profile, spec.r_s, float(d[0]), float(d[-1]), trace / m)
     if not ok:
         raise BoundInapplicable("radius term >= 1; penalty undefined")
     delta_n = float(t2 + t3)

@@ -19,7 +19,7 @@ from isicap.cli import (
     parse_grid,
 )
 from isicap.errors import ConfigError
-from isicap.waterfill import _theta1, solve_theta1, solve_theta2
+from isicap.waterfill import solve_theta1, solve_theta2
 
 from reference_values import P_SAT_DBW
 
@@ -227,9 +227,9 @@ def test_flagged_bounds_rows_solve_one_water_level(tmp_path, monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(np.shape(args[2]))
-        return _theta1(*args, **kwargs)
+        return solve_theta1(*args, **kwargs)
 
-    monkeypatch.setattr(waterfill, "_theta1", counted)
+    monkeypatch.setattr(waterfill, "solve_theta1", counted)
     cfg = _write_config(tmp_path, {"channel": {"k": 0, "c": [1.0], "r": [5.0]}})
     out = tmp_path / "flat.csv"
     assert main(["bounds", "--config", cfg, "--out", str(out), "--grid", "0:50:11"]) == EXIT_EMPTY
@@ -237,6 +237,40 @@ def test_flagged_bounds_rows_solve_one_water_level(tmp_path, monkeypatch):
     assert [r[header.index("flag")] for r in rows] == [FLAG_INAPPLICABLE] * 11
     assert all(float(r[header.index("C0")]) > 0.0 for r in rows)
     assert calls == [(11,)]
+
+
+@pytest.mark.parametrize("command", ["bounds", "figure2"])
+def test_subnormal_radii_have_no_saturation_route(tmp_path, command):
+    """|r|^2 = 1e-310 is subnormal and b = (2/3)/|r|^2 overflows: no power
+    saturates, so the route-2 cells are empty, as at zero radii, and no cell
+    reads nan or inf."""
+    cfg = _write_config(tmp_path, {"channel": {"r": [1e-155, 0.0, 0.0]}})
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+    _, header, rows = _read_csv(out)
+    assert rows and not any(cell in ("nan", "inf") for r in rows for cell in r)
+    route2 = [c for c in ("C_LB2", "delta2", "Psat_dBW", "gap_cor2", "Psat_W") if c in header]
+    assert all(r[header.index(c)] == "" for r in rows for c in route2)
+    assert all(r[header.index("C_LB1")] != "" for r in rows)
+
+
+@pytest.mark.parametrize("grid_size", [2**40, 1e300])
+def test_oversized_grid_size_refused_before_allocating(tmp_path, capsys, grid_size):
+    """A spectral grid past ``MAX_GRID`` exits 2 on one line naming
+    ``grid_size``, with nothing written and under 1 MiB traced."""
+    cfg = _write_config(tmp_path, {"grid_size": grid_size})
+    out = tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        code = main(["bounds", "--config", cfg, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONFIG
+    assert peak < 1 << 20
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("isicap: ") and "grid_size" in err[0]
+    assert not out.exists()
 
 
 def test_simulate_refuses_undefined_derived_rate(tmp_path, capsys):

@@ -666,7 +666,7 @@ def test_threshold_formulas(example_spec, example_profile):
     cov = build_sigma(example_spec, n, P, "waterfill_gram")
     rep = thresholds(example_spec, example_profile, cov, P)
     m = n + example_spec.k
-    rs, beta, alpha = example_profile.r_s, example_profile.beta, example_profile.alpha
+    rs, beta, alpha = example_spec.r_s, example_profile.beta, example_profile.alpha
     s = rs * (rs + 2.0 * beta)
     phis = (
         s * cov.lam_max / (1.0 + alpha ** 2 * cov.lam_min),

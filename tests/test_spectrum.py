@@ -16,7 +16,17 @@ from isicap import (
 )
 from isicap import spectrum
 from isicap.errors import SpectrumSingular
-from isicap.spectrum import DEFAULT_GRID, FOLD_ULPS, SIGN_TIE_REL, HalfBasis, _f_sq, f_sq_table, simpson_mean
+from isicap.spectrum import (
+    DEFAULT_GRID,
+    FOLD_ULPS,
+    MAX_GRID,
+    MIN_GRID,
+    SIGN_TIE_REL,
+    HalfBasis,
+    _f_sq,
+    f_sq_table,
+    simpson_mean,
+)
 
 from bases import assemble, eigenbasis, random_halves, standard_halves
 from oracles import dense_gram, f_sq_direct, spectrum_extrema_oracle
@@ -50,7 +60,6 @@ def test_example_profile_constants(example_spec, example_profile):
     assert example_profile.alpha == pytest.approx(ALPHA_EXAMPLE, abs=PROFILE_ABS_TOL)
     assert example_profile.beta == BETA_EXAMPLE  # grid hits the maximizer exactly
     assert example_profile.J == pytest.approx(J_EXAMPLE, abs=PROFILE_ABS_TOL)
-    assert example_profile.r_s == pytest.approx(3e-3)
     assert example_spec.norm_r_sq == pytest.approx(3e-6)
 
 
@@ -64,7 +73,7 @@ def test_flat_channel_profile():
 def test_profile_is_cached(example_spec):
     """One cache, ``_centre_profile`` on ``(c, grid_size)``, answers every
     call: a repeat, the default grid given explicitly and another radius
-    each hit it, and nothing is computed twice."""
+    each hit it with an equal record, and nothing is computed twice."""
     first = compute_profile(example_spec)
     before = spectrum._centre_profile.cache_info()
     again = [
@@ -74,7 +83,7 @@ def test_profile_is_cached(example_spec):
     ]
     after = spectrum._centre_profile.cache_info()
     assert (after.misses, after.hits) == (before.misses, before.hits + 3)
-    assert again[0] == again[1] == first and again[2].r_s == pytest.approx(0.6)
+    assert again[0] == again[1] == again[2] == first
 
 
 def test_singular_spectrum_raises():
@@ -152,12 +161,20 @@ def test_profile_near_singular_matches_oracle(k):
 
 
 def test_profile_shared_by_centre_taps(example_spec):
-    """Channels that differ only in their radii share alpha, beta and J."""
+    """Channels that differ only in their radii have equal profiles: the
+    profile is a function of the centre taps and the grid alone."""
     wide = ChannelSpec(k=example_spec.k, c=example_spec.c, r=(0.3, 0.2, 0.1))
-    a, b = compute_profile(example_spec), compute_profile(wide)
-    assert (a.alpha, a.beta, a.J) == (b.alpha, b.beta, b.J)
-    assert b.r_s == pytest.approx(0.6)
+    assert compute_profile(example_spec) == compute_profile(wide)
     assert f_sq_table(example_spec) is f_sq_table(wide)
+
+
+def test_grid_size_bounds():
+    # even sizes from MIN_GRID to MAX_GRID; past it, refused before the FFT
+    spec = ChannelSpec(k=1, c=(1.0, 0.5), r=(0.0, 0.0))
+    assert f_sq_table(spec, MAX_GRID).shape == (MAX_GRID + 1,)
+    for bad in (MIN_GRID - 2, MIN_GRID + 1, MAX_GRID + 2, 2**40):
+        with pytest.raises(ValueError, match="grid_size"):
+            f_sq_table(spec, bad)
 
 
 def test_table_folds_taps_longer_than_grid():

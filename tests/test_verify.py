@@ -14,7 +14,6 @@ from isicap import (
     ChannelSpec,
     SUITE_NAMES,
     build_Hc,
-    compute_profile,
     converse_rate_bound,
     qcqp_min,
     run_all_suites,
@@ -289,7 +288,7 @@ def test_deviation_norm_check_zero_radius_is_tight():
     assert not taps.any()  # a zero-radius draw is the centre matrix exactly
     E = BandedChannelMatrix(n=12, k=1, taps=taps)
     check = {name: chk for name, _, chk in _SUITES}["deviation_matrix_norm"]
-    margin, ok = check((E, compute_profile(spec).r_s))
+    margin, ok = check((E, spec.r_s))
     assert ok
     assert margin == 0.0
 

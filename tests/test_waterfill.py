@@ -16,7 +16,6 @@ from isicap import (
     finite_n_bound,
     gram_eigenvalues,
     pillow_terms,
-    saturation_power,
     solve_theta1,
     solve_theta2,
     watts_to_dbw,
@@ -62,19 +61,17 @@ RESIDUAL_CHANNELS = (
 
 
 def test_theta1_reference_level(example_spec, example_profile):
-    sol = solve_theta1(example_profile, example_spec, 0.1)
-    assert sol.theta == pytest.approx(THETA1_P_0_1, abs=LEVEL_TOL)
-    resid = g_grid_oracle(example_spec.c, sol.theta) - 0.1
+    theta = solve_theta1(example_profile, example_spec, 0.1)
+    assert theta == pytest.approx(THETA1_P_0_1, abs=LEVEL_TOL)
+    resid = g_grid_oracle(example_spec.c, theta) - 0.1
     assert abs(resid) <= RESIDUAL_REL
-    assert sol.level == "theta1"
 
 
 def test_theta1_closed_form_above_spectrum(example_spec, example_profile):
     # with full coverage the level is an exact shift of the power
-    sol = solve_theta1(example_profile, example_spec, 100.0)
-    assert sol.theta == 100.0 + example_profile.J
-    assert sol.I == pytest.approx(100.0, rel=1e-12)
-    assert sol.d_max == pytest.approx(sol.theta - 0.25, rel=1e-12)
+    theta = solve_theta1(example_profile, example_spec, 100.0)
+    assert theta == 100.0 + example_profile.J
+    assert waterfill._depths(example_profile, theta)[1] == pytest.approx(theta - 0.25, rel=1e-12)
 
 
 @pytest.mark.parametrize("c", RESIDUAL_CHANNELS)
@@ -84,8 +81,8 @@ def test_theta1_residual_below_closed_form(c):
     top = 1.0 / prof.alpha ** 2 - prof.J
     # from the first wet segment (P << 1) up to just below the closed form
     for P in [*np.geomspace(1e-12, 0.5, 24) * top, top * (1.0 - 1e-9)]:
-        sol = solve_theta1(prof, spec, P)
-        resid = g_grid_oracle(c, sol.theta) - P
+        theta = solve_theta1(prof, spec, P)
+        resid = g_grid_oracle(c, theta) - P
         assert abs(resid) <= RESIDUAL_REL * max(1.0, P)
 
 
@@ -100,8 +97,8 @@ def test_theta2_residual_below_closed_form(c):
     prof = compute_profile(spec)
     b = (2.0 / (k + 1)) / spec.norm_r_sq
     assert b < ceiling
-    sol = solve_theta2(prof, spec)
-    resid = g_grid_oracle(c, sol.theta) - (2.0 * sol.theta - b)
+    theta = solve_theta2(prof, spec)
+    resid = g_grid_oracle(c, theta) - (2.0 * theta - b)
     assert abs(resid) <= RESIDUAL_REL * max(1.0, b)
 
 
@@ -124,7 +121,7 @@ def test_cap_integral_matches_grid_oracle():
         knee = 1.0 / prof.alpha ** 2 - prof.J
         v = 1.0 / f_sq_table(spec)
         for P in knee * np.array([1e-6, 1e-3, 0.3, 1.0, 10.0]):
-            theta = solve_theta1(prof, spec, P).theta
+            theta = solve_theta1(prof, spec, P)
             want = cap_grid_oracle(v, theta)
             assert abs(cap_integral(spec, theta) - want) <= 1e-13 * want
 
@@ -143,7 +140,7 @@ def test_bound_rows_read_no_grid(monkeypatch):
     for p_dbw in np.linspace(-20.0, 60.0, 161):
         P = dbw_to_watts(p_dbw)
         assert bound_report(spec, P).C0 > 0.0
-        assert cap_integral(spec, solve_theta1(prof, spec, P).theta) > 0.0
+        assert cap_integral(spec, solve_theta1(prof, spec, P)) > 0.0
 
 
 def _grid_channels():
@@ -163,17 +160,18 @@ def _scalar_row(spec, P):
     """``(C0, C_LB1, delta1, gap_cor1)`` at ``P`` from the scalar formulas,
     logs on libm; None past the penalty's ratio 1."""
     prof = compute_profile(spec)
-    sol = solve_theta1(prof, spec, P)
+    theta = solve_theta1(prof, spec, P)
     t = waterfill._grid_table(spec, DEFAULT_GRID)
-    k = int(np.searchsorted(t.v, sol.theta))
+    k = int(np.searchsorted(t.v, theta))
     top = t.v[k - 1]
-    C0 = 0.5 * float(t.W[k] * math.log1p((sol.theta - top) / top) / LN2 + t.D[k])
-    s = prof.r_s * (prof.r_s + 2.0 * prof.beta)
-    ratio = s * sol.d_max / (1.0 + prof.alpha ** 2 * sol.d_min)
+    C0 = 0.5 * float(t.W[k] * math.log1p((theta - top) / top) / LN2 + t.D[k])
+    s = spec.r_s * (spec.r_s + 2.0 * prof.beta)
+    d_min, d_max = (max(theta - 1.0 / x ** 2, 0.0) for x in (prof.alpha, prof.beta))
+    ratio = s * d_max / (1.0 + prof.alpha ** 2 * d_min)
     if ratio >= 1.0:
         return C0, None, None, None
     delta1 = -0.5 * math.log2(1.0 - ratio) + (0.5 / LN2) * (
-        1.0 - max(1.0 - s * P, 0.0) / (1.0 + s * sol.d_max)
+        1.0 - max(1.0 - s * P, 0.0) / (1.0 + s * d_max)
     )
     log_term = math.log2(1.0 + 0.5 * (spec.k + 1) * spec.norm_r_sq * P)
     return C0, C0 - log_term - delta1, delta1, log_term + delta1
@@ -181,6 +179,19 @@ def _scalar_row(spec, P):
 
 def _bits(values):
     return [None if v is None else float(v).hex() for v in values]
+
+
+def test_theta1_array_is_its_scalar_calls():
+    # one route per level: an array of powers gives, bit for bit, the floats
+    # of one call per power, below the knee and in the closed form
+    for spec, P in _grid_channels():
+        prof = compute_profile(spec)
+        closed = P >= 1.0 / prof.alpha ** 2 - prof.J
+        assert 0 < closed.sum() < len(P)
+        theta = solve_theta1(prof, spec, P)
+        scalars = [solve_theta1(prof, spec, p) for p in P.tolist()]
+        assert theta.shape == P.shape and {type(t) for t in scalars} == {float}
+        assert _bits(theta) == _bits(scalars)
 
 
 def test_bound_report_is_the_grid_row():
@@ -204,7 +215,7 @@ def test_c0_column_matches_grid_oracle():
         v = 1.0 / f_sq_table(spec)
         C0 = bound_grid(spec, P).C0
         for p, got in zip(P[::8].tolist(), C0[::8].tolist()):
-            want = cap_grid_oracle(v, solve_theta1(prof, spec, p).theta)
+            want = cap_grid_oracle(v, solve_theta1(prof, spec, p))
             assert abs(got - want) <= 1e-12 * want
 
 
@@ -212,12 +223,13 @@ def test_bound_grid_mask_is_the_ratio_test():
     # a grid flagged only in part: the mask is ratio >= 1 written out
     spec = ChannelSpec(k=1, c=(1.0, 0.5), r=(0.05, 0.05))
     prof = compute_profile(spec)
-    s = prof.r_s * (prof.r_s + 2.0 * prof.beta)
+    s = spec.r_s * (spec.r_s + 2.0 * prof.beta)
     P = [dbw_to_watts(p) for p in np.linspace(0.0, 60.0, 601)]
     flagged = []
     for p in P:
-        sol = solve_theta1(prof, spec, p)
-        flagged.append(s * sol.d_max / (1.0 + prof.alpha ** 2 * sol.d_min) >= 1.0)
+        theta = solve_theta1(prof, spec, p)
+        d_min, d_max = (max(theta - 1.0 / x ** 2, 0.0) for x in (prof.alpha, prof.beta))
+        flagged.append(s * d_max / (1.0 + prof.alpha ** 2 * d_min) >= 1.0)
     assert 0 < sum(flagged) < len(P)
     assert (~bound_grid(spec, np.array(P)).ok).tolist() == flagged
 
@@ -246,20 +258,23 @@ def test_g_equals_shift_above_spectrum(example_spec, example_profile):
 def test_theta2_flat_closed_form():
     spec = ChannelSpec(k=0, c=(1.0,), r=(0.5,))
     prof = compute_profile(spec)
-    sol = solve_theta2(prof, spec)
-    assert sol.theta == pytest.approx(THETA2_FLAT_R05, abs=1e-9)
-    assert sol.I == pytest.approx(2.0 * sol.theta - 8.0, rel=1e-9)
-    assert sol.level == "theta2"
+    theta = solve_theta2(prof, spec)
+    assert theta == pytest.approx(THETA2_FLAT_R05, abs=1e-9)
+    # b = 2 / 0.25 = 8 and J = 1: the water 2 theta2 - b is P_sat = b - 2J
+    assert 2.0 * theta - 8.0 == pytest.approx(6.0, rel=1e-12)
+    assert bound_report(spec, 100.0).P_sat == pytest.approx(6.0, rel=1e-12)
 
 
 def test_theta2_requires_radii(example_profile):
-    spec = ChannelSpec(k=2, c=(1.0, 0.5, 0.5), r=(0.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        solve_theta2(example_profile, spec)
+    # zero radii, or a subnormal |r|^2 whose b overflows: no saturation level
+    for r in ((0.0, 0.0, 0.0), (1e-155, 0.0, 0.0)):
+        spec = ChannelSpec(k=2, c=(1.0, 0.5, 0.5), r=r)
+        with pytest.raises(ValueError):
+            solve_theta2(example_profile, spec)
 
 
-def test_saturation_power_reference(example_spec, example_profile):
-    psat = saturation_power(example_spec, example_profile)
+def test_saturation_power_reference(example_spec):
+    psat = bound_report(example_spec, 1.0).P_sat
     assert psat == pytest.approx(P_SAT_W, rel=1e-9)
     assert watts_to_dbw(psat) == pytest.approx(P_SAT_DBW, abs=1e-9)
 
@@ -317,10 +332,11 @@ def test_pillow_third_term_caps_exactly(example_spec, example_profile):
 def test_delta_routes_agree(example_spec, example_profile):
     # the reported penalty against the penalty written out from the ratios
     for P in (0.1, 3.0, 100.0, P_SAT_W):
-        sol = solve_theta1(example_profile, example_spec, P)
-        # one dimension spending sol.I: phi2 = s trace / m = s I
+        theta = solve_theta1(example_profile, example_spec, P)
+        d_min, d_max = waterfill._depths(example_profile, theta)
+        # one dimension spending P: phi2 = s trace / m = s P
         m = 1 + example_spec.k
-        cov = SimpleNamespace(n=1, lam_min=sol.d_min, lam_max=sol.d_max, trace=sol.I * m)
+        cov = SimpleNamespace(n=1, lam_min=d_min, lam_max=d_max, trace=P * m)
         rep = thresholds(example_spec, example_profile, cov, P)
         phi1, phi2, phi3 = rep.phi1_n, rep.phi2_n, rep.phi3_n
         via_phi = -0.5 * math.log2(1.0 - phi1) + (0.5 / LN2) * (
@@ -354,7 +370,8 @@ def test_delta1_is_the_pillow_penalty(c):
 
 
 def test_saturation_fields_do_not_move_with_power(example_spec, example_profile):
-    water = solve_theta2(example_profile, example_spec).I
+    b = (2.0 / (example_spec.k + 1)) / example_spec.norm_r_sq
+    water = 2.0 * solve_theta2(example_profile, example_spec) - b
     lo, hi = bound_report(example_spec, 1.5 * water), bound_report(example_spec, 40.0 * water)
     fields = ("C_LB2", "delta2", "P_sat", "gap_cor2")
     assert all(getattr(lo, f) is not None for f in fields)
@@ -364,11 +381,26 @@ def test_saturation_fields_do_not_move_with_power(example_spec, example_profile)
 
 def test_zero_radius_bound_collapses_to_capacity():
     spec = ChannelSpec(k=2, c=(1.0, 0.5, 0.5), r=(0.0, 0.0, 0.0))
+    # a subnormal |r|^2 overflows b: no saturation route at any finite power
+    tiny = ChannelSpec(k=2, c=spec.c, r=(1e-155, 0.0, 0.0))
     for P in (0.5, 10.0, 1000.0):
+        assert bound_report(tiny, P) == bound_report(spec, P)
         rep = bound_report(spec, P)
         assert rep.C_LB1 == rep.C0
         assert rep.delta1 == 0.0
-        assert rep.P_sat is None and rep.C_LB2 is None and rep.gap_cor2 is None
+        assert rep.P_sat is None and rep.C_LB2 is None and rep.delta2 is None
+        assert rep.gap_cor2 is None
+
+
+def test_saturation_water_does_not_overflow():
+    # b = (2/3)/|r|^2 is about 1.5e308, so 2 theta2 overflows, but the water
+    # 2 theta2 - b = b - 2J does not: no power below it saturates
+    spec = ChannelSpec(k=2, c=(1.0, 0.5, 0.5), r=(6.7e-155, 0.0, 0.0))
+    rep = bound_report(spec, 1e6)
+    assert 1e308 < rep.P_sat < math.inf
+    assert rep.C_LB2 is None and rep.delta2 is None
+    at = bound_report(spec, rep.P_sat)
+    assert math.isfinite(at.C_LB2) and math.isfinite(at.delta2)
 
 
 def test_awgn_capacity_closed_form():
@@ -389,10 +421,7 @@ def test_dbw_roundtrip(p_dbw):
 def test_theta1_monotone_in_power(P, factor):
     spec = ChannelSpec(k=2, c=(1.0, 0.5, 0.5), r=(1e-3, 1e-3, 1e-3))
     prof = compute_profile(spec)
-    lo = solve_theta1(prof, spec, P)
-    hi = solve_theta1(prof, spec, P * factor)
-    assert hi.theta > lo.theta
-    assert lo.I == pytest.approx(P, abs=RESIDUAL_REL * max(1.0, P))
+    assert solve_theta1(prof, spec, P * factor) > solve_theta1(prof, spec, P)
 
 
 @settings(max_examples=40, deadline=None)
