@@ -71,7 +71,7 @@ STREAM_MESSAGE = 3
 STREAM_FLOOR = 4
 
 MAX_CODEBOOK_BITS = 24
-# Byte cap on what exhaustive decoding holds for one codebook: the
+# Byte cap on what exhaustive decoding holds for one codebook: the float32
 # coefficients, their statistics, the half bases, the held sent words and
 # message picks, and the trial-block scratch.
 MAX_DECODE_BYTES = 1 << 31
@@ -81,7 +81,8 @@ _TRIAL_BLOCK = 64
 _BLOCK_ENTRIES = 1 << 20
 # Sent rows ``sent_words`` builds per ``Codebook.words`` call.
 _WORD_CHUNK = 64
-# Most uniforms one TrialBlocks holds: its tap scratch stays in cache.
+# Most doubles one scratch chunk holds, so it stays in cache: TrialBlocks'
+# taps, and the codebook's rows while they are drawn or summed in float64.
 _DRAW_ENTRIES = 1 << 15
 # A word's floor direction is projected off the support again while the
 # projection's input is more than this many times as long as its output.
@@ -323,6 +324,28 @@ def _row_sq(A: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", A, A)
 
 
+def _chunk_rows(width: int) -> int:
+    """Rows of ``width`` doubles one scratch chunk holds."""
+    return max(1, _DRAW_ENTRIES // max(width, 1))
+
+
+def _row_form(S: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``sum_j w_j s_j^2`` for each row ``s`` of the float32 ``S``, in
+    float64: a chunk of rows at a time is squared into one float64 scratch,
+    exactly (a float32 square fits a double), and summed against ``w`` by
+    ``einsum``, so no float64 copy of ``S`` is made.  A row's sum does not
+    depend on the rows it is chunked with."""
+    out = np.empty(len(S))
+    rows = _chunk_rows(S.shape[1])
+    buf = np.empty((min(rows, len(S)), S.shape[1]))
+    for lo in range(0, len(S), rows):
+        part = buf[:len(S[lo:lo + rows])]
+        part[...] = S[lo:lo + rows]  # a cast by assignment takes no buffer
+        np.square(part, out=part)
+        np.einsum("ij,j->i", part, w, out=out[lo:lo + rows])
+    return out
+
+
 def _project_off(halves: HalfBasis, V: np.ndarray) -> None:
     """Each row ``v`` of ``V`` replaced, in place, by ``p = v - U(U'v)`` for
     the columns ``U`` of ``halves``, and projected again while its input is
@@ -340,28 +363,35 @@ class Codebook:
     """Exhaustively decodable Gaussian codebook: ``size = 2**ceil(n * R)``
     words (a size that is no power of two is refused) drawn once from the
     input covariance ``cov``, held by their coefficients on its support
-    ``U`` and one floor radius each.
+    ``U``, in float32, and one floor radius each.
 
-    Word ``i`` is ``x = U s + x_f``.  ``S[i]`` holds ``s = sqrt(d) * g_s``
-    for a standard Gaussian ``g_s``.  The floor part ``x_f``, Gaussian with
-    covariance ``POWER_FLOOR (I - U U')``, is held as the radius
-    ``q_floor[i] = ||x_f||^2 / POWER_FLOOR``, chi-squared with
-    ``cov.floor_dim`` degrees of freedom; its direction is drawn when the
-    word is built, from the cell ``(STREAM_FLOOR, i)`` under ``seed``, as
-    ``x_f = sqrt(POWER_FLOOR q_floor / ||p||^2) p`` for the projection ``p =
-    v - U(U'v)`` of ``v ~ N(0, I_n)`` off the support.  That projection is
-    a standard Gaussian on the floor, a chi radius times an independent
-    uniform direction, so ``x_f`` has its law.  Without a floor
-    ``q_floor`` is all zeros and no floor is built.
+    Word ``i`` is ``x = U s + x_f``.  ``S[i]`` holds ``s``, the float32
+    rounding of ``sqrt(d) * g_s`` for a standard Gaussian ``g_s``; the word
+    is built from those float32 values, widened exactly to float64.  The
+    floor part ``x_f``, Gaussian with covariance ``POWER_FLOOR (I - U
+    U')``, is held as the radius ``q_floor[i] = ||x_f||^2 / POWER_FLOOR``,
+    chi-squared with ``cov.floor_dim`` degrees of freedom; its direction is
+    drawn when the word is built, from the cell ``(STREAM_FLOOR, i)`` under
+    ``seed``, as ``x_f = sqrt(POWER_FLOOR q_floor / ||p||^2) p`` for the
+    projection ``p = v - U(U'v)`` of ``v ~ N(0, I_n)`` off the support.
+    That projection is a standard Gaussian on the floor, a chi radius times
+    an independent uniform direction, so ``x_f`` has its law.  Without a
+    floor ``q_floor`` is all zeros and no floor is built.
 
-    ``q[i] = ||g_s||^2 + q_floor[i]`` equals ``x' Sigma^{-1} x`` exactly,
-    with no rounding of ``x`` amplified by the small eigenvalues of
-    ``Sigma``; the decoder's guard band bounds ``||s||^2`` by ``max(d) q``
-    and ``||x_f||^2`` by ``POWER_FLOOR q_floor``, and so relies on that
-    pairing: a ``q`` below the computed ``sum_j s_j^2 / d_j + q_floor`` by
-    more than its rounding, ``(2n + 8) eps`` relative (``(n + 1) eps`` for
-    ``q``, ``4 eps`` for ``S = fl(g sqrt(d))`` squared, ``(n + 3) eps`` for
-    the check's own sum), is refused.  Decoding needs only ``S``, ``q`` and
+    ``q[i] = sum_j s_j^2 / d_j + q_floor[i]``, summed in float64 from the
+    held ``s`` (``_row_form``), is ``x' Sigma^{-1} x`` of the word as
+    built, with no rounding of ``x`` amplified by the small eigenvalues of
+    ``Sigma``.  The decoder's guard band bounds ``||s||^2`` by ``max(d)
+    q`` and ``||x_f||^2`` by ``POWER_FLOOR q_floor``, and so relies on that
+    pairing.  With ``u = eps / 2``, the computed sum ``c`` of ``sum_j
+    s_j^2 / d_j + q_floor`` is within ``(n + 2) u`` of it, relative, to
+    first order: each ``s_j^2`` is exact in float64, ``fl(1 / d_j)`` and
+    the product with it round once each, the sum of at most ``n`` terms
+    ``n - 1`` times and the floor's add once.  A ``q`` with ``c > q (1 +
+    (n + 2) eps)`` is refused, which admits the sum taken in any order and
+    keeps every accepted ``q`` within ``3 (n + 2) u`` of the exact
+    statistic from above (``decoder._g_round``).  Coefficients that are not
+    float32, or not finite, are refused.  Decoding needs only ``S``, ``q`` and
     ``q_floor``: ``words`` builds the words of given rows, and
     ``codewords`` every word on first access."""
 
@@ -379,21 +409,26 @@ class Codebook:
             raise ValueError(f"codebook size must be a power of two, got {self.size}")
         if self.cov.n != self.n or self.S.shape != (self.size, self.cov.d.size):
             raise ValueError("coefficient array shape mismatch")
+        if self.S.dtype != np.float32:
+            raise ValueError(f"coefficients must be float32, got {self.S.dtype}")
         if self.q.shape != (self.size,) or self.q_floor.shape != (self.size,):
             raise ValueError("input statistic shape mismatch")
         if not (np.isfinite(self.q_floor).all() and self.q_floor.min(initial=0.0) >= 0.0):
             raise ValueError("floor radii must be finite and non-negative")
-        g_sq = np.einsum("ij,j,ij->i", self.S, 1.0 / self.cov.d, self.S)
+        g_sq = _row_form(self.S, 1.0 / self.cov.d)
+        if not np.isfinite(g_sq).all():
+            raise ValueError("coefficients must be finite")
         g_sq += self.q_floor
-        if np.any(g_sq > self.q * (1.0 + (2 * self.n + 8) * np.finfo(float).eps)):
+        if np.any(g_sq > self.q * (1.0 + (self.n + 2) * np.finfo(float).eps)):
             raise ValueError("input statistic q understates sum_j s_j^2 / d_j of its coefficients")
 
     def words(self, rows) -> np.ndarray:
         """The words ``U s + x_f`` of ``rows`` (indices or a slice), one per
-        row index: ``S`` through the half bases (``HalfBasis.apply``), plus
+        row index: the gathered rows of ``S``, widened to float64, through
+        the half bases (``HalfBasis.apply``), plus
         each distinct row's floor, built once per call."""
         rows = np.arange(*rows.indices(self.size)) if isinstance(rows, slice) else np.asarray(rows)
-        X = self.cov.halves.apply(self.S[rows])
+        X = self.cov.halves.apply(self.S[rows].astype(float))
         if self.cov.floor_dim:
             cells, inv = np.unique(rows, return_inverse=True)
             V = np.empty((len(cells), self.n))
@@ -421,11 +456,12 @@ def trial_block(size: int) -> int:
 
 def decode_bytes(size: int, n: int, trials: int = 0) -> int:
     """Bytes exhaustive decoding of ``trials`` trials holds for ``size``
-    codewords of length ``n``, at most: the coefficients and the two tall
-    half bases, taken at the full width ``n`` (``(n^2 + 1) / 2`` entries
-    for the bases), since the support is known only once ``build_sigma``
-    has run and the cap refuses before it; four per-word statistics (input
-    statistic, floor radius, energy and their sum); the held sent words,
+    codewords of length ``n``, at most: the float32 coefficients, 4 bytes
+    each, and the two tall half bases, taken at the full width ``n``
+    (``(n^2 + 1) / 2`` entries for the bases), since the support is known
+    only once ``build_sigma`` has run and the cap refuses before it; three
+    float64 per-word statistics (input statistic, floor radius, energy) and
+    one float32 (the score's per-word term); the held sent words,
     ``min(trials, size)`` rows of ``n``, and message picks, 4 bytes a
     trial (``sent_words``); and the larger of two scratches that never
     coexist, each five length-``n`` rows per row it works on: a chunk of
@@ -433,12 +469,12 @@ def decode_bytes(size: int, n: int, trials: int = 0) -> int:
     projection and the half bases' products), or a block of ``T =
     trial_block(size)`` trials (the received, projected, gathered sent and
     noise vectors; a received vector's ``k`` extra entries are taken as at
-    most ``n``), whose scores and masks add two float64 ``(size, T)``
-    arrays' worth."""
+    most ``n``), whose float32 scores add 4 bytes a ``(size, T)`` entry and
+    their boolean masks at most 4 more."""
     T = trial_block(size)
     rows = min(trials, size)
-    return (8 * (size * (n + 4 + 2 * T) + (n * n + 1) // 2 + 5 * n * max(T, _WORD_CHUNK) + rows * n)
-            + 4 * trials)
+    return (4 * size * (n + 7 + 2 * T)
+            + 8 * ((n * n + 1) // 2 + 5 * n * max(T, _WORD_CHUNK) + rows * n) + 4 * trials)
 
 
 def codebook_size(n: int, R: float, trials: int = 0) -> int:
@@ -472,17 +508,32 @@ def codebook_size(n: int, R: float, trials: int = 0) -> int:
 def gen_codebook(cov: CovarianceSpec, R: float, master_seed: int) -> Codebook:
     """Draw the codebook for rate ``R`` (see ``Codebook``) from the cell
     ``(STREAM_CODEBOOK, 0)``: standard Gaussians ``g_s`` on the support,
-    row by row, scaled to ``S = sqrt(d) * g_s``, then the floor radii
-    ``q_floor``, chi-squared with ``cov.floor_dim`` degrees of freedom, and ``q =
-    ||g_s||^2 + q_floor``.  ``codebook_size``'s byte check refuses before
-    anything is drawn."""
+    row by row, a chunk of rows at a time (consecutive draws continue one
+    stream, so the chunks give the doubles one call would), scaled to
+    ``sqrt(d) * g_s`` and rounded into the float32 ``S``; then the floor
+    radii ``q_floor``, chi-squared with ``cov.floor_dim`` degrees of
+    freedom, and ``q = sum_j s_j^2 / d_j + q_floor`` from the held ``S``.
+    ``codebook_size``'s byte check refuses before anything is drawn, and
+    so does a power past float32's range: a coefficient must hold ``sqrt(d)
+    |g|`` for every ``|g| < 2**10``, which a standard normal does not reach
+    in practice."""
     size = codebook_size(cov.n, R)
+    if math.sqrt(cov.lam_max) * 2.0 ** 10 > float(np.finfo(np.float32).max):
+        raise ValueError(f"covariance power {cov.lam_max:.3g} is past the range of float32 coefficients")
     rng = rng_stream(master_seed, STREAM_CODEBOOK, 0)
-    S = rng.standard_normal((size, cov.d.size))
+    S = np.empty((size, cov.d.size), dtype=np.float32)
+    root = np.sqrt(cov.d)
+    rows = _chunk_rows(cov.d.size)
+    buf = np.empty((min(rows, size), cov.d.size))
+    for lo in range(0, size, rows):
+        g = buf[:len(S[lo:lo + rows])]
+        rng.standard_normal(out=g)
+        g *= root
+        S[lo:lo + rows] = g
+    del buf, g  # the draw's scratch goes before the sums take theirs
     q_floor = rng.chisquare(cov.floor_dim, size) if cov.floor_dim else np.zeros(size)
-    q = _row_sq(S)
+    q = _row_form(S, 1.0 / cov.d)
     q += q_floor
-    S *= np.sqrt(cov.d)
     for a in (S, q, q_floor):
         a.setflags(write=False)
     return Codebook(n=cov.n, R=float(R), size=size, S=S, q=q, cov=cov, q_floor=q_floor, seed=master_seed)

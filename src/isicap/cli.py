@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -423,8 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: building it costs several times what parsing does,
+# and parse_args leaves it unchanged, so successive calls share it.
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](load_config(args))
     except (IsicapError, ValueError, OSError) as exc:

@@ -27,12 +27,15 @@ u_j'(Hc'Hc)u_j``, which is exact on the support when ``U`` holds
 eigenvectors of ``Hc'Hc``, as ``build_sigma`` gives; the floor energy
 ``||Hc x_f||^2`` is at most ``h^2 ||x_f||^2`` (``h = sum |c|``), and the
 cross term ``2 (Hc U s).(Hc x_f)`` is of the order of ``orth_defect`` and
-the eigen-residual.  The residual is then ``energy - 2 s.z + ||y||^2``.  A
-pair that lies within a bound on that form's error of a threshold (its
-rounding, the floor terms, and the measured eigen-residual of ``U``, which
-is large for any other basis) is recomputed in the direct ``||Hc x -
-y||^2`` form from its one codeword, so every decision is the one the
-direct form makes.
+the eigen-residual.  The residual is then ``energy - 2 s.z + ||y||^2``.
+The codebook holds ``s`` in float32, and the score and its tail run in
+float32 too: ``Z`` is rounded to float32 for one float32 GEMM against the
+coefficients, and the per-vector and per-word terms are added in float32.
+A pair that lies within a bound on that form's error of a threshold (its
+float64 and float32 rounding, the floor terms, and the measured
+eigen-residual of ``U``, which is large for any other basis) is recomputed
+in the direct ``||Hc x - y||^2`` form, in float64, from its one codeword,
+so every decision is the one the direct form makes.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from .channel_sim import (
     Codebook,
     CovarianceSpec,
     TrialBlocks,
+    _row_form,
     build_sigma,
     check_law,
     codebook_size,
@@ -88,6 +92,13 @@ __all__ = [
 DEFAULT_EPSILON = 0.1
 # Safety factor on the forward-error bound that sets the guard band.
 _GUARD = 2.0
+# Unit roundoff of float32, in which the scores are formed.
+_U32 = 2.0 ** -24
+# A received vector's band is infinite once a bound on the values of its
+# float32 form (the deviation's terms, the score, the projection, eta)
+# reaches this: far below float32's overflow at 2**128, so no value under
+# it overflows.
+_F32_RANGE = 2.0 ** 100
 # Most entries of the images one direct-form recomputation builds at once.
 _DIRECT_ENTRIES = 1 << 16
 
@@ -174,12 +185,13 @@ class DecodeFailure:
 class DecodeContext:
     """Per-(codebook, channel) precomputation: each codeword's energy
     ``sum_j lam_j s_j^2`` over the support, which stands for ``||Hc
-    x||^2``, its sum ``base = energy + q`` with the input statistic, and
-    the guard band's constants (see ``_guard_band``): bounds on the
-    energies' error (the floor's energy and cross term included), on ``||Hc
-    x||``, on the rounding of a built word's image or of a projection per
-    unit of ``||y||``, on a word's floor norm ``||x_f||``, and the largest
-    input statistic.
+    x||^2``, the score's per-word term ``base = fl32((energy + q) / (n +
+    m))``, and the guard band's constants (see ``_guard_band``): bounds on
+    the energies' error (the floor's energy and cross term included), on
+    ``||Hc x||``, on the rounding of a built word's image or of a
+    projection per unit of ``||y||``, on a word's coefficient norm ``||s||``
+    (``s_norm``), on ``||U||_2`` (``u_norm``), on a word's floor norm
+    ``||x_f||``, and the largest input statistic.
 
     The input statistics are the codebook's own ``q``.  ``images``, every
     codeword's centre-channel image, is built on first access; decoding
@@ -192,6 +204,8 @@ class DecodeContext:
     energy_err: float
     a_max: float
     word_err: float
+    s_norm: float
+    u_norm: float
     floor_norm: float
     q_max: float
 
@@ -207,30 +221,35 @@ class DecodeContext:
 
 
 def _g_round(n: int) -> float:
-    """``1 + (n + 6) eps``: bounds ``||g_s||^2 / q`` of any word, so with a
+    """``1 + 2 (n + 3) eps``: bounds ``||g_s||^2 / q`` of any word, for
+    ``||g_s||^2 = sum_j s_j^2 / d_j`` of its held coefficients, so with a
     factor ``max(d)`` the ratio ``||s||^2 / q``, and ``||x_f||^2 /
-    (POWER_FLOOR q_floor)`` of a built floor.  To first order in eps: ``q =
-    fl(fl(||g_s||^2) + q_floor)`` is within ``(n + 1) eps / 2`` of ``||g_s||^2
-    + q_floor``, ``S = fl(g sqrt(d))`` squared adds ``2 eps`` and the product
-    with ``q`` ``eps / 2``; a floor's scale (the sum ``||p||^2``, a product,
-    a division and a square root) and the scaled entries squared put
-    ``||x_f||^2`` within ``(n + 8) eps / 2`` of ``POWER_FLOOR q_floor``."""
-    return 1.0 + (n + 6) * float(np.finfo(float).eps)
+    (POWER_FLOOR q_floor)`` of a built floor.  To first order in eps: the
+    ``Codebook`` check keeps ``q`` within ``3 (n + 2) eps / 2`` of ``||g_s||^2
+    + q_floor`` from above, and the product with ``q`` and the factor rounds
+    twice more; a floor's scale (the sum ``||p||^2``, a product, a division
+    and a square root) and the scaled entries squared put ``||x_f||^2``
+    within ``(n + 8) eps / 2`` of ``POWER_FLOOR q_floor``."""
+    return 1.0 + 2 * (n + 3) * float(np.finfo(float).eps)
 
 
 def prepare_context(book: Codebook, joint: JointCovariance) -> DecodeContext:
     """Energies ``sum_j lam_j s_j^2`` of every codeword from its
-    coefficients on the support, their sums with ``q``, and the guard
-    band's constants.  The codebook must be drawn
-    in the basis of ``joint.cov``; no codeword or image is built."""
+    coefficients on the support (``_row_form``, a chunk of rows widened at
+    a time), the score's per-word term, and the guard band's constants.
+    The codebook must be drawn in the basis of ``joint.cov``; no codeword
+    or image is built."""
     n, m = joint.n, joint.m
     if book.n != n:
         raise DimensionMismatch(f"codewords have length {book.n}, channel expects {n}")
     cov = book.cov
     if not cov.halves.same_as(joint.cov.halves):
         raise ValueError("the codebook is drawn in another basis than the joint covariance's")
-    energy = np.einsum("ij,j,ij->i", book.S, joint.gain, book.S)
+    energy = _row_form(book.S, joint.gain)
     base = energy + book.q
+    base /= n + m
+    with np.errstate(over="ignore"):
+        base = base.astype(np.float32)
     for a in (energy, base):
         a.setflags(write=False)
     eps = float(np.finfo(float).eps)
@@ -255,6 +274,7 @@ def prepare_context(book: Codebook, joint: JointCovariance) -> DecodeContext:
     # (lam_max tilt + ||E||).
     floor_energy = h * h * f_sq + 2.0 * math.sqrt(s_sq * f_sq) * (lam_max * tilt + joint.resid)
     energy_err = s_sq * (mu * joint.resid + (omega + (n + 1) * eps) * lam_max) + floor_energy
+    s_norm = math.sqrt(s_sq)
     return DecodeContext(
         book=book,
         joint=joint,
@@ -262,7 +282,9 @@ def prepare_context(book: Codebook, joint: JointCovariance) -> DecodeContext:
         base=base,
         energy_err=energy_err,
         a_max=math.sqrt(float(energy.max()) + energy_err),
-        word_err=eps * h * math.sqrt(s_sq) * (n * nu + (n + k1 + FOLD_ULPS) * mu),
+        word_err=eps * h * s_norm * (n * nu + (n + k1 + FOLD_ULPS) * mu),
+        s_norm=s_norm,
+        u_norm=mu,
         floor_norm=math.sqrt(f_sq),
         q_max=q_max,
     )
@@ -278,14 +300,14 @@ def _band_adjoint(taps: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _guard_band(ctx: DecodeContext, y_sq: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
-    """For each received vector, a bound on how far the GEMM form of the
-    joint deviation ``|w - 1|`` can lie from the direct form, over every
-    codeword, given ``y_sq = ||y||^2`` and ``b_sq``, the computed
-    ``||Hc'y||^2``.  To first order in eps, with ``x = U s + x_f`` a
-    codeword (its floor ``x_f`` as built), ``a = Hc x`` its exact image and
-    ``L = ||a|| + ||y||``, both forms are compared with the exact ``(q +
-    ||a - y||^2) / (n + m)``:
+def _guard_band(ctx: DecodeContext, y_sq: np.ndarray, b_sq: np.ndarray, eta: float) -> np.ndarray:
+    """For each received vector, a bound on how far the float32 GEMM form
+    of the joint deviation ``|w - 1|`` can lie from the direct form, over
+    every codeword, given ``y_sq = ||y||^2``, ``b_sq``, the computed
+    ``||Hc'y||^2``, and the threshold ``eta``.  To first order in eps, with
+    ``x = U s + x_f`` a codeword (its floor ``x_f`` as built), ``a = Hc x``
+    its exact image and ``L = ||a|| + ||y||``, both forms are compared with
+    the exact ``(q + ||a - y||^2) / (n + m)``:
 
     - direct: the built word ``fl(U s) + x_f`` (two half GEMMs, ``n eps
       ||U||_F ||s||``, the J-fold add and ``1/sqrt(2)`` scale, ``FOLD_ULPS
@@ -309,22 +331,58 @@ def _guard_band(ctx: DecodeContext, y_sq: np.ndarray, b_sq: np.ndarray) -> np.nd
       ``(q + L^2) / (n + m)`` or 1, ``(2m + 11) eps`` in all.  The direct
       form adds ``q`` to ``||a - y||^2``, divides and subtracts 1.  The
       GEMM form scales ``z`` by ``fl(-2 / (n + m))`` (two roundings of a
-      score no larger than ``L^2 / (n + m)``) and adds
-      ``fl(base / (n + m))``, with ``base = energy + q`` rounded once per
-      context, and ``fl(||y||^2 / (n + m)) - 1``: eight roundings, three
-      more than when it added ``energy``, ``q`` and ``||y||^2`` one by one
-      before one division and one subtraction, which ``(2m + 9) eps``
-      allowed for.
+      score no larger than ``L^2 / (n + m)``) and forms ``fl((energy + q)
+      / (n + m))``, the sum rounded once per context, and ``fl(||y||^2 /
+      (n + m)) - 1``: eight roundings, three more than when
+      it added ``energy``, ``q`` and ``||y||^2`` one by one before one
+      division and one subtraction, which ``(2m + 9) eps`` allowed for.
+
+    The float32 form adds, with ``u = 2^-24`` and ``K`` the support's width,
+    in units of the deviation:
+
+    - the cast of the scaled projection ``z = -2 U'Hc'y / (n + m)`` to
+      float32 moves each entry by ``u |z_j|``, so the score by at most ``u
+      ||s|| ||z||`` (Cauchy-Schwarz);
+    - the float32 GEMM's ``K``-term dot products add at most ``gamma_K
+      sum_j |s_j z_j| <= K u ||s|| ||z||``, to first order and in any
+      summation order (Higham, *Accuracy and Stability of Numerical
+      Algorithms*, 2002, 3.1); with the cast, ``(K + 2) u ||s|| ||z||``
+      leaves room for the second-order terms.  ``||s|| <= s_norm``, and
+      ``||z|| <= 2 u_norm ||Hc'y|| / (n + m)``, the computed ``||Hc'y||``
+      standing for the exact one to first order;
+    - the float32 tail: the per-vector term ``fl(||y||^2 / (n + m)) - 1``
+      and the per-word ``base`` are each rounded to float32, and the two
+      float32 adds round once each, four roundings of values no larger than
+      ``V = (q + L^2) / (n + m) + 1``: ``4 u V``;
+    - gradual underflow adds at most ``2^-150`` to the cast of each ``z_j``,
+      to each product and to the casts of the tail's two terms and of
+      ``eta`` (float32 sums of subnormals are exact): ``(sqrt(K) ||s|| + K +
+      3) 2^-150``;
+    - ``eta`` itself: the comparisons read ``fl32(eta)``, within ``u eta``
+      of it, and ``|dev - fl32(eta)|`` is rounded once more, by ``u``
+      relative, which the doubling covers.
+
+    Where ``V``, ``||s|| ||z||``, ``||z||`` or ``eta`` reach ``_F32_RANGE`` a
+    float32 value may overflow: that vector's band is infinite, so every
+    pair of it goes to the direct rule (``_pass_mask`` takes a non-finite
+    deviation as inside the band).
 
     The band takes ``q``, ``||s||``, ``||x_f||`` and ``||a||`` at their
     codebook maxima and doubles the bound."""
     n, m = ctx.joint.n, ctx.joint.m
+    K = ctx.book.S.shape[1]
     eps = np.finfo(float).eps
-    y = np.sqrt(y_sq)
+    y, b = np.sqrt(y_sq), np.sqrt(b_sq)
     L = ctx.a_max + y
     err = 2.0 * ctx.word_err * (L + y) + ctx.energy_err + (2 * m + 11) * eps * (L * L + ctx.q_max)
-    err += 2.0 * (ctx.floor_norm * np.sqrt(b_sq) * (1.0 + (n + 2) * eps) + ctx.word_err * y)
-    return _GUARD * (err / (n + m) + 4.0 * eps)
+    err += 2.0 * (ctx.floor_norm * b * (1.0 + (n + 2) * eps) + ctx.word_err * y)
+    V = (L * L + ctx.q_max) / (n + m) + 1.0
+    z = 2.0 * ctx.u_norm * b / (n + m)
+    score = ctx.s_norm * z
+    err32 = _U32 * ((K + 2) * score + 4.0 * V + eta) + (math.sqrt(K) * ctx.s_norm + K + 3) * 2.0 ** -150
+    band = _GUARD * (err / (n + m) + 4.0 * eps + err32)
+    band[np.maximum(np.maximum(V, eta), np.maximum(score, z)) >= _F32_RANGE] = np.inf
+    return band
 
 
 def _pass_mask(Y: np.ndarray, params: TypicalParams, ctx: DecodeContext) -> np.ndarray:
@@ -333,14 +391,16 @@ def _pass_mask(Y: np.ndarray, params: TypicalParams, ctx: DecodeContext) -> np.n
 
     The joint statistic is ``w = (q + ||a - y||^2) / (n + m)``.  One
     projection ``Z = (Hc'Y) U`` onto the support, scaled by ``-2 / (n +
-    m)``, and one GEMM of it against the coefficients give the deviations
-    ``w - 1`` of the whole block as that score plus ``||y||^2 / (n + m) -
-    1`` per received vector and ``base / (n + m)`` per codeword, short of
-    the floor's term.  A pair whose ``|w - 1|`` lies within the guard band
-    of ``eta`` is recomputed from its codeword ``x = U s + x_f`` as ``||Hc x
-    - y||^2``, so each decision equals the direct rule's.  The scores are
-    held one row per received vector, the layout whose GEMM is the faster
-    at scale, and the mask returned is their transpose.
+    m)`` and rounded to float32, and one float32 GEMM of it against the
+    float32 coefficients give the deviations ``w - 1`` of the whole block
+    as that score plus ``||y||^2 / (n + m) - 1`` per received vector and
+    ``base`` per codeword, both added in float32, short of the floor's
+    term.  A pair whose ``|w - 1|`` lies within the guard band of ``eta``
+    (or is not finite) is recomputed in float64 from its codeword ``x = U
+    s + x_f`` as ``||Hc x - y||^2``, so each decision equals the direct
+    rule's.  The scores are held one row per received vector, the layout
+    whose GEMM is the faster at scale, and the mask returned is their
+    transpose.
     """
     book, joint = ctx.book, ctx.joint
     n, m = joint.n, joint.m
@@ -353,19 +413,24 @@ def _pass_mask(Y: np.ndarray, params: TypicalParams, ctx: DecodeContext) -> np.n
     b_sq = np.einsum("ij,ij->i", B, B)
     Z = book.cov.halves.adjoint(B)
     Z *= -2.0 / (n + m)
-    dev = Z @ book.S.T
-    dev += (y_sq / (n + m) - 1.0)[:, None]
-    dev += ctx.base / (n + m)
-    np.abs(dev, out=dev)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = np.float32(params.eta)
+        dev = Z.astype(np.float32) @ book.S.T
+        dev += (y_sq / (n + m) - 1.0).astype(np.float32)[:, None]
+        dev += ctx.base
+        np.abs(dev, out=dev)
+        out = dev < eta
+        dev -= eta
+        np.abs(dev, out=dev)
     x_ok = np.abs(book.q / n - 1.0) < params.epsilon
-    out = dev < params.eta
     out &= x_ok
-    dev -= params.eta
-    np.abs(dev, out=dev)
-    # The pairs within the widest band, then those within their own.
-    band = _guard_band(ctx, y_sq, b_sq)
-    cols, rows = np.divmod(np.flatnonzero(dev <= band.max(initial=0.0)), book.size)
-    keep = (dev[cols, rows] <= band[cols]) & x_ok[rows]
+    # The pairs within the widest band, then those within their own; a NaN
+    # deviation compares false, so it counts as inside.
+    band = _guard_band(ctx, y_sq, b_sq, params.eta)
+    near = dev > band.max(initial=0.0)
+    np.logical_not(near, out=near)
+    cols, rows = np.divmod(np.flatnonzero(near), book.size)
+    keep = ~(dev[cols, rows] > band[cols]) & x_ok[rows]
     rows, cols = rows[keep], cols[keep]
     out = out.T
     step = max(1, _DIRECT_ENTRIES // m)
@@ -490,7 +555,10 @@ def run_error_experiment(
             ts, sent = np.arange(start, end), msgs[start:end]
             mask = _pass_mask(draws.draw(ts, words[np.searchsorted(rows, sent)]), params, ctx)
             passed = mask[sent, np.arange(len(ts))]
-            many = np.count_nonzero(mask, axis=0) > 1
+            # A sum along the scores' contiguous rows costs about half what
+            # count_nonzero along the mask's strided axis does, at 8 words
+            # as at 4096; counting row by row in Python loses below 1024.
+            many = mask.sum(axis=0, dtype=np.int32) > 1
             t1 += int(np.count_nonzero(~passed))
             t2 += int(np.count_nonzero(passed & many))
             ok += int(np.count_nonzero(passed & ~many))

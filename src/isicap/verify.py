@@ -66,9 +66,10 @@ SLACK_REL = 1e-9
 SLACK_ABS = 1e-12
 VERIFY_STREAM_BASE = 16
 K_MAX = 4  # largest channel memory the suites draw
-# Most arrays of order n_max + K_MAX one sample holds at once (eigenvalue
-# stability: H, Hc, Q, W, Wc, A, B, A - B and an eigensolver copy).
-_DENSE_ARRAYS = 9
+# Most arrays of order n_max + K_MAX one sample holds at once (a channel
+# instance while its pencil is solved: H, Hc, Q, W, Wc, Omega_c, Omega_h,
+# the Cholesky factor and the two triangular solves' outputs).
+_DENSE_ARRAYS = 10
 # Doubles per row of that order in the eigensolvers' LAPACK workspace
 # (dsyevr: 26 doubles and 10 ints a row).
 _EIG_WORK = 32
@@ -301,10 +302,16 @@ def _band_op_norm(M: BandedChannelMatrix) -> float:
     return math.sqrt(max(float(top[0]), 0.0))
 
 
-def _omegas(H: np.ndarray, Hc: np.ndarray, cov: _Cov):
-    """Output covariances ``I + Hc Sigma Hc'`` and ``I + H Sigma H'``."""
-    eye = np.eye(H.shape[0])
-    return tuple(eye + W @ W.T for W in (cov.whiten(Hc), cov.whiten(H)))
+def _omegas(Wc: np.ndarray, W: np.ndarray):
+    """Output covariances ``I + Hc Sigma Hc'`` and ``I + H Sigma H'`` from
+    the whitened ``Wc = whiten(Hc)`` and ``W = whiten(H)``, the identity
+    added on the diagonal in place."""
+    out = []
+    for V in (Wc, W):
+        omega = V @ V.T
+        omega[np.diag_indices_from(omega)] += 1.0
+        out.append(omega)
+    return tuple(out)
 
 
 def _lemma1_instance(rng, i, n_max):
@@ -329,15 +336,18 @@ def _deviation_instance(rng, i, n_max):
 
 def _channel_instance(rng, i, n_max):
     """(H, Hc, covariance, its ``thresholds``, ``eta'``, the ascending
-    eigenvalues of the ``(Omega_h, Omega_c)`` pencil), radii scaled so phi1
-    < 1; ``eta'`` is drawn last, from [0, 1), where the shell exists."""
+    eigenvalues of the ``(Omega_h, Omega_c)`` pencil, ``W = whiten(H)``,
+    ``Wc = whiten(Hc)``), radii scaled so phi1 < 1; ``eta'`` is drawn last,
+    from [0, 1), where the shell exists.  Each whitening is one GEMM in a
+    rotated basis, formed once for the pencil and the Weyl check."""
     spec, profile, n = _random_channel(rng, n_max)
     cov = _random_cov(rng, n)
     spec = _rescale_radii_for_phi1(spec, profile, cov, target=float(rng.uniform(0.05, 0.9)))
     Hc = build_Hc(spec, n).dense()
     H = _sample_banded(rng, spec, n).dense()
     rep = thresholds(spec, profile, cov, cov.trace / n)
-    return H, Hc, cov, rep, float(rng.uniform(0.0, 1.0)), _pencil(*_omegas(H, Hc, cov))
+    W, Wc = cov.whiten(H), cov.whiten(Hc)
+    return H, Hc, cov, rep, float(rng.uniform(0.0, 1.0)), _pencil(*_omegas(Wc, W)), W, Wc
 
 
 _ETAS = (0.1, 0.5, 0.9, 1.0, 1.5, 3.0)
@@ -372,7 +382,7 @@ def _stacked_trace(inst):
     """``2 ||Phi||_F^2 <= C_n`` for ``Phi = [[I + S'S, S'], [S, I]]`` with
     ``S = whiten(H - Hc)``, summed block by block:
     ``||Phi||_F^2 = ||I + S'S||_F^2 + 2 ||S||_F^2 + m``."""
-    H, Hc, cov, rep, *_ = inst
+    H, Hc, cov, rep = inst[:4]
     ES = cov.whiten(H - Hc)
     G = ES.T @ ES
     G[np.diag_indices_from(G)] += 1.0
@@ -385,7 +395,7 @@ def _whitened_trace(inst):
     Since ``B B' = Omega_h``, ``||B' Omega_c^-1 B||_F = ||L^-1 Omega_h
     L^-T||_F`` with ``L`` the Cholesky factor of ``Omega_c``, and that is
     ``sqrt(sum lam^2)`` over the pencil eigenvalues ``lam``."""
-    *_, rep, _, lam = inst
+    rep, lam = inst[3], inst[5]
     lhs = 2.0 * float(np.dot(lam, lam))
     return rep.C_prime_n - lhs, holds(lhs, rep.C_prime_n)
 
@@ -396,7 +406,7 @@ def _det_floor(inst):
     log-determinants' difference is ``sum log lam`` over the pencil
     eigenvalues ``lam``, so the check reads ``m log(1 - phi1) <= sum log
     lam``."""
-    *_, rep, _, lam = inst
+    rep, lam = inst[3], inst[5]
     floor, value = len(lam) * math.log(1.0 - rep.phi1_n), float(np.log(lam).sum())
     return value - floor, holds(floor, value)
 
@@ -406,8 +416,7 @@ def _eig_stability(inst):
     ``A = W'W``, ``B = Wc'Wc`` with ``W = whiten(H)``, ``Wc = whiten(Hc)``
     (so ``A`` is similar to ``Sigma^(1/2) H'H Sigma^(1/2)``) is at most the
     operator norm of the symmetric perturbation ``A - B``."""
-    H, Hc, cov, *_ = inst
-    W, Wc = cov.whiten(H), cov.whiten(Hc)
+    W, Wc = inst[6:]
     A = W.T @ W
     B = Wc.T @ Wc
     gap = float(np.abs(eigvalsh(A) - eigvalsh(B)).max())
@@ -420,7 +429,7 @@ def _shell_floor(inst):
     ``y' Omega_c^-1 y = m (1 - eta')``, the minimum being the shell radius
     over the largest pencil eigenvalue ``lam_max`` (``qcqp_min``): the
     check reads ``m (1 - eta') phi3 <= m (1 - eta') / lam_max``."""
-    *_, rep, eta_prime, lam = inst
+    rep, eta_prime, lam = inst[3:6]
     radius = len(lam) * (1.0 - eta_prime)
     val, floor = radius / float(lam[-1]), radius * rep.phi3_n
     return val - floor, holds(floor, val)

@@ -111,6 +111,32 @@ def test_codebook_refuses_an_understated_q(example_spec):
             Codebook(q=book.q, **{**fields, "q_floor": q_floor})
 
 
+def test_codebook_refuses_coefficients_float32_cannot_hold(example_spec, monkeypatch):
+    """Coefficients held in another dtype than float32, or not finite, are
+    refused, and ``gen_codebook`` refuses a covariance whose coefficients
+    could overflow float32 (``sqrt(max d) 2**10`` past its largest value)
+    before drawing; one just inside that range is drawn."""
+    n = 8
+    book = gen_codebook(flat_cov(n), 0.5, 1)
+    fields = dict(n=n, R=book.R, size=book.size, cov=book.cov, q_floor=book.q_floor, seed=1)
+    with pytest.raises(ValueError, match="float32"):
+        Codebook(S=book.S.astype(float), q=book.q, **fields)
+    S = book.S.copy()
+    S[1, 2] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        Codebook(S=S, q=book.q, **fields)
+    top = (float(np.finfo(np.float32).max) / 2 ** 10) ** 2
+    inside = CovarianceSpec(n=n, d=np.full(n, 0.5 * top), halves=book.cov.halves)
+    assert np.isfinite(gen_codebook(inside, 0.5, 1).S).all()
+
+    def no_draw(*args):
+        raise AssertionError("coefficients drawn past float32's range")
+
+    monkeypatch.setattr(channel_sim, "rng_stream", no_draw)
+    with pytest.raises(ValueError, match="range of float32"):
+        gen_codebook(CovarianceSpec(n=n, d=np.full(n, 2.0 * top), halves=book.cov.halves), 0.5, 1)
+
+
 def test_rng_stream_refusals():
     for cell in ((-1, 0, 0), (0, -2, 0), (0, 0, -1), (0, 0, 2**64)):
         with pytest.raises(ValueError, match="2\\*\\*64"):
@@ -143,8 +169,8 @@ def test_trial_blocks_match_one_cell_path(example_spec, monkeypatch, law, entrie
     monkeypatch.setattr(channel_sim, "_DRAW_ENTRIES", entries)
     n, seed = 15, 9
     rng = np.random.default_rng(4)
-    S = rng.standard_normal((16, n))
-    book = Codebook(n=n, R=0.25, size=16, S=S, q=(S * S).sum(axis=1),
+    S = rng.standard_normal((16, n)).astype(np.float32)
+    book = Codebook(n=n, R=0.25, size=16, S=S, q=np.square(S, dtype=float).sum(axis=1),
                     cov=flat_cov(n, random_halves(n, 4)), q_floor=np.zeros(16), seed=seed)
     draws = TrialBlocks(example_spec, n, law, seed)
     for ts in (np.arange(40, 47), np.arange(3)):
@@ -254,7 +280,7 @@ def test_block_longer_than_the_outputs_holds_one_row(example_spec, block_len):
     long, exact = (ChannelLaw(kind="block_hold", block_len=b) for b in (block_len, m))
     assert np.array_equal(sample_taps(example_spec, m, long, seed, 2),
                           sample_taps(example_spec, m, exact, seed, 2))
-    book = Codebook(n=n, R=0.5, size=2, S=np.eye(2, n), q=np.ones(2),
+    book = Codebook(n=n, R=0.5, size=2, S=np.eye(2, n, dtype=np.float32), q=np.ones(2),
                     cov=flat_cov(n, random_halves(n, 4)), q_floor=np.zeros(2), seed=seed)
     ts = np.arange(6)
     X = book.words(ts % 2)
@@ -381,12 +407,12 @@ def test_codebook_size_and_cap(example_spec):
 
 
 def test_codebook_byte_cap(example_spec, monkeypatch):
-    """``decode_bytes`` covers what decoding holds: the coefficients, input
-    statistics and energies and the half bases, the held picks and sent
-    words, plus the peak of the arrays that building the sent words, and
-    after it one block of trials (drawing and scoring), allocate (traced),
-    for an eigenbasis codebook and more trials than words; the cap refuses
-    past it, before any draw."""
+    """``decode_bytes`` covers what decoding holds: the float32
+    coefficients, 4 bytes each, input statistics and energies and the half
+    bases, the held picks and sent words, plus the peak of the arrays that
+    building the sent words, and after it one block of trials (drawing and
+    scoring), allocate (traced), for an eigenbasis codebook and more trials
+    than words; the cap refuses past it, before any draw."""
     n, R, trials = 64, 10 / 64, 3000
     cov = build_sigma(example_spec, n, 1.0, "waterfill_gram")
     book = gen_codebook(cov, R, 0)
@@ -410,6 +436,10 @@ def test_codebook_byte_cap(example_spec, monkeypatch):
                                   halves.sym, halves.skew))
     need = decode_bytes(book.size, n, trials)
     assert held + max(build, block) <= need
+    # 4 bytes a coefficient (at the full width n), 28 for a word's
+    # statistics, 8 a (word, trial) entry of the block's scores and masks
+    assert book.S.dtype == np.float32 and T == trial_block(2 * book.size)
+    assert decode_bytes(2 * book.size, n) - decode_bytes(book.size, n) == 4 * book.size * (n + 7 + 2 * T)
     assert decode_bytes(book.size, n, trials + 1) == need + 4
     assert decode_bytes(book.size, n, 8) - decode_bytes(book.size, n, 7) == 8 * n + 4
     monkeypatch.setattr(channel_sim, "MAX_DECODE_BYTES", decode_bytes(book.size, n))
@@ -426,6 +456,32 @@ def test_codebook_byte_cap(example_spec, monkeypatch):
     # 2**24 words of length 64 pass the bit cap but need about 8 GiB
     with pytest.raises(CodebookTooLarge, match="GiB"):
         gen_codebook(flat_cov(64), 0.375, 0)
+
+
+def test_codebook_and_context_make_no_float64_copy_of_the_coefficients(example_spec):
+    """At n = 1024 with 4096 words (-10 dBW, a 360-column support) the
+    traced peak of ``gen_codebook`` is the float32 ``S`` plus one chunk of
+    float64 scratch and five per-word float64 arrays (the statistics, the
+    check's sums and their temporaries), and that of ``prepare_context``
+    one chunk and three per-word arrays: a float64 copy of ``S`` (about 12
+    MB) would show."""
+    n = 1024
+    cov = build_sigma(example_spec, n, dbw_to_watts(-10.0))
+    joint = build_joint(cov, build_Hc(example_spec, n))
+    tracemalloc.start()
+    try:
+        book = gen_codebook(cov, 12 / n, 1)
+        _, gen_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        prepare_context(book, joint)
+        _, ctx_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    chunk, word = 8 * channel_sim._DRAW_ENTRIES, 8 * book.size
+    assert book.size == 4096 and book.S.dtype == np.float32 and book.S.nbytes > 20 * chunk
+    assert gen_peak <= book.S.nbytes + chunk + 5 * word
+    assert ctx_peak - before <= chunk + 3 * word
 
 
 def test_codebook_empirical_power(example_spec):
@@ -446,21 +502,19 @@ def _floor_x(book, U, i):
 
 def test_codebook_q_matches_exact_statistic(example_spec):
     """``Codebook.q`` equals ``x' Sigma^{-1} x`` of the words ``x = U s +
-    x_f``, ``s = diag(sqrt(d)) g_s`` unrounded (``g_s`` the support
-    Gaussians of the cell ``(STREAM_CODEBOOK, 0)``) and ``x_f`` each row's
-    floor as built, for ``Sigma = U diag(d) U' + POWER_FLOOR (I - U U')``,
-    evaluated in exact rationals, to ``n eps`` relative.  At n = 4 and -10
-    dBW water-filling leaves two of the four columns at the power floor,
-    where the stored codewords' own statistic is off by about 1e-10 from
-    rounding amplified by ``1 / POWER_FLOOR``."""
+    x_f``, ``s`` the held float32 coefficients, exactly widened, and
+    ``x_f`` each row's floor as built, for ``Sigma = U diag(d) U' +
+    POWER_FLOOR (I - U U')``, evaluated in exact rationals, to ``n eps``
+    relative.  At n = 4 and -10 dBW water-filling leaves two of the four
+    columns at the power floor, where the stored codewords' own statistic
+    is off by about 1e-10 from rounding amplified by ``1 / POWER_FLOOR``."""
     n, seed = 4, 7
     cov = build_sigma(example_spec, n, dbw_to_watts(-10.0), "waterfill_gram")
     assert cov.lam_min == POWER_FLOOR and cov.floor_dim == 2
     book = gen_codebook(cov, 1.0, seed)
-    g = rng_stream(seed, STREAM_CODEBOOK, 0).standard_normal((book.size, cov.d.size))
     fr = np.vectorize(Fraction, otypes=[object])
     U = assemble(cov.halves)
-    X = fr(g) * fr(np.sqrt(cov.d)) @ fr(U).T + fr(floors(book, slice(None)))
+    X = fr(book.S.astype(float)) @ fr(U).T + fr(floors(book, slice(None)))
     x_stat, _ = exact_joint_statistics(
         X, np.zeros((1, n + example_spec.k)), cov.d, U, example_spec.c, POWER_FLOOR
     )
@@ -469,26 +523,45 @@ def test_codebook_q_matches_exact_statistic(example_spec):
         assert abs(Fraction(float(q)) - n * exact) <= n * eps * n * exact
 
 
+def test_consecutive_normal_draws_continue_one_call():
+    """``standard_normal`` into consecutive chunks of rows, of uneven
+    sizes, on one generator gives bit for bit the doubles one call gives."""
+    for width in (0, 1, 7, 90):
+        whole = rng_stream(3, STREAM_CODEBOOK, 0).standard_normal((50, width))
+        rng = rng_stream(3, STREAM_CODEBOOK, 0)
+        parts = np.empty((50, width))
+        for lo, hi in ((0, 1), (1, 14), (14, 15), (15, 50)):
+            rng.standard_normal(out=parts[lo:hi])
+        assert np.array_equal(parts, whole)
+
+
 @pytest.mark.parametrize("p_dbw", [-10.0, 10.0])
-def test_support_codebook_is_the_documented_draw(example_spec, p_dbw):
-    """``gen_codebook`` draws, bit for bit, the support Gaussians of the
-    cell ``(STREAM_CODEBOOK, 0)`` times ``sqrt(d)``, then the floor radii
-    as that cell's next ``chisquare(floor_dim, size)`` draw, and ``q =
-    ||g_s||^2 + q_floor``; with no floor (10 dBW) ``S`` spans every column
-    and the radii are zero, with nothing more drawn."""
+def test_support_codebook_is_the_documented_draw(example_spec, monkeypatch, p_dbw):
+    """``gen_codebook`` holds, bit for bit, the float32 rounding of the
+    support Gaussians of the cell ``(STREAM_CODEBOOK, 0)``, drawn in one
+    call, times ``sqrt(d)``, then takes the floor radii as that cell's next
+    ``chisquare(floor_dim, size)`` draw, and ``q`` is the held statistic
+    ``sum_j s_j^2 / d_j`` of the float32 coefficients, summed in float64,
+    plus ``q_floor``, whatever rows a chunk holds (one, a few, or all 64).
+    With no floor (10 dBW) ``S`` spans every column and the radii are zero,
+    with nothing more drawn."""
     n, seed = 48, 5
     cov = build_sigma(example_spec, n, dbw_to_watts(p_dbw))
     n_floor = cov.floor_dim
     assert (n_floor > 0) == (p_dbw < 0) and cov.d.size + n_floor == n
-    book = gen_codebook(cov, 6 / n, seed)
-    assert book.seed == seed and book.S.shape == (book.size, cov.d.size)
-    rng = rng_stream(seed, STREAM_CODEBOOK, 0)
-    g = rng.standard_normal((book.size, cov.d.size))
-    q_floor = rng.chisquare(n_floor, book.size) if n_floor else np.zeros(book.size)
-    assert np.array_equal(book.S, g * np.sqrt(cov.d))
-    assert np.array_equal(book.q_floor, q_floor)
-    assert np.array_equal(book.q, np.einsum("ij,ij->i", g, g) + q_floor)
-    assert not any(a.flags.writeable for a in (book.S, book.q, book.q_floor))
+    for entries in (1, 100, 1 << 15):
+        monkeypatch.setattr(channel_sim, "_DRAW_ENTRIES", entries)
+        book = gen_codebook(cov, 6 / n, seed)
+        assert book.seed == seed and book.S.shape == (book.size, cov.d.size)
+        assert book.S.dtype == np.float32
+        rng = rng_stream(seed, STREAM_CODEBOOK, 0)
+        g = rng.standard_normal((book.size, cov.d.size))
+        q_floor = rng.chisquare(n_floor, book.size) if n_floor else np.zeros(book.size)
+        assert np.array_equal(book.S, (g * np.sqrt(cov.d)).astype(np.float32))
+        assert np.array_equal(book.q_floor, q_floor)
+        S_sq = np.square(book.S, dtype=float)
+        assert np.array_equal(book.q, np.einsum("ij,j->i", S_sq, 1.0 / cov.d) + q_floor)
+        assert not any(a.flags.writeable for a in (book.S, book.q, book.q_floor))
 
 
 def _tilt(cov):

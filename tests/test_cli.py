@@ -110,6 +110,22 @@ def test_bad_arguments_exit(argv):
     assert info.value.code == EXIT_CONFIG
 
 
+def test_successive_calls_share_one_parser_and_leak_no_flags(tmp_path, monkeypatch):
+    """``main`` builds its parser once per process, and a flag given to one
+    call is absent from the next: ``--grid`` and ``--seed`` on the first
+    ``bounds`` call leave the second with the defaults."""
+    seen = []
+    load = cli.load_config
+    monkeypatch.setattr(cli, "load_config", lambda args: seen.append(vars(args).copy()) or load(args))
+    out = str(tmp_path / "x.csv")
+    assert main(["bounds", "--grid", "40:60:5", "--seed", "3", "--out", out]) == EXIT_OK
+    assert main(["bounds", "--out", out]) == EXIT_OK
+    assert (seen[0]["grid"], seen[0]["seed"]) == ("40:60:5", 3)
+    assert (seen[1]["grid"], seen[1]["seed"]) == (None, 0)
+    assert len(open(out).read().splitlines()) > 5 + 2  # the default grid, not the first call's
+    assert cli._parser() is cli._parser()
+
+
 def test_flags_before_or_after_the_command(tmp_path):
     before, after = tmp_path / "before.csv", tmp_path / "after.csv"
     assert main(["--grid", "40:60:5", "--out", str(before), "bounds"]) == EXIT_OK

@@ -134,13 +134,14 @@ def test_joint_rejects_non_finite(example_spec):
 
 
 def _white_book(coefs, R):
-    """Codebook of given coefficients for the identity covariance on fixed
-    random half bases (the same for every call at one ``n``), whose input
-    statistic is ``||s||^2``."""
+    """Codebook of given coefficients, rounded to float32, for the identity
+    covariance on fixed random half bases (the same for every call at one
+    ``n``), whose input statistic is ``||s||^2``."""
     n = coefs.shape[1]
+    S = np.asarray(coefs, dtype=np.float32)
     return Codebook(
-        n=n, R=R, size=len(coefs), S=coefs,
-        q=(coefs * coefs).sum(axis=1),
+        n=n, R=R, size=len(coefs), S=S,
+        q=np.square(S, dtype=float).sum(axis=1),
         cov=flat_cov(n, random_halves(n, 0)), q_floor=np.zeros(len(coefs)), seed=0,
     )
 
@@ -237,7 +238,7 @@ def test_decode_guard_band_follows_direct_rule(example_spec):
         w0 = (ctx.q_sigma[0] + np.einsum("ij,ij->i", diff, diff)[0]) / (n + m)
         dev0 = abs(w0 - 1.0)
         assert dev0 > 0.0
-        band = _guard_band(ctx, np.array([y @ y]), np.zeros(1))[0]  # no floor columns
+        band = _guard_band(ctx, np.array([y @ y]), np.zeros(1), dev0)[0]  # no floor columns
         for eta in (dev0, np.nextafter(dev0, np.inf)):
             assert abs(dev0 - eta) <= band  # inside the guard band
             params = TypicalParams(epsilon=0.1, eta=eta)
@@ -380,14 +381,15 @@ def test_experiment_builds_no_codewords_or_images(example_spec, monkeypatch):
 def test_guard_band_constants_count_the_half_bases(example_spec):
     """``word_err``, ``energy_err`` and ``floor_norm`` are the documented
     bounds, at an even and an odd order.  ``max ||s||^2`` is taken as
-    ``max(d) max(q) (1 + (n + 6) eps)``, the first-order bound from ``S =
-    fl(g sqrt(d))`` and ``q = fl(||g_s||^2 + q_floor)``, at least the
-    computed maximum over ``S``; ``max ||x_f||^2`` as ``POWER_FLOOR
-    max(q_floor) (1 + (n + 6) eps)``.  ``word_err``: the half GEMMs (``n
-    ||U||_F``), the band image or adjoint and the score (``(n + k + 1)
-    ||U||_2``), and the J-fold add and ``1/sqrt(2)`` scale of the
-    half-basis apply and adjoint (``FOLD_ULPS ||U||_2``), times ``eps h
-    ||s||``.  ``energy_err``: the eigen-residual bound of ``gram_fit``,
+    ``max(d) max(q) (1 + 2 (n + 3) eps)``, the first-order bound from ``q
+    = fl(sum_j s_j^2 / d_j + q_floor)`` on the held float32 ``S``, at least
+    the computed maximum over ``S`` (``s_norm`` is its square root); ``max
+    ||x_f||^2`` as ``POWER_FLOOR max(q_floor) (1 + 2 (n + 3) eps)``;
+    ``u_norm`` is ``mu``, the bound on ``||U||_2``.  ``word_err``: the
+    half GEMMs (``n ||U||_F``), the band image or adjoint and the score
+    (``(n + k + 1) ||U||_2``), and the J-fold add and ``1/sqrt(2)`` scale
+    of the half-basis apply and adjoint (``FOLD_ULPS ||U||_2``), times
+    ``eps h ||s||``.  ``energy_err``: the eigen-residual bound of ``gram_fit``,
     which adds to the computed half-band residual the rounding of the half
     bands (``k + 1`` products per lag, the J-fold add and the ``sqrt(2)`` of
     the middle row, row sums at most ``sqrt(2) h^2``) and of their products
@@ -408,9 +410,9 @@ def test_guard_band_constants_count_the_half_bases(example_spec):
         omega = cov.halves.orth_defect + n * n * eps
         mu = math.sqrt(1.0 + omega)
         nu = math.sqrt(n) * mu
-        s_sq = cov.lam_max * float(book.q.max()) * (1.0 + (n + 6) * eps)
-        assert s_sq >= float((book.S ** 2).sum(axis=1).max())
-        f_sq = POWER_FLOOR * float(book.q_floor.max()) * (1.0 + (n + 6) * eps)
+        s_sq = cov.lam_max * float(book.q.max()) * (1.0 + 2 * (n + 3) * eps)
+        assert s_sq >= float(np.square(book.S, dtype=float).sum(axis=1).max())
+        f_sq = POWER_FLOOR * float(book.q_floor.max()) * (1.0 + 2 * (n + 3) * eps)
         lam_max = float(np.abs(joint.gain).max())
         word_err = eps * h * math.sqrt(s_sq) * (n * nu + (n + k1 + FOLD_ULPS) * mu)
         sq = 0.0
@@ -426,6 +428,8 @@ def test_guard_band_constants_count_the_half_bases(example_spec):
         assert ctx.word_err == pytest.approx(word_err, rel=1e-12, abs=0.0)
         assert ctx.energy_err == pytest.approx(energy_err, rel=1e-12, abs=0.0)
         assert ctx.floor_norm == pytest.approx(math.sqrt(f_sq), rel=1e-12, abs=0.0)
+        assert ctx.s_norm == pytest.approx(math.sqrt(s_sq), rel=1e-12, abs=0.0)
+        assert ctx.u_norm == pytest.approx(mu, rel=1e-12, abs=0.0)
 
 
 def test_support_energy_within_energy_err(example_spec):
@@ -437,7 +441,7 @@ def test_support_energy_within_energy_err(example_spec):
     ||x_f||^2`` and the cross term ``2 (Hc U s).(Hc x_f)``, which is zero
     for an orthonormal eigenbasis, within ``2 max ||s|| max ||x_f|| (max
     |gain| tilt + resid)``, both as ``prepare_context`` takes them.
-    ``base`` is ``energy + q``."""
+    ``base`` is ``(energy + q) / (n + m)`` rounded to float32."""
     n = 48
     cov = build_sigma(example_spec, n, dbw_to_watts(-10.0))
     assert cov.floor_dim > 0
@@ -452,21 +456,22 @@ def test_support_energy_within_energy_err(example_spec):
     omega = cov.halves.orth_defect + n * n * eps
     mu, nu = math.sqrt(1.0 + omega), math.sqrt(n * (1.0 + omega))
     tilt = FLOOR_REPROJECT * (omega * mu + 2.0 * eps * (n * nu + FOLD_ULPS * mu)) + 2.0 * mu * eps
-    s_sq = cov.lam_max * float(book.q.max()) * (1.0 + (n + 6) * eps)
-    f_sq = POWER_FLOOR * float(book.q_floor.max()) * (1.0 + (n + 6) * eps)
+    s_sq = cov.lam_max * float(book.q.max()) * (1.0 + 2 * (n + 3) * eps)
+    f_sq = POWER_FLOOR * float(book.q_floor.max()) * (1.0 + 2 * (n + 3) * eps)
     cross_cap = 2.0 * math.sqrt(s_sq * f_sq) * (float(np.abs(joint.gain).max()) * tilt + joint.resid)
     with mpmath.workdps(40):
         mp = np.vectorize(mpmath.mpf, otypes=[object])
         Hm, Um = mp(Hd), mp(U)
         for i in range(book.size):
-            a_s = Hm @ (Um @ mp(book.S[i]))
+            a_s = Hm @ (Um @ mp(book.S[i].astype(float)))
             a_f = Hm @ mp(XF[i])
             floor_energy = a_f @ a_f
             cross = 2 * (a_s @ a_f)
             assert floor_energy <= h * h * f_sq
             assert abs(cross) <= cross_cap
             assert abs(a_s @ a_s + cross + floor_energy - mpmath.mpf(ctx.energy[i])) <= ctx.energy_err
-    assert np.array_equal(ctx.base, ctx.energy + book.q)
+    assert ctx.base.dtype == np.float32
+    assert np.array_equal(ctx.base, ((ctx.energy + book.q) / (n + joint.m)).astype(np.float32))
 
 
 def test_near_threshold_pair_follows_direct_form(example_spec, monkeypatch):
@@ -493,7 +498,7 @@ def test_near_threshold_pair_follows_direct_form(example_spec, monkeypatch):
             params = TypicalParams(epsilon=10.0, eta=eta)
             assert _pass_mask(y[None], params, ctx)[0, 0] == (dev0 < eta)
             with monkeypatch.context() as mp:
-                mp.setattr(decoder_mod, "_guard_band", lambda ctx, y_sq, b_sq: np.zeros_like(y_sq))
+                mp.setattr(decoder_mod, "_guard_band", lambda ctx, y_sq, b_sq, eta: np.zeros_like(y_sq))
                 wrong += _pass_mask(y[None], params, ctx)[0, 0] != (dev0 < eta)
     assert wrong > 0
 
@@ -502,10 +507,12 @@ def test_floor_band_pair_follows_direct_form(example_spec, monkeypatch):
     """At -10 dBW water-filling leaves part of the spectrum at the power
     floor, and the score reads only the support.  With ``eta`` halfway
     between a pair's direct-form deviation and its deviation short of the
-    floor's term ``2 x_f.(Hc'y) / (n + m)`` (about 1e-7 here), the GEMMs
-    land on the wrong side, outside the band without the floor term (about
-    1e-12) but inside the band with it: the pass mask follows the direct
-    form, and stops doing so once the floor term is dropped."""
+    floor's term ``2 x_f.(Hc'y) / (n + m)`` (about 1e-7 here), the pair
+    lies outside the band's float64 part (its float32 terms zeroed) without
+    the floor term (about 1e-12) but inside it with that term, and the pass
+    mask follows the direct form.  The float32 score's own rounding, about
+    1e-6 here, is larger than the floor's term, so the full band takes the
+    pair in either way."""
     n, seed = 32, 3
     cov = build_sigma(example_spec, n, dbw_to_watts(-10.0))
     book = gen_codebook(cov, 4 / n, seed)
@@ -517,6 +524,7 @@ def test_floor_band_pair_follows_direct_form(example_spec, monkeypatch):
     a0 = _band_apply(joint.hc, book.words([0]), np.zeros((1, m)))[0]
     x_f = floors(book, [0])[0]
     band = decoder_mod._guard_band
+    float64_part = {"_U32": 0.0, "_F32_RANGE": np.inf}
     rng = np.random.default_rng(seed)
     for _ in range(8):
         y = a0 + rng.standard_normal(m)
@@ -527,14 +535,15 @@ def test_floor_band_pair_follows_direct_form(example_spec, monkeypatch):
         dev, dev_tail = abs(w - 1.0), abs(w_tail - 1.0)
         eta = 0.5 * (dev + dev_tail)
         y_sq = np.array([y @ y])
-        assert band(ctx, y_sq, np.zeros(1))[0] < abs(dev_tail - eta)
-        assert abs(dev_tail - eta) <= band(ctx, y_sq, np.array([b @ b]))[0]
-        params = TypicalParams(epsilon=10.0, eta=eta)
-        assert _pass_mask(y[None], params, ctx)[0, 0] == (dev < eta)
+        assert abs(dev_tail - eta) <= band(ctx, y_sq, np.zeros(1), eta)[0]
         with monkeypatch.context() as mp:
-            mp.setattr(decoder_mod, "_guard_band",
-                       lambda ctx, y_sq, b_sq: band(ctx, y_sq, np.zeros_like(b_sq)))
-            assert _pass_mask(y[None], params, ctx)[0, 0] == (dev_tail < eta) != (dev < eta)
+            for name, value in float64_part.items():
+                mp.setattr(decoder_mod, name, value)
+            assert band(ctx, y_sq, np.zeros(1), eta)[0] < abs(dev_tail - eta)
+            assert abs(dev_tail - eta) <= band(ctx, y_sq, np.array([b @ b]), eta)[0]
+        params = TypicalParams(epsilon=10.0, eta=eta)
+        assert (dev_tail < eta) != (dev < eta)
+        assert _pass_mask(y[None], params, ctx)[0, 0] == (dev < eta)
 
 
 def _split_case(example_spec, n, case):
@@ -588,9 +597,11 @@ def test_pairs_forced_into_the_guard_band_follow_the_dense_rule(example_spec, mo
     evaluated densely (the assembled columns, the built floors and the
     dense channel matrix) on every pair clear of both thresholds by 1e-9,
     with the drawn guard band
-    and with bands widened to force some or all pairs into it.  Exactly the
-    typical words' pairs inside the band are recomputed from their words;
-    a band of 10 takes all of them."""
+    and with bands widened to force some or all pairs into it.  The scores
+    are float32 (the coefficients are): exactly the typical words' pairs
+    inside the band are recomputed from their words, up to those within the
+    drawn band (the float32 form's error bound) of its edges; a band of 10
+    takes all of them."""
     n, T = 32, 24
     cov = build_sigma(example_spec, n, dbw_to_watts(-10.0))
     assert cov.floor_dim > 0
@@ -619,20 +630,108 @@ def test_pairs_forced_into_the_guard_band_follow_the_dense_rule(example_spec, mo
     want = typical[:, None] & (W < eta)
     clear = (np.abs(x_dev - epsilon) > 1e-9)[:, None] & (np.abs(W - eta) > 1e-9)
     assert 0.3 < typical.mean() < 0.7 and 0.1 < want.mean() < 0.5 and clear.mean() > 0.99
+    assert book.S.dtype == np.float32
+    drawn = _guard_band(ctx, np.einsum("ij,ij->i", Y, Y), _adjoint_sq(ctx, Y), eta)
     built = []
     words = Codebook.words
     monkeypatch.setattr(Codebook, "words", lambda self, rows: built.append(len(rows)) or words(self, rows))
     if band is not None:
-        monkeypatch.setattr(decoder_mod, "_guard_band", lambda ctx, y_sq, b_sq: np.full_like(y_sq, band))
+        monkeypatch.setattr(decoder_mod, "_guard_band", lambda ctx, y_sq, b_sq, eta: np.full_like(y_sq, band))
     mask = _pass_mask(Y, params, ctx)
     assert np.array_equal(mask[clear], want[clear])
     inside = typical[:, None] & (np.abs(W - eta) <= (band or 0.0))
     if band is not None:
-        # Within 1e-9 of the band's edges the GEMM form may fall either side.
-        assert abs(sum(built) - inside.sum()) <= (np.abs(np.abs(W - eta) - band) <= 1e-9).sum()
+        # Within the drawn band of the forced band's edges the float32 form
+        # may fall either side.
+        edge = typical[:, None] & (np.abs(np.abs(W - eta) - band) <= drawn)
+        assert abs(sum(built) - inside.sum()) <= edge.sum()
         assert 0 < inside.sum()
     if band == 10.0:
         assert sum(built) == typical.sum() * T
+
+
+def _float32_deviations(ctx, Y):
+    """The signed deviations ``w - 1`` of every (received vector, word)
+    pair, short of the floor's term, as ``_pass_mask`` forms them (a
+    float32 GEMM and tail), and the same form recomputed in float64 from
+    the same projection: the exactly widened coefficients, and the tail
+    added in float64."""
+    joint, book = ctx.joint, ctx.book
+    N = joint.n + joint.m
+    Z = book.cov.halves.adjoint(decoder_mod._band_adjoint(joint.hc, Y))
+    Z *= -2.0 / N
+    y_term = np.einsum("ij,ij->i", Y, Y) / N - 1.0
+    dev32 = Z.astype(np.float32) @ book.S.T
+    dev32 += y_term.astype(np.float32)[:, None]
+    dev32 += ctx.base
+    dev64 = Z @ book.S.astype(float).T + y_term[:, None] + (ctx.energy + book.q) / N
+    return dev32, dev64
+
+
+@pytest.mark.parametrize("case", ["floor", "n256", "high_power", "standard_basis"])
+def test_float32_scores_lie_within_the_band_float32_term(example_spec, monkeypatch, case):
+    """Every float32 deviation lies within the band's float32 term of the
+    same form recomputed in float64, for each received vector: the band at
+    ``eta = 0``, less the band with the float32 unit roundoff zeroed,
+    undoubled.  Cases: an eigenbasis codebook with a floor (n = 64, -10
+    dBW), a wider support (n = 256, 90 columns), 20 dBW (large scores),
+    and the standard half bases (every column on the support).  Received
+    vectors come through the centre channel plus unit noise."""
+    n, p_dbw, R = {"floor": (64, -10.0, 8 / 64), "n256": (256, -10.0, 10 / 256),
+                   "high_power": (128, 20.0, 8 / 128), "standard_basis": (32, 0.0, 6 / 32)}[case]
+    rng = np.random.default_rng(11)
+    if case == "standard_basis":
+        book = _white_book(rng.standard_normal((64, n)), 6 / n)
+    else:
+        book = gen_codebook(build_sigma(example_spec, n, dbw_to_watts(p_dbw)), R, 3)
+    assert book.S.dtype == np.float32
+    joint = build_joint(book.cov, build_Hc(example_spec, n))
+    ctx = prepare_context(book, joint)
+    A = _band_apply(joint.hc, book.codewords, np.zeros((book.size, joint.m)))
+    Y = A[rng.integers(book.size, size=40)] + rng.standard_normal((40, joint.m))
+    dev32, dev64 = _float32_deviations(ctx, Y)
+    y_sq, b_sq = np.einsum("ij,ij->i", Y, Y), _adjoint_sq(ctx, Y)
+    band = _guard_band(ctx, y_sq, b_sq, 0.0)
+    monkeypatch.setattr(decoder_mod, "_U32", 0.0)
+    term = (band - _guard_band(ctx, y_sq, b_sq, 0.0)) / decoder_mod._GUARD
+    err = np.abs(dev32 - dev64).max(axis=1)
+    assert np.all(np.isfinite(term)) and np.all(err <= term), (err / term).max()
+    assert err.max() > 0.0
+
+
+def test_float32_overflow_sends_every_pair_to_the_direct_rule(example_spec, monkeypatch):
+    """A covariance scaled so that the codebook's most energetic word has
+    ``||a||^2 / (n + m) = 2.5e38``: its per-word term fits float32, but the
+    score against its own image ``y = a``, ``-2 a.y / (n + m)``, does not.
+    That received vector's band is infinite, every pair is recomputed in
+    float64, and the word passes, as under the direct rule (``eta = 1`` is
+    above ``|q / (n + m) - 1|``), while every other word fails.  With the
+    range check removed, the overflowed score fails the word."""
+    n = 8
+    halves = random_halves(n, 2)
+    unit = gen_codebook(CovarianceSpec(n=n, d=np.ones(n), halves=halves), 0.5, 6)
+    joint = build_joint(unit.cov, build_Hc(example_spec, n))
+    N = n + joint.m
+    scale = 2.5e38 * N / prepare_context(unit, joint).energy.max()
+    cov = CovarianceSpec(n=n, d=np.full(n, scale), halves=halves)
+    book = gen_codebook(cov, 0.5, 6)
+    ctx = prepare_context(book, build_joint(cov, build_Hc(example_spec, n)))
+    i = int(np.argmax(ctx.energy))
+    assert np.isfinite(ctx.base).all() and ctx.energy[i] / N == pytest.approx(2.5e38)
+    # The image as the recomputation builds it: every word in one batch.
+    Y = _band_apply(joint.hc, book.codewords, np.zeros((book.size, joint.m)))[[i]]
+    assert np.isinf(_guard_band(ctx, np.einsum("ij,ij->i", Y, Y), _adjoint_sq(ctx, Y), 1.0)).all()
+    assert abs(book.q[i] / N - 1.0) < 1.0
+    params = TypicalParams(epsilon=10.0, eta=1.0)
+    built = []
+    words = Codebook.words
+    with monkeypatch.context() as mp:
+        mp.setattr(Codebook, "words", lambda self, rows: built.append(len(rows)) or words(self, rows))
+        mask = _pass_mask(Y, params, ctx)
+    assert sum(built) == book.size
+    assert np.array_equal(np.flatnonzero(mask[:, 0]), [i])
+    monkeypatch.setattr(decoder_mod, "_F32_RANGE", np.inf)
+    assert not _pass_mask(Y, params, ctx)[i, 0]
 
 
 def test_standard_basis_pairs_follow_direct_form(example_spec):
@@ -643,8 +742,8 @@ def test_standard_basis_pairs_follow_direct_form(example_spec):
     equals the direct form's, evaluated densely here."""
     n, size, T = 12, 64, 20
     rng = np.random.default_rng(5)
-    S = rng.standard_normal((size, n))
-    book = Codebook(n=n, R=0.5, size=size, S=S, q=(S * S).sum(axis=1), cov=flat_cov(n),
+    S = rng.standard_normal((size, n)).astype(np.float32)
+    book = Codebook(n=n, R=0.5, size=size, S=S, q=np.square(S, dtype=float).sum(axis=1), cov=flat_cov(n),
                     q_floor=np.zeros(size), seed=5)
     Hc = build_Hc(example_spec, n)
     joint = build_joint(book.cov, Hc)
@@ -1024,7 +1123,7 @@ def test_experiment_counts_match_one_cell_loop(example_spec, law):
 
 
 @pytest.mark.parametrize("p_dbw", [-10.0, 130.0, 400.0])
-def test_decode_matches_exact_rational_oracle(example_spec, p_dbw):
+def test_decode_matches_exact_rational_oracle(example_spec, monkeypatch, p_dbw):
     """At n = 4, ``decode`` and the pass mask give the decisions of the
     joint test evaluated exactly, in rationals, on the dense Xi, for the
     exact codewords ``U s + x_f`` of the coefficients and the built floors.  At 130 and 400 dBW the
@@ -1036,10 +1135,13 @@ def test_decode_matches_exact_rational_oracle(example_spec, p_dbw):
     1, and four received vectors put its joint deviation 1e-7 (relative)
     inside and outside ``eta`` on either side of 1 where possible; the rest
     come through a drawn and through the centre channel.  Pairs whose exact
-    joint deviation lies within the guard band of ``eta`` are not
-    compared, except the crafted ones, which lie outside it unless the
-    floor's term widens it (at -10 dBW); the input test has no
-    guard band, and its rounding error here stays below 1e-9."""
+    joint deviation lies within the guard band's float64 part (its float32
+    terms zeroed: a bound on the direct form's error too) of ``eta`` are
+    not compared, except the crafted ones, which lie outside it unless the
+    floor's term widens it (at -10 dBW); at 400 dBW a float32 score could
+    overflow, so the full band takes every pair to the direct form.  The
+    input test has no guard band, and its rounding error here stays below
+    1e-9."""
     n, seed = 4, 7
     P = dbw_to_watts(p_dbw)
     cov = build_sigma(example_spec, n, P, "waterfill_gram")
@@ -1049,10 +1151,12 @@ def test_decode_matches_exact_rational_oracle(example_spec, p_dbw):
     g = rng.standard_normal(n)
     g *= np.sqrt(n) / np.linalg.norm(g)
     w = cov.d.size
+    S = np.vstack([drawn.S[:-1], np.sqrt(cov.d) * g[:w]]).astype(np.float32)
+    q_floor = np.append(drawn.q_floor[:-1], g[w:] @ g[w:])
     book = Codebook(
-        n=n, R=1.0, size=drawn.size, S=np.vstack([drawn.S[:-1], np.sqrt(cov.d) * g[:w]]),
-        q=np.append(drawn.q[:-1], float(n)), cov=cov,
-        q_floor=np.append(drawn.q_floor[:-1], g[w:] @ g[w:]), seed=seed,
+        n=n, R=1.0, size=drawn.size, S=S,
+        q=np.square(S, dtype=float) @ (1.0 / cov.d) + q_floor, cov=cov,
+        q_floor=q_floor, seed=seed,
     )
     Hc = build_Hc(example_spec, n)
     joint = build_joint(cov, Hc)
@@ -1076,13 +1180,16 @@ def test_decode_matches_exact_rational_oracle(example_spec, p_dbw):
     Y = np.stack(ys)
     fr = np.vectorize(Fraction, otypes=[object])
     U = assemble(cov.halves)
-    exact_words = fr(book.S) @ fr(U).T + fr(floors(book, slice(None)))
+    exact_words = fr(book.S.astype(float)) @ fr(U).T + fr(floors(book, slice(None)))
     x_stat, w_stat = exact_joint_statistics(exact_words, Y, cov.d, U, example_spec.c, POWER_FLOOR)
     eps, eta = Fraction(params.epsilon), Fraction(params.eta)
     x_dev = [abs(x - 1) for x in x_stat]
     w_dev = [[abs(w - 1) for w in row] for row in w_stat]
     exact = np.array([[x_dev[i] < eps and w < eta for w in w_dev[i]] for i in range(book.size)])
-    band = _guard_band(ctx, np.einsum("ij,ij->i", Y, Y), _adjoint_sq(ctx, Y))
+    with monkeypatch.context() as mp:
+        mp.setattr(decoder_mod, "_U32", 0.0)
+        mp.setattr(decoder_mod, "_F32_RANGE", np.inf)
+        band = _guard_band(ctx, np.einsum("ij,ij->i", Y, Y), _adjoint_sq(ctx, Y), params.eta)
     clear = np.array([
         [abs(x_dev[i] - eps) > 1e-9 and abs(w - eta) > band[t] for t, w in enumerate(w_dev[i])]
         for i in range(book.size)

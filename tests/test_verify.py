@@ -369,11 +369,18 @@ def _turned(name, inst):
     """The same check's instance in the standard basis: ``(H Q, Hc Q,
     diag(d))``, with the pencil eigenvalues recomputed there; the stacked
     trace reads only ``H - Hc``, so it gets ``((H - Hc) Q, 0)``."""
-    H, Hc, cov, rep, eta_prime, _ = inst
+    H, Hc, cov, rep, eta_prime = inst[:5]
     if name == "stacked_deviation_trace":
         H, Hc = H - Hc, np.zeros_like(Hc)
     H, Hc, cov = H @ cov.Q, Hc @ cov.Q, verify._Cov(d=cov.d, Q=None)
-    return H, Hc, cov, rep, eta_prime, verify._pencil(*verify._omegas(H, Hc, cov))
+    return _with_pencil(H, Hc, cov, rep, eta_prime)
+
+
+def _with_pencil(H, Hc, cov, rep, eta_prime):
+    """A channel instance of these draws: the whitened matrices and the
+    pencil eigenvalues computed from them, as ``_channel_instance`` does."""
+    W, Wc = cov.whiten(H), cov.whiten(Hc)
+    return H, Hc, cov, rep, eta_prime, verify._pencil(*verify._omegas(Wc, W)), W, Wc
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -388,11 +395,11 @@ def test_drawn_basis_checks_equal_standard_basis_checks(seed):
         if name not in CHANNEL_SUITES[2:]:  # the five suites that draw a covariance
             continue
         for i in range(6):
-            H, Hc, cov, rep, eta_prime, _ = instance(_suite_rng(seed, idx, i), i, 24)
+            H, Hc, cov, rep, eta_prime = instance(_suite_rng(seed, idx, i), i, 24)[:5]
             if cov.Q is None:
                 Q = np.linalg.qr(rng.standard_normal((cov.n, cov.n)))[0]
                 cov = verify._Cov(d=cov.d, Q=np.ascontiguousarray(Q))
-            inst = (H, Hc, cov, rep, eta_prime, verify._pencil(*verify._omegas(H, Hc, cov)))
+            inst = _with_pencil(H, Hc, cov, rep, eta_prime)
             assert check(inst) == check(_turned(name, inst)), (name, i)
 
 
