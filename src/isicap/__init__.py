@@ -59,7 +59,6 @@ from .verify import (
     ConverseReport,
     LemmaReport,
     converse_rate_bound,
-    qcqp_min,
     run_all_suites,
     run_suite,
     verify_report,

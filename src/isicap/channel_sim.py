@@ -81,6 +81,11 @@ _TRIAL_BLOCK = 64
 _BLOCK_ENTRIES = 1 << 20
 # Sent rows ``sent_words`` builds per ``Codebook.words`` call.
 _WORD_CHUNK = 64
+# Most scores the decoder scans at once for pairs inside the guard band, and
+# most entries of the images one direct-form recomputation builds; the two
+# hold at most 64 bytes per such entry (44 traced, every pair in the band).
+_DIRECT_ENTRIES = 1 << 16
+_DIRECT_BYTES = 64 * _DIRECT_ENTRIES
 # Most doubles one scratch chunk holds, so it stays in cache: TrialBlocks'
 # taps, and the codebook's rows while they are drawn or summed in float64.
 _DRAW_ENTRIES = 1 << 15
@@ -470,11 +475,13 @@ def decode_bytes(size: int, n: int, trials: int = 0) -> int:
     trial_block(size)`` trials (the received, projected, gathered sent and
     noise vectors; a received vector's ``k`` extra entries are taken as at
     most ``n``), whose float32 scores add 4 bytes a ``(size, T)`` entry and
-    their boolean masks at most 4 more."""
+    their boolean masks at most 4 more; and besides the block, what picks
+    and recomputes the pairs inside the guard band, ``_DIRECT_BYTES``."""
     T = trial_block(size)
     rows = min(trials, size)
     return (4 * size * (n + 7 + 2 * T)
-            + 8 * ((n * n + 1) // 2 + 5 * n * max(T, _WORD_CHUNK) + rows * n) + 4 * trials)
+            + 8 * ((n * n + 1) // 2 + 5 * n * max(T, _WORD_CHUNK) + rows * n) + 4 * trials
+            + _DIRECT_BYTES)
 
 
 def codebook_size(n: int, R: float, trials: int = 0) -> int:

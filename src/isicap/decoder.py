@@ -60,6 +60,7 @@ from .spectrum import (
 )
 from .waterfill import POWER_FLOOR, ThresholdReport, thresholds
 from .channel_sim import (
+    _DIRECT_ENTRIES,
     FLOOR_REPROJECT,
     _band_apply,
     ChannelLaw,
@@ -99,8 +100,6 @@ _U32 = 2.0 ** -24
 # reaches this: far below float32's overflow at 2**128, so no value under
 # it overflows.
 _F32_RANGE = 2.0 ** 100
-# Most entries of the images one direct-form recomputation builds at once.
-_DIRECT_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -424,22 +423,25 @@ def _pass_mask(Y: np.ndarray, params: TypicalParams, ctx: DecodeContext) -> np.n
         np.abs(dev, out=dev)
     x_ok = np.abs(book.q / n - 1.0) < params.epsilon
     out &= x_ok
-    # The pairs within the widest band, then those within their own; a NaN
-    # deviation compares false, so it counts as inside.
     band = _guard_band(ctx, y_sq, b_sq, params.eta)
-    near = dev > band.max(initial=0.0)
-    np.logical_not(near, out=near)
-    cols, rows = np.divmod(np.flatnonzero(near), book.size)
-    keep = ~(dev[cols, rows] > band[cols]) & x_ok[rows]
-    rows, cols = rows[keep], cols[keep]
+    widest, flat, size = band.max(initial=0.0), dev.reshape(-1), book.size
     out = out.T
     step = max(1, _DIRECT_ENTRIES // m)
-    for lo in range(0, rows.size, step):
-        r, c = rows[lo:lo + step], cols[lo:lo + step]
-        diff = _band_apply(joint.hc, book.words(r), np.zeros((len(r), m)))
-        diff -= Y[c]
-        w_form = (book.q[r] + np.einsum("ij,ij->i", diff, diff)) / (n + m)
-        out[r, c] = np.abs(w_form - 1.0) < params.eta
+    held = np.empty(0, dtype=np.intp)
+    # The pairs within the widest band, then those within their own, as flat
+    # indices into the scores, a slice of _DIRECT_ENTRIES at a time (a NaN
+    # deviation compares false, so it counts as inside); they are recomputed
+    # in chunks of ``step`` in the scores' order, whatever the slices.
+    for lo in range(0, flat.size, _DIRECT_ENTRIES):
+        at = np.flatnonzero(~(flat[lo:lo + _DIRECT_ENTRIES] > widest))
+        at += lo
+        held = np.concatenate([held, at[~(flat[at] > band[at // size]) & x_ok[at % size]]])
+        while held.size >= step or (held.size and lo + _DIRECT_ENTRIES >= flat.size):
+            (c, r), held = np.divmod(held[:step], size), held[step:]
+            diff = _band_apply(joint.hc, book.words(r), np.zeros((len(r), m)))
+            diff -= Y[c]
+            w_form = (book.q[r] + np.einsum("ij,ij->i", diff, diff)) / (n + m)
+            out[r, c] = np.abs(w_form - 1.0) < params.eta
     return out
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "BandedChannelMatrix",
     "compute_profile",
     "f_sq_table",
-    "simpson_mean",
     "simpson_weights",
     "build_Hc",
     "gram_eigenvalues",
@@ -172,13 +171,6 @@ def simpson_weights(grid_size: int) -> np.ndarray:
     return w
 
 
-def simpson_mean(values: np.ndarray) -> float:
-    """``(1/2pi) * integral over [0, 2pi]`` of a function given by its values
-    on the shared uniform grid (``len(values)`` must be odd)."""
-    n = len(values) - 1
-    return float(simpson_weights(n) @ values) / (2.0 * np.pi)
-
-
 def _critical_angles(c: np.ndarray) -> np.ndarray:
     """Angles of the roots of ``sum_d d t_d (z^(k+d) - z^(k-d))``, which on
     the unit circle vanishes exactly where ``d|f|^2/domega`` does.
@@ -196,21 +188,31 @@ def _critical_angles(c: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _centre_profile(c: tuple[float, ...], grid_size: int) -> SpectrumProfile:
-    table = _f_sq_table(c, grid_size)
-    taps = np.asarray(c)
-    # Every candidate is |f|^2 at some angle, so none lies below the true
-    # minimum (up to rounding): alpha keeps its direction of error.
-    at_roots = _f_sq(taps, _critical_angles(taps))
-    f_sq_min = min(float(table.min()), float(at_roots.min(initial=np.inf)))
-    f_sq_max = max(float(table.max()), float(at_roots.max(initial=-np.inf)))
+    with np.errstate(over="ignore", divide="ignore"):
+        table = _f_sq_table(c, grid_size)
+        f_sq_min, f_sq_max = float(table.min()), float(table.max())
+        if math.isfinite(f_sq_max):  # else the roots' polynomial overflows too
+            # Every candidate is |f|^2 at some angle, so none lies below the
+            # true minimum (up to rounding): alpha keeps its direction of error.
+            taps = np.asarray(c)
+            at_roots = _f_sq(taps, _critical_angles(taps))
+            f_sq_min = min(f_sq_min, float(at_roots.min(initial=np.inf)))
+            f_sq_max = max(f_sq_max, float(at_roots.max(initial=-np.inf)))
+        J = float(simpson_weights(grid_size) @ (1.0 / table)) / (2.0 * np.pi)
 
+    scale = f"the centre spectrum overflows a float at tap scale max |c| = {max(map(abs, c)):.3e}"
+    if not math.isfinite(f_sq_max):
+        raise SpectrumSingular(f"{scale}: beta^2 is not finite")
     beta = math.sqrt(f_sq_max)
     if f_sq_min <= 0.0 or math.sqrt(f_sq_min) <= SINGULAR_REL_TOL * beta:
         raise SpectrumSingular(
             f"min |f| = {math.sqrt(max(f_sq_min, 0.0)):.3e} is negligible against "
             f"max |f| = {beta:.3e}"
         )
-    return SpectrumProfile(alpha=math.sqrt(f_sq_min), beta=beta, J=simpson_mean(1.0 / table))
+    for name, value in (("1/alpha^2", 1.0 / f_sq_min), ("J", J)):
+        if not math.isfinite(value):
+            raise SpectrumSingular(f"{scale}: {name} is not finite")
+    return SpectrumProfile(alpha=math.sqrt(f_sq_min), beta=beta, J=J)
 
 
 def compute_profile(spec: ChannelSpec, grid_size: int = DEFAULT_GRID) -> SpectrumProfile:
@@ -225,7 +227,8 @@ def compute_profile(spec: ChannelSpec, grid_size: int = DEFAULT_GRID) -> Spectru
 
     Raises SpectrumSingular when the minimum of ``|f|`` is at or below
     ``1e-12 * beta`` (the inverse spectrum, and hence ``J``, is then
-    meaningless).
+    meaningless), and when ``beta^2``, ``1/alpha^2`` or ``J`` overflows a
+    float, as at taps near 1e-155 or 1e155 and beyond.
     """
     return _centre_profile(spec.c, grid_size)
 

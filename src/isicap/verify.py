@@ -52,7 +52,6 @@ __all__ = [
     "SLACK_REL",
     "SLACK_ABS",
     "holds",
-    "qcqp_min",
     "ConverseReport",
     "converse_rate_bound",
     "LemmaReport",
@@ -97,23 +96,6 @@ def _pencil(omega_c: np.ndarray, omega_h: np.ndarray) -> np.ndarray:
     L = cholesky(omega_c, lower=True)
     psi = solve_triangular(L, solve_triangular(L, omega_h, lower=True).T, lower=True)
     return eigvalsh(psi, overwrite_a=True)
-
-
-def qcqp_min(omega_c: np.ndarray, omega_h: np.ndarray, eta_prime: float) -> float:
-    """Minimum of ``y' omega_h^{-1} y`` over the shell
-    ``y' omega_c^{-1} y = m * (1 - eta_prime)``.
-
-    The minimum is the shell radius over the largest eigenvalue of the
-    ``(omega_h, omega_c)`` pencil (``_pencil``).  Returns 0.0 when
-    ``eta_prime >= 1`` (the shell collapses).
-    """
-    omega_c = np.asarray(omega_c, dtype=float)
-    omega_h = np.asarray(omega_h, dtype=float)
-    if omega_c.shape != omega_h.shape or omega_c.ndim != 2:
-        raise ValueError("need two square matrices of equal shape")
-    if eta_prime >= 1.0:
-        return 0.0
-    return omega_c.shape[0] * (1.0 - eta_prime) / float(_pencil(omega_c, omega_h)[-1])
 
 
 @dataclass(frozen=True)
@@ -427,8 +409,8 @@ def _eig_stability(inst):
 def _shell_floor(inst):
     """``m (1 - eta') phi3 <= min y' Omega_h^-1 y`` over the shell
     ``y' Omega_c^-1 y = m (1 - eta')``, the minimum being the shell radius
-    over the largest pencil eigenvalue ``lam_max`` (``qcqp_min``): the
-    check reads ``m (1 - eta') phi3 <= m (1 - eta') / lam_max``."""
+    over the largest pencil eigenvalue ``lam_max``: the check reads ``m (1 -
+    eta') phi3 <= m (1 - eta') / lam_max``."""
     rep, eta_prime, lam = inst[3:6]
     radius = len(lam) * (1.0 - eta_prime)
     val, floor = radius / float(lam[-1]), radius * rep.phi3_n

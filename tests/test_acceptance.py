@@ -21,14 +21,14 @@ from isicap import (
     converse_rate_bound,
     finite_n_bound,
     pillow_terms,
-    qcqp_min,
     rng_stream,
     run_all_suites,
     run_error_experiment,
     solve_theta1,
 )
 from isicap.cli import main
-from isicap.waterfill import LN2, cap_integral
+from isicap.verify import _pencil
+from isicap.waterfill import LN2, POWER_FLOOR, cap_integral
 
 from oracles import shell_min_oracle
 from reference_values import EXAMPLE_C, EXAMPLE_K, EXAMPLE_R
@@ -193,7 +193,7 @@ def test_shell_minimum_exactness(report):
         oc = (Q1 * rng.uniform(0.5, 2.0, m)) @ Q1.T
         oh = (Q2 * rng.uniform(0.5, 2.0, m)) @ Q2.T
         eta = float(rng.uniform(0.0, 0.9))
-        got = qcqp_min(oc, oh, eta)
+        got = m * (1.0 - eta) / float(_pencil(oc, oh)[-1])
         ref = shell_min_oracle(oc, oh, m * (1.0 - eta), seed=i)
         worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
     ok = worst <= 1e-6
@@ -202,15 +202,47 @@ def test_shell_minimum_exactness(report):
           f"{worst:.2e} over 20 instances (tol 1e-6)")
 
 
+def _szego_log2_E(c):
+    """``log2 E`` of the strong Szego limit theorem for the symbol
+    ``|f|^2``, ``E = prod_{i,j} (1 - w_i conj(w_j))^-1`` over the roots
+    ``w`` of ``f`` reflected into the disk, and their largest modulus
+    ``rho``: roots from ``np.roots``, no package code."""
+    z = np.roots(np.asarray(c, dtype=float)[::-1])
+    w = np.where(np.abs(z) < 1.0, z, 1.0 / np.conj(z))
+    E = 1.0 / np.prod(1.0 - np.multiply.outer(w, np.conj(w)))
+    return math.log2(E.real), float(np.abs(w).max(initial=0.0))
+
+
 def test_toeplitz_asymptotics(report):
-    P = 100.0  # 20 dBW
-    fn = finite_n_bound(EXAMPLE, 512, P)
-    target = cap_integral(EXAMPLE, fn.theta)
-    diff = abs(fn.first_term - target)
-    ok = diff <= 2e-2
+    """Where every Gram eigenvalue is in the water (``P = 10 / alpha^2``),
+    ``first_term = 1/2 log2 theta_n + log2 det T_n / (2n)`` exactly, and
+    the strong Szego theorem gives ``log det T_n = n mean log |f|^2 + log E
+    + O(rho^2n)``: so ``first_term - cap_integral(theta_n)`` is
+    ``log2(E) / (2n)`` (1/(2n) on EXAMPLE, where E = 2) to 1e-12, at every
+    n here with ``rho^2n < 1e-14``, on EXAMPLE and three random channels."""
+    rng = np.random.default_rng(2021)
+    channels = [EXAMPLE]
+    for k in (1, 2, 4):
+        c = rng.uniform(-1.0, 1.0, k + 1)
+        c[0] += 2.0  # keeps |f| away from zero
+        channels.append(ChannelSpec(k=k, c=tuple(c), r=(1e-6,) * (k + 1)))
+    worst, checked = 0.0, 0
+    for spec in channels:
+        log2_E, rho = _szego_log2_E(spec.c)
+        P = 10.0 / compute_profile(spec).alpha ** 2
+        for n in (64, 128, 256, 512):
+            if rho ** (2 * n) >= 1e-14:
+                continue
+            fn = finite_n_bound(spec, n, P)
+            assert fn.d.size == n and fn.d.min() > POWER_FLOOR
+            diff = fn.first_term - cap_integral(spec, fn.theta)
+            worst = max(worst, abs(diff - log2_E / (2 * n)))
+            checked += 1
+    assert abs(_szego_log2_E(EXAMPLE.c)[0] - 1.0) < 1e-14
+    ok = worst <= 1e-12 and checked >= 12
     report(9, "toeplitz_asymptotics", ok,
-          f"n=512 first term {fn.first_term:.6f} vs level-matched integral "
-          f"{target:.6f}, diff = {diff:.2e} (tol 2e-2)")
+          f"first term - level-matched integral vs log2(E)/(2n): worst abs diff = "
+          f"{worst:.2e} over {checked} (channel, n) pairs (tol 1e-12)")
 
 
 def test_decoder_error_trend(report):

@@ -289,6 +289,39 @@ def test_oversized_grid_size_refused_before_allocating(tmp_path, capsys, grid_si
     assert not out.exists()
 
 
+_SMALL_SIMULATE = {"n_list": [8], "trials": 5, "rate_bits": 0.5}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["bounds", "figure1", "figure2", "simulate"])
+@pytest.mark.parametrize("c", [[1e-155, 5e-156], [1e200, 5e199], [1e160, 5e159, 5e159]])
+def test_spectrum_out_of_float_range_exits_config(tmp_path, capsys, command, c):
+    """A centre spectrum whose ``1/|f|^2`` or ``|f|^2`` overflows exits 2
+    with one ``isicap:`` line naming the tap scale, no warning and no
+    file, where it used to print ``nan`` cells or scipy's complaint."""
+    cfg = _write_config(tmp_path, {
+        "channel": {"k": len(c) - 1, "c": c, "r": [1e-3] * len(c)},
+        "simulate": _SMALL_SIMULATE,
+    })
+    out = tmp_path / "x.out"
+    assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("isicap: ") and f"max |c| = {c[0]:.3e}" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["bounds", "figure1", "figure2", "simulate"])
+def test_tiny_taps_in_float_range_still_run(tmp_path, command):
+    cfg = _write_config(tmp_path, {
+        "channel": {"k": 1, "c": [1e-150, 5e-151], "r": [1e-3, 1e-3]},
+        "simulate": _SMALL_SIMULATE,
+    })
+    out = tmp_path / "x.out"
+    assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == EXIT_OK
+    assert "nan" not in out.read_text()
+
+
 def test_simulate_refuses_undefined_derived_rate(tmp_path, capsys):
     """Where C_LB1 is undefined there is no rate to derive: exit 2, no file."""
     cfg = _write_config(tmp_path, {"channel": {"k": 0, "c": [1.0], "r": [5.0]}})

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -910,6 +911,57 @@ def test_experiment_byte_cap_at_its_edge(example_spec, monkeypatch):
     monkeypatch.setattr(decoder_mod, "compute_profile", setup_ran)
     with pytest.raises(CodebookTooLarge, match=f"decode {trials} trials"):
         run_error_experiment(example_spec, n=n, R=R, P=1.0, trials=trials)
+
+
+def test_all_in_band_block_stays_within_decode_bytes(example_spec, monkeypatch):
+    """At 400 dBW every guard band is infinite, so every pair of a block is
+    scanned and each typical word's pair recomputed: the traced peak from
+    ``gen_codebook`` to the last block, for 2^16 words of length 16 and 16
+    trials, stays within ``decode_bytes``, the scan and recomputation
+    scratch included."""
+    draw = decoder_mod.gen_codebook
+
+    def traced(*args):
+        tracemalloc.start()
+        return draw(*args)
+
+    monkeypatch.setattr(decoder_mod, "gen_codebook", traced)
+    try:
+        res = run_error_experiment(example_spec, 16, 1.0, dbw_to_watts(400.0), 16, master_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.type1 + res.type2 + res.success == 16
+    assert peak <= decode_bytes(2 ** 16, 16, 16), (peak, decode_bytes(2 ** 16, 16, 16))
+
+
+def test_band_scan_in_slices_keeps_the_mask_and_the_chunks(example_spec, monkeypatch):
+    """Scanning the scores for in-band pairs 55 entries at a time, so that
+    the held pairs carry across slices, gives the mask of the default scan,
+    and recomputes the same pairs in the same order, in chunks of ``55 // m``
+    but the last."""
+    n, T = 16, 24
+    cov = build_sigma(example_spec, n, dbw_to_watts(400.0))
+    book = gen_codebook(cov, 5 / n, 3)
+    joint = build_joint(cov, build_Hc(example_spec, n))
+    ctx = prepare_context(book, joint)
+    rng = np.random.default_rng(4)
+    Y = rng.standard_normal((T, joint.m)) * 1e20
+    params = TypicalParams(epsilon=float(np.median(np.abs(book.q / n - 1.0))), eta=0.5)
+    words = Codebook.words
+
+    def scan():
+        chunks = []
+        monkeypatch.setattr(Codebook, "words", lambda self, rows: chunks.append(rows) or words(self, rows))
+        return _pass_mask(Y, params, ctx), chunks
+
+    whole, whole_chunks = scan()
+    monkeypatch.setattr(decoder_mod, "_DIRECT_ENTRIES", 55)
+    sliced, chunks = scan()
+    assert np.array_equal(sliced, whole)
+    assert len(whole_chunks) == 1 and len(chunks) > 2
+    assert np.array_equal(np.concatenate(chunks), whole_chunks[0])
+    assert all(len(c) == 55 // joint.m for c in chunks[:-1])
 
 
 def test_experiment_rejects_zero_trials(example_spec):

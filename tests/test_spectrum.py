@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -25,7 +27,7 @@ from isicap.spectrum import (
     HalfBasis,
     _f_sq,
     f_sq_table,
-    simpson_mean,
+    simpson_weights,
 )
 
 from bases import assemble, eigenbasis, random_halves, standard_halves
@@ -90,6 +92,27 @@ def test_singular_spectrum_raises():
     # 1 - z vanishes at zero frequency
     with pytest.raises(SpectrumSingular):
         compute_profile(ChannelSpec(k=1, c=(1.0, -1.0), r=(0.0, 0.0)))
+
+
+@pytest.mark.parametrize("c, what", [
+    ((1e-155, 5e-156), "1/alpha^2"),
+    ((1e200, 5e199), "beta^2"),
+    ((1e160, 5e159, 5e159), "beta^2"),
+])
+def test_spectrum_out_of_float_range_is_refused(c, what):
+    """Taps so small that ``1/|f|^2`` overflows, or so large that ``|f|^2``
+    does, are refused naming the scale and the quantity, with no numpy
+    warning; at 1e-150 the spectrum is in range and scales as ``c``
+    does: ``alpha = 0.5e-150`` and ``J = 4/3 * 1e300`` for ``1 + z/2``."""
+    spec = ChannelSpec(k=len(c) - 1, c=c, r=(0.0,) * len(c))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpectrumSingular, match=re.escape(f"max |c| = {c[0]:.3e}: {what} is not finite")):
+            compute_profile(spec)
+        prof = compute_profile(ChannelSpec(k=1, c=(1e-150, 5e-151), r=(0.0, 0.0)))
+    assert prof.alpha == pytest.approx(0.5e-150, rel=1e-14)
+    assert prof.beta == pytest.approx(1.5e-150, rel=1e-14)
+    assert prof.J == pytest.approx(4.0 / 3.0 * 1e300, rel=1e-12)
 
 
 def test_profile_degenerate_taps():
@@ -244,7 +267,7 @@ def test_eval_f_sq_closed_form(example_spec):
 
 def test_simpson_mean_constant(example_spec):
     table = f_sq_table(example_spec, 512)
-    assert simpson_mean(np.ones_like(table)) == pytest.approx(1.0, abs=1e-14)
+    assert float(simpson_weights(512) @ np.ones_like(table)) / (2.0 * np.pi) == pytest.approx(1.0, abs=1e-14)
 
 
 @settings(max_examples=30, deadline=None)

@@ -15,7 +15,6 @@ from isicap import (
     SUITE_NAMES,
     build_Hc,
     converse_rate_bound,
-    qcqp_min,
     run_all_suites,
     run_suite,
     verify_report,
@@ -28,6 +27,7 @@ from isicap.verify import (
     _band_op_norm,
     _lemma1,
     _op_norm,
+    _pencil,
     _sample_banded,
     _shell_volume,
     _suite_rng,
@@ -104,22 +104,16 @@ def test_lemma1_random(M1, data):
     assert margin >= -1e-9
 
 
-def test_qcqp_collapsed_shell():
-    rng = np.random.default_rng(1)
-    oc, oh = _spd(rng, 4), _spd(rng, 4)
-    assert qcqp_min(oc, oh, 1.0) == 0.0
-    assert qcqp_min(oc, oh, 1.7) == 0.0
+def _shell_min(oc, oh, eta):
+    """The shell minimum ``_shell_floor`` reads: the radius ``m (1 - eta')``
+    over the largest pencil eigenvalue."""
+    return len(oc) * (1.0 - eta) / float(_pencil(oc, oh)[-1])
 
 
 def test_qcqp_identity_pencil():
     m = 5
-    val = qcqp_min(np.eye(m), np.eye(m), 0.25)
+    val = _shell_min(np.eye(m), np.eye(m), 0.25)
     assert val == pytest.approx(m * 0.75, rel=1e-12)
-
-
-def test_qcqp_shape_guard():
-    with pytest.raises(ValueError):
-        qcqp_min(np.eye(3), np.eye(4), 0.5)
 
 
 def test_qcqp_matches_descent_oracle():
@@ -129,7 +123,7 @@ def test_qcqp_matches_descent_oracle():
         oc, oh = _spd(rng, m), _spd(rng, m)
         eta = float(rng.uniform(0.0, 0.9))
         rho = m * (1.0 - eta)
-        got = qcqp_min(oc, oh, eta)
+        got = _shell_min(oc, oh, eta)
         ref = shell_min_oracle(oc, oh, rho, seed=i, restarts=6, iters=2000)
         assert got == pytest.approx(ref, rel=1e-8, abs=1e-10)
 
