@@ -4,13 +4,15 @@ Every draw comes from a cell ``(stream, index)`` under one master seed: a
 ``Philox`` whose key is ``SeedSequence(master_seed, spawn_key=(stream,))
 .generate_state(2, np.uint64)`` and whose counter is ``[0, index, 0, 0]``,
 which ``rng_stream`` builds and which any trial can be replayed from.
-Streams: CHANNEL (0) and NOISE (1) the taps and noise of trial ``index``,
-CODEBOOK (2, index 0) the codebook's Gaussians on the water-filled support,
-then its floor radii, MESSAGE (3) trial ``index``'s message pick, FLOOR (4)
-the ``n`` normals codeword ``index``'s floor direction is projected from,
-and ``verify.VERIFY_STREAM_BASE + s`` (16 + s) sample ``index`` of the
-verify suites that share suite ``s``'s instance (``verify`` says which).
-Philox counts a cell's blocks in counter word 0, so cells never overlap, and
+Streams: CHANNEL (0) and NOISE (1) the taps and noise of the ``_TRIAL_CELL``
+trials ``index * _TRIAL_CELL`` onwards, in trial order (trial ``t`` is the
+slice ``t % _TRIAL_CELL`` of cell ``t // _TRIAL_CELL``), CODEBOOK (2, index
+0) the codebook's Gaussians on the water-filled support, then its floor
+radii, MESSAGE (3) trial ``index``'s message pick, FLOOR (4) the ``n``
+normals codeword ``index``'s floor direction is projected from, and
+``verify.VERIFY_STREAM_BASE + s`` (16 + s) sample ``index`` of the verify
+suites that share suite ``s``'s instance (``verify`` says which).  Philox
+counts a cell's blocks in counter word 0, so cells never overlap, and
 results do not depend on scheduling order.  ``TrialBlocks`` draws the same
 cells a block of trials at a time, through the same tap and band kernels.
 
@@ -79,6 +81,9 @@ MAX_DECODE_BYTES = 1 << 31
 # (codewords x trials) scratch array may have before the block shrinks.
 _TRIAL_BLOCK = 64
 _BLOCK_ENTRIES = 1 << 20
+# Trials whose taps, and whose noise, one cell holds, in trial order: part of
+# the draws' definition, so changing it redraws every trial past the first.
+_TRIAL_CELL = 64
 # Sent rows ``sent_words`` builds per ``Codebook.words`` call.
 _WORD_CHUNK = 64
 # Most scores the decoder scans at once for pairs inside the guard band, and
@@ -224,12 +229,15 @@ def sample_taps(
     trial_index: int,
 ) -> np.ndarray:
     """Tap matrix of shape ``(m, k + 1)``; row ``i`` holds output ``i``'s
-    taps, each inside its interval."""
+    taps, each inside its interval.  Trial ``t``'s uniforms follow those of
+    the ``t % _TRIAL_CELL`` trials before it in the cell ``(STREAM_CHANNEL,
+    t // _TRIAL_CELL)``, which are drawn and discarded."""
     if law.kind == "constant":
         check_law(spec, law)
         return np.tile(np.add(spec.c, np.multiply(law.offset, spec.r)), (m, 1))
-    rng = rng_stream(master_seed, STREAM_CHANNEL, trial_index)
-    return _taps_from(rng.random((_draw_rows(m, law), spec.k + 1)), spec, law, m)
+    cell, i = divmod(operator.index(trial_index), _TRIAL_CELL)
+    u = rng_stream(master_seed, STREAM_CHANNEL, cell).random((i + 1, _draw_rows(m, law), spec.k + 1))
+    return _taps_from(u[i], spec, law, m)
 
 
 def sample_H(
@@ -596,36 +604,83 @@ def transmit(
     master_seed: int,
     trial_index: int,
 ) -> np.ndarray:
-    """One channel use: ``y = H x + z`` with iid unit Gaussian ``z``.  ``H``
-    is applied in band form, as ``k + 1`` shifted multiply-adds of ``x``."""
+    """One channel use: ``y = H x + z`` with iid unit Gaussian ``z``, the
+    ``m`` normals that follow those of the ``t % _TRIAL_CELL`` trials
+    before trial ``t`` in the cell ``(STREAM_NOISE, t // _TRIAL_CELL)``.
+    ``H`` is applied in band form, as ``k + 1`` shifted multiply-adds of
+    ``x``."""
     x = np.asarray(x, dtype=float)
     if x.shape != (H.n,):
         raise DimensionMismatch(f"x has shape {x.shape}, channel expects ({H.n},)")
-    z = rng_stream(master_seed, STREAM_NOISE, trial_index).standard_normal(H.m)
+    cell, i = divmod(operator.index(trial_index), _TRIAL_CELL)
+    z = rng_stream(master_seed, STREAM_NOISE, cell).standard_normal((i + 1, H.m))[i]
     y = _band_apply(H.taps, x, np.zeros(H.m))
     y += z
     return y
+
+
+class _TrialCells:
+    """One stream's draws for trials laid out in ``_TRIAL_CELL``-trial
+    cells, read through one Philox that stays inside the current cell:
+    keyed once, set to a cell by writing its index into counter word 1 with
+    the buffer empty (as ``_cells`` does), then read on.  Consecutive draws
+    continue one stream, so reading a cell in pieces gives the values one
+    call would."""
+
+    def __init__(self, master_seed: int, stream: int, method: str) -> None:
+        self._bits = np.random.Philox(_NO_ENTROPY)
+        self._draw = getattr(np.random.Generator(self._bits), method)
+        self._counter = [0, 0, 0, 0]
+        self._state = {**_PHILOX_STATE,
+                       "state": {"counter": self._counter, "key": _stream_key(master_seed, stream)}}
+        self._cell = self._next = -1  # the cell read, and the trial whose draws come next
+
+    def fill(self, ts: np.ndarray, buf: np.ndarray) -> None:
+        """``buf[i]`` set to the draws of trial ``ts[i]``, for each of the
+        (at least one, at most ``len(buf)``) trials ``ts``, with one call
+        per run of consecutive trials in one cell.  A run that starts before
+        the trial next in its cell, or in another cell, restarts its cell; a
+        later one draws the trials in between into ``buf``'s rows not yet
+        filled, and discards them."""
+        cut = (np.flatnonzero((np.diff(ts) != 1) | (ts[1:] % _TRIAL_CELL == 0)) + 1).tolist()
+        for a, b in zip([0, *cut], [*cut, len(ts)]):
+            t = int(ts[a])
+            cell, skip = divmod(t, _TRIAL_CELL)
+            if cell == self._cell and t >= self._next:
+                skip = t - self._next
+            else:
+                self._counter[1] = self._cell = cell
+                self._bits.state = self._state
+            while skip:
+                step = min(skip, len(buf) - a)
+                self._draw(out=buf[a:a + step])
+                skip -= step
+            self._draw(out=buf[a:b])
+            self._next = t + b - a
 
 
 class TrialBlocks:
     """One thread's channels and noise for blocks of trials, equal bit for
     bit to ``transmit(sample_H(...), x, ...)`` trial by trial for the
     block's sent words ``x``, which the caller holds (``sent_words``).  One
-    Philox is keyed once per stream and block, and set to each trial's cell
-    by writing the trial index into counter word 1, with the buffer empty
-    (``_cells``); taps and noise are drawn and applied a few trials at a
-    time, in scratch of at most ``_DRAW_ENTRIES`` taps that is reused."""
+    Philox per stream stays inside the current cell (``_TrialCells``), so a
+    run of trials in one cell costs one ``random`` and one
+    ``standard_normal`` call per scratch chunk, and a new cell one state
+    set; any ``ts`` work, earlier trials of a cell by restarting it.  Taps
+    and noise are drawn and applied a few trials at a time, in scratch of
+    at most ``_DRAW_ENTRIES`` taps that is reused."""
 
     def __init__(self, spec: ChannelSpec, n: int, law: ChannelLaw, master_seed: int) -> None:
-        self.spec, self.law, self.seed, self.m = spec, law, master_seed, n + spec.k
-        self._bits = np.random.Philox(_NO_ENTROPY)
+        self.spec, self.law, self.m = spec, law, n + spec.k
         rows = _draw_rows(self.m, law)
         chunk = max(1, _DRAW_ENTRIES // (rows * (spec.k + 1)))
         self._z = np.empty((chunk, self.m))
+        self._noise = _TrialCells(master_seed, STREAM_NOISE, "standard_normal")
         if law.kind == "constant":
             self._taps = sample_taps(spec, self.m, law, master_seed, 0)
         else:
             self._u = np.empty((chunk, rows, spec.k + 1))
+            self._channel = _TrialCells(master_seed, STREAM_CHANNEL, "random")
 
     def draw(self, ts: np.ndarray, X: np.ndarray) -> np.ndarray:
         """The ``(len(ts), m)`` vectors received in trials ``ts``
@@ -634,17 +689,14 @@ class TrialBlocks:
             raise ValueError("trial indices must be non-negative integers")
         Y = np.zeros((len(ts), self.m))
         for lo in range(0, len(ts), len(self._z)):
-            z = self._z[:len(ts) - lo]
-            part = slice(lo, lo + len(z))
-            for g, row in zip(_cells(self.seed, STREAM_NOISE, ts[part], self._bits), z):
-                g.standard_normal(out=row)
+            part = slice(lo, lo + len(self._z))
+            z = self._z[:len(ts[part])]
+            self._noise.fill(ts[part], self._z)
             if self.law.kind == "constant":
                 taps = self._taps
             else:
-                u = self._u[:len(z)]
-                for g, rows in zip(_cells(self.seed, STREAM_CHANNEL, ts[part], self._bits), u):
-                    g.random(out=rows)
-                taps = _taps_from(u, self.spec, self.law, self.m)
+                self._channel.fill(ts[part], self._u)
+                taps = _taps_from(self._u[:len(z)], self.spec, self.law, self.m)
             _band_apply(taps, X[part], Y[part])
             Y[part] += z
         return Y

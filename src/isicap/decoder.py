@@ -61,6 +61,7 @@ from .spectrum import (
 from .waterfill import POWER_FLOOR, ThresholdReport, thresholds
 from .channel_sim import (
     _DIRECT_ENTRIES,
+    _TRIAL_CELL,
     FLOOR_REPROJECT,
     _band_apply,
     ChannelLaw,
@@ -522,15 +523,17 @@ def run_error_experiment(
 ) -> ExperimentResult:
     """Monte Carlo error rates of the joint-typicality decoder.
 
-    Each trial draws its own channel, noise, and message from per-trial
-    streams.  Every message is picked, and the words of the distinct sent
-    rows built once (``message_picks``, ``sent_words``), before the trials
-    run; each thread then draws and scores its trials in blocks of
-    ``trial_block(size)`` with exact decisions, so the counts are
-    independent of ``threads`` and of the block size.  ``threads`` splits
-    the trials into spans; at most ``os.cpu_count()`` threads run them.  A
-    codebook too large to decode exhaustively, the held words and picks
-    included, is refused before any set-up.
+    Each trial draws its own channel, noise, and message: the message from
+    a cell of its own, the taps and noise from the cells that hold them for
+    ``_TRIAL_CELL`` trials (see ``channel_sim``).  Every message is picked,
+    and the words of the distinct sent rows built once (``message_picks``,
+    ``sent_words``), before the trials run; each thread then draws and
+    scores its trials in blocks of ``trial_block(size)`` with exact
+    decisions, so the counts are independent of ``threads`` and of the
+    block size.  ``threads`` splits the trials into spans of whole cells;
+    at most ``os.cpu_count()`` threads run them.  A codebook too large to
+    decode exhaustively, the held words and picks included, is refused
+    before any set-up.
     """
     if trials <= 0:
         raise ValueError("need trials > 0")
@@ -566,10 +569,12 @@ def run_error_experiment(
             ok += int(np.count_nonzero(passed & ~many))
         return t1, t2, ok
 
-    # Each span is a run of whole blocks, so the blocks are the same for any
-    # thread count, and so are the chunks the sent words are built in, before
-    # any span; the pool runs both on at most one worker per core.
-    step = math.ceil(math.ceil(trials / block) / max(threads, 1)) * block
+    # Each span is a run of whole cells of _TRIAL_CELL trials, and so of whole
+    # blocks (a power of two no larger), so no thread starts inside a cell and
+    # the blocks are the same for any thread count; so are the chunks the
+    # sent words are built in, before any span.  The pool runs both on at
+    # most one worker per core.
+    step = math.ceil(math.ceil(trials / _TRIAL_CELL) / max(threads, 1)) * _TRIAL_CELL
     spans = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
     workers = min(len(spans), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -175,12 +175,15 @@ def _critical_angles(c: np.ndarray) -> np.ndarray:
     """Angles of the roots of ``sum_d d t_d (z^(k+d) - z^(k-d))``, which on
     the unit circle vanishes exactly where ``d|f|^2/domega`` does.
 
-    Terms below ``eps`` times the largest are dropped, so a subnormal end
-    term cannot overflow the companion matrix.  With no term left (``k = 0``
-    or one non-zero tap) ``|f|^2`` is constant and there are no roots; a zero
-    end tap lowers the degree and adds roots at ``z = 0`` (angle 0).
+    The taps are first scaled by the power of two that puts the largest in
+    ``[1/2, 1)``: exact, and the angles do not depend on scale, so no term
+    ``d t_d`` can overflow.  Terms below ``eps`` times the largest are
+    dropped, so a subnormal end term cannot overflow the companion matrix.
+    With no term left (``k = 0`` or one non-zero tap) ``|f|^2`` is constant
+    and there are no roots; a zero end tap lowers the degree and adds roots
+    at ``z = 0`` (angle 0).
     """
-    t = _tap_autocorr(c)
+    t = _tap_autocorr(np.ldexp(c, -math.frexp(float(np.abs(c).max()))[1]))
     g = np.arange(len(t)) * t
     g[np.abs(g) <= np.finfo(float).eps * np.abs(g).max()] = 0.0
     return np.angle(np.roots(np.concatenate([g[:0:-1], [0.0], -g[1:]])))

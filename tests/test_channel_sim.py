@@ -162,10 +162,12 @@ def test_rng_stream_refusals():
 def test_trial_blocks_match_one_cell_path(example_spec, monkeypatch, law, entries):
     """A block's received vectors equal, bit for bit, ``transmit(sample_H(...))``
     of its sent words trial by trial, whether the scratch holds one trial
-    (entries = 1) or the whole block.  The sent words are ``sent_words``'s
-    of the ``message_picks``, which are ``rng_stream``'s picks, and equal
-    ``book.words`` of the distinct picked rows, ascending; ``n + k = 17``
-    is not a multiple of the hold length."""
+    (entries = 1) or the whole block, for trials that start inside a cell,
+    cross a cell's end, go back to an earlier cell or to an earlier trial
+    of the same cell, skip ahead inside a cell, or repeat.  The sent words
+    are ``sent_words``'s of the ``message_picks``, which are
+    ``rng_stream``'s picks, and equal ``book.words`` of the distinct picked
+    rows, ascending; ``n + k = 17`` is not a multiple of the hold length."""
     monkeypatch.setattr(channel_sim, "_DRAW_ENTRIES", entries)
     n, seed = 15, 9
     rng = np.random.default_rng(4)
@@ -173,7 +175,9 @@ def test_trial_blocks_match_one_cell_path(example_spec, monkeypatch, law, entrie
     book = Codebook(n=n, R=0.25, size=16, S=S, q=np.square(S, dtype=float).sum(axis=1),
                     cov=flat_cov(n, random_halves(n, 4)), q_floor=np.zeros(16), seed=seed)
     draws = TrialBlocks(example_spec, n, law, seed)
-    for ts in (np.arange(40, 47), np.arange(3)):
+    cell = channel_sim._TRIAL_CELL
+    for ts in (np.arange(40, 47), np.arange(cell - 4, cell + 6), np.arange(3),
+               np.array([10, 12, 11, 2 * cell + 2, 2 * cell, 3 * cell + 8, 5, 5], dtype=np.uint64)):
         msgs = message_picks(seed, ts, book.size)
         rows, words = sent_words(book, msgs)
         assert np.array_equal(rows, np.unique(msgs))
@@ -185,6 +189,32 @@ def test_trial_blocks_match_one_cell_path(example_spec, monkeypatch, law, entrie
             assert msgs[i] == rng_stream(seed, STREAM_MESSAGE, t).integers(book.size)
             H = sample_H(example_spec, n, law, seed, t)
             assert np.array_equal(Y[i], transmit(H, X[i], seed, t))
+
+
+@pytest.mark.parametrize("law", [ChannelLaw(kind="iid_uniform"), ChannelLaw(kind="block_hold", block_len=4)],
+                         ids=["iid", "hold4"])
+def test_trial_draws_are_slices_of_their_cells(example_spec, law):
+    """Trial ``t``'s noise is row ``t % 64`` of ``64 x m`` normals drawn in
+    trial order from the cell ``(STREAM_NOISE, t // 64)``, and its taps the
+    matching slice of the uniforms of ``(STREAM_CHANNEL, t // 64)``, mapped
+    to ``c + (2u - 1) r``: at the first and last trial of a cell and inside
+    one, past the first cell."""
+    assert channel_sim._TRIAL_CELL == 64
+    n, seed = 9, 4
+    m, k = n + example_spec.k, example_spec.k
+    rows = channel_sim._draw_rows(m, law)
+    H0 = sample_H(example_spec, n, law, seed, 0)
+    for t in (0, 1, 63, 64, 130, 191, 5 * 64 + 17):
+        g, i = divmod(t, 64)
+        z = rng_stream(seed, STREAM_NOISE, g).standard_normal((64, m))[i]
+        assert np.array_equal(transmit(H0, np.zeros(n), seed, t), z)
+        u = rng_stream(seed, channel_sim.STREAM_CHANNEL, g).random((64, rows, k + 1))[i]
+        want = np.asarray(example_spec.c) + (2.0 * u - 1.0) * np.asarray(example_spec.r)
+        want = np.repeat(want, law.block_len, axis=0)[:m]
+        assert np.array_equal(sample_taps(example_spec, m, law, seed, t), want)
+        assert np.array_equal(sample_H(example_spec, n, law, seed, t).taps, want)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        transmit(H0, np.zeros(n), seed, -1)
 
 
 def test_message_picks_are_integers_of_their_cells():
@@ -294,7 +324,8 @@ def test_block_hold_taps(example_spec):
     for i in range(18):
         assert np.array_equal(taps[i], taps[i - i % 4])
     assert not np.array_equal(taps[0], taps[4])  # new block redraws
-    u = rng_stream(3, channel_sim.STREAM_CHANNEL, 1).uniform(-1.0, 1.0, size=(5, 3))
+    # trial 1 is the second slice of the channel cell 0
+    u = rng_stream(3, channel_sim.STREAM_CHANNEL, 0).uniform(-1.0, 1.0, size=(2, 5, 3))[1]
     held = np.repeat(u, 4, axis=0)[:18]
     assert np.array_equal(taps, np.asarray(example_spec.c) + held * np.asarray(example_spec.r))
 
@@ -692,7 +723,7 @@ def test_transmit_shapes_and_determinism(example_spec):
     y1 = transmit(H, x, master_seed=0, trial_index=3)
     y2 = transmit(H, x, master_seed=0, trial_index=3)
     assert np.array_equal(y1, y2)
-    noise = rng_stream(0, STREAM_NOISE, 3).standard_normal(H.m)
+    noise = rng_stream(0, STREAM_NOISE, 0).standard_normal((4, H.m))[3]
     exact, scale = exact_channel_use(H.taps, x, noise)
     u = np.finfo(float).eps / 2
     gamma = (H.k + 2) * u / (1.0 - (H.k + 2) * u)

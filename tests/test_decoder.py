@@ -837,8 +837,8 @@ def test_experiment_counts_and_thread_invariance(example_spec):
 
 def test_experiment_pool_is_capped_at_the_cores(example_spec, monkeypatch):
     """``threads`` past the cores still splits the trials into one span per
-    block, but the pool gets at most ``os.cpu_count()`` workers, and the
-    counts are the serial run's.  The stand-in pool maps serially, so no
+    64-trial cell, but the pool gets at most ``os.cpu_count()`` workers, and
+    the counts are the serial run's.  The stand-in pool maps serially, so no
     thread starts."""
     seen = []
 
@@ -892,6 +892,36 @@ def test_experiment_builds_each_sent_word_once(example_spec, monkeypatch, block)
         runs.append((sorted(calls), res.type1, res.type2, res.success))
     assert runs[0] == runs[1] == runs[2]
     assert runs[0][1] == 0 and runs[0][2] == trials
+
+
+def test_counts_do_not_depend_on_block_or_threads(example_spec, monkeypatch):
+    """The counts of 150 trials (two whole 64-trial cells and part of a
+    third) are the same at 1, 16 and 64 trials per block and at 1, 2 and 7
+    threads, and every thread's first draw starts a cell.  Wide thresholds
+    give all three outcomes."""
+    cell = channel_sim._TRIAL_CELL
+    starts = []
+
+    class Recorded(channel_sim.TrialBlocks):
+        def draw(self, ts, X):
+            if not hasattr(self, "first"):
+                self.first = int(ts[0])
+                starts.append(self.first)
+            return super().draw(ts, X)
+
+    monkeypatch.setattr(decoder_mod, "TrialBlocks", Recorded)
+    kwargs = dict(n=16, R=0.25, P=1.0, trials=150, master_seed=8,
+                  params=TypicalParams(epsilon=0.5, eta=0.3))
+    runs = set()
+    for block in (1, 16, 64):
+        monkeypatch.setattr(channel_sim, "_TRIAL_BLOCK", block)
+        for threads in (1, 2, 7):
+            starts.clear()
+            res = run_error_experiment(example_spec, threads=threads, **kwargs)
+            runs.add((res.type1, res.type2, res.success))
+            assert sorted(starts) == list(range(0, 150, cell * {1: 3, 2: 2, 7: 1}[threads]))
+    assert len(runs) == 1
+    assert min(runs.pop()) > 0
 
 
 def test_experiment_byte_cap_at_its_edge(example_spec, monkeypatch):

@@ -115,6 +115,24 @@ def test_spectrum_out_of_float_range_is_refused(c, what):
     assert prof.J == pytest.approx(4.0 / 3.0 * 1e300, rel=1e-12)
 
 
+def test_profile_of_taps_whose_derivative_terms_overflow():
+    """At ``c = (7e153, 9.1e151, 0, ..., 0, 3.5e153)`` (k = 8) ``|f|^2``
+    is in range but the raw derivative term ``8 t_8`` is not.  The taps are
+    scaled by a power of two before the roots, so alpha is exactly ``2**e``
+    times the alpha of ``c 2**-e``, below the FFT table's minimum, and the
+    oracle's minimum; it was the table's, 2.5e-7 above that."""
+    c = (7e153, 9.1e151, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.5e153)
+    spec = ChannelSpec(k=8, c=c, r=(0.0,) * 9)
+    e = math.frexp(c[0])[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = compute_profile(spec)
+    scaled = compute_profile(ChannelSpec(k=8, c=tuple(math.ldexp(v, -e) for v in c), r=(0.0,) * 9))
+    assert prof.alpha == math.ldexp(scaled.alpha, e)
+    assert prof.alpha < math.sqrt(f_sq_table(spec).min())
+    assert prof.alpha == pytest.approx(spectrum_extrema_oracle(c)[0], rel=EXTREMA_REL_TOL)
+
+
 def test_profile_degenerate_taps():
     """Closed forms where the derivative polynomial loses its end terms or
     vanishes (then the table alone gives the extrema)."""
