@@ -5,16 +5,21 @@ Every draw comes from a cell ``(stream, index)`` under one master seed: a
 .generate_state(2, np.uint64)`` and whose counter is ``[0, index, 0, 0]``,
 which ``rng_stream`` builds and which any trial can be replayed from.
 Streams: CHANNEL (0) and NOISE (1) the taps and noise of the ``_TRIAL_CELL``
-trials ``index * _TRIAL_CELL`` onwards, in trial order (trial ``t`` is the
-slice ``t % _TRIAL_CELL`` of cell ``t // _TRIAL_CELL``), CODEBOOK (2, index
-0) the codebook's Gaussians on the water-filled support, then its floor
-radii, MESSAGE (3) trial ``index``'s message pick, FLOOR (4) the ``n``
-normals codeword ``index``'s floor direction is projected from, and
+trials ``index * _TRIAL_CELL`` onwards, in trial order: trial ``t`` reads
+its draws after those of the ``t % _TRIAL_CELL`` trials before it in cell
+``t // _TRIAL_CELL``, ``k + 1`` rows of float32 uniforms, tap-major (one
+row per tap, ``_draw_rows`` long; one 32-bit half of a Philox word per
+value), and ``n + k`` normals.  CODEBOOK (2, index 0) holds the codebook's
+Gaussians on the water-filled support, then its floor radii, MESSAGE (3)
+trial ``index``'s message pick, FLOOR (4) the ``n`` normals codeword
+``index``'s floor direction is projected from, and
 ``verify.VERIFY_STREAM_BASE + s`` (16 + s) sample ``index`` of the verify
 suites that share suite ``s``'s instance (``verify`` says which).  Philox
 counts a cell's blocks in counter word 0, so cells never overlap, and
 results do not depend on scheduling order.  ``TrialBlocks`` draws the same
-cells a block of trials at a time, through the same tap and band kernels.
+cells a block of trials at a time, maps the uniforms with the same tap
+kernel (``_tap_row``) and adds the tap terms onto the noise in
+``transmit``'s order.
 
 Trial ``t``'s message pick among ``size = 2**bits`` words is what
 ``rng_stream(seed, STREAM_MESSAGE, t).integers(size)`` returns, taken from
@@ -31,7 +36,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Literal, Optional
 
 import numpy as np
@@ -91,8 +96,9 @@ _WORD_CHUNK = 64
 # hold at most 64 bytes per such entry (44 traced, every pair in the band).
 _DIRECT_ENTRIES = 1 << 16
 _DIRECT_BYTES = 64 * _DIRECT_ENTRIES
-# Most doubles one scratch chunk holds, so it stays in cache: TrialBlocks'
-# taps, and the codebook's rows while they are drawn or summed in float64.
+# Most doubles one scratch chunk holds, so it stays in cache: the codebook's
+# rows while they are drawn or summed in float64, and (in bytes) TrialBlocks'
+# float32 uniforms.
 _DRAW_ENTRIES = 1 << 15
 # A word's floor direction is projected off the support again while the
 # projection's input is more than this many times as long as its output.
@@ -202,23 +208,38 @@ def check_law(spec: ChannelSpec, law: ChannelLaw) -> None:
 
 
 def _draw_rows(m: int, law: ChannelLaw) -> int:
-    """Rows of ``k + 1`` uniforms one trial draws for ``m`` outputs."""
+    """Uniforms one trial draws per tap for ``m`` outputs."""
     return m if law.kind == "iid_uniform" else -(-m // law.block_len)
 
 
-def _taps_from(u: np.ndarray, spec: ChannelSpec, law: ChannelLaw, m: int) -> np.ndarray:
-    """Taps from draws ``u`` of ``random()``, shape ``(..., rows, k + 1)``,
-    mapped in place to ``c + (2u - 1) r``: bitwise what ``c + r *
-    uniform(-1, 1)`` gives.  Under block_hold each row then covers
-    ``block_len`` outputs, so a block longer than the ``m`` outputs is one
-    row repeated ``m`` times."""
+def _unit_offsets(u: np.ndarray, law: ChannelLaw, m: int) -> np.ndarray:
+    """Float32 uniforms ``u``, ``(..., k + 1, rows)``, one row per tap,
+    mapped in place to ``2u - 1`` (exact: ``u`` is a multiple of
+    ``2**-24``); under block_hold each entry then repeated for the
+    ``block_len`` outputs it covers, cut to ``m``."""
     u *= 2.0
     u -= 1.0
-    u *= spec.r
-    u += spec.c
     if law.kind == "block_hold":
-        u = np.repeat(u, min(law.block_len, m), axis=-2)[..., :m, :]
+        u = np.repeat(u, min(law.block_len, m), axis=-1)[..., :m]
     return u
+
+
+def _tap_row(v: np.ndarray, c: float, r: float, out: np.ndarray) -> None:
+    """One tap's values ``c + r v`` into the float64 ``out``, for offsets
+    ``v = 2u - 1`` (``_unit_offsets``): the tap kernel every sampler shares."""
+    np.multiply(v, r, out=out, dtype=float)
+    out += c
+
+
+def _taps_from(u: np.ndarray, spec: ChannelSpec, law: ChannelLaw, m: int) -> np.ndarray:
+    """The ``(m, k + 1)`` taps of one realization from its float32 uniforms
+    ``u``, ``(k + 1, rows)``: tap ``d`` of output ``i`` is ``c_d + r_d (2u
+    - 1)`` of its entry (``_tap_row``)."""
+    v = _unit_offsets(u, law, m)
+    taps = np.empty((m, spec.k + 1))
+    for d, (c, r) in enumerate(zip(spec.c, spec.r)):
+        _tap_row(v[d], c, r, taps[:, d])
+    return taps
 
 
 def sample_taps(
@@ -229,14 +250,16 @@ def sample_taps(
     trial_index: int,
 ) -> np.ndarray:
     """Tap matrix of shape ``(m, k + 1)``; row ``i`` holds output ``i``'s
-    taps, each inside its interval.  Trial ``t``'s uniforms follow those of
-    the ``t % _TRIAL_CELL`` trials before it in the cell ``(STREAM_CHANNEL,
-    t // _TRIAL_CELL)``, which are drawn and discarded."""
+    taps, each inside its interval.  Trial ``t`` reads ``k + 1`` rows of
+    float32 uniforms, tap-major, after those of the ``t % _TRIAL_CELL``
+    trials before it in the cell ``(STREAM_CHANNEL, t // _TRIAL_CELL)``,
+    which are drawn and discarded (``_taps_from`` maps them)."""
     if law.kind == "constant":
         check_law(spec, law)
         return np.tile(np.add(spec.c, np.multiply(law.offset, spec.r)), (m, 1))
     cell, i = divmod(operator.index(trial_index), _TRIAL_CELL)
-    u = rng_stream(master_seed, STREAM_CHANNEL, cell).random((i + 1, _draw_rows(m, law), spec.k + 1))
+    shape = (i + 1, spec.k + 1, _draw_rows(m, law))
+    u = rng_stream(master_seed, STREAM_CHANNEL, cell).random(shape, dtype=np.float32)
     return _taps_from(u[i], spec, law, m)
 
 
@@ -467,37 +490,41 @@ def trial_block(size: int) -> int:
     return max(1, min(_TRIAL_BLOCK, _BLOCK_ENTRIES // size))
 
 
-def decode_bytes(size: int, n: int, trials: int = 0) -> int:
+def decode_bytes(size: int, n: int, trials: int = 0, k: int = 0) -> int:
     """Bytes exhaustive decoding of ``trials`` trials holds for ``size``
-    codewords of length ``n``, at most: the float32 coefficients, 4 bytes
-    each, and the two tall half bases, taken at the full width ``n``
-    (``(n^2 + 1) / 2`` entries for the bases), since the support is known
-    only once ``build_sigma`` has run and the cap refuses before it; three
-    float64 per-word statistics (input statistic, floor radius, energy) and
-    one float32 (the score's per-word term); the held sent words,
-    ``min(trials, size)`` rows of ``n``, and message picks, 4 bytes a
-    trial (``sent_words``); and the larger of two scratches that never
-    coexist, each five length-``n`` rows per row it works on: a chunk of
-    ``_WORD_CHUNK`` sent words being built (each one's floor draw, its
-    projection and the half bases' products), or a block of ``T =
-    trial_block(size)`` trials (the received, projected, gathered sent and
-    noise vectors; a received vector's ``k`` extra entries are taken as at
-    most ``n``), whose float32 scores add 4 bytes a ``(size, T)`` entry and
-    their boolean masks at most 4 more; and besides the block, what picks
-    and recomputes the pairs inside the guard band, ``_DIRECT_BYTES``."""
-    T = trial_block(size)
+    codewords of length ``n`` on a channel of memory ``k``, at most: the
+    float32 coefficients, 4 bytes each, and the two tall half bases, taken
+    at the full width ``n`` (``(n^2 + 1) / 2`` entries for the bases),
+    since the support is known only once ``build_sigma`` has run and the
+    cap refuses before it; three float64 per-word statistics (input
+    statistic, floor radius, energy) and one float32 (the score's per-word
+    term); the held sent words, ``min(trials, size)`` rows of ``n``, and
+    message picks, 4 bytes a trial (``sent_words``); and the larger of two
+    scratches that never coexist: a chunk of ``_WORD_CHUNK`` sent words
+    being built, five rows of ``n`` a word (floor draw, projection, half
+    bases' products), or a block of ``T = trial_block(size)`` trials: the
+    received vectors, noise drawn into them, and three rows of ``n`` a
+    trial (sent word, ``Hc'y``, its support coefficients), float32 scores,
+    4 bytes a ``(size, T)`` entry, boolean masks at most 4 more, and the
+    draw chunk's float32 uniforms, their block_hold repeat and float64 tap
+    rows, ``8 ((k + 1)(n + k) + n)`` bytes a trial and at most ``4
+    _DRAW_ENTRIES`` doubles unless one trial takes more; and besides the
+    block, what picks and recomputes the pairs inside the guard band,
+    ``_DIRECT_BYTES``."""
+    T, m = trial_block(size), n + k
     rows = min(trials, size)
-    return (4 * size * (n + 7 + 2 * T)
-            + 8 * ((n * n + 1) // 2 + 5 * n * max(T, _WORD_CHUNK) + rows * n) + 4 * trials
-            + _DIRECT_BYTES)
+    draw = 8 * max(4 * _DRAW_ENTRIES, (k + 1) * m + n)
+    block = 8 * T * (m + 3 * n) + draw
+    return (4 * size * (n + 7 + 2 * T) + 8 * ((n * n + 1) // 2 + rows * n) + 4 * trials
+            + max(block, 40 * n * _WORD_CHUNK) + _DIRECT_BYTES)
 
 
-def codebook_size(n: int, R: float, trials: int = 0) -> int:
+def codebook_size(n: int, R: float, trials: int = 0, k: int = 0) -> int:
     """Codewords ``2**ceil(n * R)`` of the rate-``R`` codebook of length
-    ``n``, once exhaustive decoding of ``trials`` trials is known to fit:
-    raises ``CodebookTooLarge`` past ``MAX_CODEBOOK_BITS`` or past
-    ``MAX_DECODE_BYTES`` (see ``decode_bytes``).  A negative or non-finite
-    rate is refused."""
+    ``n``, once exhaustive decoding of ``trials`` trials on a channel of
+    memory ``k`` is known to fit: raises ``CodebookTooLarge`` past
+    ``MAX_CODEBOOK_BITS`` or past ``MAX_DECODE_BYTES`` (see
+    ``decode_bytes``).  A negative or non-finite rate is refused."""
     if not math.isfinite(R) or R < 0.0:
         raise ValueError(f"rate must be finite and non-negative, got {R!r}")
     if not math.isfinite(n * R):
@@ -510,7 +537,7 @@ def codebook_size(n: int, R: float, trials: int = 0) -> int:
             f"2**{bits} codewords exceed the exhaustive-decoding cap 2**{MAX_CODEBOOK_BITS}"
         )
     size = 1 << max(bits, 0)
-    need = decode_bytes(size, n, trials)
+    need = decode_bytes(size, n, trials, k)
     if need > MAX_DECODE_BYTES:
         what = f"decode {trials} trials" if trials else "decode"
         raise CodebookTooLarge(
@@ -607,16 +634,14 @@ def transmit(
     """One channel use: ``y = H x + z`` with iid unit Gaussian ``z``, the
     ``m`` normals that follow those of the ``t % _TRIAL_CELL`` trials
     before trial ``t`` in the cell ``(STREAM_NOISE, t // _TRIAL_CELL)``.
-    ``H`` is applied in band form, as ``k + 1`` shifted multiply-adds of
-    ``x``."""
+    ``y`` starts as ``z``, and ``H`` is applied onto it in band form
+    (``_band_apply``)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (H.n,):
         raise DimensionMismatch(f"x has shape {x.shape}, channel expects ({H.n},)")
     cell, i = divmod(operator.index(trial_index), _TRIAL_CELL)
     z = rng_stream(master_seed, STREAM_NOISE, cell).standard_normal((i + 1, H.m))[i]
-    y = _band_apply(H.taps, x, np.zeros(H.m))
-    y += z
-    return y
+    return _band_apply(H.taps, x, z)
 
 
 class _TrialCells:
@@ -627,9 +652,9 @@ class _TrialCells:
     continue one stream, so reading a cell in pieces gives the values one
     call would."""
 
-    def __init__(self, master_seed: int, stream: int, method: str) -> None:
+    def __init__(self, master_seed: int, stream: int, method: str, **kw) -> None:
         self._bits = np.random.Philox(_NO_ENTROPY)
-        self._draw = getattr(np.random.Generator(self._bits), method)
+        self._draw = partial(getattr(np.random.Generator(self._bits), method), **kw)
         self._counter = [0, 0, 0, 0]
         self._state = {**_PHILOX_STATE,
                        "state": {"counter": self._counter, "key": _stream_key(master_seed, stream)}}
@@ -664,39 +689,49 @@ class TrialBlocks:
     bit to ``transmit(sample_H(...), x, ...)`` trial by trial for the
     block's sent words ``x``, which the caller holds (``sent_words``).  One
     Philox per stream stays inside the current cell (``_TrialCells``), so a
-    run of trials in one cell costs one ``random`` and one
-    ``standard_normal`` call per scratch chunk, and a new cell one state
-    set; any ``ts`` work, earlier trials of a cell by restarting it.  Taps
-    and noise are drawn and applied a few trials at a time, in scratch of
-    at most ``_DRAW_ENTRIES`` taps that is reused."""
+    run of trials in one cell costs one float32 ``random`` and one
+    ``standard_normal`` call per draw chunk, and a new cell one state set; any ``ts`` work, earlier trials of a cell by
+    restarting it.  The received vectors start as the noise, drawn straight
+    into them; for each tap ``d`` one float64 row per trial takes the tap's
+    values (``_tap_row``), is multiplied by the shifted words and added on
+    (the constant law adds its fixed taps' terms by ``_band_apply``).  No
+    tap array is formed: uniforms and tap rows are one chunk's scratch."""
 
     def __init__(self, spec: ChannelSpec, n: int, law: ChannelLaw, master_seed: int) -> None:
-        self.spec, self.law, self.m = spec, law, n + spec.k
-        rows = _draw_rows(self.m, law)
-        chunk = max(1, _DRAW_ENTRIES // (rows * (spec.k + 1)))
-        self._z = np.empty((chunk, self.m))
+        self.spec, self.law, self.n, self.m = spec, law, n, n + spec.k
+        # A chunk is at most a decoder block, and keeps its float32 uniforms
+        # within the bytes of _DRAW_ENTRIES doubles unless one trial is more.
+        chunk = max(1, min(_TRIAL_BLOCK, 2 * _DRAW_ENTRIES // ((spec.k + 1) * self.m)))
+        self._row = np.empty((chunk, n))
         self._noise = _TrialCells(master_seed, STREAM_NOISE, "standard_normal")
         if law.kind == "constant":
             self._taps = sample_taps(spec, self.m, law, master_seed, 0)
         else:
-            self._u = np.empty((chunk, rows, spec.k + 1))
-            self._channel = _TrialCells(master_seed, STREAM_CHANNEL, "random")
+            self._u = np.empty((chunk, spec.k + 1, _draw_rows(self.m, law)), dtype=np.float32)
+            self._channel = _TrialCells(master_seed, STREAM_CHANNEL, "random", dtype=np.float32)
 
     def draw(self, ts: np.ndarray, X: np.ndarray) -> np.ndarray:
         """The ``(len(ts), m)`` vectors received in trials ``ts``
-        (non-negative integers) for the sent words ``X``, one row each."""
+        (non-negative integers) for the sent words ``X``, one row of ``n``
+        each."""
         if ts.dtype.kind not in "iu" or (ts.size and ts.min() < 0):
             raise ValueError("trial indices must be non-negative integers")
-        Y = np.zeros((len(ts), self.m))
-        for lo in range(0, len(ts), len(self._z)):
-            part = slice(lo, lo + len(self._z))
-            z = self._z[:len(ts[part])]
-            self._noise.fill(ts[part], self._z)
+        if np.shape(X) != (len(ts), self.n):
+            raise DimensionMismatch(f"words have shape {np.shape(X)}, expected ({len(ts)}, {self.n})")
+        n, spec = self.n, self.spec
+        Y = np.empty((len(ts), self.m))
+        for lo in range(0, len(ts), len(self._row)):
+            part = slice(lo, lo + len(self._row))
+            y, x = Y[part], X[part]
+            row = self._row[:len(y)]
+            self._noise.fill(ts[part], y)
             if self.law.kind == "constant":
-                taps = self._taps
-            else:
-                self._channel.fill(ts[part], self._u)
-                taps = _taps_from(self._u[:len(z)], self.spec, self.law, self.m)
-            _band_apply(taps, X[part], Y[part])
-            Y[part] += z
+                _band_apply(self._taps, x, y)
+                continue
+            self._channel.fill(ts[part], self._u)
+            v = _unit_offsets(self._u[:len(y)], self.law, self.m)
+            for d in range(spec.k + 1):
+                _tap_row(v[:, d, d:d + n], spec.c[d], spec.r[d], row)
+                row *= x
+                y[:, d:d + n] += row
         return Y

@@ -540,7 +540,7 @@ def run_error_experiment(
     if master_seed < 0:
         raise ValueError(f"need master_seed >= 0, got {master_seed}")
     check_law(spec, law)
-    codebook_size(n, R, trials)
+    codebook_size(n, R, trials, spec.k)
     profile = compute_profile(spec, grid_size)
     cov = build_sigma(spec, n, P)
     report = thresholds(spec, profile, cov, P)

@@ -255,10 +255,13 @@ def _rescale_radii_for_phi1(
 
 
 def _sample_banded(rng: np.random.Generator, spec: ChannelSpec, n: int) -> BandedChannelMatrix:
-    """A channel realization of order ``n`` under the iid law, its taps
-    ``c + (2u - 1) r`` from ``rng.random`` (``channel_sim._taps_from``)."""
+    """A channel realization of order ``n`` under the iid law, drawn as
+    ``simulate`` draws one: ``k + 1`` rows of ``n + k`` float32 uniforms
+    from ``rng``, tap-major, mapped to ``c + r (2u - 1)``
+    (``channel_sim._taps_from``)."""
     m = n + spec.k
-    return BandedChannelMatrix(n=n, k=spec.k, taps=_taps_from(rng.random((m, spec.k + 1)), spec, _IID, m))
+    u = rng.random((spec.k + 1, m), dtype=np.float32)
+    return BandedChannelMatrix(n=n, k=spec.k, taps=_taps_from(u, spec, _IID, m))
 
 
 def _op_norm(M: np.ndarray) -> float:

@@ -191,26 +191,42 @@ def test_trial_blocks_match_one_cell_path(example_spec, monkeypatch, law, entrie
             assert np.array_equal(Y[i], transmit(H, X[i], seed, t))
 
 
+def test_trial_blocks_refuse_mis_shaped_words():
+    """Words that are not ``(len(ts), n)`` are refused, as ``transmit``
+    refuses them, not applied as a shorter or longer channel."""
+    n = 16
+    blocks = TrialBlocks(ChannelSpec(k=2, c=(1.0, 0.5, 0.5), r=(1e-3,) * 3), n, ChannelLaw(kind="iid_uniform"), 0)
+    assert blocks.draw(np.arange(4), np.ones((4, n))).shape == (4, n + 2)
+    for shape in ((4, n - 1), (4, n + 1), (3, n), (5, n), (4 * n,)):
+        with pytest.raises(DimensionMismatch, match="words have shape"):
+            blocks.draw(np.arange(4), np.ones(shape))
+
+
 @pytest.mark.parametrize("law", [ChannelLaw(kind="iid_uniform"), ChannelLaw(kind="block_hold", block_len=4)],
                          ids=["iid", "hold4"])
 def test_trial_draws_are_slices_of_their_cells(example_spec, law):
     """Trial ``t``'s noise is row ``t % 64`` of ``64 x m`` normals drawn in
-    trial order from the cell ``(STREAM_NOISE, t // 64)``, and its taps the
-    matching slice of the uniforms of ``(STREAM_CHANNEL, t // 64)``, mapped
-    to ``c + (2u - 1) r``: at the first and last trial of a cell and inside
-    one, past the first cell."""
+    trial order from the cell ``(STREAM_NOISE, t // 64)``, and its taps
+    slice ``t % 64`` of ``64 x (k + 1) x rows`` float32 uniforms of
+    ``(STREAM_CHANNEL, t // 64)``, one row per tap, each uniform ``(h >>
+    8) 2**-24`` of one 32-bit half ``h`` of the cell's raw Philox words
+    (low half first), mapped to ``c + r (2u - 1)`` and repeated over its
+    hold: at the first and last trial of a cell and inside one, past the
+    first cell."""
     assert channel_sim._TRIAL_CELL == 64
     n, seed = 9, 4
     m, k = n + example_spec.k, example_spec.k
     rows = channel_sim._draw_rows(m, law)
+    c, r = np.asarray(example_spec.c)[:, None], np.asarray(example_spec.r)[:, None]
     H0 = sample_H(example_spec, n, law, seed, 0)
     for t in (0, 1, 63, 64, 130, 191, 5 * 64 + 17):
         g, i = divmod(t, 64)
         z = rng_stream(seed, STREAM_NOISE, g).standard_normal((64, m))[i]
         assert np.array_equal(transmit(H0, np.zeros(n), seed, t), z)
-        u = rng_stream(seed, channel_sim.STREAM_CHANNEL, g).random((64, rows, k + 1))[i]
-        want = np.asarray(example_spec.c) + (2.0 * u - 1.0) * np.asarray(example_spec.r)
-        want = np.repeat(want, law.block_len, axis=0)[:m]
+        words = rng_stream(seed, channel_sim.STREAM_CHANNEL, g).bit_generator.random_raw(32 * (k + 1) * rows)
+        halves = words.astype("<u8").view("<u4").reshape(64, k + 1, rows)
+        u = (halves[i] >> 8) * 2.0 ** -24
+        want = np.repeat(c + r * (2.0 * u - 1.0), law.block_len, axis=1)[:, :m].T
         assert np.array_equal(sample_taps(example_spec, m, law, seed, t), want)
         assert np.array_equal(sample_H(example_spec, n, law, seed, t).taps, want)
     with pytest.raises(ValueError, match="2\\*\\*64"):
@@ -283,15 +299,24 @@ def test_law_validation():
 
 
 def test_iid_taps_stay_in_intervals(example_spec):
-    taps = sample_taps(example_spec, 200, ChannelLaw(kind="iid_uniform"), 0, 0)
-    c = np.asarray(example_spec.c)
-    r = np.asarray(example_spec.r)
-    assert taps.shape == (200, 3)
-    assert np.all(taps >= c - r)
-    assert np.all(taps <= c + r)
-    # bitwise the taps of numpy's uniform(-1, 1) on the channel stream
-    u = rng_stream(0, channel_sim.STREAM_CHANNEL, 0).uniform(-1.0, 1.0, size=(200, 3))
-    assert np.array_equal(taps, c + u * r)
+    """Over 3,000 trials of 10 outputs, every iid tap lies in ``[c_d - r_d,
+    c_d + r_d]`` and on the 24-bit grid ``c_d + r_d (2 j 2**-24 - 1)``,
+    ``0 <= j < 2**24``, and each tap's sample mean and variance are within
+    5 sigma of the uniform law's ``c_d`` and ``r_d**2 / 3``: on the example
+    channel and on one whose radii are as wide as its taps."""
+    trials, m = 3000, 10
+    for spec in (example_spec, ChannelSpec(k=1, c=(0.3, -2.0), r=(0.7, 2.5))):
+        taps = np.stack([sample_taps(spec, m, ChannelLaw(kind="iid_uniform"), 7, t) for t in range(trials)])
+        taps = taps.reshape(-1, spec.k + 1)
+        c, r = np.asarray(spec.c), np.asarray(spec.r)
+        assert np.all(taps >= c - r) and np.all(taps <= c + r)
+        j = np.rint(((taps - c) / r + 1.0) * 2.0 ** 23)
+        assert j.min() >= 0 and j.max() < 2 ** 24
+        assert np.array_equal(taps, c + r * (2.0 * j * 2.0 ** -24 - 1.0))
+        N = len(taps)
+        assert np.all(np.abs(taps.mean(axis=0) - c) <= 5.0 * r / np.sqrt(3.0 * N))
+        # the variance of a squared deviation of U(-r, r) is r^4 / 5 - r^4 / 9
+        assert np.all(np.abs(taps.var(axis=0) - r ** 2 / 3.0) <= 5.0 * r ** 2 * np.sqrt(4.0 / (45.0 * N)))
 
 
 def test_constant_taps(example_spec):
@@ -324,10 +349,10 @@ def test_block_hold_taps(example_spec):
     for i in range(18):
         assert np.array_equal(taps[i], taps[i - i % 4])
     assert not np.array_equal(taps[0], taps[4])  # new block redraws
-    # trial 1 is the second slice of the channel cell 0
-    u = rng_stream(3, channel_sim.STREAM_CHANNEL, 0).uniform(-1.0, 1.0, size=(2, 5, 3))[1]
-    held = np.repeat(u, 4, axis=0)[:18]
-    assert np.array_equal(taps, np.asarray(example_spec.c) + held * np.asarray(example_spec.r))
+    # trial 1 is the second slice of the channel cell 0: 3 taps x 5 holds
+    u = rng_stream(3, channel_sim.STREAM_CHANNEL, 0).random((2, 3, 5), dtype=np.float32)[1]
+    held = np.repeat(2.0 * u.astype(float) - 1.0, 4, axis=1)[:, :18].T
+    assert np.array_equal(taps, np.asarray(example_spec.c) + np.asarray(example_spec.r) * held)
 
 
 def test_sample_H_band_structure(example_spec):
@@ -465,13 +490,13 @@ def test_codebook_byte_cap(example_spec, monkeypatch):
     halves = cov.halves
     held = sum(a.nbytes for a in (book.S, book.q, book.q_floor, ctx.energy, ctx.base,
                                   halves.sym, halves.skew))
-    need = decode_bytes(book.size, n, trials)
+    need = decode_bytes(book.size, n, trials, example_spec.k)
     assert held + max(build, block) <= need
     # 4 bytes a coefficient (at the full width n), 28 for a word's
     # statistics, 8 a (word, trial) entry of the block's scores and masks
     assert book.S.dtype == np.float32 and T == trial_block(2 * book.size)
     assert decode_bytes(2 * book.size, n) - decode_bytes(book.size, n) == 4 * book.size * (n + 7 + 2 * T)
-    assert decode_bytes(book.size, n, trials + 1) == need + 4
+    assert decode_bytes(book.size, n, trials + 1, example_spec.k) == need + 4
     assert decode_bytes(book.size, n, 8) - decode_bytes(book.size, n, 7) == 8 * n + 4
     monkeypatch.setattr(channel_sim, "MAX_DECODE_BYTES", decode_bytes(book.size, n))
     assert gen_codebook(cov, R, 0).size == 2 ** 10
@@ -487,6 +512,28 @@ def test_codebook_byte_cap(example_spec, monkeypatch):
     # 2**24 words of length 64 pass the bit cap but need about 8 GiB
     with pytest.raises(CodebookTooLarge, match="GiB"):
         gen_codebook(flat_cov(64), 0.375, 0)
+
+
+@pytest.mark.parametrize("n, k", [(64, 2), (300, 12), (4000, 8)], ids=["block", "chunks", "one-trial"])
+@pytest.mark.parametrize("law", [ChannelLaw(kind="iid_uniform"), ChannelLaw(kind="block_hold", block_len=3)],
+                         ids=["iid", "hold3"])
+def test_draw_scratch_stays_within_its_count(n, k, law):
+    """What ``TrialBlocks`` allocates besides the received vectors it
+    returns, traced from construction through one 64-trial draw (float32
+    uniforms, their block_hold repeat, tap rows), stays within the draw
+    term of ``decode_bytes``, for a chunk that holds the whole block, one
+    that splits it, and one of a single trial past ``_DRAW_ENTRIES``."""
+    spec = ChannelSpec(k=k, c=(1.0,) + (0.1,) * k, r=(1e-3,) * (k + 1))
+    X = np.ones((64, n))
+    tracemalloc.start()
+    try:
+        blocks = TrialBlocks(spec, n, law, 1)
+        Y = blocks.draw(np.arange(64), X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(blocks._row) == {64: 64, 300: 16, 4000: 1}[n]
+    assert peak - Y.nbytes <= 8 * max(4 * channel_sim._DRAW_ENTRIES, (k + 1) * (n + k) + n)
 
 
 def test_codebook_and_context_make_no_float64_copy_of_the_coefficients(example_spec):

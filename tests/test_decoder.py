@@ -926,10 +926,10 @@ def test_counts_do_not_depend_on_block_or_threads(example_spec, monkeypatch):
 
 def test_experiment_byte_cap_at_its_edge(example_spec, monkeypatch):
     """``run_error_experiment`` runs with the cap at exactly
-    ``decode_bytes(size, n, trials)``, picks and held words included, and
-    one byte below it is refused before any set-up."""
+    ``decode_bytes(size, n, trials, k)``, picks and held words included,
+    and one byte below it is refused before any set-up."""
     n, R, trials = 16, 0.25, 100
-    need = decode_bytes(2 ** 4, n, trials)
+    need = decode_bytes(2 ** 4, n, trials, example_spec.k)
     monkeypatch.setattr(channel_sim, "MAX_DECODE_BYTES", need)
     res = run_error_experiment(example_spec, n=n, R=R, P=1.0, trials=trials)
     assert res.trials == trials
@@ -962,7 +962,8 @@ def test_all_in_band_block_stays_within_decode_bytes(example_spec, monkeypatch):
     finally:
         tracemalloc.stop()
     assert res.type1 + res.type2 + res.success == 16
-    assert peak <= decode_bytes(2 ** 16, 16, 16), (peak, decode_bytes(2 ** 16, 16, 16))
+    cap = decode_bytes(2 ** 16, 16, 16, example_spec.k)
+    assert peak <= cap, (peak, cap)
 
 
 def test_band_scan_in_slices_keeps_the_mask_and_the_chunks(example_spec, monkeypatch):

@@ -293,15 +293,18 @@ def test_deviation_norm_check_zero_radius_is_tight():
     ChannelSpec(k=3, c=(0.9, -0.4, 0.2, 0.1), r=(0.5, 0.0, 0.25, 1e-6)),
 ])
 def test_sample_banded_is_the_uniform_interval_law(spec):
-    """A sampled channel's taps are bit for bit ``c + uniform(-1, 1) r``
-    drawn from a twin generator, row by row over the ``n + k`` outputs, and
-    the generator is left where that draw leaves it."""
+    """A sampled channel's taps are bit for bit ``c + r (2u - 1)`` for
+    ``k + 1`` rows of ``n + k`` float32 uniforms ``u`` drawn from a twin
+    generator, tap-major, as ``simulate``'s trials draw them, and the
+    generator is left where that draw leaves it."""
     for n in (1, 12, 65):
         rng, twin = np.random.default_rng(n), np.random.default_rng(n)
         taps = _sample_banded(rng, spec, n).taps
-        want = np.asarray(spec.c) + twin.uniform(-1.0, 1.0, (n + spec.k, spec.k + 1)) * np.asarray(spec.r)
-        assert taps.tobytes() == want.tobytes()
+        u = twin.random((spec.k + 1, n + spec.k), dtype=np.float32).astype(float)
+        want = (np.asarray(spec.c)[:, None] + np.asarray(spec.r)[:, None] * (2.0 * u - 1.0)).T
+        assert taps.tobytes() == np.ascontiguousarray(want).tobytes()
         assert rng.random() == twin.random()
+        assert rng.random(dtype=np.float32) == twin.random(dtype=np.float32)
 
 
 def test_margin_quantiles_persisted():
