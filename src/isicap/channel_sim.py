@@ -2,24 +2,25 @@
 
 Every draw comes from a cell ``(stream, index)`` under one master seed: a
 ``Philox`` whose key is ``SeedSequence(master_seed, spawn_key=(stream,))
-.generate_state(2, np.uint64)`` and whose counter is ``[0, index, 0, 0]``,
-which ``rng_stream`` builds and which any trial can be replayed from.
-Streams: CHANNEL (0) and NOISE (1) the taps and noise of the ``_TRIAL_CELL``
-trials ``index * _TRIAL_CELL`` onwards, in trial order: trial ``t`` reads
-its draws after those of the ``t % _TRIAL_CELL`` trials before it in cell
-``t // _TRIAL_CELL``, ``k + 1`` rows of float32 uniforms, tap-major (one
-row per tap, ``_draw_rows`` long; one 32-bit half of a Philox word per
-value), and ``n + k`` normals.  CODEBOOK (2, index 0) holds the codebook's
-Gaussians on the water-filled support, then its floor radii, MESSAGE (3)
-trial ``index``'s message pick, FLOOR (4) the ``n`` normals codeword
-``index``'s floor direction is projected from, and
+.generate_state(2, np.uint64)`` and whose counter is ``[0, index, 0, 0]``.
+Philox counts a cell's blocks in counter word 0, so cells never overlap,
+and results do not depend on scheduling order.  One reader, ``_Cells``,
+puts every Philox here at its cell (``at``) and reads trials laid out
+``_TRIAL_CELL`` to a cell (``fill``); ``rng_stream`` is a new reader at one
+cell.  Streams: CHANNEL (0) and NOISE (1) the taps and noise of the
+``_TRIAL_CELL`` trials ``index * _TRIAL_CELL`` onwards, in trial order:
+trial ``t`` reads its draws after those of the ``t % _TRIAL_CELL`` trials
+before it in cell ``t // _TRIAL_CELL``, ``k + 1`` rows of float32
+uniforms, tap-major (one row per tap, ``_draw_rows`` long; one 32-bit half
+of a Philox word per value), and ``n + k`` normals.  CODEBOOK (2, index 0)
+holds the codebook's Gaussians on the water-filled support, then its floor
+radii, MESSAGE (3) trial ``index``'s message pick, FLOOR (4) the ``n``
+normals codeword ``index``'s floor direction is projected from, and
 ``verify.VERIFY_STREAM_BASE + s`` (16 + s) sample ``index`` of the verify
-suites that share suite ``s``'s instance (``verify`` says which).  Philox
-counts a cell's blocks in counter word 0, so cells never overlap, and
-results do not depend on scheduling order.  ``TrialBlocks`` draws the same
-cells a block of trials at a time, maps the uniforms with the same tap
-kernel (``_tap_row``) and adds the tap terms onto the noise in
-``transmit``'s order.
+suites that share suite ``s``'s instance (``verify`` says which).
+``TrialBlocks`` draws the trials' cells a block at a time, maps the
+uniforms with the same tap kernel (``_tap_row``) and adds the tap terms
+onto the noise in ``transmit``'s order.
 
 Trial ``t``'s message pick among ``size = 2**bits`` words is what
 ``rng_stream(seed, STREAM_MESSAGE, t).integers(size)`` returns, taken from
@@ -33,7 +34,6 @@ draws them.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
@@ -42,7 +42,7 @@ from typing import Literal, Optional
 import numpy as np
 
 from .errors import CodebookTooLarge, DimensionMismatch
-from .spectrum import BandedChannelMatrix, ChannelSpec, HalfBasis, gram_eigh
+from .spectrum import BandedChannelMatrix, ChannelSpec, HalfBasis, _as_int, gram_eigh
 from .waterfill import POWER_FLOOR, waterfill_powers
 
 __all__ = [
@@ -128,34 +128,61 @@ _PHILOX_STATE = {k: v.tolist() if isinstance(v, np.ndarray) else v
                  for k, v in np.random.Philox(_NO_ENTROPY).state.items()}
 
 
-def _cells(master_seed: int, stream: int, indices, bits: Optional[np.random.Philox] = None):
-    """One generator on ``bits`` (a new Philox if none is given), set in
-    turn to the cell ``(stream, i)`` of each ``i`` in ``indices``: keyed
-    once, with ``i`` written into counter word 1 and the buffer empty, so
-    each cell draws what ``rng_stream`` draws for it."""
-    bits = np.random.Philox(_NO_ENTROPY) if bits is None else bits
-    gen = np.random.Generator(bits)
-    # Counter [0, i, 0, 0]; Philox counts a cell's blocks in word 0, so
-    # cells never overlap below 2**64 blocks.
-    counter = [0, 0, 0, 0]
-    state = {**_PHILOX_STATE, "state": {"counter": counter, "key": _stream_key(master_seed, stream)}}
-    for i in indices.tolist() if isinstance(indices, np.ndarray) else indices:
-        counter[1] = i
-        bits.state = state
-        yield gen
+class _Cells:
+    """The cells of ``stream`` under ``master_seed``, read through one keyed
+    Philox (``bits``) and its ``Generator`` (``gen``).  Consecutive draws
+    continue one stream, so reading a cell in pieces gives the values one
+    call would."""
+
+    def __init__(self, master_seed: int, stream: int) -> None:
+        self.bits = np.random.Philox(_NO_ENTROPY)
+        self.gen = np.random.Generator(self.bits)
+        self._counter = [0, 0, 0, 0]  # cell i is [0, i, 0, 0]
+        self._state = {**_PHILOX_STATE,
+                       "state": {"counter": self._counter, "key": _stream_key(master_seed, stream)}}
+        self._cell = self._next = -1  # fill's cell, and the trial whose draws come next
+
+    def at(self, i: int) -> np.random.Generator:
+        """``gen`` at the start of cell ``i``, its buffer empty."""
+        self._counter[1] = i
+        self.bits.state = self._state
+        self._cell = -1
+        return self.gen
+
+    def fill(self, draw, ts: np.ndarray, buf: np.ndarray) -> None:
+        """``buf[i]`` set to the draws of trial ``ts[i]``, for each of the (at
+        least one, at most ``len(buf)``) trials ``ts``, with one ``draw(out=)``
+        call per run of consecutive trials in one cell; ``draw`` is a method
+        of ``gen``, the same on every call.  A run that starts before the
+        trial next in its cell, or in another cell, restarts its cell; a later
+        one draws the trials in between into ``buf``'s rows not yet filled,
+        and discards them."""
+        cut = (np.flatnonzero((np.diff(ts) != 1) | (ts[1:] % _TRIAL_CELL == 0)) + 1).tolist()
+        for a, b in zip([0, *cut], [*cut, len(ts)]):
+            t = int(ts[a])
+            cell, skip = divmod(t, _TRIAL_CELL)
+            if cell == self._cell and t >= self._next:
+                skip = t - self._next
+            else:
+                self.at(cell)
+                self._cell = cell
+            while skip:
+                step = min(skip, len(buf) - a)
+                draw(out=buf[a:a + step])
+                skip -= step
+            draw(out=buf[a:b])
+            self._next = t + b - a
 
 
 def rng_stream(master_seed: int, stream: int, index: int) -> np.random.Generator:
-    """Generator of the cell ``(stream, index)`` under a master seed: a
-    Philox keyed by ``stream`` at counter ``[0, index, 0, 0]``, equal to
-    ``Philox(key=..., counter=index << 64)``.  Distinct cells are
-    statistically independent, and every call returns a generator of its
-    own."""
+    """Generator of the cell ``(stream, index)`` under a master seed, equal
+    to ``Philox(key=..., counter=index << 64)``; every call returns a
+    generator of its own."""
     master_seed, stream, index = map(operator.index, (master_seed, stream, index))
     if min(master_seed, stream) < 0 or not 0 <= index < 1 << 64:
         raise ValueError(f"need seed and stream >= 0 and index in [0, 2**64), got "
                          f"{(master_seed, stream, index)}")
-    return next(_cells(master_seed, stream, (index,)))
+    return _Cells(master_seed, stream).at(index)
 
 
 @dataclass(frozen=True)
@@ -180,11 +207,7 @@ class ChannelLaw:
     def __post_init__(self) -> None:
         if self.kind not in ("iid_uniform", "constant", "block_hold"):
             raise ValueError(f"unknown channel law {self.kind!r}")
-        b = self.block_len
-        b = int(b) if isinstance(b, float) and b.is_integer() else b
-        if isinstance(b, bool) or not isinstance(b, numbers.Integral):
-            raise ValueError(f"block_len must be an integer, got {self.block_len!r}")
-        object.__setattr__(self, "block_len", int(b))
+        object.__setattr__(self, "block_len", _as_int(self.block_len, "block_len"))
         if self.kind != "constant" and self.offset is not None:
             raise ValueError(f"offset applies only to the constant law, not {self.kind}")
         if self.kind != "block_hold" and self.block_len != 1:
@@ -396,10 +419,10 @@ def _project_off(halves: HalfBasis, V: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class Codebook:
-    """Exhaustively decodable Gaussian codebook: ``size = 2**ceil(n * R)``
-    words (a size that is no power of two is refused) drawn once from the
-    input covariance ``cov``, held by their coefficients on its support
-    ``U``, in float32, and one floor radius each.
+    """Exhaustively decodable Gaussian codebook: ``size = len(S)`` words, a
+    power of two (another size is refused), of length ``n = cov.n``, drawn
+    once from the input covariance ``cov``, held by their float32
+    coefficients on its support ``U`` and one floor radius each.
 
     Word ``i`` is ``x = U s + x_f``.  ``S[i]`` holds ``s``, the float32
     rounding of ``sqrt(d) * g_s`` for a standard Gaussian ``g_s``; the word
@@ -414,28 +437,18 @@ class Codebook:
     an independent uniform direction, so ``x_f`` has its law.  Without a
     floor ``q_floor`` is all zeros and no floor is built.
 
-    ``q[i] = sum_j s_j^2 / d_j + q_floor[i]``, summed in float64 from the
-    held ``s`` (``_row_form``), is ``x' Sigma^{-1} x`` of the word as
-    built, with no rounding of ``x`` amplified by the small eigenvalues of
-    ``Sigma``.  The decoder's guard band bounds ``||s||^2`` by ``max(d)
-    q`` and ``||x_f||^2`` by ``POWER_FLOOR q_floor``, and so relies on that
-    pairing.  With ``u = eps / 2``, the computed sum ``c`` of ``sum_j
-    s_j^2 / d_j + q_floor`` is within ``(n + 2) u`` of it, relative, to
-    first order: each ``s_j^2`` is exact in float64, ``fl(1 / d_j)`` and
-    the product with it round once each, the sum of at most ``n`` terms
-    ``n - 1`` times and the floor's add once.  A ``q`` with ``c > q (1 +
-    (n + 2) eps)`` is refused, which admits the sum taken in any order and
-    keeps every accepted ``q`` within ``3 (n + 2) u`` of the exact
-    statistic from above (``decoder._g_round``).  Coefficients that are not
-    float32, or not finite, are refused.  Decoding needs only ``S``, ``q`` and
-    ``q_floor``: ``words`` builds the words of given rows, and
-    ``codewords`` every word on first access."""
+    The input statistic ``q[i] = sum_j s_j^2 / d_j + q_floor[i]``, computed
+    here in float64 from the held ``s`` (``_row_form``), is ``x' Sigma^{-1}
+    x`` of the word as built, with no rounding of ``x`` amplified by the
+    small eigenvalues of ``Sigma``; the decoder's guard band bounds
+    ``||s||^2`` by ``max(d) q`` and ``||x_f||^2`` by ``POWER_FLOOR
+    q_floor`` (``decoder._g_round``).  Coefficients that are not float32 or
+    not finite, and floor radii that are negative or not finite, are
+    refused.  Decoding needs only ``S``, ``q`` and ``q_floor``: ``words``
+    builds the words of given rows, and ``codewords`` every word on first
+    access."""
 
-    n: int
-    R: float
-    size: int
     S: np.ndarray
-    q: np.ndarray
     cov: CovarianceSpec
     q_floor: np.ndarray
     seed: int
@@ -443,42 +456,51 @@ class Codebook:
     def __post_init__(self) -> None:
         if self.size < 1 or self.size & (self.size - 1):
             raise ValueError(f"codebook size must be a power of two, got {self.size}")
-        if self.cov.n != self.n or self.S.shape != (self.size, self.cov.d.size):
-            raise ValueError("coefficient array shape mismatch")
+        if self.S.shape != (self.size, self.cov.d.size) or self.q_floor.shape != (self.size,):
+            raise ValueError("coefficient or floor radius array shape mismatch")
         if self.S.dtype != np.float32:
             raise ValueError(f"coefficients must be float32, got {self.S.dtype}")
-        if self.q.shape != (self.size,) or self.q_floor.shape != (self.size,):
-            raise ValueError("input statistic shape mismatch")
         if not (np.isfinite(self.q_floor).all() and self.q_floor.min(initial=0.0) >= 0.0):
             raise ValueError("floor radii must be finite and non-negative")
-        g_sq = _row_form(self.S, 1.0 / self.cov.d)
-        if not np.isfinite(g_sq).all():
+        q = _row_form(self.S, 1.0 / self.cov.d)
+        if not np.isfinite(q).all():
             raise ValueError("coefficients must be finite")
-        g_sq += self.q_floor
-        if np.any(g_sq > self.q * (1.0 + (self.n + 2) * np.finfo(float).eps)):
-            raise ValueError("input statistic q understates sum_j s_j^2 / d_j of its coefficients")
+        q += self.q_floor
+        q.setflags(write=False)
+        object.__setattr__(self, "q", q)
+
+    @property
+    def n(self) -> int:
+        return self.cov.n
+
+    @property
+    def size(self) -> int:
+        return len(self.S)
 
     def words(self, rows) -> np.ndarray:
-        """The words ``U s + x_f`` of ``rows`` (indices or a slice), one per
-        row index: the gathered rows of ``S``, widened to float64, through
-        the half bases (``HalfBasis.apply``), plus
-        each distinct row's floor, built once per call."""
-        rows = np.arange(*rows.indices(self.size)) if isinstance(rows, slice) else np.asarray(rows)
+        """The words ``U s + x_f`` of ``rows``, one per row index: the
+        gathered rows of ``S``, widened to float64, through the half bases
+        (``HalfBasis.apply``), plus each distinct row's floor, built once
+        per call."""
+        rows = np.asarray(rows)
         X = self.cov.halves.apply(self.S[rows].astype(float))
         if self.cov.floor_dim:
-            cells, inv = np.unique(rows, return_inverse=True)
-            V = np.empty((len(cells), self.n))
-            for gen, v in zip(_cells(self.seed, STREAM_FLOOR, cells), V):
-                gen.standard_normal(out=v)
+            distinct, inv = np.unique(rows, return_inverse=True)
+            V = np.empty((len(distinct), self.n))
+            cells = _Cells(self.seed, STREAM_FLOOR)
+            at, normal = cells.at, cells.gen.standard_normal
+            for i, v in zip(distinct.tolist(), V):
+                at(i)
+                normal(out=v)
             _project_off(self.cov.halves, V)
-            V *= np.sqrt(POWER_FLOOR * self.q_floor[cells] / _row_sq(V))[:, None]
+            V *= np.sqrt(POWER_FLOOR * self.q_floor[distinct] / _row_sq(V))[:, None]
             X += V[inv]
         return X
 
     @cached_property
     def codewords(self) -> np.ndarray:
         """Every word, built on first access; decoding never reads it."""
-        X = self.words(slice(None))
+        X = self.words(np.arange(self.size))
         X.setflags(write=False)
         return X
 
@@ -554,7 +576,7 @@ def gen_codebook(cov: CovarianceSpec, R: float, master_seed: int) -> Codebook:
     stream, so the chunks give the doubles one call would), scaled to
     ``sqrt(d) * g_s`` and rounded into the float32 ``S``; then the floor
     radii ``q_floor``, chi-squared with ``cov.floor_dim`` degrees of
-    freedom, and ``q = sum_j s_j^2 / d_j + q_floor`` from the held ``S``.
+    freedom.  ``Codebook`` computes the input statistic ``q`` from them.
     ``codebook_size``'s byte check refuses before anything is drawn, and
     so does a power past float32's range: a coefficient must hold ``sqrt(d)
     |g|`` for every ``|g| < 2**10``, which a standard normal does not reach
@@ -572,13 +594,11 @@ def gen_codebook(cov: CovarianceSpec, R: float, master_seed: int) -> Codebook:
         rng.standard_normal(out=g)
         g *= root
         S[lo:lo + rows] = g
-    del buf, g  # the draw's scratch goes before the sums take theirs
+    del buf, g  # the draw's scratch goes before the statistic takes its own
     q_floor = rng.chisquare(cov.floor_dim, size) if cov.floor_dim else np.zeros(size)
-    q = _row_form(S, 1.0 / cov.d)
-    q += q_floor
-    for a in (S, q, q_floor):
+    for a in (S, q_floor):
         a.setflags(write=False)
-    return Codebook(n=cov.n, R=float(R), size=size, S=S, q=q, cov=cov, q_floor=q_floor, seed=master_seed)
+    return Codebook(S=S, cov=cov, q_floor=q_floor, seed=master_seed)
 
 
 def message_picks(master_seed: int, ts, size: int) -> np.ndarray:
@@ -591,9 +611,10 @@ def message_picks(master_seed: int, ts, size: int) -> np.ndarray:
         raise ValueError(f"codebook size must be a power of two, got {size}")
     if not bits:
         return np.zeros(len(ts), dtype=np.uint32)
-    philox = np.random.Philox(_NO_ENTROPY)
-    cells = _cells(master_seed, STREAM_MESSAGE, ts, philox)
-    raw = np.fromiter((philox.random_raw() for _ in cells), dtype=np.uint64, count=len(ts))
+    cells = _Cells(master_seed, STREAM_MESSAGE)
+    first = cells.bits.random_raw
+    ts = ts.tolist() if isinstance(ts, np.ndarray) else ts
+    raw = np.fromiter((first() for _ in map(cells.at, ts)), dtype=np.uint64, count=len(ts))
     raw &= 0xFFFFFFFF
     raw >>= 32 - bits
     return raw.astype(np.uint32)
@@ -644,58 +665,19 @@ def transmit(
     return _band_apply(H.taps, x, z)
 
 
-class _TrialCells:
-    """One stream's draws for trials laid out in ``_TRIAL_CELL``-trial
-    cells, read through one Philox that stays inside the current cell:
-    keyed once, set to a cell by writing its index into counter word 1 with
-    the buffer empty (as ``_cells`` does), then read on.  Consecutive draws
-    continue one stream, so reading a cell in pieces gives the values one
-    call would."""
-
-    def __init__(self, master_seed: int, stream: int, method: str, **kw) -> None:
-        self._bits = np.random.Philox(_NO_ENTROPY)
-        self._draw = partial(getattr(np.random.Generator(self._bits), method), **kw)
-        self._counter = [0, 0, 0, 0]
-        self._state = {**_PHILOX_STATE,
-                       "state": {"counter": self._counter, "key": _stream_key(master_seed, stream)}}
-        self._cell = self._next = -1  # the cell read, and the trial whose draws come next
-
-    def fill(self, ts: np.ndarray, buf: np.ndarray) -> None:
-        """``buf[i]`` set to the draws of trial ``ts[i]``, for each of the
-        (at least one, at most ``len(buf)``) trials ``ts``, with one call
-        per run of consecutive trials in one cell.  A run that starts before
-        the trial next in its cell, or in another cell, restarts its cell; a
-        later one draws the trials in between into ``buf``'s rows not yet
-        filled, and discards them."""
-        cut = (np.flatnonzero((np.diff(ts) != 1) | (ts[1:] % _TRIAL_CELL == 0)) + 1).tolist()
-        for a, b in zip([0, *cut], [*cut, len(ts)]):
-            t = int(ts[a])
-            cell, skip = divmod(t, _TRIAL_CELL)
-            if cell == self._cell and t >= self._next:
-                skip = t - self._next
-            else:
-                self._counter[1] = self._cell = cell
-                self._bits.state = self._state
-            while skip:
-                step = min(skip, len(buf) - a)
-                self._draw(out=buf[a:a + step])
-                skip -= step
-            self._draw(out=buf[a:b])
-            self._next = t + b - a
-
-
 class TrialBlocks:
     """One thread's channels and noise for blocks of trials, equal bit for
     bit to ``transmit(sample_H(...), x, ...)`` trial by trial for the
     block's sent words ``x``, which the caller holds (``sent_words``).  One
-    Philox per stream stays inside the current cell (``_TrialCells``), so a
+    reader per stream (``_Cells.fill``) stays inside the current cell, so a
     run of trials in one cell costs one float32 ``random`` and one
-    ``standard_normal`` call per draw chunk, and a new cell one state set; any ``ts`` work, earlier trials of a cell by
-    restarting it.  The received vectors start as the noise, drawn straight
-    into them; for each tap ``d`` one float64 row per trial takes the tap's
-    values (``_tap_row``), is multiplied by the shifted words and added on
-    (the constant law adds its fixed taps' terms by ``_band_apply``).  No
-    tap array is formed: uniforms and tap rows are one chunk's scratch."""
+    ``standard_normal`` call per draw chunk, and a new cell one state set;
+    any ``ts`` work, earlier trials of a cell by restarting it.  The
+    received vectors start as the noise, drawn straight into them; for each
+    tap ``d`` one float64 row per trial takes the tap's values
+    (``_tap_row``), is multiplied by the shifted words and added on (the
+    constant law adds its fixed taps' terms by ``_band_apply``).  No tap
+    array is formed: uniforms and tap rows are one chunk's scratch."""
 
     def __init__(self, spec: ChannelSpec, n: int, law: ChannelLaw, master_seed: int) -> None:
         self.spec, self.law, self.n, self.m = spec, law, n, n + spec.k
@@ -703,12 +685,14 @@ class TrialBlocks:
         # within the bytes of _DRAW_ENTRIES doubles unless one trial is more.
         chunk = max(1, min(_TRIAL_BLOCK, 2 * _DRAW_ENTRIES // ((spec.k + 1) * self.m)))
         self._row = np.empty((chunk, n))
-        self._noise = _TrialCells(master_seed, STREAM_NOISE, "standard_normal")
+        self._noise = _Cells(master_seed, STREAM_NOISE)
+        self._normal = self._noise.gen.standard_normal
         if law.kind == "constant":
             self._taps = sample_taps(spec, self.m, law, master_seed, 0)
         else:
             self._u = np.empty((chunk, spec.k + 1, _draw_rows(self.m, law)), dtype=np.float32)
-            self._channel = _TrialCells(master_seed, STREAM_CHANNEL, "random", dtype=np.float32)
+            self._channel = _Cells(master_seed, STREAM_CHANNEL)
+            self._uniform = partial(self._channel.gen.random, dtype=np.float32)
 
     def draw(self, ts: np.ndarray, X: np.ndarray) -> np.ndarray:
         """The ``(len(ts), m)`` vectors received in trials ``ts``
@@ -724,11 +708,11 @@ class TrialBlocks:
             part = slice(lo, lo + len(self._row))
             y, x = Y[part], X[part]
             row = self._row[:len(y)]
-            self._noise.fill(ts[part], y)
+            self._noise.fill(self._normal, ts[part], y)
             if self.law.kind == "constant":
                 _band_apply(self._taps, x, y)
                 continue
-            self._channel.fill(ts[part], self._u)
+            self._channel.fill(self._uniform, ts[part], self._u)
             v = _unit_offsets(self._u[:len(y)], self.law, self.m)
             for d in range(spec.k + 1):
                 _tap_row(v[:, d, d:d + n], spec.c[d], spec.r[d], row)

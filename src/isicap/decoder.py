@@ -224,12 +224,13 @@ def _g_round(n: int) -> float:
     """``1 + 2 (n + 3) eps``: bounds ``||g_s||^2 / q`` of any word, for
     ``||g_s||^2 = sum_j s_j^2 / d_j`` of its held coefficients, so with a
     factor ``max(d)`` the ratio ``||s||^2 / q``, and ``||x_f||^2 /
-    (POWER_FLOOR q_floor)`` of a built floor.  To first order in eps: the
-    ``Codebook`` check keeps ``q`` within ``3 (n + 2) eps / 2`` of ``||g_s||^2
-    + q_floor`` from above, and the product with ``q`` and the factor rounds
-    twice more; a floor's scale (the sum ``||p||^2``, a product, a division
-    and a square root) and the scaled entries squared put ``||x_f||^2``
-    within ``(n + 8) eps / 2`` of ``POWER_FLOOR q_floor``."""
+    (POWER_FLOOR q_floor)`` of a built floor.  To first order in eps:
+    ``Codebook``'s float64 sum ``q`` is within ``(n + 2) eps / 2`` of
+    ``||g_s||^2 + q_floor`` (``1 / d_j``, its product, ``n - 1`` adds and
+    the floor's add round once each), and the product with ``q`` and the
+    factor round twice more; a floor's scale (the sum ``||p||^2``, a
+    product, a division and a square root) and the scaled entries squared
+    put ``||x_f||^2`` within ``(n + 8) eps / 2`` of ``POWER_FLOOR q_floor``."""
     return 1.0 + 2 * (n + 3) * float(np.finfo(float).eps)
 
 

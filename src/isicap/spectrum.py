@@ -65,6 +65,14 @@ FOLD_ULPS = 2.0
 _R2 = 1.0 / math.sqrt(2.0)
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an int, or ``ValueError`` naming ``what`` for a bool or a non-integral value."""
+    v = int(value) if isinstance(value, float) and value.is_integer() else value
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """Interval channel: tap ``i`` ranges over ``[c[i] - r[i], c[i] + r[i]]``.
@@ -79,10 +87,7 @@ class ChannelSpec:
     r: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        k = int(self.k) if isinstance(self.k, float) and self.k.is_integer() else self.k
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-            raise ValueError(f"memory k must be an integer, got {self.k!r}")
-        object.__setattr__(self, "k", int(k))
+        object.__setattr__(self, "k", _as_int(self.k, "memory k"))
         object.__setattr__(self, "c", tuple(float(v) for v in self.c))
         object.__setattr__(self, "r", tuple(float(v) for v in self.r))
         if self.k < 0:

@@ -46,7 +46,7 @@ from .spectrum import (
     compute_profile,
 )
 from .waterfill import LN2, thresholds
-from .channel_sim import MAX_DECODE_BYTES, ChannelLaw, _cells, _taps_from, rng_stream
+from .channel_sim import MAX_DECODE_BYTES, ChannelLaw, _Cells, _taps_from, rng_stream
 
 __all__ = [
     "SLACK_REL",
@@ -497,7 +497,8 @@ def _run(names, samples: int, master_seed: int, n_max: int) -> dict[str, LemmaRe
     for first in dict.fromkeys(_DRAWN_BY[SUITE_NAMES.index(name)] for name in names):
         instance = _SUITES[first][1]
         checks = [(name, check) for name, draw, check in _SUITES if draw is instance and name in margins]
-        for i, rng in enumerate(_cells(master_seed, VERIFY_STREAM_BASE + first, range(samples))):
+        cells = _Cells(master_seed, VERIFY_STREAM_BASE + first)
+        for i, rng in enumerate(map(cells.at, range(samples))):
             inst = instance(rng, i, n_max)
             for name, check in checks:
                 margins[name].append(check(inst))

@@ -83,14 +83,16 @@ def watts_to_dbw(p_watts: float) -> float:
 
 
 def dbw_to_watts(p_dbw: float) -> float:
-    """``10^(p_dbw / 10)``; a power whose wattage is not a finite float
-    (NaN, or past about 3083 dBW) raises ``ValueError``."""
+    """``10^(p_dbw / 10)``; a power whose wattage is not finite (NaN, past
+    about 3083 dBW) or is 0 W (below about -3237 dBW) raises ``ValueError``."""
     try:
         p_w = 10.0 ** (p_dbw / 10.0)
     except OverflowError:
         p_w = math.inf
     if not math.isfinite(p_w):
         raise ValueError(f"power {p_dbw!r} dBW is non-finite in watts")
+    if p_w == 0.0:
+        raise ValueError(f"power {p_dbw!r} dBW underflows to 0 W")
     return p_w
 
 

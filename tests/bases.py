@@ -81,6 +81,5 @@ def floors(book, rows):
     """The floor parts ``x_f`` of ``rows`` as ``words`` builds them: the
     words of the same codebook with ``S`` zeroed, where ``fl(U 0) = 0`` and
     the floor's add is exact."""
-    zero = Codebook(n=book.n, R=book.R, size=book.size, S=np.zeros_like(book.S),
-                    q=book.q_floor.copy(), cov=book.cov, q_floor=book.q_floor, seed=book.seed)
+    zero = Codebook(S=np.zeros_like(book.S), cov=book.cov, q_floor=book.q_floor, seed=book.seed)
     return zero.words(rows)

@@ -676,6 +676,24 @@ def test_simulate_overflowing_input_exits_config(tmp_path, capsys, section, says
     assert says in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("bounds", None),
+        ("figure1", {"figure1": {"p_dbw": [-4000]}}),
+        ("simulate", {"simulate": {"n_list": [16], "rate_bits": 0.25, "trials": 10, "p_dbw": -4000}}),
+    ],
+)
+def test_underflowing_power_exits_config(tmp_path, capsys, command, section):
+    """-4000 dBW is 0 W in floating point: exit 2 with the power named, no
+    traceback and no file, on the command line's grid and in a config."""
+    out = tmp_path / "x.csv"
+    args = ["--grid=-4000"] if section is None else ["--config", _write_config(tmp_path, section)]
+    assert main([command, *args, "--out", str(out), "--threads", "1"]) == EXIT_CONFIG
+    assert not out.exists()
+    assert "-4000.0 dBW underflows to 0 W" in capsys.readouterr().err
+
+
 def test_exit_code_bad_grid(tmp_path):
     out = tmp_path / "x.csv"
     assert main(["bounds", "--out", str(out), "--grid", "oops"]) == EXIT_CONFIG

@@ -134,17 +134,13 @@ def test_joint_rejects_non_finite(example_spec):
     build_joint(good, Hc)
 
 
-def _white_book(coefs, R):
+def _white_book(coefs):
     """Codebook of given coefficients, rounded to float32, for the identity
     covariance on fixed random half bases (the same for every call at one
     ``n``), whose input statistic is ``||s||^2``."""
     n = coefs.shape[1]
     S = np.asarray(coefs, dtype=np.float32)
-    return Codebook(
-        n=n, R=R, size=len(coefs), S=S,
-        q=np.square(S, dtype=float).sum(axis=1),
-        cov=flat_cov(n, random_halves(n, 0)), q_floor=np.zeros(len(coefs)), seed=0,
-    )
+    return Codebook(S=S, cov=flat_cov(n, random_halves(n, 0)), q_floor=np.zeros(len(coefs)), seed=0)
 
 
 def _adjoint_sq(ctx, Y):
@@ -161,7 +157,7 @@ def _crafted_setup(example_spec):
     s0 = np.zeros(n)
     s0[0] = np.sqrt(n)  # input form == n
     s1 = 0.01 * np.ones(n)
-    book = _white_book(np.stack([s0, s1]), 1.0 / n)
+    book = _white_book(np.stack([s0, s1]))
     Hc = build_Hc(example_spec, n)
     joint = build_joint(book.cov, Hc)
     u = np.zeros(joint.m)
@@ -185,7 +181,7 @@ def test_decode_none(example_spec):
 
 def test_decode_ambiguous(example_spec):
     book, joint, y = _crafted_setup(example_spec)
-    twin = _white_book(np.stack([book.S[0]] * 2), book.R)
+    twin = _white_book(np.stack([book.S[0]] * 2))
     params = TypicalParams(epsilon=0.1, eta=0.1)
     out = decode(y, twin, joint, params)
     assert isinstance(out, DecodeFailure)
@@ -215,7 +211,7 @@ def test_decode_refuses_another_context(example_spec):
     covariance, is refused rather than decoded against."""
     book, joint, y = _crafted_setup(example_spec)
     params = TypicalParams(epsilon=0.1, eta=0.1)
-    other_book = _white_book(book.S[::-1].copy(), book.R)
+    other_book = _white_book(book.S[::-1].copy())
     other_joint = build_joint(joint.cov, build_Hc(example_spec, joint.n))
     for ctx in (prepare_context(other_book, joint), prepare_context(book, other_joint)):
         with pytest.raises(ValueError, match="another codebook"):
@@ -315,7 +311,7 @@ def test_codeword_and_image_accessors(example_spec):
     ctx = prepare_context(book, build_joint(cov, Hc))
     assert "codewords" not in vars(book) and "images" not in vars(ctx)
     assert np.array_equal(book.codewords, book.words(np.arange(book.size)))
-    want = book.S @ assemble(cov.halves).T + floors(book, slice(None))
+    want = book.S @ assemble(cov.halves).T + floors(book, np.arange(book.size))
     assert np.abs(book.codewords - want).max() <= 1e-14 * np.abs(want).max()
     assert book.codewords is book.codewords
     want = book.codewords @ Hc.dense().T
@@ -452,7 +448,7 @@ def test_support_energy_within_energy_err(example_spec):
     eps = np.finfo(float).eps
     Hd = build_Hc(example_spec, n).dense()
     U = assemble(cov.halves)
-    XF = floors(book, slice(None))
+    XF = floors(book, np.arange(book.size))
     h = sum(abs(c) for c in example_spec.c)
     omega = cov.halves.orth_defect + n * n * eps
     mu, nu = math.sqrt(1.0 + omega), math.sqrt(n * (1.0 + omega))
@@ -579,7 +575,7 @@ def test_support_split_matches_full_width_score(example_spec, case):
     assert cov.halves.width == width and cov.floor_dim == n - width
     assert book.S.shape == (size, width)
     rng = np.random.default_rng(5)
-    X = book.S @ assemble(cov.halves).T + floors(book, slice(None))
+    X = book.S @ assemble(cov.halves).T + floors(book, np.arange(book.size))
     A = X @ build_Hc(example_spec, n).dense().T
     Y = A[rng.integers(size, size=T)] + rng.standard_normal((T, joint.m))
     W = (book.q[:, None] + ((A[:, None, :] - Y[None]) ** 2).sum(axis=-1)) / (n + joint.m)
@@ -611,7 +607,7 @@ def test_pairs_forced_into_the_guard_band_follow_the_dense_rule(example_spec, mo
     ctx = prepare_context(book, joint)
     N = n + joint.m
     rng = np.random.default_rng(9)
-    X = book.S @ assemble(cov.halves).T + floors(book, slice(None))
+    X = book.S @ assemble(cov.halves).T + floors(book, np.arange(book.size))
     A = X @ build_Hc(example_spec, n).dense().T
     Y = A[rng.integers(book.size, size=T)] + rng.standard_normal((T, joint.m))
     W = np.abs((book.q[:, None] + ((A[:, None, :] - Y[None]) ** 2).sum(axis=-1)) / N - 1.0)
@@ -682,7 +678,7 @@ def test_float32_scores_lie_within_the_band_float32_term(example_spec, monkeypat
                    "high_power": (128, 20.0, 8 / 128), "standard_basis": (32, 0.0, 6 / 32)}[case]
     rng = np.random.default_rng(11)
     if case == "standard_basis":
-        book = _white_book(rng.standard_normal((64, n)), 6 / n)
+        book = _white_book(rng.standard_normal((64, n)))
     else:
         book = gen_codebook(build_sigma(example_spec, n, dbw_to_watts(p_dbw)), R, 3)
     assert book.S.dtype == np.float32
@@ -744,8 +740,7 @@ def test_standard_basis_pairs_follow_direct_form(example_spec):
     n, size, T = 12, 64, 20
     rng = np.random.default_rng(5)
     S = rng.standard_normal((size, n)).astype(np.float32)
-    book = Codebook(n=n, R=0.5, size=size, S=S, q=np.square(S, dtype=float).sum(axis=1), cov=flat_cov(n),
-                    q_floor=np.zeros(size), seed=5)
+    book = Codebook(S=S, cov=flat_cov(n), q_floor=np.zeros(size), seed=5)
     Hc = build_Hc(example_spec, n)
     joint = build_joint(book.cov, Hc)
     ctx = prepare_context(book, joint)
@@ -1236,11 +1231,7 @@ def test_decode_matches_exact_rational_oracle(example_spec, monkeypatch, p_dbw):
     w = cov.d.size
     S = np.vstack([drawn.S[:-1], np.sqrt(cov.d) * g[:w]]).astype(np.float32)
     q_floor = np.append(drawn.q_floor[:-1], g[w:] @ g[w:])
-    book = Codebook(
-        n=n, R=1.0, size=drawn.size, S=S,
-        q=np.square(S, dtype=float) @ (1.0 / cov.d) + q_floor, cov=cov,
-        q_floor=q_floor, seed=seed,
-    )
+    book = Codebook(S=S, cov=cov, q_floor=q_floor, seed=seed)
     Hc = build_Hc(example_spec, n)
     joint = build_joint(cov, Hc)
     ctx = prepare_context(book, joint)
@@ -1263,7 +1254,7 @@ def test_decode_matches_exact_rational_oracle(example_spec, monkeypatch, p_dbw):
     Y = np.stack(ys)
     fr = np.vectorize(Fraction, otypes=[object])
     U = assemble(cov.halves)
-    exact_words = fr(book.S.astype(float)) @ fr(U).T + fr(floors(book, slice(None)))
+    exact_words = fr(book.S.astype(float)) @ fr(U).T + fr(floors(book, np.arange(book.size)))
     x_stat, w_stat = exact_joint_statistics(exact_words, Y, cov.d, U, example_spec.c, POWER_FLOOR)
     eps, eta = Fraction(params.epsilon), Fraction(params.eta)
     x_dev = [abs(x - 1) for x in x_stat]

@@ -20,7 +20,7 @@ from isicap import (
     verify_report,
 )
 from isicap import spectrum, verify
-from isicap.channel_sim import _cells, rng_stream
+from isicap.channel_sim import _Cells, rng_stream
 from isicap.verify import (
     _ETAS,
     _SUITES,
@@ -426,10 +426,10 @@ def test_group_cells_draw_the_suite_rng_instances():
     """The runner's one Philox per group, set to each sample's counter in
     turn, draws bit for bit the instance ``_suite_rng`` regenerates alone."""
     for idx, (name, instance, _) in enumerate(_SUITES):
-        cells = _cells(3, verify.VERIFY_STREAM_BASE + verify._DRAWN_BY[idx], range(4))
-        for i, rng in enumerate(cells):
+        cells = _Cells(3, verify.VERIFY_STREAM_BASE + verify._DRAWN_BY[idx])
+        for i in range(4):
             alone = instance(_suite_rng(3, idx, i), i, 24)
-            assert pickle.dumps(instance(rng, i, 24)) == pickle.dumps(alone), (name, i)
+            assert pickle.dumps(instance(cells.at(i), i, 24)) == pickle.dumps(alone), (name, i)
 
 
 def test_suite_draws_do_not_depend_on_the_other_suites():

@@ -497,3 +497,12 @@ def test_dbw_to_watts_refuses_a_non_finite_power(p_dbw):
         dbw_to_watts(p_dbw)
     assert dbw_to_watts(3082.0) == 10.0 ** 308.2
     assert dbw_to_watts(-10.0) == 10.0 ** -1.0
+
+
+@pytest.mark.parametrize("p_dbw", [-4000.0, -3240.0, -float("inf")])
+def test_dbw_to_watts_refuses_a_power_that_underflows(p_dbw):
+    """A power whose wattage rounds to 0 W raises a ``ValueError`` naming
+    it; a subnormal wattage, at -3230 dBW, is kept."""
+    with pytest.raises(ValueError, match=f"power {p_dbw!r} dBW underflows to 0 W"):
+        dbw_to_watts(p_dbw)
+    assert dbw_to_watts(-3230.0) == 1e-323
