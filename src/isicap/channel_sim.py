@@ -6,9 +6,10 @@ Every draw comes from a cell ``(stream, index)`` under one master seed: a
 Philox counts a cell's blocks in counter word 0, so cells never overlap,
 and results do not depend on scheduling order.  One reader, ``_Cells``,
 puts every Philox here at its cell (``at``) and reads trials laid out
-``_TRIAL_CELL`` to a cell (``fill``); ``rng_stream`` is a new reader at one
-cell.  Streams: CHANNEL (0) and NOISE (1) the taps and noise of the
-``_TRIAL_CELL`` trials ``index * _TRIAL_CELL`` onwards, in trial order:
+``_TRIAL_CELL`` to a cell in runs that start a cell or continue the last
+(``fill``); ``rng_stream`` is a new reader at one cell.  Streams: CHANNEL
+(0) and NOISE (1) the taps and noise of the ``_TRIAL_CELL`` trials
+``index * _TRIAL_CELL`` onwards, in trial order:
 trial ``t`` reads its draws after those of the ``t % _TRIAL_CELL`` trials
 before it in cell ``t // _TRIAL_CELL``, ``k + 1`` rows of float32
 uniforms, tap-major (one row per tap, ``_draw_rows`` long; one 32-bit half
@@ -18,14 +19,14 @@ radii, MESSAGE (3) trial ``index``'s message pick, FLOOR (4) the ``n``
 normals codeword ``index``'s floor direction is projected from, and
 ``verify.VERIFY_STREAM_BASE + s`` (16 + s) sample ``index`` of the verify
 suites that share suite ``s``'s instance (``verify`` says which).
-``TrialBlocks`` draws the trials' cells a block at a time, maps the
-uniforms with the same tap kernel (``_tap_row``) and adds the tap terms
-onto the noise in ``transmit``'s order.
+``TrialBlocks`` draws the trials' cells a block at a time and puts every
+law, the constant one included, through one tap loop (``_tap_row``),
+adding the tap terms onto the noise in ``transmit``'s order.
 
 Trial ``t``'s message pick among ``size = 2**bits`` words is what
 ``rng_stream(seed, STREAM_MESSAGE, t).integers(size)`` returns, taken from
 the cell's first raw 64-bit word ``w`` as ``(w & 0xffffffff) >> (32 -
-bits)``, and 0 with no draw when ``size == 1``: for a power-of-two range
+bits)``, which is 0 when ``size == 1``: for a power-of-two range
 numpy's ``integers`` is Lemire's multiply-shift on the low 32 bits of that
 word, which never rejects (Lemire, ACM TOMACS 2019).  ``message_picks``
 draws them.
@@ -140,38 +141,31 @@ class _Cells:
         self._counter = [0, 0, 0, 0]  # cell i is [0, i, 0, 0]
         self._state = {**_PHILOX_STATE,
                        "state": {"counter": self._counter, "key": _stream_key(master_seed, stream)}}
-        self._cell = self._next = -1  # fill's cell, and the trial whose draws come next
+        self._next = None  # the trial whose draws come next, after a fill
 
     def at(self, i: int) -> np.random.Generator:
         """``gen`` at the start of cell ``i``, its buffer empty."""
         self._counter[1] = i
         self.bits.state = self._state
-        self._cell = -1
+        self._next = None
         return self.gen
 
-    def fill(self, draw, ts: np.ndarray, buf: np.ndarray) -> None:
-        """``buf[i]`` set to the draws of trial ``ts[i]``, for each of the (at
-        least one, at most ``len(buf)``) trials ``ts``, with one ``draw(out=)``
-        call per run of consecutive trials in one cell; ``draw`` is a method
-        of ``gen``, the same on every call.  A run that starts before the
-        trial next in its cell, or in another cell, restarts its cell; a later
-        one draws the trials in between into ``buf``'s rows not yet filled,
-        and discards them."""
-        cut = (np.flatnonzero((np.diff(ts) != 1) | (ts[1:] % _TRIAL_CELL == 0)) + 1).tolist()
-        for a, b in zip([0, *cut], [*cut, len(ts)]):
-            t = int(ts[a])
-            cell, skip = divmod(t, _TRIAL_CELL)
-            if cell == self._cell and t >= self._next:
-                skip = t - self._next
-            else:
+    def fill(self, draw, start: int, buf: np.ndarray) -> None:
+        """``buf[i]`` set to the draws of trial ``start + i``, for each row
+        of ``buf``, with one ``draw(out=)`` call per cell the run touches;
+        ``draw`` is a method of ``gen``, the same on every call.  A cell's
+        first trial restarts the cell (``at``); any other trial must be the
+        one after the last run, or ``ValueError`` is raised."""
+        t, end = start, start + len(buf)
+        while t < end:
+            cell, i = divmod(t, _TRIAL_CELL)
+            if not i:
                 self.at(cell)
-                self._cell = cell
-            while skip:
-                step = min(skip, len(buf) - a)
-                draw(out=buf[a:a + step])
-                skip -= step
-            draw(out=buf[a:b])
-            self._next = t + b - a
+            elif t != self._next:
+                raise ValueError(f"trial {t} neither starts a cell nor continues the last run")
+            self._next = min(end, t - i + _TRIAL_CELL)
+            draw(out=buf[t - start:self._next - start])
+            t = self._next
 
 
 def rng_stream(master_seed: int, stream: int, index: int) -> np.random.Generator:
@@ -609,8 +603,6 @@ def message_picks(master_seed: int, ts, size: int) -> np.ndarray:
     bits = size.bit_length() - 1
     if size != 1 << bits:
         raise ValueError(f"codebook size must be a power of two, got {size}")
-    if not bits:
-        return np.zeros(len(ts), dtype=np.uint32)
     cells = _Cells(master_seed, STREAM_MESSAGE)
     first = cells.bits.random_raw
     ts = ts.tolist() if isinstance(ts, np.ndarray) else ts
@@ -666,18 +658,18 @@ def transmit(
 
 
 class TrialBlocks:
-    """One thread's channels and noise for blocks of trials, equal bit for
-    bit to ``transmit(sample_H(...), x, ...)`` trial by trial for the
-    block's sent words ``x``, which the caller holds (``sent_words``).  One
-    reader per stream (``_Cells.fill``) stays inside the current cell, so a
-    run of trials in one cell costs one float32 ``random`` and one
-    ``standard_normal`` call per draw chunk, and a new cell one state set;
-    any ``ts`` work, earlier trials of a cell by restarting it.  The
-    received vectors start as the noise, drawn straight into them; for each
-    tap ``d`` one float64 row per trial takes the tap's values
-    (``_tap_row``), is multiplied by the shifted words and added on (the
-    constant law adds its fixed taps' terms by ``_band_apply``).  No tap
-    array is formed: uniforms and tap rows are one chunk's scratch."""
+    """One thread's channels and noise for runs of consecutive trials,
+    equal bit for bit to ``transmit(sample_H(...), x, ...)`` trial by trial
+    for the run's sent words ``x``, which the caller holds (``sent_words``).
+    One reader per stream (``_Cells.fill``) reads runs that start a cell or
+    continue the last run, so a run costs one float32 ``random`` and one
+    ``standard_normal`` call per draw chunk and cell, and a new cell one
+    state set.  The received vectors start as the noise, drawn straight
+    into them; for each tap ``d`` one float64 row per trial takes the tap's
+    values (``_tap_row``), is multiplied by the shifted words and added on.
+    The constant law goes through the same loop, its offsets one read-only
+    row broadcast over the trials.  No tap array is formed: uniforms and tap
+    rows are one chunk's scratch."""
 
     def __init__(self, spec: ChannelSpec, n: int, law: ChannelLaw, master_seed: int) -> None:
         self.spec, self.law, self.n, self.m = spec, law, n, n + spec.k
@@ -688,32 +680,33 @@ class TrialBlocks:
         self._noise = _Cells(master_seed, STREAM_NOISE)
         self._normal = self._noise.gen.standard_normal
         if law.kind == "constant":
-            self._taps = sample_taps(spec, self.m, law, master_seed, 0)
+            check_law(spec, law)
+            self._offsets = np.broadcast_to(np.array(law.offset)[:, None], (1, spec.k + 1, self.m))
         else:
             self._u = np.empty((chunk, spec.k + 1, _draw_rows(self.m, law)), dtype=np.float32)
             self._channel = _Cells(master_seed, STREAM_CHANNEL)
             self._uniform = partial(self._channel.gen.random, dtype=np.float32)
 
-    def draw(self, ts: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """The ``(len(ts), m)`` vectors received in trials ``ts``
-        (non-negative integers) for the sent words ``X``, one row of ``n``
-        each."""
-        if ts.dtype.kind not in "iu" or (ts.size and ts.min() < 0):
-            raise ValueError("trial indices must be non-negative integers")
-        if np.shape(X) != (len(ts), self.n):
-            raise DimensionMismatch(f"words have shape {np.shape(X)}, expected ({len(ts)}, {self.n})")
+    def draw(self, start: int, X: np.ndarray) -> np.ndarray:
+        """The ``(len(X), m)`` vectors received in trials ``start``,
+        ``start + 1``, ... for the sent words ``X``, one row of ``n`` each.
+        ``start`` must start a cell or continue the last run (``_Cells.fill``)."""
+        start = operator.index(start)
+        if start < 0:
+            raise ValueError(f"trial indices must be non-negative integers, got {start}")
+        if np.ndim(X) != 2 or np.shape(X)[1] != self.n:
+            raise DimensionMismatch(f"words have shape {np.shape(X)}, expected (trials, {self.n})")
         n, spec = self.n, self.spec
-        Y = np.empty((len(ts), self.m))
-        for lo in range(0, len(ts), len(self._row)):
-            part = slice(lo, lo + len(self._row))
-            y, x = Y[part], X[part]
+        Y = np.empty((len(X), self.m))
+        for lo in range(0, len(X), len(self._row)):
+            y, x = Y[lo:lo + len(self._row)], X[lo:lo + len(self._row)]
             row = self._row[:len(y)]
-            self._noise.fill(self._normal, ts[part], y)
+            self._noise.fill(self._normal, start + lo, y)
             if self.law.kind == "constant":
-                _band_apply(self._taps, x, y)
-                continue
-            self._channel.fill(self._uniform, ts[part], self._u)
-            v = _unit_offsets(self._u[:len(y)], self.law, self.m)
+                v = self._offsets
+            else:
+                self._channel.fill(self._uniform, start + lo, self._u[:len(y)])
+                v = _unit_offsets(self._u[:len(y)], self.law, self.m)
             for d in range(spec.k + 1):
                 _tap_row(v[:, d, d:d + n], spec.c[d], spec.r[d], row)
                 row *= x

@@ -471,7 +471,8 @@ def decode(
 
 
 def wilson_interval(events: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion, its ends exactly 0
+    with no events and 1 with no non-events, where the closed form rounds."""
     if trials <= 0:
         raise ValueError("need trials > 0")
     if not 0 <= events <= trials:
@@ -481,7 +482,7 @@ def wilson_interval(events: int, trials: int, z: float = 1.96) -> tuple[float, f
     denom = 1.0 + z2 / trials
     centre = (p + z2 / (2.0 * trials)) / denom
     half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
-    return max(0.0, centre - half), min(1.0, centre + half)
+    return centre - half if events else 0.0, centre + half if events < trials else 1.0
 
 
 @dataclass(frozen=True)
@@ -552,15 +553,15 @@ def run_error_experiment(
     ctx = prepare_context(book, joint)
     block = trial_block(book.size)
     msgs = message_picks(master_seed, range(trials), book.size)
+    cols = np.arange(block)
 
     def run_range(lo: int, hi: int) -> tuple[int, int, int]:
         t1 = t2 = ok = 0
         draws = TrialBlocks(spec, n, law, master_seed)
         for start in range(lo, hi, block):
-            end = min(start + block, hi)
-            ts, sent = np.arange(start, end), msgs[start:end]
-            mask = _pass_mask(draws.draw(ts, words[np.searchsorted(rows, sent)]), params, ctx)
-            passed = mask[sent, np.arange(len(ts))]
+            sent = msgs[start:min(start + block, hi)]
+            mask = _pass_mask(draws.draw(start, words[np.searchsorted(rows, sent)]), params, ctx)
+            passed = mask[sent, cols[:len(sent)]]
             # A sum along the scores' contiguous rows costs about half what
             # count_nonzero along the mask's strided axis does, at 8 words
             # as at 4096; counting row by row in Python loses below 1024.
@@ -570,11 +571,11 @@ def run_error_experiment(
             ok += int(np.count_nonzero(passed & ~many))
         return t1, t2, ok
 
-    # Each span is a run of whole cells of _TRIAL_CELL trials, and so of whole
-    # blocks (a power of two no larger), so no thread starts inside a cell and
-    # the blocks are the same for any thread count; so are the chunks the
-    # sent words are built in, before any span.  The pool runs both on at
-    # most one worker per core.
+    # Each span is whole cells of _TRIAL_CELL trials, and so whole blocks (a
+    # power of two no larger): its first block starts a cell and each later
+    # one continues the last, as _Cells.fill needs, and the blocks and the
+    # chunks the sent words are built in (before any span) are the same for
+    # any thread count.  The pool runs both on at most one worker per core.
     step = math.ceil(math.ceil(trials / _TRIAL_CELL) / max(threads, 1)) * _TRIAL_CELL
     spans = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
     workers = min(len(spans), os.cpu_count() or 1)

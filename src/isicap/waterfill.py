@@ -38,6 +38,7 @@ for the CLI surface.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -84,15 +85,17 @@ def watts_to_dbw(p_watts: float) -> float:
 
 def dbw_to_watts(p_dbw: float) -> float:
     """``10^(p_dbw / 10)``; a power whose wattage is not finite (NaN, past
-    about 3083 dBW) or is 0 W (below about -3237 dBW) raises ``ValueError``."""
+    about 3083 dBW) or is below the smallest normal float (0 W or
+    subnormal, below about -3076.5 dBW) raises ``ValueError``."""
     try:
         p_w = 10.0 ** (p_dbw / 10.0)
     except OverflowError:
         p_w = math.inf
     if not math.isfinite(p_w):
         raise ValueError(f"power {p_dbw!r} dBW is non-finite in watts")
-    if p_w == 0.0:
-        raise ValueError(f"power {p_dbw!r} dBW underflows to 0 W")
+    if p_w < sys.float_info.min:
+        raise ValueError(f"power {p_dbw!r} dBW underflows to {p_w:.3g} W, below the smallest "
+                         f"normal wattage {sys.float_info.min:.3g} W")
     return p_w
 
 

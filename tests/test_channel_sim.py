@@ -86,12 +86,12 @@ def test_one_reader_moved_in_any_order_draws_fresh_cells():
     """One ``_Cells`` reader draws what a fresh ``rng_stream`` cell draws,
     however it is moved: ``at`` after draws that left part of a Philox
     block or half a word unread (three raw words, five float32 uniforms),
-    back to an earlier cell, ``at`` then ``fill``, ``fill`` then ``at``, and
-    ``fill`` after ``at`` put the reader back in the cell ``fill`` was
-    reading.  ``fill`` gives trial ``t`` row ``t % 64`` of its cell ``t //
-    64``'s rows in trial order, for runs that skip ahead, go back inside a
-    cell or to an earlier one, cross a cell's end or repeat, through a
-    buffer of one row and of eight, with draws of an odd width."""
+    back to an earlier cell, and ``at`` between runs.  ``fill`` gives trial
+    ``t`` row ``t % 64`` of its cell ``t // 64``'s rows in trial order, for
+    runs from a cell's start, runs that continue the last one across a
+    cell's end, a cell restarted from its start, a later cell and an
+    earlier one, through a buffer of one row and of eight, with draws of an
+    odd width."""
     seed, stream, width = 6, 1, 3
     cell = channel_sim._TRIAL_CELL
 
@@ -105,21 +105,55 @@ def test_one_reader_moved_in_any_order_draws_fresh_cells():
         want = rng_stream(seed, stream, i)
         assert np.array_equal(cells.bits.random_raw(3), want.bit_generator.random_raw(3))
         assert np.array_equal(cells.gen.random(5, dtype=np.float32), want.random(5, dtype=np.float32))
+    # (first trial, trials) of each run; None moves the reader by ``at`` first
+    runs = [(0, 13), (13, 57), (cell, 2), (cell + 2, cell + 1), None, (3 * cell, 5),
+            (3 * cell + 5, 1), (cell, cell), None, (0, 3)]
     for method in ("random", "standard_normal"):
         draw = partial(getattr(cells.gen, method), dtype=np.float32)
         for rows in (1, 8):
             buf = np.empty((rows, width), dtype=np.float32)
-            for ts in ([3, 4, 5, 9, 9, 2, 63, 64, 65, 66, 1, 200, 130, 131, 140, 150, 191, 192],
-                       [cell - 2, cell - 1, cell, cell + 1, 0, 7]):
-                for j, lo in enumerate(range(0, len(ts), rows)):
-                    part = np.array(ts[lo:lo + rows])
-                    cells.fill(draw, part, buf)
-                    for t, row in zip(part, buf):
-                        assert np.array_equal(row, fresh(int(t), method)), (method, rows, int(t))
-                    if j % 2:  # every other fill leaves the reader where fill put it
-                        g = int(part[-1]) // cell
-                        assert np.array_equal(cells.at(g).random(1, dtype=np.float32),
-                                              rng_stream(seed, stream, g).random(1, dtype=np.float32))
+            for run in runs:
+                if run is None:
+                    assert np.array_equal(cells.at(1).random(1, dtype=np.float32),
+                                          rng_stream(seed, stream, 1).random(1, dtype=np.float32))
+                    continue
+                first, count = run
+                for lo in range(first, first + count, rows):
+                    part = buf[:min(rows, first + count - lo)]
+                    cells.fill(draw, lo, part)
+                    for t, row in enumerate(part, lo):
+                        assert np.array_equal(row, fresh(t, method)), (method, rows, t)
+
+
+def test_reader_refuses_a_run_that_neither_starts_a_cell_nor_continues():
+    """``fill`` reads only runs that start a cell or continue the last run:
+    a fresh reader, a skip ahead inside a cell, a step back inside it and a
+    start inside a cell after ``at`` are refused, and leave the reader able
+    to go on from where the last run ended.  ``TrialBlocks.draw`` refuses
+    the same starts."""
+    cell = channel_sim._TRIAL_CELL
+    cells = channel_sim._Cells(3, STREAM_NOISE)
+    draw = cells.gen.standard_normal
+    buf = np.empty((4, 2))
+    with pytest.raises(ValueError, match="trial 5 neither starts a cell"):
+        cells.fill(draw, 5, buf)
+    cells.fill(draw, 0, buf)
+    for start in (5, 2, cell + 1):
+        with pytest.raises(ValueError, match=f"trial {start} neither"):
+            cells.fill(draw, start, buf)
+    cells.fill(draw, 4, buf)
+    assert np.array_equal(buf[-1], rng_stream(3, STREAM_NOISE, 0).standard_normal((8, 2))[7])
+    cells.at(0)
+    with pytest.raises(ValueError, match="trial 8 neither"):
+        cells.fill(draw, 8, buf)
+    spec, n = ChannelSpec(k=1, c=(1.0, 0.5), r=(1e-3, 1e-3)), 6
+    for law in (ChannelLaw(kind="iid_uniform"), ChannelLaw(kind="constant", offset=(1.0, -1.0))):
+        blocks = TrialBlocks(spec, n, law, 0)
+        with pytest.raises(ValueError, match="trial 5 neither"):
+            blocks.draw(5, np.ones((2, n)))
+        blocks.draw(0, np.ones((2, n)))
+        with pytest.raises(ValueError, match="trial 3 neither"):
+            blocks.draw(3, np.ones((2, n)))
 
 
 def test_codebook_computes_its_input_statistic():
@@ -218,7 +252,7 @@ def test_rng_stream_refusals():
         rng_stream(0, 0, 1.5)
     blocks = TrialBlocks(ChannelSpec(k=0, c=(1.0,), r=(0.1,)), 4, ChannelLaw(kind="iid_uniform"), 0)
     with pytest.raises(ValueError, match="non-negative"):
-        blocks.draw(np.array([3, -1]), None)
+        blocks.draw(-1, None)
     assert rng_stream(0, 0, 2**64 - 1).random() != rng_stream(0, 0, 0).random()
 
 
@@ -235,12 +269,12 @@ def test_rng_stream_refusals():
 def test_trial_blocks_match_one_cell_path(example_spec, monkeypatch, law, entries):
     """A block's received vectors equal, bit for bit, ``transmit(sample_H(...))``
     of its sent words trial by trial, whether the scratch holds one trial
-    (entries = 1) or the whole block, for trials that start inside a cell,
-    cross a cell's end, go back to an earlier cell or to an earlier trial
-    of the same cell, skip ahead inside a cell, or repeat.  The sent words
-    are ``sent_words``'s of the ``message_picks``, which are
-    ``rng_stream``'s picks, and equal ``book.words`` of the distinct picked
-    rows, ascending; ``n + k = 17`` is not a multiple of the hold length."""
+    (entries = 1) or the whole block, for runs from a cell's start, runs
+    that continue the last one across a cell's end, a cell restarted from
+    its start, a later cell and an earlier one.  The sent words are
+    ``sent_words``'s of the ``message_picks``, which are ``rng_stream``'s
+    picks, and equal ``book.words`` of the distinct picked rows, ascending;
+    ``n + k = 17`` is not a multiple of the hold length."""
     monkeypatch.setattr(channel_sim, "_DRAW_ENTRIES", entries)
     n, seed = 15, 9
     rng = np.random.default_rng(4)
@@ -248,15 +282,15 @@ def test_trial_blocks_match_one_cell_path(example_spec, monkeypatch, law, entrie
     book = Codebook(S=S, cov=flat_cov(n, random_halves(n, 4)), q_floor=np.zeros(16), seed=seed)
     draws = TrialBlocks(example_spec, n, law, seed)
     cell = channel_sim._TRIAL_CELL
-    for ts in (np.arange(40, 47), np.arange(cell - 4, cell + 6), np.arange(3),
-               np.array([10, 12, 11, 2 * cell + 2, 2 * cell, 3 * cell + 8, 5, 5], dtype=np.uint64)):
+    for first, count in ((0, 7), (7, cell - 4), (cell + 3, 2), (cell, 3), (3 * cell, 9), (0, 2)):
+        ts = np.arange(first, first + count)
         msgs = message_picks(seed, ts, book.size)
         rows, words = sent_words(book, msgs)
         assert np.array_equal(rows, np.unique(msgs))
         assert np.array_equal(words, book.words(rows))
         X = words[np.searchsorted(rows, msgs)]
-        Y = draws.draw(ts, X)
-        assert Y.shape == (ts.size, n + example_spec.k)
+        Y = draws.draw(first, X)
+        assert Y.shape == (count, n + example_spec.k)
         for i, t in enumerate(ts):
             assert msgs[i] == rng_stream(seed, STREAM_MESSAGE, t).integers(book.size)
             H = sample_H(example_spec, n, law, seed, t)
@@ -264,14 +298,14 @@ def test_trial_blocks_match_one_cell_path(example_spec, monkeypatch, law, entrie
 
 
 def test_trial_blocks_refuse_mis_shaped_words():
-    """Words that are not ``(len(ts), n)`` are refused, as ``transmit``
+    """Words that are not rows of ``n`` are refused, as ``transmit``
     refuses them, not applied as a shorter or longer channel."""
     n = 16
     blocks = TrialBlocks(ChannelSpec(k=2, c=(1.0, 0.5, 0.5), r=(1e-3,) * 3), n, ChannelLaw(kind="iid_uniform"), 0)
-    assert blocks.draw(np.arange(4), np.ones((4, n))).shape == (4, n + 2)
-    for shape in ((4, n - 1), (4, n + 1), (3, n), (5, n), (4 * n,)):
+    assert blocks.draw(0, np.ones((4, n))).shape == (4, n + 2)
+    for shape in ((4, n - 1), (4, n + 1), (4 * n,), (4, n, 1)):
         with pytest.raises(DimensionMismatch, match="words have shape"):
-            blocks.draw(np.arange(4), np.ones(shape))
+            blocks.draw(0, np.ones(shape))
 
 
 @pytest.mark.parametrize("law", [ChannelLaw(kind="iid_uniform"), ChannelLaw(kind="block_hold", block_len=4)],
@@ -411,8 +445,8 @@ def test_block_longer_than_the_outputs_holds_one_row(example_spec, block_len):
                     q_floor=np.zeros(2), seed=seed)
     ts = np.arange(6)
     X = book.words(ts % 2)
-    assert np.array_equal(TrialBlocks(example_spec, n, long, seed).draw(ts, X),
-                          TrialBlocks(example_spec, n, exact, seed).draw(ts, X))
+    assert np.array_equal(TrialBlocks(example_spec, n, long, seed).draw(0, X),
+                          TrialBlocks(example_spec, n, exact, seed).draw(0, X))
 
 
 def test_block_hold_taps(example_spec):
@@ -554,7 +588,7 @@ def test_codebook_byte_cap(example_spec, monkeypatch):
         rows, words = sent_words(book, msgs)
         _, build = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        Y = draws.draw(np.arange(T), words[np.searchsorted(rows, msgs[:T])])
+        Y = draws.draw(0, words[np.searchsorted(rows, msgs[:T])])
         _pass_mask(Y, TypicalParams(epsilon=0.5, eta=0.3), ctx)
         _, block = tracemalloc.get_traced_memory()
     finally:
@@ -600,7 +634,7 @@ def test_draw_scratch_stays_within_its_count(n, k, law):
     tracemalloc.start()
     try:
         blocks = TrialBlocks(spec, n, law, 1)
-        Y = blocks.draw(np.arange(64), X)
+        Y = blocks.draw(0, X)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -694,6 +694,26 @@ def test_underflowing_power_exits_config(tmp_path, capsys, command, section):
     assert "-4000.0 dBW underflows to 0 W" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("bounds", None),
+        ("figure1", {"figure1": {"p_dbw": [-3230]}}),
+        ("figure2", None),
+        ("simulate", {"simulate": {"n_list": [16], "rate_bits": 0.25, "trials": 10, "p_dbw": -3230}}),
+    ],
+)
+def test_subnormal_power_exits_config(tmp_path, capsys, command, section):
+    """-3230 dBW is a subnormal 1e-323 W, which rounds every bound column
+    away: exit 2 with the power named, no traceback and no file, where
+    ``bounds`` and ``figure1`` printed zero bounds at exit 0."""
+    out = tmp_path / "x.csv"
+    args = ["--grid=-3230"] if section is None else ["--config", _write_config(tmp_path, section)]
+    assert main([command, *args, "--out", str(out), "--threads", "1"]) == EXIT_CONFIG
+    assert not out.exists()
+    assert "-3230.0 dBW underflows to 9.88e-324 W, below the smallest normal" in capsys.readouterr().err
+
+
 def test_exit_code_bad_grid(tmp_path):
     out = tmp_path / "x.csv"
     assert main(["bounds", "--out", str(out), "--grid", "oops"]) == EXIT_CONFIG

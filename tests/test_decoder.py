@@ -809,6 +809,16 @@ def test_wilson_properties(trials, data):
     assert hi == pytest.approx(1.0 - lo_c, abs=1e-12)
 
 
+def test_wilson_ends_are_exact_with_no_events_or_no_non_events():
+    """With no events the lower end is exactly 0.0, and with every trial an
+    event the upper end exactly 1.0, for n = 1 ... 20,000: the closed form
+    rounds the lower end to 2.8e-17 at n = 11 and the upper one to 1 -
+    2**-53 at n = 6, 100 and 500."""
+    for n in range(1, 20_001):
+        assert wilson_interval(0, n)[0] == 0.0, n
+        assert wilson_interval(n, n)[1] == 1.0, n
+
+
 def test_wilson_narrows_with_trials():
     lo1, hi1 = wilson_interval(10, 20)
     lo2, hi2 = wilson_interval(100, 200)
@@ -898,11 +908,11 @@ def test_counts_do_not_depend_on_block_or_threads(example_spec, monkeypatch):
     starts = []
 
     class Recorded(channel_sim.TrialBlocks):
-        def draw(self, ts, X):
+        def draw(self, start, X):
             if not hasattr(self, "first"):
-                self.first = int(ts[0])
+                self.first = start
                 starts.append(self.first)
-            return super().draw(ts, X)
+            return super().draw(start, X)
 
     monkeypatch.setattr(decoder_mod, "TrialBlocks", Recorded)
     kwargs = dict(n=16, R=0.25, P=1.0, trials=150, master_seed=8,
@@ -1098,7 +1108,7 @@ def test_pass_count_matches_the_exact_codebook_conditional_mean(example_spec):
     ctx = prepare_context(book, build_joint(cov, build_Hc(spec, n)))
     msgs = channel_sim.message_picks(seed, range(trials), book.size)
     draws = channel_sim.TrialBlocks(spec, n, ChannelLaw(kind="iid_uniform"), seed)
-    Y = draws.draw(np.arange(trials), book.words(msgs))
+    Y = draws.draw(0, book.words(msgs))
     counts = np.count_nonzero(_pass_mask(Y, params, ctx), axis=0)
     want = pass_count_oracle(book.codewords, book.q, spec.c, msgs, params.epsilon, params.eta)
     dev = counts - want

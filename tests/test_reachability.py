@@ -109,6 +109,9 @@ def _cli_runs(tmp_path):
     for i, law in enumerate(SIMULATE_LAWS):
         section = {"n_list": [15, 16], "trials": 40, "law": law}
         runs.append(["simulate"] + config(f"simulate_{i}", {"simulate": section}))
+    # every guard band infinite at 400 dBW, so the direct rule makes every decision
+    inband = {"n_list": [16], "rate_bits": 0.5, "trials": 16, "p_dbw": 400.0}
+    runs.append(["simulate"] + config("simulate_inband", {"simulate": inband}))
     runs.append(["verify"] + config("verify", {"verify": {"samples": 3, "n_max": 12}}))
     return runs
 

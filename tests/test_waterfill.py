@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -502,7 +503,17 @@ def test_dbw_to_watts_refuses_a_non_finite_power(p_dbw):
 @pytest.mark.parametrize("p_dbw", [-4000.0, -3240.0, -float("inf")])
 def test_dbw_to_watts_refuses_a_power_that_underflows(p_dbw):
     """A power whose wattage rounds to 0 W raises a ``ValueError`` naming
-    it; a subnormal wattage, at -3230 dBW, is kept."""
+    it."""
     with pytest.raises(ValueError, match=f"power {p_dbw!r} dBW underflows to 0 W"):
         dbw_to_watts(p_dbw)
-    assert dbw_to_watts(-3230.0) == 1e-323
+
+
+@pytest.mark.parametrize("p_dbw", [-3230.0, -3100.0, -3076.53])
+def test_dbw_to_watts_refuses_a_subnormal_wattage(p_dbw):
+    """A wattage below the smallest normal float (about -3076.5 dBW), a
+    subnormal that no column can resolve, raises a ``ValueError`` naming
+    the power; the normal wattages just above it are kept."""
+    with pytest.raises(ValueError, match=f"power {p_dbw!r} dBW underflows to .* below the smallest normal"):
+        dbw_to_watts(p_dbw)
+    assert dbw_to_watts(-3076.52) >= sys.float_info.min
+    assert dbw_to_watts(-3076.0) == 10.0 ** -307.6
