@@ -356,12 +356,11 @@ def build_sigma(
     """Input covariance with power budget ``trace <= n * P``: the eigenbasis
     of the centre Gram matrix, with the budget water-filled over its
     eigenvalues.  The basis comes from ``spectrum.gram_eigh``, two half-size
-    band problems (J-symmetric and J-skew) under a sign convention, so it
-    does not depend on the LAPACK build.  Only the support, the columns
-    water-filling gives more than ``POWER_FLOOR``, is signed, checked and
-    held, as two tall half bases; ``d`` follows their column order.  Every
-    other column gets exactly ``POWER_FLOOR``, so the floor needs no
-    vector."""
+    band problems (J-symmetric and J-skew) under a sign convention.  Only
+    the support, the columns water-filling gives more than
+    ``POWER_FLOOR``, is computed, signed, checked and held, as two tall
+    half bases; ``d`` follows their column order.  Every other column gets
+    exactly ``POWER_FLOOR``, so the floor needs no vector."""
     if P <= 0.0:
         raise ValueError("need P > 0")
     # ``policy`` stays for callers that pass "waterfill_gram" positionally.

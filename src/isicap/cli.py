@@ -174,12 +174,14 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     grid_size = _number(merged.get("grid_size", DEFAULT_GRID), "grid_size", integer=True)
     if args.seed < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be a positive integer, got {args.threads}")
     return RunConfig(
         command=args.command,
         spec=spec,
         grid_size=grid_size,
         seed=int(args.seed),
-        threads=max(1, int(args.threads)),
+        threads=int(args.threads),
         out=args.out,
         grid=args.grid,
         sections=merged,

@@ -10,10 +10,12 @@ through its squared magnitude ``|f|^2``: the extreme values ``alpha^2`` and
 ``beta^2``, the inverse-spectrum mean ``J``, and the eigenpairs of the Gram
 matrix of the tall banded convolution matrix built from the centre taps.
 That Gram matrix is symmetric banded Toeplitz and is never formed densely:
-its eigenpairs come from one eigensolve of two half-size band problems
-(``gram_eigh``), and the columns a caller keeps are held as two half bases
-in their own column order (``HalfBasis``, the one place that knows how
-they fold into the basis and that measures them against the Gram
+it splits into two half-size band problems (``gram_eigh``), whose
+eigenvalues come from LAPACK's band solver and whose eigenvectors are
+computed only for the columns a caller keeps, each from the roots of
+``|f|^2 = lam`` (``GramVectors``).  Those columns are held as two half
+bases in their own column order (``HalfBasis``, the one place that knows
+how they fold into the basis and that measures them against the Gram
 matrix).
 
 All integrals over ``[0, 2*pi]`` are composite-Simpson sums on one shared
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eig_banded
+from scipy.linalg import eigvals_banded
 
 from .errors import SpectrumSingular
 
@@ -63,6 +65,8 @@ SIGN_TIE_REL = 1e-8
 # one multiply and the representation of 1/sqrt(2), 1.4 eps, rounded up.
 FOLD_ULPS = 2.0
 _R2 = 1.0 / math.sqrt(2.0)
+_TABLE = 32  # fine steps of the two-level exponential table of ``_root_values``
+_SCRATCH = 1 << 20  # bytes of complex scratch ``_root_columns`` may take at small n
 
 
 def _as_int(value, what: str) -> int:
@@ -334,11 +338,10 @@ def _sym_band_apply(band: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 def _signed(Z: np.ndarray) -> np.ndarray:
     """``Z`` with each column flipped so that its largest-magnitude entry is
-    positive, in C order (``eig_banded`` returns Fortran order).  Entries
-    within ``SIGN_TIE_REL`` of the largest magnitude count as tied and the
-    first of them decides, so ties that are exact in exact arithmetic (the
-    sine eigenvectors of a tridiagonal Gram) are broken by index, not by
-    rounding."""
+    positive, in C order.  Entries within ``SIGN_TIE_REL`` of the largest
+    magnitude count as tied and the first of them decides, so ties that are
+    exact in exact arithmetic (the sine eigenvectors of a tridiagonal Gram)
+    are broken by index, not by rounding."""
     if not Z.size:
         return Z
     mag = np.abs(Z)
@@ -401,15 +404,15 @@ class HalfBasis:
         object.__setattr__(self, "orth_defect", math.sqrt(sq))
 
     @classmethod
-    def from_eigh(cls, vectors: tuple[np.ndarray, np.ndarray], keep: np.ndarray) -> "HalfBasis":
+    def from_eigh(cls, vectors: "GramVectors", keep: np.ndarray) -> "HalfBasis":
         """The columns of ``gram_eigh``'s ``vectors`` that the boolean mask
         ``keep`` (in ``lam``'s order) marks, each flipped so that its
         largest-magnitude entry is positive (the first one on ties to
-        ``SIGN_TIE_REL``): the basis then does not depend on the LAPACK
-        build, and every column ``u`` of ``U`` satisfies ``u[::-1] == +-u``
-        exactly.  Columns left out are never signed or checked."""
-        (Zs, Zk), r = vectors, vectors[0].shape[1]
-        return cls(sym=_signed(Zs[:, keep[:r]]), skew=_signed(Zk[:, keep[r:]]))
+        ``SIGN_TIE_REL``): no column's sign is left to the arithmetic that
+        built it, and every column ``u`` of ``U`` satisfies ``u[::-1] ==
+        +-u`` exactly.  Columns left out are never computed."""
+        Zs, Zk = vectors.columns(keep)
+        return cls(sym=_signed(Zs), skew=_signed(Zk))
 
     @property
     def n(self) -> int:
@@ -489,28 +492,264 @@ class HalfBasis:
         return gain, math.sqrt(sq) + rounding
 
 
-def gram_eigh(spec: ChannelSpec, n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Eigenvalues ``lam`` of the centre Gram matrix ``Hc' Hc`` and its
-    eigenvectors as the two half arrays ``(Zs, Zk)``, in the halves' own
-    column order: the J-symmetric half's eigenvalues ascending, then the
-    J-skew half's.  ``HalfBasis.from_eigh`` signs and holds those a caller
-    keeps.
+def _colleague(coef: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The ``(s, k', k')`` colleague matrices of ``p(x) - lam``, ``p`` the
+    Chebyshev series ``coef`` of degree ``k' >= 1``, whose eigenvalues are
+    the roots (I. J. Good, Quart. J. Math. 12, 1961): in the basis ``T_0,
+    T_1 / sqrt(2), ...`` the recurrence ``x T_d = (T_(d-1) + T_(d+1)) / 2``
+    is symmetric tridiagonal, and ``p - lam = 0`` closes its last column."""
+    kp = len(coef) - 1
+    scaled = np.full(kp, math.sqrt(0.5))
+    scaled[0] = 1.0
+    mats = np.zeros((len(lam), kp, kp))
+    i = np.arange(kp - 1)
+    mats[:, i, i + 1] = mats[:, i + 1, i] = 0.5
+    if kp > 1:
+        mats[:, 0, 1] = mats[:, 1, 0] = math.sqrt(0.5)
+    low = np.repeat(coef[None, :-1], len(lam), axis=0)
+    low[:, 0] -= lam
+    mats[:, :, -1] -= low * (scaled / scaled[-1]) * ((0.5 if kp > 1 else 1.0) / coef[-1])
+    return mats
+
+
+def _ghost_rows(zeta: np.ndarray, n: int, sign: np.ndarray) -> np.ndarray:
+    """The ``(s, k', k')`` ghost systems: row ``j`` (``1..k'``) holds the
+    ``k'`` terms ``cosh((M + j) zeta_l)`` (``sinh`` where ``sign`` is -1),
+    ``M = (n - 1) / 2``, of the recurrence's extension to index ``n - 1 +
+    j``, each scaled by ``2 exp(-(M + k') zeta_l)``."""
+    kp = zeta.shape[1]
+    j = np.arange(1, kp + 1)
+    far = np.exp(-zeta[:, :, None] * (n - 1 + kp + j)) * sign[:, None, None]
+    return (np.exp(-zeta[:, :, None] * (kp - j)) + far).transpose(0, 2, 1)
+
+
+def _pinned_roots(coef: np.ndarray, lam: np.ndarray, n: int, sign: np.ndarray, scale: float) -> np.ndarray:
+    """Roots ``zeta`` (``(s, k')``) of ``p(x) = lam`` for each ``lam``, with
+    the root that a rounding of ``lam`` moves most pinned by the ghost
+    system itself.
+
+    The root ``x`` with the smallest ``|dlam/dzeta| = |p'(x) sinh(zeta)|``
+    (a real ``x`` near +-1 or near a turning point of ``p``) moves far for
+    an ulp of ``lam``: at the top of the spectrum ``x`` is ``1 - O(1/n^2)``
+    and its phase across ``n`` entries carries ``O(n^2)`` ulps of ``lam``.
+    Where that slope is below ``scale / 16`` (``scale`` bounding ``|lam|``),
+    the root is taken as ``w`` on its real line (``x = cos w``, ``cosh w``
+    or ``-cosh w``) and one secant step on ``w`` zeros the ghost system's
+    determinant, the other roots held (a rounding of ``lam`` moves them
+    little).  A column keeps the pinned root only if ``p`` at it is within
+    ``64 eps scale`` of ``lam`` and the determinant is smaller; every other
+    column keeps the roots of ``lam``.  The roots are the eigenvalues of
+    one batch of colleague matrices (``_colleague``)."""
+    kp = len(coef) - 1
+    x = np.linalg.eigvals(_colleague(coef, lam)).astype(complex)
+    zeta = np.arccosh(x)  # the principal branch: Re zeta >= 0
+    lags = np.arange(1, kp + 1)
+    slope = np.abs(np.sinh(zeta[:, :, None] * lags) @ (lags * coef[1:]))  # |p'(x) sinh(zeta)|
+    slope[x.imag != 0.0] = np.inf
+    pick = np.argmin(slope, axis=1)
+    idx = np.flatnonzero(slope[np.arange(len(lam)), pick] < scale / 16.0)
+    if not idx.size:
+        return zeta
+    z = zeta[idx]
+    col = pick[idx]
+    xp = x[idx, col].real
+    osc = np.abs(xp) <= 1.0
+    turn = np.where(xp < -1.0, math.pi, 0.0)
+
+    def det(w):
+        z[np.arange(len(w)), col] = np.where(osc, 1j * w, w + 1j * turn)
+        return np.linalg.det(_ghost_rows(z, n, sign[idx]))
+
+    w0 = np.where(osc, np.arccos(np.clip(xp, -1.0, 1.0)), np.arccosh(np.maximum(np.abs(xp), 1.0)))
+    w1 = w0 + 1e-7 * np.maximum(w0, 1.0 / n)
+    g0, g1 = det(w0), det(w1)
+    d = g1 - g0
+    w = w1 - (g1 * (w1 - w0) / np.where(d == 0.0, 1.0, d)).real * (d != 0.0)
+    g = det(w)
+    lw = coef[0] + (np.cosh(z[np.arange(len(w)), col][:, None] * lags).real @ coef[1:])
+    ok = (np.abs(lw - lam[idx]) <= 64.0 * np.finfo(float).eps * scale) & (np.abs(g) < np.abs(g0))
+    zeta[idx[ok]] = z[ok]
+    return zeta
+
+
+def _root_values(zeta: np.ndarray, a: np.ndarray, n: int, sign: np.ndarray) -> np.ndarray:
+    """The complex vectors ``sum_l a_l (exp(m zeta_l) + sign exp(-m
+    zeta_l)) / 2``, one per row of ``zeta`` and ``a`` (``(s, k')``), on the
+    centred indices ``m = i - M``, ``M = (n - 1) / 2``, of the top ``n - n
+    // 2`` entries ``i``, each term scaled by ``exp(-(M + k') zeta_l)``: so
+    that with ``Re zeta >= 0`` no exponential exceeds 1, they are read off a
+    table of ``exp(-p zeta)``, ``p = 32 a + b``, built as ``exp(-32 a
+    zeta)`` times ``exp(-b zeta)`` in one batched complex ``matmul``."""
+    kp, rows = zeta.shape[1], n - n // 2
+    blocks = -(-(n + 2 * kp) // _TABLE)
+    coarse = np.exp(-zeta[:, :, None] * (_TABLE * np.arange(blocks))) * a[:, :, None]
+    fine = np.exp(-zeta[:, :, None] * np.arange(_TABLE))
+    W = np.matmul(coarse.transpose(0, 2, 1), fine).reshape(len(zeta), -1)
+    V = W[:, kp:kp + rows]
+    V += W[:, n + kp - rows:n + kp][:, ::-1] * sign[:, None]
+    return V
+
+
+def _real_part(V: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``Re(V conj(top))`` into ``out``, ``top`` each row's largest entry:
+    a vector real up to one phase rotated to real, up to rounding."""
+    top = V[np.arange(len(V)), np.argmax(V.real ** 2 + V.imag ** 2, axis=1)]
+    np.multiply(V.real, top.real[:, None], out=out)
+    out += V.imag * top.imag[:, None]
+    return out
+
+
+def _root_columns(zeta: np.ndarray, a: np.ndarray, n: int, sign: np.ndarray) -> np.ndarray:
+    """Unit vectors, one per row, in ``HalfBasis``'s layout of the
+    J-symmetric half (``n - n // 2`` entries), of ``_root_values`` for the
+    roots ``zeta`` and coefficients ``a``, each J-symmetric (``sign = 1``)
+    or J-skew (``sign = -1``; its middle entry, for odd ``n``, is exactly
+    0): each is rotated to real (``_real_part``), its top ``n // 2``
+    entries scaled by ``sqrt(2)``, and normalised.  The values come a chunk
+    of rows at a time, so that the complex scratch stays below half the
+    float64 vectors it fills, about one half basis (or below ``_SCRATCH``
+    where that is smaller)."""
+    h, kp, s = n // 2, zeta.shape[1], len(zeta)
+    rows = n - h
+    blocks = -(-(n + 2 * kp) // _TABLE)
+    out = np.empty((s, rows))
+    step = max(1, max(4 * rows * s, _SCRATCH) // (16 * (_TABLE * blocks + kp * (blocks + _TABLE))))
+    for lo in range(0, s, step):
+        part = slice(lo, lo + step)
+        _real_part(_root_values(zeta[part], a[part], n, sign[part]), out[part])
+    out[:, :h] *= math.sqrt(2.0)
+    out /= np.linalg.norm(out, axis=1)[:, None]
+    return out
+
+
+def _split_ties(V: np.ndarray, lam: np.ndarray, zeta: np.ndarray, ghost: np.ndarray,
+                n: int, sign: np.ndarray, gap: float) -> None:
+    """Recompute in place the rows of ``V`` (``_root_columns``' vectors for
+    ``lam``, ascending within each ``sign``) whose eigenvalue lies within
+    ``gap`` of the one before it in the same half, each orthogonal to up to
+    ``k' - 1`` of the vectors before it in its run of such ties.
+
+    A vector built from ``lam``'s ghost null vector alone is off by about
+    ``eps ||G|| / g`` within the eigenspace of its neighbours ``g`` away:
+    two computed for equal eigenvalues (a zero inner tap can make a half's
+    eigenvalues repeat, up to ``k'``-fold) come out the same.  So a tie's
+    coefficients ``a`` minimise ``|ghost a|`` over those whose vector is
+    orthogonal to the run's earlier vectors (the null space of their inner
+    products with the ``k'`` scaled modes, one batched SVD, then a second
+    for the ghost system on it), one position of all runs at a time.  The
+    exact eigenvectors meet that constraint, so away from a tie it moves a
+    vector by no more than its overlap."""
+    kp, h = zeta.shape[1], n // 2
+    tie = np.zeros(len(lam), dtype=bool)
+    tie[1:] = (np.diff(lam) <= gap) & (sign[1:] == sign[:-1])
+    if kp < 2 or not tie.any():
+        return
+    start = np.maximum.accumulate(np.where(tie, 0, np.arange(len(lam))))
+    pos = np.arange(len(lam)) - start
+    modes = np.eye(kp, dtype=complex)
+    for p in range(1, int(pos.max()) + 1):
+        idx = np.flatnonzero(pos == p)
+        q = min(p, kp - 1)
+        s = len(idx)
+        E = _root_values(np.repeat(zeta[idx], kp, axis=0), np.tile(modes, (s, 1)), n,
+                         np.repeat(sign[idx], kp)).reshape(s, kp, -1).transpose(0, 2, 1)
+        E[:, :h] *= math.sqrt(2.0)
+        P = V[idx[:, None] - np.arange(1, q + 1)]  # (s, q, rows): the run's last q vectors
+        N = np.linalg.svd(P @ E)[2][:, q:].conj().transpose(0, 2, 1)
+        b = np.linalg.svd(ghost[idx] @ N)[2][:, -1].conj()
+        v = _real_part((E @ (N @ b[:, :, None]))[:, :, 0], np.empty((s, V.shape[1])))
+        V[idx] = v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def _symmetric_orthonormal(Z: np.ndarray) -> np.ndarray:
+    """``Z (I - (Z'Z - I) / 2)``: columns orthonormal to second order in
+    their defect, each moved only towards the columns it overlaps."""
+    D = Z.T @ Z
+    D[np.diag_indices(len(D))] -= 1.0
+    return Z - Z @ (0.5 * D)
+
+
+@dataclass(frozen=True, eq=False)
+class GramVectors:
+    """Eigenvectors of the Gram matrix of the centre taps at order ``n``,
+    computed only for the columns a caller asks for: ``columns(keep)``
+    gives them as the two half arrays ``(Zs, Zk)`` in ``HalfBasis``'s
+    layout, for the boolean mask ``keep`` in ``lam``'s order (the
+    J-symmetric half's eigenvalues first, ``len(lam_sym)`` of them)."""
+
+    t: np.ndarray
+    n: int
+    lam_sym: np.ndarray
+    lam_skew: np.ndarray
+
+    def columns(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each half's columns for its kept eigenvalues, ascending, both
+        halves in one batch.  In the centred index ``m = i - M``, ``M = (n -
+        1) / 2``, the interior rows of ``(G - lam) v = 0`` hold for every
+        ``sum_l a_l cosh(m zeta_l)`` (``sinh`` in the skew half),
+        ``cosh(zeta_l)`` the ``k'`` roots of ``p(x) = lam``
+        (``_pinned_roots``); the truncated rows hold exactly when the
+        extension vanishes at the ``k'`` indices past each end, and ``a`` is
+        the null vector of that ghost system (one batched SVD; W. F.
+        Trench, Linear Algebra Appl. 64, 1985).  Two such columns whose
+        eigenvalues are ``g`` apart overlap by about ``4 eps ||G||_1 / g``
+        (measured), so eigenvalues within ``sqrt(eps) ||G||_1`` of their
+        predecessor in a half are ties (``_split_ties``), and each half's
+        columns are then orthonormalised together
+        (``_symmetric_orthonormal``), their overlaps being below 1e-7.  At
+        ``k' = 0`` the Gram matrix is ``t_0 I`` and the columns are those of
+        ``I``."""
+        r, n, t = len(self.lam_sym), self.n, self.t
+        h = n // 2
+        if len(t) == 1 or not keep.any():
+            return np.eye(r)[:, keep[:r]], np.eye(h)[:, keep[r:]]
+        lam = np.concatenate([self.lam_sym, self.lam_skew])[keep]
+        sym = int(keep[:r].sum())
+        sign = np.where(np.arange(len(lam)) < sym, 1.0, -1.0)
+        coef = np.concatenate([t[:1], 2.0 * t[1:]])  # |f|^2 = t_0 + 2 sum_d t_d T_d(cos omega)
+        scale = float(t[0] + 2.0 * np.abs(t[1:]).sum())
+        zeta = _pinned_roots(coef, lam, n, sign, scale)
+        ghost = _ghost_rows(zeta, n, sign)
+        V = _root_columns(zeta, np.linalg.svd(ghost)[2][:, -1].conj(), n, sign)
+        _split_ties(V, lam, zeta, ghost, n, sign, math.sqrt(np.finfo(float).eps) * scale)
+        return _symmetric_orthonormal(V[:sym].T), _symmetric_orthonormal(V[sym:, :h].T)
+
+
+def _gram_halves(spec: ChannelSpec, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The lag coefficients of the Gram matrix up to its last non-zero lag
+    ``k'`` (a zero first or last tap makes ``k' < k``; ``t_0`` is kept even
+    where it underflows to 0), and the ascending eigenvalues of its two
+    half bands, one ``eigvals_banded`` call each."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    t = _tap_autocorr(spec.c)
+    t = t[: np.flatnonzero(t).max(initial=0) + 1]
+    return t, [eigvals_banded(band, lower=False) for band in _half_bands(t, n)]
+
+
+def gram_eigh(spec: ChannelSpec, n: int) -> tuple[np.ndarray, GramVectors]:
+    """Eigenvalues ``lam`` of the centre Gram matrix ``Hc' Hc``, in the
+    halves' own column order (the J-symmetric half's ascending, then the
+    J-skew half's), and its eigenvectors as a ``GramVectors``, which
+    computes only the columns asked of it.  ``HalfBasis.from_eigh`` signs
+    and holds those a caller keeps.
 
     The Gram matrix is symmetric Toeplitz, hence centrosymmetric, so it
     splits exactly into a J-symmetric and a J-skew half of order about
     ``n / 2`` (Cantoni & Butler, Lin. Alg. Appl. 13, 1976), each banded
     with bandwidth ``k`` and built in band form in O(n k).  One
-    ``eig_banded`` call per half gives the eigenpairs.
+    ``eigvals_banded`` call per half gives the eigenvalues; a kept
+    column's vector comes from the roots of ``|f|^2 = lam`` in O(n k) (see
+    ``GramVectors.columns``), tied eigenvalues of a half get mutually
+    orthogonal vectors, and the kept columns of a half are orthonormalised
+    by one product of their Gram.  No ``n x n`` array is formed.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    (lam_s, Zs), (lam_k, Zk) = (
-        eig_banded(band, lower=False) for band in _half_bands(_tap_autocorr(spec.c), n)
-    )
-    return np.concatenate([lam_s, lam_k]), (Zs, Zk)
+    t, (lam_s, lam_k) = _gram_halves(spec, n)
+    return np.concatenate([lam_s, lam_k]), GramVectors(t=t, n=n, lam_sym=lam_s, lam_skew=lam_k)
 
 
 def gram_eigenvalues(spec: ChannelSpec, n: int) -> np.ndarray:
     """Ascending eigenvalues of the centre Gram matrix: ``gram_eigh``'s, the
-    ones ``build_sigma`` water-fills, sorted."""
-    return np.sort(gram_eigh(spec, n)[0])
+    ones ``build_sigma`` water-fills, sorted, from the same two
+    ``eigvals_banded`` calls and without a vector."""
+    return np.sort(np.concatenate(_gram_halves(spec, n)[1]))

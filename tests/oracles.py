@@ -6,7 +6,8 @@ eigenvalue solve, the spectrum extrema come from high-precision Newton
 steps, not from polynomial roots or an FFT, the grid's water and rate
 integral are summed node by node (the rate in 30 digits), not from prefix
 tables, a channel use is summed exactly, entry by entry of the dense
-matrix, the centre Gram matrix is filled lag by lag from the taps, and the
+matrix, the centre Gram matrix is filled lag by lag from the taps and its
+eigenvalues come from LAPACK's band eigensolver on the whole band, and the
 ``verify`` checks are evaluated in their dense textbook form (whole block
 matrices, ``np.diag`` covariances, full eigenvalue lists), the shell
 volume is a difference of two ball volumes in 30 digits, not of logs, and
@@ -122,6 +123,18 @@ def dense_gram(c, n: int) -> np.ndarray:
     lags = [math.fsum(c[l] * c[l + d] for l in range(len(c) - d)) for d in range(len(c))]
     lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     return np.array(lags + [0.0])[np.minimum(lag, len(c))]
+
+
+def gram_eigenvalue_oracle(c, n: int) -> np.ndarray:
+    """Ascending eigenvalues of ``dense_gram(c, n)``, from LAPACK's band
+    eigensolver (``scipy.linalg.eig_banded``) on the whole band of the Gram
+    matrix: no J-split into halves, no roots."""
+    G = dense_gram(c, n)
+    u = min(len(c) - 1, n - 1)
+    band = np.zeros((u + 1, n))
+    for d in range(u + 1):
+        band[u - d, d:] = np.diagonal(G, d)
+    return scipy.linalg.eig_banded(band, lower=False, eigvals_only=True)
 
 
 def _two_product(a: float, b: float) -> tuple[float, float]:

@@ -427,6 +427,21 @@ def test_simulate_explicit_rate(tmp_path):
     assert float(rows[0][header.index("R_bits")]) == 0.125
 
 
+def test_simulate_channel_with_repeated_gram_eigenvalues(tmp_path):
+    """Taps at lags 0 and 3 only give the Gram matrix eigenvalues that
+    repeat within one half at n = 6 and 255; simulate builds its basis
+    there and runs every trial."""
+    cfg = _write_config(tmp_path, {
+        "channel": {"k": 3, "c": [1.0, 0.0, 0.0, 0.5], "r": [1e-3] * 4},
+        "simulate": {"n_list": [6, 255], "trials": 8, "rate_bits": 0.03},
+    })
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    _, header, rows = _read_csv(out)
+    assert [int(r[header.index("n")]) for r in rows] == [6, 255]
+    assert all(int(r[header.index("trials")]) == 8 for r in rows)
+
+
 def test_verify_json(tmp_path):
     cfg = _write_config(tmp_path, {"verify": {"samples": 5, "n_max": 16}})
     out = tmp_path / "verify.json"
@@ -516,6 +531,23 @@ def test_simulate_refuses_before_setup(tmp_path, monkeypatch, capsys, argv, payl
     assert main(argv) == EXIT_CONFIG
     assert not out.exists()
     assert says in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_config(tmp_path, monkeypatch, capsys, threads):
+    """``--threads`` sets the worker threads, so 0 and a negative count
+    are refused with exit 2 and one ``isicap:`` line naming the value,
+    before any set-up runs and before the output file is written."""
+    def setup_ran(*args, **kwargs):
+        raise AssertionError("set-up ran before the refusal")
+
+    monkeypatch.setattr(cli, "bound_report", setup_ran)
+    monkeypatch.setattr(cli, "run_error_experiment", setup_ran)
+    out = tmp_path / "x.csv"
+    assert main(["--threads", threads, "simulate", "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("isicap: ") and f"got {threads}" in err[0]
 
 
 @pytest.mark.parametrize(

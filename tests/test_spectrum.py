@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from isicap import (
@@ -17,6 +18,7 @@ from isicap import (
     gram_eigh,
 )
 from isicap import spectrum
+from isicap.channel_sim import build_sigma
 from isicap.errors import SpectrumSingular
 from isicap.spectrum import (
     DEFAULT_GRID,
@@ -26,12 +28,14 @@ from isicap.spectrum import (
     SIGN_TIE_REL,
     HalfBasis,
     _f_sq,
+    _half_bands,
+    _tap_autocorr,
     f_sq_table,
     simpson_weights,
 )
 
 from bases import assemble, eigenbasis, random_halves, standard_halves
-from oracles import dense_gram, f_sq_direct, spectrum_extrema_oracle
+from oracles import dense_gram, f_sq_direct, gram_eigenvalue_oracle, spectrum_extrema_oracle
 from reference_values import ALPHA_EXAMPLE, BETA_EXAMPLE, J_EXAMPLE
 
 PROFILE_ABS_TOL = 1e-10
@@ -410,6 +414,95 @@ def test_gram_eigenvalues_agree_with_gram_eigh(n):
         lam = gram_eigenvalues(spec, n)
         assert np.all(np.diff(lam) >= 0.0)
         assert np.array_equal(lam, np.sort(gram_eigh(spec, n)[0]))
+
+
+def _root_channels():
+    """Random channels of memory 0 to 4, then ones with a zero first tap,
+    a zero last tap, and both (one non-zero tap: a Gram matrix ``t_0 I``)."""
+    rng = np.random.default_rng(37)
+    taps = [tuple(rng.uniform(-1.0, 1.0, k + 1)) for k in range(5)]
+    taps += [(0.0,) + taps[2][1:], taps[3][:-1] + (0.0,), (0.0, 0.7, 0.0)]
+    return [ChannelSpec(k=len(c) - 1, c=c, r=(1e-3,) * len(c)) for c in taps]
+
+
+ROOT_CHANNELS = _root_channels()
+ROOT_ORTH_TOL = 1e-8
+
+
+def root_basis_gate(spec, n, p_dbws=(-30.0, -10.0, 10.0)):
+    """The covariance bases ``build_sigma`` keeps at each power in
+    ``p_dbws`` against the dense Gram ``G`` and the ``eig_banded`` oracle
+    on its whole band:
+
+    - the eigenvalues are ``eigvals_banded``'s on the two half bands (up
+      to the last non-zero lag), bit for bit, and within ``4 n eps
+      ||G||_1`` of the oracle's;
+    - each kept column ``u`` of the assembled ``U``, with its gain ``g``
+      from ``gram_fit``, has ``||G u - g u||`` within ``gram_fit``'s bound
+      and no entry of ``G u - g u`` past ``4 n eps ||G||_1``;
+    - no entry of ``U'U - I`` exceeds 1e-8;
+    - the sorted gains are the oracle's largest eigenvalues, one per
+      kept column, to ``4 n eps ||G||_1``.
+
+    Returns the number of kept columns at each power."""
+    eps = np.finfo(float).eps
+    G = dense_gram(spec.c, n)
+    tol = GRAM_EIGH_ULPS * n * eps * np.abs(G).sum(axis=0).max()
+    t = np.trim_zeros(_tap_autocorr(spec.c), "b")
+    halves = [scipy.linalg.eigvals_banded(band, lower=False) for band in _half_bands(t, n)]
+    lam = gram_eigenvalues(spec, n)
+    assert np.array_equal(lam, np.sort(np.concatenate(halves)))
+    lam_o = gram_eigenvalue_oracle(spec.c, n)
+    assert np.abs(lam - lam_o).max() <= tol
+    kept = []
+    for p_dbw in p_dbws:
+        cov = build_sigma(spec, n, 10.0 ** (p_dbw / 10.0))
+        U = assemble(cov.halves)
+        gain, bound = cov.halves.gram_fit(spec.c)
+        R = G @ U - U * gain
+        assert np.all(np.linalg.norm(R, axis=0) <= bound), p_dbw
+        assert np.abs(R).max(initial=0.0) <= tol, p_dbw
+        assert np.abs(U.T @ U - np.eye(U.shape[1])).max(initial=0.0) <= ROOT_ORTH_TOL, p_dbw
+        s = U.shape[1]
+        assert np.abs(np.sort(gain) - lam_o[n - s:]).max(initial=0.0) <= tol, p_dbw
+        kept.append(s)
+    return kept
+
+
+def eig_banded_halves(spec, n):
+    """Every eigenpair of the two half bands, one ``eig_banded`` call each:
+    the full eigenbasis the root route replaced, which the CI step at
+    n = 2048 and 4096 times beside ``build_sigma``."""
+    return [scipy.linalg.eig_banded(band, lower=False) for band in _half_bands(_tap_autocorr(spec.c), n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 1024])
+@pytest.mark.parametrize("spec", ROOT_CHANNELS, ids=lambda spec: "c=" + ",".join(f"{v:.2f}" for v in spec.c))
+def test_root_basis_matches_band_oracle(spec, n):
+    """``root_basis_gate`` at -30, -10 and 10 dBW (from most columns on the
+    floor to none), on random channels of memory 0 to 4 and ones with a
+    zero end tap, at orders with an empty, a one-row and a large half."""
+    root_basis_gate(spec, n)
+
+
+@pytest.mark.parametrize("n", [6, 255, 1023])
+@pytest.mark.parametrize(
+    "c",
+    [(1.0, 0.0, 0.0, 0.5), (1.0, 1e-13, 0.0, 0.5), (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.3)],
+    ids=["g3", "g3-split", "g6"],
+)
+def test_root_basis_splits_repeated_eigenvalues(c, n):
+    """Taps non-zero only at lags divisible by ``g >= 3`` make the Gram
+    matrix ``g`` interleaved copies of one Toeplitz chain; where the
+    reversal ``J`` swaps copies of equal length (n = 6, 255 and 1023 for
+    ``g = 3``), a half's eigenvalues repeat, up to threefold for ``g =
+    6``, and a tiny inner tap splits them by about 1e-13.  Such ties pass
+    ``root_basis_gate`` like any other spectrum."""
+    spec = ChannelSpec(k=len(c) - 1, c=c, r=(1e-3,) * len(c))
+    vectors = gram_eigh(spec, n)[1]
+    scale = np.abs(dense_gram(c, n)).sum(axis=0).max()
+    assert any((np.diff(lam) <= 1e-12 * scale).any() for lam in (vectors.lam_sym, vectors.lam_skew))
+    root_basis_gate(spec, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 65])
