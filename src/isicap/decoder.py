@@ -42,6 +42,8 @@ from __future__ import annotations
 
 import math
 import os
+import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,6 +57,7 @@ from .spectrum import (
     FOLD_ULPS,
     BandedChannelMatrix,
     ChannelSpec,
+    _as_int,
     build_Hc,
     compute_profile,
 )
@@ -101,6 +104,12 @@ _U32 = 2.0 ** -24
 # reaches this: far below float32's overflow at 2**128, so no value under
 # it overflows.
 _F32_RANGE = 2.0 ** 100
+# Bytes of arrays that ``_setup``'s cache may hold across calls.
+_SETUP_BYTES = 64 << 20
+# ``(spec, n, P, grid_size)`` -> ``((cov, report, joint), bytes)``, least
+# recently used first.
+_setups: OrderedDict = OrderedDict()
+_setups_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -511,6 +520,44 @@ class ExperimentResult:
         return self.errors / self.trials
 
 
+def _setup(
+    spec: ChannelSpec, n: int, P: float, grid_size: int
+) -> tuple[CovarianceSpec, ThresholdReport, JointCovariance]:
+    """The part of an experiment that does not depend on its seed: the
+    input covariance, the threshold report and the joint covariance,
+    built once per ``(spec, n, P, grid_size)`` and kept while the arrays
+    of the kept entries (half bases, ``d``, ``gain`` and ``hc``) total at
+    most ``_SETUP_BYTES``, the least recently used evicted first.  An
+    entry over that on its own is returned but not kept; a call that
+    raises keeps nothing.  Every kept array is read-only and every record
+    frozen, so callers on any thread share the same objects."""
+    key = (spec, n, P, grid_size)
+    with _setups_lock:
+        if key in _setups:
+            _setups.move_to_end(key)
+            return _setups[key][0]
+    profile = compute_profile(spec, grid_size)
+    cov = build_sigma(spec, n, P)
+    report = thresholds(spec, profile, cov, P)
+    joint = build_joint(cov, build_Hc(spec, n))
+    size = sum(a.nbytes for a in (cov.halves.sym, cov.halves.skew, cov.d, joint.gain, joint.hc))
+    entry = (cov, report, joint)
+    if size > _SETUP_BYTES:
+        return entry
+    with _setups_lock:
+        if key in _setups:  # another thread built it first: share that one
+            return _setups[key][0]
+        _setups[key] = (entry, size)
+        held = sum(b for _, b in _setups.values())
+        while held > _SETUP_BYTES:
+            held -= _setups.popitem(last=False)[1][1]
+    return entry
+
+
+# Emptied as the package's lru_caches are, by their ``cache_clear``.
+_setup.cache_clear = _setups.clear
+
+
 def run_error_experiment(
     spec: ChannelSpec,
     n: int,
@@ -532,23 +579,31 @@ def run_error_experiment(
     ``sent_words``), before the trials run; each thread then draws and
     scores its trials in blocks of ``trial_block(size)`` with exact
     decisions, so the counts are independent of ``threads`` and of the
-    block size.  ``threads`` splits the trials into spans of whole cells;
-    at most ``os.cpu_count()`` threads run them.  A codebook too large to
-    decode exhaustively, the held words and picks included, is refused
-    before any set-up.
+    block size.  ``P`` is read as a float.  ``threads``, a positive
+    integer, splits the trials into spans of whole cells; at most
+    ``os.cpu_count()`` threads run them.  A codebook too large to decode
+    exhaustively, the held words and picks included, is refused before any
+    set-up.
+
+    The set-up that does not depend on the seed (the input covariance, the
+    threshold report and the joint covariance) is kept in-process per
+    ``(spec, n, P, grid_size)``, up to ``_SETUP_BYTES`` of arrays, least
+    recently used evicted first (``_setup``), so later calls on the same
+    configuration reuse it.  The results do not depend on what is kept.
     """
     if trials <= 0:
         raise ValueError("need trials > 0")
     if master_seed < 0:
         raise ValueError(f"need master_seed >= 0, got {master_seed}")
+    threads = _as_int(threads, "threads")
+    if threads < 1:
+        raise ValueError(f"threads must be a positive integer, got {threads}")
+    P = float(P)  # so a power keys one kept set-up, built in float64, whatever its type
     check_law(spec, law)
     codebook_size(n, R, trials, spec.k)
-    profile = compute_profile(spec, grid_size)
-    cov = build_sigma(spec, n, P)
-    report = thresholds(spec, profile, cov, P)
+    cov, report, joint = _setup(spec, n, P, grid_size)
     if params is None:
         params = default_params(report)
-    joint = build_joint(cov, build_Hc(spec, n))
     book = gen_codebook(cov, R, master_seed)
     ctx = prepare_context(book, joint)
     block = trial_block(book.size)
@@ -576,7 +631,7 @@ def run_error_experiment(
     # one continues the last, as _Cells.fill needs, and the blocks and the
     # chunks the sent words are built in (before any span) are the same for
     # any thread count.  The pool runs both on at most one worker per core.
-    step = math.ceil(math.ceil(trials / _TRIAL_CELL) / max(threads, 1)) * _TRIAL_CELL
+    step = math.ceil(math.ceil(trials / _TRIAL_CELL) / threads) * _TRIAL_CELL
     spans = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
     workers = min(len(spans), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+from collections import OrderedDict
 from fractions import Fraction
 
 import mpmath
@@ -38,7 +39,7 @@ from isicap.channel_sim import (
 )
 from isicap import channel_sim, decoder as decoder_mod
 from isicap.channel_sim import FLOOR_REPROJECT, _band_apply
-from isicap.spectrum import FOLD_ULPS, HalfBasis, _half_bands, _sym_band_apply, _tap_autocorr, gram_eigh
+from isicap.spectrum import DEFAULT_GRID, FOLD_ULPS, HalfBasis, _half_bands, _sym_band_apply, _tap_autocorr, gram_eigh
 from isicap.decoder import DecodeContext, _guard_band, _pass_mask, prepare_context
 from isicap.errors import CodebookTooLarge, DimensionMismatch
 from isicap.waterfill import POWER_FLOOR, dbw_to_watts, waterfill_powers
@@ -1026,6 +1027,121 @@ def test_experiment_seed_determinism(example_spec):
     # three buckets would be a (tiny-probability) coincidence we tolerate,
     # but the decoded outcomes should not be bitwise-forced to agree
     assert a.trials == c.trials == 24
+
+
+@pytest.mark.parametrize("threads", [0, -1, 2.5, True])
+def test_experiment_refuses_threads_not_a_positive_integer_before_setup(example_spec, monkeypatch, threads):
+    """A ``threads`` that is not an integer >= 1 (a bool included) is
+    refused, named, before any set-up, where it once ran on one thread."""
+    def setup_ran(*args, **kwargs):
+        raise AssertionError("set-up ran before the refusal")
+
+    monkeypatch.setattr(decoder_mod, "compute_profile", setup_ran)
+    with pytest.raises(ValueError, match=f"threads must be .*integer, got {threads!r}"):
+        run_error_experiment(example_spec, n=64, R=3 / 64, P=0.1, trials=64, master_seed=1, threads=threads)
+
+
+def _counts(res) -> tuple:
+    return res.type1, res.type2, res.success, res.wilson_lo, res.wilson_hi
+
+
+def _held_bytes() -> int:
+    return sum(size for _, size in decoder_mod._setups.values())
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        ChannelLaw(kind="iid_uniform"),
+        ChannelLaw(kind="block_hold", block_len=3),
+        ChannelLaw(kind="constant", offset=(1.0, -1.0, 0.5)),
+    ],
+    ids=lambda law: law.kind,
+)
+def test_kept_setup_gives_the_cold_counts(example_spec, monkeypatch, law):
+    """Counts at seeds 1-3 after a warm-up at seed 9, which keeps the
+    set-up of the default channel at n = 64, equal those with the kept
+    set-up dropped before each call; the warm calls build no covariance."""
+    monkeypatch.setattr(decoder_mod, "_setups", OrderedDict())
+    kwargs = dict(n=64, R=3 / 64, P=dbw_to_watts(-10.0), trials=200, law=law)
+    run_error_experiment(example_spec, master_seed=9, **kwargs)
+    assert len(decoder_mod._setups) == 1
+    built = []
+    monkeypatch.setattr(decoder_mod, "build_sigma", lambda *a: built.append(a) or build_sigma(*a))
+    warm = [_counts(run_error_experiment(example_spec, master_seed=s, **kwargs)) for s in (1, 2, 3)]
+    assert built == []
+    cold = []
+    for s in (1, 2, 3):
+        decoder_mod._setups.clear()
+        cold.append(_counts(run_error_experiment(example_spec, master_seed=s, **kwargs)))
+    assert len(built) == 3
+    assert warm == cold
+
+
+def test_kept_setup_is_shared_read_only_and_untouched_by_a_refusal(example_spec, monkeypatch):
+    """A second call on one configuration decodes with the very same
+    covariance and joint covariance objects, whose arrays refuse writes (a
+    0-d array power is read as the same float), and a call at another
+    power with its own; a call that raises in the set-up keeps nothing."""
+    monkeypatch.setattr(decoder_mod, "_setups", OrderedDict())
+    seen = []
+
+    def recording(book, joint):
+        seen.append((book.cov, joint))
+        return prepare_context(book, joint)
+
+    monkeypatch.setattr(decoder_mod, "prepare_context", recording)
+    kwargs = dict(n=64, R=3 / 64, P=dbw_to_watts(-10.0), trials=64)
+    run_error_experiment(example_spec, master_seed=1, **kwargs)
+    run_error_experiment(example_spec, master_seed=2, **kwargs)
+    run_error_experiment(example_spec, master_seed=1, **{**kwargs, "P": dbw_to_watts(0.0)})
+    run_error_experiment(example_spec, master_seed=3, **{**kwargs, "P": np.array(kwargs["P"])})
+    (cov, joint), (cov2, joint2), (cov3, _), (cov4, _) = seen
+    assert cov2 is cov and joint2 is joint and joint.cov is cov
+    assert cov3 is not cov and cov4 is cov and len(decoder_mod._setups) == 2
+    for a in (cov.d, cov.halves.sym, cov.halves.skew, joint.gain, joint.hc):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+    kept = [(key, entry) for key, (entry, _) in decoder_mod._setups.items()]
+    with pytest.raises(ValueError, match="need P > 0"):
+        run_error_experiment(example_spec, **{**kwargs, "P": -1.0})
+    assert [(key, entry) for key, (entry, _) in decoder_mod._setups.items()] == kept
+
+
+def test_kept_setup_stays_within_its_byte_bound(example_spec, monkeypatch):
+    """With the bound set to hold the n = 16 and n = 48 set-ups but not
+    those and n = 32's, the held bytes (the half bases, ``d``, ``gain``
+    and ``hc`` of each entry) never pass it; after 16, 32, 16, 48 the least
+    recently used entry, n = 32's, is the one evicted; the n = 256 set-up,
+    over the bound alone, is not kept; and every count equals a cold one."""
+    P = dbw_to_watts(-10.0)
+    monkeypatch.setattr(decoder_mod, "_setups", OrderedDict())
+    size = {}
+    for n in (16, 32, 48, 256):
+        cov, _, joint = decoder_mod._setup(example_spec, n, P, DEFAULT_GRID)
+        size[n] = sum(a.nbytes for a in (cov.halves.sym, cov.halves.skew, cov.d, joint.gain, joint.hc))
+        assert _held_bytes() == sum(size.values())
+    bound = size[16] + size[48]
+    assert size[16] + size[32] <= bound < size[16] + size[32] + size[48] and size[256] > bound
+    monkeypatch.setattr(decoder_mod, "_SETUP_BYTES", bound)
+
+    def run(n, seed):
+        return _counts(run_error_experiment(example_spec, n=n, R=3 / n, P=P, trials=64, master_seed=seed))
+
+    sequence = [16, 32, 16, 48, 256]
+    decoder_mod._setups.clear()
+    warm = []
+    for seed, n in enumerate(sequence):
+        warm.append(run(n, seed))
+        assert _held_bytes() <= bound
+        if n == 48:
+            assert [key[1] for key in decoder_mod._setups] == [16, 48]
+    assert [key[1] for key in decoder_mod._setups] == [16, 48]
+    cold = []
+    for seed, n in enumerate(sequence):
+        decoder_mod._setups.clear()
+        cold.append(run(n, seed))
+    assert warm == cold
 
 
 def test_experiment_constant_law_matches_centre(example_spec):
