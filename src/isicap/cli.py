@@ -123,6 +123,15 @@ def _object(value, field: str) -> dict:
     return value
 
 
+def _known(obj: dict, known, prefix: str) -> None:
+    """Refuse, naming it as ``prefix + key``, the first key of ``obj`` not
+    among the keys ``known``: a misspelt key would otherwise leave its
+    default in force without a word."""
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"unknown config key {prefix}{key}; known: {', '.join(known)}")
+
+
 def _grid_from(value, field: str) -> list[float]:
     if isinstance(value, str):
         return parse_grid(value)
@@ -130,6 +139,7 @@ def _grid_from(value, field: str) -> list[float]:
 
 
 def _law_from(obj: dict, spec: ChannelSpec) -> ChannelLaw:
+    _known(obj, ("kind", "offset", "block_len"), "simulate.law.")
     offset = obj.get("offset")
     try:
         law = ChannelLaw(
@@ -157,14 +167,17 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
+        _known(user, _DEFAULTS, "")
         for key, value in user.items():
             if isinstance(value, dict) and isinstance(merged.get(key), dict):
                 merged[key].update(value)
             else:
                 merged[key] = value
-    channel = _object(merged["channel"], "channel")
-    # the command's own section is checked; the others are ignored, as unknown keys are
-    _object(merged[args.command], args.command)
+    # The channel and the command's own section are checked, keys and all;
+    # the other commands' sections are not read by this one.
+    channel, section = (_object(merged[name], name) for name in ("channel", args.command))
+    _known(channel, _DEFAULTS["channel"], "channel.")
+    _known(section, _DEFAULTS[args.command], f"{args.command}.")
     k = _number(channel["k"], "channel.k", integer=True)
     c, r = (_numbers(channel[key], f"channel.{key}") for key in ("c", "r"))
     try:

@@ -13,7 +13,14 @@ from one Cholesky factor of ``Omega_c`` (``_pencil``).
 A drawn covariance ``Sigma = Q diag(d) Q'`` enters only as ``W = X Q
 diag(sqrt(d))``, which is ``X Sigma^(1/2)`` turned by the orthogonal ``Q``:
 ``X Sigma X' = W W'``, and no norm, trace, eigenvalue or determinant a check
-reads changes, so nothing forms ``Sigma``, its root or ``diag(d)``.  One
+reads changes, so nothing forms ``Sigma``, its root or ``diag(d)``.  Half
+the draws take ``Q = I``; there ``W = H diag(sqrt(d))`` is banded like
+``H``, so the channel instance keeps ``H``, ``Hc``, ``W`` and ``Wc`` as band
+channel matrices: the Weyl check takes its spectra from band Gram matrices
+(``eigvals_banded``), the stacked trace reads its norms off one band Gram,
+and the pencil is solved from band forms of ``Omega_c`` and ``Omega_h``
+(``_band_pencil``).  A drawn basis fills ``W``, so those draws stay dense.
+Each check picks its route from the instance's type, band or array.  One
 runner loops over the samples and records the worst margin.  Every
 inequality ``lhs <= rhs`` is decided by one slack rule, ``holds``: it passes
 when ``lhs <= rhs + 1e-9 |rhs| + 1e-12``, for a right-hand side of either
@@ -34,7 +41,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cholesky, eigvals_banded, eigvalsh, solve_triangular
+from scipy.linalg import cholesky, cholesky_banded, eigvals_banded, eigvalsh, solve_triangular
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import SpectrumSingular
 from .spectrum import (
@@ -65,9 +73,10 @@ SLACK_REL = 1e-9
 SLACK_ABS = 1e-12
 VERIFY_STREAM_BASE = 16
 K_MAX = 4  # largest channel memory the suites draw
-# Most arrays of order n_max + K_MAX one sample holds at once (a channel
-# instance while its pencil is solved: H, Hc, Q, W, Wc, Omega_c, Omega_h,
-# the Cholesky factor and the two triangular solves' outputs).
+# Most arrays of order n_max + K_MAX one sample holds at once: a dense
+# channel instance (a drawn basis) while its pencil is solved: H, Hc, Q, W,
+# Wc, Omega_c, Omega_h, the Cholesky factor and the two triangular solves'
+# outputs.  A band instance holds two such arrays, psi and its solves'.
 _DENSE_ARRAYS = 10
 # Doubles per row of that order in the eigensolvers' LAPACK workspace
 # (dsyevr: 26 doubles and 10 ints a row).
@@ -95,6 +104,24 @@ def _pencil(omega_c: np.ndarray, omega_h: np.ndarray) -> np.ndarray:
     factorization, two triangular solves and one symmetric eigensolve."""
     L = cholesky(omega_c, lower=True)
     psi = solve_triangular(L, solve_triangular(L, omega_h, lower=True).T, lower=True)
+    return eigvalsh(psi, overwrite_a=True)
+
+
+def _band_pencil(omega_c: np.ndarray, omega_h: np.ndarray) -> np.ndarray:
+    """``_pencil`` from lower band forms of ``Omega_c`` and ``Omega_h``
+    (row ``e`` holds diagonal ``e``): ``L`` by ``cholesky_banded``, ``psi``
+    by two band triangular solves against ``Omega_h`` made dense, and one
+    symmetric eigensolve."""
+    L = cholesky_banded(omega_c, lower=True)
+    m = omega_h.shape[1]
+    psi = np.zeros((m, m))
+    for e, diag in enumerate(omega_h):
+        i = np.arange(m - e)
+        psi[i + e, i] = psi[i, i + e] = diag[: m - e]
+    for _ in range(2):
+        psi, info = dtbtrs(L, psi.T, uplo="L")
+        if info != 0:
+            raise np.linalg.LinAlgError(f"band triangular solve failed: dtbtrs info = {info}")
     return eigvalsh(psi, overwrite_a=True)
 
 
@@ -225,8 +252,16 @@ class _Cov:
         self.sqrt_d = np.sqrt(d)
         self.trace, self.lam_min, self.lam_max = float(d.sum()), float(d.min()), float(d.max())
 
-    def whiten(self, X: np.ndarray) -> np.ndarray:
-        """``X Q diag(sqrt(d))``: one GEMM, none in the standard basis."""
+    def whiten(self, X):
+        """``X Q diag(sqrt(d))``: one GEMM, none in the standard basis, where
+        a band ``X`` (given only when ``Q`` is ``None``) stays band, tap ``e``
+        of output ``j + e`` scaled by ``sqrt(d[j])`` (the corner taps outside
+        the matrix left as they are)."""
+        if isinstance(X, BandedChannelMatrix):
+            taps = X.taps.copy()
+            for e in range(X.k + 1):
+                taps[e : e + X.n, e] *= self.sqrt_d
+            return BandedChannelMatrix(n=X.n, k=X.k, taps=taps)
         return (X if self.Q is None else X @ self.Q) * self.sqrt_d
 
 
@@ -272,25 +307,47 @@ def _op_norm(M: np.ndarray) -> float:
     return math.sqrt(max(float(eigvalsh(G, subset_by_index=[last, last])[0]), 0.0))
 
 
-def _band_op_norm(M: BandedChannelMatrix) -> float:
-    """Operator norm of a band channel matrix: the square root of the top
-    eigenvalue of ``M'M``, held in lower band form of bandwidth
-    ``min(k, n - 1)`` (row ``d`` holds diagonal ``d``,
+def _band_gram(M: BandedChannelMatrix) -> np.ndarray:
+    """``M'M`` of a band channel matrix in lower band form of bandwidth
+    ``min(k, n - 1)``: row ``d`` holds diagonal ``d``,
     ``(M'M)[j + d, j] = sum_e taps[j+d+e, d+e] taps[j+d+e, e]`` over the
-    ``k - d + 1`` outputs that see both columns); no dense matrix."""
+    ``k - d + 1`` outputs that see both columns; no dense matrix."""
     n, k, t = M.n, M.k, M.taps
     band = np.zeros((min(k, n - 1) + 1, n))
     for d in range(len(band)):
         for e in range(k - d + 1):
             band[d, : n - d] += t[d + e : n + e, d + e] * t[d + e : n + e, e]
-    top = eigvals_banded(band, lower=True, select="i", select_range=(n - 1, n - 1))
+    return band
+
+
+def _band_op_norm(M: BandedChannelMatrix) -> float:
+    """Operator norm of a band channel matrix: the square root of the top
+    eigenvalue of its band Gram matrix ``M'M``."""
+    top = eigvals_banded(_band_gram(M), lower=True, select="i", select_range=(M.n - 1, M.n - 1))
     return math.sqrt(max(float(top[0]), 0.0))
 
 
-def _omegas(Wc: np.ndarray, W: np.ndarray):
+def _band_omega(V: BandedChannelMatrix) -> np.ndarray:
+    """``I + V V'`` of a band channel matrix in lower band form of
+    bandwidth ``k``: row ``e`` holds diagonal ``e``, ``(V V')[i + e, i] =
+    sum_f taps[i + e, f + e] taps[i, f]`` over the taps ``f <= k - e`` of
+    output ``i`` whose column ``i - f`` lies in ``[0, n)``."""
+    n, k, t = V.n, V.k, V.taps
+    band = np.zeros((k + 1, V.m))
+    band[0] = 1.0
+    for e in range(k + 1):
+        for f in range(k - e + 1):
+            band[e, f : f + n] += t[f + e : f + e + n, f + e] * t[f : f + n, f]
+    return band
+
+
+def _omegas(Wc, W):
     """Output covariances ``I + Hc Sigma Hc'`` and ``I + H Sigma H'`` from
-    the whitened ``Wc = whiten(Hc)`` and ``W = whiten(H)``, the identity
-    added on the diagonal in place."""
+    the whitened ``Wc = whiten(Hc)`` and ``W = whiten(H)``: dense, the
+    identity added on the diagonal in place, or in lower band form
+    (``_band_omega``) for band ones."""
+    if isinstance(W, BandedChannelMatrix):
+        return _band_omega(Wc), _band_omega(W)
     out = []
     for V in (Wc, W):
         omega = V @ V.T
@@ -324,15 +381,19 @@ def _channel_instance(rng, i, n_max):
     eigenvalues of the ``(Omega_h, Omega_c)`` pencil, ``W = whiten(H)``,
     ``Wc = whiten(Hc)``), radii scaled so phi1 < 1; ``eta'`` is drawn last,
     from [0, 1), where the shell exists.  Each whitening is one GEMM in a
-    rotated basis, formed once for the pencil and the Weyl check."""
+    rotated basis, formed once for the pencil and the Weyl check.  In the
+    standard basis the four matrices stay band channel matrices and the
+    pencil is solved from band forms (``_band_pencil``)."""
     spec, profile, n = _random_channel(rng, n_max)
     cov = _random_cov(rng, n)
     spec = _rescale_radii_for_phi1(spec, profile, cov, target=float(rng.uniform(0.05, 0.9)))
-    Hc = build_Hc(spec, n).dense()
-    H = _sample_banded(rng, spec, n).dense()
+    Hc, H = build_Hc(spec, n), _sample_banded(rng, spec, n)
+    pencil = _band_pencil
+    if cov.Q is not None:
+        Hc, H, pencil = Hc.dense(), H.dense(), _pencil
     rep = thresholds(spec, profile, cov, cov.trace / n)
     W, Wc = cov.whiten(H), cov.whiten(Hc)
-    return H, Hc, cov, rep, float(rng.uniform(0.0, 1.0)), _pencil(*_omegas(Wc, W)), W, Wc
+    return H, Hc, cov, rep, float(rng.uniform(0.0, 1.0)), pencil(*_omegas(Wc, W)), W, Wc
 
 
 _ETAS = (0.1, 0.5, 0.9, 1.0, 1.5, 3.0)
@@ -366,12 +427,23 @@ def _op_cap(inst):
 def _stacked_trace(inst):
     """``2 ||Phi||_F^2 <= C_n`` for ``Phi = [[I + S'S, S'], [S, I]]`` with
     ``S = whiten(H - Hc)``, summed block by block:
-    ``||Phi||_F^2 = ||I + S'S||_F^2 + 2 ||S||_F^2 + m``."""
+    ``||Phi||_F^2 = ||I + S'S||_F^2 + 2 ||S||_F^2 + m``.  For band
+    matrices both norms are read off the band Gram ``S'S``, whose trace is
+    ``||S||_F^2`` and whose off-diagonals count twice."""
     H, Hc, cov, rep = inst[:4]
-    ES = cov.whiten(H - Hc)
-    G = ES.T @ ES
-    G[np.diag_indices_from(G)] += 1.0
-    lhs = 2.0 * (float(np.linalg.norm(G)) ** 2 + 2.0 * float(np.linalg.norm(ES)) ** 2 + ES.shape[0])
+    if isinstance(H, BandedChannelMatrix):
+        ES = cov.whiten(BandedChannelMatrix(n=H.n, k=H.k, taps=H.taps - Hc.taps))
+        G = _band_gram(ES)
+        s_sq = float(G[0].sum())
+        G[0] += 1.0
+        g_sq = float((G[0] * G[0]).sum() + 2.0 * (G[1:] * G[1:]).sum())
+        m = ES.m
+    else:
+        ES = cov.whiten(H - Hc)
+        G = ES.T @ ES
+        G[np.diag_indices_from(G)] += 1.0
+        g_sq, s_sq, m = float(np.linalg.norm(G)) ** 2, float(np.linalg.norm(ES)) ** 2, ES.shape[0]
+    lhs = 2.0 * (g_sq + 2.0 * s_sq + m)
     return rep.C_n - lhs, holds(lhs, rep.C_n)
 
 
@@ -400,12 +472,18 @@ def _eig_stability(inst):
     """Weyl: the largest eigenvalue shift of the whitened Gram pair
     ``A = W'W``, ``B = Wc'Wc`` with ``W = whiten(H)``, ``Wc = whiten(Hc)``
     (so ``A`` is similar to ``Sigma^(1/2) H'H Sigma^(1/2)``) is at most the
-    operator norm of the symmetric perturbation ``A - B``."""
+    operator norm of the symmetric perturbation ``A - B``.  Band
+    matrices' Grams are taken in lower band form, their spectra by
+    ``eigvals_banded``."""
     W, Wc = inst[6:]
-    A = W.T @ W
-    B = Wc.T @ Wc
-    gap = float(np.abs(eigvalsh(A) - eigvalsh(B)).max())
-    op = float(np.abs(eigvalsh(A - B)).max())
+    if isinstance(W, BandedChannelMatrix):
+        A, B = _band_gram(W), _band_gram(Wc)
+        spectrum = lambda G: eigvals_banded(G, lower=True)
+    else:
+        A, B = W.T @ W, Wc.T @ Wc
+        spectrum = eigvalsh
+    gap = float(np.abs(spectrum(A) - spectrum(B)).max())
+    op = float(np.abs(spectrum(A - B)).max())
     return op - gap, holds(gap, op)
 
 

@@ -356,13 +356,15 @@ def dense_check_oracle(name: str, inst) -> tuple[float, float]:
     ``lhs <= rhs`` on one drawn instance, by dense linear algebra: the
     operator norm from every eigenvalue of the dense Gram matrix, the
     stacked and whitened block matrices formed whole, the whitened one by a
-    general solve against all ``n + m`` right-hand sides."""
+    general solve against all ``n + m`` right-hand sides.  A channel
+    instance's band matrices (a standard-basis draw) are made dense first."""
     if name in ("centre_matrix_norm", "deviation_matrix_norm"):
         band, cap = inst
         M = _dense_band(band)
         top = np.linalg.eigvalsh(M.T @ M)[-1]
         return math.sqrt(max(float(top), 0.0)), float(cap)
     H, Hc, cov, rep = inst[:4]
+    H, Hc = (M if isinstance(M, np.ndarray) else _dense_band(M) for M in (H, Hc))
     sigma, root = _dense_cov(cov)
     m, n = H.shape
     omega_c = np.eye(m) + Hc @ sigma @ Hc.T

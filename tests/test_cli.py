@@ -167,6 +167,36 @@ def test_non_object_section_exits_config(tmp_path, capsys, payload, field):
     assert len(err) == 1 and err[0].startswith(f"isicap: {field} must be a JSON object, got ")
 
 
+@pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        ("verify", {"verfy": {"samples": 3}}, "verfy"),
+        ("bounds", {"channel": {"k": 0, "c": [1.0], "r": [0.1], "radii": [0.5]}}, "channel.radii"),
+        ("verify", {"verify": {"sample": 3, "n_max": 8}}, "verify.sample"),
+        ("simulate", {"simulate": {"trails": 10, "n_list": [16], "rate_bits": 0.5}}, "simulate.trails"),
+        ("simulate", {"simulate": {"n_list": [16], "trials": 10, "rate_bits": 0.5,
+                                   "law": {"kind": "block_hold", "blok_len": 4}}}, "simulate.law.blok_len"),
+    ],
+    ids=["top_level", "channel", "verify_section", "simulate_section", "law"],
+)
+def test_unknown_config_key_exits_config(tmp_path, monkeypatch, capsys, command, payload, field):
+    """A key the config does not know, at the top level, in the channel, in
+    the command's own section or in ``simulate.law``, exits 2 with one line naming it, before
+    any work and with no file written: a misspelt key is not left to fall
+    back on its default."""
+    def work_ran(*args, **kwargs):
+        raise AssertionError("work ran before the refusal")
+
+    for name in ("bound_report", "run_error_experiment", "verify_report"):
+        monkeypatch.setattr(cli, name, work_ran)
+    cfg = _write_config(tmp_path, payload)
+    out = tmp_path / "x.out"
+    assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"isicap: unknown config key {field}; known: "), err
+
+
 def test_bounds_csv_layout(tmp_path):
     out = tmp_path / "bounds.csv"
     rc = main(["bounds", "--out", str(out), "--grid", "40:60:5"])

@@ -362,6 +362,87 @@ def test_band_op_norm_matches_dense(k):
         assert _band_op_norm(M) == pytest.approx(_op_norm(M.dense()), rel=1e-13, abs=0.0)
 
 
+def _nan_corners(rng, n, k):
+    """A band channel matrix of random taps whose corner taps, those whose
+    column would fall outside ``[0, n)``, are NaN: a builder that reads one
+    gives NaN."""
+    taps = rng.uniform(-1.0, 1.0, (n + k, k + 1))
+    i, e = np.indices(taps.shape)
+    taps[(i < e) | (i - e >= n)] = np.nan
+    return BandedChannelMatrix(n=n, k=k, taps=taps)
+
+
+def _sym_from_band(band):
+    """The dense symmetric matrix of a lower band form (row ``e`` holds
+    diagonal ``e``)."""
+    m = band.shape[1]
+    D = np.diag(band[0])
+    for e in range(1, len(band)):
+        D += np.diag(band[e, : m - e], -e) + np.diag(band[e, : m - e], e)
+    return D
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_band_builders_match_dense_products(k):
+    """With every corner tap NaN, for ``n = k + 1, k + 2, 64, 257``: band
+    whitening is the dense one bit for bit and leaves the corners alone; the
+    band Gram is ``M'M`` and the band ``Omega`` is ``I + M M'`` (entries
+    are sums of at most ``k + 1`` products below 1, so to 1e-14); and the
+    band pencil's eigenvalues are within ``4 m eps max|lam|`` of
+    ``_pencil``'s on the dense pair."""
+    rng = np.random.default_rng(40 + k)
+    for n in (k + 1, k + 2, 64, 257):
+        M, Mc = _nan_corners(rng, n, k), _nan_corners(rng, n, k)
+        cov = verify._Cov(d=10.0 ** rng.uniform(-2.0, 1.0, n), Q=None)
+        W = cov.whiten(M)
+        assert W.dense().tobytes() == cov.whiten(M.dense()).tobytes()
+        corner = np.isnan(M.taps)
+        assert np.isnan(W.taps[corner]).all() and not np.isnan(W.taps[~corner]).any()
+        D, Dc = M.dense(), Mc.dense()
+        gram = verify._band_gram(M)
+        assert not np.isnan(gram).any()
+        np.testing.assert_allclose(_sym_from_band(gram), D.T @ D, rtol=0.0, atol=1e-14)
+        oc, oh = verify._omegas(Mc, M)
+        eye = np.eye(n + k)
+        np.testing.assert_allclose(_sym_from_band(oc), eye + Dc @ Dc.T, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(_sym_from_band(oh), eye + D @ D.T, rtol=0.0, atol=1e-14)
+        lam, want = verify._band_pencil(oc, oh), _pencil(eye + Dc @ Dc.T, eye + D @ D.T)
+        bound = 4 * (n + k) * np.finfo(float).eps * np.abs(want).max()
+        assert np.abs(lam - want).max() <= bound, (n, np.abs(lam - want).max() / bound)
+
+
+def band_route_gate(seed: int, n_max: int, samples: int) -> int:
+    """The band route against the dense one on every standard-basis sample
+    of the channel instance (samples ``0 .. samples - 1`` of master seed
+    ``seed``): each of the five checks that read a covariance, on the band
+    instance and on its dense twin (``dense()``, the dense ``whiten`` and
+    ``_pencil(*_omegas(...))``), gives margins within ``1e-9 max(|lhs|,
+    |rhs|) + 1e-12`` (``lhs`` and ``rhs`` from ``dense_check_oracle``) and
+    the same decision.  Returns the number of band samples."""
+    first = SUITE_NAMES.index("stacked_deviation_trace")
+    checks = [(name, check) for name, _, check in _SUITES if name in CHANNEL_SUITES[2:]]
+    band = 0
+    for i in range(samples):
+        inst = _SUITES[first][1](_suite_rng(seed, first, i), i, n_max)
+        H, Hc, cov, rep, eta_prime = inst[:5]
+        assert isinstance(H, BandedChannelMatrix) == (cov.Q is None), i
+        if cov.Q is not None:
+            continue
+        band += 1
+        dense = _with_pencil(H.dense(), Hc.dense(), cov, rep, eta_prime)
+        for name, check in checks:
+            (got, got_ok), (want, want_ok) = check(inst), check(dense)
+            lhs, rhs = dense_check_oracle(name, dense)
+            assert abs(got - want) <= 1e-9 * max(abs(lhs), abs(rhs)) + 1e-12, (name, i, got, want)
+            assert got_ok == want_ok, (name, i)
+    return band
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_band_route_matches_dense_route(seed):
+    assert band_route_gate(seed, 24, 30) > 0
+
+
 def _turned(name, inst):
     """The same check's instance in the standard basis: ``(H Q, Hc Q,
     diag(d))``, with the pencil eigenvalues recomputed there; the stacked
@@ -386,7 +467,8 @@ def test_drawn_basis_checks_equal_standard_basis_checks(seed):
     ``(H Q, Hc Q, diag(d))``: the drawn basis enters only through the one
     product ``whiten``.  A standard-basis draw gets a random ``Q`` here.
     The pencil is recomputed in each basis, so the three checks that read
-    it are compared too."""
+    it are compared too.  A standard-basis draw's band matrices are made
+    dense, so both sides take the dense route."""
     rng = np.random.default_rng(seed)
     for idx, (name, instance, check) in enumerate(_SUITES):
         if name not in CHANNEL_SUITES[2:]:  # the five suites that draw a covariance
@@ -396,6 +478,7 @@ def test_drawn_basis_checks_equal_standard_basis_checks(seed):
             if cov.Q is None:
                 Q = np.linalg.qr(rng.standard_normal((cov.n, cov.n)))[0]
                 cov = verify._Cov(d=cov.d, Q=np.ascontiguousarray(Q))
+                H, Hc = H.dense(), Hc.dense()
             inst = _with_pencil(H, Hc, cov, rep, eta_prime)
             assert check(inst) == check(_turned(name, inst)), (name, i)
 
