@@ -21,7 +21,8 @@ normals codeword ``index``'s floor direction is projected from, and
 suites that share suite ``s``'s instance (``verify`` says which).
 ``TrialBlocks`` draws the trials' cells a block at a time and puts every
 law, the constant one included, through one tap loop (``_tap_row``),
-adding the tap terms onto the noise in ``transmit``'s order.
+adding the tap terms onto the noise in ``transmit``'s order.  Tap arrays
+are tap-major too: row ``d`` of ``sample_taps`` holds tap ``d`` of every output.
 
 Trial ``t``'s message pick among ``size = 2**bits`` words is what
 ``rng_stream(seed, STREAM_MESSAGE, t).integers(size)`` returns, taken from
@@ -241,21 +242,19 @@ def _unit_offsets(u: np.ndarray, law: ChannelLaw, m: int) -> np.ndarray:
     return u
 
 
-def _tap_row(v: np.ndarray, c: float, r: float, out: np.ndarray) -> None:
-    """One tap's values ``c + r v`` into the float64 ``out``, for offsets
-    ``v = 2u - 1`` (``_unit_offsets``): the tap kernel every sampler shares."""
+def _tap_row(v: np.ndarray, c, r, out: np.ndarray) -> None:
+    """Taps ``c + r v`` into the float64 ``out``, for offsets ``v = 2u - 1``
+    (``_unit_offsets``): the tap kernel every sampler shares."""
     np.multiply(v, r, out=out, dtype=float)
     out += c
 
 
 def _taps_from(u: np.ndarray, spec: ChannelSpec, law: ChannelLaw, m: int) -> np.ndarray:
-    """The ``(m, k + 1)`` taps of one realization from its float32 uniforms
+    """The ``(k + 1, m)`` taps of one realization from its float32 uniforms
     ``u``, ``(k + 1, rows)``: tap ``d`` of output ``i`` is ``c_d + r_d (2u
     - 1)`` of its entry (``_tap_row``)."""
-    v = _unit_offsets(u, law, m)
-    taps = np.empty((m, spec.k + 1))
-    for d, (c, r) in enumerate(zip(spec.c, spec.r)):
-        _tap_row(v[d], c, r, taps[:, d])
+    taps = np.empty((spec.k + 1, m))
+    _tap_row(_unit_offsets(u, law, m), np.array(spec.c)[:, None], np.array(spec.r)[:, None], taps)
     return taps
 
 
@@ -266,14 +265,14 @@ def sample_taps(
     master_seed: int,
     trial_index: int,
 ) -> np.ndarray:
-    """Tap matrix of shape ``(m, k + 1)``; row ``i`` holds output ``i``'s
-    taps, each inside its interval.  Trial ``t`` reads ``k + 1`` rows of
+    """Tap matrix of shape ``(k + 1, m)``: row ``d`` holds tap ``d`` of every
+    output, each inside its interval.  Trial ``t`` reads ``k + 1`` rows of
     float32 uniforms, tap-major, after those of the ``t % _TRIAL_CELL``
     trials before it in the cell ``(STREAM_CHANNEL, t // _TRIAL_CELL)``,
     which are drawn and discarded (``_taps_from`` maps them)."""
     if law.kind == "constant":
         check_law(spec, law)
-        return np.tile(np.add(spec.c, np.multiply(law.offset, spec.r)), (m, 1))
+        return np.repeat(np.add(spec.c, np.multiply(law.offset, spec.r))[:, None], m, axis=1)
     cell, i = divmod(operator.index(trial_index), _TRIAL_CELL)
     shape = (i + 1, spec.k + 1, _draw_rows(m, law))
     u = rng_stream(master_seed, STREAM_CHANNEL, cell).random(shape, dtype=np.float32)
@@ -287,8 +286,7 @@ def sample_H(
     master_seed: int,
     trial_index: int,
 ) -> BandedChannelMatrix:
-    """Channel realization of one trial in band form: output ``i`` applies
-    row ``i`` of ``sample_taps``."""
+    """Channel realization of one trial in band form, its taps ``sample_taps``'s."""
     taps = sample_taps(spec, n + spec.k, law, master_seed, trial_index)
     return BandedChannelMatrix(n=n, k=spec.k, taps=taps)
 
@@ -595,13 +593,22 @@ def gen_codebook(cov: CovarianceSpec, R: float, master_seed: int) -> Codebook:
 
 
 def message_picks(master_seed: int, ts, size: int) -> np.ndarray:
-    """Message picks of trials ``ts`` (non-negative integers, an array or a
-    range) among ``size`` words, as ``uint32``: bit for bit
+    """Message picks of trials ``ts`` (a range, or a 1-d integer array; a
+    list is read by ``np.asarray``) among ``size`` words, as ``uint32``: bit for bit
     ``rng_stream(master_seed, STREAM_MESSAGE, t).integers(size)``, from
-    each cell's first raw word (see the module docstring)."""
+    each cell's first raw word (see the module docstring).  As there, an
+    index that is no integer in ``[0, 2**64)`` is refused, from the range's
+    ends or the array's dtype and minimum."""
     bits = size.bit_length() - 1
     if size != 1 << bits:
         raise ValueError(f"codebook size must be a power of two, got {size}")
+    if isinstance(ts, range):
+        bad = any(not 0 <= t < 1 << 64 for t in (*ts[:1], *ts[-1:]))
+    else:
+        a = np.asarray(ts)
+        bad = a.ndim != 1 or a.size and (a.dtype.kind not in "iu" or a.min() < 0)
+    if bad:
+        raise ValueError(f"trial indices must be integers in [0, 2**64), got {ts!r:.80}")
     cells = _Cells(master_seed, STREAM_MESSAGE)
     first = cells.bits.random_raw
     ts = ts.tolist() if isinstance(ts, np.ndarray) else ts
@@ -628,15 +635,6 @@ def sent_words(book: Codebook, msgs: np.ndarray, pool_map=map) -> tuple[np.ndarr
     return rows, X
 
 
-def _band_apply(taps: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Add ``H x`` into ``out``, for band taps ``(..., m, k + 1)``, inputs
-    ``(..., n)`` and ``out`` ``(..., m)``: ``k + 1`` shifted multiply-adds."""
-    n = x.shape[-1]
-    for d in range(taps.shape[-1]):
-        out[..., d:d + n] += taps[..., d:d + n, d] * x
-    return out
-
-
 def transmit(
     H: BandedChannelMatrix,
     x: np.ndarray,
@@ -646,14 +644,13 @@ def transmit(
     """One channel use: ``y = H x + z`` with iid unit Gaussian ``z``, the
     ``m`` normals that follow those of the ``t % _TRIAL_CELL`` trials
     before trial ``t`` in the cell ``(STREAM_NOISE, t // _TRIAL_CELL)``.
-    ``y`` starts as ``z``, and ``H`` is applied onto it in band form
-    (``_band_apply``)."""
+    ``y`` starts as ``z``, and ``H`` is applied onto it (``H.apply``)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (H.n,):
         raise DimensionMismatch(f"x has shape {x.shape}, channel expects ({H.n},)")
     cell, i = divmod(operator.index(trial_index), _TRIAL_CELL)
     z = rng_stream(master_seed, STREAM_NOISE, cell).standard_normal((i + 1, H.m))[i]
-    return _band_apply(H.taps, x, z)
+    return H.apply(x, z)
 
 
 class TrialBlocks:

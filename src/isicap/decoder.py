@@ -66,7 +66,6 @@ from .channel_sim import (
     _DIRECT_ENTRIES,
     _TRIAL_CELL,
     FLOOR_REPROJECT,
-    _band_apply,
     ChannelLaw,
     Codebook,
     CovarianceSpec,
@@ -141,9 +140,9 @@ def default_params(report: ThresholdReport) -> TypicalParams:
 @dataclass(frozen=True)
 class JointCovariance:
     """Joint law of ``(x, y)`` under the centre channel, held in factored
-    form: the input covariance ``cov`` and the centre matrix ``hc`` in
-    band form (the ``(m, k + 1)`` tap array of a ``BandedChannelMatrix``).
-    The dense joint covariance and its inverse are not stored.
+    form: the input covariance ``cov`` and the centre matrix ``hc``, a
+    ``BandedChannelMatrix``.  The dense joint covariance and its inverse
+    are not stored.
 
     ``gain[j] = u_j'(Hc'Hc)u_j`` for the columns ``u_j`` of the covariance
     basis ``U``, and ``resid`` bounds ``||Hc'Hc U - U diag(gain)||_F``, the
@@ -151,9 +150,7 @@ class JointCovariance:
     ``HalfBasis.gram_fit``: rounding-sized for the eigenbasis
     ``build_sigma`` gives, large for any other basis."""
 
-    n: int
-    m: int
-    hc: np.ndarray
+    hc: BandedChannelMatrix
     cov: CovarianceSpec
     gain: np.ndarray
     resid: float
@@ -162,23 +159,20 @@ class JointCovariance:
 def build_joint(cov: CovarianceSpec, Hc: BandedChannelMatrix) -> JointCovariance:
     """Pair the input covariance with the centre matrix after checking
     their shapes; a non-finite tap is refused (``CovarianceSpec`` refuses
-    its own entries), and so is a matrix whose rows do not all hold the
-    same taps, which is no centre matrix.  Then measure the basis against
+    its own entries), and so is a matrix whose outputs do not all apply
+    the same taps, which is no centre matrix.  Then measure the basis against
     ``G = Hc'Hc`` without forming ``U`` (``HalfBasis.gram_fit``): its gains
     and the bound on its eigen-residual are the ``gain`` and ``resid``
     fields."""
-    n = cov.n
-    if Hc.n != n:
-        raise DimensionMismatch(
-            f"channel matrix shape ({Hc.m}, {Hc.n}) incompatible with n={n}"
-        )
+    if Hc.n != cov.n:
+        raise DimensionMismatch(f"channel matrix shape ({Hc.m}, {Hc.n}) incompatible with n={cov.n}")
     if not np.isfinite(Hc.taps).all():
         raise ValueError("channel matrix has non-finite taps")
-    if not (Hc.taps == Hc.taps[0]).all():
-        raise ValueError("build_joint needs the centre matrix: every row the same taps")
-    gain, resid = cov.halves.gram_fit(Hc.taps[0])
+    if not (Hc.taps == Hc.taps[:, :1]).all():
+        raise ValueError("build_joint needs the centre matrix: every output the same taps")
+    gain, resid = cov.halves.gram_fit(Hc.taps[:, 0].copy())
     gain.setflags(write=False)
-    return JointCovariance(n=n, m=Hc.m, hc=Hc.taps, cov=cov, gain=gain, resid=resid)
+    return JointCovariance(hc=Hc, cov=cov, gain=gain, resid=resid)
 
 
 @dataclass(frozen=True)
@@ -224,7 +218,7 @@ class DecodeContext:
 
     @cached_property
     def images(self) -> np.ndarray:
-        A = _band_apply(self.joint.hc, self.book.codewords, np.zeros((self.book.size, self.joint.m)))
+        A = self.joint.hc.apply(self.book.codewords)
         A.setflags(write=False)
         return A
 
@@ -249,7 +243,7 @@ def prepare_context(book: Codebook, joint: JointCovariance) -> DecodeContext:
     a time), the score's per-word term, and the guard band's constants.
     The codebook must be drawn in the basis of ``joint.cov``; no codeword
     or image is built."""
-    n, m = joint.n, joint.m
+    n, m = joint.hc.n, joint.hc.m
     if book.n != n:
         raise DimensionMismatch(f"codewords have length {book.n}, channel expects {n}")
     cov = book.cov
@@ -272,7 +266,7 @@ def prepare_context(book: Codebook, joint: JointCovariance) -> DecodeContext:
     omega = cov.halves.orth_defect + n * n * eps
     mu = math.sqrt(1.0 + omega)
     nu = math.sqrt(n) * mu
-    h = float(np.abs(joint.hc).max(axis=0).sum())
+    h = float(np.abs(joint.hc.taps).max(axis=1).sum())
     lam_max = float(np.abs(joint.gain).max(initial=0.0))
     # ||U'x_f|| / ||x_f|| of a built floor x_f = c p, p = v - U(U'v), with
     # ||v|| <= FLOOR_REPROJECT ||p||: U'U - I on U'v and the rounding of both
@@ -298,16 +292,6 @@ def prepare_context(book: Codebook, joint: JointCovariance) -> DecodeContext:
         floor_norm=math.sqrt(f_sq),
         q_max=q_max,
     )
-
-
-def _band_adjoint(taps: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """``Hc'y`` for every row ``y`` of ``Y``, for band taps ``(m, k + 1)``:
-    ``k + 1`` shifted multiply-adds."""
-    n = taps.shape[0] - taps.shape[1] + 1
-    out = taps[:n, 0] * Y[:, :n]
-    for d in range(1, taps.shape[1]):
-        out += taps[d:d + n, d] * Y[:, d:d + n]
-    return out
 
 
 def _guard_band(ctx: DecodeContext, y_sq: np.ndarray, b_sq: np.ndarray, eta: float) -> np.ndarray:
@@ -379,7 +363,7 @@ def _guard_band(ctx: DecodeContext, y_sq: np.ndarray, b_sq: np.ndarray, eta: flo
 
     The band takes ``q``, ``||s||``, ``||x_f||`` and ``||a||`` at their
     codebook maxima and doubles the bound."""
-    n, m = ctx.joint.n, ctx.joint.m
+    n, m = ctx.joint.hc.n, ctx.joint.hc.m
     K = ctx.book.S.shape[1]
     eps = np.finfo(float).eps
     y, b = np.sqrt(y_sq), np.sqrt(b_sq)
@@ -413,13 +397,13 @@ def _pass_mask(Y: np.ndarray, params: TypicalParams, ctx: DecodeContext) -> np.n
     transpose.
     """
     book, joint = ctx.book, ctx.joint
-    n, m = joint.n, joint.m
+    n, m = joint.hc.n, joint.hc.m
     if Y.ndim != 2 or Y.shape[1] != m:
         raise DimensionMismatch(
             f"received vectors have shape {Y.shape[1:]}, channel expects ({m},)"
         )
     y_sq = np.einsum("ij,ij->i", Y, Y)
-    B = _band_adjoint(joint.hc, Y)
+    B = joint.hc.adjoint(Y)
     b_sq = np.einsum("ij,ij->i", B, B)
     Z = book.cov.halves.adjoint(B)
     Z *= -2.0 / (n + m)
@@ -449,7 +433,7 @@ def _pass_mask(Y: np.ndarray, params: TypicalParams, ctx: DecodeContext) -> np.n
         held = np.concatenate([held, at[~(flat[at] > band[at // size]) & x_ok[at % size]]])
         while held.size >= step or (held.size and lo + _DIRECT_ENTRIES >= flat.size):
             (c, r), held = np.divmod(held[:step], size), held[step:]
-            diff = _band_apply(joint.hc, book.words(r), np.zeros((len(r), m)))
+            diff = joint.hc.apply(book.words(r))
             diff -= Y[c]
             w_form = (book.q[r] + np.einsum("ij,ij->i", diff, diff)) / (n + m)
             out[r, c] = np.abs(w_form - 1.0) < params.eta
@@ -540,7 +524,7 @@ def _setup(
     cov = build_sigma(spec, n, P)
     report = thresholds(spec, profile, cov, P)
     joint = build_joint(cov, build_Hc(spec, n))
-    size = sum(a.nbytes for a in (cov.halves.sym, cov.halves.skew, cov.d, joint.gain, joint.hc))
+    size = sum(a.nbytes for a in (cov.halves.sym, cov.halves.skew, cov.d, joint.gain, joint.hc.taps))
     entry = (cov, report, joint)
     if size > _SETUP_BYTES:
         return entry

@@ -247,42 +247,92 @@ def compute_profile(spec: ChannelSpec, grid_size: int = DEFAULT_GRID) -> Spectru
 
 @dataclass(frozen=True)
 class BandedChannelMatrix:
-    """Tall banded convolution matrix of shape ``(n + k, n)``, held in band
-    form: ``taps`` has shape ``(n + k, k + 1)`` and row ``i`` holds the taps
-    output ``i`` applies, so entry ``(i, j)`` is ``taps[i, i - j]`` for
-    ``0 <= i - j <= k`` and zero elsewhere.  Taps whose column would fall
-    outside ``0 <= j < n`` are never used.  ``taps`` is read-only after
-    build; ``dense()`` materialises the matrix."""
+    """Tall banded convolution matrix of shape ``(n + k, n)`` in band form:
+    ``taps``, ``(k + 1, n + k)``, holds tap ``d`` of every output in row
+    ``d``, so entry ``(i, j)`` is ``taps[i - j, i]`` for ``0 <= i - j <= k``
+    and zero elsewhere; the corner taps, whose column would fall outside
+    ``[0, n)``, are never read.  ``taps`` is a read-only copy of what is
+    given; ``n >= 1`` and ``k >= 0`` are integers.  Every product runs on
+    the band, one shifted multiply-add per tap row: ``apply`` (``H x``),
+    ``adjoint`` (``H'y``), ``gram`` (``H'H``) and ``output_cov`` (``I + H
+    H'``) in lower band form (row ``d`` holds diagonal ``d``), and
+    ``scaled`` (``H diag(w)``)."""
 
     n: int
     k: int
     taps: np.ndarray
 
     def __post_init__(self) -> None:
-        taps = np.ascontiguousarray(np.asarray(self.taps, dtype=float))
-        object.__setattr__(self, "taps", taps)
-        if taps.shape != (self.m, self.k + 1):
-            raise ValueError(f"taps shape {taps.shape} != ({self.m}, {self.k + 1})")
+        n, k = _as_int(self.n, "n"), _as_int(self.k, "memory k")
+        if n < 1 or k < 0:
+            raise ValueError(f"need n >= 1 and k >= 0, got n = {n}, k = {k}")
+        taps = np.array(self.taps, dtype=float, order="C")
+        if taps.shape != (k + 1, n + k):
+            raise ValueError(f"taps shape {taps.shape} != ({k + 1}, {n + k})")
         taps.setflags(write=False)
+        for name, value in (("n", n), ("k", k), ("taps", taps)):
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
         return self.n + self.k
 
+    def apply(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``H x`` for every row ``x`` of ``X``, ``(..., n)``, added onto
+        ``out``, ``(..., m)``, when given, else onto zeros."""
+        out = np.zeros(X.shape[:-1] + (self.m,)) if out is None else out
+        for d, row in enumerate(self.taps):
+            out[..., d:d + self.n] += row[d:d + self.n] * X
+        return out
+
+    def adjoint(self, Y: np.ndarray) -> np.ndarray:
+        """``H'y`` for every row ``y`` of ``Y``, ``(..., m)``."""
+        n, t = self.n, self.taps
+        out = t[0, :n] * Y[..., :n]
+        for d in range(1, self.k + 1):
+            out += t[d, d:d + n] * Y[..., d:d + n]
+        return out
+
+    def gram(self) -> np.ndarray:
+        """``H'H``, bandwidth ``min(k, n - 1)``: ``(H'H)[j + d, j]`` sums
+        ``taps[d + e, i] taps[e, i]``, ``i = j + d + e``, over ``e <= k - d``."""
+        n, k, t = self.n, self.k, self.taps
+        band = np.zeros((min(k, n - 1) + 1, n))
+        for d in range(len(band)):
+            for e in range(k - d + 1):
+                band[d, : n - d] += t[d + e, d + e : n + e] * t[e, d + e : n + e]
+        return band
+
+    def output_cov(self) -> np.ndarray:
+        """``I + H H'``, bandwidth ``k``, identity first: ``(H H')[i + e, i]``
+        sums ``taps[f + e, i + e] taps[f, i]`` over ``f <= k - e``, ``0 <= i - f < n``."""
+        n, k, t = self.n, self.k, self.taps
+        band = np.zeros((k + 1, self.m))
+        band[0] = 1.0
+        for e in range(k + 1):
+            for f in range(k - e + 1):
+                band[e, f : f + n] += t[f + e, f + e : f + e + n] * t[f, f : f + n]
+        return band
+
+    def scaled(self, w: np.ndarray) -> BandedChannelMatrix:
+        """``H diag(w)``: tap ``d`` of output ``j + d`` times ``w[j]``, the
+        corner taps kept as they are."""
+        n = self.n
+        rows = [np.concatenate((t[:d], t[d:d + n] * w, t[d + n:])) for d, t in enumerate(self.taps)]
+        return BandedChannelMatrix(n=n, k=self.k, taps=rows)
+
     def dense(self) -> np.ndarray:
-        H = np.zeros((self.m, self.n))
-        cols = np.arange(self.n)
-        for d in range(self.k + 1):
-            H[cols + d, cols] = self.taps[cols + d, d]
+        H, cols = np.zeros((self.m, self.n)), np.arange(self.n)
+        for d, row in enumerate(self.taps):
+            H[cols + d, cols] = row[cols + d]
         return H
 
 
 def build_Hc(spec: ChannelSpec, n: int) -> BandedChannelMatrix:
     """Banded matrix of the centre taps (every output uses ``c``)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    taps = np.tile(np.asarray(spec.c), (n + spec.k, 1))
-    return BandedChannelMatrix(n=n, k=spec.k, taps=taps)
+    n = _as_int(n, "n")
+    taps = np.repeat(np.asarray(spec.c)[:, None], max(n + spec.k, 0), axis=1)
+    return BandedChannelMatrix(n=n, k=spec.k, taps=taps)  # which refuses n < 1
 
 
 def _tap_autocorr(c) -> np.ndarray:

@@ -16,10 +16,11 @@ diag(sqrt(d))``, which is ``X Sigma^(1/2)`` turned by the orthogonal ``Q``:
 reads changes, so nothing forms ``Sigma``, its root or ``diag(d)``.  Half
 the draws take ``Q = I``; there ``W = H diag(sqrt(d))`` is banded like
 ``H``, so the channel instance keeps ``H``, ``Hc``, ``W`` and ``Wc`` as band
-channel matrices: the Weyl check takes its spectra from band Gram matrices
-(``eigvals_banded``), the stacked trace reads its norms off one band Gram,
-and the pencil is solved from band forms of ``Omega_c`` and ``Omega_h``
-(``_band_pencil``).  A drawn basis fills ``W``, so those draws stay dense.
+channel matrices and calls their products: the Weyl check takes its spectra
+from band Grams (``gram``, ``eigvals_banded``), the stacked trace reads its
+norms off one, and the pencil is solved from band ``Omega_c`` and ``Omega_h``
+(``output_cov``, ``_band_pencil``).  A drawn basis fills ``W``, so those
+draws stay dense.
 Each check picks its route from the instance's type, band or array.  One
 runner loops over the samples and records the worst margin.  Every
 inequality ``lhs <= rhs`` is decided by one slack rule, ``holds``: it passes
@@ -253,15 +254,10 @@ class _Cov:
         self.trace, self.lam_min, self.lam_max = float(d.sum()), float(d.min()), float(d.max())
 
     def whiten(self, X):
-        """``X Q diag(sqrt(d))``: one GEMM, none in the standard basis, where
-        a band ``X`` (given only when ``Q`` is ``None``) stays band, tap ``e``
-        of output ``j + e`` scaled by ``sqrt(d[j])`` (the corner taps outside
-        the matrix left as they are)."""
+        """``X Q diag(sqrt(d))``: one GEMM, none in the standard basis, where a
+        band ``X`` (given only when ``Q`` is ``None``) stays band (``scaled``)."""
         if isinstance(X, BandedChannelMatrix):
-            taps = X.taps.copy()
-            for e in range(X.k + 1):
-                taps[e : e + X.n, e] *= self.sqrt_d
-            return BandedChannelMatrix(n=X.n, k=X.k, taps=taps)
+            return X.scaled(self.sqrt_d)
         return (X if self.Q is None else X @ self.Q) * self.sqrt_d
 
 
@@ -307,53 +303,24 @@ def _op_norm(M: np.ndarray) -> float:
     return math.sqrt(max(float(eigvalsh(G, subset_by_index=[last, last])[0]), 0.0))
 
 
-def _band_gram(M: BandedChannelMatrix) -> np.ndarray:
-    """``M'M`` of a band channel matrix in lower band form of bandwidth
-    ``min(k, n - 1)``: row ``d`` holds diagonal ``d``,
-    ``(M'M)[j + d, j] = sum_e taps[j+d+e, d+e] taps[j+d+e, e]`` over the
-    ``k - d + 1`` outputs that see both columns; no dense matrix."""
-    n, k, t = M.n, M.k, M.taps
-    band = np.zeros((min(k, n - 1) + 1, n))
-    for d in range(len(band)):
-        for e in range(k - d + 1):
-            band[d, : n - d] += t[d + e : n + e, d + e] * t[d + e : n + e, e]
-    return band
-
-
 def _band_op_norm(M: BandedChannelMatrix) -> float:
     """Operator norm of a band channel matrix: the square root of the top
     eigenvalue of its band Gram matrix ``M'M``."""
-    top = eigvals_banded(_band_gram(M), lower=True, select="i", select_range=(M.n - 1, M.n - 1))
+    top = eigvals_banded(M.gram(), lower=True, select="i", select_range=(M.n - 1, M.n - 1))
     return math.sqrt(max(float(top[0]), 0.0))
-
-
-def _band_omega(V: BandedChannelMatrix) -> np.ndarray:
-    """``I + V V'`` of a band channel matrix in lower band form of
-    bandwidth ``k``: row ``e`` holds diagonal ``e``, ``(V V')[i + e, i] =
-    sum_f taps[i + e, f + e] taps[i, f]`` over the taps ``f <= k - e`` of
-    output ``i`` whose column ``i - f`` lies in ``[0, n)``."""
-    n, k, t = V.n, V.k, V.taps
-    band = np.zeros((k + 1, V.m))
-    band[0] = 1.0
-    for e in range(k + 1):
-        for f in range(k - e + 1):
-            band[e, f : f + n] += t[f + e : f + e + n, f + e] * t[f : f + n, f]
-    return band
 
 
 def _omegas(Wc, W):
     """Output covariances ``I + Hc Sigma Hc'`` and ``I + H Sigma H'`` from
     the whitened ``Wc = whiten(Hc)`` and ``W = whiten(H)``: dense, the
     identity added on the diagonal in place, or in lower band form
-    (``_band_omega``) for band ones."""
+    (``output_cov``) for band ones."""
     if isinstance(W, BandedChannelMatrix):
-        return _band_omega(Wc), _band_omega(W)
-    out = []
-    for V in (Wc, W):
-        omega = V @ V.T
+        return Wc.output_cov(), W.output_cov()
+    out = Wc @ Wc.T, W @ W.T
+    for omega in out:
         omega[np.diag_indices_from(omega)] += 1.0
-        out.append(omega)
-    return tuple(out)
+    return out
 
 
 def _lemma1_instance(rng, i, n_max):
@@ -372,7 +339,7 @@ def _centre_instance(rng, i, n_max):
 def _deviation_instance(rng, i, n_max):
     """(band sampled-minus-centre matrix, its operator-norm cap ``r_s``)."""
     spec, _, n = _random_channel(rng, n_max)
-    taps = _sample_banded(rng, spec, n).taps - np.asarray(spec.c)
+    taps = _sample_banded(rng, spec, n).taps - np.asarray(spec.c)[:, None]
     return BandedChannelMatrix(n=n, k=spec.k, taps=taps), spec.r_s
 
 
@@ -433,7 +400,7 @@ def _stacked_trace(inst):
     H, Hc, cov, rep = inst[:4]
     if isinstance(H, BandedChannelMatrix):
         ES = cov.whiten(BandedChannelMatrix(n=H.n, k=H.k, taps=H.taps - Hc.taps))
-        G = _band_gram(ES)
+        G = ES.gram()
         s_sq = float(G[0].sum())
         G[0] += 1.0
         g_sq = float((G[0] * G[0]).sum() + 2.0 * (G[1:] * G[1:]).sum())
@@ -477,7 +444,7 @@ def _eig_stability(inst):
     ``eigvals_banded``."""
     W, Wc = inst[6:]
     if isinstance(W, BandedChannelMatrix):
-        A, B = _band_gram(W), _band_gram(Wc)
+        A, B = W.gram(), Wc.gram()
         spectrum = lambda G: eigvals_banded(G, lower=True)
     else:
         A, B = W.T @ W, Wc.T @ Wc

@@ -1,0 +1,131 @@
+"""Named mutants of ``src/isicap`` that the test suite must kill.
+
+Each row is one mutant: its name, its module (a file of ``src/isicap``), a
+snippet of that module's source, which must occur exactly once, the text
+that replaces it, and the ids of the tests that must catch it.
+``scripts/mutate.py`` applies one mutant at a time to a copy of the package
+and runs only its tests, with ``-x``: the mutant is killed when one of them
+fails.  The runner also fails when a snippet no longer occurs exactly once
+or a test id no longer exists, so a refactor that moves the code or renames
+the test has to carry its rows along.
+"""
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str
+    snippet: str
+    replacement: str
+    tests: tuple
+
+
+_PRODUCTS = "tests/test_spectrum.py::test_band_products_match_dense_oracle"
+_DENSE_CHECKS = "tests/test_verify.py::test_channel_checks_match_dense_oracle"
+
+MUTANTS = (
+    # The band products of BandedChannelMatrix, against the entrywise dense oracle.
+    Mutant(
+        "apply reads each tap row unshifted, taps[d, :n]",
+        "spectrum.py",
+        "out[..., d:d + self.n] += row[d:d + self.n] * X",
+        "out[..., d:d + self.n] += row[:self.n] * X",
+        (f"{_PRODUCTS}[1]", f"{_PRODUCTS}[4]"),
+    ),
+    Mutant(
+        "adjoint reads each tap row unshifted, taps[d, :n]",
+        "spectrum.py",
+        "out += t[d, d:d + n] * Y[..., d:d + n]",
+        "out += t[d, :n] * Y[..., d:d + n]",
+        (f"{_PRODUCTS}[1]", f"{_PRODUCTS}[4]"),
+    ),
+    Mutant(
+        "gram leaves out its last term",
+        "spectrum.py",
+        "for e in range(k - d + 1):",
+        "for e in range(k - d):",
+        (f"{_PRODUCTS}[0]", f"{_PRODUCTS}[3]"),
+    ),
+    Mutant(
+        "output_cov without the identity",
+        "spectrum.py",
+        "        band[0] = 1.0\n",
+        "",
+        (f"{_PRODUCTS}[0]", f"{_PRODUCTS}[2]"),
+    ),
+    Mutant(
+        "scaled by w**2",
+        "spectrum.py",
+        "t[d:d + n] * w,",
+        "t[d:d + n] * w**2,",
+        (f"{_PRODUCTS}[0]", f"{_PRODUCTS}[2]"),
+    ),
+    # Checks recorded when the code they guard was written.
+    Mutant(
+        "guard band without the floor term",
+        "decoder.py",
+        "    err += 2.0 * (ctx.floor_norm * b * (1.0 + (n + 2) * eps) + ctx.word_err * y)\n",
+        "",
+        (
+            "tests/test_decoder.py::test_floor_band_pair_follows_direct_form",
+            "tests/test_decoder.py::test_near_threshold_pair_follows_direct_form",
+            "tests/test_decoder.py::test_decode_matches_exact_rational_oracle[-10.0]",
+        ),
+    ),
+    Mutant(
+        "FOLD_ULPS 2 -> 1",
+        "spectrum.py",
+        "FOLD_ULPS = 2.0",
+        "FOLD_ULPS = 1.0",
+        (
+            "tests/test_spectrum.py::test_fold_rounding_within_fold_ulps[2]",
+            "tests/test_spectrum.py::test_fold_rounding_within_fold_ulps[3]",
+            "tests/test_spectrum.py::test_fold_rounding_within_fold_ulps[64]",
+        ),
+    ),
+    Mutant(
+        "cell index in Philox counter word 0",
+        "channel_sim.py",
+        "self._counter[1] = i",
+        "self._counter[0] = i",
+        (
+            "tests/test_channel_sim.py::test_rng_stream_is_the_documented_cell[0]",
+            "tests/test_channel_sim.py::test_trial_blocks_match_one_cell_path",
+        ),
+    ),
+    Mutant(
+        "whiten without * sqrt_d",
+        "verify.py",
+        "return (X if self.Q is None else X @ self.Q) * self.sqrt_d",
+        "return X if self.Q is None else X @ self.Q",
+        (f"{_DENSE_CHECKS}[0-24]", f"{_DENSE_CHECKS}[1-24]"),
+    ),
+    Mutant(
+        "HalfBasis.apply with its skew half transposed",
+        "spectrum.py",
+        "B = S[:, ss:] @ self.skew.T",
+        "B = S[:, ss:] @ self.skew",
+        ("tests/test_spectrum.py::test_half_basis_apply_and_adjoint_match_assembled[4]",),
+    ),
+    Mutant(
+        "tap kernel as (c - r) + 2ru",
+        "channel_sim.py",
+        "    np.multiply(v, r, out=out, dtype=float)\n    out += c\n",
+        "    np.multiply(v + 1.0, r, out=out, dtype=float)\n    out += c - r\n",
+        (
+            "tests/test_channel_sim.py::test_iid_taps_stay_in_intervals",
+            "tests/test_verify.py::test_sample_banded_is_the_uniform_interval_law",
+        ),
+    ),
+    Mutant(
+        "_Cells.at without its state reset",
+        "channel_sim.py",
+        "        self.bits.state = self._state\n",
+        "",
+        (
+            "tests/test_channel_sim.py::test_one_reader_moved_in_any_order_draws_fresh_cells",
+            "tests/test_channel_sim.py::test_rng_stream_is_the_documented_cell[0]",
+        ),
+    ),
+)

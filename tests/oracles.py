@@ -149,18 +149,18 @@ def _two_product(a: float, b: float) -> tuple[float, float]:
 
 def exact_channel_use(taps: np.ndarray, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``y = H x + z`` correctly rounded, and ``sum_j |h_ij x_j| + |z_i|`` per
-    row, for the ``(n + k) x n`` matrix with ``h_ij = taps[i, i - j]`` on
+    row, for the ``(n + k) x n`` matrix with ``h_ij = taps[i - j, i]`` on
     ``0 <= i - j <= k``.  Each product is split exactly into two doubles and
     ``math.fsum`` adds a row's pieces and its noise without rounding."""
-    m, width = taps.shape
+    width, m = taps.shape
     n = len(x)
     y, scale = np.empty(m), np.empty(m)
     for i in range(m):
         terms = [float(z[i])]
         mag = abs(float(z[i]))
         for j in range(max(0, i - width + 1), min(n, i + 1)):
-            terms.extend(_two_product(float(taps[i, i - j]), float(x[j])))
-            mag += abs(float(taps[i, i - j]) * float(x[j]))
+            terms.extend(_two_product(float(taps[i - j, i]), float(x[j])))
+            mag += abs(float(taps[i - j, i]) * float(x[j]))
         y[i] = math.fsum(terms)
         scale[i] = mag
     return y, scale
@@ -335,13 +335,33 @@ def spectrum_extrema_oracle(c, grid: int = 4096, digits: int = 50) -> tuple[floa
 
 def _dense_band(band) -> np.ndarray:
     """The ``(n + k) x n`` matrix of a band channel matrix, entry by entry:
-    ``h_ij = taps[i, i - j]`` on ``0 <= i - j <= k``."""
+    ``h_ij = taps[i - j, i]`` on ``0 <= i - j <= k``."""
     n, k, taps = band.n, band.k, band.taps
     H = np.zeros((n + k, n))
     for i in range(n + k):
         for j in range(max(0, i - k), min(n, i + 1)):
-            H[i, j] = taps[i, i - j]
+            H[i, j] = taps[i - j, i]
     return H
+
+
+def nan_corner_taps(rng, n: int, k: int) -> np.ndarray:
+    """Random band taps ``(k + 1, n + k)`` whose corner taps, those whose
+    column would fall outside ``[0, n)``, are NaN: a product that reads one
+    gives NaN."""
+    taps = rng.uniform(-1.0, 1.0, (k + 1, n + k))
+    e, i = np.indices(taps.shape)
+    taps[(i < e) | (i - e >= n)] = np.nan
+    return taps
+
+
+def dense_sym_band(band) -> np.ndarray:
+    """The dense symmetric matrix of a lower band form (row ``e`` holds
+    diagonal ``e``)."""
+    m = band.shape[1]
+    D = np.diag(band[0])
+    for e in range(1, len(band)):
+        D += np.diag(band[e, : m - e], -e) + np.diag(band[e, : m - e], e)
+    return D
 
 
 def _dense_cov(cov) -> tuple[np.ndarray, np.ndarray]:

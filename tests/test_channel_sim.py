@@ -332,11 +332,24 @@ def test_trial_draws_are_slices_of_their_cells(example_spec, law):
         words = rng_stream(seed, channel_sim.STREAM_CHANNEL, g).bit_generator.random_raw(32 * (k + 1) * rows)
         halves = words.astype("<u8").view("<u4").reshape(64, k + 1, rows)
         u = (halves[i] >> 8) * 2.0 ** -24
-        want = np.repeat(c + r * (2.0 * u - 1.0), law.block_len, axis=1)[:, :m].T
+        want = np.repeat(c + r * (2.0 * u - 1.0), law.block_len, axis=1)[:, :m]
         assert np.array_equal(sample_taps(example_spec, m, law, seed, t), want)
         assert np.array_equal(sample_H(example_spec, n, law, seed, t).taps, want)
     with pytest.raises(ValueError, match="2\\*\\*64"):
         transmit(H0, np.zeros(n), seed, -1)
+
+
+@pytest.mark.parametrize("ts", [
+    [3.5], np.array([3.0]), [True], [-1], np.array([-1, 4]), [2**64], np.array([[1, 2]]),
+    range(-1, 3), range(3, -2, -1), range(2**64 - 1, 2**64 + 1),
+], ids=["float", "float-array", "bool", "negative", "negative-array", "2**64", "2-d",
+        "range-from-negative", "range-down-to-negative", "range-to-2**64"])
+def test_message_picks_refuse_what_rng_stream_refuses(ts):
+    """An index that is no integer, negative or at least ``2**64`` is
+    refused with ``ValueError``, as ``rng_stream`` refuses it, not read
+    through ``int`` (``[3.5]`` gave trial 3's pick) nor left to overflow."""
+    with pytest.raises(ValueError, match="trial indices must be integers in \\[0, 2\\*\\*64\\)"):
+        message_picks(0, ts, 2**20)
 
 
 def test_message_picks_are_integers_of_their_cells():
@@ -413,7 +426,7 @@ def test_iid_taps_stay_in_intervals(example_spec):
     trials, m = 3000, 10
     for spec in (example_spec, ChannelSpec(k=1, c=(0.3, -2.0), r=(0.7, 2.5))):
         taps = np.stack([sample_taps(spec, m, ChannelLaw(kind="iid_uniform"), 7, t) for t in range(trials)])
-        taps = taps.reshape(-1, spec.k + 1)
+        taps = taps.transpose(0, 2, 1).reshape(-1, spec.k + 1)
         c, r = np.asarray(spec.c), np.asarray(spec.r)
         assert np.all(taps >= c - r) and np.all(taps <= c + r)
         j = np.rint(((taps - c) / r + 1.0) * 2.0 ** 23)
@@ -429,7 +442,7 @@ def test_constant_taps(example_spec):
     law = ChannelLaw(kind="constant", offset=(1.0, -1.0, 0.0))
     taps = sample_taps(example_spec, 5, law, 0, 0)
     expected = np.array(example_spec.c) + np.array(law.offset) * np.array(example_spec.r)
-    assert np.array_equal(taps, np.tile(expected, (5, 1)))
+    assert np.array_equal(taps, np.tile(expected[:, None], (1, 5)))
 
 
 @pytest.mark.parametrize("block_len", [10**30, 10**400], ids=["1e30", "1e400"])
@@ -453,12 +466,12 @@ def test_block_hold_taps(example_spec):
     law = ChannelLaw(kind="block_hold", block_len=4)
     taps = sample_taps(example_spec, 18, law, 3, 1)
     for i in range(18):
-        assert np.array_equal(taps[i], taps[i - i % 4])
-    assert not np.array_equal(taps[0], taps[4])  # new block redraws
+        assert np.array_equal(taps[:, i], taps[:, i - i % 4])
+    assert not np.array_equal(taps[:, 0], taps[:, 4])  # new block redraws
     # trial 1 is the second slice of the channel cell 0: 3 taps x 5 holds
     u = rng_stream(3, channel_sim.STREAM_CHANNEL, 0).random((2, 3, 5), dtype=np.float32)[1]
-    held = np.repeat(2.0 * u.astype(float) - 1.0, 4, axis=1)[:, :18].T
-    assert np.array_equal(taps, np.asarray(example_spec.c) + np.asarray(example_spec.r) * held)
+    held = np.repeat(2.0 * u.astype(float) - 1.0, 4, axis=1)[:, :18]
+    assert np.array_equal(taps, np.asarray(example_spec.c)[:, None] + np.asarray(example_spec.r)[:, None] * held)
 
 
 def test_sample_H_band_structure(example_spec):
@@ -893,4 +906,4 @@ def test_sampled_matrix_rows_use_taps(n, k):
     dense = H.dense()
     for j in range(n):
         for lag in range(k + 1):
-            assert dense[j + lag, j] == taps[j + lag, lag]
+            assert dense[j + lag, j] == taps[lag, j + lag]

@@ -38,7 +38,7 @@ from isicap.channel_sim import (
     trial_block,
 )
 from isicap import channel_sim, decoder as decoder_mod
-from isicap.channel_sim import FLOOR_REPROJECT, _band_apply
+from isicap.channel_sim import FLOOR_REPROJECT
 from isicap.spectrum import DEFAULT_GRID, FOLD_ULPS, HalfBasis, _half_bands, _sym_band_apply, _tap_autocorr, gram_eigh
 from isicap.decoder import DecodeContext, _guard_band, _pass_mask, prepare_context
 from isicap.errors import CodebookTooLarge, DimensionMismatch
@@ -80,10 +80,10 @@ def test_joint_inverse_matches_dense(example_spec):
     cov = _random_cov(8, 1)
     joint = build_joint(cov, build_Hc(example_spec, 8))
     H, xi = dense_joint_covariance(sigma(cov), example_spec.c)
-    G = BandedChannelMatrix(n=joint.n, k=joint.m - joint.n, taps=joint.hc).dense()
+    G = joint.hc.dense()
     assert np.array_equal(G, H)
     closed = np.block(
-        [[np.linalg.inv(sigma(cov)) + G.T @ G, -G.T], [-G, np.eye(joint.m)]]
+        [[np.linalg.inv(sigma(cov)) + G.T @ G, -G.T], [-G, np.eye(joint.hc.m)]]
     )
     assert np.abs(closed - np.linalg.inv(xi)).max() <= 1e-8
 
@@ -97,7 +97,7 @@ def test_joint_quadratic_split(example_spec):
     rng = np.random.default_rng(3)
     for _ in range(5):
         x = rng.standard_normal(6)
-        y = rng.standard_normal(joint.m)
+        y = rng.standard_normal(joint.hc.m)
         w = np.concatenate([x, y])
         full = w @ np.linalg.solve(xi, w)
         resid = y - H @ x
@@ -129,7 +129,7 @@ def test_joint_rejects_non_finite(example_spec):
     with pytest.raises(ValueError, match="non-finite"):
         HalfBasis(sym=bad_sym, skew=good.halves.skew)
     taps = Hc.taps.copy()
-    taps[2, 1] = np.inf
+    taps[1, 2] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         build_joint(good, BandedChannelMatrix(n=6, k=Hc.k, taps=taps))
     build_joint(good, Hc)
@@ -147,7 +147,7 @@ def _white_book(coefs):
 def _adjoint_sq(ctx, Y):
     """``||Hc'y||^2`` per row of ``Y``, from the dense channel matrix."""
     joint = ctx.joint
-    B = Y @ BandedChannelMatrix(n=joint.n, k=joint.m - joint.n, taps=joint.hc).dense()
+    B = Y @ joint.hc.dense()
     return (B * B).sum(axis=1)
 
 
@@ -161,9 +161,9 @@ def _crafted_setup(example_spec):
     book = _white_book(np.stack([s0, s1]))
     Hc = build_Hc(example_spec, n)
     joint = build_joint(book.cov, Hc)
-    u = np.zeros(joint.m)
+    u = np.zeros(joint.hc.m)
     u[-1] = 1.0
-    y = Hc.dense() @ book.words([0])[0] + np.sqrt(joint.m) * u  # residual == m
+    y = Hc.dense() @ book.words([0])[0] + np.sqrt(joint.hc.m) * u  # residual == m
     return book, joint, y
 
 
@@ -204,7 +204,7 @@ def test_decode_rejects_wrong_length(example_spec):
         with pytest.raises(DimensionMismatch):
             decode(bad, book, joint, params, ctx)
     with pytest.raises(DimensionMismatch):
-        _pass_mask(np.zeros((3, joint.m + 1)), params, ctx)
+        _pass_mask(np.zeros((3, joint.hc.m + 1)), params, ctx)
 
 
 def test_decode_refuses_another_context(example_spec):
@@ -213,7 +213,7 @@ def test_decode_refuses_another_context(example_spec):
     book, joint, y = _crafted_setup(example_spec)
     params = TypicalParams(epsilon=0.1, eta=0.1)
     other_book = _white_book(book.S[::-1].copy())
-    other_joint = build_joint(joint.cov, build_Hc(example_spec, joint.n))
+    other_joint = build_joint(joint.cov, build_Hc(example_spec, joint.hc.n))
     for ctx in (prepare_context(other_book, joint), prepare_context(book, other_joint)):
         with pytest.raises(ValueError, match="another codebook"):
             decode(y, book, joint, params, ctx)
@@ -227,9 +227,9 @@ def test_decode_guard_band_follows_direct_rule(example_spec):
     word the decoder recomputes."""
     book, joint, y0 = _crafted_setup(example_spec)
     ctx = prepare_context(book, joint)
-    n, m = joint.n, joint.m
+    n, m = joint.hc.n, joint.hc.m
     rng = np.random.default_rng(8)
-    a0 = _band_apply(joint.hc, book.words([0]), np.zeros((1, m)))
+    a0 = joint.hc.apply(book.words([0]))
     for scale in [0.0] + [1e-3] * 24:
         y = y0 + scale * rng.standard_normal(m)
         diff = a0 - y
@@ -353,7 +353,7 @@ def test_experiment_masks_on_degenerate_halves(example_spec, monkeypatch, n, R, 
     for Y, params, ctx, mask in seen:
         book = ctx.book
         A = book.codewords @ Hd.T
-        W = (book.q[:, None] + ((A[:, None, :] - Y[None]) ** 2).sum(axis=-1)) / (n + ctx.joint.m)
+        W = (book.q[:, None] + ((A[:, None, :] - Y[None]) ** 2).sum(axis=-1)) / (n + ctx.joint.hc.m)
         x_dev = np.abs(book.q / n - 1.0)[:, None]
         clear = (np.abs(x_dev - params.epsilon) > 1e-9) & (np.abs(np.abs(W - 1.0) - params.eta) > 1e-9)
         want = (x_dev < params.epsilon) & (np.abs(W - 1.0) < params.eta)
@@ -469,7 +469,7 @@ def test_support_energy_within_energy_err(example_spec):
             assert abs(cross) <= cross_cap
             assert abs(a_s @ a_s + cross + floor_energy - mpmath.mpf(ctx.energy[i])) <= ctx.energy_err
     assert ctx.base.dtype == np.float32
-    assert np.array_equal(ctx.base, ((ctx.energy + book.q) / (n + joint.m)).astype(np.float32))
+    assert np.array_equal(ctx.base, ((ctx.energy + book.q) / (n + joint.hc.m)).astype(np.float32))
 
 
 def test_near_threshold_pair_follows_direct_form(example_spec, monkeypatch):
@@ -482,14 +482,14 @@ def test_near_threshold_pair_follows_direct_form(example_spec, monkeypatch):
     book = gen_codebook(cov, 4 / n, seed)
     joint = build_joint(cov, build_Hc(example_spec, n))
     ctx = prepare_context(book, joint)
-    m = joint.m
+    m = joint.hc.m
     x0 = book.words([0])
-    a0 = _band_apply(joint.hc, x0, np.zeros((1, m)))
+    a0 = joint.hc.apply(x0)
     rng = np.random.default_rng(seed)
     wrong = 0
     for _ in range(40):
         y = a0[0] + rng.standard_normal(m)
-        diff = _band_apply(joint.hc, x0, np.zeros((1, m)))
+        diff = joint.hc.apply(x0)
         diff -= y
         dev0 = abs((book.q[0] + np.einsum("ij,ij->i", diff, diff)[0]) / (n + m) - 1.0)
         for eta in (dev0, np.nextafter(dev0, np.inf)):
@@ -516,10 +516,10 @@ def test_floor_band_pair_follows_direct_form(example_spec, monkeypatch):
     book = gen_codebook(cov, 4 / n, seed)
     joint = build_joint(cov, build_Hc(example_spec, n))
     ctx = prepare_context(book, joint)
-    m = joint.m
+    m = joint.hc.m
     assert cov.floor_dim > 0 and cov.lam_min == POWER_FLOOR
     Hd = build_Hc(example_spec, n).dense()
-    a0 = _band_apply(joint.hc, book.words([0]), np.zeros((1, m)))[0]
+    a0 = joint.hc.apply(book.words([0]))[0]
     x_f = floors(book, [0])[0]
     band = decoder_mod._guard_band
     float64_part = {"_U32": 0.0, "_F32_RANGE": np.inf}
@@ -578,8 +578,8 @@ def test_support_split_matches_full_width_score(example_spec, case):
     rng = np.random.default_rng(5)
     X = book.S @ assemble(cov.halves).T + floors(book, np.arange(book.size))
     A = X @ build_Hc(example_spec, n).dense().T
-    Y = A[rng.integers(size, size=T)] + rng.standard_normal((T, joint.m))
-    W = (book.q[:, None] + ((A[:, None, :] - Y[None]) ** 2).sum(axis=-1)) / (n + joint.m)
+    Y = A[rng.integers(size, size=T)] + rng.standard_normal((T, joint.hc.m))
+    W = (book.q[:, None] + ((A[:, None, :] - Y[None]) ** 2).sum(axis=-1)) / (n + joint.hc.m)
     dev = np.sort(np.abs(W - 1.0), axis=None)
     eta = 0.5 * (dev[dev.size // 2] + dev[dev.size // 2 + 1])
     assert np.abs(dev - eta).min() > 1e-9
@@ -606,11 +606,11 @@ def test_pairs_forced_into_the_guard_band_follow_the_dense_rule(example_spec, mo
     book = gen_codebook(cov, 5 / n, 8)
     joint = build_joint(cov, build_Hc(example_spec, n))
     ctx = prepare_context(book, joint)
-    N = n + joint.m
+    N = n + joint.hc.m
     rng = np.random.default_rng(9)
     X = book.S @ assemble(cov.halves).T + floors(book, np.arange(book.size))
     A = X @ build_Hc(example_spec, n).dense().T
-    Y = A[rng.integers(book.size, size=T)] + rng.standard_normal((T, joint.m))
+    Y = A[rng.integers(book.size, size=T)] + rng.standard_normal((T, joint.hc.m))
     W = np.abs((book.q[:, None] + ((A[:, None, :] - Y[None]) ** 2).sum(axis=-1)) / N - 1.0)
     x_dev = np.abs(book.q / n - 1.0)
     epsilon = float(np.median(x_dev))
@@ -655,8 +655,8 @@ def _float32_deviations(ctx, Y):
     the same projection: the exactly widened coefficients, and the tail
     added in float64."""
     joint, book = ctx.joint, ctx.book
-    N = joint.n + joint.m
-    Z = book.cov.halves.adjoint(decoder_mod._band_adjoint(joint.hc, Y))
+    N = joint.hc.n + joint.hc.m
+    Z = book.cov.halves.adjoint(joint.hc.adjoint(Y))
     Z *= -2.0 / N
     y_term = np.einsum("ij,ij->i", Y, Y) / N - 1.0
     dev32 = Z.astype(np.float32) @ book.S.T
@@ -685,8 +685,8 @@ def test_float32_scores_lie_within_the_band_float32_term(example_spec, monkeypat
     assert book.S.dtype == np.float32
     joint = build_joint(book.cov, build_Hc(example_spec, n))
     ctx = prepare_context(book, joint)
-    A = _band_apply(joint.hc, book.codewords, np.zeros((book.size, joint.m)))
-    Y = A[rng.integers(book.size, size=40)] + rng.standard_normal((40, joint.m))
+    A = joint.hc.apply(book.codewords)
+    Y = A[rng.integers(book.size, size=40)] + rng.standard_normal((40, joint.hc.m))
     dev32, dev64 = _float32_deviations(ctx, Y)
     y_sq, b_sq = np.einsum("ij,ij->i", Y, Y), _adjoint_sq(ctx, Y)
     band = _guard_band(ctx, y_sq, b_sq, 0.0)
@@ -709,7 +709,7 @@ def test_float32_overflow_sends_every_pair_to_the_direct_rule(example_spec, monk
     halves = random_halves(n, 2)
     unit = gen_codebook(CovarianceSpec(n=n, d=np.ones(n), halves=halves), 0.5, 6)
     joint = build_joint(unit.cov, build_Hc(example_spec, n))
-    N = n + joint.m
+    N = n + joint.hc.m
     scale = 2.5e38 * N / prepare_context(unit, joint).energy.max()
     cov = CovarianceSpec(n=n, d=np.full(n, scale), halves=halves)
     book = gen_codebook(cov, 0.5, 6)
@@ -717,7 +717,7 @@ def test_float32_overflow_sends_every_pair_to_the_direct_rule(example_spec, monk
     i = int(np.argmax(ctx.energy))
     assert np.isfinite(ctx.base).all() and ctx.energy[i] / N == pytest.approx(2.5e38)
     # The image as the recomputation builds it: every word in one batch.
-    Y = _band_apply(joint.hc, book.codewords, np.zeros((book.size, joint.m)))[[i]]
+    Y = joint.hc.apply(book.codewords)[[i]]
     assert np.isinf(_guard_band(ctx, np.einsum("ij,ij->i", Y, Y), _adjoint_sq(ctx, Y), 1.0)).all()
     assert abs(book.q[i] / N - 1.0) < 1.0
     params = TypicalParams(epsilon=10.0, eta=1.0)
@@ -747,9 +747,9 @@ def test_standard_basis_pairs_follow_direct_form(example_spec):
     ctx = prepare_context(book, joint)
     A = book.codewords @ Hc.dense().T
     assert np.abs(ctx.energy - (A * A).sum(axis=1)).max() > 1.0
-    Y = A[rng.integers(size, size=T)] + rng.standard_normal((T, joint.m))
+    Y = A[rng.integers(size, size=T)] + rng.standard_normal((T, joint.hc.m))
     params = TypicalParams(epsilon=10.0, eta=0.3)
-    W = (book.q[:, None] + ((A[:, None, :] - Y[None]) ** 2).sum(axis=-1)) / (n + joint.m)
+    W = (book.q[:, None] + ((A[:, None, :] - Y[None]) ** 2).sum(axis=-1)) / (n + joint.hc.m)
     dev = np.abs(W - 1.0)
     assert np.abs(dev - params.eta).min() > 1e-9
     want = dev < params.eta
@@ -983,7 +983,7 @@ def test_band_scan_in_slices_keeps_the_mask_and_the_chunks(example_spec, monkeyp
     joint = build_joint(cov, build_Hc(example_spec, n))
     ctx = prepare_context(book, joint)
     rng = np.random.default_rng(4)
-    Y = rng.standard_normal((T, joint.m)) * 1e20
+    Y = rng.standard_normal((T, joint.hc.m)) * 1e20
     params = TypicalParams(epsilon=float(np.median(np.abs(book.q / n - 1.0))), eta=0.5)
     words = Codebook.words
 
@@ -998,7 +998,7 @@ def test_band_scan_in_slices_keeps_the_mask_and_the_chunks(example_spec, monkeyp
     assert np.array_equal(sliced, whole)
     assert len(whole_chunks) == 1 and len(chunks) > 2
     assert np.array_equal(np.concatenate(chunks), whole_chunks[0])
-    assert all(len(c) == 55 // joint.m for c in chunks[:-1])
+    assert all(len(c) == 55 // joint.hc.m for c in chunks[:-1])
 
 
 def test_experiment_rejects_zero_trials(example_spec):
@@ -1099,7 +1099,7 @@ def test_kept_setup_is_shared_read_only_and_untouched_by_a_refusal(example_spec,
     (cov, joint), (cov2, joint2), (cov3, _), (cov4, _) = seen
     assert cov2 is cov and joint2 is joint and joint.cov is cov
     assert cov3 is not cov and cov4 is cov and len(decoder_mod._setups) == 2
-    for a in (cov.d, cov.halves.sym, cov.halves.skew, joint.gain, joint.hc):
+    for a in (cov.d, cov.halves.sym, cov.halves.skew, joint.gain, joint.hc.taps):
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
     kept = [(key, entry) for key, (entry, _) in decoder_mod._setups.items()]
@@ -1119,7 +1119,7 @@ def test_kept_setup_stays_within_its_byte_bound(example_spec, monkeypatch):
     size = {}
     for n in (16, 32, 48, 256):
         cov, _, joint = decoder_mod._setup(example_spec, n, P, DEFAULT_GRID)
-        size[n] = sum(a.nbytes for a in (cov.halves.sym, cov.halves.skew, cov.d, joint.gain, joint.hc))
+        size[n] = sum(a.nbytes for a in (cov.halves.sym, cov.halves.skew, cov.d, joint.gain, joint.hc.taps))
         assert _held_bytes() == sum(size.values())
     bound = size[16] + size[48]
     assert size[16] + size[32] <= bound < size[16] + size[32] + size[48] and size[256] > bound
@@ -1165,10 +1165,10 @@ def _type1_z(spec: ChannelSpec, n: int, R: float, trials: int, seed: int) -> flo
     msgs = np.array([rng_stream(seed, STREAM_MESSAGE, t).integers(book.size) for t in range(trials)])
     lam = np.zeros(trials)
     if any(spec.r):
-        dev = np.stack([sample_H(spec, n, law, seed, t).taps for t in range(trials)]) - np.asarray(spec.c)
+        dev = np.stack([sample_H(spec, n, law, seed, t).taps for t in range(trials)]) - np.asarray(spec.c)[:, None]
         X = np.pad(book.words(msgs), ((0, 0), (k, k)))
         out = np.arange(n + k)
-        EX = sum(dev[:, :, d] * X[:, out + k - d] for d in range(k + 1))
+        EX = sum(dev[:, d] * X[:, out + k - d] for d in range(k + 1))
         lam = np.einsum("ij,ij->i", EX, EX)
     p = type1_oracle(book.q[msgs], lam, n, n + k, params.epsilon, params.eta)
     res = run_error_experiment(spec, n=n, R=R, P=P, trials=trials, master_seed=seed, law=law)
@@ -1313,7 +1313,7 @@ def test_experiment_counts_match_one_cell_loop(example_spec, law):
         y = transmit(sample_H(example_spec, n, law, seed, t), x, seed, t)
         r = Hc.dense() @ x - y
         q = book.q[msg]
-        if not (abs(q / n - 1.0) < params.epsilon and abs((q + r @ r) / (n + joint.m) - 1.0) < params.eta):
+        if not (abs(q / n - 1.0) < params.epsilon and abs((q + r @ r) / (n + joint.hc.m) - 1.0) < params.eta):
             counts[0] += 1
         else:
             counts[2 if decode(y, book, joint, params, ctx) == msg else 1] += 1
@@ -1361,7 +1361,7 @@ def test_decode_matches_exact_rational_oracle(example_spec, monkeypatch, p_dbw):
     Hc = build_Hc(example_spec, n)
     joint = build_joint(cov, Hc)
     ctx = prepare_context(book, joint)
-    m = joint.m
+    m = joint.hc.m
     centre = ChannelLaw(kind="constant", offset=(0.0, 0.0, 0.0))
     ys = [
         transmit(sample_H(example_spec, n, law, seed, t), book.codewords[t], seed, t)

@@ -35,7 +35,15 @@ from isicap.spectrum import (
 )
 
 from bases import assemble, eigenbasis, random_halves, standard_halves
-from oracles import dense_gram, f_sq_direct, gram_eigenvalue_oracle, spectrum_extrema_oracle
+from oracles import (
+    _dense_band,
+    dense_gram,
+    dense_sym_band,
+    f_sq_direct,
+    gram_eigenvalue_oracle,
+    nan_corner_taps,
+    spectrum_extrema_oracle,
+)
 from reference_values import ALPHA_EXAMPLE, BETA_EXAMPLE, J_EXAMPLE
 
 PROFILE_ABS_TOL = 1e-10
@@ -317,8 +325,63 @@ def test_build_Hc_structure(example_spec):
 
 
 def test_banded_from_taps_validates_shape():
-    with pytest.raises(ValueError):
-        BandedChannelMatrix(n=4, k=1, taps=np.zeros((4, 2)))  # needs n + k rows
+    """Taps are ``(k + 1, n + k)``, held as a read-only copy; ``n >= 1`` and
+    ``k >= 0`` are integers (an integral float is taken as its int), and
+    non-finite taps are kept."""
+    with pytest.raises(ValueError, match="taps shape"):
+        BandedChannelMatrix(n=4, k=1, taps=np.zeros((5, 2)))  # output-major
+    t = np.ones((2, 5))
+    H = BandedChannelMatrix(n=4, k=1, taps=t)
+    assert H.taps is not t and t.flags.writeable and not H.taps.flags.writeable
+    t[0, 0] = 7.0
+    assert H.taps[0, 0] == 1.0
+    for n, k, shape, what in ((-1, 1, (2, 0), "n >= 1"), (0, 1, (2, 1), "n >= 1"), (4, -1, (0, 3), "k >= 0"),
+                              (4.5, 1, (2, 5), "n must be an integer"), (4, True, (2, 5), "k must be an integer"),
+                              ("4", 1, (2, 5), "n must be an integer")):
+        with pytest.raises(ValueError, match=what):
+            BandedChannelMatrix(n=n, k=k, taps=np.ones(shape))
+    H = BandedChannelMatrix(n=np.int64(4), k=1.0, taps=np.full((2, 5), np.nan))
+    assert (H.n, H.k) == (4, 1) and type(H.n) is int and np.isnan(H.taps).all()
+    spec = ChannelSpec(k=1, c=(1.0, 0.5), r=(0.0, 0.0))
+    assert build_Hc(spec, 3.0).n == 3
+    for n in (3.5, "3"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            build_Hc(spec, n)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_band_products_match_dense_oracle(k):
+    """With every corner tap NaN, for ``n = k + 1, k + 2, 64, 257``, each
+    product of a band channel matrix against its entrywise dense matrix
+    ``D`` (``oracles._dense_band``): ``apply`` (with and without ``out``)
+    and ``adjoint`` within ``2 (k + 2) eps`` times the sum of their terms'
+    magnitudes (both sides add at most ``k + 1`` non-zero products and
+    ``out``'s entry, so each is within ``gamma_(k+2)`` of it), ``scaled``
+    bit for bit ``D diag(w)`` with its corner taps left NaN, and ``gram``
+    and ``output_cov`` ``D'D`` and ``I + D D'`` to 1e-14 (sums of at most
+    ``k + 1`` products below 1)."""
+    rng = np.random.default_rng(40 + k)
+    tol = 2 * (k + 2) * np.finfo(float).eps
+    for n in (k + 1, k + 2, 64, 257):
+        M = BandedChannelMatrix(n=n, k=k, taps=nan_corner_taps(rng, n, k))
+        D = _dense_band(M)
+        X, Y, out = rng.standard_normal((3, n)), rng.standard_normal((3, n + k)), rng.standard_normal((3, n + k))
+        for got, want, scale in (
+            (M.apply(X), X @ D.T, np.abs(X) @ np.abs(D.T)),
+            (M.apply(X[0]), D @ X[0], np.abs(D) @ np.abs(X[0])),
+            (M.apply(X, out.copy()), out + X @ D.T, np.abs(out) + np.abs(X) @ np.abs(D.T)),
+            (M.adjoint(Y), Y @ D, np.abs(Y) @ np.abs(D)),
+        ):
+            assert got.shape == want.shape and (np.abs(got - want) <= tol * scale).all(), n
+        target = out.copy()
+        assert M.apply(X, target) is target
+        w = 10.0 ** rng.uniform(-2.0, 1.0, n)
+        W = M.scaled(w)
+        assert _dense_band(W).tobytes() == (D * w).tobytes()
+        corner = np.isnan(M.taps)
+        assert np.isnan(W.taps[corner]).all() and not np.isnan(W.taps[~corner]).any()
+        np.testing.assert_allclose(dense_sym_band(M.gram()), D.T @ D, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(dense_sym_band(M.output_cov()), np.eye(n + k) + D @ D.T, rtol=0.0, atol=1e-14)
 
 
 def test_gram_matches_product(example_spec):
