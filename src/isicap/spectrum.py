@@ -198,18 +198,21 @@ def _critical_angles(c: np.ndarray) -> np.ndarray:
     return np.angle(np.roots(np.concatenate([g[:0:-1], [0.0], -g[1:]])))
 
 
+def _root_extrema(c: np.ndarray) -> tuple[float, float]:
+    """Least and greatest ``|f|^2`` at the critical angles (``inf`` and
+    ``-inf`` with none): neither lies past the true extremum, up to rounding."""
+    at_roots = _f_sq(c, _critical_angles(c))
+    return float(at_roots.min(initial=np.inf)), float(at_roots.max(initial=-np.inf))
+
+
 @lru_cache(maxsize=128)
 def _centre_profile(c: tuple[float, ...], grid_size: int) -> SpectrumProfile:
     with np.errstate(over="ignore", divide="ignore"):
         table = _f_sq_table(c, grid_size)
         f_sq_min, f_sq_max = float(table.min()), float(table.max())
         if math.isfinite(f_sq_max):  # else the roots' polynomial overflows too
-            # Every candidate is |f|^2 at some angle, so none lies below the
-            # true minimum (up to rounding): alpha keeps its direction of error.
-            taps = np.asarray(c)
-            at_roots = _f_sq(taps, _critical_angles(taps))
-            f_sq_min = min(f_sq_min, float(at_roots.min(initial=np.inf)))
-            f_sq_max = max(f_sq_max, float(at_roots.max(initial=-np.inf)))
+            at_min, at_max = _root_extrema(np.asarray(c))  # alpha keeps its direction of error
+            f_sq_min, f_sq_max = min(f_sq_min, at_min), max(f_sq_max, at_max)
         J = float(simpson_weights(grid_size) @ (1.0 / table)) / (2.0 * np.pi)
 
     scale = f"the centre spectrum overflows a float at tap scale max |c| = {max(map(abs, c)):.3e}"
@@ -255,8 +258,8 @@ class BandedChannelMatrix:
     given; ``n >= 1`` and ``k >= 0`` are integers.  Every product runs on
     the band, one shifted multiply-add per tap row: ``apply`` (``H x``),
     ``adjoint`` (``H'y``), ``gram`` (``H'H``) and ``output_cov`` (``I + H
-    H'``) in lower band form (row ``d`` holds diagonal ``d``), and
-    ``scaled`` (``H diag(w)``)."""
+    H'``) in lower band form (row ``d`` holds diagonal ``d``),
+    ``scaled`` (``H diag(w)``) and ``H - G``."""
 
     n: int
     k: int
@@ -314,18 +317,15 @@ class BandedChannelMatrix:
                 band[e, f : f + n] += t[f + e, f + e : f + e + n] * t[f, f : f + n]
         return band
 
+    def __sub__(self, other: BandedChannelMatrix) -> BandedChannelMatrix:
+        return BandedChannelMatrix(n=self.n, k=self.k, taps=self.taps - other.taps)
+
     def scaled(self, w: np.ndarray) -> BandedChannelMatrix:
         """``H diag(w)``: tap ``d`` of output ``j + d`` times ``w[j]``, the
         corner taps kept as they are."""
         n = self.n
         rows = [np.concatenate((t[:d], t[d:d + n] * w, t[d + n:])) for d, t in enumerate(self.taps)]
         return BandedChannelMatrix(n=n, k=self.k, taps=rows)
-
-    def dense(self) -> np.ndarray:
-        H, cols = np.zeros((self.m, self.n)), np.arange(self.n)
-        for d, row in enumerate(self.taps):
-            H[cols + d, cols] = row[cols + d]
-        return H
 
 
 def build_Hc(spec: ChannelSpec, n: int) -> BandedChannelMatrix:

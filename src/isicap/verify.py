@@ -1,48 +1,46 @@
 """Randomized numerical certification of the matrix facts behind the bounds.
 
 The suites are one table, ``_SUITES``, of ``(name, instance, check)`` rows.
-``instance(rng, i, n_max)`` draws sample ``i`` (a random channel,
-covariance and realization, or plain matrices); ``check(inst)`` evaluates
-one inequality on it and returns ``(margin, ok)``.  Each check computes only
-the quantities its inequality names, through an identity stated in its
+``instance(rng, i, n_max)`` draws sample ``i`` (a random channel, covariance
+and realization, or plain matrices); ``check(inst)`` evaluates one
+inequality on it and returns ``(margin, ok)``.  Each check computes only the
+quantities its inequality names, through an identity stated in its
 docstring: operator norms of channel matrices are the top eigenvalue of
 their band Gram matrix, the stacked trace is summed block by block, and the
 three output-covariance checks read the eigenvalues of the pencil
 ``(Omega_h, Omega_c)``, which the channel instance computes once per sample
-from one Cholesky factor of ``Omega_c`` (``_pencil``).
-A drawn covariance ``Sigma = Q diag(d) Q'`` enters only as ``W = X Q
-diag(sqrt(d))``, which is ``X Sigma^(1/2)`` turned by the orthogonal ``Q``:
-``X Sigma X' = W W'``, and no norm, trace, eigenvalue or determinant a check
-reads changes, so nothing forms ``Sigma``, its root or ``diag(d)``.  Half
-the draws take ``Q = I``; there ``W = H diag(sqrt(d))`` is banded like
-``H``, so the channel instance keeps ``H``, ``Hc``, ``W`` and ``Wc`` as band
-channel matrices and calls their products: the Weyl check takes its spectra
-from band Grams (``gram``, ``eigvals_banded``), the stacked trace reads its
-norms off one, and the pencil is solved from band ``Omega_c`` and ``Omega_h``
-(``output_cov``, ``_band_pencil``).  A drawn basis fills ``W``, so those
-draws stay dense.
-Each check picks its route from the instance's type, band or array.  One
-runner loops over the samples and records the worst margin.  Every
-inequality ``lhs <= rhs`` is decided by one slack rule, ``holds``: it passes
-when ``lhs <= rhs + 1e-9 |rhs| + 1e-12``, for a right-hand side of either
-sign (the log-domain determinant and volume checks have negative ones).  A
-sampled channel matrix takes its taps through ``channel_sim``'s iid law, the
-one the decoding experiments draw from.  Suites whose rows name one instance
-function check one draw: sample ``i`` is drawn once, from stream ``16 + s``
-of one master seed for ``s`` the first such suite (19 for the five suites
-that read a channel and a covariance, ``16 + s`` for the others).  So a
-suite's draws do not depend on which others run, and a reported worst
-instance can be regenerated exactly (``_suite_rng``).
+(``_pencil``).  A drawn covariance ``Sigma = Q diag(d) Q'`` enters only as
+``W = X Q diag(sqrt(d))``, which is ``X Sigma^(1/2)`` turned by the
+orthogonal ``Q``: ``X Sigma X' = W W'``, and no norm, trace, eigenvalue or
+determinant a check reads changes, so nothing forms ``Sigma``, its root or
+``diag(d)``.  Half the draws take ``Q = I``; there ``W = H diag(sqrt(d))``
+is banded like ``H`` (band on both routes), and the checks call its
+products: the Weyl check takes its spectra from band Grams (``gram``,
+``eigvals_banded``), the stacked trace reads its norms off one, and the
+pencil is solved from band ``Omega_c`` and ``Omega_h`` (``output_cov``,
+``_band_pencil``).  A drawn basis fills ``W``, the band applied to the rows
+of ``Q'``.  Each check picks its route, band or array, from the whitened
+matrices.  One runner loops over the samples and records the worst margin.
+Every inequality ``lhs <= rhs`` is decided by one slack rule, ``holds``: it
+passes when ``lhs <= rhs + 1e-9 |rhs| + 1e-12``, for a right-hand side of
+either sign (the log-domain determinant and volume checks have negative
+ones).  A sampled channel matrix takes its taps through ``channel_sim``'s
+iid law, the one the decoding experiments draw from.  Suites whose rows
+name one instance function check one draw: sample ``i`` is drawn once, from
+stream ``16 + s`` of one master seed for ``s`` the first such suite (19 for
+the five suites that read a channel and a covariance, ``16 + s`` for the
+others).  So a suite's draws do not depend on which others run, and a
+reported worst instance can be regenerated exactly (``_suite_rng``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import cholesky, cholesky_banded, eigvals_banded, eigvalsh, solve_triangular
+from scipy.linalg import cholesky_banded, eigvals_banded, eigvalsh
 from scipy.linalg.lapack import dtbtrs
 
 from .errors import SpectrumSingular
@@ -50,7 +48,8 @@ from .spectrum import (
     DEFAULT_GRID,
     BandedChannelMatrix,
     ChannelSpec,
-    SpectrumProfile,
+    _f_sq,
+    _root_extrema,
     build_Hc,
     compute_profile,
 )
@@ -75,18 +74,18 @@ SLACK_ABS = 1e-12
 VERIFY_STREAM_BASE = 16
 K_MAX = 4  # largest channel memory the suites draw
 # Most arrays of order n_max + K_MAX one sample holds at once: a dense
-# channel instance (a drawn basis) while its pencil is solved: H, Hc, Q, W,
-# Wc, Omega_c, Omega_h, the Cholesky factor and the two triangular solves'
-# outputs.  A band instance holds two such arrays, psi and its solves'.
-_DENSE_ARRAYS = 10
+# channel instance (a drawn basis) while its pencil is solved: Q, W, Wc, the
+# pair Omega_c, Omega_h, its copies for LAPACK, and one for the finiteness
+# masks and workspace.  A band instance holds two, psi and its solves'.
+_DENSE_ARRAYS = 8
 # Doubles per row of that order in the eigensolvers' LAPACK workspace
 # (dsyevr: 26 doubles and 10 ints a row).
 _EIG_WORK = 32
-# Most arrays of DEFAULT_GRID + 1 doubles a channel draw holds: while
-# ``compute_profile`` builds the FFT table, the complex transform (two), the
-# two squares, their sum and the closed table; besides them the other table
-# the cache keeps and the Simpson weights; and one to spare for the draw's
-# small arrays.
+# Most arrays of DEFAULT_GRID + 1 doubles a channel draw holds, only when it
+# falls back to ``compute_profile``: while it builds the FFT table, the
+# complex transform (two), the two squares, their sum and the closed table;
+# besides them the other table the cache keeps and the Simpson weights; and
+# one to spare for the draw's small arrays.
 _GRID_ARRAYS = 9
 TWO_PI_E = 2.0 * math.pi * math.e
 _IID = ChannelLaw(kind="iid_uniform")
@@ -101,11 +100,9 @@ def holds(lhs: float, rhs: float) -> bool:
 def _pencil(omega_c: np.ndarray, omega_h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the pencil ``Omega_h v = lam Omega_c v``:
     those of ``psi = L^-1 Omega_h L^-T`` for the Cholesky factor ``L`` of
-    ``Omega_c`` (Golub & Van Loan, *Matrix Computations*, 8.7), one
-    factorization, two triangular solves and one symmetric eigensolve."""
-    L = cholesky(omega_c, lower=True)
-    psi = solve_triangular(L, solve_triangular(L, omega_h, lower=True).T, lower=True)
-    return eigvalsh(psi, overwrite_a=True)
+    ``Omega_c`` (Golub & Van Loan, *Matrix Computations*, 8.7), in one
+    LAPACK symmetric-definite call (``dsygv``: factor, reduce, eigensolve)."""
+    return eigvalsh(omega_h, omega_c, driver="gv")
 
 
 def _band_pencil(omega_c: np.ndarray, omega_h: np.ndarray) -> np.ndarray:
@@ -222,8 +219,16 @@ class LemmaReport:
     details: dict = field(default_factory=dict)
 
 
+class _Extrema(NamedTuple):  # min and max of |f|: all of a profile the suites read
+    alpha: float
+    beta: float
+
+
 def _random_channel(rng: np.random.Generator, n_max: int):
-    """A random well-conditioned channel and a block length n in [k+1, n_max]."""
+    """A random well-conditioned channel, its ``_Extrema`` from the critical
+    angles alone (no FFT table), and a block length n in [k+1, n_max].  If
+    ``|f|^2`` at 64 equispaced angles leaves their range, a root was lost:
+    ``compute_profile`` gives them.  Redrawn while alpha < 0.05 beta (beta > 0)."""
     while True:
         k = int(rng.integers(1, K_MAX + 1))
         c = rng.uniform(-1.0, 1.0, k + 1)
@@ -233,13 +238,19 @@ def _random_channel(rng: np.random.Generator, n_max: int):
         if r.sum() == 0.0:
             continue
         spec = ChannelSpec(k=k, c=tuple(c), r=tuple(r))
-        try:
-            profile = compute_profile(spec)
-        except SpectrumSingular:
+        lo, hi = _root_extrema(c)
+        guard = _f_sq(c, np.arange(64) * (math.pi / 32))
+        if guard.min() < lo or guard.max() > hi:
+            try:
+                profile = compute_profile(spec)
+            except SpectrumSingular:
+                continue
+            ext = _Extrema(profile.alpha, profile.beta)
+        else:
+            ext = _Extrema(math.sqrt(lo), math.sqrt(hi))
+        if ext.alpha < 0.05 * ext.beta:
             continue
-        if profile.alpha < 0.05 * profile.beta:
-            continue
-        return spec, profile, int(rng.integers(k + 1, n_max + 1))
+        return spec, ext, int(rng.integers(k + 1, n_max + 1))
 
 
 class _Cov:
@@ -253,19 +264,19 @@ class _Cov:
         self.sqrt_d = np.sqrt(d)
         self.trace, self.lam_min, self.lam_max = float(d.sum()), float(d.min()), float(d.max())
 
-    def whiten(self, X):
-        """``X Q diag(sqrt(d))``: one GEMM, none in the standard basis, where a
-        band ``X`` (given only when ``Q`` is ``None``) stays band (``scaled``)."""
-        if isinstance(X, BandedChannelMatrix):
-            return X.scaled(self.sqrt_d)
-        return (X if self.Q is None else X @ self.Q) * self.sqrt_d
+    def whiten(self, H: BandedChannelMatrix):
+        """``H Q diag(sqrt(d))`` for a band ``H``: band in the standard basis
+        (``scaled``), else dense, the band applied to the rows of ``Q'``."""
+        if self.Q is None:
+            return H.scaled(self.sqrt_d)
+        return H.apply(self.Q.T).T * self.sqrt_d
 
 
 def _random_cov(rng: np.random.Generator, n: int) -> _Cov:
     d = 10.0 ** rng.uniform(-2.0, 1.0, n)
     if rng.random() < 0.5:
         return _Cov(d=d, Q=None)
-    Q = np.ascontiguousarray(np.linalg.qr(rng.standard_normal((n, n)))[0])
+    Q = np.asfortranarray(np.linalg.qr(rng.standard_normal((n, n)))[0])  # rows of Q' contiguous
     G = Q.T @ Q
     G[np.diag_indices(n)] -= 1.0
     if np.abs(G).max() > 1e-8:
@@ -273,15 +284,13 @@ def _random_cov(rng: np.random.Generator, n: int) -> _Cov:
     return _Cov(d=d, Q=Q)
 
 
-def _rescale_radii_for_phi1(
-    spec: ChannelSpec, profile: SpectrumProfile, cov: _Cov, target: float
-) -> ChannelSpec:
+def _rescale_radii_for_phi1(spec: ChannelSpec, ext: _Extrema, cov: _Cov, target: float) -> ChannelSpec:
     """``spec`` with all radii scaled so the leading penalty ratio hits
     ``target`` < 1 for this covariance, keeping the suite instances
-    non-trivial; ``profile``, the centre's, holds for it unchanged."""
-    s_target = target * (1.0 + profile.alpha ** 2 * cov.lam_min) / cov.lam_max
+    non-trivial; of the centre's ``ext`` it reads ``alpha`` and ``beta`` alone."""
+    s_target = target * (1.0 + ext.alpha ** 2 * cov.lam_min) / cov.lam_max
     rs = spec.r_s
-    t = (-profile.beta + math.sqrt(profile.beta ** 2 + s_target)) / rs
+    t = (-ext.beta + math.sqrt(ext.beta ** 2 + s_target)) / rs
     return ChannelSpec(k=spec.k, c=spec.c, r=tuple(t * v for v in spec.r))
 
 
@@ -332,34 +341,30 @@ def _lemma1_instance(rng, i, n_max):
 
 def _centre_instance(rng, i, n_max):
     """(band centre matrix, its operator-norm cap ``beta``)."""
-    spec, profile, n = _random_channel(rng, n_max)
-    return build_Hc(spec, n), profile.beta
+    spec, ext, n = _random_channel(rng, n_max)
+    return build_Hc(spec, n), ext.beta
 
 
 def _deviation_instance(rng, i, n_max):
     """(band sampled-minus-centre matrix, its operator-norm cap ``r_s``)."""
     spec, _, n = _random_channel(rng, n_max)
-    taps = _sample_banded(rng, spec, n).taps - np.asarray(spec.c)[:, None]
-    return BandedChannelMatrix(n=n, k=spec.k, taps=taps), spec.r_s
+    return _sample_banded(rng, spec, n) - build_Hc(spec, n), spec.r_s
 
 
 def _channel_instance(rng, i, n_max):
-    """(H, Hc, covariance, its ``thresholds``, ``eta'``, the ascending
-    eigenvalues of the ``(Omega_h, Omega_c)`` pencil, ``W = whiten(H)``,
-    ``Wc = whiten(Hc)``), radii scaled so phi1 < 1; ``eta'`` is drawn last,
-    from [0, 1), where the shell exists.  Each whitening is one GEMM in a
-    rotated basis, formed once for the pencil and the Weyl check.  In the
-    standard basis the four matrices stay band channel matrices and the
-    pencil is solved from band forms (``_band_pencil``)."""
-    spec, profile, n = _random_channel(rng, n_max)
+    """(band H, band Hc, covariance, its ``thresholds``, ``eta'``, the
+    ascending eigenvalues of the ``(Omega_h, Omega_c)`` pencil, ``W =
+    whiten(H)``, ``Wc = whiten(Hc)``), radii scaled so phi1 < 1; ``eta'`` is
+    drawn last, from [0, 1), where the shell exists.  The whitenings, formed
+    once for the pencil and the Weyl check, are dense in a rotated basis
+    (``_pencil``) and band in the standard one (``_band_pencil``)."""
+    spec, ext, n = _random_channel(rng, n_max)
     cov = _random_cov(rng, n)
-    spec = _rescale_radii_for_phi1(spec, profile, cov, target=float(rng.uniform(0.05, 0.9)))
+    spec = _rescale_radii_for_phi1(spec, ext, cov, target=float(rng.uniform(0.05, 0.9)))
     Hc, H = build_Hc(spec, n), _sample_banded(rng, spec, n)
-    pencil = _band_pencil
-    if cov.Q is not None:
-        Hc, H, pencil = Hc.dense(), H.dense(), _pencil
-    rep = thresholds(spec, profile, cov, cov.trace / n)
+    rep = thresholds(spec, ext, cov, cov.trace / n)
     W, Wc = cov.whiten(H), cov.whiten(Hc)
+    pencil = _band_pencil if cov.Q is None else _pencil
     return H, Hc, cov, rep, float(rng.uniform(0.0, 1.0)), pencil(*_omegas(Wc, W)), W, Wc
 
 
@@ -398,15 +403,14 @@ def _stacked_trace(inst):
     matrices both norms are read off the band Gram ``S'S``, whose trace is
     ``||S||_F^2`` and whose off-diagonals count twice."""
     H, Hc, cov, rep = inst[:4]
-    if isinstance(H, BandedChannelMatrix):
-        ES = cov.whiten(BandedChannelMatrix(n=H.n, k=H.k, taps=H.taps - Hc.taps))
+    ES = cov.whiten(H - Hc)
+    if isinstance(ES, BandedChannelMatrix):
         G = ES.gram()
         s_sq = float(G[0].sum())
         G[0] += 1.0
         g_sq = float((G[0] * G[0]).sum() + 2.0 * (G[1:] * G[1:]).sum())
         m = ES.m
     else:
-        ES = cov.whiten(H - Hc)
         G = ES.T @ ES
         G[np.diag_indices_from(G)] += 1.0
         g_sq, s_sq, m = float(np.linalg.norm(G)) ** 2, float(np.linalg.norm(ES)) ** 2, ES.shape[0]

@@ -325,13 +325,13 @@ def _penalty(profile: SpectrumProfile, rs, lam_min, lam_max, spend):
 
 
 def thresholds(spec: ChannelSpec, profile: SpectrumProfile, cov, P: float) -> ThresholdReport:
-    """The finite-n constants for a covariance ``cov`` (any record with
-    ``n``, ``trace``, ``lam_min`` and ``lam_max``) at power ``P``.  With ``m
-    = n + k`` and ``s = r_s (r_s + 2 beta)``: ``phi1 = s lam_max / (1 +
-    alpha^2 lam_min)``, the ratio ``_penalty`` refuses at 1, ``phi2 = s trace
-    / m`` and ``phi3 = 1 / (1 + s lam_max)``.  ``C_n`` and ``C_prime_n``
-    bound twice the squared Frobenius norms of the stacked deviation and
-    whitened-output block matrices, for any radii."""
+    """The finite-n constants at power ``P`` for a covariance ``cov`` (any
+    record with ``n``, ``trace``, ``lam_min`` and ``lam_max``), reading only
+    ``alpha`` and ``beta`` of ``profile``.  With ``m = n + k`` and ``s = r_s
+    (r_s + 2 beta)``: ``phi1 = s lam_max / (1 + alpha^2 lam_min)``, the ratio
+    ``_penalty`` refuses at 1, ``phi2 = s trace / m``, ``phi3 = 1 / (1 + s
+    lam_max)``; ``C_n`` and ``C_prime_n`` bound twice the squared Frobenius
+    norms of the stacked deviation and whitened-output blocks, any radii."""
     n = cov.n
     m = n + spec.k
     rs = spec.r_s

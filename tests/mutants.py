@@ -23,6 +23,8 @@ class Mutant(NamedTuple):
 
 _PRODUCTS = "tests/test_spectrum.py::test_band_products_match_dense_oracle"
 _DENSE_CHECKS = "tests/test_verify.py::test_channel_checks_match_dense_oracle"
+_WHITEN = "tests/test_verify.py::test_whiten_matches_the_dense_product"
+_PENCIL = "tests/test_verify.py::test_pencil_matches_numpy_oracle"
 
 MUTANTS = (
     # The band products of BandedChannelMatrix, against the entrywise dense oracle.
@@ -97,9 +99,33 @@ MUTANTS = (
     Mutant(
         "whiten without * sqrt_d",
         "verify.py",
-        "return (X if self.Q is None else X @ self.Q) * self.sqrt_d",
-        "return X if self.Q is None else X @ self.Q",
+        "return H.apply(self.Q.T).T * self.sqrt_d",
+        "return H.apply(self.Q.T).T",
         (f"{_DENSE_CHECKS}[0-24]", f"{_DENSE_CHECKS}[1-24]"),
+    ),
+    Mutant(
+        "whiten applies the band to the rows of Q, not Q'",
+        "verify.py",
+        "H.apply(self.Q.T)",
+        "H.apply(self.Q)",
+        (f"{_WHITEN}[1]", f"{_DENSE_CHECKS}[0-24]"),
+    ),
+    Mutant(
+        "_pencil with Omega_c and Omega_h swapped",
+        "verify.py",
+        'eigvalsh(omega_h, omega_c, driver="gv")',
+        'eigvalsh(omega_c, omega_h, driver="gv")',
+        (f"{_PENCIL}[2]", f"{_PENCIL}[258]"),
+    ),
+    Mutant(
+        "extrema guard's undercut comparison inverted",
+        "verify.py",
+        "if guard.min() < lo or guard.max() > hi:",
+        "if guard.min() > lo or guard.max() > hi:",
+        (
+            "tests/test_verify.py::test_extrema_guard_falls_back_on_a_lost_root",
+            "tests/test_verify.py::test_suites_build_no_fft_table",
+        ),
     ),
     Mutant(
         "HalfBasis.apply with its skew half transposed",

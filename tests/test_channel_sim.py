@@ -41,7 +41,7 @@ from isicap.decoder import TypicalParams, _pass_mask, prepare_context
 from isicap.errors import CodebookTooLarge, DimensionMismatch
 from isicap.waterfill import POWER_FLOOR, dbw_to_watts, waterfill_powers
 from bases import assemble, flat_cov, floors, random_cov, random_halves, sigma, standard_halves
-from oracles import dense_gram, exact_channel_use, exact_joint_statistics
+from oracles import _dense_band, dense_gram, exact_channel_use, exact_joint_statistics
 
 
 def test_rng_stream_reproducible():
@@ -477,7 +477,7 @@ def test_block_hold_taps(example_spec):
 def test_sample_H_band_structure(example_spec):
     H = sample_H(example_spec, 12, ChannelLaw(kind="iid_uniform"), 0, 0)
     k = example_spec.k
-    dense = H.dense()
+    dense = _dense_band(H)
     for i in range(H.m):
         for j in range(H.n):
             if not 0 <= i - j <= k:
@@ -903,7 +903,7 @@ def test_sampled_matrix_rows_use_taps(n, k):
     spec = ChannelSpec(k=k, c=tuple([1.0] + [0.3] * k), r=tuple([0.2] * (k + 1)))
     H = sample_H(spec, n, ChannelLaw(kind="iid_uniform"), 11, 5)
     taps = sample_taps(spec, n + k, ChannelLaw(kind="iid_uniform"), 11, 5)
-    dense = H.dense()
+    dense = _dense_band(H)
     for j in range(n):
         for lag in range(k + 1):
             assert dense[j + lag, j] == taps[lag, j + lag]

@@ -45,6 +45,7 @@ from isicap.errors import CodebookTooLarge, DimensionMismatch
 from isicap.waterfill import POWER_FLOOR, dbw_to_watts, waterfill_powers
 from bases import assemble, flat_cov, floors, random_cov as _random_cov, random_halves, sigma
 from oracles import (
+    _dense_band,
     dense_joint_covariance,
     exact_joint_statistics,
     joint_typicality_oracle,
@@ -80,7 +81,7 @@ def test_joint_inverse_matches_dense(example_spec):
     cov = _random_cov(8, 1)
     joint = build_joint(cov, build_Hc(example_spec, 8))
     H, xi = dense_joint_covariance(sigma(cov), example_spec.c)
-    G = joint.hc.dense()
+    G = _dense_band(joint.hc)
     assert np.array_equal(G, H)
     closed = np.block(
         [[np.linalg.inv(sigma(cov)) + G.T @ G, -G.T], [-G, np.eye(joint.hc.m)]]
@@ -147,7 +148,7 @@ def _white_book(coefs):
 def _adjoint_sq(ctx, Y):
     """``||Hc'y||^2`` per row of ``Y``, from the dense channel matrix."""
     joint = ctx.joint
-    B = Y @ joint.hc.dense()
+    B = Y @ _dense_band(joint.hc)
     return (B * B).sum(axis=1)
 
 
@@ -163,7 +164,7 @@ def _crafted_setup(example_spec):
     joint = build_joint(book.cov, Hc)
     u = np.zeros(joint.hc.m)
     u[-1] = 1.0
-    y = Hc.dense() @ book.words([0])[0] + np.sqrt(joint.hc.m) * u  # residual == m
+    y = _dense_band(Hc) @ book.words([0])[0] + np.sqrt(joint.hc.m) * u  # residual == m
     return book, joint, y
 
 
@@ -254,7 +255,7 @@ def test_build_joint_gains_and_residual(example_spec):
     eps = np.finfo(float).eps
     for n in (40, 41):
         Hc = build_Hc(example_spec, n)
-        G = Hc.dense().T @ Hc.dense()
+        G = _dense_band(Hc).T @ _dense_band(Hc)
         joint = build_joint(build_sigma(example_spec, n, 1.0, "waterfill_gram"), Hc)
         lam = np.linalg.eigvalsh(G)
         s = joint.gain.size
@@ -315,7 +316,7 @@ def test_codeword_and_image_accessors(example_spec):
     want = book.S @ assemble(cov.halves).T + floors(book, np.arange(book.size))
     assert np.abs(book.codewords - want).max() <= 1e-14 * np.abs(want).max()
     assert book.codewords is book.codewords
-    want = book.codewords @ Hc.dense().T
+    want = book.codewords @ _dense_band(Hc).T
     assert np.abs(ctx.images - want).max() <= 1e-14 * np.abs(want).max()
     assert ctx.images is ctx.images
 
@@ -348,7 +349,7 @@ def test_experiment_masks_on_degenerate_halves(example_spec, monkeypatch, n, R, 
     assert sum(len(Y) for Y, *_ in seen) == 70
     cov = seen[0][2].book.cov
     assert (cov.halves.sym.shape[1], cov.halves.skew.shape[1]) == widths
-    Hd = build_Hc(example_spec, n).dense()
+    Hd = _dense_band(build_Hc(example_spec, n))
     compared = 0
     for Y, params, ctx, mask in seen:
         book = ctx.book
@@ -447,7 +448,7 @@ def test_support_energy_within_energy_err(example_spec):
     joint = build_joint(cov, build_Hc(example_spec, n))
     ctx = prepare_context(book, joint)
     eps = np.finfo(float).eps
-    Hd = build_Hc(example_spec, n).dense()
+    Hd = _dense_band(build_Hc(example_spec, n))
     U = assemble(cov.halves)
     XF = floors(book, np.arange(book.size))
     h = sum(abs(c) for c in example_spec.c)
@@ -518,7 +519,7 @@ def test_floor_band_pair_follows_direct_form(example_spec, monkeypatch):
     ctx = prepare_context(book, joint)
     m = joint.hc.m
     assert cov.floor_dim > 0 and cov.lam_min == POWER_FLOOR
-    Hd = build_Hc(example_spec, n).dense()
+    Hd = _dense_band(build_Hc(example_spec, n))
     a0 = joint.hc.apply(book.words([0]))[0]
     x_f = floors(book, [0])[0]
     band = decoder_mod._guard_band
@@ -577,7 +578,7 @@ def test_support_split_matches_full_width_score(example_spec, case):
     assert book.S.shape == (size, width)
     rng = np.random.default_rng(5)
     X = book.S @ assemble(cov.halves).T + floors(book, np.arange(book.size))
-    A = X @ build_Hc(example_spec, n).dense().T
+    A = X @ _dense_band(build_Hc(example_spec, n)).T
     Y = A[rng.integers(size, size=T)] + rng.standard_normal((T, joint.hc.m))
     W = (book.q[:, None] + ((A[:, None, :] - Y[None]) ** 2).sum(axis=-1)) / (n + joint.hc.m)
     dev = np.sort(np.abs(W - 1.0), axis=None)
@@ -609,7 +610,7 @@ def test_pairs_forced_into_the_guard_band_follow_the_dense_rule(example_spec, mo
     N = n + joint.hc.m
     rng = np.random.default_rng(9)
     X = book.S @ assemble(cov.halves).T + floors(book, np.arange(book.size))
-    A = X @ build_Hc(example_spec, n).dense().T
+    A = X @ _dense_band(build_Hc(example_spec, n)).T
     Y = A[rng.integers(book.size, size=T)] + rng.standard_normal((T, joint.hc.m))
     W = np.abs((book.q[:, None] + ((A[:, None, :] - Y[None]) ** 2).sum(axis=-1)) / N - 1.0)
     x_dev = np.abs(book.q / n - 1.0)
@@ -745,7 +746,7 @@ def test_standard_basis_pairs_follow_direct_form(example_spec):
     Hc = build_Hc(example_spec, n)
     joint = build_joint(book.cov, Hc)
     ctx = prepare_context(book, joint)
-    A = book.codewords @ Hc.dense().T
+    A = book.codewords @ _dense_band(Hc).T
     assert np.abs(ctx.energy - (A * A).sum(axis=1)).max() > 1.0
     Y = A[rng.integers(size, size=T)] + rng.standard_normal((T, joint.hc.m))
     params = TypicalParams(epsilon=10.0, eta=0.3)
@@ -1311,7 +1312,7 @@ def test_experiment_counts_match_one_cell_loop(example_spec, law):
         msg = int(rng_stream(seed, STREAM_MESSAGE, t).integers(book.size))
         x = book.codewords[msg]
         y = transmit(sample_H(example_spec, n, law, seed, t), x, seed, t)
-        r = Hc.dense() @ x - y
+        r = _dense_band(Hc) @ x - y
         q = book.q[msg]
         if not (abs(q / n - 1.0) < params.epsilon and abs((q + r @ r) / (n + joint.hc.m) - 1.0) < params.eta):
             counts[0] += 1
@@ -1376,7 +1377,7 @@ def test_decode_matches_exact_rational_oracle(example_spec, monkeypatch, p_dbw):
             s2 = (n + m) * (1.0 + side * params.eta * (1.0 + rel)) - book.q[-1]
             if s2 > 0.0:
                 crafted[len(ys)] = rel < 0.0
-                ys.append(Hc.dense() @ book.codewords[-1] + np.sqrt(s2) * u)
+                ys.append(_dense_band(Hc) @ book.codewords[-1] + np.sqrt(s2) * u)
     Y = np.stack(ys)
     fr = np.vectorize(Fraction, otypes=[object])
     U = assemble(cov.halves)

@@ -315,7 +315,7 @@ def test_profile_orders_extremes(spec):
 def test_build_Hc_structure(example_spec):
     n = 9
     H = build_Hc(example_spec, n)
-    dense = H.dense()
+    dense = _dense_band(H)
     assert dense.shape == (n + example_spec.k, n)
     for i in range(H.m):
         for j in range(H.n):
@@ -388,7 +388,7 @@ def test_gram_matches_product(example_spec):
     """The oracle Gram and the eigenpairs of ``gram_eigh`` both give
     ``Hc' Hc``, at an odd and an even order."""
     for n in (17, 18):
-        Hc = build_Hc(example_spec, n).dense()
+        Hc = _dense_band(build_Hc(example_spec, n))
         assert np.abs(dense_gram(example_spec.c, n) - Hc.T @ Hc).max() <= 1e-12
         lam, halves = eigenbasis(example_spec, n)
         U = assemble(halves)

@@ -34,7 +34,7 @@ from isicap.verify import (
     holds,
 )
 
-from oracles import dense_check_oracle, nan_corner_taps, shell_min_oracle, shell_volume_oracle
+from oracles import _dense_band, dense_check_oracle, nan_corner_taps, shell_min_oracle, shell_volume_oracle
 
 
 def _spd(rng, m, spread=2.0):
@@ -126,6 +126,30 @@ def test_qcqp_matches_descent_oracle():
         got = _shell_min(oc, oh, eta)
         ref = shell_min_oracle(oc, oh, rho, seed=i, restarts=6, iters=2000)
         assert got == pytest.approx(ref, rel=1e-8, abs=1e-10)
+
+
+def _pencil_oracle(omega_c, omega_h):
+    """The pencil's eigenvalues by numpy alone: ``psi = L^-1 Omega_h L^-T``
+    for numpy's Cholesky factor ``L`` of ``Omega_c``, by two general solves,
+    then numpy's symmetric eigensolver."""
+    L = np.linalg.cholesky(omega_c)
+    psi = np.linalg.solve(L, np.linalg.solve(L, omega_h).T)
+    return np.linalg.eigvalsh(0.5 * (psi + psi.T))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 258])
+def test_pencil_matches_numpy_oracle(m):
+    """``_pencil(Omega_c, Omega_h)``, the eigenvalues of ``Omega_h v = lam
+    Omega_c v`` in ascending order, is within ``1e-12 max|lam|`` of the
+    numpy oracle.  ``Omega_h`` is three times a draw like ``Omega_c``, so
+    the swapped pencil's eigenvalues, ``1 / lam``, miss it by far."""
+    rng = np.random.default_rng(m)
+    for _ in range(3):
+        oc, oh = _spd(rng, m), 3.0 * _spd(rng, m)
+        want = _pencil_oracle(oc, oh)
+        bound = 1e-12 * np.abs(want).max()
+        assert np.abs(_pencil(oc, oh) - want).max() <= bound
+        assert np.abs(np.sort(1.0 / want) - want).max() > 1e3 * bound
 
 
 def test_volume_1d_closed_form():
@@ -307,6 +331,56 @@ def test_sample_banded_is_the_uniform_interval_law(spec):
         assert rng.random(dtype=np.float32) == twin.random(dtype=np.float32)
 
 
+def test_table_free_extrema_match_compute_profile(monkeypatch):
+    """On 2,000 seeded channels of the suites' law (k = 1 to 4), the
+    extrema taken at the critical angles alone are ``compute_profile``'s to
+    2 ulps, and no draw's guard falls back to ``compute_profile``."""
+    calls = []
+    monkeypatch.setattr(verify, "compute_profile", lambda spec: calls.append(spec))
+    draws = [verify._random_channel(np.random.default_rng(seed), 24)[:2] for seed in range(2000)]
+    assert not calls
+    assert {spec.k for spec, _ in draws} == {1, 2, 3, 4}
+    for spec, ext in draws:
+        want = spectrum.compute_profile(spec)
+        for got, ref in ((ext.alpha, want.alpha), (ext.beta, want.beta)):
+            assert abs(got - ref) <= 2.0 * np.spacing(ref), (spec, got, ref)
+
+
+def test_extrema_guard_falls_back_on_a_lost_root(monkeypatch):
+    """With the roots at the minimum (an angle and its mirror, as the taps
+    are real) dropped from the critical angles, ``|f|^2`` at the guard's 64
+    angles undercuts the roots' minimum, so every draw falls back to
+    ``compute_profile`` and returns its extrema."""
+    roots = spectrum._critical_angles
+
+    def lose_min(c):
+        angles = roots(c)
+        at_min = abs(angles[np.argmin(spectrum._f_sq(c, angles))])
+        return angles[np.abs(np.abs(angles) - at_min) > 1e-9]
+
+    calls = []
+    profile = spectrum.compute_profile
+    monkeypatch.setattr(spectrum, "_critical_angles", lose_min)
+    monkeypatch.setattr(verify, "compute_profile", lambda spec: calls.append(spec) or profile(spec))
+    spectrum._centre_profile.cache_clear()
+    try:
+        for seed in range(50):
+            spec, ext, _ = verify._random_channel(np.random.default_rng(seed), 24)
+            assert calls and calls[-1] == spec, seed
+            want = profile(spec)
+            assert (ext.alpha, ext.beta) == (want.alpha, want.beta), seed
+    finally:
+        spectrum._centre_profile.cache_clear()  # drop profiles made with a root lost
+
+
+def test_suites_build_no_fft_table():
+    """Every suite's channel draws take their extrema from the critical
+    angles: a run of all nine builds no ``|f|^2`` table."""
+    misses = spectrum._f_sq_table.cache_info().misses
+    run_all_suites(samples=25, master_seed=0, n_max=24)
+    assert spectrum._f_sq_table.cache_info().misses == misses
+
+
 def test_margin_quantiles_persisted():
     rep = run_suite("deviation_matrix_norm", samples=9, master_seed=11, n_max=16)
     qs = rep.details["margin_quantiles"]
@@ -359,7 +433,7 @@ def test_band_op_norm_matches_dense(k):
     rng = np.random.default_rng(k)
     for n in (k + 1, k + 2, 64, 257):
         M = BandedChannelMatrix(n=n, k=k, taps=rng.uniform(-1.0, 1.0, (k + 1, n + k)))
-        assert _band_op_norm(M) == pytest.approx(_op_norm(M.dense()), rel=1e-13, abs=0.0)
+        assert _band_op_norm(M) == pytest.approx(_op_norm(_dense_band(M)), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -373,8 +447,8 @@ def test_band_builders_match_dense_products(k):
     for n in (k + 1, k + 2, 64, 257):
         M, Mc = (BandedChannelMatrix(n=n, k=k, taps=nan_corner_taps(rng, n, k)) for _ in range(2))
         cov = verify._Cov(d=10.0 ** rng.uniform(-2.0, 1.0, n), Q=None)
-        assert cov.whiten(M).dense().tobytes() == cov.whiten(M.dense()).tobytes()
-        D, Dc = M.dense(), Mc.dense()
+        assert _dense_band(cov.whiten(M)).tobytes() == verify._Cov(d=cov.d, Q=np.eye(n)).whiten(M).tobytes()
+        D, Dc = _dense_band(M), _dense_band(Mc)
         eye = np.eye(n + k)
         lam = verify._band_pencil(*verify._omegas(Mc, M))
         want = _pencil(eye + Dc @ Dc.T, eye + D @ D.T)
@@ -382,12 +456,35 @@ def test_band_builders_match_dense_products(k):
         assert np.abs(lam - want).max() <= bound, (n, np.abs(lam - want).max() / bound)
 
 
+@pytest.mark.parametrize("k", range(5))
+def test_whiten_matches_the_dense_product(k):
+    """For a drawn basis ``Q``, ``whiten(H)`` is ``H Q diag(sqrt(d))`` with
+    ``H`` made dense entry by entry: each route rounds ``k + 1`` products,
+    ``k`` sums and the scale, ``(k + 2) eps / 2`` relative to ``|H| |Q|
+    sqrt(d)`` (Higham, *Accuracy and Stability*, 3.1), so the two differ by
+    at most ``(k + 2) eps`` of it.  With ``Q = I`` it is the dense ``H``
+    times ``sqrt(d)`` bit for bit.  Every corner tap is NaN."""
+    rng = np.random.default_rng(50 + k)
+    eps = np.finfo(float).eps
+    for n in (k + 1, 64, 257):
+        H = BandedChannelMatrix(n=n, k=k, taps=nan_corner_taps(rng, n, k))
+        d = 10.0 ** rng.uniform(-2.0, 1.0, n)
+        Q = np.asfortranarray(np.linalg.qr(rng.standard_normal((n, n)))[0])
+        cov = verify._Cov(d=d, Q=Q)
+        dense = _dense_band(H)
+        want = dense @ Q * cov.sqrt_d
+        scale = np.abs(dense) @ np.abs(Q) * cov.sqrt_d
+        assert np.all(np.abs(cov.whiten(H) - want) <= (k + 2) * eps * scale), n
+        eye = verify._Cov(d=d, Q=np.eye(n)).whiten(H)
+        assert eye.tobytes() == (dense * cov.sqrt_d).tobytes(), n
+
+
 def band_route_gate(seed: int, n_max: int, samples: int) -> int:
     """The band route against the dense one on every standard-basis sample
     of the channel instance (samples ``0 .. samples - 1`` of master seed
     ``seed``): each of the five checks that read a covariance, on the band
-    instance and on its dense twin (``dense()``, the dense ``whiten`` and
-    ``_pencil(*_omegas(...))``), gives margins within ``1e-9 max(|lhs|,
+    instance and on its dense twin (whitened in the basis ``Q = I``, so
+    dense, and ``_pencil(*_omegas(...))``), gives margins within ``1e-9 max(|lhs|,
     |rhs|) + 1e-12`` (``lhs`` and ``rhs`` from ``dense_check_oracle``) and
     the same decision.  Returns the number of band samples."""
     first = SUITE_NAMES.index("stacked_deviation_trace")
@@ -396,11 +493,11 @@ def band_route_gate(seed: int, n_max: int, samples: int) -> int:
     for i in range(samples):
         inst = _SUITES[first][1](_suite_rng(seed, first, i), i, n_max)
         H, Hc, cov, rep, eta_prime = inst[:5]
-        assert isinstance(H, BandedChannelMatrix) == (cov.Q is None), i
+        assert isinstance(inst[6], BandedChannelMatrix) == (cov.Q is None), i
         if cov.Q is not None:
             continue
         band += 1
-        dense = _with_pencil(H.dense(), Hc.dense(), cov, rep, eta_prime)
+        dense = _with_pencil(H, Hc, verify._Cov(d=cov.d, Q=np.eye(cov.n)), rep, eta_prime)
         for name, check in checks:
             (got, got_ok), (want, want_ok) = check(inst), check(dense)
             lhs, rhs = dense_check_oracle(name, dense)
@@ -414,15 +511,24 @@ def test_band_route_matches_dense_route(seed):
     assert band_route_gate(seed, 24, 30) > 0
 
 
+class _Turned(np.ndarray):
+    """A channel matrix turned by a basis, so dense, that the standard
+    basis whitens as it does a band one: by ``scaled``."""
+
+    def scaled(self, w):
+        return np.asarray(self) * w
+
+
 def _turned(name, inst):
     """The same check's instance in the standard basis: ``(H Q, Hc Q,
-    diag(d))``, with the pencil eigenvalues recomputed there; the stacked
-    trace reads only ``H - Hc``, so it gets ``((H - Hc) Q, 0)``."""
+    diag(d))``, ``H Q`` formed as ``whiten`` forms it, with the pencil
+    eigenvalues recomputed there; the stacked trace reads only ``H - Hc``,
+    so it gets ``((H - Hc) Q, 0)``."""
     H, Hc, cov, rep, eta_prime = inst[:5]
     if name == "stacked_deviation_trace":
-        H, Hc = H - Hc, np.zeros_like(Hc)
-    H, Hc, cov = H @ cov.Q, Hc @ cov.Q, verify._Cov(d=cov.d, Q=None)
-    return _with_pencil(H, Hc, cov, rep, eta_prime)
+        H, Hc = H - Hc, H - H
+    turn = lambda M: M.apply(cov.Q.T).T.view(_Turned)
+    return _with_pencil(turn(H), turn(Hc), verify._Cov(d=cov.d, Q=None), rep, eta_prime)
 
 
 def _with_pencil(H, Hc, cov, rep, eta_prime):
@@ -438,8 +544,8 @@ def test_drawn_basis_checks_equal_standard_basis_checks(seed):
     ``(H Q, Hc Q, diag(d))``: the drawn basis enters only through the one
     product ``whiten``.  A standard-basis draw gets a random ``Q`` here.
     The pencil is recomputed in each basis, so the three checks that read
-    it are compared too.  A standard-basis draw's band matrices are made
-    dense, so both sides take the dense route."""
+    it are compared too.  Both sides take the dense route: the drawn basis
+    fills ``W``, and the turned matrices are dense."""
     rng = np.random.default_rng(seed)
     for idx, (name, instance, check) in enumerate(_SUITES):
         if name not in CHANNEL_SUITES[2:]:  # the five suites that draw a covariance
@@ -449,7 +555,6 @@ def test_drawn_basis_checks_equal_standard_basis_checks(seed):
             if cov.Q is None:
                 Q = np.linalg.qr(rng.standard_normal((cov.n, cov.n)))[0]
                 cov = verify._Cov(d=cov.d, Q=np.ascontiguousarray(Q))
-                H, Hc = H.dense(), Hc.dense()
             inst = _with_pencil(H, Hc, cov, rep, eta_prime)
             assert check(inst) == check(_turned(name, inst)), (name, i)
 
@@ -515,12 +620,18 @@ def test_one_sample_fits_the_dense_array_count(first):
     suite that shares it, peaks below ``_DENSE_ARRAYS`` float arrays of order
     ``n_max + K_MAX``, the count the byte-cap refusal rests on at large
     ``n_max``.  The samples are the first three whose block length is
-    within 8 of ``n_max``, so the bound is near tight."""
+    within 8 of ``n_max`` and, for the channel instance, whose covariance
+    has a drawn basis (the dense route), so the bound is near tight."""
     n_max = 256
     names = [name for j, name in enumerate(SUITE_NAMES) if verify._DRAWN_BY[j] == first]
-    block_len = lambda seed: verify._random_channel(_suite_rng(seed, first, 0), n_max)[2]
-    near = (seed for seed in itertools.count() if block_len(seed) >= n_max - 8)
-    for seed in itertools.islice(near, 3):
+    rng = lambda seed: _suite_rng(seed, first, 0)
+
+    def near(seed):
+        if verify._random_channel(rng(seed), n_max)[2] < n_max - 8:
+            return False
+        return "stacked_deviation_trace" not in names or verify._channel_instance(rng(seed), 0, n_max)[2].Q is not None
+
+    for seed in itertools.islice(filter(near, itertools.count()), 3):
         tracemalloc.start()
         try:
             verify._run(names, 1, seed, n_max)
@@ -531,26 +642,31 @@ def test_one_sample_fits_the_dense_array_count(first):
 
 
 @pytest.mark.parametrize("n_max", [8, 32, 128])
-def test_sample_bytes_bound_every_suite_at_small_n_max(n_max):
-    """At small ``n_max`` the spectrum grid, not the dense arrays, sets a
-    sample's peak: every suite group, run with the spectrum caches cold,
-    peaks (traced) below ``_sample_bytes(n_max)``, the byte-cap estimate,
-    and above its dense part alone at n_max = 8 and 32."""
+def test_sample_bytes_bound_every_suite_at_small_n_max(n_max, monkeypatch):
+    """At small ``n_max`` the spectrum grid, not the dense arrays, sets the
+    peak of a sample whose channel draw falls back to ``compute_profile``
+    (forced here by losing every critical angle): every suite group, run
+    with the spectrum caches cold, with and without that fallback, peaks
+    (traced) below ``_sample_bytes(n_max)``, the byte-cap estimate, and
+    above its dense part alone at n_max = 8 and 32."""
     groups = {}
     for j, name in enumerate(SUITE_NAMES):
         groups.setdefault(verify._DRAWN_BY[j], []).append(name)
     dense = verify._DENSE_ARRAYS * 8 * (n_max + verify.K_MAX) ** 2
     worst = 0
-    for names in groups.values():
-        for seed in range(3):
-            for cache in (spectrum._f_sq_table, spectrum._centre_profile, spectrum.simpson_weights):
-                cache.cache_clear()
-            tracemalloc.start()
-            try:
-                verify._run(names, 2, seed, n_max)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < verify._sample_bytes(n_max), (names, seed, peak)
-            worst = max(worst, peak)
+    for lost in (False, True):
+        if lost:
+            monkeypatch.setattr(verify, "_root_extrema", lambda c: (math.inf, -math.inf))
+        for names in groups.values():
+            for seed in range(3):
+                for cache in (spectrum._f_sq_table, spectrum._centre_profile, spectrum.simpson_weights):
+                    cache.cache_clear()
+                tracemalloc.start()
+                try:
+                    verify._run(names, 2, seed, n_max)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < verify._sample_bytes(n_max), (names, seed, lost, peak)
+                worst = max(worst, peak)
     assert n_max == 128 or worst > dense
