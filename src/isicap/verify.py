@@ -5,18 +5,25 @@ The suites are one table, ``_SUITES``, of ``(name, instance, check)`` rows.
 and realization, or plain matrices); ``check(inst)`` evaluates one
 inequality on it and returns ``(margin, ok)``.  Each check computes only the
 quantities its inequality names, through an identity stated in its
-docstring: operator norms of channel matrices are the top eigenvalue of
-their band Gram matrix, the stacked trace is summed block by block, and the
-three output-covariance checks read the eigenvalues of the pencil
-``(Omega_h, Omega_c)``, which the channel instance computes once per sample
-(``_pencil``).  A drawn covariance ``Sigma = Q diag(d) Q'`` enters only as
+docstring.  The two norm caps read the top eigenvalue of a band Gram
+matrix; the stacked trace reads Frobenius norms, summed block by block; the
+Weyl check reads every eigenvalue of its two Grams ``A`` and ``B`` but only
+the two extreme ones of ``A - B``.  The three output-covariance checks read
+the pencil ``(Omega_h, Omega_c)``'s eigenvalues ``lam`` through four
+numbers, which the channel instance computes once per sample without
+solving for ``lam`` (``_Pencil``): the whitened trace reads ``sum lam^2``,
+the determinant floor ``m`` and ``sum log lam``, the shell floor ``m`` and
+``max lam``, all off the pencil's tridiagonal form (``_pencil``).  Every
+LAPACK routine is called through ``scipy.linalg.lapack``, its ``info``
+checked (``_lapack``), its workspace queried once per order (``_lwork``).
+A drawn covariance ``Sigma = Q diag(d) Q'`` enters only as
 ``W = X Q diag(sqrt(d))``, which is ``X Sigma^(1/2)`` turned by the
 orthogonal ``Q``: ``X Sigma X' = W W'``, and no norm, trace, eigenvalue or
 determinant a check reads changes, so nothing forms ``Sigma``, its root or
 ``diag(d)``.  Half the draws take ``Q = I``; there ``W = H diag(sqrt(d))``
 is banded like ``H`` (band on both routes), and the checks call its
 products: the Weyl check takes its spectra from band Grams (``gram``,
-``eigvals_banded``), the stacked trace reads its norms off one, and the
+``_band_eigvals``), the stacked trace reads its norms off one, and the
 pencil is solved from band ``Omega_c`` and ``Omega_h`` (``output_cov``,
 ``_band_pencil``).  A drawn basis fills ``W``, the band applied to the rows
 of ``Q'``.  Each check picks its route, band or array, from the whitened
@@ -37,11 +44,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cache
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import cholesky_banded, eigvals_banded, eigvalsh
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg import lapack
 
 from .errors import SpectrumSingular
 from .spectrum import (
@@ -74,19 +81,23 @@ SLACK_ABS = 1e-12
 VERIFY_STREAM_BASE = 16
 K_MAX = 4  # largest channel memory the suites draw
 # Most arrays of order n_max + K_MAX one sample holds at once: a dense
-# channel instance (a drawn basis) while its pencil is solved: Q, W, Wc, the
-# pair Omega_c, Omega_h, its copies for LAPACK, and one for the finiteness
-# masks and workspace.  A band instance holds two, psi and its solves'.
-_DENSE_ARRAYS = 8
-# Doubles per row of that order in the eigensolvers' LAPACK workspace
-# (dsyevr: 26 doubles and 10 ints a row).
-_EIG_WORK = 32
+# channel instance (a drawn basis) in the Weyl check: Q, W, Wc, the Grams A,
+# B and A - B, and one to spare for the instance's small arrays and the
+# workspace (the pencil, solved in place, holds Q, W, Wc, Omega_c, Omega_h).
+# A band instance holds two, psi and its solves'.
+_DENSE_ARRAYS = 7
+# Doubles per row of that order in the LAPACK workspace (dsyevr's optimal:
+# 33 doubles and 10 ints a row; dsytrd's: 32 doubles).
+_EIG_WORK = 38
 # Most arrays of DEFAULT_GRID + 1 doubles a channel draw holds, only when it
 # falls back to ``compute_profile``: while it builds the FFT table, the
 # complex transform (two), the two squares, their sum and the closed table;
 # besides them the other table the cache keeps and the Simpson weights; and
 # one to spare for the draw's small arrays.
 _GRID_ARRAYS = 9
+# dsbevx's tolerance, as scipy.linalg.eigvals_banded sets it: twice LAPACK's
+# safe minimum (dlamch("S")), which for IEEE doubles is the smallest normal.
+_ABSTOL = 2.0 * np.finfo(float).tiny
 TWO_PI_E = 2.0 * math.pi * math.e
 _IID = ChannelLaw(kind="iid_uniform")
 
@@ -97,30 +108,127 @@ def holds(lhs: float, rhs: float) -> bool:
     return lhs <= rhs + SLACK_REL * abs(rhs) + SLACK_ABS
 
 
-def _pencil(omega_c: np.ndarray, omega_h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the pencil ``Omega_h v = lam Omega_c v``:
-    those of ``psi = L^-1 Omega_h L^-T`` for the Cholesky factor ``L`` of
-    ``Omega_c`` (Golub & Van Loan, *Matrix Computations*, 8.7), in one
-    LAPACK symmetric-definite call (``dsygv``: factor, reduce, eigensolve)."""
-    return eigvalsh(omega_h, omega_c, driver="gv")
+def _lapack(name: str, *args, **kwargs):
+    """``scipy.linalg.lapack.<name>(*args, **kwargs)``'s outputs without its
+    trailing ``info`` (the one output alone), which must be 0: otherwise
+    ``LinAlgError``."""
+    *out, info = getattr(lapack, name)(*args, **kwargs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{name} failed: info = {info}")
+    return out[0] if len(out) == 1 else out
 
 
-def _band_pencil(omega_c: np.ndarray, omega_h: np.ndarray) -> np.ndarray:
+@cache
+def _lwork(name: str, n: int):
+    """Optimal workspace of ``name`` at order ``n``, from its ``_lwork``
+    query, as integers: ``lwork`` (dsytrd) or ``(lwork, liwork)`` (dsyevr)."""
+    out = _lapack(name + "_lwork", n, lower=1)
+    return tuple(int(v) for v in out) if isinstance(out, list) else int(out)
+
+
+def _sym_eigvals(a: np.ndarray, index: Optional[int] = None) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric ``a`` (lower triangle read;
+    overwritten when F-contiguous) by dsyevr, as ``scipy.linalg.eigvalsh``
+    calls it: all of them, or only the one of 1-based ``index``."""
+    lwork, liwork = _lwork("dsyevr", a.shape[0])
+    sub = {} if index is None else dict(range="I", il=index, iu=index)
+    w, _, m, _ = _lapack("dsyevr", a, compute_v=0, lower=1, lwork=lwork, liwork=liwork, overwrite_a=1, **sub)
+    return w[:m]
+
+
+def _band_eigvals(band: np.ndarray, index: Optional[int] = None) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix in lower band form (row
+    ``e`` holds diagonal ``e``), as ``scipy.linalg.eigvals_banded`` takes
+    them: all by dsbevd, or only the one of 1-based ``index`` by dsbevx."""
+    if index is None:
+        return _lapack("dsbevd", band, compute_v=0, lower=1, overwrite_ab=0)[0]
+    w, _, m, _ = _lapack("dsbevx", band, 0.0, 1.0, index, index, compute_v=0, range=2, lower=1,
+                         abstol=_ABSTOL, mmax=1, overwrite_ab=0)
+    return w[:m]
+
+
+def _tridiagonal(a: np.ndarray):
+    """Diagonal and off-diagonal of the tridiagonal ``T = U' a U``, ``U``
+    orthogonal, that dsytrd reduces the symmetric ``a`` to (lower triangle
+    read; overwritten when F-contiguous): ``T`` has ``a``'s eigenvalues."""
+    _, d, e, _ = _lapack("dsytrd", a, lower=1, lwork=_lwork("dsytrd", a.shape[0]), overwrite_a=1)
+    return d, e
+
+
+def _bisect(d: np.ndarray, e: np.ndarray, index: int) -> float:
+    """Eigenvalue of 1-based ``index`` of the symmetric tridiagonal ``(d,
+    e)``, by bisection (dstebz, which refuses order 1: there it is ``d``)."""
+    if len(d) == 1:
+        return float(d[0])
+    return float(_lapack("dstebz", d, e, 2, 0.0, 0.0, index, index, 0.0, b"E")[1][0])
+
+
+def _sym_extremes(a: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of the symmetric ``a`` (overwritten
+    when F-contiguous): bisection on its tridiagonal form."""
+    d, e = _tridiagonal(a)
+    return _bisect(d, e, 1), _bisect(d, e, len(d))
+
+
+def _band_extremes(band: np.ndarray) -> tuple[float, float]:
+    """``_sym_extremes`` of a symmetric matrix in lower band form."""
+    return float(_band_eigvals(band, 1)[0]), float(_band_eigvals(band, band.shape[1])[0])
+
+
+class _Pencil(NamedTuple):
+    """All the output-covariance checks read of the pencil eigenvalues
+    ``lam``: their count, ``sum lam^2``, ``sum log lam`` and ``max lam``."""
+
+    m: int
+    sum_sq: float
+    sum_log: float
+    top: float
+
+
+def _pencil_of(d: np.ndarray, e: np.ndarray) -> _Pencil:
+    """``_Pencil`` of the positive definite tridiagonal ``T = (d, e)``
+    similar to ``psi``, read off ``T`` without its eigenvalues: ``sum lam^2
+    = ||T||_F^2 = sum d^2 + 2 sum e^2``; ``sum log lam = log det T``, the sum
+    of the logs of its LDL' pivots ``p_1 = d_1``, ``p_i = d_i - e_(i-1)^2 /
+    p_(i-1)`` (``LinAlgError`` if one is not positive); ``max lam`` by
+    bisection."""
+    pivots = [float(d[0])]
+    for di, ei in zip(d[1:].tolist(), e.tolist()):
+        if not pivots[-1] > 0.0:
+            break
+        pivots.append(di - ei * ei / pivots[-1])
+    if not pivots[-1] > 0.0:
+        raise np.linalg.LinAlgError("the pencil is not positive definite")
+    m = len(d)
+    return _Pencil(m, float(d @ d + 2.0 * (e @ e)), float(np.log(pivots).sum()), _bisect(d, e, m))
+
+
+def _pencil(omega_c: np.ndarray, omega_h: np.ndarray) -> _Pencil:
+    """``_Pencil`` of ``Omega_h v = lam Omega_c v``: the eigenvalues of
+    ``psi = L^-1 Omega_h L^-T`` for the Cholesky factor ``L`` of
+    ``Omega_c`` (Golub & Van Loan, *Matrix Computations*, 8.7), read off
+    the tridiagonal form of ``psi`` (dpotrf, dsygst, dsytrd: dsygv without
+    its closing eigensolve).  Lower triangles are read.  F-contiguous
+    arguments, as ``_omegas`` hands them over, are factored and reduced in
+    place, so overwritten; others are copied."""
+    L = _lapack("dpotrf", omega_c, lower=1, overwrite_a=1)
+    return _pencil_of(*_tridiagonal(_lapack("dsygst", omega_h, L, lower=1, overwrite_a=1)))
+
+
+def _band_pencil(omega_c: np.ndarray, omega_h: np.ndarray) -> _Pencil:
     """``_pencil`` from lower band forms of ``Omega_c`` and ``Omega_h``
-    (row ``e`` holds diagonal ``e``): ``L`` by ``cholesky_banded``, ``psi``
-    by two band triangular solves against ``Omega_h`` made dense, and one
-    symmetric eigensolve."""
-    L = cholesky_banded(omega_c, lower=True)
+    (row ``e`` holds diagonal ``e``): ``L`` by dpbtrf, ``psi`` by two band
+    triangular solves (dtbtrs) against ``Omega_h`` made dense, then its
+    tridiagonal form."""
+    L = _lapack("dpbtrf", omega_c, lower=1)
     m = omega_h.shape[1]
     psi = np.zeros((m, m))
     for e, diag in enumerate(omega_h):
         i = np.arange(m - e)
         psi[i + e, i] = psi[i, i + e] = diag[: m - e]
     for _ in range(2):
-        psi, info = dtbtrs(L, psi.T, uplo="L")
-        if info != 0:
-            raise np.linalg.LinAlgError(f"band triangular solve failed: dtbtrs info = {info}")
-    return eigvalsh(psi, overwrite_a=True)
+        psi = _lapack("dtbtrs", L, psi.T, uplo="L", overwrite_b=1)
+    return _pencil_of(*_tridiagonal(psi))
 
 
 @dataclass(frozen=True)
@@ -307,29 +415,29 @@ def _sample_banded(rng: np.random.Generator, spec: ChannelSpec, n: int) -> Bande
 def _op_norm(M: np.ndarray) -> float:
     """Operator norm of a dense matrix: the square root of the top
     eigenvalue of its smaller Gram matrix."""
-    G = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M
-    last = G.shape[0] - 1
-    return math.sqrt(max(float(eigvalsh(G, subset_by_index=[last, last])[0]), 0.0))
+    G = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M  # symmetric: G.T is G, F-contiguous
+    return math.sqrt(max(float(_sym_eigvals(G.T, G.shape[0])[0]), 0.0))
 
 
 def _band_op_norm(M: BandedChannelMatrix) -> float:
     """Operator norm of a band channel matrix: the square root of the top
     eigenvalue of its band Gram matrix ``M'M``."""
-    top = eigvals_banded(M.gram(), lower=True, select="i", select_range=(M.n - 1, M.n - 1))
-    return math.sqrt(max(float(top[0]), 0.0))
+    return math.sqrt(max(float(_band_eigvals(M.gram(), M.n)[0]), 0.0))
 
 
 def _omegas(Wc, W):
     """Output covariances ``I + Hc Sigma Hc'`` and ``I + H Sigma H'`` from
     the whitened ``Wc = whiten(Hc)`` and ``W = whiten(H)``: dense, the
     identity added on the diagonal in place, or in lower band form
-    (``output_cov``) for band ones."""
+    (``output_cov``) for band ones.  A dense product is symmetric, so it is
+    handed over as its own transpose, F-contiguous: ``_pencil`` solves it
+    in place, with no copy for LAPACK."""
     if isinstance(W, BandedChannelMatrix):
         return Wc.output_cov(), W.output_cov()
     out = Wc @ Wc.T, W @ W.T
     for omega in out:
         omega[np.diag_indices_from(omega)] += 1.0
-    return out
+    return tuple(omega.T for omega in out)
 
 
 def _lemma1_instance(rng, i, n_max):
@@ -353,8 +461,8 @@ def _deviation_instance(rng, i, n_max):
 
 def _channel_instance(rng, i, n_max):
     """(band H, band Hc, covariance, its ``thresholds``, ``eta'``, the
-    ascending eigenvalues of the ``(Omega_h, Omega_c)`` pencil, ``W =
-    whiten(H)``, ``Wc = whiten(Hc)``), radii scaled so phi1 < 1; ``eta'`` is
+    ``_Pencil`` of ``(Omega_h, Omega_c)``, ``W = whiten(H)``, ``Wc =
+    whiten(Hc)``), radii scaled so phi1 < 1; ``eta'`` is
     drawn last, from [0, 1), where the shell exists.  The whitenings, formed
     once for the pencil and the Weyl check, are dense in a rotated basis
     (``_pencil``) and band in the standard one (``_band_pencil``)."""
@@ -422,9 +530,10 @@ def _whitened_trace(inst):
     """``2 ||B' Omega_c^-1 B||_F^2 <= C'_n`` for ``B = [H Sigma^(1/2), I]``.
     Since ``B B' = Omega_h``, ``||B' Omega_c^-1 B||_F = ||L^-1 Omega_h
     L^-T||_F`` with ``L`` the Cholesky factor of ``Omega_c``, and that is
-    ``sqrt(sum lam^2)`` over the pencil eigenvalues ``lam``."""
-    rep, lam = inst[3], inst[5]
-    lhs = 2.0 * float(np.dot(lam, lam))
+    ``sqrt(sum lam^2)`` over the pencil eigenvalues ``lam``: the check reads
+    the pencil's ``sum_sq``."""
+    rep, pencil = inst[3], inst[5]
+    lhs = 2.0 * pencil.sum_sq
     return rep.C_prime_n - lhs, holds(lhs, rep.C_prime_n)
 
 
@@ -433,28 +542,33 @@ def _det_floor(inst):
     ``m log(1 - phi1) + log det Omega_c <= log det Omega_h``.  The
     log-determinants' difference is ``sum log lam`` over the pencil
     eigenvalues ``lam``, so the check reads ``m log(1 - phi1) <= sum log
-    lam``."""
-    rep, lam = inst[3], inst[5]
-    floor, value = len(lam) * math.log(1.0 - rep.phi1_n), float(np.log(lam).sum())
-    return value - floor, holds(floor, value)
+    lam``: the pencil's ``m`` and ``sum_log``."""
+    rep, pencil = inst[3], inst[5]
+    floor = pencil.m * math.log(1.0 - rep.phi1_n)
+    return pencil.sum_log - floor, holds(floor, pencil.sum_log)
 
 
 def _eig_stability(inst):
     """Weyl: the largest eigenvalue shift of the whitened Gram pair
     ``A = W'W``, ``B = Wc'Wc`` with ``W = whiten(H)``, ``Wc = whiten(Hc)``
     (so ``A`` is similar to ``Sigma^(1/2) H'H Sigma^(1/2)``) is at most the
-    operator norm of the symmetric perturbation ``A - B``.  Band
-    matrices' Grams are taken in lower band form, their spectra by
-    ``eigvals_banded``."""
+    operator norm of the symmetric perturbation ``A - B``.  The check reads
+    every eigenvalue of ``A`` and of ``B``, but only the two extreme ones of
+    ``A - B``, whose norm is ``max(-lam_min, lam_max)``.  Band matrices'
+    Grams are taken in lower band form (spectra by dsbevd, extremes by
+    dsbevx); dense ones are symmetric, so each is solved in place as its
+    F-contiguous transpose (spectra by dsyevr, extremes by bisection on
+    the tridiagonal form)."""
     W, Wc = inst[6:]
     if isinstance(W, BandedChannelMatrix):
         A, B = W.gram(), Wc.gram()
-        spectrum = lambda G: eigvals_banded(G, lower=True)
+        spectrum, extremes = _band_eigvals, _band_extremes
     else:
-        A, B = W.T @ W, Wc.T @ Wc
-        spectrum = eigvalsh
+        A, B = (W.T @ W).T, (Wc.T @ Wc).T
+        spectrum, extremes = _sym_eigvals, _sym_extremes
+    lo, hi = extremes(A - B)
     gap = float(np.abs(spectrum(A) - spectrum(B)).max())
-    op = float(np.abs(spectrum(A - B)).max())
+    op = max(-lo, hi)
     return op - gap, holds(gap, op)
 
 
@@ -462,10 +576,10 @@ def _shell_floor(inst):
     """``m (1 - eta') phi3 <= min y' Omega_h^-1 y`` over the shell
     ``y' Omega_c^-1 y = m (1 - eta')``, the minimum being the shell radius
     over the largest pencil eigenvalue ``lam_max``: the check reads ``m (1 -
-    eta') phi3 <= m (1 - eta') / lam_max``."""
-    rep, eta_prime, lam = inst[3:6]
-    radius = len(lam) * (1.0 - eta_prime)
-    val, floor = radius / float(lam[-1]), radius * rep.phi3_n
+    eta') phi3 <= m (1 - eta') / lam_max``, the pencil's ``m`` and ``top``."""
+    rep, eta_prime, pencil = inst[3:6]
+    radius = pencil.m * (1.0 - eta_prime)
+    val, floor = radius / pencil.top, radius * rep.phi3_n
     return val - floor, holds(floor, val)
 
 

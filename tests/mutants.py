@@ -25,6 +25,8 @@ _PRODUCTS = "tests/test_spectrum.py::test_band_products_match_dense_oracle"
 _DENSE_CHECKS = "tests/test_verify.py::test_channel_checks_match_dense_oracle"
 _WHITEN = "tests/test_verify.py::test_whiten_matches_the_dense_product"
 _PENCIL = "tests/test_verify.py::test_pencil_matches_numpy_oracle"
+_BAND_PENCIL = "tests/test_verify.py::test_band_builders_match_dense_products"
+_WEYL = "tests/test_verify.py::test_weyl_norm_matches_numpy_on_band_and_dense"
 
 MUTANTS = (
     # The band products of BandedChannelMatrix, against the entrywise dense oracle.
@@ -113,9 +115,38 @@ MUTANTS = (
     Mutant(
         "_pencil with Omega_c and Omega_h swapped",
         "verify.py",
-        'eigvalsh(omega_h, omega_c, driver="gv")',
-        'eigvalsh(omega_c, omega_h, driver="gv")',
+        "def _pencil(omega_c: np.ndarray, omega_h: np.ndarray) -> _Pencil:",
+        "def _pencil(omega_h: np.ndarray, omega_c: np.ndarray) -> _Pencil:",
         (f"{_PENCIL}[2]", f"{_PENCIL}[258]"),
+    ),
+    # The pencil's four numbers read off its tridiagonal form, and the Weyl norm.
+    Mutant(
+        "sum lam^2 without the off-diagonal 2",
+        "verify.py",
+        "d @ d + 2.0 * (e @ e)",
+        "d @ d + (e @ e)",
+        (f"{_PENCIL}[5]", f"{_BAND_PENCIL}[1]"),
+    ),
+    Mutant(
+        "LDL' pivot recurrence with e in place of e^2",
+        "verify.py",
+        "di - ei * ei / pivots[-1]",
+        "di - ei / pivots[-1]",
+        (f"{_PENCIL}[5]", f"{_BAND_PENCIL}[1]"),
+    ),
+    Mutant(
+        "max lam by bisection at il = 1",
+        "verify.py",
+        "_bisect(d, e, m)",
+        "_bisect(d, e, 1)",
+        (f"{_PENCIL}[2]", f"{_BAND_PENCIL}[1]"),
+    ),
+    Mutant(
+        "Weyl norm from the top eigenvalue of A - B alone",
+        "verify.py",
+        "op = max(-lo, hi)",
+        "op = hi",
+        (f"{_WEYL}[0]", f"{_WEYL}[2]"),
     ),
     Mutant(
         "extrema guard's undercut comparison inverted",

@@ -9,9 +9,10 @@ tables, a channel use is summed exactly, entry by entry of the dense
 matrix, the centre Gram matrix is filled lag by lag from the taps and its
 eigenvalues come from LAPACK's band eigensolver on the whole band, and the
 ``verify`` checks are evaluated in their dense textbook form (whole block
-matrices, ``np.diag`` covariances, full eigenvalue lists), the shell
-volume is a difference of two ball volumes in 30 digits, not of logs, and
-the decoder's type-1 probability and mean number of passing candidates
+matrices, ``np.diag`` covariances, full eigenvalue lists), the pencil's
+sums run over every generalized eigenvalue, not a tridiagonal form, the
+shell volume is a difference of two ball volumes in 30 digits, not of logs,
+and the decoder's type-1 probability and mean number of passing candidates
 are noncentral chi-squared laws (scipy.stats), not Monte Carlo counts.
 """
 
@@ -362,6 +363,15 @@ def dense_sym_band(band) -> np.ndarray:
     for e in range(1, len(band)):
         D += np.diag(band[e, : m - e], -e) + np.diag(band[e, : m - e], e)
     return D
+
+
+def pencil_oracle(omega_c: np.ndarray, omega_h: np.ndarray) -> tuple[int, float, float, float]:
+    """``(m, sum lam^2, sum log lam, max lam)`` over every eigenvalue ``lam``
+    of the pencil ``Omega_h v = lam Omega_c v``, from scipy's
+    symmetric-definite eigensolver (LAPACK dsygvd), not from a tridiagonal
+    form or its pivots."""
+    lam = scipy.linalg.eigh(omega_h, omega_c, eigvals_only=True)
+    return len(lam), float(lam @ lam), float(np.log(lam).sum()), float(lam[-1])
 
 
 def _dense_cov(cov) -> tuple[np.ndarray, np.ndarray]:

@@ -34,7 +34,14 @@ from isicap.verify import (
     holds,
 )
 
-from oracles import _dense_band, dense_check_oracle, nan_corner_taps, shell_min_oracle, shell_volume_oracle
+from oracles import (
+    _dense_band,
+    dense_check_oracle,
+    nan_corner_taps,
+    pencil_oracle,
+    shell_min_oracle,
+    shell_volume_oracle,
+)
 
 
 def _spd(rng, m, spread=2.0):
@@ -107,7 +114,7 @@ def test_lemma1_random(M1, data):
 def _shell_min(oc, oh, eta):
     """The shell minimum ``_shell_floor`` reads: the radius ``m (1 - eta')``
     over the largest pencil eigenvalue."""
-    return len(oc) * (1.0 - eta) / float(_pencil(oc, oh)[-1])
+    return len(oc) * (1.0 - eta) / _pencil(oc, oh).top
 
 
 def test_qcqp_identity_pencil():
@@ -128,28 +135,51 @@ def test_qcqp_matches_descent_oracle():
         assert got == pytest.approx(ref, rel=1e-8, abs=1e-10)
 
 
-def _pencil_oracle(omega_c, omega_h):
-    """The pencil's eigenvalues by numpy alone: ``psi = L^-1 Omega_h L^-T``
-    for numpy's Cholesky factor ``L`` of ``Omega_c``, by two general solves,
-    then numpy's symmetric eigensolver."""
-    L = np.linalg.cholesky(omega_c)
-    psi = np.linalg.solve(L, np.linalg.solve(L, omega_h).T)
-    return np.linalg.eigvalsh(0.5 * (psi + psi.T))
+def _assert_pencil(got, omega_c, omega_h, tol):
+    """``got``, the ``(m, sum lam^2, sum log lam, max lam)`` of a pencil
+    route, is ``pencil_oracle``'s to first order in eigenvalue errors of at
+    most ``tol max lam`` each: ``max lam`` within ``tol max lam``; ``sum
+    lam^2``, ``m`` squares each at most ``max lam^2``, within ``2 m tol max
+    lam^2``; ``sum log lam`` within ``m tol max lam / lam_min``, where
+    ``lam_min >= lambda_min(Omega_h) / lambda_max(Omega_c)`` (numpy)."""
+    m, sum_sq, sum_log, top = pencil_oracle(omega_c, omega_h)
+    floor = np.linalg.eigvalsh(omega_h)[0] / np.linalg.eigvalsh(omega_c)[-1]
+    assert got.m == m
+    assert abs(got.top - top) <= tol * top, (got.top, top)
+    assert abs(got.sum_sq - sum_sq) <= 2 * m * tol * top**2, (got.sum_sq, sum_sq)
+    assert abs(got.sum_log - sum_log) <= m * tol * top / floor, (got.sum_log, sum_log)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 258])
 def test_pencil_matches_numpy_oracle(m):
-    """``_pencil(Omega_c, Omega_h)``, the eigenvalues of ``Omega_h v = lam
-    Omega_c v`` in ascending order, is within ``1e-12 max|lam|`` of the
-    numpy oracle.  ``Omega_h`` is three times a draw like ``Omega_c``, so
-    the swapped pencil's eigenvalues, ``1 / lam``, miss it by far."""
+    """``_pencil(Omega_c, Omega_h)``, read off the tridiagonal form of
+    ``L^-1 Omega_h L^-T``, is ``(m, sum lam^2, sum log lam, max lam)`` of
+    the eigenvalues of ``Omega_h v = lam Omega_c v`` from scipy's
+    symmetric-definite eigensolver (``pencil_oracle``), to first order in
+    eigenvalue errors of ``1e-12 max lam``.  The pair goes in as F-ordered
+    copies, as ``_omegas`` hands it over, so LAPACK works on it in place.
+    ``Omega_h`` is three times a draw like ``Omega_c``, so the swapped
+    pencil's largest eigenvalue, ``1 / lam_min``, misses by far."""
     rng = np.random.default_rng(m)
     for _ in range(3):
         oc, oh = _spd(rng, m), 3.0 * _spd(rng, m)
-        want = _pencil_oracle(oc, oh)
-        bound = 1e-12 * np.abs(want).max()
-        assert np.abs(_pencil(oc, oh) - want).max() <= bound
-        assert np.abs(np.sort(1.0 / want) - want).max() > 1e3 * bound
+        _assert_pencil(_pencil(np.array(oc, order="F"), np.array(oh, order="F")), oc, oh, 1e-12)
+        top = pencil_oracle(oc, oh)[3]
+        assert abs(pencil_oracle(oh, oc)[3] - top) > 1e-9 * top
+
+
+def test_pencil_refuses_a_pair_not_positive_definite():
+    """A non-positive-definite ``Omega_c`` has no Cholesky factor, and with
+    an indefinite ``Omega_h`` the pencil's tridiagonal form has a pivot that
+    is not positive: both routes raise ``LinAlgError``, dense and band."""
+    spd = np.eye(6) + 0.25 * (np.eye(6, k=1) + np.eye(6, k=-1))
+    bad = np.diag([1.0, 2.0, -0.5, 1.0, 3.0, 1.0])
+    band = lambda D: np.array([np.r_[np.diagonal(D, -e), np.zeros(e)] for e in range(2)])
+    for oc, oh in ((bad, spd), (spd, bad)):
+        with pytest.raises(np.linalg.LinAlgError):
+            _pencil(np.array(oc, order="F"), np.array(oh, order="F"))
+        with pytest.raises(np.linalg.LinAlgError):
+            verify._band_pencil(band(oc), band(oh))
 
 
 def test_volume_1d_closed_form():
@@ -409,23 +439,31 @@ CHANNEL_SUITES = (
 )
 
 
-@pytest.mark.parametrize("n_max", [24, 256])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_channel_checks_match_dense_oracle(seed, n_max):
-    """Each channel check's margin is its dense textbook form's ``rhs - lhs``
-    to ``1e-9 max(|lhs|, |rhs|) + 1e-12`` (the eigenvalue-stability margin
-    ``op - gap`` cancels, so it gets the scale of its terms), with the same
-    pass/fail decision."""
+def dense_oracle_gate(seed: int, n_max: int, samples: int) -> int:
+    """Each channel check's margin on samples ``0 .. samples - 1`` of master
+    seed ``seed`` is its dense textbook form's ``rhs - lhs`` to ``1e-9
+    max(|lhs|, |rhs|) + 1e-12`` (the eigenvalue-stability margin ``op -
+    gap`` cancels, so it gets the scale of its terms), with the same
+    pass/fail decision.  Returns the number of checks compared."""
+    compared = 0
     for idx, (name, instance, check) in enumerate(_SUITES):
         if name not in CHANNEL_SUITES:
             continue
-        for i in range(5):
+        for i in range(samples):
             inst = instance(_suite_rng(seed, idx, i), i, n_max)
             margin, ok = check(inst)
             lhs, rhs = dense_check_oracle(name, inst)
             scale = max(abs(lhs), abs(rhs))
             assert abs(margin - (rhs - lhs)) <= 1e-9 * scale + 1e-12, (name, i)
             assert ok == (lhs <= rhs + 1e-9 * abs(rhs) + 1e-12), (name, i)
+            compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("n_max", [24, 256])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_channel_checks_match_dense_oracle(seed, n_max):
+    assert dense_oracle_gate(seed, n_max, 5) == 5 * len(CHANNEL_SUITES)
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -439,10 +477,11 @@ def test_band_op_norm_matches_dense(k):
 @pytest.mark.parametrize("k", range(5))
 def test_band_builders_match_dense_products(k):
     """With every corner tap NaN, for ``n = k + 1, k + 2, 64, 257``: band
-    whitening is the dense one bit for bit, and the band pencil's
-    eigenvalues, from ``_omegas``' band forms, are within ``4 m eps
-    max|lam|`` of ``_pencil``'s on the dense pair.  The band products
-    themselves are checked in ``test_spectrum``."""
+    whitening is the dense one bit for bit, and the pencil's ``(m, sum
+    lam^2, sum log lam, max lam)`` on both routes, the band one from
+    ``_omegas``' band forms and the dense one from the dense pair, is
+    ``pencil_oracle``'s to first order in eigenvalue errors of ``4 m eps max
+    lam``.  The band products themselves are checked in ``test_spectrum``."""
     rng = np.random.default_rng(40 + k)
     for n in (k + 1, k + 2, 64, 257):
         M, Mc = (BandedChannelMatrix(n=n, k=k, taps=nan_corner_taps(rng, n, k)) for _ in range(2))
@@ -450,10 +489,36 @@ def test_band_builders_match_dense_products(k):
         assert _dense_band(cov.whiten(M)).tobytes() == verify._Cov(d=cov.d, Q=np.eye(n)).whiten(M).tobytes()
         D, Dc = _dense_band(M), _dense_band(Mc)
         eye = np.eye(n + k)
-        lam = verify._band_pencil(*verify._omegas(Mc, M))
-        want = _pencil(eye + Dc @ Dc.T, eye + D @ D.T)
-        bound = 4 * (n + k) * np.finfo(float).eps * np.abs(want).max()
-        assert np.abs(lam - want).max() <= bound, (n, np.abs(lam - want).max() / bound)
+        oc, oh = eye + Dc @ Dc.T, eye + D @ D.T
+        tol = 4 * (n + k) * np.finfo(float).eps
+        _assert_pencil(verify._band_pencil(*verify._omegas(Mc, M)), oc, oh, tol)
+        _assert_pencil(_pencil(np.array(oc, order="F"), np.array(oh, order="F")), oc, oh, tol)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_weyl_norm_matches_numpy_on_band_and_dense(k):
+    """``eigenvalue_stability`` reads ``||A - B||`` off the two extreme
+    eigenvalues of ``A - B`` alone, as ``max(-lam_min, lam_max)``.  For
+    band ``W``, ``Wc`` (every corner tap NaN) and their dense forms, with
+    ``Wc`` scaled up so that ``|lam_min| > lam_max`` and then ``W`` so that
+    ``lam_max`` leads, the extremes are numpy's ``eigvalsh`` of ``A - B``
+    and the check's margin is numpy's ``op - gap``, both to ``8 n eps
+    max(||A||, ||B||)``."""
+    rng = np.random.default_rng(60 + k)
+    eps = np.finfo(float).eps
+    for n, scale_c, scale in ((k + 1, 3.0, 1.0), (64, 3.0, 1.0), (65, 1.0, 3.0), (257, 3.0, 1.0)):
+        W, Wc = (BandedChannelMatrix(n=n, k=k, taps=s * nan_corner_taps(rng, n, k)) for s in (scale, scale_c))
+        A, B = (_dense_band(X).T @ _dense_band(X) for X in (W, Wc))
+        lam, a, b = np.linalg.eigvalsh(A - B), np.linalg.eigvalsh(A), np.linalg.eigvalsh(B)
+        assert (-lam[0] > lam[-1]) == (scale_c > scale), n
+        tol = 8 * n * eps * max(a[-1], b[-1])
+        band, dense = W.gram() - Wc.gram(), np.asfortranarray(A - B)
+        for got in (verify._band_extremes(band), verify._sym_extremes(dense)):
+            assert np.abs(np.subtract(got, (lam[0], lam[-1]))).max() <= tol, (n, got, lam[[0, -1]])
+        want = np.abs(lam).max() - np.abs(a - b).max()
+        for inst in ((None,) * 6 + (W, Wc), (None,) * 6 + (_dense_band(W), _dense_band(Wc))):
+            margin, ok = verify._eig_stability(inst)
+            assert abs(margin - want) <= 2 * tol and ok, (n, margin, want)
 
 
 @pytest.mark.parametrize("k", range(5))
