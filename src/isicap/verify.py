@@ -3,31 +3,26 @@
 The suites are one table, ``_SUITES``, of ``(name, instance, check)`` rows.
 ``instance(rng, i, n_max)`` draws sample ``i`` (a random channel, covariance
 and realization, or plain matrices); ``check(inst)`` evaluates one
-inequality on it and returns ``(margin, ok)``.  Each check computes only the
+inequality on it and returns ``(margin, ok)``, computing only the
 quantities its inequality names, through an identity stated in its
-docstring.  The two norm caps read the top eigenvalue of a band Gram
-matrix; the stacked trace reads Frobenius norms, summed block by block; the
-Weyl check reads every eigenvalue of its two Grams ``A`` and ``B`` but only
-the two extreme ones of ``A - B``.  The three output-covariance checks read
-the pencil ``(Omega_h, Omega_c)``'s eigenvalues ``lam`` through four
-numbers, which the channel instance computes once per sample without
-solving for ``lam`` (``_Pencil``): the whitened trace reads ``sum lam^2``,
-the determinant floor ``m`` and ``sum log lam``, the shell floor ``m`` and
-``max lam``, all off the pencil's tridiagonal form (``_pencil``).  Every
-LAPACK routine is called through ``scipy.linalg.lapack``, its ``info``
-checked (``_lapack``), its workspace queried once per order (``_lwork``).
+docstring.  The three output-covariance checks read the pencil ``(Omega_h,
+Omega_c)``'s eigenvalues ``lam`` through four numbers (``_Pencil``), which
+the channel instance reads once per sample off the pencil's tridiagonal
+form, without solving for ``lam``.  Every LAPACK routine is called through
+``scipy.linalg.lapack``, its ``info`` checked (``_lapack``), its workspace
+queried once per order (``_lwork``).
 A drawn covariance ``Sigma = Q diag(d) Q'`` enters only as
 ``W = X Q diag(sqrt(d))``, which is ``X Sigma^(1/2)`` turned by the
 orthogonal ``Q``: ``X Sigma X' = W W'``, and no norm, trace, eigenvalue or
 determinant a check reads changes, so nothing forms ``Sigma``, its root or
-``diag(d)``.  Half the draws take ``Q = I``; there ``W = H diag(sqrt(d))``
-is banded like ``H`` (band on both routes), and the checks call its
-products: the Weyl check takes its spectra from band Grams (``gram``,
-``_band_eigvals``), the stacked trace reads its norms off one, and the
-pencil is solved from band ``Omega_c`` and ``Omega_h`` (``output_cov``,
-``_band_pencil``).  A drawn basis fills ``W``, the band applied to the rows
-of ``Q'``.  Each check picks its route, band or array, from the whitened
-matrices.  One runner loops over the samples and records the worst margin.
+``diag(d)``.  ``_Cov.whiten``, the one place that reads ``Q``, gives ``W``
+in one of two forms with one interface (see ``_Dense``): half the draws take
+``Q = I``, where ``W = H diag(sqrt(d))`` is banded like ``H`` (``_Band``,
+whose Grams and output covariances are symmetric band forms); a drawn basis
+fills ``W``, the band applied to the rows of ``Q'`` (``_Dense``).  Each
+form also reads the symmetric matrices it makes (spectra, extremes, the
+pencil), so each check has one body.  One runner loops over the samples
+and records the worst margin.
 Every inequality ``lhs <= rhs`` is decided by one slack rule, ``holds``: it
 passes when ``lhs <= rhs + 1e-9 |rhs| + 1e-12``, for a right-hand side of
 either sign (the log-domain determinant and volume checks have negative
@@ -81,11 +76,11 @@ SLACK_ABS = 1e-12
 VERIFY_STREAM_BASE = 16
 K_MAX = 4  # largest channel memory the suites draw
 # Most arrays of order n_max + K_MAX one sample holds at once: a dense
-# channel instance (a drawn basis) in the Weyl check: Q, W, Wc, the Grams A,
-# B and A - B, and one to spare for the instance's small arrays and the
-# workspace (the pencil, solved in place, holds Q, W, Wc, Omega_c, Omega_h).
-# A band instance holds two, psi and its solves'.
-_DENSE_ARRAYS = 7
+# channel instance (a drawn basis) in the Weyl check: Q, W, Wc, A (which
+# becomes A - B), and A's copy or B, and one to spare for the instance's small
+# arrays and the workspace (the pencil, solved in place, holds Q, W, Wc,
+# Omega_c, Omega_h).  A band instance holds two, psi and its solves'.
+_DENSE_ARRAYS = 6
 # Doubles per row of that order in the LAPACK workspace (dsyevr's optimal:
 # 33 doubles and 10 ints a row; dsytrd's: 32 doubles).
 _EIG_WORK = 38
@@ -126,27 +121,6 @@ def _lwork(name: str, n: int):
     return tuple(int(v) for v in out) if isinstance(out, list) else int(out)
 
 
-def _sym_eigvals(a: np.ndarray, index: Optional[int] = None) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric ``a`` (lower triangle read;
-    overwritten when F-contiguous) by dsyevr, as ``scipy.linalg.eigvalsh``
-    calls it: all of them, or only the one of 1-based ``index``."""
-    lwork, liwork = _lwork("dsyevr", a.shape[0])
-    sub = {} if index is None else dict(range="I", il=index, iu=index)
-    w, _, m, _ = _lapack("dsyevr", a, compute_v=0, lower=1, lwork=lwork, liwork=liwork, overwrite_a=1, **sub)
-    return w[:m]
-
-
-def _band_eigvals(band: np.ndarray, index: Optional[int] = None) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix in lower band form (row
-    ``e`` holds diagonal ``e``), as ``scipy.linalg.eigvals_banded`` takes
-    them: all by dsbevd, or only the one of 1-based ``index`` by dsbevx."""
-    if index is None:
-        return _lapack("dsbevd", band, compute_v=0, lower=1, overwrite_ab=0)[0]
-    w, _, m, _ = _lapack("dsbevx", band, 0.0, 1.0, index, index, compute_v=0, range=2, lower=1,
-                         abstol=_ABSTOL, mmax=1, overwrite_ab=0)
-    return w[:m]
-
-
 def _tridiagonal(a: np.ndarray):
     """Diagonal and off-diagonal of the tridiagonal ``T = U' a U``, ``U``
     orthogonal, that dsytrd reduces the symmetric ``a`` to (lower triangle
@@ -161,18 +135,6 @@ def _bisect(d: np.ndarray, e: np.ndarray, index: int) -> float:
     if len(d) == 1:
         return float(d[0])
     return float(_lapack("dstebz", d, e, 2, 0.0, 0.0, index, index, 0.0, b"E")[1][0])
-
-
-def _sym_extremes(a: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of the symmetric ``a`` (overwritten
-    when F-contiguous): bisection on its tridiagonal form."""
-    d, e = _tridiagonal(a)
-    return _bisect(d, e, 1), _bisect(d, e, len(d))
-
-
-def _band_extremes(band: np.ndarray) -> tuple[float, float]:
-    """``_sym_extremes`` of a symmetric matrix in lower band form."""
-    return float(_band_eigvals(band, 1)[0]), float(_band_eigvals(band, band.shape[1])[0])
 
 
 class _Pencil(NamedTuple):
@@ -203,32 +165,107 @@ def _pencil_of(d: np.ndarray, e: np.ndarray) -> _Pencil:
     return _Pencil(m, float(d @ d + 2.0 * (e @ e)), float(np.log(pivots).sum()), _bisect(d, e, m))
 
 
-def _pencil(omega_c: np.ndarray, omega_h: np.ndarray) -> _Pencil:
-    """``_Pencil`` of ``Omega_h v = lam Omega_c v``: the eigenvalues of
-    ``psi = L^-1 Omega_h L^-T`` for the Cholesky factor ``L`` of
-    ``Omega_c`` (Golub & Van Loan, *Matrix Computations*, 8.7), read off
-    the tridiagonal form of ``psi`` (dpotrf, dsygst, dsytrd: dsygv without
-    its closing eigensolve).  Lower triangles are read.  F-contiguous
-    arguments, as ``_omegas`` hands them over, are factored and reduced in
-    place, so overwritten; others are copied."""
-    L = _lapack("dpotrf", omega_c, lower=1, overwrite_a=1)
-    return _pencil_of(*_tridiagonal(_lapack("dsygst", omega_h, L, lower=1, overwrite_a=1)))
+@dataclass(frozen=True, eq=False)
+class _Dense:
+    """The dense form of a whitened matrix ``W``, over the array ``a``.  Both
+    forms meet one interface: ``gram`` (``W'W``), ``output_cov`` (``I + W
+    W'``), ``op_norm`` and ``stacked_terms`` (``(||I + W'W||_F^2,
+    ||W||_F^2, m)`` for ``m`` rows) of ``W``; and, of symmetric matrices in
+    the layout ``gram`` and ``output_cov`` give, ``eigvals``, ``extremes``
+    and the ``pencil`` of a pair.  Here that layout is a symmetric array
+    handed over as its own transpose, F-contiguous (lower triangle read),
+    so LAPACK works on it in place: ``eigvals``, ``extremes`` and
+    ``pencil`` overwrite it."""
+
+    a: np.ndarray
+
+    def gram(self) -> np.ndarray:
+        return (self.a.T @ self.a).T
+
+    def output_cov(self) -> np.ndarray:
+        out = self.a @ self.a.T
+        out[np.diag_indices_from(out)] += 1.0
+        return out.T
+
+    def op_norm(self) -> float:
+        """The square root of the top eigenvalue of the smaller Gram matrix."""
+        M = self.a
+        G = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M
+        return math.sqrt(max(float(self.eigvals(G.T, G.shape[0])[0]), 0.0))
+
+    def stacked_terms(self) -> tuple[float, float, int]:
+        G = self.a.T @ self.a
+        G[np.diag_indices_from(G)] += 1.0
+        return float(np.linalg.norm(G)) ** 2, float(np.linalg.norm(self.a)) ** 2, self.a.shape[0]
+
+    @staticmethod
+    def eigvals(a: np.ndarray, index: Optional[int] = None) -> np.ndarray:
+        """Ascending eigenvalues by dsyevr, as ``scipy.linalg.eigvalsh``
+        calls it: all of them, or only the one of 1-based ``index``."""
+        lwork, liwork = _lwork("dsyevr", a.shape[0])
+        sub = {} if index is None else dict(range="I", il=index, iu=index)
+        w, _, m, _ = _lapack("dsyevr", a, compute_v=0, lower=1, lwork=lwork, liwork=liwork, overwrite_a=1, **sub)
+        return w[:m]
+
+    @staticmethod
+    def extremes(a: np.ndarray) -> tuple[float, float]:
+        d, e = _tridiagonal(a)
+        return _bisect(d, e, 1), _bisect(d, e, len(d))
+
+    @staticmethod
+    def pencil(omega_c: np.ndarray, omega_h: np.ndarray) -> _Pencil:
+        """``_Pencil`` of ``Omega_h v = lam Omega_c v``: the eigenvalues of
+        ``psi = L^-1 Omega_h L^-T`` for the Cholesky factor ``L`` of
+        ``Omega_c`` (Golub & Van Loan, *Matrix Computations*, 8.7), read off
+        the tridiagonal form of ``psi`` (dpotrf, dsygst, dsytrd: dsygv
+        without its closing eigensolve)."""
+        L = _lapack("dpotrf", omega_c, lower=1, overwrite_a=1)
+        return _pencil_of(*_tridiagonal(_lapack("dsygst", omega_h, L, lower=1, overwrite_a=1)))
 
 
-def _band_pencil(omega_c: np.ndarray, omega_h: np.ndarray) -> _Pencil:
-    """``_pencil`` from lower band forms of ``Omega_c`` and ``Omega_h``
-    (row ``e`` holds diagonal ``e``): ``L`` by dpbtrf, ``psi`` by two band
-    triangular solves (dtbtrs) against ``Omega_h`` made dense, then its
-    tridiagonal form."""
-    L = _lapack("dpbtrf", omega_c, lower=1)
-    m = omega_h.shape[1]
-    psi = np.zeros((m, m))
-    for e, diag in enumerate(omega_h):
-        i = np.arange(m - e)
-        psi[i + e, i] = psi[i, i + e] = diag[: m - e]
-    for _ in range(2):
-        psi = _lapack("dtbtrs", L, psi.T, uplo="L", overwrite_b=1)
-    return _pencil_of(*_tridiagonal(psi))
+class _Band(BandedChannelMatrix):
+    """The band form of ``W``, with ``_Dense``'s interface: a band channel
+    matrix, whose ``gram`` and ``output_cov`` give lower band forms (row
+    ``e`` holds diagonal ``e``), which LAPACK reads as
+    ``scipy.linalg.eigvals_banded`` hands them over, without overwriting."""
+
+    def op_norm(self) -> float:
+        return math.sqrt(max(float(self.eigvals(self.gram(), self.n)[0]), 0.0))
+
+    def stacked_terms(self) -> tuple[float, float, int]:
+        """Off the band Gram, whose trace is ``||W||_F^2`` and whose
+        off-diagonals count twice."""
+        G = self.gram()
+        s_sq = float(G[0].sum())
+        G[0] += 1.0
+        return float((G[0] * G[0]).sum() + 2.0 * (G[1:] * G[1:]).sum()), s_sq, self.m
+
+    @staticmethod
+    def eigvals(band: np.ndarray, index: Optional[int] = None) -> np.ndarray:
+        """All by dsbevd, or only the one of 1-based ``index`` by dsbevx."""
+        if index is None:
+            return _lapack("dsbevd", band, compute_v=0, lower=1, overwrite_ab=0)[0]
+        w, _, m, _ = _lapack("dsbevx", band, 0.0, 1.0, index, index, compute_v=0, range=2, lower=1,
+                             abstol=_ABSTOL, mmax=1, overwrite_ab=0)
+        return w[:m]
+
+    @staticmethod
+    def extremes(band: np.ndarray) -> tuple[float, float]:
+        return float(_Band.eigvals(band, 1)[0]), float(_Band.eigvals(band, band.shape[1])[0])
+
+    @staticmethod
+    def pencil(omega_c: np.ndarray, omega_h: np.ndarray) -> _Pencil:
+        """``_Dense.pencil`` with ``L`` by dpbtrf and ``psi`` by two band
+        triangular solves (dtbtrs) against ``Omega_h`` made dense."""
+        L = _lapack("dpbtrf", omega_c, lower=1)
+        m = omega_h.shape[1]
+        psi = np.zeros((m, m))
+        for e, diag in enumerate(omega_h):
+            i = np.arange(m - e)
+            psi[i + e, i] = psi[i, i + e] = diag[: m - e]
+        for _ in range(2):
+            psi = _lapack("dtbtrs", L, psi.T, uplo="L", overwrite_b=1)
+        return _pencil_of(*_tridiagonal(psi))
 
 
 @dataclass(frozen=True)
@@ -364,8 +401,8 @@ def _random_channel(rng: np.random.Generator, n_max: int):
 class _Cov:
     """A drawn covariance ``Sigma = Q diag(d) Q'`` for a random orthonormal
     ``Q``, or ``Q = None`` for ``Q = I``.  Checks see it only through
-    ``whiten``, exact because each is invariant under ``X Sigma^(1/2) ->
-    X Sigma^(1/2) Q`` and ``X Sigma X' = whiten(X) whiten(X)'``."""
+    ``whiten``, the one reader of ``Q``, exact because each is invariant
+    under ``X Sigma^(1/2) -> X Sigma^(1/2) Q`` and ``X Sigma X' = W W'``."""
 
     def __init__(self, d: np.ndarray, Q: Optional[np.ndarray]) -> None:
         self.d, self.Q, self.n = d, Q, len(d)
@@ -373,11 +410,11 @@ class _Cov:
         self.trace, self.lam_min, self.lam_max = float(d.sum()), float(d.min()), float(d.max())
 
     def whiten(self, H: BandedChannelMatrix):
-        """``H Q diag(sqrt(d))`` for a band ``H``: band in the standard basis
-        (``scaled``), else dense, the band applied to the rows of ``Q'``."""
+        """``W = H Q diag(sqrt(d))`` for a band ``H``, in the form ``Q`` picks:
+        ``_Band`` for ``Q = I``, else ``_Dense``, the band applied to ``Q'``."""
         if self.Q is None:
-            return H.scaled(self.sqrt_d)
-        return H.apply(self.Q.T).T * self.sqrt_d
+            return _Band(n=H.n, k=H.k, taps=H.scaled(self.sqrt_d).taps)
+        return _Dense(H.apply(self.Q.T).T * self.sqrt_d)
 
 
 def _random_cov(rng: np.random.Generator, n: int) -> _Cov:
@@ -412,34 +449,6 @@ def _sample_banded(rng: np.random.Generator, spec: ChannelSpec, n: int) -> Bande
     return BandedChannelMatrix(n=n, k=spec.k, taps=_taps_from(u, spec, _IID, m))
 
 
-def _op_norm(M: np.ndarray) -> float:
-    """Operator norm of a dense matrix: the square root of the top
-    eigenvalue of its smaller Gram matrix."""
-    G = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M  # symmetric: G.T is G, F-contiguous
-    return math.sqrt(max(float(_sym_eigvals(G.T, G.shape[0])[0]), 0.0))
-
-
-def _band_op_norm(M: BandedChannelMatrix) -> float:
-    """Operator norm of a band channel matrix: the square root of the top
-    eigenvalue of its band Gram matrix ``M'M``."""
-    return math.sqrt(max(float(_band_eigvals(M.gram(), M.n)[0]), 0.0))
-
-
-def _omegas(Wc, W):
-    """Output covariances ``I + Hc Sigma Hc'`` and ``I + H Sigma H'`` from
-    the whitened ``Wc = whiten(Hc)`` and ``W = whiten(H)``: dense, the
-    identity added on the diagonal in place, or in lower band form
-    (``output_cov``) for band ones.  A dense product is symmetric, so it is
-    handed over as its own transpose, F-contiguous: ``_pencil`` solves it
-    in place, with no copy for LAPACK."""
-    if isinstance(W, BandedChannelMatrix):
-        return Wc.output_cov(), W.output_cov()
-    out = Wc @ Wc.T, W @ W.T
-    for omega in out:
-        omega[np.diag_indices_from(omega)] += 1.0
-    return tuple(omega.T for omega in out)
-
-
 def _lemma1_instance(rng, i, n_max):
     p, q, r = (int(v) for v in rng.integers(1, n_max + 1, 3))
     scale1, scale2 = 10.0 ** rng.uniform(-1.0, 2.0, 2)
@@ -450,30 +459,28 @@ def _lemma1_instance(rng, i, n_max):
 def _centre_instance(rng, i, n_max):
     """(band centre matrix, its operator-norm cap ``beta``)."""
     spec, ext, n = _random_channel(rng, n_max)
-    return build_Hc(spec, n), ext.beta
+    return _Band(n=n, k=spec.k, taps=build_Hc(spec, n).taps), ext.beta
 
 
 def _deviation_instance(rng, i, n_max):
     """(band sampled-minus-centre matrix, its operator-norm cap ``r_s``)."""
     spec, _, n = _random_channel(rng, n_max)
-    return _sample_banded(rng, spec, n) - build_Hc(spec, n), spec.r_s
+    return _Band(n=n, k=spec.k, taps=(_sample_banded(rng, spec, n) - build_Hc(spec, n)).taps), spec.r_s
 
 
 def _channel_instance(rng, i, n_max):
     """(band H, band Hc, covariance, its ``thresholds``, ``eta'``, the
     ``_Pencil`` of ``(Omega_h, Omega_c)``, ``W = whiten(H)``, ``Wc =
-    whiten(Hc)``), radii scaled so phi1 < 1; ``eta'`` is
-    drawn last, from [0, 1), where the shell exists.  The whitenings, formed
-    once for the pencil and the Weyl check, are dense in a rotated basis
-    (``_pencil``) and band in the standard one (``_band_pencil``)."""
+    whiten(Hc)``), radii scaled so phi1 < 1; ``eta'`` is drawn last, from
+    [0, 1), where the shell exists.  ``W`` and ``Wc`` come in the form
+    ``whiten`` picks, whose ``output_cov`` and ``pencil`` give the pencil."""
     spec, ext, n = _random_channel(rng, n_max)
     cov = _random_cov(rng, n)
     spec = _rescale_radii_for_phi1(spec, ext, cov, target=float(rng.uniform(0.05, 0.9)))
     Hc, H = build_Hc(spec, n), _sample_banded(rng, spec, n)
     rep = thresholds(spec, ext, cov, cov.trace / n)
     W, Wc = cov.whiten(H), cov.whiten(Hc)
-    pencil = _band_pencil if cov.Q is None else _pencil
-    return H, Hc, cov, rep, float(rng.uniform(0.0, 1.0)), pencil(*_omegas(Wc, W)), W, Wc
+    return H, Hc, cov, rep, float(rng.uniform(0.0, 1.0)), W.pencil(Wc.output_cov(), W.output_cov()), W, Wc
 
 
 _ETAS = (0.1, 0.5, 0.9, 1.0, 1.5, 3.0)
@@ -491,8 +498,8 @@ def _lemma1(inst):
     each order checked on its own."""
     M1, M2 = inst
     prod = float(np.linalg.norm(M1 @ M2))
-    rhs1 = _op_norm(M1) * float(np.linalg.norm(M2))
-    rhs2 = _op_norm(M2) * float(np.linalg.norm(M1))
+    rhs1 = _Dense(M1).op_norm() * float(np.linalg.norm(M2))
+    rhs2 = _Dense(M2).op_norm() * float(np.linalg.norm(M1))
     return min(rhs1, rhs2) - prod, holds(prod, rhs1) and holds(prod, rhs2)
 
 
@@ -500,28 +507,17 @@ def _op_cap(inst):
     """``||M||_op <= cap`` for a band channel matrix ``M``, with
     ``||M||_op^2 = lambda_max(M'M)`` taken on the band Gram matrix."""
     M, cap = inst
-    op = _band_op_norm(M)
+    op = M.op_norm()
     return cap - op, holds(op, cap)
 
 
 def _stacked_trace(inst):
     """``2 ||Phi||_F^2 <= C_n`` for ``Phi = [[I + S'S, S'], [S, I]]`` with
     ``S = whiten(H - Hc)``, summed block by block:
-    ``||Phi||_F^2 = ||I + S'S||_F^2 + 2 ||S||_F^2 + m``.  For band
-    matrices both norms are read off the band Gram ``S'S``, whose trace is
-    ``||S||_F^2`` and whose off-diagonals count twice."""
+    ``||Phi||_F^2 = ||I + S'S||_F^2 + 2 ||S||_F^2 + m``: the three terms of
+    ``stacked_terms``."""
     H, Hc, cov, rep = inst[:4]
-    ES = cov.whiten(H - Hc)
-    if isinstance(ES, BandedChannelMatrix):
-        G = ES.gram()
-        s_sq = float(G[0].sum())
-        G[0] += 1.0
-        g_sq = float((G[0] * G[0]).sum() + 2.0 * (G[1:] * G[1:]).sum())
-        m = ES.m
-    else:
-        G = ES.T @ ES
-        G[np.diag_indices_from(G)] += 1.0
-        g_sq, s_sq, m = float(np.linalg.norm(G)) ** 2, float(np.linalg.norm(ES)) ** 2, ES.shape[0]
+    g_sq, s_sq, m = cov.whiten(H - Hc).stacked_terms()
     lhs = 2.0 * (g_sq + 2.0 * s_sq + m)
     return rep.C_n - lhs, holds(lhs, rep.C_n)
 
@@ -554,20 +550,17 @@ def _eig_stability(inst):
     (so ``A`` is similar to ``Sigma^(1/2) H'H Sigma^(1/2)``) is at most the
     operator norm of the symmetric perturbation ``A - B``.  The check reads
     every eigenvalue of ``A`` and of ``B``, but only the two extreme ones of
-    ``A - B``, whose norm is ``max(-lam_min, lam_max)``.  Band matrices'
-    Grams are taken in lower band form (spectra by dsbevd, extremes by
-    dsbevx); dense ones are symmetric, so each is solved in place as its
-    F-contiguous transpose (spectra by dsyevr, extremes by bisection on
-    the tridiagonal form)."""
+    ``A - B``, whose norm is ``max(-lam_min, lam_max)``.  A dense form's
+    spectrum overwrites its matrix, so ``A``'s is taken on a copy, dropped
+    before ``B`` is formed, and ``A`` itself becomes ``A - B``: with ``Q``,
+    ``W`` and ``Wc``, at most five dense arrays are live."""
     W, Wc = inst[6:]
-    if isinstance(W, BandedChannelMatrix):
-        A, B = W.gram(), Wc.gram()
-        spectrum, extremes = _band_eigvals, _band_extremes
-    else:
-        A, B = (W.T @ W).T, (Wc.T @ Wc).T
-        spectrum, extremes = _sym_eigvals, _sym_extremes
-    lo, hi = extremes(A - B)
-    gap = float(np.abs(spectrum(A) - spectrum(B)).max())
+    diff = W.gram()
+    a = W.eigvals(diff.copy(order="K"))
+    B = Wc.gram()
+    diff -= B
+    gap = float(np.abs(a - W.eigvals(B)).max())
+    lo, hi = W.extremes(diff)
     op = max(-lo, hi)
     return op - gap, holds(gap, op)
 

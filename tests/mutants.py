@@ -101,8 +101,8 @@ MUTANTS = (
     Mutant(
         "whiten without * sqrt_d",
         "verify.py",
-        "return H.apply(self.Q.T).T * self.sqrt_d",
-        "return H.apply(self.Q.T).T",
+        "return _Dense(H.apply(self.Q.T).T * self.sqrt_d)",
+        "return _Dense(H.apply(self.Q.T).T)",
         (f"{_DENSE_CHECKS}[0-24]", f"{_DENSE_CHECKS}[1-24]"),
     ),
     Mutant(
@@ -113,10 +113,12 @@ MUTANTS = (
         (f"{_WHITEN}[1]", f"{_DENSE_CHECKS}[0-24]"),
     ),
     Mutant(
-        "_pencil with Omega_c and Omega_h swapped",
+        "dense pencil with Omega_c and Omega_h swapped",
         "verify.py",
-        "def _pencil(omega_c: np.ndarray, omega_h: np.ndarray) -> _Pencil:",
-        "def _pencil(omega_h: np.ndarray, omega_c: np.ndarray) -> _Pencil:",
+        '_lapack("dpotrf", omega_c, lower=1, overwrite_a=1)\n'
+        '        return _pencil_of(*_tridiagonal(_lapack("dsygst", omega_h,',
+        '_lapack("dpotrf", omega_h, lower=1, overwrite_a=1)\n'
+        '        return _pencil_of(*_tridiagonal(_lapack("dsygst", omega_c,',
         (f"{_PENCIL}[2]", f"{_PENCIL}[258]"),
     ),
     # The pencil's four numbers read off its tridiagonal form, and the Weyl norm.
@@ -147,6 +149,21 @@ MUTANTS = (
         "op = max(-lo, hi)",
         "op = hi",
         (f"{_WEYL}[0]", f"{_WEYL}[2]"),
+    ),
+    # The band form's own arithmetic.
+    Mutant(
+        "band stacked trace without the off-diagonal 2",
+        "verify.py",
+        "2.0 * (G[1:] * G[1:]).sum()",
+        "(G[1:] * G[1:]).sum()",
+        (f"{_DENSE_CHECKS}[0-24]", "tests/test_verify.py::test_band_route_matches_dense_route[0]"),
+    ),
+    Mutant(
+        "band operator norm at index 1, not n",
+        "verify.py",
+        "self.eigvals(self.gram(), self.n)",
+        "self.eigvals(self.gram(), 1)",
+        ("tests/test_verify.py::test_band_op_norm_matches_dense[1]", f"{_DENSE_CHECKS}[0-24]"),
     ),
     Mutant(
         "extrema guard's undercut comparison inverted",

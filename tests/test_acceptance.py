@@ -27,7 +27,7 @@ from isicap import (
     solve_theta1,
 )
 from isicap.cli import main
-from isicap.verify import _pencil
+from isicap.verify import _Dense
 from isicap.waterfill import LN2, POWER_FLOOR, cap_integral
 
 from oracles import shell_min_oracle
@@ -193,7 +193,7 @@ def test_shell_minimum_exactness(report):
         oc = (Q1 * rng.uniform(0.5, 2.0, m)) @ Q1.T
         oh = (Q2 * rng.uniform(0.5, 2.0, m)) @ Q2.T
         eta = float(rng.uniform(0.0, 0.9))
-        got = m * (1.0 - eta) / float(_pencil(oc, oh)[-1])
+        got = m * (1.0 - eta) / float(_Dense.pencil(oc, oh)[-1])
         ref = shell_min_oracle(oc, oh, m * (1.0 - eta), seed=i)
         worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
     ok = worst <= 1e-6

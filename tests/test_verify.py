@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import json
 import math
@@ -24,10 +26,9 @@ from isicap.channel_sim import _Cells, rng_stream
 from isicap.verify import (
     _ETAS,
     _SUITES,
-    _band_op_norm,
+    _Band,
+    _Dense,
     _lemma1,
-    _op_norm,
-    _pencil,
     _sample_banded,
     _shell_volume,
     _suite_rng,
@@ -71,9 +72,9 @@ matrices = arrays(
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_op_norm_invariants(M):
-    """``_op_norm`` is numpy's largest singular value, at most the
+    """``op_norm`` is numpy's largest singular value, at most the
     Frobenius norm and at least every column's two-norm."""
-    op = _op_norm(M)
+    op = _Dense(M).op_norm()
     assert op == pytest.approx(float(np.linalg.norm(M, 2)), rel=1e-12, abs=1e-12)
     assert op <= float(np.linalg.norm(M)) * (1.0 + 1e-9) + 1e-12
     col = float(np.sqrt((M * M).sum(axis=0)).max())
@@ -83,8 +84,8 @@ def test_op_norm_invariants(M):
 def test_op_norm_orthogonal_block():
     for shape in ((5, 5), (7, 3)):
         Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal(shape))
-        assert _op_norm(Q) == pytest.approx(1.0, abs=1e-10)
-        assert _op_norm(Q.T) == pytest.approx(1.0, abs=1e-10)
+        assert _Dense(Q).op_norm() == pytest.approx(1.0, abs=1e-10)
+        assert _Dense(Q.T).op_norm() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_lemma1_tight_case():
@@ -114,7 +115,7 @@ def test_lemma1_random(M1, data):
 def _shell_min(oc, oh, eta):
     """The shell minimum ``_shell_floor`` reads: the radius ``m (1 - eta')``
     over the largest pencil eigenvalue."""
-    return len(oc) * (1.0 - eta) / _pencil(oc, oh).top
+    return len(oc) * (1.0 - eta) / _Dense.pencil(oc, oh).top
 
 
 def test_qcqp_identity_pencil():
@@ -152,18 +153,18 @@ def _assert_pencil(got, omega_c, omega_h, tol):
 
 @pytest.mark.parametrize("m", [1, 2, 5, 258])
 def test_pencil_matches_numpy_oracle(m):
-    """``_pencil(Omega_c, Omega_h)``, read off the tridiagonal form of
+    """``_Dense.pencil(Omega_c, Omega_h)``, read off the tridiagonal form of
     ``L^-1 Omega_h L^-T``, is ``(m, sum lam^2, sum log lam, max lam)`` of
     the eigenvalues of ``Omega_h v = lam Omega_c v`` from scipy's
     symmetric-definite eigensolver (``pencil_oracle``), to first order in
     eigenvalue errors of ``1e-12 max lam``.  The pair goes in as F-ordered
-    copies, as ``_omegas`` hands it over, so LAPACK works on it in place.
+    copies, as ``output_cov`` hands it over, so LAPACK works on it in place.
     ``Omega_h`` is three times a draw like ``Omega_c``, so the swapped
     pencil's largest eigenvalue, ``1 / lam_min``, misses by far."""
     rng = np.random.default_rng(m)
     for _ in range(3):
         oc, oh = _spd(rng, m), 3.0 * _spd(rng, m)
-        _assert_pencil(_pencil(np.array(oc, order="F"), np.array(oh, order="F")), oc, oh, 1e-12)
+        _assert_pencil(_Dense.pencil(np.array(oc, order="F"), np.array(oh, order="F")), oc, oh, 1e-12)
         top = pencil_oracle(oc, oh)[3]
         assert abs(pencil_oracle(oh, oc)[3] - top) > 1e-9 * top
 
@@ -171,15 +172,15 @@ def test_pencil_matches_numpy_oracle(m):
 def test_pencil_refuses_a_pair_not_positive_definite():
     """A non-positive-definite ``Omega_c`` has no Cholesky factor, and with
     an indefinite ``Omega_h`` the pencil's tridiagonal form has a pivot that
-    is not positive: both routes raise ``LinAlgError``, dense and band."""
+    is not positive: both forms raise ``LinAlgError``, dense and band."""
     spd = np.eye(6) + 0.25 * (np.eye(6, k=1) + np.eye(6, k=-1))
     bad = np.diag([1.0, 2.0, -0.5, 1.0, 3.0, 1.0])
     band = lambda D: np.array([np.r_[np.diagonal(D, -e), np.zeros(e)] for e in range(2)])
     for oc, oh in ((bad, spd), (spd, bad)):
         with pytest.raises(np.linalg.LinAlgError):
-            _pencil(np.array(oc, order="F"), np.array(oh, order="F"))
+            _Dense.pencil(np.array(oc, order="F"), np.array(oh, order="F"))
         with pytest.raises(np.linalg.LinAlgError):
-            verify._band_pencil(band(oc), band(oh))
+            _Band.pencil(band(oc), band(oh))
 
 
 def test_volume_1d_closed_form():
@@ -334,7 +335,7 @@ def test_deviation_norm_check_zero_radius_is_tight():
     spec = ChannelSpec(k=1, c=(1.0, 0.25), r=(0.0, 0.0))
     taps = _sample_banded(np.random.default_rng(0), spec, 12).taps - build_Hc(spec, 12).taps
     assert not taps.any()  # a zero-radius draw is the centre matrix exactly
-    E = BandedChannelMatrix(n=12, k=1, taps=taps)
+    E = _Band(n=12, k=1, taps=taps)
     check = {name: chk for name, _, chk in _SUITES}["deviation_matrix_norm"]
     margin, ok = check((E, spec.r_s))
     assert ok
@@ -425,7 +426,7 @@ def test_margin_quantiles_persisted():
 def test_op_norm_squared_below_gram_row_sum(M):
     # lambda_max of M'M never exceeds the absolute row-sum norm of M'M
     row_sum = float(np.linalg.norm(M.T @ M, np.inf))
-    assert _op_norm(M) ** 2 <= row_sum * (1.0 + 1e-9) + 1e-12
+    assert _Dense(M).op_norm() ** 2 <= row_sum * (1.0 + 1e-9) + 1e-12
 
 
 CHANNEL_SUITES = (
@@ -470,29 +471,29 @@ def test_channel_checks_match_dense_oracle(seed, n_max):
 def test_band_op_norm_matches_dense(k):
     rng = np.random.default_rng(k)
     for n in (k + 1, k + 2, 64, 257):
-        M = BandedChannelMatrix(n=n, k=k, taps=rng.uniform(-1.0, 1.0, (k + 1, n + k)))
-        assert _band_op_norm(M) == pytest.approx(_op_norm(_dense_band(M)), rel=1e-13, abs=0.0)
+        M = _Band(n=n, k=k, taps=rng.uniform(-1.0, 1.0, (k + 1, n + k)))
+        assert M.op_norm() == pytest.approx(_Dense(_dense_band(M)).op_norm(), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("k", range(5))
 def test_band_builders_match_dense_products(k):
     """With every corner tap NaN, for ``n = k + 1, k + 2, 64, 257``: band
     whitening is the dense one bit for bit, and the pencil's ``(m, sum
-    lam^2, sum log lam, max lam)`` on both routes, the band one from
-    ``_omegas``' band forms and the dense one from the dense pair, is
+    lam^2, sum log lam, max lam)`` in both forms, the band one from
+    ``output_cov``'s band forms and the dense one from the dense pair, is
     ``pencil_oracle``'s to first order in eigenvalue errors of ``4 m eps max
     lam``.  The band products themselves are checked in ``test_spectrum``."""
     rng = np.random.default_rng(40 + k)
     for n in (k + 1, k + 2, 64, 257):
-        M, Mc = (BandedChannelMatrix(n=n, k=k, taps=nan_corner_taps(rng, n, k)) for _ in range(2))
+        M, Mc = (_Band(n=n, k=k, taps=nan_corner_taps(rng, n, k)) for _ in range(2))
         cov = verify._Cov(d=10.0 ** rng.uniform(-2.0, 1.0, n), Q=None)
-        assert _dense_band(cov.whiten(M)).tobytes() == verify._Cov(d=cov.d, Q=np.eye(n)).whiten(M).tobytes()
+        assert _dense_band(cov.whiten(M)).tobytes() == verify._Cov(d=cov.d, Q=np.eye(n)).whiten(M).a.tobytes()
         D, Dc = _dense_band(M), _dense_band(Mc)
         eye = np.eye(n + k)
         oc, oh = eye + Dc @ Dc.T, eye + D @ D.T
         tol = 4 * (n + k) * np.finfo(float).eps
-        _assert_pencil(verify._band_pencil(*verify._omegas(Mc, M)), oc, oh, tol)
-        _assert_pencil(_pencil(np.array(oc, order="F"), np.array(oh, order="F")), oc, oh, tol)
+        _assert_pencil(M.pencil(Mc.output_cov(), M.output_cov()), oc, oh, tol)
+        _assert_pencil(_Dense.pencil(np.array(oc, order="F"), np.array(oh, order="F")), oc, oh, tol)
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -507,16 +508,16 @@ def test_weyl_norm_matches_numpy_on_band_and_dense(k):
     rng = np.random.default_rng(60 + k)
     eps = np.finfo(float).eps
     for n, scale_c, scale in ((k + 1, 3.0, 1.0), (64, 3.0, 1.0), (65, 1.0, 3.0), (257, 3.0, 1.0)):
-        W, Wc = (BandedChannelMatrix(n=n, k=k, taps=s * nan_corner_taps(rng, n, k)) for s in (scale, scale_c))
+        W, Wc = (_Band(n=n, k=k, taps=s * nan_corner_taps(rng, n, k)) for s in (scale, scale_c))
         A, B = (_dense_band(X).T @ _dense_band(X) for X in (W, Wc))
         lam, a, b = np.linalg.eigvalsh(A - B), np.linalg.eigvalsh(A), np.linalg.eigvalsh(B)
         assert (-lam[0] > lam[-1]) == (scale_c > scale), n
         tol = 8 * n * eps * max(a[-1], b[-1])
         band, dense = W.gram() - Wc.gram(), np.asfortranarray(A - B)
-        for got in (verify._band_extremes(band), verify._sym_extremes(dense)):
+        for got in (_Band.extremes(band), _Dense.extremes(dense)):
             assert np.abs(np.subtract(got, (lam[0], lam[-1]))).max() <= tol, (n, got, lam[[0, -1]])
         want = np.abs(lam).max() - np.abs(a - b).max()
-        for inst in ((None,) * 6 + (W, Wc), (None,) * 6 + (_dense_band(W), _dense_band(Wc))):
+        for inst in ((None,) * 6 + (W, Wc), (None,) * 6 + (_Dense(_dense_band(W)), _Dense(_dense_band(Wc)))):
             margin, ok = verify._eig_stability(inst)
             assert abs(margin - want) <= 2 * tol and ok, (n, margin, want)
 
@@ -539,8 +540,8 @@ def test_whiten_matches_the_dense_product(k):
         dense = _dense_band(H)
         want = dense @ Q * cov.sqrt_d
         scale = np.abs(dense) @ np.abs(Q) * cov.sqrt_d
-        assert np.all(np.abs(cov.whiten(H) - want) <= (k + 2) * eps * scale), n
-        eye = verify._Cov(d=d, Q=np.eye(n)).whiten(H)
+        assert np.all(np.abs(cov.whiten(H).a - want) <= (k + 2) * eps * scale), n
+        eye = verify._Cov(d=d, Q=np.eye(n)).whiten(H).a
         assert eye.tobytes() == (dense * cov.sqrt_d).tobytes(), n
 
 
@@ -548,8 +549,8 @@ def band_route_gate(seed: int, n_max: int, samples: int) -> int:
     """The band route against the dense one on every standard-basis sample
     of the channel instance (samples ``0 .. samples - 1`` of master seed
     ``seed``): each of the five checks that read a covariance, on the band
-    instance and on its dense twin (whitened in the basis ``Q = I``, so
-    dense, and ``_pencil(*_omegas(...))``), gives margins within ``1e-9 max(|lhs|,
+    instance and on its dense twin (whitened in the basis ``Q = I``, so in
+    the dense form, pencil and all), gives margins within ``1e-9 max(|lhs|,
     |rhs|) + 1e-12`` (``lhs`` and ``rhs`` from ``dense_check_oracle``) and
     the same decision.  Returns the number of band samples."""
     first = SUITE_NAMES.index("stacked_deviation_trace")
@@ -576,12 +577,12 @@ def test_band_route_matches_dense_route(seed):
     assert band_route_gate(seed, 24, 30) > 0
 
 
-class _Turned(np.ndarray):
-    """A channel matrix turned by a basis, so dense, that the standard
-    basis whitens as it does a band one: by ``scaled``."""
+class _TurnedCov(verify._Cov):
+    """``diag(d)`` for channel matrices already turned by a basis, so dense
+    arrays: it whitens them by ``sqrt(d)`` into the dense form."""
 
-    def scaled(self, w):
-        return np.asarray(self) * w
+    def whiten(self, H):
+        return _Dense(H * self.sqrt_d)
 
 
 def _turned(name, inst):
@@ -592,15 +593,16 @@ def _turned(name, inst):
     H, Hc, cov, rep, eta_prime = inst[:5]
     if name == "stacked_deviation_trace":
         H, Hc = H - Hc, H - H
-    turn = lambda M: M.apply(cov.Q.T).T.view(_Turned)
-    return _with_pencil(turn(H), turn(Hc), verify._Cov(d=cov.d, Q=None), rep, eta_prime)
+    turn = lambda M: M.apply(cov.Q.T).T
+    return _with_pencil(turn(H), turn(Hc), _TurnedCov(d=cov.d, Q=None), rep, eta_prime)
 
 
 def _with_pencil(H, Hc, cov, rep, eta_prime):
     """A channel instance of these draws: the whitened matrices and the
-    pencil eigenvalues computed from them, as ``_channel_instance`` does."""
+    pencil eigenvalues computed from them through their form's
+    ``output_cov`` and ``pencil``, as ``_channel_instance`` does."""
     W, Wc = cov.whiten(H), cov.whiten(Hc)
-    return H, Hc, cov, rep, eta_prime, verify._pencil(*verify._omegas(Wc, W)), W, Wc
+    return H, Hc, cov, rep, eta_prime, W.pencil(Wc.output_cov(), W.output_cov()), W, Wc
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -609,7 +611,7 @@ def test_drawn_basis_checks_equal_standard_basis_checks(seed):
     ``(H Q, Hc Q, diag(d))``: the drawn basis enters only through the one
     product ``whiten``.  A standard-basis draw gets a random ``Q`` here.
     The pencil is recomputed in each basis, so the three checks that read
-    it are compared too.  Both sides take the dense route: the drawn basis
+    it are compared too.  Both sides take the dense form: the drawn basis
     fills ``W``, and the turned matrices are dense."""
     rng = np.random.default_rng(seed)
     for idx, (name, instance, check) in enumerate(_SUITES):
@@ -622,6 +624,26 @@ def test_drawn_basis_checks_equal_standard_basis_checks(seed):
                 cov = verify._Cov(d=cov.d, Q=np.ascontiguousarray(Q))
             inst = _with_pencil(H, Hc, cov, rep, eta_prime)
             assert check(inst) == check(_turned(name, inst)), (name, i)
+
+
+def test_only_whiten_reads_the_basis_and_no_check_branches_on_type():
+    """The form of a whitened matrix is picked in one place: in ``verify``,
+    the attribute ``.Q`` is read only inside ``_Cov``, and no function but
+    ``_lwork`` (on a LAPACK output) calls ``isinstance``, so no instance or
+    check function of ``_SUITES`` does."""
+    tree = ast.parse(inspect.getsource(verify))
+    reads_q, branches = set(), set()
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "Q" and isinstance(node.ctx, ast.Load):
+                reads_q.add(name)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                branches.add(name)
+    assert reads_q == {"_Cov"}, reads_q
+    assert branches == {"_lwork"}, branches
+    suite_functions = {f.__name__ for _, instance, check in _SUITES for f in (instance, check)}
+    assert not suite_functions & branches
 
 
 def test_verify_refuses_n_max_past_the_byte_cap():
