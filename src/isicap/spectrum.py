@@ -22,12 +22,15 @@ All integrals over ``[0, 2*pi]`` are composite-Simpson sums on one shared
 grid so that quantities which are equal in exact arithmetic (e.g. the
 water-filling integral above the highest inverse-spectrum value) stay equal
 to machine precision.  The grid values of ``|f|^2`` come from one FFT of the
-taps.  The extrema are exact: ``|f|^2 = t_0 + 2 sum_d t_d cos(d omega)``
+taps; ``J`` is read off them.  The extrema have one source,
+``centre_extrema``, and no grid: ``|f|^2 = t_0 + 2 sum_d t_d cos(d omega)``
 (``t`` the tap autocorrelation) is stationary where a degree-2k polynomial
-vanishes on the unit circle, and ``|f|^2`` is evaluated at the angles of its
-roots.  The table, the extrema and ``J`` depend on the centre taps alone and
-are cached on ``(c, grid_size)``, so channels that differ only in their
-radii share them.
+vanishes on the unit circle, ``|f|^2`` is evaluated at the angles of its
+roots and at ``omega = 0``, and the least and greatest ``|f|`` are widened
+by a stated rounding bound, so that each lies on its safe side of the true
+extremum, within twice that bound.  The table, the extrema and ``J`` depend
+on the centre taps alone and are cached on ``(c, grid_size)``, so channels
+that differ only in their radii share them.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ __all__ = [
     "ChannelSpec",
     "SpectrumProfile",
     "BandedChannelMatrix",
+    "centre_extrema",
     "compute_profile",
     "f_sq_table",
     "simpson_weights",
@@ -145,15 +149,12 @@ def _f_sq(c: np.ndarray, omega):
     return re * re + im * im
 
 
-def f_sq_table(spec: ChannelSpec, grid_size: int = DEFAULT_GRID) -> np.ndarray:
-    """``|f|^2`` sampled at the ``grid_size + 1`` uniform Simpson nodes on
-    ``[0, 2*pi]`` (endpoints included), from one FFT of the taps and cached
-    on ``(spec.c, grid_size)``.  The returned array is read-only."""
-    return _f_sq_table(spec.c, grid_size)
-
-
 @lru_cache(maxsize=2)  # its readers cache what they derive from it
-def _f_sq_table(c: tuple[float, ...], grid_size: int) -> np.ndarray:
+def f_sq_table(c: tuple[float, ...], grid_size: int = DEFAULT_GRID) -> np.ndarray:
+    """``|f|^2`` of the centre taps ``c`` (a tuple, the cache key) sampled
+    at the ``grid_size + 1`` uniform Simpson nodes on ``[0, 2*pi]``
+    (endpoints included), from one FFT of the taps.  The returned array is
+    read-only."""
     if not MIN_GRID <= grid_size <= MAX_GRID or grid_size % 2 != 0:
         raise ValueError(f"grid_size must be even and in [{MIN_GRID}, {MAX_GRID}]")
     taps = np.asarray(c)
@@ -198,45 +199,55 @@ def _critical_angles(c: np.ndarray) -> np.ndarray:
     return np.angle(np.roots(np.concatenate([g[:0:-1], [0.0], -g[1:]])))
 
 
-def _root_extrema(c: np.ndarray) -> tuple[float, float]:
-    """Least and greatest ``|f|^2`` at the critical angles (``inf`` and
-    ``-inf`` with none): neither lies past the true extremum, up to rounding."""
-    at_roots = _f_sq(c, _critical_angles(c))
-    return float(at_roots.min(initial=np.inf)), float(at_roots.max(initial=-np.inf))
+def centre_extrema(c) -> tuple[float, float]:
+    """``(alpha, beta)``, the one source of both: the least and greatest
+    ``|f|`` over the critical angles (``_critical_angles``) and ``omega =
+    0``, from one ``_f_sq`` call, widened to ``alpha - delta`` and ``beta +
+    delta`` with ``delta = (2 pi + 1)(k + 1) eps sum_l |c_l|``.  So alpha is
+    at most the true minimum of ``|f|`` and beta at least its maximum.
+
+    ``delta`` bounds, to first order in eps (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, 3.1), the rounding of ``|f|``
+    evaluated at a double angle ``omega`` in ``[-pi, pi]``: each phase ``l
+    omega`` is off by up to ``k pi eps / 2``, which cos and sin carry into
+    each term, and each adds an ulp; the ``k + 1`` products and the sum of
+    each of the real and imaginary parts add ``(k + 1) eps / 2`` of ``sum
+    |c_l|``; both parts together, and the square, sum and root, give at most
+    ``((pi + 1) k + 5) eps sum |c_l|``, which ``delta`` exceeds.  The
+    computed angles' own error moves ``|f|`` only to second order, ``|f|``
+    being stationary there.  ``omega = 0`` gives a candidate where there are
+    no roots (``k = 0``, or a constant spectrum).
+    """
+    c = np.asarray(c, dtype=float)
+    at = _f_sq(c, np.append(_critical_angles(c), 0.0))
+    delta = (2.0 * math.pi + 1.0) * len(c) * float(np.finfo(float).eps) * float(np.abs(c).sum())
+    return math.sqrt(float(at.min())) - delta, math.sqrt(float(at.max())) + delta
 
 
 @lru_cache(maxsize=128)
 def _centre_profile(c: tuple[float, ...], grid_size: int) -> SpectrumProfile:
     with np.errstate(over="ignore", divide="ignore"):
-        table = _f_sq_table(c, grid_size)
-        f_sq_min, f_sq_max = float(table.min()), float(table.max())
-        if math.isfinite(f_sq_max):  # else the roots' polynomial overflows too
-            at_min, at_max = _root_extrema(np.asarray(c))  # alpha keeps its direction of error
-            f_sq_min, f_sq_max = min(f_sq_min, at_min), max(f_sq_max, at_max)
-        J = float(simpson_weights(grid_size) @ (1.0 / table)) / (2.0 * np.pi)
+        inv = 1.0 / f_sq_table(c, grid_size)
+        J = float(simpson_weights(grid_size) @ inv) / (2.0 * np.pi)
+        alpha, beta = centre_extrema(c)
 
     scale = f"the centre spectrum overflows a float at tap scale max |c| = {max(map(abs, c)):.3e}"
-    if not math.isfinite(f_sq_max):
+    if not math.isfinite(beta * beta):
         raise SpectrumSingular(f"{scale}: beta^2 is not finite")
-    beta = math.sqrt(f_sq_max)
-    if f_sq_min <= 0.0 or math.sqrt(f_sq_min) <= SINGULAR_REL_TOL * beta:
+    if alpha <= SINGULAR_REL_TOL * beta:
         raise SpectrumSingular(
-            f"min |f| = {math.sqrt(max(f_sq_min, 0.0)):.3e} is negligible against "
-            f"max |f| = {beta:.3e}"
+            f"min |f| = {max(alpha, 0.0):.3e} is negligible against max |f| = {beta:.3e}"
         )
-    for name, value in (("1/alpha^2", 1.0 / f_sq_min), ("J", J)):
+    for name, value in (("1/alpha^2", 1.0 / alpha / alpha), ("J", J)):  # alpha > 0 here
         if not math.isfinite(value):
             raise SpectrumSingular(f"{scale}: {name} is not finite")
-    return SpectrumProfile(alpha=math.sqrt(f_sq_min), beta=beta, J=J)
+    return SpectrumProfile(alpha=alpha, beta=beta, J=J)
 
 
 def compute_profile(spec: ChannelSpec, grid_size: int = DEFAULT_GRID) -> SpectrumProfile:
-    """Exact extrema of ``|f|`` and the Simpson mean ``J`` of ``1/|f|^2``
-    from the FFT table.
-
-    ``alpha`` and ``beta`` are the smaller resp. larger of the table's
-    extremes and ``|f|`` at the angles of the roots of the derivative
-    polynomial (one ``np.roots`` call).  The profile depends only on
+    """The extrema of ``|f|`` from ``centre_extrema``, each within
+    ``2 delta`` of the true one and on the safe side, and the Simpson mean
+    ``J`` of ``1/|f|^2`` from the FFT table.  The profile depends only on
     ``(spec.c, grid_size)`` and is cached on that key, the one cache of
     the profile.
 

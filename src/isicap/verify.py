@@ -45,16 +45,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import SpectrumSingular
-from .spectrum import (
-    DEFAULT_GRID,
-    BandedChannelMatrix,
-    ChannelSpec,
-    _f_sq,
-    _root_extrema,
-    build_Hc,
-    compute_profile,
-)
+from .spectrum import BandedChannelMatrix, ChannelSpec, build_Hc, centre_extrema
 from .waterfill import LN2, thresholds
 from .channel_sim import MAX_DECODE_BYTES, ChannelLaw, _Cells, _taps_from, rng_stream
 
@@ -84,12 +75,11 @@ _DENSE_ARRAYS = 6
 # Doubles per row of that order in the LAPACK workspace (dsyevr's optimal:
 # 33 doubles and 10 ints a row; dsytrd's: 32 doubles).
 _EIG_WORK = 38
-# Most arrays of DEFAULT_GRID + 1 doubles a channel draw holds, only when it
-# falls back to ``compute_profile``: while it builds the FFT table, the
-# complex transform (two), the two squares, their sum and the closed table;
-# besides them the other table the cache keeps and the Simpson weights; and
-# one to spare for the draw's small arrays.
-_GRID_ARRAYS = 9
+# Bytes a sample holds whatever its order: its random generator, the headers
+# of its numpy arrays (about 100 to 160 bytes each) and its small records.
+# Traced, they reach 12.4 KB beyond the order-dependent terms at n_max = 5,
+# where those are smallest (every suite, master seeds 0 to 29).
+_SAMPLE_FIXED = 16 * 1024
 # dsbevx's tolerance, as scipy.linalg.eigvals_banded sets it: twice LAPACK's
 # safe minimum (dlamch("S")), which for IEEE doubles is the smallest normal.
 _ABSTOL = 2.0 * np.finfo(float).tiny
@@ -370,10 +360,9 @@ class _Extrema(NamedTuple):  # min and max of |f|: all of a profile the suites r
 
 
 def _random_channel(rng: np.random.Generator, n_max: int):
-    """A random well-conditioned channel, its ``_Extrema`` from the critical
-    angles alone (no FFT table), and a block length n in [k+1, n_max].  If
-    ``|f|^2`` at 64 equispaced angles leaves their range, a root was lost:
-    ``compute_profile`` gives them.  Redrawn while alpha < 0.05 beta (beta > 0)."""
+    """A random well-conditioned channel, its ``_Extrema`` from
+    ``centre_extrema`` (no FFT table), and a block length n in [k+1,
+    n_max].  Redrawn while alpha < 0.05 beta."""
     while True:
         k = int(rng.integers(1, K_MAX + 1))
         c = rng.uniform(-1.0, 1.0, k + 1)
@@ -382,20 +371,10 @@ def _random_channel(rng: np.random.Generator, n_max: int):
         r = rng.uniform(0.0, 0.5, k + 1)
         if r.sum() == 0.0:
             continue
-        spec = ChannelSpec(k=k, c=tuple(c), r=tuple(r))
-        lo, hi = _root_extrema(c)
-        guard = _f_sq(c, np.arange(64) * (math.pi / 32))
-        if guard.min() < lo or guard.max() > hi:
-            try:
-                profile = compute_profile(spec)
-            except SpectrumSingular:
-                continue
-            ext = _Extrema(profile.alpha, profile.beta)
-        else:
-            ext = _Extrema(math.sqrt(lo), math.sqrt(hi))
+        ext = _Extrema(*centre_extrema(c))
         if ext.alpha < 0.05 * ext.beta:
             continue
-        return spec, ext, int(rng.integers(k + 1, n_max + 1))
+        return ChannelSpec(k=k, c=tuple(c), r=tuple(r)), ext, int(rng.integers(k + 1, n_max + 1))
 
 
 class _Cov:
@@ -630,9 +609,9 @@ def _report(name, margins_ok):
 def _sample_bytes(n_max: int) -> int:
     """Bytes one sample holds at most, at block lengths up to ``n_max``:
     ``_DENSE_ARRAYS`` float arrays and ``_EIG_WORK`` doubles a row of order
-    ``n_max + K_MAX``, and ``_GRID_ARRAYS`` arrays of the spectrum grid."""
+    ``n_max + K_MAX``, and ``_SAMPLE_FIXED``."""
     order = n_max + K_MAX
-    return 8 * (_DENSE_ARRAYS * order * order + _EIG_WORK * order + _GRID_ARRAYS * (DEFAULT_GRID + 1))
+    return 8 * (_DENSE_ARRAYS * order * order + _EIG_WORK * order) + _SAMPLE_FIXED
 
 
 def _run(names, samples: int, master_seed: int, n_max: int) -> dict[str, LemmaReport]:

@@ -211,10 +211,11 @@ def _water_level(table: _WaterTable, a: float, B) -> np.ndarray:
 
 
 @lru_cache(maxsize=2)
-def _grid_table(spec: ChannelSpec, grid_size: int) -> _WaterTable:
-    """The table of the grid's sorted ``1/|f|^2``, Simpson weights summing to
-    one; five grid-sized arrays each, so only two channels are kept."""
-    v = 1.0 / f_sq_table(spec, grid_size)
+def _grid_table(c: tuple[float, ...], grid_size: int) -> _WaterTable:
+    """The table of the grid's sorted ``1/|f|^2`` for the centre taps ``c``,
+    Simpson weights summing to one, shared by channels that differ only in
+    their radii; five grid-sized arrays each, so only two are kept."""
+    v = 1.0 / f_sq_table(c, grid_size)
     order = np.argsort(v)
     return _water_table(v[order], simpson_weights(grid_size)[order] / (2.0 * np.pi))
 
@@ -241,7 +242,7 @@ def solve_theta1(profile: SpectrumProfile, spec: ChannelSpec, P, grid_size: int 
         p = float(P[bad][0])
         raise ValueError(f"non-finite power P={p}" if not math.isfinite(p) else "need P > 0")
     closed = P >= 1.0 / profile.alpha ** 2 - profile.J
-    theta = np.where(closed, P + profile.J, _water_level(_grid_table(spec, grid_size), 0.0, P))
+    theta = np.where(closed, P + profile.J, _water_level(_grid_table(spec.c, grid_size), 0.0, P))
     return theta if theta.ndim else float(theta)
 
 
@@ -268,7 +269,7 @@ def solve_theta2(
         return b - profile.J
     if b - 2.0 / profile.beta ** 2 <= 0.0:
         return None
-    theta = float(_water_level(_grid_table(spec, grid_size), 2.0, -b))
+    theta = float(_water_level(_grid_table(spec.c, grid_size), 2.0, -b))
     return theta if 2.0 * theta - b > 0.0 else None
 
 
@@ -281,7 +282,7 @@ def cap_integral(spec: ChannelSpec, theta, grid_size: int = DEFAULT_GRID):
     regime, where it reads ``(log2(theta/v_max) + D_N) / 2``, it stays
     within about 1e-14 relative of the same Simpson sum in 30 digits
     (``tests/oracles.py``).  ``k = 0`` reads ``W_0 = D_0 = 0``."""
-    t = _grid_table(spec, grid_size)
+    t = _grid_table(spec.c, grid_size)
     theta = np.asarray(theta, dtype=float)
     k = np.searchsorted(t.v, theta, "left")
     top = t.v[k - 1]
@@ -319,7 +320,7 @@ def _penalty(profile: SpectrumProfile, rs, lam_min, lam_max, spend):
     s = _s(profile, rs)
     ratio = s * lam_max / (1.0 + profile.alpha ** 2 * lam_min)
     ok = np.logical_not(ratio >= 1.0)  # a NaN ratio passes
-    t2 = -0.5 * _libm(math.log2, np.where(ok, 1.0 - ratio, 1.0))
+    t2 = -0.5 * _libm(math.log2, np.where(ok, 1.0 - ratio, 1.0)) + 0.0  # + 0.0: no -0.0 at ratio 0
     t3 = (0.5 / LN2) * (1.0 - np.maximum(1.0 - s * spend, 0.0) / (1.0 + s * lam_max))
     return t2, t3, ok
 

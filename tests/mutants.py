@@ -165,14 +165,25 @@ MUTANTS = (
         "self.eigvals(self.gram(), 1)",
         ("tests/test_verify.py::test_band_op_norm_matches_dense[1]", f"{_DENSE_CHECKS}[0-24]"),
     ),
+    # The one source of alpha and beta: its stated bound and its omega = 0 candidate.
     Mutant(
-        "extrema guard's undercut comparison inverted",
-        "verify.py",
-        "if guard.min() < lo or guard.max() > hi:",
-        "if guard.min() > lo or guard.max() > hi:",
+        "extrema without the rounding bound delta",
+        "spectrum.py",
+        "return math.sqrt(float(at.min())) - delta, math.sqrt(float(at.max())) + delta",
+        "return math.sqrt(float(at.min())), math.sqrt(float(at.max()))",
         (
-            "tests/test_verify.py::test_extrema_guard_falls_back_on_a_lost_root",
-            "tests/test_verify.py::test_suites_build_no_fft_table",
+            "tests/test_spectrum.py::test_example_profile_constants",
+            "tests/test_acceptance.py::test_spectrum_extrema",
+        ),
+    ),
+    Mutant(
+        "omega = 0 dropped from the candidate angles",
+        "spectrum.py",
+        "np.append(_critical_angles(c), 0.0)",
+        "_critical_angles(c)",
+        (
+            "tests/test_spectrum.py::test_flat_channel_profile",
+            "tests/test_spectrum.py::test_extrema_contain_the_closed_forms[c=-2.5]",
         ),
     ),
     Mutant(

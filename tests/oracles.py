@@ -289,49 +289,83 @@ def shell_volume_oracle(n: int, eta: float, digits: int = 30) -> float:
         return float(mpmath.log(vol, 2))
 
 
-def spectrum_extrema_oracle(c, grid: int = 4096, digits: int = 50) -> tuple[float, float]:
-    """``(min |f|, max |f|)`` over the circle for ``f(w) = sum_l c_l e^{i l w}``.
+def spectrum_extrema_oracle(c, digits: int = 40) -> tuple:
+    """``(min |f|, max |f|)`` over the circle for ``f(w) = sum_l c_l e^{i l
+    w}``, as ``digits``-digit mpmath numbers.
 
-    Every local extremum of ``|f|^2`` on a dense grid (direct cosine/sine
-    sums) seeds a Newton iteration on ``d|f|^2/dw`` in ``digits``-digit
-    arithmetic, with the derivatives summed term by term:
-    ``(|f|^2)' = 2 Re(conj(f) f')`` and ``(|f|^2)'' = 2 (|f'|^2 + Re(conj(f) f''))``.
-    The extremes of those values and of ``|f|^2`` at the grid's own extreme
-    nodes, all evaluated in that precision, are returned.
+    Every strict local extremum of ``|f|^2`` on a grid of ``max(4096, 64 (k
+    + 1))`` angles brackets a stationary point between its two neighbours.
+    Newton steps on ``d|f|^2/dw`` in double precision, clipped to the
+    bracket, find each one (on the taps scaled by the power of two that puts
+    the largest near 1, so that no derivative overflows).  Those whose
+    ``|f|^2`` lies within ``1e-8 max |f|^2`` of the least or the greatest
+    (far more than double rounding moves it) are refined again in
+    ``digits``-digit arithmetic, by Newton steps kept in the bracket by
+    bisection on the derivative's sign.  There ``f`` and its
+    ``w``-derivatives come from one Horner pass of ``p(z) = sum c_l z^l``
+    and its first two ``z``-derivatives at ``z = e^{iw}``: ``f' = i z p'``
+    and ``f'' = -z p' - z^2 p''``, so ``(|f|^2)' = 2 Re(conj(f) f')`` and
+    ``(|f|^2)'' = 2 (|f'|^2 + Re(conj(f) f''))``.  The extremes of those
+    values and of ``|f|^2`` at the grid's own extreme nodes (all a constant
+    spectrum has) are returned.
     """
-    c = [float(v) for v in c]
-    w = np.arange(grid) * (2.0 * math.pi / grid)
+    c = np.asarray(c, dtype=float)
+    unit = np.ldexp(c, -math.frexp(float(np.abs(c).max()))[1])
     ell = np.arange(len(c))
-    re = np.cos(np.outer(w, ell)) @ np.asarray(c)
-    im = np.sin(np.outer(w, ell)) @ np.asarray(c)
-    vals = re * re + im * im
+    grid = max(4096, 64 * len(c))
+    h = 2.0 * math.pi / grid
+
+    def derivs_double(x):
+        E = np.exp(1j * np.outer(x, ell))
+        f, f1, f2 = E @ unit, E @ (1j * ell * unit), E @ (-(ell * ell) * unit)
+        return np.abs(f) ** 2, 2.0 * (f.conj() * f1).real, 2.0 * (np.abs(f1) ** 2 + (f.conj() * f2).real)
+
+    w = np.arange(grid) * h
+    vals = derivs_double(w)[0]
     prev, nxt = np.roll(vals, 1), np.roll(vals, -1)
-    strict = ((vals < prev) & (vals <= nxt)) | ((vals > prev) & (vals >= nxt))
+    idx = np.flatnonzero(((vals < prev) & (vals <= nxt)) | ((vals > prev) & (vals >= nxt)))
+    x = w[idx]
+    for _ in range(20):
+        _, d1, d2 = derivs_double(x)
+        x = np.clip(x - d1 / np.where(d2 == 0.0, np.inf, d2), w[idx] - h, w[idx] + h)
+    v = derivs_double(x)[0]
+    margin = 1e-8 * vals.max()
+    keep = (v <= v.min(initial=np.inf) + margin) | (v >= v.max(initial=-np.inf) - margin)
     with mpmath.workdps(digits):
-        cm = [mpmath.mpf(v) for v in c]
+        cm = [mpmath.mpf(float(t)) for t in c[::-1]]
 
         def derivs(x):
-            e = [mpmath.expj(l * x) for l in range(len(cm))]
-            f = mpmath.fsum(cl * el for cl, el in zip(cm, e))
-            f1 = mpmath.fsum(1j * l * cl * el for l, (cl, el) in enumerate(zip(cm, e)))
-            f2 = mpmath.fsum(-(l * l) * cl * el for l, (cl, el) in enumerate(zip(cm, e)))
-            fc = mpmath.conj(f)
-            return abs(f) ** 2, 2 * mpmath.re(fc * f1), 2 * (abs(f1) ** 2 + mpmath.re(fc * f2))
+            z = mpmath.expj(x)
+            p = d1 = d2 = mpmath.mpc(0)
+            for cl in cm:
+                d2 = d2 * z + d1
+                d1 = d1 * z + p
+                p = p * z + cl
+            f1 = 1j * z * d1
+            f2 = -z * d1 - 2 * z * z * d2
+            fc = mpmath.conj(p)
+            return abs(p) ** 2, 2 * mpmath.re(fc * f1), 2 * (abs(f1) ** 2 + mpmath.re(fc * f2))
 
         found = [derivs(mpmath.mpf(float(w[j])))[0] for j in (np.argmin(vals), np.argmax(vals))]
         tol = mpmath.mpf(10) ** (5 - digits)
-        for j in np.flatnonzero(strict):
-            x = mpmath.mpf(float(w[j]))
-            for _ in range(60):
-                _, d1, d2 = derivs(x)
-                if d2 == 0:
-                    break
-                step = d1 / d2
-                x -= step
+        for j, start in zip(idx[keep], x[keep]):
+            lo, hi = mpmath.mpf(float(w[j]) - h), mpmath.mpf(float(w[j]) + h)
+            below = derivs(lo)[1] < 0  # the derivative's sign at the bracket's low end
+            y = mpmath.mpf(float(start))
+            for _ in range(200):
+                _, d1, d2 = derivs(y)
+                if (d1 < 0) == below:
+                    lo = y
+                else:
+                    hi = y
+                step = d1 / d2 if d2 != 0 else y - (lo + hi) / 2
+                if not lo < y - step < hi:
+                    step = y - (lo + hi) / 2
+                y -= step
                 if abs(step) <= tol:
                     break
-            found.append(derivs(x)[0])
-        return float(mpmath.sqrt(min(found))), float(mpmath.sqrt(max(found)))
+            found.append(derivs(y)[0])
+        return mpmath.sqrt(min(found)), mpmath.sqrt(max(found))
 
 
 def _dense_band(band) -> np.ndarray:

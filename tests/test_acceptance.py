@@ -81,11 +81,14 @@ def test_route_gap_constant(tmp_path, report):
 
 
 def test_spectrum_extrema(report):
+    """beta holds the exact maximum 2 from above, within twice the rounding
+    bound ``delta = (2 pi + 1)(k + 1) eps sum|c|`` that widens it."""
     profile = compute_profile(EXAMPLE)
-    ok = abs(profile.alpha - 0.4677) <= 1e-4 and profile.beta == 2.0
+    delta = (2.0 * math.pi + 1.0) * (EXAMPLE_K + 1) * float(np.finfo(float).eps) * sum(map(abs, EXAMPLE_C))
+    ok = abs(profile.alpha - 0.4677) <= 1e-4 and 2.0 <= profile.beta <= 2.0 + 2.0 * delta
     report(3, "spectrum_extrema", ok,
           f"alpha = {profile.alpha:.6f} (target 0.4677 +/- 1e-4), "
-          f"beta = {profile.beta} (exact 2 required)")
+          f"beta = {profile.beta} (2 to 2 + 2 delta = {2.0 + 2.0 * delta!r} required)")
 
 
 def test_capacity_sweep_shape(tmp_path, report):

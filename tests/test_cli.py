@@ -343,12 +343,18 @@ def test_spectrum_out_of_float_range_exits_config(tmp_path, capsys, command, c):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["bounds", "figure1", "figure2", "simulate"])
 def test_tiny_taps_in_float_range_still_run(tmp_path, command):
+    """Taps near 1e-150 are in float range: every command runs and prints
+    no NaN.  Radii of 1e-3 dwarf such taps: at 1 W the water over the
+    spectral peak is about 1e100 deep (1e300 times that of the taps (1,
+    0.5) at 1e-300 W), so the radius penalty's ratio is far past 1, and
+    every bound row is flagged (exit 3)."""
     cfg = _write_config(tmp_path, {
         "channel": {"k": 1, "c": [1e-150, 5e-151], "r": [1e-3, 1e-3]},
         "simulate": _SMALL_SIMULATE,
     })
     out = tmp_path / "x.out"
-    assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == EXIT_OK
+    want = EXIT_OK if command == "simulate" else EXIT_EMPTY
+    assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == want
     assert "nan" not in out.read_text()
 
 
@@ -427,6 +433,17 @@ def test_figure1_sweep(tmp_path):
         total = float(r[header.index("bound")])
         parts = sum(float(r[header.index(t)]) for t in ("term1", "term2", "term3"))
         assert total == pytest.approx(parts, rel=1e-12)
+
+
+def test_figure1_vanishing_radius_prints_no_negative_zero(tmp_path):
+    """At r_s = 1e-20 the penalty ratio rounds ``1 - ratio`` to 1, so the
+    log term is a zero, printed ``0.0``, not ``-0.0``."""
+    cfg = _write_config(tmp_path, {"figure1": {"rs_log10": [-20], "p_dbw": [10]}})
+    out = tmp_path / "fig1.csv"
+    assert main(["figure1", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    _, header, rows = _read_csv(out)
+    assert [r[header.index("term2")] for r in rows] == ["0.0"]
+    assert all(not cell.startswith("-") for r in rows for cell in r)
 
 
 def test_simulate_tiny(tmp_path):

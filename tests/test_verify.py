@@ -362,54 +362,12 @@ def test_sample_banded_is_the_uniform_interval_law(spec):
         assert rng.random(dtype=np.float32) == twin.random(dtype=np.float32)
 
 
-def test_table_free_extrema_match_compute_profile(monkeypatch):
-    """On 2,000 seeded channels of the suites' law (k = 1 to 4), the
-    extrema taken at the critical angles alone are ``compute_profile``'s to
-    2 ulps, and no draw's guard falls back to ``compute_profile``."""
-    calls = []
-    monkeypatch.setattr(verify, "compute_profile", lambda spec: calls.append(spec))
-    draws = [verify._random_channel(np.random.default_rng(seed), 24)[:2] for seed in range(2000)]
-    assert not calls
-    assert {spec.k for spec, _ in draws} == {1, 2, 3, 4}
-    for spec, ext in draws:
-        want = spectrum.compute_profile(spec)
-        for got, ref in ((ext.alpha, want.alpha), (ext.beta, want.beta)):
-            assert abs(got - ref) <= 2.0 * np.spacing(ref), (spec, got, ref)
-
-
-def test_extrema_guard_falls_back_on_a_lost_root(monkeypatch):
-    """With the roots at the minimum (an angle and its mirror, as the taps
-    are real) dropped from the critical angles, ``|f|^2`` at the guard's 64
-    angles undercuts the roots' minimum, so every draw falls back to
-    ``compute_profile`` and returns its extrema."""
-    roots = spectrum._critical_angles
-
-    def lose_min(c):
-        angles = roots(c)
-        at_min = abs(angles[np.argmin(spectrum._f_sq(c, angles))])
-        return angles[np.abs(np.abs(angles) - at_min) > 1e-9]
-
-    calls = []
-    profile = spectrum.compute_profile
-    monkeypatch.setattr(spectrum, "_critical_angles", lose_min)
-    monkeypatch.setattr(verify, "compute_profile", lambda spec: calls.append(spec) or profile(spec))
-    spectrum._centre_profile.cache_clear()
-    try:
-        for seed in range(50):
-            spec, ext, _ = verify._random_channel(np.random.default_rng(seed), 24)
-            assert calls and calls[-1] == spec, seed
-            want = profile(spec)
-            assert (ext.alpha, ext.beta) == (want.alpha, want.beta), seed
-    finally:
-        spectrum._centre_profile.cache_clear()  # drop profiles made with a root lost
-
-
 def test_suites_build_no_fft_table():
-    """Every suite's channel draws take their extrema from the critical
-    angles: a run of all nine builds no ``|f|^2`` table."""
-    misses = spectrum._f_sq_table.cache_info().misses
+    """Every suite's channel draws take their extrema from
+    ``centre_extrema``: a run of all nine builds no ``|f|^2`` table."""
+    misses = spectrum.f_sq_table.cache_info().misses
     run_all_suites(samples=25, master_seed=0, n_max=24)
-    assert spectrum._f_sq_table.cache_info().misses == misses
+    assert spectrum.f_sq_table.cache_info().misses == misses
 
 
 def test_margin_quantiles_persisted():
@@ -729,31 +687,19 @@ def test_one_sample_fits_the_dense_array_count(first):
 
 
 @pytest.mark.parametrize("n_max", [8, 32, 128])
-def test_sample_bytes_bound_every_suite_at_small_n_max(n_max, monkeypatch):
-    """At small ``n_max`` the spectrum grid, not the dense arrays, sets the
-    peak of a sample whose channel draw falls back to ``compute_profile``
-    (forced here by losing every critical angle): every suite group, run
-    with the spectrum caches cold, with and without that fallback, peaks
-    (traced) below ``_sample_bytes(n_max)``, the byte-cap estimate, and
-    above its dense part alone at n_max = 8 and 32."""
+def test_sample_bytes_bound_every_suite_at_small_n_max(n_max):
+    """At small ``n_max`` the fixed part of a sample, ``_SAMPLE_FIXED``,
+    weighs most: every suite group peaks (traced) below
+    ``_sample_bytes(n_max)``, the byte-cap estimate."""
     groups = {}
     for j, name in enumerate(SUITE_NAMES):
         groups.setdefault(verify._DRAWN_BY[j], []).append(name)
-    dense = verify._DENSE_ARRAYS * 8 * (n_max + verify.K_MAX) ** 2
-    worst = 0
-    for lost in (False, True):
-        if lost:
-            monkeypatch.setattr(verify, "_root_extrema", lambda c: (math.inf, -math.inf))
-        for names in groups.values():
-            for seed in range(3):
-                for cache in (spectrum._f_sq_table, spectrum._centre_profile, spectrum.simpson_weights):
-                    cache.cache_clear()
-                tracemalloc.start()
-                try:
-                    verify._run(names, 2, seed, n_max)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert peak < verify._sample_bytes(n_max), (names, seed, lost, peak)
-                worst = max(worst, peak)
-    assert n_max == 128 or worst > dense
+    for names in groups.values():
+        for seed in range(3):
+            tracemalloc.start()
+            try:
+                verify._run(names, 2, seed, n_max)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < verify._sample_bytes(n_max), (names, seed, peak)

@@ -120,7 +120,7 @@ def test_cap_integral_matches_grid_oracle():
     for spec in _cap_channels(20):
         prof = compute_profile(spec)
         knee = 1.0 / prof.alpha ** 2 - prof.J
-        v = 1.0 / f_sq_table(spec)
+        v = 1.0 / f_sq_table(spec.c)
         for P in knee * np.array([1e-6, 1e-3, 0.3, 1.0, 10.0]):
             theta = solve_theta1(prof, spec, P)
             want = cap_grid_oracle(v, theta)
@@ -144,6 +144,17 @@ def test_bound_rows_read_no_grid(monkeypatch):
         assert cap_integral(spec, solve_theta1(prof, spec, P)) > 0.0
 
 
+def test_water_table_shared_by_centre_taps():
+    """Channels that differ only in their radii share one water table: the
+    second builds nothing."""
+    c = (1.0, -0.35, 0.2, 0.05)
+    waterfill._grid_table.cache_clear()
+    for r in (1e-3, 0.02):
+        bound_report(ChannelSpec(k=3, c=c, r=(r,) * 4), 10.0)
+    info = waterfill._grid_table.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
 def _grid_channels():
     """The default channel and random k = 1..4 ones, two of them with radii
     that flag part of the grid, each with a power grid spanning both
@@ -162,7 +173,7 @@ def _scalar_row(spec, P):
     logs on libm; None past the penalty's ratio 1."""
     prof = compute_profile(spec)
     theta = solve_theta1(prof, spec, P)
-    t = waterfill._grid_table(spec, DEFAULT_GRID)
+    t = waterfill._grid_table(spec.c, DEFAULT_GRID)
     k = int(np.searchsorted(t.v, theta))
     top = t.v[k - 1]
     C0 = 0.5 * float(t.W[k] * math.log1p((theta - top) / top) / LN2 + t.D[k])
@@ -213,7 +224,7 @@ def test_bound_report_is_the_grid_row():
 def test_c0_column_matches_grid_oracle():
     for spec, P in _grid_channels():
         prof = compute_profile(spec)
-        v = 1.0 / f_sq_table(spec)
+        v = 1.0 / f_sq_table(spec.c)
         C0 = bound_grid(spec, P).C0
         for p, got in zip(P[::8].tolist(), C0[::8].tolist()):
             want = cap_grid_oracle(v, solve_theta1(prof, spec, p))
