@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, IsicapError
-from .spectrum import DEFAULT_GRID, ChannelSpec, compute_profile
+from .spectrum import DEFAULT_GRID, ChannelSpec, check_grid_size, compute_profile
 from .waterfill import bound_grid, bound_report, dbw_to_watts, pillow_grid, watts_to_dbw
 from .channel_sim import ChannelLaw, check_law
 from .decoder import run_error_experiment
@@ -184,7 +184,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         spec = ChannelSpec(k=k, c=tuple(c), r=tuple(r))
     except ValueError as exc:
         raise ConfigError(f"bad channel block: {exc}") from exc
-    grid_size = _number(merged.get("grid_size", DEFAULT_GRID), "grid_size", integer=True)
+    grid_size = check_grid_size(_number(merged.get("grid_size", DEFAULT_GRID), "grid_size", integer=True))
     if args.seed < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.threads < 1:
@@ -383,7 +383,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
             master_seed=cfg.seed,
             law=law,
             threads=cfg.threads,
-            grid_size=cfg.grid_size,
         )
         rows.append(
             (n, rate, p_dbw, trials, res.type1, res.type2, res.success,

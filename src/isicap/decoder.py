@@ -53,13 +53,12 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .spectrum import (
-    DEFAULT_GRID,
     FOLD_ULPS,
     BandedChannelMatrix,
     ChannelSpec,
     _as_int,
     build_Hc,
-    compute_profile,
+    checked_extrema,
 )
 from .waterfill import POWER_FLOOR, ThresholdReport, thresholds
 from .channel_sim import (
@@ -105,8 +104,8 @@ _U32 = 2.0 ** -24
 _F32_RANGE = 2.0 ** 100
 # Bytes of arrays that ``_setup``'s cache may hold across calls.
 _SETUP_BYTES = 64 << 20
-# ``(spec, n, P, grid_size)`` -> ``((cov, report, joint), bytes)``, least
-# recently used first.
+# ``(spec, n, P)`` -> ``((cov, report, joint), bytes)``, least recently
+# used first.
 _setups: OrderedDict = OrderedDict()
 _setups_lock = threading.Lock()
 
@@ -504,25 +503,23 @@ class ExperimentResult:
         return self.errors / self.trials
 
 
-def _setup(
-    spec: ChannelSpec, n: int, P: float, grid_size: int
-) -> tuple[CovarianceSpec, ThresholdReport, JointCovariance]:
+def _setup(spec: ChannelSpec, n: int, P: float) -> tuple[CovarianceSpec, ThresholdReport, JointCovariance]:
     """The part of an experiment that does not depend on its seed: the
-    input covariance, the threshold report and the joint covariance,
-    built once per ``(spec, n, P, grid_size)`` and kept while the arrays
-    of the kept entries (half bases, ``d``, ``gain`` and ``hc``) total at
-    most ``_SETUP_BYTES``, the least recently used evicted first.  An
-    entry over that on its own is returned but not kept; a call that
-    raises keeps nothing.  Every kept array is read-only and every record
-    frozen, so callers on any thread share the same objects."""
-    key = (spec, n, P, grid_size)
+    input covariance, the threshold report (from ``checked_extrema``, no
+    grid) and the joint covariance, built once per ``(spec, n, P)`` and
+    kept while the arrays of the kept entries (half bases, ``d``, ``gain``
+    and ``hc``) total at most ``_SETUP_BYTES``, the least recently used
+    evicted first.  An entry over that on its own is returned but not kept;
+    a call that raises keeps nothing.  Every kept array is read-only and
+    every record frozen, so callers on any thread share the same objects."""
+    key = (spec, n, P)
     with _setups_lock:
         if key in _setups:
             _setups.move_to_end(key)
             return _setups[key][0]
-    profile = compute_profile(spec, grid_size)
+    ext = checked_extrema(spec.c)
     cov = build_sigma(spec, n, P)
-    report = thresholds(spec, profile, cov, P)
+    report = thresholds(spec, ext, cov, P)
     joint = build_joint(cov, build_Hc(spec, n))
     size = sum(a.nbytes for a in (cov.halves.sym, cov.halves.skew, cov.d, joint.gain, joint.hc.taps))
     entry = (cov, report, joint)
@@ -552,7 +549,6 @@ def run_error_experiment(
     law: ChannelLaw = ChannelLaw(kind="iid_uniform"),
     params: Optional[TypicalParams] = None,
     threads: int = 1,
-    grid_size: int = DEFAULT_GRID,
 ) -> ExperimentResult:
     """Monte Carlo error rates of the joint-typicality decoder.
 
@@ -571,7 +567,7 @@ def run_error_experiment(
 
     The set-up that does not depend on the seed (the input covariance, the
     threshold report and the joint covariance) is kept in-process per
-    ``(spec, n, P, grid_size)``, up to ``_SETUP_BYTES`` of arrays, least
+    ``(spec, n, P)``, up to ``_SETUP_BYTES`` of arrays, least
     recently used evicted first (``_setup``), so later calls on the same
     configuration reuse it.  The results do not depend on what is kept.
     """
@@ -585,7 +581,7 @@ def run_error_experiment(
     P = float(P)  # so a power keys one kept set-up, built in float64, whatever its type
     check_law(spec, law)
     codebook_size(n, R, trials, spec.k)
-    cov, report, joint = _setup(spec, n, P, grid_size)
+    cov, report, joint = _setup(spec, n, P)
     if params is None:
         params = default_params(report)
     book = gen_codebook(cov, R, master_seed)

@@ -21,16 +21,16 @@ matrix).
 All integrals over ``[0, 2*pi]`` are composite-Simpson sums on one shared
 grid so that quantities which are equal in exact arithmetic (e.g. the
 water-filling integral above the highest inverse-spectrum value) stay equal
-to machine precision.  The grid values of ``|f|^2`` come from one FFT of the
-taps; ``J`` is read off them.  The extrema have one source,
-``centre_extrema``, and no grid: ``|f|^2 = t_0 + 2 sum_d t_d cos(d omega)``
-(``t`` the tap autocorrelation) is stationary where a degree-2k polynomial
-vanishes on the unit circle, ``|f|^2`` is evaluated at the angles of its
-roots and at ``omega = 0``, and the least and greatest ``|f|`` are widened
-by a stated rounding bound, so that each lies on its safe side of the true
-extremum, within twice that bound.  The table, the extrema and ``J`` depend
-on the centre taps alone and are cached on ``(c, grid_size)``, so channels
-that differ only in their radii share them.
+to machine precision.  The grid has one owner, ``quadrature_grid``, cached
+on ``(c, grid_size)`` like the profile: one FFT and one reciprocal give
+``1/|f|^2``, its mean ``J`` and ``waterfill``'s water table.  The extrema
+have one source, ``centre_extrema``, and no grid: ``|f|^2 = t_0 + 2 sum_d
+t_d cos(d omega)`` (``t`` the tap autocorrelation) is stationary where a
+degree-2k polynomial vanishes on the unit circle, ``|f|^2`` is evaluated
+at the angles of its roots and at ``omega = 0``, and the least and greatest
+``|f|`` are widened by a stated rounding bound, so that each lies on its
+safe side of the true extremum, within twice that bound;
+``checked_extrema`` refuses them out of range.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigvals_banded
@@ -48,11 +49,13 @@ from .errors import SpectrumSingular
 __all__ = [
     "ChannelSpec",
     "SpectrumProfile",
+    "Extrema",
     "BandedChannelMatrix",
     "centre_extrema",
+    "checked_extrema",
     "compute_profile",
     "f_sq_table",
-    "simpson_weights",
+    "quadrature_grid",
     "build_Hc",
     "gram_eigenvalues",
     "HalfBasis",
@@ -64,6 +67,7 @@ MIN_GRID = 256
 MAX_GRID = 2 ** 20  # refused past this, before the FFT's padded array is allocated
 SINGULAR_REL_TOL = 1e-12
 SIGN_TIE_REL = 1e-8
+LN2 = math.log(2.0)
 # Relative rounding, in units of eps, that the J-fold add and the 1/sqrt(2)
 # scale of ``HalfBasis.apply`` and ``.adjoint`` put on each entry: one add,
 # one multiply and the representation of 1/sqrt(2), 1.4 eps, rounded up.
@@ -130,12 +134,8 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class SpectrumProfile:
-    """Scalar summary of the centre spectrum, a function of the centre taps
-    and the grid alone (the radii are the spec's).
-
-    alpha, beta   -- min resp. max of |f| over the unit circle
-    J             -- mean of 1/|f|^2 over the circle
-    """
+    """The centre spectrum's ``Extrema`` and ``J``, the mean of ``1/|f|^2``
+    over the circle: a function of the centre taps and the grid alone."""
 
     alpha: float
     beta: float
@@ -149,36 +149,69 @@ def _f_sq(c: np.ndarray, omega):
     return re * re + im * im
 
 
-@lru_cache(maxsize=2)  # its readers cache what they derive from it
-def f_sq_table(c: tuple[float, ...], grid_size: int = DEFAULT_GRID) -> np.ndarray:
-    """``|f|^2`` of the centre taps ``c`` (a tuple, the cache key) sampled
-    at the ``grid_size + 1`` uniform Simpson nodes on ``[0, 2*pi]``
-    (endpoints included), from one FFT of the taps.  The returned array is
-    read-only."""
+def check_grid_size(grid_size: int) -> int:
+    """``grid_size``, or ``ValueError`` unless even and in ``[MIN_GRID, MAX_GRID]``."""
     if not MIN_GRID <= grid_size <= MAX_GRID or grid_size % 2 != 0:
         raise ValueError(f"grid_size must be even and in [{MIN_GRID}, {MAX_GRID}]")
+    return grid_size
+
+
+def f_sq_table(c: tuple[float, ...], grid_size: int = DEFAULT_GRID) -> np.ndarray:
+    """``|f|^2`` of the centre taps ``c`` at the ``grid_size + 1`` uniform
+    Simpson nodes on ``[0, 2*pi]`` (endpoints included), from one FFT."""
+    check_grid_size(grid_size)
     taps = np.asarray(c)
     if taps.size > grid_size:
         # The DFT sees tap l only through l mod grid_size: fold, not truncate.
         taps = np.bincount(np.arange(taps.size) % grid_size, weights=taps)
     F = np.fft.fft(taps, grid_size)
     vals = F.real * F.real + F.imag * F.imag
-    vals = np.append(vals, vals[0])
-    vals.setflags(write=False)
-    return vals
+    return np.append(vals, vals[0])
 
 
-@lru_cache(maxsize=16)
-def simpson_weights(grid_size: int) -> np.ndarray:
-    """Composite-Simpson weights for the ``grid_size + 1`` shared nodes on
-    ``[0, 2*pi]``; they sum to ``2*pi``.  The returned array is read-only."""
-    h = 2.0 * np.pi / grid_size
-    w = np.full(grid_size + 1, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    w *= h / 3.0
-    w.setflags(write=False)
-    return w
+class _WaterTable(NamedTuple):
+    """Ascending breakpoints ``v`` with weights ``w``: ``W = [0, cumsum(w)]``,
+    ``S = [0, cumsum(w*v)]``, the water ``at = v W[1:] - S[1:]`` at each
+    breakpoint and the rate prefix ``D_k = sum_{j<k} w_j log2(v_{k-1}/v_j)``."""
+
+    v: np.ndarray
+    W: np.ndarray
+    S: np.ndarray
+    at: np.ndarray
+    D: np.ndarray
+
+
+def _water_table(v: np.ndarray, w: np.ndarray) -> _WaterTable:
+    """The table of ascending ``v`` and weights ``w``; ``D`` sums its
+    non-negative steps ``W_k log2(v_k/v_{k-1})``, each a ``log1p``."""
+    W = np.concatenate(([0.0], np.cumsum(w)))
+    S = np.concatenate(([0.0], np.cumsum(w * v)))
+    D = np.cumsum(W[1:-1] * np.log1p(np.diff(v) / v[:-1]) / LN2)
+    return _WaterTable(v, W, S, v * W[1:] - S[1:], np.concatenate(([0.0, 0.0], D)))
+
+
+class QuadratureGrid(NamedTuple):
+    """``J``, the Simpson mean of ``1/|f|^2``, and the water table of its nodes."""
+
+    J: float
+    table: _WaterTable
+
+
+@lru_cache(maxsize=2)
+def quadrature_grid(c: tuple[float, ...], grid_size: int) -> QuadratureGrid:
+    """The one owner of the quadrature grid: ``v = 1/|f|^2`` formed once from
+    ``f_sq_table``, ``J`` its Simpson dot in node order, and the table of
+    ``v`` sorted with the weights over ``2 pi``.  Five grid-sized arrays
+    each, so two are kept; overflow is silent (``checked_extrema`` refuses it)."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        v = 1.0 / f_sq_table(c, grid_size)
+        w = np.full(grid_size + 1, 2.0)
+        w[1::2] = 4.0
+        w[0] = w[-1] = 1.0
+        w *= (2.0 * np.pi / grid_size) / 3.0
+        J = float(w @ v) / (2.0 * np.pi)
+        order = np.argsort(v)
+        return QuadratureGrid(J, _water_table(v[order], w[order] / (2.0 * np.pi)))
 
 
 def _critical_angles(c: np.ndarray) -> np.ndarray:
@@ -199,7 +232,14 @@ def _critical_angles(c: np.ndarray) -> np.ndarray:
     return np.angle(np.roots(np.concatenate([g[:0:-1], [0.0], -g[1:]])))
 
 
-def centre_extrema(c) -> tuple[float, float]:
+class Extrema(NamedTuple):
+    """Least and greatest ``|f|`` over the unit circle."""
+
+    alpha: float
+    beta: float
+
+
+def centre_extrema(c) -> Extrema:
     """``(alpha, beta)``, the one source of both: the least and greatest
     ``|f|`` over the critical angles (``_critical_angles``) and ``omega =
     0``, from one ``_f_sq`` call, widened to ``alpha - delta`` and ``beta +
@@ -221,16 +261,16 @@ def centre_extrema(c) -> tuple[float, float]:
     c = np.asarray(c, dtype=float)
     at = _f_sq(c, np.append(_critical_angles(c), 0.0))
     delta = (2.0 * math.pi + 1.0) * len(c) * float(np.finfo(float).eps) * float(np.abs(c).sum())
-    return math.sqrt(float(at.min())) - delta, math.sqrt(float(at.max())) + delta
+    return Extrema(math.sqrt(float(at.min())) - delta, math.sqrt(float(at.max())) + delta)
 
 
-@lru_cache(maxsize=128)
-def _centre_profile(c: tuple[float, ...], grid_size: int) -> SpectrumProfile:
-    with np.errstate(over="ignore", divide="ignore"):
-        inv = 1.0 / f_sq_table(c, grid_size)
-        J = float(simpson_weights(grid_size) @ inv) / (2.0 * np.pi)
-        alpha, beta = centre_extrema(c)
-
+def checked_extrema(c: tuple[float, ...], J: float = 0.0) -> Extrema:
+    """``centre_extrema(c)``, or SpectrumSingular when min ``|f|`` is at or
+    below ``1e-12 * beta`` (the inverse spectrum, and ``J``, then
+    meaningless), or when ``beta^2``, ``1/alpha^2`` or a profile's ``J``
+    overflows a float, as at taps near 1e-155 or 1e155 and beyond."""
+    with np.errstate(over="ignore"):
+        alpha, beta = ext = centre_extrema(c)
     scale = f"the centre spectrum overflows a float at tap scale max |c| = {max(map(abs, c)):.3e}"
     if not math.isfinite(beta * beta):
         raise SpectrumSingular(f"{scale}: beta^2 is not finite")
@@ -241,21 +281,19 @@ def _centre_profile(c: tuple[float, ...], grid_size: int) -> SpectrumProfile:
     for name, value in (("1/alpha^2", 1.0 / alpha / alpha), ("J", J)):  # alpha > 0 here
         if not math.isfinite(value):
             raise SpectrumSingular(f"{scale}: {name} is not finite")
-    return SpectrumProfile(alpha=alpha, beta=beta, J=J)
+    return ext
+
+
+@lru_cache(maxsize=128)
+def _centre_profile(c: tuple[float, ...], grid_size: int) -> SpectrumProfile:
+    J = quadrature_grid(c, grid_size).J
+    return SpectrumProfile(*checked_extrema(c, J), J)
 
 
 def compute_profile(spec: ChannelSpec, grid_size: int = DEFAULT_GRID) -> SpectrumProfile:
-    """The extrema of ``|f|`` from ``centre_extrema``, each within
-    ``2 delta`` of the true one and on the safe side, and the Simpson mean
-    ``J`` of ``1/|f|^2`` from the FFT table.  The profile depends only on
-    ``(spec.c, grid_size)`` and is cached on that key, the one cache of
-    the profile.
-
-    Raises SpectrumSingular when the minimum of ``|f|`` is at or below
-    ``1e-12 * beta`` (the inverse spectrum, and hence ``J``, is then
-    meaningless), and when ``beta^2``, ``1/alpha^2`` or ``J`` overflows a
-    float, as at taps near 1e-155 or 1e155 and beyond.
-    """
+    """``checked_extrema`` (each within ``2 delta`` of the true one, on the
+    safe side) and ``J`` from ``quadrature_grid``, cached on ``(spec.c,
+    grid_size)``, the one cache of the profile."""
     return _centre_profile(spec.c, grid_size)
 
 

@@ -45,7 +45,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.linalg import lapack
 
-from .spectrum import BandedChannelMatrix, ChannelSpec, build_Hc, centre_extrema
+from .spectrum import BandedChannelMatrix, ChannelSpec, Extrema, build_Hc, centre_extrema
 from .waterfill import LN2, thresholds
 from .channel_sim import MAX_DECODE_BYTES, ChannelLaw, _Cells, _taps_from, rng_stream
 
@@ -354,13 +354,8 @@ class LemmaReport:
     details: dict = field(default_factory=dict)
 
 
-class _Extrema(NamedTuple):  # min and max of |f|: all of a profile the suites read
-    alpha: float
-    beta: float
-
-
 def _random_channel(rng: np.random.Generator, n_max: int):
-    """A random well-conditioned channel, its ``_Extrema`` from
+    """A random well-conditioned channel, its ``Extrema`` from
     ``centre_extrema`` (no FFT table), and a block length n in [k+1,
     n_max].  Redrawn while alpha < 0.05 beta."""
     while True:
@@ -371,7 +366,7 @@ def _random_channel(rng: np.random.Generator, n_max: int):
         r = rng.uniform(0.0, 0.5, k + 1)
         if r.sum() == 0.0:
             continue
-        ext = _Extrema(*centre_extrema(c))
+        ext = centre_extrema(c)
         if ext.alpha < 0.05 * ext.beta:
             continue
         return ChannelSpec(k=k, c=tuple(c), r=tuple(r)), ext, int(rng.integers(k + 1, n_max + 1))
@@ -408,7 +403,7 @@ def _random_cov(rng: np.random.Generator, n: int) -> _Cov:
     return _Cov(d=d, Q=Q)
 
 
-def _rescale_radii_for_phi1(spec: ChannelSpec, ext: _Extrema, cov: _Cov, target: float) -> ChannelSpec:
+def _rescale_radii_for_phi1(spec: ChannelSpec, ext: Extrema, cov: _Cov, target: float) -> ChannelSpec:
     """``spec`` with all radii scaled so the leading penalty ratio hits
     ``target`` < 1 for this covariance, keeping the suite instances
     non-trivial; of the centre's ``ext`` it reads ``alpha`` and ``beta`` alone."""

@@ -20,16 +20,18 @@ No level is found by iteration, and no bound reads the grid.  The water
 ``g(theta)`` on the quadrature grid is a weighted sum of ``max(theta - v_j,
 0)`` over the sorted inverse spectrum ``v_j``, piecewise linear in
 ``theta`` (Palomar & Fonollosa, IEEE TSP 2005); the finite-blocklength
-allocation is the same sum with unit weights.  One water table per channel
-(the two latest are cached) holds the prefix sums of the weights and of
-the weighted breakpoints, the water at each breakpoint, and a rate prefix
-summed from non-negative ``log1p`` steps.  A power grid is one array pass
-(``bound_grid``; ``pillow_grid`` over radius sums): one ``searchsorted``
-gives every level (``P + J`` above the top breakpoint), a second every
-``C0``; ``bound_report`` and ``pillow_terms`` are one-row calls.  Logs run
-on libm (numpy's may differ by an ulp) for the byte contract: a value is
-the same bit for bit in a grid or alone.  The saturation route (``theta2``,
-``C_LB2``, ``delta2``, ``P_sat``, ``gap_cor2``) is cached per channel.
+allocation is the same sum with unit weights.  The channel's water table
+comes from the grid's one owner, ``spectrum.quadrature_grid``: prefix sums
+of the weights and of the weighted breakpoints, the water at each
+breakpoint, and a rate prefix summed from non-negative ``log1p`` steps.
+``finite_n_bound`` reads ``alpha`` and ``beta`` alone, no grid.  A power
+grid is one array pass (``bound_grid``; ``pillow_grid`` over radius sums):
+one ``searchsorted`` gives every level (``P + J`` above the top
+breakpoint), a second every ``C0``; ``bound_report`` and ``pillow_terms``
+are one-row calls.  Logs run on libm (numpy's may differ by an ulp) for the
+byte contract: a value is the same bit for bit in a grid or alone.  The
+saturation route (``theta2``, ``C_LB2``, ``delta2``, ``P_sat``,
+``gap_cor2``) is cached per channel.
 
 All rates are in bits (logs base 2); powers are in watts, with dBW helpers
 for the CLI surface.
@@ -48,12 +50,16 @@ import numpy as np
 from .errors import BoundInapplicable
 from .spectrum import (
     DEFAULT_GRID,
+    LN2,
     ChannelSpec,
+    Extrema,
     SpectrumProfile,
+    _WaterTable,
+    _water_table,
+    checked_extrema,
     compute_profile,
-    f_sq_table,
     gram_eigenvalues,
-    simpson_weights,
+    quadrature_grid,
 )
 
 __all__ = [
@@ -75,7 +81,6 @@ __all__ = [
     "finite_n_bound",
 ]
 
-LN2 = math.log(2.0)
 POWER_FLOOR = 1e-12
 
 
@@ -177,27 +182,6 @@ def _depths(profile: SpectrumProfile, theta):
     return tuple(np.maximum(theta - 1.0 / x ** 2, 0.0) for x in (profile.alpha, profile.beta))
 
 
-class _WaterTable(NamedTuple):
-    """Ascending breakpoints ``v`` with weights ``w``: ``W = [0, cumsum(w)]``,
-    ``S = [0, cumsum(w*v)]``, the water ``at = v W[1:] - S[1:]`` at each
-    breakpoint and the rate prefix ``D_k = sum_{j<k} w_j log2(v_{k-1}/v_j)``."""
-
-    v: np.ndarray
-    W: np.ndarray
-    S: np.ndarray
-    at: np.ndarray
-    D: np.ndarray
-
-
-def _water_table(v: np.ndarray, w: np.ndarray) -> _WaterTable:
-    """The table of ascending ``v`` and weights ``w``; ``D`` sums its
-    non-negative steps ``W_k log2(v_k/v_{k-1})``, each a ``log1p``."""
-    W = np.concatenate(([0.0], np.cumsum(w)))
-    S = np.concatenate(([0.0], np.cumsum(w * v)))
-    D = np.cumsum(W[1:-1] * np.log1p(np.diff(v) / v[:-1]) / LN2)
-    return _WaterTable(v, W, S, v * W[1:] - S[1:], np.concatenate(([0.0, 0.0], D)))
-
-
 def _water_level(table: _WaterTable, a: float, B) -> np.ndarray:
     """Exact root ``theta`` of ``sum_j w_j max(theta - v_j, 0) - a*theta = B``
     on ``table``.  The left side is piecewise linear and must be monotone:
@@ -208,16 +192,6 @@ def _water_level(table: _WaterTable, a: float, B) -> np.ndarray:
     at = table.at if a == 0.0 else table.at - a * table.v
     k = np.searchsorted(at, B, "right") if a == 0.0 else np.searchsorted(-at, -B, "right")
     return (B + table.S[k]) / (table.W[k] - a)
-
-
-@lru_cache(maxsize=2)
-def _grid_table(c: tuple[float, ...], grid_size: int) -> _WaterTable:
-    """The table of the grid's sorted ``1/|f|^2`` for the centre taps ``c``,
-    Simpson weights summing to one, shared by channels that differ only in
-    their radii; five grid-sized arrays each, so only two are kept."""
-    v = 1.0 / f_sq_table(c, grid_size)
-    order = np.argsort(v)
-    return _water_table(v[order], simpson_weights(grid_size)[order] / (2.0 * np.pi))
 
 
 def _b(spec: ChannelSpec) -> float:
@@ -242,7 +216,7 @@ def solve_theta1(profile: SpectrumProfile, spec: ChannelSpec, P, grid_size: int 
         p = float(P[bad][0])
         raise ValueError(f"non-finite power P={p}" if not math.isfinite(p) else "need P > 0")
     closed = P >= 1.0 / profile.alpha ** 2 - profile.J
-    theta = np.where(closed, P + profile.J, _water_level(_grid_table(spec.c, grid_size), 0.0, P))
+    theta = np.where(closed, P + profile.J, _water_level(quadrature_grid(spec.c, grid_size).table, 0.0, P))
     return theta if theta.ndim else float(theta)
 
 
@@ -269,7 +243,7 @@ def solve_theta2(
         return b - profile.J
     if b - 2.0 / profile.beta ** 2 <= 0.0:
         return None
-    theta = float(_water_level(_grid_table(spec.c, grid_size), 2.0, -b))
+    theta = float(_water_level(quadrature_grid(spec.c, grid_size).table, 2.0, -b))
     return theta if 2.0 * theta - b > 0.0 else None
 
 
@@ -282,7 +256,7 @@ def cap_integral(spec: ChannelSpec, theta, grid_size: int = DEFAULT_GRID):
     regime, where it reads ``(log2(theta/v_max) + D_N) / 2``, it stays
     within about 1e-14 relative of the same Simpson sum in 30 digits
     (``tests/oracles.py``).  ``k = 0`` reads ``W_0 = D_0 = 0``."""
-    t = _grid_table(spec.c, grid_size)
+    t = quadrature_grid(spec.c, grid_size).table
     theta = np.asarray(theta, dtype=float)
     k = np.searchsorted(t.v, theta, "left")
     top = t.v[k - 1]
@@ -301,13 +275,13 @@ def capacity_C0(
     return cap_integral(spec, solve_theta1(profile, spec, P, grid_size), grid_size)
 
 
-def _s(profile: SpectrumProfile, rs) -> float:
+def _s(profile: Extrema | SpectrumProfile, rs) -> float:
     """``s = r_s (r_s + 2 beta)``, the radius scale of every penalty term."""
     return rs * (rs + 2.0 * profile.beta)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # silent inf and NaN, as in float maths
-def _penalty(profile: SpectrumProfile, rs, lam_min, lam_max, spend):
+def _penalty(profile: Extrema | SpectrumProfile, rs, lam_min, lam_max, spend):
     """The addends ``(t2, t3)`` of the rate penalty ``delta = t2 + t3`` for
     the tap intervals at radius sum ``rs``, given the smallest and largest
     per-dimension input power and the power spent per dimension, and the
@@ -325,7 +299,7 @@ def _penalty(profile: SpectrumProfile, rs, lam_min, lam_max, spend):
     return t2, t3, ok
 
 
-def thresholds(spec: ChannelSpec, profile: SpectrumProfile, cov, P: float) -> ThresholdReport:
+def thresholds(spec: ChannelSpec, profile: Extrema | SpectrumProfile, cov, P: float) -> ThresholdReport:
     """The finite-n constants at power ``P`` for a covariance ``cov`` (any
     record with ``n``, ``trace``, ``lam_min`` and ``lam_max``), reading only
     ``alpha`` and ``beta`` of ``profile``.  With ``m = n + k`` and ``s = r_s
@@ -466,7 +440,8 @@ def waterfill_powers(lam: np.ndarray, total: float) -> tuple[np.ndarray, float]:
     level is the exact root from ``_water_level`` with unit weights on the
     sorted breakpoints ``1/lam_i + eps`` and budget ``total - n*eps``, so
     no power depends on the order of ``lam``.  Ascending ``lam`` yields
-    ascending ``d``.  Raises ``ValueError`` for a non-finite ``total``.
+    ascending ``d``.  Raises ``ValueError`` for a non-finite ``total``, and
+    where ``2 n / min(lam)`` overflows, as the table's sums then could.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 1 or len(lam) == 0:
@@ -477,18 +452,15 @@ def waterfill_powers(lam: np.ndarray, total: float) -> tuple[np.ndarray, float]:
         raise ValueError(f"non-finite total power {total}")
     if total <= len(lam) * POWER_FLOOR:
         raise ValueError("total power does not clear the per-channel floor")
+    if not math.isfinite(2.0 * len(lam) / float(lam.min())):
+        raise ValueError(f"gains down to {float(lam.min()):.3e} overflow a water table of {len(lam)} breakpoints")
     inv = 1.0 / lam
     table = _water_table(np.sort(inv + POWER_FLOOR), np.ones(len(lam)))
     theta = _water_level(table, 0.0, total - len(lam) * POWER_FLOOR)
     return np.maximum(theta - inv, POWER_FLOOR), theta
 
 
-def finite_n_bound(
-    spec: ChannelSpec,
-    n: int,
-    P: float,
-    grid_size: int = DEFAULT_GRID,
-) -> FiniteNBound:
+def finite_n_bound(spec: ChannelSpec, n: int, P: float) -> FiniteNBound:
     """Achievable rate at blocklength ``n``: water-fill ``n*P`` over the
     Gram eigenvalues of the centre matrix, then subtract the trace penalty
     and the radius penalty computed from the allocation itself.  Its powers
@@ -501,13 +473,13 @@ def finite_n_bound(
         raise ValueError(f"need n >= k + 1 = {spec.k + 1}, got {n}")
     if P <= 0.0:
         raise ValueError("need P > 0")
-    profile = compute_profile(spec, grid_size)
+    ext = checked_extrema(spec.c)
     lam = gram_eigenvalues(spec, n)
     d, theta = waterfill_powers(lam, n * P)
     first = float(np.log2(1.0 + lam * d).sum()) / (2.0 * n)
     m = n + spec.k
     trace = float(d.sum())
-    t2, t3, ok = _penalty(profile, spec.r_s, float(d[0]), float(d[-1]), trace / m)
+    t2, t3, ok = _penalty(ext, spec.r_s, float(d[0]), float(d[-1]), trace / m)
     if not ok:
         raise BoundInapplicable("radius term >= 1; penalty undefined")
     delta_n = float(t2 + t3)

@@ -169,8 +169,8 @@ MUTANTS = (
     Mutant(
         "extrema without the rounding bound delta",
         "spectrum.py",
-        "return math.sqrt(float(at.min())) - delta, math.sqrt(float(at.max())) + delta",
-        "return math.sqrt(float(at.min())), math.sqrt(float(at.max()))",
+        "return Extrema(math.sqrt(float(at.min())) - delta, math.sqrt(float(at.max())) + delta)",
+        "return Extrema(math.sqrt(float(at.min())), math.sqrt(float(at.max())))",
         (
             "tests/test_spectrum.py::test_example_profile_constants",
             "tests/test_acceptance.py::test_spectrum_extrema",
@@ -184,6 +184,38 @@ MUTANTS = (
         (
             "tests/test_spectrum.py::test_flat_channel_profile",
             "tests/test_spectrum.py::test_extrema_contain_the_closed_forms[c=-2.5]",
+        ),
+    ),
+    # The quadrature grid's one owner: Simpson's weights, the sorted water
+    # table and the saturation power read off its J.
+    Mutant(
+        "Simpson's end weights 2, not 1",
+        "spectrum.py",
+        "        w[0] = w[-1] = 1.0\n",
+        "        w[0] = w[-1] = 2.0\n",
+        (
+            "tests/test_spectrum.py::test_simpson_mean_constant",
+            "tests/test_spectrum.py::test_flat_channel_profile",
+        ),
+    ),
+    Mutant(
+        "water table with the weights in node order, not sorted with v",
+        "spectrum.py",
+        "water_table(v[order], w[order] / (2.0 * np.pi))",
+        "water_table(v[order], w / (2.0 * np.pi))",
+        (
+            "tests/test_waterfill.py::test_cap_integral_matches_grid_oracle",
+            "tests/test_waterfill.py::test_theta1_residual_below_closed_form[c0]",
+        ),
+    ),
+    Mutant(
+        "P_sat = b - J",
+        "waterfill.py",
+        "return b - 2.0 * profile.J, I2, C_LB2, delta2, gap_cor2",
+        "return b - profile.J, I2, C_LB2, delta2, gap_cor2",
+        (
+            "tests/test_waterfill.py::test_saturation_power_reference",
+            "tests/test_waterfill.py::test_theta2_flat_closed_form",
         ),
     ),
     Mutant(

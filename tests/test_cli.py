@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from isicap import cli, decoder, waterfill
+from isicap import cli, decoder, spectrum, waterfill
 from isicap.cli import (
     BOUNDS_HEADER,
     EXIT_CONFIG,
@@ -322,6 +322,41 @@ def test_oversized_grid_size_refused_before_allocating(tmp_path, capsys, grid_si
 _SMALL_SIMULATE = {"n_list": [8], "trials": 5, "rate_bits": 0.5}
 
 
+@pytest.mark.parametrize("grid_size", [100, 257, 2**40])
+@pytest.mark.parametrize("command", ["bounds", "figure1", "figure2", "simulate", "verify"])
+def test_bad_grid_size_exits_config_for_every_command(tmp_path, monkeypatch, capsys, command, grid_size):
+    """A grid size below ``MIN_GRID``, odd, or past ``MAX_GRID`` exits 2 with
+    one ``isicap:`` line naming ``grid_size`` and no file, before any work,
+    in every command: ``simulate`` at ``rate_bits``, which reads no grid,
+    and ``verify`` too."""
+    def work_ran(*args, **kwargs):
+        raise AssertionError("work ran before the refusal")
+
+    for name in ("bound_grid", "bound_report", "compute_profile", "run_error_experiment", "verify_report"):
+        monkeypatch.setattr(cli, name, work_ran)
+    cfg = _write_config(tmp_path, {"grid_size": grid_size, "simulate": _SMALL_SIMULATE})
+    out = tmp_path / "x.out"
+    assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("isicap: ") and "grid_size" in err[0]
+
+
+def test_cold_bounds_reads_the_fft_once_per_channel(tmp_path, monkeypatch):
+    """A cold ``bounds`` op takes one FFT table per channel: the profile's
+    ``J`` and every row's water table come from one ``quadrature_grid``."""
+    calls = []
+    table = spectrum.f_sq_table
+    monkeypatch.setattr(spectrum, "f_sq_table", lambda *args: calls.append(args) or table(*args))
+    for cache in (spectrum.quadrature_grid, spectrum._centre_profile, waterfill._saturation):
+        cache.cache_clear()
+    channels = ((1.0, -0.6, 0.3, 0.1), (1.0, 0.25))
+    for i, c in enumerate(channels):
+        cfg = _write_config(tmp_path, {"channel": {"k": len(c) - 1, "c": c, "r": [2e-4] * len(c)}})
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == EXIT_OK
+        assert [args[0] for args in calls] == list(channels[:i + 1])
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["bounds", "figure1", "figure2", "simulate"])
 @pytest.mark.parametrize("c", [[1e-155, 5e-156], [1e200, 5e199], [1e160, 5e159, 5e159]])
@@ -356,6 +391,24 @@ def test_tiny_taps_in_float_range_still_run(tmp_path, command):
     want = EXIT_OK if command == "simulate" else EXIT_EMPTY
     assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == want
     assert "nan" not in out.read_text()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c, n", [([1e-154], 8), ([1e-153], 1024)])
+def test_simulate_refuses_gains_past_the_float_range(tmp_path, capsys, c, n):
+    """Flat taps whose ``1/alpha^2`` is finite but whose Gram eigenvalues
+    ``lam`` make ``2 n / lam`` overflow exit 2 with one ``isicap:`` line, no
+    warning and no file, where the finite-n water table's sums would
+    overflow: ``simulate`` at ``rate_bits`` reads no ``J`` to refuse them."""
+    cfg = _write_config(tmp_path, {
+        "channel": {"k": 0, "c": c, "r": [0.0]},
+        "simulate": {"n_list": [n], "trials": 5, "rate_bits": 4 / n},
+    })
+    out = tmp_path / "x.out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", "1"]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("isicap: ") and "overflow a water table" in err[0]
 
 
 def test_simulate_refuses_undefined_derived_rate(tmp_path, capsys):
@@ -614,7 +667,7 @@ def test_simulate_refuses_oversized_codebook_before_setup(
     def setup_ran(*args, **kwargs):
         raise AssertionError("set-up ran before the refusal")
 
-    monkeypatch.setattr(decoder, "compute_profile", setup_ran)
+    monkeypatch.setattr(decoder, "checked_extrema", setup_ran)
     monkeypatch.setattr(decoder, "build_sigma", setup_ran)
     cfg = _write_config(tmp_path, payload)
     out = tmp_path / "x.csv"

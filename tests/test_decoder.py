@@ -37,9 +37,9 @@ from isicap.channel_sim import (
     transmit,
     trial_block,
 )
-from isicap import channel_sim, decoder as decoder_mod
+from isicap import channel_sim, decoder as decoder_mod, spectrum, waterfill
 from isicap.channel_sim import FLOOR_REPROJECT
-from isicap.spectrum import DEFAULT_GRID, FOLD_ULPS, HalfBasis, _half_bands, _sym_band_apply, _tap_autocorr, gram_eigh
+from isicap.spectrum import FOLD_ULPS, HalfBasis, _half_bands, _sym_band_apply, _tap_autocorr, gram_eigh
 from isicap.decoder import DecodeContext, _guard_band, _pass_mask, prepare_context
 from isicap.errors import CodebookTooLarge, DimensionMismatch
 from isicap.waterfill import POWER_FLOOR, dbw_to_watts, waterfill_powers
@@ -945,7 +945,7 @@ def test_experiment_byte_cap_at_its_edge(example_spec, monkeypatch):
         raise AssertionError("set-up ran before the refusal")
 
     monkeypatch.setattr(channel_sim, "MAX_DECODE_BYTES", need - 1)
-    monkeypatch.setattr(decoder_mod, "compute_profile", setup_ran)
+    monkeypatch.setattr(decoder_mod, "checked_extrema", setup_ran)
     with pytest.raises(CodebookTooLarge, match=f"decode {trials} trials"):
         run_error_experiment(example_spec, n=n, R=R, P=1.0, trials=trials)
 
@@ -1013,9 +1013,24 @@ def test_experiment_refuses_negative_seed_before_setup(example_spec, monkeypatch
     def setup_ran(*args, **kwargs):
         raise AssertionError("set-up ran before the refusal")
 
-    monkeypatch.setattr(decoder_mod, "compute_profile", setup_ran)
+    monkeypatch.setattr(decoder_mod, "checked_extrema", setup_ran)
     with pytest.raises(ValueError, match="master_seed"):
         run_error_experiment(example_spec, n=8, R=0.1, P=0.1, trials=4, master_seed=-1)
+
+
+def test_cold_experiment_builds_no_grid(example_spec, monkeypatch):
+    """A cold experiment at a given rate reads ``alpha`` and ``beta`` alone
+    (``checked_extrema``): neither the FFT table nor the quadrature grid is
+    touched."""
+    def no_grid(*args):
+        raise AssertionError("the experiment read the grid")
+
+    monkeypatch.setattr(spectrum, "f_sq_table", no_grid)
+    monkeypatch.setattr(spectrum, "quadrature_grid", no_grid)
+    monkeypatch.setattr(waterfill, "quadrature_grid", no_grid)
+    monkeypatch.setattr(decoder_mod, "_setups", OrderedDict())
+    res = run_error_experiment(example_spec, n=16, R=0.125, P=0.1, trials=24, master_seed=3)
+    assert res.type1 + res.type2 + res.success == 24
 
 
 def test_experiment_seed_determinism(example_spec):
@@ -1037,7 +1052,7 @@ def test_experiment_refuses_threads_not_a_positive_integer_before_setup(example_
     def setup_ran(*args, **kwargs):
         raise AssertionError("set-up ran before the refusal")
 
-    monkeypatch.setattr(decoder_mod, "compute_profile", setup_ran)
+    monkeypatch.setattr(decoder_mod, "checked_extrema", setup_ran)
     with pytest.raises(ValueError, match=f"threads must be .*integer, got {threads!r}"):
         run_error_experiment(example_spec, n=64, R=3 / 64, P=0.1, trials=64, master_seed=1, threads=threads)
 
@@ -1119,7 +1134,7 @@ def test_kept_setup_stays_within_its_byte_bound(example_spec, monkeypatch):
     monkeypatch.setattr(decoder_mod, "_setups", OrderedDict())
     size = {}
     for n in (16, 32, 48, 256):
-        cov, _, joint = decoder_mod._setup(example_spec, n, P, DEFAULT_GRID)
+        cov, _, joint = decoder_mod._setup(example_spec, n, P)
         size[n] = sum(a.nbytes for a in (cov.halves.sym, cov.halves.skew, cov.d, joint.gain, joint.hc.taps))
         assert _held_bytes() == sum(size.values())
     bound = size[16] + size[48]

@@ -32,7 +32,7 @@ from isicap.spectrum import (
     _tap_autocorr,
     centre_extrema,
     f_sq_table,
-    simpson_weights,
+    quadrature_grid,
 )
 
 from bases import assemble, eigenbasis, random_halves, standard_halves
@@ -260,7 +260,7 @@ def test_profile_shared_by_centre_taps(example_spec):
     profile is a function of the centre taps and the grid alone."""
     wide = ChannelSpec(k=example_spec.k, c=example_spec.c, r=(0.3, 0.2, 0.1))
     assert compute_profile(example_spec) == compute_profile(wide)
-    assert f_sq_table(example_spec.c) is f_sq_table(wide.c)
+    assert quadrature_grid(example_spec.c, DEFAULT_GRID) is quadrature_grid(wide.c, DEFAULT_GRID)
 
 
 def test_grid_size_bounds():
@@ -338,8 +338,7 @@ def test_eval_f_sq_closed_form(example_spec):
 
 
 def test_simpson_mean_constant(example_spec):
-    table = f_sq_table(example_spec.c, 512)
-    assert float(simpson_weights(512) @ np.ones_like(table)) / (2.0 * np.pi) == pytest.approx(1.0, abs=1e-14)
+    assert quadrature_grid(example_spec.c, 512).table.W[-1] == pytest.approx(1.0, abs=1e-14)
 
 
 @settings(max_examples=30, deadline=None)

@@ -365,9 +365,9 @@ def test_sample_banded_is_the_uniform_interval_law(spec):
 def test_suites_build_no_fft_table():
     """Every suite's channel draws take their extrema from
     ``centre_extrema``: a run of all nine builds no ``|f|^2`` table."""
-    misses = spectrum.f_sq_table.cache_info().misses
+    misses = spectrum.quadrature_grid.cache_info().misses
     run_all_suites(samples=25, master_seed=0, n_max=24)
-    assert spectrum.f_sq_table.cache_info().misses == misses
+    assert spectrum.quadrature_grid.cache_info().misses == misses
 
 
 def test_margin_quantiles_persisted():

@@ -21,7 +21,7 @@ from isicap import (
     solve_theta2,
     watts_to_dbw,
 )
-from isicap import waterfill
+from isicap import spectrum, waterfill
 from isicap.errors import BoundInapplicable
 from isicap.spectrum import DEFAULT_GRID, f_sq_table
 from isicap.waterfill import (
@@ -136,8 +136,7 @@ def test_bound_rows_read_no_grid(monkeypatch):
     def no_grid(*args):
         raise AssertionError("a bound row read the grid")
 
-    monkeypatch.setattr(waterfill, "f_sq_table", no_grid)
-    monkeypatch.setattr(waterfill, "simpson_weights", no_grid)
+    monkeypatch.setattr(spectrum, "f_sq_table", no_grid)
     for p_dbw in np.linspace(-20.0, 60.0, 161):
         P = dbw_to_watts(p_dbw)
         assert bound_report(spec, P).C0 > 0.0
@@ -148,10 +147,10 @@ def test_water_table_shared_by_centre_taps():
     """Channels that differ only in their radii share one water table: the
     second builds nothing."""
     c = (1.0, -0.35, 0.2, 0.05)
-    waterfill._grid_table.cache_clear()
+    waterfill.quadrature_grid.cache_clear()
     for r in (1e-3, 0.02):
         bound_report(ChannelSpec(k=3, c=c, r=(r,) * 4), 10.0)
-    info = waterfill._grid_table.cache_info()
+    info = waterfill.quadrature_grid.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
 
 
@@ -173,7 +172,7 @@ def _scalar_row(spec, P):
     logs on libm; None past the penalty's ratio 1."""
     prof = compute_profile(spec)
     theta = solve_theta1(prof, spec, P)
-    t = waterfill._grid_table(spec.c, DEFAULT_GRID)
+    t = waterfill.quadrature_grid(spec.c, DEFAULT_GRID).table
     k = int(np.searchsorted(t.v, theta))
     top = t.v[k - 1]
     C0 = 0.5 * float(t.W[k] * math.log1p((theta - top) / top) / LN2 + t.D[k])
@@ -472,6 +471,17 @@ def test_waterfill_powers_validation():
         waterfill_powers(np.array([1.0]), 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_waterfill_powers_refuses_gains_whose_table_overflows():
+    """Gains so small that ``2 n / min(lam)`` overflows are refused, where
+    the table's sums would overflow with a warning; a thousandth of that
+    ``1/lam`` runs to a finite level that spends the budget."""
+    with pytest.raises(ValueError, match="overflow a water table of 1024"):
+        waterfill_powers(np.full(1024, 1e-306), 1e306)
+    d, theta = waterfill_powers(np.full(1024, 1e-303), 1e306)
+    assert math.isfinite(theta) and d.sum() == pytest.approx(1e306, rel=1e-12)
+
+
 def test_finite_n_requires_full_band(example_spec):
     with pytest.raises(ValueError):
         finite_n_bound(example_spec, 2, 1.0)
@@ -492,6 +502,19 @@ def test_finite_n_bound_shares_the_simulated_spectrum(example_spec, n):
     P = dbw_to_watts(-10.0)
     d = finite_n_bound(example_spec, n, P).d
     assert np.array_equal(np.sort(build_sigma(example_spec, n, P).d), d[d > POWER_FLOOR])
+
+
+def test_finite_n_bound_builds_no_grid(example_spec, monkeypatch):
+    """``finite_n_bound`` reads ``alpha`` and ``beta`` alone: neither the
+    FFT table nor the quadrature grid is touched."""
+    def no_grid(*args):
+        raise AssertionError("finite_n_bound read the grid")
+
+    monkeypatch.setattr(spectrum, "f_sq_table", no_grid)
+    monkeypatch.setattr(spectrum, "quadrature_grid", no_grid)
+    monkeypatch.setattr(waterfill, "quadrature_grid", no_grid)
+    fb = finite_n_bound(example_spec, 64, 5.0)
+    assert fb.delta_n >= 0.0 and fb.value <= fb.first_term
 
 
 def test_finite_n_tracks_integral(example_spec):
