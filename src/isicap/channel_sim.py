@@ -84,9 +84,12 @@ MAX_CODEBOOK_BITS = 24
 # coefficients, their statistics, the half bases, the held sent words and
 # message picks, and the trial-block scratch.
 MAX_DECODE_BYTES = 1 << 31
-# Most trials the decoder scores with one GEMM, and the most entries one
-# (codewords x trials) scratch array may have before the block shrinks.
-_TRIAL_BLOCK = 64
+# Trials the decoder scores with one GEMM: about _BLOCK_BUDGET entries over
+# the larger of the codebook's size and n, within [_MIN_BLOCK, _MAX_BLOCK];
+# and the most entries one (codewords x trials) scratch array may have
+# before the block shrinks further.
+_MIN_BLOCK, _MAX_BLOCK = 64, 512
+_BLOCK_BUDGET = 1 << 16
 _BLOCK_ENTRIES = 1 << 20
 # Trials whose taps, and whose noise, one cell holds, in trial order: part of
 # the draws' definition, so changing it redraws every trial past the first.
@@ -472,11 +475,15 @@ class Codebook:
         """The words ``U s + x_f`` of ``rows``, one per row index: the
         gathered rows of ``S``, widened to float64, through the half bases
         (``HalfBasis.apply``), plus each distinct row's floor, built once
-        per call."""
+        per call.  Strictly ascending ``rows``, as ``sent_words`` passes,
+        are their own distinct rows, so they are neither sorted nor
+        gathered again."""
         rows = np.asarray(rows)
         X = self.cov.halves.apply(self.S[rows].astype(float))
         if self.cov.floor_dim:
-            distinct, inv = np.unique(rows, return_inverse=True)
+            distinct, inv = rows, None
+            if (rows[1:] <= rows[:-1]).any():
+                distinct, inv = np.unique(rows, return_inverse=True)
             V = np.empty((len(distinct), self.n))
             cells = _Cells(self.seed, STREAM_FLOOR)
             at, normal = cells.at, cells.gen.standard_normal
@@ -485,7 +492,7 @@ class Codebook:
                 normal(out=v)
             _project_off(self.cov.halves, V)
             V *= np.sqrt(POWER_FLOOR * self.q_floor[distinct] / _row_sq(V))[:, None]
-            X += V[inv]
+            X += V if inv is None else V[inv]
         return X
 
     @cached_property
@@ -496,11 +503,18 @@ class Codebook:
         return X
 
 
-def trial_block(size: int) -> int:
-    """Trials the decoder scores per GEMM against ``size`` codewords:
-    ``_TRIAL_BLOCK``, or fewer (at least one) so that a scratch array of
-    ``size * T`` entries stays within ``_BLOCK_ENTRIES``."""
-    return max(1, min(_TRIAL_BLOCK, _BLOCK_ENTRIES // size))
+def trial_block(size: int, n: int) -> int:
+    """Trials ``T`` the decoder scores per GEMM against ``size`` codewords
+    of length ``n``: ``_BLOCK_BUDGET`` over the larger of ``size`` and
+    ``n``, rounded up to a power of two, held within ``[_MIN_BLOCK,
+    _MAX_BLOCK]``, so a small codebook's block spreads its per-call cost
+    over up to 512 trials while one of 1024 words or of n = 1024 keeps 64;
+    then fewer (at least one) so that a scratch array of ``size * T``
+    entries stays within ``_BLOCK_ENTRIES``.  ``T`` is a power of two, so
+    it divides ``_TRIAL_CELL`` or is a multiple of it."""
+    wide = 1 << (max(size, n) - 1).bit_length()
+    T = min(_MAX_BLOCK, max(_MIN_BLOCK, _BLOCK_BUDGET // wide))
+    return max(1, min(T, _BLOCK_ENTRIES // size))
 
 
 def decode_bytes(size: int, n: int, trials: int = 0, k: int = 0) -> int:
@@ -511,21 +525,23 @@ def decode_bytes(size: int, n: int, trials: int = 0, k: int = 0) -> int:
     since the support is known only once ``build_sigma`` has run and the
     cap refuses before it; three float64 per-word statistics (input
     statistic, floor radius, energy) and one float32 (the score's per-word
-    term); the held sent words, ``min(trials, size)`` rows of ``n``, and
-    message picks, 4 bytes a trial (``sent_words``); and the larger of two
-    scratches that never coexist: a chunk of ``_WORD_CHUNK`` sent words
-    being built, five rows of ``n`` a word (floor draw, projection, half
-    bases' products), or a block of ``T = trial_block(size)`` trials: the
-    received vectors, noise drawn into them, and three rows of ``n`` a
-    trial (sent word, ``Hc'y``, its support coefficients), float32 scores,
+    term); the held sent words, ``min(trials, size)`` rows of ``n`` and the
+    zero word, and message picks, 4 bytes a trial (``sent_words``); and the
+    larger of two scratches that never coexist: a chunk of ``_WORD_CHUNK``
+    sent words being built, five rows of ``n`` a word (floor draw,
+    projection, half bases' products), or a block of ``T = trial_block(size,
+    n)`` trials: the received vectors, noise drawn into them, and three rows
+    of ``n`` a trial (sent word, ``Hc'y``, its support coefficients; a block
+    with settled trials copies its live received vectors out before the
+    other two are formed), float32 scores,
     4 bytes a ``(size, T)`` entry, boolean masks at most 4 more, and the
     draw chunk's float32 uniforms, their block_hold repeat and float64 tap
     rows, ``8 ((k + 1)(n + k) + n)`` bytes a trial and at most ``4
     _DRAW_ENTRIES`` doubles unless one trial takes more; and besides the
     block, what picks and recomputes the pairs inside the guard band,
     ``_DIRECT_BYTES``."""
-    T, m = trial_block(size), n + k
-    rows = min(trials, size)
+    T, m = trial_block(size, n), n + k
+    rows = min(trials, size) + 1
     draw = 8 * max(4 * _DRAW_ENTRIES, (k + 1) * m + n)
     block = 8 * T * (m + 3 * n) + draw
     return (4 * size * (n + 7 + 2 * T) + 8 * ((n * n + 1) // 2 + rows * n) + 4 * trials
@@ -618,18 +634,26 @@ def message_picks(master_seed: int, ts, size: int) -> np.ndarray:
     return raw.astype(np.uint32)
 
 
-def sent_words(book: Codebook, msgs: np.ndarray, pool_map=map) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``msgs``, ascending, and their words, each
+def sent_words(
+    book: Codebook, msgs: np.ndarray, keep: Optional[np.ndarray] = None, pool_map=map
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``msgs`` that ``keep`` (a boolean per codeword,
+    all of them when ``None``) keeps, ascending, and their words, each
     built once through ``book.words`` on chunks of ``_WORD_CHUNK`` of those
-    rows, so a word's bits depend only on the set of rows.  ``pool_map``
-    runs the chunks (a thread pool's ``map`` builds them concurrently)."""
+    rows, so a word's bits depend only on the set of rows; the words are
+    followed by one zero row, the word that trials whose row was not kept
+    are drawn with, so ``X[np.searchsorted(rows, msgs)]`` with those trials
+    pointed at ``len(rows)`` is one gather.  ``pool_map`` runs the chunks
+    (a thread pool's ``map`` builds them concurrently)."""
     seen = np.zeros(book.size, dtype=bool)
     seen[msgs] = True
+    if keep is not None:
+        seen &= keep
     rows = np.flatnonzero(seen)
-    X = np.empty((len(rows), book.n))
+    X = np.zeros((len(rows) + 1, book.n))
 
     def build(lo: int) -> None:
-        X[lo:lo + _WORD_CHUNK] = book.words(rows[lo:lo + _WORD_CHUNK])
+        X[lo:min(lo + _WORD_CHUNK, len(rows))] = book.words(rows[lo:lo + _WORD_CHUNK])
 
     list(pool_map(build, range(0, len(rows), _WORD_CHUNK)))
     return rows, X
@@ -656,7 +680,9 @@ def transmit(
 class TrialBlocks:
     """One thread's channels and noise for runs of consecutive trials,
     equal bit for bit to ``transmit(sample_H(...), x, ...)`` trial by trial
-    for the run's sent words ``x``, which the caller holds (``sent_words``).
+    for the run's sent words ``x``, which the caller holds (``sent_words``;
+    the decoder sends a trial settled by the input test the zero word, and
+    draws it all the same, so each stream stays at its position).
     One reader per stream (``_Cells.fill``) reads runs that start a cell or
     continue the last run, so a run costs one float32 ``random`` and one
     ``standard_normal`` call per draw chunk and cell, and a new cell one
@@ -669,9 +695,10 @@ class TrialBlocks:
 
     def __init__(self, spec: ChannelSpec, n: int, law: ChannelLaw, master_seed: int) -> None:
         self.spec, self.law, self.n, self.m = spec, law, n, n + spec.k
-        # A chunk is at most a decoder block, and keeps its float32 uniforms
-        # within the bytes of _DRAW_ENTRIES doubles unless one trial is more.
-        chunk = max(1, min(_TRIAL_BLOCK, 2 * _DRAW_ENTRIES // ((spec.k + 1) * self.m)))
+        # A chunk is at most the largest decoder block, and keeps its float32
+        # uniforms within the bytes of _DRAW_ENTRIES doubles unless one trial
+        # is more.
+        chunk = max(1, min(_MAX_BLOCK, 2 * _DRAW_ENTRIES // ((spec.k + 1) * self.m)))
         self._row = np.empty((chunk, n))
         self._noise = _Cells(master_seed, STREAM_NOISE)
         self._normal = self._noise.gen.standard_normal

@@ -378,9 +378,18 @@ def _guard_band(ctx: DecodeContext, y_sq: np.ndarray, b_sq: np.ndarray, eta: flo
     return band
 
 
-def _pass_mask(Y: np.ndarray, params: TypicalParams, ctx: DecodeContext) -> np.ndarray:
+def _input_typical(book: Codebook, params: TypicalParams) -> np.ndarray:
+    """The input test ``|q/n - 1| < epsilon`` of every codeword."""
+    return np.abs(book.q / book.n - 1.0) < params.epsilon
+
+
+def _pass_mask(
+    Y: np.ndarray, params: TypicalParams, ctx: DecodeContext, x_ok: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Boolean pass/fail of the two typicality tests for every codeword
-    against every row of ``Y``, shape ``(size, T)``.
+    against every row of ``Y``, shape ``(size, T)``.  ``x_ok`` is the input
+    test of every codeword (``_input_typical``), computed here when not
+    given.
 
     The joint statistic is ``w = (q + ||a - y||^2) / (n + m)``.  One
     projection ``Z = (Hc'Y) U`` onto the support, scaled by ``-2 / (n +
@@ -415,7 +424,8 @@ def _pass_mask(Y: np.ndarray, params: TypicalParams, ctx: DecodeContext) -> np.n
         out = dev < eta
         dev -= eta
         np.abs(dev, out=dev)
-    x_ok = np.abs(book.q / n - 1.0) < params.epsilon
+    if x_ok is None:
+        x_ok = _input_typical(book, params)
     out &= x_ok
     band = _guard_band(ctx, y_sq, b_sq, params.eta)
     widest, flat, size = band.max(initial=0.0), dev.reshape(-1), book.size
@@ -554,16 +564,21 @@ def run_error_experiment(
 
     Each trial draws its own channel, noise, and message: the message from
     a cell of its own, the taps and noise from the cells that hold them for
-    ``_TRIAL_CELL`` trials (see ``channel_sim``).  Every message is picked,
-    and the words of the distinct sent rows built once (``message_picks``,
-    ``sent_words``), before the trials run; each thread then draws and
-    scores its trials in blocks of ``trial_block(size)`` with exact
-    decisions, so the counts are independent of ``threads`` and of the
-    block size.  ``P`` is read as a float.  ``threads``, a positive
-    integer, splits the trials into spans of whole cells; at most
-    ``os.cpu_count()`` threads run them.  A codebook too large to decode
-    exhaustively, the held words and picks included, is refused before any
-    set-up.
+    ``_TRIAL_CELL`` trials (see ``channel_sim``).  Every message is picked
+    before the trials run (``message_picks``), and the input test ``|q/n -
+    1| < epsilon`` of every codeword computed once.  A trial whose sent word
+    fails it is settled: it is a type-1 error whatever the channel does.
+    Only the words of the distinct sent rows that pass it, the live ones,
+    are built, once each (``sent_words``), before the trials run.  Each
+    thread then draws its trials in blocks of ``T = trial_block(size, n)``,
+    settled ones included (with the zero word), so every stream keeps its
+    positions; only the live trials' received vectors are scored, with
+    exact decisions, and a block without one is not scored.  So the counts
+    are independent of ``threads`` and of ``T``.  ``P`` is read as a
+    float.  ``threads``, a positive integer, splits the trials into spans
+    of whole blocks and whole cells; at most ``os.cpu_count()`` threads run
+    them.  A codebook too large to decode exhaustively, the held words and
+    picks included, is refused before any set-up.
 
     The set-up that does not depend on the seed (the input covariance, the
     threshold report and the joint covariance) is kept in-process per
@@ -586,41 +601,53 @@ def run_error_experiment(
         params = default_params(report)
     book = gen_codebook(cov, R, master_seed)
     ctx = prepare_context(book, joint)
-    block = trial_block(book.size)
+    x_ok = _input_typical(book, params)
+    block = trial_block(book.size, n)
     msgs = message_picks(master_seed, range(trials), book.size)
     cols = np.arange(block)
 
-    def run_range(lo: int, hi: int) -> tuple[int, int, int]:
-        t1 = t2 = ok = 0
-        draws = TrialBlocks(spec, n, law, master_seed)
-        for start in range(lo, hi, block):
-            sent = msgs[start:min(start + block, hi)]
-            mask = _pass_mask(draws.draw(start, words[np.searchsorted(rows, sent)]), params, ctx)
-            passed = mask[sent, cols[:len(sent)]]
-            # A sum along the scores' contiguous rows costs about half what
-            # count_nonzero along the mask's strided axis does, at 8 words
-            # as at 4096; counting row by row in Python loses below 1024.
-            many = mask.sum(axis=0, dtype=np.int32) > 1
-            t1 += int(np.count_nonzero(~passed))
-            t2 += int(np.count_nonzero(passed & many))
-            ok += int(np.count_nonzero(passed & ~many))
-        return t1, t2, ok
+    def run_block(draws: TrialBlocks, start: int, sent: np.ndarray) -> tuple[int, int, int]:
+        # Type 1, type 2 and successes of the trials start onwards, which send
+        # sent; the block's arrays go when it returns, before the next draw.
+        live = x_ok[sent]
+        slot = np.searchsorted(rows, sent)
+        slot[~live] = len(rows)  # the zero word
+        Y = draws.draw(start, words[slot])
+        sent = sent[live]
+        settled = len(live) - len(sent)
+        if not len(sent):
+            return settled, 0, 0
+        if len(sent) < len(Y):
+            Y = Y[live]  # the full block goes before scoring
+        mask = _pass_mask(Y, params, ctx, x_ok)
+        passed = mask[sent, cols[:len(sent)]]
+        # A sum along the scores' contiguous rows costs about half what
+        # count_nonzero along the mask's strided axis does, at 8 words as at
+        # 4096; counting row by row in Python loses below 1024.
+        many = mask.sum(axis=0, dtype=np.int32) > 1
+        return (settled + int(np.count_nonzero(~passed)), int(np.count_nonzero(passed & many)),
+                int(np.count_nonzero(passed & ~many)))
 
-    # Each span is whole cells of _TRIAL_CELL trials, and so whole blocks (a
-    # power of two no larger): its first block starts a cell and each later
-    # one continues the last, as _Cells.fill needs, and the blocks and the
-    # chunks the sent words are built in (before any span) are the same for
-    # any thread count.  The pool runs both on at most one worker per core.
-    step = math.ceil(math.ceil(trials / _TRIAL_CELL) / threads) * _TRIAL_CELL
+    def run_range(lo: int, hi: int) -> list[tuple[int, int, int]]:
+        draws = TrialBlocks(spec, n, law, master_seed)
+        return [run_block(draws, start, msgs[start:min(start + block, hi)])
+                for start in range(lo, hi, block)]
+
+    # Each span is whole blocks and whole cells of _TRIAL_CELL trials (both
+    # powers of two, so whole units of the larger): its first block starts a
+    # cell and each later one continues the last, as _Cells.fill needs, and
+    # the blocks and the chunks the sent words are built in (before any
+    # span) are the same for any thread count.  The pool runs both on at
+    # most one worker per core.
+    unit = max(block, _TRIAL_CELL)
+    step = math.ceil(math.ceil(trials / unit) / threads) * unit
     spans = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
     workers = min(len(spans), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pool_map = pool.map if workers > 1 else map
-        rows, words = sent_words(book, msgs, pool_map)
-        parts = list(pool_map(lambda s: run_range(*s), spans))
-    type1 = sum(p[0] for p in parts)
-    type2 = sum(p[1] for p in parts)
-    success = sum(p[2] for p in parts)
+        rows, words = sent_words(book, msgs, x_ok, pool_map)
+        parts = [c for span in pool_map(lambda s: run_range(*s), spans) for c in span]
+    type1, type2, success = (sum(c) for c in zip(*parts))
     lo, hi = wilson_interval(type1 + type2, trials)
     return ExperimentResult(
         n=n,

@@ -245,4 +245,25 @@ MUTANTS = (
             "tests/test_channel_sim.py::test_rng_stream_is_the_documented_cell[0]",
         ),
     ),
+    # Trials settled by the input test before their channel.
+    Mutant(
+        "settled trials not added to type1",
+        "decoder.py",
+        "settled = len(live) - len(sent)",
+        "settled = 0",
+        (
+            "tests/test_decoder.py::test_settled_trials_skip_the_decoder[4-0.15]",
+            "tests/test_decoder.py::test_experiment_counts_match_one_cell_loop[iid]",
+        ),
+    ),
+    Mutant(
+        "live mask indexed by block position, not by sent row",
+        "decoder.py",
+        "live = x_ok[sent]",
+        "live = x_ok[cols[:len(sent)] % book.size]",
+        (
+            "tests/test_decoder.py::test_settled_trials_skip_the_decoder[4-0.15]",
+            "tests/test_decoder.py::test_experiment_counts_match_one_cell_loop[iid]",
+        ),
+    ),
 )

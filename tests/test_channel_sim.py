@@ -273,8 +273,9 @@ def test_trial_blocks_match_one_cell_path(example_spec, monkeypatch, law, entrie
     that continue the last one across a cell's end, a cell restarted from
     its start, a later cell and an earlier one.  The sent words are
     ``sent_words``'s of the ``message_picks``, which are ``rng_stream``'s
-    picks, and equal ``book.words`` of the distinct picked rows, ascending;
-    ``n + k = 17`` is not a multiple of the hold length."""
+    picks, and equal ``book.words`` of the distinct picked rows, ascending,
+    followed by the zero word; ``n + k = 17`` is not a multiple of the hold
+    length."""
     monkeypatch.setattr(channel_sim, "_DRAW_ENTRIES", entries)
     n, seed = 15, 9
     rng = np.random.default_rng(4)
@@ -287,7 +288,7 @@ def test_trial_blocks_match_one_cell_path(example_spec, monkeypatch, law, entrie
         msgs = message_picks(seed, ts, book.size)
         rows, words = sent_words(book, msgs)
         assert np.array_equal(rows, np.unique(msgs))
-        assert np.array_equal(words, book.words(rows))
+        assert np.array_equal(words[:-1], book.words(rows)) and not words[-1].any()
         X = words[np.searchsorted(rows, msgs)]
         Y = draws.draw(first, X)
         assert Y.shape == (count, n + example_spec.k)
@@ -594,7 +595,7 @@ def test_codebook_byte_cap(example_spec, monkeypatch):
     joint = build_joint(cov, build_Hc(example_spec, n))
     ctx = prepare_context(book, joint)
     draws = TrialBlocks(example_spec, n, ChannelLaw(kind="iid_uniform"), 0)
-    T = trial_block(book.size)
+    T = trial_block(book.size, n)
     tracemalloc.start()
     try:
         msgs = message_picks(0, range(trials), book.size)
@@ -613,7 +614,7 @@ def test_codebook_byte_cap(example_spec, monkeypatch):
     assert held + max(build, block) <= need
     # 4 bytes a coefficient (at the full width n), 28 for a word's
     # statistics, 8 a (word, trial) entry of the block's scores and masks
-    assert book.S.dtype == np.float32 and T == trial_block(2 * book.size)
+    assert book.S.dtype == np.float32 and T == trial_block(2 * book.size, n)
     assert decode_bytes(2 * book.size, n) - decode_bytes(book.size, n) == 4 * book.size * (n + 7 + 2 * T)
     assert decode_bytes(book.size, n, trials + 1, example_spec.k) == need + 4
     assert decode_bytes(book.size, n, 8) - decode_bytes(book.size, n, 7) == 8 * n + 4
@@ -651,7 +652,7 @@ def test_draw_scratch_stays_within_its_count(n, k, law):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(blocks._row) == {64: 64, 300: 16, 4000: 1}[n]
+    assert len(blocks._row) == {64: 330, 300: 16, 4000: 1}[n]
     assert peak - Y.nbytes <= 8 * max(4 * channel_sim._DRAW_ENTRIES, (k + 1) * (n + k) + n)
 
 
@@ -840,6 +841,39 @@ def test_words_rebuild_each_row_from_its_cells(example_spec):
         assert np.abs(book.words([i])[0] - X[j]).max() <= 1e-14 * scale
     assert np.array_equal(X[0], X[2]) and np.array_equal(X[1], X[5])
     assert np.array_equal(book.codewords[batch[0]], book.words(np.arange(book.size))[batch[0]])
+
+
+def test_ascending_rows_are_neither_sorted_nor_gathered(example_spec, monkeypatch):
+    """Strictly ascending rows, as ``sent_words`` passes them, build their
+    floors without ``np.unique``; other rows still go through it, and give
+    the same words within GEMM rounding."""
+    n, seed = 33, 2
+    cov = build_sigma(example_spec, n, dbw_to_watts(-10.0))
+    assert cov.floor_dim > 0
+    book = gen_codebook(cov, 5 / n, seed)
+    rows = np.array([0, 3, 7, book.size - 1])
+    unique, calls = np.unique, []
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+    X = book.words(rows)
+    assert not calls
+    Y = book.words(rows[::-1])
+    assert len(calls) == 1
+    assert np.abs(Y[::-1] - X).max() <= 1e-14 * np.abs(X).max()
+
+
+def test_trial_block_follows_the_codebook():
+    """``T`` is 512 for the small codebooks of the default config (8 words
+    at n = 64, 32 at n = 128) and 64 for 1024 words at n = 256 and 4096 at
+    n = 1024; past ``_BLOCK_ENTRIES`` entries it shrinks (32 trials for
+    2^15 words, one for 2^24).  For 4 words at any n it is a power of two
+    in [64, 512] that, above 64, holds at most 2^16 entries of n."""
+    shapes = {(8, 64): 512, (32, 128): 512, (1024, 256): 64, (4096, 1024): 64, (2 ** 15, 16): 32,
+              (1, 1): 512, (8, 100): 512, (8, 300): 128, (2 ** 24, 16): 1}
+    for (size, n), T in shapes.items():
+        assert trial_block(size, n) == T, (size, n)
+    for n in range(1, 3000, 7):
+        T = trial_block(4, n)
+        assert T & (T - 1) == 0 and 64 <= T <= 512 and (T == 64 or T * n <= 2 ** 16)
 
 
 def test_few_rows_do_not_touch_the_whole_codebook(example_spec):

@@ -32,6 +32,7 @@ from isicap.channel_sim import (
     CovarianceSpec,
     decode_bytes,
     gen_codebook,
+    message_picks,
     rng_stream,
     sample_H,
     transmit,
@@ -332,22 +333,32 @@ def test_experiment_masks_on_degenerate_halves(example_spec, monkeypatch, n, R, 
     default rate): every pass mask it scores equals the direct rule on the
     dense words ``U s + x_f`` and the dense channel matrix, on every pair
     whose statistics are clear of ``epsilon`` and ``eta`` by 1e-9, over two
-    threads and a ragged last block."""
+    threads and a ragged last block.  The masks score exactly the trials
+    whose sent word passes the input test; at n <= 3 the default
+    ``epsilon`` of 0.1 leaves at most 6 of the 70 trials live, so it is
+    widened there until more sent words pass it and some still fail it."""
     P = dbw_to_watts(p_dbw)
     if R is None:
         R = 0.25 * bound_report(example_spec, P).C_LB1
+    params = default_params(decoder_mod._setup(example_spec, n, P)[1])
+    if n <= 3:
+        params = TypicalParams(epsilon={1: 2.0, 2: 0.6, 3: 0.6}[n], eta=params.eta)
     seen = []
 
-    def recording(Y, params, ctx):
-        mask = _pass_mask(Y, params, ctx)
+    def recording(Y, params, ctx, x_ok):
+        mask = _pass_mask(Y, params, ctx, x_ok)
         seen.append((Y, params, ctx, mask))
         return mask
 
     monkeypatch.setattr(decoder_mod, "_pass_mask", recording)
-    res = run_error_experiment(example_spec, n=n, R=R, P=P, trials=70, master_seed=1, threads=2)
+    res = run_error_experiment(example_spec, n=n, R=R, P=P, trials=70, master_seed=1, params=params,
+                               threads=2)
     assert res.type1 + res.type2 + res.success == 70
-    assert sum(len(Y) for Y, *_ in seen) == 70
-    cov = seen[0][2].book.cov
+    book = seen[0][2].book
+    live = np.abs(book.q / n - 1.0)[message_picks(1, range(70), book.size)] < params.epsilon
+    assert 0 < live.sum() < 70 or n > 3
+    assert sum(len(Y) for Y, *_ in seen) == live.sum()
+    cov = book.cov
     assert (cov.halves.sym.shape[1], cov.halves.skew.shape[1]) == widths
     Hd = _dense_band(build_Hc(example_spec, n))
     compared = 0
@@ -844,7 +855,7 @@ def test_experiment_counts_and_thread_invariance(example_spec):
 
 def test_experiment_pool_is_capped_at_the_cores(example_spec, monkeypatch):
     """``threads`` past the cores still splits the trials into one span per
-    64-trial cell, but the pool gets at most ``os.cpu_count()`` workers, and
+    block, but the pool gets at most ``os.cpu_count()`` workers, and
     the counts are the serial run's.  The stand-in pool maps serially, so no
     thread starts."""
     seen = []
@@ -863,7 +874,7 @@ def test_experiment_pool_is_capped_at_the_cores(example_spec, monkeypatch):
             return [fn(item) for item in items]
 
     kwargs = dict(n=16, R=0.125, P=0.1, master_seed=5)
-    trials = 5 * trial_block(2 ** math.ceil(16 * 0.125)) + 1  # six blocks
+    trials = 5 * trial_block(2 ** math.ceil(16 * 0.125), 16) + 1  # six blocks
     serial = run_error_experiment(example_spec, trials=trials, threads=1, **kwargs)
     monkeypatch.setattr(decoder_mod, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -874,38 +885,43 @@ def test_experiment_pool_is_capped_at_the_cores(example_spec, monkeypatch):
 
 @pytest.mark.parametrize("block", [1, 64])
 def test_experiment_builds_each_sent_word_once(example_spec, monkeypatch, block):
-    """Every distinct sent row (about 110 of 256 words) goes through
-    ``Codebook.words`` exactly once per experiment, in two chunks of at
-    most 64 rows, at ``threads`` 1, 2 and 7 and at one or 64 trials per
-    block, and the calls and the counts are the same in all six runs.  Thresholds far from every pair's
-    statistic leave no pair in the guard band, so only the sent words are
-    built."""
+    """Every distinct sent row (about 110 of 256 words) whose word passes
+    the input test goes through ``Codebook.words`` exactly once per
+    experiment, in chunks of at most 64 rows, and no other row does, at
+    ``threads`` 1, 2 and 7 and at one or 64 trials per block; the calls and
+    the counts are the same in all six runs.  ``epsilon`` settles about a
+    third of the trials, each a type-1 error, and ``eta``, far from every
+    pair's statistic, leaves no pair in the guard band and passes every
+    live trial's candidates, so each live trial is a type-2 error."""
     n, trials, seed = 16, 150, 6
     calls = []
     words = Codebook.words
     monkeypatch.setattr(Codebook, "words", lambda self, rows: calls.append(list(rows)) or words(self, rows))
-    monkeypatch.setattr(channel_sim, "_TRIAL_BLOCK", block)
+    monkeypatch.setattr(decoder_mod, "trial_block", lambda size, n: block)
     P = dbw_to_watts(-10.0)
-    params = TypicalParams(epsilon=10.0, eta=50.0)
-    size = 2 ** math.ceil(n * 0.5)
-    sent = sorted({int(rng_stream(seed, STREAM_MESSAGE, t).integers(size)) for t in range(trials)})
+    params = TypicalParams(epsilon=0.3, eta=50.0)
+    book = gen_codebook(decoder_mod._setup(example_spec, n, P)[0], 0.5, seed)
+    msgs = [int(rng_stream(seed, STREAM_MESSAGE, t).integers(book.size)) for t in range(trials)]
+    live = [m for m in msgs if abs(book.q[m] / n - 1.0) < params.epsilon]
+    sent = sorted(set(live))
+    assert 0 < len(live) < trials and len(sent) > 64
     runs = []
     for threads in (1, 2, 7):
         calls.clear()
         res = run_error_experiment(example_spec, n=n, R=0.5, P=P, trials=trials, master_seed=seed,
                                    params=params, threads=threads)
         assert sorted(r for c in calls for r in c) == sent
-        assert len(calls) == 2 and all(len(c) <= 64 for c in calls)
+        assert len(calls) == math.ceil(len(sent) / 64) and all(len(c) <= 64 for c in calls)
         runs.append((sorted(calls), res.type1, res.type2, res.success))
     assert runs[0] == runs[1] == runs[2]
-    assert runs[0][1] == 0 and runs[0][2] == trials
+    assert runs[0][1:] == (trials - len(live), len(live), 0)
 
 
 def test_counts_do_not_depend_on_block_or_threads(example_spec, monkeypatch):
     """The counts of 150 trials (two whole 64-trial cells and part of a
-    third) are the same at 1, 16 and 64 trials per block and at 1, 2 and 7
-    threads, and every thread's first draw starts a cell.  Wide thresholds
-    give all three outcomes."""
+    third) are the same at 1, 16, 64 and 256 trials per block and at 1, 2
+    and 7 threads, and every thread's first draw starts a span of whole
+    blocks and whole cells.  Wide thresholds give all three outcomes."""
     cell = channel_sim._TRIAL_CELL
     starts = []
 
@@ -920,13 +936,15 @@ def test_counts_do_not_depend_on_block_or_threads(example_spec, monkeypatch):
     kwargs = dict(n=16, R=0.25, P=1.0, trials=150, master_seed=8,
                   params=TypicalParams(epsilon=0.5, eta=0.3))
     runs = set()
-    for block in (1, 16, 64):
-        monkeypatch.setattr(channel_sim, "_TRIAL_BLOCK", block)
+    for block in (1, 16, 64, 256):
+        monkeypatch.setattr(decoder_mod, "trial_block", lambda size, n: block)
+        unit = max(block, cell)
         for threads in (1, 2, 7):
             starts.clear()
             res = run_error_experiment(example_spec, threads=threads, **kwargs)
             runs.add((res.type1, res.type2, res.success))
-            assert sorted(starts) == list(range(0, 150, cell * {1: 3, 2: 2, 7: 1}[threads]))
+            spans = math.ceil(math.ceil(150 / unit) / threads)
+            assert sorted(starts) == list(range(0, 150, unit * spans))
     assert len(runs) == 1
     assert min(runs.pop()) > 0
 
@@ -1249,7 +1267,7 @@ def test_pass_count_matches_the_exact_codebook_conditional_mean(example_spec):
 
 def test_decode_and_counts_match_dense_oracle(example_spec):
     """``decode`` per trial and ``run_error_experiment`` counts equal a
-    dense-Xi oracle, at trial counts on both sides of the 64-trial block
+    dense-Xi oracle, at trial counts on both sides of the 64-trial cell
     edges and with one or three threads.  Wide thresholds give all three
     outcomes."""
     n, R, P, seed, total = 16, 0.25, 1.0, 2, 130
@@ -1258,7 +1276,6 @@ def test_decode_and_counts_match_dense_oracle(example_spec):
     book = gen_codebook(cov, R, seed)
     joint = build_joint(cov, build_Hc(example_spec, n))
     ctx = prepare_context(book, joint)
-    assert trial_block(book.size) == 64
     law = ChannelLaw(kind="iid_uniform")
     msgs, ys = [], []
     for t in range(total):
@@ -1298,6 +1315,31 @@ def test_decode_and_counts_match_dense_oracle(example_spec):
             assert (res.type1, res.type2, res.success) == tuple(counts[trials - 1])
 
 
+def _one_cell_counts(spec, n, R, P, seed, trials, law, params):
+    """``[type1, type2, success]`` of a loop over the public one-cell path:
+    ``rng_stream`` picks, ``transmit(sample_H(...))`` and ``decode``, the
+    covariance ``waterfill_gram``'s.  Whether the sent word passes is
+    decided without the decoder, from its input statistic and its image
+    through the dense ``Hc``."""
+    cov = build_sigma(spec, n, P, "waterfill_gram")
+    book = gen_codebook(cov, R, seed)
+    Hc = build_Hc(spec, n)
+    joint = build_joint(cov, Hc)
+    ctx = prepare_context(book, joint)
+    counts = [0, 0, 0]
+    for t in range(trials):
+        msg = int(rng_stream(seed, STREAM_MESSAGE, t).integers(book.size))
+        x = book.codewords[msg]
+        y = transmit(sample_H(spec, n, law, seed, t), x, seed, t)
+        r = _dense_band(Hc) @ x - y
+        q = book.q[msg]
+        if not (abs(q / n - 1.0) < params.epsilon and abs((q + r @ r) / (n + joint.hc.m) - 1.0) < params.eta):
+            counts[0] += 1
+        else:
+            counts[2 if decode(y, book, joint, params, ctx) == msg else 1] += 1
+    return counts
+
+
 @pytest.mark.parametrize(
     "law",
     [
@@ -1309,30 +1351,12 @@ def test_decode_and_counts_match_dense_oracle(example_spec):
 )
 def test_experiment_counts_match_one_cell_loop(example_spec, law):
     """``run_error_experiment`` counts, at 101 trials (not a multiple of
-    the 64-trial block) and one or three threads, equal a loop over the
-    public one-cell path: ``rng_stream`` picks, ``transmit(sample_H(...))``
-    and ``decode``.  Whether the sent word passes is decided without the
-    decoder, from its input statistic and its image through the dense
-    ``Hc``.  ``n + k = 17`` is not a multiple of the hold length."""
+    the 64-trial cell) and one or three threads, equal a loop over the
+    public one-cell path (``_one_cell_counts``).  ``n + k = 17`` is not a
+    multiple of the hold length."""
     n, R, P, seed, trials = 15, 0.25, 1.0, 3, 101
-    cov = build_sigma(example_spec, n, P, "waterfill_gram")
     params = TypicalParams(epsilon=0.5, eta=0.3)
-    book = gen_codebook(cov, R, seed)
-    Hc = build_Hc(example_spec, n)
-    joint = build_joint(cov, Hc)
-    ctx = prepare_context(book, joint)
-    assert trial_block(book.size) == 64
-    counts = [0, 0, 0]
-    for t in range(trials):
-        msg = int(rng_stream(seed, STREAM_MESSAGE, t).integers(book.size))
-        x = book.codewords[msg]
-        y = transmit(sample_H(example_spec, n, law, seed, t), x, seed, t)
-        r = _dense_band(Hc) @ x - y
-        q = book.q[msg]
-        if not (abs(q / n - 1.0) < params.epsilon and abs((q + r @ r) / (n + joint.hc.m) - 1.0) < params.eta):
-            counts[0] += 1
-        else:
-            counts[2 if decode(y, book, joint, params, ctx) == msg else 1] += 1
+    counts = _one_cell_counts(example_spec, n, R, P, seed, trials, law, params)
     assert min(counts) > 0 or law.kind == "constant"
     for threads in (1, 3):
         res = run_error_experiment(
@@ -1340,6 +1364,48 @@ def test_experiment_counts_match_one_cell_loop(example_spec, law):
             law=law, params=params, threads=threads,
         )
         assert [res.type1, res.type2, res.success] == counts
+
+
+@pytest.mark.parametrize("block, epsilon", [(4, 0.15), (512, 0.15), (4, 0.01)])
+def test_settled_trials_skip_the_decoder(example_spec, monkeypatch, block, epsilon):
+    """A trial whose sent word fails the input test is a type-1 error
+    before its channel: the counts of 101 trials still equal the one-cell
+    loop's, at one and three threads, while the pass masks score only the
+    other, live, trials, a block without one is not scored, and no word
+    that fails the input test is built.  At ``epsilon`` 0.15 about a
+    quarter of the trials are live, and with 4 trials a block seven blocks
+    hold none; at 0.01 no word passes, so nothing is scored or built."""
+    n, R, P, seed, trials = 15, 0.25, 1.0, 3, 101
+    law = ChannelLaw(kind="iid_uniform")
+    params = TypicalParams(epsilon=epsilon, eta=0.3)
+    counts = _one_cell_counts(example_spec, n, R, P, seed, trials, law, params)
+    book = gen_codebook(build_sigma(example_spec, n, P, "waterfill_gram"), R, seed)
+    msgs = message_picks(seed, range(trials), book.size)
+    live = (np.abs(book.q / n - 1.0) < epsilon)[msgs]
+    per_block = [int(live[lo:lo + block].sum()) for lo in range(0, trials, block)]
+    want = sorted(c for c in per_block if c)
+    assert per_block.count(0) == {(4, 0.15): 7, (512, 0.15): 0, (4, 0.01): 26}[block, epsilon]
+    scored, built = [], []
+    words = Codebook.words
+    monkeypatch.setattr(Codebook, "words", lambda self, rows: built.extend(rows) or words(self, rows))
+    monkeypatch.setattr(decoder_mod, "trial_block", lambda size, n: block)
+
+    def recording(Y, params, ctx, x_ok):
+        scored.append(len(Y))
+        return _pass_mask(Y, params, ctx, x_ok)
+
+    monkeypatch.setattr(decoder_mod, "_pass_mask", recording)
+    for threads in (1, 3):
+        scored.clear()
+        built.clear()
+        res = run_error_experiment(
+            example_spec, n=n, R=R, P=P, trials=trials, master_seed=seed,
+            law=law, params=params, threads=threads,
+        )
+        assert [res.type1, res.type2, res.success] == counts
+        assert sorted(scored) == want
+        assert set(msgs[live].tolist()) <= set(built)
+        assert (np.abs(book.q[built] / n - 1.0) < epsilon).all()
 
 
 @pytest.mark.parametrize("p_dbw", [-10.0, 130.0, 400.0])
