@@ -13,7 +13,6 @@ from .spectrum import (
     BandedChannelMatrix,
     ChannelSpec,
     HalfBasis,
-    SpectrumProfile,
     build_Hc,
     compute_profile,
     gram_eigenvalues,

@@ -317,13 +317,10 @@ def cmd_figure1(cfg: RunConfig) -> int:
     p_list = _grid_from(section["p_dbw"], "figure1.p_dbw")
     if not rs_values or not p_list:
         raise ConfigError("empty sweep")
-    profile = compute_profile(cfg.spec, cfg.grid_size)
     rs = np.array(rs_values)
     p_w = [dbw_to_watts(p) for p in p_list]
-    # one pillow_grid pass per power, its rows in radius-sum order
-    t1, t2, t3, ok = map(
-        np.concatenate, zip(*(pillow_grid(profile, cfg.spec, p, rs, cfg.grid_size) for p in p_w))
-    )
+    # one pillow_grid pass, its rows power-major, each power's in radius-sum order
+    t1, t2, t3, ok = pillow_grid(compute_profile(cfg.spec, cfg.grid_size), cfg.spec, p_w, rs)
     each = len(rs_values)
     columns = [
         (np.tile(rs, len(p_w)), None), (np.repeat(p_list, each), None), (t1 + t2 + t3, ok),

@@ -22,15 +22,15 @@ All integrals over ``[0, 2*pi]`` are composite-Simpson sums on one shared
 grid so that quantities which are equal in exact arithmetic (e.g. the
 water-filling integral above the highest inverse-spectrum value) stay equal
 to machine precision.  The grid has one owner, ``quadrature_grid``, cached
-on ``(c, grid_size)`` like the profile: one FFT and one reciprocal give
-``1/|f|^2``, its mean ``J`` and ``waterfill``'s water table.  The extrema
-have one source, ``centre_extrema``, and no grid: ``|f|^2 = t_0 + 2 sum_d
-t_d cos(d omega)`` (``t`` the tap autocorrelation) is stationary where a
-degree-2k polynomial vanishes on the unit circle, ``|f|^2`` is evaluated
-at the angles of its roots and at ``omega = 0``, and the least and greatest
-``|f|`` are widened by a stated rounding bound, so that each lies on its
-safe side of the true extremum, within twice that bound;
-``checked_extrema`` refuses them out of range.
+on ``(c, grid_size)``: its record, the profile, holds that key, the checked
+extrema and, from one FFT and one reciprocal, ``J`` and ``waterfill``'s
+water table.  The extrema have one source, ``centre_extrema``, and no grid:
+``|f|^2 = t_0 + 2 sum_d t_d cos(d omega)`` (``t`` the tap autocorrelation)
+is stationary where a degree-2k polynomial vanishes on the unit circle,
+``|f|^2`` is evaluated at the angles of its roots and at ``omega = 0``, and
+the least and greatest ``|f|`` are widened by a stated rounding bound, so
+that each lies on its safe side of the true extremum, within twice that
+bound; ``checked_extrema`` refuses them out of range.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .errors import SpectrumSingular
 
 __all__ = [
     "ChannelSpec",
-    "SpectrumProfile",
+    "QuadratureGrid",
     "Extrema",
     "BandedChannelMatrix",
     "centre_extrema",
@@ -132,16 +132,6 @@ class ChannelSpec:
         return cls(k=obj["k"], c=tuple(obj["c"]), r=tuple(obj["r"]))
 
 
-@dataclass(frozen=True)
-class SpectrumProfile:
-    """The centre spectrum's ``Extrema`` and ``J``, the mean of ``1/|f|^2``
-    over the circle: a function of the centre taps and the grid alone."""
-
-    alpha: float
-    beta: float
-    J: float
-
-
 def _f_sq(c: np.ndarray, omega):
     phase = np.multiply.outer(np.asarray(omega, dtype=float), np.arange(len(c), dtype=float))
     re = np.cos(phase) @ c
@@ -191,8 +181,14 @@ def _water_table(v: np.ndarray, w: np.ndarray) -> _WaterTable:
 
 
 class QuadratureGrid(NamedTuple):
-    """``J``, the Simpson mean of ``1/|f|^2``, and the water table of its nodes."""
+    """The profile of the centre taps ``c`` on ``grid_size`` Simpson panels:
+    the checked ``alpha`` and ``beta`` (``checked_extrema``), ``J``, the
+    Simpson mean of ``1/|f|^2``, and the water table of its nodes."""
 
+    c: tuple[float, ...]
+    grid_size: int
+    alpha: float
+    beta: float
     J: float
     table: _WaterTable
 
@@ -200,9 +196,10 @@ class QuadratureGrid(NamedTuple):
 @lru_cache(maxsize=2)
 def quadrature_grid(c: tuple[float, ...], grid_size: int) -> QuadratureGrid:
     """The one owner of the quadrature grid: ``v = 1/|f|^2`` formed once from
-    ``f_sq_table``, ``J`` its Simpson dot in node order, and the table of
-    ``v`` sorted with the weights over ``2 pi``.  Five grid-sized arrays
-    each, so two are kept; overflow is silent (``checked_extrema`` refuses it)."""
+    ``f_sq_table``, ``J`` its Simpson dot in node order, ``checked_extrema``
+    given that ``J`` (it refuses what overflowed silently here, so every
+    ``v`` in the table is finite), and the table of ``v`` sorted with the
+    weights over ``2 pi``.  Five grid-sized arrays each, so two are kept."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         v = 1.0 / f_sq_table(c, grid_size)
         w = np.full(grid_size + 1, 2.0)
@@ -210,8 +207,9 @@ def quadrature_grid(c: tuple[float, ...], grid_size: int) -> QuadratureGrid:
         w[0] = w[-1] = 1.0
         w *= (2.0 * np.pi / grid_size) / 3.0
         J = float(w @ v) / (2.0 * np.pi)
-        order = np.argsort(v)
-        return QuadratureGrid(J, _water_table(v[order], w[order] / (2.0 * np.pi)))
+    ext = checked_extrema(c, J)
+    order = np.argsort(v)
+    return QuadratureGrid(c, grid_size, *ext, J, _water_table(v[order], w[order] / (2.0 * np.pi)))
 
 
 def _critical_angles(c: np.ndarray) -> np.ndarray:
@@ -284,17 +282,9 @@ def checked_extrema(c: tuple[float, ...], J: float = 0.0) -> Extrema:
     return ext
 
 
-@lru_cache(maxsize=128)
-def _centre_profile(c: tuple[float, ...], grid_size: int) -> SpectrumProfile:
-    J = quadrature_grid(c, grid_size).J
-    return SpectrumProfile(*checked_extrema(c, J), J)
-
-
-def compute_profile(spec: ChannelSpec, grid_size: int = DEFAULT_GRID) -> SpectrumProfile:
-    """``checked_extrema`` (each within ``2 delta`` of the true one, on the
-    safe side) and ``J`` from ``quadrature_grid``, cached on ``(spec.c,
-    grid_size)``, the one cache of the profile."""
-    return _centre_profile(spec.c, grid_size)
+def compute_profile(spec: ChannelSpec, grid_size: int = DEFAULT_GRID) -> QuadratureGrid:
+    """The record of ``(spec.c, grid_size)`` from ``quadrature_grid``."""
+    return quadrature_grid(spec.c, grid_size)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ Two water levels drive everything:
   radii are non-zero and the implied per-dimension power stays positive.
 
 Each level is a number with one route, ``solve_theta1`` (an array of
-powers gives an array) and ``solve_theta2``; every bound reads them.
+powers gives an array) and ``solve_theta2``; every bound reads them from
+one ``spectrum.QuadratureGrid`` record, and the adapters that also take
+``(spec, grid_size)`` refuse a record not of ``(spec.c, grid_size)``.
 
 From a level we get the rate integral ``C0``, the tap-uncertainty penalty
 ``delta`` (one kernel, ``_penalty``) and the bounds the CLI serializes; a
@@ -20,18 +22,17 @@ No level is found by iteration, and no bound reads the grid.  The water
 ``g(theta)`` on the quadrature grid is a weighted sum of ``max(theta - v_j,
 0)`` over the sorted inverse spectrum ``v_j``, piecewise linear in
 ``theta`` (Palomar & Fonollosa, IEEE TSP 2005); the finite-blocklength
-allocation is the same sum with unit weights.  The channel's water table
-comes from the grid's one owner, ``spectrum.quadrature_grid``: prefix sums
-of the weights and of the weighted breakpoints, the water at each
-breakpoint, and a rate prefix summed from non-negative ``log1p`` steps.
-``finite_n_bound`` reads ``alpha`` and ``beta`` alone, no grid.  A power
-grid is one array pass (``bound_grid``; ``pillow_grid`` over radius sums):
-one ``searchsorted`` gives every level (``P + J`` above the top
-breakpoint), a second every ``C0``; ``bound_report`` and ``pillow_terms``
-are one-row calls.  Logs run on libm (numpy's may differ by an ulp) for the
-byte contract: a value is the same bit for bit in a grid or alone.  The
-saturation route (``theta2``, ``C_LB2``, ``delta2``, ``P_sat``,
-``gap_cor2``) is cached per channel.
+allocation is the same sum with unit weights.  The record's water table
+holds prefix sums of the weights and of the weighted breakpoints, the water
+at each breakpoint, and a rate prefix summed from non-negative ``log1p``
+steps.  ``finite_n_bound`` reads ``alpha`` and ``beta`` alone, no grid.  A
+power grid is one array pass (``bound_grid``; ``pillow_grid`` over powers
+and radius sums): one ``searchsorted`` gives every level (``P + J`` above
+the top breakpoint), a second every ``C0``; ``bound_report`` and
+``pillow_terms`` are one-row calls.  Logs run on libm (numpy's may differ
+by an ulp) for the byte contract: a value is the same bit for bit in a grid
+or alone.  The saturation route (``theta2``, ``C_LB2``, ``delta2``,
+``P_sat``, ``gap_cor2``) is cached per channel.
 
 All rates are in bits (logs base 2); powers are in watts, with dBW helpers
 for the CLI surface.
@@ -53,13 +54,12 @@ from .spectrum import (
     LN2,
     ChannelSpec,
     Extrema,
-    SpectrumProfile,
+    QuadratureGrid,
     _WaterTable,
     _water_table,
     checked_extrema,
     compute_profile,
     gram_eigenvalues,
-    quadrature_grid,
 )
 
 __all__ = [
@@ -177,9 +177,9 @@ def _libm(fn, x) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _depths(profile: SpectrumProfile, theta):
+def _depths(grid: QuadratureGrid, theta):
     """Water depths ``(d_min, d_max)`` over the spectral valley and peak."""
-    return tuple(np.maximum(theta - 1.0 / x ** 2, 0.0) for x in (profile.alpha, profile.beta))
+    return tuple(np.maximum(theta - 1.0 / x ** 2, 0.0) for x in (grid.alpha, grid.beta))
 
 
 def _water_level(table: _WaterTable, a: float, B) -> np.ndarray:
@@ -201,7 +201,14 @@ def _b(spec: ChannelSpec) -> float:
     return (2.0 / (spec.k + 1)) / spec.norm_r_sq if spec.norm_r_sq > 0.0 else math.inf
 
 
-def solve_theta1(profile: SpectrumProfile, spec: ChannelSpec, P, grid_size: int = DEFAULT_GRID):
+def _record(profile: QuadratureGrid, key: tuple) -> QuadratureGrid:
+    """``profile``, or ``ValueError`` unless its taps and grid are ``key``."""
+    if (profile.c, profile.grid_size) != key:
+        raise ValueError(f"profile of taps {profile.c} on {profile.grid_size} panels, not of {key}")
+    return profile
+
+
+def solve_theta1(grid: QuadratureGrid, P):
     """Water level spending total power ``P``: solves ``g(theta) = P`` at
     each power of ``P`` (an array gives an array, a float a float).
 
@@ -215,13 +222,13 @@ def solve_theta1(profile: SpectrumProfile, spec: ChannelSpec, P, grid_size: int 
     if bad.any():
         p = float(P[bad][0])
         raise ValueError(f"non-finite power P={p}" if not math.isfinite(p) else "need P > 0")
-    closed = P >= 1.0 / profile.alpha ** 2 - profile.J
-    theta = np.where(closed, P + profile.J, _water_level(quadrature_grid(spec.c, grid_size).table, 0.0, P))
+    closed = P >= 1.0 / grid.alpha ** 2 - grid.J
+    theta = np.where(closed, P + grid.J, _water_level(grid.table, 0.0, P))
     return theta if theta.ndim else float(theta)
 
 
 def solve_theta2(
-    profile: SpectrumProfile,
+    profile: QuadratureGrid,
     spec: ChannelSpec,
     grid_size: int = DEFAULT_GRID,
 ) -> Optional[float]:
@@ -236,27 +243,28 @@ def solve_theta2(
     infinite (zero radii, or a subnormal ``|r|^2``): then no saturation
     mechanism exists at all.
     """
+    grid = _record(profile, (spec.c, grid_size))
     b = _b(spec)
     if not math.isfinite(b):
         raise ValueError("saturation level undefined for zero (or subnormal) tap radii")
-    if b >= 1.0 / profile.alpha ** 2 + profile.J:
-        return b - profile.J
-    if b - 2.0 / profile.beta ** 2 <= 0.0:
+    if b >= 1.0 / grid.alpha ** 2 + grid.J:
+        return b - grid.J
+    if b - 2.0 / grid.beta ** 2 <= 0.0:
         return None
-    theta = float(_water_level(quadrature_grid(spec.c, grid_size).table, 2.0, -b))
+    theta = float(_water_level(grid.table, 2.0, -b))
     return theta if 2.0 * theta - b > 0.0 else None
 
 
-def cap_integral(spec: ChannelSpec, theta, grid_size: int = DEFAULT_GRID):
+def cap_integral(grid: QuadratureGrid, theta):
     """Rate integral at water level ``theta`` (a float, or an array giving
     an array): half the circle mean of ``log2(max(theta * |f|^2, 1))``, in
-    O(log N) from the channel's table.  With ``k = #{v_j < theta}`` the grid
+    O(log N) from the record's table.  With ``k = #{v_j < theta}`` the grid
     sum is ``W_k log2(theta/v_{k-1}) + D_k``, two non-negative addends, the
     first a ``log1p``; from just above the spectral peak into the closed
     regime, where it reads ``(log2(theta/v_max) + D_N) / 2``, it stays
     within about 1e-14 relative of the same Simpson sum in 30 digits
     (``tests/oracles.py``).  ``k = 0`` reads ``W_0 = D_0 = 0``."""
-    t = quadrature_grid(spec.c, grid_size).table
+    t = grid.table
     theta = np.asarray(theta, dtype=float)
     k = np.searchsorted(t.v, theta, "left")
     top = t.v[k - 1]
@@ -266,22 +274,23 @@ def cap_integral(spec: ChannelSpec, theta, grid_size: int = DEFAULT_GRID):
 
 
 def capacity_C0(
-    profile: SpectrumProfile,
+    profile: QuadratureGrid,
     spec: ChannelSpec,
     P: float,
     grid_size: int = DEFAULT_GRID,
 ) -> float:
     """Water-filling capacity of the centre channel at power ``P`` (bits)."""
-    return cap_integral(spec, solve_theta1(profile, spec, P, grid_size), grid_size)
+    grid = _record(profile, (spec.c, grid_size))
+    return cap_integral(grid, solve_theta1(grid, P))
 
 
-def _s(profile: Extrema | SpectrumProfile, rs) -> float:
+def _s(profile: Extrema | QuadratureGrid, rs) -> float:
     """``s = r_s (r_s + 2 beta)``, the radius scale of every penalty term."""
     return rs * (rs + 2.0 * profile.beta)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # silent inf and NaN, as in float maths
-def _penalty(profile: Extrema | SpectrumProfile, rs, lam_min, lam_max, spend):
+def _penalty(profile: Extrema | QuadratureGrid, rs, lam_min, lam_max, spend):
     """The addends ``(t2, t3)`` of the rate penalty ``delta = t2 + t3`` for
     the tap intervals at radius sum ``rs``, given the smallest and largest
     per-dimension input power and the power spent per dimension, and the
@@ -299,7 +308,7 @@ def _penalty(profile: Extrema | SpectrumProfile, rs, lam_min, lam_max, spend):
     return t2, t3, ok
 
 
-def thresholds(spec: ChannelSpec, profile: Extrema | SpectrumProfile, cov, P: float) -> ThresholdReport:
+def thresholds(spec: ChannelSpec, profile: Extrema | QuadratureGrid, cov, P: float) -> ThresholdReport:
     """The finite-n constants at power ``P`` for a covariance ``cov`` (any
     record with ``n``, ``trace``, ``lam_min`` and ``lam_max``), reading only
     ``alpha`` and ``beta`` of ``profile``.  With ``m = n + k`` and ``s = r_s
@@ -336,26 +345,26 @@ def _saturation(spec: ChannelSpec, grid_size: int) -> tuple:
     b = _b(spec)
     if not math.isfinite(b):
         return None, None, None, None, None
-    profile = compute_profile(spec, grid_size)
-    theta2 = solve_theta2(profile, spec, grid_size)
+    grid = compute_profile(spec, grid_size)
+    theta2 = solve_theta2(grid, spec, grid_size)
     I2 = C_LB2 = delta2 = gap_cor2 = None
     if theta2 is not None:
         # 2 theta2 - b, rounded once, without overflowing 2 theta2: since
         # b/2 <= theta2 <= b, theta2 - b is exact (Sterbenz)
         I2 = theta2 + (theta2 - b)
-        t2, t3, ok = _penalty(profile, spec.r_s, *_depths(profile, theta2), I2)
+        t2, t3, ok = _penalty(grid, spec.r_s, *_depths(grid, theta2), I2)
         if ok:
             delta2 = float(t2 + t3)
             C_LB2 = (
-                cap_integral(spec, theta2, grid_size)
+                cap_integral(grid, theta2)
                 - math.log2(1.0 + 0.5 * (spec.k + 1) * spec.norm_r_sq * I2)
                 - delta2
             )
-    s = _s(profile, spec.r_s)
-    if b >= 1.0 / profile.alpha ** 2 + profile.J and s < profile.alpha ** 2:
+    s = _s(grid, spec.r_s)
+    if b >= 1.0 / grid.alpha ** 2 + grid.J and s < grid.alpha ** 2:
         # one plus the penalty's limit as lam_min = lam_max and spend grow
-        gap_cor2 = 1.0 + 0.5 / LN2 - 0.5 * math.log2(1.0 - s / profile.alpha ** 2)
-    return b - 2.0 * profile.J, I2, C_LB2, delta2, gap_cor2
+        gap_cor2 = 1.0 + 0.5 / LN2 - 0.5 * math.log2(1.0 - s / grid.alpha ** 2)
+    return b - 2.0 * grid.J, I2, C_LB2, delta2, gap_cor2
 
 
 @np.errstate(over="ignore", invalid="ignore")  # silent inf and NaN, as in float maths
@@ -363,17 +372,17 @@ def bound_grid(spec: ChannelSpec, P: np.ndarray, grid_size: int = DEFAULT_GRID) 
     """``bound_report`` at every power of the array ``P`` (watts) in one
     array pass.  The saturation fields do not depend on ``P``: they are
     computed once per ``(spec, grid_size)`` and cached, and ``sat`` marks
-    the powers whose budget reaches the saturation water."""
-    profile = compute_profile(spec, grid_size)
-    theta = solve_theta1(profile, spec, P, grid_size)
-    C0 = cap_integral(spec, theta, grid_size)
-    t2, t3, ok = _penalty(profile, spec.r_s, *_depths(profile, theta), P)
+    the powers at or within 1e-12 relative below the saturation water."""
+    grid = compute_profile(spec, grid_size)
+    theta = solve_theta1(grid, P)
+    C0 = cap_integral(grid, theta)
+    t2, t3, ok = _penalty(grid, spec.r_s, *_depths(grid, theta), P)
     delta1 = t2 + t3
     log_term = _libm(math.log2, 1.0 + 0.5 * (spec.k + 1) * spec.norm_r_sq * P)
     P_sat, I2, C_LB2, delta2, gap_cor2 = _saturation(spec, grid_size)
     sat = np.zeros(np.shape(P), bool)
     if I2 is not None:
-        sat = ~(P < I2 - 1e-12 * max(1.0, abs(I2)))
+        sat = ~(P < I2 - 1e-12 * abs(I2))
     return BoundGrid(
         C0, C0 - log_term - delta1, delta1, log_term + delta1, C_LB2, delta2, P_sat, gap_cor2, ok, sat
     )
@@ -396,19 +405,19 @@ def bound_report(spec: ChannelSpec, P: float, grid_size: int = DEFAULT_GRID) -> 
 
 
 @np.errstate(over="ignore", invalid="ignore")  # silent inf and NaN, as in float maths
-def pillow_grid(
-    profile: SpectrumProfile, spec: ChannelSpec, P: float, rs: np.ndarray, grid_size: int = DEFAULT_GRID
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``pillow_terms`` at power ``P`` over the array of radius sums ``rs``
-    from one ``theta1`` solve: the columns ``(t1, t2, t3, ok)``, the terms
-    valid where ``ok``."""
-    theta = solve_theta1(profile, spec, P, grid_size)
-    t2, t3, ok = _penalty(profile, rs, *_depths(profile, theta), P)
-    return _libm(math.log2, 1.0 + 0.5 * (spec.k + 1) * rs * rs * P), t2, t3, ok
+def pillow_grid(grid: QuadratureGrid, spec: ChannelSpec, P, rs) -> tuple[np.ndarray, ...]:
+    """``pillow_terms`` at each power of ``P`` and radius sum of ``rs`` from
+    one ``theta1`` solve: the columns ``(t1, t2, t3, ok)``, one row per
+    pair, power-major, the terms valid where ``ok``."""
+    P = np.reshape(P, (-1, 1))
+    theta = solve_theta1(grid, P)
+    t2, t3, ok = _penalty(grid, rs, *_depths(grid, theta), P)
+    t1 = _libm(math.log2, 1.0 + 0.5 * (spec.k + 1) * rs * rs * P)
+    return t1.ravel(), t2.ravel(), t3.ravel(), ok.ravel()
 
 
 def pillow_terms(
-    profile: SpectrumProfile,
+    profile: QuadratureGrid,
     spec: ChannelSpec,
     P: float,
     r_s: Optional[float] = None,
@@ -422,10 +431,11 @@ def pillow_terms(
     The last addend caps at ``1/(2*ln 2)`` exactly once
     ``r_s*(r_s + 2*beta)*P >= 1``.
     """
+    grid = _record(profile, (spec.c, grid_size))
     rs = spec.r_s if r_s is None else float(r_s)
     if rs < 0.0:
         raise ValueError("radius sum must be non-negative")
-    *terms, ok = pillow_grid(profile, spec, P, np.array([rs]), grid_size)
+    *terms, ok = pillow_grid(grid, spec, P, rs)
     if not ok[0]:
         raise BoundInapplicable("radius term >= 1; penalty undefined")
     return tuple(float(t[0]) for t in terms)

@@ -27,6 +27,7 @@ _WHITEN = "tests/test_verify.py::test_whiten_matches_the_dense_product"
 _PENCIL = "tests/test_verify.py::test_pencil_matches_numpy_oracle"
 _BAND_PENCIL = "tests/test_verify.py::test_band_builders_match_dense_products"
 _WEYL = "tests/test_verify.py::test_weyl_norm_matches_numpy_on_band_and_dense"
+_ADAPTERS = "tests/test_waterfill.py::test_adapters_refuse_a_record_of_another_grid_or_channel"
 
 MUTANTS = (
     # The band products of BandedChannelMatrix, against the entrywise dense oracle.
@@ -211,12 +212,42 @@ MUTANTS = (
     Mutant(
         "P_sat = b - J",
         "waterfill.py",
-        "return b - 2.0 * profile.J, I2, C_LB2, delta2, gap_cor2",
-        "return b - profile.J, I2, C_LB2, delta2, gap_cor2",
+        "return b - 2.0 * grid.J, I2, C_LB2, delta2, gap_cor2",
+        "return b - grid.J, I2, C_LB2, delta2, gap_cor2",
         (
             "tests/test_waterfill.py::test_saturation_power_reference",
             "tests/test_waterfill.py::test_theta2_flat_closed_form",
         ),
+    ),
+    # One record per (centre taps, grid): checked, and refused by the adapters
+    # when it is another's.
+    Mutant(
+        "record built from the unchecked centre_extrema",
+        "spectrum.py",
+        "    ext = checked_extrema(c, J)\n",
+        "    ext = centre_extrema(c)\n",
+        (
+            "tests/test_spectrum.py::test_singular_spectrum_raises",
+            "tests/test_spectrum.py::test_spectrum_out_of_float_range_is_refused[c0-1/alpha^2]",
+        ),
+    ),
+    Mutant(
+        "adapters check the grid size only",
+        "waterfill.py",
+        "if (profile.c, profile.grid_size) != key:",
+        "if profile.grid_size != key[1]:",
+        (
+            f"{_ADAPTERS}[solve_theta2]",
+            f"{_ADAPTERS}[capacity_C0]",
+            f"{_ADAPTERS}[pillow_terms]",
+        ),
+    ),
+    Mutant(
+        "saturation margin absolute, max(1, |I2|)",
+        "waterfill.py",
+        "sat = ~(P < I2 - 1e-12 * abs(I2))",
+        "sat = ~(P < I2 - 1e-12 * max(1.0, abs(I2)))",
+        ("tests/test_cli.py::test_route2_empty_below_psat_at_large_tap_scale",),
     ),
     Mutant(
         "HalfBasis.apply with its skew half transposed",

@@ -238,7 +238,7 @@ def test_toeplitz_asymptotics(report):
                 continue
             fn = finite_n_bound(spec, n, P)
             assert fn.d.size == n and fn.d.min() > POWER_FLOOR
-            diff = fn.first_term - cap_integral(spec, fn.theta)
+            diff = fn.first_term - cap_integral(compute_profile(spec), fn.theta)
             worst = max(worst, abs(diff - log2_E / (2 * n)))
             checked += 1
     assert abs(_szego_log2_E(EXAMPLE.c)[0] - 1.0) < 1e-14

@@ -252,18 +252,19 @@ def test_sweep_solves_saturation_level_once(tmp_path, monkeypatch, command):
 
 def test_figure1_solves_one_water_level_per_power(tmp_path, monkeypatch):
     """The default figure1 sweep (3 powers x 33 radius sums) solves the
-    theta1 water level once per power, each in one ``pillow_grid`` call."""
+    theta1 water level once per power, all three in one ``solve_theta1``
+    call of its one ``pillow_grid`` pass."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(np.shape(args[1]))
         return solve_theta1(*args, **kwargs)
 
     monkeypatch.setattr(waterfill, "solve_theta1", counted)
     out = tmp_path / "f1.csv"
     assert main(["figure1", "--out", str(out)]) == EXIT_OK
     assert len(out.read_text().splitlines()) == 2 + 3 * 33
-    assert len(calls) == 3
+    assert calls == [(3, 1)]
 
 
 def test_flagged_bounds_rows_solve_one_water_level(tmp_path, monkeypatch):
@@ -272,7 +273,7 @@ def test_flagged_bounds_rows_solve_one_water_level(tmp_path, monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(np.shape(args[2]))
+        calls.append(np.shape(args[1]))
         return solve_theta1(*args, **kwargs)
 
     monkeypatch.setattr(waterfill, "solve_theta1", counted)
@@ -283,6 +284,25 @@ def test_flagged_bounds_rows_solve_one_water_level(tmp_path, monkeypatch):
     assert [r[header.index("flag")] for r in rows] == [FLAG_INAPPLICABLE] * 11
     assert all(float(r[header.index("C0")]) > 0.0 for r in rows)
     assert calls == [(11,)]
+
+
+def test_route2_empty_below_psat_at_large_tap_scale(tmp_path):
+    """Taps and radii 2^40 times the default channel's: the four rows below
+    P_sat (-187.4 dBW) leave ``C_LB2`` and ``delta2`` empty, the margin on
+    the saturation water being relative to it, and no printed ``C_LB1`` or
+    ``C_LB2`` exceeds the row's ``C0``."""
+    s = 2.0 ** 40
+    channel = {"k": 2, "c": [s, s / 2, s / 2], "r": [s * 1e-3] * 3}
+    cfg = _write_config(tmp_path, {"channel": channel, "bounds": {"p_dbw": "-260:-180:5"}})
+    out = tmp_path / "big.csv"
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    _, header, rows = _read_csv(out)
+    col = {name: [r[header.index(name)] for r in rows] for name in header}
+    below = [float(p) < float(q) for p, q in zip(col["P_dBW"], col["Psat_dBW"])]
+    assert below == [True] * 4 + [False]
+    assert [c == "" for c in col["C_LB2"]] == [c == "" for c in col["delta2"]] == below
+    for name in ("C_LB1", "C_LB2"):
+        assert all(float(v) <= float(c0) for v, c0 in zip(col[name], col["C0"]) if v)
 
 
 @pytest.mark.parametrize("command", ["bounds", "figure2"])
@@ -343,18 +363,22 @@ def test_bad_grid_size_exits_config_for_every_command(tmp_path, monkeypatch, cap
 
 
 def test_cold_bounds_reads_the_fft_once_per_channel(tmp_path, monkeypatch):
-    """A cold ``bounds`` op takes one FFT table per channel: the profile's
-    ``J`` and every row's water table come from one ``quadrature_grid``."""
-    calls = []
-    table = spectrum.f_sq_table
-    monkeypatch.setattr(spectrum, "f_sq_table", lambda *args: calls.append(args) or table(*args))
-    for cache in (spectrum.quadrature_grid, spectrum._centre_profile, waterfill._saturation):
+    """Cold ``bounds``, ``figure1`` and ``figure2`` ops take one FFT table
+    and one ``centre_extrema`` per channel: ``alpha``, ``beta``, ``J`` and
+    every row's water table come from one ``quadrature_grid`` record."""
+    tables, extrema = [], []
+    table, centre = spectrum.f_sq_table, spectrum.centre_extrema
+    monkeypatch.setattr(spectrum, "f_sq_table", lambda *args: tables.append(args) or table(*args))
+    monkeypatch.setattr(spectrum, "centre_extrema", lambda c: extrema.append(c) or centre(c))
+    for cache in (spectrum.quadrature_grid, waterfill._saturation):
         cache.cache_clear()
     channels = ((1.0, -0.6, 0.3, 0.1), (1.0, 0.25))
     for i, c in enumerate(channels):
         cfg = _write_config(tmp_path, {"channel": {"k": len(c) - 1, "c": c, "r": [2e-4] * len(c)}})
-        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == EXIT_OK
-        assert [args[0] for args in calls] == list(channels[:i + 1])
+        for command in ("bounds", "figure1", "figure2"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == EXIT_OK
+        assert [args[0] for args in tables] == list(channels[:i + 1])
+        assert [tuple(c) for c in extrema] == list(channels[:i + 1])
 
 
 @pytest.mark.filterwarnings("error")

@@ -1045,7 +1045,7 @@ def test_cold_experiment_builds_no_grid(example_spec, monkeypatch):
 
     monkeypatch.setattr(spectrum, "f_sq_table", no_grid)
     monkeypatch.setattr(spectrum, "quadrature_grid", no_grid)
-    monkeypatch.setattr(waterfill, "quadrature_grid", no_grid)
+    monkeypatch.setattr(waterfill, "compute_profile", no_grid)
     monkeypatch.setattr(decoder_mod, "_setups", OrderedDict())
     res = run_error_experiment(example_spec, n=16, R=0.125, P=0.1, trials=24, master_seed=3)
     assert res.type1 + res.type2 + res.success == 24

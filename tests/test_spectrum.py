@@ -121,19 +121,23 @@ def test_flat_channel_profile():
 
 
 def test_profile_is_cached(example_spec):
-    """One cache, ``_centre_profile`` on ``(c, grid_size)``, answers every
-    call: a repeat, the default grid given explicitly and another radius
-    each hit it with an equal record, and nothing is computed twice."""
-    first = compute_profile(example_spec)
-    before = spectrum._centre_profile.cache_info()
+    """One cache, ``quadrature_grid`` on ``(c, grid_size)``, answers every
+    call: ``compute_profile(spec, g)`` is its record of ``(spec.c, g)``,
+    and a repeat, the default grid given explicitly and another radius each
+    hit it, so radii alone compute nothing."""
+    for g in (1024, DEFAULT_GRID):
+        first = compute_profile(example_spec, g)
+        assert first is quadrature_grid(example_spec.c, g)
+        assert (first.c, first.grid_size) == (example_spec.c, g)
+    before = spectrum.quadrature_grid.cache_info()
     again = [
         compute_profile(example_spec),
         compute_profile(example_spec, DEFAULT_GRID),
         compute_profile(ChannelSpec(k=2, c=example_spec.c, r=(0.2,) * 3)),
     ]
-    after = spectrum._centre_profile.cache_info()
+    after = spectrum.quadrature_grid.cache_info()
     assert (after.misses, after.hits) == (before.misses, before.hits + 3)
-    assert again[0] == again[1] == again[2] == first
+    assert all(record is first for record in again)
 
 
 def test_singular_spectrum_raises():

@@ -62,7 +62,7 @@ RESIDUAL_CHANNELS = (
 
 
 def test_theta1_reference_level(example_spec, example_profile):
-    theta = solve_theta1(example_profile, example_spec, 0.1)
+    theta = solve_theta1(example_profile, 0.1)
     assert theta == pytest.approx(THETA1_P_0_1, abs=LEVEL_TOL)
     resid = g_grid_oracle(example_spec.c, theta) - 0.1
     assert abs(resid) <= RESIDUAL_REL
@@ -70,7 +70,7 @@ def test_theta1_reference_level(example_spec, example_profile):
 
 def test_theta1_closed_form_above_spectrum(example_spec, example_profile):
     # with full coverage the level is an exact shift of the power
-    theta = solve_theta1(example_profile, example_spec, 100.0)
+    theta = solve_theta1(example_profile, 100.0)
     assert theta == 100.0 + example_profile.J
     assert waterfill._depths(example_profile, theta)[1] == pytest.approx(theta - 0.25, rel=1e-12)
 
@@ -82,7 +82,7 @@ def test_theta1_residual_below_closed_form(c):
     top = 1.0 / prof.alpha ** 2 - prof.J
     # from the first wet segment (P << 1) up to just below the closed form
     for P in [*np.geomspace(1e-12, 0.5, 24) * top, top * (1.0 - 1e-9)]:
-        theta = solve_theta1(prof, spec, P)
+        theta = solve_theta1(prof, P)
         resid = g_grid_oracle(c, theta) - P
         assert abs(resid) <= RESIDUAL_REL * max(1.0, P)
 
@@ -122,9 +122,9 @@ def test_cap_integral_matches_grid_oracle():
         knee = 1.0 / prof.alpha ** 2 - prof.J
         v = 1.0 / f_sq_table(spec.c)
         for P in knee * np.array([1e-6, 1e-3, 0.3, 1.0, 10.0]):
-            theta = solve_theta1(prof, spec, P)
+            theta = solve_theta1(prof, P)
             want = cap_grid_oracle(v, theta)
-            assert abs(cap_integral(spec, theta) - want) <= 1e-13 * want
+            assert abs(cap_integral(prof, theta) - want) <= 1e-13 * want
 
 
 def test_bound_rows_read_no_grid(monkeypatch):
@@ -140,17 +140,17 @@ def test_bound_rows_read_no_grid(monkeypatch):
     for p_dbw in np.linspace(-20.0, 60.0, 161):
         P = dbw_to_watts(p_dbw)
         assert bound_report(spec, P).C0 > 0.0
-        assert cap_integral(spec, solve_theta1(prof, spec, P)) > 0.0
+        assert cap_integral(prof, solve_theta1(prof, P)) > 0.0
 
 
 def test_water_table_shared_by_centre_taps():
     """Channels that differ only in their radii share one water table: the
     second builds nothing."""
     c = (1.0, -0.35, 0.2, 0.05)
-    waterfill.quadrature_grid.cache_clear()
+    spectrum.quadrature_grid.cache_clear()
     for r in (1e-3, 0.02):
         bound_report(ChannelSpec(k=3, c=c, r=(r,) * 4), 10.0)
-    info = waterfill.quadrature_grid.cache_info()
+    info = spectrum.quadrature_grid.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
 
 
@@ -171,8 +171,8 @@ def _scalar_row(spec, P):
     """``(C0, C_LB1, delta1, gap_cor1)`` at ``P`` from the scalar formulas,
     logs on libm; None past the penalty's ratio 1."""
     prof = compute_profile(spec)
-    theta = solve_theta1(prof, spec, P)
-    t = waterfill.quadrature_grid(spec.c, DEFAULT_GRID).table
+    theta = solve_theta1(prof, P)
+    t = prof.table
     k = int(np.searchsorted(t.v, theta))
     top = t.v[k - 1]
     C0 = 0.5 * float(t.W[k] * math.log1p((theta - top) / top) / LN2 + t.D[k])
@@ -199,8 +199,8 @@ def test_theta1_array_is_its_scalar_calls():
         prof = compute_profile(spec)
         closed = P >= 1.0 / prof.alpha ** 2 - prof.J
         assert 0 < closed.sum() < len(P)
-        theta = solve_theta1(prof, spec, P)
-        scalars = [solve_theta1(prof, spec, p) for p in P.tolist()]
+        theta = solve_theta1(prof, P)
+        scalars = [solve_theta1(prof, p) for p in P.tolist()]
         assert theta.shape == P.shape and {type(t) for t in scalars} == {float}
         assert _bits(theta) == _bits(scalars)
 
@@ -226,7 +226,7 @@ def test_c0_column_matches_grid_oracle():
         v = 1.0 / f_sq_table(spec.c)
         C0 = bound_grid(spec, P).C0
         for p, got in zip(P[::8].tolist(), C0[::8].tolist()):
-            want = cap_grid_oracle(v, solve_theta1(prof, spec, p))
+            want = cap_grid_oracle(v, solve_theta1(prof, p))
             assert abs(got - want) <= 1e-12 * want
 
 
@@ -238,7 +238,7 @@ def test_bound_grid_mask_is_the_ratio_test():
     P = [dbw_to_watts(p) for p in np.linspace(0.0, 60.0, 601)]
     flagged = []
     for p in P:
-        theta = solve_theta1(prof, spec, p)
+        theta = solve_theta1(prof, p)
         d_min, d_max = (max(theta - 1.0 / x ** 2, 0.0) for x in (prof.alpha, prof.beta))
         flagged.append(s * d_max / (1.0 + prof.alpha ** 2 * d_min) >= 1.0)
     assert 0 < sum(flagged) < len(P)
@@ -248,9 +248,26 @@ def test_bound_grid_mask_is_the_ratio_test():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_power_refused(example_spec, example_profile, bad):
     with pytest.raises(ValueError, match="non-finite"):
-        solve_theta1(example_profile, example_spec, bad)
+        solve_theta1(example_profile, bad)
     with pytest.raises(ValueError, match="non-finite"):
         waterfill_powers(np.array([0.5, 1.0]), bad)
+
+
+@pytest.mark.parametrize("adapter", [
+    lambda record, spec: solve_theta2(record, spec, DEFAULT_GRID),
+    lambda record, spec: capacity_C0(record, spec, 100.0, DEFAULT_GRID),
+    lambda record, spec: pillow_terms(record, spec, 100.0, None, DEFAULT_GRID),
+], ids=["solve_theta2", "capacity_C0", "pillow_terms"])
+def test_adapters_refuse_a_record_of_another_grid_or_channel(example_spec, adapter):
+    """``solve_theta2``, ``capacity_C0`` and ``pillow_terms`` take the
+    record with ``(spec, grid_size)``: the record of ``(spec.c, grid_size)``
+    is read, and one of another grid size or of other centre taps is
+    refused, not read with the other's ``J`` and water table."""
+    assert adapter(compute_profile(example_spec), example_spec) is not None
+    other_taps = ChannelSpec(k=2, c=(1.0, 0.4, 0.5), r=example_spec.r)
+    for record in (compute_profile(example_spec, 1024), compute_profile(other_taps)):
+        with pytest.raises(ValueError, match="profile of taps"):
+            adapter(record, example_spec)
 
 
 def test_capacity_reference_value(example_spec, example_profile):
@@ -343,7 +360,7 @@ def test_pillow_third_term_caps_exactly(example_spec, example_profile):
 def test_delta_routes_agree(example_spec, example_profile):
     # the reported penalty against the penalty written out from the ratios
     for P in (0.1, 3.0, 100.0, P_SAT_W):
-        theta = solve_theta1(example_profile, example_spec, P)
+        theta = solve_theta1(example_profile, P)
         d_min, d_max = waterfill._depths(example_profile, theta)
         # one dimension spending P: phi2 = s trace / m = s P
         m = 1 + example_spec.k
@@ -432,7 +449,7 @@ def test_dbw_roundtrip(p_dbw):
 def test_theta1_monotone_in_power(P, factor):
     spec = ChannelSpec(k=2, c=(1.0, 0.5, 0.5), r=(1e-3, 1e-3, 1e-3))
     prof = compute_profile(spec)
-    assert solve_theta1(prof, spec, P * factor) > solve_theta1(prof, spec, P)
+    assert solve_theta1(prof, P * factor) > solve_theta1(prof, P)
 
 
 @settings(max_examples=40, deadline=None)
@@ -512,15 +529,15 @@ def test_finite_n_bound_builds_no_grid(example_spec, monkeypatch):
 
     monkeypatch.setattr(spectrum, "f_sq_table", no_grid)
     monkeypatch.setattr(spectrum, "quadrature_grid", no_grid)
-    monkeypatch.setattr(waterfill, "quadrature_grid", no_grid)
+    monkeypatch.setattr(waterfill, "compute_profile", no_grid)
     fb = finite_n_bound(example_spec, 64, 5.0)
     assert fb.delta_n >= 0.0 and fb.value <= fb.first_term
 
 
-def test_finite_n_tracks_integral(example_spec):
+def test_finite_n_tracks_integral(example_spec, example_profile):
     # at modest blocklength the eigenvalue sum already hugs the integral
     fb = finite_n_bound(example_spec, 256, 100.0)
-    cont = cap_integral(example_spec, fb.theta)
+    cont = cap_integral(example_profile, fb.theta)
     assert abs(fb.first_term - cont) <= 5e-3
 
 
