@@ -30,7 +30,10 @@ the cell's first raw 64-bit word ``w`` as ``(w & 0xffffffff) >> (32 -
 bits)``, which is 0 when ``size == 1``: for a power-of-two range
 numpy's ``integers`` is Lemire's multiply-shift on the low 32 bits of that
 word, which never rejects (Lemire, ACM TOMACS 2019).  ``message_picks``
-draws them.
+computes those first words without a generator per trial: Philox is
+counter-based, so each is Philox4x64-10 at the counter ``[1, t, 0, 0]``
+(a Philox steps counter word 0 before it fills its buffer), evaluated in
+numpy passes over ``_PICK_CHUNK`` trials at a time.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ MAX_DECODE_BYTES = 1 << 31
 # and the most entries one (codewords x trials) scratch array may have
 # before the block shrinks further.
 _MIN_BLOCK, _MAX_BLOCK = 64, 512
-_BLOCK_BUDGET = 1 << 16
+_BLOCK_BUDGET = 1 << 17
 _BLOCK_ENTRIES = 1 << 20
 # Trials whose taps, and whose noise, one cell holds, in trial order: part of
 # the draws' definition, so changing it redraws every trial past the first.
@@ -105,6 +108,10 @@ _DIRECT_BYTES = 64 * _DIRECT_ENTRIES
 # rows while they are drawn or summed in float64, and (in bytes) TrialBlocks'
 # float32 uniforms.
 _DRAW_ENTRIES = 1 << 15
+# Trials whose message picks one Philox pass evaluates: its uint64 scratch,
+# at most 200 bytes a trial (about 160 traced), stays within the draw
+# chunk's 4 _DRAW_ENTRIES doubles that ``decode_bytes`` counts.
+_PICK_CHUNK = 1 << 12
 # A word's floor direction is projected off the support again while the
 # projection's input is more than this many times as long as its output.
 FLOOR_REPROJECT = 1024.0
@@ -508,10 +515,11 @@ def trial_block(size: int, n: int) -> int:
     of length ``n``: ``_BLOCK_BUDGET`` over the larger of ``size`` and
     ``n``, rounded up to a power of two, held within ``[_MIN_BLOCK,
     _MAX_BLOCK]``, so a small codebook's block spreads its per-call cost
-    over up to 512 trials while one of 1024 words or of n = 1024 keeps 64;
-    then fewer (at least one) so that a scratch array of ``size * T``
-    entries stays within ``_BLOCK_ENTRIES``.  ``T`` is a power of two, so
-    it divides ``_TRIAL_CELL`` or is a multiple of it."""
+    over up to 512 trials, one of 1024 words takes 128 and one of 4096
+    words or of n = 2048 keeps 64; then fewer (at least one) so that a
+    scratch array of ``size * T`` entries stays within ``_BLOCK_ENTRIES``.
+    ``T`` is a power of two, so it divides ``_TRIAL_CELL`` or is a
+    multiple of it."""
     wide = 1 << (max(size, n) - 1).bit_length()
     T = min(_MAX_BLOCK, max(_MIN_BLOCK, _BLOCK_BUDGET // wide))
     return max(1, min(T, _BLOCK_ENTRIES // size))
@@ -525,15 +533,17 @@ def decode_bytes(size: int, n: int, trials: int = 0, k: int = 0) -> int:
     since the support is known only once ``build_sigma`` has run and the
     cap refuses before it; three float64 per-word statistics (input
     statistic, floor radius, energy) and one float32 (the score's per-word
-    term); the held sent words, ``min(trials, size)`` rows of ``n`` and the
-    zero word, and message picks, 4 bytes a trial (``sent_words``); and the
+    term); the held sent words, ``min(trials, size)`` rows of ``n``, and
+    message picks, 4 bytes a trial (``sent_words``), whose scratch, a
+    ``_PICK_CHUNK`` pass at a time, is held before any block and within a
+    block's draw chunk; and the
     larger of two scratches that never coexist: a chunk of ``_WORD_CHUNK``
     sent words being built, five rows of ``n`` a word (floor draw,
     projection, half bases' products), or a block of ``T = trial_block(size,
     n)`` trials: the received vectors, noise drawn into them, and three rows
-    of ``n`` a trial (sent word, ``Hc'y``, its support coefficients; a block
-    with settled trials copies its live received vectors out before the
-    other two are formed), float32 scores,
+    of ``n`` a trial (sent word, ``Hc'y``, its support coefficients; a
+    draw with settled trials copies each chunk's live noise rows to the
+    front of the block before the other two are formed), float32 scores,
     4 bytes a ``(size, T)`` entry, boolean masks at most 4 more, and the
     draw chunk's float32 uniforms, their block_hold repeat and float64 tap
     rows, ``8 ((k + 1)(n + k) + n)`` bytes a trial and at most ``4
@@ -541,7 +551,7 @@ def decode_bytes(size: int, n: int, trials: int = 0, k: int = 0) -> int:
     block, what picks and recomputes the pairs inside the guard band,
     ``_DIRECT_BYTES``."""
     T, m = trial_block(size, n), n + k
-    rows = min(trials, size) + 1
+    rows = min(trials, size)
     draw = 8 * max(4 * _DRAW_ENTRIES, (k + 1) * m + n)
     block = 8 * T * (m + 3 * n) + draw
     return (4 * size * (n + 7 + 2 * T) + 8 * ((n * n + 1) // 2 + rows * n) + 4 * trials
@@ -608,6 +618,38 @@ def gen_codebook(cov: CovarianceSpec, R: float, master_seed: int) -> Codebook:
     return Codebook(S=S, cov=cov, q_floor=q_floor, seed=master_seed)
 
 
+# Philox4x64-10's round multipliers and key increments (Salmon et al.,
+# "Parallel random numbers: as easy as 1, 2, 3", SC 2011), one row per
+# multiplied counter word (0 and 2), and the multipliers' 32-bit halves.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & 0xFFFFFFFF, _PHILOX_M >> 32
+_PHILOX_BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+
+
+def _philox_first_words(key: tuple[int, int], t: np.ndarray) -> np.ndarray:
+    """The first raw word of the cell ``[0, t, 0, 0]`` of a Philox keyed
+    ``key``, for every ``uint64`` entry of ``t``: Philox4x64-10 at the
+    counter ``[1, t, 0, 0]`` (numpy's Philox steps word 0 before each
+    block), in one array pass over ``t``.  Counter words 0 and 2 are the
+    rows of ``A``, 1 and 3 those of ``B``; each round multiplies ``A`` by the
+    multipliers into 128-bit products, built from 32-bit halves, gives
+    ``A = (hi[2], hi[0]) ^ B ^ key``, ``B = (lo[2], lo[0])``, and bumps
+    the key."""
+    A = np.zeros((2, len(t)), dtype=np.uint64)
+    A[0] = 1
+    B = np.zeros_like(A)
+    B[0] = t
+    key = np.array(key, dtype=np.uint64)[:, None]
+    for _ in range(10):
+        lo, hi = A & 0xFFFFFFFF, A >> 32
+        cross_lo, cross_hi = _PHILOX_M_LO * hi, _PHILOX_M_HI * lo
+        carry = (_PHILOX_M_LO * lo >> 32) + (cross_lo & 0xFFFFFFFF) + (cross_hi & 0xFFFFFFFF)
+        hi = _PHILOX_M_HI * hi + (cross_lo >> 32) + (cross_hi >> 32) + (carry >> 32)
+        A, B = hi[::-1] ^ B ^ key, (_PHILOX_M * A)[::-1]
+        key = key + _PHILOX_BUMP
+    return A[0]
+
+
 def message_picks(master_seed: int, ts, size: int) -> np.ndarray:
     """Message picks of trials ``ts`` (a range, or a 1-d integer array; a
     list is read by ``np.asarray``) among ``size`` words, as ``uint32``: bit for bit
@@ -621,17 +663,25 @@ def message_picks(master_seed: int, ts, size: int) -> np.ndarray:
     if isinstance(ts, range):
         bad = any(not 0 <= t < 1 << 64 for t in (*ts[:1], *ts[-1:]))
     else:
-        a = np.asarray(ts)
-        bad = a.ndim != 1 or a.size and (a.dtype.kind not in "iu" or a.min() < 0)
+        ts = np.asarray(ts)
+        bad = ts.ndim != 1 or ts.size and (ts.dtype.kind not in "iu" or ts.min() < 0)
     if bad:
         raise ValueError(f"trial indices must be integers in [0, 2**64), got {ts!r:.80}")
-    cells = _Cells(master_seed, STREAM_MESSAGE)
-    first = cells.bits.random_raw
-    ts = ts.tolist() if isinstance(ts, np.ndarray) else ts
-    raw = np.fromiter((first() for _ in map(cells.at, ts)), dtype=np.uint64, count=len(ts))
-    raw &= 0xFFFFFFFF
-    raw >>= 32 - bits
-    return raw.astype(np.uint32)
+    key = _stream_key(master_seed, STREAM_MESSAGE)
+    out = np.empty(len(ts), dtype=np.uint32)
+    for lo in range(0, len(ts), _PICK_CHUNK):
+        part = ts[lo:lo + _PICK_CHUNK]
+        if isinstance(part, range):  # start + i step mod 2**64, exact: each entry is in [0, 2**64)
+            t = np.arange(len(part), dtype=np.uint64)
+            t *= part.step % (1 << 64)
+            t += part.start
+        else:
+            t = part.astype(np.uint64, copy=False)
+        raw = _philox_first_words(key, t)
+        raw &= 0xFFFFFFFF
+        raw >>= 32 - bits
+        out[lo:lo + len(raw)] = raw
+    return out
 
 
 def sent_words(
@@ -640,20 +690,19 @@ def sent_words(
     """The distinct rows of ``msgs`` that ``keep`` (a boolean per codeword,
     all of them when ``None``) keeps, ascending, and their words, each
     built once through ``book.words`` on chunks of ``_WORD_CHUNK`` of those
-    rows, so a word's bits depend only on the set of rows; the words are
-    followed by one zero row, the word that trials whose row was not kept
-    are drawn with, so ``X[np.searchsorted(rows, msgs)]`` with those trials
-    pointed at ``len(rows)`` is one gather.  ``pool_map`` runs the chunks
-    (a thread pool's ``map`` builds them concurrently)."""
+    rows, so a word's bits depend only on the set of rows; the words of
+    the trials whose rows were kept are ``X[np.searchsorted(rows,
+    msgs[kept])]``, one gather.  ``pool_map`` runs the chunks (a thread
+    pool's ``map`` builds them concurrently)."""
     seen = np.zeros(book.size, dtype=bool)
     seen[msgs] = True
     if keep is not None:
         seen &= keep
     rows = np.flatnonzero(seen)
-    X = np.zeros((len(rows) + 1, book.n))
+    X = np.empty((len(rows), book.n))
 
     def build(lo: int) -> None:
-        X[lo:min(lo + _WORD_CHUNK, len(rows))] = book.words(rows[lo:lo + _WORD_CHUNK])
+        X[lo:lo + _WORD_CHUNK] = book.words(rows[lo:lo + _WORD_CHUNK])
 
     list(pool_map(build, range(0, len(rows), _WORD_CHUNK)))
     return rows, X
@@ -681,8 +730,8 @@ class TrialBlocks:
     """One thread's channels and noise for runs of consecutive trials,
     equal bit for bit to ``transmit(sample_H(...), x, ...)`` trial by trial
     for the run's sent words ``x``, which the caller holds (``sent_words``;
-    the decoder sends a trial settled by the input test the zero word, and
-    draws it all the same, so each stream stays at its position).
+    a trial the decoder settles by the input test sends nothing, but its
+    draws are read all the same, so each stream stays at its position).
     One reader per stream (``_Cells.fill``) reads runs that start a cell or
     continue the last run, so a run costs one float32 ``random`` and one
     ``standard_normal`` call per draw chunk and cell, and a new cell one
@@ -710,28 +759,45 @@ class TrialBlocks:
             self._channel = _Cells(master_seed, STREAM_CHANNEL)
             self._uniform = partial(self._channel.gen.random, dtype=np.float32)
 
-    def draw(self, start: int, X: np.ndarray) -> np.ndarray:
-        """The ``(len(X), m)`` vectors received in trials ``start``,
-        ``start + 1``, ... for the sent words ``X``, one row of ``n`` each.
-        ``start`` must start a cell or continue the last run (``_Cells.fill``)."""
+    def draw(self, start: int, X: np.ndarray, live: Optional[np.ndarray] = None) -> np.ndarray:
+        """The vectors received in the live trials of the run ``start``,
+        ``start + 1``, ..., one row of ``m`` for each sent word, a row of
+        ``X``: ``live`` marks the run's trials that are sent and received
+        (all ``len(X)`` of them when ``None``), one row of ``X`` for each
+        in order.  Every trial of the run draws its noise and uniforms, so
+        each stream keeps its position, but only the live ones get tap
+        terms: each chunk's live noise rows are moved to the front of the
+        block, in order, before the taps are added onto them, and the
+        result is those first rows.  ``start`` must start a cell or
+        continue the last run (``_Cells.fill``)."""
         start = operator.index(start)
         if start < 0:
             raise ValueError(f"trial indices must be non-negative integers, got {start}")
         if np.ndim(X) != 2 or np.shape(X)[1] != self.n:
             raise DimensionMismatch(f"words have shape {np.shape(X)}, expected (trials, {self.n})")
-        n, spec = self.n, self.spec
-        Y = np.empty((len(X), self.m))
-        for lo in range(0, len(X), len(self._row)):
-            y, x = Y[lo:lo + len(self._row)], X[lo:lo + len(self._row)]
-            row = self._row[:len(y)]
+        if live is None:
+            live = np.ones(len(X), dtype=bool)
+        elif np.count_nonzero(live) != len(X):
+            raise DimensionMismatch(f"{np.count_nonzero(live)} live trials, but {len(X)} words")
+        n, spec, chunk = self.n, self.spec, len(self._row)
+        Y = np.empty((len(live), self.m))
+        j = 0  # live rows so far, at the front of Y
+        for lo in range(0, len(live), chunk):
+            y, sel = Y[lo:lo + chunk], live[lo:lo + chunk]
             self._noise.fill(self._normal, start + lo, y)
             if self.law.kind == "constant":
                 v = self._offsets
             else:
-                self._channel.fill(self._uniform, start + lo, self._u[:len(y)])
-                v = _unit_offsets(self._u[:len(y)], self.law, self.m)
+                u = self._u[:len(y)]
+                self._channel.fill(self._uniform, start + lo, u)
+                v = _unit_offsets(u if sel.all() else u[sel], self.law, self.m)
+            if j < lo or not sel.all():
+                y = Y[j:j + np.count_nonzero(sel)]
+                y[...] = Y[lo:lo + chunk][sel]
+            x, row = X[j:j + len(y)], self._row[:len(y)]
             for d in range(spec.k + 1):
                 _tap_row(v[:, d, d:d + n], spec.c[d], spec.r[d], row)
                 row *= x
                 y[:, d:d + n] += row
-        return Y
+            j += len(y)
+        return Y[:j]

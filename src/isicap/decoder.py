@@ -400,9 +400,13 @@ def _pass_mask(
     term.  A pair whose ``|w - 1|`` lies within the guard band of ``eta``
     (or is not finite) is recomputed in float64 from its codeword ``x = U
     s + x_f`` as ``||Hc x - y||^2``, so each decision equals the direct
-    rule's.  The scores are held one row per received vector, the layout
-    whose GEMM is the faster at scale, and the mask returned is their
-    transpose.
+    rule's.  The scores are scanned for such pairs a group of rows at a
+    time (at most ``_DIRECT_ENTRIES`` scores), codeword by codeword, so each
+    word in a band is built once per call, at most ``_DIRECT_ENTRIES // m``
+    words at a time, and its image compared with each of its received
+    vectors in chunks of that many pairs.  The scores are held one row per
+    received vector, the layout whose GEMM is the faster at scale, and the
+    mask returned is their transpose.
     """
     book, joint = ctx.book, ctx.joint
     n, m = joint.hc.n, joint.hc.m
@@ -428,24 +432,32 @@ def _pass_mask(
         x_ok = _input_typical(book, params)
     out &= x_ok
     band = _guard_band(ctx, y_sq, b_sq, params.eta)
-    widest, flat, size = band.max(initial=0.0), dev.reshape(-1), book.size
+    widest = band.max(initial=0.0)
     out = out.T
+    group = max(1, _DIRECT_ENTRIES // max(len(Y), 1))
     step = max(1, _DIRECT_ENTRIES // m)
-    held = np.empty(0, dtype=np.intp)
-    # The pairs within the widest band, then those within their own, as flat
-    # indices into the scores, a slice of _DIRECT_ENTRIES at a time (a NaN
-    # deviation compares false, so it counts as inside); they are recomputed
-    # in chunks of ``step`` in the scores' order, whatever the slices.
-    for lo in range(0, flat.size, _DIRECT_ENTRIES):
-        at = np.flatnonzero(~(flat[lo:lo + _DIRECT_ENTRIES] > widest))
-        at += lo
-        held = np.concatenate([held, at[~(flat[at] > band[at // size]) & x_ok[at % size]]])
-        while held.size >= step or (held.size and lo + _DIRECT_ENTRIES >= flat.size):
-            (c, r), held = np.divmod(held[:step], size), held[step:]
-            diff = joint.hc.apply(book.words(r))
-            diff -= Y[c]
-            w_form = (book.q[r] + np.einsum("ij,ij->i", diff, diff)) / (n + m)
-            out[r, c] = np.abs(w_form - 1.0) < params.eta
+    # The pairs within the widest band, then those within their own, of a
+    # group of rows at a time, codeword-major (a NaN deviation compares
+    # false, so it counts as inside); the words among them are built once,
+    # ``step`` at a time.
+    for lo in range(0, dev.shape[1], group):
+        part = dev[:, lo:lo + group]
+        c, r = np.divmod(np.flatnonzero(~(part > widest)), part.shape[1])
+        held = ~(part[c, r] > band[c]) & x_ok[r + lo]
+        c, r = c[held], r[held]
+        order = np.argsort(r, kind="stable")
+        r, c = r[order] + lo, c[order]
+        words, first, which = np.unique(r, return_index=True, return_inverse=True)
+        for i in range(0, len(words), step):
+            at = words[i:i + step]
+            A, q = joint.hc.apply(book.words(at)), book.q[at]
+            end = first[i + step] if i + step < len(words) else len(r)
+            for j in range(first[i], end, step):
+                pair = slice(j, min(j + step, end))
+                diff = A[which[pair] - i]
+                diff -= Y[c[pair]]
+                w = (q[which[pair] - i] + np.einsum("ij,ij->i", diff, diff)) / (n + m)
+                out[r[pair], c[pair]] = np.abs(w - 1.0) < params.eta
     return out
 
 
@@ -565,20 +577,25 @@ def run_error_experiment(
     Each trial draws its own channel, noise, and message: the message from
     a cell of its own, the taps and noise from the cells that hold them for
     ``_TRIAL_CELL`` trials (see ``channel_sim``).  Every message is picked
-    before the trials run (``message_picks``), and the input test ``|q/n -
-    1| < epsilon`` of every codeword computed once.  A trial whose sent word
-    fails it is settled: it is a type-1 error whatever the channel does.
-    Only the words of the distinct sent rows that pass it, the live ones,
-    are built, once each (``sent_words``), before the trials run.  Each
-    thread then draws its trials in blocks of ``T = trial_block(size, n)``,
-    settled ones included (with the zero word), so every stream keeps its
-    positions; only the live trials' received vectors are scored, with
-    exact decisions, and a block without one is not scored.  So the counts
-    are independent of ``threads`` and of ``T``.  ``P`` is read as a
-    float.  ``threads``, a positive integer, splits the trials into spans
-    of whole blocks and whole cells; at most ``os.cpu_count()`` threads run
-    them.  A codebook too large to decode exhaustively, the held words and
-    picks included, is refused before any set-up.
+    before the trials run (``message_picks``, in array passes), and the
+    input test ``|q/n - 1| < epsilon`` of every codeword computed once.  A
+    trial whose sent word fails it is settled: it is a type-1 error
+    whatever the channel does.  Only the words of the distinct sent rows
+    that pass it, the live ones, are built, once each (``sent_words``),
+    before the trials run.  Each thread then draws its trials in blocks of
+    ``T = trial_block(size, n)``, settled ones included, so every stream
+    keeps its positions, but forms tap terms only for the live trials
+    (``TrialBlocks.draw``); only their received vectors are scored, with
+    exact decisions, and a block without one is not scored.  ``P`` is read
+    as a float.  ``threads``, a positive
+    integer, splits the trials into spans of whole blocks and whole cells,
+    the same blocks for any thread count, so the counts do not depend on
+    it; at most ``os.cpu_count()`` threads run them.  At another ``T`` the
+    counts are the same but for a pair recomputed inside the guard band
+    whose statistic lands on ``eta`` to its last bits: its word is built in
+    another batch, whose GEMM may round it differently.  A codebook too
+    large to decode exhaustively, the held words and picks included, is
+    refused before any set-up.
 
     The set-up that does not depend on the seed (the input covariance, the
     threshold report and the joint covariance) is kept in-process per
@@ -610,15 +627,11 @@ def run_error_experiment(
         # Type 1, type 2 and successes of the trials start onwards, which send
         # sent; the block's arrays go when it returns, before the next draw.
         live = x_ok[sent]
-        slot = np.searchsorted(rows, sent)
-        slot[~live] = len(rows)  # the zero word
-        Y = draws.draw(start, words[slot])
         sent = sent[live]
+        Y = draws.draw(start, words[np.searchsorted(rows, sent)], live)
         settled = len(live) - len(sent)
         if not len(sent):
             return settled, 0, 0
-        if len(sent) < len(Y):
-            Y = Y[live]  # the full block goes before scoring
         mask = _pass_mask(Y, params, ctx, x_ok)
         passed = mask[sent, cols[:len(sent)]]
         # A sum along the scores' contiguous rows costs about half what

@@ -297,4 +297,36 @@ MUTANTS = (
             "tests/test_decoder.py::test_experiment_counts_match_one_cell_loop[iid]",
         ),
     ),
+    # Decoding only what can pass.
+    Mutant(
+        "Philox key bump skipped in message_picks",
+        "channel_sim.py",
+        "        key = key + _PHILOX_BUMP\n",
+        "",
+        ("tests/test_channel_sim.py::test_message_picks_are_integers_of_their_cells",),
+    ),
+    Mutant(
+        "live mask ignored in TrialBlocks.draw's tap terms",
+        "channel_sim.py",
+        "u if sel.all() else u[sel]",
+        "u[:np.count_nonzero(sel)]",
+        (
+            "tests/test_channel_sim.py::test_trial_blocks_match_one_cell_path[iid-32768]",
+            "tests/test_decoder.py::test_settled_trials_skip_the_decoder[4-0.15]",
+        ),
+    ),
+    Mutant(
+        "input test dropped from the pairs recomputed in the guard band",
+        "decoder.py",
+        "held = ~(part[c, r] > band[c]) & x_ok[r + lo]",
+        "held = ~(part[c, r] > band[c])",
+        ("tests/test_decoder.py::test_all_in_band_blocks_build_each_word_once[16--10.0]",),
+    ),
+    Mutant(
+        "each message-pick pass restarts at the first trial",
+        "channel_sim.py",
+        "            t += part.start\n",
+        "            t += ts.start\n",
+        ("tests/test_channel_sim.py::test_message_picks_hold_four_bytes_a_trial",),
+    ),
 )

@@ -273,22 +273,25 @@ def test_trial_blocks_match_one_cell_path(example_spec, monkeypatch, law, entrie
     that continue the last one across a cell's end, a cell restarted from
     its start, a later cell and an earlier one.  The sent words are
     ``sent_words``'s of the ``message_picks``, which are ``rng_stream``'s
-    picks, and equal ``book.words`` of the distinct picked rows, ascending,
-    followed by the zero word; ``n + k = 17`` is not a multiple of the hold
-    length."""
+    picks, and equal ``book.words`` of the distinct picked rows, ascending;
+    ``n + k = 17`` is not a multiple of the hold length.  A second reader
+    draws the same runs with a live mask (the trials whose pick is odd, so
+    settled trials open, split and close the chunks), given only the live
+    trials' words: it returns their received vectors, the same bits."""
     monkeypatch.setattr(channel_sim, "_DRAW_ENTRIES", entries)
     n, seed = 15, 9
     rng = np.random.default_rng(4)
     S = rng.standard_normal((16, n)).astype(np.float32)
     book = Codebook(S=S, cov=flat_cov(n, random_halves(n, 4)), q_floor=np.zeros(16), seed=seed)
     draws = TrialBlocks(example_spec, n, law, seed)
+    masked = TrialBlocks(example_spec, n, law, seed)
     cell = channel_sim._TRIAL_CELL
     for first, count in ((0, 7), (7, cell - 4), (cell + 3, 2), (cell, 3), (3 * cell, 9), (0, 2)):
         ts = np.arange(first, first + count)
         msgs = message_picks(seed, ts, book.size)
         rows, words = sent_words(book, msgs)
         assert np.array_equal(rows, np.unique(msgs))
-        assert np.array_equal(words[:-1], book.words(rows)) and not words[-1].any()
+        assert np.array_equal(words, book.words(rows))
         X = words[np.searchsorted(rows, msgs)]
         Y = draws.draw(first, X)
         assert Y.shape == (count, n + example_spec.k)
@@ -296,6 +299,8 @@ def test_trial_blocks_match_one_cell_path(example_spec, monkeypatch, law, entrie
             assert msgs[i] == rng_stream(seed, STREAM_MESSAGE, t).integers(book.size)
             H = sample_H(example_spec, n, law, seed, t)
             assert np.array_equal(Y[i], transmit(H, X[i], seed, t))
+        live = msgs % 2 == 1
+        assert np.array_equal(masked.draw(first, X[live], live), Y[live])
 
 
 def test_trial_blocks_refuse_mis_shaped_words():
@@ -357,8 +362,10 @@ def test_message_picks_are_integers_of_their_cells():
     """For every ``size = 2**bits`` up to the cap, the pick of each of 1,000
     cells (indices past one and two counter words included) is
     ``rng_stream(seed, STREAM_MESSAGE, t).integers(size)``, read from the
-    cell's first raw word; a size that is no power of two is refused, by
-    the picks and by ``Codebook``."""
+    cell's first raw word; so are the picks at indices 0, 2**32, 2**63 and
+    2**64 - 1 and their neighbours, as an array and as ranges (one stepping
+    down across 2**63), for sizes 1, 2 and 2**24 at three seeds.  A size
+    that is no power of two is refused, by the picks and by ``Codebook``."""
     seed = 12
     ts = np.array([*range(990), *range(2**32, 2**32 + 5), *range(2**64 - 5, 2**64)], dtype=np.uint64)
     assert len(ts) == 1000
@@ -368,12 +375,42 @@ def test_message_picks_are_integers_of_their_cells():
         assert picks.dtype == np.uint32
         want = [rng_stream(seed, STREAM_MESSAGE, int(t)).integers(size) for t in ts]
         assert picks.tolist() == want, bits
+    edges = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1]
+    for s in (0, 12, 2**70 + 3):
+        for size in (1, 2, 2**24):
+            for ts in (np.array(edges, dtype=np.uint64), range(2**63 + 2, 2**63 - 3, -2),
+                       range(2**64 - 4, 2**64)):
+                want = [rng_stream(s, STREAM_MESSAGE, t).integers(size) for t in map(int, ts)]
+                assert message_picks(s, ts, size).tolist() == want, (s, size, ts)
     assert np.array_equal(message_picks(seed, range(20), 8), message_picks(seed, np.arange(20), 8))
     with pytest.raises(ValueError, match="power of two"):
         message_picks(seed, range(4), 11)
     S = np.ones((11, 1))
     with pytest.raises(ValueError, match="power of two"):
         Codebook(S=S, cov=flat_cov(1), q_floor=np.zeros(11), seed=0)
+
+
+def test_message_picks_hold_four_bytes_a_trial(monkeypatch):
+    """The picks of 10^6 trials, as a range and as an array, peak (traced)
+    at their 4-byte result plus one ``_PICK_CHUNK`` pass's scratch, which
+    stays within the draw chunk ``decode_bytes`` counts; the picks either
+    side of a pass's edge are their cells'.  Passes of 3 trials give the
+    same picks as the default."""
+    trials, seed = 10**6, 7
+    chunk = channel_sim._PICK_CHUNK
+    for ts in (range(trials), np.arange(trials)):
+        tracemalloc.start()
+        try:
+            picks = message_picks(seed, ts, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * trials + 200 * chunk <= 4 * trials + 32 * channel_sim._DRAW_ENTRIES, peak
+    for t in (0, chunk - 1, chunk, trials - 1):
+        assert picks[t] == rng_stream(seed, STREAM_MESSAGE, t).integers(1024)
+    monkeypatch.setattr(channel_sim, "_PICK_CHUNK", 3)
+    assert np.array_equal(message_picks(seed, range(3 * chunk + 5), 1024), picks[:3 * chunk + 5])
+    assert np.array_equal(message_picks(seed, np.arange(10), 1024), picks[:10])
 
 
 @pytest.mark.parametrize("kind", ["block_hold", "iid_uniform"])
@@ -613,9 +650,10 @@ def test_codebook_byte_cap(example_spec, monkeypatch):
     need = decode_bytes(book.size, n, trials, example_spec.k)
     assert held + max(build, block) <= need
     # 4 bytes a coefficient (at the full width n), 28 for a word's
-    # statistics, 8 a (word, trial) entry of the block's scores and masks
-    assert book.S.dtype == np.float32 and T == trial_block(2 * book.size, n)
-    assert decode_bytes(2 * book.size, n) - decode_bytes(book.size, n) == 4 * book.size * (n + 7 + 2 * T)
+    # statistics, 8 a (word, trial) entry of the block's scores and masks,
+    # between two sizes with the same T
+    assert book.S.dtype == np.float32 and trial_block(2048, n) == trial_block(4096, n) == 64
+    assert decode_bytes(4096, n) - decode_bytes(2048, n) == 4 * 2048 * (n + 7 + 2 * 64)
     assert decode_bytes(book.size, n, trials + 1, example_spec.k) == need + 4
     assert decode_bytes(book.size, n, 8) - decode_bytes(book.size, n, 7) == 8 * n + 4
     monkeypatch.setattr(channel_sim, "MAX_DECODE_BYTES", decode_bytes(book.size, n))
@@ -863,17 +901,17 @@ def test_ascending_rows_are_neither_sorted_nor_gathered(example_spec, monkeypatc
 
 def test_trial_block_follows_the_codebook():
     """``T`` is 512 for the small codebooks of the default config (8 words
-    at n = 64, 32 at n = 128) and 64 for 1024 words at n = 256 and 4096 at
-    n = 1024; past ``_BLOCK_ENTRIES`` entries it shrinks (32 trials for
-    2^15 words, one for 2^24).  For 4 words at any n it is a power of two
-    in [64, 512] that, above 64, holds at most 2^16 entries of n."""
-    shapes = {(8, 64): 512, (32, 128): 512, (1024, 256): 64, (4096, 1024): 64, (2 ** 15, 16): 32,
-              (1, 1): 512, (8, 100): 512, (8, 300): 128, (2 ** 24, 16): 1}
+    at n = 64, 32 at n = 128), 128 for 1024 words at n = 256 and 64 for
+    4096 at n = 1024; past ``_BLOCK_ENTRIES`` entries it shrinks (32 trials
+    for 2^15 words, one for 2^24).  For 4 words at any n it is a power of
+    two in [64, 512] that, above 64, holds at most 2^17 entries of n."""
+    shapes = {(8, 64): 512, (32, 128): 512, (1024, 256): 128, (4096, 1024): 64, (2 ** 15, 16): 32,
+              (1, 1): 512, (8, 100): 512, (8, 300): 256, (2 ** 24, 16): 1}
     for (size, n), T in shapes.items():
         assert trial_block(size, n) == T, (size, n)
     for n in range(1, 3000, 7):
         T = trial_block(4, n)
-        assert T & (T - 1) == 0 and 64 <= T <= 512 and (T == 64 or T * n <= 2 ** 16)
+        assert T & (T - 1) == 0 and 64 <= T <= 512 and (T == 64 or T * n <= 2 ** 17)
 
 
 def test_few_rows_do_not_touch_the_whole_codebook(example_spec):

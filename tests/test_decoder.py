@@ -611,7 +611,8 @@ def test_pairs_forced_into_the_guard_band_follow_the_dense_rule(example_spec, mo
     are float32 (the coefficients are): exactly the typical words' pairs
     inside the band are recomputed from their words, up to those within the
     drawn band (the float32 form's error bound) of its edges; a band of 10
-    takes all of them."""
+    takes all of them.  Each such word is built once, however many of its
+    pairs are recomputed."""
     n, T = 32, 24
     cov = build_sigma(example_spec, n, dbw_to_watts(-10.0))
     assert cov.floor_dim > 0
@@ -644,7 +645,7 @@ def test_pairs_forced_into_the_guard_band_follow_the_dense_rule(example_spec, mo
     drawn = _guard_band(ctx, np.einsum("ij,ij->i", Y, Y), _adjoint_sq(ctx, Y), eta)
     built = []
     words = Codebook.words
-    monkeypatch.setattr(Codebook, "words", lambda self, rows: built.append(len(rows)) or words(self, rows))
+    monkeypatch.setattr(Codebook, "words", lambda self, rows: built.extend(rows) or words(self, rows))
     if band is not None:
         monkeypatch.setattr(decoder_mod, "_guard_band", lambda ctx, y_sq, b_sq, eta: np.full_like(y_sq, band))
     mask = _pass_mask(Y, params, ctx)
@@ -654,10 +655,12 @@ def test_pairs_forced_into_the_guard_band_follow_the_dense_rule(example_spec, mo
         # Within the drawn band of the forced band's edges the float32 form
         # may fall either side.
         edge = typical[:, None] & (np.abs(np.abs(W - eta) - band) <= drawn)
-        assert abs(sum(built) - inside.sum()) <= edge.sum()
+        assert len(built) == len(set(built))
+        sure, maybe = inside & ~edge, inside | edge
+        assert set(np.flatnonzero(sure.any(axis=1))) <= set(built) <= set(np.flatnonzero(maybe.any(axis=1)))
         assert 0 < inside.sum()
     if band == 10.0:
-        assert sum(built) == typical.sum() * T
+        assert built == np.flatnonzero(typical).tolist()
 
 
 def _float32_deviations(ctx, Y):
@@ -926,11 +929,11 @@ def test_counts_do_not_depend_on_block_or_threads(example_spec, monkeypatch):
     starts = []
 
     class Recorded(channel_sim.TrialBlocks):
-        def draw(self, start, X):
+        def draw(self, start, X, live=None):
             if not hasattr(self, "first"):
                 self.first = start
                 starts.append(self.first)
-            return super().draw(start, X)
+            return super().draw(start, X, live)
 
     monkeypatch.setattr(decoder_mod, "TrialBlocks", Recorded)
     kwargs = dict(n=16, R=0.25, P=1.0, trials=150, master_seed=8,
@@ -968,6 +971,42 @@ def test_experiment_byte_cap_at_its_edge(example_spec, monkeypatch):
         run_error_experiment(example_spec, n=n, R=R, P=1.0, trials=trials)
 
 
+@pytest.mark.parametrize("n, p_dbw", [(16, 400.0), (17, 400.0), (16, -10.0)])
+def test_all_in_band_blocks_build_each_word_once(example_spec, monkeypatch, n, p_dbw):
+    """At 400 dBW every guard band is infinite, so every typical word's
+    pair with every live trial is recomputed from its word: within each
+    block (64 trials a block, so 200 trials in four) the words
+    are built ascending, each distinct row once, and they are exactly the
+    rows that pass the input test; the counts equal the one-cell loop's.
+    The same holds at -10 dBW with the bands forced infinite, where the
+    words have a floor."""
+    P, R, seed, trials = dbw_to_watts(p_dbw), 0.5, 1, 200
+    params = default_params(decoder_mod._setup(example_spec, n, P)[1])
+    if p_dbw < 0.0:
+        monkeypatch.setattr(decoder_mod, "_guard_band", lambda ctx, y_sq, b_sq, eta: np.full_like(y_sq, np.inf))
+    blocks = []
+    words = Codebook.words
+    monkeypatch.setattr(Codebook, "words", lambda self, rows: blocks[-1].extend(rows) or words(self, rows))
+    monkeypatch.setattr(decoder_mod, "trial_block", lambda size, n: 64)
+
+    def recording(Y, params, ctx, x_ok):
+        blocks.append([])
+        return _pass_mask(Y, params, ctx, x_ok)
+
+    monkeypatch.setattr(decoder_mod, "_pass_mask", recording)
+    blocks.append([])  # sent_words' calls
+    res = run_error_experiment(example_spec, n=n, R=R, P=P, trials=trials, master_seed=seed)
+    book = gen_codebook(decoder_mod._setup(example_spec, n, P)[0], R, seed)
+    typical = np.flatnonzero(np.abs(book.q / n - 1.0) < params.epsilon)
+    assert 0 < len(typical) < book.size and (book.cov.floor_dim == 0) == (p_dbw > 0.0)
+    assert len(blocks) == 5
+    assert all(b == typical.tolist() for b in blocks[1:])
+    monkeypatch.setattr(Codebook, "words", words)
+    monkeypatch.setattr(decoder_mod, "_pass_mask", _pass_mask)
+    law = ChannelLaw(kind="iid_uniform")
+    assert [res.type1, res.type2, res.success] == _one_cell_counts(example_spec, n, R, P, seed, trials, law, params)
+
+
 def test_all_in_band_block_stays_within_decode_bytes(example_spec, monkeypatch):
     """At 400 dBW every guard band is infinite, so every pair of a block is
     scanned and each typical word's pair recomputed: the traced peak from
@@ -991,11 +1030,37 @@ def test_all_in_band_block_stays_within_decode_bytes(example_spec, monkeypatch):
     assert peak <= cap, (peak, cap)
 
 
+def test_default_n256_experiment_stays_within_decode_bytes(example_spec, monkeypatch):
+    """At the default config's n = 256 (-10 dBW, a quarter of ``C_LB1``,
+    1024 words, 500 trials) the trials are scored in 128-trial blocks: the
+    traced peak from ``gen_codebook`` to the last block stays within
+    ``decode_bytes``."""
+    n, trials, P = 256, 500, dbw_to_watts(-10.0)
+    R = 0.25 * bound_report(example_spec, P).C_LB1
+    draw = decoder_mod.gen_codebook
+
+    def traced(*args):
+        tracemalloc.start()
+        return draw(*args)
+
+    monkeypatch.setattr(decoder_mod, "gen_codebook", traced)
+    try:
+        res = run_error_experiment(example_spec, n, R, P, trials, master_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.type1 + res.type2 + res.success == trials
+    size = 2 ** math.ceil(n * R)
+    assert size == 1024 and trial_block(size, n) == 128
+    cap = decode_bytes(size, n, trials, example_spec.k)
+    assert peak <= cap, (peak, cap)
+
+
 def test_band_scan_in_slices_keeps_the_mask_and_the_chunks(example_spec, monkeypatch):
-    """Scanning the scores for in-band pairs 55 entries at a time, so that
-    the held pairs carry across slices, gives the mask of the default scan,
-    and recomputes the same pairs in the same order, in chunks of ``55 // m``
-    but the last."""
+    """Scanning the scores for in-band pairs 55 entries at a time (two
+    codewords of the 24 trials) gives the mask of the default scan, and
+    builds the same words in the same order, ascending and each once, at
+    most two a call where the default scan builds them in one."""
     n, T = 16, 24
     cov = build_sigma(example_spec, n, dbw_to_watts(400.0))
     book = gen_codebook(cov, 5 / n, 3)
@@ -1017,7 +1082,8 @@ def test_band_scan_in_slices_keeps_the_mask_and_the_chunks(example_spec, monkeyp
     assert np.array_equal(sliced, whole)
     assert len(whole_chunks) == 1 and len(chunks) > 2
     assert np.array_equal(np.concatenate(chunks), whole_chunks[0])
-    assert all(len(c) == 55 // joint.hc.m for c in chunks[:-1])
+    assert (np.diff(whole_chunks[0]) > 0).all()
+    assert all(len(c) <= 55 // T for c in chunks)
 
 
 def test_experiment_rejects_zero_trials(example_spec):
