@@ -19,10 +19,11 @@ radii, MESSAGE (3) trial ``index``'s message pick, FLOOR (4) the ``n``
 normals codeword ``index``'s floor direction is projected from, and
 ``verify.VERIFY_STREAM_BASE + s`` (16 + s) sample ``index`` of the verify
 suites that share suite ``s``'s instance (``verify`` says which).
-``TrialBlocks`` draws the trials' cells a block at a time and puts every
-law, the constant one included, through one tap loop (``_tap_row``),
-adding the tap terms onto the noise in ``transmit``'s order.  Tap arrays
-are tap-major too: row ``d`` of ``sample_taps`` holds tap ``d`` of every output.
+``TrialBlocks`` draws a block of trials' cells in one pass per stream and
+puts every law, the constant one included, through one tap loop
+(``_tap_row``), adding the tap terms onto the noise in ``transmit``'s
+order.  Tap arrays are tap-major too: row ``d`` of ``sample_taps`` holds
+tap ``d`` of every output.
 
 Trial ``t``'s message pick among ``size = 2**bits`` words is what
 ``rng_stream(seed, STREAM_MESSAGE, t).integers(size)`` returns, taken from
@@ -30,10 +31,11 @@ the cell's first raw 64-bit word ``w`` as ``(w & 0xffffffff) >> (32 -
 bits)``, which is 0 when ``size == 1``: for a power-of-two range
 numpy's ``integers`` is Lemire's multiply-shift on the low 32 bits of that
 word, which never rejects (Lemire, ACM TOMACS 2019).  ``message_picks``
-computes those first words without a generator per trial: Philox is
-counter-based, so each is Philox4x64-10 at the counter ``[1, t, 0, 0]``
-(a Philox steps counter word 0 before it fills its buffer), evaluated in
-numpy passes over ``_PICK_CHUNK`` trials at a time.
+computes those first words for trials ``0, ..., trials - 1`` without a
+generator per trial: Philox is counter-based, so each is Philox4x64-10 at
+the counter ``[1, t, 0, 0]`` (a Philox steps counter word 0 before it
+fills its buffer), evaluated in numpy passes over ``_PICK_CHUNK`` trials at
+a time.
 """
 
 from __future__ import annotations
@@ -105,12 +107,10 @@ _WORD_CHUNK = 64
 _DIRECT_ENTRIES = 1 << 16
 _DIRECT_BYTES = 64 * _DIRECT_ENTRIES
 # Most doubles one scratch chunk holds, so it stays in cache: the codebook's
-# rows while they are drawn or summed in float64, and (in bytes) TrialBlocks'
-# float32 uniforms.
+# rows while they are drawn or summed in float64.
 _DRAW_ENTRIES = 1 << 15
 # Trials whose message picks one Philox pass evaluates: its uint64 scratch,
-# at most 200 bytes a trial (about 160 traced), stays within the draw
-# chunk's 4 _DRAW_ENTRIES doubles that ``decode_bytes`` counts.
+# at most 200 bytes a trial (about 160 traced), is a term of ``decode_bytes``.
 _PICK_CHUNK = 1 << 12
 # A word's floor direction is projected off the support again while the
 # projection's input is more than this many times as long as its output.
@@ -481,25 +481,20 @@ class Codebook:
     def words(self, rows) -> np.ndarray:
         """The words ``U s + x_f`` of ``rows``, one per row index: the
         gathered rows of ``S``, widened to float64, through the half bases
-        (``HalfBasis.apply``), plus each distinct row's floor, built once
-        per call.  Strictly ascending ``rows``, as ``sent_words`` passes,
-        are their own distinct rows, so they are neither sorted nor
-        gathered again."""
+        (``HalfBasis.apply``), plus each row's floor, built from its own
+        cell, so a repeated row builds its floor again."""
         rows = np.asarray(rows)
         X = self.cov.halves.apply(self.S[rows].astype(float))
         if self.cov.floor_dim:
-            distinct, inv = rows, None
-            if (rows[1:] <= rows[:-1]).any():
-                distinct, inv = np.unique(rows, return_inverse=True)
-            V = np.empty((len(distinct), self.n))
+            V = np.empty((len(rows), self.n))
             cells = _Cells(self.seed, STREAM_FLOOR)
             at, normal = cells.at, cells.gen.standard_normal
-            for i, v in zip(distinct.tolist(), V):
+            for i, v in zip(rows.tolist(), V):
                 at(i)
                 normal(out=v)
             _project_off(self.cov.halves, V)
-            V *= np.sqrt(POWER_FLOOR * self.q_floor[distinct] / _row_sq(V))[:, None]
-            X += V if inv is None else V[inv]
+            V *= np.sqrt(POWER_FLOOR * self.q_floor[rows] / _row_sq(V))[:, None]
+            X += V
         return X
 
     @cached_property
@@ -534,28 +529,26 @@ def decode_bytes(size: int, n: int, trials: int = 0, k: int = 0) -> int:
     cap refuses before it; three float64 per-word statistics (input
     statistic, floor radius, energy) and one float32 (the score's per-word
     term); the held sent words, ``min(trials, size)`` rows of ``n``, and
-    message picks, 4 bytes a trial (``sent_words``), whose scratch, a
-    ``_PICK_CHUNK`` pass at a time, is held before any block and within a
-    block's draw chunk; and the
-    larger of two scratches that never coexist: a chunk of ``_WORD_CHUNK``
-    sent words being built, five rows of ``n`` a word (floor draw,
-    projection, half bases' products), or a block of ``T = trial_block(size,
-    n)`` trials: the received vectors, noise drawn into them, and three rows
-    of ``n`` a trial (sent word, ``Hc'y``, its support coefficients; a
-    draw with settled trials copies each chunk's live noise rows to the
-    front of the block before the other two are formed), float32 scores,
-    4 bytes a ``(size, T)`` entry, boolean masks at most 4 more, and the
-    draw chunk's float32 uniforms, their block_hold repeat and float64 tap
-    rows, ``8 ((k + 1)(n + k) + n)`` bytes a trial and at most ``4
-    _DRAW_ENTRIES`` doubles unless one trial takes more; and besides the
+    message picks, 4 bytes a trial (``sent_words``); and the largest of
+    three scratches that never coexist: one ``_PICK_CHUNK`` pass of the
+    picks, 200 bytes a trial; a chunk of ``_WORD_CHUNK`` sent words being
+    built, five rows of ``n`` a word (floor draw, projection, half bases'
+    products); or a block of ``T = trial_block(size, n)`` trials: the
+    received vectors, noise drawn into them, three rows of ``n`` a trial
+    (sent word, ``Hc'y``, its support coefficients), float32 scores, 4
+    bytes a ``(size, T)`` entry, boolean masks at most 4 more, and the
+    draw's scratch, ``8 ((k + 1)(m + 1) + n + m)`` bytes a trial for ``m =
+    n + k``: the float32 uniforms and their live gather or block_hold
+    repeat (a hold of 2 repeats an odd ``m`` to ``m + 1``), the float64 tap
+    row and the live trials' copy of the received vectors.  Besides the
     block, what picks and recomputes the pairs inside the guard band,
     ``_DIRECT_BYTES``."""
     T, m = trial_block(size, n), n + k
     rows = min(trials, size)
-    draw = 8 * max(4 * _DRAW_ENTRIES, (k + 1) * m + n)
-    block = 8 * T * (m + 3 * n) + draw
+    draw = 8 * ((k + 1) * (m + 1) + n + m)
+    block = T * (8 * (m + 3 * n) + draw)
     return (4 * size * (n + 7 + 2 * T) + 8 * ((n * n + 1) // 2 + rows * n) + 4 * trials
-            + max(block, 40 * n * _WORD_CHUNK) + _DIRECT_BYTES)
+            + max(block, 40 * n * _WORD_CHUNK, 200 * _PICK_CHUNK) + _DIRECT_BYTES)
 
 
 def codebook_size(n: int, R: float, trials: int = 0, k: int = 0) -> int:
@@ -650,33 +643,18 @@ def _philox_first_words(key: tuple[int, int], t: np.ndarray) -> np.ndarray:
     return A[0]
 
 
-def message_picks(master_seed: int, ts, size: int) -> np.ndarray:
-    """Message picks of trials ``ts`` (a range, or a 1-d integer array; a
-    list is read by ``np.asarray``) among ``size`` words, as ``uint32``: bit for bit
-    ``rng_stream(master_seed, STREAM_MESSAGE, t).integers(size)``, from
-    each cell's first raw word (see the module docstring).  As there, an
-    index that is no integer in ``[0, 2**64)`` is refused, from the range's
-    ends or the array's dtype and minimum."""
+def message_picks(master_seed: int, trials: int, size: int) -> np.ndarray:
+    """Message picks of trials ``0, ..., trials - 1`` among ``size`` words,
+    as ``uint32``: bit for bit ``rng_stream(master_seed, STREAM_MESSAGE,
+    t).integers(size)``, from each cell's first raw word (see the module
+    docstring), in passes of ``_PICK_CHUNK`` trials."""
     bits = size.bit_length() - 1
     if size != 1 << bits:
         raise ValueError(f"codebook size must be a power of two, got {size}")
-    if isinstance(ts, range):
-        bad = any(not 0 <= t < 1 << 64 for t in (*ts[:1], *ts[-1:]))
-    else:
-        ts = np.asarray(ts)
-        bad = ts.ndim != 1 or ts.size and (ts.dtype.kind not in "iu" or ts.min() < 0)
-    if bad:
-        raise ValueError(f"trial indices must be integers in [0, 2**64), got {ts!r:.80}")
     key = _stream_key(master_seed, STREAM_MESSAGE)
-    out = np.empty(len(ts), dtype=np.uint32)
-    for lo in range(0, len(ts), _PICK_CHUNK):
-        part = ts[lo:lo + _PICK_CHUNK]
-        if isinstance(part, range):  # start + i step mod 2**64, exact: each entry is in [0, 2**64)
-            t = np.arange(len(part), dtype=np.uint64)
-            t *= part.step % (1 << 64)
-            t += part.start
-        else:
-            t = part.astype(np.uint64, copy=False)
+    out = np.empty(trials, dtype=np.uint32)
+    for lo in range(0, trials, _PICK_CHUNK):
+        t = np.arange(lo, min(lo + _PICK_CHUNK, trials), dtype=np.uint64)
         raw = _philox_first_words(key, t)
         raw &= 0xFFFFFFFF
         raw >>= 32 - bits
@@ -689,8 +667,9 @@ def sent_words(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``msgs`` that ``keep`` (a boolean per codeword,
     all of them when ``None``) keeps, ascending, and their words, each
-    built once through ``book.words`` on chunks of ``_WORD_CHUNK`` of those
-    rows, so a word's bits depend only on the set of rows; the words of
+    built once (``book.words`` builds what it is given, repeats included)
+    on chunks of ``_WORD_CHUNK`` of those rows, so a word's bits depend
+    only on the set of rows; the words of
     the trials whose rows were kept are ``X[np.searchsorted(rows,
     msgs[kept])]``, one gather.  ``pool_map`` runs the chunks (a thread
     pool's ``map`` builds them concurrently)."""
@@ -734,28 +713,22 @@ class TrialBlocks:
     draws are read all the same, so each stream stays at its position).
     One reader per stream (``_Cells.fill``) reads runs that start a cell or
     continue the last run, so a run costs one float32 ``random`` and one
-    ``standard_normal`` call per draw chunk and cell, and a new cell one
-    state set.  The received vectors start as the noise, drawn straight
-    into them; for each tap ``d`` one float64 row per trial takes the tap's
-    values (``_tap_row``), is multiplied by the shifted words and added on.
-    The constant law goes through the same loop, its offsets one read-only
-    row broadcast over the trials.  No tap array is formed: uniforms and tap
-    rows are one chunk's scratch."""
+    ``standard_normal`` call per cell, and a new cell one state set.  The
+    received vectors start as the noise, drawn straight into them; for each
+    tap ``d`` one float64 row per trial takes the tap's values
+    (``_tap_row``), is multiplied by the shifted words and added on.  The
+    constant law goes through the same loop, its offsets one read-only row
+    broadcast over the trials.  No tap array is formed: the run's uniforms
+    and tap rows are the draw's scratch."""
 
     def __init__(self, spec: ChannelSpec, n: int, law: ChannelLaw, master_seed: int) -> None:
         self.spec, self.law, self.n, self.m = spec, law, n, n + spec.k
-        # A chunk is at most the largest decoder block, and keeps its float32
-        # uniforms within the bytes of _DRAW_ENTRIES doubles unless one trial
-        # is more.
-        chunk = max(1, min(_MAX_BLOCK, 2 * _DRAW_ENTRIES // ((spec.k + 1) * self.m)))
-        self._row = np.empty((chunk, n))
         self._noise = _Cells(master_seed, STREAM_NOISE)
         self._normal = self._noise.gen.standard_normal
         if law.kind == "constant":
             check_law(spec, law)
             self._offsets = np.broadcast_to(np.array(law.offset)[:, None], (1, spec.k + 1, self.m))
         else:
-            self._u = np.empty((chunk, spec.k + 1, _draw_rows(self.m, law)), dtype=np.float32)
             self._channel = _Cells(master_seed, STREAM_CHANNEL)
             self._uniform = partial(self._channel.gen.random, dtype=np.float32)
 
@@ -764,12 +737,11 @@ class TrialBlocks:
         ``start + 1``, ..., one row of ``m`` for each sent word, a row of
         ``X``: ``live`` marks the run's trials that are sent and received
         (all ``len(X)`` of them when ``None``), one row of ``X`` for each
-        in order.  Every trial of the run draws its noise and uniforms, so
-        each stream keeps its position, but only the live ones get tap
-        terms: each chunk's live noise rows are moved to the front of the
-        block, in order, before the taps are added onto them, and the
-        result is those first rows.  ``start`` must start a cell or
-        continue the last run (``_Cells.fill``)."""
+        in order.  Every trial of the run draws its noise and uniforms, in
+        one pass, so each stream keeps its position; the live trials' rows
+        of both are then selected once, and only they get tap terms.
+        ``start`` must start a cell or continue the last run
+        (``_Cells.fill``)."""
         start = operator.index(start)
         if start < 0:
             raise ValueError(f"trial indices must be non-negative integers, got {start}")
@@ -779,25 +751,20 @@ class TrialBlocks:
             live = np.ones(len(X), dtype=bool)
         elif np.count_nonzero(live) != len(X):
             raise DimensionMismatch(f"{np.count_nonzero(live)} live trials, but {len(X)} words")
-        n, spec, chunk = self.n, self.spec, len(self._row)
+        n, spec, every = self.n, self.spec, live.all()
         Y = np.empty((len(live), self.m))
-        j = 0  # live rows so far, at the front of Y
-        for lo in range(0, len(live), chunk):
-            y, sel = Y[lo:lo + chunk], live[lo:lo + chunk]
-            self._noise.fill(self._normal, start + lo, y)
-            if self.law.kind == "constant":
-                v = self._offsets
-            else:
-                u = self._u[:len(y)]
-                self._channel.fill(self._uniform, start + lo, u)
-                v = _unit_offsets(u if sel.all() else u[sel], self.law, self.m)
-            if j < lo or not sel.all():
-                y = Y[j:j + np.count_nonzero(sel)]
-                y[...] = Y[lo:lo + chunk][sel]
-            x, row = X[j:j + len(y)], self._row[:len(y)]
-            for d in range(spec.k + 1):
-                _tap_row(v[:, d, d:d + n], spec.c[d], spec.r[d], row)
-                row *= x
-                y[:, d:d + n] += row
-            j += len(y)
-        return Y[:j]
+        self._noise.fill(self._normal, start, Y)
+        if self.law.kind == "constant":
+            v = self._offsets
+        else:
+            u = np.empty((len(live), spec.k + 1, _draw_rows(self.m, self.law)), dtype=np.float32)
+            self._channel.fill(self._uniform, start, u)
+            v = _unit_offsets(u if every else u[live], self.law, self.m)
+        if not every:
+            Y = Y[live]
+        row = np.empty((len(X), n))
+        for d in range(spec.k + 1):
+            _tap_row(v[:, d, d:d + n], spec.c[d], spec.r[d], row)
+            row *= X
+            Y[:, d:d + n] += row
+        return Y

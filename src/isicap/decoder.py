@@ -620,7 +620,7 @@ def run_error_experiment(
     ctx = prepare_context(book, joint)
     x_ok = _input_typical(book, params)
     block = trial_block(book.size, n)
-    msgs = message_picks(master_seed, range(trials), book.size)
+    msgs = message_picks(master_seed, trials, book.size)
     cols = np.arange(block)
 
     def run_block(draws: TrialBlocks, start: int, sent: np.ndarray) -> tuple[int, int, int]:

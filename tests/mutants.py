@@ -308,10 +308,20 @@ MUTANTS = (
     Mutant(
         "live mask ignored in TrialBlocks.draw's tap terms",
         "channel_sim.py",
-        "u if sel.all() else u[sel]",
-        "u[:np.count_nonzero(sel)]",
+        "u if every else u[live]",
+        "u[:len(X)]",
         (
-            "tests/test_channel_sim.py::test_trial_blocks_match_one_cell_path[iid-32768]",
+            "tests/test_channel_sim.py::test_trial_blocks_match_one_cell_path[iid]",
+            "tests/test_decoder.py::test_settled_trials_skip_the_decoder[4-0.15]",
+        ),
+    ),
+    Mutant(
+        "TrialBlocks.draw keeps the first rows of the noise, not the live ones",
+        "channel_sim.py",
+        "            Y = Y[live]\n",
+        "            Y = Y[:len(X)]\n",
+        (
+            "tests/test_channel_sim.py::test_trial_blocks_match_one_cell_path[constant]",
             "tests/test_decoder.py::test_settled_trials_skip_the_decoder[4-0.15]",
         ),
     ),
@@ -325,8 +335,19 @@ MUTANTS = (
     Mutant(
         "each message-pick pass restarts at the first trial",
         "channel_sim.py",
-        "            t += part.start\n",
-        "            t += ts.start\n",
+        "np.arange(lo, min(lo + _PICK_CHUNK, trials), dtype=np.uint64)",
+        "np.arange(0, min(lo + _PICK_CHUNK, trials) - lo, dtype=np.uint64)",
         ("tests/test_channel_sim.py::test_message_picks_hold_four_bytes_a_trial",),
+    ),
+    # The cell reader: a cell's first trial restarts the cell.
+    Mutant(
+        "a cell's first trial continues the last run instead of calling at",
+        "channel_sim.py",
+        "            if not i:\n",
+        "            if not t:\n",
+        (
+            "tests/test_channel_sim.py::test_one_reader_moved_in_any_order_draws_fresh_cells",
+            "tests/test_channel_sim.py::test_trial_blocks_match_one_cell_path[iid]",
+        ),
     ),
 )

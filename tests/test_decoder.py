@@ -355,7 +355,7 @@ def test_experiment_masks_on_degenerate_halves(example_spec, monkeypatch, n, R, 
                                threads=2)
     assert res.type1 + res.type2 + res.success == 70
     book = seen[0][2].book
-    live = np.abs(book.q / n - 1.0)[message_picks(1, range(70), book.size)] < params.epsilon
+    live = np.abs(book.q / n - 1.0)[message_picks(1, 70, book.size)] < params.epsilon
     assert 0 < live.sum() < 70 or n > 3
     assert sum(len(Y) for Y, *_ in seen) == live.sum()
     cov = book.cov
@@ -1322,7 +1322,7 @@ def test_pass_count_matches_the_exact_codebook_conditional_mean(example_spec):
     book = gen_codebook(cov, bound_report(spec, P).C0 / 4.0, seed)
     assert book.size == 8
     ctx = prepare_context(book, build_joint(cov, build_Hc(spec, n)))
-    msgs = channel_sim.message_picks(seed, range(trials), book.size)
+    msgs = channel_sim.message_picks(seed, trials, book.size)
     draws = channel_sim.TrialBlocks(spec, n, ChannelLaw(kind="iid_uniform"), seed)
     Y = draws.draw(0, book.words(msgs))
     counts = np.count_nonzero(_pass_mask(Y, params, ctx), axis=0)
@@ -1446,7 +1446,7 @@ def test_settled_trials_skip_the_decoder(example_spec, monkeypatch, block, epsil
     params = TypicalParams(epsilon=epsilon, eta=0.3)
     counts = _one_cell_counts(example_spec, n, R, P, seed, trials, law, params)
     book = gen_codebook(build_sigma(example_spec, n, P, "waterfill_gram"), R, seed)
-    msgs = message_picks(seed, range(trials), book.size)
+    msgs = message_picks(seed, trials, book.size)
     live = (np.abs(book.q / n - 1.0) < epsilon)[msgs]
     per_block = [int(live[lo:lo + block].sum()) for lo in range(0, trials, block)]
     want = sorted(c for c in per_block if c)
