@@ -5,6 +5,7 @@
 Each mutant is applied to its own copy of ``src/isicap`` in a temporary
 directory, and only its tests run, with ``-x`` and ``PYTHONPATH`` pointing
 at the copy: the mutant is killed when one of them fails (pytest exits 1).
+The mutants run one per core at a time, each in its own process.
 Before that, every snippet must occur exactly once in its module, every
 test id must exist, and every named test must pass on an unchanged copy.
 Exits 0 when every mutant is killed and 1 otherwise, naming each stale
@@ -20,6 +21,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,12 +86,16 @@ def main() -> int:
         if done.returncode != 0:
             print(f"the named tests fail on the unchanged package:\n{done.stdout[-3000:]}")
             return 1
-        for i, m in enumerate(MUTANTS):
+
+        def attempt(i: int, m) -> tuple:
             where = Path(tmp) / f"m{i}"
             copy_package(where, m)
             t0 = time.perf_counter()
-            done = run_pytest(where, ["-x", *m.tests])
-            took = time.perf_counter() - t0
+            return run_pytest(where, ["-x", *m.tests]), time.perf_counter() - t0
+
+        with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+            results = list(pool.map(attempt, range(len(MUTANTS)), MUTANTS))
+        for m, (done, took) in zip(MUTANTS, results):
             if done.returncode == 1:
                 first = next((line for line in done.stdout.splitlines() if line.startswith("FAILED")), "")
                 print(f"killed    {m.name} ({took:.1f} s): {first[len('FAILED '):]:.100}")

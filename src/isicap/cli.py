@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch, IsicapError
 from .spectrum import DEFAULT_GRID, ChannelSpec, check_grid_size, compute_profile
 from .waterfill import bound_grid, bound_report, dbw_to_watts, pillow_grid, watts_to_dbw
-from .channel_sim import ChannelLaw, check_law
+from .channel_sim import ChannelLaw, _shared_draws, check_law
 from .decoder import run_error_experiment
 from .verify import verify_report
 
@@ -358,7 +358,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     trials = _number(section["trials"], "simulate.trials", integer=True)
     law = _law_from(_object(section.get("law", {}), "simulate.law"), cfg.spec)
     if section.get("rate_bits") is not None:
-        rate = _number(section["rate_bits"], "simulate.rate_bits")
+        rate = _number(section["rate_bits"], "simulate.rate_bits") + 0.0  # + 0.0: no -0.0 in R_bits
     else:
         fraction = _number(section.get("rate_fraction", 0.25), "simulate.rate_fraction")
         c_lb1 = bound_report(cfg.spec, p_w, cfg.grid_size).C_LB1
@@ -370,21 +370,24 @@ def cmd_simulate(cfg: RunConfig) -> int:
                 f"derived rate {rate:.4g} is not positive at {p_dbw} dBW; give rate_bits"
             )
     rows = []
-    for n in n_list:
-        res = run_error_experiment(
-            cfg.spec,
-            n=n,
-            R=rate,
-            P=p_w,
-            trials=trials,
-            master_seed=cfg.seed,
-            law=law,
-            threads=cfg.threads,
-        )
-        rows.append(
-            (n, rate, p_dbw, trials, res.type1, res.type2, res.success,
-             res.wilson_lo, res.wilson_hi, p_w)
-        )
+    # Two or more block lengths read nested prefixes of the same cells: each
+    # is drawn once for the command (channel_sim._shared_draws).
+    with _shared_draws(n_list) as entries:
+        for n in entries:
+            res = run_error_experiment(
+                cfg.spec,
+                n=n,
+                R=rate,
+                P=p_w,
+                trials=trials,
+                master_seed=cfg.seed,
+                law=law,
+                threads=cfg.threads,
+            )
+            rows.append(
+                (n, rate, p_dbw, trials, res.type1, res.type2, res.success,
+                 res.wilson_lo, res.wilson_hi, p_w)
+            )
     _write_csv(cfg, SIMULATE_HEADER, [_cells(col) for col in zip(*rows)])
     return EXIT_OK
 

@@ -28,6 +28,8 @@ _PENCIL = "tests/test_verify.py::test_pencil_matches_numpy_oracle"
 _BAND_PENCIL = "tests/test_verify.py::test_band_builders_match_dense_products"
 _WEYL = "tests/test_verify.py::test_weyl_norm_matches_numpy_on_band_and_dense"
 _ADAPTERS = "tests/test_waterfill.py::test_adapters_refuse_a_record_of_another_grid_or_channel"
+_SHARED = "tests/test_channel_sim.py::test_shared_prefixes_draw_the_same_bits"
+_ROOTS = "tests/test_spectrum.py::test_root_basis_matches_band_oracle"
 
 MUTANTS = (
     # The band products of BandedChannelMatrix, against the entrywise dense oracle.
@@ -349,5 +351,64 @@ MUTANTS = (
             "tests/test_channel_sim.py::test_one_reader_moved_in_any_order_draws_fresh_cells",
             "tests/test_channel_sim.py::test_trial_blocks_match_one_cell_path[iid]",
         ),
+    ),
+    # One draw per cell per command: block lengths read nested prefixes.
+    Mutant(
+        "a run copies the kept prefix one trial short",
+        "channel_sim.py",
+        "flat[:L - a] = vals[a:]",
+        "flat[:L - a - run[0].size] = vals[a:L - run[0].size]",
+        (
+            f"{_SHARED}[iid-512-kept]",
+            "tests/test_cli.py::test_simulate_rows_equal_each_block_length_alone[iid-1]",
+        ),
+    ),
+    Mutant(
+        "saved state not restored before extending a kept prefix",
+        "channel_sim.py",
+        "            if L:\n                self.bits.state = state\n            else:\n                self.at(cell)\n",
+        "            if not L:\n                self.at(cell)\n",
+        (
+            f"{_SHARED}[iid-512-kept]",
+            "tests/test_cli.py::test_simulate_rows_equal_each_block_length_alone[words15-widest-1]",
+        ),
+    ),
+    Mutant(
+        "kept pick words keyed without the trial count",
+        "channel_sim.py",
+        "key = (master_seed, trials)",
+        "key = master_seed",
+        ("tests/test_channel_sim.py::test_shared_pick_words_are_kept_per_seed_and_trials",),
+    ),
+    # The root route's checks recorded when it was written.
+    Mutant(
+        "ghost rows without their reflected term",
+        "spectrum.py",
+        "    return (np.exp(-zeta[:, :, None] * (kp - j)) + far).transpose(0, 2, 1)",
+        "    return np.exp(-zeta[:, :, None] * (kp - j)).transpose(0, 2, 1)",
+        (f"{_ROOTS}[c=0.41,-0.36,-0.10-3]", f"{_ROOTS}[c=0.41,-0.36,-0.10-255]"),
+    ),
+    Mutant(
+        "middle column of the symmetric half band without its sqrt(2)",
+        "spectrum.py",
+        "sym[:-1, h] *= math.sqrt(2.0)",
+        "sym[:-1, h] *= 1.0",
+        ("tests/test_spectrum.py::test_gram_eigh_matches_dense_gram[3-1]",
+         "tests/test_spectrum.py::test_gram_eigenvalues_match_dense"),
+    ),
+    Mutant(
+        "gram_fit's bound without its rounding allowance",
+        "spectrum.py",
+        "        return gain, math.sqrt(sq) + rounding",
+        "        return gain, math.sqrt(sq)",
+        ("tests/test_spectrum.py::test_gram_fit_bounds_the_exact_residual[1]",
+         "tests/test_spectrum.py::test_gram_fit_bounds_the_exact_residual[2]"),
+    ),
+    Mutant(
+        "energy_err without the floor energy",
+        "decoder.py",
+        "(omega + (n + 1) * eps) * lam_max) + floor_energy",
+        "(omega + (n + 1) * eps) * lam_max)",
+        ("tests/test_decoder.py::test_guard_band_constants_count_the_half_bases",),
     ),
 )

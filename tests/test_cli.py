@@ -1,10 +1,11 @@
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from isicap import cli, decoder, spectrum, waterfill
+from isicap import channel_sim, cli, decoder, spectrum, waterfill
 from isicap.cli import (
     BOUNDS_HEADER,
     EXIT_CONFIG,
@@ -886,3 +887,89 @@ def test_simulate_block_longer_than_the_outputs(tmp_path):
         outs.append(tmp_path / f"hold{i}.csv")
         assert main(["simulate", "--config", cfg, "--out", str(outs[-1]), "--threads", "1"]) == EXIT_OK
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_simulate_negative_zero_rate_prints_zero(tmp_path):
+    """A ``rate_bits`` of ``-0.0`` is the rate 0 (one word), printed
+    ``0.0`` as figure1 prints its zeros, not ``-0.0``."""
+    cfg = _write_config(tmp_path, {"simulate": {"n_list": [16], "rate_bits": -0.0, "trials": 10}})
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", "1"]) == EXIT_OK
+    _, header, rows = _read_csv(out)
+    assert [r[header.index("R_bits")] for r in rows] == ["0.0"]
+
+
+_MULTI_N = [128, 32, 256, 32, 64]
+_SHARED_CONFIGS = {
+    "iid": {"n_list": _MULTI_N, "trials": 150},
+    "hold3": {"n_list": _MULTI_N, "trials": 150, "law": {"kind": "block_hold", "block_len": 3}},
+    "constant": {"n_list": _MULTI_N, "trials": 150, "law": {"kind": "constant", "offset": [1.0, -1.0, 0.5]}},
+    # 2^15 words at n = 16: 32-trial blocks, two runs a cell; the widest
+    # entry, then narrower than n = 17 (2^16 words, 16-trial blocks)
+    "words15-widest": {"n_list": [8, 16], "rate_bits": 0.9375, "trials": 100},
+    "words15-narrower": {"n_list": [16, 17, 8], "rate_bits": 0.9375, "trials": 100},
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("name", list(_SHARED_CONFIGS))
+def test_simulate_rows_equal_each_block_length_alone(tmp_path, name, threads):
+    """Every row of a command over several block lengths, which shares
+    their draws, equals the row of the command at that length alone: under
+    the iid, block_hold and constant laws, for an unsorted list with a
+    repeat, and with a 2^15-word entry as the widest and as a narrower one,
+    at 1, 2 and 3 threads."""
+    section = _SHARED_CONFIGS[name]
+    out = tmp_path / "all.csv"
+    argv = ["simulate", "--seed", "1", "--threads", threads]
+    assert main([*argv, "--config", _write_config(tmp_path, {"simulate": section}),
+                 "--out", str(out)]) == EXIT_OK
+    _, _, rows = _read_csv(out)
+    assert [int(r[0]) for r in rows] == section["n_list"]
+    for n, row in zip(section["n_list"], rows):
+        alone = tmp_path / f"n{n}.csv"
+        cfg = _write_config(tmp_path, {"simulate": {**section, "n_list": [n]}}, name=f"n{n}.json")
+        assert main([*argv, "--config", cfg, "--out", str(alone)]) == EXIT_OK
+        assert _read_csv(alone)[2] == [row], n
+
+
+def test_shared_store_stays_within_its_cap_and_goes_with_the_command(tmp_path, monkeypatch, capsys):
+    """Between the entries of a command over several block lengths the
+    traced memory it holds, the set-up cache emptied, stays within the
+    store's cap (set to 300 kB, under the 1.3 MB this command keeps
+    uncapped), and the store holds something; after the command the store
+    is gone, also when a later entry is refused (2^26 words at n = 256)."""
+    monkeypatch.setattr(channel_sim, "_SHARED_BYTES", 300_000)
+    run = cli.run_error_experiment
+    held, stores, base = [], [], 0
+
+    def traced(*args, **kwargs):
+        res = run(*args, **kwargs)
+        decoder._setup.cache_clear()
+        held.append(tracemalloc.get_traced_memory()[0] - base)
+        stores.append(weakref.ref(channel_sim._shared))
+        return res
+
+    monkeypatch.setattr(cli, "run_error_experiment", traced)
+    cfg = _write_config(tmp_path, {"simulate": {"n_list": [64, 128, 256, 64], "rate_bits": 0.05}})
+    refused = _write_config(tmp_path, {"simulate": {"n_list": [64, 128, 256], "rate_bits": 0.1}}, "refused.json")
+    # a first command fills the package's small caches, so what the second holds is its own
+    main(["simulate", "--config", cfg, "--seed", "9", "--threads", "1", "--out", str(tmp_path / "warm.csv")])
+    decoder._setup.cache_clear()
+    held.clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(["simulate", "--config", cfg, "--seed", "1", "--threads", "1",
+                     "--out", str(tmp_path / "a.csv")]) == EXIT_OK
+        after = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 4 and 100_000 < max(held) <= 300_000 + 20_000, held
+    assert after < 20_000 and channel_sim._shared is None
+    assert all(ref() is None for ref in stores)
+    stores.clear()
+    rc = main(["simulate", "--config", refused, "--seed", "1", "--threads", "1", "--out", str(tmp_path / "b.csv")])
+    assert rc == EXIT_CONFIG and len(stores) == 2
+    assert "2**26 codewords exceed the exhaustive-decoding cap 2**24" in capsys.readouterr().err
+    assert channel_sim._shared is None and all(ref() is None for ref in stores)
