@@ -8,13 +8,12 @@ and results do not depend on scheduling order.  One reader, ``_Cells``,
 puts every Philox here at its cell (``at``) and reads trials laid out
 ``_TRIAL_CELL`` to a cell in runs that start a cell or continue the last
 (``fill``); ``rng_stream`` is a new reader at one cell.  A ``simulate``
-command over several block lengths reads each trial cell's values once,
-the shorter lengths' draws being prefixes of the longer's
-(``_shared_draws``).  Streams: CHANNEL
-(0) and NOISE (1) the taps and noise of the ``_TRIAL_CELL`` trials
-``index * _TRIAL_CELL`` onwards, in trial order:
-trial ``t`` reads its draws after those of the ``t % _TRIAL_CELL`` trials
-before it in cell ``t // _TRIAL_CELL``, ``k + 1`` rows of float32
+command over several block lengths runs the widest first, which draws each
+trial cell's values once and keeps the prefix the narrower lengths read
+(``_shared_draws``).  Streams: CHANNEL (0) and NOISE (1) the taps and noise
+of the ``_TRIAL_CELL`` trials ``index * _TRIAL_CELL`` onwards, in trial
+order: trial ``t`` reads its draws after those of the ``t % _TRIAL_CELL``
+trials before it in cell ``t // _TRIAL_CELL``, ``k + 1`` rows of float32
 uniforms, tap-major (one row per tap, ``_draw_rows`` long; one 32-bit half
 of a Philox word per value), and ``n + k`` normals.  CODEBOOK (2, index 0)
 holds the codebook's Gaussians on the water-filled support, then its floor
@@ -117,11 +116,8 @@ _DRAW_ENTRIES = 1 << 15
 # Trials whose message picks one Philox pass evaluates: its uint64 scratch,
 # at most 200 bytes a trial (about 160 traced), is a term of ``decode_bytes``.
 _PICK_CHUNK = 1 << 12
-# Bytes one command's shared prefixes, their saved Philox states (counted
-# at _STATE_BYTES each, about 660 traced) and kept pick words may hold
-# (``_shared_draws``).
+# Bytes one command's kept cells and pick words may hold (``_shared_draws``).
 _SHARED_BYTES = 32 << 20
-_STATE_BYTES = 1 << 10
 # A word's floor direction is projected off the support again while the
 # projection's input is more than this many times as long as its output.
 FLOOR_REPROJECT = 1024.0
@@ -152,17 +148,15 @@ _PHILOX_STATE = {k: v.tolist() if isinstance(v, np.ndarray) else v
 
 class _Shared:
     """What one ``simulate`` command's block lengths share (see
-    ``_shared_draws``): per cell ``(seed, stream, index)`` a flat prefix of
-    its values, as ``TrialBlocks`` reads them, with the Philox state after
-    it; per ``(seed, trials)`` the low 32 bits of the message cells' first
-    words.  ``later`` is the largest block length an entry after the
-    running one reads, 0 at the last.  Values and states count against
-    ``_SHARED_BYTES`` (``reserve``)."""
+    ``_shared_draws``): per cell ``(seed, stream, index)`` the values the
+    widest reader, ``reader``, reads, written as the widest length draws
+    them; per ``(seed, trials)`` the low 32 bits of the message cells' first
+    words.  Kept arrays count against ``_SHARED_BYTES`` (``reserve``)."""
 
-    def __init__(self) -> None:
+    def __init__(self, reader: int) -> None:
+        self.reader = reader
         self.cells: dict = {}
         self.picks: dict = {}
-        self.later = 0
         self._held = 0
         self._lock = threading.Lock()
 
@@ -181,35 +175,31 @@ _shared: Optional[_Shared] = None  # the open command's store, if any
 
 @contextmanager
 def _shared_draws(n_list):
-    """The block lengths ``n_list`` of one ``simulate`` command, to run in
-    order, with a ``_Shared`` store open while they run when they hold two
-    distinct lengths or more.
+    """The distinct block lengths of ``n_list``, one ``simulate`` command's,
+    the widest first and the rest ascending, with a ``_Shared`` store open
+    while they run when there are two or more.
 
-    A cell's values do not depend on the width a reader takes per trial,
-    so block length ``n`` reads a flat prefix of the values a wider one
-    reads, and trial ``t``'s message cell is the same at every length.
-    While the store is open, each ``TrialBlocks`` run copies what the
-    store holds of its cells, puts the Philox at the state saved after it
-    and draws the rest, and keeps its cells' prefixes, with the state after
-    them, up to ``_TRIAL_CELL`` trials at the widest width a later entry
-    reads; ``message_picks`` shifts the kept first words.  The values are
-    the same bits either way.  Past ``_SHARED_BYTES`` a cell is drawn and
-    not kept.  The store is dropped when the command ends, however it
-    ends."""
+    Philox is counter-based, so a cell's values do not depend on the width
+    a reader takes per trial: block length ``n`` reads a flat prefix of the
+    values a wider one reads, and trial ``t``'s message cell is the same at
+    every length.  While the store is open, the widest length draws as with
+    no store and, at each cell's first trial, reserves one array of
+    ``_TRIAL_CELL`` trials at the widest reader's width, the last length's,
+    into which it copies what its runs draw of it; every narrower length
+    copies its runs out of that array, and the last one frees each cell it
+    has read to the end.  ``message_picks`` keeps its first words once per
+    ``(master_seed, trials)``.  The values are the same bits either way.
+    Past ``_SHARED_BYTES`` a cell is not kept, and each length draws it.
+    The store is dropped when the command ends, however it ends."""
     global _shared
-    if len(set(n_list)) < 2:
-        yield iter(n_list)
+    lengths = sorted(set(n_list))
+    lengths = lengths[-1:] + lengths[:-1]
+    if len(lengths) < 2:
+        yield lengths
         return
-    store = _Shared()
-
-    def entries():
-        for i, n in enumerate(n_list):
-            store.later = max(n_list[i + 1:], default=0)
-            yield n
-
-    _shared = store
+    _shared = _Shared(lengths[-1])
     try:
-        yield entries()
+        yield lengths
     finally:
         _shared = None
 
@@ -218,11 +208,11 @@ class _Cells:
     """The cells of ``stream`` under ``master_seed``, read through one keyed
     Philox (``bits``) and its ``Generator`` (``gen``).  Consecutive draws
     continue one stream, so reading a cell in pieces gives the values one
-    call would.  A reader given a ``_Shared`` store reads its runs through
-    it, keeping ``keep`` values a trial for later readers."""
+    call would.  With a ``_Shared`` store a reader writes its runs' cells
+    (``keep``) or copies them (see ``fill``)."""
 
     def __init__(self, master_seed: int, stream: int, shared: Optional[_Shared] = None,
-                 keep: int = 0) -> None:
+                 keep: int = 0, last: bool = False) -> None:
         self.bits = np.random.Philox(_NO_ENTROPY)
         self.gen = np.random.Generator(self.bits)
         self._counter = [0, 0, 0, 0]  # cell i is [0, i, 0, 0]
@@ -230,8 +220,7 @@ class _Cells:
         self._state = {**_PHILOX_STATE,
                        "state": {"counter": self._counter, "key": _stream_key(master_seed, stream)}}
         self._next = None  # the trial whose draws come next, after a fill
-        self._shared, self._keep = shared, keep
-        self._live = False  # whether the last run left ``bits`` at its end
+        self._shared, self._keep, self._last = shared, keep, last
 
     def at(self, i: int) -> np.random.Generator:
         """``gen`` at the start of cell ``i``, its buffer empty."""
@@ -242,59 +231,38 @@ class _Cells:
 
     def fill(self, draw, start: int, buf: np.ndarray) -> None:
         """``buf[i]`` set to the draws of trial ``start + i``, for each row
-        of ``buf``, with one ``draw(out=)`` call per cell the run touches
-        (``_shared_run`` with a store); ``draw`` is a method of ``gen``, the
-        same on every call.  A cell's first trial restarts the cell
-        (``at``); any other trial must be the one after the last run, or
-        ``ValueError`` is raised."""
-        t, end = start, start + len(buf)
+        of ``buf``, with one ``draw(out=)`` call per cell the run touches;
+        ``draw`` is a method of ``gen``, the same on every call.  A cell's
+        first trial restarts the cell (``at``); any other trial must be the
+        one after the last run, or ``ValueError`` is raised.  With a store,
+        trials ``i, i + 1, ...`` of a cell are its values from ``i w`` on,
+        ``w`` a row: the writer (``keep``) copies what of them the cell's
+        kept array covers into it, and a reader copies them out of a kept
+        array, the ``last`` one then dropping a cell it has read to the end."""
+        store, t, end = self._shared, start, start + len(buf)
         while t < end:
             cell, i = divmod(t, _TRIAL_CELL)
             if i and t != self._next:
                 raise ValueError(f"trial {t} neither starts a cell nor continues the last run")
             run = buf[t - start:min(end, t - i + _TRIAL_CELL) - start]
-            if self._shared is not None:
-                self._shared_run(draw, cell, i, run)
+            flat, kept = run.reshape(-1), None
+            if store is not None:
+                key, w = (*self._key, cell), run[0].size
+                if self._keep and not i and store.reserve(_TRIAL_CELL * self._keep * buf.itemsize):
+                    store.cells[key] = np.empty(_TRIAL_CELL * self._keep, dtype=buf.dtype)
+                kept = store.cells.get(key)
+            if kept is not None and not self._keep:
+                flat[:] = kept[i * w:i * w + len(flat)]
+                if self._last and i + len(run) == _TRIAL_CELL:
+                    del store.cells[key]
             else:
                 if not i:
                     self.at(cell)
                 draw(out=run)
+                if kept is not None:
+                    kept = kept[i * w:i * w + len(flat)]
+                    kept[:] = flat[:len(kept)]
             self._next = t = t + len(run)
-
-    def _shared_run(self, draw, cell: int, i: int, run: np.ndarray) -> None:
-        """``run``, the rows of trials ``i, i + 1, ...`` of ``cell``, which
-        are the cell's values ``a = i w`` to ``b`` for ``w`` values a row:
-        copied from the store's prefix of the cell as far as it reaches, and
-        drawn on from there, the Philox put at the state saved after the
-        prefix (or at the cell's start) unless the last run left it where
-        the draw begins.  What the store lacks of the first ``_TRIAL_CELL
-        keep`` values, contiguous with its prefix, is then kept with the
-        state after it, within ``_SHARED_BYTES``."""
-        store, key = self._shared, (*self._key, cell)
-        flat = run.reshape(-1)
-        a, b = i * run[0].size, (i + len(run)) * run[0].size
-        vals, state = store.cells.get(key, (flat[:0], None))
-        L = len(vals)
-        if b <= L:
-            flat[:] = vals[a:b]
-            self._live = False
-            return
-        if a < L:
-            flat[:L - a] = vals[a:]
-        if a < L or not (i and self._live):
-            if L:
-                self.bits.state = state
-            else:
-                self.at(cell)
-        g = max(a, L)  # the first value drawn; a <= L unless the last run drew past the prefix
-        grow = min(b, _TRIAL_CELL * self._keep) - L if a <= L else 0
-        if grow > 0 and store.reserve(grow * flat.itemsize + (0 if L else _STATE_BYTES)):
-            draw(out=flat[g - a:L + grow - a])
-            store.cells[key] = (np.concatenate((vals, flat[L - a:L + grow - a])), self.bits.state)
-            g = L + grow
-        if g < b:
-            draw(out=flat[g - a:])
-        self._live = True
 
 
 def rng_stream(master_seed: int, stream: int, index: int) -> np.random.Generator:
@@ -778,8 +746,8 @@ def message_picks(master_seed: int, trials: int, size: int) -> np.ndarray:
     as ``uint32``: bit for bit ``rng_stream(master_seed, STREAM_MESSAGE,
     t).integers(size)``, from each cell's first raw word (see the module
     docstring), in passes of ``_PICK_CHUNK`` trials.  With a store open
-    (``_shared_draws``) the words are computed once per ``(master_seed,
-    trials)`` and kept while a later entry will read them."""
+    (``_shared_draws``) the words are computed and kept once per
+    ``(master_seed, trials)``."""
     bits = size.bit_length() - 1
     if size != 1 << bits:
         raise ValueError(f"codebook size must be a power of two, got {size}")
@@ -792,7 +760,7 @@ def message_picks(master_seed: int, trials: int, size: int) -> np.ndarray:
     words = store.picks.get(key)
     if words is None:
         words = _pick_words(master_seed, trials)
-        if store.later and store.reserve(words.nbytes):
+        if store.reserve(words.nbytes):
             store.picks[key] = words
     return words >> (32 - bits)
 
@@ -859,15 +827,16 @@ class TrialBlocks:
     def __init__(self, spec: ChannelSpec, n: int, law: ChannelLaw, master_seed: int) -> None:
         self.spec, self.law, self.n, self.m = spec, law, n, n + spec.k
         shared = _shared
-        later = shared.later + spec.k if shared and shared.later else 0  # a later entry's m
-        self._noise = _Cells(master_seed, STREAM_NOISE, shared, later)
+        kept_m = shared.reader + spec.k if shared and n > shared.reader else 0  # 0 unless the writer
+        last = shared is not None and n == shared.reader
+        self._noise = _Cells(master_seed, STREAM_NOISE, shared, kept_m, last)
         self._normal = self._noise.gen.standard_normal
         if law.kind == "constant":
             check_law(spec, law)
             self._offsets = np.broadcast_to(np.array(law.offset)[:, None], (1, spec.k + 1, self.m))
         else:
-            keep = (spec.k + 1) * _draw_rows(later, law) if later else 0
-            self._channel = _Cells(master_seed, STREAM_CHANNEL, shared, keep)
+            keep = (spec.k + 1) * _draw_rows(kept_m, law) if kept_m else 0
+            self._channel = _Cells(master_seed, STREAM_CHANNEL, shared, keep, last)
             self._uniform = partial(self._channel.gen.random, dtype=np.float32)
 
     def draw(self, start: int, X: np.ndarray, live: Optional[np.ndarray] = None) -> np.ndarray:

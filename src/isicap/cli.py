@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch, IsicapError
 from .spectrum import DEFAULT_GRID, ChannelSpec, check_grid_size, compute_profile
 from .waterfill import bound_grid, bound_report, dbw_to_watts, pillow_grid, watts_to_dbw
-from .channel_sim import ChannelLaw, _shared_draws, check_law
+from .channel_sim import ChannelLaw, _shared_draws, check_law, codebook_size
 from .decoder import run_error_experiment
 from .verify import verify_report
 
@@ -369,11 +369,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
             raise ConfigError(
                 f"derived rate {rate:.4g} is not positive at {p_dbw} dBW; give rate_bits"
             )
-    rows = []
-    # Two or more block lengths read nested prefixes of the same cells: each
-    # is drawn once for the command (channel_sim._shared_draws).
-    with _shared_draws(n_list) as entries:
-        for n in entries:
+    # Each entry's codebook refusal, in n_list order, before any run does
+    # work (a run refuses trials <= 0 first); then each distinct length runs
+    # once, the widest first, and the rest copy its draws (_shared_draws).
+    for n in n_list if trials > 0 else ():
+        codebook_size(n, rate, trials, cfg.spec.k)
+    rows = {}
+    with _shared_draws(n_list) as lengths:
+        for n in lengths:
             res = run_error_experiment(
                 cfg.spec,
                 n=n,
@@ -384,11 +387,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
                 law=law,
                 threads=cfg.threads,
             )
-            rows.append(
-                (n, rate, p_dbw, trials, res.type1, res.type2, res.success,
-                 res.wilson_lo, res.wilson_hi, p_w)
-            )
-    _write_csv(cfg, SIMULATE_HEADER, [_cells(col) for col in zip(*rows)])
+            rows[n] = (n, rate, p_dbw, trials, res.type1, res.type2, res.success,
+                       res.wilson_lo, res.wilson_hi, p_w)
+    _write_csv(cfg, SIMULATE_HEADER, [_cells(col) for col in zip(*map(rows.get, n_list))])
     return EXIT_OK
 
 

@@ -352,25 +352,36 @@ MUTANTS = (
             "tests/test_channel_sim.py::test_trial_blocks_match_one_cell_path[iid]",
         ),
     ),
-    # One draw per cell per command: block lengths read nested prefixes.
+    # One draw per cell per command: the widest length writes each kept
+    # cell, and the narrower ones copy their runs out of it.
     Mutant(
-        "a run copies the kept prefix one trial short",
+        "a reader's run starts one trial late in the kept cell",
         "channel_sim.py",
-        "flat[:L - a] = vals[a:]",
-        "flat[:L - a - run[0].size] = vals[a:L - run[0].size]",
+        "flat[:] = kept[i * w:i * w + len(flat)]",
+        "flat[:] = kept[(i + 1) * w:(i + 1) * w + len(flat)]",
         (
-            f"{_SHARED}[iid-512-kept]",
+            f"{_SHARED}[iid-32-kept]",
             "tests/test_cli.py::test_simulate_rows_equal_each_block_length_alone[iid-1]",
         ),
     ),
     Mutant(
-        "saved state not restored before extending a kept prefix",
+        "the writer keeps one trial less of a cell than the widest reader reads",
         "channel_sim.py",
-        "            if L:\n                self.bits.state = state\n            else:\n                self.at(cell)\n",
-        "            if not L:\n                self.at(cell)\n",
+        "np.empty(_TRIAL_CELL * self._keep, dtype=buf.dtype)",
+        "np.empty((_TRIAL_CELL - 1) * self._keep, dtype=buf.dtype)",
         (
             f"{_SHARED}[iid-512-kept]",
-            "tests/test_cli.py::test_simulate_rows_equal_each_block_length_alone[words15-widest-1]",
+            "tests/test_cli.py::test_simulate_rows_equal_each_block_length_alone[desc-1]",
+        ),
+    ),
+    Mutant(
+        "the last reader drops a kept cell before it has read the cell to its end",
+        "channel_sim.py",
+        "if self._last and i + len(run) == _TRIAL_CELL:",
+        "if self._last:",
+        (
+            f"{_SHARED}[iid-32-kept]",
+            "tests/test_cli.py::test_simulate_rows_equal_each_block_length_alone[words15-narrower-1]",
         ),
     ),
     Mutant(
@@ -409,6 +420,7 @@ MUTANTS = (
         "decoder.py",
         "(omega + (n + 1) * eps) * lam_max) + floor_energy",
         "(omega + (n + 1) * eps) * lam_max)",
-        ("tests/test_decoder.py::test_guard_band_constants_count_the_half_bases",),
+        ("tests/test_decoder.py::test_support_energy_within_energy_err",
+         "tests/test_decoder.py::test_guard_band_constants_count_the_half_bases"),
     ),
 )

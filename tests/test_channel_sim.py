@@ -391,7 +391,7 @@ def test_message_picks_hold_four_bytes_a_trial(monkeypatch):
     assert np.array_equal(message_picks(seed, 3 * chunk + 5, 1024), picks[:3 * chunk + 5])
 
 
-@pytest.mark.parametrize("cap", [channel_sim._SHARED_BYTES, 40_000], ids=["kept", "capped"])
+@pytest.mark.parametrize("cap", [channel_sim._SHARED_BYTES, 120_000], ids=["kept", "capped"])
 @pytest.mark.parametrize("T", [512, 32])
 @pytest.mark.parametrize(
     "law",
@@ -403,50 +403,55 @@ def test_message_picks_hold_four_bytes_a_trial(monkeypatch):
     ids=["iid", "hold3", "constant"],
 )
 def test_shared_prefixes_draw_the_same_bits(example_spec, monkeypatch, law, T, cap):
-    """With a store open for the block lengths 128, 32, 256, 32, 64 (a
-    later entry reads a kept prefix, extends one, or reads past none of
-    it), each entry's received vectors equal, bit for bit, those of a
-    reader with no store, and so do its message picks (a size per entry).
-    The 150 trials end in a part cell; runs of 512 trials span cells, and
-    runs of 32 split each cell in two, so a run starts inside a kept
-    prefix and draws past it.  Half the trials are live.  Under a 40 kB
-    cap some cells are kept and the rest drawn as with no store."""
+    """With a store open for the block lengths 128, 32, 256, 32, 64, they
+    run once each, the widest first and the rest ascending; each length's
+    received vectors equal, bit for bit, those of a reader with no store,
+    and so do its message picks (a size per length).  The 150 trials end
+    in a part cell; runs of 512 trials span cells, and runs of 32 split
+    each cell in two, so the writer's second run and the readers' start
+    inside a kept cell, and the last reader drops each whole cell at the
+    run that ends it.  Half the trials are live.  Under a 120 kB cap some
+    cells are kept (one cell of n = 128's noise is 66.5 kB, of its iid taps
+    99.8 kB), and the rest drawn by every length as with no store."""
     monkeypatch.setattr(channel_sim, "_SHARED_BYTES", cap)
     n_list, seed, trials = [128, 32, 256, 32, 64], 5, 150
     rng = np.random.default_rng(1)
     live = rng.random(trials) < 0.5
     words = {n: rng.standard_normal((np.count_nonzero(live), n)) for n in sorted(set(n_list))}
 
-    def entry(n, i):
+    def entry(n):
         blocks, X = TrialBlocks(example_spec, n, law, seed), words[n]
         Y = [blocks.draw(lo, X[live[:lo].sum():live[:lo + T].sum()], live[lo:lo + T])
              for lo in range(0, trials, T)]
-        return np.concatenate(Y), message_picks(seed, trials, 1 << (3 * i + 1))
+        return np.concatenate(Y), message_picks(seed, trials, 1 << n // 16)
 
-    want = [entry(n, i) for i, n in enumerate(n_list)]
-    with channel_sim._shared_draws(n_list) as entries:
+    want = {n: entry(n) for n in n_list}
+    with channel_sim._shared_draws(n_list) as lengths:
+        assert lengths == [256, 32, 64, 128]
         store = channel_sim._shared
-        for i, n in enumerate(entries):
-            Y, picks = entry(n, i)
-            assert Y.tobytes() == want[i][0].tobytes(), (i, n)
-            assert np.array_equal(picks, want[i][1]), (i, n)
-        assert store.cells and store._held <= cap
+        for n in lengths:
+            Y, picks = entry(n)
+            assert Y.tobytes() == want[n][0].tobytes(), n
+            assert np.array_equal(picks, want[n][1]), n
+            if n == 256:
+                kept = set(store.cells)
+        every = 3 if law.kind == "constant" else 6  # 3 cells of noise, and of taps
+        assert store._held <= cap
+        assert len(kept) == every if cap > 120_000 else 0 < len(kept) < every
+        # the last length drops each whole cell it has read; the part cell stays
+        assert set(store.cells) == {key for key in kept if key[2] == trials // 64}
     assert channel_sim._shared is None
 
 
 def test_shared_pick_words_are_kept_per_seed_and_trials():
     """Under an open store the picks of another trial count or seed are
-    their own, not a kept array's; at the last entry nothing more is
-    kept."""
-    with channel_sim._shared_draws([16, 32]) as entries:
-        next(entries)
+    their own, not a kept array's."""
+    with channel_sim._shared_draws([16, 32]) as lengths:
+        assert lengths == [32, 16]
         for trials, seed, size in ((100, 3, 8), (200, 3, 8), (200, 4, 8), (100, 3, 64)):
             want = [rng_stream(seed, STREAM_MESSAGE, t).integers(size) for t in range(trials)]
             assert message_picks(seed, trials, size).tolist() == want, (trials, seed, size)
         assert set(channel_sim._shared.picks) == {(3, 100), (3, 200), (4, 200)}
-        next(entries)
-        message_picks(5, 10, 8)
-        assert (5, 10) not in channel_sim._shared.picks
 
 
 @pytest.mark.parametrize("kind", ["block_hold", "iid_uniform"])

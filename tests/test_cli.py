@@ -908,6 +908,8 @@ _SHARED_CONFIGS = {
     # entry, then narrower than n = 17 (2^16 words, 16-trial blocks)
     "words15-widest": {"n_list": [8, 16], "rate_bits": 0.9375, "trials": 100},
     "words15-narrower": {"n_list": [16, 17, 8], "rate_bits": 0.9375, "trials": 100},
+    "desc": {"n_list": [256, 64, 128], "trials": 150, "law": {"kind": "block_hold", "block_len": 3}},
+    "repeat": {"n_list": [64, 64], "trials": 150},
 }
 
 
@@ -917,8 +919,9 @@ def test_simulate_rows_equal_each_block_length_alone(tmp_path, name, threads):
     """Every row of a command over several block lengths, which shares
     their draws, equals the row of the command at that length alone: under
     the iid, block_hold and constant laws, for an unsorted list with a
-    repeat, and with a 2^15-word entry as the widest and as a narrower one,
-    at 1, 2 and 3 threads."""
+    repeat, a descending list and a list of one repeated length, and with
+    a 2^15-word entry as the widest and as a narrower one, at 1, 2 and 3
+    threads."""
     section = _SHARED_CONFIGS[name]
     out = tmp_path / "all.csv"
     argv = ["simulate", "--seed", "1", "--threads", threads]
@@ -934,11 +937,12 @@ def test_simulate_rows_equal_each_block_length_alone(tmp_path, name, threads):
 
 
 def test_shared_store_stays_within_its_cap_and_goes_with_the_command(tmp_path, monkeypatch, capsys):
-    """Between the entries of a command over several block lengths the
-    traced memory it holds, the set-up cache emptied, stays within the
-    store's cap (set to 300 kB, under the 1.3 MB this command keeps
-    uncapped), and the store holds something; after the command the store
-    is gone, also when a later entry is refused (2^26 words at n = 256)."""
+    """Between the runs of a command over several block lengths, one run
+    per distinct length, the traced memory it holds, the set-up cache
+    emptied, stays within the store's cap (set to 300 kB, under the 1.3 MB
+    this command keeps uncapped), and the store holds something; after the
+    command the store is gone.  A command with a refused entry (2^26 words
+    at n = 256) runs nothing and opens no store."""
     monkeypatch.setattr(channel_sim, "_SHARED_BYTES", 300_000)
     run = cli.run_error_experiment
     held, stores, base = [], [], 0
@@ -965,11 +969,26 @@ def test_shared_store_stays_within_its_cap_and_goes_with_the_command(tmp_path, m
         after = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert len(held) == 4 and 100_000 < max(held) <= 300_000 + 20_000, held
+    assert len(held) == 3 and 100_000 < max(held) <= 300_000 + 20_000, held
     assert after < 20_000 and channel_sim._shared is None
     assert all(ref() is None for ref in stores)
     stores.clear()
     rc = main(["simulate", "--config", refused, "--seed", "1", "--threads", "1", "--out", str(tmp_path / "b.csv")])
-    assert rc == EXIT_CONFIG and len(stores) == 2
+    assert rc == EXIT_CONFIG and not stores
     assert "2**26 codewords exceed the exhaustive-decoding cap 2**24" in capsys.readouterr().err
-    assert channel_sim._shared is None and all(ref() is None for ref in stores)
+    assert channel_sim._shared is None
+
+
+def test_refused_entry_stops_the_command_before_any_run(tmp_path, monkeypatch, capsys):
+    """A ``simulate`` command refuses the first entry, in ``n_list`` order,
+    whose codebook is too large (2^26 words at n = 128, where n = 256's
+    2^52 would be the first refusal widest first) before any entry runs:
+    it exits 2, writes no file and never starts an experiment."""
+    calls = []
+    monkeypatch.setattr(cli, "run_error_experiment", lambda *a, **k: calls.append(k["n"]))
+    cfg = _write_config(tmp_path, {"simulate": {"n_list": [64, 128, 256], "rate_bits": 0.2}})
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", cfg, "--seed", "1", "--threads", "1", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "isicap: 2**26 codewords exceed the exhaustive-decoding cap 2**24" in err and "2**52" not in err
+    assert not out.exists() and calls == []

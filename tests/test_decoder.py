@@ -451,9 +451,16 @@ def test_support_energy_within_energy_err(example_spec):
     ||x_f||^2`` and the cross term ``2 (Hc U s).(Hc x_f)``, which is zero
     for an orthonormal eigenbasis, within ``2 max ||s|| max ||x_f|| (max
     |gain| tilt + resid)``, both as ``prepare_context`` takes them.
-    ``base`` is ``(energy + q) / (n + m)`` rounded to float32."""
-    n = 48
-    cov = build_sigma(example_spec, n, dbw_to_watts(-10.0))
+    ``base`` is ``(energy + q) / (n + m)`` rounded to float32.  At -10 dBW
+    31 of the 48 dimensions are floor; at -30 dBW 44 are, and there the
+    worst 40-digit gap is about 30 times what ``energy_err`` allows without
+    its floor term."""
+    for p_dbw in (-10.0, -30.0):
+        _check_support_energy(example_spec, 48, dbw_to_watts(p_dbw))
+
+
+def _check_support_energy(example_spec, n, P):
+    cov = build_sigma(example_spec, n, P)
     assert cov.floor_dim > 0
     book = gen_codebook(cov, 6 / n, 6)
     joint = build_joint(cov, build_Hc(example_spec, n))
