@@ -642,9 +642,12 @@ def codebook_size(n: int, R: float, trials: int = 0, k: int = 0) -> int:
     ``n``, once exhaustive decoding of ``trials`` trials on a channel of
     memory ``k`` is known to fit: raises ``CodebookTooLarge`` past
     ``MAX_CODEBOOK_BITS`` or past ``MAX_DECODE_BYTES`` (see
-    ``decode_bytes``).  A negative or non-finite rate is refused."""
+    ``decode_bytes``).  A negative or non-finite rate, then ``n < 1``, is
+    refused."""
     if not math.isfinite(R) or R < 0.0:
         raise ValueError(f"rate must be finite and non-negative, got {R!r}")
+    if n < 1:
+        raise ValueError("need n >= 1")
     if not math.isfinite(n * R):
         raise CodebookTooLarge(
             f"2**ceil({n} * {R!r}) codewords exceed the exhaustive-decoding cap 2**{MAX_CODEBOOK_BITS}"

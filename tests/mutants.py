@@ -408,6 +408,28 @@ MUTANTS = (
          "tests/test_spectrum.py::test_gram_eigenvalues_match_dense"),
     ),
     Mutant(
+        "root columns without the sqrt(2) on their top n // 2 entries",
+        "spectrum.py",
+        "out[:, :h] *= math.sqrt(2.0)",
+        "out[:, :h] *= 1.0",
+        (f"{_ROOTS}[c=0.32,-0.86-3]", f"{_ROOTS}[c=0.70,0.40,-0.51,-0.74,0.42-3]"),
+    ),
+    Mutant(
+        "half bands read the corner lag one short, t[n - 2 - i - j]",
+        "spectrum.py",
+        "band[u - (j - i), j] += sign * t[n - 1 - i - j]",
+        "band[u - (j - i), j] += sign * t[n - 2 - i - j]",
+        (f"{_ROOTS}[c=0.32,-0.86-2]", f"{_ROOTS}[c=0.41,-0.36,-0.10-256]",
+         "tests/test_spectrum.py::test_gram_eigenvalues_match_dense"),
+    ),
+    Mutant(
+        "half bands' corner range starts one column late, at h - k + 1",
+        "spectrum.py",
+        "for j in range(max(h - k, 0), h):",
+        "for j in range(max(h - k + 1, 0), h):",
+        (f"{_ROOTS}[c=0.32,-0.86-256]", "tests/test_spectrum.py::test_gram_eigenvalues_match_dense"),
+    ),
+    Mutant(
         "gram_fit's bound without its rounding allowance",
         "spectrum.py",
         "        return gain, math.sqrt(sq) + rounding",

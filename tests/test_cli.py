@@ -701,6 +701,21 @@ def test_simulate_refuses_oversized_codebook_before_setup(
     assert says in capsys.readouterr().err
 
 
+def test_simulate_names_the_first_entrys_fault(tmp_path, monkeypatch, capsys):
+    """Of two faulty ``n_list`` entries the first listed is named: n = 0
+    before a 2**52-word codebook at n = 256, although the widest length
+    runs first.  Exit 2, one ``isicap:`` line, no run and no file."""
+    def run_ran(*args, **kwargs):
+        raise AssertionError("a run started before the refusal")
+
+    monkeypatch.setattr(cli, "run_error_experiment", run_ran)
+    cfg = _write_config(tmp_path, {"simulate": {"n_list": [0, 256], "rate_bits": 0.2}})
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", "1"]) == EXIT_CONFIG
+    assert not out.exists()
+    assert capsys.readouterr().err == "isicap: need n >= 1\n"
+
+
 @pytest.mark.parametrize(
     "payload, field",
     [
