@@ -210,17 +210,25 @@ def simulate_edges(tree):
 
 
 def warm_equals_fresh(tree):
-    """simulate CSVs from one process at seeds 1, 2, 1 (later calls reuse the kept seed-free set-up)
-    equal fresh-process CSVs, at the default and decode_large configs."""
-    from isicap import cli
-    with tempfile.TemporaryDirectory() as warm:
-        for name in ("default", "large"):
-            fresh = tree.run(call("simulate", name, seed=s) for s in (1, 2))
-            for i, seed in enumerate((1, 2, 1)):
-                c, out = call("simulate", name, seed=seed), Path(warm) / f"{name}.{i}.csv"
-                cfg = ["--config", str(tree.out / f"{c.name}.json")] if c.config else []
-                assert cli.main([*c.argv, *cfg, "--out", str(out)]) == 0, c
-                assert out.read_bytes() == fresh[seed - 1][1], (name, seed, i)
+    """simulate CSVs from one process at seeds 1, 2, 1 equal fresh-process CSVs, at the default and
+    decode_large configs, and the later two calls of each build no covariance: they reuse the kept
+    seed-free set-up."""
+    from isicap import cli, decoder
+    built, build = [], decoder.build_sigma
+    decoder.build_sigma = lambda *args: built.append(args[1]) or build(*args)
+    try:
+        with tempfile.TemporaryDirectory() as warm:
+            for name in ("default", "large"):
+                fresh = tree.run(call("simulate", name, seed=s) for s in (1, 2))
+                for i, seed in enumerate((1, 2, 1)):
+                    c, out = call("simulate", name, seed=seed), Path(warm) / f"{name}.{i}.csv"
+                    cfg = ["--config", str(tree.out / f"{c.name}.json")] if c.config else []
+                    built.clear()
+                    assert cli.main([*c.argv, *cfg, "--out", str(out)]) == 0, c
+                    assert out.read_bytes() == fresh[seed - 1][1], (name, seed, i)
+                    assert i == 0 or not built, f"{name} at seed {seed}, call {i + 1}, built n = {built}"
+    finally:
+        decoder.build_sigma = build
     return "2 configs"
 
 

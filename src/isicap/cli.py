@@ -264,14 +264,15 @@ def _flag_exit(ok: np.ndarray) -> int:
 def _power_sweep(cfg: RunConfig, header) -> int:
     """``bounds`` or ``figure2``: the ``header`` columns over the power grid
     (dBW) from one ``bound_grid`` pass.  A flagged row keeps only its
-    powers and ``C0``."""
+    powers and ``C0``; a ``P_sat`` that is not positive is in no column."""
     grid = _grid_from(cfg.grid or cfg.sections[cfg.command]["p_dbw"], f"{cfg.command}.p_dbw")
     if not grid:
         raise ConfigError("empty power grid")
     p_w = np.array([dbw_to_watts(p) for p in grid])
     g = bound_grid(cfg.spec, p_w, cfg.grid_size)
     ok = g.ok
-    psat_dbw = watts_to_dbw(g.P_sat) if g.P_sat is not None and g.P_sat > 0.0 else None
+    psat_w = g.P_sat if g.P_sat is not None and g.P_sat > 0.0 else None
+    psat_dbw = None if psat_w is None else watts_to_dbw(psat_w)
     near = [psat_dbw is not None and abs(p - psat_dbw) <= NEAR_PSAT_DBW for p in grid]
     flags = np.where(ok, np.where(near, FLAG_NEAR_PSAT, ""), FLAG_INAPPLICABLE)
     columns = {
@@ -285,7 +286,7 @@ def _power_sweep(cfg: RunConfig, header) -> int:
         "gap_cor1": (g.gap_cor1, ok),
         "gap_cor2": (g.gap_cor2, ok),
         "P_W": (p_w, None),
-        "Psat_W": (g.P_sat, ok),
+        "Psat_W": (psat_w, ok),
         "flag": (flags, None),
     }
     _write_csv(cfg, header, [_cells(*columns[name]) for name in header])

@@ -42,11 +42,9 @@ from __future__ import annotations
 
 import math
 import os
-import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Literal, Optional, Union
 
 import numpy as np
@@ -102,12 +100,8 @@ _U32 = 2.0 ** -24
 # reaches this: far below float32's overflow at 2**128, so no value under
 # it overflows.
 _F32_RANGE = 2.0 ** 100
-# Bytes of arrays that ``_setup``'s cache may hold across calls.
+# Bytes of arrays that ``_setup`` may keep across calls, a third per entry.
 _SETUP_BYTES = 64 << 20
-# ``(spec, n, P)`` -> ``((cov, report, joint), bytes)``, least recently
-# used first.
-_setups: OrderedDict = OrderedDict()
-_setups_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -525,40 +519,17 @@ class ExperimentResult:
         return self.errors / self.trials
 
 
+@lru_cache(maxsize=3)
 def _setup(spec: ChannelSpec, n: int, P: float) -> tuple[CovarianceSpec, ThresholdReport, JointCovariance]:
     """The part of an experiment that does not depend on its seed: the
     input covariance, the threshold report (from ``checked_extrema``, no
-    grid) and the joint covariance, built once per ``(spec, n, P)`` and
-    kept while the arrays of the kept entries (half bases, ``d``, ``gain``
-    and ``hc``) total at most ``_SETUP_BYTES``, the least recently used
-    evicted first.  An entry over that on its own is returned but not kept;
-    a call that raises keeps nothing.  Every kept array is read-only and
-    every record frozen, so callers on any thread share the same objects."""
-    key = (spec, n, P)
-    with _setups_lock:
-        if key in _setups:
-            _setups.move_to_end(key)
-            return _setups[key][0]
+    grid) and the joint covariance.  Every array is read-only and every
+    record frozen, so the callers that share a kept set-up, on any thread,
+    cannot change it; ``_setup.__wrapped__`` builds one and keeps nothing."""
     ext = checked_extrema(spec.c)
     cov = build_sigma(spec, n, P)
     report = thresholds(spec, ext, cov, P)
-    joint = build_joint(cov, build_Hc(spec, n))
-    size = sum(a.nbytes for a in (cov.halves.sym, cov.halves.skew, cov.d, joint.gain, joint.hc.taps))
-    entry = (cov, report, joint)
-    if size > _SETUP_BYTES:
-        return entry
-    with _setups_lock:
-        if key in _setups:  # another thread built it first: share that one
-            return _setups[key][0]
-        _setups[key] = (entry, size)
-        held = sum(b for _, b in _setups.values())
-        while held > _SETUP_BYTES:
-            held -= _setups.popitem(last=False)[1][1]
-    return entry
-
-
-# Emptied as the package's lru_caches are, by their ``cache_clear``.
-_setup.cache_clear = _setups.clear
+    return cov, report, build_joint(cov, build_Hc(spec, n))
 
 
 def run_error_experiment(
@@ -597,11 +568,13 @@ def run_error_experiment(
     large to decode exhaustively, the held words and picks included, is
     refused before any set-up.
 
-    The set-up that does not depend on the seed (the input covariance, the
-    threshold report and the joint covariance) is kept in-process per
-    ``(spec, n, P)``, up to ``_SETUP_BYTES`` of arrays, least
-    recently used evicted first (``_setup``), so later calls on the same
-    configuration reuse it.  The results do not depend on what is kept.
+    The seed-free set-up (the input covariance, the threshold report and
+    the joint covariance) is kept for the last three ``(spec, n, P)``
+    (``_setup``): loops over seeds and perfbench's repeated decode ops reuse
+    it, a ``simulate`` command's distinct lengths do not.  It is kept only if
+    its arrays at full width (the half bases, ``d``, the gains and the centre
+    taps) fit a third of ``_SETUP_BYTES``, n up to about 2360; a larger one
+    is rebuilt on every call.  No result depends on what is kept.
     """
     if trials <= 0:
         raise ValueError("need trials > 0")
@@ -613,7 +586,8 @@ def run_error_experiment(
     P = float(P)  # so a power keys one kept set-up, built in float64, whatever its type
     check_law(spec, law)
     codebook_size(n, R, trials, spec.k)
-    cov, report, joint = _setup(spec, n, P)
+    held = 8 * ((n - n // 2) ** 2 + (n // 2) ** 2 + 2 * n + (spec.k + 1) * (n + spec.k))
+    cov, report, joint = (_setup if held <= _SETUP_BYTES / 3 else _setup.__wrapped__)(spec, n, P)
     if params is None:
         params = default_params(report)
     book = gen_codebook(cov, R, master_seed)

@@ -252,6 +252,22 @@ MUTANTS = (
         ("tests/test_cli.py::test_route2_empty_below_psat_at_large_tap_scale",),
     ),
     Mutant(
+        "the Psat_W mask dropped",
+        "cli.py",
+        '"Psat_W": (psat_w, ok),',
+        '"Psat_W": (g.P_sat, ok),',
+        ("tests/test_cli.py::test_psat_w_is_empty_where_p_sat_is_not_positive[-0.99999-]",
+         "tests/test_cli.py::test_bounds_rows_keep_the_p_sat_invariants"),
+    ),
+    # _setup's cache keeps only the set-ups whose full-width bound fits a third of its bytes.
+    Mutant(
+        "the keep gate dropped (every set-up kept)",
+        "decoder.py",
+        "(_setup if held <= _SETUP_BYTES / 3 else _setup.__wrapped__)(spec, n, P)",
+        "_setup(spec, n, P)",
+        ("tests/test_decoder.py::test_kept_setups_are_the_last_three_that_fit",),
+    ),
+    Mutant(
         "HalfBasis.apply with its skew half transposed",
         "spectrum.py",
         "B = S[:, ss:] @ self.skew.T",

@@ -1,9 +1,11 @@
 import json
+import math
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isicap import channel_sim, cli, decoder, spectrum, waterfill
 from isicap.cli import (
@@ -304,6 +306,64 @@ def test_route2_empty_below_psat_at_large_tap_scale(tmp_path):
     assert [c == "" for c in col["C_LB2"]] == [c == "" for c in col["delta2"]] == below
     for name in ("C_LB1", "C_LB2"):
         assert all(float(v) <= float(c0) for v, c0 in zip(col[name], col["C0"]) if v)
+
+
+@pytest.mark.parametrize(
+    "a, psat_w", [(-0.999, "499010.02648275654"), (-0.99999, ""), (-0.999999, "")], ids=str
+)
+def test_psat_w_is_empty_where_p_sat_is_not_positive(tmp_path, a, psat_w):
+    """The near-singular channel c = (1, a), r = (1e-3, 1e-3): at a = -0.99999
+    and -0.999999 the saturation power comes out negative (-1.13e6 and -1.62e8
+    W), so ``Psat_W`` is left empty on every row, as ``Psat_dBW`` is; at a =
+    -0.999 it is positive and printed on the unflagged rows."""
+    cfg = _write_config(tmp_path, {"channel": {"k": 1, "c": [1.0, a], "r": [1e-3, 1e-3]}})
+    out = tmp_path / "x.csv"
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    _, header, rows = _read_csv(out)
+    col = {name: [r[header.index(name)] for r in rows] for name in header}
+    unflagged = [f != FLAG_INAPPLICABLE for f in col["flag"]]
+    assert any(unflagged)
+    assert col["Psat_W"] == [psat_w if u else "" for u in unflagged]
+    assert [c == "" for c in col["Psat_dBW"]] == [c == "" for c in col["Psat_W"]]
+
+
+_RADII = st.floats(-6.0, -1.0).map(lambda e: 10.0 ** e)
+_CHANNELS = st.one_of(
+    st.integers(0, 4).flatmap(lambda k: st.tuples(
+        st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k).map(lambda tail: [1.0, *tail]),
+        st.lists(_RADII, min_size=k + 1, max_size=k + 1),
+    )),
+    st.tuples(  # near-singular two-tap channels, where P_sat loses its sign to rounding
+        st.floats(-1.0, -0.999, exclude_min=True, exclude_max=True).map(lambda a: [1.0, a]),
+        st.lists(_RADII, min_size=2, max_size=2),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(channel=_CHANNELS)
+def test_bounds_rows_keep_the_p_sat_invariants(tmp_path_factory, channel):
+    """On every unflagged ``bounds`` row, for k = 0-4 and radii 1e-6 to 1e-1,
+    near-singular two-tap channels included: ``Psat_W`` is empty or positive,
+    and a printed ``Psat_dBW`` is ``10 log10(Psat_W)`` bit for bit.  A
+    channel whose spectrum has a null is refused, writing no row."""
+    c, r = channel
+    tmp = tmp_path_factory.mktemp("psat")
+    cfg = _write_config(tmp, {"channel": {"k": len(c) - 1, "c": c, "r": r}})
+    out = tmp / "x.csv"
+    rc = main(["bounds", "--config", cfg, "--out", str(out), "--grid=-20:80:21"])
+    if rc == EXIT_CONFIG:  # a spectral null, refused with no row written
+        assert not out.exists()
+        return
+    assert rc in (EXIT_OK, EXIT_EMPTY)
+    _, header, rows = _read_csv(out)
+    for row in rows:
+        cell = dict(zip(header, row))
+        if cell["flag"] == FLAG_INAPPLICABLE:
+            continue
+        assert cell["Psat_W"] == "" or float(cell["Psat_W"]) > 0.0, (c, r, cell)
+        if cell["Psat_dBW"]:
+            assert float(cell["Psat_dBW"]) == 10.0 * math.log10(float(cell["Psat_W"])), (c, r, cell)
 
 
 @pytest.mark.parametrize("command", ["bounds", "figure2"])
@@ -949,6 +1009,27 @@ def test_simulate_rows_equal_each_block_length_alone(tmp_path, name, threads):
         cfg = _write_config(tmp_path, {"simulate": {**section, "n_list": [n]}}, name=f"n{n}.json")
         assert main([*argv, "--config", cfg, "--out", str(alone)]) == EXIT_OK
         assert _read_csv(alone)[2] == [row], n
+
+
+def test_default_commands_build_each_setup_once(tmp_path, monkeypatch):
+    """Two default ``simulate`` commands build the set-ups of n = 64, 128 and
+    256 once each: the second command's three calls reuse the kept ones and
+    write the bytes of the same command with nothing kept."""
+    decoder._setup.cache_clear()
+    built, build = [], decoder.build_sigma
+    monkeypatch.setattr(decoder, "build_sigma", lambda spec, n, P: built.append(n) or build(spec, n, P))
+
+    def run(seed, name):
+        assert main(["simulate", "--seed", seed, "--threads", "1", "--out", str(tmp_path / name)]) == EXIT_OK
+        return (tmp_path / name).read_bytes()
+
+    run("1", "a.csv")
+    warm = run("2", "warm.csv")
+    assert sorted(built) == [64, 128, 256]
+    assert decoder._setup.cache_info()[:2] == (3, 3)  # hits, misses
+    decoder._setup.cache_clear()
+    assert run("2", "cold.csv") == warm and len(built) == 6
+    decoder._setup.cache_clear()
 
 
 def test_shared_store_stays_within_its_cap_and_goes_with_the_command(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,6 @@
 import math
 import os
 import tracemalloc
-from collections import OrderedDict
 from fractions import Fraction
 
 import mpmath
@@ -1109,7 +1108,22 @@ def test_experiment_refuses_negative_seed_before_setup(example_spec, monkeypatch
         run_error_experiment(example_spec, n=8, R=0.1, P=0.1, trials=4, master_seed=-1)
 
 
-def test_cold_experiment_builds_no_grid(example_spec, monkeypatch):
+@pytest.fixture
+def no_kept_setup():
+    """``_setup``'s cache emptied before and after the test."""
+    decoder_mod._setup.cache_clear()
+    yield decoder_mod._setup
+    decoder_mod._setup.cache_clear()
+
+
+def _built(monkeypatch) -> list:
+    """The ``n`` of each input covariance the decoder builds from here on."""
+    built = []
+    monkeypatch.setattr(decoder_mod, "build_sigma", lambda spec, n, P: built.append(n) or build_sigma(spec, n, P))
+    return built
+
+
+def test_cold_experiment_builds_no_grid(example_spec, monkeypatch, no_kept_setup):
     """A cold experiment at a given rate reads ``alpha`` and ``beta`` alone
     (``checked_extrema``): neither the FFT table nor the quadrature grid is
     touched."""
@@ -1119,7 +1133,6 @@ def test_cold_experiment_builds_no_grid(example_spec, monkeypatch):
     monkeypatch.setattr(spectrum, "f_sq_table", no_grid)
     monkeypatch.setattr(spectrum, "quadrature_grid", no_grid)
     monkeypatch.setattr(waterfill, "compute_profile", no_grid)
-    monkeypatch.setattr(decoder_mod, "_setups", OrderedDict())
     res = run_error_experiment(example_spec, n=16, R=0.125, P=0.1, trials=24, master_seed=3)
     assert res.type1 + res.type2 + res.success == 24
 
@@ -1152,10 +1165,6 @@ def _counts(res) -> tuple:
     return res.type1, res.type2, res.success, res.wilson_lo, res.wilson_hi
 
 
-def _held_bytes() -> int:
-    return sum(size for _, size in decoder_mod._setups.values())
-
-
 @pytest.mark.parametrize(
     "law",
     [
@@ -1165,32 +1174,30 @@ def _held_bytes() -> int:
     ],
     ids=lambda law: law.kind,
 )
-def test_kept_setup_gives_the_cold_counts(example_spec, monkeypatch, law):
+def test_kept_setup_gives_the_cold_counts(example_spec, monkeypatch, no_kept_setup, law):
     """Counts at seeds 1-3 after a warm-up at seed 9, which keeps the
     set-up of the default channel at n = 64, equal those with the kept
     set-up dropped before each call; the warm calls build no covariance."""
-    monkeypatch.setattr(decoder_mod, "_setups", OrderedDict())
     kwargs = dict(n=64, R=3 / 64, P=dbw_to_watts(-10.0), trials=200, law=law)
     run_error_experiment(example_spec, master_seed=9, **kwargs)
-    assert len(decoder_mod._setups) == 1
-    built = []
-    monkeypatch.setattr(decoder_mod, "build_sigma", lambda *a: built.append(a) or build_sigma(*a))
+    assert no_kept_setup.cache_info().currsize == 1
+    built = _built(monkeypatch)
     warm = [_counts(run_error_experiment(example_spec, master_seed=s, **kwargs)) for s in (1, 2, 3)]
-    assert built == []
+    assert built == [] and no_kept_setup.cache_info().hits == 3
     cold = []
     for s in (1, 2, 3):
-        decoder_mod._setups.clear()
+        no_kept_setup.cache_clear()
         cold.append(_counts(run_error_experiment(example_spec, master_seed=s, **kwargs)))
-    assert len(built) == 3
+    assert built == [64] * 3
     assert warm == cold
 
 
-def test_kept_setup_is_shared_read_only_and_untouched_by_a_refusal(example_spec, monkeypatch):
+def test_kept_setup_is_shared_read_only_and_untouched_by_a_refusal(example_spec, monkeypatch, no_kept_setup):
     """A second call on one configuration decodes with the very same
     covariance and joint covariance objects, whose arrays refuse writes (a
     0-d array power is read as the same float), and a call at another
-    power with its own; a call that raises in the set-up keeps nothing."""
-    monkeypatch.setattr(decoder_mod, "_setups", OrderedDict())
+    power with its own; a call that raises in the set-up keeps nothing,
+    and both kept set-ups are still shared after it."""
     seen = []
 
     def recording(book, joint):
@@ -1205,50 +1212,52 @@ def test_kept_setup_is_shared_read_only_and_untouched_by_a_refusal(example_spec,
     run_error_experiment(example_spec, master_seed=3, **{**kwargs, "P": np.array(kwargs["P"])})
     (cov, joint), (cov2, joint2), (cov3, _), (cov4, _) = seen
     assert cov2 is cov and joint2 is joint and joint.cov is cov
-    assert cov3 is not cov and cov4 is cov and len(decoder_mod._setups) == 2
+    assert cov3 is not cov and cov4 is cov and no_kept_setup.cache_info().currsize == 2
     for a in (cov.d, cov.halves.sym, cov.halves.skew, joint.gain, joint.hc.taps):
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
-    kept = [(key, entry) for key, (entry, _) in decoder_mod._setups.items()]
+    before = no_kept_setup.cache_info()
     with pytest.raises(ValueError, match="need P > 0"):
         run_error_experiment(example_spec, **{**kwargs, "P": -1.0})
-    assert [(key, entry) for key, (entry, _) in decoder_mod._setups.items()] == kept
+    after = no_kept_setup.cache_info()
+    assert (after.misses, after.currsize) == (before.misses + 1, before.currsize)
+    seen.clear()
+    run_error_experiment(example_spec, master_seed=4, **kwargs)
+    run_error_experiment(example_spec, master_seed=4, **{**kwargs, "P": dbw_to_watts(0.0)})
+    assert len(seen) == 2 and seen[0][0] is cov and seen[1][0] is cov3
 
 
-def test_kept_setup_stays_within_its_byte_bound(example_spec, monkeypatch):
-    """With the bound set to hold the n = 16 and n = 48 set-ups but not
-    those and n = 32's, the held bytes (the half bases, ``d``, ``gain``
-    and ``hc`` of each entry) never pass it; after 16, 32, 16, 48 the least
-    recently used entry, n = 32's, is the one evicted; the n = 256 set-up,
-    over the bound alone, is not kept; and every count equals a cold one."""
-    P = dbw_to_watts(-10.0)
-    monkeypatch.setattr(decoder_mod, "_setups", OrderedDict())
-    size = {}
-    for n in (16, 32, 48, 256):
-        cov, _, joint = decoder_mod._setup(example_spec, n, P)
-        size[n] = sum(a.nbytes for a in (cov.halves.sym, cov.halves.skew, cov.d, joint.gain, joint.hc.taps))
-        assert _held_bytes() == sum(size.values())
-    bound = size[16] + size[48]
-    assert size[16] + size[32] <= bound < size[16] + size[32] + size[48] and size[256] > bound
-    monkeypatch.setattr(decoder_mod, "_SETUP_BYTES", bound)
+def test_kept_setups_are_the_last_three_that_fit(example_spec, monkeypatch, no_kept_setup):
+    """The last three set-ups used are kept: after 16, 32, 48, 16 a fourth
+    key, 64, evicts the least recently used, 32's, which the next call
+    rebuilds.  At 10 dBW the n = 16 support is full, so its arrays (half
+    bases, ``d``, the gains and the centre taps) are the whole bound the
+    keep gate reads: with ``_SETUP_BYTES`` three times their bytes the
+    set-up is kept, one byte less keeps nothing.  Every count equals a
+    cold one."""
+    P = dbw_to_watts(10.0)
+    built = _built(monkeypatch)
 
     def run(n, seed):
         return _counts(run_error_experiment(example_spec, n=n, R=3 / n, P=P, trials=64, master_seed=seed))
 
-    sequence = [16, 32, 16, 48, 256]
-    decoder_mod._setups.clear()
-    warm = []
-    for seed, n in enumerate(sequence):
-        warm.append(run(n, seed))
-        assert _held_bytes() <= bound
-        if n == 48:
-            assert [key[1] for key in decoder_mod._setups] == [16, 48]
-    assert [key[1] for key in decoder_mod._setups] == [16, 48]
+    sequence = [16, 32, 48, 16, 64, 32]
+    warm = [run(n, seed) for seed, n in enumerate(sequence)]
+    assert built == [16, 32, 48, 64, 32] and no_kept_setup.cache_info().currsize == 3
     cold = []
     for seed, n in enumerate(sequence):
-        decoder_mod._setups.clear()
+        no_kept_setup.cache_clear()
         cold.append(run(n, seed))
     assert warm == cold
+    cov, _, joint = no_kept_setup(example_spec, 16, P)
+    assert cov.halves.width == 16
+    full = sum(a.nbytes for a in (cov.halves.sym, cov.halves.skew, cov.d, joint.gain, joint.hc.taps))
+    for bound, kept in ((3 * full, 1), (3 * full - 1, 0)):
+        monkeypatch.setattr(decoder_mod, "_SETUP_BYTES", bound)
+        no_kept_setup.cache_clear()
+        built.clear()
+        assert [run(16, seed) for seed in (0, 3)] == [cold[0], cold[3]]
+        assert built == [16] * (2 - kept) and no_kept_setup.cache_info().currsize == kept
 
 
 def test_experiment_constant_law_matches_centre(example_spec):
