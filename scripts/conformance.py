@@ -53,6 +53,12 @@ CONFIGS = {
     # block lengths in descending order: the first listed runs first, as the widest
     "desc": {"simulate": {"n_list": [256, 64, 128], "trials": 150}},
     "split": {"simulate": {"n_list": [63, 64]}},
+    # a memoryless channel (k = 0): no tap to shift, so Hc'y and the tap terms are one scalar pass
+    "memoryless": {"channel": {"k": 0, "c": [0.8], "r": [0.1]},
+                   "simulate": {"n_list": [64, 200], "rate_bits": 0.05, "trials": 300}},
+    # five taps of mixed sign, the first negative, at odd n: half bases with a middle row
+    "k4neg": {"channel": {"k": 4, "c": [-0.9, 0.5, -0.4, 0.3, -0.2], "r": [1e-3, 2e-3, 1e-3, 5e-4, 1e-3]},
+              "simulate": {"n_list": [65, 129], "trials": 301}},
     # decode_large, n = 2048, odd n, n = 1, 2, 3 (an empty or one-column half), both edges of the support
     # split (no floor at 10 dBW, 232 of 256 dimensions at -30 dBW) and 400 dBW (every guard band
     # infinite, so the direct rule makes every decision)
@@ -137,7 +143,7 @@ def identical(runs, k, want=0) -> None:
 
 def simulate_threads(tree):
     """simulate CSVs byte-identical at --threads 1, 2 and 64 (more threads than cores)."""
-    names = ("default", "hold", "const", "many", "cell", "one", "k6", "multi", "desc")
+    names = ("default", "hold", "const", "many", "cell", "one", "k6", "multi", "desc", "memoryless", "k4neg")
     identical(tree.run(call("simulate", name, threads=t) for name in names for t in (1, 2, 64)), 3)
     return f"{len(names)} configs"
 

@@ -620,15 +620,19 @@ def decode_bytes(size: int, n: int, trials: int = 0, k: int = 0) -> int:
     picks, 200 bytes a trial; a chunk of ``_WORD_CHUNK`` sent words being
     built, five rows of ``n`` a word (floor draw, projection, half bases'
     products); or a block of ``T = trial_block(size, n)`` trials: the
-    received vectors, noise drawn into them, three rows of ``n`` a trial
-    (sent word, ``Hc'y``, its support coefficients), float32 scores, 4
-    bytes a ``(size, T)`` entry, boolean masks at most 4 more, and the
-    draw's scratch, ``8 ((k + 1)(m + 1) + n + m)`` bytes a trial for ``m =
-    n + k``: the float32 uniforms and their live gather or block_hold
-    repeat (a hold of 2 repeats an odd ``m`` to ``m + 1``), the float64 tap
-    row and the live trials' copy of the received vectors.  Besides the
-    block, what picks and recomputes the pairs inside the guard band,
-    ``_DIRECT_BYTES``."""
+    received vectors, noise drawn into them (or the live trials' copy that
+    replaces them), three rows of ``n`` a trial (the sent word while it is
+    sent; then ``Hc'y``, its fold and its support coefficients), float32
+    scores, 4 bytes a ``(size, T)`` entry, boolean masks at most 4 more,
+    and the draw's scratch, ``8 ((k + 1)(m + 1) + n + m)`` bytes a trial
+    for ``m = n + k``: the float32 uniforms and their live gather or
+    block_hold repeat (a hold of 2 repeats an odd ``m`` to ``m + 1``),
+    and, once a gather or repeat has let the run's uniforms go, the
+    float64 tap terms and the sent words spread over rows of ``m``, ``16
+    m``.  ``Hc'y`` is taken over rows of ``m``, and its ``k`` extra entries
+    a row, with its flat pass's ``m`` of scratch, fit in what the draw held.
+    Besides the block, what picks and recomputes the pairs inside the guard
+    band, ``_DIRECT_BYTES``."""
     T, m = trial_block(size, n), n + k
     rows = min(trials, size)
     draw = 8 * ((k + 1) * (m + 1) + n + m)
@@ -821,11 +825,12 @@ class TrialBlocks:
     continue the last run, so a run costs one float32 ``random`` and one
     ``standard_normal`` call per cell, and a new cell one state set.  The
     received vectors start as the noise, drawn straight into them; for each
-    tap ``d`` one float64 row per trial takes the tap's values
-    (``_tap_row``), is multiplied by the shifted words and added on.  The
-    constant law goes through the same loop, its offsets one read-only row
-    broadcast over the trials.  No tap array is formed: the run's uniforms
-    and tap rows are the draw's scratch."""
+    tap ``d`` one float64 row of ``m`` per trial takes the tap's values
+    (``_tap_row``), is multiplied by the words, spread over rows of ``m``
+    and shifted by ``d``, and added on, each a pass over the flat block.
+    The constant law goes through the same loop, its offsets one read-only
+    row broadcast over the trials.  No tap array is formed: the run's
+    uniforms and tap rows are the draw's scratch."""
 
     def __init__(self, spec: ChannelSpec, n: int, law: ChannelLaw, master_seed: int) -> None:
         self.spec, self.law, self.n, self.m = spec, law, n, n + spec.k
@@ -861,20 +866,30 @@ class TrialBlocks:
             live = np.ones(len(X), dtype=bool)
         elif np.count_nonzero(live) != len(X):
             raise DimensionMismatch(f"{np.count_nonzero(live)} live trials, but {len(X)} words")
-        n, spec, every = self.n, self.spec, live.all()
-        Y = np.empty((len(live), self.m))
+        n, m, k, every = self.n, self.m, self.spec.k, live.all()
+        Y = np.empty((len(live), m))
         self._noise.fill(self._normal, start, Y)
         if self.law.kind == "constant":
             v = self._offsets
         else:
-            u = np.empty((len(live), spec.k + 1, _draw_rows(self.m, self.law)), dtype=np.float32)
+            u = np.empty((len(live), k + 1, _draw_rows(m, self.law)), dtype=np.float32)
             self._channel.fill(self._uniform, start, u)
-            v = _unit_offsets(u if every else u[live], self.law, self.m)
+            v = _unit_offsets(u if every else u[live], self.law, m)
+            del u  # a live gather or a repeat leaves the whole run's uniforms unread
         if not every:
             Y = Y[live]
-        row = np.empty((len(X), n))
-        for d in range(spec.k + 1):
-            _tap_row(v[:, d, d:d + n], spec.c[d], spec.r[d], row)
-            row *= X
-            Y[:, d:d + n] += row
+        # Each tap's terms over the flat block: output i of a trial reads word
+        # entry i - d of xs, the words spread over rows of m behind k zeros, and
+        # an output tap d does not reach adds -0.0, which leaves every value as
+        # it is.
+        xs = np.zeros(k + Y.size)
+        xs[k:].reshape(-1, m)[:, :n] = X
+        term = np.empty_like(Y)
+        flat, y = term.reshape(-1), Y.reshape(-1)
+        for d in range(k + 1):
+            _tap_row(v[:, d], self.spec.c[d], self.spec.r[d], term)
+            flat *= xs[k - d:k - d + Y.size]
+            term[:, :d] = -0.0
+            term[:, d + n:] = -0.0
+            y += flat
         return Y

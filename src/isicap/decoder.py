@@ -161,7 +161,7 @@ def build_joint(cov: CovarianceSpec, Hc: BandedChannelMatrix) -> JointCovariance
         raise DimensionMismatch(f"channel matrix shape ({Hc.m}, {Hc.n}) incompatible with n={cov.n}")
     if not np.isfinite(Hc.taps).all():
         raise ValueError("channel matrix has non-finite taps")
-    if not (Hc.taps == Hc.taps[:, :1]).all():
+    if not Hc.same_taps:
         raise ValueError("build_joint needs the centre matrix: every output the same taps")
     gain, resid = cov.halves.gram_fit(Hc.taps[:, 0].copy())
     gain.setflags(write=False)
@@ -355,7 +355,11 @@ def _guard_band(ctx: DecodeContext, y_sq: np.ndarray, b_sq: np.ndarray, eta: flo
     deviation as inside the band).
 
     The band takes ``q``, ``||s||``, ``||x_f||`` and ``||a||`` at their
-    codebook maxima and doubles the bound."""
+    codebook maxima and doubles the bound.  ``y_sq`` and ``b_sq`` are arrays,
+    one entry per received vector, or scalars: every rounded step is
+    monotone in both, so the band at the largest of each bounds the band of
+    every vector, which is how ``_pass_mask`` skips words with no pair
+    inside any band."""
     n, m = ctx.joint.hc.n, ctx.joint.hc.m
     K = ctx.book.S.shape[1]
     eps = np.finfo(float).eps
@@ -368,8 +372,7 @@ def _guard_band(ctx: DecodeContext, y_sq: np.ndarray, b_sq: np.ndarray, eta: flo
     score = ctx.s_norm * z
     err32 = _U32 * ((K + 2) * score + 4.0 * V + eta) + (math.sqrt(K) * ctx.s_norm + K + 3) * 2.0 ** -150
     band = _GUARD * (err / (n + m) + 4.0 * eps + err32)
-    band[np.maximum(np.maximum(V, eta), np.maximum(score, z)) >= _F32_RANGE] = np.inf
-    return band
+    return np.where(np.maximum(np.maximum(V, eta), np.maximum(score, z)) >= _F32_RANGE, np.inf, band)
 
 
 def _input_typical(book: Codebook, params: TypicalParams) -> np.ndarray:
@@ -398,9 +401,18 @@ def _pass_mask(
     time (at most ``_DIRECT_ENTRIES`` scores), codeword by codeword, so each
     word in a band is built once per call, at most ``_DIRECT_ENTRIES // m``
     words at a time, and its image compared with each of its received
-    vectors in chunks of that many pairs.  The scores are held one row per
-    received vector, the layout whose GEMM is the faster at scale, and the
-    mask returned is their transpose.
+    vectors in chunks of that many pairs.  A group whose least distance
+    from ``eta`` exceeds the band at the block's largest ``||y||`` and
+    ``||Hc'y||`` holds no such pair and is skipped, and each vector's own
+    band (``_guard_band``) is formed only for a block with a group that is
+    not.  The scores are held one row per received vector, the layout whose
+    GEMM is the faster at scale, and the mask returned is their transpose.
+
+    Around the two GEMMs the passes run over contiguous rows, and give the
+    bits the strided forms give: ``Hc'Y`` is ``k + 1`` scalar multiply-adds
+    over the flat block (``BandedChannelMatrix.adjoint`` of the centre
+    matrix), and the J-fold reads the reversed half once
+    (``HalfBasis.adjoint``).
     """
     book, joint = ctx.book, ctx.joint
     n, m = joint.hc.n, joint.hc.m
@@ -412,6 +424,7 @@ def _pass_mask(
     B = joint.hc.adjoint(Y)
     b_sq = np.einsum("ij,ij->i", B, B)
     Z = book.cov.halves.adjoint(B)
+    del B
     Z *= -2.0 / (n + m)
     with np.errstate(over="ignore", invalid="ignore"):
         eta = np.float32(params.eta)
@@ -425,17 +438,26 @@ def _pass_mask(
     if x_ok is None:
         x_ok = _input_typical(book, params)
     out &= x_ok
-    band = _guard_band(ctx, y_sq, b_sq, params.eta)
-    widest = band.max(initial=0.0)
     out = out.T
+    # The band at the largest ||y|| and ||Hc'y|| bounds every row's (each
+    # rounded step of ``_guard_band`` is monotone in both), so a group of
+    # words whose deviations all lie beyond it holds no pair to recompute;
+    # the rows' own bands are formed only for a group that does.  Held as a
+    # numpy float64, the float32 scores compare with it in float64.
+    widest = np.float64(_guard_band(ctx, y_sq.max(initial=0.0), b_sq.max(initial=0.0), params.eta))
+    band = None
     group = max(1, _DIRECT_ENTRIES // max(len(Y), 1))
     step = max(1, _DIRECT_ENTRIES // m)
     # The pairs within the widest band, then those within their own, of a
     # group of rows at a time, codeword-major (a NaN deviation compares
-    # false, so it counts as inside); the words among them are built once,
-    # ``step`` at a time.
+    # false, so it counts as inside, and a NaN minimum does not skip its
+    # group); the words among them are built once, ``step`` at a time.
     for lo in range(0, dev.shape[1], group):
         part = dev[:, lo:lo + group]
+        if part.min(initial=np.inf) > widest:
+            continue
+        if band is None:
+            band = _guard_band(ctx, y_sq, b_sq, params.eta)
         c, r = np.divmod(np.flatnonzero(~(part > widest)), part.shape[1])
         held = ~(part[c, r] > band[c]) & x_ok[r + lo]
         c, r = c[held], r[held]

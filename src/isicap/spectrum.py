@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -327,13 +327,32 @@ class BandedChannelMatrix:
             out[..., d:d + self.n] += row[d:d + self.n] * X
         return out
 
+    @cached_property
+    def same_taps(self) -> bool:
+        """Whether every output applies the same taps, as the centre matrix's do."""
+        return bool((self.taps == self.taps[:, :1]).all())
+
     def adjoint(self, Y: np.ndarray) -> np.ndarray:
-        """``H'y`` for every row ``y`` of ``Y``, ``(..., m)``."""
+        """``H'y`` for every row ``y`` of ``Y``, ``(..., m)``: each tap row's
+        products summed in tap order.  When every output applies the same
+        taps ``c`` (``same_taps``) that is ``k + 1`` scalar multiply-adds
+        over the flat rows, ``b[p] = sum_d c_d y[p + d]``, the same bits,
+        whose entries ``p = t m + j``, ``j < n``, are row ``t``'s: returned
+        as the leading ``n`` of rows of ``m``."""
         n, t = self.n, self.taps
-        out = t[0, :n] * Y[..., :n]
+        if not self.same_taps:
+            out = t[0, :n] * Y[..., :n]
+            for d in range(1, self.k + 1):
+                out += t[d, d:d + n] * Y[..., d:d + n]
+            return out
+        y = np.ascontiguousarray(Y, dtype=float).reshape(-1)
+        out = np.empty(np.shape(Y))
+        flat, L = out.reshape(-1), max(y.size - self.k, 0)
+        np.multiply(y[:L], t[0, 0], out=flat[:L])
+        tmp = np.empty(L)
         for d in range(1, self.k + 1):
-            out += t[d, d:d + n] * Y[..., d:d + n]
-        return out
+            flat[:L] += np.multiply(y[d:d + L], t[d, 0], out=tmp)
+        return out[..., :n]
 
     def gram(self) -> np.ndarray:
         """``H'H``, bandwidth ``min(k, n - 1)``: ``(H'H)[j + d, j]`` sums
@@ -540,13 +559,13 @@ class HalfBasis:
         ``Zs'(v_top + J v_bot) / sqrt(2)`` (with the middle entry of odd
         ``n`` unscaled) followed by ``Zk'(v_top - J v_bot) / sqrt(2)``."""
         n, h, ss = self.n, len(self.skew), self.sym.shape[1]
-        top, bot = V[:, :h], V[:, n - h:][:, ::-1]
+        top, Q = V[:, :h], V[:, n - h:][:, ::-1].copy()  # J v_bot, read reversed once
         P = np.empty((len(V), n - h))
-        np.add(top, bot, out=P[:, :h])
+        np.add(top, Q, out=P[:, :h])
         P[:, :h] *= _R2
         if n > 2 * h:
             P[:, h] = V[:, h]
-        Q = np.subtract(top, bot)
+        np.subtract(top, Q, out=Q)
         Q *= _R2
         C = np.empty((len(V), self.width))
         np.matmul(P, self.sym, out=C[:, :ss])

@@ -461,4 +461,26 @@ MUTANTS = (
         ("tests/test_decoder.py::test_support_energy_within_energy_err",
          "tests/test_decoder.py::test_guard_band_constants_count_the_half_bases"),
     ),
+    # The flat passes around the decoder's two GEMMs, each the same bits as the strided form.
+    Mutant(
+        "the flat band adjoint reads tap d one entry late (for d < k)",
+        "spectrum.py",
+        "flat[:L] += np.multiply(y[d:d + L], t[d, 0], out=tmp)",
+        "flat[:L] += np.multiply(y[min(d + 1, self.k):min(d + 1, self.k) + L], t[d, 0], out=tmp)",
+        ("tests/test_spectrum.py::test_centre_adjoint_equals_the_band_adjoint_bit_for_bit[2]",),
+    ),
+    Mutant(
+        "the scan's early exit skips a group holding an in-band pair (max for min)",
+        "decoder.py",
+        "if part.min(initial=np.inf) > widest:",
+        "if part.max(initial=-np.inf) > widest:",
+        ("tests/test_decoder.py::test_pairs_forced_into_the_guard_band_follow_the_dense_rule[0.01]",),
+    ),
+    Mutant(
+        "a tap term lands one output late",
+        "channel_sim.py",
+        "            y += flat\n",
+        "            y[1:] += flat[:-1]\n",
+        ("tests/test_channel_sim.py::test_trial_blocks_match_one_cell_path[iid]",),
+    ),
 )

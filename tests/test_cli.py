@@ -400,6 +400,57 @@ def test_oversized_grid_size_refused_before_allocating(tmp_path, capsys, grid_si
     assert not out.exists()
 
 
+@st.composite
+def _simulate_configs(draw):
+    """A ``simulate`` config on an unusual shape: k = 0-4 with a first tap of
+    either sign and mixed-sign later taps, one or two block lengths from 1 to
+    300, trials that need not fill a block or a 64-trial cell, a codebook of
+    1 to 2**12 words at the widest length, and any of the three laws."""
+    k = draw(st.integers(0, 4))
+    c = [draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 1.5))]
+    c += draw(st.lists(st.floats(-0.45, 0.45), min_size=k, max_size=k))
+    r = draw(st.lists(st.floats(1e-4, 0.1), min_size=k + 1, max_size=k + 1))
+    n_list = draw(st.lists(st.integers(1, 300), min_size=1, max_size=2))
+    law = draw(st.sampled_from(["iid_uniform", "constant", "block_hold"]))
+    if law == "constant":
+        law = {"kind": law, "offset": draw(st.lists(st.floats(-1.0, 1.0), min_size=k + 1, max_size=k + 1))}
+    elif law == "block_hold":
+        law = {"kind": law, "block_len": draw(st.integers(1, 5))}
+    else:
+        law = {"kind": law}
+    section = {"n_list": n_list, "trials": draw(st.integers(1, 400)), "law": law,
+               "rate_bits": draw(st.integers(0, 12)) / max(n_list), "p_dbw": draw(st.floats(-20.0, 20.0))}
+    return {"channel": {"k": k, "c": c, "r": r}, "simulate": section}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(config=_simulate_configs())
+def test_simulate_rows_keep_their_invariants_on_unusual_shapes(tmp_path_factory, config):
+    """``simulate`` at --threads 1 and 2 on each drawn config: both exit 0,
+    or 2 for a config it refuses (a spectral null, say), with the same
+    bytes; each row's type-1, type-2 and success counts sum to its trials,
+    and ``0 <= wilson_lo <= rate <= wilson_hi <= 1``."""
+    tmp = tmp_path_factory.mktemp("sim")
+    cfg = _write_config(tmp, config)
+    outs, codes = [], []
+    for threads in (1, 2):
+        out = tmp / f"t{threads}.csv"
+        codes.append(main(["simulate", "--config", cfg, "--out", str(out), "--threads", str(threads)]))
+        outs.append(out.read_bytes() if out.exists() else None)
+    assert codes[0] == codes[1] in (EXIT_OK, EXIT_CONFIG), (config, codes)
+    assert outs[0] == outs[1], config
+    if codes[0] == EXIT_CONFIG:
+        return
+    _, header, rows = _read_csv(tmp / "t1.csv")
+    assert len(rows) == len(config["simulate"]["n_list"])
+    for row in rows:
+        cell = dict(zip(header, row))
+        trials, type1, type2, success = (int(cell[k]) for k in ("trials", "type1", "type2", "success"))
+        assert trials == config["simulate"]["trials"] and type1 + type2 + success == trials, (config, cell)
+        lo, hi, rate = float(cell["wilson_lo"]), float(cell["wilson_hi"]), (type1 + type2) / trials
+        assert 0.0 <= lo <= rate <= hi <= 1.0, (config, cell)
+
+
 _SMALL_SIMULATE = {"n_list": [8], "trials": 5, "rate_bits": 0.5}
 
 

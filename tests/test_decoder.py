@@ -387,6 +387,24 @@ def test_experiment_builds_no_codewords_or_images(example_spec, monkeypatch):
     assert res.type1 + res.type2 + res.success == 70
 
 
+def test_band_at_the_largest_norms_bounds_every_rows_band(example_spec):
+    """``_guard_band`` of scalars is its one-row array form bit for bit, and
+    at the largest ``||y||^2`` and ``||Hc'y||^2`` of a block it is at least
+    every row's band (each rounded step is monotone in both), infinite when
+    a row's is: ``_pass_mask`` skips a group of words beyond it."""
+    cov = build_sigma(example_spec, 64, dbw_to_watts(-10.0))
+    ctx = prepare_context(gen_codebook(cov, 8 / 64, 2), build_joint(cov, build_Hc(example_spec, 64)))
+    rng = np.random.default_rng(12)
+    for eta in (0.0, 0.3):
+        for scale in (0.0, 1.0, 1e3, 1e30):
+            y_sq, b_sq = scale * 10.0 ** rng.uniform(-3.0, 3.0, (2, 50))
+            band = _guard_band(ctx, y_sq, b_sq, eta)
+            top = _guard_band(ctx, y_sq.max(), b_sq.max(), eta)
+            assert top.shape == () and top >= band.max() and np.isinf(top) == np.isinf(band).any()
+            assert top == _guard_band(ctx, np.array([y_sq.max()]), np.array([b_sq.max()]), eta)[0]
+            assert (band >= _guard_band(ctx, y_sq * (1.0 - 1e-15), b_sq, eta)).all()
+
+
 def test_guard_band_constants_count_the_half_bases(example_spec):
     """``word_err``, ``energy_err`` and ``floor_norm`` are the documented
     bounds, at an even and an odd order.  ``max ||s||^2`` is taken as

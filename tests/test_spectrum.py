@@ -395,6 +395,32 @@ def test_banded_from_taps_validates_shape():
 
 
 @pytest.mark.parametrize("k", range(5))
+def test_centre_adjoint_equals_the_band_adjoint_bit_for_bit(k):
+    """The centre matrix's ``adjoint`` (scalar passes over the flat rows),
+    with taps of mixed sign, equals bit for bit that of the same matrix with
+    NaN corner taps, which are never read but make its outputs' taps differ
+    (the per-row band form), on blocks of 0, 1 and 37 rows and one vector,
+    at n = 1, k + 1 and 257; a block's result is ``n`` columns of rows of
+    ``m``."""
+    rng = np.random.default_rng(70 + k)
+    c = rng.uniform(-1.0, 1.0, k + 1)
+    c[0] = -abs(c[0])
+    for n in (1, k + 1, 257):
+        taps = np.repeat(c[:, None], n + k, axis=1)
+        H = BandedChannelMatrix(n=n, k=k, taps=taps)
+        for d in range(1, k + 1):
+            taps[d, :d] = np.nan
+        banded = BandedChannelMatrix(n=n, k=k, taps=taps)
+        assert H.same_taps and (k == 0 or not banded.same_taps)
+        for shape in ((0, n + k), (1, n + k), (37, n + k), (n + k,)):
+            Y = rng.standard_normal(shape)
+            got = H.adjoint(Y)
+            assert got.shape == shape[:-1] + (n,)
+            assert len(shape) == 1 or shape[0] < 2 or got.strides[0] == 8 * (n + k)
+            assert got.tobytes() == banded.adjoint(Y).tobytes(), (n, shape)
+
+
+@pytest.mark.parametrize("k", range(5))
 def test_band_products_match_dense_oracle(k):
     """With every corner tap NaN, for ``n = k + 1, k + 2, 64, 257``, each
     product of a band channel matrix against its entrywise dense matrix
