@@ -59,6 +59,9 @@ CONFIGS = {
     # five taps of mixed sign, the first negative, at odd n: half bases with a middle row
     "k4neg": {"channel": {"k": 4, "c": [-0.9, 0.5, -0.4, 0.3, -0.2], "r": [1e-3, 2e-3, 1e-3, 5e-4, 1e-3]},
               "simulate": {"n_list": [65, 129], "trials": 301}},
+    # a negligible last tap: the root route's columns overlap, so each half takes LAPACK's eigenbasis
+    "tinytap": {"channel": {"k": 2, "c": [1.0, 0.5, 1e-12], "r": [1e-3] * 3},
+                "simulate": {"n_list": [64, 255], "trials": 200}},
     # decode_large, n = 2048, odd n, n = 1, 2, 3 (an empty or one-column half), both edges of the support
     # split (no floor at 10 dBW, 232 of 256 dimensions at -30 dBW) and 400 dBW (every guard band
     # infinite, so the direct rule makes every decision)
@@ -143,7 +146,8 @@ def identical(runs, k, want=0) -> None:
 
 def simulate_threads(tree):
     """simulate CSVs byte-identical at --threads 1, 2 and 64 (more threads than cores)."""
-    names = ("default", "hold", "const", "many", "cell", "one", "k6", "multi", "desc", "memoryless", "k4neg")
+    names = ("default", "hold", "const", "many", "cell", "one", "k6", "multi", "desc", "memoryless", "k4neg",
+             "tinytap")
     identical(tree.run(call("simulate", name, threads=t) for name in names for t in (1, 2, 64)), 3)
     return f"{len(names)} configs"
 

@@ -133,9 +133,9 @@ def _known(obj: dict, known, prefix: str) -> None:
 
 
 def _grid_from(value, field: str) -> list[float]:
-    if isinstance(value, str):
-        return parse_grid(value)
-    return _numbers(value, field)
+    """A sweep grid from a ``parse_grid`` string or a list of numbers, each
+    ``+ 0.0``: a ``-0.0`` given is the value 0, printed ``0.0``."""
+    return [v + 0.0 for v in (parse_grid(value) if isinstance(value, str) else _numbers(value, field))]
 
 
 def _law_from(obj: dict, spec: ChannelSpec) -> ChannelLaw:
@@ -354,7 +354,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     n_list = _numbers(section["n_list"], "simulate.n_list", integer=True)
     if not n_list:
         raise ConfigError("empty n_list")
-    p_dbw = _number(section["p_dbw"], "simulate.p_dbw")
+    p_dbw = _number(section["p_dbw"], "simulate.p_dbw") + 0.0  # + 0.0: no -0.0 in P_dBW
     p_w = dbw_to_watts(p_dbw)
     trials = _number(section["trials"], "simulate.trials", integer=True)
     law = _law_from(_object(section.get("law", {}), "simulate.law"), cfg.spec)

@@ -13,10 +13,10 @@ That Gram matrix is symmetric banded Toeplitz and is never formed densely:
 it splits into two half-size band problems (``gram_eigh``), whose
 eigenvalues come from LAPACK's band solver and whose eigenvectors are
 computed only for the columns a caller keeps, each from the roots of
-``|f|^2 = lam`` (``GramVectors``).  Those columns are held as two half
-bases in their own column order (``HalfBasis``, the one place that knows
-how they fold into the basis and that measures them against the Gram
-matrix).
+``|f|^2 = lam``, or by LAPACK for a half whose root columns overlap
+(``GramVectors``).  Those columns are held as two half bases in their own
+column order (``HalfBasis``, the one place that knows how they fold into
+the basis and that measures them against the Gram matrix).
 
 All integrals over ``[0, 2*pi]`` are composite-Simpson sums on one shared
 grid so that quantities which are equal in exact arithmetic (e.g. the
@@ -42,7 +42,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigvals_banded
+from scipy.linalg import eig_banded, eigvals_banded
 
 from .errors import SpectrumSingular
 
@@ -730,50 +730,15 @@ def _root_columns(zeta: np.ndarray, a: np.ndarray, n: int, sign: np.ndarray) -> 
     return out
 
 
-def _split_ties(V: np.ndarray, lam: np.ndarray, zeta: np.ndarray, ghost: np.ndarray,
-                n: int, sign: np.ndarray, gap: float) -> None:
-    """Recompute in place the rows of ``V`` (``_root_columns``' vectors for
-    ``lam``, ascending within each ``sign``) whose eigenvalue lies within
-    ``gap`` of the one before it in the same half, each orthogonal to up to
-    ``k' - 1`` of the vectors before it in its run of such ties.
-
-    A vector built from ``lam``'s ghost null vector alone is off by about
-    ``eps ||G|| / g`` within the eigenspace of its neighbours ``g`` away:
-    two computed for equal eigenvalues (a zero inner tap can make a half's
-    eigenvalues repeat, up to ``k'``-fold) come out the same.  So a tie's
-    coefficients ``a`` minimise ``|ghost a|`` over those whose vector is
-    orthogonal to the run's earlier vectors (the null space of their inner
-    products with the ``k'`` scaled modes, one batched SVD, then a second
-    for the ghost system on it), one position of all runs at a time.  The
-    exact eigenvectors meet that constraint, so away from a tie it moves a
-    vector by no more than its overlap."""
-    kp, h = zeta.shape[1], n // 2
-    tie = np.zeros(len(lam), dtype=bool)
-    tie[1:] = (np.diff(lam) <= gap) & (sign[1:] == sign[:-1])
-    if kp < 2 or not tie.any():
-        return
-    start = np.maximum.accumulate(np.where(tie, 0, np.arange(len(lam))))
-    pos = np.arange(len(lam)) - start
-    modes = np.eye(kp, dtype=complex)
-    for p in range(1, int(pos.max()) + 1):
-        idx = np.flatnonzero(pos == p)
-        q = min(p, kp - 1)
-        s = len(idx)
-        E = _root_values(np.repeat(zeta[idx], kp, axis=0), np.tile(modes, (s, 1)), n,
-                         np.repeat(sign[idx], kp)).reshape(s, kp, -1).transpose(0, 2, 1)
-        E[:, :h] *= math.sqrt(2.0)
-        P = V[idx[:, None] - np.arange(1, q + 1)]  # (s, q, rows): the run's last q vectors
-        N = np.linalg.svd(P @ E)[2][:, q:].conj().transpose(0, 2, 1)
-        b = np.linalg.svd(ghost[idx] @ N)[2][:, -1].conj()
-        v = _real_part((E @ (N @ b[:, :, None]))[:, :, 0], np.empty((s, V.shape[1])))
-        V[idx] = v / np.linalg.norm(v, axis=1)[:, None]
-
-
-def _symmetric_orthonormal(Z: np.ndarray) -> np.ndarray:
-    """``Z (I - (Z'Z - I) / 2)``: columns orthonormal to second order in
-    their defect, each moved only towards the columns it overlaps."""
+def _symmetric_orthonormal(Z: np.ndarray) -> np.ndarray | None:
+    """``Z (I - D / 2)`` for ``D = Z'Z - I``: columns orthonormal to second
+    order in ``D``, each moved only towards the columns it overlaps; or
+    None where an entry of ``D`` exceeds 1e-7, the overlap this is valid
+    for, or is NaN."""
     D = Z.T @ Z
     D[np.diag_indices(len(D))] -= 1.0
+    if not np.abs(D).max(initial=0.0) <= 1e-7:
+        return None
     return Z - Z @ (0.5 * D)
 
 
@@ -801,12 +766,15 @@ class GramVectors:
         the null vector of that ghost system (one batched SVD; W. F.
         Trench, Linear Algebra Appl. 64, 1985).  Two such columns whose
         eigenvalues are ``g`` apart overlap by about ``4 eps ||G||_1 / g``
-        (measured), so eigenvalues within ``sqrt(eps) ||G||_1`` of their
-        predecessor in a half are ties (``_split_ties``), and each half's
-        columns are then orthonormalised together
-        (``_symmetric_orthonormal``), their overlaps being below 1e-7.  At
-        ``k' = 0`` the Gram matrix is ``t_0 I`` and the columns are those of
-        ``I``."""
+        (measured).  Each half's columns are then measured together: where
+        no entry of ``D = Z'Z - I`` exceeds 1e-7 they are kept as ``Z - Z
+        (D / 2)`` (``_symmetric_orthonormal``).  Elsewhere the half takes
+        the kept columns of LAPACK's full eigenbasis of its band
+        (``eig_banded``, dsbevd): where its eigenvalues tie (a zero inner
+        tap can make them repeat, up to ``k'``-fold), or where the route
+        loses its roots, as at a negligible end tap (NaN entries, or a root
+        solve that refuses its input).  At ``k' = 0`` the Gram matrix is
+        ``t_0 I`` and the columns are those of ``I``."""
         r, n, t = len(self.lam_sym), self.n, self.t
         h = n // 2
         if len(t) == 1 or not keep.any():
@@ -816,11 +784,15 @@ class GramVectors:
         sign = np.where(np.arange(len(lam)) < sym, 1.0, -1.0)
         coef = np.concatenate([t[:1], 2.0 * t[1:]])  # |f|^2 = t_0 + 2 sum_d t_d T_d(cos omega)
         scale = float(t[0] + 2.0 * np.abs(t[1:]).sum())
-        zeta = _pinned_roots(coef, lam, n, sign, scale)
-        ghost = _ghost_rows(zeta, n, sign)
-        V = _root_columns(zeta, np.linalg.svd(ghost)[2][:, -1].conj(), n, sign)
-        _split_ties(V, lam, zeta, ghost, n, sign, math.sqrt(np.finfo(float).eps) * scale)
-        return _symmetric_orthonormal(V[:sym].T), _symmetric_orthonormal(V[sym:, :h].T)
+        with np.errstate(all="ignore"):  # what the route gives is measured before it is used
+            try:
+                zeta = _pinned_roots(coef, lam, n, sign, scale)
+                V = _root_columns(zeta, np.linalg.svd(_ghost_rows(zeta, n, sign))[2][:, -1].conj(), n, sign)
+                parts = [_symmetric_orthonormal(Z) for Z in (V[:sym].T, V[sym:, :h].T)]
+            except np.linalg.LinAlgError:  # a root solve that refused what the route lost
+                parts = [None, None]
+        return tuple(Z if Z is not None else eig_banded(_half_bands(t, n)[i], lower=False)[1][:, kept]
+                     for i, (Z, kept) in enumerate(zip(parts, (keep[:r], keep[r:]))))
 
 
 def _gram_halves(spec: ChannelSpec, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -848,9 +820,10 @@ def gram_eigh(spec: ChannelSpec, n: int) -> tuple[np.ndarray, GramVectors]:
     with bandwidth ``k`` and built in band form in O(n k).  One
     ``eigvals_banded`` call per half gives the eigenvalues; a kept
     column's vector comes from the roots of ``|f|^2 = lam`` in O(n k) (see
-    ``GramVectors.columns``), tied eigenvalues of a half get mutually
-    orthogonal vectors, and the kept columns of a half are orthonormalised
-    by one product of their Gram.  No ``n x n`` array is formed.
+    ``GramVectors.columns``), and the kept columns of a half are
+    orthonormalised by one product of their Gram, unless they overlap past
+    1e-7 (tied eigenvalues, or lost roots): then LAPACK's full eigenbasis
+    of its band gives them.  No ``n x n`` array is formed.
     """
     t, (lam_s, lam_k) = _gram_halves(spec, n)
     return np.concatenate([lam_s, lam_k]), GramVectors(t=t, n=n, lam_sym=lam_s, lam_skew=lam_k)

@@ -30,6 +30,7 @@ _WEYL = "tests/test_verify.py::test_weyl_norm_matches_numpy_on_band_and_dense"
 _ADAPTERS = "tests/test_waterfill.py::test_adapters_refuse_a_record_of_another_grid_or_channel"
 _SHARED = "tests/test_channel_sim.py::test_shared_prefixes_draw_the_same_bits"
 _ROOTS = "tests/test_spectrum.py::test_root_basis_matches_band_oracle"
+_FALLBACK = "tests/test_spectrum.py::test_root_basis_falls_back_on_a_negligible_end_tap"
 
 MUTANTS = (
     # The band products of BandedChannelMatrix, against the entrywise dense oracle.
@@ -444,6 +445,21 @@ MUTANTS = (
         "for j in range(max(h - k, 0), h):",
         "for j in range(max(h - k + 1, 0), h):",
         (f"{_ROOTS}[c=0.32,-0.86-256]", "tests/test_spectrum.py::test_gram_eigenvalues_match_dense"),
+    ),
+    # The one measured switch from the root columns to LAPACK's eigenbasis of a half band.
+    Mutant(
+        "the overlap test always passes (the root columns are always kept)",
+        "spectrum.py",
+        "    if not np.abs(D).max(initial=0.0) <= 1e-7:\n        return None\n",
+        "",
+        (f"{_FALLBACK}[c=1,0.5,1e-12-64]", f"{_FALLBACK}[c=1,1e-12-255]"),
+    ),
+    Mutant(
+        "the overlap threshold is -1 (every half goes to LAPACK)",
+        "spectrum.py",
+        "<= 1e-7:",
+        "<= -1.0:",
+        (f"{_ROOTS}[c=0.41,-0.36,-0.10-255]", f"{_ROOTS}[c=0.70,0.40,-0.51,-0.74,0.42-1024]"),
     ),
     Mutant(
         "gram_fit's bound without its rounding allowance",

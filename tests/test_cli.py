@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import tracemalloc
@@ -5,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isicap import channel_sim, cli, decoder, spectrum, waterfill
 from isicap.cli import (
@@ -22,6 +24,7 @@ from isicap.cli import (
     parse_grid,
 )
 from isicap.errors import ConfigError
+from isicap.verify import SUITE_NAMES
 from isicap.waterfill import solve_theta1, solve_theta2
 
 from reference_values import P_SAT_DBW
@@ -366,6 +369,74 @@ def test_bounds_rows_keep_the_p_sat_invariants(tmp_path_factory, channel):
             assert float(cell["Psat_dBW"]) == 10.0 * math.log10(float(cell["Psat_W"])), (c, r, cell)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(channel=_CHANNELS, rs_log10=st.lists(st.floats(-6.0, 1.0), min_size=1, max_size=4),
+       p_dbw=st.lists(st.floats(-30.0, 60.0), min_size=1, max_size=3))
+@example(channel=([1.0], [0.1]), rs_log10=[0.0], p_dbw=[-0.0])
+def test_figure1_rows_keep_the_gap_bound_invariants(tmp_path_factory, channel, rs_log10, p_dbw):
+    """``figure1`` on drawn channels, radius sums and powers exits 0, 3 when
+    every row is flagged, or 2 for a refused channel (a spectral null), with
+    no row written.  No cell reads ``-0.0``; on an unflagged row every term
+    is non-negative and ``bound`` is ``term1 + term2 + term3`` of the printed
+    terms, bit for bit; a flagged row keeps only ``r_s``, ``P_dBW``, ``P_W``
+    and its flag."""
+    c, r = channel
+    tmp = tmp_path_factory.mktemp("fig1")
+    cfg = _write_config(tmp, {"channel": {"k": len(c) - 1, "c": c, "r": r},
+                              "figure1": {"rs_log10": rs_log10, "p_dbw": p_dbw}})
+    out = tmp / "x.csv"
+    rc = main(["figure1", "--config", cfg, "--out", str(out)])
+    if rc == EXIT_CONFIG:
+        assert not out.exists()
+        return
+    _, header, rows = _read_csv(out)
+    assert len(rows) == len(rs_log10) * len(p_dbw)
+    assert not any(cell == "-0.0" for row in rows for cell in row), (channel, rows)
+    flagged = [dict(zip(header, row))["flag"] == FLAG_INAPPLICABLE for row in rows]
+    assert rc == (EXIT_EMPTY if all(flagged) else EXIT_OK)
+    for row, flag in zip(rows, flagged):
+        cell = dict(zip(header, row))
+        if flag:
+            assert [name for name in header if cell[name]] == ["r_s", "P_dBW", "P_W", "flag"], cell
+            continue
+        assert cell["flag"] == "", cell
+        t1, t2, t3 = (float(cell[name]) for name in ("term1", "term2", "term3"))
+        assert min(t1, t2, t3) >= 0.0, (channel, cell)
+        assert float(cell["bound"]) == t1 + t2 + t3, (channel, cell)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(samples=st.integers(1, 4), n_max=st.integers(5, 20), seed=st.integers(0, 1000))
+def test_verify_reports_keep_their_schema_and_exit(tmp_path_factory, samples, n_max, seed):
+    """``verify`` at 1-4 samples, ``n_max`` 5-20 and seeds 0-1000 writes the
+    same bytes at --threads 1 and 2, exits 0 exactly when
+    ``violations_total`` is 0 and 4 otherwise, and its JSON has the
+    documented keys, with ``violations_total`` the sum of the suites'
+    counts, each ``worst_index`` one of the samples and the margin
+    quantiles ascending."""
+    tmp = tmp_path_factory.mktemp("verify")
+    cfg = _write_config(tmp, {"verify": {"samples": samples, "n_max": n_max}})
+    outs, codes = [], []
+    for threads in (1, 2):
+        out = tmp / f"t{threads}.json"
+        codes.append(main(["verify", "--config", cfg, "--out", str(out), "--seed", str(seed),
+                           "--threads", str(threads)]))
+        outs.append(out.read_bytes())
+    assert codes[0] == codes[1] and outs[0] == outs[1]
+    blob = json.loads(outs[0])
+    assert set(blob) == {"master_seed", "samples", "n_max", "violations_total", "suites"}
+    assert (blob["master_seed"], blob["samples"], blob["n_max"]) == (seed, samples, n_max)
+    assert list(blob["suites"]) == sorted(SUITE_NAMES)
+    assert blob["violations_total"] == sum(rep["violations"] for rep in blob["suites"].values())
+    assert codes[0] == (EXIT_OK if blob["violations_total"] == 0 else EXIT_VIOLATION)
+    for name, rep in blob["suites"].items():
+        assert set(rep) == {"name", "samples", "violations", "worst_margin", "worst_index", "details"}
+        assert rep["name"] == name and rep["samples"] == samples
+        assert 0 <= rep["violations"] <= samples and 0 <= rep["worst_index"] < samples
+        q = rep["details"]["margin_quantiles"]
+        assert len(q) == 5 and q == sorted(q) and q[0] == rep["worst_margin"], (name, q)
+
+
 @pytest.mark.parametrize("command", ["bounds", "figure2"])
 def test_subnormal_radii_have_no_saturation_route(tmp_path, command):
     """|r|^2 = 1e-310 is subnormal and b = (2/3)/|r|^2 overflows: no power
@@ -423,20 +494,33 @@ def _simulate_configs(draw):
     return {"channel": {"k": k, "c": c, "r": r}, "simulate": section}
 
 
+def _negligible_end_tap(c, n, p_dbw):
+    """A ``simulate`` config on a channel whose last tap is far below eps."""
+    return {"channel": {"k": len(c) - 1, "c": list(c), "r": [1e-3] * len(c)},
+            "simulate": {"n_list": [n], "trials": 64, "law": {"kind": "iid_uniform"},
+                         "rate_bits": 0.02, "p_dbw": p_dbw}}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(config=_simulate_configs())
+@example(config=_negligible_end_tap((0.609, 0.388, 1.18e-38, -0.255, 4.55e-76), 284, 19.0))
+@example(config=_negligible_end_tap((1.471, 0.0215, 3.26e-111), 227, 10.5))
 def test_simulate_rows_keep_their_invariants_on_unusual_shapes(tmp_path_factory, config):
     """``simulate`` at --threads 1 and 2 on each drawn config: both exit 0,
-    or 2 for a config it refuses (a spectral null, say), with the same
-    bytes; each row's type-1, type-2 and success counts sum to its trials,
-    and ``0 <= wilson_lo <= rate <= wilson_hi <= 1``."""
+    or 2 for a config it refuses (a spectral null, say, but never its own
+    Gram basis: that is a defect, not a config error), with the same bytes
+    and no ``RuntimeWarning``; each row's type-1, type-2 and success counts
+    sum to its trials, and ``0 <= wilson_lo <= rate <= wilson_hi <= 1``."""
     tmp = tmp_path_factory.mktemp("sim")
     cfg = _write_config(tmp, config)
     outs, codes = [], []
     for threads in (1, 2):
-        out = tmp / f"t{threads}.csv"
-        codes.append(main(["simulate", "--config", cfg, "--out", str(out), "--threads", str(threads)]))
+        out, err = tmp / f"t{threads}.csv", io.StringIO()
+        with contextlib.redirect_stderr(err):
+            codes.append(main(["simulate", "--config", cfg, "--out", str(out), "--threads", str(threads)]))
         outs.append(out.read_bytes() if out.exists() else None)
+        assert not err.getvalue().startswith("isicap: basis"), (config, err.getvalue())
     assert codes[0] == codes[1] in (EXIT_OK, EXIT_CONFIG), (config, codes)
     assert outs[0] == outs[1], config
     if codes[0] == EXIT_CONFIG:
@@ -1016,13 +1100,15 @@ def test_simulate_block_longer_than_the_outputs(tmp_path):
 
 
 def test_simulate_negative_zero_rate_prints_zero(tmp_path):
-    """A ``rate_bits`` of ``-0.0`` is the rate 0 (one word), printed
-    ``0.0`` as figure1 prints its zeros, not ``-0.0``."""
-    cfg = _write_config(tmp_path, {"simulate": {"n_list": [16], "rate_bits": -0.0, "trials": 10}})
+    """A ``rate_bits`` of ``-0.0`` is the rate 0 (one word), and a
+    ``p_dbw`` of ``-0.0`` is 0 dBW, each printed ``0.0`` as figure1 prints
+    its zeros, not ``-0.0``."""
+    cfg = _write_config(tmp_path, {"simulate": {"n_list": [16], "rate_bits": -0.0, "trials": 10,
+                                                "p_dbw": -0.0}})
     out = tmp_path / "sim.csv"
     assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", "1"]) == EXIT_OK
     _, header, rows = _read_csv(out)
-    assert [r[header.index("R_bits")] for r in rows] == ["0.0"]
+    assert [(r[header.index("R_bits")], r[header.index("P_dBW")]) for r in rows] == [("0.0", "0.0")]
 
 
 _MULTI_N = [128, 32, 256, 32, 64]

@@ -610,13 +610,24 @@ def eig_banded_halves(spec, n):
     return [scipy.linalg.eig_banded(band, lower=False) for band in _half_bands(_tap_autocorr(spec.c), n)]
 
 
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """The calls ``GramVectors.columns`` makes to LAPACK's band eigensolver."""
+    calls = []
+    solve = spectrum.eig_banded
+    monkeypatch.setattr(spectrum, "eig_banded", lambda *args, **kw: calls.append(args) or solve(*args, **kw))
+    return calls
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 1024])
 @pytest.mark.parametrize("spec", ROOT_CHANNELS, ids=lambda spec: "c=" + ",".join(f"{v:.2f}" for v in spec.c))
-def test_root_basis_matches_band_oracle(spec, n):
+def test_root_basis_matches_band_oracle(spec, n, lapack_calls):
     """``root_basis_gate`` at -30, -10 and 10 dBW (from most columns on the
     floor to none), on random channels of memory 0 to 4 and ones with a
-    zero end tap, at orders with an empty, a one-row and a large half."""
+    zero end tap, at orders with an empty, a one-row and a large half;
+    every column comes from the root route, none from LAPACK."""
     root_basis_gate(spec, n)
+    assert not lapack_calls
 
 
 @pytest.mark.parametrize("n", [6, 255, 1023])
@@ -625,18 +636,47 @@ def test_root_basis_matches_band_oracle(spec, n):
     [(1.0, 0.0, 0.0, 0.5), (1.0, 1e-13, 0.0, 0.5), (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.3)],
     ids=["g3", "g3-split", "g6"],
 )
-def test_root_basis_splits_repeated_eigenvalues(c, n):
+def test_root_basis_splits_repeated_eigenvalues(c, n, lapack_calls):
     """Taps non-zero only at lags divisible by ``g >= 3`` make the Gram
     matrix ``g`` interleaved copies of one Toeplitz chain; where the
     reversal ``J`` swaps copies of equal length (n = 6, 255 and 1023 for
     ``g = 3``), a half's eigenvalues repeat, up to threefold for ``g =
-    6``, and a tiny inner tap splits them by about 1e-13.  Such ties pass
-    ``root_basis_gate`` like any other spectrum."""
+    6``, and a tiny inner tap splits them by about 1e-13.  Tied columns
+    overlap, so the half takes LAPACK's eigenbasis, which passes
+    ``root_basis_gate`` like any other."""
     spec = ChannelSpec(k=len(c) - 1, c=c, r=(1e-3,) * len(c))
     vectors = gram_eigh(spec, n)[1]
     scale = np.abs(dense_gram(c, n)).sum(axis=0).max()
     assert any((np.diff(lam) <= 1e-12 * scale).any() for lam in (vectors.lam_sym, vectors.lam_skew))
     root_basis_gate(spec, n)
+    assert lapack_calls
+
+
+# Channels whose root columns break down on a negligible end tap: each
+# made ``build_sigma`` refuse the basis at n = 255 before LAPACK took over
+# (the last, a subnormal tap, through a root solve refusing an infinity).
+# At n = 3 the first four keep one root column, a unit vector, so the
+# overlap test cannot see its residual (CHANGES.md FOUND; ROADMAP item 12).
+TINY_END_TAPS = [(1.0, 0.5, 1e-12), (1e-12, 0.5, 1.0), (1.0, 0.5, 1e-10),
+                 (0.609, 0.388, 1.18e-38, -0.255, 4.55e-76), (1.0, 1e-12), (1.471, 0.0215, 3.26e-111),
+                 (1.0, 0.5, 5e-324)]
+_ONE_INACCURATE_COLUMN = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="one kept root column at n = 3 misses the residual gate (ROADMAP item 12)")
+
+
+@pytest.mark.parametrize(
+    "c, n",
+    [pytest.param(c, n, marks=[_ONE_INACCURATE_COLUMN] if n == 3 and i < 4 else [])
+     for i, c in enumerate(TINY_END_TAPS) for n in (1, 2, 3, 64, 255, 256, 1023)],
+    ids=lambda v: "c=" + ",".join(f"{x:.3g}" for x in v) if isinstance(v, tuple) else str(v),
+)
+def test_root_basis_falls_back_on_a_negligible_end_tap(c, n):
+    """A last (or first) tap far below the others loses the route's roots:
+    the half's columns overlap past 1e-7, are not finite, or are never
+    formed, and LAPACK's eigenbasis of that half band passes
+    ``root_basis_gate`` in their place."""
+    root_basis_gate(ChannelSpec(k=len(c) - 1, c=c, r=(1e-3,) * len(c)), n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 65])
