@@ -310,13 +310,15 @@ def readme_examples(tree):
 
 
 def root_basis(tree):
-    """Gram bases from the symbol's roots meet the eig_banded oracle gate at n = 2048 and 4096 on the
-    default channel and (1, .7, .2, -.3, .1); build_sigma is timed beside eig_banded (ms)."""
+    """Gram bases meet the eig_banded oracle gate at n = 2048 and 4096 on the default channel, (1, .7,
+    .2, -.3, .1) and the near-coalescing (1, 1e-9, 0, .5), whose root columns miss the residual rule,
+    so that its halves take LAPACK; build_sigma is timed beside eig_banded (ms)."""
     from isicap import ChannelSpec
     from isicap.channel_sim import build_sigma
     from test_spectrum import eig_banded_halves, root_basis_gate
     lines = []
-    for spec in (example(), ChannelSpec(k=4, c=(1.0, 0.7, 0.2, -0.3, 0.1), r=(1e-3,) * 5)):
+    for spec in (example(), *(ChannelSpec(k=len(c) - 1, c=c, r=(1e-3,) * len(c))
+                              for c in ((1.0, 0.7, 0.2, -0.3, 0.1), (1.0, 1e-9, 0.0, 0.5)))):
         for n in (2048, 4096):
             kept, new = root_basis_gate(spec, n), min(timed(build_sigma, spec, n, 0.1) for _ in range(3))
             lines.append(f"c={spec.c} n={n}: kept {kept}, build_sigma {1e3 * new:.0f}, "

@@ -320,9 +320,7 @@ def _guard_band(ctx: DecodeContext, y_sq: np.ndarray, b_sq: np.ndarray, eta: flo
       GEMM form scales ``z`` by ``fl(-2 / (n + m))`` (two roundings of a
       score no larger than ``L^2 / (n + m)``) and forms ``fl((energy + q)
       / (n + m))``, the sum rounded once per context, and ``fl(||y||^2 /
-      (n + m)) - 1``: eight roundings, three more than when
-      it added ``energy``, ``q`` and ``||y||^2`` one by one before one
-      division and one subtraction, which ``(2m + 9) eps`` allowed for.
+      (n + m)) - 1``: eight roundings.
 
     The float32 form adds, with ``u = 2^-24`` and ``K`` the support's width,
     in units of the deviation:

@@ -9,14 +9,15 @@ transfer function of the centre taps,
 through its squared magnitude ``|f|^2``: the extreme values ``alpha^2`` and
 ``beta^2``, the inverse-spectrum mean ``J``, and the eigenpairs of the Gram
 matrix of the tall banded convolution matrix built from the centre taps.
-That Gram matrix is symmetric banded Toeplitz and is never formed densely:
+That Gram matrix ``G`` is symmetric banded Toeplitz, never formed densely:
 it splits into two half-size band problems (``gram_eigh``), whose
 eigenvalues come from LAPACK's band solver and whose eigenvectors are
 computed only for the columns a caller keeps, each from the roots of
-``|f|^2 = lam``, or by LAPACK for a half whose root columns overlap
-(``GramVectors``).  Those columns are held as two half bases in their own
-column order (``HalfBasis``, the one place that knows how they fold into
-the basis and that measures them against the Gram matrix).
+``|f|^2 = lam`` (eigenvalues of numpy's ``chebcompanion``), or by LAPACK
+for a half whose root columns overlap or are not each an eigenvector of
+their own ``lam`` to ``4 n eps ||G||_1`` (``GramVectors``).  They are held
+as two half bases in their own column order (``HalfBasis``, the one place
+that knows how they fold into the basis and measures them against ``G``).
 
 All integrals over ``[0, 2*pi]`` are composite-Simpson sums on one shared
 grid so that quantities which are equal in exact arithmetic (e.g. the
@@ -42,6 +43,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebcompanion
 from scipy.linalg import eig_banded, eigvals_banded
 
 from .errors import SpectrumSingular
@@ -603,20 +605,12 @@ class HalfBasis:
 def _colleague(coef: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """The ``(s, k', k')`` colleague matrices of ``p(x) - lam``, ``p`` the
     Chebyshev series ``coef`` of degree ``k' >= 1``, whose eigenvalues are
-    the roots (I. J. Good, Quart. J. Math. 12, 1961): in the basis ``T_0,
-    T_1 / sqrt(2), ...`` the recurrence ``x T_d = (T_(d-1) + T_(d+1)) / 2``
-    is symmetric tridiagonal, and ``p - lam = 0`` closes its last column."""
-    kp = len(coef) - 1
-    scaled = np.full(kp, math.sqrt(0.5))
-    scaled[0] = 1.0
-    mats = np.zeros((len(lam), kp, kp))
-    i = np.arange(kp - 1)
-    mats[:, i, i + 1] = mats[:, i + 1, i] = 0.5
-    if kp > 1:
-        mats[:, 0, 1] = mats[:, 1, 0] = math.sqrt(0.5)
-    low = np.repeat(coef[None, :-1], len(lam), axis=0)
-    low[:, 0] -= lam
-    mats[:, :, -1] -= low * (scaled / scaled[-1]) * ((0.5 if kp > 1 else 1.0) / coef[-1])
+    the roots (I. J. Good, Quart. J. Math. 12, 1961): numpy's
+    ``chebcompanion`` of ``p``, in which ``lam`` moves only the entry that
+    reads ``coef[0]``, ``[0, -1]``, by ``lam / (sqrt(2) coef[-1])`` (by
+    ``lam / coef[-1]`` at ``k' = 1``)."""
+    mats = np.repeat(chebcompanion(coef)[None], len(lam), axis=0)
+    mats[:, 0, -1] += lam * ((_R2 if len(coef) > 2 else 1.0) / coef[-1])
     return mats
 
 
@@ -631,7 +625,7 @@ def _ghost_rows(zeta: np.ndarray, n: int, sign: np.ndarray) -> np.ndarray:
     return (np.exp(-zeta[:, :, None] * (kp - j)) + far).transpose(0, 2, 1)
 
 
-def _pinned_roots(coef: np.ndarray, lam: np.ndarray, n: int, sign: np.ndarray, scale: float) -> np.ndarray:
+def _pinned_roots(coef: np.ndarray, lam: np.ndarray, n: int, sign: np.ndarray) -> np.ndarray:
     """Roots ``zeta`` (``(s, k')``) of ``p(x) = lam`` for each ``lam``, with
     the root that a rounding of ``lam`` moves most pinned by the ghost
     system itself.
@@ -640,43 +634,35 @@ def _pinned_roots(coef: np.ndarray, lam: np.ndarray, n: int, sign: np.ndarray, s
     (a real ``x`` near +-1 or near a turning point of ``p``) moves far for
     an ulp of ``lam``: at the top of the spectrum ``x`` is ``1 - O(1/n^2)``
     and its phase across ``n`` entries carries ``O(n^2)`` ulps of ``lam``.
-    Where that slope is below ``scale / 16`` (``scale`` bounding ``|lam|``),
+    Where that slope is below ``sum |coef| / 16`` (a bound on ``|lam|``),
     the root is taken as ``w`` on its real line (``x = cos w``, ``cosh w``
     or ``-cosh w``) and one secant step on ``w`` zeros the ghost system's
     determinant, the other roots held (a rounding of ``lam`` moves them
-    little).  A column keeps the pinned root only if ``p`` at it is within
-    ``64 eps scale`` of ``lam`` and the determinant is smaller; every other
-    column keeps the roots of ``lam``.  The roots are the eigenvalues of
-    one batch of colleague matrices (``_colleague``)."""
-    kp = len(coef) - 1
+    little).  The pin is not checked here: a column whose pin goes astray
+    is no eigenvector of its ``lam``, and ``GramVectors.columns`` sends its
+    half to LAPACK.  The roots are the eigenvalues of one batch of
+    colleague matrices (``_colleague``, numpy's ``chebcompanion``)."""
     x = np.linalg.eigvals(_colleague(coef, lam)).astype(complex)
     zeta = np.arccosh(x)  # the principal branch: Re zeta >= 0
-    lags = np.arange(1, kp + 1)
+    lags = np.arange(1, len(coef))
     slope = np.abs(np.sinh(zeta[:, :, None] * lags) @ (lags * coef[1:]))  # |p'(x) sinh(zeta)|
     slope[x.imag != 0.0] = np.inf
     pick = np.argmin(slope, axis=1)
-    idx = np.flatnonzero(slope[np.arange(len(lam)), pick] < scale / 16.0)
-    if not idx.size:
-        return zeta
-    z = zeta[idx]
-    col = pick[idx]
+    idx = np.flatnonzero(slope[np.arange(len(lam)), pick] < np.abs(coef).sum() / 16.0)
+    z, col = zeta[idx], pick[idx]
     xp = x[idx, col].real
     osc = np.abs(xp) <= 1.0
     turn = np.where(xp < -1.0, math.pi, 0.0)
 
-    def det(w):
+    def pinned(w):
         z[np.arange(len(w)), col] = np.where(osc, 1j * w, w + 1j * turn)
-        return np.linalg.det(_ghost_rows(z, n, sign[idx]))
+        return z
 
     w0 = np.where(osc, np.arccos(np.clip(xp, -1.0, 1.0)), np.arccosh(np.maximum(np.abs(xp), 1.0)))
     w1 = w0 + 1e-7 * np.maximum(w0, 1.0 / n)
-    g0, g1 = det(w0), det(w1)
+    g0, g1 = (np.linalg.det(_ghost_rows(pinned(w), n, sign[idx])) for w in (w0, w1))
     d = g1 - g0
-    w = w1 - (g1 * (w1 - w0) / np.where(d == 0.0, 1.0, d)).real * (d != 0.0)
-    g = det(w)
-    lw = coef[0] + (np.cosh(z[np.arange(len(w)), col][:, None] * lags).real @ coef[1:])
-    ok = (np.abs(lw - lam[idx]) <= 64.0 * np.finfo(float).eps * scale) & (np.abs(g) < np.abs(g0))
-    zeta[idx[ok]] = z[ok]
+    zeta[idx] = pinned(w1 - (g1 * (w1 - w0) / np.where(d == 0.0, 1.0, d)).real * (d != 0.0))
     return zeta
 
 
@@ -730,16 +716,23 @@ def _root_columns(zeta: np.ndarray, a: np.ndarray, n: int, sign: np.ndarray) -> 
     return out
 
 
-def _symmetric_orthonormal(Z: np.ndarray) -> np.ndarray | None:
-    """``Z (I - D / 2)`` for ``D = Z'Z - I``: columns orthonormal to second
-    order in ``D``, each moved only towards the columns it overlaps; or
-    None where an entry of ``D`` exceeds 1e-7, the overlap this is valid
-    for, or is NaN."""
+def _eigencolumns(Z: np.ndarray, band: np.ndarray, lam: np.ndarray, h: int, tol: float) -> np.ndarray | None:
+    """``Z (I - D / 2)`` for ``D = Z'Z - I`` (orthonormal to second order in
+    ``D``) if each column ``u`` is an eigenvector of its ``lam`` for the
+    half band's matrix ``G``: no entry of ``G u - g u`` (the top ``h`` rows
+    at ``1 / sqrt(2)``, as ``HalfBasis`` folds them) nor ``g - lam``, ``g =
+    u'G u``, past ``tol``.  Else None, as where an entry of ``D`` exceeds
+    1e-7, the overlap the correction is valid for, or is NaN."""
     D = Z.T @ Z
     D[np.diag_indices(len(D))] -= 1.0
     if not np.abs(D).max(initial=0.0) <= 1e-7:
         return None
-    return Z - Z @ (0.5 * D)
+    Z = Z - Z @ (0.5 * D)
+    R = _sym_band_apply(band, Z)
+    g = np.einsum("ij,ij->j", Z, R)
+    R -= Z * g
+    R[:h] *= _R2
+    return Z if np.abs(R).max(initial=0.0) <= tol and np.abs(g - lam).max(initial=0.0) <= tol else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -766,15 +759,19 @@ class GramVectors:
         the null vector of that ghost system (one batched SVD; W. F.
         Trench, Linear Algebra Appl. 64, 1985).  Two such columns whose
         eigenvalues are ``g`` apart overlap by about ``4 eps ||G||_1 / g``
-        (measured).  Each half's columns are then measured together: where
-        no entry of ``D = Z'Z - I`` exceeds 1e-7 they are kept as ``Z - Z
-        (D / 2)`` (``_symmetric_orthonormal``).  Elsewhere the half takes
-        the kept columns of LAPACK's full eigenbasis of its band
-        (``eig_banded``, dsbevd): where its eigenvalues tie (a zero inner
-        tap can make them repeat, up to ``k'``-fold), or where the route
-        loses its roots, as at a negligible end tap (NaN entries, or a root
-        solve that refuses its input).  At ``k' = 0`` the Gram matrix is
-        ``t_0 I`` and the columns are those of ``I``."""
+        (measured).  Each half's columns are then measured together
+        (``_eigencolumns``): where no entry of ``D = Z'Z - I`` exceeds 1e-7
+        they are corrected to ``Z - Z (D / 2)``, and kept if one pass over
+        the half band shows each to be an eigenvector of its own ``lam``,
+        every entry of ``G u - g u`` and ``g - lam`` within ``4 n eps
+        ||G||_1`` (a residual bounds the distance to an eigenvector: B. N.
+        Parlett, *The Symmetric Eigenvalue Problem*, 1998, ch. 11).
+        Elsewhere the half takes the kept columns of LAPACK's full
+        eigenbasis of its band (``eig_banded``, dsbevd): where eigenvalues
+        tie (a zero inner tap can repeat them up to ``k'``-fold), or where
+        the route loses or misplaces roots, as at a negligible end tap or
+        near-coalescing roots.  At ``k' = 0`` the Gram matrix is ``t_0 I``
+        and the columns are those of ``I``."""
         r, n, t = len(self.lam_sym), self.n, self.t
         h = n // 2
         if len(t) == 1 or not keep.any():
@@ -783,16 +780,19 @@ class GramVectors:
         sym = int(keep[:r].sum())
         sign = np.where(np.arange(len(lam)) < sym, 1.0, -1.0)
         coef = np.concatenate([t[:1], 2.0 * t[1:]])  # |f|^2 = t_0 + 2 sum_d t_d T_d(cos omega)
-        scale = float(t[0] + 2.0 * np.abs(t[1:]).sum())
+        kernel = np.abs(np.concatenate([t[:0:-1], t]))  # |G|'s column sums: ones(n) convolved with it
+        tol = 4.0 * n * np.finfo(float).eps * float(np.convolve(np.ones(n), kernel)[len(t) - 1:][:n].max())
+        bands = _half_bands(t, n)
         with np.errstate(all="ignore"):  # what the route gives is measured before it is used
             try:
-                zeta = _pinned_roots(coef, lam, n, sign, scale)
+                zeta = _pinned_roots(coef, lam, n, sign)
                 V = _root_columns(zeta, np.linalg.svd(_ghost_rows(zeta, n, sign))[2][:, -1].conj(), n, sign)
-                parts = [_symmetric_orthonormal(Z) for Z in (V[:sym].T, V[sym:, :h].T)]
+                parts = [_eigencolumns(Z, band, lz, h, tol) for Z, band, lz in
+                         zip((V[:sym].T, V[sym:, :h].T), bands, (lam[:sym], lam[sym:]))]
             except np.linalg.LinAlgError:  # a root solve that refused what the route lost
                 parts = [None, None]
-        return tuple(Z if Z is not None else eig_banded(_half_bands(t, n)[i], lower=False)[1][:, kept]
-                     for i, (Z, kept) in enumerate(zip(parts, (keep[:r], keep[r:]))))
+        return tuple(Z if Z is not None else eig_banded(band, lower=False)[1][:, kept]
+                     for Z, band, kept in zip(parts, bands, (keep[:r], keep[r:])))
 
 
 def _gram_halves(spec: ChannelSpec, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -821,9 +821,10 @@ def gram_eigh(spec: ChannelSpec, n: int) -> tuple[np.ndarray, GramVectors]:
     ``eigvals_banded`` call per half gives the eigenvalues; a kept
     column's vector comes from the roots of ``|f|^2 = lam`` in O(n k) (see
     ``GramVectors.columns``), and the kept columns of a half are
-    orthonormalised by one product of their Gram, unless they overlap past
-    1e-7 (tied eigenvalues, or lost roots): then LAPACK's full eigenbasis
-    of its band gives them.  No ``n x n`` array is formed.
+    orthonormalised by one product of their Gram unless they overlap past
+    1e-7 or one is not an eigenvector of its own ``lam`` to ``4 n eps
+    ||G||_1`` (tied eigenvalues, lost or misplaced roots): then LAPACK's
+    full eigenbasis of its band gives them.  No ``n x n`` array is formed.
     """
     t, (lam_s, lam_k) = _gram_halves(spec, n)
     return np.concatenate([lam_s, lam_k]), GramVectors(t=t, n=n, lam_sym=lam_s, lam_skew=lam_k)

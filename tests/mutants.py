@@ -30,7 +30,7 @@ _WEYL = "tests/test_verify.py::test_weyl_norm_matches_numpy_on_band_and_dense"
 _ADAPTERS = "tests/test_waterfill.py::test_adapters_refuse_a_record_of_another_grid_or_channel"
 _SHARED = "tests/test_channel_sim.py::test_shared_prefixes_draw_the_same_bits"
 _ROOTS = "tests/test_spectrum.py::test_root_basis_matches_band_oracle"
-_FALLBACK = "tests/test_spectrum.py::test_root_basis_falls_back_on_a_negligible_end_tap"
+_NEGLIGIBLE = "tests/test_spectrum.py::test_root_basis_gate_holds_with_negligible_taps"
 
 MUTANTS = (
     # The band products of BandedChannelMatrix, against the entrywise dense oracle.
@@ -446,13 +446,42 @@ MUTANTS = (
         "for j in range(max(h - k + 1, 0), h):",
         (f"{_ROOTS}[c=0.32,-0.86-256]", "tests/test_spectrum.py::test_gram_eigenvalues_match_dense"),
     ),
-    # The one measured switch from the root columns to LAPACK's eigenbasis of a half band.
+    # The measured switch from the root columns to LAPACK's eigenbasis of a half band.
     Mutant(
         "the overlap test always passes (the root columns are always kept)",
         "spectrum.py",
         "    if not np.abs(D).max(initial=0.0) <= 1e-7:\n        return None\n",
         "",
-        (f"{_FALLBACK}[c=1,0.5,1e-12-64]", f"{_FALLBACK}[c=1,1e-12-255]"),
+        ("tests/test_spectrum.py::test_eigencolumns_refuse_overlap_the_eigenvalue_cannot_see",),
+    ),
+    Mutant(
+        "the residual entries are not measured (only the eigenvalue match decides)",
+        "spectrum.py",
+        "np.abs(R).max(initial=0.0) <= tol and ",
+        "",
+        (_NEGLIGIBLE,),
+    ),
+    Mutant(
+        "the eigenvalue match is not measured (a column of another eigenvalue is kept)",
+        "spectrum.py",
+        " and np.abs(g - lam).max(initial=0.0) <= tol",
+        "",
+        (_NEGLIGIBLE,),
+    ),
+    Mutant(
+        "the residual's top rows counted unfolded, without 1/sqrt(2)",
+        "spectrum.py",
+        "    R[:h] *= _R2\n",
+        "",
+        ("tests/test_spectrum.py::test_root_basis_counts_top_rows_as_they_fold[k3]",
+         "tests/test_spectrum.py::test_root_basis_counts_top_rows_as_they_fold[k4]"),
+    ),
+    Mutant(
+        "the residual tolerance from t_0 + 2 sum |t_d|, above ||G||_1 at n <= 2k'",
+        "spectrum.py",
+        "float(np.convolve(np.ones(n), kernel)[len(t) - 1:][:n].max())",
+        "float(kernel.sum())",
+        (_NEGLIGIBLE,),
     ),
     Mutant(
         "the overlap threshold is -1 (every half goes to LAPACK)",
